@@ -11,7 +11,13 @@
 //   - internal/sim — the discrete-event kernel: a virtual microsecond
 //     clock and a pooled event heap (events are slab-allocated and
 //     recycled; cancellation goes through generation-checked EventRef
-//     handles, so steady-state simulation does not allocate per event).
+//     handles, so steady-state simulation does not allocate per event,
+//     which TestKernelStepZeroAllocs pins). The queue is a typed binary
+//     heap of slot ids with its own sift methods, not container/heap: the
+//     (due, seq) comparison inlines, no slot id is boxed into an
+//     interface, and because the sifts follow container/heap's algorithm
+//     step for step the pop order is the one that package gave. The
+//     scheduler's pending queue is built the same way.
 //     One kernel drives exactly one cell and is single-threaded by design.
 //   - internal/rng, internal/dist — splittable deterministic randomness
 //     (xoshiro256**) and the calibrated parametric distributions drawn
@@ -82,7 +88,12 @@
 // generation counter bumped on every place/remove/limit/usage mutation.
 // Resident records and kernel callbacks are pooled, so steady-state
 // placement performs zero heap allocations (guarded by an
-// AllocsPerRun test in CI). The policy layer sits on top of this
+// AllocsPerRun test in CI). Machines are looked up in an ID-indexed
+// table: IDs are dense from 1, so cluster.Cell keeps a []*Machine with a
+// nil slot per removed machine instead of a map, and the scheduler's
+// per-machine score cache is indexed by the same IDs. The scheduling
+// server's service-completion callback is bound once, so queueing a
+// service event allocates no closure. The policy layer sits on top of this
 // machinery without weakening it: policies are stateless singletons
 // whose Score is a pure function of generation-covered machine state
 // and class-covered request shape, so the per-class score cache, the
@@ -127,7 +138,10 @@
 // buffers across windows, and tracks first-window-after-placement state
 // with a generation counter instead of a per-window map; a steady-state
 // sampling window performs zero heap allocations (AllocsPerRun-guarded
-// in CI, like the placement fast path).
+// in CI, like the placement fast path). The autopilot the sampler feeds
+// is allocation-free too once a task's window exists: its windowed
+// percentile sorts in one buffer the autopilot owns
+// (TestObserveSteadyStateZeroAllocs).
 //
 // The delivery side batches: instead of one Sink.Usage virtual call per
 // record, the sampler hands each machine-window's records to the sink

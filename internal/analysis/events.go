@@ -15,12 +15,13 @@ type Transition struct {
 }
 
 // TransitionCounts tallies consecutive event-type pairs; the key is
-// {from, to}.
-type TransitionCounts map[[2]string]int
+// {from, to}. Types become names only in TransitionsFromCounts, so the
+// per-event tally hashes two integers rather than two strings.
+type TransitionCounts map[[2]trace.EventType]int
 
 // Observe counts one edge.
 func (c TransitionCounts) Observe(from, to trace.EventType) {
-	c[[2]string{from.String(), to.String()}]++
+	c[[2]trace.EventType{from, to}]++
 }
 
 // Transitions counts consecutive event-type pairs across all collections
@@ -47,7 +48,7 @@ func Transitions(tr *trace.MemTrace) []Transition {
 func TransitionsFromCounts(counts TransitionCounts) []Transition {
 	out := make([]Transition, 0, len(counts))
 	for k, n := range counts {
-		out = append(out, Transition{From: k[0], To: k[1], Count: n})
+		out = append(out, Transition{From: k[0].String(), To: k[1].String(), Count: n})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {

@@ -11,6 +11,8 @@
 package autopilot
 
 import (
+	"sort"
+
 	"repro/internal/cluster"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -74,8 +76,9 @@ func (w *window) add(u trace.Resources) {
 }
 
 // percentile returns the q-quantile of the windowed peaks, computed per
-// resource dimension.
-func (w *window) percentile(q float64) trace.Resources {
+// resource dimension. buf must hold at least 2×len(w.peaks) values; each
+// dimension is copied into its half and sorted there in place.
+func (w *window) percentile(q float64, buf []float64) trace.Resources {
 	n := w.next
 	if w.filled {
 		n = len(w.peaks)
@@ -83,15 +86,16 @@ func (w *window) percentile(q float64) trace.Resources {
 	if n == 0 {
 		return trace.Resources{}
 	}
-	cpus := make([]float64, n)
-	mems := make([]float64, n)
-	for i := 0; i < n; i++ {
-		cpus[i] = w.peaks[i].CPU
-		mems[i] = w.peaks[i].Mem
+	cpus, mems := buf[:n], buf[n:2*n]
+	for i, p := range w.peaks[:n] {
+		cpus[i] = p.CPU
+		mems[i] = p.Mem
 	}
+	sort.Float64s(cpus)
+	sort.Float64s(mems)
 	return trace.Resources{
-		CPU: stats.Quantile(cpus, q),
-		Mem: stats.Quantile(mems, q),
+		CPU: stats.QuantileSorted(cpus, q),
+		Mem: stats.QuantileSorted(mems, q),
 	}
 }
 
@@ -101,6 +105,9 @@ type Autopilot struct {
 	cell    *cluster.Cell
 	sink    trace.Sink
 	windows map[trace.InstanceKey]*window
+	// sortBuf is percentile's sort buffer, 2×WindowSamples long, shared by
+	// every window so a steady-state Observe does not allocate.
+	sortBuf []float64
 
 	setRequest func(*scheduler.Task, trace.Resources)
 
@@ -120,6 +127,7 @@ func New(cfg Config, cell *cluster.Cell, sink trace.Sink) *Autopilot {
 		cell:    cell,
 		sink:    sink,
 		windows: make(map[trace.InstanceKey]*window),
+		sortBuf: make([]float64, 2*cfg.WindowSamples),
 	}
 }
 
@@ -151,7 +159,7 @@ func (a *Autopilot) Observe(now sim.Time, t *scheduler.Task, peakUsage trace.Res
 	}
 	w.add(peakUsage)
 
-	rec := w.percentile(a.cfg.Percentile).Scale(a.cfg.Margin)
+	rec := w.percentile(a.cfg.Percentile, a.sortBuf).Scale(a.cfg.Margin)
 	if rec.CPU < a.cfg.MinCPU {
 		rec.CPU = a.cfg.MinCPU
 	}

@@ -169,6 +169,43 @@ func TestForget(t *testing.T) {
 	}
 }
 
+// TestObserveSteadyStateZeroAllocs: once a task's window exists, Observe
+// allocates nothing — neither the percentile over the window nor a limit
+// update through the cell and a NopSink.
+func TestObserveSteadyStateZeroAllocs(t *testing.T) {
+	cell := cluster.NewCell("test")
+	m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
+	ap := New(DefaultConfig(cluster.OvercommitPolicy{CPUFactor: 1.2, MemFactor: 1.2}), cell, trace.NopSink{})
+	j := scheduler.NewJob(1)
+	j.Scaling = trace.ScalingFull
+	task := &scheduler.Task{Request: trace.Resources{CPU: 0.4, Mem: 0.4}, Duration: sim.Hour}
+	j.AddTask(task)
+	task.Machine = m.ID
+	cell.Place(m.ID, &cluster.Resident{Key: task.Key, Limit: task.Request})
+
+	// Alternating quiet and busy stretches keep the recommendation moving,
+	// so the measured calls include limit updates as well as no-ops.
+	now := sim.Time(0)
+	observe := func() {
+		for i := 0; i < 24; i++ {
+			peak := trace.Resources{CPU: 0.05, Mem: 0.08}
+			if i >= 12 {
+				peak = trace.Resources{CPU: 0.3, Mem: 0.25}
+			}
+			ap.Observe(now, task, peak)
+			now += sim.SampleWindow
+		}
+	}
+	observe()
+	before := ap.Updates()
+	if avg := testing.AllocsPerRun(50, observe); avg != 0 {
+		t.Fatalf("steady-state Observe: %.2f allocs per 24 calls, want 0", avg)
+	}
+	if ap.Updates() == before {
+		t.Fatal("no limit updates during the measured calls")
+	}
+}
+
 func TestSignificant(t *testing.T) {
 	if significant(1.0, 1.01, 0.05) {
 		t.Fatal("1% change flagged at 5% threshold")

@@ -254,8 +254,10 @@ func (m *Machine) FitsLimit(request trace.Resources, policy OvercommitPolicy) bo
 type Cell struct {
 	Name string
 
-	machines map[trace.MachineID]*Machine
-	ids      []trace.MachineID // sorted, kept in sync with machines
+	// machines is indexed by ID: IDs are dense from 1 (AddMachine's
+	// nextID), slot 0 is never used and a removed machine's slot is nil.
+	machines []*Machine
+	ids      []trace.MachineID // live IDs, sorted, kept in sync with machines
 	// occ lists machines that currently hold at least one resident, in
 	// ascending ID order. Place/Remove maintain it on the 0↔1 resident
 	// transitions so per-window sampling walks only occupied machines.
@@ -268,7 +270,7 @@ type Cell struct {
 func NewCell(name string) *Cell {
 	return &Cell{
 		Name:     name,
-		machines: make(map[trace.MachineID]*Machine),
+		machines: make([]*Machine, 1),
 		nextID:   1,
 	}
 }
@@ -282,7 +284,7 @@ func (c *Cell) AddMachine(capacity trace.Resources, platform string) *Machine {
 		residents: make(map[trace.InstanceKey]*Resident),
 	}
 	c.nextID++
-	c.machines[m.ID] = m
+	c.machines = append(c.machines, m)
 	c.ids = append(c.ids, m.ID)
 	c.capacity = c.capacity.Add(capacity)
 	return m
@@ -291,15 +293,15 @@ func (c *Cell) AddMachine(capacity trace.Resources, platform string) *Machine {
 // RemoveMachine deletes a machine from the cell and returns its residents
 // (which the caller must reschedule). Removing an unknown machine panics.
 func (c *Cell) RemoveMachine(id trace.MachineID) []*Resident {
-	m, ok := c.machines[id]
-	if !ok {
+	m := c.Machine(id)
+	if m == nil {
 		panic(fmt.Sprintf("cluster: removing unknown machine %d", id))
 	}
 	res := m.Residents()
 	for _, r := range res {
 		c.Remove(id, r.Key)
 	}
-	delete(c.machines, id)
+	c.machines[id] = nil
 	// ids is sorted ascending (AddMachine appends monotonically increasing
 	// IDs and removals preserve order), so the slot is found by binary
 	// search rather than a linear scan.
@@ -311,10 +313,15 @@ func (c *Cell) RemoveMachine(id trace.MachineID) []*Resident {
 }
 
 // Machine returns the machine with the given ID, or nil.
-func (c *Cell) Machine(id trace.MachineID) *Machine { return c.machines[id] }
+func (c *Cell) Machine(id trace.MachineID) *Machine {
+	if id <= 0 || int(id) >= len(c.machines) {
+		return nil
+	}
+	return c.machines[id]
+}
 
 // NumMachines returns the count of live machines.
-func (c *Cell) NumMachines() int { return len(c.machines) }
+func (c *Cell) NumMachines() int { return len(c.ids) }
 
 // Capacity returns the total live capacity of the cell.
 func (c *Cell) Capacity() trace.Resources { return c.capacity }
@@ -359,8 +366,8 @@ func (c *Cell) Machines(fn func(m *Machine)) {
 // duplicate placement — both indicate scheduler bugs, not runtime
 // conditions.
 func (c *Cell) Place(id trace.MachineID, r *Resident) {
-	m, ok := c.machines[id]
-	if !ok {
+	m := c.Machine(id)
+	if m == nil {
 		panic(fmt.Sprintf("cluster: placing on unknown machine %d", id))
 	}
 	if _, dup := m.residents[r.Key]; dup {
@@ -378,8 +385,8 @@ func (c *Cell) Place(id trace.MachineID, r *Resident) {
 // Remove detaches a resident from a machine and returns it. Removing a
 // non-resident instance panics.
 func (c *Cell) Remove(id trace.MachineID, key trace.InstanceKey) *Resident {
-	m, ok := c.machines[id]
-	if !ok {
+	m := c.Machine(id)
+	if m == nil {
 		panic(fmt.Sprintf("cluster: removing from unknown machine %d", id))
 	}
 	r, ok := m.residents[key]
@@ -400,8 +407,8 @@ func (c *Cell) Remove(id trace.MachineID, key trace.InstanceKey) *Resident {
 // UpdateLimit changes a resident's limit in place, keeping the machine's
 // allocation aggregate consistent. Used by Autopilot's vertical scaling.
 func (c *Cell) UpdateLimit(id trace.MachineID, key trace.InstanceKey, limit trace.Resources) {
-	m, ok := c.machines[id]
-	if !ok {
+	m := c.Machine(id)
+	if m == nil {
 		panic(fmt.Sprintf("cluster: updating on unknown machine %d", id))
 	}
 	r, ok := m.residents[key]

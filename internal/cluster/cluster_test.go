@@ -159,6 +159,40 @@ func TestRemoveMachineReturnsResidents(t *testing.T) {
 	}
 }
 
+// TestMachineTableLookup pins the ID-indexed machine table's edges: IDs
+// outside 1..last and removed IDs resolve to nil, and the live-ID views
+// stay consistent with lookups after removals, including of the last ID.
+func TestMachineTableLookup(t *testing.T) {
+	c := NewCell("test")
+	ms := make([]*Machine, 5)
+	for i := range ms {
+		ms[i] = c.AddMachine(res(1, 1), "P0")
+	}
+	c.RemoveMachine(ms[1].ID)
+	c.RemoveMachine(ms[4].ID)
+	for _, id := range []trace.MachineID{0, -1, -1 << 31, ms[4].ID, ms[4].ID + 1, 1 << 30, ms[1].ID} {
+		if m := c.Machine(id); m != nil {
+			t.Fatalf("Machine(%d) = machine %d, want nil", id, m.ID)
+		}
+	}
+	want := []trace.MachineID{ms[0].ID, ms[2].ID, ms[3].ID}
+	ids := c.MachineIDs()
+	if c.NumMachines() != len(want) || len(ids) != len(want) {
+		t.Fatalf("NumMachines %d, MachineIDs %v, want %v", c.NumMachines(), ids, want)
+	}
+	var walked []trace.MachineID
+	c.Machines(func(m *Machine) { walked = append(walked, m.ID) })
+	for i, id := range want {
+		if ids[i] != id || walked[i] != id || c.Machine(id) != ms[id-1] {
+			t.Fatalf("MachineIDs %v, Machines walk %v, want %v", ids, walked, want)
+		}
+	}
+	// IDs are never reused: a new machine takes the next ID, not a freed one.
+	if m := c.AddMachine(res(1, 1), "P0"); m.ID != ms[4].ID+1 || c.Machine(m.ID) != m || c.NumMachines() != 4 {
+		t.Fatalf("added machine %d after removals: lookup %v, count %d", m.ID, c.Machine(m.ID), c.NumMachines())
+	}
+}
+
 func TestTotalAllocated(t *testing.T) {
 	c := NewCell("test")
 	m1 := c.AddMachine(res(1, 1), "P0")

@@ -245,22 +245,43 @@ func TestQueueOrdererOverride(t *testing.T) {
 		return tt
 	}
 	// Custom order: weakest priority first — the reverse of the default.
-	h := &taskHeap{less: func(a, b *Task) bool { return a.Job.Priority < b.Job.Priority }}
-	h.tasks = []*Task{mk(300, 0), mk(100, 2), mk(100, 1), mk(200, 3)}
-	if h.Less(1, 0) != true || h.Less(0, 1) != false {
+	h := &taskHeap{queueLess: func(a, b *Task) bool { return a.Job.Priority < b.Job.Priority }}
+	p300, p100b, p100a, p200 := mk(300, 0), mk(100, 2), mk(100, 1), mk(200, 3)
+	if h.less(p100b, p300) != true || h.less(p300, p100b) != false {
 		t.Fatal("custom less not consulted")
 	}
-	// Equal priorities: index 2 enqueued before index 1.
-	if h.Less(2, 1) != true || h.Less(1, 2) != false {
+	// Equal priorities: p100a enqueued before p100b.
+	if h.less(p100a, p100b) != true || h.less(p100b, p100a) != false {
 		t.Fatal("tie under custom less does not break by enqueue sequence")
 	}
+	for _, tt := range []*Task{p300, p100b, p100a, p200} {
+		h.push(tt)
+	}
+	for i, want := range []*Task{p100a, p100b, p200, p300} {
+		if got := h.pop(); got != want {
+			t.Fatalf("custom order pop %d: priority %d seq %d, want priority %d seq %d",
+				i, got.Job.Priority, got.enqueueSeq, want.Job.Priority, want.enqueueSeq)
+		}
+	}
 	// Default ordering (nil less): strongest priority first, then FIFO.
-	d := &taskHeap{tasks: []*Task{mk(100, 0), mk(300, 1), mk(300, 2)}}
-	if d.Less(0, 1) != false || d.Less(1, 0) != true {
+	d := &taskHeap{}
+	low, hiA, hiB := mk(100, 0), mk(300, 1), mk(300, 2)
+	if d.less(low, hiA) != false || d.less(hiA, low) != true {
 		t.Fatal("default order lost priority-descending")
 	}
-	if d.Less(1, 2) != true || d.Less(2, 1) != false {
+	if d.less(hiA, hiB) != true || d.less(hiB, hiA) != false {
 		t.Fatal("default order lost FIFO tie-break")
+	}
+	for _, tt := range []*Task{low, hiB, hiA} {
+		d.push(tt)
+	}
+	for i, want := range []*Task{hiA, hiB, low} {
+		if got := d.pop(); got != want {
+			t.Fatalf("default order pop %d: priority %d seq %d", i, got.Job.Priority, got.enqueueSeq)
+		}
+	}
+	if d.Len() != 0 {
+		t.Fatalf("%d tasks left after popping all", d.Len())
 	}
 }
 

@@ -1,33 +1,33 @@
 package scheduler
 
-import (
-	"container/heap"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // taskHeap orders pending tasks by (priority desc, enqueue sequence asc):
 // strongest tier first, FIFO within a priority. A policy implementing
-// QueueOrderer substitutes its own primary ordering via less; ties under
-// either ordering break by enqueue sequence rather than a timestamp, so
-// bursts of tasks arriving in the same simulation instant still pop
+// QueueOrderer substitutes its own primary ordering via queueLess; ties
+// under either ordering break by enqueue sequence rather than a timestamp,
+// so bursts of tasks arriving in the same simulation instant still pop
 // deterministically.
+//
+// push and pop follow container/heap's up/down algorithm step for step, so
+// the array layout and pop order are the ones that package would produce,
+// without its interface dispatch.
 type taskHeap struct {
 	tasks []*Task
-	// less is the optional QueueOrderer hook; nil selects the default
+	// queueLess is the optional QueueOrderer hook; nil selects the default
 	// priority-descending order.
-	less func(a, b *Task) bool
+	queueLess func(a, b *Task) bool
 }
 
 func (h *taskHeap) Len() int { return len(h.tasks) }
 
-func (h *taskHeap) Less(i, j int) bool {
-	a, b := h.tasks[i], h.tasks[j]
-	if h.less != nil {
-		if h.less(a, b) {
+// less reports whether a is served before b.
+func (h *taskHeap) less(a, b *Task) bool {
+	if h.queueLess != nil {
+		if h.queueLess(a, b) {
 			return true
 		}
-		if h.less(b, a) {
+		if h.queueLess(b, a) {
 			return false
 		}
 	} else if a.Job.Priority != b.Job.Priority {
@@ -36,17 +36,48 @@ func (h *taskHeap) Less(i, j int) bool {
 	return a.enqueueSeq < b.enqueueSeq
 }
 
-func (h *taskHeap) Swap(i, j int) { h.tasks[i], h.tasks[j] = h.tasks[j], h.tasks[i] }
+// push adds t and sifts it toward the root.
+func (h *taskHeap) push(t *Task) {
+	h.tasks = append(h.tasks, t)
+	j := len(h.tasks) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(t, h.tasks[i]) {
+			break
+		}
+		h.tasks[j] = h.tasks[i]
+		j = i
+	}
+	h.tasks[j] = t
+}
 
-func (h *taskHeap) Push(x any) { h.tasks = append(h.tasks, x.(*Task)) }
-
-func (h *taskHeap) Pop() any {
-	old := h.tasks
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	h.tasks = old[:n-1]
-	return t
+// pop removes and returns the first task to serve. The heap must be
+// non-empty.
+func (h *taskHeap) pop() *Task {
+	n := len(h.tasks) - 1
+	top, last := h.tasks[0], h.tasks[n]
+	h.tasks[n] = nil
+	h.tasks = h.tasks[:n]
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.less(h.tasks[j2], h.tasks[j]) {
+			j = j2
+		}
+		if !h.less(h.tasks[j], last) {
+			break
+		}
+		h.tasks[i] = h.tasks[j]
+		i = j
+	}
+	h.tasks[i] = last
+	return top
 }
 
 // enqueue adds a task to the pending queue and pokes the scheduling server.
@@ -55,7 +86,7 @@ func (s *Scheduler) enqueue(t *Task) {
 	s.accountBEB(t)
 	t.enqueueSeq = s.seq
 	s.seq++
-	heap.Push(&s.pending, t)
+	s.pending.push(t)
 	s.met.pendingQueue.Set(float64(s.pending.Len()))
 	s.kick()
 }
@@ -73,17 +104,21 @@ func (s *Scheduler) kick() {
 	if service < 0 {
 		service = 0
 	}
-	s.k.After(sim.FromSeconds(service), func(now sim.Time) {
-		s.busy = false
-		s.serveOne(now)
-		s.kick()
-	})
+	s.k.After(sim.FromSeconds(service), s.serveFn)
+}
+
+// serve is the scheduling server's service-completion event, bound once
+// to serveFn in New so kick schedules it without allocating a closure.
+func (s *Scheduler) serve(now sim.Time) {
+	s.busy = false
+	s.serveOne(now)
+	s.kick()
 }
 
 // serveOne pops the strongest pending task and attempts placement.
 func (s *Scheduler) serveOne(now sim.Time) {
 	for s.pending.Len() > 0 {
-		t := heap.Pop(&s.pending).(*Task)
+		t := s.pending.pop()
 		if t.State != TaskPending || t.Job.State == JobDone {
 			continue // withdrawn (killed) while queued
 		}

@@ -389,6 +389,8 @@ type Scheduler struct {
 	pending taskHeap
 	busy    bool
 	seq     uint64
+	// serveFn is serve bound once, so each service event reuses it.
+	serveFn func(sim.Time)
 
 	jobs     map[trace.CollectionID]*Job
 	children map[trace.CollectionID][]*Job
@@ -461,8 +463,9 @@ func New(cfg Config, cell *cluster.Cell, k *sim.Kernel, sink trace.Sink, src *rn
 		met:        newSchedInstruments(reg),
 	}
 	if qo, ok := s.policy.(QueueOrderer); ok {
-		s.pending.less = qo.QueueLess
+		s.pending.queueLess = qo.QueueLess
 	}
+	s.serveFn = s.serve
 	if cfg.Batch != nil {
 		k.Every(cfg.Batch.CheckPeriod, cfg.Batch.CheckPeriod, 0, func(sim.Time) {
 			s.batchAdmissionCheck()

@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -149,34 +148,80 @@ func (k *Kernel) release(id uint32) {
 	k.free = append(k.free, id)
 }
 
-// heapOrder implements container/heap over the kernel's order slice,
-// keeping each slot's pos index in sync so Cancel can remove mid-heap
-// entries in O(log n).
-type heapOrder Kernel
+// The event queue is a binary min-heap of slot ids in k.order, ordered by
+// (due, seq). The sift methods below follow container/heap's up/down/Remove
+// algorithm step for step, so the array layout and pop order are the ones
+// that package would produce, but they move the sifted id through a hole
+// instead of swapping and keep each slot's pos index in sync so Cancel can
+// remove mid-heap entries in O(log n).
 
-func (h *heapOrder) Len() int { return len(h.order) }
-func (h *heapOrder) Less(i, j int) bool {
-	a, b := &h.slots[h.order[i]], &h.slots[h.order[j]]
-	if a.due != b.due {
-		return a.due < b.due
+// before reports whether slot a fires before slot b.
+func (k *Kernel) before(a, b uint32) bool {
+	sa, sb := &k.slots[a], &k.slots[b]
+	if sa.due != sb.due {
+		return sa.due < sb.due
 	}
-	return a.seq < b.seq
+	return sa.seq < sb.seq
 }
-func (h *heapOrder) Swap(i, j int) {
-	h.order[i], h.order[j] = h.order[j], h.order[i]
-	h.slots[h.order[i]].pos = int32(i)
-	h.slots[h.order[j]].pos = int32(j)
+
+// place stores id at heap index i.
+func (k *Kernel) place(i int, id uint32) {
+	k.order[i] = id
+	k.slots[id].pos = int32(i)
 }
-func (h *heapOrder) Push(x any) {
-	id := x.(uint32)
-	h.slots[id].pos = int32(len(h.order))
-	h.order = append(h.order, id)
+
+// up moves the id at heap index j toward the root until its parent fires
+// first.
+func (k *Kernel) up(j int) {
+	id := k.order[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		p := k.order[i]
+		if !k.before(id, p) {
+			break
+		}
+		k.place(j, p)
+		j = i
+	}
+	k.place(j, id)
 }
-func (h *heapOrder) Pop() any {
-	n := len(h.order)
-	id := h.order[n-1]
-	h.order = h.order[:n-1]
-	h.slots[id].pos = -1
+
+// down moves the id at heap index i0 toward the leaves of order[:n] until
+// both children fire after it, and reports whether it moved.
+func (k *Kernel) down(i0, n int) bool {
+	id := k.order[i0]
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && k.before(k.order[j2], k.order[j]) {
+			j = j2
+		}
+		c := k.order[j]
+		if !k.before(c, id) {
+			break
+		}
+		k.place(i, c)
+		i = j
+	}
+	k.place(i, id)
+	return i > i0
+}
+
+// removeAt deletes heap index i and returns its slot id; the caller
+// releases the slot.
+func (k *Kernel) removeAt(i int) uint32 {
+	id := k.order[i]
+	n := len(k.order) - 1
+	if n != i {
+		k.order[i] = k.order[n]
+		if !k.down(i, n) {
+			k.up(i)
+		}
+	}
+	k.order = k.order[:n]
 	return id
 }
 
@@ -192,7 +237,8 @@ func (k *Kernel) At(due Time, fire func(now Time)) EventRef {
 	s.seq = k.seq
 	s.fire = fire
 	k.seq++
-	heap.Push((*heapOrder)(k), id)
+	k.order = append(k.order, id)
+	k.up(len(k.order) - 1)
 	return EventRef{slot: id, gen: s.gen}
 }
 
@@ -210,8 +256,7 @@ func (k *Kernel) Cancel(r EventRef) {
 	if !k.Scheduled(r) {
 		return
 	}
-	heap.Remove((*heapOrder)(k), int(k.slots[r.slot].pos))
-	k.release(r.slot)
+	k.release(k.removeAt(int(k.slots[r.slot].pos)))
 }
 
 // Step fires the next event, advancing the clock. It returns false when the
@@ -220,7 +265,7 @@ func (k *Kernel) Step() bool {
 	if len(k.order) == 0 {
 		return false
 	}
-	id := heap.Pop((*heapOrder)(k)).(uint32)
+	id := k.removeAt(0)
 	s := &k.slots[id]
 	k.now = s.due
 	k.events++

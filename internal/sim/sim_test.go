@@ -287,13 +287,96 @@ func TestOrderingProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkKernelThroughput(b *testing.B) {
+// Property: interleaved At, Cancel and Step fire exactly the uncanceled
+// events, in (due, scheduling order), and every queued slot's pos index
+// matches its place in the heap.
+func TestCancelMidHeapProperty(t *testing.T) {
+	type op struct {
+		Delay  uint8
+		Cancel uint8 // when odd, cancel an earlier ref (maybe already fired)
+		Step   bool
+	}
+	f := func(ops []op) bool {
+		k := NewKernel()
+		type ev struct {
+			due Time
+			n   int
+		}
+		var refs []EventRef
+		var fired []ev
+		canceled := 0
+		for n, o := range ops {
+			e := ev{due: k.Now() + Time(o.Delay), n: n}
+			refs = append(refs, k.At(e.due, func(now Time) { fired = append(fired, e) }))
+			if o.Cancel%2 == 1 {
+				r := refs[int(o.Cancel/2)%len(refs)]
+				if k.Scheduled(r) {
+					canceled++
+				}
+				k.Cancel(r)
+			}
+			if o.Step {
+				k.Step()
+			}
+			for i, id := range k.order {
+				if k.slots[id].pos != int32(i) {
+					return false
+				}
+			}
+		}
+		k.Run()
+		// Everything scheduled and not canceled fired, in order.
+		if len(fired) != len(ops)-canceled {
+			return false
+		}
+		for i := 1; i < len(fired); i++ {
+			a, b := fired[i-1], fired[i]
+			if a.due > b.due || (a.due == b.due && a.n > b.n) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// queuedEvents keeps BenchmarkKernelThroughput and the zero-alloc guard
+// above 256 slots, where boxing a slot id into an interface would allocate.
+const queuedEvents = 1024
+
+// steadyKernel returns a kernel holding queuedEvents self-rescheduling
+// events with one pre-bound callback.
+func steadyKernel() *Kernel {
 	k := NewKernel()
 	var reschedule func(now Time)
-	reschedule = func(now Time) { k.After(1, reschedule) }
-	for i := 0; i < 64; i++ {
-		k.After(Time(i), reschedule)
+	reschedule = func(now Time) { k.After(queuedEvents, reschedule) }
+	for i := 0; i < queuedEvents; i++ {
+		k.At(Time(i), reschedule)
 	}
+	return k
+}
+
+// TestKernelStepZeroAllocs pins the package doc's promise that the kernel
+// does not allocate per event: with the slab warm and the callback bound
+// once, firing an event and scheduling its successor allocates nothing.
+func TestKernelStepZeroAllocs(t *testing.T) {
+	k := steadyKernel()
+	for i := 0; i < queuedEvents; i++ {
+		k.Step()
+	}
+	if avg := testing.AllocsPerRun(10*queuedEvents, func() { k.Step() }); avg != 0 {
+		t.Fatalf("Step with %d events queued: %.2f allocs/op, want 0", k.Pending(), avg)
+	}
+	if k.Pending() != queuedEvents || k.PoolSize() != queuedEvents {
+		t.Fatalf("pending %d, pool %d: want %d queued events throughout", k.Pending(), k.PoolSize(), queuedEvents)
+	}
+}
+
+func BenchmarkKernelThroughput(b *testing.B) {
+	k := steadyKernel()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.Step()
