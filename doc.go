@@ -86,7 +86,18 @@
 // (request shape × tier × priority band) and each machine memoizes its
 // score for the last class that probed it, invalidated by a per-machine
 // generation counter bumped on every place/remove/limit/usage mutation.
-// Resident records and kernel callbacks are pooled, so steady-state
+// A machine keeps its residents in one slice that is always in victim
+// order (priority, then collection, then index): placement inserts by
+// binary search and removal shifts in place, with no per-machine map and
+// no re-sort. Residents hands that slice out as a copy-on-write
+// snapshot — the next membership change copies before writing — which
+// is what makes evicting while iterating safe for machine maintenance,
+// machine removal and memory pressure. Each task caches its interned
+// class ID, valid while its request is unchanged and the intern table
+// has not been cleared (an epoch counter), so the class lookup hashes
+// only when a task's shape is new to it and the IDs returned are the
+// ones the table would give. Resident records and kernel callbacks are
+// pooled, so steady-state
 // placement performs zero heap allocations (guarded by an
 // AllocsPerRun test in CI). Machines are looked up in an ID-indexed
 // table: IDs are dense from 1, so cluster.Cell keeps a []*Machine with a
@@ -116,9 +127,15 @@
 // reducers invert that: experiments.RunSuiteStreaming runs all nine
 // cells with core.Options.NoMemTrace, each cell's rows folding through
 // one streaming.CellReducer (and, optionally, a sharded CSV export via
-// trace.DirSink behind a BufferedSink) before being dropped. Reducer
-// state grows only with the number of jobs and tasks — the aggregates
-// the figures inherently need — cutting the LargeScale suite's peak heap
+// trace.DirSink behind a BufferedSink) before being dropped. Per-instance
+// state lives in its collection's instance table, a slice indexed by
+// instance index (indexes far beyond those seen, or negative, go to a
+// small side map, so a hostile trace cannot size the table), and
+// Figure 10's first-ENABLE and first-SCHEDULE times are collection
+// fields; each row does at most one collection lookup, memoized across
+// adjacent rows. Reducer state grows with the number of jobs and tasks
+// (and, until ROADMAP item 3 lands, the per-row slack vector) — the
+// aggregates the figures inherently need — cutting the LargeScale suite's peak heap
 // by ~10x (BENCH_PR4.json) while producing a report byte-identical to
 // the retained path: within a cell both paths fold the same terms in
 // emission order, and cross-cell merges share the same Finish/Merge
@@ -135,13 +152,18 @@
 // the profile, so both of its halves are allocation-free. The sampler
 // side walks an occupied-machine index maintained by the cell (never
 // scanning empty machines), reuses pooled observation and record
-// buffers across windows, and tracks first-window-after-placement state
-// with a generation counter instead of a per-window map; a steady-state
+// buffers across windows, and keeps the partial usage of tasks that
+// stopped mid-window in slices indexed by machine ID; a steady-state
 // sampling window performs zero heap allocations (AllocsPerRun-guarded
 // in CI, like the placement fast path). The autopilot the sampler feeds
-// is allocation-free too once a task's window exists: its windowed
-// percentile sorts in one buffer the autopilot owns
-// (TestObserveSteadyStateZeroAllocs).
+// hangs each task's usage window off the task itself (an opaque owner
+// cookie, like a resident's task pointer) and keeps a list of tracked
+// tasks, which it sweeps once per sampling window to close the windows
+// of tasks that stopped running, so no per-window map exists on either
+// side. It is allocation-free too once a task's window exists: each
+// window keeps its CPU and memory peaks in sorted order, updated by one
+// insertion and one removal per sample, so the windowed percentile is a
+// read, never a sort (TestObserveSteadyStateZeroAllocs).
 //
 // The delivery side batches: instead of one Sink.Usage virtual call per
 // record, the sampler hands each machine-window's records to the sink

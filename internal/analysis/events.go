@@ -14,20 +14,20 @@ type Transition struct {
 	Count    int
 }
 
-// TransitionCounts tallies consecutive event-type pairs; the key is
-// {from, to}. Types become names only in TransitionsFromCounts, so the
-// per-event tally hashes two integers rather than two strings.
-type TransitionCounts map[[2]trace.EventType]int
+// TransitionCounts tallies consecutive event-type pairs, indexed
+// [from][to]. Types become names only in TransitionsFromCounts, so the
+// per-event tally is one array increment.
+type TransitionCounts [trace.NumEventTypes][trace.NumEventTypes]int
 
 // Observe counts one edge.
-func (c TransitionCounts) Observe(from, to trace.EventType) {
-	c[[2]trace.EventType{from, to}]++
+func (c *TransitionCounts) Observe(from, to trace.EventType) {
+	c[from][to]++
 }
 
 // Transitions counts consecutive event-type pairs across all collections
 // and instances of a trace (Figure 7), sorted by count descending.
 func Transitions(tr *trace.MemTrace) []Transition {
-	counts := make(TransitionCounts)
+	var counts TransitionCounts
 	for _, id := range tr.Collections() {
 		evs := tr.EventsOf(id)
 		for i := 1; i < len(evs); i++ {
@@ -40,15 +40,21 @@ func Transitions(tr *trace.MemTrace) []Transition {
 			counts.Observe(evs[i-1].Type, evs[i].Type)
 		}
 	}
-	return TransitionsFromCounts(counts)
+	return TransitionsFromCounts(&counts)
 }
 
-// TransitionsFromCounts sorts a tally into Figure 7's edge list (count
-// descending, then lexicographic).
-func TransitionsFromCounts(counts TransitionCounts) []Transition {
-	out := make([]Transition, 0, len(counts))
-	for k, n := range counts {
-		out = append(out, Transition{From: k[0].String(), To: k[1].String(), Count: n})
+// TransitionsFromCounts sorts a tally's observed edges into Figure 7's
+// edge list (count descending, then lexicographic).
+func TransitionsFromCounts(counts *TransitionCounts) []Transition {
+	var out []Transition
+	for from := range counts {
+		for to, n := range counts[from] {
+			if n > 0 {
+				out = append(out, Transition{
+					From: trace.EventType(from).String(), To: trace.EventType(to).String(), Count: n,
+				})
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
@@ -454,14 +460,8 @@ func DelaysOf(tr *trace.MemTrace) DelaySamples {
 			first[ev.Key.Collection] = ev.Time
 		}
 	}
-	return FinishDelays(enable, tier, first)
-}
-
-// FinishDelays derives the delay samples from the first-ENABLE and
-// first-SCHEDULE indexes, in ascending collection-ID order. Jobs that
-// never ran inside the trace window are skipped.
-func FinishDelays(enable map[trace.CollectionID]sim.Time, tier map[trace.CollectionID]trace.Tier,
-	first map[trace.CollectionID]sim.Time) DelaySamples {
+	// Ascending collection-ID order; jobs that never ran inside the trace
+	// window are skipped.
 	out := DelaySamples{ByTier: make(map[trace.Tier][]float64)}
 	ids := make([]trace.CollectionID, 0, len(enable))
 	for id := range enable {
@@ -469,18 +469,22 @@ func FinishDelays(enable map[trace.CollectionID]sim.Time, tier map[trace.Collect
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		fr, ok := first[id]
-		if !ok {
-			continue // never ran inside the trace window
+		if fr, ok := first[id]; ok {
+			out.ObserveJob(enable[id], fr, tier[id])
 		}
-		d := (fr - enable[id]).Seconds()
-		if d < 0 {
-			continue
-		}
-		out.All = append(out.All, d)
-		out.ByTier[tier[id]] = append(out.ByTier[tier[id]], d)
 	}
 	return out
+}
+
+// ObserveJob appends one job's delay from its first ENABLE to its first
+// SCHEDULE, skipping a negative one. ByTier must be non-nil.
+func (s *DelaySamples) ObserveJob(enable, firstRun sim.Time, tier trace.Tier) {
+	d := (firstRun - enable).Seconds()
+	if d < 0 {
+		return
+	}
+	s.All = append(s.All, d)
+	s.ByTier[tier] = append(s.ByTier[tier], d)
 }
 
 // SchedulingDelays returns per-job scheduling delays in seconds (Figure

@@ -72,13 +72,57 @@ type collState struct {
 
 	sawUsage           bool
 	cpuHours, memHours float64 // job usage integrals (Table 2)
+
+	// Figure 10's inputs: the first ENABLE of a job and its first
+	// SCHEDULE.
+	enabled    bool
+	enableAt   sim.Time
+	enableTier trace.Tier
+	scheduled  bool
+	firstSched sim.Time
+
+	// insts is the collection's instance table, indexed by Key.Index.
+	// sparse holds the indexes the table will not grow to cover: negative
+	// ones, and ones far beyond the instances seen so far, so a hostile
+	// index cannot force an allocation proportional to its value.
+	insts  []instState
+	sparse map[int32]*instState
 }
 
-// instState is one instance's reduced view.
+// instState is one instance's reduced view. hasLast doubles as the
+// "seen" mark: every instance event sets it.
 type instState struct {
 	lastEvent trace.EventType
 	hasLast   bool
 	submitted bool // first SUBMIT counted toward Figure 9's new tasks
+}
+
+// denseSlack is how far past twice the instances seen an index may lie
+// and still grow the dense table. Simulated collections emit indexes in
+// order from zero, so they never leave the dense table.
+const denseSlack = 64
+
+// inst returns the state of the collection's instance idx.
+func (c *collState) inst(idx int32) *instState {
+	if c.sparse != nil {
+		if in := c.sparse[idx]; in != nil {
+			return in
+		}
+	}
+	i := int(idx)
+	if i >= 0 && i < len(c.insts) {
+		return &c.insts[i]
+	}
+	if i >= 0 && i <= 2*c.tasks+denseSlack {
+		c.insts = append(c.insts, make([]instState, i+1-len(c.insts))...)
+		return &c.insts[i]
+	}
+	if c.sparse == nil {
+		c.sparse = make(map[int32]*instState)
+	}
+	in := &instState{}
+	c.sparse[idx] = in
+	return in
 }
 
 // numScalingModes spans the dense trace.VerticalScaling values.
@@ -99,7 +143,6 @@ type CellReducer struct {
 	snapUsage  map[trace.MachineID]trace.Resources
 	trans      analysis.TransitionCounts
 	colls      map[trace.CollectionID]*collState
-	insts      map[trace.InstanceKey]*instState
 	rates      analysis.SubmissionRates
 	allocAccum analysis.AllocSetAccum
 	// slack is indexed by the dense trace.VerticalScaling values;
@@ -107,9 +150,11 @@ type CellReducer struct {
 	slack      [numScalingModes][]float64
 	batchQueue bool
 
-	enable     map[trace.CollectionID]sim.Time
-	enableTier map[trace.CollectionID]trace.Tier
-	firstSched map[trace.CollectionID]sim.Time
+	// lastID/lastC memoize the most recent collection lookup: rows of one
+	// collection arrive in runs (a job's SUBMIT burst, a machine window's
+	// residents), so most rows skip the map.
+	lastID trace.CollectionID
+	lastC  *collState
 
 	// Products, computed once by finalize.
 	done        bool
@@ -135,17 +180,12 @@ func NewCellReducer(cfg Config) *CellReducer {
 		usageAcc:  analysis.NewSeriesAccum(hours),
 		allocAcc:  analysis.NewSeriesAccum(hours),
 		snapUsage: make(map[trace.MachineID]trace.Resources),
-		trans:     make(analysis.TransitionCounts),
 		colls:     make(map[trace.CollectionID]*collState),
-		insts:     make(map[trace.InstanceKey]*instState),
 		rates: analysis.SubmissionRates{
 			JobsPerHour:     make([]float64, hours),
 			NewTasksPerHour: make([]float64, hours),
 			AllTasksPerHour: make([]float64, hours),
 		},
-		enable:     make(map[trace.CollectionID]sim.Time),
-		enableTier: make(map[trace.CollectionID]trace.Tier),
-		firstSched: make(map[trace.CollectionID]sim.Time),
 	}
 }
 
@@ -155,11 +195,25 @@ func (r *CellReducer) mutable() {
 	}
 }
 
-func (r *CellReducer) coll(id trace.CollectionID) *collState {
+// lookup returns the collection's reduced state, or nil if it has none.
+func (r *CellReducer) lookup(id trace.CollectionID) *collState {
+	if r.lastC != nil && r.lastID == id {
+		return r.lastC
+	}
 	c := r.colls[id]
+	if c != nil {
+		r.lastID, r.lastC = id, c
+	}
+	return c
+}
+
+// coll returns the collection's reduced state, creating it if needed.
+func (r *CellReducer) coll(id trace.CollectionID) *collState {
+	c := r.lookup(id)
 	if c == nil {
 		c = &collState{}
 		r.colls[id] = c
+		r.lastID, r.lastC = id, c
 	}
 	return c
 }
@@ -209,11 +263,8 @@ func (r *CellReducer) CollectionEvent(ev trace.CollectionEvent) {
 			}
 		}
 	case trace.EventEnable:
-		if ev.CollectionType == trace.CollectionJob {
-			if _, ok := r.enable[ev.Collection]; !ok {
-				r.enable[ev.Collection] = ev.Time
-				r.enableTier[ev.Collection] = ev.Tier
-			}
+		if ev.CollectionType == trace.CollectionJob && !c.enabled {
+			c.enabled, c.enableAt, c.enableTier = true, ev.Time, ev.Tier
 		}
 	}
 }
@@ -221,21 +272,18 @@ func (r *CellReducer) CollectionEvent(ev trace.CollectionEvent) {
 // InstanceEvent reduces one instance_events row.
 func (r *CellReducer) InstanceEvent(ev trace.InstanceEvent) {
 	r.mutable()
-	in := r.insts[ev.Key]
-	if in == nil {
-		in = &instState{}
-		r.insts[ev.Key] = in
-		r.coll(ev.Key.Collection).tasks++
-	}
+	c := r.coll(ev.Key.Collection)
+	in := c.inst(ev.Key.Index)
 	if in.hasLast {
 		r.trans.Observe(in.lastEvent, ev.Type)
+	} else {
+		c.tasks++
 	}
 	in.lastEvent, in.hasLast = ev.Type, true
 
 	switch ev.Type {
 	case trace.EventSubmit:
-		c := r.colls[ev.Key.Collection]
-		if c != nil && c.hasInfo && c.info.CollectionType == trace.CollectionJob {
+		if c.hasInfo && c.info.CollectionType == trace.CollectionJob {
 			if h := int(ev.Time / sim.Hour); h >= 0 && h < len(r.rates.AllTasksPerHour) {
 				r.rates.AllTasksPerHour[h]++
 				if !in.submitted {
@@ -247,37 +295,31 @@ func (r *CellReducer) InstanceEvent(ev trace.InstanceEvent) {
 			}
 		}
 	case trace.EventSchedule:
-		if cur, ok := r.firstSched[ev.Key.Collection]; !ok || ev.Time < cur {
-			r.firstSched[ev.Key.Collection] = ev.Time
+		if !c.scheduled || ev.Time < c.firstSched {
+			c.scheduled, c.firstSched = true, ev.Time
 		}
 	case trace.EventEvict:
-		r.coll(ev.Key.Collection).evictions++
+		c.evictions++
 	}
 }
 
 // Usage reduces one instance_usage row.
 func (r *CellReducer) Usage(rec trace.UsageRecord) {
 	r.mutable()
-	r.usageOne(&rec, r.colls[rec.Key.Collection])
+	r.usageOne(&rec, r.lookup(rec.Key.Collection))
 }
 
 // UsageBatch reduces a block of instance_usage rows. Each record folds
 // exactly as a scalar Usage call would — same terms, same order — so
-// batched and scalar delivery of the same stream are bit-identical. The
-// collection lookup is memoized across adjacent records: a machine
-// window's batch arrives in victim order (priority, then collection),
-// so same-collection records cluster.
+// batched and scalar delivery of the same stream are bit-identical. A
+// machine window's batch arrives in victim order (priority, then
+// collection), so same-collection records cluster and the memoized
+// lookup skips the map for most of them.
 func (r *CellReducer) UsageBatch(recs []trace.UsageRecord) {
 	r.mutable()
-	var lastC *collState
-	var lastID trace.CollectionID
 	for i := range recs {
 		rec := &recs[i]
-		if id := rec.Key.Collection; lastC == nil || id != lastID {
-			lastC = r.colls[id]
-			lastID = id
-		}
-		r.usageOne(rec, lastC)
+		r.usageOne(rec, r.lookup(rec.Key.Collection))
 	}
 }
 
@@ -351,10 +393,10 @@ func (r *CellReducer) finalize() {
 	r.usageSeries = r.usageAcc.Finish(capacity)
 	r.allocSeries = r.allocAcc.Finish(capacity)
 	r.utilCPU, r.utilMem = analysis.UtilizationSamples(r.caps, r.snapUsage)
-	r.transitions = analysis.TransitionsFromCounts(r.trans)
-	r.delays = analysis.FinishDelays(r.enable, r.enableTier, r.firstSched)
+	r.transitions = analysis.TransitionsFromCounts(&r.trans)
 
 	colls := r.sortedCollections()
+	r.delays = analysis.DelaySamples{ByTier: make(map[trace.Tier][]float64)}
 	r.inventory = analysis.NewInventory()
 	for _, ev := range r.caps {
 		r.inventory.ObserveMachine(ev)
@@ -364,6 +406,9 @@ func (r *CellReducer) finalize() {
 	cpu := make(map[trace.CollectionID]float64)
 	mem := make(map[trace.CollectionID]float64)
 	for _, c := range colls {
+		if c.enabled && c.scheduled {
+			r.delays.ObserveJob(c.enableAt, c.firstSched, c.enableTier)
+		}
 		r.inventory.ObserveCollection(c.info)
 		r.termAccum.ObserveCollection(c.info, c.evictions)
 		if c.info.CollectionType != trace.CollectionJob {
@@ -483,7 +528,16 @@ func (r *CellReducer) SlackSamples() map[trace.VerticalScaling][]float64 {
 // Counts summarizes the reducer's state sizes, for logs.
 func (r *CellReducer) Counts() string {
 	return fmt.Sprintf("collections=%d instances=%d machines=%d",
-		len(r.colls), len(r.insts), len(r.caps))
+		len(r.colls), r.numInstances(), len(r.caps))
+}
+
+// numInstances counts the distinct instances seen.
+func (r *CellReducer) numInstances() int {
+	n := 0
+	for _, c := range r.colls {
+		n += c.tasks
+	}
+	return n
 }
 
 // Replay feeds a retained trace through a fresh reducer, table by table

@@ -1,7 +1,9 @@
 package streaming
 
 import (
+	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -119,10 +121,96 @@ func TestReducerStateIsBounded(t *testing.T) {
 	f19, _ := fixtures(t)
 	// The reducer must have dropped the usage table: its state tracks
 	// collections and instances, not rows.
-	if len(f19.red.colls) == 0 || len(f19.red.insts) == 0 {
+	if len(f19.red.colls) == 0 || f19.red.numInstances() == 0 {
 		t.Fatalf("reducer state empty: %s", f19.red.Counts())
 	}
 	if rows := len(f19.tr.UsageRecords); rows <= len(f19.red.colls) {
 		t.Skipf("fixture too small to demonstrate reduction (usage rows %d)", rows)
+	}
+}
+
+// seededReducer returns a reducer that has seen one machine, one
+// autoscaled job with n instances (submitted and scheduled), and the
+// first usage batch for them, plus that batch for replaying.
+func seededReducer(n int) (*CellReducer, []trace.UsageRecord) {
+	r := NewCellReducer(Config{Meta: trace.Meta{Duration: 4 * sim.Hour}, SnapshotAt: sim.Hour})
+	r.MachineEvent(trace.MachineEvent{Machine: 1, Type: trace.MachineAdd, Capacity: trace.Resources{CPU: 1, Mem: 1}})
+	r.CollectionEvent(trace.CollectionEvent{Collection: 1, Type: trace.EventSubmit,
+		CollectionType: trace.CollectionJob, Tier: trace.TierProduction, Scaling: trace.ScalingFull})
+	r.CollectionEvent(trace.CollectionEvent{Time: sim.Second, Collection: 1, Type: trace.EventEnable,
+		CollectionType: trace.CollectionJob, Tier: trace.TierProduction, Scaling: trace.ScalingFull})
+	recs := make([]trace.UsageRecord, n)
+	for i := range recs {
+		key := trace.InstanceKey{Collection: 1, Index: int32(i)}
+		r.InstanceEvent(trace.InstanceEvent{Key: key, Type: trace.EventSubmit})
+		r.InstanceEvent(trace.InstanceEvent{Time: sim.Minute, Key: key, Type: trace.EventSchedule, Machine: 1})
+		recs[i] = trace.UsageRecord{
+			Start: sim.Hour - sim.SampleWindow/2, End: sim.Hour + sim.SampleWindow/2,
+			Key: key, Machine: 1, Tier: trace.TierProduction,
+			AvgUsage: trace.Resources{CPU: 0.01, Mem: 0.02},
+			MaxUsage: trace.Resources{CPU: 0.02, Mem: 0.02},
+			Limit:    trace.Resources{CPU: 0.05, Mem: 0.05},
+		}
+	}
+	r.UsageBatch(recs)
+	return r, recs
+}
+
+// TestReducerSteadyStateZeroAllocs pins the package doc's promise that
+// per-row work is allocation-free in steady state: instance events and a
+// usage batch for instances already seen allocate nothing. The one
+// exception is the per-row slack vector, which grows with every usage
+// row by design; the test reserves its capacity so only the reducer's
+// own state is measured.
+func TestReducerSteadyStateZeroAllocs(t *testing.T) {
+	const n = 32
+	r, recs := seededReducer(n)
+	const runs = 100
+	r.slack[trace.ScalingFull] = make([]float64, 0, (runs+2)*n)
+	now := sim.Hour
+	row := func() {
+		for i := int32(0); i < n; i++ {
+			key := trace.InstanceKey{Collection: 1, Index: i}
+			r.InstanceEvent(trace.InstanceEvent{Time: now, Key: key, Type: trace.EventUpdateRunning})
+			r.InstanceEvent(trace.InstanceEvent{Time: now, Key: key, Type: trace.EventEvict})
+			r.InstanceEvent(trace.InstanceEvent{Time: now, Key: key, Type: trace.EventSubmit})
+			r.InstanceEvent(trace.InstanceEvent{Time: now, Key: key, Type: trace.EventSchedule})
+		}
+		r.UsageBatch(recs)
+	}
+	if avg := testing.AllocsPerRun(runs, row); avg != 0 {
+		t.Fatalf("steady-state reducer rows: %.2f allocs per round, want 0", avg)
+	}
+	if got := r.numInstances(); got != n {
+		t.Fatalf("instances %d, want %d", got, n)
+	}
+}
+
+// TestReducerHostileIndexBoundedHeap: an instance index far beyond the
+// instances seen (or negative) must not size the collection's instance
+// table, yet still be tracked as a distinct instance.
+func TestReducerHostileIndexBoundedHeap(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, _ := seededReducer(4)
+	for _, idx := range []int32{math.MaxInt32, -1, math.MaxInt32, math.MaxInt32 - 1} {
+		r.InstanceEvent(trace.InstanceEvent{Key: trace.InstanceKey{Collection: 1, Index: idx}, Type: trace.EventSubmit})
+	}
+	_ = r.Transitions() // finalize
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("hostile index allocated %d bytes", grew)
+	}
+	if got := r.numInstances(); got != 4+3 {
+		t.Fatalf("instances %d, want 7", got)
+	}
+	var resubmits int
+	for _, tr := range r.Transitions() {
+		if tr.From == "SUBMIT" && tr.To == "SUBMIT" {
+			resubmits = tr.Count
+		}
+	}
+	if resubmits != 1 {
+		t.Fatalf("SUBMIT->SUBMIT %d, want 1 (the repeated MaxInt32 index)", resubmits)
 	}
 }

@@ -58,56 +58,93 @@ func DefaultConfig(oc cluster.OvercommitPolicy) Config {
 	}
 }
 
-// window holds a task's recent peak-usage samples and its original request.
+// window holds a task's recent peak-usage samples and its original
+// request. peaks is the ring of the last WindowSamples peaks in arrival
+// order; cpus and mems hold the same samples per dimension in ascending
+// order, updated incrementally (the evicted sample out, the new one in),
+// so a percentile is a read of a sorted slice and never sorts.
 type window struct {
-	peaks    []trace.Resources
-	next     int
-	filled   bool
-	original trace.Resources
+	peaks      []trace.Resources
+	next       int
+	cpus, mems []float64
+	original   trace.Resources
+	// seen is the autopilot sweep generation that last observed the task.
+	seen uint64
+}
+
+func newWindow(samples int, original trace.Resources) *window {
+	sorted := make([]float64, 2*samples)
+	return &window{
+		peaks:    make([]trace.Resources, samples),
+		cpus:     sorted[:0:samples],
+		mems:     sorted[samples:samples],
+		original: original,
+	}
+}
+
+// reset empties a recycled window for a new task.
+func (w *window) reset(original trace.Resources) {
+	w.next = 0
+	w.cpus, w.mems = w.cpus[:0], w.mems[:0]
+	w.original = original
 }
 
 func (w *window) add(u trace.Resources) {
 	if w.next == len(w.peaks) {
 		w.next = 0
-		w.filled = true
+	}
+	if len(w.cpus) == len(w.peaks) {
+		old := w.peaks[w.next]
+		w.cpus = removeSorted(w.cpus, old.CPU)
+		w.mems = removeSorted(w.mems, old.Mem)
 	}
 	w.peaks[w.next] = u
 	w.next++
+	w.cpus = insertSorted(w.cpus, u.CPU)
+	w.mems = insertSorted(w.mems, u.Mem)
+}
+
+// insertSorted inserts v into ascending xs, which has spare capacity.
+func insertSorted(xs []float64, v float64) []float64 {
+	i := sort.SearchFloat64s(xs, v)
+	xs = xs[:len(xs)+1]
+	copy(xs[i+1:], xs[i:])
+	xs[i] = v
+	return xs
+}
+
+// removeSorted removes one occurrence of v from ascending xs. Which of
+// several equal values goes does not matter: the multiset is the same.
+func removeSorted(xs []float64, v float64) []float64 {
+	i := sort.SearchFloat64s(xs, v)
+	copy(xs[i:], xs[i+1:])
+	return xs[:len(xs)-1]
 }
 
 // percentile returns the q-quantile of the windowed peaks, computed per
-// resource dimension. buf must hold at least 2×len(w.peaks) values; each
-// dimension is copied into its half and sorted there in place.
-func (w *window) percentile(q float64, buf []float64) trace.Resources {
-	n := w.next
-	if w.filled {
-		n = len(w.peaks)
-	}
-	if n == 0 {
+// resource dimension.
+func (w *window) percentile(q float64) trace.Resources {
+	if len(w.cpus) == 0 {
 		return trace.Resources{}
 	}
-	cpus, mems := buf[:n], buf[n:2*n]
-	for i, p := range w.peaks[:n] {
-		cpus[i] = p.CPU
-		mems[i] = p.Mem
-	}
-	sort.Float64s(cpus)
-	sort.Float64s(mems)
 	return trace.Resources{
-		CPU: stats.QuantileSorted(cpus, q),
-		Mem: stats.QuantileSorted(mems, q),
+		CPU: stats.QuantileSorted(w.cpus, q),
+		Mem: stats.QuantileSorted(w.mems, q),
 	}
 }
 
 // Autopilot is the vertical autoscaler for one cell.
 type Autopilot struct {
-	cfg     Config
-	cell    *cluster.Cell
-	sink    trace.Sink
-	windows map[trace.InstanceKey]*window
-	// sortBuf is percentile's sort buffer, 2×WindowSamples long, shared by
-	// every window so a steady-state Observe does not allocate.
-	sortBuf []float64
+	cfg  Config
+	cell *cluster.Cell
+	sink trace.Sink
+	// tracked lists the tasks holding a window (in their Autoscale
+	// cookie); gen is the current sweep generation.
+	tracked []*scheduler.Task
+	gen     uint64
+	// free recycles the windows of swept tasks, so window turnover does
+	// not allocate once the pool covers the peak tracked count.
+	free []*window
 
 	setRequest func(*scheduler.Task, trace.Resources)
 
@@ -123,11 +160,9 @@ func New(cfg Config, cell *cluster.Cell, sink trace.Sink) *Autopilot {
 		cfg.Margin = 1.1
 	}
 	return &Autopilot{
-		cfg:     cfg,
-		cell:    cell,
-		sink:    sink,
-		windows: make(map[trace.InstanceKey]*window),
-		sortBuf: make([]float64, 2*cfg.WindowSamples),
+		cfg:  cfg,
+		cell: cell,
+		sink: sink,
 	}
 }
 
@@ -143,7 +178,7 @@ func (a *Autopilot) OnLimitChange(fn func(*scheduler.Task, trace.Resources)) {
 func (a *Autopilot) Updates() int { return a.updates }
 
 // Tracked returns how many instances currently have usage windows.
-func (a *Autopilot) Tracked() int { return len(a.windows) }
+func (a *Autopilot) Tracked() int { return len(a.tracked) }
 
 // Observe feeds one 5-minute peak usage sample for a running task and, for
 // autoscaled tasks, adjusts the task's limit toward the windowed peak.
@@ -152,14 +187,22 @@ func (a *Autopilot) Observe(now sim.Time, t *scheduler.Task, peakUsage trace.Res
 	if t.Job.Scaling == trace.ScalingNone {
 		return t.Request
 	}
-	w := a.windows[t.Key]
+	w, _ := t.Autoscale.(*window)
 	if w == nil {
-		w = &window{peaks: make([]trace.Resources, a.cfg.WindowSamples), original: t.Request}
-		a.windows[t.Key] = w
+		if n := len(a.free); n > 0 {
+			w = a.free[n-1]
+			a.free = a.free[:n-1]
+			w.reset(t.Request)
+		} else {
+			w = newWindow(a.cfg.WindowSamples, t.Request)
+		}
+		t.Autoscale = w
+		a.tracked = append(a.tracked, t)
 	}
+	w.seen = a.gen
 	w.add(peakUsage)
 
-	rec := w.percentile(a.cfg.Percentile, a.sortBuf).Scale(a.cfg.Margin)
+	rec := w.percentile(a.cfg.Percentile).Scale(a.cfg.Margin)
 	if rec.CPU < a.cfg.MinCPU {
 		rec.CPU = a.cfg.MinCPU
 	}
@@ -221,9 +264,23 @@ func (a *Autopilot) Observe(now sim.Time, t *scheduler.Task, peakUsage trace.Res
 	return rec
 }
 
-// Forget drops a task's window when it stops running.
-func (a *Autopilot) Forget(key trace.InstanceKey) {
-	delete(a.windows, key)
+// Sweep ends a sampling window: it drops the window of every tracked
+// task that no Observe call reached since the previous Sweep — tasks that
+// stopped running — and starts the next generation. Call it once per
+// sampling window, after observing every running task.
+func (a *Autopilot) Sweep() {
+	kept := a.tracked[:0]
+	for _, t := range a.tracked {
+		if w := t.Autoscale.(*window); w.seen == a.gen {
+			kept = append(kept, t)
+		} else {
+			t.Autoscale = nil
+			a.free = append(a.free, w)
+		}
+	}
+	clear(a.tracked[len(kept):])
+	a.tracked = kept
+	a.gen++
 }
 
 // significant reports whether new differs from old by more than threshold

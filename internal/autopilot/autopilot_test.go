@@ -1,11 +1,14 @@
 package autopilot
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/rng"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -157,15 +160,57 @@ func TestHysteresisSuppressesSmallChanges(t *testing.T) {
 	}
 }
 
+// TestForget: Sweep keeps the window of a task observed since the last
+// sweep and forgets the window of one that was not.
 func TestForget(t *testing.T) {
 	ap, _, task, _ := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.4, Mem: 0.4})
 	ap.Observe(0, task, trace.Resources{CPU: 0.1, Mem: 0.1})
-	if ap.Tracked() != 1 {
+	if ap.Tracked() != 1 || task.Autoscale == nil {
 		t.Fatalf("tracked %d", ap.Tracked())
 	}
-	ap.Forget(task.Key)
-	if ap.Tracked() != 0 {
-		t.Fatalf("tracked after forget %d", ap.Tracked())
+	ap.Sweep()
+	if ap.Tracked() != 1 || task.Autoscale == nil {
+		t.Fatalf("observed task forgotten by the sweep: tracked %d", ap.Tracked())
+	}
+	ap.Sweep()
+	if ap.Tracked() != 0 || task.Autoscale != nil {
+		t.Fatalf("tracked after an unobserved window %d", ap.Tracked())
+	}
+	// The next window starts empty, even when recycled from the swept one.
+	ap.Observe(sim.SampleWindow, task, trace.Resources{CPU: 0.2, Mem: 0.2})
+	if w := task.Autoscale.(*window); len(w.cpus) != 1 || w.percentile(1).CPU != 0.2 {
+		t.Fatalf("new window holds %v", w.cpus)
+	}
+}
+
+// TestWindowOrderStatisticMatchesSort: the incrementally sorted window
+// gives the same quantiles, bit for bit, as sorting the held samples.
+func TestWindowOrderStatisticMatchesSort(t *testing.T) {
+	const samples = 12
+	w := newWindow(samples, trace.Resources{})
+	src := rng.New(3)
+	var held []trace.Resources
+	for i := 0; i < 200; i++ {
+		// Coarse values make ties, which removal must handle.
+		u := trace.Resources{CPU: float64(src.Intn(8)) / 8, Mem: src.Float64()}
+		w.add(u)
+		held = append(held, u)
+		if len(held) > samples {
+			held = held[1:]
+		}
+		cpus := make([]float64, len(held))
+		mems := make([]float64, len(held))
+		for j, h := range held {
+			cpus[j], mems[j] = h.CPU, h.Mem
+		}
+		sort.Float64s(cpus)
+		sort.Float64s(mems)
+		for _, q := range []float64{0, 0.5, 0.85, 1} {
+			want := trace.Resources{CPU: stats.QuantileSorted(cpus, q), Mem: stats.QuantileSorted(mems, q)}
+			if got := w.percentile(q); got != want {
+				t.Fatalf("sample %d q=%v: got %v, want %v", i, q, got, want)
+			}
+		}
 	}
 }
 

@@ -94,7 +94,17 @@ type Machine struct {
 
 	allocated  trace.Resources
 	usageTotal trace.Resources
-	residents  map[trace.InstanceKey]*Resident
+
+	// residents is kept in victim order — (priority asc, collection asc,
+	// index asc) — at all times: Place inserts by binary search and Remove
+	// shifts in place. order mirrors it entry for entry with the sort key
+	// held inline, so finding a resident never dereferences the others.
+	// shared marks residents as
+	// handed out by Residents: the next membership change copies it first
+	// (copy-on-write), leaving the caller's snapshot intact.
+	residents []*Resident
+	order     []victimKey
+	shared    bool
 
 	// gen counts state mutations (place, remove, limit update, usage
 	// sample). The scheduler's score cache keys on it: an unchanged gen
@@ -102,18 +112,28 @@ type Machine struct {
 	// so memoized scores are exact, never approximations.
 	gen uint64
 
-	// victims caches the (priority asc, key asc) resident ordering and is
-	// repaired lazily: membership mutations only mark it dirty, and the
-	// next Residents call rebuilds it into a fresh slice. Slices already
-	// handed out stay valid as stable snapshots.
-	victims      []*Resident
-	victimsDirty bool
-
 	// ceil memoizes the allocation ceiling for ceilPolicy; recomputed
 	// only when the policy changes (capacity is immutable after AddMachine).
 	ceil       trace.Resources
 	ceilPolicy OvercommitPolicy
 	ceilValid  bool
+}
+
+// victimKey is a resident's position in victim order.
+type victimKey struct {
+	priority int
+	key      trace.InstanceKey
+}
+
+// less orders victim keys by priority, then collection, then index.
+func (a victimKey) less(b victimKey) bool {
+	if a.priority != b.priority {
+		return a.priority < b.priority
+	}
+	if a.key.Collection != b.key.Collection {
+		return a.key.Collection < b.key.Collection
+	}
+	return a.key.Index < b.key.Index
 }
 
 // Allocated returns the summed limits of residents.
@@ -127,37 +147,33 @@ func (m *Machine) NumResidents() int { return len(m.residents) }
 func (m *Machine) Gen() uint64 { return m.gen }
 
 // Residents returns the resident list sorted by (priority asc, key) —
-// i.e. preemption-victim order first. The slice is a cached snapshot:
-// callers must not modify it, and it is structurally stable (it is
-// replaced, not rewritten, on the next mutation), so evicting while
-// iterating is safe — but entries removed from the machine belong to
-// the remover afterwards (the scheduler recycles them), so a snapshot
-// must not be retained across scheduling events nor its removed entries
-// dereferenced.
+// i.e. preemption-victim order first. The slice is a snapshot: callers
+// must not modify it, and it is structurally stable (the next membership
+// change copies before writing), so evicting while iterating is safe —
+// but entries removed from the machine belong to the remover afterwards
+// (the scheduler recycles them), so a snapshot must not be retained
+// across scheduling events nor its removed entries dereferenced.
 func (m *Machine) Residents() []*Resident {
-	if m.victimsDirty {
-		out := make([]*Resident, 0, len(m.residents))
-		for _, r := range m.residents {
-			out = append(out, r)
+	m.shared = true
+	return m.residents
+}
+
+// index returns the position of the resident with the given key, or -1.
+func (m *Machine) index(key trace.InstanceKey) int {
+	for i := range m.order {
+		if m.order[i].key == key {
+			return i
 		}
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Priority != out[j].Priority {
-				return out[i].Priority < out[j].Priority
-			}
-			if out[i].Key.Collection != out[j].Key.Collection {
-				return out[i].Key.Collection < out[j].Key.Collection
-			}
-			return out[i].Key.Index < out[j].Key.Index
-		})
-		m.victims = out
-		m.victimsDirty = false
 	}
-	return m.victims
+	return -1
 }
 
 // Resident returns the resident with the given key, or nil.
 func (m *Machine) Resident(key trace.InstanceKey) *Resident {
-	return m.residents[key]
+	if i := m.index(key); i >= 0 {
+		return m.residents[i]
+	}
+	return nil
 }
 
 // UsageTotal returns the summed last-sampled usage of all residents,
@@ -167,7 +183,7 @@ func (m *Machine) UsageTotal() trace.Resources { return m.usageTotal }
 // SetUsage records a resident's sampled usage, keeping the machine's
 // usage aggregate consistent. It reports whether the resident exists.
 func (m *Machine) SetUsage(key trace.InstanceKey, usage trace.Resources) bool {
-	r := m.residents[key]
+	r := m.Resident(key)
 	if r == nil {
 		return false
 	}
@@ -176,7 +192,7 @@ func (m *Machine) SetUsage(key trace.InstanceKey, usage trace.Resources) bool {
 }
 
 // SetResidentUsage is SetUsage for a caller already holding the resident
-// (e.g. from a Residents snapshot): same aggregate maintenance, no map
+// (e.g. from a Residents snapshot): same aggregate maintenance, no
 // lookup. The resident must currently be placed on m.
 func (m *Machine) SetResidentUsage(r *Resident, usage trace.Resources) {
 	m.usageTotal = m.usageTotal.Sub(r.Usage).Add(usage)
@@ -185,11 +201,37 @@ func (m *Machine) SetResidentUsage(r *Resident, usage trace.Resources) {
 	m.gen++
 }
 
-// mutated records a resident-set mutation: the victim order needs repair
-// and cached scores are stale.
-func (m *Machine) mutated() {
-	m.victimsDirty = true
-	m.gen++
+// unshare gives m a private resident slice before a membership change
+// if the current one has been handed out as a snapshot.
+func (m *Machine) unshare() {
+	if m.shared {
+		m.residents = append(make([]*Resident, 0, len(m.residents)+1), m.residents...)
+		m.shared = false
+	}
+}
+
+// insert places r at its victim-order position.
+func (m *Machine) insert(r *Resident) {
+	k := victimKey{priority: r.Priority, key: r.Key}
+	i := sort.Search(len(m.order), func(i int) bool { return k.less(m.order[i]) })
+	m.unshare()
+	m.residents = append(m.residents, nil)
+	copy(m.residents[i+1:], m.residents[i:])
+	m.residents[i] = r
+	m.order = append(m.order, victimKey{})
+	copy(m.order[i+1:], m.order[i:])
+	m.order[i] = k
+}
+
+// removeAt drops the resident at position i.
+func (m *Machine) removeAt(i int) {
+	m.unshare()
+	n := len(m.residents) - 1
+	copy(m.residents[i:], m.residents[i+1:])
+	m.residents[n] = nil
+	m.residents = m.residents[:n]
+	copy(m.order[i:], m.order[i+1:])
+	m.order = m.order[:n]
 }
 
 // clampAggregates zeroes numeric drift so long simulations cannot
@@ -278,10 +320,9 @@ func NewCell(name string) *Cell {
 // AddMachine creates a machine with the given shape and returns it.
 func (c *Cell) AddMachine(capacity trace.Resources, platform string) *Machine {
 	m := &Machine{
-		ID:        c.nextID,
-		Capacity:  capacity,
-		Platform:  platform,
-		residents: make(map[trace.InstanceKey]*Resident),
+		ID:       c.nextID,
+		Capacity: capacity,
+		Platform: platform,
 	}
 	c.nextID++
 	c.machines = append(c.machines, m)
@@ -370,16 +411,16 @@ func (c *Cell) Place(id trace.MachineID, r *Resident) {
 	if m == nil {
 		panic(fmt.Sprintf("cluster: placing on unknown machine %d", id))
 	}
-	if _, dup := m.residents[r.Key]; dup {
+	if m.index(r.Key) >= 0 {
 		panic(fmt.Sprintf("cluster: instance %s already on machine %d", r.Key, id))
 	}
-	m.residents[r.Key] = r
+	m.insert(r)
 	m.allocated = m.allocated.Add(r.Limit)
 	m.usageTotal = m.usageTotal.Add(r.Usage)
 	if len(m.residents) == 1 {
 		c.occupy(m)
 	}
-	m.mutated()
+	m.gen++
 }
 
 // Remove detaches a resident from a machine and returns it. Removing a
@@ -389,18 +430,19 @@ func (c *Cell) Remove(id trace.MachineID, key trace.InstanceKey) *Resident {
 	if m == nil {
 		panic(fmt.Sprintf("cluster: removing from unknown machine %d", id))
 	}
-	r, ok := m.residents[key]
-	if !ok {
+	i := m.index(key)
+	if i < 0 {
 		panic(fmt.Sprintf("cluster: instance %s not on machine %d", key, id))
 	}
-	delete(m.residents, key)
+	r := m.residents[i]
+	m.removeAt(i)
 	m.allocated = m.allocated.Sub(r.Limit)
 	m.usageTotal = m.usageTotal.Sub(r.Usage)
 	if len(m.residents) == 0 {
 		c.vacate(m)
 	}
 	m.clampAggregates()
-	m.mutated()
+	m.gen++
 	return r
 }
 
@@ -411,8 +453,8 @@ func (c *Cell) UpdateLimit(id trace.MachineID, key trace.InstanceKey, limit trac
 	if m == nil {
 		panic(fmt.Sprintf("cluster: updating on unknown machine %d", id))
 	}
-	r, ok := m.residents[key]
-	if !ok {
+	r := m.Resident(key)
+	if r == nil {
 		panic(fmt.Sprintf("cluster: instance %s not on machine %d", key, id))
 	}
 	m.allocated = m.allocated.Sub(r.Limit).Add(limit)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -344,7 +345,10 @@ func TestResidentsSnapshotStableAcrossMutation(t *testing.T) {
 
 // Property: after randomized place/remove/limit/usage mutation sequences,
 // the incrementally maintained aggregates (allocation, usage total, victim
-// order, ceiling) match a from-scratch recomputation of the same state.
+// order, ceiling) match a from-scratch recomputation of the same state:
+// Residents equals a fresh sort of the machine's residents by (priority,
+// key), and a snapshot handed out earlier is never disturbed by later
+// mutations.
 func TestIncrementalStateMatchesRecompute(t *testing.T) {
 	src := rng.New(99)
 	c := NewCell("prop")
@@ -356,27 +360,55 @@ func TestIncrementalStateMatchesRecompute(t *testing.T) {
 	type placed struct {
 		key trace.InstanceKey
 		mid trace.MachineID
+		r   *Resident
 	}
 	var live []placed
 	next := trace.CollectionID(1)
 	randRes := func() trace.Resources { return res(src.Float64()*0.3, src.Float64()*0.3) }
+	// snaps holds, per machine, a Residents snapshot and a private copy of
+	// what it contained when handed out.
+	type snapshot struct{ got, want []*Resident }
+	snaps := make(map[trace.MachineID]snapshot)
 
 	verify := func(step int, m *Machine) {
+		for mid, sn := range snaps {
+			for i := range sn.want {
+				if sn.got[i] != sn.want[i] {
+					t.Fatalf("step %d: machine %d snapshot changed at %d", step, mid, i)
+				}
+			}
+		}
+		var fresh []*Resident
+		for _, p := range live {
+			if p.mid == m.ID {
+				fresh = append(fresh, p.r)
+			}
+		}
+		sort.Slice(fresh, func(i, j int) bool {
+			a, b := fresh[i], fresh[j]
+			if a.Priority != b.Priority {
+				return a.Priority < b.Priority
+			}
+			if a.Key.Collection != b.Key.Collection {
+				return a.Key.Collection < b.Key.Collection
+			}
+			return a.Key.Index < b.Key.Index
+		})
 		var wantAlloc, wantUsage trace.Resources
 		rs := m.Residents()
-		if len(rs) != m.NumResidents() {
-			t.Fatalf("step %d: victim order has %d entries, machine has %d residents", step, len(rs), m.NumResidents())
+		if len(rs) != m.NumResidents() || len(rs) != len(fresh) {
+			t.Fatalf("step %d: victim order has %d entries, machine has %d residents, %d placed",
+				step, len(rs), m.NumResidents(), len(fresh))
 		}
 		for i, r := range rs {
 			wantAlloc = wantAlloc.Add(r.Limit)
 			wantUsage = wantUsage.Add(r.Usage)
-			if i > 0 {
-				prev := rs[i-1]
-				if prev.Priority > r.Priority ||
-					(prev.Priority == r.Priority && prev.Key.Collection > r.Key.Collection) {
-					t.Fatalf("step %d: victim order violated at %d", step, i)
-				}
+			if r != fresh[i] {
+				t.Fatalf("step %d: victim order differs from a fresh sort at %d", step, i)
 			}
+		}
+		if src.Intn(4) == 0 {
+			snaps[m.ID] = snapshot{got: rs, want: append([]*Resident(nil), rs...)}
 		}
 		const eps = 1e-9
 		gotAlloc, gotUsage := m.Allocated(), m.UsageTotal()
@@ -397,13 +429,16 @@ func TestIncrementalStateMatchesRecompute(t *testing.T) {
 		switch op := src.Intn(4); {
 		case op == 0 || len(live) == 0: // place
 			mid := ids[src.Intn(len(ids))]
-			key := trace.InstanceKey{Collection: next}
+			// A few collections with several instances each, so victim
+			// order ties on priority and collection and falls to the index.
+			key := trace.InstanceKey{Collection: next % 7, Index: int32(next)}
 			next++
-			c.Place(mid, &Resident{
+			r := &Resident{
 				Key: key, Limit: randRes(), Usage: randRes(),
-				Priority: src.Intn(360),
-			})
-			live = append(live, placed{key: key, mid: mid})
+				Priority: src.Intn(8) * 45,
+			}
+			c.Place(mid, r)
+			live = append(live, placed{key: key, mid: mid, r: r})
 		case op == 1: // remove
 			i := src.Intn(len(live))
 			c.Remove(live[i].mid, live[i].key)

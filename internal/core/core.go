@@ -375,14 +375,6 @@ type usageSampler struct {
 	// the sink as a single batch (trace.EmitUsageBatch); the sink must not
 	// retain it, so the buffer is reused every machine.
 	recBuf []trace.UsageRecord
-	// trackSeen maps instance keys the autopilot has open windows for to
-	// the last sampling generation that observed them; entries whose stamp
-	// falls behind trackGen belong to tasks that stopped running and are
-	// forgotten. Generation stamping replaces the previous
-	// two-map scheme, which allocated a fresh map every window. Unused
-	// (and nil) when ap == nil.
-	trackSeen map[trace.InstanceKey]uint64
-	trackGen  uint64
 	// mWindows counts sampled windows and mBatch observes per-machine
 	// batch sizes when Options.Metrics is set; both nil otherwise.
 	// Observe-only: neither draws randomness nor emits rows.
@@ -390,10 +382,13 @@ type usageSampler struct {
 	mBatch   *metrics.Histogram
 	// partialCPU/partialMem accumulate the time-weighted usage already
 	// emitted for the current window by tasks that stopped mid-window,
-	// per machine. The tick throttle subtracts them so a machine's
-	// window total never exceeds its physical capacity.
-	partialCPU map[trace.MachineID]float64
-	partialMem map[trace.MachineID]float64
+	// indexed by machine ID; partialIDs lists the machines with an entry
+	// so the per-window reset touches only those. The tick throttle
+	// subtracts them so a machine's window total never exceeds its
+	// physical capacity.
+	partialCPU []float64
+	partialMem []float64
+	partialIDs []trace.MachineID
 }
 
 func newUsageSampler(p *workload.CellProfile, cell *cluster.Cell, sched *scheduler.Scheduler,
@@ -401,14 +396,9 @@ func newUsageSampler(p *workload.CellProfile, cell *cluster.Cell, sched *schedul
 	u := &usageSampler{
 		p: p, cell: cell, sched: sched, ap: ap, sink: sink, src: src,
 		histograms: histograms,
-		partialCPU: make(map[trace.MachineID]float64),
-		partialMem: make(map[trace.MachineID]float64),
 	}
 	if fastNoise {
 		u.noise = newNoiseTable(p.UsageNoiseSigma)
-	}
-	if ap != nil {
-		u.trackSeen = make(map[trace.InstanceKey]uint64)
 	}
 	u.batcher, _ = sink.(trace.UsageBatcher)
 	return u
@@ -429,7 +419,7 @@ func (u *usageSampler) usageNoise() (noiseC, noiseM float64) {
 
 // sample emits one 5-minute window of usage records ending at now. It
 // walks the cell's occupied-machine index in ID order and each machine's
-// cached resident order — both deterministic — so randomness consumption
+// resident victim order — both deterministic — so randomness consumption
 // stays a pure function of the simulation state, with no per-window
 // sorting or grouping maps. Machines without residents consume no
 // randomness, which is what makes the occupied-only walk draw-for-draw
@@ -439,9 +429,6 @@ func (u *usageSampler) usageNoise() (noiseC, noiseM float64) {
 func (u *usageSampler) sample(now sim.Time) {
 	if u.mWindows != nil {
 		u.mWindows.Inc()
-	}
-	if u.ap != nil {
-		u.trackGen++
 	}
 	// Snapshot the occupied index before walking it: handling one
 	// machine's memory pressure can empty the machine, and the index's
@@ -491,7 +478,7 @@ func (u *usageSampler) sample(now sim.Time) {
 		// stopped earlier in this window is reserved first.
 		capCPU := m.Capacity.CPU
 		capMem := m.Capacity.Mem
-		if len(u.partialCPU) > 0 || len(u.partialMem) > 0 {
+		if int(mid) < len(u.partialCPU) {
 			capCPU -= u.partialCPU[mid]
 			capMem -= u.partialMem[mid]
 		}
@@ -555,7 +542,6 @@ func (u *usageSampler) sample(now sim.Time) {
 				// captured the pre-update limit, exactly as scalar
 				// emission did.
 				u.ap.Observe(now, t, o.peak)
-				u.trackSeen[t.Key] = u.trackGen
 			}
 		}
 		if len(recs) > 0 {
@@ -573,21 +559,30 @@ func (u *usageSampler) sample(now sim.Time) {
 	u.machBuf = machines[:0]
 
 	if u.ap != nil {
-		// Stale stamps are tasks that stopped running since their last
-		// observation: close their autopilot windows. Forget is a bare
-		// map delete, so the map's iteration order cannot influence the
-		// simulation.
-		for key, gen := range u.trackSeen {
-			if gen != u.trackGen {
-				delete(u.trackSeen, key)
-				u.ap.Forget(key)
-			}
-		}
+		// Tasks the walk did not observe stopped running since their last
+		// window: the sweep closes their autopilot windows.
+		u.ap.Sweep()
 	}
 
 	// A new window begins: release the partial-usage reservations.
-	clear(u.partialCPU)
-	clear(u.partialMem)
+	for _, id := range u.partialIDs {
+		u.partialCPU[id], u.partialMem[id] = 0, 0
+	}
+	u.partialIDs = u.partialIDs[:0]
+}
+
+// partial returns the machine's partial-usage slots for the current
+// window, registering the machine while its slots are zero (listing one
+// twice only resets it twice).
+func (u *usageSampler) partial(id trace.MachineID) (cpu, mem *float64) {
+	if grow := int(id) + 1 - len(u.partialCPU); grow > 0 {
+		u.partialCPU = append(u.partialCPU, make([]float64, grow)...)
+		u.partialMem = append(u.partialMem, make([]float64, grow)...)
+	}
+	if u.partialCPU[id] == 0 && u.partialMem[id] == 0 {
+		u.partialIDs = append(u.partialIDs, id)
+	}
+	return &u.partialCPU[id], &u.partialMem[id]
 }
 
 // taskStopped emits the partial usage record for a task leaving its
@@ -612,16 +607,17 @@ func (u *usageSampler) taskStopped(t *scheduler.Task, runStart sim.Time) {
 	// The machine's window capacity not already claimed by earlier
 	// partial records bounds what this record may report.
 	frac := float64(now-start) / float64(sim.SampleWindow)
-	availCPU := m.Capacity.CPU - u.partialCPU[t.Machine]
-	availMem := m.Capacity.Mem - u.partialMem[t.Machine]
+	partCPU, partMem := u.partial(t.Machine)
+	availCPU := m.Capacity.CPU - *partCPU
+	availMem := m.Capacity.Mem - *partMem
 	if avg.CPU*frac > availCPU {
 		avg.CPU = math.Max(0, availCPU/frac)
 	}
 	if avg.Mem*frac > availMem {
 		avg.Mem = math.Max(0, availMem/frac)
 	}
-	u.partialCPU[t.Machine] += avg.CPU * frac
-	u.partialMem[t.Machine] += avg.Mem * frac
+	*partCPU += avg.CPU * frac
+	*partMem += avg.Mem * frac
 	peakJitter := 1 + (t.PeakFact-1)*(0.7+0.6*u.src.Float64())
 	peak := avg.Scale(peakJitter)
 	rec := trace.UsageRecord{

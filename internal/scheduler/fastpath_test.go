@@ -109,9 +109,35 @@ func TestClassIDStableAndDistinct(t *testing.T) {
 		}
 	}
 	id := s.classID(base)
-	clear(s.classIDs) // simulate hitting maxClassIDs
+	s.clearClassIDs() // the path classID takes on hitting maxClassIDs
 	if again := s.classID(base); again <= id {
 		t.Fatalf("class ID not monotonic across clear: %d then %d", id, again)
+	}
+	if s.classID(same) != s.classID(base) {
+		t.Fatal("a task cached before the clear kept its stale class ID")
+	}
+}
+
+// TestClassIDFollowsRequestUpdate: a task's cached class ID must not
+// outlive its request. After UpdateTaskRequest the task interns to the
+// new shape's class, the one a fresh task of that shape gets.
+func TestClassIDFollowsRequestUpdate(t *testing.T) {
+	s, _ := benchCell(1, 0, trace.TierMid, 110,
+		trace.Resources{}, trace.Resources{}, cluster.OvercommitPolicy{CPUFactor: 1, MemFactor: 1})
+	task := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierProduction)
+	before := s.classID(task)
+	grown := trace.Resources{CPU: 0.3, Mem: 0.1}
+	s.UpdateTaskRequest(task, grown)
+	after := s.classID(task)
+	if after == before {
+		t.Fatal("class ID unchanged after the request changed")
+	}
+	if fresh := s.classID(benchTask(grown, 120, trace.TierProduction)); fresh != after {
+		t.Fatalf("updated task has class %d, a fresh task of its shape %d", after, fresh)
+	}
+	s.UpdateTaskRequest(task, trace.Resources{CPU: 0.1, Mem: 0.1})
+	if back := s.classID(task); back != before {
+		t.Fatalf("restored request interned to %d, want the original %d", back, before)
 	}
 }
 

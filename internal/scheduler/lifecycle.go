@@ -167,7 +167,7 @@ func (s *Scheduler) startRunning(t *Task, m trace.MachineID) {
 	t.State = TaskRunning
 	t.Machine = m
 	t.runStart = now
-	s.running[t.Key] = t
+	s.numRunning++
 	if t.Job.FirstRun < 0 {
 		t.Job.FirstRun = now
 	}
@@ -295,7 +295,7 @@ func (s *Scheduler) unplace(t *Task, terminal bool) {
 	if s.UnplaceHook != nil {
 		s.UnplaceHook(t, t.runStart)
 	}
-	delete(s.running, t.Key)
+	s.numRunning--
 	// A de-scheduled alloc instance takes its reservation with it.
 	if t.Job.Type == trace.CollectionAllocSet {
 		s.removeAllocInstance(t.Key, terminal)
@@ -330,7 +330,6 @@ func (s *Scheduler) Evict(t *Task) {
 		t.remaining = 0
 	}
 	s.unplace(t, false)
-	t.Evictions++
 	s.emitInstance(t, trace.EventEvict, now)
 
 	if t.remaining == 0 {
@@ -351,7 +350,6 @@ func (s *Scheduler) Evict(t *Task) {
 func (s *Scheduler) requeueAfter(t *Task, delay sim.Time) {
 	t.State = TaskWaiting
 	s.accountBEB(t)
-	t.Reschedules++
 	s.emitInstance(t, trace.EventSubmit, s.k.Now())
 	t.retryEvent = s.k.After(delay, s.retryFn(t))
 }

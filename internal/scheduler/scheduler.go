@@ -12,7 +12,6 @@ package scheduler
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/dist"
@@ -163,6 +162,12 @@ type Task struct {
 
 	State   TaskState
 	Machine trace.MachineID
+	// classID caches the task's interned scoring class (see
+	// Scheduler.classID), valid while classReq equals Request and the ID
+	// was issued in the intern table's current epoch. It sits beside
+	// Machine to fill that field's padding: Task's size is what every
+	// job's tasks allocate.
+	classID uint32
 	// AllocInstance hosts this task when the job targets an alloc set.
 	AllocInstance trace.InstanceKey
 
@@ -185,10 +190,13 @@ type Task struct {
 	// that bypasses UpdateTaskRequest can only make the sum stale until
 	// the task's next transition, never permanently drift it.
 	bebCounted    bool
+	oomFails      int32 // times killed for exceeding its own memory limit
 	bebCountedCPU float64
-	Reschedules   int // SUBMIT events beyond the first
-	Evictions     int
-	oomFails      int // times killed for exceeding its own memory limit
+	classReq      trace.Resources
+	// Autoscale is an opaque owner cookie, like cluster.Resident.Task: the
+	// autopilot hangs the task's usage window here so per-window
+	// observation needs no key-to-window map. The scheduler never reads it.
+	Autoscale any
 }
 
 // JobState is a job's position in its lifecycle.
@@ -358,18 +366,34 @@ const maxClassIDs = 1 << 16
 // classID interns a task's scoring equivalence class to a small integer,
 // so the per-candidate cache probe is an array index instead of a struct
 // hash. Priority bands of ten keep the class count small; priority does
-// not feed the score itself, so band width only shifts hit rates.
+// not feed the score itself, so band width only shifts hit rates. The ID
+// is cached on the task: while its request is unchanged and the table
+// has not been cleared since, the table would return the same ID, so the
+// cache skips the hash without changing any returned ID.
 func (s *Scheduler) classID(t *Task) uint32 {
+	if t.classID > s.classEpoch && t.classReq == t.Request {
+		return t.classID
+	}
 	c := eqClass{req: t.Request, tier: t.Job.Tier, band: t.Job.Priority / 10}
-	if id, ok := s.classIDs[c]; ok {
-		return id
+	id, ok := s.classIDs[c]
+	if !ok {
+		if len(s.classIDs) >= maxClassIDs {
+			s.clearClassIDs()
+		}
+		s.nextClassID++
+		id = s.nextClassID
+		s.classIDs[c] = id
 	}
-	if len(s.classIDs) >= maxClassIDs {
-		clear(s.classIDs)
-	}
-	s.nextClassID++
-	s.classIDs[c] = s.nextClassID
-	return s.nextClassID
+	t.classID, t.classReq = id, t.Request
+	return id
+}
+
+// clearClassIDs empties the class-interning table and starts a new
+// epoch, which invalidates every task's cached class ID: IDs only grow,
+// so the epoch is the last ID issued before the clear.
+func (s *Scheduler) clearClassIDs() {
+	clear(s.classIDs)
+	s.classEpoch = s.nextClassID
 }
 
 // Free returns the unused reservation.
@@ -401,9 +425,8 @@ type Scheduler struct {
 	// allocJobs tracks jobs targeting each alloc set, so tearing the set
 	// down can kill them even when they are still pending.
 	allocJobs map[trace.CollectionID][]*Job
-	// running indexes tasks currently placed on machines, so per-window
-	// usage sampling is O(running) rather than O(all jobs ever).
-	running map[trace.InstanceKey]*Task
+	// numRunning counts tasks currently placed on machines.
+	numRunning int
 
 	// scoreSlots memoizes placement scores per machine (indexed by
 	// machine ID) for the last equivalence class that scored the machine,
@@ -411,6 +434,7 @@ type Scheduler struct {
 	scoreSlots  []scoreSlot
 	classIDs    map[eqClass]uint32
 	nextClassID uint32
+	classEpoch  uint32 // IDs above it were issued since the last clear
 	// residentPool recycles Resident records between placements so the
 	// steady-state place/unplace cycle does not allocate.
 	residentPool []*cluster.Resident
@@ -458,7 +482,6 @@ func New(cfg Config, cell *cluster.Cell, k *sim.Kernel, sink trace.Sink, src *rn
 		allocs:     make(map[trace.CollectionID][]*AllocInstance),
 		allocByKey: make(map[trace.InstanceKey]*AllocInstance),
 		allocJobs:  make(map[trace.CollectionID][]*Job),
-		running:    make(map[trace.InstanceKey]*Task),
 		classIDs:   make(map[eqClass]uint32),
 		met:        newSchedInstruments(reg),
 	}
@@ -550,30 +573,12 @@ func (s *Scheduler) UpdateTaskRequest(t *Task, rec trace.Resources) {
 	t.Request = rec
 }
 
-// RunningTasks calls fn for every running task in the cell, in a
-// deterministic (sorted-key) order so callers may consume randomness.
-func (s *Scheduler) RunningTasks(fn func(*Task)) {
-	keys := make([]trace.InstanceKey, 0, len(s.running))
-	for k := range s.running {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Collection != keys[j].Collection {
-			return keys[i].Collection < keys[j].Collection
-		}
-		return keys[i].Index < keys[j].Index
-	})
-	for _, k := range keys {
-		fn(s.running[k])
-	}
-}
-
 // NumRunning returns the number of currently running tasks.
-func (s *Scheduler) NumRunning() int { return len(s.running) }
+func (s *Scheduler) NumRunning() int { return s.numRunning }
 
-// TaskByKey resolves an instance key to its task, or nil. Callers that
-// iterate a machine's cached resident order and look tasks up with this
-// method avoid the global sorted walk RunningTasks performs.
+// TaskByKey resolves an instance key to its task, or nil. The usage
+// sampler uses it for residents placed directly on the cell, which carry
+// no task cookie.
 func (s *Scheduler) TaskByKey(key trace.InstanceKey) *Task { return s.taskByKey(key) }
 
 // Cell returns the scheduled cell.

@@ -487,14 +487,17 @@ func TestAllocSetPlacementAndTeardown(t *testing.T) {
 
 	// Inner tasks must be running inside alloc instances.
 	running := 0
-	rig.sched.RunningTasks(func(t2 *Task) {
-		if t2.Job.ID == 2 {
-			running++
-			if t2.AllocInstance.Collection != 1 {
-				t.Fatalf("inner task %s not in alloc instance: %v", t2.Key, t2.AllocInstance)
+	for _, m := range rig.cell.OccupiedMachines() {
+		for _, r := range m.Residents() {
+			t2 := r.Task.(*Task)
+			if t2.Job.ID == 2 {
+				running++
+				if t2.AllocInstance.Collection != 1 {
+					t.Fatalf("inner task %s not in alloc instance: %v", t2.Key, t2.AllocInstance)
+				}
 			}
 		}
-	})
+	}
 	if running != 3 {
 		t.Fatalf("running inner tasks %d", running)
 	}

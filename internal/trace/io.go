@@ -319,7 +319,8 @@ func readCSVFile(path string, row func(rec []string) error) error {
 			continue
 		}
 		if err := row(rec); err != nil {
-			return fmt.Errorf("trace: parse %s: %w", path, err)
+			line, _ := r.FieldPos(0)
+			return fmt.Errorf("trace: parse %s line %d: %w", path, line, err)
 		}
 	}
 }
@@ -337,6 +338,22 @@ func (p *fieldParser) int(s string) int64 {
 		p.err = err
 	}
 	return v
+}
+
+// index parses an instance index, which must lie in [0, MaxInt32]: a
+// wider value would wrap when narrowed to the key's int32.
+func (p *fieldParser) index(s string) int32 {
+	if p.err != nil {
+		return 0
+	}
+	v, err := strconv.ParseInt(s, 10, 32)
+	if err == nil && v < 0 {
+		err = fmt.Errorf("negative instance index %d", v)
+	}
+	if err != nil {
+		p.err = err
+	}
+	return int32(v)
 }
 
 func (p *fieldParser) uint(s string) uint64 {
@@ -482,7 +499,7 @@ func (t *MemTrace) readInstanceEvent(rec []string) error {
 		Time: sim.Time(p.int(rec[0])),
 		Key: InstanceKey{
 			Collection: CollectionID(p.uint(rec[1])),
-			Index:      int32(p.int(rec[2])),
+			Index:      p.index(rec[2]),
 		},
 		Type:     p.event(rec[3]),
 		Machine:  MachineID(p.int(rec[4])),
@@ -491,7 +508,7 @@ func (t *MemTrace) readInstanceEvent(rec []string) error {
 		Request:  Resources{CPU: p.float(rec[7]), Mem: p.float(rec[8])},
 		AllocInstance: InstanceKey{
 			Collection: CollectionID(p.uint(rec[9])),
-			Index:      int32(p.int(rec[10])),
+			Index:      p.index(rec[10]),
 		},
 	}
 	if p.err != nil {
@@ -511,7 +528,7 @@ func (t *MemTrace) readUsage(rec []string) error {
 		End:   sim.Time(p.int(rec[1])),
 		Key: InstanceKey{
 			Collection: CollectionID(p.uint(rec[2])),
-			Index:      int32(p.int(rec[3])),
+			Index:      p.index(rec[3]),
 		},
 		Machine:  MachineID(p.int(rec[4])),
 		Tier:     p.tier(rec[5]),

@@ -87,6 +87,49 @@ func TestReadDirBadEnums(t *testing.T) {
 	}
 }
 
+// TestReadDirRejectsOutOfRangeIndex: an instance index outside
+// [0, MaxInt32] must fail the load with an error naming the file and
+// line, not wrap silently into the int32 key.
+func TestReadDirRejectsOutOfRangeIndex(t *testing.T) {
+	for _, c := range []struct {
+		file  string
+		field int
+	}{
+		{instanceEventsFile, 2},  // instance index
+		{instanceEventsFile, 10}, // alloc instance index
+		{usageFile, 3},
+	} {
+		for _, bad := range []string{"2147483648", "-1"} {
+			dir := t.TempDir()
+			if err := WriteDir(newTestTrace(), dir); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, c.file)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(string(data), "\n")
+			if len(lines) < 2 || lines[1] == "" {
+				t.Fatalf("%s has no data row", c.file)
+			}
+			fields := strings.Split(lines[1], ",")
+			fields[c.field] = bad
+			row := lines[0] + "\n" + strings.Join(fields, ",") + "\n"
+			if err := os.WriteFile(path, []byte(row), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = ReadDir(dir)
+			if err == nil {
+				t.Fatalf("%s field %d = %s: loaded without error", c.file, c.field, bad)
+			}
+			if msg := err.Error(); !strings.Contains(msg, c.file) || !strings.Contains(msg, "line 2") {
+				t.Fatalf("error %q does not name the file and line", msg)
+			}
+		}
+	}
+}
+
 func TestParseHelpers(t *testing.T) {
 	if _, err := parseTier("nope"); err == nil {
 		t.Fatal("parseTier")
