@@ -1,9 +1,9 @@
-// Benchmarks regenerating every table and figure of the paper (one bench
-// per artifact, per DESIGN.md's experiment index), plus ablation benches
-// for the design choices the reproduction encodes. Figure benches share
-// one simulated small-scale suite and measure the analysis passes; the
-// ablation benches run whole simulations per configuration and report
-// domain metrics via b.ReportMetric.
+// Benchmarks of the paper's evaluation, plus ablation benches for the
+// design choices the reproduction encodes. The analysis benches share one
+// simulated small-scale suite and measure the reducer pass, report
+// rendering and the shared Figure 12/13 statistics; the ablation benches
+// run whole simulations per configuration and report domain metrics via
+// b.ReportMetric.
 package repro
 
 import (
@@ -37,7 +37,8 @@ var (
 	benchSuite *experiments.Suite
 )
 
-// suite simulates the 9-cell small-scale suite once for all figure benches.
+// suite simulates the 9-cell small-scale suite once, retaining its traces,
+// for all analysis benches.
 func suite(b *testing.B) *experiments.Suite {
 	b.Helper()
 	benchOnce.Do(func() {
@@ -50,163 +51,48 @@ func suite(b *testing.B) *experiments.Suite {
 	return benchSuite
 }
 
-func BenchmarkTable1(b *testing.B) {
+// BenchmarkReducerReplay measures the analysis pass behind every figure:
+// the shared suite's nine retained traces replayed through fresh
+// streaming reducers, each finalized.
+func BenchmarkReducerReplay(b *testing.B) {
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.Table1(s.T2011, s.T2019)
-	}
-}
-
-func BenchmarkFigure1(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, tr := range s.T2019 {
-			analysis.MachineShapes(tr)
+		for _, res := range s.Stats {
+			r := streaming.Replay(res.Trace, streaming.Config{
+				Meta: res.Trace.Meta, SnapshotAt: s.Scale.Horizon / 2,
+			})
+			r.Transitions() // finalizes every product
 		}
 	}
 }
 
-func BenchmarkFigure2(b *testing.B) {
+// BenchmarkWriteReport measures report rendering alone: every table and
+// figure from the shared suite's already finalized reducers.
+func BenchmarkWriteReport(b *testing.B) {
 	s := suite(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var series []analysis.TierSeries
-		for _, tr := range s.T2019 {
-			series = append(series, analysis.UsageSeries(tr))
-		}
-		analysis.AverageSeries(series)
+	if err := s.WriteReport(io.Discard); err != nil {
+		b.Fatal(err)
 	}
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, tr := range s.T2019 {
-			analysis.AverageUsageByTier(tr, s.Scale.Warmup)
+		if err := s.WriteReport(io.Discard); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFigure4(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var series []analysis.TierSeries
-		for _, tr := range s.T2019 {
-			series = append(series, analysis.AllocationSeries(tr))
-		}
-		analysis.AverageSeries(series)
+// integrals2019 merges the shared suite's 2019 per-job usage integrals.
+func integrals2019(s *experiments.Suite) analysis.UsageIntegrals {
+	cells := make([]analysis.UsageIntegrals, len(s.R2019))
+	for i, r := range s.R2019 {
+		cells[i] = r.UsageIntegrals()
 	}
-}
-
-func BenchmarkFigure5(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, tr := range s.T2019 {
-			analysis.AverageAllocationByTier(tr, s.Scale.Warmup)
-		}
-	}
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, tr := range s.T2019 {
-			analysis.MachineUtilizationCCDF(tr, s.Scale.Horizon/2)
-		}
-	}
-}
-
-func BenchmarkFigure7(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analysis.Transitions(s.T2019[6]) // cell g, as the paper uses
-	}
-}
-
-func BenchmarkAllocSetStats(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analysis.AllocSets(s.T2019)
-	}
-}
-
-func BenchmarkTerminationStats(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analysis.Terminations(s.T2019)
-	}
-}
-
-func BenchmarkFigure8(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		r19 := analysis.Rates(s.T2019)
-		r11 := analysis.Rates([]*trace.MemTrace{s.T2011})
-		ratio = stats.Quantile(r19.JobsPerHour, 0.5) / stats.Quantile(r11.JobsPerHour, 0.5) *
-			float64(s.Scale.Machines2011) / float64(s.Scale.Machines2019)
-	}
-	b.ReportMetric(ratio, "jobrate-ratio-2019/2011")
-}
-
-func BenchmarkFigure9(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	var resub float64
-	for i := 0; i < b.N; i++ {
-		r19 := analysis.Rates(s.T2019)
-		resub = stats.Quantile(r19.AllTasksPerHour, 0.5)/stats.Quantile(r19.NewTasksPerHour, 0.5) - 1
-	}
-	b.ReportMetric(resub, "resubmit-ratio-2019")
-}
-
-func BenchmarkFigure10(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	var median float64
-	for i := 0; i < b.N; i++ {
-		all, _ := analysis.SchedulingDelays(s.T2019)
-		median = stats.Quantile(all, 0.5)
-	}
-	b.ReportMetric(median, "median-delay-s")
-}
-
-func BenchmarkFigure11(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	var beb95 float64
-	for i := 0; i < b.N; i++ {
-		tpj := analysis.TasksPerJob(s.T2019)
-		beb95 = stats.Quantile(tpj[trace.TierBestEffortBatch], 0.95)
-	}
-	b.ReportMetric(beb95, "beb-p95-tasks")
-}
-
-func BenchmarkTable2(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	var col analysis.Table2Column
-	for i := 0; i < b.N; i++ {
-		ints := analysis.JobUsageIntegrals(s.T2019)
-		col = analysis.ComputeTable2Column(ints.CPUHours)
-	}
-	b.ReportMetric(col.Top1Share*100, "top1%-load-share")
-	b.ReportMetric(col.C2, "C2")
+	return analysis.MergeIntegrals(cells)
 }
 
 func BenchmarkFigure12(b *testing.B) {
-	s := suite(b)
-	ints := analysis.JobUsageIntegrals(s.T2019)
+	ints := integrals2019(suite(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		analysis.UsageCCDF(ints.CPUHours)
@@ -215,26 +101,13 @@ func BenchmarkFigure12(b *testing.B) {
 }
 
 func BenchmarkFigure13(b *testing.B) {
-	s := suite(b)
-	ints := analysis.JobUsageIntegrals(s.T2019)
+	ints := integrals2019(suite(b))
 	b.ResetTimer()
 	var r float64
 	for i := 0; i < b.N; i++ {
 		_, r = analysis.CPUMemCorrelation(ints, 100)
 	}
 	b.ReportMetric(r, "pearson-r")
-}
-
-func BenchmarkFigure14(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		slack := analysis.SlackSamples(s.T2019)
-		gap = stats.Quantile(slack[trace.ScalingNone], 0.5) -
-			stats.Quantile(slack[trace.ScalingFull], 0.5)
-	}
-	b.ReportMetric(gap, "autopilot-slack-gap-pp")
 }
 
 // BenchmarkSuiteParallelism measures the multi-cell suite at parallelism
@@ -408,6 +281,20 @@ func BenchmarkSimulateCell(b *testing.B) {
 	}
 }
 
+// reduceCell simulates p for 4 hours at seed 3 with a streaming reducer
+// attached and no trace retained. The reducer's machine-utilization
+// snapshot is taken at hour 3.
+func reduceCell(p *workload.CellProfile) *streaming.CellReducer {
+	opts := core.Options{Horizon: 4 * sim.Hour, Seed: 3, NoMemTrace: true}
+	r := streaming.NewCellReducer(streaming.Config{
+		Meta:       trace.Meta{Cell: p.Name, Duration: opts.Horizon},
+		SnapshotAt: 3 * sim.Hour,
+	})
+	opts.ExtraSinks = []trace.Sink{r}
+	core.Run(p, opts)
+	return r
+}
+
 // BenchmarkAblationPlacement compares placement policies by the spread of
 // machine CPU utilization (Figure 6's 2011→2019 tightening is driven by
 // this choice).
@@ -425,8 +312,7 @@ func BenchmarkAblationPlacement(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := workload.Profile2019("a", 60)
 				p.Policy = policy.value
-				res := core.Run(p, core.Options{Horizon: 4 * sim.Hour, Seed: 3})
-				cpu, _ := analysis.MachineUtilization(res.Trace, 3*sim.Hour)
+				cpu, _ := reduceCell(p).MachineUtilization()
 				s := stats.Summarize(cpu)
 				spread = s.Variance
 			}
@@ -472,8 +358,7 @@ func BenchmarkAblationBatchQueue(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := workload.Profile2019("b", 60)
 				p.BatchQueue = mode.on
-				res := core.Run(p, core.Options{Horizon: 4 * sim.Hour, Seed: 3})
-				_, byTier := analysis.SchedulingDelays([]*trace.MemTrace{res.Trace})
+				byTier := reduceCell(p).Delays().ByTier
 				p99 = stats.Quantile(byTier[trace.TierBestEffortBatch], 0.99)
 			}
 			b.ReportMetric(p99, "beb-delay-p99-s")

@@ -10,21 +10,19 @@
 // affects the output of a given build: for the same binary, the same
 // seed yields the same report at every -parallel setting.
 //
-// Memory has a third switch: -stream runs the whole suite with
-// core.Options.NoMemTrace — every trace row is folded online by one
-// streaming reducer per cell (internal/analysis/streaming) and then
-// dropped, so resident memory is bounded by per-job reducer state
-// instead of growing with the horizon. The report is byte-identical to
-// the retained-trace path for the same scale and seed; CI enforces that
-// with a differential test and a peak-heap ceiling. -export DIR
-// additionally writes each cell's trace as sharded CSV (one WriteDir-
-// layout subdirectory per cell) while simulating, through the buffered
-// sink pipeline; it implies -stream.
+// Memory stays bounded too: the suite runs with core.Options.NoMemTrace,
+// so every trace row is folded online by one streaming reducer per cell
+// (internal/analysis/streaming), which every figure renders from, and
+// then dropped. Resident memory is bounded by per-job reducer state
+// instead of growing with the horizon; CI enforces a peak-heap ceiling.
+// -export DIR additionally writes each cell's trace as sharded CSV (one
+// WriteDir-layout subdirectory per cell) while simulating, through the
+// buffered sink pipeline.
 //
 // Usage:
 //
 //	borgexperiments [-scale small|default|large] [-seed N] [-parallel N]
-//	                [-policy NAME] [-arrival SPEC] [-stream] [-export DIR]
+//	                [-policy NAME] [-arrival SPEC] [-export DIR]
 //	                [-record-workload DIR] [-replay-workload DIR]
 //	                [-progress] [-o report.txt]
 //	                [-http :6060] [-metrics FILE] [-timeline FILE]
@@ -64,7 +62,6 @@ import (
 	"runtime"
 
 	"repro/internal/cliflags"
-	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -73,8 +70,7 @@ func main() {
 	log.SetPrefix("borgexperiments: ")
 	scaleName := flag.String("scale", "default", "simulation scale: small, default or large")
 	common := cliflags.Register(flag.CommandLine, "root random seed")
-	stream := flag.Bool("stream", false, "run with NoMemTrace: fold rows through streaming reducers instead of retaining traces (same report bytes)")
-	export := flag.String("export", "", "write per-cell CSV trace shards to this directory while simulating (implies -stream)")
+	export := flag.String("export", "", "write per-cell CSV trace shards to this directory while simulating")
 	recordDir := flag.String("record-workload", "", "record each cell's generated workload into this directory (one versioned file per cell)")
 	replayDir := flag.String("replay-workload", "", "replay the recorded workloads in this directory instead of generating (see -record-workload)")
 	out := flag.String("o", "", "write the report to this file instead of stdout")
@@ -116,9 +112,6 @@ func main() {
 	sc.Seed = *common.Seed
 	sc.Parallelism = *common.Parallel
 	sc.RunKnobs = obs.Knobs(common.Knobs())
-	if *export != "" {
-		*stream = true
-	}
 	sc.RecordWorkload = *recordDir != ""
 	if *replayDir != "" {
 		recs, err := experiments.LoadWorkloads(*replayDir, sc)
@@ -147,40 +140,27 @@ func main() {
 		if effective <= 0 {
 			effective = runtime.GOMAXPROCS(0)
 		}
-		mode := "retained traces"
-		if *stream {
-			mode = "streaming reducers (NoMemTrace)"
-		}
-		log.Printf("simulating 9 cells, parallelism=%d, %s", effective, mode)
+		log.Printf("simulating 9 cells, parallelism=%d", effective)
 	}
 
-	var report func(io.Writer) error
-	var stats []core.CellResult
+	var suite *experiments.Suite
 	rs := obs.MeasureRun(func() {
-		if *stream {
-			suite, err := experiments.RunSuiteStreaming(sc, experiments.StreamingOptions{ExportDir: *export})
-			if err != nil {
-				log.Fatal(err)
-			}
-			if *export != "" {
-				log.Printf("wrote 9 CSV shards under %s", *export)
-			}
-			report = suite.WriteReport
-			stats = suite.Stats
-		} else {
-			suite := experiments.RunSuite(sc)
-			report = suite.WriteReport
-			stats = suite.Stats
-		}
+		suite, err = experiments.RunSuiteStreaming(sc, experiments.StreamingOptions{ExportDir: *export})
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *export != "" {
+		log.Printf("wrote 9 CSV shards under %s", *export)
+	}
 	if *recordDir != "" {
-		if err := experiments.SaveWorkloads(*recordDir, stats); err != nil {
+		if err := experiments.SaveWorkloads(*recordDir, suite.Stats); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("recorded %d cell workloads under %s", len(stats), *recordDir)
+		log.Printf("recorded %d cell workloads under %s", len(suite.Stats), *recordDir)
 	}
 	fmt.Fprintf(w, "simulated 9 cells in %s\n\n", rs)
-	if err := report(w); err != nil {
+	if err := suite.WriteReport(w); err != nil {
 		log.Fatal(err)
 	}
 }

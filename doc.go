@@ -36,8 +36,8 @@
 //     core.Options, experiments.Scale, and sweep variants.
 //   - internal/trace — the 2019-schema data model and the streaming sink
 //     pipeline: rows flow through composable trace.Sink implementations
-//     (FanOut, BufferedSink batching, SyncSink for sinks shared across
-//     cells, CountingSink online reduction). Full in-memory retention
+//     (FanOut, BufferedSink batching, CountingSink online reduction;
+//     every cell owns its pipeline). Full in-memory retention
 //     (MemTrace) is just one sink and can be switched off per run. Sinks
 //     that can absorb many usage rows at once additionally implement
 //     trace.UsageBatcher (see "Usage pipeline and sink batching" below).
@@ -51,13 +51,14 @@
 //     engine.IDBase, and therefore the same root seed yields
 //     byte-identical traces at any parallelism.
 //   - internal/analysis, internal/analysis/streaming, internal/report,
-//     internal/experiments — the evaluation: experiments.RunSuite
+//     internal/experiments — the evaluation: experiments.RunSuiteStreaming
 //     simulates the paper's nine cells (2011 plus 2019 a–h) through the
-//     engine and regenerates every table and figure. Each per-figure
-//     analysis is factored into a per-cell accumulation plus an exact
-//     merge, with two interchangeable front ends: post-hoc over a
-//     retained MemTrace, or online via streaming.CellReducer — a
-//     trace.Sink that folds rows as the simulation emits them.
+//     engine and regenerates every table and figure. One analysis path
+//     computes them: streaming.CellReducer, a trace.Sink attached to
+//     each cell that folds rows as the simulation emits them, built from
+//     the analysis package's per-cell accumulators and exact cross-cell
+//     merges. A stored trace is analyzed by replaying it through a
+//     reducer (streaming.Replay).
 //   - internal/sweep — parameter sweeps over the engine: seed × variant
 //     × cell grids with common-random-numbers seeding, per-point
 //     streaming reducers, and cross-seed statistics (mean, stddev, 95%
@@ -122,12 +123,15 @@
 // # Streaming analysis
 //
 // Trace retention, not simulation, used to bound suite horizons: every
-// figure was computed post-hoc over a fully retained MemTrace, so memory
+// figure was once computed over a fully retained MemTrace, so memory
 // grew with every usage record and life-cycle event. The streaming
-// reducers invert that: experiments.RunSuiteStreaming runs all nine
-// cells with core.Options.NoMemTrace, each cell's rows folding through
-// one streaming.CellReducer (and, optionally, a sharded CSV export via
-// trace.DirSink behind a BufferedSink) before being dropped. Per-instance
+// reducers invert that, and are now the only code that computes a
+// figure: experiments.RunSuiteStreaming runs all nine cells with
+// core.Options.NoMemTrace, each cell's rows folding through one
+// streaming.CellReducer (and, optionally, a sharded CSV export via
+// trace.DirSink behind a BufferedSink) before being dropped;
+// experiments.RunSuite attaches the same reducers and also keeps each
+// cell's trace, for tests and tools that read rows. Per-instance
 // state lives in its collection's instance table, a slice indexed by
 // instance index (indexes far beyond those seen, or negative, go to a
 // small side map, so a hostile trace cannot size the table), and
@@ -135,14 +139,15 @@
 // fields; each row does at most one collection lookup, memoized across
 // adjacent rows. Reducer state grows with the number of jobs and tasks
 // (and, until ROADMAP item 3 lands, the per-row slack vector) — the
-// aggregates the figures inherently need — cutting the LargeScale suite's peak heap
-// by ~10x (BENCH_PR4.json) while producing a report byte-identical to
-// the retained path: within a cell both paths fold the same terms in
-// emission order, and cross-cell merges share the same Finish/Merge
-// functions. CI pins this with differential tests (reducer vs post-hoc,
-// streamed report vs retained report), a benchmark-regression gate
-// against the checked-in baselines, and a peak-HeapAlloc ceiling on the
-// LargeScale streaming suite.
+// aggregates the figures inherently need — cutting the LargeScale suite's
+// peak heap by ~10x (BENCH_PR4.json). Within a cell every product folds
+// its terms in emission order, and cross-cell merges run in cell order,
+// so the report is byte-identical at any parallelism and with or
+// without retention. CI pins this with golden report hashes and pinned
+// per-product hashes (both taken from a since-retired post-hoc analysis
+// over retained traces), p1-vs-p8 determinism tests, a
+// benchmark-regression gate against the checked-in baselines, and a
+// peak-HeapAlloc ceiling on the LargeScale streaming suite.
 //
 // # Usage pipeline and sink batching
 //
@@ -183,7 +188,7 @@
 //
 // The composable sinks propagate the capability end to end: FanOut
 // forwards a batch to every child (each child independently batched or
-// scalar), SyncSink holds its lock once per batch, CountingSink counts
+// scalar), CountingSink counts
 // len(recs) in one step, BufferedSink passes batches straight through
 // to a batch-capable downstream (draining any buffered scalar stragglers
 // first, preserving row order) and buffers row-by-row otherwise, and
@@ -349,10 +354,10 @@
 // peak_heap_bytes). CI's metrics-smoke job scrapes a live fleet run
 // end to end and diffs its report against a metrics-off run.
 //
-// The root-level benchmarks (bench_test.go) regenerate each table and
-// figure and measure the engine's parallel speedup; cmd/borgexperiments
+// The root-level benchmarks (bench_test.go) measure the reducer pass,
+// report rendering and the engine's parallel speedup; cmd/borgexperiments
 // prints the whole evaluation (-parallel N simulates N cells
-// concurrently without changing a byte of output, -stream folds it
-// through the reducers without retaining a trace). PAPER.md holds the
+// concurrently without changing a byte of output), folding every row
+// through the reducers without retaining a trace. PAPER.md holds the
 // source paper's abstract and ROADMAP.md the project direction.
 package repro

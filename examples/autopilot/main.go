@@ -24,7 +24,33 @@ func main() {
 
 	fmt.Printf("cell %s: %d autopilot limit updates issued\n\n", profile.Name, res.AutopilotUpdates)
 
-	slack := analysis.SlackSamples([]*trace.MemTrace{tr})
+	// One pass over the usage records gathers each job record's peak
+	// slack (Figure 14) and, since slack is capacity the cell can resell,
+	// the aggregate limits and peaks of autoscaled and manual jobs.
+	infos := map[trace.CollectionID]trace.CollectionInfo{}
+	for _, info := range tr.CollectionInfos() {
+		infos[info.ID] = info
+	}
+	slack := map[trace.VerticalScaling][]float64{}
+	var limitAuto, peakAuto, limitMan, peakMan float64
+	for i := range tr.UsageRecords {
+		rec := &tr.UsageRecords[i]
+		info, ok := infos[rec.Key.Collection]
+		if ok && info.CollectionType == trace.CollectionJob {
+			if s, ok := analysis.SlackSampleOf(rec); ok {
+				slack[info.Scaling] = append(slack[info.Scaling], s)
+			}
+		}
+		switch info.Scaling {
+		case trace.ScalingFull:
+			limitAuto += rec.Limit.CPU
+			peakAuto += rec.MaxUsage.CPU
+		case trace.ScalingNone:
+			limitMan += rec.Limit.CPU
+			peakMan += rec.MaxUsage.CPU
+		}
+	}
+
 	fmt.Printf("%-14s %10s %10s %10s %10s\n", "strategy", "p25 (%)", "p50 (%)", "p75 (%)", "samples")
 	for _, mode := range []trace.VerticalScaling{trace.ScalingFull, trace.ScalingConstrained, trace.ScalingNone} {
 		xs := slack[mode]
@@ -40,22 +66,6 @@ func main() {
 	fmt.Printf("\nfully autoscaled jobs carry %.0f points less median peak slack than manual ones\n", manual-full)
 	fmt.Println("(the paper reports >25 points for the vast majority of jobs, Figure 14)")
 
-	// Slack is capacity the cell can resell: compare aggregate limits.
-	var limitAuto, peakAuto, limitMan, peakMan float64
-	scaling := map[trace.CollectionID]trace.VerticalScaling{}
-	for _, info := range tr.CollectionInfos() {
-		scaling[info.ID] = info.Scaling
-	}
-	for _, rec := range tr.UsageRecords {
-		switch scaling[rec.Key.Collection] {
-		case trace.ScalingFull:
-			limitAuto += rec.Limit.CPU
-			peakAuto += rec.MaxUsage.CPU
-		case trace.ScalingNone:
-			limitMan += rec.Limit.CPU
-			peakMan += rec.MaxUsage.CPU
-		}
-	}
 	if limitAuto > 0 && limitMan > 0 {
 		fmt.Printf("\naggregate reserved-but-unused CPU: %.0f%% for autoscaled vs %.0f%% for manual jobs\n",
 			(1-peakAuto/limitAuto)*100, (1-peakMan/limitMan)*100)

@@ -9,8 +9,8 @@
 // streaming.CellReducer and simulates with NoMemTrace, so no trace is
 // ever retained — every figure below is read from reducer state after
 // the rows were folded online and dropped. Memory stays bounded no
-// matter the horizon; the numbers are byte-identical to what post-hoc
-// analysis of a retained trace would produce.
+// matter the horizon; the numbers are byte-identical to what replaying a
+// retained trace through the same reducer (streaming.Replay) produces.
 //
 //	go run ./examples/multicell [-parallel N]
 package main

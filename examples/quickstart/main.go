@@ -1,5 +1,6 @@
 // Quickstart: simulate a small 2019-profile Borg cell for six hours,
-// validate the resulting trace, and print headline statistics.
+// validate the resulting trace, and print headline statistics computed
+// by a streaming reducer attached to the cell's sink pipeline.
 //
 //	go run ./examples/quickstart
 package main
@@ -10,6 +11,7 @@ import (
 	"os"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/streaming"
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -22,8 +24,16 @@ func main() {
 	log.SetFlags(0)
 
 	// A 100-machine cell with cell a's workload mix, simulated for 6 hours.
+	// The reducer folds every trace row as it is emitted; the cell also
+	// retains its trace, for the validator below.
 	profile := workload.Profile2019("a", 100)
-	res := core.Run(profile, core.Options{Horizon: 6 * sim.Hour, Seed: 42})
+	opts := core.Options{Horizon: 6 * sim.Hour, Seed: 42}
+	red := streaming.NewCellReducer(streaming.Config{Meta: trace.Meta{
+		Era: profile.Era, Cell: profile.Name, Duration: opts.Horizon,
+		Machines: profile.Machines, Seed: opts.Seed,
+	}})
+	opts.ExtraSinks = []trace.Sink{red}
+	res := core.Run(profile, opts)
 	tr := res.Trace
 
 	fmt.Printf("cell %s simulated: %s\n", profile.Name, tr.Counts())
@@ -36,7 +46,7 @@ func main() {
 	fmt.Println("trace validates: submit-before-terminate, capacity, parent-kill all hold")
 
 	// Tier-level utilization, Figure 3 style.
-	av := analysis.AverageUsageByTier(tr, 2*sim.Hour)
+	av := red.AverageUsageByTier(2 * sim.Hour)
 	if err := report.TierAveragesTable(os.Stdout,
 		"\naverage usage as fraction of cell capacity (post-warmup)",
 		[]analysis.TierAverages{av}, "cpu"); err != nil {
@@ -44,10 +54,10 @@ func main() {
 	}
 
 	// Scheduling delay, Figure 10 style.
-	all, byTier := analysis.SchedulingDelays([]*trace.MemTrace{tr})
-	fmt.Printf("\nscheduling delay: median %.2fs (n=%d)\n", stats.Quantile(all, 0.5), len(all))
+	delays := red.Delays()
+	fmt.Printf("\nscheduling delay: median %.2fs (n=%d)\n", stats.Quantile(delays.All, 0.5), len(delays.All))
 	for _, tier := range trace.Tiers() {
-		if xs := byTier[tier]; len(xs) > 0 {
+		if xs := delays.ByTier[tier]; len(xs) > 0 {
 			fmt.Printf("  %-4s median %.2fs  p90 %.2fs\n",
 				tier, stats.Quantile(xs, 0.5), stats.Quantile(xs, 0.9))
 		}

@@ -24,25 +24,6 @@ func (c *TransitionCounts) Observe(from, to trace.EventType) {
 	c[from][to]++
 }
 
-// Transitions counts consecutive event-type pairs across all collections
-// and instances of a trace (Figure 7), sorted by count descending.
-func Transitions(tr *trace.MemTrace) []Transition {
-	var counts TransitionCounts
-	for _, id := range tr.Collections() {
-		evs := tr.EventsOf(id)
-		for i := 1; i < len(evs); i++ {
-			counts.Observe(evs[i-1].Type, evs[i].Type)
-		}
-	}
-	for _, key := range tr.Instances() {
-		evs := tr.InstanceEventsOf(key)
-		for i := 1; i < len(evs); i++ {
-			counts.Observe(evs[i-1].Type, evs[i].Type)
-		}
-	}
-	return TransitionsFromCounts(&counts)
-}
-
 // TransitionsFromCounts sorts a tally's observed edges into Figure 7's
 // edge list (count descending, then lexicographic).
 func TransitionsFromCounts(counts *TransitionCounts) []Transition {
@@ -83,8 +64,7 @@ type AllocSetStats struct {
 
 // AllocSetAccum is one cell's partial accumulation of §5.1's statistics.
 // Counts are exact and the float sums fold usage records in emission
-// order, so an accumulation built online by a streaming reducer is
-// bit-identical to one built post-hoc from the retained trace.
+// order, so the same rows always give bit-identical partials.
 type AllocSetAccum struct {
 	Collections, AllocSets     int
 	Jobs, InAlloc, ProdInAlloc int
@@ -180,35 +160,6 @@ func FinishAllocSets(accums []AllocSetAccum) AllocSetStats {
 		st.MemUtilOutside = t.MemUtilOut / t.WeightOut
 	}
 	return st
-}
-
-// AllocSetAccumOf builds one trace's partial post-hoc.
-func AllocSetAccumOf(tr *trace.MemTrace) AllocSetAccum {
-	var a AllocSetAccum
-	isAllocSet := make(map[trace.CollectionID]bool)
-	inAllocSet := make(map[trace.CollectionID]bool)
-	for _, info := range tr.CollectionInfos() {
-		a.ObserveCollection(info.CollectionType, info.AllocSet, info.Tier)
-		if info.CollectionType == trace.CollectionAllocSet {
-			isAllocSet[info.ID] = true
-		} else if info.AllocSet != 0 {
-			inAllocSet[info.ID] = true
-		}
-	}
-	for i := range tr.UsageRecords {
-		rec := &tr.UsageRecords[i]
-		a.ObserveUsage(rec, isAllocSet[rec.Key.Collection], inAllocSet[rec.Key.Collection])
-	}
-	return a
-}
-
-// AllocSets computes §5.1's statistics over one or more cells.
-func AllocSets(traces []*trace.MemTrace) AllocSetStats {
-	accums := make([]AllocSetAccum, len(traces))
-	for i, tr := range traces {
-		accums[i] = AllocSetAccumOf(tr)
-	}
-	return FinishAllocSets(accums)
 }
 
 // TerminationStats reproduces §5.2's findings.
@@ -327,30 +278,6 @@ func FinishTerminations(accums []TerminationAccum) TerminationStats {
 	return st
 }
 
-// TerminationAccumOf builds one trace's partial post-hoc.
-func TerminationAccumOf(tr *trace.MemTrace) TerminationAccum {
-	var a TerminationAccum
-	evictions := make(map[trace.CollectionID]int)
-	for _, ev := range tr.InstanceEvents {
-		if ev.Type == trace.EventEvict {
-			evictions[ev.Key.Collection]++
-		}
-	}
-	for _, info := range tr.CollectionInfos() {
-		a.ObserveCollection(info, evictions[info.ID])
-	}
-	return a
-}
-
-// Terminations computes §5.2's statistics over one or more cells.
-func Terminations(traces []*trace.MemTrace) TerminationStats {
-	accums := make([]TerminationAccum, len(traces))
-	for i, tr := range traces {
-		accums[i] = TerminationAccumOf(tr)
-	}
-	return FinishTerminations(accums)
-}
-
 // SubmissionRates holds Figures 8 and 9's hourly rate samples for one or
 // more cells (each element is one cell-hour).
 type SubmissionRates struct {
@@ -368,55 +295,6 @@ func MergeRates(cells []SubmissionRates) SubmissionRates {
 		out.AllTasksPerHour = append(out.AllTasksPerHour, c.AllTasksPerHour...)
 	}
 	return out
-}
-
-// RatesOf computes one cell's per-hour submission counts. Alloc sets are
-// excluded from the job counts, matching the paper's job-centric view.
-func RatesOf(tr *trace.MemTrace) SubmissionRates {
-	hours := SeriesHours(tr.Meta.Duration)
-	out := SubmissionRates{
-		JobsPerHour:     make([]float64, hours),
-		NewTasksPerHour: make([]float64, hours),
-		AllTasksPerHour: make([]float64, hours),
-	}
-	isJob := make(map[trace.CollectionID]bool)
-	for _, info := range tr.CollectionInfos() {
-		if info.CollectionType == trace.CollectionJob {
-			isJob[info.ID] = true
-		}
-	}
-	for _, ev := range tr.CollectionEvents {
-		if ev.Type == trace.EventSubmit && isJob[ev.Collection] {
-			if h := int(ev.Time / sim.Hour); h >= 0 && h < hours {
-				out.JobsPerHour[h]++
-			}
-		}
-	}
-	seen := make(map[trace.InstanceKey]bool)
-	for _, ev := range tr.InstanceEvents {
-		if ev.Type != trace.EventSubmit || !isJob[ev.Key.Collection] {
-			continue
-		}
-		h := int(ev.Time / sim.Hour)
-		if h < 0 || h >= hours {
-			continue
-		}
-		out.AllTasksPerHour[h]++
-		if !seen[ev.Key] {
-			seen[ev.Key] = true
-			out.NewTasksPerHour[h]++
-		}
-	}
-	return out
-}
-
-// Rates computes per-hour submission counts over one or more cells.
-func Rates(traces []*trace.MemTrace) SubmissionRates {
-	cells := make([]SubmissionRates, len(traces))
-	for i, tr := range traces {
-		cells[i] = RatesOf(tr)
-	}
-	return MergeRates(cells)
 }
 
 // DelaySamples holds Figure 10's per-job scheduling delays in seconds —
@@ -439,43 +317,6 @@ func MergeDelays(cells []DelaySamples) DelaySamples {
 	return out
 }
 
-// DelaysOf computes one cell's scheduling delays post-hoc.
-func DelaysOf(tr *trace.MemTrace) DelaySamples {
-	enable := make(map[trace.CollectionID]sim.Time)
-	tier := make(map[trace.CollectionID]trace.Tier)
-	for _, ev := range tr.CollectionEvents {
-		if ev.Type == trace.EventEnable && ev.CollectionType == trace.CollectionJob {
-			if _, ok := enable[ev.Collection]; !ok {
-				enable[ev.Collection] = ev.Time
-				tier[ev.Collection] = ev.Tier
-			}
-		}
-	}
-	first := make(map[trace.CollectionID]sim.Time)
-	for _, ev := range tr.InstanceEvents {
-		if ev.Type != trace.EventSchedule {
-			continue
-		}
-		if cur, ok := first[ev.Key.Collection]; !ok || ev.Time < cur {
-			first[ev.Key.Collection] = ev.Time
-		}
-	}
-	// Ascending collection-ID order; jobs that never ran inside the trace
-	// window are skipped.
-	out := DelaySamples{ByTier: make(map[trace.Tier][]float64)}
-	ids := make([]trace.CollectionID, 0, len(enable))
-	for id := range enable {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if fr, ok := first[id]; ok {
-			out.ObserveJob(enable[id], fr, tier[id])
-		}
-	}
-	return out
-}
-
 // ObserveJob appends one job's delay from its first ENABLE to its first
 // SCHEDULE, skipping a negative one. ByTier must be non-nil.
 func (s *DelaySamples) ObserveJob(enable, firstRun sim.Time, tier trace.Tier) {
@@ -487,17 +328,6 @@ func (s *DelaySamples) ObserveJob(enable, firstRun sim.Time, tier trace.Tier) {
 	s.ByTier[tier] = append(s.ByTier[tier], d)
 }
 
-// SchedulingDelays returns per-job scheduling delays in seconds (Figure
-// 10) over one or more cells, overall and split by tier.
-func SchedulingDelays(traces []*trace.MemTrace) (all []float64, byTier map[trace.Tier][]float64) {
-	cells := make([]DelaySamples, len(traces))
-	for i, tr := range traces {
-		cells[i] = DelaysOf(tr)
-	}
-	merged := MergeDelays(cells)
-	return merged.All, merged.ByTier
-}
-
 // MergeSamplesBy concatenates per-cell keyed sample groups in cell order.
 func MergeSamplesBy[K comparable](cells []map[K][]float64) map[K][]float64 {
 	out := make(map[K][]float64)
@@ -507,33 +337,6 @@ func MergeSamplesBy[K comparable](cells []map[K][]float64) map[K][]float64 {
 		}
 	}
 	return out
-}
-
-// TasksPerJobOf returns one cell's task-count distribution by tier.
-func TasksPerJobOf(tr *trace.MemTrace) map[trace.Tier][]float64 {
-	out := make(map[trace.Tier][]float64)
-	counts := make(map[trace.CollectionID]int)
-	for _, key := range tr.Instances() {
-		counts[key.Collection]++
-	}
-	for _, info := range tr.CollectionInfos() {
-		if info.CollectionType != trace.CollectionJob {
-			continue
-		}
-		if n := counts[info.ID]; n > 0 {
-			out[info.Tier] = append(out[info.Tier], float64(n))
-		}
-	}
-	return out
-}
-
-// TasksPerJob returns the task-count distribution by tier (Figure 11).
-func TasksPerJob(traces []*trace.MemTrace) map[trace.Tier][]float64 {
-	cells := make([]map[trace.Tier][]float64, len(traces))
-	for i, tr := range traces {
-		cells[i] = TasksPerJobOf(tr)
-	}
-	return MergeSamplesBy(cells)
 }
 
 // FormatTransition renders a transition edge for reports.

@@ -45,37 +45,6 @@ func FinishIntegrals(cpu, mem map[trace.CollectionID]float64) UsageIntegrals {
 	return out
 }
 
-// JobUsageIntegralsOf integrates one cell's jobs post-hoc.
-func JobUsageIntegralsOf(tr *trace.MemTrace) UsageIntegrals {
-	isJob := make(map[trace.CollectionID]bool)
-	for _, info := range tr.CollectionInfos() {
-		if info.CollectionType == trace.CollectionJob {
-			isJob[info.ID] = true
-		}
-	}
-	cpu := make(map[trace.CollectionID]float64)
-	mem := make(map[trace.CollectionID]float64)
-	for _, rec := range tr.UsageRecords {
-		if !isJob[rec.Key.Collection] {
-			continue
-		}
-		h := (rec.End - rec.Start).Hours()
-		cpu[rec.Key.Collection] += rec.AvgUsage.CPU * h
-		mem[rec.Key.Collection] += rec.AvgUsage.Mem * h
-	}
-	return FinishIntegrals(cpu, mem)
-}
-
-// JobUsageIntegrals integrates every job's usage records over time.
-// Alloc sets are excluded (they reserve rather than use).
-func JobUsageIntegrals(traces []*trace.MemTrace) UsageIntegrals {
-	cells := make([]UsageIntegrals, len(traces))
-	for i, tr := range traces {
-		cells[i] = JobUsageIntegralsOf(tr)
-	}
-	return MergeIntegrals(cells)
-}
-
 // Table2Column holds one column of the paper's Table 2: the distribution
 // of per-job resource-hours for one resource dimension in one era.
 type Table2Column struct {
@@ -192,39 +161,6 @@ func SlackSampleOf(rec *trace.UsageRecord) (float64, bool) {
 	return slack * 100, true
 }
 
-// SlackSamplesOf groups one cell's per-record slack samples by the owning
-// collection's vertical-scaling strategy.
-func SlackSamplesOf(tr *trace.MemTrace) map[trace.VerticalScaling][]float64 {
-	out := make(map[trace.VerticalScaling][]float64)
-	scaling := make(map[trace.CollectionID]trace.VerticalScaling)
-	isJob := make(map[trace.CollectionID]bool)
-	for _, info := range tr.CollectionInfos() {
-		scaling[info.ID] = info.Scaling
-		isJob[info.ID] = info.CollectionType == trace.CollectionJob
-	}
-	for i := range tr.UsageRecords {
-		rec := &tr.UsageRecords[i]
-		if !isJob[rec.Key.Collection] {
-			continue
-		}
-		if s, ok := SlackSampleOf(rec); ok {
-			mode := scaling[rec.Key.Collection]
-			out[mode] = append(out[mode], s)
-		}
-	}
-	return out
-}
-
-// SlackSamples groups per-record peak NCU slack percentages by the owning
-// collection's vertical-scaling strategy (Figure 14).
-func SlackSamples(traces []*trace.MemTrace) map[trace.VerticalScaling][]float64 {
-	cells := make([]map[trace.VerticalScaling][]float64, len(traces))
-	for i, tr := range traces {
-		cells[i] = SlackSamplesOf(tr)
-	}
-	return MergeSamplesBy(cells)
-}
-
 // Table1Row is one row of Table 1's trace comparison.
 type Table1Row struct {
 	Metric string
@@ -233,9 +169,8 @@ type Table1Row struct {
 }
 
 // Inventory is one cell's Table 1 metadata: machine population, hardware
-// diversity, priority range and feature flags. It can be built post-hoc
-// (InventoryOf) or online by a streaming reducer, and merged exactly
-// across cells.
+// diversity, priority range and feature flags. A streaming reducer
+// builds it online, and MergeInventories combines cells exactly.
 type Inventory struct {
 	Machines     int
 	Platforms    map[string]bool
@@ -316,23 +251,6 @@ func (v Inventory) prioRange() string {
 	return fmtI(v.MinPriority) + "–" + fmtI(v.MaxPriority)
 }
 
-// InventoryOf builds one trace's inventory post-hoc.
-func InventoryOf(tr *trace.MemTrace) Inventory {
-	inv := NewInventory()
-	for _, ev := range tr.MachineCapacities() {
-		inv.ObserveMachine(ev)
-	}
-	for _, info := range tr.CollectionInfos() {
-		inv.ObserveCollection(info)
-	}
-	for _, ev := range tr.CollectionEvents {
-		if ev.Type == trace.EventQueue {
-			inv.BatchQueue = true
-		}
-	}
-	return inv
-}
-
 // Table1FromInventories rebuilds the paper's Table 1 from merged per-era
 // inventories plus the trace durations and the 2019 cell count.
 func Table1FromInventories(count2011 Inventory, dur2011 sim.Time,
@@ -356,16 +274,6 @@ func Table1FromInventories(count2011 Inventory, dur2011 sim.Time,
 		{"Batch queueing", boolStr(count2011.BatchQueue), boolStr(count2019.BatchQueue)},
 		{"Vertical scaling", boolStr(count2011.Vertical), boolStr(count2019.Vertical)},
 	}
-}
-
-// Table1 rebuilds the paper's Table 1 from generated traces.
-func Table1(t2011 *trace.MemTrace, t2019 []*trace.MemTrace) []Table1Row {
-	cells := make([]Inventory, len(t2019))
-	for i, tr := range t2019 {
-		cells[i] = InventoryOf(tr)
-	}
-	return Table1FromInventories(InventoryOf(t2011), t2011.Meta.Duration,
-		MergeInventories(cells), t2019[0].Meta.Duration, len(t2019))
 }
 
 func fmtI(v int) string { return strconv.Itoa(v) }

@@ -1,21 +1,19 @@
-// Package analysis implements every analysis of the paper over generated
-// traces: resource utilization and allocation series (Figures 2–5),
+// Package analysis holds the pieces every analysis of the paper is built
+// from: resource utilization and allocation series (Figures 2–5),
 // machine shape and utilization distributions (Figures 1 and 6), state
 // transitions (Figure 7), alloc-set and termination statistics (§5.1,
 // §5.2), scheduler load (Figures 8–10), tasks-per-job (Figure 11),
-// heavy-tailed usage integrals (Table 2, Figures 12–13), and Autopilot
-// slack (Figure 14). Table 1's inventory is derived from trace metadata.
-//
-// Functions accept one or more MemTraces; where the paper aggregates
-// across the 8 cells of the 2019 trace, pass all of them.
+// heavy-tailed usage integrals (Table 2, Figures 12–13), Autopilot slack
+// (Figure 14) and Table 1's inventory.
 //
 // Each analysis is factored into a per-cell accumulation step and an
-// exact merge/finish step, so the streaming reducers in the analysis/
-// streaming subpackage can compute the per-cell state online (while the
-// simulation runs, with no retained trace) and still produce results
-// bit-identical to the post-hoc path: within a cell both paths fold the
-// same terms in trace-emission order, and across cells both paths merge
-// the per-cell partials with the same functions in the same order.
+// exact merge/finish step. The per-cell step is driven by one caller,
+// streaming.CellReducer in the analysis/streaming subpackage, which folds
+// a cell's rows as the simulation emits them (or as streaming.Replay
+// feeds a retained trace back). Where the paper aggregates across the 8
+// cells of the 2019 trace, the Merge and Finish functions here combine
+// the per-cell products in cell order, so the result does not depend on
+// how many cells ran at once.
 package analysis
 
 import (
@@ -23,7 +21,6 @@ import (
 	"sort"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -33,15 +30,8 @@ type ShapePoint struct {
 	Count    int
 }
 
-// MachineShapes returns the distinct machine shapes and their counts,
-// sorted by population descending (Figure 1's circle areas).
-func MachineShapes(tr *trace.MemTrace) []ShapePoint {
-	return ShapesOf(tr.MachineCapacities())
-}
-
 // ShapesOf derives Figure 1's shape populations from a machine-capacity
-// snapshot (as built by MemTrace.MachineCapacities or maintained online
-// by a streaming reducer).
+// snapshot, as a streaming reducer maintains it.
 func ShapesOf(caps map[trace.MachineID]trace.MachineEvent) []ShapePoint {
 	counts := make(map[trace.Resources]int)
 	for _, ev := range caps {
@@ -91,8 +81,8 @@ func newTierSeries(n int) TierSeries {
 }
 
 // TotalCapacity sums a capacity snapshot in ascending machine-ID order.
-// The order is fixed so that both the post-hoc and the streaming path
-// produce the same floating-point sum.
+// The order is fixed so the floating-point sum does not depend on map
+// iteration order.
 func TotalCapacity(caps map[trace.MachineID]trace.MachineEvent) trace.Resources {
 	ids := make([]trace.MachineID, 0, len(caps))
 	for id := range caps {
@@ -120,8 +110,7 @@ func SeriesHours(duration sim.Time) int {
 // TierSeries, one usage record at a time in emission order. Normalization
 // by cell capacity happens once in Finish, so the accumulation itself
 // needs no knowledge of the cell — the property that lets a streaming
-// reducer fold records online and still match the post-hoc sums bit for
-// bit.
+// reducer fold records before the cell's final capacity is known.
 type SeriesAccum struct {
 	hours int
 	// Tiers are dense (0..NumTiers-1), so the per-tier buckets live in
@@ -141,18 +130,14 @@ func NewSeriesAccum(hours int) *SeriesAccum {
 	return a
 }
 
-// sampleWindowHours is Observe's per-record weight, hoisted.
+// sampleWindowHours is ObserveAt's per-record weight, hoisted.
 var sampleWindowHours = sim.SampleWindow.Hours()
 
-// Observe folds one record's contribution (v, normally the record's
-// average usage or its limit) into the hour bucket containing its start.
-func (a *SeriesAccum) Observe(rec trace.UsageRecord, v trace.Resources) {
-	a.ObserveAt(rec.Start, rec.Tier, v)
-}
-
-// ObserveAt is Observe without the record: the streaming reducer's batch
-// path calls it with the three fields it already has in hand, skipping a
-// full record copy per accumulator.
+// ObserveAt folds one usage record's contribution (v, normally the
+// record's average usage or its limit) into the hour bucket containing
+// the record's start, in the record's tier. It takes the three fields
+// rather than the record so the reducer's per-record path copies no
+// record.
 func (a *SeriesAccum) ObserveAt(start sim.Time, tier trace.Tier, v trace.Resources) {
 	h := int(start / sim.Hour)
 	if h < 0 || h >= a.hours {
@@ -177,50 +162,6 @@ func (a *SeriesAccum) Finish(capacity trace.Resources) TierSeries {
 		}
 	}
 	return s
-}
-
-// inAllocJobs returns the set of collections that run inside alloc sets.
-func inAllocJobs(tr *trace.MemTrace) map[trace.CollectionID]bool {
-	out := make(map[trace.CollectionID]bool)
-	for _, info := range tr.CollectionInfos() {
-		if info.CollectionType == trace.CollectionJob && info.AllocSet != 0 {
-			out[info.ID] = true
-		}
-	}
-	return out
-}
-
-// UsageSeries computes Figure 2's hourly per-tier usage as a fraction of
-// cell capacity.
-func UsageSeries(tr *trace.MemTrace) TierSeries {
-	return series(tr, false)
-}
-
-// AllocationSeries computes Figure 4's hourly per-tier allocation (sum of
-// limits) as a fraction of cell capacity. Jobs running inside alloc sets
-// are excluded: their limits consume the alloc set's reservation, which is
-// already counted.
-func AllocationSeries(tr *trace.MemTrace) TierSeries {
-	return series(tr, true)
-}
-
-func series(tr *trace.MemTrace, allocation bool) TierSeries {
-	a := NewSeriesAccum(SeriesHours(tr.Meta.Duration))
-	var inAlloc map[trace.CollectionID]bool
-	if allocation {
-		inAlloc = inAllocJobs(tr)
-	}
-	for _, rec := range tr.UsageRecords {
-		if allocation {
-			if inAlloc[rec.Key.Collection] {
-				continue
-			}
-			a.Observe(rec, rec.Limit)
-		} else {
-			a.Observe(rec, rec.AvgUsage)
-		}
-	}
-	return a.Finish(TotalCapacity(tr.MachineCapacities()))
 }
 
 // AverageSeries averages several cells' series point-wise (the paper's
@@ -270,17 +211,6 @@ type TierAverages struct {
 	Mem  map[trace.Tier]float64
 }
 
-// AverageUsageByTier computes Figure 3's per-cell bars: the mean over
-// post-warmup hours of the per-tier usage fraction.
-func AverageUsageByTier(tr *trace.MemTrace, warmup sim.Time) TierAverages {
-	return AverageOfSeries(UsageSeries(tr), tr.Meta.Cell, warmup)
-}
-
-// AverageAllocationByTier computes Figure 5's per-cell bars.
-func AverageAllocationByTier(tr *trace.MemTrace, warmup sim.Time) TierAverages {
-	return AverageOfSeries(AllocationSeries(tr), tr.Meta.Cell, warmup)
-}
-
 // AverageOfSeries reduces an hourly series to its post-warmup mean per
 // tier (the shared final step of Figures 3 and 5).
 func AverageOfSeries(s TierSeries, cell string, warmup sim.Time) TierAverages {
@@ -309,19 +239,6 @@ func AverageOfSeries(s TierSeries, cell string, warmup sim.Time) TierAverages {
 	return out
 }
 
-// MachineUtilization returns each machine's usage÷capacity in the sampling
-// window containing at; machines with no usage records in the window count
-// as zero (Figure 6's snapshot distribution).
-func MachineUtilization(tr *trace.MemTrace, at sim.Time) (cpu, mem []float64) {
-	usage := make(map[trace.MachineID]trace.Resources)
-	for _, rec := range tr.UsageRecords {
-		if rec.Start <= at && at < rec.End && rec.Machine != 0 {
-			usage[rec.Machine] = usage[rec.Machine].Add(rec.AvgUsage)
-		}
-	}
-	return UtilizationSamples(tr.MachineCapacities(), usage)
-}
-
 // UtilizationSamples turns a capacity snapshot and the per-machine usage
 // totals of one sampling window into Figure 6's per-machine utilization
 // samples, in ascending machine-ID order.
@@ -346,10 +263,4 @@ func UtilizationSamples(caps map[trace.MachineID]trace.MachineEvent,
 		}
 	}
 	return cpu, mem
-}
-
-// MachineUtilizationCCDF computes Figure 6's CCDFs for one cell.
-func MachineUtilizationCCDF(tr *trace.MemTrace, at sim.Time) (cpu, mem []stats.CCDFPoint) {
-	c, m := MachineUtilization(tr, at)
-	return stats.CCDF(c), stats.CCDF(m)
 }

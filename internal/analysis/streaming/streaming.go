@@ -1,11 +1,11 @@
 // Package streaming computes every per-figure analysis of the paper
-// online, as the simulation emits trace rows, instead of post-hoc over a
-// fully retained MemTrace. A CellReducer is a trace.Sink: attach one per
-// cell via core.Options.ExtraSinks (typically together with NoMemTrace)
-// and, once the simulation has finished, read the same structs the
-// analysis package produces — bit-identical to the post-hoc path on the
-// same trace, which is what lets full suites run with no trace retention
-// and still emit a byte-identical report.
+// online, as the simulation emits trace rows. It is the only code that
+// computes a figure: a CellReducer is a trace.Sink, attached to a cell
+// via core.Options.ExtraSinks (with or without NoMemTrace), and once the
+// simulation has finished every report renders from its products.
+// Replay feeds a retained trace — one just simulated, or one read back
+// from disk — through a fresh reducer, so stored traces are analyzed by
+// the same code.
 //
 // # Memory model
 //
@@ -20,14 +20,17 @@
 //
 // # Exactness contract
 //
-// Bit-identity with the post-hoc path holds because both sides are built
-// from the same factored pieces in package analysis: within a cell both
-// fold the same terms in trace-emission order (MemTrace replays tables in
-// emission order, and the reducer sees rows in emission order), and
-// normalizations/merges happen in shared Finish/Merge functions. Two
-// trace invariants are relied on and checked by the differential tests: a
-// collection's first event precedes all rows that reference it, and
-// machine capacities are fully announced before the first usage record.
+// A reducer's products depend only on the rows it saw, in emission
+// order: within a cell every product folds its terms in that order, and
+// across cells the analysis package's Merge and Finish functions combine
+// per-cell products in cell order. So a report is byte-identical at
+// every parallelism and with or without trace retention, and Replay of
+// a retained trace matches the live reducer. Two trace invariants are
+// relied on: a collection's first event precedes all rows that
+// reference it, and machine capacities are fully announced before the
+// first usage record. The tests pin the products on two fixture cells to
+// hashes of the answers an independent post-hoc implementation over the
+// retained trace gave, so any change to what a product holds shows up.
 package streaming
 
 import (
@@ -287,8 +290,8 @@ func (r *CellReducer) InstanceEvent(ev trace.InstanceEvent) {
 			if h := int(ev.Time / sim.Hour); h >= 0 && h < len(r.rates.AllTasksPerHour) {
 				r.rates.AllTasksPerHour[h]++
 				if !in.submitted {
-					// First *counted* SUBMIT, mirroring the post-hoc
-					// seen-set which only records counted events.
+					// First *counted* SUBMIT: only counted SUBMITs
+					// mark the instance as seen.
 					in.submitted = true
 					r.rates.NewTasksPerHour[h]++
 				}
@@ -512,8 +515,7 @@ func (r *CellReducer) UsageIntegrals() analysis.UsageIntegrals {
 }
 
 // SlackSamples returns the cell's Figure 14 slack samples by strategy.
-// Like the post-hoc analysis.SlackSamplesOf, the map holds only
-// strategies that produced at least one sample.
+// The map holds only strategies that produced at least one sample.
 func (r *CellReducer) SlackSamples() map[trace.VerticalScaling][]float64 {
 	r.finalize()
 	out := make(map[trace.VerticalScaling][]float64)
@@ -545,7 +547,7 @@ func (r *CellReducer) numInstances() int {
 // collection events before the rows that reference them preserves the
 // same first-event-precedes-references invariant the live stream
 // provides, so a replayed reducer is bit-identical to one that consumed
-// the stream live — the property the differential tests pin.
+// the stream live — the property TestReplayMatchesLive pins.
 func Replay(tr *trace.MemTrace, cfg Config) *CellReducer {
 	r := NewCellReducer(cfg)
 	for _, ev := range tr.MachineEvents {

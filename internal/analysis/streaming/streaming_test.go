@@ -1,13 +1,14 @@
 package streaming
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -15,9 +16,8 @@ import (
 )
 
 // fixture runs one cell with both a streaming reducer attached to the
-// live sink pipeline and full MemTrace retention, so every reducer
-// product can be compared against the post-hoc path on the exact same
-// rows.
+// live sink pipeline and full MemTrace retention, so a replayed reducer
+// can be compared with the live one on the exact same rows.
 type fixture struct {
 	tr  *trace.MemTrace
 	red *CellReducer
@@ -59,32 +59,102 @@ func fixtures(t *testing.T) (*fixture, *fixture) {
 func diff(t *testing.T, label string, got, want any) {
 	t.Helper()
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s: streaming reducer diverges from post-hoc analysis\n got: %+v\nwant: %+v", label, got, want)
+		t.Errorf("%s: replayed reducer diverges from the live one\n got: %+v\nwant: %+v", label, got, want)
 	}
 }
 
+// products names every reducer product, each as one printable value.
+func products(r *CellReducer) map[string]any {
+	cpu, mem := r.MachineUtilization()
+	return map[string]any{
+		"shapes":             r.MachineShapes(),
+		"usage series":       r.UsageSeries(),
+		"allocation series":  r.AllocationSeries(),
+		"usage by tier":      r.AverageUsageByTier(2 * sim.Hour),
+		"allocation by tier": r.AverageAllocationByTier(2 * sim.Hour),
+		"utilization cpu":    cpu,
+		"utilization mem":    mem,
+		"transitions":        r.Transitions(),
+		"inventory":          r.Inventory(),
+		"allocset accum":     r.AllocSetAccum(),
+		"termination accum":  r.TerminationAccum(),
+		"rates":              r.Rates(),
+		"delays":             r.Delays(),
+		"tasks per job":      r.TasksPerJob(),
+		"integrals":          r.UsageIntegrals(),
+		"slack":              r.SlackSamples(),
+	}
+}
+
+// TestReducerMatchesPostHoc pins every reducer product on both fixtures
+// to the SHA-256 of fmt.Sprint of the answer an independent post-hoc
+// implementation computed over the retained trace. fmt prints floats
+// exactly and sorts map keys, so a hash match is bit-level agreement.
 func TestReducerMatchesPostHoc(t *testing.T) {
+	pinned := []struct{ cell, product, sha256 string }{
+		{"a", "shapes", "54cc5740e18b37984a39a19014727f89e7f938062b69cf84ae4a2d758424ada0"},
+		{"a", "usage series", "981aff7f6b87647c954945c6af50652558613de31cf73ef8da8adf1bc8a86d99"},
+		{"a", "allocation series", "cb8dcabe5b6ef5f7e2ed212b31bed0e44d7a2048cde958ec73f4502588d67da1"},
+		{"a", "usage by tier", "384f7b853b24a4e57f9d446387d10d1703f833cbe736cc0092fb8f724fb4a419"},
+		{"a", "allocation by tier", "cb9a51cd7b732ecf9621f98d386401ffb5534d4158d36de87db377edc4884c09"},
+		{"a", "utilization cpu", "342832d61b5c386cfcdef9507a81a1d7874fe5eaa2f93d6747d449f97eb4e385"},
+		{"a", "utilization mem", "63b2c9bde98a8ae59672eb80a551e8d2697f4375880b8629078bf1e8353befa0"},
+		{"a", "transitions", "5455e92116d72568f944e31bced4739b0a476a87670dcfda3e9f3542107d9a91"},
+		{"a", "inventory", "e5bef7c4b03ec260f19fb6b151e8ac6becb4a11089b600253f2d4ac937ede781"},
+		{"a", "allocset accum", "3fb02363975c60eb7e714c848178f1953de325c19c8b200bfc38b2f6ea53e5c0"},
+		{"a", "termination accum", "57c0a04ac1087f530a5f666915364a23ba4f64194f61406d2e79f6a735f72b99"},
+		{"a", "rates", "3c7a625821322b9801ca7c533f06dcb3f5df097b582ef92748f7a858c76e2390"},
+		{"a", "delays", "8a0344089185eb74c79d168169ac3bbb8cc8ab96811a1a8f53f79225c6e22d12"},
+		{"a", "tasks per job", "1da0c27a3f33c59f563dd270b6cd19730cdbbbe3b005e8d618b49e0ea7da3e62"},
+		{"a", "integrals", "cf18c235658bc20ba7bb4744cbe1609afcc11275467091e22ce8434d857b9a3f"},
+		{"a", "slack", "45dea7a76a1b4c5a7b89f9951a2529e932474ec8ee6d03b2ac0662f99fe9ee8d"},
+		{"2011", "shapes", "888f6b3d44ba7549f053615c13ee0d0483f6908fbac80d9c2d5327f86667d955"},
+		{"2011", "usage series", "79d3ba3d8b2e7bbdbf969751ed28188bad93252e8529edd5f7c0460fcfee7b68"},
+		{"2011", "allocation series", "e0bbfc5dd13c266619fc113326cddff7c8e8cc124087f63079549d8a8ac3ddd4"},
+		{"2011", "usage by tier", "003e5f74f329c449ea7fba3c24fad71f2c56f28eb6e64ed6224add9d36efca44"},
+		{"2011", "allocation by tier", "0689be5040e3868fc8a99767c898409282c11590a09a504b714876965166485d"},
+		{"2011", "utilization cpu", "7eed4f7ea97d55f75e2505ccceb5c27e87c2d4fc1a50205e041e6063288592d0"},
+		{"2011", "utilization mem", "674a8c454293eb9dddf334e85b13a0d7ffbca1bcecafd4ce7d7604c100326144"},
+		{"2011", "transitions", "5a556076ecfdf47288c1531e55711c982b0f43c6e03eb605b9cd7affb679fbaf"},
+		{"2011", "inventory", "599356da606ed0c37494e8c0359851fc638a001c9daec4cf6c26644c97dc48f4"},
+		{"2011", "allocset accum", "45ca0ca42cd2105891cd8046153ec97f1c70ce588825be7db599f8fd358c5a7d"},
+		{"2011", "termination accum", "e9b7a7ee672f3d10af7807db3410e016ab53840752b20edd9943966e2ddb8298"},
+		{"2011", "rates", "094cf1b5a25ea8b1af97d4ad2ca7b1d07326da35e22bd68807050f0194cef429"},
+		{"2011", "delays", "41318b541f5e2299fc7b79c8122f63439407e6c29b84cb55b11abd52eabfd37c"},
+		{"2011", "tasks per job", "ff794762400e426129b45eafbd8ff4a14eb01788426a4d07fc3b0212ee8ea7df"},
+		{"2011", "integrals", "9813c49d98a871368f7aada65b285984b5c5f03395112ae3bfd23448d26b61a2"},
+		{"2011", "slack", "760b9ee43f6d9ec9184d0ce8306cf283abade1e74494cc1e6dc148a1681570c4"},
+	}
 	f19, f11 := fixtures(t)
-	for _, f := range []*fixture{f19, f11} {
-		cell := f.tr.Meta.Cell
-		diff(t, cell+" shapes", f.red.MachineShapes(), analysis.MachineShapes(f.tr))
-		diff(t, cell+" usage series", f.red.UsageSeries(), analysis.UsageSeries(f.tr))
-		diff(t, cell+" allocation series", f.red.AllocationSeries(), analysis.AllocationSeries(f.tr))
-		diff(t, cell+" tier averages", f.red.AverageUsageByTier(2*sim.Hour),
-			analysis.AverageUsageByTier(f.tr, 2*sim.Hour))
-		cpu, mem := f.red.MachineUtilization()
-		wantCPU, wantMem := analysis.MachineUtilization(f.tr, f.at)
-		diff(t, cell+" utilization cpu", cpu, wantCPU)
-		diff(t, cell+" utilization mem", mem, wantMem)
-		diff(t, cell+" transitions", f.red.Transitions(), analysis.Transitions(f.tr))
-		diff(t, cell+" inventory", f.red.Inventory(), analysis.InventoryOf(f.tr))
-		diff(t, cell+" allocset accum", f.red.AllocSetAccum(), analysis.AllocSetAccumOf(f.tr))
-		diff(t, cell+" termination accum", f.red.TerminationAccum(), analysis.TerminationAccumOf(f.tr))
-		diff(t, cell+" rates", f.red.Rates(), analysis.RatesOf(f.tr))
-		diff(t, cell+" delays", f.red.Delays(), analysis.DelaysOf(f.tr))
-		diff(t, cell+" tasks per job", f.red.TasksPerJob(), analysis.TasksPerJobOf(f.tr))
-		diff(t, cell+" integrals", f.red.UsageIntegrals(), analysis.JobUsageIntegralsOf(f.tr))
-		diff(t, cell+" slack", f.red.SlackSamples(), analysis.SlackSamplesOf(f.tr))
+	got := map[string]map[string]any{"a": products(f19.red), "2011": products(f11.red)}
+	if n := len(got["a"]) + len(got["2011"]); n != len(pinned) {
+		t.Fatalf("%d products, %d pinned: pin every product", n, len(pinned))
+	}
+	for _, p := range pinned {
+		v, ok := got[p.cell][p.product]
+		if !ok {
+			t.Errorf("cell %s: no product %q", p.cell, p.product)
+			continue
+		}
+		if h := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(v)))); h != p.sha256 {
+			t.Errorf("cell %s %s: sha256 %s, want %s", p.cell, p.product, h, p.sha256)
+		}
+	}
+}
+
+// TestReducerDropsRemovedMachines: a REMOVE takes a machine out of the
+// capacity snapshot every machine product is computed from.
+func TestReducerDropsRemovedMachines(t *testing.T) {
+	r := NewCellReducer(Config{Meta: trace.Meta{Duration: sim.Hour}})
+	one := trace.Resources{CPU: 1, Mem: 1}
+	r.MachineEvent(trace.MachineEvent{Machine: 1, Type: trace.MachineAdd, Capacity: one})
+	r.MachineEvent(trace.MachineEvent{Machine: 2, Type: trace.MachineAdd, Capacity: one})
+	r.MachineEvent(trace.MachineEvent{Time: 500, Machine: 2, Type: trace.MachineRemove})
+	if n := r.Inventory().Machines; n != 1 {
+		t.Fatalf("machines after remove %d, want 1", n)
+	}
+	if cpu, _ := r.MachineUtilization(); len(cpu) != 1 {
+		t.Fatalf("utilization samples %d, want 1", len(cpu))
 	}
 }
 

@@ -85,9 +85,9 @@ type Options struct {
 	// records (costly; off by default).
 	Histograms bool
 	// ExtraSinks receive every trace row in addition to the in-memory
-	// store (e.g. streaming analyzers). Wrap a shared sink in
-	// trace.NewSyncSink when the same instance also receives rows from
-	// other concurrently simulated cells.
+	// store (e.g. streaming analyzers). They are driven by this cell's
+	// goroutine only, so a sink instance must not be shared with other
+	// concurrently simulated cells.
 	ExtraSinks []trace.Sink
 	// NoMemTrace disables full in-memory trace retention: rows stream
 	// only to ExtraSinks (and the row counter) and CellResult.Trace is

@@ -94,10 +94,11 @@ func TestUtilizationInSaneBand(t *testing.T) {
 	tr := res.Trace
 	// Average CPU usage as a fraction of capacity over the second half
 	// of the run (post-warmup) should be meaningful but below 1.
-	caps := tr.MachineCapacities()
 	var capCPU float64
-	for _, ev := range caps {
-		capCPU += ev.Capacity.CPU
+	for _, ev := range tr.MachineEvents {
+		if ev.Type == trace.MachineAdd {
+			capCPU += ev.Capacity.CPU
+		}
 	}
 	half := tr.Meta.Duration / 2
 	var usageHours float64

@@ -19,8 +19,8 @@
 //   - ID spaces: cell i offsets its collection IDs by IDBase(i), giving
 //     every cell a disjoint 2³² ID range so merged traces never collide.
 //
-// Sinks are per-cell and driven by that cell's goroutine; a sink shared
-// across specs must be wrapped in trace.NewSyncSink by the caller.
+// Sinks are per-cell and driven by that cell's goroutine; give every
+// spec its own sink instance (AttachSinks) rather than sharing one.
 package engine
 
 import (
@@ -109,7 +109,7 @@ func NewSpec(i int, p *workload.CellProfile, base core.Options, root uint64) Spe
 // AttachSinks appends the sink built by make(i) to each spec's
 // ExtraSinks, in place. It is the engine's idiom for per-cell sink
 // pipelines — one streaming reducer or export shard per cell, each driven
-// only by that cell's goroutine, so none of them needs a SyncSink. A nil
+// only by that cell's goroutine, so none of them needs a lock. A nil
 // sink from make leaves that spec unchanged.
 func AttachSinks(specs []Spec, make func(i int) trace.Sink) {
 	for i := range specs {

@@ -126,7 +126,7 @@ func TestEmptyRun(t *testing.T) {
 }
 
 // TestAttachSinksPerCell pins the per-cell sink idiom: AttachSinks gives
-// every spec its own sink (no SyncSink needed), nil sinks are skipped,
+// every spec its own sink (no lock needed), nil sinks are skipped,
 // and counts per cell match the engine's row accounting at full
 // parallelism — the configuration the race detector exercises in CI.
 func TestAttachSinksPerCell(t *testing.T) {

@@ -29,13 +29,12 @@ func (s scalarOnly) Flush()                                   { trace.Flush(s.ou
 // interposes scalarOnly around every reducer, export buffer and export
 // writer, so each usage row travels the pre-batching one-call-per-record
 // path end to end.
-func runSuiteStreamingDelivery(t *testing.T, sc Scale, exportDir string, scalar bool) *StreamingSuite {
+func runSuiteStreamingDelivery(t *testing.T, sc Scale, exportDir string, scalar bool) *Suite {
 	t.Helper()
 	specs := SuiteSpecs(sc)
-	r2011, r2019 := SuiteReducers(sc)
-	reducers := append([]*streaming.CellReducer{r2011}, r2019...)
-
+	reducers := make([]*streaming.CellReducer, len(specs))
 	engine.AttachSinks(specs, func(i int) trace.Sink {
+		reducers[i] = NewCellReducerFor(specs[i])
 		if scalar {
 			return scalarOnly{reducers[i]}
 		}
@@ -59,7 +58,7 @@ func runSuiteStreamingDelivery(t *testing.T, sc Scale, exportDir string, scalar 
 		specs[i].Options.ExtraSinks = append(specs[i].Options.ExtraSinks, export)
 	}
 
-	s := &StreamingSuite{Scale: sc, R2011: r2011, R2019: r2019}
+	s := &Suite{Scale: sc, R2011: reducers[0], R2019: reducers[1:]}
 	for _, r := range engine.Run(specs, engine.Options{Parallelism: sc.Parallelism}) {
 		s.Stats = append(s.Stats, *r)
 	}

@@ -35,9 +35,8 @@ func TestSuiteDeterministicAcrossParallelism(t *testing.T) {
 			t.Fatalf("cell %s: machine event streams differ", cell)
 		}
 	}
-	check("2011", serial.T2011, parallel.T2011)
-	for i := range serial.T2019 {
-		check(serial.T2019[i].Meta.Cell, serial.T2019[i], parallel.T2019[i])
+	for i, tr := range traces(serial) {
+		check(tr.Meta.Cell, tr, parallel.Stats[i].Trace)
 	}
 
 	var serialReport, parallelReport bytes.Buffer
@@ -80,9 +79,8 @@ func TestSuiteDeterministicPerPolicy(t *testing.T) {
 					t.Fatalf("cell %s: event streams differ between parallelism 1 and 8", cell)
 				}
 			}
-			check("2011", serial.T2011, parallel.T2011)
-			for i := range serial.T2019 {
-				check(serial.T2019[i].Meta.Cell, serial.T2019[i], parallel.T2019[i])
+			for i, tr := range traces(serial) {
+				check(tr.Meta.Cell, tr, parallel.Stats[i].Trace)
 			}
 			if serial.Stats[1].Sched.TasksPlaced == 0 {
 				t.Fatalf("policy %v: degenerate run, no tasks placed", p)

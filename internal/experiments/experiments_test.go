@@ -25,31 +25,42 @@ func tinySuite(t *testing.T) *Suite {
 	return suite
 }
 
+// traces returns a RunSuite result's nine retained traces, the 2011 cell
+// first.
+func traces(s *Suite) []*trace.MemTrace {
+	out := make([]*trace.MemTrace, len(s.Stats))
+	for i := range s.Stats {
+		out[i] = s.Stats[i].Trace
+	}
+	return out
+}
+
 func TestRunSuiteShape(t *testing.T) {
 	s := tinySuite(t)
-	if s.T2011 == nil || len(s.T2019) != 8 {
-		t.Fatalf("suite shape: %v cells", len(s.T2019))
+	if s.R2011 == nil || len(s.R2019) != 8 {
+		t.Fatalf("suite shape: %v 2019 reducers", len(s.R2019))
 	}
 	if len(s.Stats) != 9 {
 		t.Fatalf("stats %d", len(s.Stats))
 	}
-	for i, tr := range s.T2019 {
-		if tr.Meta.Era != trace.Era2019 {
-			t.Fatalf("cell %d era %v", i, tr.Meta.Era)
+	for i, tr := range traces(s) {
+		want := trace.Era2019
+		if i == 0 {
+			want = trace.Era2011
+		}
+		if tr == nil || tr.Meta.Era != want {
+			t.Fatalf("cell %d: trace %v, want era %v", i, tr, want)
 		}
 		if len(tr.CollectionEvents) == 0 {
 			t.Fatalf("cell %d empty", i)
 		}
-	}
-	if s.T2011.Meta.Era != trace.Era2011 {
-		t.Fatal("2011 era")
 	}
 }
 
 func TestCellsHaveDisjointIDs(t *testing.T) {
 	s := tinySuite(t)
 	seen := map[trace.CollectionID]bool{}
-	for _, tr := range append([]*trace.MemTrace{s.T2011}, s.T2019...) {
+	for _, tr := range traces(s) {
 		for _, id := range tr.Collections() {
 			if seen[id] {
 				t.Fatalf("collection id %d appears in two cells", id)
@@ -61,7 +72,7 @@ func TestCellsHaveDisjointIDs(t *testing.T) {
 
 func TestAllTracesValidate(t *testing.T) {
 	s := tinySuite(t)
-	for _, tr := range append([]*trace.MemTrace{s.T2011}, s.T2019...) {
+	for _, tr := range traces(s) {
 		if v := trace.Validate(tr, trace.DefaultValidateOptions()); len(v) != 0 {
 			t.Fatalf("cell %s: %d violations, first %v", tr.Meta.Cell, len(v), v[0])
 		}

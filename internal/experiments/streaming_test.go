@@ -19,9 +19,11 @@ func streamScale() Scale {
 		Horizon: 6 * sim.Hour, Warmup: 2 * sim.Hour, Seed: 3}
 }
 
-// TestStreamingReportMatchesRetained is the tentpole acceptance gate: the
-// full nine-cell suite run with NoMemTrace must produce a report
-// byte-identical to the retained-trace post-hoc path on the same seed.
+// TestStreamingReportMatchesRetained: the nine-cell suite run with
+// NoMemTrace must produce a report byte-identical to the run that also
+// retains every trace — retention is a sink beside the reducers and must
+// not change what they see. TestReportGoldenHash pins both against the
+// former post-hoc analysis.
 func TestStreamingReportMatchesRetained(t *testing.T) {
 	sc := streamScale()
 	retained := tinySuiteAt(t, sc)
@@ -94,8 +96,7 @@ func TestStreamingExportShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	retained := tinySuiteAt(t, sc)
-	traces := append([]*trace.MemTrace{retained.T2011}, retained.T2019...)
-	for i, want := range traces {
+	for i, want := range traces(retained) {
 		shard := filepath.Join(dir, ShardDirName(i, want.Meta.Cell))
 		got, err := trace.ReadDir(shard)
 		if err != nil {

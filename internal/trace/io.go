@@ -132,9 +132,9 @@ type tableWriter struct {
 // DirSink streams trace rows to the same on-disk CSV layout WriteDir
 // produces — one file per table plus meta.json — as the simulation emits
 // them, so writing a trace needs no in-memory retention at all. Wrap it
-// in a BufferedSink to amortize per-row dispatch on hot paths, and in a
-// SyncSink if several concurrently simulated cells share one sink
-// (per-cell shard directories avoid that need entirely).
+// in a BufferedSink to amortize per-row dispatch on hot paths. It is not
+// safe for concurrent use: give each concurrently simulated cell its own
+// shard directory.
 //
 // The Sink interface carries no error returns, so write errors are
 // sticky: the first one is retained, subsequent rows are dropped, and

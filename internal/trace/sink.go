@@ -1,13 +1,11 @@
 package trace
 
-import "sync"
-
 // This file is the streaming half of the trace package: composable Sink
 // implementations that let a simulation emit rows into a pipeline —
-// fan-out, batching, thread-safe sharing, online reduction — instead of
-// (or in addition to) retaining a full MemTrace. The engine package wires
-// these per cell; full in-memory retention is one sink among several, not
-// a structural assumption.
+// fan-out, batching, online reduction — instead of (or in addition to)
+// retaining a full MemTrace. The engine package wires these per cell;
+// full in-memory retention is one sink among several, not a structural
+// assumption.
 
 // Flusher is implemented by sinks that buffer rows and can be asked to
 // drain them downstream. Flush must be idempotent.
@@ -214,60 +212,6 @@ func (b *BufferedSink) flushMachines() {
 		b.out.MachineEvent(b.mach[i])
 	}
 	b.mach = b.mach[:0]
-}
-
-// SyncSink serializes access to a sink that is shared across concurrently
-// running cell simulations (e.g. one CSV writer receiving all cells'
-// rows). Per-cell sinks do not need it: the engine guarantees each cell's
-// pipeline is driven by a single goroutine.
-type SyncSink struct {
-	mu  sync.Mutex
-	out Sink
-}
-
-// NewSyncSink wraps out with a mutex.
-func NewSyncSink(out Sink) *SyncSink { return &SyncSink{out: out} }
-
-// CollectionEvent forwards under the lock.
-func (s *SyncSink) CollectionEvent(ev CollectionEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.out.CollectionEvent(ev)
-}
-
-// InstanceEvent forwards under the lock.
-func (s *SyncSink) InstanceEvent(ev InstanceEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.out.InstanceEvent(ev)
-}
-
-// Usage forwards under the lock.
-func (s *SyncSink) Usage(rec UsageRecord) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.out.Usage(rec)
-}
-
-// UsageBatch forwards the block downstream under one lock acquisition.
-func (s *SyncSink) UsageBatch(recs []UsageRecord) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	EmitUsageBatch(s.out, recs)
-}
-
-// MachineEvent forwards under the lock.
-func (s *SyncSink) MachineEvent(ev MachineEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.out.MachineEvent(ev)
-}
-
-// Flush drains the wrapped sink under the lock.
-func (s *SyncSink) Flush() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	Flush(s.out)
 }
 
 // RowCounts tallies rows per trace table.

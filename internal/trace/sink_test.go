@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -76,23 +75,6 @@ func TestFlushRecursesThroughFanOut(t *testing.T) {
 	Flush(s)
 	if len(inner.UsageRecords) != 5 {
 		t.Fatalf("flush through fan-out left %d rows", len(inner.UsageRecords))
-	}
-}
-
-func TestSyncSinkConcurrentWriters(t *testing.T) {
-	c := &CountingSink{}
-	s := NewSyncSink(c)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			emitMixed(s, 250)
-		}()
-	}
-	wg.Wait()
-	if got := c.Counts().Total(); got != 8*250*4 {
-		t.Fatalf("lost rows: %d", got)
 	}
 }
 

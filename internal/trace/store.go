@@ -177,21 +177,6 @@ func (t *MemTrace) CollectionInfos() []CollectionInfo {
 	return out
 }
 
-// MachineCapacities returns each machine's final capacity and platform, as
-// established by ADD/UPDATE machine events, excluding removed machines.
-func (t *MemTrace) MachineCapacities() map[MachineID]MachineEvent {
-	m := make(map[MachineID]MachineEvent)
-	for _, ev := range t.MachineEvents {
-		switch ev.Type {
-		case MachineAdd, MachineUpdate:
-			m[ev.Machine] = ev
-		case MachineRemove:
-			delete(m, ev.Machine)
-		}
-	}
-	return m
-}
-
 // Counts summarizes row counts; used in logs and Table 1.
 func (t *MemTrace) Counts() string {
 	return fmt.Sprintf("collections=%d instances=%d collEvents=%d instEvents=%d usage=%d machineEvents=%d",

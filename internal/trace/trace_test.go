@@ -202,19 +202,6 @@ func TestCollectionInfos(t *testing.T) {
 	}
 }
 
-func TestMachineCapacities(t *testing.T) {
-	tr := newTestTrace()
-	caps := tr.MachineCapacities()
-	if len(caps) != 2 {
-		t.Fatalf("capacities %v", caps)
-	}
-	tr.MachineEvent(MachineEvent{Time: 500, Machine: 2, Type: MachineRemove})
-	caps = tr.MachineCapacities()
-	if len(caps) != 1 {
-		t.Fatalf("after remove %v", caps)
-	}
-}
-
 func TestValidateCleanTrace(t *testing.T) {
 	tr := newTestTrace()
 	if v := Validate(tr, DefaultValidateOptions()); len(v) != 0 {
