@@ -16,8 +16,7 @@
 //     heap of slot ids with its own sift methods, not container/heap: the
 //     (due, seq) comparison inlines, no slot id is boxed into an
 //     interface, and because the sifts follow container/heap's algorithm
-//     step for step the pop order is the one that package gave. The
-//     scheduler's pending queue is built the same way.
+//     step for step the pop order is the one that package gave.
 //     One kernel drives exactly one cell and is single-threaded by design.
 //   - internal/rng, internal/dist — splittable deterministic randomness
 //     (xoshiro256**) and the calibrated parametric distributions drawn
@@ -26,14 +25,20 @@
 //   - internal/cluster, internal/scheduler, internal/autopilot,
 //     internal/workload — the simulated cell: machines, the Borg
 //     scheduler (placement, preemption, batch queue), the vertical
-//     autoscaler, and the per-cell workload generator. Placement
+//     autoscaler, and the per-cell workload generator. The pending
+//     queue serves the strongest priority first and FIFO within a
+//     priority, as Borg's scheduler scans it: one FIFO level (a slice
+//     and a head index) per distinct priority, levels kept sorted by
+//     priority, descending. Push appends to its level and pop takes the
+//     head of the first non-empty one, so neither sifts, and warm levels
+//     keep their arrays (TestPendingQueueSteadyStateZeroAllocs). Placement
 //     behavior is pluggable: a scheduler.Policy bundles candidate
-//     scoring, preemption-plan preference, failure handling and
-//     (optionally) pending-queue order, and a registered zoo of
-//     policies — random-fit, best-fit, least-allocated (the default),
-//     worst-fit, an oversubscription-aware scorer, and a no-retry
-//     one-shot — swaps in by name (scheduler.ParsePolicy) through
-//     core.Options, experiments.Scale, and sweep variants.
+//     scoring, preemption-plan preference and failure handling, and a
+//     registered zoo of policies — random-fit, best-fit,
+//     least-allocated (the default), worst-fit, an
+//     oversubscription-aware scorer, and a no-retry one-shot — swaps in
+//     by name (scheduler.ParsePolicy) through core.Options,
+//     experiments.Scale, and sweep variants.
 //   - internal/trace — the 2019-schema data model and the streaming sink
 //     pipeline: rows flow through composable trace.Sink implementations
 //     (FanOut, BufferedSink batching, CountingSink online reduction;
@@ -316,7 +321,7 @@
 // determinism: a Registry of typed instruments — lock-free atomic
 // counters and gauges, mutex-guarded t-digest histograms — that the
 // scheduler (placement attempts, score-cache hit rate, preemptions,
-// live pending-queue depth), the sim kernel (events dispatched, slab
+// pending-queue depth), the sim kernel (events dispatched, slab
 // occupancy), the usage pipeline (windows sampled, batch sizes) and the
 // trace layer (rows emitted per kind) report into. The contract is
 // observe-only: instruments consume no randomness, schedule no events

@@ -61,3 +61,45 @@ func TestCPUMemCorrelationSynthetic(t *testing.T) {
 		t.Fatalf("pearson %v", r)
 	}
 }
+
+// TestMergeSamplesByPresized checks that the one-shot merge produces the
+// append-order concatenation, cell by cell, and sizes every key's slice
+// exactly, so Figures 11 and 14 read the same samples
+// with no spare capacity left from doubling.
+func TestMergeSamplesByPresized(t *testing.T) {
+	cells := []map[string][]float64{
+		{"a": {1, 2}, "b": {10}},
+		{},
+		{"b": {11, 12, 13}, "c": {}},
+		{"a": {3}, "b": {14}, "d": {20, 21}},
+	}
+	want := make(map[string][]float64)
+	for _, c := range cells {
+		for k, xs := range c {
+			want[k] = append(want[k], xs...)
+		}
+	}
+	got := MergeSamplesBy(cells)
+	if len(got) != len(want) {
+		t.Fatalf("%d keys, want %d", len(got), len(want))
+	}
+	for k, w := range want {
+		g, ok := got[k]
+		if !ok {
+			t.Fatalf("key %q missing", k)
+		}
+		if len(g) != len(w) || cap(g) != len(g) {
+			t.Fatalf("key %q: len %d cap %d, want len %d and cap == len", k, len(g), cap(g), len(w))
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("key %q: %v, want %v", k, g, w)
+			}
+		}
+	}
+	// The output must not alias any cell's slice: Figure 14 reorders it.
+	got["a"][0] = -1
+	if cells[0]["a"][0] != 1 {
+		t.Fatal("merged slice aliases a cell's samples")
+	}
+}

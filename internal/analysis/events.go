@@ -329,8 +329,18 @@ func (s *DelaySamples) ObserveJob(enable, firstRun sim.Time, tier trace.Tier) {
 }
 
 // MergeSamplesBy concatenates per-cell keyed sample groups in cell order.
+// Each key's output is a fresh slice, allocated once at its final length.
 func MergeSamplesBy[K comparable](cells []map[K][]float64) map[K][]float64 {
-	out := make(map[K][]float64)
+	sizes := make(map[K]int)
+	for _, c := range cells {
+		for k, xs := range c {
+			sizes[k] += len(xs)
+		}
+	}
+	out := make(map[K][]float64, len(sizes))
+	for k, n := range sizes {
+		out[k] = make([]float64, 0, n)
+	}
 	for _, c := range cells {
 		for k, xs := range c {
 			out[k] = append(out[k], xs...)

@@ -64,14 +64,6 @@ type Policy interface {
 	RetryOnFailure() bool
 }
 
-// QueueOrderer is the optional pending-queue ordering hook: a Policy that
-// also implements it replaces the default pending order (priority
-// descending, FIFO within a priority) with its own. Ties under QueueLess
-// still break by enqueue sequence, so any ordering stays deterministic.
-type QueueOrderer interface {
-	QueueLess(a, b *Task) bool
-}
-
 // defaultPolicy supplies the shared behavior the pre-refactor switch
 // hard-wired: scored selection, preemption plans compared by victim
 // count, and backoff retries on placement failure.

@@ -2,82 +2,86 @@ package scheduler
 
 import "repro/internal/sim"
 
-// taskHeap orders pending tasks by (priority desc, enqueue sequence asc):
-// strongest tier first, FIFO within a priority. A policy implementing
-// QueueOrderer substitutes its own primary ordering via queueLess; ties
-// under either ordering break by enqueue sequence rather than a timestamp,
+// pendingQueue holds tasks waiting for placement and serves them the way
+// Borg's scheduler scans its pending queue: strongest priority first, FIFO
+// within a priority. Each distinct priority gets a level, and levels are
+// kept sorted by priority, descending. A level is a slice plus a head
+// index: push appends, pop takes from the head of the first non-empty
+// level. Because enqueue stamps every task with a strictly increasing
+// enqueueSeq, this is exactly the (priority desc, enqueueSeq asc) order,
 // so bursts of tasks arriving in the same simulation instant still pop
 // deterministically.
 //
-// push and pop follow container/heap's up/down algorithm step for step, so
-// the array layout and pop order are the ones that package would produce,
-// without its interface dispatch.
-type taskHeap struct {
-	tasks []*Task
-	// queueLess is the optional QueueOrderer hook; nil selects the default
-	// priority-descending order.
-	queueLess func(a, b *Task) bool
+// Levels are never removed: a level that empties is reset and keeps its
+// backing array, so a steady push/pop cycle over known priorities does not
+// allocate. A withdrawn (killed) task stays queued until popped and counts
+// toward Len.
+type pendingQueue struct {
+	levels []pendingLevel
+	// first is the lowest index of a level that may be non-empty; every
+	// level before it is empty.
+	first int
+	n     int
 }
 
-func (h *taskHeap) Len() int { return len(h.tasks) }
+// pendingLevel is the FIFO of one priority: tasks[head:] are queued.
+type pendingLevel struct {
+	priority int
+	head     int
+	tasks    []*Task
+}
 
-// less reports whether a is served before b.
-func (h *taskHeap) less(a, b *Task) bool {
-	if h.queueLess != nil {
-		if h.queueLess(a, b) {
-			return true
+// Len reports the number of queued tasks, including withdrawn ones not yet
+// popped.
+func (q *pendingQueue) Len() int { return q.n }
+
+// push appends t to its priority's level, creating the level on first use.
+func (q *pendingQueue) push(t *Task) {
+	p := t.Job.Priority
+	// Binary search for the first level whose priority is <= p.
+	i, j := 0, len(q.levels)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if q.levels[h].priority > p {
+			i = h + 1
+		} else {
+			j = h
 		}
-		if h.queueLess(b, a) {
-			return false
-		}
-	} else if a.Job.Priority != b.Job.Priority {
-		return a.Job.Priority > b.Job.Priority
 	}
-	return a.enqueueSeq < b.enqueueSeq
-}
-
-// push adds t and sifts it toward the root.
-func (h *taskHeap) push(t *Task) {
-	h.tasks = append(h.tasks, t)
-	j := len(h.tasks) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !h.less(t, h.tasks[i]) {
-			break
-		}
-		h.tasks[j] = h.tasks[i]
-		j = i
+	if i == len(q.levels) || q.levels[i].priority != p {
+		q.levels = append(q.levels, pendingLevel{})
+		copy(q.levels[i+1:], q.levels[i:])
+		q.levels[i] = pendingLevel{priority: p}
 	}
-	h.tasks[j] = t
+	q.levels[i].tasks = append(q.levels[i].tasks, t)
+	if i < q.first {
+		q.first = i
+	}
+	q.n++
 }
 
-// pop removes and returns the first task to serve. The heap must be
+// pop removes and returns the first task to serve. The queue must be
 // non-empty.
-func (h *taskHeap) pop() *Task {
-	n := len(h.tasks) - 1
-	top, last := h.tasks[0], h.tasks[n]
-	h.tasks[n] = nil
-	h.tasks = h.tasks[:n]
-	if n == 0 {
-		return top
+func (q *pendingQueue) pop() *Task {
+	for q.levels[q.first].head == len(q.levels[q.first].tasks) {
+		q.first++
 	}
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && h.less(h.tasks[j2], h.tasks[j]) {
-			j = j2
-		}
-		if !h.less(h.tasks[j], last) {
-			break
-		}
-		h.tasks[i] = h.tasks[j]
-		i = j
+	l := &q.levels[q.first]
+	t := l.tasks[l.head]
+	l.tasks[l.head] = nil
+	l.head++
+	switch n := len(l.tasks); {
+	case l.head == n:
+		l.tasks, l.head = l.tasks[:0], 0
+	case 2*l.head > n:
+		// Compact once the popped prefix outgrows the queued tail: the
+		// copy moves fewer tasks than were popped since the last one.
+		live := copy(l.tasks, l.tasks[l.head:])
+		clear(l.tasks[live:n])
+		l.tasks, l.head = l.tasks[:live], 0
 	}
-	h.tasks[i] = last
-	return top
+	q.n--
+	return t
 }
 
 // enqueue adds a task to the pending queue and pokes the scheduling server.

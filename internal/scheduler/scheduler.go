@@ -300,7 +300,7 @@ type schedInstruments struct {
 	tasksFailedRestarts *metrics.Counter // sched_task_failed_restarts_total
 	scoreCacheHits      *metrics.Counter // sched_score_cache_hits_total
 	scoreCacheMisses    *metrics.Counter // sched_score_cache_misses_total
-	pendingQueue        *metrics.Gauge   // sched_pending_queue (live depth)
+	pendingQueue        *metrics.Gauge   // sched_pending_queue (QueueDepth)
 }
 
 func newSchedInstruments(reg *metrics.Registry) schedInstruments {
@@ -410,7 +410,7 @@ type Scheduler struct {
 	// construction, so the placement hot path never re-resolves it.
 	policy Policy
 
-	pending taskHeap
+	pending pendingQueue
 	busy    bool
 	seq     uint64
 	// serveFn is serve bound once, so each service event reuses it.
@@ -485,9 +485,6 @@ func New(cfg Config, cell *cluster.Cell, k *sim.Kernel, sink trace.Sink, src *rn
 		classIDs:   make(map[eqClass]uint32),
 		met:        newSchedInstruments(reg),
 	}
-	if qo, ok := s.policy.(QueueOrderer); ok {
-		s.pending.queueLess = qo.QueueLess
-	}
 	s.serveFn = s.serve
 	if cfg.Batch != nil {
 		k.Every(cfg.Batch.CheckPeriod, cfg.Batch.CheckPeriod, 0, func(sim.Time) {
@@ -517,7 +514,9 @@ func (s *Scheduler) Stats() Stats {
 	}
 }
 
-// QueueDepth returns the live pending-queue length. The usage pipeline's
+// QueueDepth returns the pending-queue length: tasks waiting for
+// placement plus withdrawn (killed) tasks that are still queued because
+// the scheduler drops them only when it pops them. The usage pipeline's
 // sampling tick observes it into the sched_queue_depth histogram so the
 // queue's sim-time distribution is visible without touching the
 // placement fast path.

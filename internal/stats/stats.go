@@ -9,6 +9,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/rng"
@@ -71,15 +72,119 @@ func Summarize(xs []float64) Summary {
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It sorts a copy.
+// interpolation between order statistics. It selects on a copy; xs is
+// unmodified.
 func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
 	s := make([]float64, len(xs))
 	copy(s, xs)
-	sort.Float64s(s)
-	return quantileSorted(s, q)
+	return QuantileInPlace(s, q)
+}
+
+// QuantileInPlace returns the q-quantile of xs: bit for bit the value
+// QuantileSorted gives on a sorted copy, NaNs ordered first as
+// sort.Float64s orders them. It finds the one or two order statistics the
+// quantile interpolates between by selection, in expected linear time,
+// instead of sorting. xs is reordered (it stays a permutation of itself),
+// so repeated calls on one slice are fine.
+func QuantileInPlace(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	lo, hi, frac := quantileRank(len(xs), q)
+	// sort.Float64s puts NaNs first; gather them there so the selection
+	// below compares numbers only.
+	nans := 0
+	for i, x := range xs {
+		if x != x {
+			xs[i], xs[nans] = xs[nans], x
+			nans++
+		}
+	}
+	if lo >= nans {
+		selectNth(xs[nans:], lo-nans)
+	}
+	if lo == hi {
+		return xs[lo]
+	}
+	// xs[lo+1:] holds exactly the values ordered after xs[lo]; the next
+	// order statistic is their least, or a NaN while NaNs remain.
+	next := xs[hi]
+	if hi >= nans {
+		for _, x := range xs[hi+1:] {
+			if x < next {
+				next = x
+			}
+		}
+	}
+	return xs[lo]*(1-frac) + next*frac
+}
+
+// selectNth reorders s, which holds no NaN, so that s[k] is the value a
+// full sort puts there, s[:k] holds nothing greater and s[k+1:] nothing
+// less. It is quickselect over a branch-free two-way partition. A round
+// whose pivot is the least value left makes no progress that way, so it
+// splits off the run equal to the pivot instead, which keeps heavy ties
+// linear. After a logarithmic number of rounds it sorts what is left,
+// bounding the worst case at O(n log n).
+func selectNth(s []float64, k int) {
+	lo, hi := 0, len(s)
+	for rounds := 2 * bits.Len(uint(len(s))); hi-lo > 12; rounds-- {
+		if rounds == 0 {
+			sort.Float64s(s[lo:hi])
+			return
+		}
+		p := median3(s[lo], s[lo+(hi-lo)/2], s[hi-1])
+		lt := lo + partition(s[lo:hi], func(x float64) bool { return x < p })
+		if k < lt {
+			hi = lt
+			continue
+		}
+		if lt == lo {
+			lt += partition(s[lo:hi], func(x float64) bool { return x <= p })
+			if k < lt {
+				return // s[lo:lt] all equal p
+			}
+		}
+		lo = lt
+	}
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && s[j] < s[j-1]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
+}
+
+// partition moves the elements of s that satisfy in to its front, and
+// returns how many there are. Every element is written unconditionally so
+// the loop has no data-dependent branch to mispredict.
+func partition(s []float64, in func(float64) bool) int {
+	n := 0
+	for i, x := range s {
+		s[i] = s[n]
+		s[n] = x
+		d := 0 // a conditional move; "if in(x) { n++ }" compiles to a branch
+		if in(x) {
+			d = 1
+		}
+		n += d
+	}
+	return n
+}
+
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // QuantileSorted returns the q-quantile of an already-sorted sample.
@@ -91,20 +196,26 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 }
 
 func quantileSorted(s []float64, q float64) float64 {
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
+	lo, hi, frac := quantileRank(len(s), q)
 	if lo == hi {
 		return s[lo]
 	}
-	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// quantileRank locates the q-quantile of n sorted values: it lies frac of
+// the way from order statistic lo to order statistic hi.
+func quantileRank(n int, q float64) (lo, hi int, frac float64) {
+	if q <= 0 {
+		return 0, 0, 0
+	}
+	if q >= 1 {
+		return n - 1, n - 1, 0
+	}
+	pos := q * float64(n-1)
+	lo = int(math.Floor(pos))
+	hi = int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
 }
 
 // CCDFPoint is one (x, P(X > x)) sample of a complementary CDF.

@@ -68,6 +68,73 @@ func TestQuantileInterpolation(t *testing.T) {
 	}
 }
 
+// TestSelectionMatchesSortedQuantile pins QuantileInPlace to the value
+// QuantileSorted reads from a sorted copy, bit for bit, on the shapes that
+// break selection routines: tiny samples, all-equal input, heavy ties at
+// 0 (peak slack clamps there), infinities and NaNs, and presorted runs.
+// Each sample is queried repeatedly in place, as Figure 14 does, and must
+// come back as a permutation of itself.
+func TestSelectionMatchesSortedQuantile(t *testing.T) {
+	src := rng.New(11)
+	random := func(n int, gen func() float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = gen()
+		}
+		return xs
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	samples := map[string][]float64{
+		"n=1":        {3.5},
+		"n=2":        {10, -4},
+		"all equal":  random(1000, func() float64 { return 7 }),
+		"ties at 0":  random(5000, func() float64 { return math.Max(0, src.Float64()*200-150) }),
+		"infinities": random(2001, func() float64 { return []float64{-inf, inf, src.NormFloat64()}[src.Intn(3)] }),
+		"nan":        random(999, func() float64 { return []float64{nan, src.Float64(), 0}[src.Intn(3)] }),
+		"mostly nan": random(40, func() float64 { return []float64{nan, nan, nan, src.Float64()}[src.Intn(4)] }),
+		"all nan":    {nan, nan, nan},
+		"few values": random(10007, func() float64 { return float64(src.Intn(5)) }),
+		"normal":     random(100003, src.NormFloat64),
+	}
+	ramp := 0.0
+	samples["ascending"] = random(4096, func() float64 { ramp++; return ramp })
+	samples["descending"] = random(4096, func() float64 { ramp--; return ramp })
+	bits := func(x float64) uint64 { return math.Float64bits(x) }
+	sortedBits := func(xs []float64) []uint64 {
+		s := append([]float64(nil), xs...)
+		sort.Float64s(s)
+		out := make([]uint64, len(s))
+		for i, x := range s {
+			out[i] = bits(x)
+		}
+		return out
+	}
+	qs := []float64{0.25, 0.5, 0.75, 0, 1, 0.001, 0.1, 0.9, 0.99, 0.999, 1.0 / 3, -0.5, 1.5}
+	for name, xs := range samples {
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		want := sortedBits(xs)
+		work := append([]float64(nil), xs...)
+		for _, q := range qs {
+			got, exp := QuantileInPlace(work, q), QuantileSorted(sorted, q)
+			if bits(got) != bits(exp) {
+				t.Errorf("%s: q=%v: selected %v, sorted copy gives %v", name, q, got, exp)
+			}
+			if g := Quantile(xs, q); bits(g) != bits(exp) {
+				t.Errorf("%s: q=%v: Quantile %v, sorted copy gives %v", name, q, g, exp)
+			}
+		}
+		for i, b := range sortedBits(work) {
+			if b != want[i] {
+				t.Fatalf("%s: selection did not leave a permutation of the input", name)
+			}
+		}
+	}
+	if !math.IsNaN(QuantileInPlace(nil, 0.5)) {
+		t.Fatal("QuantileInPlace of empty should be NaN")
+	}
+}
+
 func TestCCDFShape(t *testing.T) {
 	xs := []float64{1, 1, 2, 3}
 	c := CCDF(xs)
