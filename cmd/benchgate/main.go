@@ -1,10 +1,10 @@
 // Command benchgate is the CI benchmark-regression gate: it parses `go
 // test -bench` output (typically -count 3 for medians), compares each
 // benchmark's median ns/op against the checked-in baseline JSON
-// (BENCH_PR3.json's "after" numbers), and fails — exit status 1 — when a
+// (BENCH_PR8.json's "after" numbers), and fails — exit status 1 — when a
 // benchmark regresses beyond the tolerance factor or allocates more than
 // its baseline allows. Whatever it measured is written as a fresh JSON
-// artifact (BENCH_PR4.json in CI) so every run extends the perf
+// artifact (BENCH_PR8.ci.json in CI) so every run extends the perf
 // trajectory the baselines started.
 //
 // Benchmarks without a baseline entry are recorded but not gated;
@@ -14,7 +14,7 @@
 // Usage:
 //
 //	go test -run '^$' -bench 'Placement|Preemption' -benchtime 10000x -count 3 ./internal/scheduler | tee bench.txt
-//	go run ./cmd/benchgate -bench bench.txt -baseline BENCH_PR3.json -tolerance 1.5 -o BENCH_PR4.json
+//	go run ./cmd/benchgate -bench bench.txt -baseline BENCH_PR8.json -tolerance 1.5 -o BENCH_PR8.ci.json
 package main
 
 import (
@@ -71,7 +71,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchgate: ")
 	benchPath := flag.String("bench", "", "file holding `go test -bench` output")
-	basePath := flag.String("baseline", "BENCH_PR3.json", "baseline JSON with per-benchmark \"after\" numbers")
+	basePath := flag.String("baseline", "BENCH_PR8.json", "baseline JSON with per-benchmark \"after\" numbers")
 	tolerance := flag.Float64("tolerance", 1.5, "fail when median ns/op exceeds tolerance × baseline")
 	outPath := flag.String("o", "", "write the measured numbers as a JSON artifact")
 	flag.Parse()

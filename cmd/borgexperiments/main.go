@@ -16,8 +16,7 @@
 // then dropped. Resident memory is bounded by per-job reducer state
 // instead of growing with the horizon; CI enforces a peak-heap ceiling.
 // -export DIR additionally writes each cell's trace as sharded CSV (one
-// WriteDir-layout subdirectory per cell) while simulating, through the
-// buffered sink pipeline.
+// WriteDir-layout subdirectory per cell) while simulating.
 //
 // Usage:
 //
@@ -28,9 +27,11 @@
 //	                [-http :6060] [-metrics FILE] [-timeline FILE]
 //	                [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
-// -progress prints live cells-done / in-flight / ETA lines to stderr;
-// peak HeapAlloc over the run is always reported, so the streaming
-// path's memory claims are observable outside benchmarks.
+// -progress prints a cells-done / in-flight / ETA line to stderr every
+// second, read from the run's metrics registry, and a final
+// "suite: 9/9 done, ..." line when the run ends; peak HeapAlloc over the
+// run is always reported, so the streaming path's memory claims are
+// observable outside benchmarks.
 //
 // -http serves the live observability endpoint while the run executes
 // (progress/ETA at /, Prometheus at /metrics, pprof under /debug/);
@@ -88,7 +89,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}()
-	obs, err := common.StartObservability(log.Printf)
+	obs, err := common.StartObservability("suite", log.Printf)
 	if err != nil {
 		log.Fatal(err)
 	}

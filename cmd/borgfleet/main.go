@@ -26,8 +26,11 @@
 // cheaper sampling, statistically equivalent scalars, different trace
 // bytes than the exact path). -policy and -arrival override every
 // sampled cell's placement policy / arrival process (fleet-wide knob
-// ablations under CRN). Peak HeapAlloc is always reported so the
-// bounded-memory claim is observable.
+// ablations under CRN). -progress prints a cells-done / in-flight / ETA
+// line to stderr every second, read from the run's metrics registry,
+// and a final "fleet: N/N done, ..." line when the fleet ends. Peak
+// HeapAlloc is always reported so the bounded-memory claim is
+// observable.
 //
 // -http/-metrics/-timeline are the shared observability set (see
 // internal/cliflags): a live Prometheus + pprof + progress endpoint
@@ -74,7 +77,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}()
-	obs, err := common.StartObservability(log.Printf)
+	obs, err := common.StartObservability("fleet", log.Printf)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,8 +24,10 @@
 //	          [-http :6060] [-metrics FILE] [-timeline FILE]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
-// -progress prints live grid-points-done / in-flight / ETA lines to
-// stderr; peak HeapAlloc over the sweep is always reported. -policy and
+// -progress prints a grid-points-done / in-flight / ETA line to stderr
+// every second, read from the run's metrics registry, and a final
+// "sweep: N/N done, ..." line when the sweep ends; peak HeapAlloc over
+// the sweep is always reported. -policy and
 // -arrival set sweep-wide profile defaults that individual variants may
 // still override. -http/-metrics/-timeline are the shared observability
 // set (see internal/cliflags): live Prometheus + pprof endpoint during
@@ -91,7 +93,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}()
-	obs, err := common.StartObservability(log.Printf)
+	obs, err := common.StartObservability("sweep", log.Printf)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,7 @@
 //
 // By default the trace is retained in memory and written at the end
 // (which also enables the §9 invariant validator). With -stream the rows
-// are written to disk while the simulation runs, through a buffered
+// are written to disk while the simulation runs, through a
 // trace.DirSink, and nothing is retained: memory stays bounded no matter
 // how long the horizon, which is the mode for generating month-scale
 // traces. The two modes produce byte-identical CSV for the same seed;
@@ -73,7 +73,7 @@ func main() {
 			Horizon:    horizon,
 			Seed:       *seed,
 			NoMemTrace: true,
-			ExtraSinks: []trace.Sink{trace.NewBufferedSink(ds, 0)},
+			ExtraSinks: []trace.Sink{ds},
 		})
 		if err := ds.Close(); err != nil {
 			log.Fatal(err)

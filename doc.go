@@ -41,11 +41,10 @@
 //     experiments.Scale, and sweep variants.
 //   - internal/trace — the 2019-schema data model and the streaming sink
 //     pipeline: rows flow through composable trace.Sink implementations
-//     (FanOut, BufferedSink batching, CountingSink online reduction;
-//     every cell owns its pipeline). Full in-memory retention
-//     (MemTrace) is just one sink and can be switched off per run. Sinks
-//     that can absorb many usage rows at once additionally implement
-//     trace.UsageBatcher (see "Usage pipeline and sink batching" below).
+//     (FanOut, CountingSink online reduction, DirSink CSV export; every
+//     cell owns its pipeline). Full in-memory retention (MemTrace) is
+//     just one sink and can be switched off per run. Usage rows reach a
+//     sink only in blocks (see "Usage pipeline" below).
 //   - internal/core — the single-cell façade: wires one cell's
 //     components and sink pipeline and runs it to the horizon.
 //   - internal/engine — multi-cell orchestration: runs N cell
@@ -72,11 +71,12 @@
 //     cells profile-sampled around the 2019 medians, streamed through
 //     one engine pool with bounded memory and rolled up online into
 //     fleet-level cross-cell percentiles (internal/stats t-digests),
-//     reported by cmd/borgfleet. internal/progress supplies the live
-//     progress reporter shared by all three CLIs, and internal/cliflags
-//     the shared flag set (-seed, -parallel, -policy, -arrival,
-//     -progress, profiling, observability) they register and validate
-//     identically.
+//     reported by cmd/borgfleet. internal/cliflags supplies the shared
+//     flag set (-seed, -parallel, -policy, -arrival, -progress,
+//     profiling, observability) all three CLIs register and validate
+//     identically; its -progress reporter prints from the run registry
+//     through metrics.ProgressLine, the formatter the live endpoint's
+//     / page uses too.
 //   - internal/metrics — the observability seam: a registry of typed
 //     instruments every hot layer reports into, exporters (Prometheus
 //     text, JSON, CSV, Chrome trace_event timelines), and the opt-in
@@ -134,7 +134,7 @@
 // figure: experiments.RunSuiteStreaming runs all nine cells with
 // core.Options.NoMemTrace, each cell's rows folding through one
 // streaming.CellReducer (and, optionally, a sharded CSV export via
-// trace.DirSink behind a BufferedSink) before being dropped;
+// trace.DirSink) before being dropped;
 // experiments.RunSuite attaches the same reducers and also keeps each
 // cell's trace, for tests and tools that read rows. Per-instance
 // state lives in its collection's instance table, a slice indexed by
@@ -154,7 +154,7 @@
 // benchmark-regression gate against the checked-in baselines, and a
 // peak-HeapAlloc ceiling on the LargeScale streaming suite.
 //
-// # Usage pipeline and sink batching
+// # Usage pipeline
 //
 // Usage sampling is the per-window hot loop: every five simulated
 // minutes the sampler visits every occupied machine and emits one
@@ -175,33 +175,23 @@
 // insertion and one removal per sample, so the windowed percentile is a
 // read, never a sort (TestObserveSteadyStateZeroAllocs).
 //
-// The delivery side batches: instead of one Sink.Usage virtual call per
-// record, the sampler hands each machine-window's records to the sink
-// as one []UsageRecord. The contract is trace.UsageBatcher, an optional
-// capability interface next to trace.Sink:
+// The delivery side batches: trace.Sink has one usage method,
+// UsageBatch, and the sampler hands each machine-window's records to the
+// sink as one []UsageRecord. A task that stops mid-window emits its
+// partial record as a one-record batch from a slot the sampler reuses.
 //
-//   - UsageBatch(recs) must be semantically identical to calling
-//     Usage(recs[i]) for i in order — batching changes the call count,
-//     never the row sequence any downstream observes.
+//   - A batch is ordered: how a stream is split into blocks never
+//     changes the row sequence any downstream observes.
 //   - The slice is only valid for the duration of the call (the sampler
 //     reuses it next window); implementations that retain rows must
-//     copy them out, as MemTrace and BufferedSink do.
-//   - trace.EmitUsageBatch(sink, recs) is the dispatch helper: it
-//     type-asserts once and falls back to the per-record loop for plain
-//     scalar sinks, so batching is transparent to sinks that never opt
-//     in.
+//     copy them out, as MemTrace does.
 //
-// The composable sinks propagate the capability end to end: FanOut
-// forwards a batch to every child (each child independently batched or
-// scalar), CountingSink counts
-// len(recs) in one step, BufferedSink passes batches straight through
-// to a batch-capable downstream (draining any buffered scalar stragglers
-// first, preserving row order) and buffers row-by-row otherwise, and
-// streaming.CellReducer folds a whole batch with its per-collection
-// classification memoized across adjacent rows. Batched and scalar
-// delivery produce byte-identical reports and CSV export shards at any
-// parallelism — CI pins that with a differential test that forces the
-// scalar path through an interposer and diffs the bytes.
+// FanOut forwards a batch to every child, CountingSink counts len(recs)
+// in one step, DirSink encodes the block through its per-table 1 MB
+// write buffer, and streaming.CellReducer folds a whole batch with its
+// per-collection classification memoized across adjacent rows. The
+// export shard tree and the report are pinned by a SHA-256 and are
+// byte-identical at any parallelism (TestExportTreeByteIdentical).
 //
 // What remains of the window cost after those two halves is mostly
 // random-number arithmetic: each resident draws two lognormal noise
@@ -341,12 +331,14 @@
 // included, is byte-identical at any parallelism. Counter/gauge merges
 // and histogram count/sum/min/max are exact and order-independent.
 // A metrics.Timeline sits outside the determinism boundary and records
-// wall-clock spans (warmup/run/flush per cell, cell and reduce spans at
+// wall-clock spans (warmup/run per cell, cell and reduce spans at
 // the engine) exportable as Chrome trace_event JSON for
 // chrome://tracing or Perfetto.
 //
 // The surface is uniform across the CLIs (internal/cliflags.Obs):
-// -http :6060 serves live progress/ETA, /metrics (Prometheus),
+// -progress prints metrics.ProgressLine to stderr every second and its
+// final line at Close; -http :6060 serves the same line at /, plus
+// /metrics (Prometheus),
 // /metrics.json, /metrics.csv, /timeline, /debug/pprof/ and
 // /debug/vars while the run executes, bounded by a graceful shutdown
 // when it completes (handlers render snapshots into local buffers, so

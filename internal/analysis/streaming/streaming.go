@@ -306,17 +306,18 @@ func (r *CellReducer) InstanceEvent(ev trace.InstanceEvent) {
 	}
 }
 
-// Usage reduces one instance_usage row.
+// Usage reduces one instance_usage row, the per-row fold UsageBatch
+// loops over. It is not part of trace.Sink, which takes usage rows only
+// in blocks; it serves callers that wrap the reducer row by row.
 func (r *CellReducer) Usage(rec trace.UsageRecord) {
 	r.mutable()
 	r.usageOne(&rec, r.lookup(rec.Key.Collection))
 }
 
-// UsageBatch reduces a block of instance_usage rows. Each record folds
-// exactly as a scalar Usage call would — same terms, same order — so
-// batched and scalar delivery of the same stream are bit-identical. A
-// machine window's batch arrives in victim order (priority, then
-// collection), so same-collection records cluster and the memoized
+// UsageBatch reduces a block of instance_usage rows in slice order, so
+// the same stream gives bit-identical state however it is split into
+// blocks. A machine window's batch arrives in victim order (priority,
+// then collection), so same-collection records cluster and the memoized
 // lookup skips the map for most of them.
 func (r *CellReducer) UsageBatch(recs []trace.UsageRecord) {
 	r.mutable()
@@ -559,8 +560,6 @@ func Replay(tr *trace.MemTrace, cfg Config) *CellReducer {
 	for _, ev := range tr.InstanceEvents {
 		r.InstanceEvent(ev)
 	}
-	for _, rec := range tr.UsageRecords {
-		r.Usage(rec)
-	}
+	r.UsageBatch(tr.UsageRecords)
 	return r
 }

@@ -7,14 +7,14 @@
 // shared flags through one Common value, validates name-registered
 // knobs the same way, and converts them to core.RunKnobs with one call.
 // StartObservability owns the shared observability lifecycle: the run
-// registry, the optional live HTTP server, the snapshot/timeline file
-// exports at Close, and the one-format run summary (elapsed wall time +
-// peak HeapAlloc) every CLI used to hand-roll.
+// registry, the -progress reporter that prints from it, the optional
+// live HTTP server, the snapshot/timeline file exports at Close, and the
+// one-format run summary (elapsed wall time + peak HeapAlloc) every CLI
+// used to hand-roll.
 package cliflags
 
 import (
 	"flag"
-	"os"
 	"strings"
 
 	"repro/internal/core"
@@ -83,13 +83,9 @@ func (c *Common) Validate() error {
 }
 
 // Knobs converts the parsed flags to the core.RunKnobs every runner
-// config embeds (-progress selects os.Stderr).
+// config embeds.
 func (c *Common) Knobs() core.RunKnobs {
-	k := core.RunKnobs{Policy: *c.Policy, Arrival: *c.Arrival}
-	if *c.Progress {
-		k.Progress = os.Stderr
-	}
-	return k
+	return core.RunKnobs{Policy: *c.Policy, Arrival: *c.Arrival}
 }
 
 // StartProfiling starts the -cpuprofile/-memprofile session; callers

@@ -2,7 +2,9 @@ package cliflags
 
 import (
 	"fmt"
+	"io"
 	"os"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -11,8 +13,8 @@ import (
 // Obs is one CLI run's observability bundle: the run-level metrics
 // registry (always created — the consolidated run summary records into
 // it), the wall-clock timeline (created when anything will render it),
-// and the optional live HTTP server. Obtain one from
-// Common.StartObservability, thread Reg/Timeline into the run via
+// the -progress reporter and the optional live HTTP server. Obtain one
+// from Common.StartObservability, thread Reg/Timeline into the run via
 // Knobs, wrap the run in MeasureRun, and defer Close.
 type Obs struct {
 	// Reg is the run-level registry every cell's instruments roll up
@@ -26,18 +28,39 @@ type Obs struct {
 	metricsOut  string
 	timelineOut string
 	logf        func(format string, args ...any)
+
+	// The -progress reporter: a goroutine prints label's
+	// metrics.ProgressLine to progressOut every second while cells are
+	// outstanding, and Close prints the final line. progressStop is nil
+	// without -progress.
+	label        string
+	progressOut  io.Writer
+	start        time.Time
+	progressStop chan struct{}
+	progressDone chan struct{}
 }
 
 // StartObservability builds the run's observability bundle from the
 // parsed flags: it always creates the run registry, creates a timeline
-// iff -http or -timeline will render it, and starts the live HTTP
-// server when -http is set (logging the listen address through logf).
-func (c *Common) StartObservability(logf func(format string, args ...any)) (*Obs, error) {
+// iff -http or -timeline will render it, starts the live HTTP server
+// when -http is set (logging the listen address through logf), and
+// with -progress prints progress lines to stderr. label names the run
+// in those lines ("suite", "sweep", "fleet").
+func (c *Common) StartObservability(label string, logf func(format string, args ...any)) (*Obs, error) {
+	return c.startObservability(label, os.Stderr, logf)
+}
+
+// startObservability is StartObservability with the -progress output
+// writer supplied.
+func (c *Common) startObservability(label string, progressOut io.Writer, logf func(format string, args ...any)) (*Obs, error) {
 	o := &Obs{
 		Reg:         metrics.NewRegistry(),
 		metricsOut:  *c.MetricsOut,
 		timelineOut: *c.TimelineOut,
 		logf:        logf,
+		label:       label,
+		progressOut: progressOut,
+		start:       time.Now(),
 	}
 	if *c.HTTP != "" || o.timelineOut != "" {
 		o.Timeline = metrics.NewTimeline()
@@ -50,7 +73,29 @@ func (c *Common) StartObservability(logf func(format string, args ...any)) (*Obs
 		o.srv = srv
 		logf("live observability on http://%s/", srv.Addr())
 	}
+	if *c.Progress {
+		o.progressStop, o.progressDone = make(chan struct{}), make(chan struct{})
+		go o.reportProgress()
+	}
 	return o, nil
+}
+
+// reportProgress prints the progress line once a second until Close
+// stops it. It skips the finished line, which Close prints exactly once.
+func (o *Obs) reportProgress() {
+	defer close(o.progressDone)
+	tick := time.NewTicker(time.Second)
+	defer tick.Stop()
+	for {
+		select {
+		case <-o.progressStop:
+			return
+		case <-tick.C:
+			if line, finished := metrics.ProgressLine(o.Reg, o.label, time.Since(o.start)); line != "" && !finished {
+				fmt.Fprintln(o.progressOut, line)
+			}
+		}
+	}
 }
 
 // Knobs returns k with the run registry and timeline attached, so CLIs
@@ -68,11 +113,20 @@ func (o *Obs) MeasureRun(fn func()) metrics.RunStats {
 	return metrics.MeasureRun(o.Reg, fn)
 }
 
-// Close bounds the observability lifecycle to the run: it gracefully
-// shuts the live server down (draining in-flight scrapes) and writes
-// the -metrics and -timeline files from final state. Export errors are
-// returned after the server is down; callers typically log.Fatal them.
+// Close bounds the observability lifecycle to the run: it stops the
+// -progress reporter and prints its final line, gracefully shuts the
+// live server down (draining in-flight scrapes) and writes the -metrics
+// and -timeline files from final state. Export errors are returned
+// after the server is down; callers typically log.Fatal them.
 func (o *Obs) Close() error {
+	if o.progressStop != nil {
+		close(o.progressStop)
+		<-o.progressDone
+		o.progressStop = nil
+		if line, _ := metrics.ProgressLine(o.Reg, o.label, time.Since(o.start)); line != "" {
+			fmt.Fprintln(o.progressOut, line)
+		}
+	}
 	var firstErr error
 	if o.srv != nil {
 		if err := o.srv.Close(); err != nil && firstErr == nil {

@@ -1,12 +1,18 @@
 package cliflags
 
 import (
+	"bytes"
 	"flag"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // parse registers the shared flags on a fresh FlagSet and parses args.
@@ -27,7 +33,7 @@ func TestObservabilityLifecycle(t *testing.T) {
 	c := parse(t, "-http", "127.0.0.1:0", "-metrics", metricsPath, "-timeline", timelinePath)
 
 	var logs []string
-	obs, err := c.StartObservability(func(format string, args ...any) {
+	obs, err := c.StartObservability("test", func(format string, args ...any) {
 		logs = append(logs, format)
 	})
 	if err != nil {
@@ -80,7 +86,7 @@ func TestObservabilityLifecycle(t *testing.T) {
 func TestObservabilityServerServes(t *testing.T) {
 	c := parse(t, "-http", "127.0.0.1:0")
 	var addr string
-	obs, err := c.StartObservability(func(format string, args ...any) {
+	obs, err := c.StartObservability("test", func(format string, args ...any) {
 		if len(args) == 1 {
 			if s, ok := args[0].(string); ok {
 				addr = strings.TrimSuffix(strings.TrimPrefix(s, "http://"), "/")
@@ -106,7 +112,7 @@ func TestObservabilityServerServes(t *testing.T) {
 
 func TestObservabilityOffByDefault(t *testing.T) {
 	c := parse(t)
-	obs, err := c.StartObservability(func(string, ...any) {})
+	obs, err := c.StartObservability("test", func(string, ...any) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,5 +124,50 @@ func TestObservabilityOffByDefault(t *testing.T) {
 	}
 	if err := obs.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProgressFinalLineOnce drives an instrumented two-cell run over the
+// Obs registry, as the CLIs do: with -progress, Close prints the final
+// "label: n/n done" line exactly once, as the last line; without it,
+// nothing is printed.
+func TestProgressFinalLineOnce(t *testing.T) {
+	for _, on := range []bool{true, false} {
+		var args []string
+		if on {
+			args = append(args, "-progress")
+		}
+		c := parse(t, args...)
+		var out bytes.Buffer
+		obs, err := c.startObservability("test", &out, func(string, ...any) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := core.Options{Horizon: sim.Hour}
+		specs := []engine.Spec{
+			engine.NewSpec(0, workload.Profile2019("a", 20), base, 1),
+			engine.NewSpec(1, workload.Profile2019("b", 20), base, 1),
+		}
+		ri := engine.NewRunInstruments(obs.Reg, obs.Timeline, len(specs))
+		ri.Apply(specs)
+		engine.Run(specs, ri.Wrap(engine.Options{Parallelism: 2}))
+		if err := obs.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		got := out.String()
+		if !on {
+			if got != "" {
+				t.Fatalf("printed without -progress:\n%s", got)
+			}
+			continue
+		}
+		if n := strings.Count(got, "test: 2/2 done"); n != 1 {
+			t.Fatalf("final line printed %d times, want 1:\n%s", n, got)
+		}
+		lines := strings.Split(strings.TrimSuffix(got, "\n"), "\n")
+		if last := lines[len(lines)-1]; !strings.HasPrefix(last, "test: 2/2 done, 0 in flight, ") {
+			t.Fatalf("last line %q, want the final progress line", last)
+		}
 	}
 }

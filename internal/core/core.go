@@ -14,7 +14,6 @@
 package core
 
 import (
-	"io"
 	"math"
 	"time"
 
@@ -55,19 +54,15 @@ type RunKnobs struct {
 	// statistically equivalent (pinned by test). Fleet-scale runs enable
 	// it to cheapen the sampler's dominant remaining cost.
 	UsageNoiseFast bool
-	// Progress, when non-nil, receives live progress reporting in the
-	// runners that render it (experiments, sweep, fleet). core.Run itself
-	// simulates one cell and emits no progress.
-	Progress io.Writer
 	// Metrics, when non-nil, receives this run's instruments (sched_*,
 	// sim_*, usage_*, trace_* series; see internal/metrics). Instruments
 	// only observe: they consume no randomness and never alter trace
 	// bytes, so a run with Metrics set is byte-identical to one without.
 	// Multi-cell runners give each cell a private registry and merge them
 	// in spec order (engine.RunInstruments); this field must therefore be
-	// nilled per cell by fleet-level configs, like Progress.
+	// nilled per cell by fleet-level configs.
 	Metrics *metrics.Registry
-	// Timeline, when non-nil, records wall-clock spans (warmup/run/flush
+	// Timeline, when non-nil, records wall-clock spans (warmup/run
 	// per cell, reduce at the runner level) exportable as Chrome
 	// trace_event JSON. Same observe-only contract as Metrics.
 	Timeline *metrics.Timeline
@@ -314,10 +309,6 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 		k.RunUntil(opts.Horizon)
 		done()
 	}
-	flushDone := tl.Span("flush", "cell", opts.TimelineID)
-	trace.Flush(sink)
-	flushDone()
-
 	if reg := opts.Metrics; reg != nil {
 		reg.Counter("sim_events_total").Add(int64(k.Fired()))
 		reg.Histogram("sim_event_slab").Observe(float64(k.PoolSize()))
@@ -350,15 +341,11 @@ type obs struct {
 // records, applies work-conserving CPU throttling and memory OOM pressure,
 // and feeds Autopilot.
 type usageSampler struct {
-	p     *workload.CellProfile
-	cell  *cluster.Cell
-	sched *scheduler.Scheduler
-	ap    *autopilot.Autopilot
-	sink  trace.Sink
-	// batcher is sink's UsageBatcher capability, asserted once at
-	// construction so the per-machine emit pays no dynamic dispatch.
-	// Nil when sink only takes scalar rows.
-	batcher    trace.UsageBatcher
+	p          *workload.CellProfile
+	cell       *cluster.Cell
+	sched      *scheduler.Scheduler
+	ap         *autopilot.Autopilot
+	sink       trace.Sink
 	src        *rng.Source
 	k          *sim.Kernel
 	histograms bool
@@ -372,9 +359,13 @@ type usageSampler struct {
 	// (see sample); reused like obsBuf.
 	machBuf []*cluster.Machine
 	// recBuf collects one machine-window's usage records and is handed to
-	// the sink as a single batch (trace.EmitUsageBatch); the sink must not
-	// retain it, so the buffer is reused every machine.
+	// the sink as a single batch; the sink must not retain it, so the
+	// buffer is reused every machine.
 	recBuf []trace.UsageRecord
+	// partialRec is the one-record batch a task stopping mid-window
+	// emits. It is separate from recBuf because a stop can happen while
+	// sample is filling recBuf (an OOM kill under memory pressure).
+	partialRec [1]trace.UsageRecord
 	// mWindows counts sampled windows and mBatch observes per-machine
 	// batch sizes when Options.Metrics is set; both nil otherwise.
 	// Observe-only: neither draws randomness nor emits rows.
@@ -400,7 +391,6 @@ func newUsageSampler(p *workload.CellProfile, cell *cluster.Cell, sched *schedul
 	if fastNoise {
 		u.noise = newNoiseTable(p.UsageNoiseSigma)
 	}
-	u.batcher, _ = sink.(trace.UsageBatcher)
 	return u
 }
 
@@ -424,8 +414,8 @@ func (u *usageSampler) usageNoise() (noiseC, noiseM float64) {
 // sorting or grouping maps. Machines without residents consume no
 // randomness, which is what makes the occupied-only walk draw-for-draw
 // identical to a full machine scan. Each machine's records leave as one
-// batch (trace.EmitUsageBatch), and steady-state sampling with autopilot
-// disabled performs zero heap allocations.
+// batch, and steady-state sampling with autopilot disabled performs zero
+// heap allocations.
 func (u *usageSampler) sample(now sim.Time) {
 	if u.mWindows != nil {
 		u.mWindows.Inc()
@@ -539,8 +529,7 @@ func (u *usageSampler) sample(now sim.Time) {
 			if u.ap != nil {
 				// Observe may emit UPDATE_RUNNING instance events and
 				// resize this task's request; the record above already
-				// captured the pre-update limit, exactly as scalar
-				// emission did.
+				// captured the pre-update limit.
 				u.ap.Observe(now, t, o.peak)
 			}
 		}
@@ -548,11 +537,7 @@ func (u *usageSampler) sample(now sim.Time) {
 			if u.mBatch != nil {
 				u.mBatch.Observe(float64(len(recs)))
 			}
-			if u.batcher != nil {
-				u.batcher.UsageBatch(recs)
-			} else {
-				trace.EmitUsageBatch(u.sink, recs)
-			}
+			u.sink.UsageBatch(recs)
 		}
 		u.recBuf = recs[:0]
 	}
@@ -620,7 +605,7 @@ func (u *usageSampler) taskStopped(t *scheduler.Task, runStart sim.Time) {
 	*partMem += avg.Mem * frac
 	peakJitter := 1 + (t.PeakFact-1)*(0.7+0.6*u.src.Float64())
 	peak := avg.Scale(peakJitter)
-	rec := trace.UsageRecord{
+	u.partialRec[0] = trace.UsageRecord{
 		Start:    start,
 		End:      now,
 		Key:      t.Key,
@@ -631,9 +616,9 @@ func (u *usageSampler) taskStopped(t *scheduler.Task, runStart sim.Time) {
 		Limit:    t.Request,
 	}
 	if u.histograms {
-		rec.CPUHistogram = synthHistogram(avg.CPU, peak.CPU, t.Request.CPU, u.src)
+		u.partialRec[0].CPUHistogram = synthHistogram(avg.CPU, peak.CPU, t.Request.CPU, u.src)
 	}
-	u.sink.Usage(rec)
+	u.sink.UsageBatch(u.partialRec[:])
 }
 
 // synthHistogram builds the trace's 21-bucket CPU utilization histogram

@@ -2,7 +2,7 @@ package core
 
 // Benchmarks for the per-window usage pipeline: the sampler walk itself
 // (BenchmarkUsageSample) and the sampler feeding a realistic sink
-// pipeline — buffered fan-out into a streaming reducer
+// pipeline — fan-out into a streaming reducer
 // (BenchmarkUsagePipeline). Both run against a live cell populated by a
 // real warmup simulation, so resident counts, task mix and machine
 // occupancy match what a mid-horizon 2019 cell actually looks like.
@@ -157,43 +157,18 @@ func TestUsageSampleSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkUsagePipeline measures the full usage path — sampler →
-// fan-out → buffered sink → streaming reducer — for one window over a
-// warmed-up 400-machine cell. The sub-benchmarks compare scalar
-// per-record delivery (the pre-PR path, forced through scalarShim) with
-// batched delivery; both produce identical reducer state.
+// fan-out → streaming reducer — for one window over a warmed-up
+// 400-machine cell. The sub-benchmark keeps its name so the gated
+// BenchmarkUsagePipeline/batched baseline still matches.
 func BenchmarkUsagePipeline(b *testing.B) {
-	horizon := 8 * sim.Hour
-	for _, mode := range []struct {
-		name   string
-		scalar bool
-	}{{"batched", false}, {"scalar", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			st := buildUsageBenchState(b, 400, 2*sim.Hour)
-			reducer := st.benchReducer(horizon)
-			var sink trace.Sink = trace.FanOut(
-				&trace.CountingSink{},
-				trace.NewBufferedSink(reducer, 0),
-			)
-			if mode.scalar {
-				sink = scalarShim{sink}
-			}
-			sampler := st.newBenchSampler(sink)
-			sampler.sample(st.now) // warm buffers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sampler.sample(st.now)
-			}
-		})
-	}
+	b.Run("batched", func(b *testing.B) {
+		st := buildUsageBenchState(b, 400, 2*sim.Hour)
+		reducer := st.benchReducer(8 * sim.Hour)
+		sampler := st.newBenchSampler(trace.FanOut(&trace.CountingSink{}, reducer))
+		sampler.sample(st.now) // warm buffers
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sampler.sample(st.now)
+		}
+	})
 }
-
-// scalarShim hides every optional sink capability (UsageBatcher in
-// particular), forcing per-record delivery: the differential tests and
-// the scalar pipeline benchmark use it to reproduce the pre-batching
-// path through the modern code.
-type scalarShim struct{ out trace.Sink }
-
-func (s scalarShim) CollectionEvent(ev trace.CollectionEvent) { s.out.CollectionEvent(ev) }
-func (s scalarShim) InstanceEvent(ev trace.InstanceEvent)     { s.out.InstanceEvent(ev) }
-func (s scalarShim) Usage(rec trace.UsageRecord)              { s.out.Usage(rec) }
-func (s scalarShim) MachineEvent(ev trace.MachineEvent)       { s.out.MachineEvent(ev) }

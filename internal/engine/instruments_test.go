@@ -93,8 +93,8 @@ func TestTimelineRecordsCellSpans(t *testing.T) {
 	if reduced != 3 {
 		t.Fatalf("caller OnResult ran %d times", reduced)
 	}
-	// One warmup+run+flush trio per cell (from core), one "cell" span and
-	// one "reduce" span per cell (from the wrapper).
+	// One run span per cell (from core), one "cell" span and one
+	// "reduce" span per cell (from the wrapper).
 	if got := tl.Len(); got < 3*3 {
 		t.Fatalf("timeline has %d spans, want at least 9", got)
 	}

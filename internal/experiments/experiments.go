@@ -20,7 +20,6 @@ import (
 	"repro/internal/analysis/streaming"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/progress"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -46,12 +45,9 @@ type Scale struct {
 	// override every cell profile's placement policy / arrival process by
 	// name (empty keeps each profile's defaults; SuiteProfiles panics on
 	// unknown names). UsageNoiseFast threads into every cell's options.
-	// Progress, when non-nil, receives live progress lines (cells done /
-	// in flight / ETA) while the suite simulates — pure wall-clock
-	// reporting, it never changes the output. Metrics/Timeline, when
-	// non-nil, receive the suite's instrument rollup and run timeline
-	// (each cell gets a private registry, merged in spec order — see
-	// engine.RunInstruments); like Progress, they never change the
+	// Metrics/Timeline, when non-nil, receive the suite's instrument
+	// rollup and run timeline (each cell gets a private registry, merged
+	// in spec order — see engine.RunInstruments); they never change the
 	// report or trace bytes.
 	core.RunKnobs
 	// RecordWorkload captures every cell's arrival/job stream into its
@@ -63,18 +59,6 @@ type Scale struct {
 	// recording instead of generating cell i's workload. LoadWorkloads
 	// rebuilds this slice from a recorded directory.
 	Replay []*workload.Recording
-}
-
-// engineOptions builds the suite's engine options: the scale's
-// parallelism plus progress hooks when Progress is set.
-func (sc Scale) engineOptions(cells int) engine.Options {
-	opts := engine.Options{Parallelism: sc.Parallelism}
-	if sc.Progress != nil {
-		prog := progress.New(sc.Progress, "suite", cells)
-		opts.OnStart = func(int) { prog.Start() }
-		opts.OnResult = func(int, *core.CellResult) { prog.Done() }
-	}
-	return opts
 }
 
 // SmallScale is quick enough for tests and benchmarks.
@@ -126,8 +110,7 @@ func SuiteProfiles(sc Scale) []*workload.CellProfile {
 // spaces are assigned per the engine contracts.
 func SuiteSpecsWith(sc Scale, overlay func(*workload.CellProfile)) []engine.Spec {
 	// Policy and Arrival act at the profile level (SuiteProfiles), so
-	// only the remaining knobs ride the per-cell options; Progress is
-	// suite-level reporting and never enters a cell, and Metrics/Timeline
+	// only the remaining knobs ride the per-cell options; Metrics/Timeline
 	// are applied per cell by engine.RunInstruments in the run functions.
 	// TimelineWarmup is inert until a timeline is attached.
 	base := core.Options{Horizon: sc.Horizon, RecordWorkload: sc.RecordWorkload,
@@ -175,12 +158,8 @@ type StreamingSuite = Suite
 type StreamingOptions struct {
 	// ExportDir, when non-empty, additionally writes each cell's trace as
 	// sharded CSV while simulating: one subdirectory per cell (named
-	// cell-<index>-<name>), each in the WriteDir layout, fed through a
-	// BufferedSink so the per-row cost is amortized.
+	// cell-<index>-<name>), each in the WriteDir layout.
 	ExportDir string
-	// ExportBatch is the export buffering batch size; <= 0 means
-	// trace.DefaultBatchSize.
-	ExportBatch int
 }
 
 // NewCellReducerFor builds the streaming reducer matching one cell spec:
@@ -244,17 +223,14 @@ func runSuite(sc Scale, retain bool, opts StreamingOptions) (*Suite, error) {
 				return nil, err
 			}
 			exports = append(exports, ds)
-			// core.Run flushes the pipeline at end of simulation, which
-			// drains this buffer into the shard before Close below.
-			specs[i].Options.ExtraSinks = append(specs[i].Options.ExtraSinks,
-				trace.NewBufferedSink(ds, opts.ExportBatch))
+			specs[i].Options.ExtraSinks = append(specs[i].Options.ExtraSinks, ds)
 		}
 	}
 
 	s := &Suite{Scale: sc, R2011: reducers[0], R2019: reducers[1:]}
 	ri := engine.NewRunInstruments(sc.Metrics, sc.Timeline, len(specs))
 	ri.Apply(specs)
-	results := engine.Run(specs, ri.Wrap(sc.engineOptions(len(specs))))
+	results := engine.Run(specs, ri.Wrap(engine.Options{Parallelism: sc.Parallelism}))
 	for _, r := range results {
 		s.Stats = append(s.Stats, *r)
 	}

@@ -87,12 +87,12 @@ func TestStreamingReportDeterministicAcrossParallelism(t *testing.T) {
 // TestStreamingExportShards drives the trace/io.go codecs through the
 // sink pipeline: a streaming run exports per-cell CSV shards while
 // simulating, and each shard must read back exactly the rows a retained
-// run produced — including the tail rows only a correct Flush ordering
-// delivers.
+// run produced — including the tail rows still buffered when the
+// simulation ends, which only the shard's Close delivers.
 func TestStreamingExportShards(t *testing.T) {
 	sc := streamScale()
 	dir := t.TempDir()
-	if _, err := RunSuiteStreaming(sc, StreamingOptions{ExportDir: dir, ExportBatch: 64}); err != nil {
+	if _, err := RunSuiteStreaming(sc, StreamingOptions{ExportDir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	retained := tinySuiteAt(t, sc)
@@ -112,7 +112,7 @@ func TestStreamingExportShards(t *testing.T) {
 			t.Fatalf("shard %d instance events differ", i)
 		}
 		if !reflect.DeepEqual(got.UsageRecords, want.UsageRecords) {
-			t.Fatalf("shard %d usage records differ (tail lost to a missing flush?)", i)
+			t.Fatalf("shard %d usage records differ (tail lost to a missing Close?)", i)
 		}
 		if !reflect.DeepEqual(got.MachineEvents, want.MachineEvents) {
 			t.Fatalf("shard %d machine events differ", i)

@@ -37,7 +37,6 @@ import (
 	"repro/internal/analysis/streaming"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/progress"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -64,12 +63,11 @@ type Config struct {
 	// GOMAXPROCS). Output is identical at any value.
 	Parallelism int
 	// RunKnobs carries the shared per-run knobs, applied to every cell:
-	// Policy/Arrival overrides, the usage-noise fast path (a versioned
-	// trace bump; see core.RunKnobs), and the Progress writer for live
-	// progress lines (cells done / in flight / ETA). Metrics/Timeline,
-	// when non-nil, receive the fleet-level instrument rollup and run
-	// timeline (per-cell registries merged in fleet order; never change
-	// the report bytes).
+	// Policy/Arrival overrides and the usage-noise fast path (a versioned
+	// trace bump; see core.RunKnobs). Metrics/Timeline, when non-nil,
+	// receive the fleet-level instrument rollup and run timeline
+	// (per-cell registries merged in fleet order; never change the
+	// report bytes).
 	core.RunKnobs
 	// OnCell, when set, observes each cell's summary in fleet order as
 	// it completes — the streaming hook per-cell CSV export hangs off.
@@ -113,11 +111,9 @@ func (cfg Config) Spec(i int, sinks ...trace.Sink) engine.Spec {
 	p := workload.SampleFleetProfile(cellName(i), cfg.medianMachines(),
 		rng.New(seed).Split("fleet-profile"))
 	knobs := cfg.RunKnobs
-	// Progress is fleet-level reporting, and the fleet registry/timeline
-	// must not be written by concurrent cells directly: Run gives each
-	// cell a private registry and merges in fleet order
-	// (engine.RunInstruments), so all three are nilled per cell.
-	knobs.Progress = nil
+	// The fleet registry/timeline must not be written by concurrent
+	// cells directly: Run gives each cell a private registry and merges
+	// in fleet order (engine.RunInstruments), so both are nilled per cell.
 	knobs.Metrics = nil
 	knobs.Timeline = nil
 	return engine.Spec{
@@ -172,7 +168,6 @@ func Run(cfg Config) *Report {
 		return rep
 	}
 
-	prog := progress.New(cfg.Progress, "fleet", n)
 	// reducers[i] is created with cell i's spec and released once its
 	// scalars are rolled up: the engine's mutex-ordered handoff from the
 	// building worker to the delivering worker covers the slot.
@@ -195,7 +190,6 @@ func Run(cfg Config) *Report {
 		return spec
 	}, ri.Wrap(engine.Options{
 		Parallelism: cfg.Parallelism,
-		OnStart:     func(int) { prog.Start() },
 		OnResult: func(i int, res *core.CellResult) {
 			scalars := reducers[i].Scalars(warmup)
 			reducers[i] = nil
@@ -213,7 +207,6 @@ func Run(cfg Config) *Report {
 					Machines: res.Profile.Machines, Scalars: scalars,
 				})
 			}
-			prog.Done()
 		},
 	}))
 	rep.Rollup = rollup(names, digests, sums, n)

@@ -116,30 +116,45 @@ func (s *Server) handleTimeline(w http.ResponseWriter, req *http.Request) {
 	w.Write(buf.Bytes())
 }
 
-// handleProgress serves the live progress/ETA view from the run
-// counters engine.RunInstruments maintains (run_cells_total/
-// _started_total/_done_total). Before a run registers cells it shows
-// elapsed time only.
+// handleProgress serves the live progress/ETA view: the ProgressLine
+// the CLIs' -progress flag prints, labelled "cells". Before a run
+// registers cells it shows the header only.
 func (s *Server) handleProgress(w http.ResponseWriter, req *http.Request) {
 	if req.URL.Path != "/" {
 		http.NotFound(w, req)
 		return
 	}
-	elapsed := time.Since(s.start).Round(time.Second)
-	total := int64(s.reg.Gauge("run_cells_total").Value())
-	started := s.reg.Counter("run_cells_started_total").Value()
-	done := s.reg.Counter("run_cells_done_total").Value()
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "borgsim live: elapsed %v\n", elapsed)
-	if total > 0 {
-		inFlight := started - done
-		fmt.Fprintf(&buf, "cells: %d/%d done, %d in flight\n", done, total, inFlight)
-		if done > 0 && done < total {
-			eta := time.Duration(float64(time.Since(s.start)) / float64(done) * float64(total-done))
-			fmt.Fprintf(&buf, "eta: ~%v\n", eta.Round(time.Second))
-		}
+	buf.WriteString("borgsim live\n")
+	if line, _ := ProgressLine(s.reg, "cells", time.Since(s.start)); line != "" {
+		buf.WriteString(line + "\n")
 	}
 	fmt.Fprintf(&buf, "\nendpoints: /metrics /metrics.json /metrics.csv /timeline /debug/pprof/ /debug/vars\n")
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Write(buf.Bytes())
+}
+
+// ProgressLine renders a run's progress from the series
+// engine.RunInstruments keeps in reg (run_cells_total,
+// run_cells_started_total, run_cells_done_total) as one line:
+//
+//	label: 4/9 done, 5 in flight, 3.2s elapsed, ETA 4s
+//
+// The ETA appears while some but not all cells are done. line is empty
+// until a run registers cells; finished reports that every registered
+// cell is done.
+func ProgressLine(reg *Registry, label string, elapsed time.Duration) (line string, finished bool) {
+	total := int64(reg.Gauge("run_cells_total").Value())
+	if total <= 0 {
+		return "", false
+	}
+	started := reg.Counter("run_cells_started_total").Value()
+	done := reg.Counter("run_cells_done_total").Value()
+	line = fmt.Sprintf("%s: %d/%d done, %d in flight, %v elapsed",
+		label, done, total, started-done, elapsed.Round(100*time.Millisecond))
+	if done > 0 && done < total {
+		eta := time.Duration(float64(elapsed) / float64(done) * float64(total-done))
+		line += fmt.Sprintf(", ETA %v", eta.Round(100*time.Millisecond))
+	}
+	return line, done >= total
 }

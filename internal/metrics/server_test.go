@@ -59,6 +59,28 @@ func TestServerEndpoints(t *testing.T) {
 			t.Errorf("%s: body missing %q:\n%s", tc.path, tc.marker, body)
 		}
 	}
+	// "/" renders through ProgressLine, the formatter -progress prints.
+	// Only the elapsed time and ETA differ between the two calls.
+	want, finished := ProgressLine(reg, "cells", time.Second)
+	if finished {
+		t.Fatal("4/9 cells done reported as finished")
+	}
+	counts, _, _ := strings.Cut(want, " elapsed")
+	counts = counts[:strings.LastIndex(counts, " ")]
+	_, body := get(t, base+"/")
+	var line string
+	for _, l := range strings.Split(body, "\n") {
+		if strings.HasPrefix(l, "cells: ") {
+			line = l
+		}
+	}
+	if !strings.HasPrefix(line, counts) || !strings.Contains(line, " elapsed, ETA ") {
+		t.Errorf("/ progress line %q does not match ProgressLine %q", line, want)
+	}
+	if line, _ := ProgressLine(NewRegistry(), "cells", time.Second); line != "" {
+		t.Errorf("ProgressLine before any cell registered = %q, want empty", line)
+	}
+
 	if code, _ := get(t, base+"/nope"); code != http.StatusNotFound {
 		t.Errorf("/nope: status %d, want 404", code)
 	}

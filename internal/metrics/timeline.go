@@ -9,7 +9,7 @@ import (
 )
 
 // Span is one recorded wall-clock interval of a run: a named piece of
-// work (warmup, run, flush, reduce, a whole cell) attributed to a track
+// work (warmup, run, reduce, a whole cell) attributed to a track
 // (TID — by convention the cell's spec index).
 type Span struct {
 	Name  string
@@ -23,8 +23,8 @@ type Span struct {
 // exports them as a Chrome trace_event JSON file (load it in
 // chrome://tracing or Perfetto to see where a fleet run's wall time
 // went, cell by cell). Timelines observe wall time only — they sit
-// outside the simulation's determinism boundary, like
-// internal/progress.
+// outside the simulation's determinism boundary, like ProgressLine's
+// elapsed time and ETA.
 type Timeline struct {
 	mu    sync.Mutex
 	begin time.Time

@@ -37,7 +37,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/progress"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -55,9 +54,8 @@ type Variant struct {
 // Def defines a sweep.
 type Def struct {
 	// Scale is the base suite scale (machine counts, horizon, warmup);
-	// Scale.Seed is the sweep's root seed, Scale.Progress (if set)
-	// receives live progress lines for the whole grid, and Scale.Replay
-	// (if set) replays the same recorded per-cell workloads at every grid
+	// Scale.Seed is the sweep's root seed, and Scale.Replay (if set)
+	// replays the same recorded per-cell workloads at every grid
 	// point — fixing the workload itself across variants, CRN beyond
 	// seeds. Scale.Parallelism is ignored — the sweep schedules the whole
 	// grid through one pool, see Parallelism below.
@@ -164,18 +162,12 @@ func Run(d Def) (*Result, error) {
 		}
 	}
 
-	opts := engine.Options{Parallelism: d.Parallelism}
-	if d.Scale.Progress != nil {
-		prog := progress.New(d.Scale.Progress, "sweep", len(specs))
-		opts.OnStart = func(int) { prog.Start() }
-		opts.OnResult = func(int, *core.CellResult) { prog.Done() }
-	}
 	// Grid points feed the sweep-level registry/timeline like suite cells
 	// feed a suite's: one private registry per point, merged in grid
 	// order, one timeline row per flat index.
 	ri := engine.NewRunInstruments(d.Scale.Metrics, d.Scale.Timeline, len(specs))
 	ri.Apply(specs)
-	results := engine.Run(specs, ri.Wrap(opts))
+	results := engine.Run(specs, ri.Wrap(engine.Options{Parallelism: d.Parallelism}))
 
 	res := &Result{Def: d, Metrics: MetricNames(), Cells: cells}
 	res.Def.Variants = variants

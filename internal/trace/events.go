@@ -182,10 +182,15 @@ type MachineEvent struct {
 // Sink receives trace rows as the simulator emits them. Implementations
 // must not retain argument pointers beyond the call unless documented
 // (MemTrace copies what it needs).
+//
+// Usage rows, the bulk of the trace, arrive only in blocks: UsageBatch
+// delivers records in slice order, and the callee must not retain or
+// modify the slice after returning, because emitters reuse its backing
+// array for the next block.
 type Sink interface {
 	CollectionEvent(ev CollectionEvent)
 	InstanceEvent(ev InstanceEvent)
-	Usage(rec UsageRecord)
+	UsageBatch(recs []UsageRecord)
 	MachineEvent(ev MachineEvent)
 }
 
@@ -206,18 +211,10 @@ func (m MultiSink) InstanceEvent(ev InstanceEvent) {
 	}
 }
 
-// Usage forwards to all children.
-func (m MultiSink) Usage(rec UsageRecord) {
-	for _, s := range m {
-		s.Usage(rec)
-	}
-}
-
-// UsageBatch forwards the block to all children: one call for children
-// that batch, record by record for the rest.
+// UsageBatch forwards the block to all children.
 func (m MultiSink) UsageBatch(recs []UsageRecord) {
 	for _, s := range m {
-		EmitUsageBatch(s, recs)
+		s.UsageBatch(recs)
 	}
 }
 
@@ -236,9 +233,6 @@ func (NopSink) CollectionEvent(CollectionEvent) {}
 
 // InstanceEvent discards the row.
 func (NopSink) InstanceEvent(InstanceEvent) {}
-
-// Usage discards the row.
-func (NopSink) Usage(UsageRecord) {}
 
 // UsageBatch discards the block.
 func (NopSink) UsageBatch([]UsageRecord) {}

@@ -38,9 +38,7 @@ func WriteDir(t *MemTrace, dir string) error {
 	for _, ev := range t.InstanceEvents {
 		s.InstanceEvent(ev)
 	}
-	for _, rec := range t.UsageRecords {
-		s.Usage(rec)
-	}
+	s.UsageBatch(t.UsageRecords)
 	for _, ev := range t.MachineEvents {
 		s.MachineEvent(ev)
 	}
@@ -131,10 +129,10 @@ type tableWriter struct {
 
 // DirSink streams trace rows to the same on-disk CSV layout WriteDir
 // produces — one file per table plus meta.json — as the simulation emits
-// them, so writing a trace needs no in-memory retention at all. Wrap it
-// in a BufferedSink to amortize per-row dispatch on hot paths. It is not
-// safe for concurrent use: give each concurrently simulated cell its own
-// shard directory.
+// them, so writing a trace needs no in-memory retention at all. Each
+// table writes through its own 1 MB buffer. It is not safe for
+// concurrent use: give each concurrently simulated cell its own shard
+// directory.
 //
 // The Sink interface carries no error returns, so write errors are
 // sticky: the first one is retained, subsequent rows are dropped, and
@@ -209,9 +207,6 @@ func (s *DirSink) CollectionEvent(ev CollectionEvent) { s.write(tabCollection, c
 // InstanceEvent writes the row.
 func (s *DirSink) InstanceEvent(ev InstanceEvent) { s.write(tabInstance, instanceEventRow(ev)) }
 
-// Usage writes the row.
-func (s *DirSink) Usage(rec UsageRecord) { s.write(tabUsage, usageRow(rec)) }
-
 // UsageBatch writes the block in order through the codec path, checking
 // the sticky error once instead of per row.
 func (s *DirSink) UsageBatch(recs []UsageRecord) {
@@ -227,7 +222,7 @@ func (s *DirSink) UsageBatch(recs []UsageRecord) {
 func (s *DirSink) MachineEvent(ev MachineEvent) { s.write(tabMachine, machineEventRow(ev)) }
 
 // Flush pushes buffered rows to the operating system. It is idempotent
-// and safe to call mid-run (e.g. via trace.Flush on the pipeline).
+// and safe to call mid-run.
 func (s *DirSink) Flush() {
 	if s.closed {
 		return
@@ -539,7 +534,7 @@ func (t *MemTrace) readUsage(rec []string) error {
 	if p.err != nil {
 		return p.err
 	}
-	t.Usage(u)
+	t.UsageRecords = append(t.UsageRecords, u)
 	return nil
 }
 

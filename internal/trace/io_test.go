@@ -152,10 +152,10 @@ func TestParseHelpers(t *testing.T) {
 }
 
 // TestDirSinkStreamsIdenticalToWriteDir pins the shared-encoder property:
-// streaming rows through a DirSink (here behind a BufferedSink, as the
-// suite export wires it) produces byte-identical files to post-hoc
-// WriteDir of the same trace, and a trailing Flush delivers the buffered
-// tail before Close.
+// streaming rows through a DirSink, with usage rows in one-record blocks
+// as the sampler's partial-window path delivers them, produces
+// byte-identical files to post-hoc WriteDir of the same trace, which
+// hands the whole usage table over as one block.
 func TestDirSinkStreamsIdenticalToWriteDir(t *testing.T) {
 	tr := newTestTrace()
 	postDir, streamDir := t.TempDir(), t.TempDir()
@@ -166,22 +166,18 @@ func TestDirSinkStreamsIdenticalToWriteDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Large batch: nothing reaches the files until the pipeline flushes,
-	// which is exactly the tail a missing Flush would lose.
-	bs := NewBufferedSink(ds, 1<<20)
 	for _, ev := range tr.MachineEvents {
-		bs.MachineEvent(ev)
+		ds.MachineEvent(ev)
 	}
 	for _, ev := range tr.CollectionEvents {
-		bs.CollectionEvent(ev)
+		ds.CollectionEvent(ev)
 	}
 	for _, ev := range tr.InstanceEvents {
-		bs.InstanceEvent(ev)
+		ds.InstanceEvent(ev)
 	}
-	for _, rec := range tr.UsageRecords {
-		bs.Usage(rec)
+	for i := range tr.UsageRecords {
+		ds.UsageBatch(tr.UsageRecords[i : i+1])
 	}
-	Flush(bs) // drains the buffer into the DirSink and flushes it
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -13,8 +14,23 @@ func emitMixed(s Sink, n int) {
 		s.MachineEvent(MachineEvent{Time: t, Machine: MachineID(i%7 + 1), Type: MachineAdd})
 		s.CollectionEvent(CollectionEvent{Time: t, Collection: CollectionID(i), Type: EventSubmit})
 		s.InstanceEvent(InstanceEvent{Time: t, Key: InstanceKey{Collection: CollectionID(i)}, Type: EventSubmit})
-		s.Usage(UsageRecord{Start: t, End: t + sim.Minute, Key: InstanceKey{Collection: CollectionID(i)}})
+		s.UsageBatch([]UsageRecord{{Start: t, End: t + sim.Minute, Key: InstanceKey{Collection: CollectionID(i)}}})
 	}
+}
+
+// usageBlock builds n distinguishable records starting at ordinal base.
+func usageBlock(base, n int) []UsageRecord {
+	recs := make([]UsageRecord, n)
+	for i := range recs {
+		t := sim.Time(base+i) * sim.Minute
+		recs[i] = UsageRecord{
+			Start: t, End: t + sim.Minute,
+			Key:      InstanceKey{Collection: CollectionID(base + i), Index: int32(i)},
+			Machine:  MachineID(base + i),
+			AvgUsage: Resources{CPU: float64(base + i)},
+		}
+	}
+	return recs
 }
 
 func TestFanOutFlattensAndDropsNil(t *testing.T) {
@@ -35,46 +51,32 @@ func TestFanOutFlattensAndDropsNil(t *testing.T) {
 	}
 }
 
-func TestBufferedSinkPreservesPerTableOrderAndFlushes(t *testing.T) {
-	direct := NewMemTrace(Meta{})
-	buffered := NewMemTrace(Meta{})
-	bs := NewBufferedSink(buffered, 16)
-	emitMixed(direct, 100)
-	emitMixed(bs, 100)
-	if got := len(buffered.UsageRecords); got != 96 {
-		t.Fatalf("pre-flush usage rows %d, want 96 (tail buffered)", got)
-	}
-	bs.Flush()
-	bs.Flush() // idempotent
-	if len(buffered.UsageRecords) != len(direct.UsageRecords) ||
-		len(buffered.CollectionEvents) != len(direct.CollectionEvents) ||
-		len(buffered.InstanceEvents) != len(direct.InstanceEvents) ||
-		len(buffered.MachineEvents) != len(direct.MachineEvents) {
-		t.Fatalf("row counts differ after flush: %s vs %s", buffered.Counts(), direct.Counts())
-	}
-	for i := range direct.UsageRecords {
-		if buffered.UsageRecords[i] != direct.UsageRecords[i] {
-			t.Fatalf("usage row %d reordered", i)
-		}
-	}
-	for i := range direct.CollectionEvents {
-		if buffered.CollectionEvents[i] != direct.CollectionEvents[i] {
-			t.Fatalf("collection row %d reordered", i)
-		}
-	}
-}
+// TestMultiSinkUsageBatchFansOutInOrder drives blocks from one reused
+// buffer through a fan-out: every child must see every record in
+// delivery order, and none may alias the emitter's backing array.
+func TestMultiSinkUsageBatchFansOutInOrder(t *testing.T) {
+	a, b := NewMemTrace(Meta{}), NewMemTrace(Meta{})
+	counter := &CountingSink{}
+	s := FanOut(a, counter, b)
 
-func TestFlushRecursesThroughFanOut(t *testing.T) {
-	inner := NewMemTrace(Meta{})
-	bs := NewBufferedSink(inner, 1000)
-	s := FanOut(&CountingSink{}, bs)
-	emitMixed(s, 5)
-	if len(inner.UsageRecords) != 0 {
-		t.Fatal("buffer flushed early")
+	var want []UsageRecord
+	buf := make([]UsageRecord, 0, 8)
+	for _, n := range []int{3, 1, 5, 0} {
+		block := append(buf[:0], usageBlock(len(want), n)...)
+		want = append(want, block...)
+		s.UsageBatch(block)
+		// The emitter owns the array again once UsageBatch returns.
+		for i := range block {
+			block[i] = UsageRecord{Machine: -1}
+		}
 	}
-	Flush(s)
-	if len(inner.UsageRecords) != 5 {
-		t.Fatalf("flush through fan-out left %d rows", len(inner.UsageRecords))
+	for name, got := range map[string][]UsageRecord{"first": a.UsageRecords, "last": b.UsageRecords} {
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s child lost, reordered or aliased rows", name)
+		}
+	}
+	if got := counter.Counts().Usage; got != int64(len(want)) {
+		t.Fatalf("counter saw %d rows, want %d", got, len(want))
 	}
 }
 

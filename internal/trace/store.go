@@ -53,11 +53,6 @@ func (t *MemTrace) InstanceEvent(ev InstanceEvent) {
 	t.InstanceEvents = append(t.InstanceEvents, ev)
 }
 
-// Usage stores the row.
-func (t *MemTrace) Usage(rec UsageRecord) {
-	t.UsageRecords = append(t.UsageRecords, rec)
-}
-
 // UsageBatch stores a whole block of rows with one append.
 func (t *MemTrace) UsageBatch(recs []UsageRecord) {
 	t.UsageRecords = append(t.UsageRecords, recs...)

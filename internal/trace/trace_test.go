@@ -151,8 +151,8 @@ func newTestTrace() *MemTrace {
 	tr.CollectionEvent(CollectionEvent{Time: 100, Collection: 10, Type: EventSubmit, CollectionType: CollectionJob, Priority: 120, Tier: TierProduction, User: "u1", Scheduler: SchedulerDefault})
 	tr.InstanceEvent(InstanceEvent{Time: 100, Key: InstanceKey{10, 0}, Type: EventSubmit, Priority: 120, Tier: TierProduction, Request: Resources{CPU: 0.1, Mem: 0.1}})
 	tr.InstanceEvent(InstanceEvent{Time: 150, Key: InstanceKey{10, 0}, Type: EventSchedule, Machine: 1, Priority: 120, Tier: TierProduction, Request: Resources{CPU: 0.1, Mem: 0.1}})
-	tr.Usage(UsageRecord{Start: 0, End: sim.Time(300 * sim.Second), Key: InstanceKey{10, 0}, Machine: 1, Tier: TierProduction,
-		AvgUsage: Resources{CPU: 0.05, Mem: 0.08}, MaxUsage: Resources{CPU: 0.09, Mem: 0.09}, Limit: Resources{CPU: 0.1, Mem: 0.1}})
+	tr.UsageBatch([]UsageRecord{{Start: 0, End: sim.Time(300 * sim.Second), Key: InstanceKey{10, 0}, Machine: 1, Tier: TierProduction,
+		AvgUsage: Resources{CPU: 0.05, Mem: 0.08}, MaxUsage: Resources{CPU: 0.09, Mem: 0.09}, Limit: Resources{CPU: 0.1, Mem: 0.1}}})
 	tr.InstanceEvent(InstanceEvent{Time: sim.Time(time600()), Key: InstanceKey{10, 0}, Type: EventFinish, Machine: 1, Priority: 120, Tier: TierProduction, Request: Resources{CPU: 0.1, Mem: 0.1}})
 	tr.CollectionEvent(CollectionEvent{Time: sim.Time(time600()), Collection: 10, Type: EventFinish, CollectionType: CollectionJob, Priority: 120, Tier: TierProduction, User: "u1"})
 
@@ -291,8 +291,8 @@ func TestValidateCatchesMemoryOverCapacity(t *testing.T) {
 	for i := int32(0); i < 2; i++ {
 		tr.InstanceEvent(InstanceEvent{Time: 0, Key: InstanceKey{1, i}, Type: EventSubmit})
 		tr.InstanceEvent(InstanceEvent{Time: 1, Key: InstanceKey{1, i}, Type: EventSchedule, Machine: 1})
-		tr.Usage(UsageRecord{Start: 0, End: sim.SampleWindow, Key: InstanceKey{1, i}, Machine: 1,
-			AvgUsage: Resources{CPU: 0.1, Mem: 0.4}, MaxUsage: Resources{CPU: 0.1, Mem: 0.4}})
+		tr.UsageBatch([]UsageRecord{{Start: 0, End: sim.SampleWindow, Key: InstanceKey{1, i}, Machine: 1,
+			AvgUsage: Resources{CPU: 0.1, Mem: 0.4}, MaxUsage: Resources{CPU: 0.1, Mem: 0.4}}})
 	}
 	found := false
 	for _, v := range Validate(tr, DefaultValidateOptions()) {
@@ -337,9 +337,9 @@ func TestValidateMaxViolations(t *testing.T) {
 func TestValidateUsageChecks(t *testing.T) {
 	tr := NewMemTrace(Meta{})
 	tr.MachineEvent(MachineEvent{Time: 0, Machine: 1, Type: MachineAdd, Capacity: Resources{CPU: 1, Mem: 1}})
-	tr.Usage(UsageRecord{Start: 10, End: 10, Key: InstanceKey{1, 0}, Machine: 1})
-	tr.Usage(UsageRecord{Start: 0, End: 10, Key: InstanceKey{1, 0}, Machine: 1,
-		AvgUsage: Resources{CPU: 0.5}, MaxUsage: Resources{CPU: 0.1}})
+	tr.UsageBatch([]UsageRecord{{Start: 10, End: 10, Key: InstanceKey{1, 0}, Machine: 1}})
+	tr.UsageBatch([]UsageRecord{{Start: 0, End: 10, Key: InstanceKey{1, 0}, Machine: 1,
+		AvgUsage: Resources{CPU: 0.5}, MaxUsage: Resources{CPU: 0.1}}})
 	var names []string
 	for _, v := range Validate(tr, DefaultValidateOptions()) {
 		names = append(names, v.Invariant)
@@ -364,7 +364,7 @@ func TestMultiSinkFanout(t *testing.T) {
 	ms := MultiSink{a, b, NopSink{}}
 	ms.CollectionEvent(CollectionEvent{Collection: 1, Type: EventSubmit})
 	ms.InstanceEvent(InstanceEvent{Key: InstanceKey{1, 0}, Type: EventSubmit})
-	ms.Usage(UsageRecord{Start: 0, End: 1, Key: InstanceKey{1, 0}})
+	ms.UsageBatch([]UsageRecord{{Start: 0, End: 1, Key: InstanceKey{1, 0}}})
 	ms.MachineEvent(MachineEvent{Machine: 1, Type: MachineAdd})
 	for _, tr := range []*MemTrace{a, b} {
 		if len(tr.CollectionEvents) != 1 || len(tr.InstanceEvents) != 1 ||
