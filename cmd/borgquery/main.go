@@ -103,7 +103,7 @@ func buildTable(tr *trace.MemTrace, name string) *table.Table {
 			table.Column{Name: "machine", Type: table.Int64},
 			table.Column{Name: "time", Type: table.Int64},
 		)
-		for _, ev := range tr.InstanceEvents {
+		for ev := range tr.InstanceEvents.All() {
 			t.Append(int64(ev.Key.Collection), int64(ev.Key.Index), ev.Type.String(),
 				ev.Tier.String(), int64(ev.Machine), int64(ev.Time))
 		}
@@ -119,7 +119,7 @@ func buildTable(tr *trace.MemTrace, name string) *table.Table {
 			table.Column{Name: "limit_cpu", Type: table.Float64},
 			table.Column{Name: "limit_mem", Type: table.Float64},
 		)
-		for _, rec := range tr.UsageRecords {
+		for rec := range tr.UsageRecords.All() {
 			t.Append(int64(rec.Key.Collection), rec.Tier.String(), int64(rec.Machine),
 				rec.AvgUsage.CPU, rec.AvgUsage.Mem, rec.MaxUsage.CPU,
 				rec.Limit.CPU, rec.Limit.Mem)

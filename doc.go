@@ -43,8 +43,11 @@
 //     pipeline: rows flow through composable trace.Sink implementations
 //     (FanOut, CountingSink online reduction, DirSink CSV export; every
 //     cell owns its pipeline). Full in-memory retention (MemTrace) is
-//     just one sink and can be switched off per run. Usage rows reach a
-//     sink only in blocks (see "Usage pipeline" below).
+//     just one sink and can be switched off per run; it stores each
+//     table in chunks that never move (trace.Rows) and builds its
+//     per-collection and per-instance indexes on the first query, so
+//     retaining a row costs only the row. Usage rows reach a sink only
+//     in blocks (see "Usage pipeline" below).
 //   - internal/core — the single-cell façade: wires one cell's
 //     components and sink pipeline and runs it to the horizon.
 //   - internal/engine — multi-cell orchestration: runs N cell
@@ -184,7 +187,9 @@
 //     changes the row sequence any downstream observes.
 //   - The slice is only valid for the duration of the call (the sampler
 //     reuses it next window); implementations that retain rows must
-//     copy them out, as MemTrace does.
+//     copy them out, as MemTrace does: it copies the block into its
+//     chunked usage table, and WriteDir and streaming.Replay hand the
+//     stored rows back chunk by chunk through the same method.
 //
 // FanOut forwards a batch to every child, CountingSink counts len(recs)
 // in one step, DirSink encodes the block through its per-table 1 MB

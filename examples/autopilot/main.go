@@ -33,11 +33,10 @@ func main() {
 	}
 	slack := map[trace.VerticalScaling][]float64{}
 	var limitAuto, peakAuto, limitMan, peakMan float64
-	for i := range tr.UsageRecords {
-		rec := &tr.UsageRecords[i]
+	for rec := range tr.UsageRecords.All() {
 		info, ok := infos[rec.Key.Collection]
 		if ok && info.CollectionType == trace.CollectionJob {
-			if s, ok := analysis.SlackSampleOf(rec); ok {
+			if s, ok := analysis.SlackSampleOf(&rec); ok {
 				slack[info.Scaling] = append(slack[info.Scaling], s)
 			}
 		}

@@ -551,15 +551,17 @@ func (r *CellReducer) numInstances() int {
 // the stream live — the property TestReplayMatchesLive pins.
 func Replay(tr *trace.MemTrace, cfg Config) *CellReducer {
 	r := NewCellReducer(cfg)
-	for _, ev := range tr.MachineEvents {
+	for ev := range tr.MachineEvents.All() {
 		r.MachineEvent(ev)
 	}
-	for _, ev := range tr.CollectionEvents {
+	for ev := range tr.CollectionEvents.All() {
 		r.CollectionEvent(ev)
 	}
-	for _, ev := range tr.InstanceEvents {
+	for ev := range tr.InstanceEvents.All() {
 		r.InstanceEvent(ev)
 	}
-	r.UsageBatch(tr.UsageRecords)
+	for recs := range tr.UsageRecords.Chunks() {
+		r.UsageBatch(recs)
+	}
 	return r
 }

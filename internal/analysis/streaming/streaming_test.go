@@ -194,7 +194,7 @@ func TestReducerStateIsBounded(t *testing.T) {
 	if len(f19.red.colls) == 0 || f19.red.numInstances() == 0 {
 		t.Fatalf("reducer state empty: %s", f19.red.Counts())
 	}
-	if rows := len(f19.tr.UsageRecords); rows <= len(f19.red.colls) {
+	if rows := f19.tr.UsageRecords.Len(); rows <= len(f19.red.colls) {
 		t.Skipf("fixture too small to demonstrate reduction (usage rows %d)", rows)
 	}
 }

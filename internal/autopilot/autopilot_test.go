@@ -40,8 +40,8 @@ func TestNoneStrategyNeverAdjusts(t *testing.T) {
 			t.Fatalf("limit changed for non-autoscaled task: %v", got)
 		}
 	}
-	if ap.Updates() != 0 || len(tr.InstanceEvents) != 0 {
-		t.Fatalf("updates %d events %d", ap.Updates(), len(tr.InstanceEvents))
+	if ap.Updates() != 0 || tr.InstanceEvents.Len() != 0 {
+		t.Fatalf("updates %d events %d", ap.Updates(), tr.InstanceEvents.Len())
 	}
 	if ap.Tracked() != 0 {
 		t.Fatal("none tasks should not be tracked")
@@ -70,7 +70,7 @@ func TestFullShrinksTowardPeak(t *testing.T) {
 	}
 	// UPDATE_RUNNING events were emitted.
 	found := false
-	for _, ev := range tr.InstanceEvents {
+	for ev := range tr.InstanceEvents.All() {
 		if ev.Type == trace.EventUpdateRunning {
 			found = true
 		}

@@ -19,10 +19,10 @@ func smallRun(t *testing.T, seed uint64) *CellResult {
 func TestRunProducesTrace(t *testing.T) {
 	res := smallRun(t, 1)
 	tr := res.Trace
-	if len(tr.MachineEvents) != 120 {
-		t.Fatalf("machine events %d", len(tr.MachineEvents))
+	if tr.MachineEvents.Len() != 120 {
+		t.Fatalf("machine events %d", tr.MachineEvents.Len())
 	}
-	if len(tr.CollectionEvents) == 0 || len(tr.InstanceEvents) == 0 || len(tr.UsageRecords) == 0 {
+	if tr.CollectionEvents.Len() == 0 || tr.InstanceEvents.Len() == 0 || tr.UsageRecords.Len() == 0 {
 		t.Fatalf("empty trace: %s", tr.Counts())
 	}
 	if res.Sched.JobsSubmitted < 50 {
@@ -48,24 +48,24 @@ func TestDeterminism(t *testing.T) {
 	a := smallRun(t, 7)
 	b := smallRun(t, 7)
 	ta, tb := a.Trace, b.Trace
-	if len(ta.CollectionEvents) != len(tb.CollectionEvents) ||
-		len(ta.InstanceEvents) != len(tb.InstanceEvents) ||
-		len(ta.UsageRecords) != len(tb.UsageRecords) {
+	if ta.CollectionEvents.Len() != tb.CollectionEvents.Len() ||
+		ta.InstanceEvents.Len() != tb.InstanceEvents.Len() ||
+		ta.UsageRecords.Len() != tb.UsageRecords.Len() {
 		t.Fatalf("row counts differ: %s vs %s", ta.Counts(), tb.Counts())
 	}
-	for i := range ta.CollectionEvents {
-		if ta.CollectionEvents[i] != tb.CollectionEvents[i] {
-			t.Fatalf("collection event %d differs: %+v vs %+v", i, ta.CollectionEvents[i], tb.CollectionEvents[i])
+	for i := range ta.CollectionEvents.Len() {
+		if ta.CollectionEvents.At(i) != tb.CollectionEvents.At(i) {
+			t.Fatalf("collection event %d differs: %+v vs %+v", i, ta.CollectionEvents.At(i), tb.CollectionEvents.At(i))
 		}
 	}
-	for i := range ta.InstanceEvents {
-		if ta.InstanceEvents[i] != tb.InstanceEvents[i] {
+	for i := range ta.InstanceEvents.Len() {
+		if ta.InstanceEvents.At(i) != tb.InstanceEvents.At(i) {
 			t.Fatalf("instance event %d differs", i)
 		}
 	}
-	for i := range ta.UsageRecords {
-		if ta.UsageRecords[i] != tb.UsageRecords[i] {
-			t.Fatalf("usage record %d differs: %+v vs %+v", i, ta.UsageRecords[i], tb.UsageRecords[i])
+	for i := range ta.UsageRecords.Len() {
+		if ta.UsageRecords.At(i) != tb.UsageRecords.At(i) {
+			t.Fatalf("usage record %d differs: %+v vs %+v", i, ta.UsageRecords.At(i), tb.UsageRecords.At(i))
 		}
 	}
 }
@@ -73,12 +73,12 @@ func TestDeterminism(t *testing.T) {
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a := smallRun(t, 1)
 	b := smallRun(t, 99)
-	if len(a.Trace.CollectionEvents) == len(b.Trace.CollectionEvents) &&
-		len(a.Trace.UsageRecords) == len(b.Trace.UsageRecords) {
+	if a.Trace.CollectionEvents.Len() == b.Trace.CollectionEvents.Len() &&
+		a.Trace.UsageRecords.Len() == b.Trace.UsageRecords.Len() {
 		// Counts could coincide; compare content of the first events.
 		same := true
-		for i := 0; i < 50 && i < len(a.Trace.CollectionEvents); i++ {
-			if a.Trace.CollectionEvents[i] != b.Trace.CollectionEvents[i] {
+		for i := 0; i < 50 && i < a.Trace.CollectionEvents.Len(); i++ {
+			if a.Trace.CollectionEvents.At(i) != b.Trace.CollectionEvents.At(i) {
 				same = false
 				break
 			}
@@ -95,14 +95,14 @@ func TestUtilizationInSaneBand(t *testing.T) {
 	// Average CPU usage as a fraction of capacity over the second half
 	// of the run (post-warmup) should be meaningful but below 1.
 	var capCPU float64
-	for _, ev := range tr.MachineEvents {
+	for ev := range tr.MachineEvents.All() {
 		if ev.Type == trace.MachineAdd {
 			capCPU += ev.Capacity.CPU
 		}
 	}
 	half := tr.Meta.Duration / 2
 	var usageHours float64
-	for _, rec := range tr.UsageRecords {
+	for rec := range tr.UsageRecords.All() {
 		if rec.Start >= half {
 			usageHours += rec.AvgUsage.CPU * (rec.End - rec.Start).Hours()
 		}
@@ -120,8 +120,8 @@ func TestExtraSinksSeeEverything(t *testing.T) {
 	p := workload.Profile2019("b", 80)
 	extra := trace.NewMemTrace(trace.Meta{})
 	res := Run(p, Options{Horizon: 4 * sim.Hour, Seed: 5, ExtraSinks: []trace.Sink{extra}})
-	if len(extra.CollectionEvents) != len(res.Trace.CollectionEvents) ||
-		len(extra.UsageRecords) != len(res.Trace.UsageRecords) {
+	if extra.CollectionEvents.Len() != res.Trace.CollectionEvents.Len() ||
+		extra.UsageRecords.Len() != res.Trace.UsageRecords.Len() {
 		t.Fatalf("extra sink missed rows: %s vs %s", extra.Counts(), res.Trace.Counts())
 	}
 }
@@ -146,7 +146,7 @@ func TestHistogramsOption(t *testing.T) {
 	p := workload.Profile2019("a", 40)
 	res := Run(p, Options{Horizon: 2 * sim.Hour, Seed: 4, Histograms: true})
 	withHist := 0
-	for _, rec := range res.Trace.UsageRecords {
+	for rec := range res.Trace.UsageRecords.All() {
 		if rec.CPUHistogram != nil {
 			withHist++
 			if rec.CPUHistogram.Total() == 0 {
@@ -159,7 +159,7 @@ func TestHistogramsOption(t *testing.T) {
 	}
 	// Default: no histograms.
 	res2 := Run(p, Options{Horizon: 1 * sim.Hour, Seed: 4})
-	for _, rec := range res2.Trace.UsageRecords {
+	for rec := range res2.Trace.UsageRecords.All() {
 		if rec.CPUHistogram != nil {
 			t.Fatal("histogram recorded despite being disabled")
 		}
@@ -178,7 +178,7 @@ func Test2011ProfileRuns(t *testing.T) {
 		t.Fatalf("%d violations, first: %v", len(violations), violations[0])
 	}
 	// No 2019-only features in the event stream.
-	for _, ev := range tr.CollectionEvents {
+	for ev := range tr.CollectionEvents.All() {
 		if ev.Type == trace.EventQueue {
 			t.Fatal("2011 trace has batch QUEUE events")
 		}
@@ -197,7 +197,7 @@ func TestDisableAutopilot(t *testing.T) {
 	if res.AutopilotUpdates != 0 {
 		t.Fatalf("autopilot updates %d with autopilot disabled", res.AutopilotUpdates)
 	}
-	for _, ev := range res.Trace.InstanceEvents {
+	for ev := range res.Trace.InstanceEvents.All() {
 		if ev.Type == trace.EventUpdateRunning {
 			t.Fatal("UPDATE_RUNNING with autopilot disabled")
 		}
@@ -210,13 +210,13 @@ func TestSchedulingDelaysPositive(t *testing.T) {
 	// For every job with a SCHEDULE, the first SCHEDULE must come at or
 	// after the ENABLE.
 	enable := map[trace.CollectionID]sim.Time{}
-	for _, ev := range tr.CollectionEvents {
+	for ev := range tr.CollectionEvents.All() {
 		if ev.Type == trace.EventEnable {
 			enable[ev.Collection] = ev.Time
 		}
 	}
 	firstRun := map[trace.CollectionID]sim.Time{}
-	for _, ev := range tr.InstanceEvents {
+	for ev := range tr.InstanceEvents.All() {
 		if ev.Type == trace.EventSchedule {
 			if cur, ok := firstRun[ev.Key.Collection]; !ok || ev.Time < cur {
 				firstRun[ev.Key.Collection] = ev.Time

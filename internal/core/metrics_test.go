@@ -1,11 +1,11 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/trace/tracetest"
 	"repro/internal/workload"
 )
 
@@ -24,17 +24,8 @@ func TestMetricsDoNotChangeTrace(t *testing.T) {
 	opts.TimelineID = 3
 	instrumented := Run(workload.Profile2019("a", 120), opts)
 
-	if !reflect.DeepEqual(plain.Trace.CollectionEvents, instrumented.Trace.CollectionEvents) {
-		t.Fatal("collection events differ with metrics enabled")
-	}
-	if !reflect.DeepEqual(plain.Trace.InstanceEvents, instrumented.Trace.InstanceEvents) {
-		t.Fatal("instance events differ with metrics enabled")
-	}
-	if !reflect.DeepEqual(plain.Trace.UsageRecords, instrumented.Trace.UsageRecords) {
-		t.Fatal("usage records differ with metrics enabled")
-	}
-	if !reflect.DeepEqual(plain.Trace.MachineEvents, instrumented.Trace.MachineEvents) {
-		t.Fatal("machine events differ with metrics enabled")
+	if d := tracetest.Diff(plain.Trace, instrumented.Trace); d != "" {
+		t.Fatalf("%s with metrics enabled", d)
 	}
 	if plain.Sched != instrumented.Sched {
 		t.Fatalf("scheduler stats differ: %+v vs %+v", plain.Sched, instrumented.Sched)

@@ -117,11 +117,11 @@ func TestUsageNoiseFastOffIsByteIdentical(t *testing.T) {
 	opts.UsageNoiseFast = false
 	b := Run(workload.Profile2019("a", 120), opts)
 	ta, tb := a.Trace, b.Trace
-	if len(ta.UsageRecords) != len(tb.UsageRecords) {
-		t.Fatalf("usage row counts differ: %d vs %d", len(ta.UsageRecords), len(tb.UsageRecords))
+	if ta.UsageRecords.Len() != tb.UsageRecords.Len() {
+		t.Fatalf("usage row counts differ: %d vs %d", ta.UsageRecords.Len(), tb.UsageRecords.Len())
 	}
-	for i := range ta.UsageRecords {
-		if ta.UsageRecords[i] != tb.UsageRecords[i] {
+	for i := range ta.UsageRecords.Len() {
+		if ta.UsageRecords.At(i) != tb.UsageRecords.At(i) {
 			t.Fatalf("usage record %d differs with UsageNoiseFast unset vs false", i)
 		}
 	}
@@ -132,20 +132,20 @@ func TestUsageNoiseFastChangesTraceDeterministically(t *testing.T) {
 	opts := Options{RunKnobs: RunKnobs{UsageNoiseFast: true}, Horizon: 4 * sim.Hour, Seed: 7}
 	a := Run(p, opts)
 	b := Run(workload.Profile2019("a", 120), opts)
-	if len(a.Trace.UsageRecords) != len(b.Trace.UsageRecords) {
+	if a.Trace.UsageRecords.Len() != b.Trace.UsageRecords.Len() {
 		t.Fatalf("fast-noise runs not deterministic: %d vs %d usage rows",
-			len(a.Trace.UsageRecords), len(b.Trace.UsageRecords))
+			a.Trace.UsageRecords.Len(), b.Trace.UsageRecords.Len())
 	}
-	for i := range a.Trace.UsageRecords {
-		if a.Trace.UsageRecords[i] != b.Trace.UsageRecords[i] {
+	for i := range a.Trace.UsageRecords.Len() {
+		if a.Trace.UsageRecords.At(i) != b.Trace.UsageRecords.At(i) {
 			t.Fatalf("fast-noise usage record %d differs between identical runs", i)
 		}
 	}
 	exact := Run(workload.Profile2019("a", 120), Options{Horizon: 4 * sim.Hour, Seed: 7})
-	same := len(exact.Trace.UsageRecords) == len(a.Trace.UsageRecords)
+	same := exact.Trace.UsageRecords.Len() == a.Trace.UsageRecords.Len()
 	if same {
-		for i := range a.Trace.UsageRecords {
-			if a.Trace.UsageRecords[i] != exact.Trace.UsageRecords[i] {
+		for i := range a.Trace.UsageRecords.Len() {
+			if a.Trace.UsageRecords.At(i) != exact.Trace.UsageRecords.At(i) {
 				same = false
 				break
 			}

@@ -2,34 +2,21 @@ package core
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/workload"
 )
 
 func tracesEqual(t *testing.T, label string, a, b *trace.MemTrace) bool {
 	t.Helper()
-	ok := true
-	if !reflect.DeepEqual(a.CollectionEvents, b.CollectionEvents) {
-		t.Errorf("%s: collection events differ (%d vs %d)", label, len(a.CollectionEvents), len(b.CollectionEvents))
-		ok = false
+	if d := tracetest.Diff(a, b); d != "" {
+		t.Errorf("%s: %s", label, d)
+		return false
 	}
-	if !reflect.DeepEqual(a.InstanceEvents, b.InstanceEvents) {
-		t.Errorf("%s: instance events differ (%d vs %d)", label, len(a.InstanceEvents), len(b.InstanceEvents))
-		ok = false
-	}
-	if !reflect.DeepEqual(a.UsageRecords, b.UsageRecords) {
-		t.Errorf("%s: usage records differ (%d vs %d)", label, len(a.UsageRecords), len(b.UsageRecords))
-		ok = false
-	}
-	if !reflect.DeepEqual(a.MachineEvents, b.MachineEvents) {
-		t.Errorf("%s: machine events differ (%d vs %d)", label, len(a.MachineEvents), len(b.MachineEvents))
-		ok = false
-	}
-	return ok
+	return true
 }
 
 func replayOpts() Options {
@@ -85,7 +72,7 @@ func TestReplayIdenticalAcrossPolicies(t *testing.T) {
 	if !bytes.Equal(files[0], files[1]) {
 		t.Fatal("re-recorded workload files differ across policies — replay is leaking policy into the workload")
 	}
-	if reflect.DeepEqual(traces[0].InstanceEvents, traces[1].InstanceEvents) {
+	if tracetest.RowsEqual(&traces[0].InstanceEvents, &traces[1].InstanceEvents) {
 		t.Fatal("random-fit and best-fit produced identical instance events under replay — policy override inert")
 	}
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/workload"
 )
 
@@ -25,17 +25,8 @@ func testSpecs(root uint64) []Spec {
 // sameTrace compares every row of two traces.
 func sameTrace(t *testing.T, cell string, a, b *trace.MemTrace) {
 	t.Helper()
-	if !reflect.DeepEqual(a.CollectionEvents, b.CollectionEvents) {
-		t.Fatalf("cell %s: collection events differ", cell)
-	}
-	if !reflect.DeepEqual(a.InstanceEvents, b.InstanceEvents) {
-		t.Fatalf("cell %s: instance events differ", cell)
-	}
-	if !reflect.DeepEqual(a.UsageRecords, b.UsageRecords) {
-		t.Fatalf("cell %s: usage records differ", cell)
-	}
-	if !reflect.DeepEqual(a.MachineEvents, b.MachineEvents) {
-		t.Fatalf("cell %s: machine events differ", cell)
+	if d := tracetest.Diff(a, b); d != "" {
+		t.Fatalf("cell %s: %s", cell, d)
 	}
 }
 

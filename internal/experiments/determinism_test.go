@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"repro/internal/scheduler"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 // TestSuiteDeterministicAcrossParallelism is the engine's acceptance
@@ -20,23 +19,10 @@ func TestSuiteDeterministicAcrossParallelism(t *testing.T) {
 	sc.Parallelism = 8
 	parallel := RunSuite(sc)
 
-	check := func(cell string, a, b *trace.MemTrace) {
-		t.Helper()
-		if !reflect.DeepEqual(a.CollectionEvents, b.CollectionEvents) {
-			t.Fatalf("cell %s: collection event streams differ", cell)
-		}
-		if !reflect.DeepEqual(a.InstanceEvents, b.InstanceEvents) {
-			t.Fatalf("cell %s: instance event streams differ", cell)
-		}
-		if !reflect.DeepEqual(a.UsageRecords, b.UsageRecords) {
-			t.Fatalf("cell %s: usage record streams differ", cell)
-		}
-		if !reflect.DeepEqual(a.MachineEvents, b.MachineEvents) {
-			t.Fatalf("cell %s: machine event streams differ", cell)
-		}
-	}
 	for i, tr := range traces(serial) {
-		check(tr.Meta.Cell, tr, parallel.Stats[i].Trace)
+		if d := tracetest.Diff(tr, parallel.Stats[i].Trace); d != "" {
+			t.Fatalf("cell %s: %s", tr.Meta.Cell, d)
+		}
 	}
 
 	var serialReport, parallelReport bytes.Buffer
@@ -70,17 +56,10 @@ func TestSuiteDeterministicPerPolicy(t *testing.T) {
 			sc.Parallelism = 8
 			parallel := RunSuite(sc)
 
-			check := func(cell string, a, b *trace.MemTrace) {
-				t.Helper()
-				if !reflect.DeepEqual(a.CollectionEvents, b.CollectionEvents) ||
-					!reflect.DeepEqual(a.InstanceEvents, b.InstanceEvents) ||
-					!reflect.DeepEqual(a.UsageRecords, b.UsageRecords) ||
-					!reflect.DeepEqual(a.MachineEvents, b.MachineEvents) {
-					t.Fatalf("cell %s: event streams differ between parallelism 1 and 8", cell)
-				}
-			}
 			for i, tr := range traces(serial) {
-				check(tr.Meta.Cell, tr, parallel.Stats[i].Trace)
+				if d := tracetest.Diff(tr, parallel.Stats[i].Trace); d != "" {
+					t.Fatalf("cell %s: %s between parallelism 1 and 8", tr.Meta.Cell, d)
+				}
 			}
 			if serial.Stats[1].Sched.TasksPlaced == 0 {
 				t.Fatalf("policy %v: degenerate run, no tasks placed", p)

@@ -51,7 +51,7 @@ func TestRunSuiteShape(t *testing.T) {
 		if tr == nil || tr.Meta.Era != want {
 			t.Fatalf("cell %d: trace %v, want era %v", i, tr, want)
 		}
-		if len(tr.CollectionEvents) == 0 {
+		if tr.CollectionEvents.Len() == 0 {
 			t.Fatalf("cell %d empty", i)
 		}
 	}

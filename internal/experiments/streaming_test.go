@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 // streamScale is small enough for CI but large enough that every figure
@@ -105,17 +105,8 @@ func TestStreamingExportShards(t *testing.T) {
 		if got.Meta != want.Meta {
 			t.Fatalf("shard %d meta %+v != %+v", i, got.Meta, want.Meta)
 		}
-		if !reflect.DeepEqual(got.CollectionEvents, want.CollectionEvents) {
-			t.Fatalf("shard %d collection events differ", i)
-		}
-		if !reflect.DeepEqual(got.InstanceEvents, want.InstanceEvents) {
-			t.Fatalf("shard %d instance events differ", i)
-		}
-		if !reflect.DeepEqual(got.UsageRecords, want.UsageRecords) {
-			t.Fatalf("shard %d usage records differ (tail lost to a missing Close?)", i)
-		}
-		if !reflect.DeepEqual(got.MachineEvents, want.MachineEvents) {
-			t.Fatalf("shard %d machine events differ", i)
+		if d := tracetest.Diff(got, want); d != "" {
+			t.Fatalf("shard %d: %s (a usage tail lost to a missing Close?)", i, d)
 		}
 	}
 	entries, err := os.ReadDir(dir)

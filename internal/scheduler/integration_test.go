@@ -129,7 +129,7 @@ func TestTaskRestartsSurviveEviction(t *testing.T) {
 	}
 	// Total running time is preserved across eviction and restart.
 	var running, lastStart sim.Time
-	for _, ev := range rig.tr.InstanceEvents {
+	for ev := range rig.tr.InstanceEvents.All() {
 		switch ev.Type {
 		case trace.EventSchedule:
 			lastStart = ev.Time

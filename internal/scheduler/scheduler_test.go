@@ -65,7 +65,7 @@ func eventsOfType(tr *trace.MemTrace, id trace.CollectionID, typ trace.EventType
 
 func instanceEventsOfType(tr *trace.MemTrace, id trace.CollectionID, typ trace.EventType) int {
 	n := 0
-	for _, ev := range tr.InstanceEvents {
+	for ev := range tr.InstanceEvents.All() {
 		if ev.Key.Collection == id && ev.Type == typ {
 			n++
 		}
@@ -121,7 +121,7 @@ func TestJobDurationRespected(t *testing.T) {
 	rig.k.At(0, func(sim.Time) { rig.sched.Submit(j) })
 	rig.k.RunUntil(2 * sim.Hour)
 	var sched, finish sim.Time
-	for _, ev := range rig.tr.InstanceEvents {
+	for ev := range rig.tr.InstanceEvents.All() {
 		if ev.Type == trace.EventSchedule {
 			sched = ev.Time
 		}
@@ -157,7 +157,7 @@ func TestBatchQueueing(t *testing.T) {
 	}
 	// MaxAdmitPerCheck=1 means the jobs were admitted at different ticks.
 	var enables []sim.Time
-	for _, ev := range rig.tr.CollectionEvents {
+	for ev := range rig.tr.CollectionEvents.All() {
 		if ev.Type == trace.EventEnable {
 			enables = append(enables, ev.Time)
 		}
@@ -208,7 +208,7 @@ func TestPriorityOrdering(t *testing.T) {
 	rig.k.RunUntil(1 * sim.Hour)
 
 	var firstProd, firstFree sim.Time = -1, -1
-	for _, ev := range rig.tr.InstanceEvents {
+	for ev := range rig.tr.InstanceEvents.All() {
 		if ev.Type != trace.EventSchedule {
 			continue
 		}
@@ -226,7 +226,7 @@ func TestPriorityOrdering(t *testing.T) {
 	// but prod must not wait behind both free tasks.
 	if firstProd > firstFree {
 		prodCount := 0
-		for _, ev := range rig.tr.InstanceEvents {
+		for ev := range rig.tr.InstanceEvents.All() {
 			if ev.Type == trace.EventSchedule && ev.Time <= firstFree && ev.Key.Collection == 2 {
 				prodCount++
 			}
@@ -305,7 +305,7 @@ func TestParentChildKillPropagation(t *testing.T) {
 	}
 	// Child killed promptly after parent exit.
 	var parentEnd, childEnd sim.Time
-	for _, ev := range rig.tr.CollectionEvents {
+	for ev := range rig.tr.CollectionEvents.All() {
 		if ev.Collection == 1 && ev.Type == trace.EventFinish {
 			parentEnd = ev.Time
 		}
@@ -364,7 +364,7 @@ func TestFailRestartChurn(t *testing.T) {
 	}
 	// Total running time across segments equals the scripted duration.
 	var running, lastStart sim.Time
-	for _, ev := range rig.tr.InstanceEvents {
+	for ev := range rig.tr.InstanceEvents.All() {
 		switch ev.Type {
 		case trace.EventSchedule:
 			lastStart = ev.Time
@@ -509,7 +509,7 @@ func TestAllocSetPlacementAndTeardown(t *testing.T) {
 	}
 	// Instance events for inner tasks carry the alloc instance reference.
 	found := false
-	for _, ev := range rig.tr.InstanceEvents {
+	for ev := range rig.tr.InstanceEvents.All() {
 		if ev.Key.Collection == 2 && ev.Type == trace.EventSchedule {
 			if ev.AllocInstance.Collection != 1 {
 				t.Fatalf("schedule event lacks alloc instance: %+v", ev)

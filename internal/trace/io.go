@@ -32,14 +32,16 @@ func WriteDir(t *MemTrace, dir string) error {
 	if err != nil {
 		return err
 	}
-	for _, ev := range t.CollectionEvents {
+	for ev := range t.CollectionEvents.All() {
 		s.CollectionEvent(ev)
 	}
-	for _, ev := range t.InstanceEvents {
+	for ev := range t.InstanceEvents.All() {
 		s.InstanceEvent(ev)
 	}
-	s.UsageBatch(t.UsageRecords)
-	for _, ev := range t.MachineEvents {
+	for recs := range t.UsageRecords.Chunks() {
+		s.UsageBatch(recs)
+	}
+	for ev := range t.MachineEvents.All() {
 		s.MachineEvent(ev)
 	}
 	return s.Close()
@@ -534,7 +536,7 @@ func (t *MemTrace) readUsage(rec []string) error {
 	if p.err != nil {
 		return p.err
 	}
-	t.UsageRecords = append(t.UsageRecords, u)
+	t.UsageRecords.Append(u)
 	return nil
 }
 

@@ -26,16 +26,16 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if got.Meta != tr.Meta {
 		t.Fatalf("meta %+v != %+v", got.Meta, tr.Meta)
 	}
-	if !reflect.DeepEqual(got.CollectionEvents, tr.CollectionEvents) {
-		t.Fatalf("collection events differ:\n%v\n%v", got.CollectionEvents, tr.CollectionEvents)
+	if g, w := collect(&got.CollectionEvents), collect(&tr.CollectionEvents); !reflect.DeepEqual(g, w) {
+		t.Fatalf("collection events differ:\n%v\n%v", g, w)
 	}
-	if !reflect.DeepEqual(got.InstanceEvents, tr.InstanceEvents) {
+	if !reflect.DeepEqual(collect(&got.InstanceEvents), collect(&tr.InstanceEvents)) {
 		t.Fatalf("instance events differ")
 	}
-	if !reflect.DeepEqual(got.UsageRecords, tr.UsageRecords) {
-		t.Fatalf("usage records differ:\n%v\n%v", got.UsageRecords, tr.UsageRecords)
+	if g, w := collect(&got.UsageRecords), collect(&tr.UsageRecords); !reflect.DeepEqual(g, w) {
+		t.Fatalf("usage records differ:\n%v\n%v", g, w)
 	}
-	if !reflect.DeepEqual(got.MachineEvents, tr.MachineEvents) {
+	if !reflect.DeepEqual(collect(&got.MachineEvents), collect(&tr.MachineEvents)) {
 		t.Fatalf("machine events differ")
 	}
 }
@@ -166,17 +166,17 @@ func TestDirSinkStreamsIdenticalToWriteDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range tr.MachineEvents {
+	for ev := range tr.MachineEvents.All() {
 		ds.MachineEvent(ev)
 	}
-	for _, ev := range tr.CollectionEvents {
+	for ev := range tr.CollectionEvents.All() {
 		ds.CollectionEvent(ev)
 	}
-	for _, ev := range tr.InstanceEvents {
+	for ev := range tr.InstanceEvents.All() {
 		ds.InstanceEvent(ev)
 	}
-	for i := range tr.UsageRecords {
-		ds.UsageBatch(tr.UsageRecords[i : i+1])
+	for rec := range tr.UsageRecords.All() {
+		ds.UsageBatch([]UsageRecord{rec})
 	}
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
@@ -226,8 +226,8 @@ func TestDirSinkMidRunFlushAndCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.MachineEvents) != 2 {
-		t.Fatalf("machine events %d, want 2", len(got.MachineEvents))
+	if got.MachineEvents.Len() != 2 {
+		t.Fatalf("machine events %d, want 2", got.MachineEvents.Len())
 	}
 	if ds.Err() != nil {
 		t.Fatalf("unexpected sink error: %v", ds.Err())

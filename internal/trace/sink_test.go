@@ -70,8 +70,8 @@ func TestMultiSinkUsageBatchFansOutInOrder(t *testing.T) {
 			block[i] = UsageRecord{Machine: -1}
 		}
 	}
-	for name, got := range map[string][]UsageRecord{"first": a.UsageRecords, "last": b.UsageRecords} {
-		if !reflect.DeepEqual(got, want) {
+	for name, got := range map[string]*MemTrace{"first": a, "last": b} {
+		if !reflect.DeepEqual(collect(&got.UsageRecords), want) {
 			t.Fatalf("%s child lost, reordered or aliased rows", name)
 		}
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -18,53 +19,77 @@ type Meta struct {
 }
 
 // MemTrace is an in-memory trace store: the Sink that retains everything.
-// It also builds the per-collection and per-instance indexes the analyses
-// need. MemTrace is not safe for concurrent mutation.
+//
+// Each table is a chunked Rows, so a stored row is written once and never
+// moved; retaining a trace costs what its rows occupy plus at most one
+// partly filled chunk per table. Appending does no per-row indexing. The
+// per-collection and per-instance indexes the queries (Collections,
+// EventsOf, Instances, InstanceEventsOf, InstancesOfCollection,
+// CollectionInfos, Counts, Validate) need are built on the first query
+// and catch up on rows appended since the previous one.
+//
+// Concurrency: appends (the Sink methods) must not run concurrently with
+// each other or with any reader. Once appends stop, any number of
+// goroutines may query and read the tables at once; a mutex serialises
+// the index's construction and catch-up.
 type MemTrace struct {
 	Meta Meta
 
-	CollectionEvents []CollectionEvent
-	InstanceEvents   []InstanceEvent
-	UsageRecords     []UsageRecord
-	MachineEvents    []MachineEvent
+	CollectionEvents Rows[CollectionEvent]
+	InstanceEvents   Rows[InstanceEvent]
+	UsageRecords     Rows[UsageRecord]
+	MachineEvents    Rows[MachineEvent]
 
+	mu        sync.Mutex
 	collIndex map[CollectionID][]int // indexes into CollectionEvents
 	instIndex map[InstanceKey][]int  // indexes into InstanceEvents
+	collSeen  int                    // CollectionEvents rows indexed so far
+	instSeen  int                    // InstanceEvents rows indexed so far
 }
 
 // NewMemTrace returns an empty store with the given metadata.
 func NewMemTrace(meta Meta) *MemTrace {
-	return &MemTrace{
-		Meta:      meta,
-		collIndex: make(map[CollectionID][]int),
-		instIndex: make(map[InstanceKey][]int),
-	}
+	return &MemTrace{Meta: meta}
 }
 
 // CollectionEvent stores the row.
-func (t *MemTrace) CollectionEvent(ev CollectionEvent) {
-	t.collIndex[ev.Collection] = append(t.collIndex[ev.Collection], len(t.CollectionEvents))
-	t.CollectionEvents = append(t.CollectionEvents, ev)
-}
+func (t *MemTrace) CollectionEvent(ev CollectionEvent) { t.CollectionEvents.Append(ev) }
 
 // InstanceEvent stores the row.
-func (t *MemTrace) InstanceEvent(ev InstanceEvent) {
-	t.instIndex[ev.Key] = append(t.instIndex[ev.Key], len(t.InstanceEvents))
-	t.InstanceEvents = append(t.InstanceEvents, ev)
-}
+func (t *MemTrace) InstanceEvent(ev InstanceEvent) { t.InstanceEvents.Append(ev) }
 
-// UsageBatch stores a whole block of rows with one append.
-func (t *MemTrace) UsageBatch(recs []UsageRecord) {
-	t.UsageRecords = append(t.UsageRecords, recs...)
-}
+// UsageBatch copies the block into the usage table.
+func (t *MemTrace) UsageBatch(recs []UsageRecord) { t.UsageRecords.AppendSlice(recs) }
 
 // MachineEvent stores the row.
-func (t *MemTrace) MachineEvent(ev MachineEvent) {
-	t.MachineEvents = append(t.MachineEvents, ev)
+func (t *MemTrace) MachineEvent(ev MachineEvent) { t.MachineEvents.Append(ev) }
+
+// lockIndex takes the index mutex and brings both indexes up to date
+// with every row appended so far. The caller must unlock t.mu.
+func (t *MemTrace) lockIndex() {
+	t.mu.Lock()
+	if t.collIndex == nil {
+		t.collIndex = make(map[CollectionID][]int)
+		t.instIndex = make(map[InstanceKey][]int)
+	}
+	for ; t.collSeen < t.CollectionEvents.Len(); t.collSeen++ {
+		id := t.CollectionEvents.At(t.collSeen).Collection
+		t.collIndex[id] = append(t.collIndex[id], t.collSeen)
+	}
+	for ; t.instSeen < t.InstanceEvents.Len(); t.instSeen++ {
+		k := t.InstanceEvents.At(t.instSeen).Key
+		t.instIndex[k] = append(t.instIndex[k], t.instSeen)
+	}
 }
 
 // Collections returns the IDs of all collections seen, sorted.
 func (t *MemTrace) Collections() []CollectionID {
+	t.lockIndex()
+	defer t.mu.Unlock()
+	return t.collections()
+}
+
+func (t *MemTrace) collections() []CollectionID {
 	ids := make([]CollectionID, 0, len(t.collIndex))
 	for id := range t.collIndex {
 		ids = append(ids, id)
@@ -75,16 +100,32 @@ func (t *MemTrace) Collections() []CollectionID {
 
 // EventsOf returns the collection's events in emission order.
 func (t *MemTrace) EventsOf(id CollectionID) []CollectionEvent {
+	t.lockIndex()
+	defer t.mu.Unlock()
+	return t.eventsOf(id)
+}
+
+func (t *MemTrace) eventsOf(id CollectionID) []CollectionEvent {
 	idxs := t.collIndex[id]
 	out := make([]CollectionEvent, len(idxs))
 	for i, idx := range idxs {
-		out[i] = t.CollectionEvents[idx]
+		out[i] = t.CollectionEvents.At(idx)
 	}
 	return out
 }
 
+// hasCollection reports whether the collection has any events.
+func (t *MemTrace) hasCollection(id CollectionID) bool {
+	t.lockIndex()
+	defer t.mu.Unlock()
+	_, ok := t.collIndex[id]
+	return ok
+}
+
 // Instances returns all instance keys seen, sorted.
 func (t *MemTrace) Instances() []InstanceKey {
+	t.lockIndex()
+	defer t.mu.Unlock()
 	keys := make([]InstanceKey, 0, len(t.instIndex))
 	for k := range t.instIndex {
 		keys = append(keys, k)
@@ -100,10 +141,12 @@ func (t *MemTrace) Instances() []InstanceKey {
 
 // InstanceEventsOf returns the instance's events in emission order.
 func (t *MemTrace) InstanceEventsOf(k InstanceKey) []InstanceEvent {
+	t.lockIndex()
+	defer t.mu.Unlock()
 	idxs := t.instIndex[k]
 	out := make([]InstanceEvent, len(idxs))
 	for i, idx := range idxs {
-		out[i] = t.InstanceEvents[idx]
+		out[i] = t.InstanceEvents.At(idx)
 	}
 	return out
 }
@@ -111,6 +154,8 @@ func (t *MemTrace) InstanceEventsOf(k InstanceKey) []InstanceEvent {
 // InstancesOfCollection returns the instance keys belonging to one
 // collection, sorted by index.
 func (t *MemTrace) InstancesOfCollection(id CollectionID) []InstanceKey {
+	t.lockIndex()
+	defer t.mu.Unlock()
 	var keys []InstanceKey
 	for k := range t.instIndex {
 		if k.Collection == id {
@@ -144,9 +189,11 @@ type CollectionInfo struct {
 // CollectionInfos reconstructs the static attributes and outcome of every
 // collection in the trace, sorted by ID.
 func (t *MemTrace) CollectionInfos() []CollectionInfo {
+	t.lockIndex()
+	defer t.mu.Unlock()
 	out := make([]CollectionInfo, 0, len(t.collIndex))
-	for _, id := range t.Collections() {
-		evs := t.EventsOf(id)
+	for _, id := range t.collections() {
+		evs := t.eventsOf(id)
 		first := evs[0]
 		info := CollectionInfo{
 			ID:             id,
@@ -174,7 +221,9 @@ func (t *MemTrace) CollectionInfos() []CollectionInfo {
 
 // Counts summarizes row counts; used in logs and Table 1.
 func (t *MemTrace) Counts() string {
+	t.lockIndex()
+	defer t.mu.Unlock()
 	return fmt.Sprintf("collections=%d instances=%d collEvents=%d instEvents=%d usage=%d machineEvents=%d",
-		len(t.collIndex), len(t.instIndex), len(t.CollectionEvents),
-		len(t.InstanceEvents), len(t.UsageRecords), len(t.MachineEvents))
+		len(t.collIndex), len(t.instIndex), t.CollectionEvents.Len(),
+		t.InstanceEvents.Len(), t.UsageRecords.Len(), t.MachineEvents.Len())
 }

@@ -367,8 +367,8 @@ func TestMultiSinkFanout(t *testing.T) {
 	ms.UsageBatch([]UsageRecord{{Start: 0, End: 1, Key: InstanceKey{1, 0}}})
 	ms.MachineEvent(MachineEvent{Machine: 1, Type: MachineAdd})
 	for _, tr := range []*MemTrace{a, b} {
-		if len(tr.CollectionEvents) != 1 || len(tr.InstanceEvents) != 1 ||
-			len(tr.UsageRecords) != 1 || len(tr.MachineEvents) != 1 {
+		if tr.CollectionEvents.Len() != 1 || tr.InstanceEvents.Len() != 1 ||
+			tr.UsageRecords.Len() != 1 || tr.MachineEvents.Len() != 1 {
 			t.Fatalf("fanout missed rows: %s", tr.Counts())
 		}
 	}

@@ -67,7 +67,7 @@ func Validate(t *MemTrace, opts ValidateOptions) []Violation {
 	// Machine liveness intervals.
 	type interval struct{ add, remove sim.Time }
 	machines := make(map[MachineID]*interval)
-	for _, ev := range t.MachineEvents {
+	for ev := range t.MachineEvents.All() {
 		switch ev.Type {
 		case MachineAdd:
 			machines[ev.Machine] = &interval{add: ev.Time, remove: -1}
@@ -78,7 +78,7 @@ func Validate(t *MemTrace, opts ValidateOptions) []Violation {
 		}
 	}
 	capacity := make(map[MachineID]Resources)
-	for _, ev := range t.MachineEvents {
+	for ev := range t.MachineEvents.All() {
 		if ev.Type == MachineAdd || ev.Type == MachineUpdate {
 			capacity[ev.Machine] = ev.Capacity
 		}
@@ -205,7 +205,7 @@ func Validate(t *MemTrace, opts ValidateOptions) []Violation {
 			}
 		}
 		_ = running
-		if _, ok := t.collIndex[key.Collection]; !ok {
+		if !t.hasCollection(key.Collection) {
 			if add("orphan-instance", "instance %s references collection with no events", key) {
 				return out
 			}
@@ -218,7 +218,8 @@ func Validate(t *MemTrace, opts ValidateOptions) []Violation {
 		start   sim.Time
 	}
 	usageSum := make(map[windowKey]Resources)
-	for i, rec := range t.UsageRecords {
+	for i := range t.UsageRecords.Len() {
+		rec := t.UsageRecords.At(i)
 		if rec.End <= rec.Start {
 			if add("usage-window", "usage[%d] %s window [%v,%v) is empty or inverted", i, rec.Key, rec.Start, rec.End) {
 				return out

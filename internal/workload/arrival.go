@@ -221,8 +221,8 @@ func ParseArrival(spec string) (ArrivalSpec, error) {
 		if err != nil {
 			return ArrivalSpec{}, fmt.Errorf("workload: bad value %q for arrival knob %q in %q", value, knob, raw)
 		}
-		if v <= 0 {
-			return ArrivalSpec{}, fmt.Errorf("workload: arrival knob %s=%g in %q must be positive", knob, v, raw)
+		if !(v > 0) || math.IsInf(v, 1) {
+			return ArrivalSpec{}, fmt.Errorf("workload: arrival knob %s=%g in %q must be positive and finite", knob, v, raw)
 		}
 		out.Knobs[knob] = v
 	}

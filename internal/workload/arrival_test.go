@@ -25,6 +25,8 @@ func TestParseArrivalErrorsListValidSets(t *testing.T) {
 		{"poisson:cv=2", `arrival process "poisson" takes no knobs`},
 		{"gamma:cv=abc", `bad value "abc" for arrival knob "cv"`},
 		{"gamma:cv=-1", `arrival knob cv=-1 in "gamma:cv=-1" must be positive`},
+		{"gamma:cv=NaN", `arrival knob cv=NaN in "gamma:cv=NaN" must be positive and finite`},
+		{"cohorts:k=Inf", `arrival knob k=+Inf in "cohorts:k=Inf" must be positive and finite`},
 		{"cohorts:k", `bad arrival knob "k" in "cohorts:k" (want knob=value)`},
 	}
 	for _, tc := range cases {
