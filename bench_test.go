@@ -252,7 +252,6 @@ func BenchmarkFleetRollup(b *testing.B) {
 		Horizon:        2 * sim.Hour,
 		Seed:           29,
 	}
-	cfg.UsageNoiseFast = true
 	b.ResetTimer()
 	var machines int
 	peak := metrics.PeakHeapDuring(func() {

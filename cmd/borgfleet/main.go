@@ -16,21 +16,17 @@
 // Usage:
 //
 //	borgfleet [-cells N] [-machines N] [-hours H] [-seed N] [-parallel N]
-//	          [-fastnoise] [-policy NAME] [-arrival SPEC] [-progress]
+//	          [-policy NAME] [-arrival SPEC] [-progress]
 //	          [-o report.txt] [-cells-csv FILE] [-rollup-csv FILE]
 //	          [-http :6060] [-metrics FILE] [-timeline FILE]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
-// -fastnoise enables the usage sampler's table-based noise fast path in
-// every cell (core.RunKnobs.UsageNoiseFast — a versioned trace bump:
-// cheaper sampling, statistically equivalent scalars, different trace
-// bytes than the exact path). -policy and -arrival override every
-// sampled cell's placement policy / arrival process (fleet-wide knob
-// ablations under CRN). -progress prints a cells-done / in-flight / ETA
-// line to stderr every second, read from the run's metrics registry,
-// and a final "fleet: N/N done, ..." line when the fleet ends. Peak
-// HeapAlloc is always reported so the bounded-memory claim is
-// observable.
+// -policy and -arrival override every sampled cell's placement policy /
+// arrival process (fleet-wide knob ablations under CRN). -progress prints
+// a cells-done / in-flight / ETA line to stderr every second, read from
+// the run's metrics registry, and a final "fleet: N/N done, ..." line
+// when the fleet ends. Peak HeapAlloc is always reported so the
+// bounded-memory claim is observable.
 //
 // -http/-metrics/-timeline are the shared observability set (see
 // internal/cliflags): a live Prometheus + pprof + progress endpoint
@@ -59,7 +55,6 @@ func main() {
 	machines := flag.Int("machines", 60, "median machines per cell (lognormal across the fleet)")
 	hours := flag.Float64("hours", 4, "simulated horizon per cell, in hours")
 	common := cliflags.Register(flag.CommandLine, "fleet root seed")
-	fastNoise := flag.Bool("fastnoise", false, "enable the usage-noise table fast path (versioned trace bump; same scalars statistically)")
 	out := flag.String("o", "", "write the fleet report to this file instead of stdout")
 	cellsCSV := flag.String("cells-csv", "", "stream per-cell scalar rows to this CSV file")
 	rollupCSV := flag.String("rollup-csv", "", "write the cross-cell rollup to this CSV file")
@@ -95,7 +90,6 @@ func main() {
 		Parallelism:    *common.Parallel,
 	}
 	cfg.RunKnobs = obs.Knobs(common.Knobs())
-	cfg.UsageNoiseFast = *fastNoise
 
 	var cellWriter *fleet.CellCSV
 	if *cellsCSV != "" {

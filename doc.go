@@ -199,18 +199,14 @@
 // byte-identical at any parallelism (TestExportTreeByteIdentical).
 //
 // What remains of the window cost after those two halves is mostly
-// random-number arithmetic: each resident draws two lognormal noise
-// factors, classically two Box–Muller normals plus two math.Exp calls.
-// core.Options.UsageNoiseFast replaces that with a 1024-entry stratified
-// inverse-CDF table per resource (midpoint quantiles via
-// dist.InvNormCDF, rescaled so the table mean is exactly the
-// lognormal's), indexed by disjoint bit fields of a single Uint64 draw.
-// The fast path is off by default because it is a versioned trace bump:
-// same-seed traces differ byte-for-byte from the exact path (CI pins
-// the default path's bytes), while the scalar distributions remain
-// statistically equivalent — a differential test bounds the drift of
-// the utilization scalars, and the benchmark gate holds the measured
-// window speedup.
+// random-number arithmetic, on one exact path. Per resident the sampler
+// draws a lognormal noise factor for CPU and one for memory (two
+// Box–Muller normals, two math.Exp calls) and a uniform peak jitter, in
+// that order; a task stopping mid-window draws the same three through
+// the same helper. The noise is about 10% of a default-scale run's CPU.
+// A cheaper draw would change the randomness sequence and so every
+// report byte: it would land as one golden-hash rotation, judged by a
+// paper-fidelity gate.
 //
 // # Workload generation and record/replay
 //

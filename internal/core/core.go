@@ -24,7 +24,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -43,17 +42,6 @@ type RunKnobs struct {
 	// spec (see workload.ParseArrival, e.g. "gamma:cv=2.5"). Ignored when
 	// a replay supplies the workload. Run panics on a malformed spec.
 	Arrival string
-	// UsageNoiseFast replaces the usage sampler's two per-resident
-	// lognormal noise draws (math.Exp over Box–Muller normals) with one
-	// 64-bit draw indexing a stratified inverse-CDF lookup table — the
-	// same marginal distribution to table resolution, with the table mean
-	// normalized to the exact lognormal mean (see noiseTable). It is OFF
-	// by default because it changes the randomness consumption sequence:
-	// enabling it is a versioned trace bump — same-seed traces differ
-	// from the exact path byte-for-byte, while scalar figure metrics stay
-	// statistically equivalent (pinned by test). Fleet-scale runs enable
-	// it to cheapen the sampler's dominant remaining cost.
-	UsageNoiseFast bool
 	// Metrics, when non-nil, receives this run's instruments (sched_*,
 	// sim_*, usage_*, trace_* series; see internal/metrics). Instruments
 	// only observe: they consume no randomness and never alter trace
@@ -76,9 +64,6 @@ type Options struct {
 	// Seed is the root seed; every random stream derives from it, so a
 	// (profile, horizon, seed) triple fully determines the trace.
 	Seed uint64
-	// Histograms enables per-window 21-bucket CPU histograms on usage
-	// records (costly; off by default).
-	Histograms bool
 	// ExtraSinks receive every trace row in addition to the in-memory
 	// store (e.g. streaming analyzers). They are driven by this cell's
 	// goroutine only, so a sink instance must not be shared with other
@@ -271,8 +256,7 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	// Usage sampling every 5 minutes, plus partial-window records when
 	// tasks stop between samples (so sub-window mice show up in the
 	// usage table, as they do in the real trace).
-	sampler := newUsageSampler(p, cell, sched, ap, sink, root.Split("usage"),
-		opts.Histograms, opts.UsageNoiseFast)
+	sampler := newUsageSampler(p, cell, sched, ap, sink, root.Split("usage"))
 	sampler.k = k
 	sched.UnplaceHook = sampler.taskStopped
 	// Instruments piggyback on the sampling tick: the queue-depth
@@ -341,17 +325,13 @@ type obs struct {
 // records, applies work-conserving CPU throttling and memory OOM pressure,
 // and feeds Autopilot.
 type usageSampler struct {
-	p          *workload.CellProfile
-	cell       *cluster.Cell
-	sched      *scheduler.Scheduler
-	ap         *autopilot.Autopilot
-	sink       trace.Sink
-	src        *rng.Source
-	k          *sim.Kernel
-	histograms bool
-	// noise is non-nil iff Options.UsageNoiseFast: the stratified lookup
-	// pair that stands in for the exact lognormal draws.
-	noise *noiseTable
+	p     *workload.CellProfile
+	cell  *cluster.Cell
+	sched *scheduler.Scheduler
+	ap    *autopilot.Autopilot
+	sink  trace.Sink
+	src   *rng.Source
+	k     *sim.Kernel
 	// obsBuf is the per-machine observation scratch, reused every window
 	// so steady-state sampling does not allocate.
 	obsBuf []obs
@@ -383,28 +363,22 @@ type usageSampler struct {
 }
 
 func newUsageSampler(p *workload.CellProfile, cell *cluster.Cell, sched *scheduler.Scheduler,
-	ap *autopilot.Autopilot, sink trace.Sink, src *rng.Source, histograms, fastNoise bool) *usageSampler {
-	u := &usageSampler{
-		p: p, cell: cell, sched: sched, ap: ap, sink: sink, src: src,
-		histograms: histograms,
-	}
-	if fastNoise {
-		u.noise = newNoiseTable(p.UsageNoiseSigma)
-	}
-	return u
+	ap *autopilot.Autopilot, sink trace.Sink, src *rng.Source) *usageSampler {
+	return &usageSampler{p: p, cell: cell, sched: sched, ap: ap, sink: sink, src: src}
 }
 
-// usageNoise returns the multiplicative (CPU, memory) noise pair for one
-// resident-window observation: the exact lognormal draws by default, or
-// the stratified table draw when Options.UsageNoiseFast is set. The
-// exact branch is byte-for-byte the PR 7 randomness sequence.
-func (u *usageSampler) usageNoise() (noiseC, noiseM float64) {
-	if u.noise != nil {
-		return u.noise.draw(u.src)
-	}
-	noiseC = math.Exp(u.p.UsageNoiseSigma * u.src.NormFloat64())
-	noiseM = math.Exp(u.p.UsageNoiseSigma * 0.3 * u.src.NormFloat64())
-	return noiseC, noiseM
+// draw returns one resident-window observation of t: its average usage
+// under lognormal noise (σ for CPU, 0.3σ for memory) and the factor that
+// scales that average to the window's peak. It draws a normal for CPU,
+// then a normal for memory, then a uniform for the peak; sample and
+// taskStopped both draw through it, so that order is the usage stream's
+// whole randomness sequence.
+func (u *usageSampler) draw(t *scheduler.Task) (avg trace.Resources, peakJitter float64) {
+	sigma := u.p.UsageNoiseSigma
+	avg.CPU = t.MeanCPU * math.Exp(sigma*u.src.NormFloat64())
+	avg.Mem = t.MeanMem * math.Exp(sigma*0.3*u.src.NormFloat64())
+	peakJitter = 1 + (t.PeakFact-1)*(0.7+0.6*u.src.Float64())
+	return avg, peakJitter
 }
 
 // sample emits one 5-minute window of usage records ending at now. It
@@ -435,18 +409,13 @@ func (u *usageSampler) sample(now sim.Time) {
 		list := u.obsBuf[:0]
 		var cpuSum, memSum float64
 		for _, r := range m.Residents() {
-			// The resident carries its task pointer; direct cluster
-			// placements (tests) fall back to the key lookup.
-			t, _ := r.Task.(*scheduler.Task)
-			if t == nil {
-				t = u.sched.TaskByKey(r.Key)
-			}
-			if t == nil || t.State != scheduler.TaskRunning || t.Machine != mid {
+			// Every resident was placed by the scheduler, which hands it
+			// its task pointer.
+			t := r.Task.(*scheduler.Task)
+			if t.State != scheduler.TaskRunning || t.Machine != mid {
 				continue
 			}
-			noiseC, noiseM := u.usageNoise()
-			avg := trace.Resources{CPU: t.MeanCPU * noiseC, Mem: t.MeanMem * noiseM}
-			peakJitter := 1 + (t.PeakFact-1)*(0.7+0.6*u.src.Float64())
+			avg, peakJitter := u.draw(t)
 			cpuSum += avg.CPU
 			memSum += avg.Mem
 			if n := len(list); n < cap(list) {
@@ -511,8 +480,7 @@ func (u *usageSampler) sample(now sim.Time) {
 			}
 			// Field assignments instead of a composite literal: the
 			// literal would be built in a temporary and copied into the
-			// reused slot. The histogram pointer is cleared explicitly
-			// because the slot may hold a stale one from the last window.
+			// reused slot.
 			rec := &recs[len(recs)-1]
 			rec.Start = now - sim.SampleWindow
 			rec.End = now
@@ -522,10 +490,6 @@ func (u *usageSampler) sample(now sim.Time) {
 			rec.AvgUsage = o.avg
 			rec.MaxUsage = o.peak
 			rec.Limit = t.Request
-			rec.CPUHistogram = nil
-			if u.histograms {
-				rec.CPUHistogram = synthHistogram(o.avg.CPU, o.peak.CPU, t.Request.CPU, u.src)
-			}
 			if u.ap != nil {
 				// Observe may emit UPDATE_RUNNING instance events and
 				// resize this task's request; the record above already
@@ -587,8 +551,7 @@ func (u *usageSampler) taskStopped(t *scheduler.Task, runStart sim.Time) {
 	if m == nil {
 		return
 	}
-	noiseC, noiseM := u.usageNoise()
-	avg := trace.Resources{CPU: t.MeanCPU * noiseC, Mem: t.MeanMem * noiseM}
+	avg, peakJitter := u.draw(t)
 	// The machine's window capacity not already claimed by earlier
 	// partial records bounds what this record may report.
 	frac := float64(now-start) / float64(sim.SampleWindow)
@@ -603,8 +566,6 @@ func (u *usageSampler) taskStopped(t *scheduler.Task, runStart sim.Time) {
 	}
 	*partCPU += avg.CPU * frac
 	*partMem += avg.Mem * frac
-	peakJitter := 1 + (t.PeakFact-1)*(0.7+0.6*u.src.Float64())
-	peak := avg.Scale(peakJitter)
 	u.partialRec[0] = trace.UsageRecord{
 		Start:    start,
 		End:      now,
@@ -612,32 +573,8 @@ func (u *usageSampler) taskStopped(t *scheduler.Task, runStart sim.Time) {
 		Machine:  t.Machine,
 		Tier:     t.Job.Tier,
 		AvgUsage: avg,
-		MaxUsage: peak,
+		MaxUsage: avg.Scale(peakJitter),
 		Limit:    t.Request,
 	}
-	if u.histograms {
-		u.partialRec[0].CPUHistogram = synthHistogram(avg.CPU, peak.CPU, t.Request.CPU, u.src)
-	}
 	u.sink.UsageBatch(u.partialRec[:])
-}
-
-// synthHistogram builds the trace's 21-bucket CPU utilization histogram
-// for one window from the window's average and peak, by sampling a
-// plausible within-window trajectory.
-func synthHistogram(avg, peak, limit float64, src *rng.Source) *stats.UsageHistogram {
-	h := &stats.UsageHistogram{}
-	if limit <= 0 {
-		limit = 1e-9
-	}
-	// 30 pseudo-samples (≈10-second resolution): uniform between trough
-	// and peak, centered on the average.
-	trough := 2*avg - peak
-	if trough < 0 {
-		trough = 0
-	}
-	for i := 0; i < 30; i++ {
-		v := trough + (peak-trough)*src.Float64()
-		h.Add(v / limit)
-	}
-	return h
 }

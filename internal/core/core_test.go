@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/rng"
+	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -142,27 +145,28 @@ func TestIDBaseSeparatesCells(t *testing.T) {
 	}
 }
 
-func TestHistogramsOption(t *testing.T) {
-	p := workload.Profile2019("a", 40)
-	res := Run(p, Options{Horizon: 2 * sim.Hour, Seed: 4, Histograms: true})
-	withHist := 0
-	for rec := range res.Trace.UsageRecords.All() {
-		if rec.CPUHistogram != nil {
-			withHist++
-			if rec.CPUHistogram.Total() == 0 {
-				t.Fatal("empty histogram")
-			}
+// TestUsageDrawSequence pins the usage stream's randomness sequence: one
+// resident-window draw takes a normal for CPU noise, a normal for memory
+// noise and a uniform for the peak jitter, in that order and nothing
+// else. Any change to it moves every usage row and every report byte.
+func TestUsageDrawSequence(t *testing.T) {
+	p := workload.Profile2019("a", 10)
+	u := &usageSampler{p: p, src: rng.New(5)}
+	ref := rng.New(5)
+	task := &scheduler.Task{MeanCPU: 0.02, MeanMem: 0.03, PeakFact: 1.8}
+	for i := range 100 {
+		avg, jitter := u.draw(task)
+		sigma := p.UsageNoiseSigma
+		wantCPU := task.MeanCPU * math.Exp(sigma*ref.NormFloat64())
+		wantMem := task.MeanMem * math.Exp(sigma*0.3*ref.NormFloat64())
+		wantJitter := 1 + (task.PeakFact-1)*(0.7+0.6*ref.Float64())
+		if avg.CPU != wantCPU || avg.Mem != wantMem || jitter != wantJitter {
+			t.Fatalf("draw %d = (%v, %v), want (%v, %v)", i, avg, jitter,
+				trace.Resources{CPU: wantCPU, Mem: wantMem}, wantJitter)
 		}
 	}
-	if withHist == 0 {
-		t.Fatal("no histograms recorded")
-	}
-	// Default: no histograms.
-	res2 := Run(p, Options{Horizon: 1 * sim.Hour, Seed: 4})
-	for rec := range res2.Trace.UsageRecords.All() {
-		if rec.CPUHistogram != nil {
-			t.Fatal("histogram recorded despite being disabled")
-		}
+	if u.src.Uint64() != ref.Uint64() {
+		t.Fatal("draw consumed a different number of variates than the reference")
 	}
 }
 

@@ -6,7 +6,7 @@ package core
 // (BenchmarkUsagePipeline). Both run against a live cell populated by a
 // real warmup simulation, so resident counts, task mix and machine
 // occupancy match what a mid-horizon 2019 cell actually looks like.
-// BENCH_PR7.json tracks their before/after numbers.
+// BENCH_PR8.json holds their gated baselines (cmd/benchgate).
 
 import (
 	"testing"
@@ -79,16 +79,10 @@ func buildUsageBenchState(tb testing.TB, machines int, warmup sim.Time) *usageBe
 	}
 }
 
-// newBenchSampler binds a fresh sampler (autopilot off, histograms off)
-// to the live cell, pointing at the given sink.
+// newBenchSampler binds a fresh sampler (autopilot off) to the live
+// cell, pointing at the given sink.
 func (st *usageBenchState) newBenchSampler(sink trace.Sink) *usageSampler {
-	return st.newBenchSamplerNoise(sink, false)
-}
-
-// newBenchSamplerNoise is newBenchSampler with the UsageNoiseFast table
-// toggled explicitly.
-func (st *usageBenchState) newBenchSamplerNoise(sink trace.Sink, fastNoise bool) *usageSampler {
-	s := newUsageSampler(st.p, st.cell, st.sched, nil, sink, st.src, false, fastNoise)
+	s := newUsageSampler(st.p, st.cell, st.sched, nil, sink, st.src)
 	s.k = st.k
 	return s
 }
@@ -125,34 +119,16 @@ func BenchmarkUsageSample(b *testing.B) {
 	b.ReportMetric(float64(perWindow), "records/window")
 }
 
-// BenchmarkUsageSampleFastNoise is BenchmarkUsageSample with
-// Options.UsageNoiseFast on: the per-resident noise pair comes from one
-// 64-bit table draw instead of two Box–Muller normals plus two math.Exp
-// calls. BENCH_PR8.json gates the delta against the exact-path number.
-func BenchmarkUsageSampleFastNoise(b *testing.B) {
-	st := buildUsageBenchState(b, 400, 2*sim.Hour)
-	sampler := st.newBenchSamplerNoise(&trace.CountingSink{}, true)
-	sampler.sample(st.now) // warm buffers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sampler.sample(st.now)
-	}
-}
-
 // TestUsageSampleSteadyStateZeroAllocs pins the sampler's allocation-free
 // steady state with autopilot disabled: after the first window has sized
 // the reusable buffers, a sampling window performs zero heap allocations.
 func TestUsageSampleSteadyStateZeroAllocs(t *testing.T) {
 	st := buildUsageBenchState(t, 120, sim.Hour)
-	for _, fast := range []bool{false, true} {
-		sampler := st.newBenchSamplerNoise(&trace.CountingSink{}, fast)
-		sampler.sample(st.now)
-		sampler.sample(st.now)
-		if allocs := testing.AllocsPerRun(50, func() { sampler.sample(st.now) }); allocs != 0 {
-			t.Fatalf("steady-state sample (fastNoise=%v) allocated %v times per window, want 0",
-				fast, allocs)
-		}
+	sampler := st.newBenchSampler(&trace.CountingSink{})
+	sampler.sample(st.now)
+	sampler.sample(st.now)
+	if allocs := testing.AllocsPerRun(50, func() { sampler.sample(st.now) }); allocs != 0 {
+		t.Fatalf("steady-state sample allocated %v times per window, want 0", allocs)
 	}
 }
 

@@ -60,8 +60,7 @@ func (l LogNormal) Quantile(p float64) float64 {
 
 // InvNormCDF returns Φ⁻¹(p), the standard normal quantile function, via
 // Acklam's rational approximation (relative error < 1.15e-9 across the
-// open unit interval) — accurate enough to build stratified lookup
-// tables for lognormal variates (the usage-noise fast path) and to
+// open unit interval) — accurate enough for lognormal quantiles and to
 // convert confidence levels to z-scores. p outside (0, 1) returns ±Inf
 // at the endpoints and NaN beyond them.
 func InvNormCDF(p float64) float64 {

@@ -44,8 +44,7 @@ type Scale struct {
 	// RunKnobs carries the shared per-run knobs. Policy and Arrival
 	// override every cell profile's placement policy / arrival process by
 	// name (empty keeps each profile's defaults; SuiteProfiles panics on
-	// unknown names). UsageNoiseFast threads into every cell's options.
-	// Metrics/Timeline, when non-nil, receive the suite's instrument
+	// unknown names). Metrics/Timeline, when non-nil, receive the suite's instrument
 	// rollup and run timeline (each cell gets a private registry, merged
 	// in spec order — see engine.RunInstruments); they never change the
 	// report or trace bytes.
@@ -109,13 +108,12 @@ func SuiteProfiles(sc Scale) []*workload.CellProfile {
 // parameter sweeps use to vary profile knobs per variant. Seeds and ID
 // spaces are assigned per the engine contracts.
 func SuiteSpecsWith(sc Scale, overlay func(*workload.CellProfile)) []engine.Spec {
-	// Policy and Arrival act at the profile level (SuiteProfiles), so
-	// only the remaining knobs ride the per-cell options; Metrics/Timeline
-	// are applied per cell by engine.RunInstruments in the run functions.
+	// Policy and Arrival act at the profile level (SuiteProfiles), and
+	// Metrics/Timeline are applied per cell by engine.RunInstruments in the
+	// run functions, so no knob rides the per-cell options.
 	// TimelineWarmup is inert until a timeline is attached.
 	base := core.Options{Horizon: sc.Horizon, RecordWorkload: sc.RecordWorkload,
 		TimelineWarmup: sc.Warmup}
-	base.UsageNoiseFast = sc.UsageNoiseFast
 	profiles := SuiteProfiles(sc)
 	specs := make([]engine.Spec, 0, len(profiles))
 	for i, p := range profiles {

@@ -11,9 +11,9 @@
 // seed, via workload.SampleFleetProfile: a calibrated 2019 base cell
 // plus lognormal machine-count, arrival-rate and tier-mix variation
 // around the 2019 medians. Profile and world therefore depend only on
-// (R, i): changing fleet-level knobs (parallelism, rollup options,
-// fast-noise off/on aside) never reshuffles which stochastic world a
-// cell index maps to, so fleets are reproducible and CRN-comparable.
+// (R, i): changing fleet-level knobs (parallelism, rollup options)
+// never reshuffles which stochastic world a cell index maps to, so
+// fleets are reproducible and CRN-comparable.
 //
 // # Bounded memory and rollup determinism
 //
@@ -63,11 +63,10 @@ type Config struct {
 	// GOMAXPROCS). Output is identical at any value.
 	Parallelism int
 	// RunKnobs carries the shared per-run knobs, applied to every cell:
-	// Policy/Arrival overrides and the usage-noise fast path (a versioned
-	// trace bump; see core.RunKnobs). Metrics/Timeline, when non-nil,
-	// receive the fleet-level instrument rollup and run timeline
-	// (per-cell registries merged in fleet order; never change the
-	// report bytes).
+	// Policy/Arrival overrides (see core.RunKnobs). Metrics/Timeline,
+	// when non-nil, receive the fleet-level instrument rollup and run
+	// timeline (per-cell registries merged in fleet order; never change
+	// the report bytes).
 	core.RunKnobs
 	// OnCell, when set, observes each cell's summary in fleet order as
 	// it completes — the streaming hook per-cell CSV export hangs off.
@@ -95,7 +94,6 @@ type Report struct {
 	TotalMachines int
 	Horizon       sim.Time
 	Seed          uint64
-	FastNoise     bool
 	Rollup        []MetricRollup
 }
 
@@ -159,10 +157,7 @@ func Run(cfg Config) *Report {
 	for i := range digests {
 		digests[i] = stats.NewDigest(stats.DefaultCompression)
 	}
-	rep := &Report{
-		Cells: n, Horizon: cfg.horizon(), Seed: cfg.Seed,
-		FastNoise: cfg.UsageNoiseFast,
-	}
+	rep := &Report{Cells: n, Horizon: cfg.horizon(), Seed: cfg.Seed}
 	if n == 0 {
 		rep.Rollup = rollup(names, digests, sums, 0)
 		return rep
@@ -234,12 +229,8 @@ func rollup(names []string, digests []*stats.Digest, sums []float64, cells int) 
 
 // WriteText renders the fleet report as an aligned text table.
 func (r *Report) WriteText(w io.Writer) error {
-	noise := "exact"
-	if r.FastNoise {
-		noise = "fast"
-	}
-	if _, err := fmt.Fprintf(w, "fleet: %d cells, %d machines, horizon %s, seed %d, usage noise %s\n",
-		r.Cells, r.TotalMachines, r.Horizon, r.Seed, noise); err != nil {
+	if _, err := fmt.Fprintf(w, "fleet: %d cells, %d machines, horizon %s, seed %d\n",
+		r.Cells, r.TotalMachines, r.Horizon, r.Seed); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "%-18s %10s %10s %10s %10s %10s %10s\n",

@@ -575,10 +575,5 @@ func (s *Scheduler) UpdateTaskRequest(t *Task, rec trace.Resources) {
 // NumRunning returns the number of currently running tasks.
 func (s *Scheduler) NumRunning() int { return s.numRunning }
 
-// TaskByKey resolves an instance key to its task, or nil. The usage
-// sampler uses it for residents placed directly on the cell, which carry
-// no task cookie.
-func (s *Scheduler) TaskByKey(key trace.InstanceKey) *Task { return s.taskByKey(key) }
-
 // Cell returns the scheduled cell.
 func (s *Scheduler) Cell() *cluster.Cell { return s.cell }

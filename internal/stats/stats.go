@@ -1,9 +1,8 @@
 // Package stats implements the descriptive statistics the paper's analyses
 // are built from: complementary CDFs, percentiles, the squared coefficient
 // of variation C² (§7), Pareto tail fitting with R² goodness of fit
-// (Table 2), Pearson correlation (Figure 13), top-k load shares, reservoir
-// sampling for unbiased percentile estimation, and the trace's 21-bucket
-// CPU-usage histogram.
+// (Table 2), Pearson correlation (Figure 13), top-k load shares, and
+// reservoir sampling for unbiased percentile estimation.
 package stats
 
 import (

@@ -138,7 +138,6 @@ func Run(d Def) (*Result, error) {
 	reducers := make([]*streaming.CellReducer, 0, cap(specs))
 	base := core.Options{Horizon: d.Scale.Horizon, NoMemTrace: true,
 		TimelineWarmup: d.Scale.Warmup}
-	base.UsageNoiseFast = d.Scale.UsageNoiseFast
 	flat := 0
 	for run := 0; run < d.Seeds; run++ {
 		for _, v := range variants {

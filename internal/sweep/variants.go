@@ -110,8 +110,8 @@ func ArrivalProcessVariant(spec string) (Variant, error) {
 // (ArrivalProcessVariant).
 func arrivalVariant(value, clause string) (Variant, error) {
 	if f, err := strconv.ParseFloat(value, 64); err == nil {
-		if f <= 0 {
-			return Variant{}, fmt.Errorf("sweep: value %g in clause %q must be positive", f, clause)
+		if err := checkValue(f, clause); err != nil {
+			return Variant{}, err
 		}
 		return ArrivalScale(f), nil
 	}
@@ -190,10 +190,20 @@ func knobVariant(knob, value, clause string) (Variant, error) {
 	if err != nil {
 		return Variant{}, fmt.Errorf("sweep: bad value %q for knob %q in clause %q", value, knob, clause)
 	}
-	if f <= 0 {
-		return Variant{}, fmt.Errorf("sweep: value %g for knob %q in clause %q must be positive", f, knob, clause)
+	if err := checkValue(f, clause); err != nil {
+		return Variant{}, err
 	}
 	return mk(f), nil
+}
+
+// checkValue requires a numeric variant value to be finite and above 0.
+// ParseFloat accepts "NaN" and "Inf", and either would scale a profile
+// into nonsense.
+func checkValue(f float64, clause string) error {
+	if f > 0 && !math.IsInf(f, 1) {
+		return nil
+	}
+	return fmt.Errorf("sweep: value %g in clause %q must be finite and above 0", f, clause)
 }
 
 // parseNamedClause parses a "name:knob=value[,knob=value...]" composite
@@ -308,8 +318,8 @@ func ParseVariants(spec string) ([]Variant, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sweep: bad value %q in clause %q", vs, clause)
 			}
-			if v <= 0 {
-				return nil, fmt.Errorf("sweep: value %g in clause %q must be positive", v, clause)
+			if err := checkValue(v, clause); err != nil {
+				return nil, err
 			}
 			out = append(out, mk(v))
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // EventType is a collection/instance life-cycle transition (§5.2/§5.3).
@@ -129,7 +128,9 @@ type InstanceEvent struct {
 }
 
 // UsageRecord is one row of the instance_usage table: one instance's
-// resource consumption within a 5-minute sampling window.
+// resource consumption within a 5-minute sampling window. Rows hold no
+// pointers, so the garbage collector never scans a retained Rows chunk
+// or the usage sampler's batch buffer (TestUsageRecordHoldsNoPointers).
 type UsageRecord struct {
 	Start   sim.Time
 	End     sim.Time
@@ -140,10 +141,6 @@ type UsageRecord struct {
 	AvgUsage Resources // mean usage over the window
 	MaxUsage Resources // peak usage over the window
 	Limit    Resources // limit in force during the window
-
-	// CPUHistogram is the 21-bucket histogram of CPU utilization samples
-	// within the window (§3). Nil when histogram collection is disabled.
-	CPUHistogram *stats.UsageHistogram
 }
 
 // MachineEventType is the machine_events table's event kind.

@@ -267,8 +267,7 @@ func (s *DirSink) closeFiles() {
 	}
 }
 
-// ReadDir loads a trace previously written by WriteDir. CPU histograms are
-// not round-tripped (the CSV schema, like the 2011 trace, omits them).
+// ReadDir loads a trace previously written by WriteDir.
 func ReadDir(dir string) (*MemTrace, error) {
 	metaBytes, err := os.ReadFile(filepath.Join(dir, metaFile))
 	if err != nil {

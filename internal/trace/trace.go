@@ -1,9 +1,9 @@
 // Package trace defines the reproduction's trace data model, mirroring the
 // published 2019 Borg trace (v3) schema: collections (jobs and alloc sets),
 // instances (tasks and alloc instances), their life-cycle events, 5-minute
-// usage records with CPU histograms, and machine events. It also provides
-// the in-memory trace store, streaming Sink fan-out, CSV/JSON codecs, and
-// the invariant validator described in §9 of the paper.
+// usage records, and machine events. It also provides the in-memory trace
+// store, streaming Sink fan-out, CSV/JSON codecs, and the invariant
+// validator described in §9 of the paper.
 package trace
 
 import "fmt"
