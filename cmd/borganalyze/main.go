@@ -99,11 +99,10 @@ func run(w io.Writer, dir string, warmup sim.Time) error {
 		return err
 	}
 
-	slack := r.SlackSamples()
 	var srows [][]string
 	for _, mode := range []trace.VerticalScaling{trace.ScalingFull, trace.ScalingConstrained, trace.ScalingNone} {
-		if xs := slack[mode]; len(xs) > 0 {
-			srows = append(srows, []string{mode.String(), report.F(stats.Quantile(xs, 0.5))})
+		if parts := r.SlackSamples(mode); len(parts) > 0 {
+			srows = append(srows, []string{mode.String(), report.F(stats.QuantilesOfParts(parts, 0.5)[0])})
 		}
 	}
 	if len(srows) == 0 {

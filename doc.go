@@ -145,9 +145,10 @@
 // small side map, so a hostile trace cannot size the table), and
 // Figure 10's first-ENABLE and first-SCHEDULE times are collection
 // fields; each row does at most one collection lookup, memoized across
-// adjacent rows. Reducer state grows with the number of jobs and tasks
-// (and, until ROADMAP item 3 lands, the per-row slack vector) — the
-// aggregates the figures inherently need — cutting the LargeScale suite's
+// adjacent rows. Reducer state grows with the number of jobs and tasks —
+// the aggregates the figures inherently need — plus Figure 14's slack
+// samples, one per job usage row, each stored once in chunks that never
+// move. Folding rows instead of retaining them cut the LargeScale suite's
 // peak heap by ~10x (BENCH_PR4.json). Within a cell every product folds
 // its terms in emission order, and cross-cell merges run in cell order,
 // so the report is byte-identical at any parallelism and with or

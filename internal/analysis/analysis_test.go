@@ -64,8 +64,8 @@ func TestCPUMemCorrelationSynthetic(t *testing.T) {
 
 // TestMergeSamplesByPresized checks that the one-shot merge produces the
 // append-order concatenation, cell by cell, and sizes every key's slice
-// exactly, so Figures 11 and 14 read the same samples
-// with no spare capacity left from doubling.
+// exactly, so Figure 11 reads the same samples with no spare capacity
+// left from doubling.
 func TestMergeSamplesByPresized(t *testing.T) {
 	cells := []map[string][]float64{
 		{"a": {1, 2}, "b": {10}},
@@ -97,7 +97,7 @@ func TestMergeSamplesByPresized(t *testing.T) {
 			}
 		}
 	}
-	// The output must not alias any cell's slice: Figure 14 reorders it.
+	// The output must not alias any cell's slice: its caller may reorder it.
 	got["a"][0] = -1
 	if cells[0]["a"][0] != 1 {
 		t.Fatal("merged slice aliases a cell's samples")

@@ -6,6 +6,7 @@ package analysis_test
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -331,9 +332,8 @@ func TestCPUMemCorrelationOnTrace(t *testing.T) {
 
 func TestSlackSamples(t *testing.T) {
 	r19, _ := fixtures(t)
-	slack := r19.SlackSamples()
-	full := slack[trace.ScalingFull]
-	none := slack[trace.ScalingNone]
+	full := slices.Concat(r19.SlackSamples(trace.ScalingFull)...)
+	none := slices.Concat(r19.SlackSamples(trace.ScalingNone)...)
 	if len(full) == 0 || len(none) == 0 {
 		t.Fatalf("slack groups sizes: full=%d none=%d", len(full), len(none))
 	}

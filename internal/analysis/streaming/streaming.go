@@ -12,11 +12,15 @@
 // A retained trace grows with every row: life-cycle events and 5-minute
 // usage records accumulate for the whole horizon, which is why memory —
 // not CPU — capped suite horizons before this package existed. A
-// CellReducer's state instead grows only with the number of distinct
+// CellReducer's state instead grows with the number of distinct
 // collections and instances (per-job aggregates the figures inherently
-// need) plus fixed-size hourly buckets; per-row work is O(1) and
-// allocation-free in steady state. Usage records, the dominant table by
-// far, are folded and dropped.
+// need), plus fixed-size hourly buckets, plus Figure 14's slack samples.
+// Those grow by one float64 per job usage row (3.54M samples, 28 MB, in
+// a default-scale suite) until a mergeable sketch bounds them, and each
+// is stored once, in append-only chunks that never move, so no sample is
+// copied as the store grows. Per-row work is O(1) and allocates only
+// when a slack chunk fills. Every other field of a usage record, the
+// dominant table by far, is folded and dropped.
 //
 // # Exactness contract
 //
@@ -35,6 +39,8 @@ package streaming
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -92,12 +98,29 @@ type collState struct {
 	sparse map[int32]*instState
 }
 
-// instState is one instance's reduced view. hasLast doubles as the
-// "seen" mark: every instance event sets it.
+// instState is one instance's reduced view, three bytes, since one
+// exists per instance. hasLast doubles as the "seen" mark: every
+// instance event sets it.
 type instState struct {
-	lastEvent trace.EventType
+	lastEvent uint8 // an eventCode
 	hasLast   bool
 	submitted bool // first SUBMIT counted toward Figure 9's new tasks
+}
+
+// badEvent is the eventCode of every type outside the trace's event
+// enum. No real type has that code (the blank constant below fails to
+// compile otherwise), so an out-of-range type can never be counted as a
+// real one in Figure 7's transitions.
+const badEvent = math.MaxUint8
+
+const _ = uint8(badEvent - 1 - trace.NumEventTypes)
+
+// eventCode packs an event type into instState.lastEvent.
+func eventCode(t trace.EventType) uint8 {
+	if uint(t) < uint(trace.NumEventTypes) {
+		return uint8(t)
+	}
+	return badEvent
 }
 
 // denseSlack is how far past twice the instances seen an index may lie
@@ -148,9 +171,9 @@ type CellReducer struct {
 	colls      map[trace.CollectionID]*collState
 	rates      analysis.SubmissionRates
 	allocAccum analysis.AllocSetAccum
-	// slack is indexed by the dense trace.VerticalScaling values;
-	// SlackSamples rebuilds the map shape the analyses consume.
-	slack      [numScalingModes][]float64
+	// slack is indexed by the dense trace.VerticalScaling values. Its
+	// chunks never move, so a sample is written once and never copied.
+	slack      [numScalingModes]trace.Rows[float64]
 	batchQueue bool
 
 	// lastID/lastC memoize the most recent collection lookup: rows of one
@@ -278,11 +301,11 @@ func (r *CellReducer) InstanceEvent(ev trace.InstanceEvent) {
 	c := r.coll(ev.Key.Collection)
 	in := c.inst(ev.Key.Index)
 	if in.hasLast {
-		r.trans.Observe(in.lastEvent, ev.Type)
+		r.trans.Observe(trace.EventType(in.lastEvent), ev.Type)
 	} else {
 		c.tasks++
 	}
-	in.lastEvent, in.hasLast = ev.Type, true
+	in.lastEvent, in.hasLast = eventCode(ev.Type), true
 
 	switch ev.Type {
 	case trace.EventSubmit:
@@ -350,8 +373,7 @@ func (r *CellReducer) usageOne(rec *trace.UsageRecord, c *collState) {
 		c.cpuHours += rec.AvgUsage.CPU * h
 		c.memHours += rec.AvgUsage.Mem * h
 		if s, ok := analysis.SlackSampleOf(rec); ok {
-			mode := c.info.Scaling
-			r.slack[mode] = append(r.slack[mode], s)
+			r.slack[c.info.Scaling].Append(s)
 		}
 	}
 
@@ -515,17 +537,14 @@ func (r *CellReducer) UsageIntegrals() analysis.UsageIntegrals {
 	return r.integrals
 }
 
-// SlackSamples returns the cell's Figure 14 slack samples by strategy.
-// The map holds only strategies that produced at least one sample.
-func (r *CellReducer) SlackSamples() map[trace.VerticalScaling][]float64 {
+// SlackSamples returns the cell's Figure 14 slack samples for one
+// strategy, in row order, as the reducer stores them: consecutive
+// non-empty chunks (none for a strategy with no samples). The chunks
+// alias the reducer's store, so the caller must not modify them;
+// stats.QuantilesOfParts reads them as they are.
+func (r *CellReducer) SlackSamples(mode trace.VerticalScaling) [][]float64 {
 	r.finalize()
-	out := make(map[trace.VerticalScaling][]float64)
-	for mode, samples := range r.slack {
-		if len(samples) > 0 {
-			out[trace.VerticalScaling(mode)] = samples
-		}
-	}
-	return out
+	return slices.Collect(r.slack[mode].Chunks())
 }
 
 // Counts summarizes the reducer's state sizes, for logs.

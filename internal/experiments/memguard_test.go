@@ -10,12 +10,13 @@ import (
 )
 
 // defaultMemBudgetMB is the peak-HeapAlloc ceiling for the LargeScale
-// streaming suite. Measured on a 2-core x86-64 VM: 432 MB streaming at
-// GOMAXPROCS=2 and 557 MB at GOMAXPROCS=4 (more concurrent cells means
-// more transient simulation state). With retained traces the peak is at
-// least 3104 MB, measured under GOMEMLIMIT=3500MiB: 2.5 GB of the 31M
+// streaming suite. Measured on a 2-core x86-64 VM: 312 MB streaming at
+// GOMAXPROCS=2 and 417–617 MB over two runs at GOMAXPROCS=4 (more
+// concurrent cells means more transient simulation state, and the peak
+// depends on where collections fall). With retained traces the peak is
+// at least 3104 MB, measured under GOMEMLIMIT=3500MiB: 2.5 GB of the 31M
 // stored rows alone, now that MemTrace stores each row once. So the
-// budget sits ~2.3× above the 4-core streaming peak and ~2.4× below the
+// budget sits ~2× above the 4-core streaming peak and ~2.4× below the
 // trace-retention failure mode it exists to catch.
 const defaultMemBudgetMB = 1280
 

@@ -318,22 +318,23 @@ func (s *Suite) writeFigure13(w io.Writer) error {
 // writeFigure14 emits the peak-slack CCDF by vertical-scaling strategy.
 func (s *Suite) writeFigure14(w io.Writer) error {
 	fmt.Fprintln(w, "== Figure 14: peak NCU slack by autoscaling strategy (2019) ==")
-	slack := analysis.MergeSamplesBy(each2019(s, (*streaming.CellReducer).SlackSamples))
-	rows := make([][]string, 0, 3)
+	rows := make([][]string, 0, 4)
 	for _, mode := range []trace.VerticalScaling{trace.ScalingFull, trace.ScalingConstrained, trace.ScalingNone} {
-		xs := slack[mode]
-		if len(xs) == 0 {
+		// Millions of samples: read the quantiles across every cell's
+		// chunks, with no merged copy and no sort.
+		var parts [][]float64
+		n := 0
+		for _, r := range s.R2019 {
+			for _, p := range r.SlackSamples(mode) {
+				parts = append(parts, p)
+				n += len(p)
+			}
+		}
+		if n == 0 {
 			continue
 		}
-		// MergeSamplesBy returns fresh slices, so select the quantiles in
-		// place: no copy, and no sort of the millions of samples.
-		rows = append(rows, []string{
-			mode.String(),
-			report.F(stats.QuantileInPlace(xs, 0.25)),
-			report.F(stats.QuantileInPlace(xs, 0.5)),
-			report.F(stats.QuantileInPlace(xs, 0.75)),
-			fmt.Sprint(len(xs)),
-		})
+		q := stats.QuantilesOfParts(parts, 0.25, 0.5, 0.75)
+		rows = append(rows, []string{mode.String(), report.F(q[0]), report.F(q[1]), report.F(q[2]), fmt.Sprint(n)})
 	}
 	rows = append(rows, []string{"paper", "full autoscaling cuts slack by >25pp for most jobs", "", "", ""})
 	return report.Table(w, []string{"strategy", "slack p25 (%)", "median (%)", "p75 (%)", "samples"}, rows)

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/rng"
@@ -118,7 +119,130 @@ func QuantileInPlace(xs []float64, q float64) float64 {
 			}
 		}
 	}
-	return xs[lo]*(1-frac) + next*frac
+	return lerp(xs[lo], next, frac)
+}
+
+// bucketBits is the width of QuantilesOfParts' histogram index: the sign,
+// the 11 exponent bits and the top 4 mantissa bits of a float64, so a
+// bucket spans a sixteenth of an octave.
+const bucketBits = 16
+
+// bucketOf maps x, which is not NaN, to its histogram bucket: the top
+// bits of a key that orders like x (a negative value's bits are flipped
+// whole, a positive value's sign bit is set).
+func bucketOf(x float64) int {
+	b := math.Float64bits(x)
+	return int((b ^ (uint64(int64(b)>>63) | 1<<63)) >> (64 - bucketBits))
+}
+
+// QuantilesOfParts returns the qs-quantiles of the concatenation of
+// parts without building it. For each q it returns bit for bit what
+// QuantileInPlace returns on that concatenation, except that a zero may
+// carry the other sign: +0 and −0 tie there, so either may be selected.
+// It only reads the parts.
+//
+// A counting pass histograms the values by bucketOf, which locates the
+// bucket holding each order statistic the quantiles need. A gather pass
+// copies only those buckets' members into a scratch slice, where
+// selectNth finishes. NaNs are counted apart and ordered first, in input
+// order, as QuantileInPlace orders them.
+func QuantilesOfParts(parts [][]float64, qs ...float64) []float64 {
+	out := make([]float64, len(qs))
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n == 0 {
+		for i := range out {
+			out[i] = math.NaN()
+		}
+		return out
+	}
+	// The order statistics the quantiles interpolate between, ascending.
+	ranks := make([]int, 0, 2*len(qs))
+	for _, q := range qs {
+		lo, hi, _ := quantileRank(n, q)
+		ranks = append(ranks, lo, hi)
+	}
+	slices.Sort(ranks)
+	ranks = slices.Compact(ranks)
+
+	hist := make([]int, 1<<bucketBits)
+	nans := 0
+	for _, p := range parts {
+		for _, x := range p {
+			if x != x {
+				nans++
+				continue
+			}
+			hist[bucketOf(x)]++
+		}
+	}
+
+	// Ranks below nans name NaNs; each later one names the k-th least
+	// member of some bucket. Lay the distinct buckets out in scratch in
+	// ascending order, then turn hist into gather cursors: a wanted
+	// bucket's is where its members start, every other bucket's is -1.
+	firstNum, _ := slices.BinarySearch(ranks, nans)
+	type member struct{ bucket, start, end, k int }
+	at := make([]member, len(ranks))
+	size, below, b := 0, 0, 0
+	for i := firstNum; i < len(ranks); i++ {
+		r := ranks[i] - nans
+		for below+hist[b] <= r {
+			below += hist[b]
+			b++
+		}
+		if i == firstNum || at[i-1].bucket != b {
+			size += hist[b]
+		}
+		at[i] = member{bucket: b, start: size - hist[b], end: size, k: r - below}
+	}
+	for b := range hist {
+		hist[b] = -1
+	}
+	for _, m := range at[firstNum:] {
+		hist[m.bucket] = m.start
+	}
+
+	vals := make([]float64, len(ranks))
+	scratch := make([]float64, size)
+	seen, j := 0, 0
+	for _, p := range parts {
+		for _, x := range p {
+			if x != x {
+				if j < firstNum && ranks[j] == seen {
+					vals[j] = x
+					j++
+				}
+				seen++
+				continue
+			}
+			b := bucketOf(x)
+			if c := hist[b]; c >= 0 {
+				scratch[c] = x
+				hist[b] = c + 1
+			}
+		}
+	}
+	for i := firstNum; i < len(ranks); i++ {
+		m := at[i]
+		seg := scratch[m.start:m.end]
+		selectNth(seg, m.k)
+		vals[i] = seg[m.k]
+	}
+
+	for i, q := range qs {
+		lo, hi, frac := quantileRank(n, q)
+		a, _ := slices.BinarySearch(ranks, lo)
+		if lo == hi {
+			out[i] = vals[a]
+			continue
+		}
+		c, _ := slices.BinarySearch(ranks, hi)
+		out[i] = lerp(vals[a], vals[c], frac)
+	}
+	return out
 }
 
 // selectNth reorders s, which holds no NaN, so that s[k] is the value a
@@ -199,7 +323,18 @@ func quantileSorted(s []float64, q float64) float64 {
 	if lo == hi {
 		return s[lo]
 	}
-	return s[lo]*(1-frac) + s[hi]*frac
+	return lerp(s[lo], s[hi], frac)
+}
+
+// lerp interpolates frac of the way from order statistic a to b. Every
+// quantile function calls it, so they all round alike. It stays out of
+// line so that every caller runs one instruction sequence, operand order
+// included: the payload of a NaN result then does not depend on the
+// caller either.
+//
+//go:noinline
+func lerp(a, b, frac float64) float64 {
+	return a*(1-frac) + b*frac
 }
 
 // quantileRank locates the q-quantile of n sorted values: it lies frac of

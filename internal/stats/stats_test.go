@@ -72,8 +72,10 @@ func TestQuantileInterpolation(t *testing.T) {
 // QuantileSorted reads from a sorted copy, bit for bit, on the shapes that
 // break selection routines: tiny samples, all-equal input, heavy ties at
 // 0 (peak slack clamps there), infinities and NaNs, and presorted runs.
-// Each sample is queried repeatedly in place, as Figure 14 does, and must
-// come back as a permutation of itself.
+// Each sample is queried repeatedly in place and must come back as a
+// permutation of itself. QuantilesOfParts must give the same bits from
+// the sample cut into parts of uneven size, as Figure 14 reads the
+// reducers' chunks.
 func TestSelectionMatchesSortedQuantile(t *testing.T) {
 	src := rng.New(11)
 	random := func(n int, gen func() float64) []float64 {
@@ -115,13 +117,17 @@ func TestSelectionMatchesSortedQuantile(t *testing.T) {
 		sort.Float64s(sorted)
 		want := sortedBits(xs)
 		work := append([]float64(nil), xs...)
-		for _, q := range qs {
+		fromParts := QuantilesOfParts(cutParts(xs), qs...)
+		for i, q := range qs {
 			got, exp := QuantileInPlace(work, q), QuantileSorted(sorted, q)
 			if bits(got) != bits(exp) {
 				t.Errorf("%s: q=%v: selected %v, sorted copy gives %v", name, q, got, exp)
 			}
 			if g := Quantile(xs, q); bits(g) != bits(exp) {
 				t.Errorf("%s: q=%v: Quantile %v, sorted copy gives %v", name, q, g, exp)
+			}
+			if g := fromParts[i]; bits(g) != bits(exp) {
+				t.Errorf("%s: q=%v: QuantilesOfParts %v, sorted copy gives %v", name, q, g, exp)
 			}
 		}
 		for i, b := range sortedBits(work) {
@@ -133,6 +139,21 @@ func TestSelectionMatchesSortedQuantile(t *testing.T) {
 	if !math.IsNaN(QuantileInPlace(nil, 0.5)) {
 		t.Fatal("QuantileInPlace of empty should be NaN")
 	}
+	if got := QuantilesOfParts([][]float64{nil, {}}, 0.5); len(got) != 1 || !math.IsNaN(got[0]) {
+		t.Fatalf("QuantilesOfParts of empty parts: %v, want [NaN]", got)
+	}
+}
+
+// cutParts splits xs into consecutive parts of growing, uneven sizes,
+// with an empty part first and one between every two.
+func cutParts(xs []float64) [][]float64 {
+	parts := [][]float64{nil}
+	for size := 1; len(xs) > 0; size = size*3 + 1 {
+		k := min(size, len(xs))
+		parts = append(parts, xs[:k], xs[k:k])
+		xs = xs[k:]
+	}
+	return parts
 }
 
 func TestCCDFShape(t *testing.T) {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"maps"
 	"math"
 	"testing"
@@ -43,6 +44,46 @@ func FuzzParseArrival(f *testing.F) {
 		}
 		if name(back) != name(s) || back.String() != s.String() || !maps.Equal(back.Knobs, s.Knobs) {
 			t.Fatalf("ParseArrival(%q) = %+v, but its String %q parses to %+v", spec, s, s.String(), back)
+		}
+	})
+}
+
+// FuzzReadRecording: any bytes must give an error or a Recording whose
+// WriteTo output reads back and writes out as the same bytes, never a
+// panic, a hang or an allocation sized by a count the input claims.
+func FuzzReadRecording(f *testing.F) {
+	rec := recordCell(f, "", 1<<32, 7)
+	rec.Arrivals = rec.Arrivals[:3]
+	var seed bytes.Buffer
+	if _, err := rec.WriteTo(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	header := func(cell, arrivals string) string {
+		return "borgworkload/1\ncell " + cell + "\nera 1\nmachines 1\nhorizon 1\nseed 1\narrival poisson\nidbase 0\narrivals " + arrivals + "\n"
+	}
+	f.Add([]byte(header("a", "1000000000000")))
+	f.Add([]byte(header(`"a\nb"`, "0")))
+	f.Add([]byte(header("a", "1") + "A 5 1\nJ 1 0 200 0 \"u\\x20v\" 0 0 0 0 0 0 0\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := ReadRecording(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if _, err := rec.WriteTo(&first); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadRecording(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("reading back a written recording: %v\n%q", err, first.Bytes())
+		}
+		if _, err := back.WriteTo(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("recording changed across a write/read round trip:\n%q\n%q", first.Bytes(), second.Bytes())
 		}
 	})
 }

@@ -241,9 +241,10 @@ func ftoaExact(v float64) string {
 //	T <cpu> <mem> <duration-µs> <restarts> <meancpu> <meanmem> <peakfact>
 //
 // Floats are written with strconv.FormatFloat(…, 'g', -1, 64) and user
-// names with strconv.Quote, so decoding reproduces the recording
-// bit-exactly. The format is line-oriented and diff-friendly: two
-// recordings of the same workload are byte-identical files.
+// names with strconv.Quote (a space escaped as \x20), so decoding
+// reproduces the recording bit-exactly. The format is line-oriented and
+// diff-friendly: two recordings of the same workload are byte-identical
+// files.
 func (rec *Recording) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
@@ -257,8 +258,8 @@ func (rec *Recording) WriteTo(w io.Writer) (int64, error) {
 		return n, err
 	}
 	if err := write("cell %s\nera %d\nmachines %d\nhorizon %d\nseed %d\narrival %s\nidbase %d\narrivals %d\n",
-		quoteIfEmpty(m.Cell), int(m.Era), m.Machines, int64(m.Horizon), m.Seed,
-		quoteIfEmpty(m.Arrival), uint64(m.IDBase), len(rec.Arrivals)); err != nil {
+		quoteIfNeeded(m.Cell), int(m.Era), m.Machines, int64(m.Horizon), m.Seed,
+		quoteIfNeeded(m.Arrival), uint64(m.IDBase), len(rec.Arrivals)); err != nil {
 		return n, err
 	}
 	for ai := range rec.Arrivals {
@@ -269,7 +270,7 @@ func (rec *Recording) WriteTo(w io.Writer) (int64, error) {
 		for ji := range arr.Jobs {
 			j := &arr.Jobs[ji]
 			if err := write("J %d %d %d %d %s %d %d %d %d %d %d %d\n",
-				j.IDOff, int(j.Type), j.Priority, int(j.Tier), strconv.Quote(j.User),
+				j.IDOff, int(j.Type), j.Priority, int(j.Tier), quoteField(j.User),
 				j.ParentOff, j.AllocOff, int(j.Scheduler), int(j.Scaling),
 				int(j.Outcome), int64(j.KillAfter), len(j.Tasks)); err != nil {
 				return n, err
@@ -286,14 +287,21 @@ func (rec *Recording) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// quoteIfEmpty keeps header values single-token (empty strings and
-// strings with spaces are quoted; plain tokens stay bare for
-// readability).
-func quoteIfEmpty(s string) string {
-	if s == "" || strings.ContainsAny(s, " \t\"") {
-		return strconv.Quote(s)
+// quoteIfNeeded keeps a header value on its line and readable back:
+// plain tokens stay bare for readability, and anything else (empty, or
+// holding a space or a character strconv.Quote escapes) is quoted.
+func quoteIfNeeded(s string) string {
+	q := strconv.Quote(s)
+	if s == "" || strings.Contains(s, " ") || q[1:len(q)-1] != s {
+		return q
 	}
 	return s
+}
+
+// quoteField quotes a value that shares its line with other
+// space-separated fields; a space inside it is escaped too.
+func quoteField(s string) string {
+	return strings.ReplaceAll(strconv.Quote(s), " ", `\x20`)
 }
 
 func unquoteHeader(s string) (string, error) {
@@ -302,6 +310,11 @@ func unquoteHeader(s string) (string, error) {
 	}
 	return s, nil
 }
+
+// maxPresize caps a slice ReadRecording reserves from a count the file
+// claims, so a corrupt count fails as truncation rather than as an
+// allocation sized by the count.
+const maxPresize = 1 << 12
 
 // ReadRecording parses a recording written by WriteTo. It validates the
 // magic, the version, and every count, so a truncated or corrupted file
@@ -392,7 +405,7 @@ func ReadRecording(r io.Reader) (*Recording, error) {
 		}
 	}
 
-	rec.Arrivals = make([]RecordedArrival, 0, arrivals)
+	rec.Arrivals = make([]RecordedArrival, 0, min(arrivals, maxPresize))
 	for ai := 0; ai < arrivals; ai++ {
 		line, err := next()
 		if err != nil {
@@ -407,7 +420,7 @@ func ReadRecording(r io.Reader) (*Recording, error) {
 		if err1 != nil || err2 != nil || njobs < 0 {
 			return nil, errAt("bad arrival record %q", line)
 		}
-		arr := RecordedArrival{At: sim.Time(at), Jobs: make([]RecordedJob, 0, njobs)}
+		arr := RecordedArrival{At: sim.Time(at), Jobs: make([]RecordedJob, 0, min(njobs, maxPresize))}
 		for ji := 0; ji < njobs; ji++ {
 			line, err := next()
 			if err != nil {
@@ -466,7 +479,7 @@ func parseJobLine(line string) (RecordedJob, int, error) {
 	if ntasks < 0 {
 		return j, 0, fmt.Errorf("bad job record %q: negative task count", line)
 	}
-	j.Tasks = make([]RecordedTask, 0, ntasks)
+	j.Tasks = make([]RecordedTask, 0, min(ntasks, maxPresize))
 	return j, ntasks, nil
 }
 

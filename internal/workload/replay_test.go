@@ -12,7 +12,7 @@ import (
 
 // recordCell drives a fresh generator for the profile through a Recorder
 // exactly as core.Run's arrival loop does and returns the capture.
-func recordCell(t *testing.T, arrival string, idBase trace.CollectionID, seed uint64) *Recording {
+func recordCell(t testing.TB, arrival string, idBase trace.CollectionID, seed uint64) *Recording {
 	t.Helper()
 	p := Profile2019("a", 240)
 	horizon := 12 * sim.Hour
