@@ -11,24 +11,24 @@
 // machines, hours, seed) tuple is byte-stable; traces are not promised
 // stable across versions of the simulator.
 //
-// By default the trace is retained in memory and written at the end
-// (which also enables the §9 invariant validator). With -stream the rows
-// are written to disk while the simulation runs, through a
-// trace.DirSink, and nothing is retained: memory stays bounded no matter
-// how long the horizon, which is the mode for generating month-scale
-// traces. The two modes produce byte-identical CSV for the same seed;
-// -validate is unavailable under -stream because the validator needs the
-// retained trace.
+// Rows are written to disk while the simulation runs, through a
+// trace.DirSink, and nothing is retained, so memory stays bounded at any
+// horizon, month-scale traces included. With -validate (the default) a
+// trace.Validator checks the §9 invariants on the same rows as they
+// stream past.
 //
 // Usage:
 //
 //	borgtrace -era 2019 -cell b -machines 300 -hours 24 -seed 7 -out ./trace-b
-//	borgtrace -era 2019 -cell b -machines 300 -hours 720 -seed 7 -stream -out ./trace-b
+//	borgtrace -era 2019 -cell b -machines 300 -hours 720 -seed 7 -out ./trace-b
 package main
 
 import (
 	"flag"
+	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -39,15 +39,26 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("borgtrace: ")
-	era := flag.String("era", "2019", "trace era: 2011 or 2019")
-	cell := flag.String("cell", "a", "2019 cell name (a-h); ignored for 2011")
-	machines := flag.Int("machines", 200, "machines in the simulated cell")
-	hours := flag.Float64("hours", 24, "simulated duration in hours")
-	seed := flag.Uint64("seed", 1, "root random seed")
-	out := flag.String("out", "trace-out", "output directory")
-	stream := flag.Bool("stream", false, "write CSV while simulating (NoMemTrace: bounded memory at any horizon; disables -validate)")
-	validate := flag.Bool("validate", true, "run the §9 invariant validator before writing (retained mode only)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stderr); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args, simulates the cell, writes its trace directory and
+// logs progress and the validator's verdict to logw.
+func run(args []string, logw io.Writer) error {
+	fs := flag.NewFlagSet("borgtrace", flag.ExitOnError)
+	era := fs.String("era", "2019", "trace era: 2011 or 2019")
+	cell := fs.String("cell", "a", "2019 cell name (a-h); ignored for 2011")
+	machines := fs.Int("machines", 200, "machines in the simulated cell")
+	hours := fs.Float64("hours", 24, "simulated duration in hours")
+	seed := fs.Uint64("seed", 1, "root random seed")
+	out := fs.String("out", "trace-out", "output directory")
+	validate := fs.Bool("validate", true, "check the §9 invariants on the rows as they are written")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	lg := log.New(logw, "borgtrace: ", 0)
 
 	var profile *workload.CellProfile
 	switch *era {
@@ -56,55 +67,33 @@ func main() {
 	case "2019":
 		profile = workload.Profile2019(*cell, *machines)
 	default:
-		log.Fatalf("unknown era %q", *era)
+		return fmt.Errorf("unknown era %q", *era)
 	}
-	horizon := sim.FromHours(*hours)
-
-	if *stream {
-		meta := trace.Meta{
-			Era: profile.Era, Cell: profile.Name, Duration: horizon,
-			Machines: profile.Machines, Seed: *seed,
-		}
-		ds, err := trace.NewDirSink(*out, meta)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res := core.Run(profile, core.Options{
-			Horizon:    horizon,
-			Seed:       *seed,
-			NoMemTrace: true,
-			ExtraSinks: []trace.Sink{ds},
-		})
-		if err := ds.Close(); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("simulated cell %s: %d rows streamed", profile.Name, res.Rows.Total())
-		log.Printf("scheduler: %+v", res.Sched)
-		if *validate {
-			log.Printf("note: -validate is skipped under -stream (no retained trace)")
-		}
-		log.Printf("wrote trace to %s (streaming)", *out)
-		return
+	opts := core.Options{Horizon: sim.FromHours(*hours), Seed: *seed, NoMemTrace: true}
+	ds, err := trace.NewDirSink(*out, core.TraceMeta(profile, opts))
+	if err != nil {
+		return err
 	}
-
-	res := core.Run(profile, core.Options{
-		Horizon: horizon,
-		Seed:    *seed,
-	})
-	log.Printf("simulated cell %s: %s", profile.Name, res.Trace.Counts())
-	log.Printf("scheduler: %+v", res.Sched)
-
+	opts.ExtraSinks = []trace.Sink{ds}
+	var v *trace.Validator
 	if *validate {
-		violations := trace.Validate(res.Trace, trace.DefaultValidateOptions())
-		if len(violations) > 0 {
-			log.Printf("WARNING: %d invariant violations (first: %v)", len(violations), violations[0])
+		v = trace.NewValidator(trace.DefaultValidateOptions())
+		opts.ExtraSinks = append(opts.ExtraSinks, v)
+	}
+	res := core.Run(profile, opts)
+	if err := ds.Close(); err != nil {
+		return err
+	}
+	lg.Printf("simulated cell %s: collEvents=%d instEvents=%d usage=%d machineEvents=%d",
+		profile.Name, res.Rows.Collections, res.Rows.Instances, res.Rows.Usage, res.Rows.Machines)
+	lg.Printf("scheduler: %+v", res.Sched)
+	if v != nil {
+		if violations := v.Finish(); len(violations) > 0 {
+			lg.Printf("WARNING: %d invariant violations (first: %v)", len(violations), violations[0])
 		} else {
-			log.Printf("validator: all invariants hold")
+			lg.Printf("validator: all invariants hold")
 		}
 	}
-
-	if err := trace.WriteDir(res.Trace, *out); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote trace to %s", *out)
+	lg.Printf("wrote trace to %s", *out)
+	return nil
 }

@@ -41,13 +41,14 @@
 //     experiments.Scale, and sweep variants.
 //   - internal/trace — the 2019-schema data model and the streaming sink
 //     pipeline: rows flow through composable trace.Sink implementations
-//     (FanOut, CountingSink online reduction, DirSink CSV export; every
-//     cell owns its pipeline). Full in-memory retention (MemTrace) is
-//     just one sink and can be switched off per run; it stores each
-//     table in chunks that never move (trace.Rows) and builds its
-//     per-collection and per-instance indexes on the first query, so
-//     retaining a row costs only the row. Usage rows reach a sink only
-//     in blocks (see "Usage pipeline" below).
+//     (FanOut, CountingSink online reduction, DirSink CSV export, the
+//     §9 invariant Validator; every cell owns its pipeline). Full
+//     in-memory retention (MemTrace) is just one sink and can be
+//     switched off per run; it stores each table in chunks that never
+//     move (trace.Rows) and keeps no index, so retaining a row costs
+//     only the row, and MemTrace.Replay feeds a stored trace through any
+//     other sink. Usage rows reach a sink only in blocks (see "Usage
+//     pipeline" below).
 //   - internal/core — the single-cell façade: wires one cell's
 //     components and sink pipeline and runs it to the horizon.
 //   - internal/engine — multi-cell orchestration: runs N cell

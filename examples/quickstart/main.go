@@ -1,6 +1,6 @@
 // Quickstart: simulate a small 2019-profile Borg cell for six hours,
-// validate the resulting trace, and print headline statistics computed
-// by a streaming reducer attached to the cell's sink pipeline.
+// validate its trace, and print headline statistics computed by a
+// streaming reducer, both attached to the cell's sink pipeline.
 //
 //	go run ./examples/quickstart
 package main
@@ -24,23 +24,20 @@ func main() {
 	log.SetFlags(0)
 
 	// A 100-machine cell with cell a's workload mix, simulated for 6 hours.
-	// The reducer folds every trace row as it is emitted; the cell also
-	// retains its trace, for the validator below.
+	// The validator and the reducer fold every trace row as it is
+	// emitted, and no row is retained.
 	profile := workload.Profile2019("a", 100)
-	opts := core.Options{Horizon: 6 * sim.Hour, Seed: 42}
-	red := streaming.NewCellReducer(streaming.Config{Meta: trace.Meta{
-		Era: profile.Era, Cell: profile.Name, Duration: opts.Horizon,
-		Machines: profile.Machines, Seed: opts.Seed,
-	}})
-	opts.ExtraSinks = []trace.Sink{red}
+	opts := core.Options{Horizon: 6 * sim.Hour, Seed: 42, NoMemTrace: true}
+	validator := trace.NewValidator(trace.DefaultValidateOptions())
+	red := streaming.NewCellReducer(streaming.Config{Meta: core.TraceMeta(profile, opts)})
+	opts.ExtraSinks = []trace.Sink{validator, red}
 	res := core.Run(profile, opts)
-	tr := res.Trace
 
-	fmt.Printf("cell %s simulated: %s\n", profile.Name, tr.Counts())
+	fmt.Printf("cell %s simulated: %d trace rows\n", profile.Name, res.Rows.Total())
 	fmt.Printf("scheduler stats: %+v\n\n", res.Sched)
 
 	// The trace passes the §9 invariant pipeline.
-	if v := trace.Validate(tr, trace.DefaultValidateOptions()); len(v) > 0 {
+	if v := validator.Finish(); len(v) > 0 {
 		log.Fatalf("trace invariants violated: %v", v[0])
 	}
 	fmt.Println("trace validates: submit-before-terminate, capacity, parent-kill all hold")

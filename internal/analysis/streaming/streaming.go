@@ -570,17 +570,6 @@ func (r *CellReducer) numInstances() int {
 // the stream live — the property TestReplayMatchesLive pins.
 func Replay(tr *trace.MemTrace, cfg Config) *CellReducer {
 	r := NewCellReducer(cfg)
-	for ev := range tr.MachineEvents.All() {
-		r.MachineEvent(ev)
-	}
-	for ev := range tr.CollectionEvents.All() {
-		r.CollectionEvent(ev)
-	}
-	for ev := range tr.InstanceEvents.All() {
-		r.InstanceEvent(ev)
-	}
-	for recs := range tr.UsageRecords.Chunks() {
-		r.UsageBatch(recs)
-	}
+	tr.Replay(r)
 	return r
 }

@@ -3,14 +3,17 @@
 // and the calibrated workload generator into a discrete-event simulation
 // of one Borg cell, and emits a 2019-schema trace while it runs.
 //
-// Typical use:
+// Typical use, checking the §9 invariants as the rows stream past:
 //
 //	profile := workload.Profile2019("a", 600)
-//	res := core.Run(profile, core.Options{Horizon: 48 * sim.Hour, Seed: 1})
-//	violations := trace.Validate(res.Trace, trace.DefaultValidateOptions())
+//	v := trace.NewValidator(trace.DefaultValidateOptions())
+//	core.Run(profile, core.Options{Horizon: 48 * sim.Hour, Seed: 1,
+//		NoMemTrace: true, ExtraSinks: []trace.Sink{v}})
+//	violations := v.Finish()
 //
-// The resulting MemTrace feeds the analysis package, which regenerates
-// every table and figure of the paper.
+// Other sinks ride along the same way: a streaming.CellReducer computes
+// the paper's tables and figures, a trace.DirSink writes the CSV tables.
+// Without NoMemTrace the run also retains every row in CellResult.Trace.
 package core
 
 import (
@@ -118,23 +121,31 @@ type CellResult struct {
 	Workload *workload.Recording
 }
 
+// defaultHorizon is the simulated duration when Options.Horizon is unset.
+const defaultHorizon = 24 * sim.Hour
+
+// TraceMeta is the metadata Run stamps on the trace of profile p under
+// opts: the profile's era, name and machine count, the horizon (24 h
+// when unset) and the seed. Sinks that need a cell's metadata before it
+// runs (a reducer, a DirSink) take it from here.
+func TraceMeta(p *workload.CellProfile, opts Options) trace.Meta {
+	if opts.Horizon <= 0 {
+		opts.Horizon = defaultHorizon
+	}
+	return trace.Meta{Era: p.Era, Cell: p.Name, Duration: opts.Horizon, Machines: p.Machines, Seed: opts.Seed}
+}
+
 // Run simulates one cell for opts.Horizon and returns its trace.
 func Run(p *workload.CellProfile, opts Options) *CellResult {
 	if opts.Horizon <= 0 {
-		opts.Horizon = 24 * sim.Hour
+		opts.Horizon = defaultHorizon
 	}
 	root := rng.New(opts.Seed)
 	k := sim.NewKernel()
 
 	var mem *trace.MemTrace
 	if !opts.NoMemTrace {
-		mem = trace.NewMemTrace(trace.Meta{
-			Era:      p.Era,
-			Cell:     p.Name,
-			Duration: opts.Horizon,
-			Machines: p.Machines,
-			Seed:     opts.Seed,
-		})
+		mem = trace.NewMemTrace(TraceMeta(p, opts))
 	}
 	counter := &trace.CountingSink{}
 	parts := make([]trace.Sink, 0, 2+len(opts.ExtraSinks))

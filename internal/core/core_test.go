@@ -133,14 +133,14 @@ func TestIDBaseSeparatesCells(t *testing.T) {
 	p := workload.Profile2019("a", 60)
 	a := Run(p, Options{Horizon: 2 * sim.Hour, Seed: 1, IDBase: 0})
 	b := Run(p, Options{Horizon: 2 * sim.Hour, Seed: 2, IDBase: 1 << 32})
-	for _, id := range b.Trace.Collections() {
-		if id <= 1<<32 {
-			t.Fatalf("collection id %d below IDBase", id)
+	for ev := range b.Trace.CollectionEvents.All() {
+		if ev.Collection <= 1<<32 {
+			t.Fatalf("collection id %d below IDBase", ev.Collection)
 		}
 	}
-	for _, id := range a.Trace.Collections() {
-		if id >= 1<<32 {
-			t.Fatalf("collection id %d above expected range", id)
+	for ev := range a.Trace.CollectionEvents.All() {
+		if ev.Collection >= 1<<32 {
+			t.Fatalf("collection id %d above expected range", ev.Collection)
 		}
 	}
 }

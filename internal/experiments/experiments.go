@@ -165,13 +165,7 @@ type StreamingOptions struct {
 // the Figure 6 snapshot pinned at mid-horizon.
 func NewCellReducerFor(spec engine.Spec) *streaming.CellReducer {
 	return streaming.NewCellReducer(streaming.Config{
-		Meta: trace.Meta{
-			Era:      spec.Profile.Era,
-			Cell:     spec.Profile.Name,
-			Duration: spec.Options.Horizon,
-			Machines: spec.Profile.Machines,
-			Seed:     spec.Options.Seed,
-		},
+		Meta:       core.TraceMeta(spec.Profile, spec.Options),
 		SnapshotAt: spec.Options.Horizon / 2,
 	})
 }

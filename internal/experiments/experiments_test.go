@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -61,20 +62,35 @@ func TestCellsHaveDisjointIDs(t *testing.T) {
 	s := tinySuite(t)
 	seen := map[trace.CollectionID]bool{}
 	for _, tr := range traces(s) {
-		for _, id := range tr.Collections() {
-			if seen[id] {
-				t.Fatalf("collection id %d appears in two cells", id)
+		for _, info := range tr.CollectionInfos() {
+			if seen[info.ID] {
+				t.Fatalf("collection id %d appears in two cells", info.ID)
 			}
-			seen[id] = true
+			seen[info.ID] = true
 		}
 	}
 }
 
+// TestAllTracesValidate checks the §9 invariants on every cell of the
+// small suite as its rows stream past, with no trace retained.
 func TestAllTracesValidate(t *testing.T) {
-	s := tinySuite(t)
-	for _, tr := range traces(s) {
-		if v := trace.Validate(tr, trace.DefaultValidateOptions()); len(v) != 0 {
-			t.Fatalf("cell %s: %d violations, first %v", tr.Meta.Cell, len(v), v[0])
+	sc := SmallScale()
+	sc.Parallelism = 4
+	specs := SuiteSpecs(sc)
+	for i := range specs {
+		specs[i].Options.NoMemTrace = true
+	}
+	validators := make([]*trace.Validator, len(specs))
+	engine.AttachSinks(specs, func(i int) trace.Sink {
+		validators[i] = trace.NewValidator(trace.DefaultValidateOptions())
+		return validators[i]
+	})
+	for i, res := range engine.Run(specs, engine.Options{Parallelism: sc.Parallelism}) {
+		if res.Trace != nil {
+			t.Fatalf("cell %s retained its trace", res.Profile.Name)
+		}
+		if v := validators[i].Finish(); len(v) != 0 {
+			t.Fatalf("cell %s: %d violations, first %v", res.Profile.Name, len(v), v[0])
 		}
 	}
 }

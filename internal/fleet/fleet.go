@@ -173,12 +173,7 @@ func Run(cfg Config) *Report {
 		spec := cfg.Spec(i)
 		spec.Options = ri.Cell(i, spec.Options)
 		reducers[i] = streaming.NewCellReducer(streaming.Config{
-			Meta: trace.Meta{
-				Era: spec.Profile.Era, Cell: spec.Profile.Name,
-				Duration: spec.Options.Horizon,
-				Machines: spec.Profile.Machines,
-				Seed:     spec.Options.Seed,
-			},
+			Meta:       core.TraceMeta(spec.Profile, spec.Options),
 			SnapshotAt: spec.Options.Horizon / 2,
 		})
 		spec.Options.ExtraSinks = append(spec.Options.ExtraSinks, reducers[i])

@@ -55,8 +55,8 @@ func mkJob(id trace.CollectionID, priority int, tier trace.Tier, tasks int, req 
 
 func eventsOfType(tr *trace.MemTrace, id trace.CollectionID, typ trace.EventType) int {
 	n := 0
-	for _, ev := range tr.EventsOf(id) {
-		if ev.Type == typ {
+	for ev := range tr.CollectionEvents.All() {
+		if ev.Collection == id && ev.Type == typ {
 			n++
 		}
 	}
@@ -333,8 +333,8 @@ func TestUserKill(t *testing.T) {
 		t.Fatalf("instance kills %d", got)
 	}
 	var killTime sim.Time
-	for _, ev := range rig.tr.EventsOf(1) {
-		if ev.Type == trace.EventKill {
+	for ev := range rig.tr.CollectionEvents.All() {
+		if ev.Collection == 1 && ev.Type == trace.EventKill {
 			killTime = ev.Time
 		}
 	}

@@ -32,18 +32,7 @@ func WriteDir(t *MemTrace, dir string) error {
 	if err != nil {
 		return err
 	}
-	for ev := range t.CollectionEvents.All() {
-		s.CollectionEvent(ev)
-	}
-	for ev := range t.InstanceEvents.All() {
-		s.InstanceEvent(ev)
-	}
-	for recs := range t.UsageRecords.Chunks() {
-		s.UsageBatch(recs)
-	}
-	for ev := range t.MachineEvents.All() {
-		s.MachineEvent(ev)
-	}
+	t.Replay(s)
 	return s.Close()
 }
 

@@ -1,9 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -22,16 +22,13 @@ type Meta struct {
 //
 // Each table is a chunked Rows, so a stored row is written once and never
 // moved; retaining a trace costs what its rows occupy plus at most one
-// partly filled chunk per table. Appending does no per-row indexing. The
-// per-collection and per-instance indexes the queries (Collections,
-// EventsOf, Instances, InstanceEventsOf, InstancesOfCollection,
-// CollectionInfos, Counts, Validate) need are built on the first query
-// and catch up on rows appended since the previous one.
+// partly filled chunk per table. Appending does no per-row indexing: the
+// queries (CollectionInfos, Counts) scan the tables, and Replay streams
+// them into any other sink (a Validator, a DirSink, a reducer).
 //
-// Concurrency: appends (the Sink methods) must not run concurrently with
-// each other or with any reader. Once appends stop, any number of
-// goroutines may query and read the tables at once; a mutex serialises
-// the index's construction and catch-up.
+// Appends (the Sink methods) must not run concurrently with each other or
+// with any reader. Once appends stop, any number of goroutines may query
+// and read the trace at once.
 type MemTrace struct {
 	Meta Meta
 
@@ -39,12 +36,6 @@ type MemTrace struct {
 	InstanceEvents   Rows[InstanceEvent]
 	UsageRecords     Rows[UsageRecord]
 	MachineEvents    Rows[MachineEvent]
-
-	mu        sync.Mutex
-	collIndex map[CollectionID][]int // indexes into CollectionEvents
-	instIndex map[InstanceKey][]int  // indexes into InstanceEvents
-	collSeen  int                    // CollectionEvents rows indexed so far
-	instSeen  int                    // InstanceEvents rows indexed so far
 }
 
 // NewMemTrace returns an empty store with the given metadata.
@@ -64,106 +55,23 @@ func (t *MemTrace) UsageBatch(recs []UsageRecord) { t.UsageRecords.AppendSlice(r
 // MachineEvent stores the row.
 func (t *MemTrace) MachineEvent(ev MachineEvent) { t.MachineEvents.Append(ev) }
 
-// lockIndex takes the index mutex and brings both indexes up to date
-// with every row appended so far. The caller must unlock t.mu.
-func (t *MemTrace) lockIndex() {
-	t.mu.Lock()
-	if t.collIndex == nil {
-		t.collIndex = make(map[CollectionID][]int)
-		t.instIndex = make(map[InstanceKey][]int)
+// Replay streams the stored rows into s one table at a time: machine
+// events, collection events, instance events, then the usage records,
+// one chunk per UsageBatch. Rows keep their emission order within each
+// table.
+func (t *MemTrace) Replay(s Sink) {
+	for ev := range t.MachineEvents.All() {
+		s.MachineEvent(ev)
 	}
-	for ; t.collSeen < t.CollectionEvents.Len(); t.collSeen++ {
-		id := t.CollectionEvents.At(t.collSeen).Collection
-		t.collIndex[id] = append(t.collIndex[id], t.collSeen)
+	for ev := range t.CollectionEvents.All() {
+		s.CollectionEvent(ev)
 	}
-	for ; t.instSeen < t.InstanceEvents.Len(); t.instSeen++ {
-		k := t.InstanceEvents.At(t.instSeen).Key
-		t.instIndex[k] = append(t.instIndex[k], t.instSeen)
+	for ev := range t.InstanceEvents.All() {
+		s.InstanceEvent(ev)
 	}
-}
-
-// Collections returns the IDs of all collections seen, sorted.
-func (t *MemTrace) Collections() []CollectionID {
-	t.lockIndex()
-	defer t.mu.Unlock()
-	return t.collections()
-}
-
-func (t *MemTrace) collections() []CollectionID {
-	ids := make([]CollectionID, 0, len(t.collIndex))
-	for id := range t.collIndex {
-		ids = append(ids, id)
+	for recs := range t.UsageRecords.Chunks() {
+		s.UsageBatch(recs)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// EventsOf returns the collection's events in emission order.
-func (t *MemTrace) EventsOf(id CollectionID) []CollectionEvent {
-	t.lockIndex()
-	defer t.mu.Unlock()
-	return t.eventsOf(id)
-}
-
-func (t *MemTrace) eventsOf(id CollectionID) []CollectionEvent {
-	idxs := t.collIndex[id]
-	out := make([]CollectionEvent, len(idxs))
-	for i, idx := range idxs {
-		out[i] = t.CollectionEvents.At(idx)
-	}
-	return out
-}
-
-// hasCollection reports whether the collection has any events.
-func (t *MemTrace) hasCollection(id CollectionID) bool {
-	t.lockIndex()
-	defer t.mu.Unlock()
-	_, ok := t.collIndex[id]
-	return ok
-}
-
-// Instances returns all instance keys seen, sorted.
-func (t *MemTrace) Instances() []InstanceKey {
-	t.lockIndex()
-	defer t.mu.Unlock()
-	keys := make([]InstanceKey, 0, len(t.instIndex))
-	for k := range t.instIndex {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Collection != keys[j].Collection {
-			return keys[i].Collection < keys[j].Collection
-		}
-		return keys[i].Index < keys[j].Index
-	})
-	return keys
-}
-
-// InstanceEventsOf returns the instance's events in emission order.
-func (t *MemTrace) InstanceEventsOf(k InstanceKey) []InstanceEvent {
-	t.lockIndex()
-	defer t.mu.Unlock()
-	idxs := t.instIndex[k]
-	out := make([]InstanceEvent, len(idxs))
-	for i, idx := range idxs {
-		out[i] = t.InstanceEvents.At(idx)
-	}
-	return out
-}
-
-// InstancesOfCollection returns the instance keys belonging to one
-// collection, sorted by index.
-func (t *MemTrace) InstancesOfCollection(id CollectionID) []InstanceKey {
-	t.lockIndex()
-	defer t.mu.Unlock()
-	var keys []InstanceKey
-	for k := range t.instIndex {
-		if k.Collection == id {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Index < keys[j].Index })
-	return keys
 }
 
 // CollectionInfo is the static view of one collection, reconstructed from
@@ -189,41 +97,46 @@ type CollectionInfo struct {
 // CollectionInfos reconstructs the static attributes and outcome of every
 // collection in the trace, sorted by ID.
 func (t *MemTrace) CollectionInfos() []CollectionInfo {
-	t.lockIndex()
-	defer t.mu.Unlock()
-	out := make([]CollectionInfo, 0, len(t.collIndex))
-	for _, id := range t.collections() {
-		evs := t.eventsOf(id)
-		first := evs[0]
-		info := CollectionInfo{
-			ID:             id,
-			CollectionType: first.CollectionType,
-			Priority:       first.Priority,
-			Tier:           first.Tier,
-			User:           first.User,
-			Parent:         first.Parent,
-			AllocSet:       first.AllocSet,
-			Scheduler:      first.Scheduler,
-			Scaling:        first.Scaling,
-			SubmitTime:     first.Time,
-			FinalEvent:     EventSubmit,
+	out := []CollectionInfo{}
+	at := make(map[CollectionID]int) // index into out
+	for ev := range t.CollectionEvents.All() {
+		i, ok := at[ev.Collection]
+		if !ok {
+			i = len(out)
+			at[ev.Collection] = i
+			out = append(out, CollectionInfo{
+				ID:             ev.Collection,
+				CollectionType: ev.CollectionType,
+				Priority:       ev.Priority,
+				Tier:           ev.Tier,
+				User:           ev.User,
+				Parent:         ev.Parent,
+				AllocSet:       ev.AllocSet,
+				Scheduler:      ev.Scheduler,
+				Scaling:        ev.Scaling,
+				SubmitTime:     ev.Time,
+				FinalEvent:     EventSubmit,
+			})
 		}
-		for _, ev := range evs {
-			if ev.Type.IsTermination() {
-				info.FinalEvent = ev.Type
-				info.FinalTime = ev.Time
-			}
+		if ev.Type.IsTermination() {
+			out[i].FinalEvent, out[i].FinalTime = ev.Type, ev.Time
 		}
-		out = append(out, info)
 	}
+	slices.SortFunc(out, func(a, b CollectionInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
 // Counts summarizes row counts; used in logs and Table 1.
 func (t *MemTrace) Counts() string {
-	t.lockIndex()
-	defer t.mu.Unlock()
+	colls := make(map[CollectionID]struct{})
+	for ev := range t.CollectionEvents.All() {
+		colls[ev.Collection] = struct{}{}
+	}
+	insts := make(map[InstanceKey]struct{})
+	for ev := range t.InstanceEvents.All() {
+		insts[ev.Key] = struct{}{}
+	}
 	return fmt.Sprintf("collections=%d instances=%d collEvents=%d instEvents=%d usage=%d machineEvents=%d",
-		len(t.collIndex), len(t.instIndex), t.CollectionEvents.Len(),
+		len(colls), len(insts), t.CollectionEvents.Len(),
 		t.InstanceEvents.Len(), t.UsageRecords.Len(), t.MachineEvents.Len())
 }

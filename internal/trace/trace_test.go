@@ -164,30 +164,6 @@ func newTestTrace() *MemTrace {
 
 func time600() int64 { return int64(600 * sim.Second) }
 
-func TestMemTraceIndexes(t *testing.T) {
-	tr := newTestTrace()
-	colls := tr.Collections()
-	if len(colls) != 2 || colls[0] != 10 || colls[1] != 11 {
-		t.Fatalf("collections %v", colls)
-	}
-	if evs := tr.EventsOf(10); len(evs) != 2 || evs[0].Type != EventSubmit || evs[1].Type != EventFinish {
-		t.Fatalf("events of 10: %v", evs)
-	}
-	insts := tr.Instances()
-	if len(insts) != 1 || insts[0] != (InstanceKey{10, 0}) {
-		t.Fatalf("instances %v", insts)
-	}
-	if evs := tr.InstanceEventsOf(InstanceKey{10, 0}); len(evs) != 3 {
-		t.Fatalf("instance events %v", evs)
-	}
-	if keys := tr.InstancesOfCollection(10); len(keys) != 1 {
-		t.Fatalf("instances of collection %v", keys)
-	}
-	if tr.Counts() == "" {
-		t.Fatal("counts")
-	}
-}
-
 func TestCollectionInfos(t *testing.T) {
 	tr := newTestTrace()
 	infos := tr.CollectionInfos()

@@ -1,15 +1,17 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/sim"
 )
 
 // Violation is one failed invariant, with enough context to debug it.
 // The paper's trace-generation pipeline checks "a raft of logical
-// invariants" (§9); this validator reproduces that practice for the
+// invariants" (§9); the Validator reproduces that practice for the
 // synthetic traces.
 type Violation struct {
 	Invariant string
@@ -23,29 +25,45 @@ func (v Violation) String() string {
 
 // ValidateOptions tunes validation strictness.
 type ValidateOptions struct {
-	// MaxViolations stops validation after this many findings
+	// MaxViolations stops recording after this many findings
 	// (0 = unlimited). Large traces with a systemic bug would otherwise
 	// produce millions of identical rows.
 	MaxViolations int
-
-	// CPUOvercommitTolerance is how much the sum of *usage* on a machine
-	// may exceed CPU capacity before it is flagged. CPU is work
-	// conserving (§2), so transient usage above capacity is legal;
-	// memory is a hard bound.
-	CPUOvercommitTolerance float64
 }
 
-// DefaultValidateOptions mirrors the paper's model: memory hard-capped,
-// CPU allowed 0% above capacity at the usage level (the machine cannot
-// physically exceed its capacity; per-task usage may exceed per-task limit).
+// DefaultValidateOptions caps the report at 100 findings.
 func DefaultValidateOptions() ValidateOptions {
-	return ValidateOptions{MaxViolations: 100, CPUOvercommitTolerance: 1e-9}
+	return ValidateOptions{MaxViolations: 100}
 }
 
-// Validate checks the §9-style invariants over a stored trace and returns
-// all violations found (bounded by opts.MaxViolations):
+const (
+	// cpuOvercommitTolerance is how much the summed CPU *usage* on a
+	// machine may exceed its capacity before it is flagged. Per-task
+	// usage may exceed the task's limit (CPU is work conserving, §2), but
+	// the machine cannot physically exceed its capacity; memory is a hard
+	// bound.
+	cpuOvercommitTolerance = 1e-9
+
+	// parentKillGrace is how long a child collection may outlive its
+	// parent's termination (parent exit kills children, §5.2).
+	parentKillGrace = 5 * sim.Minute
+)
+
+// Validate replays a stored trace through a Validator (MemTrace.Replay:
+// machine events, collection events, instance events, usage records)
+// and returns its violations, at most opts.MaxViolations of them. They
+// come in that row order, with the end-of-run checks last.
+func Validate(t *MemTrace, opts ValidateOptions) []Violation {
+	v := NewValidator(opts)
+	t.Replay(v)
+	return v.Finish()
+}
+
+// Validator is a Sink that checks the §9-style invariants in one pass
+// over the rows:
 //
-//  1. A SUBMIT precedes any termination event, per collection and instance.
+//  1. A SUBMIT precedes any collection termination, and an instance's
+//     SCHEDULE.
 //  2. At most one terminal state is "open" at a time: termination events
 //     must be separated by a re-SUBMIT (instances may restart).
 //  3. Event times are non-decreasing per collection/instance.
@@ -53,243 +71,272 @@ func DefaultValidateOptions() ValidateOptions {
 //  5. Instance events reference collections that have events.
 //  6. Usage windows are well-formed (Start < End) and usage is
 //     non-negative; average <= max.
-//  7. Per-machine, per-window summed usage does not exceed capacity
-//     (hard for memory, tolerance for CPU).
-//  8. A child collection does not outlive its parent's termination by
-//     more than a grace window (parent exit kills children, §5.2).
-func Validate(t *MemTrace, opts ValidateOptions) []Violation {
-	var out []Violation
-	add := func(invariant, format string, args ...any) bool {
-		out = append(out, Violation{Invariant: invariant, Detail: fmt.Sprintf(format, args...)})
-		return opts.MaxViolations > 0 && len(out) >= opts.MaxViolations
-	}
+//  7. Per-machine, per-5-minute-window summed usage does not exceed
+//     capacity (hard for memory, cpuOvercommitTolerance for CPU).
+//  8. Usage arrives in window order: a record for a window that was
+//     already checked is itself a violation.
+//  9. A child collection does not outlive its parent's termination by
+//     more than parentKillGrace.
+//
+// Row checks run as rows arrive, against the machine events seen so far.
+// A window's usage sum is checked, and dropped, once a record from a
+// later window arrives. Finish checks the windows still open, then
+// parent-kill and orphan instances. The state therefore grows with
+// collections, instances and machines, never with usage rows or windows.
+// Instances are kept after they terminate, so that a later second
+// termination is still seen.
+type Validator struct {
+	opts ValidateOptions
+	out  []Violation
 
-	// Machine liveness intervals.
-	type interval struct{ add, remove sim.Time }
-	machines := make(map[MachineID]*interval)
-	for ev := range t.MachineEvents.All() {
-		switch ev.Type {
-		case MachineAdd:
-			machines[ev.Machine] = &interval{add: ev.Time, remove: -1}
-		case MachineRemove:
-			if iv, ok := machines[ev.Machine]; ok {
-				iv.remove = ev.Time
-			}
+	lifetimes map[MachineID]lifetime
+	capacity  map[MachineID]Resources
+	colls     map[CollectionID]*collState
+	insts     map[InstanceKey]lifecycle
+
+	usageRows int                     // usage records seen, for messages
+	window    sim.Time                // start of the latest window a record opened
+	open      map[windowKey]Resources // summed usage of windows not yet checked
+}
+
+// lifetime is when a machine was added and removed (-1 while it lives).
+type lifetime struct{ add, remove sim.Time }
+
+// lifecycle is the event history of one collection or instance so far.
+type lifecycle struct {
+	last       sim.Time // time of the latest event
+	submitted  bool     // a SUBMIT has been seen
+	terminated bool     // a termination is open: no SUBMIT since
+}
+
+// collState is a collection's lifecycle plus what parent-kill needs.
+type collState struct {
+	lifecycle
+	parent CollectionID // from the first event
+	submit sim.Time     // time of the first event
+	term   sim.Time     // time of the latest termination, -1 if none
+}
+
+type windowKey struct {
+	start   sim.Time
+	machine MachineID
+}
+
+var _ Sink = (*Validator)(nil)
+
+// NewValidator returns a Validator with no rows seen.
+func NewValidator(opts ValidateOptions) *Validator {
+	return &Validator{
+		opts:      opts,
+		lifetimes: make(map[MachineID]lifetime),
+		capacity:  make(map[MachineID]Resources),
+		colls:     make(map[CollectionID]*collState),
+		insts:     make(map[InstanceKey]lifecycle),
+		window:    math.MinInt64,
+		open:      make(map[windowKey]Resources),
+	}
+}
+
+func (v *Validator) add(invariant, format string, args ...any) {
+	if v.opts.MaxViolations > 0 && len(v.out) >= v.opts.MaxViolations {
+		return
+	}
+	v.out = append(v.out, Violation{Invariant: invariant, Detail: fmt.Sprintf(format, args...)})
+}
+
+// MachineEvent records the machine's lifetime and capacity.
+func (v *Validator) MachineEvent(ev MachineEvent) {
+	switch ev.Type {
+	case MachineAdd:
+		v.lifetimes[ev.Machine] = lifetime{add: ev.Time, remove: -1}
+		v.capacity[ev.Machine] = ev.Capacity
+	case MachineUpdate:
+		v.capacity[ev.Machine] = ev.Capacity
+	case MachineRemove:
+		if lt, ok := v.lifetimes[ev.Machine]; ok {
+			lt.remove = ev.Time
+			v.lifetimes[ev.Machine] = lt
 		}
 	}
-	capacity := make(map[MachineID]Resources)
-	for ev := range t.MachineEvents.All() {
-		if ev.Type == MachineAdd || ev.Type == MachineUpdate {
-			capacity[ev.Machine] = ev.Capacity
+}
+
+// CollectionEvent checks the row against the collection's history.
+func (v *Validator) CollectionEvent(ev CollectionEvent) {
+	id := ev.Collection
+	c := v.colls[id]
+	if c == nil {
+		c = &collState{lifecycle: lifecycle{last: -1}, parent: ev.Parent, submit: ev.Time, term: -1}
+		v.colls[id] = c
+	}
+	if ev.Time < c.last {
+		v.add("coll-time-order", "collection %d: %s at %v after %v", id, ev.Type, ev.Time, c.last)
+	}
+	c.last = ev.Time
+	switch {
+	case ev.Type == EventSubmit:
+		c.submitted, c.terminated = true, false
+	case ev.Type.IsTermination():
+		if !c.submitted {
+			v.add("submit-before-termination", "collection %d: %s at %v before any SUBMIT", id, ev.Type, ev.Time)
+		}
+		if c.terminated {
+			v.add("double-termination", "collection %d: %s at %v after prior termination", id, ev.Type, ev.Time)
+		}
+		c.terminated, c.term = true, ev.Time
+	}
+}
+
+// InstanceEvent checks the row against the instance's history and the
+// machines added so far.
+func (v *Validator) InstanceEvent(ev InstanceEvent) {
+	key := ev.Key
+	l, ok := v.insts[key]
+	if !ok {
+		l.last = -1
+	}
+	if ev.Time < l.last {
+		v.add("inst-time-order", "instance %s: %s at %v after %v", key, ev.Type, ev.Time, l.last)
+	}
+	l.last = ev.Time
+	switch {
+	case ev.Type == EventSubmit:
+		l.submitted, l.terminated = true, false
+	case ev.Type == EventSchedule:
+		if !l.submitted {
+			v.add("schedule-before-submit", "instance %s scheduled at %v before SUBMIT", key, ev.Time)
+		}
+		if ev.Machine == 0 {
+			v.add("schedule-machine", "instance %s scheduled at %v with no machine", key, ev.Time)
+		} else if lt, ok := v.lifetimes[ev.Machine]; !ok {
+			v.add("schedule-machine", "instance %s scheduled on unknown machine %d", key, ev.Machine)
+		} else if ev.Time < lt.add || (lt.remove >= 0 && ev.Time > lt.remove) {
+			v.add("schedule-machine", "instance %s scheduled on machine %d outside its lifetime", key, ev.Machine)
+		}
+	case ev.Type.IsTermination():
+		if l.terminated {
+			v.add("double-termination", "instance %s: %s at %v after prior termination", key, ev.Type, ev.Time)
+		}
+		l.terminated = true
+	}
+	v.insts[key] = l
+}
+
+// UsageBatch checks each record and adds it to its machine's window sums.
+func (v *Validator) UsageBatch(recs []UsageRecord) {
+	for _, rec := range recs {
+		v.usage(rec)
+	}
+}
+
+func (v *Validator) usage(rec UsageRecord) {
+	i := v.usageRows
+	v.usageRows++
+	if rec.End <= rec.Start {
+		v.add("usage-window", "usage[%d] %s window [%v,%v) is empty or inverted", i, rec.Key, rec.Start, rec.End)
+	}
+	if !rec.AvgUsage.NonNegative() || !rec.MaxUsage.NonNegative() {
+		v.add("usage-negative", "usage[%d] %s has negative usage", i, rec.Key)
+	}
+	if rec.AvgUsage.CPU > rec.MaxUsage.CPU+1e-9 || rec.AvgUsage.Mem > rec.MaxUsage.Mem+1e-9 {
+		v.add("usage-avg-max", "usage[%d] %s average exceeds max", i, rec.Key)
+	}
+	if rec.Machine == 0 || rec.End <= rec.Start {
+		return
+	}
+	first := rec.Start / sim.SampleWindow * sim.SampleWindow
+	if first < v.window {
+		v.add("usage-order", "usage[%d] %s for window %v arrived after that window was checked", i, rec.Key, first)
+		return
+	}
+	if first > v.window {
+		v.checkWindows(first)
+	}
+	// Time-weighted accounting: a record contributes its average usage
+	// scaled by its overlap with each 5-minute window, so partial-window
+	// records from short tasks are weighed by how long they actually
+	// occupied the machine.
+	for start := first; start < rec.End; start += sim.SampleWindow {
+		lo, hi := max(rec.Start, start), min(rec.End, start+sim.SampleWindow)
+		frac := float64(hi-lo) / float64(sim.SampleWindow)
+		k := windowKey{start: start, machine: rec.Machine}
+		v.open[k] = v.open[k].Add(rec.AvgUsage.Scale(frac))
+	}
+}
+
+// checkWindows checks the capacity of every open window that starts
+// before the given time, in (window, machine) order, and drops it.
+func (v *Validator) checkWindows(before sim.Time) {
+	var due []windowKey
+	for k := range v.open {
+		if k.start < before {
+			due = append(due, k)
 		}
 	}
-
-	// Collection-level checks.
-	collTerm := make(map[CollectionID]sim.Time)
-	for _, id := range t.Collections() {
-		evs := t.EventsOf(id)
-		var last sim.Time = -1
-		seenSubmit := false
-		openTermination := false
-		for _, ev := range evs {
-			if ev.Time < last {
-				if add("coll-time-order", "collection %d: %s at %v after %v", id, ev.Type, ev.Time, last) {
-					return out
-				}
-			}
-			last = ev.Time
-			switch {
-			case ev.Type == EventSubmit:
-				seenSubmit = true
-				openTermination = false
-			case ev.Type.IsTermination():
-				if !seenSubmit {
-					if add("submit-before-termination", "collection %d: %s at %v before any SUBMIT", id, ev.Type, ev.Time) {
-						return out
-					}
-				}
-				if openTermination {
-					if add("double-termination", "collection %d: %s at %v after prior termination", id, ev.Type, ev.Time) {
-						return out
-					}
-				}
-				openTermination = true
-				collTerm[id] = ev.Time
-			}
-		}
-	}
-
-	// Parent/child causality: children must terminate within the grace
-	// window after the parent's termination.
-	const parentKillGrace = 5 * sim.Minute
-	infos := t.CollectionInfos()
-	infoByID := make(map[CollectionID]CollectionInfo, len(infos))
-	for _, info := range infos {
-		infoByID[info.ID] = info
-	}
-	for _, info := range infos {
-		if info.Parent == 0 {
+	slices.SortFunc(due, func(a, b windowKey) int {
+		return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.machine, b.machine))
+	})
+	for _, k := range due {
+		sum := v.open[k]
+		delete(v.open, k)
+		c, ok := v.capacity[k.machine]
+		if !ok {
+			v.add("usage-machine", "usage on machine %d with no capacity record", k.machine)
 			continue
 		}
-		pterm, ok := collTerm[info.Parent]
-		if !ok {
-			continue // parent still running at trace end
+		if sum.Mem > c.Mem+1e-9 {
+			v.add("machine-mem-capacity", "machine %d window %v: summed mem usage %.4f > capacity %.4f",
+				k.machine, k.start, sum.Mem, c.Mem)
 		}
-		cterm, terminated := collTerm[info.ID]
-		if !terminated {
-			if add("parent-kill", "collection %d still open after parent %d terminated at %v", info.ID, info.Parent, pterm) {
-				return out
-			}
+		if sum.CPU > c.CPU+cpuOvercommitTolerance {
+			v.add("machine-cpu-capacity", "machine %d window %v: summed cpu usage %.4f > capacity %.4f",
+				k.machine, k.start, sum.CPU, c.CPU)
+		}
+	}
+	v.window = before
+}
+
+// Finish runs the end-of-run checks — the capacity of the windows still
+// open, then parent-kill by collection ID, then orphan instances by key —
+// and returns every violation found, row checks first. Call it once,
+// after the last row.
+func (v *Validator) Finish() []Violation {
+	v.checkWindows(math.MaxInt64)
+
+	var children []CollectionID
+	for id, c := range v.colls {
+		if c.parent != 0 {
+			children = append(children, id)
+		}
+	}
+	slices.Sort(children)
+	for _, id := range children {
+		c := v.colls[id]
+		p := v.colls[c.parent]
+		if p == nil || p.term < 0 {
+			continue // parent absent or still running at trace end
+		}
+		if c.term < 0 {
+			v.add("parent-kill", "collection %d still open after parent %d terminated at %v", id, c.parent, p.term)
 			continue
 		}
 		// A child submitted after its parent's exit is killed on arrival,
 		// so the grace window runs from whichever came last.
-		deadline := pterm
-		if info.SubmitTime > deadline {
-			deadline = info.SubmitTime
-		}
-		if cterm > deadline+parentKillGrace {
-			if add("parent-kill", "collection %d terminated at %v, > grace after parent %d at %v", info.ID, cterm, info.Parent, pterm) {
-				return out
-			}
-		}
-	}
-	_ = infoByID
-
-	// Instance-level checks.
-	for _, key := range t.Instances() {
-		evs := t.InstanceEventsOf(key)
-		var last sim.Time = -1
-		seenSubmit := false
-		running := false
-		terminated := false
-		for _, ev := range evs {
-			if ev.Time < last {
-				if add("inst-time-order", "instance %s: %s at %v after %v", key, ev.Type, ev.Time, last) {
-					return out
-				}
-			}
-			last = ev.Time
-			switch {
-			case ev.Type == EventSubmit:
-				seenSubmit = true
-				terminated = false
-			case ev.Type == EventSchedule:
-				if !seenSubmit {
-					if add("schedule-before-submit", "instance %s scheduled at %v before SUBMIT", key, ev.Time) {
-						return out
-					}
-				}
-				if ev.Machine == 0 {
-					if add("schedule-machine", "instance %s scheduled at %v with no machine", key, ev.Time) {
-						return out
-					}
-				} else if iv, ok := machines[ev.Machine]; !ok {
-					if add("schedule-machine", "instance %s scheduled on unknown machine %d", key, ev.Machine) {
-						return out
-					}
-				} else if ev.Time < iv.add || (iv.remove >= 0 && ev.Time > iv.remove) {
-					if add("schedule-machine", "instance %s scheduled on machine %d outside its lifetime", key, ev.Machine) {
-						return out
-					}
-				}
-				running = true
-			case ev.Type.IsTermination():
-				if terminated {
-					if add("double-termination", "instance %s: %s at %v after prior termination", key, ev.Type, ev.Time) {
-						return out
-					}
-				}
-				terminated = true
-				running = false
-			}
-		}
-		_ = running
-		if !t.hasCollection(key.Collection) {
-			if add("orphan-instance", "instance %s references collection with no events", key) {
-				return out
-			}
+		if c.term > max(p.term, c.submit)+parentKillGrace {
+			v.add("parent-kill", "collection %d terminated at %v, > grace after parent %d at %v", id, c.term, c.parent, p.term)
 		}
 	}
 
-	// Usage-record checks, plus per-machine-window capacity accounting.
-	type windowKey struct {
-		machine MachineID
-		start   sim.Time
-	}
-	usageSum := make(map[windowKey]Resources)
-	for i := range t.UsageRecords.Len() {
-		rec := t.UsageRecords.At(i)
-		if rec.End <= rec.Start {
-			if add("usage-window", "usage[%d] %s window [%v,%v) is empty or inverted", i, rec.Key, rec.Start, rec.End) {
-				return out
-			}
-		}
-		if !rec.AvgUsage.NonNegative() || !rec.MaxUsage.NonNegative() {
-			if add("usage-negative", "usage[%d] %s has negative usage", i, rec.Key) {
-				return out
-			}
-		}
-		if rec.AvgUsage.CPU > rec.MaxUsage.CPU+1e-9 || rec.AvgUsage.Mem > rec.MaxUsage.Mem+1e-9 {
-			if add("usage-avg-max", "usage[%d] %s average exceeds max", i, rec.Key) {
-				return out
-			}
-		}
-		if rec.Machine != 0 && rec.End > rec.Start {
-			// Time-weighted accounting: a record contributes its average
-			// usage scaled by its overlap with each 5-minute window, so
-			// partial-window records from short tasks are weighed by
-			// how long they actually occupied the machine.
-			firstW := rec.Start / sim.SampleWindow
-			lastW := (rec.End - 1) / sim.SampleWindow
-			for w := firstW; w <= lastW; w++ {
-				wStart := w * sim.SampleWindow
-				wEnd := wStart + sim.SampleWindow
-				lo, hi := rec.Start, rec.End
-				if wStart > lo {
-					lo = wStart
-				}
-				if wEnd < hi {
-					hi = wEnd
-				}
-				frac := float64(hi-lo) / float64(sim.SampleWindow)
-				k := windowKey{machine: rec.Machine, start: wStart}
-				usageSum[k] = usageSum[k].Add(rec.AvgUsage.Scale(frac))
-			}
+	var orphans []InstanceKey
+	for k := range v.insts {
+		if v.colls[k.Collection] == nil {
+			orphans = append(orphans, k)
 		}
 	}
-	keys := make([]windowKey, 0, len(usageSum))
-	for k := range usageSum {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].machine != keys[j].machine {
-			return keys[i].machine < keys[j].machine
-		}
-		return keys[i].start < keys[j].start
+	slices.SortFunc(orphans, func(a, b InstanceKey) int {
+		return cmp.Or(cmp.Compare(a.Collection, b.Collection), cmp.Compare(a.Index, b.Index))
 	})
-	for _, k := range keys {
-		sum := usageSum[k]
-		cap, ok := capacity[k.machine]
-		if !ok {
-			if add("usage-machine", "usage on machine %d with no capacity record", k.machine) {
-				return out
-			}
-			continue
-		}
-		if sum.Mem > cap.Mem+1e-9 {
-			if add("machine-mem-capacity", "machine %d window %v: summed mem usage %.4f > capacity %.4f",
-				k.machine, k.start, sum.Mem, cap.Mem) {
-				return out
-			}
-		}
-		if sum.CPU > cap.CPU+opts.CPUOvercommitTolerance {
-			if add("machine-cpu-capacity", "machine %d window %v: summed cpu usage %.4f > capacity %.4f",
-				k.machine, k.start, sum.CPU, cap.CPU) {
-				return out
-			}
-		}
+	for _, k := range orphans {
+		v.add("orphan-instance", "instance %s references collection with no events", k)
 	}
-
-	return out
+	return v.out
 }
