@@ -59,9 +59,7 @@ func BenchmarkReducerReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, res := range s.Stats {
-			r := streaming.Replay(res.Trace, streaming.Config{
-				Meta: res.Trace.Meta, SnapshotAt: s.Scale.Horizon / 2,
-			})
+			r := streaming.Replay(res.Trace)
 			r.Transitions() // finalizes every product
 		}
 	}
@@ -93,10 +91,11 @@ func integrals2019(s *experiments.Suite) analysis.UsageIntegrals {
 
 func BenchmarkFigure12(b *testing.B) {
 	ints := integrals2019(suite(b))
+	grid := analysis.LogGrid(1e-5, 1e3, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.UsageCCDF(ints.CPUHours)
-		analysis.UsageCCDF(ints.MemHours)
+		stats.CCDFSampled(ints.CPUHours, grid)
+		stats.CCDFSampled(ints.MemHours, grid)
 	}
 }
 
@@ -282,13 +281,10 @@ func BenchmarkSimulateCell(b *testing.B) {
 
 // reduceCell simulates p for 4 hours at seed 3 with a streaming reducer
 // attached and no trace retained. The reducer's machine-utilization
-// snapshot is taken at hour 3.
+// snapshot is taken at mid-horizon, hour 2.
 func reduceCell(p *workload.CellProfile) *streaming.CellReducer {
 	opts := core.Options{Horizon: 4 * sim.Hour, Seed: 3, NoMemTrace: true}
-	r := streaming.NewCellReducer(streaming.Config{
-		Meta:       trace.Meta{Cell: p.Name, Duration: opts.Horizon},
-		SnapshotAt: 3 * sim.Hour,
-	})
+	r := streaming.NewCellReducer(trace.Meta{Cell: p.Name, Duration: opts.Horizon})
 	opts.ExtraSinks = []trace.Sink{r}
 	core.Run(p, opts)
 	return r

@@ -48,7 +48,7 @@ func run(w io.Writer, dir string, warmup sim.Time) error {
 	}
 	fmt.Fprintf(w, "trace: era=%s cell=%s machines=%d duration=%v\n%s\n\n",
 		tr.Meta.Era, tr.Meta.Cell, tr.Meta.Machines, tr.Meta.Duration, tr.Counts())
-	r := streaming.Replay(tr, streaming.Config{Meta: tr.Meta, SnapshotAt: tr.Meta.Duration / 2})
+	r := streaming.Replay(tr)
 
 	if err := report.TierSeriesTable(w, "Hourly CPU usage by tier (Figure 2)", r.UsageSeries(), "cpu"); err != nil {
 		return err

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/workload"
 )
 
@@ -24,7 +24,7 @@ func TestRunOutputPinned(t *testing.T) {
 	)
 	dir := t.TempDir()
 	tr := core.Run(workload.Profile2019("b", 40), core.Options{Horizon: 6 * sim.Hour, Seed: 7}).Trace
-	if err := trace.WriteDir(tr, dir); err != nil {
+	if err := tracetest.WriteDir(tr, dir); err != nil {
 		t.Fatal(err)
 	}
 	var b bytes.Buffer

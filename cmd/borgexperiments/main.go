@@ -16,7 +16,7 @@
 // then dropped. Resident memory is bounded by per-job reducer state
 // instead of growing with the horizon; CI enforces a peak-heap ceiling.
 // -export DIR additionally writes each cell's trace as sharded CSV (one
-// WriteDir-layout subdirectory per cell) while simulating.
+// trace.DirSink subdirectory per cell) while simulating.
 //
 // Usage:
 //

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/workload"
 )
 
@@ -17,7 +17,7 @@ import (
 func TestRun(t *testing.T) {
 	dir := t.TempDir()
 	tr := core.Run(workload.Profile2019("b", 20), core.Options{Horizon: 2 * sim.Hour, Seed: 7}).Trace
-	if err := trace.WriteDir(tr, dir); err != nil {
+	if err := tracetest.WriteDir(tr, dir); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {

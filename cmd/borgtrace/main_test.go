@@ -9,12 +9,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/workload"
 )
 
 // TestRunMatchesRetainedWrite: the directory borgtrace streams while
-// simulating equals, byte for byte in all five files, trace.WriteDir of
+// simulating equals, byte for byte in all five files, tracetest.WriteDir of
 // the same cell run with its trace retained, and the validator riding
 // along finds nothing.
 func TestRunMatchesRetainedWrite(t *testing.T) {
@@ -27,7 +27,7 @@ func TestRunMatchesRetainedWrite(t *testing.T) {
 		t.Fatalf("validator verdict missing:\n%s", log.String())
 	}
 	tr := core.Run(workload.Profile2019("b", 40), core.Options{Horizon: 3 * sim.Hour, Seed: 7}).Trace
-	if err := trace.WriteDir(tr, want); err != nil {
+	if err := tracetest.WriteDir(tr, want); err != nil {
 		t.Fatal(err)
 	}
 	files, err := os.ReadDir(want)
@@ -35,7 +35,7 @@ func TestRunMatchesRetainedWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(files) != 5 {
-		t.Fatalf("WriteDir wrote %d files, want 5", len(files))
+		t.Fatalf("tracetest.WriteDir wrote %d files, want 5", len(files))
 	}
 	for _, f := range files {
 		w, err := os.ReadFile(filepath.Join(want, f.Name()))

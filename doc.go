@@ -110,8 +110,8 @@
 // pooled, so steady-state
 // placement performs zero heap allocations (guarded by an
 // AllocsPerRun test in CI). Machines are looked up in an ID-indexed
-// table: IDs are dense from 1, so cluster.Cell keeps a []*Machine with a
-// nil slot per removed machine instead of a map, and the scheduler's
+// table: IDs are dense from 1, so cluster.Cell keeps a []*Machine
+// instead of a map, and the scheduler's
 // per-machine score cache is indexed by the same IDs. The scheduling
 // server's service-completion callback is bound once, so queueing a
 // service event allocates no closure. The policy layer sits on top of this
@@ -190,8 +190,8 @@
 //   - The slice is only valid for the duration of the call (the sampler
 //     reuses it next window); implementations that retain rows must
 //     copy them out, as MemTrace does: it copies the block into its
-//     chunked usage table, and WriteDir and streaming.Replay hand the
-//     stored rows back chunk by chunk through the same method.
+//     chunked usage table, and MemTrace.Replay (behind streaming.Replay)
+//     hands the stored rows back chunk by chunk through the same method.
 //
 // FanOut forwards a batch to every child, CountingSink counts len(recs)
 // in one step, DirSink encodes the block through its per-table 1 MB

@@ -48,13 +48,7 @@ func main() {
 	for i, cell := range cells {
 		specs[i] = engine.NewSpec(i, workload.Profile2019(cell, machines),
 			core.Options{Horizon: horizon, NoMemTrace: true}, rootSeed)
-		reducers[i] = streaming.NewCellReducer(streaming.Config{
-			Meta: trace.Meta{
-				Era: trace.Era2019, Cell: cell, Duration: horizon,
-				Machines: machines, Seed: specs[i].Options.Seed,
-			},
-			SnapshotAt: horizon / 2,
-		})
+		reducers[i] = streaming.NewCellReducer(core.TraceMeta(specs[i].Profile, specs[i].Options))
 	}
 	engine.AttachSinks(specs, func(i int) trace.Sink { return reducers[i] })
 

@@ -29,7 +29,7 @@ func main() {
 	profile := workload.Profile2019("a", 100)
 	opts := core.Options{Horizon: 6 * sim.Hour, Seed: 42, NoMemTrace: true}
 	validator := trace.NewValidator(trace.DefaultValidateOptions())
-	red := streaming.NewCellReducer(streaming.Config{Meta: core.TraceMeta(profile, opts)})
+	red := streaming.NewCellReducer(core.TraceMeta(profile, opts))
 	opts.ExtraSinks = []trace.Sink{validator, red}
 	res := core.Run(profile, opts)
 

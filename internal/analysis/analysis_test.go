@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -32,7 +33,7 @@ func TestUsageCCDFAndLogGrid(t *testing.T) {
 			t.Fatal("grid not increasing")
 		}
 	}
-	ccdf := UsageCCDF([]float64{0.001, 0.01, 1, 10, 100})
+	ccdf := stats.CCDFSampled([]float64{0.001, 0.01, 1, 10, 100}, grid)
 	prev := 1.1
 	for _, p := range ccdf {
 		if p.P > prev {
@@ -40,8 +41,10 @@ func TestUsageCCDFAndLogGrid(t *testing.T) {
 		}
 		prev = p.P
 	}
-	if UsageCCDF(nil) != nil {
-		t.Fatal("empty ccdf")
+	for _, p := range stats.CCDFSampled(nil, grid) {
+		if !math.IsNaN(p.P) {
+			t.Fatal("empty ccdf")
+		}
 	}
 }
 

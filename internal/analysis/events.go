@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/sim"
@@ -347,9 +346,4 @@ func MergeSamplesBy[K comparable](cells []map[K][]float64) map[K][]float64 {
 		}
 	}
 	return out
-}
-
-// FormatTransition renders a transition edge for reports.
-func FormatTransition(t Transition) string {
-	return fmt.Sprintf("%s -> %s: %d", t.From, t.To, t.Count)
 }

@@ -86,16 +86,6 @@ func ComputeTable2Column(hours []float64) Table2Column {
 	}
 }
 
-// UsageCCDF returns the log-log CCDF of per-job resource-hours evaluated
-// on a logarithmic grid (Figure 12's series).
-func UsageCCDF(hours []float64) []stats.CCDFPoint {
-	if len(hours) == 0 {
-		return nil
-	}
-	grid := LogGrid(1e-6, 1e5, 12)
-	return stats.CCDFSampled(hours, grid)
-}
-
 // LogGrid builds a logarithmic grid with pointsPerDecade points between
 // lo and hi.
 func LogGrid(lo, hi float64, pointsPerDecade int) []float64 {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 // The trace directory's files: meta first, then the four CSV tables in
@@ -62,7 +63,7 @@ func fuzzSeedTrace() *trace.MemTrace {
 // samples (up to the sign of a zero), NaN and infinite slack included.
 func FuzzReplay(f *testing.F) {
 	seed := f.TempDir()
-	if err := trace.WriteDir(fuzzSeedTrace(), seed); err != nil {
+	if err := tracetest.WriteDir(fuzzSeedTrace(), seed); err != nil {
 		f.Fatal(err)
 	}
 	files := make([][]byte, len(traceFiles))
@@ -88,7 +89,7 @@ func FuzzReplay(f *testing.F) {
 		if err != nil {
 			return
 		}
-		r := Replay(tr, Config{Meta: tr.Meta, SnapshotAt: tr.Meta.Duration / 2})
+		r := Replay(tr)
 		_ = products(r)
 		for mode := range trace.VerticalScaling(numScalingModes) {
 			parts := r.SlackSamples(mode)

@@ -52,7 +52,7 @@ func (r *CellReducer) Scalars(warmup sim.Time) []Scalar {
 		}
 		return cpu, mem
 	}
-	cell := r.cfg.Meta.Cell
+	cell := r.meta.Cell
 	useCPU, useMem := sumTiers(analysis.AverageOfSeries(r.usageSeries, cell, warmup))
 	allocCPU, allocMem := sumTiers(analysis.AverageOfSeries(r.allocSeries, cell, warmup))
 

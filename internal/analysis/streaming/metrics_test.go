@@ -20,10 +20,7 @@ func TestScalarsMatchAccessorDerivation(t *testing.T) {
 	horizon := 4 * sim.Hour
 	warmup := sim.Hour
 	res := core.Run(p, core.Options{Horizon: horizon, Seed: 11})
-	r := Replay(res.Trace, Config{
-		Meta:       res.Trace.Meta,
-		SnapshotAt: horizon / 2,
-	})
+	r := Replay(res.Trace)
 
 	scalars := r.Scalars(warmup)
 	names := ScalarNames()
@@ -65,7 +62,7 @@ func TestScalarsMatchAccessorDerivation(t *testing.T) {
 // TestScalarsEmptyReducer checks an empty cell yields finite zeros, not
 // NaNs, so sweep aggregation over degenerate cells stays well defined.
 func TestScalarsEmptyReducer(t *testing.T) {
-	r := NewCellReducer(Config{Meta: trace.Meta{Duration: 2 * sim.Hour}})
+	r := NewCellReducer(trace.Meta{Duration: 2 * sim.Hour})
 	for _, s := range r.Scalars(0) {
 		if s.Value != 0 {
 			t.Fatalf("empty-cell scalar %s = %g, want 0", s.Name, s.Value)

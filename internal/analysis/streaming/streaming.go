@@ -3,9 +3,11 @@
 // computes a figure: a CellReducer is a trace.Sink, attached to a cell
 // via core.Options.ExtraSinks (with or without NoMemTrace), and once the
 // simulation has finished every report renders from its products.
-// Replay feeds a retained trace — one just simulated, or one read back
-// from disk — through a fresh reducer, so stored traces are analyzed by
-// the same code.
+// NewCellReducer needs only the cell's trace.Meta (core.TraceMeta), from
+// which it sizes the hourly buckets and fixes Figure 6's snapshot at
+// mid-horizon. Replay feeds a retained trace — one just simulated, or
+// one read back from disk — through a fresh reducer, so stored traces
+// are analyzed by the same code.
 //
 // # Memory model
 //
@@ -47,18 +49,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// Config identifies the cell a reducer consumes and pins the analysis
-// parameters that must be known before rows stream in.
-type Config struct {
-	// Meta mirrors the retained trace's metadata: cell name, era,
-	// duration (hourly bucket count), machine count and seed.
-	Meta trace.Meta
-	// SnapshotAt is the instant of Figure 6's machine-utilization
-	// snapshot (the suite uses mid-horizon). Records overlapping this
-	// instant are folded into the per-machine snapshot totals.
-	SnapshotAt sim.Time
-}
 
 // collState is one collection's reduced view: the static attributes and
 // outcome the analyses read, plus its per-job aggregates.
@@ -161,7 +151,13 @@ const numScalingModes = int(trace.ScalingFull) + 1
 // simulation has completed; the first access finalizes the reducer and
 // further rows panic.
 type CellReducer struct {
-	cfg Config
+	// meta mirrors the retained trace's metadata: cell name, era,
+	// duration (hourly bucket count), machine count and seed.
+	meta trace.Meta
+	// snapshotAt is the instant of Figure 6's machine-utilization
+	// snapshot, mid-horizon. Records overlapping it are folded into the
+	// per-machine snapshot totals.
+	snapshotAt sim.Time
 
 	caps       map[trace.MachineID]trace.MachineEvent
 	usageAcc   *analysis.SeriesAccum
@@ -197,16 +193,18 @@ type CellReducer struct {
 	integrals   analysis.UsageIntegrals
 }
 
-// NewCellReducer returns an empty reducer for one cell.
-func NewCellReducer(cfg Config) *CellReducer {
-	hours := analysis.SeriesHours(cfg.Meta.Duration)
+// NewCellReducer returns an empty reducer for the cell that meta
+// describes, as core.TraceMeta stamps it.
+func NewCellReducer(meta trace.Meta) *CellReducer {
+	hours := analysis.SeriesHours(meta.Duration)
 	return &CellReducer{
-		cfg:       cfg,
-		caps:      make(map[trace.MachineID]trace.MachineEvent),
-		usageAcc:  analysis.NewSeriesAccum(hours),
-		allocAcc:  analysis.NewSeriesAccum(hours),
-		snapUsage: make(map[trace.MachineID]trace.Resources),
-		colls:     make(map[trace.CollectionID]*collState),
+		meta:       meta,
+		snapshotAt: meta.Duration / 2,
+		caps:       make(map[trace.MachineID]trace.MachineEvent),
+		usageAcc:   analysis.NewSeriesAccum(hours),
+		allocAcc:   analysis.NewSeriesAccum(hours),
+		snapUsage:  make(map[trace.MachineID]trace.Resources),
+		colls:      make(map[trace.CollectionID]*collState),
 		rates: analysis.SubmissionRates{
 			JobsPerHour:     make([]float64, hours),
 			NewTasksPerHour: make([]float64, hours),
@@ -377,7 +375,7 @@ func (r *CellReducer) usageOne(rec *trace.UsageRecord, c *collState) {
 		}
 	}
 
-	if rec.Start <= r.cfg.SnapshotAt && r.cfg.SnapshotAt < rec.End && rec.Machine != 0 {
+	if rec.Start <= r.snapshotAt && r.snapshotAt < rec.End && rec.Machine != 0 {
 		r.snapUsage[rec.Machine] = r.snapUsage[rec.Machine].Add(rec.AvgUsage)
 	}
 }
@@ -452,7 +450,7 @@ func (r *CellReducer) finalize() {
 }
 
 // Meta returns the cell's metadata.
-func (r *CellReducer) Meta() trace.Meta { return r.cfg.Meta }
+func (r *CellReducer) Meta() trace.Meta { return r.meta }
 
 // MachineShapes returns Figure 1's shape populations.
 func (r *CellReducer) MachineShapes() []analysis.ShapePoint {
@@ -474,16 +472,16 @@ func (r *CellReducer) AllocationSeries() analysis.TierSeries {
 
 // AverageUsageByTier returns Figure 3's per-cell bars.
 func (r *CellReducer) AverageUsageByTier(warmup sim.Time) analysis.TierAverages {
-	return analysis.AverageOfSeries(r.UsageSeries(), r.cfg.Meta.Cell, warmup)
+	return analysis.AverageOfSeries(r.UsageSeries(), r.meta.Cell, warmup)
 }
 
 // AverageAllocationByTier returns Figure 5's per-cell bars.
 func (r *CellReducer) AverageAllocationByTier(warmup sim.Time) analysis.TierAverages {
-	return analysis.AverageOfSeries(r.AllocationSeries(), r.cfg.Meta.Cell, warmup)
+	return analysis.AverageOfSeries(r.AllocationSeries(), r.meta.Cell, warmup)
 }
 
 // MachineUtilization returns Figure 6's per-machine utilization samples
-// at the configured snapshot instant.
+// at the mid-horizon snapshot instant.
 func (r *CellReducer) MachineUtilization() (cpu, mem []float64) {
 	r.finalize()
 	return r.utilCPU, r.utilMem
@@ -568,8 +566,8 @@ func (r *CellReducer) numInstances() int {
 // same first-event-precedes-references invariant the live stream
 // provides, so a replayed reducer is bit-identical to one that consumed
 // the stream live — the property TestReplayMatchesLive pins.
-func Replay(tr *trace.MemTrace, cfg Config) *CellReducer {
-	r := NewCellReducer(cfg)
+func Replay(tr *trace.MemTrace) *CellReducer {
+	r := NewCellReducer(tr.Meta)
 	tr.Replay(r)
 	return r
 }

@@ -12,6 +12,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -23,7 +24,6 @@ import (
 type fixture struct {
 	tr  *trace.MemTrace
 	red *CellReducer
-	at  sim.Time
 }
 
 var (
@@ -32,20 +32,16 @@ var (
 )
 
 func runFixture(p *workload.CellProfile, horizon sim.Time, seed uint64) *fixture {
-	at := horizon / 2
-	red := NewCellReducer(Config{
-		Meta: trace.Meta{
-			Era: p.Era, Cell: p.Name, Duration: horizon,
-			Machines: p.Machines, Seed: seed,
-		},
-		SnapshotAt: at,
+	red := NewCellReducer(trace.Meta{
+		Era: p.Era, Cell: p.Name, Duration: horizon,
+		Machines: p.Machines, Seed: seed,
 	})
 	res := core.Run(p, core.Options{
 		Horizon:    horizon,
 		Seed:       seed,
 		ExtraSinks: []trace.Sink{red},
 	})
-	return &fixture{tr: res.Trace, red: red, at: at}
+	return &fixture{tr: res.Trace, red: red}
 }
 
 func fixtures(t *testing.T) (*fixture, *fixture) {
@@ -160,7 +156,7 @@ func TestReducerMatchesPostHoc(t *testing.T) {
 // TestReducerDropsRemovedMachines: a REMOVE takes a machine out of the
 // capacity snapshot every machine product is computed from.
 func TestReducerDropsRemovedMachines(t *testing.T) {
-	r := NewCellReducer(Config{Meta: trace.Meta{Duration: sim.Hour}})
+	r := NewCellReducer(trace.Meta{Duration: sim.Hour})
 	one := trace.Resources{CPU: 1, Mem: 1}
 	r.MachineEvent(trace.MachineEvent{Machine: 1, Type: trace.MachineAdd, Capacity: one})
 	r.MachineEvent(trace.MachineEvent{Machine: 2, Type: trace.MachineAdd, Capacity: one})
@@ -178,7 +174,7 @@ func TestReducerDropsRemovedMachines(t *testing.T) {
 // consuming the live interleaved stream.
 func TestReplayMatchesLive(t *testing.T) {
 	f19, _ := fixtures(t)
-	replayed := Replay(f19.tr, Config{Meta: f19.tr.Meta, SnapshotAt: f19.at})
+	replayed := Replay(f19.tr)
 	diff(t, "usage series", replayed.UsageSeries(), f19.red.UsageSeries())
 	diff(t, "transitions", replayed.Transitions(), f19.red.Transitions())
 	diff(t, "rates", replayed.Rates(), f19.red.Rates())
@@ -190,8 +186,49 @@ func TestReplayMatchesLive(t *testing.T) {
 	diff(t, "utilization mem", mem, liveMem)
 }
 
+// TestReducerProductsInvariantUnderRelabeling pins a metamorphic
+// relation: collection IDs and cell order are labels, not inputs, so
+// shifting every cell's ID base to engine.IDBase(7), or reversing the
+// order of the specs passed to engine.Run, leaves every reducer product
+// of every cell unchanged.
+func TestReducerProductsInvariantUnderRelabeling(t *testing.T) {
+	profiles := []*workload.CellProfile{workload.Profile2019("a", 120), workload.Profile2011(120)}
+	run := func(order []int, idBase func(cell int) trace.CollectionID) []map[string]any {
+		reducers := make([]*CellReducer, len(profiles))
+		specs := make([]engine.Spec, 0, len(order))
+		for _, i := range order {
+			opts := core.Options{Horizon: 6 * sim.Hour, Seed: 42, IDBase: idBase(i), NoMemTrace: true}
+			reducers[i] = NewCellReducer(core.TraceMeta(profiles[i], opts))
+			opts.ExtraSinks = []trace.Sink{reducers[i]}
+			specs = append(specs, engine.Spec{Profile: profiles[i], Options: opts})
+		}
+		engine.Run(specs, engine.Options{Parallelism: 2})
+		out := make([]map[string]any, len(reducers))
+		for i, r := range reducers {
+			out[i] = products(r)
+		}
+		return out
+	}
+	want := run([]int{0, 1}, engine.IDBase)
+	for _, c := range []struct {
+		name string
+		got  []map[string]any
+	}{
+		{"IDBase(7)", run([]int{0, 1}, func(int) trace.CollectionID { return engine.IDBase(7) })},
+		{"reversed specs", run([]int{1, 0}, engine.IDBase)},
+	} {
+		for i := range profiles {
+			for name, w := range want[i] {
+				if !reflect.DeepEqual(c.got[i][name], w) {
+					t.Errorf("%s: cell %s product %q changed", c.name, profiles[i].Name, name)
+				}
+			}
+		}
+	}
+}
+
 func TestRowAfterFinalizePanics(t *testing.T) {
-	r := NewCellReducer(Config{Meta: trace.Meta{Duration: sim.Hour}})
+	r := NewCellReducer(trace.Meta{Duration: sim.Hour})
 	r.CollectionEvent(trace.CollectionEvent{Collection: 1, Type: trace.EventSubmit})
 	_ = r.Transitions() // finalizes
 	defer func() {
@@ -218,7 +255,7 @@ func TestReducerStateIsBounded(t *testing.T) {
 // autoscaled job with n instances (submitted and scheduled), and the
 // first usage batch for them, plus that batch for replaying.
 func seededReducer(n int) (*CellReducer, []trace.UsageRecord) {
-	r := NewCellReducer(Config{Meta: trace.Meta{Duration: 4 * sim.Hour}, SnapshotAt: sim.Hour})
+	r := NewCellReducer(trace.Meta{Duration: 2 * sim.Hour})
 	r.MachineEvent(trace.MachineEvent{Machine: 1, Type: trace.MachineAdd, Capacity: trace.Resources{CPU: 1, Mem: 1}})
 	r.CollectionEvent(trace.CollectionEvent{Collection: 1, Type: trace.EventSubmit,
 		CollectionType: trace.CollectionJob, Tier: trace.TierProduction, Scaling: trace.ScalingFull})

@@ -7,7 +7,9 @@
 // ScalingNone (limits never touched), ScalingFull (limit tracks the
 // windowed peak with a safety margin), and ScalingConstrained (as Full,
 // but the limit may not drop below a floor fraction of the original
-// user request).
+// user request). The recommender's window, percentile, margin, floor
+// and hysteresis are constants calibrated once; New takes only the
+// cell's overcommit policy.
 package autopilot
 
 import (
@@ -20,46 +22,30 @@ import (
 	"repro/internal/trace"
 )
 
-// Config tunes the recommender.
-type Config struct {
-	// WindowSamples is the number of recent 5-minute peak samples the
+// The recommender's settings, calibrated once for the reproduction's
+// 2019 profile.
+const (
+	// windowSamples is the number of recent 5-minute peak samples the
 	// recommender considers (12 ≈ one hour of history).
-	WindowSamples int
-	// Percentile selects the windowed peak percentile the limit tracks;
+	windowSamples = 12
+	// percentile selects the windowed peak percentile the limit tracks;
 	// Autopilot's recommenders are percentile-based rather than
 	// max-based, so transient spikes do not ratchet limits up.
-	Percentile float64
-	// Margin is the safety factor applied to the windowed percentile.
-	Margin float64
-	// ConstrainedFloor is the minimum fraction of the original request a
+	percentile = 0.85
+	// margin is the safety factor applied to the windowed percentile.
+	margin = 1.03
+	// constrainedFloor is the minimum fraction of the original request a
 	// constrained task's limit may shrink to.
-	ConstrainedFloor float64
-	// UpdateThreshold is the relative limit change required before an
+	constrainedFloor = 0.75
+	// updateThreshold is the relative limit change required before an
 	// update is issued (hysteresis; avoids trace spam).
-	UpdateThreshold float64
-	// MinCPU and MinMem floor the recommended limits.
-	MinCPU, MinMem float64
-	// Overcommit is the cell's policy, used to cap limit growth at the
-	// machine's allocation ceiling.
-	Overcommit cluster.OvercommitPolicy
-}
-
-// DefaultConfig mirrors the reproduction's 2019 profile.
-func DefaultConfig(oc cluster.OvercommitPolicy) Config {
-	return Config{
-		WindowSamples:    12,
-		Percentile:       0.85,
-		Margin:           1.03,
-		ConstrainedFloor: 0.75,
-		UpdateThreshold:  0.05,
-		MinCPU:           0.0005,
-		MinMem:           0.0005,
-		Overcommit:       oc,
-	}
-}
+	updateThreshold = 0.05
+	// minCPU and minMem floor the recommended limits.
+	minCPU, minMem = 0.0005, 0.0005
+)
 
 // window holds a task's recent peak-usage samples and its original
-// request. peaks is the ring of the last WindowSamples peaks in arrival
+// request. peaks is the ring of the last windowSamples peaks in arrival
 // order; cpus and mems hold the same samples per dimension in ascending
 // order, updated incrementally (the evicted sample out, the new one in),
 // so a percentile is a read of a sorted slice and never sorts.
@@ -72,12 +58,12 @@ type window struct {
 	seen uint64
 }
 
-func newWindow(samples int, original trace.Resources) *window {
-	sorted := make([]float64, 2*samples)
+func newWindow(original trace.Resources) *window {
+	sorted := make([]float64, 2*windowSamples)
 	return &window{
-		peaks:    make([]trace.Resources, samples),
-		cpus:     sorted[:0:samples],
-		mems:     sorted[samples:samples],
+		peaks:    make([]trace.Resources, windowSamples),
+		cpus:     sorted[:0:windowSamples],
+		mems:     sorted[windowSamples:windowSamples],
 		original: original,
 	}
 }
@@ -135,9 +121,11 @@ func (w *window) percentile(q float64) trace.Resources {
 
 // Autopilot is the vertical autoscaler for one cell.
 type Autopilot struct {
-	cfg  Config
-	cell *cluster.Cell
-	sink trace.Sink
+	// overcommit is the cell's policy, used to cap limit growth at the
+	// machine's allocation ceiling.
+	overcommit cluster.OvercommitPolicy
+	cell       *cluster.Cell
+	sink       trace.Sink
 	// tracked lists the tasks holding a window (in their Autoscale
 	// cookie); gen is the current sweep generation.
 	tracked []*scheduler.Task
@@ -151,19 +139,10 @@ type Autopilot struct {
 	updates int
 }
 
-// New constructs an Autopilot bound to a cell and trace sink.
-func New(cfg Config, cell *cluster.Cell, sink trace.Sink) *Autopilot {
-	if cfg.WindowSamples <= 0 {
-		cfg.WindowSamples = 12
-	}
-	if cfg.Margin <= 0 {
-		cfg.Margin = 1.1
-	}
-	return &Autopilot{
-		cfg:  cfg,
-		cell: cell,
-		sink: sink,
-	}
+// New constructs an Autopilot bound to a cell with overcommit policy oc
+// and to a trace sink.
+func New(oc cluster.OvercommitPolicy, cell *cluster.Cell, sink trace.Sink) *Autopilot {
+	return &Autopilot{overcommit: oc, cell: cell, sink: sink}
 }
 
 // OnLimitChange registers fn as the writer of task request updates —
@@ -176,9 +155,6 @@ func (a *Autopilot) OnLimitChange(fn func(*scheduler.Task, trace.Resources)) {
 
 // Updates returns how many limit updates have been issued.
 func (a *Autopilot) Updates() int { return a.updates }
-
-// Tracked returns how many instances currently have usage windows.
-func (a *Autopilot) Tracked() int { return len(a.tracked) }
 
 // Observe feeds one 5-minute peak usage sample for a running task and, for
 // autoscaled tasks, adjusts the task's limit toward the windowed peak.
@@ -194,7 +170,7 @@ func (a *Autopilot) Observe(now sim.Time, t *scheduler.Task, peakUsage trace.Res
 			a.free = a.free[:n-1]
 			w.reset(t.Request)
 		} else {
-			w = newWindow(a.cfg.WindowSamples, t.Request)
+			w = newWindow(t.Request)
 		}
 		t.Autoscale = w
 		a.tracked = append(a.tracked, t)
@@ -202,15 +178,15 @@ func (a *Autopilot) Observe(now sim.Time, t *scheduler.Task, peakUsage trace.Res
 	w.seen = a.gen
 	w.add(peakUsage)
 
-	rec := w.percentile(a.cfg.Percentile).Scale(a.cfg.Margin)
-	if rec.CPU < a.cfg.MinCPU {
-		rec.CPU = a.cfg.MinCPU
+	rec := w.percentile(percentile).Scale(margin)
+	if rec.CPU < minCPU {
+		rec.CPU = minCPU
 	}
-	if rec.Mem < a.cfg.MinMem {
-		rec.Mem = a.cfg.MinMem
+	if rec.Mem < minMem {
+		rec.Mem = minMem
 	}
 	if t.Job.Scaling == trace.ScalingConstrained {
-		floor := w.original.Scale(a.cfg.ConstrainedFloor)
+		floor := w.original.Scale(constrainedFloor)
 		if rec.CPU < floor.CPU {
 			rec.CPU = floor.CPU
 		}
@@ -220,8 +196,8 @@ func (a *Autopilot) Observe(now sim.Time, t *scheduler.Task, peakUsage trace.Res
 	}
 
 	cur := t.Request
-	if !significant(cur.CPU, rec.CPU, a.cfg.UpdateThreshold) &&
-		!significant(cur.Mem, rec.Mem, a.cfg.UpdateThreshold) {
+	if !significant(cur.CPU, rec.CPU, updateThreshold) &&
+		!significant(cur.Mem, rec.Mem, updateThreshold) {
 		return cur
 	}
 
@@ -231,7 +207,7 @@ func (a *Autopilot) Observe(now sim.Time, t *scheduler.Task, peakUsage trace.Res
 	if t.Machine != 0 && t.AllocInstance.Collection == 0 {
 		m := a.cell.Machine(t.Machine)
 		if m != nil {
-			ceiling := m.Ceiling(a.cfg.Overcommit)
+			ceiling := m.Ceiling(a.overcommit)
 			head := ceiling.Sub(m.Allocated()).Add(cur)
 			if rec.CPU > head.CPU {
 				rec.CPU = head.CPU
@@ -239,7 +215,7 @@ func (a *Autopilot) Observe(now sim.Time, t *scheduler.Task, peakUsage trace.Res
 			if rec.Mem > head.Mem {
 				rec.Mem = head.Mem
 			}
-			if rec.CPU < a.cfg.MinCPU || rec.Mem < a.cfg.MinMem {
+			if rec.CPU < minCPU || rec.Mem < minMem {
 				return cur // no headroom at all; keep the current limit
 			}
 			a.cell.UpdateLimit(t.Machine, t.Key, rec)

@@ -18,7 +18,7 @@ func setup(t *testing.T, scaling trace.VerticalScaling, request trace.Resources)
 	m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
 	tr := trace.NewMemTrace(trace.Meta{})
 	oc := cluster.OvercommitPolicy{CPUFactor: 1.2, MemFactor: 1.2}
-	ap := New(DefaultConfig(oc), cell, tr)
+	ap := New(oc, cell, tr)
 
 	j := scheduler.NewJob(1)
 	j.Type = trace.CollectionJob
@@ -43,7 +43,7 @@ func TestNoneStrategyNeverAdjusts(t *testing.T) {
 	if ap.Updates() != 0 || tr.InstanceEvents.Len() != 0 {
 		t.Fatalf("updates %d events %d", ap.Updates(), tr.InstanceEvents.Len())
 	}
-	if ap.Tracked() != 0 {
+	if tracked(ap) != 0 {
 		t.Fatal("none tasks should not be tracked")
 	}
 }
@@ -101,7 +101,7 @@ func TestGrowthCappedByMachineHeadroom(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ap.Observe(sim.Time(i)*sim.SampleWindow, task, trace.Resources{CPU: 0.9, Mem: 0.9})
 	}
-	ceiling := ap.cfg.Overcommit.AllocationCeiling(m.Capacity)
+	ceiling := ap.overcommit.AllocationCeiling(m.Capacity)
 	if alloc := m.Allocated(); alloc.CPU > ceiling.CPU+1e-9 || alloc.Mem > ceiling.Mem+1e-9 {
 		t.Fatalf("allocation %v exceeds ceiling %v", alloc, ceiling)
 	}
@@ -112,7 +112,7 @@ func TestConstrainedFloor(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		ap.Observe(sim.Time(i)*sim.SampleWindow, task, trace.Resources{CPU: 0.01, Mem: 0.01})
 	}
-	floor := 0.4 * ap.cfg.ConstrainedFloor
+	floor := 0.4 * constrainedFloor
 	if task.Request.CPU < floor-1e-9 {
 		t.Fatalf("constrained limit %v fell below floor %v", task.Request.CPU, floor)
 	}
@@ -165,16 +165,16 @@ func TestHysteresisSuppressesSmallChanges(t *testing.T) {
 func TestForget(t *testing.T) {
 	ap, _, task, _ := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.4, Mem: 0.4})
 	ap.Observe(0, task, trace.Resources{CPU: 0.1, Mem: 0.1})
-	if ap.Tracked() != 1 || task.Autoscale == nil {
-		t.Fatalf("tracked %d", ap.Tracked())
+	if tracked(ap) != 1 || task.Autoscale == nil {
+		t.Fatalf("tracked %d", tracked(ap))
 	}
 	ap.Sweep()
-	if ap.Tracked() != 1 || task.Autoscale == nil {
-		t.Fatalf("observed task forgotten by the sweep: tracked %d", ap.Tracked())
+	if tracked(ap) != 1 || task.Autoscale == nil {
+		t.Fatalf("observed task forgotten by the sweep: tracked %d", tracked(ap))
 	}
 	ap.Sweep()
-	if ap.Tracked() != 0 || task.Autoscale != nil {
-		t.Fatalf("tracked after an unobserved window %d", ap.Tracked())
+	if tracked(ap) != 0 || task.Autoscale != nil {
+		t.Fatalf("tracked after an unobserved window %d", tracked(ap))
 	}
 	// The next window starts empty, even when recycled from the swept one.
 	ap.Observe(sim.SampleWindow, task, trace.Resources{CPU: 0.2, Mem: 0.2})
@@ -186,8 +186,7 @@ func TestForget(t *testing.T) {
 // TestWindowOrderStatisticMatchesSort: the incrementally sorted window
 // gives the same quantiles, bit for bit, as sorting the held samples.
 func TestWindowOrderStatisticMatchesSort(t *testing.T) {
-	const samples = 12
-	w := newWindow(samples, trace.Resources{})
+	w := newWindow(trace.Resources{})
 	src := rng.New(3)
 	var held []trace.Resources
 	for i := 0; i < 200; i++ {
@@ -195,7 +194,7 @@ func TestWindowOrderStatisticMatchesSort(t *testing.T) {
 		u := trace.Resources{CPU: float64(src.Intn(8)) / 8, Mem: src.Float64()}
 		w.add(u)
 		held = append(held, u)
-		if len(held) > samples {
+		if len(held) > windowSamples {
 			held = held[1:]
 		}
 		cpus := make([]float64, len(held))
@@ -220,7 +219,7 @@ func TestWindowOrderStatisticMatchesSort(t *testing.T) {
 func TestObserveSteadyStateZeroAllocs(t *testing.T) {
 	cell := cluster.NewCell("test")
 	m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
-	ap := New(DefaultConfig(cluster.OvercommitPolicy{CPUFactor: 1.2, MemFactor: 1.2}), cell, trace.NopSink{})
+	ap := New(cluster.OvercommitPolicy{CPUFactor: 1.2, MemFactor: 1.2}, cell, trace.NopSink{})
 	j := scheduler.NewJob(1)
 	j.Scaling = trace.ScalingFull
 	task := &scheduler.Task{Request: trace.Resources{CPU: 0.4, Mem: 0.4}, Duration: sim.Hour}
@@ -265,3 +264,6 @@ func TestSignificant(t *testing.T) {
 		t.Fatal("zero to zero flagged")
 	}
 }
+
+// tracked returns how many instances currently have usage windows.
+func tracked(a *Autopilot) int { return len(a.tracked) }

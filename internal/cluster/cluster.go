@@ -72,8 +72,8 @@ type Resident struct {
 	Tier     trace.Tier
 	// Usage is the most recent sampled usage; updated by the usage model
 	// each sampling window. While a resident is placed, writes must go
-	// through Machine.SetUsage or Machine.SetResidentUsage so the
-	// machine's incremental usage aggregate stays consistent.
+	// through Machine.SetResidentUsage so the machine's incremental
+	// usage aggregate stays consistent.
 	Usage trace.Resources
 	// Task is an opaque owner cookie: the scheduler stores its task
 	// pointer here when it places the resident so per-window sampling
@@ -177,23 +177,12 @@ func (m *Machine) Resident(key trace.InstanceKey) *Resident {
 }
 
 // UsageTotal returns the summed last-sampled usage of all residents,
-// maintained incrementally by Place/Remove/SetUsage.
+// maintained incrementally by Place/Remove/SetResidentUsage.
 func (m *Machine) UsageTotal() trace.Resources { return m.usageTotal }
 
-// SetUsage records a resident's sampled usage, keeping the machine's
-// usage aggregate consistent. It reports whether the resident exists.
-func (m *Machine) SetUsage(key trace.InstanceKey, usage trace.Resources) bool {
-	r := m.Resident(key)
-	if r == nil {
-		return false
-	}
-	m.SetResidentUsage(r, usage)
-	return true
-}
-
-// SetResidentUsage is SetUsage for a caller already holding the resident
-// (e.g. from a Residents snapshot): same aggregate maintenance, no
-// lookup. The resident must currently be placed on m.
+// SetResidentUsage records a resident's sampled usage, keeping the
+// machine's usage aggregate consistent. The resident must currently be
+// placed on m.
 func (m *Machine) SetResidentUsage(r *Resident, usage trace.Resources) {
 	m.usageTotal = m.usageTotal.Sub(r.Usage).Add(usage)
 	m.clampAggregates()
@@ -297,7 +286,7 @@ type Cell struct {
 	Name string
 
 	// machines is indexed by ID: IDs are dense from 1 (AddMachine's
-	// nextID), slot 0 is never used and a removed machine's slot is nil.
+	// nextID) and slot 0 is never used.
 	machines []*Machine
 	ids      []trace.MachineID // live IDs, sorted, kept in sync with machines
 	// occ lists machines that currently hold at least one resident, in
@@ -331,28 +320,6 @@ func (c *Cell) AddMachine(capacity trace.Resources, platform string) *Machine {
 	return m
 }
 
-// RemoveMachine deletes a machine from the cell and returns its residents
-// (which the caller must reschedule). Removing an unknown machine panics.
-func (c *Cell) RemoveMachine(id trace.MachineID) []*Resident {
-	m := c.Machine(id)
-	if m == nil {
-		panic(fmt.Sprintf("cluster: removing unknown machine %d", id))
-	}
-	res := m.Residents()
-	for _, r := range res {
-		c.Remove(id, r.Key)
-	}
-	c.machines[id] = nil
-	// ids is sorted ascending (AddMachine appends monotonically increasing
-	// IDs and removals preserve order), so the slot is found by binary
-	// search rather than a linear scan.
-	if i := sort.Search(len(c.ids), func(i int) bool { return c.ids[i] >= id }); i < len(c.ids) && c.ids[i] == id {
-		c.ids = append(c.ids[:i], c.ids[i+1:]...)
-	}
-	c.capacity = c.capacity.Sub(m.Capacity)
-	return res
-}
-
 // Machine returns the machine with the given ID, or nil.
 func (c *Cell) Machine(id trace.MachineID) *Machine {
 	if id <= 0 || int(id) >= len(c.machines) {
@@ -360,9 +327,6 @@ func (c *Cell) Machine(id trace.MachineID) *Machine {
 	}
 	return c.machines[id]
 }
-
-// NumMachines returns the count of live machines.
-func (c *Cell) NumMachines() int { return len(c.ids) }
 
 // Capacity returns the total live capacity of the cell.
 func (c *Cell) Capacity() trace.Resources { return c.capacity }
@@ -464,15 +428,6 @@ func (c *Cell) UpdateLimit(id trace.MachineID, key trace.InstanceKey, limit trac
 	m.gen++
 }
 
-// TotalAllocated sums limit allocation across all machines.
-func (c *Cell) TotalAllocated() trace.Resources {
-	var sum trace.Resources
-	for _, id := range c.ids {
-		sum = sum.Add(c.machines[id].allocated)
-	}
-	return sum
-}
-
 // BuildCell creates a cell of n machines drawn from the shape catalog
 // with the catalog's weights, using src for shape selection.
 func BuildCell(name string, n int, shapes []Shape, src *rng.Source) *Cell {
@@ -499,16 +454,6 @@ func BuildCell(name string, n int, shapes []Shape, src *rng.Source) *Cell {
 		c.AddMachine(shapes[j].Capacity, shapes[j].Platform)
 	}
 	return c
-}
-
-// ShapeStats counts machines per distinct (CPU, Mem) shape; used by the
-// Figure 1 analysis and Table 1's "machine shapes" row.
-func (c *Cell) ShapeStats() map[trace.Resources]int {
-	out := make(map[trace.Resources]int)
-	for _, id := range c.ids {
-		out[c.machines[id].Capacity]++
-	}
-	return out
 }
 
 // Platforms returns the set of distinct hardware platforms in the cell.

@@ -18,9 +18,6 @@ func TestAddMachineAndCapacity(t *testing.T) {
 	if m1.ID == m2.ID {
 		t.Fatal("duplicate machine IDs")
 	}
-	if c.NumMachines() != 2 {
-		t.Fatalf("machines %d", c.NumMachines())
-	}
 	if got := c.Capacity(); got != res(1.5, 1.25) {
 		t.Fatalf("capacity %v", got)
 	}
@@ -75,7 +72,6 @@ func TestPlacePanics(t *testing.T) {
 	mustPanic("unknown machine", func() { c.Place(999, &Resident{}) })
 	mustPanic("remove missing", func() { c.Remove(m.ID, trace.InstanceKey{Collection: 9}) })
 	mustPanic("remove unknown machine", func() { c.Remove(999, r.Key) })
-	mustPanic("remove unknown cell machine", func() { c.RemoveMachine(999) })
 	mustPanic("update missing", func() { c.UpdateLimit(m.ID, trace.InstanceKey{Collection: 9}, res(0, 0)) })
 }
 
@@ -139,80 +135,40 @@ func TestUsageTotal(t *testing.T) {
 	}
 }
 
-func TestRemoveMachineReturnsResidents(t *testing.T) {
-	c := NewCell("test")
-	m := c.AddMachine(res(1, 1), "P0")
-	c.AddMachine(res(1, 1), "P0")
-	c.Place(m.ID, &Resident{Key: trace.InstanceKey{Collection: 1}})
-	c.Place(m.ID, &Resident{Key: trace.InstanceKey{Collection: 2}})
-	evicted := c.RemoveMachine(m.ID)
-	if len(evicted) != 2 {
-		t.Fatalf("evicted %d", len(evicted))
-	}
-	if c.NumMachines() != 1 {
-		t.Fatalf("machines %d", c.NumMachines())
-	}
-	if c.Capacity() != res(1, 1) {
-		t.Fatalf("capacity %v", c.Capacity())
-	}
-	if c.Machine(m.ID) != nil {
-		t.Fatal("machine still present")
-	}
-}
-
 // TestMachineTableLookup pins the ID-indexed machine table's edges: IDs
-// outside 1..last and removed IDs resolve to nil, and the live-ID views
-// stay consistent with lookups after removals, including of the last ID.
+// outside 1..last resolve to nil, and the live-ID views stay consistent
+// with lookups.
 func TestMachineTableLookup(t *testing.T) {
 	c := NewCell("test")
 	ms := make([]*Machine, 5)
 	for i := range ms {
 		ms[i] = c.AddMachine(res(1, 1), "P0")
 	}
-	c.RemoveMachine(ms[1].ID)
-	c.RemoveMachine(ms[4].ID)
-	for _, id := range []trace.MachineID{0, -1, -1 << 31, ms[4].ID, ms[4].ID + 1, 1 << 30, ms[1].ID} {
+	for _, id := range []trace.MachineID{0, -1, -1 << 31, ms[4].ID + 1, 1 << 30} {
 		if m := c.Machine(id); m != nil {
 			t.Fatalf("Machine(%d) = machine %d, want nil", id, m.ID)
 		}
 	}
-	want := []trace.MachineID{ms[0].ID, ms[2].ID, ms[3].ID}
 	ids := c.MachineIDs()
-	if c.NumMachines() != len(want) || len(ids) != len(want) {
-		t.Fatalf("NumMachines %d, MachineIDs %v, want %v", c.NumMachines(), ids, want)
+	if len(ids) != len(ms) {
+		t.Fatalf("MachineIDs %v, want %d", ids, len(ms))
 	}
 	var walked []trace.MachineID
 	c.Machines(func(m *Machine) { walked = append(walked, m.ID) })
-	for i, id := range want {
-		if ids[i] != id || walked[i] != id || c.Machine(id) != ms[id-1] {
-			t.Fatalf("MachineIDs %v, Machines walk %v, want %v", ids, walked, want)
+	for i, m := range ms {
+		if ids[i] != m.ID || walked[i] != m.ID || c.Machine(m.ID) != m || m.ID != trace.MachineID(i+1) {
+			t.Fatalf("MachineIDs %v, Machines walk %v, want 1..%d", ids, walked, len(ms))
 		}
-	}
-	// IDs are never reused: a new machine takes the next ID, not a freed one.
-	if m := c.AddMachine(res(1, 1), "P0"); m.ID != ms[4].ID+1 || c.Machine(m.ID) != m || c.NumMachines() != 4 {
-		t.Fatalf("added machine %d after removals: lookup %v, count %d", m.ID, c.Machine(m.ID), c.NumMachines())
-	}
-}
-
-func TestTotalAllocated(t *testing.T) {
-	c := NewCell("test")
-	m1 := c.AddMachine(res(1, 1), "P0")
-	m2 := c.AddMachine(res(1, 1), "P0")
-	c.Place(m1.ID, &Resident{Key: trace.InstanceKey{Collection: 1}, Limit: res(0.5, 0.1)})
-	c.Place(m2.ID, &Resident{Key: trace.InstanceKey{Collection: 2}, Limit: res(0.25, 0.2)})
-	got := c.TotalAllocated()
-	if got.CPU != 0.75 || got.Mem < 0.3-1e-12 || got.Mem > 0.3+1e-12 {
-		t.Fatalf("total allocated %v", got)
 	}
 }
 
 func TestBuildCellShapes(t *testing.T) {
 	src := rng.New(1)
 	c := BuildCell("a", 2000, Shapes2019, src)
-	if c.NumMachines() != 2000 {
-		t.Fatalf("machines %d", c.NumMachines())
+	if n := len(c.MachineIDs()); n != 2000 {
+		t.Fatalf("machines %d", n)
 	}
-	shapes := c.ShapeStats()
+	shapes := shapeCounts(c)
 	if len(shapes) < 15 {
 		t.Fatalf("only %d distinct shapes in a 2000-machine 2019 cell", len(shapes))
 	}
@@ -225,9 +181,16 @@ func TestBuildCellShapes(t *testing.T) {
 	if got := len(c11.Platforms()); got != 3 {
 		t.Fatalf("2011 platforms %d, want 3", got)
 	}
-	if got := len(c11.ShapeStats()); got > 10 {
+	if got := len(shapeCounts(c11)); got > 10 {
 		t.Fatalf("2011 shapes %d, want <= 10", got)
 	}
+}
+
+// shapeCounts counts c's machines per distinct (CPU, Mem) shape.
+func shapeCounts(c *Cell) map[trace.Resources]int {
+	out := make(map[trace.Resources]int)
+	c.Machines(func(m *Machine) { out[m.Capacity]++ })
+	return out
 }
 
 func TestShapeCatalogsMatchTable1(t *testing.T) {
@@ -262,19 +225,15 @@ func TestSetUsageMaintainsAggregate(t *testing.T) {
 	c := NewCell("test")
 	m := c.AddMachine(res(1, 1), "P0")
 	key := trace.InstanceKey{Collection: 1}
-	c.Place(m.ID, &Resident{Key: key, Usage: res(0.1, 0.1)})
-	if !m.SetUsage(key, res(0.4, 0.3)) {
-		t.Fatal("SetUsage on placed resident returned false")
-	}
+	r := &Resident{Key: key, Usage: res(0.1, 0.1)}
+	c.Place(m.ID, r)
+	m.SetResidentUsage(r, res(0.4, 0.3))
 	got := m.UsageTotal()
 	if got.CPU < 0.4-1e-12 || got.CPU > 0.4+1e-12 || got.Mem < 0.3-1e-12 || got.Mem > 0.3+1e-12 {
-		t.Fatalf("usage total %v after SetUsage", got)
+		t.Fatalf("usage total %v after SetResidentUsage", got)
 	}
 	if m.Resident(key).Usage != res(0.4, 0.3) {
 		t.Fatal("resident usage not updated")
-	}
-	if m.SetUsage(trace.InstanceKey{Collection: 9}, res(1, 1)) {
-		t.Fatal("SetUsage on missing resident returned true")
 	}
 	c.Remove(m.ID, key)
 	if m.UsageTotal() != res(0, 0) {
@@ -310,7 +269,7 @@ func TestGenerationBumpsOnEveryMutation(t *testing.T) {
 		g = m.Gen()
 	}
 	step("place", func() { c.Place(m.ID, &Resident{Key: key, Limit: res(0.2, 0.2)}) })
-	step("set usage", func() { m.SetUsage(key, res(0.1, 0.1)) })
+	step("set usage", func() { m.SetResidentUsage(m.Resident(key), res(0.1, 0.1)) })
 	step("update limit", func() { c.UpdateLimit(m.ID, key, res(0.3, 0.1)) })
 	step("remove", func() { c.Remove(m.ID, key) })
 }
@@ -449,7 +408,7 @@ func TestIncrementalStateMatchesRecompute(t *testing.T) {
 			c.UpdateLimit(p.mid, p.key, randRes())
 		default: // usage sample
 			p := live[src.Intn(len(live))]
-			c.Machine(p.mid).SetUsage(p.key, randRes())
+			c.Machine(p.mid).SetResidentUsage(p.r, randRes())
 		}
 		verify(step, c.Machine(ids[src.Intn(len(ids))]))
 	}

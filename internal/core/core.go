@@ -14,6 +14,11 @@
 // Other sinks ride along the same way: a streaming.CellReducer computes
 // the paper's tables and figures, a trace.DirSink writes the CSV tables.
 // Without NoMemTrace the run also retains every row in CellResult.Trace.
+//
+// Run configures the scheduler from scheduler.DefaultConfig, overriding
+// only what the cell profile sets (policy, candidate sample, overcommit,
+// service time, the batch queue and its ceiling); the Autopilot's
+// settings are package constants.
 package core
 
 import (
@@ -170,29 +175,17 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	if opts.Policy != "" {
 		policy = scheduler.MustParsePolicy(opts.Policy)
 	}
-	schedCfg := scheduler.Config{
-		Policy:                policy,
-		CandidateSample:       p.CandidateSample,
-		Overcommit:            p.Overcommit,
-		ServiceTime:           dist.LogNormalFromMedian(p.SchedServiceMedian, p.SchedServiceSigma),
-		RetryBackoff:          30 * sim.Second,
-		EnablePreemption:      true,
-		PreemptionPriorityGap: 10,
-		EvictionRestartDelay:  15 * sim.Second,
-		FailRestartDelay:      10 * sim.Second,
-	}
-	schedCfg.ProdEvictionSLO = 0.08
+	schedCfg := scheduler.DefaultConfig()
+	schedCfg.Policy = policy
+	schedCfg.CandidateSample = p.CandidateSample
+	schedCfg.Overcommit = p.Overcommit
+	schedCfg.ServiceTime = dist.LogNormalFromMedian(p.SchedServiceMedian, p.SchedServiceSigma)
 	schedCfg.Metrics = opts.Metrics
-	if p.BatchQueue {
-		ceiling := p.BatchAllocCeiling
-		if ceiling <= 0 {
-			ceiling = 0.85
-		}
-		schedCfg.Batch = &scheduler.BatchConfig{
-			CheckPeriod:      20 * sim.Second,
-			AllocCeiling:     ceiling,
-			MaxAdmitPerCheck: 8,
-		}
+	switch {
+	case !p.BatchQueue:
+		schedCfg.Batch = nil
+	case p.BatchAllocCeiling > 0:
+		schedCfg.Batch.AllocCeiling = p.BatchAllocCeiling
 	}
 	sched := scheduler.New(schedCfg, cell, k, sink, root.Split("scheduler"))
 
@@ -200,7 +193,7 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	// incremental admission accounting tracks autoscaled requests.
 	var ap *autopilot.Autopilot
 	if !opts.DisableAutopilot {
-		ap = autopilot.New(autopilot.DefaultConfig(p.Overcommit), cell, sink)
+		ap = autopilot.New(p.Overcommit, cell, sink)
 		ap.OnLimitChange(sched.UpdateTaskRequest)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/workload"
 )
 
@@ -41,7 +42,7 @@ func TestRunProducesTrace(t *testing.T) {
 
 func TestTraceValidates(t *testing.T) {
 	res := smallRun(t, 2)
-	violations := trace.Validate(res.Trace, trace.DefaultValidateOptions())
+	violations := tracetest.Validate(res.Trace, trace.DefaultValidateOptions())
 	if len(violations) != 0 {
 		t.Fatalf("%d violations, first: %v", len(violations), violations[0])
 	}
@@ -177,7 +178,7 @@ func Test2011ProfileRuns(t *testing.T) {
 	if tr.Meta.Era != trace.Era2011 {
 		t.Fatal("era")
 	}
-	violations := trace.Validate(tr, trace.DefaultValidateOptions())
+	violations := tracetest.Validate(tr, trace.DefaultValidateOptions())
 	if len(violations) != 0 {
 		t.Fatalf("%d violations, first: %v", len(violations), violations[0])
 	}

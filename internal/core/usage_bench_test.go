@@ -41,19 +41,14 @@ func buildUsageBenchState(tb testing.TB, machines int, warmup sim.Time) *usageBe
 	root := rng.New(11)
 	k := sim.NewKernel()
 	cell := cluster.BuildCell(p.Name, p.Machines, p.Shapes, root.Split("machines"))
-	schedCfg := scheduler.Config{
-		Policy:                p.Policy,
-		CandidateSample:       p.CandidateSample,
-		Overcommit:            p.Overcommit,
-		ServiceTime:           dist.LogNormalFromMedian(p.SchedServiceMedian, p.SchedServiceSigma),
-		RetryBackoff:          30 * sim.Second,
-		EnablePreemption:      true,
-		PreemptionPriorityGap: 10,
-		EvictionRestartDelay:  15 * sim.Second,
-		FailRestartDelay:      10 * sim.Second,
-	}
+	schedCfg := scheduler.DefaultConfig()
+	schedCfg.Policy = p.Policy
+	schedCfg.CandidateSample = p.CandidateSample
+	schedCfg.Overcommit = p.Overcommit
+	schedCfg.ServiceTime = dist.LogNormalFromMedian(p.SchedServiceMedian, p.SchedServiceSigma)
+	schedCfg.Batch = nil
 	sched := scheduler.New(schedCfg, cell, k, trace.NopSink{}, root.Split("scheduler"))
-	gen := workload.NewGenerator(p, cell.Capacity().CPU, warmup, root.Split("workload"), 1)
+	gen := workload.NewGeneratorArrival(p, cell.Capacity().CPU, warmup, root.Split("workload"), 1, "")
 	var scheduleArrival func(now sim.Time)
 	scheduleArrival = func(now sim.Time) {
 		next := now + gen.NextInterArrival(now)
@@ -69,7 +64,7 @@ func buildUsageBenchState(tb testing.TB, machines int, warmup sim.Time) *usageBe
 	}
 	scheduleArrival(0)
 	k.RunUntil(warmup)
-	if sched.NumRunning() == 0 {
+	if len(cell.OccupiedMachines()) == 0 {
 		tb.Fatal("usage bench warmup produced no running tasks")
 	}
 	return &usageBenchState{
@@ -89,12 +84,9 @@ func (st *usageBenchState) newBenchSampler(sink trace.Sink) *usageSampler {
 
 // benchReducer builds a CellReducer dimensioned for the bench cell.
 func (st *usageBenchState) benchReducer(horizon sim.Time) *streaming.CellReducer {
-	return streaming.NewCellReducer(streaming.Config{
-		Meta: trace.Meta{
-			Era: st.p.Era, Cell: st.p.Name, Duration: horizon,
-			Machines: st.p.Machines, Seed: 11,
-		},
-		SnapshotAt: horizon / 2,
+	return streaming.NewCellReducer(trace.Meta{
+		Era: st.p.Era, Cell: st.p.Name, Duration: horizon,
+		Machines: st.p.Machines, Seed: 11,
 	})
 }
 

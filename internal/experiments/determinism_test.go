@@ -45,12 +45,11 @@ func TestSuiteDeterministicAcrossParallelism(t *testing.T) {
 // must keep the byte-identical determinism contract — identical event
 // streams at parallelism 1 and 8 — not just the era defaults.
 func TestSuiteDeterministicPerPolicy(t *testing.T) {
-	for _, p := range scheduler.Policies() {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
+	for _, name := range scheduler.PolicyNames() {
+		t.Run(name, func(t *testing.T) {
 			sc := Scale{Name: "tiny", Machines2011: 40, Machines2019: 30,
 				Horizon: 3 * sim.Hour, Warmup: sim.Hour, Seed: 11}
-			sc.Policy = p.String()
+			sc.Policy = name
 			sc.Parallelism = 1
 			serial := RunSuite(sc)
 			sc.Parallelism = 8
@@ -62,7 +61,7 @@ func TestSuiteDeterministicPerPolicy(t *testing.T) {
 				}
 			}
 			if serial.Stats[1].Sched.TasksPlaced == 0 {
-				t.Fatalf("policy %v: degenerate run, no tasks placed", p)
+				t.Fatalf("policy %v: degenerate run, no tasks placed", name)
 			}
 		})
 	}

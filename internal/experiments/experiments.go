@@ -156,18 +156,14 @@ type StreamingSuite = Suite
 type StreamingOptions struct {
 	// ExportDir, when non-empty, additionally writes each cell's trace as
 	// sharded CSV while simulating: one subdirectory per cell (named
-	// cell-<index>-<name>), each in the WriteDir layout.
+	// cell-<index>-<name>), each in the trace.DirSink layout.
 	ExportDir string
 }
 
-// NewCellReducerFor builds the streaming reducer matching one cell spec:
-// metadata equal to what core.Run would stamp on a retained trace, and
-// the Figure 6 snapshot pinned at mid-horizon.
+// NewCellReducerFor builds the streaming reducer matching one cell spec,
+// with metadata equal to what core.Run would stamp on a retained trace.
 func NewCellReducerFor(spec engine.Spec) *streaming.CellReducer {
-	return streaming.NewCellReducer(streaming.Config{
-		Meta:       core.TraceMeta(spec.Profile, spec.Options),
-		SnapshotAt: spec.Options.Horizon / 2,
-	})
+	return streaming.NewCellReducer(core.TraceMeta(spec.Profile, spec.Options))
 }
 
 // ShardDirName names cell i's export shard (index 0 is the 2011 cell).

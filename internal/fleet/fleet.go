@@ -52,11 +52,10 @@ type Config struct {
 	// distribution cells draw from; <= 0 means 60 (the many-cell suite's
 	// per-cell size, keeping O(100)-cell fleets inside CI memory).
 	MedianMachines int
-	// Horizon is the per-cell simulated duration; 0 means 4 hours.
+	// Horizon is the per-cell simulated duration; 0 means 4 hours. Each
+	// cell's scalars discard the first half as warm-up, and its Figure 6
+	// snapshot is taken at mid-horizon.
 	Horizon sim.Time
-	// Warmup is the scalar warmup cutoff passed to each cell's reducer;
-	// 0 means Horizon/2.
-	Warmup sim.Time
 	// Seed roots the fleet: cell i simulates with DeriveSeed(Seed, i).
 	Seed uint64
 	// Parallelism bounds the worker pool (engine semantics: <= 0 means
@@ -141,13 +140,6 @@ func (cfg Config) horizon() sim.Time {
 	return cfg.Horizon
 }
 
-func (cfg Config) warmup() sim.Time {
-	if cfg.Warmup <= 0 {
-		return cfg.horizon() / 2
-	}
-	return cfg.Warmup
-}
-
 // Run simulates the fleet and returns its rollup report.
 func Run(cfg Config) *Report {
 	n := cfg.Cells
@@ -167,15 +159,12 @@ func Run(cfg Config) *Report {
 	// scalars are rolled up: the engine's mutex-ordered handoff from the
 	// building worker to the delivering worker covers the slot.
 	reducers := make([]*streaming.CellReducer, n)
-	warmup := cfg.warmup()
+	warmup := cfg.horizon() / 2
 	ri := engine.NewRunInstruments(cfg.Metrics, cfg.Timeline, n)
 	engine.RunStream(n, func(i int) engine.Spec {
 		spec := cfg.Spec(i)
 		spec.Options = ri.Cell(i, spec.Options)
-		reducers[i] = streaming.NewCellReducer(streaming.Config{
-			Meta:       core.TraceMeta(spec.Profile, spec.Options),
-			SnapshotAt: spec.Options.Horizon / 2,
-		})
+		reducers[i] = streaming.NewCellReducer(core.TraceMeta(spec.Profile, spec.Options))
 		spec.Options.ExtraSinks = append(spec.Options.ExtraSinks, reducers[i])
 		return spec
 	}, ri.Wrap(engine.Options{

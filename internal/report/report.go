@@ -93,13 +93,13 @@ func CCDFSeries(w io.Writer, title string, grid []float64, series map[string][]f
 	headers := append([]string{"x"}, names...)
 	ccdfs := make(map[string][]stats.CCDFPoint, len(series))
 	for name, xs := range series {
-		ccdfs[name] = stats.CCDF(xs)
+		ccdfs[name] = stats.CCDFSampled(xs, grid)
 	}
 	rows := make([][]string, 0, len(grid))
-	for _, x := range grid {
+	for i, x := range grid {
 		row := []string{F(x)}
 		for _, name := range names {
-			row = append(row, F(stats.CCDFAt(ccdfs[name], x)))
+			row = append(row, F(ccdfs[name][i].P))
 		}
 		rows = append(rows, row)
 	}

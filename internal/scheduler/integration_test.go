@@ -159,8 +159,8 @@ func TestUnplaceHookFires(t *testing.T) {
 	if lastStart <= 0 {
 		t.Fatalf("hook runStart %v", lastStart)
 	}
-	if rig.sched.NumRunning() != 0 {
-		t.Fatalf("running index leaked: %d", rig.sched.NumRunning())
+	if n := len(rig.cell.OccupiedMachines()); n != 0 {
+		t.Fatalf("%d machines still hold a resident", n)
 	}
 }
 
@@ -175,7 +175,7 @@ func TestOOMKillTerminalAfterRepeat(t *testing.T) {
 
 	overLimit := func() {
 		for _, r := range m.Residents() {
-			m.SetUsage(r.Key, trace.Resources{CPU: 0.1, Mem: 1.5}) // way over its limit
+			m.SetResidentUsage(r, trace.Resources{CPU: 0.1, Mem: 1.5}) // way over its limit
 		}
 		rig.sched.HandleMemoryPressure(m.ID, m.Capacity.Mem)
 	}

@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -120,35 +119,6 @@ func (s *Scheduler) bebAllocatedFraction() float64 {
 	return s.bebAllocCPU / capacity
 }
 
-// bebAllocatedFractionRecomputed is the pre-incremental full walk, kept
-// as the oracle for the equivalence test: the two must agree to floating-
-// point reassociation noise at every admission check. Jobs are visited in
-// sorted ID order so the oracle itself is reproducible.
-func (s *Scheduler) bebAllocatedFractionRecomputed() float64 {
-	capacity := s.cell.Capacity().CPU
-	if capacity <= 0 {
-		return 1
-	}
-	ids := make([]trace.CollectionID, 0, len(s.jobs))
-	for id := range s.jobs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	alloc := 0.0
-	for _, id := range ids {
-		j := s.jobs[id]
-		if j.Tier != trace.TierBestEffortBatch || j.State == JobDone || j.State == JobQueued {
-			continue
-		}
-		for _, t := range j.Tasks {
-			if t.State == TaskRunning || t.State == TaskPending {
-				alloc += t.Request.CPU
-			}
-		}
-	}
-	return alloc / capacity
-}
-
 // planSegments splits the task's remaining duration into equal segments,
 // one per scripted crash-restart plus the final run, preserving the total
 // resource integral while generating FAIL churn (Figure 9).
@@ -167,7 +137,6 @@ func (s *Scheduler) startRunning(t *Task, m trace.MachineID) {
 	t.State = TaskRunning
 	t.Machine = m
 	t.runStart = now
-	s.numRunning++
 	if t.Job.FirstRun < 0 {
 		t.Job.FirstRun = now
 	}
@@ -295,7 +264,6 @@ func (s *Scheduler) unplace(t *Task, terminal bool) {
 	if s.UnplaceHook != nil {
 		s.UnplaceHook(t, t.runStart)
 	}
-	s.numRunning--
 	// A de-scheduled alloc instance takes its reservation with it.
 	if t.Job.Type == trace.CollectionAllocSet {
 		s.removeAllocInstance(t.Key, terminal)
@@ -365,7 +333,7 @@ func (s *Scheduler) EvictMachine(id trace.MachineID) {
 	}
 	s.met.machineEvictions.Inc()
 	for _, r := range m.Residents() {
-		if r.Tier == trace.TierProduction && !s.src.Bool(s.cfg.ProdEvictionSLO) {
+		if r.Tier == trace.TierProduction && !s.src.Bool(prodEvictionSLO) {
 			continue
 		}
 		if t := s.taskByKey(r.Key); t != nil {

@@ -242,7 +242,7 @@ func (s *Scheduler) tryPreemption(t *Task) *cluster.Machine {
 		var victims []*Task
 		freed := trace.Resources{}
 		for _, r := range m.Residents() { // weakest first
-			if r.Priority > t.Job.Priority-s.cfg.PreemptionPriorityGap {
+			if r.Priority > t.Job.Priority-preemptionPriorityGap {
 				break
 			}
 			// Production never preempts production: eviction-rate SLOs

@@ -233,15 +233,6 @@ func PolicyFor(p PlacementPolicy) Policy {
 	return policyRegistry[p]
 }
 
-// Policies returns every registered policy tag, in registry order.
-func Policies() []PlacementPolicy {
-	out := make([]PlacementPolicy, 0, numPolicies)
-	for p := PlacementPolicy(0); p < numPolicies; p++ {
-		out = append(out, p)
-	}
-	return out
-}
-
 // PolicyNames returns the canonical policy names, sorted — the valid set
 // ParsePolicy accepts, for help text and error messages.
 func PolicyNames() []string {

@@ -58,9 +58,6 @@ type Config struct {
 	// EnablePreemption lets production-tier tasks evict lower tiers when
 	// no machine is otherwise feasible (§2).
 	EnablePreemption bool
-	// PreemptionPriorityGap is the minimum priority advantage a task
-	// needs over a victim.
-	PreemptionPriorityGap int
 	// EvictionRestartDelay is how long an evicted task waits before
 	// re-entering the pending queue ("in almost all cases, an evicted
 	// instance will be rescheduled elsewhere in the same cell", §5.2).
@@ -68,12 +65,6 @@ type Config struct {
 	// FailRestartDelay is how long a crashed task waits before its next
 	// attempt.
 	FailRestartDelay sim.Time
-	// ProdEvictionSLO is the probability a production-tier task is
-	// actually evicted during machine maintenance. Borg's eviction-rate
-	// SLOs protect important collections (§5.2: <0.2% of prod
-	// collections see any eviction), modeled as sparing prod residents
-	// with high probability (they are migrated gracefully instead).
-	ProdEvictionSLO float64
 	// Batch enables the batch-queue front-end when non-nil.
 	Batch *BatchConfig
 	// Metrics receives the scheduler's activity counters (the sched_*
@@ -84,22 +75,33 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// DefaultConfig returns a 2019-profile scheduler configuration.
+const (
+	// preemptionPriorityGap is the minimum priority advantage a task
+	// needs over a victim.
+	preemptionPriorityGap = 10
+	// prodEvictionSLO is the probability a production-tier task is
+	// actually evicted during machine maintenance. Borg's eviction-rate
+	// SLOs protect important collections (§5.2: <0.2% of prod
+	// collections see any eviction), modeled as sparing prod residents
+	// with high probability (they are migrated gracefully instead).
+	prodEvictionSLO = 0.08
+)
+
+// DefaultConfig returns a 2019-profile scheduler configuration. core.Run
+// starts from it and overrides the fields a cell profile sets.
 func DefaultConfig() Config {
 	return Config{
-		Policy:                LeastAllocated,
-		CandidateSample:       16,
-		Overcommit:            cluster.OvercommitPolicy{CPUFactor: 1.5, MemFactor: 1.45},
-		ServiceTime:           dist.LogNormalFromMedian(0.06, 0.9),
-		RetryBackoff:          30 * sim.Second,
-		EnablePreemption:      true,
-		PreemptionPriorityGap: 10,
-		EvictionRestartDelay:  15 * sim.Second,
-		FailRestartDelay:      10 * sim.Second,
-		ProdEvictionSLO:       0.08,
+		Policy:               LeastAllocated,
+		CandidateSample:      16,
+		Overcommit:           cluster.OvercommitPolicy{CPUFactor: 1.5, MemFactor: 1.45},
+		ServiceTime:          dist.LogNormalFromMedian(0.06, 0.9),
+		RetryBackoff:         30 * sim.Second,
+		EnablePreemption:     true,
+		EvictionRestartDelay: 15 * sim.Second,
+		FailRestartDelay:     10 * sim.Second,
 		Batch: &BatchConfig{
 			CheckPeriod:      20 * sim.Second,
-			AllocCeiling:     0.65,
+			AllocCeiling:     0.85,
 			MaxAdmitPerCheck: 8,
 		},
 	}
@@ -425,8 +427,6 @@ type Scheduler struct {
 	// allocJobs tracks jobs targeting each alloc set, so tearing the set
 	// down can kill them even when they are still pending.
 	allocJobs map[trace.CollectionID][]*Job
-	// numRunning counts tasks currently placed on machines.
-	numRunning int
 
 	// scoreSlots memoizes placement scores per machine (indexed by
 	// machine ID) for the last equivalence class that scored the machine,
@@ -571,9 +571,6 @@ func (s *Scheduler) UpdateTaskRequest(t *Task, rec trace.Resources) {
 	}
 	t.Request = rec
 }
-
-// NumRunning returns the number of currently running tasks.
-func (s *Scheduler) NumRunning() int { return s.numRunning }
 
 // Cell returns the scheduled cell.
 func (s *Scheduler) Cell() *cluster.Cell { return s.cell }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 // testRig wires a small cell, kernel, sink and scheduler for tests.
@@ -420,7 +421,7 @@ func TestHandleMemoryPressure(t *testing.T) {
 	// the machine total exceeds capacity.
 	m := rig.cell.Machine(rig.cell.MachineIDs()[0])
 	for _, r := range m.Residents() {
-		m.SetUsage(r.Key, trace.Resources{CPU: 0.1, Mem: 0.52})
+		m.SetResidentUsage(r, trace.Resources{CPU: 0.1, Mem: 0.52})
 	}
 	evicted := rig.sched.HandleMemoryPressure(m.ID, m.Capacity.Mem)
 	if evicted != 1 {
@@ -451,7 +452,7 @@ func TestMemoryPressureOverLimitFails(t *testing.T) {
 	for _, r := range m.Residents() {
 		// Collection 1 ends up over its 0.2 limit; the prod task stays
 		// within its own limit but contributes to aggregate pressure.
-		m.SetUsage(r.Key, trace.Resources{CPU: 0.1, Mem: 0.55})
+		m.SetResidentUsage(r, trace.Resources{CPU: 0.1, Mem: 0.55})
 	}
 	rig.sched.HandleMemoryPressure(m.ID, m.Capacity.Mem)
 	// The over-limit task FAILs (§5.2 "fail"); no EVICT for it.
@@ -503,7 +504,8 @@ func TestAllocSetPlacementAndTeardown(t *testing.T) {
 	}
 	// Machine allocation counts only the alloc set reservations, not the
 	// inner tasks.
-	total := rig.cell.TotalAllocated()
+	var total trace.Resources
+	rig.cell.Machines(func(m *cluster.Machine) { total = total.Add(m.Allocated()) })
 	if total.CPU < 0.99 || total.CPU > 1.01 {
 		t.Fatalf("allocated CPU %v, want ~1.0 (two 0.5 reservations)", total.CPU)
 	}
@@ -609,7 +611,7 @@ func TestTraceValidates(t *testing.T) {
 		rig.k.At(delay, func(sim.Time) { rig.sched.Submit(j) })
 	}
 	rig.k.RunUntil(24 * sim.Hour)
-	violations := trace.Validate(rig.tr, trace.DefaultValidateOptions())
+	violations := tracetest.Validate(rig.tr, trace.DefaultValidateOptions())
 	if len(violations) != 0 {
 		t.Fatalf("trace violations: %v", violations)
 	}

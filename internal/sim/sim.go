@@ -11,10 +11,7 @@
 // fired" safe without any bookkeeping on the caller's side.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is virtual simulation time in microseconds since trace start,
 // matching the published trace's timestamp unit.
@@ -33,9 +30,6 @@ const (
 	// (5-minute windows, §3).
 	SampleWindow = 5 * Minute
 )
-
-// Duration converts a standard library duration to simulation time.
-func Duration(d time.Duration) Time { return Time(d.Microseconds()) }
 
 // FromSeconds converts floating-point seconds to simulation time.
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
@@ -108,9 +102,6 @@ func (k *Kernel) Now() Time { return k.now }
 
 // Fired returns how many events have been executed.
 func (k *Kernel) Fired() uint64 { return k.events }
-
-// Pending returns the number of queued events.
-func (k *Kernel) Pending() int { return len(k.order) }
 
 // PoolSize returns the slab size: the high-water mark of simultaneously
 // scheduled events, for capacity diagnostics.

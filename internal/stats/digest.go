@@ -242,13 +242,6 @@ func (d *Digest) k(q float64) float64 {
 	return d.compression / (2 * math.Pi) * math.Asin(2*q-1)
 }
 
-// Centroids returns the number of retained centroids (post-compression)
-// — the digest's memory footprint in O(1) units.
-func (d *Digest) Centroids() int {
-	d.compress()
-	return len(d.centroids)
-}
-
 // String summarizes the digest for debugging.
 func (d *Digest) String() string {
 	return fmt.Sprintf("Digest{n=%d, centroids=%d, min=%g, max=%g}",

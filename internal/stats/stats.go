@@ -1,18 +1,14 @@
 // Package stats implements the descriptive statistics the paper's analyses
 // are built from: complementary CDFs, percentiles, the squared coefficient
 // of variation C² (§7), Pareto tail fitting with R² goodness of fit
-// (Table 2), Pearson correlation (Figure 13), top-k load shares, and
-// reservoir sampling for unbiased percentile estimation.
+// (Table 2), Pearson correlation (Figure 13) and top-k load shares.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
 	"sort"
-
-	"repro/internal/rng"
 )
 
 // Summary holds the moments and percentiles reported in Table 2 of the
@@ -500,33 +496,6 @@ func FitParetoTail(xs []float64, lower, trimQuantile float64) ParetoFit {
 	return ParetoFit{Alpha: -slope, R2: r2, N: len(s)}
 }
 
-// HillEstimate returns the Hill estimator of the tail index using the top
-// k order statistics. A second, independent estimate of alpha used to
-// cross-check the regression fit.
-func HillEstimate(xs []float64, k int) float64 {
-	if len(xs) < 2 || k < 1 {
-		return math.NaN()
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	if k >= len(s) {
-		k = len(s) - 1
-	}
-	xk := s[len(s)-1-k]
-	if xk <= 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for i := len(s) - k; i < len(s); i++ {
-		sum += math.Log(s[i] / xk)
-	}
-	if sum == 0 {
-		return math.NaN()
-	}
-	return float64(k) / sum
-}
-
 // linregress fits y = intercept + slope*x by ordinary least squares and
 // returns (slope, intercept, R²).
 func linregress(x, y []float64) (slope, intercept, r2 float64) {
@@ -559,14 +528,6 @@ func linregress(x, y []float64) (slope, intercept, r2 float64) {
 	return slope, intercept, 1 - ssRes/ssTot
 }
 
-// LinRegress exposes the least-squares fit for callers outside the package.
-func LinRegress(x, y []float64) (slope, intercept, r2 float64) {
-	if len(x) != len(y) || len(x) == 0 {
-		return math.NaN(), math.NaN(), math.NaN()
-	}
-	return linregress(x, y)
-}
-
 // Pearson returns the Pearson correlation coefficient of paired samples.
 func Pearson(x, y []float64) float64 {
 	if len(x) != len(y) || len(x) < 2 {
@@ -591,44 +552,6 @@ func Pearson(x, y []float64) float64 {
 	}
 	return cov / math.Sqrt(vx*vy)
 }
-
-// Reservoir is a fixed-capacity uniform sample of a stream (Vitter's
-// algorithm R). The paper notes its percentiles and C² values are from
-// "unbiased random samples"; analyses over very long simulations use a
-// reservoir rather than retaining every observation.
-type Reservoir struct {
-	cap  int
-	seen int64
-	data []float64
-	src  *rng.Source
-}
-
-// NewReservoir creates a reservoir holding at most capacity samples.
-func NewReservoir(capacity int, src *rng.Source) *Reservoir {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("stats: reservoir capacity %d", capacity))
-	}
-	return &Reservoir{cap: capacity, src: src}
-}
-
-// Add offers one observation to the reservoir.
-func (r *Reservoir) Add(x float64) {
-	r.seen++
-	if len(r.data) < r.cap {
-		r.data = append(r.data, x)
-		return
-	}
-	j := r.src.Uint64n(uint64(r.seen))
-	if j < uint64(r.cap) {
-		r.data[j] = x
-	}
-}
-
-// Values returns the retained sample (not a copy).
-func (r *Reservoir) Values() []float64 { return r.data }
-
-// Seen returns how many observations were offered in total.
-func (r *Reservoir) Seen() int64 { return r.seen }
 
 // Welford accumulates running mean/variance without storing samples.
 type Welford struct {

@@ -255,26 +255,10 @@ func TestFitParetoTailDegenerate(t *testing.T) {
 	}
 }
 
-func TestHillEstimate(t *testing.T) {
-	src := rng.New(3)
-	p := dist.Pareto{Xm: 1, Alpha: 1.5}
-	xs := make([]float64, 100000)
-	for i := range xs {
-		xs[i] = p.Sample(src)
-	}
-	alpha := HillEstimate(xs, 5000)
-	if math.Abs(alpha-1.5) > 0.12 {
-		t.Fatalf("Hill estimate %v, want ~1.5", alpha)
-	}
-	if !math.IsNaN(HillEstimate(nil, 10)) {
-		t.Fatal("Hill of empty should be NaN")
-	}
-}
-
 func TestLinRegressExact(t *testing.T) {
 	x := []float64{0, 1, 2, 3}
 	y := []float64{1, 3, 5, 7} // y = 1 + 2x
-	slope, intercept, r2 := LinRegress(x, y)
+	slope, intercept, r2 := linregress(x, y)
 	if math.Abs(slope-2) > 1e-12 || math.Abs(intercept-1) > 1e-12 || math.Abs(r2-1) > 1e-12 {
 		t.Fatalf("fit %v %v %v", slope, intercept, r2)
 	}
@@ -295,36 +279,6 @@ func TestPearson(t *testing.T) {
 	}
 	if !math.IsNaN(Pearson(x, x[:2])) {
 		t.Fatal("mismatched lengths should give NaN")
-	}
-}
-
-func TestReservoirUnbiased(t *testing.T) {
-	src := rng.New(4)
-	r := NewReservoir(1000, src)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		r.Add(float64(i))
-	}
-	if r.Seen() != n {
-		t.Fatalf("seen %d", r.Seen())
-	}
-	if len(r.Values()) != 1000 {
-		t.Fatalf("retained %d", len(r.Values()))
-	}
-	m := Summarize(r.Values()).Mean
-	if math.Abs(m-float64(n)/2) > float64(n)*0.03 {
-		t.Fatalf("reservoir mean %v biased (want ~%v)", m, n/2)
-	}
-}
-
-func TestReservoirSmallStream(t *testing.T) {
-	src := rng.New(5)
-	r := NewReservoir(100, src)
-	for i := 0; i < 10; i++ {
-		r.Add(float64(i))
-	}
-	if len(r.Values()) != 10 {
-		t.Fatalf("should keep everything below capacity, got %d", len(r.Values()))
 	}
 }
 

@@ -14,60 +14,6 @@ func EqString(col, v string) Predicate {
 	return func(t *Table, row int) bool { return t.Strings(col)[row] == v }
 }
 
-// EqInt selects rows whose int column equals v.
-func EqInt(col string, v int64) Predicate {
-	return func(t *Table, row int) bool { return t.Ints(col)[row] == v }
-}
-
-// GtFloat selects rows whose float column is > v.
-func GtFloat(col string, v float64) Predicate {
-	return func(t *Table, row int) bool { return t.Floats(col)[row] > v }
-}
-
-// LtFloat selects rows whose float column is < v.
-func LtFloat(col string, v float64) Predicate {
-	return func(t *Table, row int) bool { return t.Floats(col)[row] < v }
-}
-
-// GeInt selects rows whose int column is >= v.
-func GeInt(col string, v int64) Predicate {
-	return func(t *Table, row int) bool { return t.Ints(col)[row] >= v }
-}
-
-// LtInt selects rows whose int column is < v.
-func LtInt(col string, v int64) Predicate {
-	return func(t *Table, row int) bool { return t.Ints(col)[row] < v }
-}
-
-// And combines predicates conjunctively.
-func And(ps ...Predicate) Predicate {
-	return func(t *Table, row int) bool {
-		for _, p := range ps {
-			if !p(t, row) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// Or combines predicates disjunctively.
-func Or(ps ...Predicate) Predicate {
-	return func(t *Table, row int) bool {
-		for _, p := range ps {
-			if p(t, row) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-// Not negates a predicate.
-func Not(p Predicate) Predicate {
-	return func(t *Table, row int) bool { return !p(t, row) }
-}
-
 // Query is a lazy scan over a table: a selection of row indexes plus
 // pending transforms, executed when a terminal method is called.
 type Query struct {
@@ -93,14 +39,6 @@ func (q *Query) Where(p Predicate) *Query {
 		}
 	}
 	return &Query{t: q.t, idx: out}
-}
-
-// OrderBy sorts the selection by the named columns; prefix a name with '-'
-// for descending order.
-func (q *Query) OrderBy(keys ...string) *Query {
-	idx := append([]int(nil), q.idx...)
-	q.t.sortIdx(idx, keys)
-	return &Query{t: q.t, idx: idx}
 }
 
 // Limit truncates the selection to at most n rows.

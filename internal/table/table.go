@@ -7,7 +7,6 @@ package table
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -72,9 +71,6 @@ func New(cols ...Column) *Table {
 	}
 	return t
 }
-
-// NumRows returns the number of rows.
-func (t *Table) NumRows() int { return t.rows }
 
 // Columns returns the schema.
 func (t *Table) Columns() []Column { return t.cols }
@@ -158,16 +154,6 @@ func (t *Table) value(col, row int) any {
 	}
 }
 
-// Row returns one row as a name→value map (for tests and display; queries
-// use columnar access).
-func (t *Table) Row(i int) map[string]any {
-	m := make(map[string]any, len(t.cols))
-	for c := range t.cols {
-		m[t.cols[c].Name] = t.value(c, i)
-	}
-	return m
-}
-
 // Format renders the table as an aligned text block (up to maxRows rows).
 func (t *Table) Format(maxRows int) string {
 	var b strings.Builder
@@ -212,55 +198,4 @@ func (t *Table) Format(maxRows int) string {
 		fmt.Fprintf(&b, "... (%d more rows)\n", t.rows-n)
 	}
 	return b.String()
-}
-
-// sortIdx sorts row indexes by the given columns (all ascending unless the
-// name is prefixed with '-').
-func (t *Table) sortIdx(idx []int, keys []string) {
-	type keySpec struct {
-		col  int
-		desc bool
-	}
-	specs := make([]keySpec, len(keys))
-	for i, k := range keys {
-		desc := false
-		if strings.HasPrefix(k, "-") {
-			desc = true
-			k = k[1:]
-		}
-		specs[i] = keySpec{col: t.colIndex(k), desc: desc}
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ra, rb := idx[a], idx[b]
-		for _, s := range specs {
-			var cmp int
-			switch t.cols[s.col].Type {
-			case Int64:
-				va, vb := t.ints[s.col][ra], t.ints[s.col][rb]
-				switch {
-				case va < vb:
-					cmp = -1
-				case va > vb:
-					cmp = 1
-				}
-			case Float64:
-				va, vb := t.floats[s.col][ra], t.floats[s.col][rb]
-				switch {
-				case va < vb:
-					cmp = -1
-				case va > vb:
-					cmp = 1
-				}
-			default:
-				cmp = strings.Compare(t.strings[s.col][ra], t.strings[s.col][rb])
-			}
-			if cmp != 0 {
-				if s.desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-		}
-		return false
-	})
 }

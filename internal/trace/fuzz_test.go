@@ -13,13 +13,13 @@ var tableFiles = []string{collectionEventsFile, instanceEventsFile, usageFile, m
 // FuzzReadDir writes arbitrary bytes as the four CSV tables beside a
 // valid meta.json. ReadDir must return an error or a trace, and never
 // panic or hang. A trace it returns must read back equal after a round
-// trip through WriteDir, which writes the usage table through
+// trip through writeDir, which writes the usage table through
 // DirSink.UsageBatch: writing the re-read trace gives the same bytes
 // again. Bytes are the comparison because a NaN field never compares
 // equal to itself.
 func FuzzReadDir(f *testing.F) {
 	seed := f.TempDir()
-	if err := WriteDir(newTestTrace(), seed); err != nil {
+	if err := writeDir(newTestTrace(), seed); err != nil {
 		f.Fatal(err)
 	}
 	meta, err := os.ReadFile(filepath.Join(seed, metaFile))
@@ -49,7 +49,7 @@ func FuzzReadDir(f *testing.F) {
 			return
 		}
 		first, second := t.TempDir(), t.TempDir()
-		if err := WriteDir(tr, first); err != nil {
+		if err := writeDir(tr, first); err != nil {
 			t.Fatal(err)
 		}
 		back, err := ReadDir(first)
@@ -59,7 +59,7 @@ func FuzzReadDir(f *testing.F) {
 		if back.Counts() != tr.Counts() {
 			t.Fatalf("read back %s, wrote %s", back.Counts(), tr.Counts())
 		}
-		if err := WriteDir(back, second); err != nil {
+		if err := writeDir(back, second); err != nil {
 			t.Fatal(err)
 		}
 		for _, name := range tableFiles {

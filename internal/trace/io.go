@@ -23,25 +23,12 @@ const (
 	machineEventsFile    = "machine_events.csv"
 )
 
-// WriteDir writes the trace as CSV tables plus meta.json into dir,
-// creating it if needed. It is the post-hoc counterpart of DirSink:
-// replaying the retained tables through a sink produces the identical
-// on-disk layout a streaming run would have written.
-func WriteDir(t *MemTrace, dir string) error {
-	s, err := NewDirSink(dir, t.Meta)
-	if err != nil {
-		return err
-	}
-	t.Replay(s)
-	return s.Close()
-}
-
 func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 func itoa(i int64) string   { return strconv.FormatInt(i, 10) }
 func utoa(u uint64) string  { return strconv.FormatUint(u, 10) }
 func ts(t sim.Time) string  { return itoa(int64(t)) }
 
-// Per-row CSV encoders, shared by WriteDir and DirSink.
+// Per-row CSV encoders of DirSink.
 
 func collectionEventHeader() []string {
 	return []string{
@@ -118,9 +105,9 @@ type tableWriter struct {
 	csv  *csv.Writer
 }
 
-// DirSink streams trace rows to the same on-disk CSV layout WriteDir
-// produces — one file per table plus meta.json — as the simulation emits
-// them, so writing a trace needs no in-memory retention at all. Each
+// DirSink streams trace rows to the trace's on-disk CSV layout — one
+// file per table plus meta.json — as the simulation emits them, so
+// writing a trace needs no in-memory retention at all. Each
 // table writes through its own 1 MB buffer. It is not safe for
 // concurrent use: give each concurrently simulated cell its own shard
 // directory.
@@ -256,7 +243,7 @@ func (s *DirSink) closeFiles() {
 	}
 }
 
-// ReadDir loads a trace previously written by WriteDir.
+// ReadDir loads a trace previously written by a DirSink.
 func ReadDir(dir string) (*MemTrace, error) {
 	metaBytes, err := os.ReadFile(filepath.Join(dir, metaFile))
 	if err != nil {

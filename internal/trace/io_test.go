@@ -11,7 +11,7 @@ import (
 func TestWriteReadRoundTrip(t *testing.T) {
 	tr := newTestTrace()
 	dir := t.TempDir()
-	if err := WriteDir(tr, dir); err != nil {
+	if err := writeDir(tr, dir); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	for _, f := range []string{metaFile, collectionEventsFile, instanceEventsFile, usageFile, machineEventsFile} {
@@ -48,7 +48,7 @@ func TestReadDirMissing(t *testing.T) {
 
 func TestReadDirCorruptMeta(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteDir(newTestTrace(), dir); err != nil {
+	if err := writeDir(newTestTrace(), dir); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, metaFile), []byte("{not json"), 0o644); err != nil {
@@ -61,7 +61,7 @@ func TestReadDirCorruptMeta(t *testing.T) {
 
 func TestReadDirCorruptRow(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteDir(newTestTrace(), dir); err != nil {
+	if err := writeDir(newTestTrace(), dir); err != nil {
 		t.Fatal(err)
 	}
 	bad := "time,collection_id,type,collection_type,priority,tier,user,parent_collection_id,alloc_collection_id,scheduler,vertical_scaling\nnot-a-number,1,SUBMIT,job,0,free,u,0,0,default,none\n"
@@ -75,7 +75,7 @@ func TestReadDirCorruptRow(t *testing.T) {
 
 func TestReadDirBadEnums(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteDir(newTestTrace(), dir); err != nil {
+	if err := writeDir(newTestTrace(), dir); err != nil {
 		t.Fatal(err)
 	}
 	bad := "time,collection_id,type,collection_type,priority,tier,user,parent_collection_id,alloc_collection_id,scheduler,vertical_scaling\n1,1,SUBMIT,weird,0,free,u,0,0,default,none\n"
@@ -101,7 +101,7 @@ func TestReadDirRejectsOutOfRangeIndex(t *testing.T) {
 	} {
 		for _, bad := range []string{"2147483648", "-1"} {
 			dir := t.TempDir()
-			if err := WriteDir(newTestTrace(), dir); err != nil {
+			if err := writeDir(newTestTrace(), dir); err != nil {
 				t.Fatal(err)
 			}
 			path := filepath.Join(dir, c.file)
@@ -154,12 +154,12 @@ func TestParseHelpers(t *testing.T) {
 // TestDirSinkStreamsIdenticalToWriteDir pins the shared-encoder property:
 // streaming rows through a DirSink, with usage rows in one-record blocks
 // as the sampler's partial-window path delivers them, produces
-// byte-identical files to post-hoc WriteDir of the same trace, which
+// byte-identical files to post-hoc writeDir of the same trace, which
 // hands the whole usage table over as one block.
 func TestDirSinkStreamsIdenticalToWriteDir(t *testing.T) {
 	tr := newTestTrace()
 	postDir, streamDir := t.TempDir(), t.TempDir()
-	if err := WriteDir(tr, postDir); err != nil {
+	if err := writeDir(tr, postDir); err != nil {
 		t.Fatal(err)
 	}
 	ds, err := NewDirSink(streamDir, tr.Meta)

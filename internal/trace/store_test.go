@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/workload"
 )
 
@@ -112,16 +113,16 @@ func TestMemTraceQueriesMatchScan(t *testing.T) {
 	matchScan(t, "after late rows", tr)
 
 	opts := trace.DefaultValidateOptions()
-	if got, want := trace.Validate(tr, opts), trace.Validate(full, opts); !reflect.DeepEqual(got, want) {
+	if got, want := tracetest.Validate(tr, opts), tracetest.Validate(full, opts); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Validate after incremental appends:\n%v\nwant\n%v", got, want)
 	}
 	orphan := trace.CollectionID(1 << 61)
 	tr.InstanceEvent(trace.InstanceEvent{Time: full.Meta.Duration, Key: trace.InstanceKey{Collection: orphan}, Type: trace.EventSubmit})
-	if !hasViolation(trace.Validate(tr, opts), "orphan-instance") {
+	if !hasViolation(tracetest.Validate(tr, opts), "orphan-instance") {
 		t.Fatal("an instance of a collection with no events was not flagged")
 	}
 	tr.CollectionEvent(trace.CollectionEvent{Time: full.Meta.Duration, Collection: orphan, Type: trace.EventSubmit})
-	if hasViolation(trace.Validate(tr, opts), "orphan-instance") {
+	if hasViolation(tracetest.Validate(tr, opts), "orphan-instance") {
 		t.Fatal("a collection appended after an earlier query was not seen")
 	}
 	matchScan(t, "after the orphan's collection", tr)
@@ -147,7 +148,7 @@ func TestMemTraceConcurrentQueries(t *testing.T) {
 			if got := ask(tr); !reflect.DeepEqual(got, want) {
 				t.Error("a concurrent reader got different answers")
 			}
-			if v := trace.Validate(tr, trace.DefaultValidateOptions()); len(v) != 0 {
+			if v := tracetest.Validate(tr, trace.DefaultValidateOptions()); len(v) != 0 {
 				t.Errorf("concurrent Validate: %v", v[0])
 			}
 		}()

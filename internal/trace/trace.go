@@ -80,27 +80,6 @@ func TierFromPriority2019(priority int) Tier {
 	}
 }
 
-// TierFromPriority2011 maps a 2011 priority band (0–11) to its tier:
-// free = bands 0–1, beb = bands 2–8, prod = bands 9–10, monitoring = 11
-// (folded into prod). The 2011 trace has no mid tier.
-func TierFromPriority2011(band int) Tier {
-	switch {
-	case band <= 1:
-		return TierFree
-	case band <= 8:
-		return TierBestEffortBatch
-	default:
-		return TierProduction
-	}
-}
-
-// Priority2011Values are the 12 remapped priority bands of the 2011 trace.
-var Priority2011Values = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-
-// Priority2019Values are the raw priority values the 2011 bands correspond
-// to (§3): sparse values in 0–450.
-var Priority2019Values = []int{0, 25, 100, 101, 103, 104, 107, 109, 119, 200, 360, 450}
-
 // CollectionType distinguishes jobs from alloc sets (together,
 // "collections", §5.1).
 type CollectionType int
@@ -197,11 +176,6 @@ func (r Resources) Sub(o Resources) Resources {
 // Scale returns r scaled by f in both dimensions.
 func (r Resources) Scale(f float64) Resources {
 	return Resources{CPU: r.CPU * f, Mem: r.Mem * f}
-}
-
-// FitsIn reports whether r fits within capacity c in both dimensions.
-func (r Resources) FitsIn(c Resources) bool {
-	return r.CPU <= c.CPU && r.Mem <= c.Mem
 }
 
 // NonNegative reports whether both dimensions are >= 0.

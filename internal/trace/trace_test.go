@@ -2,7 +2,6 @@ package trace
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/sim"
 )
@@ -21,39 +20,6 @@ func TestTierFromPriority2019(t *testing.T) {
 	for _, c := range cases {
 		if got := TierFromPriority2019(c.priority); got != c.want {
 			t.Errorf("TierFromPriority2019(%d) = %v, want %v", c.priority, got, c.want)
-		}
-	}
-}
-
-func TestTierFromPriority2011(t *testing.T) {
-	cases := []struct {
-		band int
-		want Tier
-	}{
-		{0, TierFree}, {1, TierFree},
-		{2, TierBestEffortBatch}, {8, TierBestEffortBatch},
-		{9, TierProduction}, {10, TierProduction}, {11, TierProduction},
-	}
-	for _, c := range cases {
-		if got := TierFromPriority2011(c.band); got != c.want {
-			t.Errorf("TierFromPriority2011(%d) = %v, want %v", c.band, got, c.want)
-		}
-	}
-}
-
-func TestPriorityBandCorrespondence(t *testing.T) {
-	// The 2011 band i corresponds to raw priority Priority2019Values[i];
-	// both mappings must agree on the tier except for the mid tier (which
-	// did not exist in 2011) and for priority 119, which is documented as
-	// band 8 (beb) in 2011 but mid in 2019.
-	for band, raw := range Priority2019Values {
-		t2011 := TierFromPriority2011(band)
-		t2019 := TierFromPriority2019(raw)
-		if raw == 119 {
-			continue // tier added between the traces
-		}
-		if t2011 != t2019 {
-			t.Errorf("band %d (raw %d): 2011 tier %v != 2019 tier %v", band, raw, t2011, t2019)
 		}
 	}
 }
@@ -118,27 +84,8 @@ func TestResourcesArithmetic(t *testing.T) {
 	if got := a.Scale(2); got != (Resources{CPU: 2, Mem: 4}) {
 		t.Fatalf("scale %v", got)
 	}
-	if !b.FitsIn(a) || a.FitsIn(b) {
-		t.Fatal("fits")
-	}
 	if !a.NonNegative() || (Resources{CPU: -1}).NonNegative() {
 		t.Fatal("non-negative")
-	}
-}
-
-// Property: FitsIn is monotone — if r fits in c, a smaller r' also fits.
-func TestFitsInMonotoneProperty(t *testing.T) {
-	f := func(c1, c2, m1, m2 uint8) bool {
-		r := Resources{CPU: float64(c1) / 255, Mem: float64(m1) / 255}
-		c := Resources{CPU: float64(c2) / 255, Mem: float64(m2) / 255}
-		if !r.FitsIn(c) {
-			return true
-		}
-		smaller := r.Scale(0.5)
-		return smaller.FitsIn(c)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -180,7 +127,7 @@ func TestCollectionInfos(t *testing.T) {
 
 func TestValidateCleanTrace(t *testing.T) {
 	tr := newTestTrace()
-	if v := Validate(tr, DefaultValidateOptions()); len(v) != 0 {
+	if v := validate(tr, DefaultValidateOptions()); len(v) != 0 {
 		t.Fatalf("violations on clean trace: %v", v)
 	}
 }
@@ -188,7 +135,7 @@ func TestValidateCleanTrace(t *testing.T) {
 func TestValidateCatchesTerminationBeforeSubmit(t *testing.T) {
 	tr := NewMemTrace(Meta{})
 	tr.CollectionEvent(CollectionEvent{Time: 5, Collection: 1, Type: EventFinish, CollectionType: CollectionJob})
-	v := Validate(tr, DefaultValidateOptions())
+	v := validate(tr, DefaultValidateOptions())
 	if len(v) == 0 || v[0].Invariant != "submit-before-termination" {
 		t.Fatalf("violations %v", v)
 	}
@@ -203,7 +150,7 @@ func TestValidateCatchesDoubleTermination(t *testing.T) {
 	tr.CollectionEvent(CollectionEvent{Time: 2, Collection: 1, Type: EventFinish})
 	tr.CollectionEvent(CollectionEvent{Time: 3, Collection: 1, Type: EventKill})
 	found := false
-	for _, v := range Validate(tr, DefaultValidateOptions()) {
+	for _, v := range validate(tr, DefaultValidateOptions()) {
 		if v.Invariant == "double-termination" {
 			found = true
 		}
@@ -224,7 +171,7 @@ func TestValidateAllowsResubmitAfterEvict(t *testing.T) {
 	tr.InstanceEvent(InstanceEvent{Time: 5, Key: InstanceKey{1, 0}, Type: EventSchedule, Machine: 1})
 	tr.InstanceEvent(InstanceEvent{Time: 6, Key: InstanceKey{1, 0}, Type: EventFinish, Machine: 1})
 	tr.CollectionEvent(CollectionEvent{Time: 6, Collection: 1, Type: EventFinish})
-	if v := Validate(tr, DefaultValidateOptions()); len(v) != 0 {
+	if v := validate(tr, DefaultValidateOptions()); len(v) != 0 {
 		t.Fatalf("evict-resubmit flagged: %v", v)
 	}
 }
@@ -235,7 +182,7 @@ func TestValidateCatchesUnknownMachine(t *testing.T) {
 	tr.InstanceEvent(InstanceEvent{Time: 1, Key: InstanceKey{1, 0}, Type: EventSubmit})
 	tr.InstanceEvent(InstanceEvent{Time: 2, Key: InstanceKey{1, 0}, Type: EventSchedule, Machine: 99})
 	found := false
-	for _, v := range Validate(tr, DefaultValidateOptions()) {
+	for _, v := range validate(tr, DefaultValidateOptions()) {
 		if v.Invariant == "schedule-machine" {
 			found = true
 		}
@@ -250,7 +197,7 @@ func TestValidateCatchesTimeDisorder(t *testing.T) {
 	tr.CollectionEvent(CollectionEvent{Time: 10, Collection: 1, Type: EventSubmit})
 	tr.CollectionEvent(CollectionEvent{Time: 5, Collection: 1, Type: EventFinish})
 	found := false
-	for _, v := range Validate(tr, DefaultValidateOptions()) {
+	for _, v := range validate(tr, DefaultValidateOptions()) {
 		if v.Invariant == "coll-time-order" {
 			found = true
 		}
@@ -271,7 +218,7 @@ func TestValidateCatchesMemoryOverCapacity(t *testing.T) {
 			AvgUsage: Resources{CPU: 0.1, Mem: 0.4}, MaxUsage: Resources{CPU: 0.1, Mem: 0.4}}})
 	}
 	found := false
-	for _, v := range Validate(tr, DefaultValidateOptions()) {
+	for _, v := range validate(tr, DefaultValidateOptions()) {
 		if v.Invariant == "machine-mem-capacity" {
 			found = true
 		}
@@ -289,7 +236,7 @@ func TestValidateCatchesChildOutlivingParent(t *testing.T) {
 	// Child terminates way beyond the grace window.
 	tr.CollectionEvent(CollectionEvent{Time: 10 + sim.Hour, Collection: 2, Type: EventFinish, Parent: 1})
 	found := false
-	for _, v := range Validate(tr, DefaultValidateOptions()) {
+	for _, v := range validate(tr, DefaultValidateOptions()) {
 		if v.Invariant == "parent-kill" {
 			found = true
 		}
@@ -304,7 +251,7 @@ func TestValidateMaxViolations(t *testing.T) {
 	for i := CollectionID(1); i <= 50; i++ {
 		tr.CollectionEvent(CollectionEvent{Time: 1, Collection: i, Type: EventFinish})
 	}
-	v := Validate(tr, ValidateOptions{MaxViolations: 7})
+	v := validate(tr, ValidateOptions{MaxViolations: 7})
 	if len(v) != 7 {
 		t.Fatalf("got %d violations, want capped at 7", len(v))
 	}
@@ -317,7 +264,7 @@ func TestValidateUsageChecks(t *testing.T) {
 	tr.UsageBatch([]UsageRecord{{Start: 0, End: 10, Key: InstanceKey{1, 0}, Machine: 1,
 		AvgUsage: Resources{CPU: 0.5}, MaxUsage: Resources{CPU: 0.1}}})
 	var names []string
-	for _, v := range Validate(tr, DefaultValidateOptions()) {
+	for _, v := range validate(tr, DefaultValidateOptions()) {
 		names = append(names, v.Invariant)
 	}
 	hasWindow, hasAvgMax := false, false

@@ -1,4 +1,5 @@
-// Package tracetest compares retained traces in tests.
+// Package tracetest holds test helpers for retained traces: it compares
+// them, validates them and writes them to disk.
 package tracetest
 
 import (
@@ -32,4 +33,23 @@ func Diff(a, b *trace.MemTrace) string {
 		return differs("machine events", a.MachineEvents.Len(), b.MachineEvents.Len())
 	}
 	return ""
+}
+
+// Validate replays a retained trace through a fresh trace.Validator and
+// returns its violations.
+func Validate(t *trace.MemTrace, opts trace.ValidateOptions) []trace.Violation {
+	v := trace.NewValidator(opts)
+	t.Replay(v)
+	return v.Finish()
+}
+
+// WriteDir writes a retained trace into dir in the layout a DirSink
+// streams, creating dir if needed.
+func WriteDir(t *trace.MemTrace, dir string) error {
+	s, err := trace.NewDirSink(dir, t.Meta)
+	if err != nil {
+		return err
+	}
+	t.Replay(s)
+	return s.Close()
 }

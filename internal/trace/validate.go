@@ -49,16 +49,6 @@ const (
 	parentKillGrace = 5 * sim.Minute
 )
 
-// Validate replays a stored trace through a Validator (MemTrace.Replay:
-// machine events, collection events, instance events, usage records)
-// and returns its violations, at most opts.MaxViolations of them. They
-// come in that row order, with the end-of-run checks last.
-func Validate(t *MemTrace, opts ValidateOptions) []Violation {
-	v := NewValidator(opts)
-	t.Replay(v)
-	return v.Finish()
-}
-
 // Validator is a Sink that checks the §9-style invariants in one pass
 // over the rows:
 //

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/workload"
 )
 
@@ -120,7 +121,7 @@ func TestValidatorLiveMatchesReplay(t *testing.T) {
 	core.Run(p, opts)
 
 	got := live.Finish()
-	want := trace.Validate(mt, trace.ValidateOptions{})
+	want := tracetest.Validate(mt, trace.ValidateOptions{})
 	str := func(vs []trace.Violation) []string {
 		out := make([]string, len(vs))
 		for i, v := range vs {
@@ -167,7 +168,7 @@ func TestValidateCatchesUsageOutOfOrder(t *testing.T) {
 			AvgUsage: trace.Resources{Mem: mem}, MaxUsage: trace.Resources{Mem: mem}}
 	}
 	tr.UsageBatch([]trace.UsageRecord{rec(0, 0.6), rec(sim.SampleWindow, 0.1), rec(0, 0.6)})
-	vs := trace.Validate(tr, trace.DefaultValidateOptions())
+	vs := tracetest.Validate(tr, trace.DefaultValidateOptions())
 	if len(vs) != 1 || vs[0].Invariant != "usage-order" {
 		t.Fatalf("violations %v, want one usage-order", vs)
 	}

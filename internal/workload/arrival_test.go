@@ -201,7 +201,7 @@ func TestCohortUsers(t *testing.T) {
 func TestPoissonMatchesDefaultGenerator(t *testing.T) {
 	p1, p2 := Profile2019("a", 600), Profile2019("a", 600)
 	horizon := 100 * sim.Hour
-	g1 := NewGenerator(p1, testCapacityCPU, horizon, rng.New(9), 1)
+	g1 := NewGeneratorArrival(p1, testCapacityCPU, horizon, rng.New(9), 1, "")
 	g2 := NewGeneratorArrival(p2, testCapacityCPU, horizon, rng.New(9), 1, "poisson")
 	now := sim.Time(0)
 	for i := 0; i < 2000; i++ {

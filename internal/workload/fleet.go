@@ -3,7 +3,6 @@ package workload
 import (
 	"math"
 
-	"repro/internal/dist"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -64,11 +63,4 @@ func SampleFleetProfile(name string, medianMachines int, src *rng.Source) *CellP
 		p.DiurnalPhase = sim.Time(src.Intn(24)) * sim.Hour
 	}
 	return p
-}
-
-// FleetMachineQuantile returns the q-quantile of the fleet machine-count
-// distribution before clamping — the sizing handle fleet capacity
-// planning (and tests) use to reason about tail cells.
-func FleetMachineQuantile(medianMachines int, q float64) float64 {
-	return float64(medianMachines) * (dist.LogNormal{Mu: 0, Sigma: FleetMachineSigma}).Quantile(q)
 }

@@ -17,9 +17,8 @@ func TestSampleFleetProfileReproducibleAndVaried(t *testing.T) {
 	}
 	machines := map[int]bool{}
 	rates := map[float64]bool{}
-	src := rng.New(1)
 	for i := 0; i < 64; i++ {
-		p := SampleFleetProfile("f", median, src.SplitN(uint64(i)))
+		p := SampleFleetProfile("f", median, rng.New(uint64(i)).Split("fleet-profile"))
 		if p.Era != a.Era {
 			t.Fatalf("cell %d era %v", i, p.Era)
 		}
@@ -42,16 +41,5 @@ func TestSampleFleetProfileReproducibleAndVaried(t *testing.T) {
 	if len(machines) < 10 || len(rates) < 32 {
 		t.Fatalf("fleet sampling barely varies: %d machine counts, %d rates over 64 cells",
 			len(machines), len(rates))
-	}
-}
-
-func TestFleetMachineQuantile(t *testing.T) {
-	if got := FleetMachineQuantile(100, 0.5); math.Abs(got-100) > 1e-9 {
-		t.Fatalf("median quantile %g, want 100", got)
-	}
-	p90 := FleetMachineQuantile(100, 0.9)
-	want := 100 * math.Exp(FleetMachineSigma*1.2815515655446004)
-	if math.Abs(p90-want)/want > 1e-6 {
-		t.Fatalf("p90 %g, want %g", p90, want)
 	}
 }

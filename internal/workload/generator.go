@@ -64,10 +64,8 @@ type Generator struct {
 	nextID   trace.CollectionID
 	tierPick *dist.Categorical
 	tiers    []tierGen
-	// arr decides when collections arrive and who submits them; env is
-	// its rate envelope (also exposed for tests via rateAt).
+	// arr decides when collections arrive and who submits them.
 	arr ArrivalProcess
-	env RateEnvelope
 
 	liveJobs   []liveRef
 	liveAllocs []liveRef
@@ -78,19 +76,13 @@ type Generator struct {
 	UsageCompensation float64
 }
 
-// NewGenerator builds a generator for the profile over the given horizon.
-// startID seeds collection IDs so multiple cells get disjoint ID spaces.
-// The arrival process comes from the profile's Arrival spec (default
-// poisson); construction consumes no randomness, so building and
-// discarding a generator never perturbs the cell's draw sequence.
-func NewGenerator(p *CellProfile, capacityCPU float64, horizon sim.Time, src *rng.Source, startID trace.CollectionID) *Generator {
-	return NewGeneratorArrival(p, capacityCPU, horizon, src, startID, "")
-}
-
-// NewGeneratorArrival is NewGenerator with an arrival-process override:
-// a non-empty spec (see ParseArrival) takes precedence over the
-// profile's Arrival field. It panics on a malformed spec — callers
-// validate user input with ParseArrival first.
+// NewGeneratorArrival builds a generator for the profile over the given
+// horizon. startID seeds collection IDs so multiple cells get disjoint ID
+// spaces. A non-empty arrival spec (see ParseArrival) takes precedence
+// over the profile's Arrival field (default poisson); it panics on a
+// malformed spec — callers validate user input with ParseArrival first.
+// Construction consumes no randomness, so building and discarding a
+// generator never perturbs the cell's draw sequence.
 func NewGeneratorArrival(p *CellProfile, capacityCPU float64, horizon sim.Time, src *rng.Source, startID trace.CollectionID, arrival string) *Generator {
 	g := &Generator{
 		p:                 p,
@@ -98,7 +90,6 @@ func NewGeneratorArrival(p *CellProfile, capacityCPU float64, horizon sim.Time, 
 		horizon:           horizon,
 		capacityCPU:       capacityCPU,
 		nextID:            startID,
-		env:               envelopeFor(p),
 		UsageCompensation: 1.15,
 	}
 	if arrival == "" {
@@ -164,9 +155,6 @@ func (g *Generator) NextInterArrival(now sim.Time) sim.Time {
 
 // Arrival exposes the generator's arrival process.
 func (g *Generator) Arrival() ArrivalProcess { return g.arr }
-
-// rateAt is the modulated arrival rate (jobs/hour) at time t.
-func (g *Generator) rateAt(t sim.Time) float64 { return g.env.Rate(t) }
 
 // Generate produces the collections submitted at time now: usually one
 // job, occasionally preceded by a new alloc set (§5.1: 2% of collections
@@ -292,7 +280,7 @@ func (g *Generator) makeJob(now sim.Time) *scheduler.Job {
 		}
 	}
 	rate := clamp(tg.taskRate.Sample(g.src), 0.002, maxRate)
-	durHours := clampFloat(ncuHours/(float64(n)*rate), 2.0/60, maxDur)
+	durHours := clamp(ncuHours/(float64(n)*rate), 2.0/60, maxDur)
 
 	// Dependencies (§5.2): children are attached to a live job and
 	// stretched to outlast it, so the parent's exit kills them — this is
@@ -486,8 +474,6 @@ func clamp(x, lo, hi float64) float64 {
 	}
 	return x
 }
-
-func clampFloat(x, lo, hi float64) float64 { return clamp(x, lo, hi) }
 
 // lognormJitter returns a multiplicative lognormal factor with median 1.
 func lognormJitter(src *rng.Source, sigma float64) float64 {

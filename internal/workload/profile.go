@@ -11,10 +11,7 @@
 package workload
 
 import (
-	"math"
-
 	"repro/internal/cluster"
-	"repro/internal/dist"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -133,16 +130,6 @@ type CellProfile struct {
 // TotalArrivalRate returns jobs/hour scaled to the simulated cell size.
 func (p *CellProfile) TotalArrivalRate() float64 {
 	return p.JobsPerHour * float64(p.Machines) / ReferenceMachines
-}
-
-// TierByName returns the tier parameters, or nil.
-func (p *CellProfile) TierFor(t trace.Tier) *TierParams {
-	for i := range p.Tiers {
-		if p.Tiers[i].Tier == t {
-			return &p.Tiers[i]
-		}
-	}
-	return nil
 }
 
 // Profile2011 builds the single-cell 2011-era profile: coarse priority
@@ -339,21 +326,4 @@ func Profile2019(cell string, machines int) *CellProfile {
 		UsageNoiseSigma:       0.25,
 		MemUnderProvisionProb: 0.02,
 	}
-}
-
-// SolveBoundedParetoL finds the lower bound L of a bounded Pareto with
-// the given alpha and upper bound H whose mean equals targetMean, by
-// bisection. The mean is monotone increasing in L.
-func SolveBoundedParetoL(alpha, h, targetMean float64) float64 {
-	lo, hi := h*1e-12, h
-	for i := 0; i < 200; i++ {
-		mid := math.Sqrt(lo * hi) // geometric bisection: L spans decades
-		m := (dist.BoundedPareto{L: mid, H: h, Alpha: alpha}).Mean()
-		if m < targetMean {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return math.Sqrt(lo * hi)
 }

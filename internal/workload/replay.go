@@ -168,7 +168,7 @@ type Replayer struct {
 }
 
 // NewReplayer builds a replayer over rec, rebasing collection IDs onto
-// idBase (pass the run's engine ID base, as NewGenerator's startID-1).
+// idBase (pass the run's engine ID base, as NewGeneratorArrival's startID-1).
 func NewReplayer(rec *Recording, idBase trace.CollectionID) *Replayer {
 	return &Replayer{rec: rec, idBase: idBase}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/dist"
 	"repro/internal/rng"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -17,7 +16,7 @@ const testCapacityCPU = 200.0
 
 func genJobs(t *testing.T, p *CellProfile, horizon sim.Time, n int) []*scheduler.Job {
 	t.Helper()
-	g := NewGenerator(p, testCapacityCPU, horizon, rng.New(7), 1)
+	g := NewGeneratorArrival(p, testCapacityCPU, horizon, rng.New(7), 1, "")
 	var jobs []*scheduler.Job
 	now := sim.Time(0)
 	for len(jobs) < n {
@@ -34,7 +33,7 @@ func genJobs(t *testing.T, p *CellProfile, horizon sim.Time, n int) []*scheduler
 
 func TestArrivalRateMatchesProfile(t *testing.T) {
 	p := Profile2019("a", 600)
-	g := NewGenerator(p, testCapacityCPU, 100*sim.Hour, rng.New(3), 1)
+	g := NewGeneratorArrival(p, testCapacityCPU, 100*sim.Hour, rng.New(3), 1, "")
 	want := p.TotalArrivalRate() // jobs/hour
 	if math.Abs(want-3360*600/12000.0) > 1e-9 {
 		t.Fatalf("scaled rate %v", want)
@@ -62,20 +61,20 @@ func TestArrivalRatio2019To2011(t *testing.T) {
 
 func TestDiurnalModulation(t *testing.T) {
 	p := Profile2019("g", 600)
-	g := NewGenerator(p, testCapacityCPU, sim.Day, rng.New(5), 1)
+	env := envelopeFor(p)
 	peakRate := 0.0
 	var peakAt sim.Time
 	for h := 0; h < 24; h++ {
-		r := g.rateAt(sim.Time(h) * sim.Hour)
+		r := env.Rate(sim.Time(h) * sim.Hour)
 		if r > peakRate {
 			peakRate, peakAt = r, sim.Time(h)*sim.Hour
 		}
 	}
-	gNoPhase := NewGenerator(Profile2019("a", 600), testCapacityCPU, sim.Day, rng.New(5), 1)
+	envNoPhase := envelopeFor(Profile2019("a", 600))
 	peakRateA := 0.0
 	var peakAtA sim.Time
 	for h := 0; h < 24; h++ {
-		r := gNoPhase.rateAt(sim.Time(h) * sim.Hour)
+		r := envNoPhase.Rate(sim.Time(h) * sim.Hour)
 		if r > peakRateA {
 			peakRateA, peakAtA = r, sim.Time(h)*sim.Hour
 		}
@@ -407,16 +406,6 @@ func TestKillOutcomesRoughlyCalibrated(t *testing.T) {
 	}
 }
 
-func TestSolveBoundedParetoL(t *testing.T) {
-	for _, target := range []float64{0.01, 0.5, 3, 25} {
-		l := SolveBoundedParetoL(0.69, 1000, target)
-		got := (dist.BoundedPareto{L: l, H: 1000, Alpha: 0.69}).Mean()
-		if math.Abs(got-target)/target > 0.02 {
-			t.Fatalf("target mean %v: solved L %v gives mean %v", target, l, got)
-		}
-	}
-}
-
 func TestUniqueCollectionIDs(t *testing.T) {
 	p := Profile2019("a", 600)
 	jobs := genJobs(t, p, 48*sim.Hour, 5000)
@@ -440,10 +429,18 @@ func TestUnknownCellPanics(t *testing.T) {
 
 func TestTierFor(t *testing.T) {
 	p := Profile2019("a", 600)
-	if p.TierFor(trace.TierMid) == nil {
+	hasMid := func(p *CellProfile) bool {
+		for _, tp := range p.Tiers {
+			if tp.Tier == trace.TierMid {
+				return true
+			}
+		}
+		return false
+	}
+	if !hasMid(p) {
 		t.Fatal("mid tier missing in 2019")
 	}
-	if Profile2011(600).TierFor(trace.TierMid) != nil {
+	if hasMid(Profile2011(600)) {
 		t.Fatal("mid tier present in 2011")
 	}
 }
