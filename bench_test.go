@@ -407,7 +407,7 @@ func miceDelayP90(hogPriority int) float64 {
 			})
 		}
 		at := sim.Time(i) * 15 * sim.Minute
-		k.At(at, func(sim.Time) { sched.Submit(j) })
+		k.At(at, sim.Func(func(sim.Time) { sched.Submit(j) }))
 	}
 	var mice []*scheduler.Job
 	for i := 0; i < 400; i++ {
@@ -422,7 +422,7 @@ func miceDelayP90(hogPriority int) float64 {
 		})
 		mice = append(mice, j)
 		at := sim.Time(src.Intn(int(3 * sim.Hour)))
-		k.At(at, func(sim.Time) { sched.Submit(j) })
+		k.At(at, sim.Func(func(sim.Time) { sched.Submit(j) }))
 	}
 	k.RunUntil(5 * sim.Hour)
 

@@ -21,7 +21,10 @@ import (
 	"bufio"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"io"
 	"log"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -79,9 +82,14 @@ func main() {
 		log.Fatal("-bench is required")
 	}
 
-	runs, order, err := parseBench(*benchPath)
+	f, err := os.Open(*benchPath)
 	if err != nil {
 		log.Fatal(err)
+	}
+	runs, order, err := parseBench(f)
+	f.Close() // read-only: a close error cannot lose data
+	if err != nil {
+		log.Fatalf("%s: %v", *benchPath, err)
 	}
 	if len(runs) == 0 {
 		log.Fatalf("no benchmark lines found in %s", *benchPath)
@@ -94,6 +102,9 @@ func main() {
 	var base baselineFile
 	if err := json.Unmarshal(baseRaw, &base); err != nil {
 		log.Fatalf("parse %s: %v", *basePath, err)
+	}
+	if err := checkBaseline(base); err != nil {
+		log.Fatalf("%s: %v", *basePath, err)
 	}
 
 	art := artifact{Source: *benchPath, Baseline: *basePath, Tolerance: *tolerance}
@@ -176,16 +187,13 @@ func main() {
 }
 
 // parseBench extracts benchmark runs (possibly repeated via -count) from
-// go test output, preserving first-seen order.
-func parseBench(path string) (map[string][]run, []string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
+// go test output, preserving first-seen order. A measurement no gate can
+// compare is an error, not a skipped line: a NaN ns/op would otherwise
+// compare false against the tolerance and pass.
+func parseBench(r io.Reader) (map[string][]run, []string, error) {
 	runs := make(map[string][]run)
 	var order []string
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
@@ -193,7 +201,10 @@ func parseBench(path string) (map[string][]run, []string, error) {
 			continue
 		}
 		name := m[1]
-		r, ok := parseFields(strings.Fields(m[3]))
+		r, ok, err := parseFields(strings.Fields(m[3]))
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", name, err)
+		}
 		if !ok {
 			continue
 		}
@@ -205,16 +216,26 @@ func parseBench(path string) (map[string][]run, []string, error) {
 	return runs, order, sc.Err()
 }
 
-// parseFields reads the value/unit pairs after the iteration count.
-func parseFields(fields []string) (run, bool) {
+// parseFields reads the value/unit pairs after the iteration count. ok is
+// false for a line that is not a measurement (a value that is not a
+// number, or no ns/op). A NaN or infinite value, or a negative ns/op,
+// B/op or allocs/op, is an error.
+func parseFields(fields []string) (run, bool, error) {
 	r := run{metrics: make(map[string]float64)}
 	ok := false
 	for i := 0; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return r, false
+			return r, false, nil
 		}
-		switch fields[i+1] {
+		unit := fields[i+1]
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return r, false, fmt.Errorf("non-finite value %s %s", fields[i], unit)
+		}
+		if v < 0 && (unit == "ns/op" || unit == "B/op" || unit == "allocs/op") {
+			return r, false, fmt.Errorf("negative value %s %s", fields[i], unit)
+		}
+		switch unit {
 		case "ns/op":
 			r.nsPerOp, ok = v, true
 		case "B/op":
@@ -222,10 +243,24 @@ func parseFields(fields []string) (run, bool) {
 		case "allocs/op":
 			r.allocsPerOp, r.hasAllocs = v, true
 		default:
-			r.metrics[fields[i+1]] = v
+			r.metrics[unit] = v
 		}
 	}
-	return r, ok
+	return r, ok, nil
+}
+
+// checkBaseline rejects a baseline number no gate can compare against: a
+// NaN, infinite or negative value would make its gate pass vacuously or
+// be skipped without a word.
+func checkBaseline(base baselineFile) error {
+	for name, b := range base.Benchmarks {
+		for key, v := range b.After {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				return fmt.Errorf("benchmark %s: baseline %s = %v, want a finite non-negative number", name, key, v)
+			}
+		}
+	}
+	return nil
 }
 
 func medianOf(rs []run, get func(run) float64) float64 {

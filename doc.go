@@ -9,10 +9,13 @@
 // The system is layered, bottom to top:
 //
 //   - internal/sim — the discrete-event kernel: a virtual microsecond
-//     clock and a pooled event heap (events are slab-allocated and
-//     recycled; cancellation goes through generation-checked EventRef
-//     handles, so steady-state simulation does not allocate per event,
-//     which TestKernelStepZeroAllocs pins). The queue is a typed binary
+//     clock and a pooled event heap (event records are slab-allocated
+//     and recycled; cancellation goes through generation-checked
+//     EventRef handles, so the kernel itself does not allocate per
+//     event, which TestKernelStepZeroAllocs pins). An event is any value
+//     with a Fire method: the scheduler schedules its tasks and jobs
+//     themselves, core.Run one arrivals value for the whole run, and cold
+//     callers wrap a closure in sim.Func. The queue is a typed binary
 //     heap of slot ids with its own sift methods, not container/heap: the
 //     (due, seq) comparison inlines, no slot id is boxed into an
 //     interface, and because the sifts follow container/heap's algorithm
@@ -101,14 +104,17 @@
 // binary search and removal shifts in place, with no per-machine map and
 // no re-sort. Residents hands that slice out as a copy-on-write
 // snapshot — the next membership change copies before writing — which
-// is what makes evicting while iterating safe for machine maintenance,
-// machine removal and memory pressure. Each task caches its interned
-// class ID, valid while its request is unchanged and the intern table
-// has not been cleared (an epoch counter), so the class lookup hashes
-// only when a task's shape is new to it and the IDs returned are the
-// ones the table would give. Resident records and kernel callbacks are
-// pooled, so steady-state
-// placement performs zero heap allocations (guarded by an
+// is what makes evicting while iterating safe for machine maintenance.
+// Walks that finish reading before they change the machine (the usage
+// sampler, the preemption scan, the OOM victim pick) read
+// LiveResidents instead, which takes no snapshot, so the placement that
+// follows them copies nothing. Each task caches its interned class ID,
+// valid until UpdateTaskRequest changes its request or the intern
+// table, bounded at 1,024 classes, is cleared (an epoch counter), so the
+// class lookup hashes only when a task's shape is new to it and the IDs
+// returned are the ones the table would give. Resident records are
+// pooled and a task's kernel events are the task itself, so
+// steady-state placement performs zero heap allocations (guarded by an
 // AllocsPerRun test in CI). Machines are looked up in an ID-indexed
 // table: IDs are dense from 1, so cluster.Cell keeps a []*Machine
 // instead of a map, and the scheduler's
@@ -179,6 +185,17 @@
 // window keeps its CPU and memory peaks in sorted order, updated by one
 // insertion and one removal per sample, so the windowed percentile is a
 // read, never a sort (TestObserveSteadyStateZeroAllocs).
+//
+// The per-layer guards cannot see an interaction between layers, so a
+// whole run is bounded too: core.Run allocates per job — the Job, one
+// array holding all its tasks (a Task is 176 bytes, inside the 192-byte
+// size class TestTaskSize pins) and its Tasks slice — plus pools that
+// grow to the peak number of running tasks, and nothing per placement,
+// restart, kernel event or usage window. TestRunAllocsPerJob holds a
+// small cell's run to a per-job allocation budget, and
+// TestPlaceAfterSampleZeroAllocs pins one such interaction: a placement
+// on a machine the sampler has just walked must not copy its resident
+// list.
 //
 // The delivery side batches: trace.Sink has one usage method,
 // UsageBatch, and the sampler hands each machine-window's records to the

@@ -58,7 +58,7 @@ func runScenario(hogPriority int) (miceDelaysSeconds []float64, hogShare float64
 		hogHours += 400 * 0.06 * 2
 		total += 400 * 0.06 * 2
 		at := sim.Time(i) * 20 * sim.Minute
-		k.At(at, func(sim.Time) { sched.Submit(j) })
+		k.At(at, sim.Func(func(sim.Time) { sched.Submit(j) }))
 	}
 
 	// 500 mice: 1 task, 3 minutes, arriving throughout.
@@ -77,7 +77,7 @@ func runScenario(hogPriority int) (miceDelaysSeconds []float64, hogShare float64
 		total += 0.015 * 0.05
 		miceJobs = append(miceJobs, j)
 		at := sim.Time(src.Intn(int(4 * sim.Hour)))
-		k.At(at, func(sim.Time) { sched.Submit(j) })
+		k.At(at, sim.Func(func(sim.Time) { sched.Submit(j) }))
 	}
 
 	k.RunUntil(6 * sim.Hour)

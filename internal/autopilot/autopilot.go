@@ -48,24 +48,23 @@ const (
 // request. peaks is the ring of the last windowSamples peaks in arrival
 // order; cpus and mems hold the same samples per dimension in ascending
 // order, updated incrementally (the evicted sample out, the new one in),
-// so a percentile is a read of a sorted slice and never sorts.
+// so a percentile is a read of a sorted slice and never sorts. Both live
+// in the window's own arrays, so a window is one allocation.
 type window struct {
-	peaks      []trace.Resources
+	peaks      [windowSamples]trace.Resources
 	next       int
-	cpus, mems []float64
+	sorted     [2 * windowSamples]float64
+	cpus, mems []float64 // views of sorted's halves
 	original   trace.Resources
 	// seen is the autopilot sweep generation that last observed the task.
 	seen uint64
 }
 
 func newWindow(original trace.Resources) *window {
-	sorted := make([]float64, 2*windowSamples)
-	return &window{
-		peaks:    make([]trace.Resources, windowSamples),
-		cpus:     sorted[:0:windowSamples],
-		mems:     sorted[windowSamples:windowSamples],
-		original: original,
-	}
+	w := &window{original: original}
+	w.cpus = w.sorted[:0:windowSamples]
+	w.mems = w.sorted[windowSamples:windowSamples]
+	return w
 }
 
 // reset empties a recycled window for a new task.
@@ -140,17 +139,12 @@ type Autopilot struct {
 }
 
 // New constructs an Autopilot bound to a cell with overcommit policy oc
-// and to a trace sink.
-func New(oc cluster.OvercommitPolicy, cell *cluster.Cell, sink trace.Sink) *Autopilot {
-	return &Autopilot{overcommit: oc, cell: cell, sink: sink}
-}
-
-// OnLimitChange registers fn as the writer of task request updates —
-// typically the scheduler's accounting-aware setter, so admission sums
-// maintained incrementally over task requests stay consistent with
-// autoscaling. When unset, the autopilot writes t.Request directly.
-func (a *Autopilot) OnLimitChange(fn func(*scheduler.Task, trace.Resources)) {
-	a.setRequest = fn
+// and to a trace sink. setRequest writes each limit update into the task:
+// the scheduler's UpdateTaskRequest, which keeps its admission sums and
+// its cached scoring class consistent with the new request.
+func New(oc cluster.OvercommitPolicy, cell *cluster.Cell, sink trace.Sink,
+	setRequest func(*scheduler.Task, trace.Resources)) *Autopilot {
+	return &Autopilot{overcommit: oc, cell: cell, sink: sink, setRequest: setRequest}
 }
 
 // Updates returns how many limit updates have been issued.
@@ -221,11 +215,7 @@ func (a *Autopilot) Observe(now sim.Time, t *scheduler.Task, peakUsage trace.Res
 			a.cell.UpdateLimit(t.Machine, t.Key, rec)
 		}
 	}
-	if a.setRequest != nil {
-		a.setRequest(t, rec)
-	} else {
-		t.Request = rec
-	}
+	a.setRequest(t, rec)
 	a.updates++
 	a.sink.InstanceEvent(trace.InstanceEvent{
 		Time:          now,

@@ -12,13 +12,17 @@ import (
 	"repro/internal/trace"
 )
 
+// setRequest stands in for the scheduler's request setter: these tests
+// run the autopilot without a scheduler.
+func setRequest(t *scheduler.Task, rec trace.Resources) { t.Request = rec }
+
 func setup(t *testing.T, scaling trace.VerticalScaling, request trace.Resources) (*Autopilot, *cluster.Cell, *scheduler.Task, *trace.MemTrace) {
 	t.Helper()
 	cell := cluster.NewCell("test")
 	m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
 	tr := trace.NewMemTrace(trace.Meta{})
 	oc := cluster.OvercommitPolicy{CPUFactor: 1.2, MemFactor: 1.2}
-	ap := New(oc, cell, tr)
+	ap := New(oc, cell, tr, setRequest)
 
 	j := scheduler.NewJob(1)
 	j.Type = trace.CollectionJob
@@ -219,7 +223,7 @@ func TestWindowOrderStatisticMatchesSort(t *testing.T) {
 func TestObserveSteadyStateZeroAllocs(t *testing.T) {
 	cell := cluster.NewCell("test")
 	m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
-	ap := New(cluster.OvercommitPolicy{CPUFactor: 1.2, MemFactor: 1.2}, cell, trace.NopSink{})
+	ap := New(cluster.OvercommitPolicy{CPUFactor: 1.2, MemFactor: 1.2}, cell, trace.NopSink{}, setRequest)
 	j := scheduler.NewJob(1)
 	j.Scaling = trace.ScalingFull
 	task := &scheduler.Task{Request: trace.Resources{CPU: 0.4, Mem: 0.4}, Duration: sim.Hour}

@@ -99,9 +99,9 @@ type Machine struct {
 	// index asc) — at all times: Place inserts by binary search and Remove
 	// shifts in place. order mirrors it entry for entry with the sort key
 	// held inline, so finding a resident never dereferences the others.
-	// shared marks residents as
-	// handed out by Residents: the next membership change copies it first
-	// (copy-on-write), leaving the caller's snapshot intact.
+	// shared marks residents as handed out by Residents: the next
+	// membership change copies it first (copy-on-write), leaving the
+	// caller's snapshot intact. LiveResidents does not set it.
 	residents []*Resident
 	order     []victimKey
 	shared    bool
@@ -152,11 +152,23 @@ func (m *Machine) Gen() uint64 { return m.gen }
 // change copies before writing), so evicting while iterating is safe —
 // but entries removed from the machine belong to the remover afterwards
 // (the scheduler recycles them), so a snapshot must not be retained
-// across scheduling events nor its removed entries dereferenced.
+// across scheduling events nor its removed entries dereferenced. The
+// snapshot costs the machine's next Place or Remove a copy of the list,
+// so only a caller that changes membership while it iterates (machine
+// maintenance) takes one; a walk that finishes reading first uses
+// LiveResidents.
 func (m *Machine) Residents() []*Resident {
 	m.shared = true
 	return m.residents
 }
+
+// LiveResidents returns the resident list in victim order without
+// taking a snapshot: the slice is the machine's own, valid only until
+// its next Place or Remove. Callers must not modify it or change the
+// machine's membership while they read it. The usage sampler's window
+// walk, the preemption scan and the OOM victim pick read it this way, so
+// the placements that follow them copy nothing.
+func (m *Machine) LiveResidents() []*Resident { return m.residents }
 
 // index returns the position of the resident with the given key, or -1.
 func (m *Machine) index(key trace.InstanceKey) int {

@@ -193,8 +193,7 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	// incremental admission accounting tracks autoscaled requests.
 	var ap *autopilot.Autopilot
 	if !opts.DisableAutopilot {
-		ap = autopilot.New(p.Overcommit, cell, sink)
-		ap.OnLimitChange(sched.UpdateTaskRequest)
+		ap = autopilot.New(p.Overcommit, cell, sink, sched.UpdateTaskRequest)
 	}
 
 	// Workload arrivals: a live generator by default, or a replayer over
@@ -229,21 +228,8 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 		})
 		gen = recorder
 	}
-	var scheduleArrival func(now sim.Time)
-	scheduleArrival = func(now sim.Time) {
-		delta := gen.NextInterArrival(now)
-		next := now + delta
-		if next >= opts.Horizon {
-			return
-		}
-		k.At(next, func(t sim.Time) {
-			for _, j := range gen.Generate(t) {
-				sched.Submit(j)
-			}
-			scheduleArrival(t)
-		})
-	}
-	scheduleArrival(0)
+	arr := &arrivals{k: k, gen: gen, sched: sched, horizon: opts.Horizon}
+	arr.schedule(0)
 
 	// Machine maintenance (~1 OS upgrade per machine-month, §5.2).
 	maintSrc := root.Split("maintenance")
@@ -253,7 +239,7 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 		n := dist.PoissonCount(maintSrc, expected)
 		for i := 0; i < n; i++ {
 			at := sim.Time(maintSrc.Float64() * float64(opts.Horizon))
-			k.At(at, func(sim.Time) { sched.EvictMachine(id) })
+			k.At(at, sim.Func(func(sim.Time) { sched.EvictMachine(id) }))
 		}
 	}
 
@@ -315,6 +301,35 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 		res.Workload = recorder.Recording()
 	}
 	return res
+}
+
+// arrivals is the kernel event of the next workload submission. One
+// value serves the whole run: each firing submits what the source
+// generates and reschedules the same value, so an arrival allocates
+// nothing beyond the jobs it submits.
+type arrivals struct {
+	k       *sim.Kernel
+	gen     workload.JobSource
+	sched   *scheduler.Scheduler
+	horizon sim.Time
+}
+
+// schedule queues the arrival that follows now, unless it falls at or
+// beyond the horizon, which ends the stream.
+func (a *arrivals) schedule(now sim.Time) {
+	next := now + a.gen.NextInterArrival(now)
+	if next >= a.horizon {
+		return
+	}
+	a.k.At(next, a)
+}
+
+// Fire submits the collections arriving now and queues the next arrival.
+func (a *arrivals) Fire(now sim.Time) {
+	for _, j := range a.gen.Generate(now) {
+		a.sched.Submit(j)
+	}
+	a.schedule(now)
 }
 
 // obs is one running task's sampled usage for the current window.
@@ -412,7 +427,10 @@ func (u *usageSampler) sample(now sim.Time) {
 		}
 		list := u.obsBuf[:0]
 		var cpuSum, memSum float64
-		for _, r := range m.Residents() {
+		// The walk only reads: memory pressure evicts after it, so it
+		// reads the live list, and the next placement on this machine
+		// copies nothing.
+		for _, r := range m.LiveResidents() {
 			// Every resident was placed by the scheduler, which hands it
 			// its task pointer.
 			t := r.Task.(*scheduler.Task)

@@ -55,12 +55,12 @@ func buildUsageBenchState(tb testing.TB, machines int, warmup sim.Time) *usageBe
 		if next >= warmup {
 			return
 		}
-		k.At(next, func(t sim.Time) {
+		k.At(next, sim.Func(func(t sim.Time) {
 			for _, j := range gen.Generate(t) {
 				sched.Submit(j)
 			}
 			scheduleArrival(t)
-		})
+		}))
 	}
 	scheduleArrival(0)
 	k.RunUntil(warmup)

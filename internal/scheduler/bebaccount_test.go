@@ -56,12 +56,12 @@ func TestBEBAllocIncrementalMatchesRecompute(t *testing.T) {
 		id++
 		at := sim.Time(src.Intn(int(3 * sim.Hour)))
 		job := j
-		rig.k.At(at, func(sim.Time) { rig.sched.Submit(job) })
+		rig.k.At(at, sim.Func(func(sim.Time) { rig.sched.Submit(job) }))
 	}
 	// Maintenance evictions keep tasks cycling through requeues.
 	for i := 0; i < 8; i++ {
 		mid := rig.cell.MachineIDs()[src.Intn(6)]
-		rig.k.At(sim.Time(src.Intn(int(3*sim.Hour))), func(sim.Time) { rig.sched.EvictMachine(mid) })
+		rig.k.At(sim.Time(src.Intn(int(3*sim.Hour))), sim.Func(func(sim.Time) { rig.sched.EvictMachine(mid) }))
 	}
 	rig.k.Every(cfg.Batch.CheckPeriod, cfg.Batch.CheckPeriod/2, 4*sim.Hour, func(now sim.Time) {
 		checkBEB(t, rig.sched, now)
@@ -82,7 +82,7 @@ func TestBEBAllocIncrementalMatchesRecompute(t *testing.T) {
 func TestUpdateTaskRequestKeepsBEBSum(t *testing.T) {
 	rig := newRig(t, fastConfig(), 2, trace.Resources{CPU: 1, Mem: 1})
 	j := mkJob(1, 110, trace.TierBestEffortBatch, 1, trace.Resources{CPU: 0.2, Mem: 0.2}, 2*sim.Hour)
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(j) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	rig.k.RunUntil(10 * sim.Minute)
 
 	task := j.Tasks[0]

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/dist"
@@ -229,5 +230,15 @@ func TestPreemptionProbeZeroAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, probe); avg != 0 {
 		t.Fatalf("preemption probe allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
+// TestTaskSize pins Task within the 192-byte size class: a job's task
+// array costs this much per task, and every job of a run allocates one.
+// A field added past the bound must earn its bytes or share a word.
+func TestTaskSize(t *testing.T) {
+	const maxTaskBytes = 192
+	if size := unsafe.Sizeof(Task{}); size > maxTaskBytes {
+		t.Fatalf("Task is %d bytes, want at most %d", size, maxTaskBytes)
 	}
 }

@@ -17,9 +17,9 @@ func TestKillWhileBatchQueued(t *testing.T) {
 	rig := newRig(t, cfg, 2, trace.Resources{CPU: 1, Mem: 1})
 	j := mkJob(1, 110, trace.TierBestEffortBatch, 1, trace.Resources{CPU: 0.1, Mem: 0.1}, sim.Hour)
 	j.Scheduler = trace.SchedulerBatch
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(j) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	// Kill before the first admission check fires.
-	rig.k.At(10*sim.Second, func(sim.Time) { rig.sched.KillJob(j, trace.EventKill) })
+	rig.k.At(10*sim.Second, sim.Func(func(sim.Time) { rig.sched.KillJob(j, trace.EventKill) }))
 	rig.k.RunUntil(30 * sim.Minute)
 
 	if j.State != JobDone || j.FinalType != trace.EventKill {
@@ -44,11 +44,11 @@ func TestEvictedAllocInstanceDisplacesInnerTasks(t *testing.T) {
 	as.AddTask(&Task{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 10 * sim.Hour})
 	inner := mkJob(2, 120, trace.TierProduction, 2, trace.Resources{CPU: 0.2, Mem: 0.2}, 5*sim.Hour)
 	inner.AllocSet = 1
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(as) })
-	rig.k.At(time5m(), func(sim.Time) { rig.sched.Submit(inner) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(as) }))
+	rig.k.At(time5m(), sim.Func(func(sim.Time) { rig.sched.Submit(inner) }))
 
 	// Evict one alloc instance directly (as machine maintenance would).
-	rig.k.At(30*sim.Minute, func(sim.Time) { rig.sched.Evict(as.Tasks[0]) })
+	rig.k.At(30*sim.Minute, sim.Func(func(sim.Time) { rig.sched.Evict(as.Tasks[0]) }))
 	rig.k.RunUntil(8 * sim.Hour)
 
 	// The alloc set task is re-placed; inner tasks displaced from the
@@ -71,8 +71,8 @@ func TestProdNeverPreemptsProd(t *testing.T) {
 	rig := newRig(t, cfg, 1, trace.Resources{CPU: 1, Mem: 1})
 	lowProd := mkJob(1, 120, trace.TierProduction, 1, trace.Resources{CPU: 0.9, Mem: 0.9}, 3*sim.Hour)
 	highProd := mkJob(2, 450, trace.TierProduction, 1, trace.Resources{CPU: 0.9, Mem: 0.9}, sim.Hour)
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(lowProd) })
-	rig.k.At(sim.Minute, func(sim.Time) { rig.sched.Submit(highProd) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(lowProd) }))
+	rig.k.At(sim.Minute, sim.Func(func(sim.Time) { rig.sched.Submit(highProd) }))
 	rig.k.RunUntil(6 * sim.Hour)
 
 	if got := instanceEventsOfType(rig.tr, 1, trace.EventEvict); got != 0 {
@@ -93,8 +93,8 @@ func TestPreemptionFreesOnlyWhatIsNeeded(t *testing.T) {
 	filler := mkJob(1, 0, trace.TierFree, 4, trace.Resources{CPU: 0.24, Mem: 0.24}, 5*sim.Hour)
 	// A prod task needing one victim's worth of room.
 	prod := mkJob(2, 200, trace.TierProduction, 1, trace.Resources{CPU: 0.2, Mem: 0.2}, sim.Hour)
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(filler) })
-	rig.k.At(sim.Minute, func(sim.Time) { rig.sched.Submit(prod) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(filler) }))
+	rig.k.At(sim.Minute, sim.Func(func(sim.Time) { rig.sched.Submit(prod) }))
 	rig.k.RunUntil(20 * sim.Minute)
 
 	if got := instanceEventsOfType(rig.tr, 1, trace.EventEvict); got != 1 {
@@ -109,9 +109,9 @@ func TestTaskRestartsSurviveEviction(t *testing.T) {
 	rig := newRig(t, fastConfig(), 2, trace.Resources{CPU: 1, Mem: 1})
 	j := mkJob(1, 0, trace.TierFree, 1, trace.Resources{CPU: 0.2, Mem: 0.2}, sim.Hour)
 	j.Tasks[0].Restarts = 1
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(j) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	// Evict mid-first-segment.
-	rig.k.At(10*sim.Minute, func(sim.Time) { rig.sched.Evict(j.Tasks[0]) })
+	rig.k.At(10*sim.Minute, sim.Func(func(sim.Time) { rig.sched.Evict(j.Tasks[0]) }))
 	rig.k.RunUntil(6 * sim.Hour)
 
 	if j.State != JobDone || j.FinalType != trace.EventFinish {
@@ -151,7 +151,7 @@ func TestUnplaceHookFires(t *testing.T) {
 		lastStart = runStart
 	}
 	j := mkJob(1, 0, trace.TierFree, 1, trace.Resources{CPU: 0.1, Mem: 0.1}, 10*sim.Minute)
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(j) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	rig.k.RunUntil(time30m())
 	if hooks != 1 {
 		t.Fatalf("unplace hook fired %d times", hooks)
@@ -169,7 +169,7 @@ func time30m() sim.Time { return 30 * sim.Minute }
 func TestOOMKillTerminalAfterRepeat(t *testing.T) {
 	rig := newRig(t, fastConfig(), 1, trace.Resources{CPU: 1, Mem: 1})
 	j := mkJob(1, 0, trace.TierFree, 1, trace.Resources{CPU: 0.1, Mem: 0.1}, 5*sim.Hour)
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(j) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	rig.k.RunUntil(5 * sim.Minute)
 	m := rig.cell.Machine(rig.cell.MachineIDs()[0])
 

@@ -20,6 +20,7 @@ func (s *Scheduler) Submit(j *Job) {
 		panic(fmt.Sprintf("scheduler: job %d has no tasks", j.ID))
 	}
 	s.jobs[j.ID] = j
+	j.sched = s
 	s.met.jobsSubmitted.Inc()
 	j.State = JobSubmitted
 	j.SubmitTime = now
@@ -40,7 +41,6 @@ func (s *Scheduler) Submit(j *Job) {
 	s.emitCollection(j, trace.EventSubmit)
 	for _, t := range j.Tasks {
 		s.emitInstance(t, trace.EventSubmit, now)
-		t.submitted = true
 	}
 
 	// A child whose parent already terminated is killed on arrival —
@@ -55,9 +55,7 @@ func (s *Scheduler) Submit(j *Job) {
 	// Schedule the scripted user kill, if any. Parent-driven kills happen
 	// via propagation instead.
 	if j.KillAfter > 0 {
-		j.killEvent = s.k.After(j.KillAfter, func(sim.Time) {
-			s.KillJob(j, trace.EventKill)
-		})
+		j.killEvent = s.k.After(j.KillAfter, (*jobKill)(j))
 	}
 
 	// Batch-tier jobs go through the batch scheduler's queue (§3); all
@@ -149,10 +147,7 @@ func (s *Scheduler) startRunning(t *Task, m trace.MachineID) {
 	if segment <= 0 {
 		segment = 1
 	}
-	if t.endFn == nil {
-		t.endFn = func(sim.Time) { s.segmentEnd(t) }
-	}
-	t.endEvent = s.k.After(segment, t.endFn)
+	t.endEvent = s.k.After(segment, (*taskEnd)(t))
 }
 
 // segmentEnd handles a task reaching the end of a running segment: either
@@ -319,7 +314,7 @@ func (s *Scheduler) requeueAfter(t *Task, delay sim.Time) {
 	t.State = TaskWaiting
 	s.accountBEB(t)
 	s.emitInstance(t, trace.EventSubmit, s.k.Now())
-	t.retryEvent = s.k.After(delay, s.retryFn(t))
+	t.retryEvent = s.k.After(delay, (*taskRetry)(t))
 }
 
 // EvictMachine evicts residents of a machine for maintenance (an OS
@@ -353,7 +348,9 @@ func (s *Scheduler) HandleMemoryPressure(id trace.MachineID, limitMem float64) i
 	}
 	evicted := 0
 	for m.UsageTotal().Mem > limitMem+1e-9 {
-		victim := pickOOMVictim(m.Residents())
+		// The pick finishes reading before the eviction below changes
+		// the machine, so it reads the live list.
+		victim := pickOOMVictim(m.LiveResidents())
 		if victim == nil {
 			break
 		}

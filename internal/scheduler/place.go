@@ -211,7 +211,9 @@ func (s *Scheduler) placeInAlloc(t *Task, now sim.Time) {
 // tryPreemption finds a machine where evicting weaker residents makes room
 // for t, performs the evictions, and returns the machine (§2: "Borg will
 // evict lower-tier jobs in order to ensure production tier jobs receive
-// their expected level of service").
+// their expected level of service"). Each candidate's victim list is
+// built in the scheduler's scratch slices (preCand, and preBest for the
+// best plan so far), so a scan allocates nothing once they have grown.
 func (s *Scheduler) tryPreemption(t *Task) *cluster.Machine {
 	ids := s.cell.MachineIDs()
 	if len(ids) == 0 {
@@ -221,12 +223,9 @@ func (s *Scheduler) tryPreemption(t *Task) *cluster.Machine {
 	if k > len(ids) {
 		k = len(ids)
 	}
-	type plan struct {
-		m       *cluster.Machine
-		victims []*Task
-		freed   trace.Resources
-	}
-	var best *plan
+	var best *cluster.Machine
+	var bestFreed trace.Resources
+	s.preBest = s.preBest[:0]
 	for i := 0; i < k; i++ {
 		m := s.cell.Machine(ids[s.src.Intn(len(ids))])
 		if m == nil {
@@ -239,9 +238,11 @@ func (s *Scheduler) tryPreemption(t *Task) *cluster.Machine {
 			// random samples differ.
 			return m
 		}
-		var victims []*Task
+		victims := s.preCand[:0]
 		freed := trace.Resources{}
-		for _, r := range m.Residents() { // weakest first
+		// The scan only plans: victims are evicted after every candidate
+		// has been read, so it walks the live list, weakest first.
+		for _, r := range m.LiveResidents() {
 			if r.Priority > t.Job.Priority-preemptionPriorityGap {
 				break
 			}
@@ -260,23 +261,28 @@ func (s *Scheduler) tryPreemption(t *Task) *cluster.Machine {
 				break
 			}
 		}
+		s.preCand = victims
 		if freed.CPU >= need.CPU && freed.Mem >= need.Mem && len(victims) > 0 {
-			if best == nil || s.policy.PreferPlan(len(victims), freed, len(best.victims), best.freed) {
-				best = &plan{m: m, victims: victims, freed: freed}
+			if best == nil || s.policy.PreferPlan(len(victims), freed, len(s.preBest), bestFreed) {
+				best, bestFreed = m, freed
+				s.preBest, s.preCand = s.preCand, s.preBest
 			}
 		}
 	}
 	if best == nil {
 		return nil
 	}
-	for _, v := range best.victims {
+	// Evict never re-enters placement, so preBest is not reused while
+	// this loop reads it.
+	for _, v := range s.preBest {
 		s.Evict(v)
 		s.met.preemptions.Inc()
 	}
-	if !best.m.FitsLimit(t.Request, s.cfg.Overcommit) {
+	clear(s.preBest)
+	if !best.FitsLimit(t.Request, s.cfg.Overcommit) {
 		return nil // eviction freed less than planned (racing state)
 	}
-	return best.m
+	return best
 }
 
 // retryLater parks a task and re-enqueues it after the retry backoff.
@@ -285,23 +291,7 @@ func (s *Scheduler) retryLater(t *Task) {
 	s.met.placementRetries.Inc()
 	t.State = TaskWaiting
 	s.accountBEB(t)
-	t.retryEvent = s.k.After(s.cfg.RetryBackoff, s.retryFn(t))
-}
-
-// retryFn returns the task's cached re-enqueue callback, shared by
-// feasibility retries and post-eviction requeues (the guard conditions
-// are identical) so neither path allocates a closure per attempt.
-func (s *Scheduler) retryFn(t *Task) func(sim.Time) {
-	if t.retryFn == nil {
-		t.retryFn = func(sim.Time) {
-			t.retryEvent = sim.EventRef{}
-			if t.Job.State == JobDone || t.State != TaskWaiting {
-				return
-			}
-			s.enqueue(t)
-		}
-	}
-	return t.retryFn
+	t.retryEvent = s.k.After(s.cfg.RetryBackoff, (*taskRetry)(t))
 }
 
 // findAllocInstance resolves an alloc-instance key to its live record.

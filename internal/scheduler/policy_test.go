@@ -203,7 +203,7 @@ func TestOneShotGivesUp(t *testing.T) {
 		j.Priority = 120
 		j.Tier = trace.TierProduction
 		j.AddTask(&Task{Request: trace.Resources{CPU: 5, Mem: 5}, Duration: sim.Hour})
-		k.At(0, func(sim.Time) { s.Submit(j) })
+		k.At(0, sim.Func(func(sim.Time) { s.Submit(j) }))
 		k.RunUntil(2 * sim.Minute)
 		return s.Stats()
 	}

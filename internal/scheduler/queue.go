@@ -7,9 +7,8 @@ import "repro/internal/sim"
 // within a priority. Each distinct priority gets a level, and levels are
 // kept sorted by priority, descending. A level is a slice plus a head
 // index: push appends, pop takes from the head of the first non-empty
-// level. Because enqueue stamps every task with a strictly increasing
-// enqueueSeq, this is exactly the (priority desc, enqueueSeq asc) order,
-// so bursts of tasks arriving in the same simulation instant still pop
+// level. That is exactly the (priority desc, push order asc) order, so
+// bursts of tasks arriving in the same simulation instant still pop
 // deterministically.
 //
 // Levels are never removed: a level that empties is reset and keeps its
@@ -88,8 +87,6 @@ func (q *pendingQueue) pop() *Task {
 func (s *Scheduler) enqueue(t *Task) {
 	t.State = TaskPending
 	s.accountBEB(t)
-	t.enqueueSeq = s.seq
-	s.seq++
 	s.pending.push(t)
 	s.met.pendingQueue.Set(float64(s.pending.Len()))
 	s.kick()
@@ -108,11 +105,11 @@ func (s *Scheduler) kick() {
 	if service < 0 {
 		service = 0
 	}
-	s.k.After(sim.FromSeconds(service), s.serveFn)
+	s.k.After(sim.FromSeconds(service), s.serveEv)
 }
 
 // serve is the scheduling server's service-completion event, bound once
-// to serveFn in New so kick schedules it without allocating a closure.
+// to serveEv in New so kick schedules it without allocating a closure.
 func (s *Scheduler) serve(now sim.Time) {
 	s.busy = false
 	s.serveOne(now)

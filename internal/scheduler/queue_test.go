@@ -27,9 +27,9 @@ func (o pendingOp) priority() int {
 }
 
 // TestPendingQueueOrder is the pending queue's ordering property: any
-// interleaving of pushes and pops serves tasks in (priority desc,
-// enqueueSeq asc) order, which a reference scan of the queued tasks
-// computes directly. Priorities include negative values and the int
+// interleaving of pushes and pops serves tasks in (priority desc, push
+// order asc) order, which a reference scan of the queued tasks computes
+// directly. Priorities include negative values and the int
 // extremes, since a replayed workload may carry any int. It also pins
 // QueueDepth's contract: a task killed while queued stays counted until
 // the scheduling server pops and drops it.
@@ -37,14 +37,14 @@ func TestPendingQueueOrder(t *testing.T) {
 	check := func(ops []pendingOp) bool {
 		var q pendingQueue
 		var ref []*Task
-		var seq uint64
+		seqOf := make(map[*Task]int) // push order
 		for i, op := range ops {
 			if op.Pop && len(ref) > 0 {
 				best := 0
 				for j, c := range ref {
 					b := ref[best]
 					if c.Job.Priority > b.Job.Priority ||
-						c.Job.Priority == b.Job.Priority && c.enqueueSeq < b.enqueueSeq {
+						c.Job.Priority == b.Job.Priority && seqOf[c] < seqOf[b] {
 						best = j
 					}
 				}
@@ -52,13 +52,12 @@ func TestPendingQueueOrder(t *testing.T) {
 				ref = append(ref[:best], ref[best+1:]...)
 				if got := q.pop(); got != want {
 					t.Logf("op %d: popped priority %d seq %d, want priority %d seq %d",
-						i, got.Job.Priority, got.enqueueSeq, want.Job.Priority, want.enqueueSeq)
+						i, got.Job.Priority, seqOf[got], want.Job.Priority, seqOf[want])
 					return false
 				}
 			} else if !op.Pop {
 				tt := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, op.priority(), trace.TierMid)
-				tt.enqueueSeq = seq
-				seq++
+				seqOf[tt] = len(seqOf)
 				q.push(tt)
 				ref = append(ref, tt)
 			}
@@ -102,12 +101,8 @@ func TestPendingQueueOrder(t *testing.T) {
 func fillPending(depth int) *pendingQueue {
 	q := &pendingQueue{}
 	prios := []int{360, 200, 110, 25, 0}
-	var seq uint64
 	for i := 0; i < depth; i++ {
-		tt := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, prios[i%len(prios)], trace.TierMid)
-		tt.enqueueSeq = seq
-		seq++
-		q.push(tt)
+		q.push(benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, prios[i%len(prios)], trace.TierMid))
 	}
 	return q
 }

@@ -131,8 +131,9 @@ func (o Outcome) String() string {
 	}
 }
 
-// TaskState is a task's position in its lifecycle.
-type TaskState int
+// TaskState is a task's position in its lifecycle. It is a byte so it
+// packs beside Task's other small fields.
+type TaskState uint8
 
 // Task states.
 const (
@@ -143,6 +144,11 @@ const (
 )
 
 // Task is one replica of a job (or one alloc instance of an alloc set).
+// Its size is what a job's task array allocates per task, so the small
+// fields are grouped to share words: 176 bytes, within the 192-byte size
+// class that TestTaskSize pins. The task's kernel events carry the task
+// itself as their receiver (taskEnd, taskRetry), so no callback is
+// stored here.
 type Task struct {
 	Key     trace.InstanceKey
 	Job     *Job
@@ -162,43 +168,59 @@ type Task struct {
 	MeanMem  float64
 	PeakFact float64
 
-	State   TaskState
-	Machine trace.MachineID
-	// classID caches the task's interned scoring class (see
-	// Scheduler.classID), valid while classReq equals Request and the ID
-	// was issued in the intern table's current epoch. It sits beside
-	// Machine to fill that field's padding: Task's size is what every
-	// job's tasks allocate.
-	classID uint32
-	// AllocInstance hosts this task when the job targets an alloc set.
-	AllocInstance trace.InstanceKey
-
-	// endFn/retryFn are the task's kernel callbacks, built once on first
-	// use and reused across every subsequent start/retry so steady-state
-	// scheduling does not allocate a closure per placement.
-	endFn   func(sim.Time)
-	retryFn func(sim.Time)
-
-	remaining  sim.Time
-	segment    sim.Time // remaining time in the current segment plan
-	runStart   sim.Time
-	endEvent   sim.EventRef
-	retryEvent sim.EventRef
-	enqueueSeq uint64
-	submitted  bool // first instance SUBMIT emitted
+	State TaskState
 	// bebCounted/bebCountedCPU track this task's contribution to the
 	// scheduler's incremental beb CPU sum: the recorded amount — not the
 	// live Request — is what removal subtracts, so even a request write
 	// that bypasses UpdateTaskRequest can only make the sum stale until
 	// the task's next transition, never permanently drift it.
-	bebCounted    bool
-	oomFails      int32 // times killed for exceeding its own memory limit
+	bebCounted bool
+	Machine    trace.MachineID
+	// classID caches the task's interned scoring class (see
+	// Scheduler.classID), valid while it was issued in the intern table's
+	// current epoch; UpdateTaskRequest clears it, so every request write
+	// must go through that setter.
+	classID  uint32
+	oomFails int32 // times killed for exceeding its own memory limit
+	// AllocInstance hosts this task when the job targets an alloc set.
+	AllocInstance trace.InstanceKey
+
+	remaining     sim.Time
+	segment       sim.Time // remaining time in the current segment plan
+	runStart      sim.Time
+	endEvent      sim.EventRef
+	retryEvent    sim.EventRef
 	bebCountedCPU float64
-	classReq      trace.Resources
 	// Autoscale is an opaque owner cookie, like cluster.Resident.Task: the
 	// autopilot hangs the task's usage window here so per-window
 	// observation needs no key-to-window map. The scheduler never reads it.
 	Autoscale any
+}
+
+// taskEnd is the kernel event that ends a task's running segment, and
+// taskRetry the one that re-enqueues a waiting task. Both are the task
+// itself under another method set, so scheduling either boxes a pointer
+// the task already is: no closure, no allocation.
+type (
+	taskEnd   Task
+	taskRetry Task
+)
+
+// Fire ends the task's current segment.
+func (e *taskEnd) Fire(sim.Time) {
+	t := (*Task)(e)
+	t.Job.sched.segmentEnd(t)
+}
+
+// Fire re-enqueues the task after a feasibility retry or a post-eviction
+// restart delay (the guard conditions are identical).
+func (e *taskRetry) Fire(sim.Time) {
+	t := (*Task)(e)
+	t.retryEvent = sim.EventRef{}
+	if t.Job.State == JobDone || t.State != TaskWaiting {
+		return
+	}
+	t.Job.sched.enqueue(t)
 }
 
 // JobState is a job's position in its lifecycle.
@@ -242,6 +264,18 @@ type Job struct {
 
 	liveTasks int
 	killEvent sim.EventRef
+	// sched is the scheduler the job was submitted to, which its tasks'
+	// kernel events and its kill event call back into.
+	sched *Scheduler
+}
+
+// jobKill is the kernel event of a job's scripted user kill.
+type jobKill Job
+
+// Fire kills the job.
+func (e *jobKill) Fire(sim.Time) {
+	j := (*Job)(e)
+	j.sched.KillJob(j, trace.EventKill)
 }
 
 // NewJob constructs a job with sensible zero-state bookkeeping.
@@ -254,6 +288,20 @@ func (j *Job) AddTask(t *Task) {
 	t.Key = trace.InstanceKey{Collection: j.ID, Index: int32(len(j.Tasks))}
 	t.Job = j
 	j.Tasks = append(j.Tasks, t)
+}
+
+// SetTasks makes tasks the job's tasks, numbered in order. The job keeps
+// pointers into the one array and sizes Tasks once, so a job costs the
+// same three allocations (Job, task array, Tasks) however many tasks it
+// has; the workload generator and the replayer build jobs this way.
+func (j *Job) SetTasks(tasks []Task) {
+	j.Tasks = make([]*Task, len(tasks))
+	for i := range tasks {
+		t := &tasks[i]
+		t.Key = trace.InstanceKey{Collection: j.ID, Index: int32(i)}
+		t.Job = j
+		j.Tasks[i] = t
+	}
 }
 
 // Stats is a point-in-time snapshot of scheduler activity for logs and
@@ -362,18 +410,24 @@ type scoreSlot struct {
 
 // maxClassIDs bounds the class-interning table; crossing it clears the
 // table wholesale. IDs keep monotonically increasing across clears, so a
-// re-interned class can never alias a stale score slot.
-const maxClassIDs = 1 << 16
+// re-interned class can never alias a stale score slot. Autopilot resizes
+// give most tasks a shape of their own after a few windows, so most
+// interned classes stop being held by any task soon after. A bound of
+// 1,024 keeps the table small and its buckets reused, at a near-identical
+// hit rate: 0.4779 against 0.4780 with 65,536 entries, for
+// borgexperiments at default scale and seed 1.
+const maxClassIDs = 1 << 10
 
 // classID interns a task's scoring equivalence class to a small integer,
 // so the per-candidate cache probe is an array index instead of a struct
 // hash. Priority bands of ten keep the class count small; priority does
 // not feed the score itself, so band width only shifts hit rates. The ID
-// is cached on the task: while its request is unchanged and the table
-// has not been cleared since, the table would return the same ID, so the
-// cache skips the hash without changing any returned ID.
+// is cached on the task: while its request is unchanged (UpdateTaskRequest
+// clears the cache) and the table has not been cleared since, the table
+// would return the same ID, so the cache skips the hash without changing
+// any returned ID.
 func (s *Scheduler) classID(t *Task) uint32 {
-	if t.classID > s.classEpoch && t.classReq == t.Request {
+	if t.classID > s.classEpoch {
 		return t.classID
 	}
 	c := eqClass{req: t.Request, tier: t.Job.Tier, band: t.Job.Priority / 10}
@@ -386,7 +440,7 @@ func (s *Scheduler) classID(t *Task) uint32 {
 		id = s.nextClassID
 		s.classIDs[c] = id
 	}
-	t.classID, t.classReq = id, t.Request
+	t.classID = id
 	return id
 }
 
@@ -414,9 +468,8 @@ type Scheduler struct {
 
 	pending pendingQueue
 	busy    bool
-	seq     uint64
-	// serveFn is serve bound once, so each service event reuses it.
-	serveFn func(sim.Time)
+	// serveEv is serve bound once, so each service event reuses it.
+	serveEv sim.Func
 
 	jobs     map[trace.CollectionID]*Job
 	children map[trace.CollectionID][]*Job
@@ -438,6 +491,9 @@ type Scheduler struct {
 	// residentPool recycles Resident records between placements so the
 	// steady-state place/unplace cycle does not allocate.
 	residentPool []*cluster.Resident
+	// preBest and preCand are tryPreemption's victim lists: the best
+	// plan so far and the candidate being scanned.
+	preBest, preCand []*Task
 
 	batchQueue []*Job
 
@@ -485,7 +541,7 @@ func New(cfg Config, cell *cluster.Cell, k *sim.Kernel, sink trace.Sink, src *rn
 		classIDs:   make(map[eqClass]uint32),
 		met:        newSchedInstruments(reg),
 	}
-	s.serveFn = s.serve
+	s.serveEv = s.serve
 	if cfg.Batch != nil {
 		k.Every(cfg.Batch.CheckPeriod, cfg.Batch.CheckPeriod, 0, func(sim.Time) {
 			s.batchAdmissionCheck()
@@ -563,13 +619,15 @@ func (s *Scheduler) accountBEBJob(j *Job) {
 
 // UpdateTaskRequest changes a task's resource request in place (the
 // autopilot's limit updates route through here) while keeping the
-// incremental admission accounting consistent with the new request.
+// incremental admission accounting consistent with the new request, and
+// drops the task's cached scoring class, which the old shape keyed.
 func (s *Scheduler) UpdateTaskRequest(t *Task, rec trace.Resources) {
 	if t.bebCounted {
 		s.bebAllocCPU += rec.CPU - t.bebCountedCPU
 		t.bebCountedCPU = rec.CPU
 	}
 	t.Request = rec
+	t.classID = 0
 }
 
 // Cell returns the scheduled cell.

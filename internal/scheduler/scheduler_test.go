@@ -77,7 +77,7 @@ func instanceEventsOfType(tr *trace.MemTrace, id trace.CollectionID, typ trace.E
 func TestSimpleJobLifecycle(t *testing.T) {
 	rig := newRig(t, fastConfig(), 4, trace.Resources{CPU: 1, Mem: 1})
 	j := mkJob(1, 120, trace.TierProduction, 3, trace.Resources{CPU: 0.2, Mem: 0.2}, 10*sim.Minute)
-	rig.k.At(1*sim.Second, func(sim.Time) { rig.sched.Submit(j) })
+	rig.k.At(1*sim.Second, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	rig.k.RunUntil(1 * sim.Hour)
 
 	if j.State != JobDone || j.FinalType != trace.EventFinish {
@@ -119,7 +119,7 @@ func TestSimpleJobLifecycle(t *testing.T) {
 func TestJobDurationRespected(t *testing.T) {
 	rig := newRig(t, fastConfig(), 2, trace.Resources{CPU: 1, Mem: 1})
 	j := mkJob(1, 120, trace.TierProduction, 1, trace.Resources{CPU: 0.1, Mem: 0.1}, 30*sim.Minute)
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(j) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	rig.k.RunUntil(2 * sim.Hour)
 	var sched, finish sim.Time
 	for ev := range rig.tr.InstanceEvents.All() {
@@ -145,7 +145,7 @@ func TestBatchQueueing(t *testing.T) {
 	j1.Scheduler = trace.SchedulerBatch
 	j2 := mkJob(2, 110, trace.TierBestEffortBatch, 1, trace.Resources{CPU: 0.2, Mem: 0.2}, 20*sim.Minute)
 	j2.Scheduler = trace.SchedulerBatch
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(j1); rig.sched.Submit(j2) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j1); rig.sched.Submit(j2) }))
 	rig.k.RunUntil(1 * sim.Hour)
 
 	for _, id := range []trace.CollectionID{1, 2} {
@@ -181,7 +181,7 @@ func TestBatchCeilingHoldsJobs(t *testing.T) {
 	j1.Scheduler = trace.SchedulerBatch
 	j2 := mkJob(2, 110, trace.TierBestEffortBatch, 1, trace.Resources{CPU: 0.1, Mem: 0.1}, 10*sim.Minute)
 	j2.Scheduler = trace.SchedulerBatch
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(j1); rig.sched.Submit(j2) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j1); rig.sched.Submit(j2) }))
 	rig.k.RunUntil(20 * sim.Minute)
 
 	if j1.State == JobQueued {
@@ -204,8 +204,8 @@ func TestPriorityOrdering(t *testing.T) {
 	free := mkJob(1, 0, trace.TierFree, 2, trace.Resources{CPU: 0.1, Mem: 0.1}, 10*sim.Minute)
 	prod := mkJob(2, 200, trace.TierProduction, 2, trace.Resources{CPU: 0.1, Mem: 0.1}, 10*sim.Minute)
 	// Free submitted first, but prod must be placed first.
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(free) })
-	rig.k.At(sim.Millisecond, func(sim.Time) { rig.sched.Submit(prod) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(free) }))
+	rig.k.At(sim.Millisecond, sim.Func(func(sim.Time) { rig.sched.Submit(prod) }))
 	rig.k.RunUntil(1 * sim.Hour)
 
 	var firstProd, firstFree sim.Time = -1, -1
@@ -245,8 +245,8 @@ func TestPreemption(t *testing.T) {
 
 	filler := mkJob(1, 0, trace.TierFree, 1, trace.Resources{CPU: 0.9, Mem: 0.9}, 5*sim.Hour)
 	prod := mkJob(2, 200, trace.TierProduction, 1, trace.Resources{CPU: 0.8, Mem: 0.8}, 30*sim.Minute)
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(filler) })
-	rig.k.At(1*sim.Minute, func(sim.Time) { rig.sched.Submit(prod) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(filler) }))
+	rig.k.At(1*sim.Minute, sim.Func(func(sim.Time) { rig.sched.Submit(prod) }))
 	rig.k.RunUntil(8 * sim.Hour)
 
 	if got := instanceEventsOfType(rig.tr, 1, trace.EventEvict); got < 1 {
@@ -274,8 +274,8 @@ func TestNoPreemptionWhenDisabled(t *testing.T) {
 	rig := newRig(t, cfg, 1, trace.Resources{CPU: 1, Mem: 1})
 	filler := mkJob(1, 0, trace.TierFree, 1, trace.Resources{CPU: 0.9, Mem: 0.9}, 30*sim.Minute)
 	prod := mkJob(2, 200, trace.TierProduction, 1, trace.Resources{CPU: 0.8, Mem: 0.8}, 10*sim.Minute)
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(filler) })
-	rig.k.At(1*sim.Minute, func(sim.Time) { rig.sched.Submit(prod) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(filler) }))
+	rig.k.At(1*sim.Minute, sim.Func(func(sim.Time) { rig.sched.Submit(prod) }))
 	rig.k.RunUntil(4 * sim.Hour)
 
 	if got := instanceEventsOfType(rig.tr, 1, trace.EventEvict); got != 0 {
@@ -295,7 +295,7 @@ func TestParentChildKillPropagation(t *testing.T) {
 	parent := mkJob(1, 120, trace.TierProduction, 1, trace.Resources{CPU: 0.1, Mem: 0.1}, 10*sim.Minute)
 	child := mkJob(2, 110, trace.TierBestEffortBatch, 2, trace.Resources{CPU: 0.1, Mem: 0.1}, 10*sim.Hour)
 	child.Parent = 1
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(parent); rig.sched.Submit(child) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(parent); rig.sched.Submit(child) }))
 	rig.k.RunUntil(2 * sim.Hour)
 
 	if parent.State != JobDone || parent.FinalType != trace.EventFinish {
@@ -324,7 +324,7 @@ func TestUserKill(t *testing.T) {
 	j := mkJob(1, 120, trace.TierProduction, 2, trace.Resources{CPU: 0.1, Mem: 0.1}, 10*sim.Hour)
 	j.Outcome = OutcomeKill
 	j.KillAfter = 30 * sim.Minute
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(j) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	rig.k.RunUntil(2 * sim.Hour)
 
 	if j.FinalType != trace.EventKill {
@@ -348,7 +348,7 @@ func TestFailRestartChurn(t *testing.T) {
 	rig := newRig(t, fastConfig(), 2, trace.Resources{CPU: 1, Mem: 1})
 	j := mkJob(1, 120, trace.TierProduction, 1, trace.Resources{CPU: 0.1, Mem: 0.1}, 30*sim.Minute)
 	j.Tasks[0].Restarts = 2
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(j) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	rig.k.RunUntil(4 * sim.Hour)
 
 	if got := instanceEventsOfType(rig.tr, 1, trace.EventFail); got != 2 {
@@ -382,7 +382,7 @@ func TestOutcomeFail(t *testing.T) {
 	rig := newRig(t, fastConfig(), 2, trace.Resources{CPU: 1, Mem: 1})
 	j := mkJob(1, 0, trace.TierFree, 1, trace.Resources{CPU: 0.1, Mem: 0.1}, 10*sim.Minute)
 	j.Outcome = OutcomeFail
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(j) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	rig.k.RunUntil(1 * sim.Hour)
 	if j.FinalType != trace.EventFail {
 		t.Fatalf("final %v, want FAIL", j.FinalType)
@@ -393,10 +393,10 @@ func TestEvictMachine(t *testing.T) {
 	rig := newRig(t, fastConfig(), 2, trace.Resources{CPU: 1, Mem: 1})
 	// Free tier: maintenance always evicts below-production residents.
 	j := mkJob(1, 0, trace.TierFree, 4, trace.Resources{CPU: 0.3, Mem: 0.3}, 2*sim.Hour)
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(j) })
-	rig.k.At(30*sim.Minute, func(sim.Time) {
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
+	rig.k.At(30*sim.Minute, sim.Func(func(sim.Time) {
 		rig.sched.EvictMachine(rig.cell.MachineIDs()[0])
-	})
+	}))
 	rig.k.RunUntil(6 * sim.Hour)
 
 	if got := instanceEventsOfType(rig.tr, 1, trace.EventEvict); got < 1 {
@@ -414,7 +414,7 @@ func TestHandleMemoryPressure(t *testing.T) {
 	rig := newRig(t, fastConfig(), 1, trace.Resources{CPU: 1, Mem: 1})
 	low := mkJob(1, 0, trace.TierFree, 1, trace.Resources{CPU: 0.1, Mem: 0.55}, 5*sim.Hour)
 	high := mkJob(2, 200, trace.TierProduction, 1, trace.Resources{CPU: 0.1, Mem: 0.55}, 5*sim.Hour)
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(low); rig.sched.Submit(high) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(low); rig.sched.Submit(high) }))
 	rig.k.RunUntil(10 * sim.Minute)
 
 	// Aggregate pressure: both tasks are within their own limits, but
@@ -445,7 +445,7 @@ func TestMemoryPressureOverLimitFails(t *testing.T) {
 	// the machine.
 	culprit := mkJob(1, 0, trace.TierFree, 1, trace.Resources{CPU: 0.1, Mem: 0.2}, 5*sim.Hour)
 	victim := mkJob(2, 200, trace.TierProduction, 1, trace.Resources{CPU: 0.1, Mem: 0.6}, 5*sim.Hour)
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(culprit); rig.sched.Submit(victim) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(culprit); rig.sched.Submit(victim) }))
 	rig.k.RunUntil(10 * sim.Minute)
 
 	m := rig.cell.Machine(rig.cell.MachineIDs()[0])
@@ -482,8 +482,8 @@ func TestAllocSetPlacementAndTeardown(t *testing.T) {
 	inner := mkJob(2, 120, trace.TierProduction, 3, trace.Resources{CPU: 0.2, Mem: 0.2}, 4*sim.Hour)
 	inner.AllocSet = 1
 
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(as) })
-	rig.k.At(1*sim.Minute, func(sim.Time) { rig.sched.Submit(inner) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(as) }))
+	rig.k.At(1*sim.Minute, sim.Func(func(sim.Time) { rig.sched.Submit(inner) }))
 	rig.k.RunUntil(30 * sim.Minute)
 
 	// Inner tasks must be running inside alloc instances.
@@ -524,7 +524,7 @@ func TestAllocSetPlacementAndTeardown(t *testing.T) {
 	}
 
 	// Tear the alloc set down early; inner jobs must be killed.
-	rig.k.At(35*sim.Minute, func(sim.Time) { rig.sched.KillJob(as, trace.EventKill) })
+	rig.k.At(35*sim.Minute, sim.Func(func(sim.Time) { rig.sched.KillJob(as, trace.EventKill) }))
 	rig.k.RunUntil(1 * sim.Hour)
 	if inner.State != JobDone || inner.FinalType != trace.EventKill {
 		t.Fatalf("inner job %v/%v after alloc set teardown", inner.State, inner.FinalType)
@@ -540,7 +540,7 @@ func TestJobWaitsForAllocSet(t *testing.T) {
 	rig := newRig(t, fastConfig(), 2, trace.Resources{CPU: 1, Mem: 1})
 	inner := mkJob(2, 120, trace.TierProduction, 1, trace.Resources{CPU: 0.2, Mem: 0.2}, 30*sim.Minute)
 	inner.AllocSet = 1 // alloc set not submitted yet
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(inner) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(inner) }))
 	rig.k.RunUntil(10 * sim.Minute)
 	if inner.FirstRun >= 0 {
 		t.Fatal("inner job ran without its alloc set")
@@ -550,7 +550,7 @@ func TestJobWaitsForAllocSet(t *testing.T) {
 	as.Priority = 200
 	as.Tier = trace.TierProduction
 	as.AddTask(&Task{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 5 * sim.Hour})
-	rig.k.At(11*sim.Minute, func(sim.Time) { rig.sched.Submit(as) })
+	rig.k.At(11*sim.Minute, sim.Func(func(sim.Time) { rig.sched.Submit(as) }))
 	rig.k.RunUntil(2 * sim.Hour)
 	if inner.State != JobDone || inner.FinalType != trace.EventFinish {
 		t.Fatalf("inner %v/%v — should run once alloc set arrives", inner.State, inner.FinalType)
@@ -561,7 +561,7 @@ func TestInfeasibleTaskRetries(t *testing.T) {
 	rig := newRig(t, fastConfig(), 1, trace.Resources{CPU: 0.5, Mem: 0.5})
 	// Request larger than any machine: never placeable.
 	j := mkJob(1, 0, trace.TierFree, 1, trace.Resources{CPU: 0.9, Mem: 0.9}, 10*sim.Minute)
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(j) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	rig.k.RunUntil(5 * sim.Minute)
 	if rig.sched.Stats().PlacementRetries < 2 {
 		t.Fatalf("retries %d", rig.sched.Stats().PlacementRetries)
@@ -574,7 +574,7 @@ func TestInfeasibleTaskRetries(t *testing.T) {
 func TestDuplicateSubmitPanics(t *testing.T) {
 	rig := newRig(t, fastConfig(), 1, trace.Resources{CPU: 1, Mem: 1})
 	j := mkJob(1, 0, trace.TierFree, 1, trace.Resources{CPU: 0.1, Mem: 0.1}, sim.Minute)
-	rig.k.At(0, func(sim.Time) { rig.sched.Submit(j) })
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	rig.k.RunUntil(sim.Second)
 	defer func() {
 		if recover() == nil {
@@ -608,7 +608,7 @@ func TestTraceValidates(t *testing.T) {
 			j.Tasks[0].Restarts = 1
 		}
 		delay := sim.Time(i) * 2 * sim.Minute
-		rig.k.At(delay, func(sim.Time) { rig.sched.Submit(j) })
+		rig.k.At(delay, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	}
 	rig.k.RunUntil(24 * sim.Hour)
 	violations := tracetest.Validate(rig.tr, trace.DefaultValidateOptions())

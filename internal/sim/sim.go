@@ -4,11 +4,23 @@
 // such as the 5-minute usage sampler.
 //
 // Event records live in a slab owned by the kernel and are recycled after
-// they fire or are canceled, so steady-state simulation does not allocate
-// per event. Callers hold EventRef handles — small (slot, generation)
-// values that become harmless no-ops once the underlying record has been
-// recycled, which makes "cancel the end-of-run timer that may already have
-// fired" safe without any bookkeeping on the caller's side.
+// they fire or are canceled, so the kernel itself never allocates per
+// event once the slab covers the peak number of queued events. An event
+// is any value with a Fire method: hot callers schedule a pointer to
+// state they already own (the scheduler schedules its tasks themselves),
+// which boxes into the Event interface without allocating, and cold
+// callers wrap a closure in Func. Callers hold EventRef handles — small
+// (slot, generation) values that become harmless no-ops once the
+// underlying record has been recycled, which makes "cancel the
+// end-of-run timer that may already have fired" safe without any
+// bookkeeping on the caller's side.
+//
+// What a whole cell run allocates is therefore decided by the kernel's
+// callers. core.Run allocates per job — the Job, one array holding its
+// tasks and its Tasks slice — and not per task event: placements,
+// restarts, retries and usage windows reuse pooled state.
+// TestRunAllocsPerJob in internal/core pins that bound end to end, and
+// TestKernelStepZeroAllocs pins the kernel's own part.
 package sim
 
 import "fmt"
@@ -69,13 +81,27 @@ type EventRef struct {
 // IsZero reports whether the ref was never assigned a scheduled event.
 func (r EventRef) IsZero() bool { return r.gen == 0 }
 
+// Event is what the kernel fires: Fire runs at the event's due time with
+// the clock already advanced to it.
+type Event interface {
+	Fire(now Time)
+}
+
+// Func adapts a plain callback to Event. A func value is pointer-shaped,
+// so the conversion to Event does not allocate; building the closure
+// itself may.
+type Func func(now Time)
+
+// Fire calls f.
+func (f Func) Fire(now Time) { f(now) }
+
 // eventSlot is one pooled event record in the kernel's slab.
 type eventSlot struct {
-	due  Time
-	seq  uint64 // tie-break: FIFO among equal times
-	gen  uint32 // bumped on every recycle; stale EventRefs mismatch
-	pos  int32  // index into Kernel.order, -1 when not queued
-	fire func(now Time)
+	due Time
+	seq uint64 // tie-break: FIFO among equal times
+	gen uint32 // bumped on every recycle; stale EventRefs mismatch
+	pos int32  // index into Kernel.order, -1 when not queued
+	ev  Event
 }
 
 // Kernel is a single-threaded discrete-event simulator. It is not safe for
@@ -135,7 +161,7 @@ func (k *Kernel) release(id uint32) {
 	s := &k.slots[id]
 	s.gen++
 	s.pos = -1
-	s.fire = nil
+	s.ev = nil
 	k.free = append(k.free, id)
 }
 
@@ -216,9 +242,9 @@ func (k *Kernel) removeAt(i int) uint32 {
 	return id
 }
 
-// At schedules fire to run at the absolute time due. Scheduling in the past
+// At schedules ev to fire at the absolute time due. Scheduling in the past
 // panics: it would silently corrupt causality.
-func (k *Kernel) At(due Time, fire func(now Time)) EventRef {
+func (k *Kernel) At(due Time, ev Event) EventRef {
 	if due < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", due, k.now))
 	}
@@ -226,19 +252,19 @@ func (k *Kernel) At(due Time, fire func(now Time)) EventRef {
 	s := &k.slots[id]
 	s.due = due
 	s.seq = k.seq
-	s.fire = fire
+	s.ev = ev
 	k.seq++
 	k.order = append(k.order, id)
 	k.up(len(k.order) - 1)
 	return EventRef{slot: id, gen: s.gen}
 }
 
-// After schedules fire to run delay after the current time.
-func (k *Kernel) After(delay Time, fire func(now Time)) EventRef {
+// After schedules ev to fire delay after the current time.
+func (k *Kernel) After(delay Time, ev Event) EventRef {
 	if delay < 0 {
 		delay = 0
 	}
-	return k.At(k.now+delay, fire)
+	return k.At(k.now+delay, ev)
 }
 
 // Cancel removes a pending event. Canceling a zero, already-fired, or
@@ -260,11 +286,11 @@ func (k *Kernel) Step() bool {
 	s := &k.slots[id]
 	k.now = s.due
 	k.events++
-	fire := s.fire
+	ev := s.ev
 	// Recycle before firing so a callback canceling its own ref (or
 	// scheduling into the freed slot) behaves.
 	k.release(id)
-	fire(k.now)
+	ev.Fire(k.now)
 	return true
 }
 
@@ -295,7 +321,7 @@ func (k *Kernel) Every(start, period, end Time, fire func(now Time)) (stop func(
 		panic("sim: non-positive period")
 	}
 	stopped := false
-	var tick func(now Time)
+	var tick Func
 	var pending EventRef
 	tick = func(now Time) {
 		if stopped {

@@ -15,9 +15,9 @@ func TestClockStartsAtZero(t *testing.T) {
 func TestEventOrdering(t *testing.T) {
 	k := NewKernel()
 	var order []int
-	k.At(30, func(Time) { order = append(order, 3) })
-	k.At(10, func(Time) { order = append(order, 1) })
-	k.At(20, func(Time) { order = append(order, 2) })
+	k.At(30, Func(func(Time) { order = append(order, 3) }))
+	k.At(10, Func(func(Time) { order = append(order, 1) }))
+	k.At(20, Func(func(Time) { order = append(order, 2) }))
 	k.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order %v", order)
@@ -35,7 +35,7 @@ func TestFIFOAmongEqualTimes(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.At(5, func(Time) { order = append(order, i) })
+		k.At(5, Func(func(Time) { order = append(order, i) }))
 	}
 	k.Run()
 	for i, v := range order {
@@ -47,25 +47,25 @@ func TestFIFOAmongEqualTimes(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	k := NewKernel()
-	k.At(100, func(Time) {})
+	k.At(100, Func(func(Time) {}))
 	k.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for past event")
 		}
 	}()
-	k.At(50, func(Time) {})
+	k.At(50, Func(func(Time) {}))
 }
 
 func TestAfterClampsNegativeDelay(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	k.After(-5, func(now Time) {
+	k.After(-5, Func(func(now Time) {
 		if now != 0 {
 			t.Fatalf("fired at %v", now)
 		}
 		fired = true
-	})
+	}))
 	k.Run()
 	if !fired {
 		t.Fatal("never fired")
@@ -75,7 +75,7 @@ func TestAfterClampsNegativeDelay(t *testing.T) {
 func TestCancel(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	e := k.At(10, func(Time) { fired = true })
+	e := k.At(10, Func(func(Time) { fired = true }))
 	if !k.Scheduled(e) {
 		t.Fatal("event not scheduled")
 	}
@@ -96,8 +96,8 @@ func TestCancelDuringRun(t *testing.T) {
 	k := NewKernel()
 	fired := false
 	var e2 EventRef
-	k.At(1, func(Time) { k.Cancel(e2) })
-	e2 = k.At(2, func(Time) { fired = true })
+	k.At(1, Func(func(Time) { k.Cancel(e2) }))
+	e2 = k.At(2, Func(func(Time) { fired = true }))
 	k.Run()
 	if fired {
 		t.Fatal("event canceled mid-run still fired")
@@ -109,7 +109,7 @@ func TestEventPoolReuse(t *testing.T) {
 	// Sequential schedule/fire cycles must recycle the same slot instead
 	// of growing the slab.
 	for i := 0; i < 1000; i++ {
-		k.After(1, func(Time) {})
+		k.After(1, Func(func(Time) {}))
 		k.Step()
 	}
 	if k.PoolSize() > 2 {
@@ -119,14 +119,14 @@ func TestEventPoolReuse(t *testing.T) {
 
 func TestStaleRefCannotCancelRecycledSlot(t *testing.T) {
 	k := NewKernel()
-	stale := k.At(1, func(Time) {})
+	stale := k.At(1, Func(func(Time) {}))
 	k.Step() // fires and recycles the slot
 	if k.Scheduled(stale) {
 		t.Fatal("fired event still scheduled")
 	}
 	// The next event reuses the slot; the stale ref must not touch it.
 	fired := false
-	fresh := k.At(2, func(Time) { fired = true })
+	fresh := k.At(2, Func(func(Time) { fired = true }))
 	k.Cancel(stale)
 	if !k.Scheduled(fresh) {
 		t.Fatal("stale cancel removed the slot's new occupant")
@@ -140,9 +140,9 @@ func TestStaleRefCannotCancelRecycledSlot(t *testing.T) {
 func TestSelfCancelInCallbackIsNoop(t *testing.T) {
 	k := NewKernel()
 	var self EventRef
-	self = k.At(5, func(Time) { k.Cancel(self) })
+	self = k.At(5, Func(func(Time) { k.Cancel(self) }))
 	followUp := false
-	k.At(6, func(Time) { followUp = true })
+	k.At(6, Func(func(Time) { followUp = true }))
 	k.Run()
 	if !followUp {
 		t.Fatal("self-cancel disturbed the queue")
@@ -158,7 +158,7 @@ func TestZeroRef(t *testing.T) {
 	if k.Scheduled(r) {
 		t.Fatal("zero ref scheduled")
 	}
-	if e := k.At(1, func(Time) {}); e.IsZero() {
+	if e := k.At(1, Func(func(Time) {})); e.IsZero() {
 		t.Fatal("live ref reports IsZero")
 	}
 }
@@ -168,7 +168,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []Time
 	for _, d := range []Time{5, 15, 25} {
 		d := d
-		k.At(d, func(now Time) { fired = append(fired, now) })
+		k.At(d, Func(func(now Time) { fired = append(fired, now) }))
 	}
 	k.RunUntil(20)
 	if len(fired) != 2 {
@@ -193,10 +193,10 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	chain = func(now Time) {
 		hits++
 		if hits < 5 {
-			k.After(10, chain)
+			k.After(10, Func(chain))
 		}
 	}
-	k.At(0, chain)
+	k.At(0, Func(chain))
 	k.Run()
 	if hits != 5 {
 		t.Fatalf("chain hits %d", hits)
@@ -268,7 +268,7 @@ func TestOrderingProperty(t *testing.T) {
 		k := NewKernel()
 		var fired []Time
 		for _, d := range delays {
-			k.At(Time(d), func(now Time) { fired = append(fired, now) })
+			k.At(Time(d), Func(func(now Time) { fired = append(fired, now) }))
 		}
 		k.Run()
 		for i := 1; i < len(fired); i++ {
@@ -303,7 +303,7 @@ func TestCancelMidHeapProperty(t *testing.T) {
 		canceled := 0
 		for n, o := range ops {
 			e := ev{due: k.Now() + Time(o.Delay), n: n}
-			refs = append(refs, k.At(e.due, func(now Time) { fired = append(fired, e) }))
+			refs = append(refs, k.At(e.due, Func(func(now Time) { fired = append(fired, e) })))
 			if o.Cancel%2 == 1 {
 				r := refs[int(o.Cancel/2)%len(refs)]
 				if k.Scheduled(r) {
@@ -347,9 +347,9 @@ const queuedEvents = 1024
 func steadyKernel() *Kernel {
 	k := NewKernel()
 	var reschedule func(now Time)
-	reschedule = func(now Time) { k.After(queuedEvents, reschedule) }
+	reschedule = func(now Time) { k.After(queuedEvents, Func(reschedule)) }
 	for i := 0; i < queuedEvents; i++ {
-		k.At(Time(i), reschedule)
+		k.At(Time(i), Func(reschedule))
 	}
 	return k
 }

@@ -69,6 +69,8 @@ type Generator struct {
 
 	liveJobs   []liveRef
 	liveAllocs []liveRef
+	// out is Generate's result buffer, reused every arrival.
+	out []*scheduler.Job
 
 	// UsageCompensation inflates per-job usage targets to offset early
 	// kills, parent-propagated kills and horizon truncation, which all
@@ -160,13 +162,14 @@ func (g *Generator) Arrival() ArrivalProcess { return g.arr }
 // job, occasionally preceded by a new alloc set (§5.1: 2% of collections
 // are alloc sets).
 func (g *Generator) Generate(now sim.Time) []*scheduler.Job {
-	var out []*scheduler.Job
+	out := g.out[:0]
 	f := g.p.AllocSetFraction
 	if f > 0 && g.src.Bool(f/(1-f)) {
 		out = append(out, g.makeAllocSet(now))
 	}
 	out = append(out, g.makeJob(now))
 	g.gc(now)
+	g.out = out
 	return out
 }
 
@@ -219,14 +222,16 @@ func (g *Generator) makeAllocSet(now sim.Time) *scheduler.Job {
 	cpu := clamp(dist.LogNormalFromMedian(0.12, 0.5).Sample(g.src), 0.04, 0.40)
 	mem := clamp(dist.LogNormalFromMedian(0.12, 0.5).Sample(g.src), 0.04, 0.40)
 	res := trace.Resources{CPU: cpu, Mem: mem}
-	for i := 0; i < n; i++ {
-		j.AddTask(&scheduler.Task{
+	tasks := make([]scheduler.Task, n)
+	for i := range tasks {
+		tasks[i] = scheduler.Task{
 			Request:  res,
 			Duration: duration,
 			// The reservation itself "uses" nothing; inner tasks do.
 			MeanCPU: 0, MeanMem: 0, PeakFact: 1,
-		})
+		}
 	}
+	j.SetTasks(tasks)
 	g.liveAllocs = append(g.liveAllocs, liveRef{
 		id:      j.ID,
 		projEnd: now + duration,
@@ -363,7 +368,8 @@ func (g *Generator) makeJob(now sim.Time) *scheduler.Job {
 		}
 	}
 
-	for i := 0; i < n; i++ {
+	tasks := make([]scheduler.Task, n)
+	for i := range tasks {
 		// Per-task wobble around the job mean, never above the CPU
 		// limit (memory may exceed it only for the under-provisioned).
 		taskRate := clamp(rate*lognormJitter(g.src, 0.15), 0.0005, reqCPU)
@@ -372,15 +378,16 @@ func (g *Generator) makeJob(now sim.Time) *scheduler.Job {
 			memCeil = reqMem / peak
 		}
 		taskMem := clamp(memRate*lognormJitter(g.src, 0.15), 0.0003, memCeil)
-		j.AddTask(&scheduler.Task{
+		tasks[i] = scheduler.Task{
 			Request:  trace.Resources{CPU: reqCPU, Mem: reqMem},
 			Duration: duration,
 			Restarts: g.restarts(tg),
 			MeanCPU:  taskRate,
 			MeanMem:  taskMem,
 			PeakFact: peak,
-		})
+		}
 	}
+	j.SetTasks(tasks)
 
 	g.liveJobs = append(g.liveJobs, liveRef{id: j.ID, projEnd: now + duration})
 	return j

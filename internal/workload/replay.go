@@ -20,7 +20,9 @@ type JobSource interface {
 	// NextInterArrival returns the time from now to the next submission;
 	// a result placing it at or beyond the horizon ends the stream.
 	NextInterArrival(now sim.Time) sim.Time
-	// Generate returns the collections submitted at time now.
+	// Generate returns the collections submitted at time now. The slice
+	// is the source's reusable buffer, valid until the next call; the
+	// jobs in it are the caller's.
 	Generate(now sim.Time) []*scheduler.Job
 }
 
@@ -165,6 +167,7 @@ type Replayer struct {
 	rec    *Recording
 	idBase trace.CollectionID
 	cursor int
+	out    []*scheduler.Job // Generate's reused result buffer
 }
 
 // NewReplayer builds a replayer over rec, rebasing collection IDs onto
@@ -192,7 +195,7 @@ func (r *Replayer) Generate(now sim.Time) []*scheduler.Job {
 	}
 	arr := &r.rec.Arrivals[r.cursor]
 	r.cursor++
-	out := make([]*scheduler.Job, 0, len(arr.Jobs))
+	out := r.out[:0]
 	for i := range arr.Jobs {
 		rj := &arr.Jobs[i]
 		j := scheduler.NewJob(r.idBase + trace.CollectionID(rj.IDOff))
@@ -210,18 +213,21 @@ func (r *Replayer) Generate(now sim.Time) []*scheduler.Job {
 		if rj.AllocOff != 0 {
 			j.AllocSet = r.idBase + trace.CollectionID(rj.AllocOff)
 		}
-		for _, rt := range rj.Tasks {
-			j.AddTask(&scheduler.Task{
+		tasks := make([]scheduler.Task, len(rj.Tasks))
+		for i, rt := range rj.Tasks {
+			tasks[i] = scheduler.Task{
 				Request:  trace.Resources{CPU: rt.CPU, Mem: rt.Mem},
 				Duration: rt.Duration,
 				Restarts: rt.Restarts,
 				MeanCPU:  rt.MeanCPU,
 				MeanMem:  rt.MeanMem,
 				PeakFact: rt.PeakFact,
-			})
+			}
 		}
+		j.SetTasks(tasks)
 		out = append(out, j)
 	}
+	r.out = out
 	return out
 }
 
