@@ -58,8 +58,8 @@ func BenchmarkReducerReplay(b *testing.B) {
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, res := range s.Stats {
-			r := streaming.Replay(res.Trace)
+		for _, tr := range s.Traces {
+			r := streaming.Replay(tr)
 			r.Transitions() // finalizes every product
 		}
 	}
@@ -158,8 +158,8 @@ func BenchmarkLargeCellSuite(b *testing.B) {
 	b.ReportMetric(float64(peak)/1e6, "peak-heap-MB")
 }
 
-// BenchmarkStreamingSuite is BenchmarkLargeCellSuite with NoMemTrace:
-// the same nine cells, but every row folds through a streaming reducer
+// BenchmarkStreamingSuite is BenchmarkLargeCellSuite without the kept
+// rows: the same nine cells, but every row folds through a streaming reducer
 // and is dropped, and the full report renders from reducer state. The
 // interesting metric is peak-heap-MB next to the retained twin's — trace
 // retention, not simulation state, dominates the retained peak.
@@ -182,8 +182,8 @@ func BenchmarkStreamingSuite(b *testing.B) {
 
 // BenchmarkManyCellSuite is the warehouse-scale smoke benchmark: it
 // simulates a fleet of 54 small 2019 cells (profiles sampled round-robin
-// from the paper's a–h set) in one engine run with NoMemTrace and one
-// streaming reducer per cell — the shape a many-cell fleet study takes.
+// from the paper's a–h set) in one engine run with one streaming
+// reducer per cell and no rows kept — the shape a many-cell fleet study takes.
 // Peak heap must stay under the same 1536 MB ceiling the CI streaming
 // guard enforces: per-cell memory is bounded reducer state, so the fleet
 // footprint grows with cells, not with rows. The run takes tens of
@@ -206,10 +206,7 @@ func BenchmarkManyCellSuite(b *testing.B) {
 			specs := make([]engine.Spec, cells)
 			for c := range specs {
 				p := workload.Profile2019(names[c%len(names)], machines)
-				specs[c] = engine.NewSpec(c, p, core.Options{
-					Horizon:    2 * sim.Hour,
-					NoMemTrace: true,
-				}, 29)
+				specs[c] = engine.NewSpec(c, p, core.Options{Horizon: 2 * sim.Hour}, 29)
 			}
 			reducers := make([]*streaming.CellReducer, cells)
 			engine.AttachSinks(specs, func(c int) trace.Sink {
@@ -283,7 +280,7 @@ func BenchmarkSimulateCell(b *testing.B) {
 // attached and no trace retained. The reducer's machine-utilization
 // snapshot is taken at mid-horizon, hour 2.
 func reduceCell(p *workload.CellProfile) *streaming.CellReducer {
-	opts := core.Options{Horizon: 4 * sim.Hour, Seed: 3, NoMemTrace: true}
+	opts := core.Options{Horizon: 4 * sim.Hour, Seed: 3}
 	r := streaming.NewCellReducer(trace.Meta{Cell: p.Name, Duration: opts.Horizon})
 	opts.ExtraSinks = []trace.Sink{r}
 	core.Run(p, opts)
@@ -437,7 +434,7 @@ func miceDelayP90(hogPriority int) float64 {
 
 // BenchmarkSweepSmall is the parameter-sweep macro benchmark gated in
 // CI: a 2-seed × 2-variant sweep of the nine-cell suite at a small
-// scale, streaming reducers only (NoMemTrace), report rendered to
+// scale, streaming reducers only (no rows kept), report rendered to
 // io.Discard. It exercises grid expansion, common-random-numbers
 // seeding, per-spec reducer attachment and cross-seed aggregation — the
 // whole internal/sweep path.

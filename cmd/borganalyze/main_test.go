@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/trace/tracetest"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -23,8 +23,15 @@ func TestRunOutputPinned(t *testing.T) {
 		wantBytes = 3206
 	)
 	dir := t.TempDir()
-	tr := core.Run(workload.Profile2019("b", 40), core.Options{Horizon: 6 * sim.Hour, Seed: 7}).Trace
-	if err := tracetest.WriteDir(tr, dir); err != nil {
+	p := workload.Profile2019("b", 40)
+	opts := core.Options{Horizon: 6 * sim.Hour, Seed: 7}
+	ds, err := trace.NewDirSink(dir, core.TraceMeta(p, opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.ExtraSinks = []trace.Sink{ds}
+	core.Run(p, opts)
+	if err := ds.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var b bytes.Buffer

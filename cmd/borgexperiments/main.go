@@ -10,8 +10,8 @@
 // affects the output of a given build: for the same binary, the same
 // seed yields the same report at every -parallel setting.
 //
-// Memory stays bounded too: the suite runs with core.Options.NoMemTrace,
-// so every trace row is folded online by one streaming reducer per cell
+// Memory stays bounded too: the suite keeps no trace rows. Every row is
+// folded online by one streaming reducer per cell
 // (internal/analysis/streaming), which every figure renders from, and
 // then dropped. Resident memory is bounded by per-job reducer state
 // instead of growing with the horizon; CI enforces a peak-heap ceiling.

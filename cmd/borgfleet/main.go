@@ -4,7 +4,7 @@
 // pool with bounded memory, and rolled up online into fleet-level
 // cross-cell percentiles (p50/p90/p99 per scalar metric).
 //
-// Every cell runs with NoMemTrace and one streaming reducer; cell specs
+// Every cell runs with one streaming reducer and keeps no rows; cell specs
 // materialize only as workers pick them up and are released as soon as
 // their scalars fold into the rollup, so peak memory is O(-parallel)
 // cells regardless of fleet size. Cell i of a fleet rooted at -seed R

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/trace/tracetest"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -16,8 +16,15 @@ import (
 // use, returns an error naming the column instead of panicking.
 func TestRun(t *testing.T) {
 	dir := t.TempDir()
-	tr := core.Run(workload.Profile2019("b", 20), core.Options{Horizon: 2 * sim.Hour, Seed: 7}).Trace
-	if err := tracetest.WriteDir(tr, dir); err != nil {
+	p := workload.Profile2019("b", 20)
+	opts := core.Options{Horizon: 2 * sim.Hour, Seed: 7}
+	ds, err := trace.NewDirSink(dir, core.TraceMeta(p, opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.ExtraSinks = []trace.Sink{ds}
+	core.Run(p, opts)
+	if err := ds.Close(); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {

@@ -3,7 +3,7 @@
 // sample stddev, min/max and a 95% Student-t confidence interval for
 // every sweep metric, plus per-metric CSV exports for plotting.
 //
-// Every grid point simulates with NoMemTrace: each cell's rows fold
+// Every grid point keeps no rows: each cell's rows fold
 // through a streaming reducer and are dropped, so even wide sweeps cost
 // reducer state rather than retained traces. The grid is deterministic —
 // same root seed and definition produce byte-identical reports at any

@@ -69,7 +69,7 @@ func run(args []string, logw io.Writer) error {
 	default:
 		return fmt.Errorf("unknown era %q", *era)
 	}
-	opts := core.Options{Horizon: sim.FromHours(*hours), Seed: *seed, NoMemTrace: true}
+	opts := core.Options{Horizon: sim.FromHours(*hours), Seed: *seed}
 	ds, err := trace.NewDirSink(*out, core.TraceMeta(profile, opts))
 	if err != nil {
 		return err
@@ -77,7 +77,7 @@ func run(args []string, logw io.Writer) error {
 	opts.ExtraSinks = []trace.Sink{ds}
 	var v *trace.Validator
 	if *validate {
-		v = trace.NewValidator(trace.DefaultValidateOptions())
+		v = trace.NewValidator()
 		opts.ExtraSinks = append(opts.ExtraSinks, v)
 	}
 	res := core.Run(profile, opts)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/trace/tracetest"
 	"repro/internal/workload"
 )
@@ -26,7 +27,11 @@ func TestRunMatchesRetainedWrite(t *testing.T) {
 	if !strings.Contains(log.String(), "validator: all invariants hold") {
 		t.Fatalf("validator verdict missing:\n%s", log.String())
 	}
-	tr := core.Run(workload.Profile2019("b", 40), core.Options{Horizon: 3 * sim.Hour, Seed: 7}).Trace
+	p := workload.Profile2019("b", 40)
+	opts := core.Options{Horizon: 3 * sim.Hour, Seed: 7}
+	tr := trace.NewMemTrace(core.TraceMeta(p, opts))
+	opts.ExtraSinks = []trace.Sink{tr}
+	core.Run(p, opts)
 	if err := tracetest.WriteDir(tr, want); err != nil {
 		t.Fatal(err)
 	}

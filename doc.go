@@ -46,8 +46,8 @@
 //     pipeline: rows flow through composable trace.Sink implementations
 //     (FanOut, CountingSink online reduction, DirSink CSV export, the
 //     §9 invariant Validator; every cell owns its pipeline). Full
-//     in-memory retention (MemTrace) is just one sink and can be
-//     switched off per run; it stores each table in chunks that never
+//     in-memory retention (MemTrace) is just one sink, attached only by
+//     a caller that reads rows back; it stores each table in chunks that never
 //     move (trace.Rows) and keeps no index, so retaining a row costs
 //     only the row, and MemTrace.Replay feeds a stored trace through any
 //     other sink. Usage rows reach a sink only in blocks (see "Usage
@@ -141,12 +141,14 @@
 // figure was once computed over a fully retained MemTrace, so memory
 // grew with every usage record and life-cycle event. The streaming
 // reducers invert that, and are now the only code that computes a
-// figure: experiments.RunSuiteStreaming runs all nine cells with
-// core.Options.NoMemTrace, each cell's rows folding through one
+// figure. core.Run keeps no rows of its own: every row goes to the
+// sinks a caller attaches. experiments.RunSuiteStreaming runs all nine
+// cells with each cell's rows folding through one
 // streaming.CellReducer (and, optionally, a sharded CSV export via
 // trace.DirSink) before being dropped;
-// experiments.RunSuite attaches the same reducers and also keeps each
-// cell's trace, for tests and tools that read rows. Per-instance
+// experiments.RunSuite attaches the same reducers plus one
+// trace.MemTrace per cell (Suite.Traces), for tests and tools that read
+// rows. Per-instance
 // state lives in its collection's instance table, a slice indexed by
 // instance index (indexes far beyond those seen, or negative, go to a
 // small side map, so a hostile trace cannot size the table), and
@@ -277,7 +279,7 @@
 // machine count, arrival rate, tier mix and diurnal phase all vary
 // per cell — and streams them through one engine worker pool via
 // engine.RunStream. Specs materialize only as workers pick them up;
-// every cell runs with NoMemTrace plus one streaming.CellReducer, and
+// every cell runs with one streaming.CellReducer as its only sink, and
 // each cell's scalars fold into the fleet rollup (one merging
 // stats.Digest per metric) the moment its in-order result delivers,
 // after which the reducer is released. Peak heap is therefore
@@ -302,7 +304,7 @@
 // admission-ceiling settings, and placement policies from the
 // scheduler zoo — same clusters, same arrivals, different brains),
 // each grid point simulating the full
-// nine-cell suite with one streaming reducer per cell and NoMemTrace —
+// nine-cell suite with one streaming reducer per cell and no rows kept —
 // wide sweeps cost reducer state, never retained traces. Grid seeds
 // follow engine.DeriveGridSeed(root, run, cell): they depend only on the
 // replicate and cell, never on the variant list, so all variants of a

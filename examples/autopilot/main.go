@@ -19,8 +19,10 @@ import (
 
 func main() {
 	profile := workload.Profile2019("e", 120)
-	res := core.Run(profile, core.Options{Horizon: 10 * sim.Hour, Seed: 11})
-	tr := res.Trace
+	opts := core.Options{Horizon: 10 * sim.Hour, Seed: 11}
+	tr := trace.NewMemTrace(core.TraceMeta(profile, opts)) // the rows, read after the run
+	opts.ExtraSinks = []trace.Sink{tr}
+	res := core.Run(profile, opts)
 
 	fmt.Printf("cell %s: %d autopilot limit updates issued\n\n", profile.Name, res.AutopilotUpdates)
 

@@ -6,8 +6,8 @@
 // -parallel flag changes only how long that takes, never the numbers.
 //
 // The analysis here is fully streaming: each cell carries one
-// streaming.CellReducer and simulates with NoMemTrace, so no trace is
-// ever retained — every figure below is read from reducer state after
+// streaming.CellReducer and no other sink, so no trace is ever
+// retained — every figure below is read from reducer state after
 // the rows were folded online and dropped. Memory stays bounded no
 // matter the horizon; the numbers are byte-identical to what replaying a
 // retained trace through the same reducer (streaming.Replay) produces.
@@ -47,12 +47,12 @@ func main() {
 	reducers := make([]*streaming.CellReducer, len(cells))
 	for i, cell := range cells {
 		specs[i] = engine.NewSpec(i, workload.Profile2019(cell, machines),
-			core.Options{Horizon: horizon, NoMemTrace: true}, rootSeed)
+			core.Options{Horizon: horizon}, rootSeed)
 		reducers[i] = streaming.NewCellReducer(core.TraceMeta(specs[i].Profile, specs[i].Options))
 	}
 	engine.AttachSinks(specs, func(i int) trace.Sink { return reducers[i] })
 
-	fmt.Printf("simulating cells a (prod-heavy), b (beb-heavy), h (mid-heavy), parallelism=%d, NoMemTrace...\n", *parallel)
+	fmt.Printf("simulating cells a (prod-heavy), b (beb-heavy), h (mid-heavy), parallelism=%d, streaming...\n", *parallel)
 	start := time.Now()
 	var averages []analysis.TierAverages
 	// OnResult streams each cell's analysis in spec order while later

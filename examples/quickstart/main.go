@@ -27,8 +27,8 @@ func main() {
 	// The validator and the reducer fold every trace row as it is
 	// emitted, and no row is retained.
 	profile := workload.Profile2019("a", 100)
-	opts := core.Options{Horizon: 6 * sim.Hour, Seed: 42, NoMemTrace: true}
-	validator := trace.NewValidator(trace.DefaultValidateOptions())
+	opts := core.Options{Horizon: 6 * sim.Hour, Seed: 42}
+	validator := trace.NewValidator()
 	red := streaming.NewCellReducer(core.TraceMeta(profile, opts))
 	opts.ExtraSinks = []trace.Sink{validator, red}
 	res := core.Run(profile, opts)

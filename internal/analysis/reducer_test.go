@@ -31,7 +31,7 @@ func reduce(p *workload.CellProfile, seed uint64) *streaming.CellReducer {
 	horizon := 12 * sim.Hour
 	r := streaming.NewCellReducer(trace.Meta{Era: p.Era, Cell: p.Name, Duration: horizon,
 		Machines: p.Machines, Seed: seed})
-	core.Run(p, core.Options{Horizon: horizon, Seed: seed, NoMemTrace: true,
+	core.Run(p, core.Options{Horizon: horizon, Seed: seed,
 		ExtraSinks: []trace.Sink{r}})
 	return r
 }

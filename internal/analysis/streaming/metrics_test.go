@@ -19,8 +19,10 @@ func TestScalarsMatchAccessorDerivation(t *testing.T) {
 	p := workload.Profile2019("b", 40)
 	horizon := 4 * sim.Hour
 	warmup := sim.Hour
-	res := core.Run(p, core.Options{Horizon: horizon, Seed: 11})
-	r := Replay(res.Trace)
+	opts := core.Options{Horizon: horizon, Seed: 11}
+	r := NewCellReducer(core.TraceMeta(p, opts))
+	opts.ExtraSinks = []trace.Sink{r}
+	core.Run(p, opts)
 
 	scalars := r.Scalars(warmup)
 	names := ScalarNames()

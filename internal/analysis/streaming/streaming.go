@@ -1,8 +1,8 @@
 // Package streaming computes every per-figure analysis of the paper
 // online, as the simulation emits trace rows. It is the only code that
 // computes a figure: a CellReducer is a trace.Sink, attached to a cell
-// via core.Options.ExtraSinks (with or without NoMemTrace), and once the
-// simulation has finished every report renders from its products.
+// via core.Options.ExtraSinks (beside a trace.MemTrace or not), and once
+// the simulation has finished every report renders from its products.
 // NewCellReducer needs only the cell's trace.Meta (core.TraceMeta), from
 // which it sizes the hourly buckets and fixes Figure 6's snapshot at
 // mid-horizon. Replay feeds a retained trace — one just simulated, or

@@ -32,16 +32,11 @@ var (
 )
 
 func runFixture(p *workload.CellProfile, horizon sim.Time, seed uint64) *fixture {
-	red := NewCellReducer(trace.Meta{
-		Era: p.Era, Cell: p.Name, Duration: horizon,
-		Machines: p.Machines, Seed: seed,
-	})
-	res := core.Run(p, core.Options{
-		Horizon:    horizon,
-		Seed:       seed,
-		ExtraSinks: []trace.Sink{red},
-	})
-	return &fixture{tr: res.Trace, red: red}
+	opts := core.Options{Horizon: horizon, Seed: seed}
+	fix := &fixture{tr: trace.NewMemTrace(core.TraceMeta(p, opts)), red: NewCellReducer(core.TraceMeta(p, opts))}
+	opts.ExtraSinks = []trace.Sink{fix.red, fix.tr}
+	core.Run(p, opts)
+	return fix
 }
 
 func fixtures(t *testing.T) (*fixture, *fixture) {
@@ -197,7 +192,7 @@ func TestReducerProductsInvariantUnderRelabeling(t *testing.T) {
 		reducers := make([]*CellReducer, len(profiles))
 		specs := make([]engine.Spec, 0, len(order))
 		for _, i := range order {
-			opts := core.Options{Horizon: 6 * sim.Hour, Seed: 42, IDBase: idBase(i), NoMemTrace: true}
+			opts := core.Options{Horizon: 6 * sim.Hour, Seed: 42, IDBase: idBase(i)}
 			reducers[i] = NewCellReducer(core.TraceMeta(profiles[i], opts))
 			opts.ExtraSinks = []trace.Sink{reducers[i]}
 			specs = append(specs, engine.Spec{Profile: profiles[i], Options: opts})

@@ -20,9 +20,15 @@ import (
 // restarts and 380 usage rows per job.
 const allocsPerJob = 48
 
+// bytesPerJob is the same run's budget in bytes allocated per submitted
+// job. A job's tasks take most of it; a run that kept every trace row
+// would allocate several times as much (about 130 KB per job in this
+// cell), so this budget also pins that Run keeps no rows of its own.
+const bytesPerJob = 32 << 10
+
 // TestRunAllocsPerJob runs one small cell end to end through Run, the
 // path every CLI drives, and bounds its heap allocations by allocsPerJob
-// per submitted job. The isolated zero-allocation guards (placement,
+// and bytesPerJob per submitted job. The isolated zero-allocation guards (placement,
 // sampler, kernel Step) cannot see an interaction between layers, such
 // as a sampler walk that makes the next placement copy a machine's
 // resident list; a whole run can.
@@ -30,18 +36,24 @@ func TestRunAllocsPerJob(t *testing.T) {
 	p := workload.Profile2019("a", 60)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res := Run(p, Options{Horizon: 8 * sim.Hour, Seed: 1, NoMemTrace: true})
+	res := Run(p, Options{Horizon: 8 * sim.Hour, Seed: 1})
 	runtime.ReadMemStats(&after)
 	jobs := res.Sched.JobsSubmitted
 	mallocs := after.Mallocs - before.Mallocs
+	bytes := after.TotalAlloc - before.TotalAlloc
 	if jobs == 0 || res.Sched.TasksPlaced < 50*jobs {
 		t.Fatalf("degenerate run: %d jobs, %d placements", jobs, res.Sched.TasksPlaced)
 	}
-	t.Logf("%d allocations for %d jobs (%.1f per job), %d placements, %d restarts",
-		mallocs, jobs, float64(mallocs)/float64(jobs), res.Sched.TasksPlaced, res.Sched.TasksFailedRestarts)
+	t.Logf("%d allocations, %.1f KB for %d jobs (%.1f allocations, %.1f KB per job), %d placements, %d restarts",
+		mallocs, float64(bytes)/1024, jobs, float64(mallocs)/float64(jobs), float64(bytes)/1024/float64(jobs),
+		res.Sched.TasksPlaced, res.Sched.TasksFailedRestarts)
 	if budget := uint64(allocsPerJob * jobs); mallocs > budget {
 		t.Fatalf("run allocated %d times for %d jobs, budget %d (%d per job)",
 			mallocs, jobs, budget, allocsPerJob)
+	}
+	if budget := uint64(bytesPerJob * jobs); bytes > budget {
+		t.Fatalf("run allocated %d bytes for %d jobs, budget %d (%d per job)",
+			bytes, jobs, budget, bytesPerJob)
 	}
 }
 

@@ -6,14 +6,15 @@
 // Typical use, checking the §9 invariants as the rows stream past:
 //
 //	profile := workload.Profile2019("a", 600)
-//	v := trace.NewValidator(trace.DefaultValidateOptions())
+//	v := trace.NewValidator()
 //	core.Run(profile, core.Options{Horizon: 48 * sim.Hour, Seed: 1,
-//		NoMemTrace: true, ExtraSinks: []trace.Sink{v}})
+//		ExtraSinks: []trace.Sink{v}})
 //	violations := v.Finish()
 //
 // Other sinks ride along the same way: a streaming.CellReducer computes
 // the paper's tables and figures, a trace.DirSink writes the CSV tables.
-// Without NoMemTrace the run also retains every row in CellResult.Trace.
+// Run keeps no rows itself; a caller that wants them attaches
+// trace.NewMemTrace(core.TraceMeta(profile, opts)) the same way.
 //
 // Run configures the scheduler from scheduler.DefaultConfig, overriding
 // only what the cell profile sets (policy, candidate sample, overcommit,
@@ -72,15 +73,14 @@ type Options struct {
 	// Seed is the root seed; every random stream derives from it, so a
 	// (profile, horizon, seed) triple fully determines the trace.
 	Seed uint64
-	// ExtraSinks receive every trace row in addition to the in-memory
-	// store (e.g. streaming analyzers). They are driven by this cell's
-	// goroutine only, so a sink instance must not be shared with other
-	// concurrently simulated cells.
+	// ExtraSinks receive every trace row (streaming analyzers, a
+	// validator, a DirSink, or a trace.MemTrace to keep the rows). They
+	// are driven by this cell's goroutine only, so a sink instance must
+	// not be shared with other concurrently simulated cells.
 	ExtraSinks []trace.Sink
-	// NoMemTrace disables full in-memory trace retention: rows stream
-	// only to ExtraSinks (and the row counter) and CellResult.Trace is
-	// nil. Use for online-analysis or throughput runs where buffering a
-	// whole cell-month of rows is waste.
+	// Deprecated: NoMemTrace has no effect. Run keeps no rows unless a
+	// trace.MemTrace is attached through ExtraSinks. The field stays only
+	// because the frozen benchmark harness under bench/ sets it.
 	NoMemTrace bool
 	// IDBase offsets collection IDs so multi-cell runs have disjoint ID
 	// spaces.
@@ -113,11 +113,8 @@ type Options struct {
 // CellResult is the outcome of one simulated cell.
 type CellResult struct {
 	Profile *workload.CellProfile
-	// Trace is the retained in-memory trace, nil when Options.NoMemTrace
-	// was set.
-	Trace *trace.MemTrace
-	Sched scheduler.Stats
-	// Rows counts every row emitted, whether or not it was retained.
+	Sched   scheduler.Stats
+	// Rows counts every row emitted.
 	Rows trace.RowCounts
 	// AutopilotUpdates counts limit adjustments issued.
 	AutopilotUpdates int
@@ -129,10 +126,10 @@ type CellResult struct {
 // defaultHorizon is the simulated duration when Options.Horizon is unset.
 const defaultHorizon = 24 * sim.Hour
 
-// TraceMeta is the metadata Run stamps on the trace of profile p under
+// TraceMeta is the metadata of the trace Run emits for profile p under
 // opts: the profile's era, name and machine count, the horizon (24 h
 // when unset) and the seed. Sinks that need a cell's metadata before it
-// runs (a reducer, a DirSink) take it from here.
+// runs (a reducer, a DirSink, a MemTrace) take it from here.
 func TraceMeta(p *workload.CellProfile, opts Options) trace.Meta {
 	if opts.Horizon <= 0 {
 		opts.Horizon = defaultHorizon
@@ -140,7 +137,8 @@ func TraceMeta(p *workload.CellProfile, opts Options) trace.Meta {
 	return trace.Meta{Era: p.Era, Cell: p.Name, Duration: opts.Horizon, Machines: p.Machines, Seed: opts.Seed}
 }
 
-// Run simulates one cell for opts.Horizon and returns its trace.
+// Run simulates one cell for opts.Horizon, emitting its trace rows to
+// opts.ExtraSinks.
 func Run(p *workload.CellProfile, opts Options) *CellResult {
 	if opts.Horizon <= 0 {
 		opts.Horizon = defaultHorizon
@@ -148,18 +146,8 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	root := rng.New(opts.Seed)
 	k := sim.NewKernel()
 
-	var mem *trace.MemTrace
-	if !opts.NoMemTrace {
-		mem = trace.NewMemTrace(TraceMeta(p, opts))
-	}
 	counter := &trace.CountingSink{}
-	parts := make([]trace.Sink, 0, 2+len(opts.ExtraSinks))
-	if mem != nil {
-		parts = append(parts, mem)
-	}
-	parts = append(parts, counter)
-	parts = append(parts, opts.ExtraSinks...)
-	sink := trace.FanOut(parts...)
+	sink := trace.FanOut(append([]trace.Sink{counter}, opts.ExtraSinks...)...)
 
 	// Build the cell and announce its machines.
 	cell := cluster.BuildCell(p.Name, p.Machines, p.Shapes, root.Split("machines"))
@@ -293,7 +281,7 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 		reg.Counter("trace_rows_machines_total").Add(rows.Machines)
 	}
 
-	res := &CellResult{Profile: p, Trace: mem, Sched: sched.Stats(), Rows: counter.Counts()}
+	res := &CellResult{Profile: p, Sched: sched.Stats(), Rows: counter.Counts()}
 	if ap != nil {
 		res.AutopilotUpdates = ap.Updates()
 	}

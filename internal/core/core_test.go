@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -12,17 +13,23 @@ import (
 	"repro/internal/workload"
 )
 
+// runRetained runs p under opts with a MemTrace attached through
+// ExtraSinks, the way a caller that wants the rows keeps them.
+func runRetained(p *workload.CellProfile, opts Options) (*CellResult, *trace.MemTrace) {
+	tr := trace.NewMemTrace(TraceMeta(p, opts))
+	opts.ExtraSinks = append(slices.Clip(opts.ExtraSinks), tr)
+	return Run(p, opts), tr
+}
+
 // smallRun simulates a small 2019 cell; shared across tests via sync once
 // semantics would hide determinism issues, so each test runs its own.
-func smallRun(t *testing.T, seed uint64) *CellResult {
+func smallRun(t *testing.T, seed uint64) (*CellResult, *trace.MemTrace) {
 	t.Helper()
-	p := workload.Profile2019("a", 120)
-	return Run(p, Options{Horizon: 8 * sim.Hour, Seed: seed})
+	return runRetained(workload.Profile2019("a", 120), Options{Horizon: 8 * sim.Hour, Seed: seed})
 }
 
 func TestRunProducesTrace(t *testing.T) {
-	res := smallRun(t, 1)
-	tr := res.Trace
+	res, tr := smallRun(t, 1)
 	if tr.MachineEvents.Len() != 120 {
 		t.Fatalf("machine events %d", tr.MachineEvents.Len())
 	}
@@ -41,17 +48,16 @@ func TestRunProducesTrace(t *testing.T) {
 }
 
 func TestTraceValidates(t *testing.T) {
-	res := smallRun(t, 2)
-	violations := tracetest.Validate(res.Trace, trace.DefaultValidateOptions())
+	_, tr := smallRun(t, 2)
+	violations := tracetest.Validate(tr)
 	if len(violations) != 0 {
 		t.Fatalf("%d violations, first: %v", len(violations), violations[0])
 	}
 }
 
 func TestDeterminism(t *testing.T) {
-	a := smallRun(t, 7)
-	b := smallRun(t, 7)
-	ta, tb := a.Trace, b.Trace
+	_, ta := smallRun(t, 7)
+	_, tb := smallRun(t, 7)
 	if ta.CollectionEvents.Len() != tb.CollectionEvents.Len() ||
 		ta.InstanceEvents.Len() != tb.InstanceEvents.Len() ||
 		ta.UsageRecords.Len() != tb.UsageRecords.Len() {
@@ -75,14 +81,14 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestDifferentSeedsDiffer(t *testing.T) {
-	a := smallRun(t, 1)
-	b := smallRun(t, 99)
-	if a.Trace.CollectionEvents.Len() == b.Trace.CollectionEvents.Len() &&
-		a.Trace.UsageRecords.Len() == b.Trace.UsageRecords.Len() {
+	_, a := smallRun(t, 1)
+	_, b := smallRun(t, 99)
+	if a.CollectionEvents.Len() == b.CollectionEvents.Len() &&
+		a.UsageRecords.Len() == b.UsageRecords.Len() {
 		// Counts could coincide; compare content of the first events.
 		same := true
-		for i := 0; i < 50 && i < a.Trace.CollectionEvents.Len(); i++ {
-			if a.Trace.CollectionEvents.At(i) != b.Trace.CollectionEvents.At(i) {
+		for i := 0; i < 50 && i < a.CollectionEvents.Len(); i++ {
+			if a.CollectionEvents.At(i) != b.CollectionEvents.At(i) {
 				same = false
 				break
 			}
@@ -94,8 +100,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 }
 
 func TestUtilizationInSaneBand(t *testing.T) {
-	res := smallRun(t, 3)
-	tr := res.Trace
+	_, tr := smallRun(t, 3)
 	// Average CPU usage as a fraction of capacity over the second half
 	// of the run (post-warmup) should be meaningful but below 1.
 	var capCPU float64
@@ -120,26 +125,29 @@ func TestUtilizationInSaneBand(t *testing.T) {
 	}
 }
 
+// TestExtraSinksSeeEverything: every attached sink sees every row Run
+// counts.
 func TestExtraSinksSeeEverything(t *testing.T) {
 	p := workload.Profile2019("b", 80)
-	extra := trace.NewMemTrace(trace.Meta{})
-	res := Run(p, Options{Horizon: 4 * sim.Hour, Seed: 5, ExtraSinks: []trace.Sink{extra}})
-	if extra.CollectionEvents.Len() != res.Trace.CollectionEvents.Len() ||
-		extra.UsageRecords.Len() != res.Trace.UsageRecords.Len() {
-		t.Fatalf("extra sink missed rows: %s vs %s", extra.Counts(), res.Trace.Counts())
+	extra := &trace.CountingSink{}
+	res, tr := runRetained(p, Options{Horizon: 4 * sim.Hour, Seed: 5, ExtraSinks: []trace.Sink{extra}})
+	kept := trace.RowCounts{Collections: int64(tr.CollectionEvents.Len()), Instances: int64(tr.InstanceEvents.Len()),
+		Usage: int64(tr.UsageRecords.Len()), Machines: int64(tr.MachineEvents.Len())}
+	if extra.Counts() != res.Rows || kept != res.Rows {
+		t.Fatalf("sinks missed rows: %+v and %+v, Run counted %+v", extra.Counts(), kept, res.Rows)
 	}
 }
 
 func TestIDBaseSeparatesCells(t *testing.T) {
 	p := workload.Profile2019("a", 60)
-	a := Run(p, Options{Horizon: 2 * sim.Hour, Seed: 1, IDBase: 0})
-	b := Run(p, Options{Horizon: 2 * sim.Hour, Seed: 2, IDBase: 1 << 32})
-	for ev := range b.Trace.CollectionEvents.All() {
+	_, a := runRetained(p, Options{Horizon: 2 * sim.Hour, Seed: 1, IDBase: 0})
+	_, b := runRetained(p, Options{Horizon: 2 * sim.Hour, Seed: 2, IDBase: 1 << 32})
+	for ev := range b.CollectionEvents.All() {
 		if ev.Collection <= 1<<32 {
 			t.Fatalf("collection id %d below IDBase", ev.Collection)
 		}
 	}
-	for ev := range a.Trace.CollectionEvents.All() {
+	for ev := range a.CollectionEvents.All() {
 		if ev.Collection >= 1<<32 {
 			t.Fatalf("collection id %d above expected range", ev.Collection)
 		}
@@ -173,12 +181,11 @@ func TestUsageDrawSequence(t *testing.T) {
 
 func Test2011ProfileRuns(t *testing.T) {
 	p := workload.Profile2011(120)
-	res := Run(p, Options{Horizon: 8 * sim.Hour, Seed: 11})
-	tr := res.Trace
+	res, tr := runRetained(p, Options{Horizon: 8 * sim.Hour, Seed: 11})
 	if tr.Meta.Era != trace.Era2011 {
 		t.Fatal("era")
 	}
-	violations := tracetest.Validate(tr, trace.DefaultValidateOptions())
+	violations := tracetest.Validate(tr)
 	if len(violations) != 0 {
 		t.Fatalf("%d violations, first: %v", len(violations), violations[0])
 	}
@@ -198,11 +205,11 @@ func Test2011ProfileRuns(t *testing.T) {
 
 func TestDisableAutopilot(t *testing.T) {
 	p := workload.Profile2019("a", 60)
-	res := Run(p, Options{Horizon: 4 * sim.Hour, Seed: 6, DisableAutopilot: true})
+	res, tr := runRetained(p, Options{Horizon: 4 * sim.Hour, Seed: 6, DisableAutopilot: true})
 	if res.AutopilotUpdates != 0 {
 		t.Fatalf("autopilot updates %d with autopilot disabled", res.AutopilotUpdates)
 	}
-	for ev := range res.Trace.InstanceEvents.All() {
+	for ev := range tr.InstanceEvents.All() {
 		if ev.Type == trace.EventUpdateRunning {
 			t.Fatal("UPDATE_RUNNING with autopilot disabled")
 		}
@@ -210,8 +217,7 @@ func TestDisableAutopilot(t *testing.T) {
 }
 
 func TestSchedulingDelaysPositive(t *testing.T) {
-	res := smallRun(t, 8)
-	tr := res.Trace
+	_, tr := smallRun(t, 8)
 	// For every job with a SCHEDULE, the first SCHEDULE must come at or
 	// after the ENABLE.
 	enable := map[trace.CollectionID]sim.Time{}

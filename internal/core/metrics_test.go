@@ -16,15 +16,15 @@ import (
 // participate (no randomness consumed, no rows written).
 func TestMetricsDoNotChangeTrace(t *testing.T) {
 	opts := Options{Horizon: 8 * sim.Hour, Seed: 7}
-	plain := Run(workload.Profile2019("a", 120), opts)
+	plain, plainTrace := runRetained(workload.Profile2019("a", 120), opts)
 
 	reg := metrics.NewRegistry()
 	opts.Metrics = reg
 	opts.Timeline = metrics.NewTimeline()
 	opts.TimelineID = 3
-	instrumented := Run(workload.Profile2019("a", 120), opts)
+	instrumented, instrumentedTrace := runRetained(workload.Profile2019("a", 120), opts)
 
-	if d := tracetest.Diff(plain.Trace, instrumented.Trace); d != "" {
+	if d := tracetest.Diff(plainTrace, instrumentedTrace); d != "" {
 		t.Fatalf("%s with metrics enabled", d)
 	}
 	if plain.Sched != instrumented.Sched {

@@ -32,15 +32,15 @@ func replayOpts() Options {
 func TestReplayReproducesRecordingRun(t *testing.T) {
 	opts := replayOpts()
 	opts.RecordWorkload = true
-	rec := Run(workload.Profile2019("a", 180), opts)
+	rec, recTrace := runRetained(workload.Profile2019("a", 180), opts)
 	if rec.Workload == nil || len(rec.Workload.Arrivals) == 0 {
 		t.Fatal("RecordWorkload run captured no workload")
 	}
 
 	opts2 := replayOpts()
 	opts2.Replay = rec.Workload
-	rep := Run(workload.Profile2019("a", 180), opts2)
-	if !tracesEqual(t, "record vs replay", rec.Trace, rep.Trace) {
+	_, rep := runRetained(workload.Profile2019("a", 180), opts2)
+	if !tracesEqual(t, "record vs replay", recTrace, rep) {
 		t.Fatal("replaying a cell's own recording did not reproduce its trace")
 	}
 }
@@ -61,13 +61,13 @@ func TestReplayIdenticalAcrossPolicies(t *testing.T) {
 		o.Policy = policy
 		o.Replay = rec.Workload
 		o.RecordWorkload = true
-		res := Run(workload.Profile2019("a", 180), o)
+		res, tr := runRetained(workload.Profile2019("a", 180), o)
 		var buf bytes.Buffer
 		if _, err := res.Workload.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 		files[i] = buf.Bytes()
-		traces[i] = res.Trace
+		traces[i] = tr
 	}
 	if !bytes.Equal(files[0], files[1]) {
 		t.Fatal("re-recorded workload files differ across policies — replay is leaking policy into the workload")
@@ -86,13 +86,13 @@ func TestReplayIgnoresArrivalOverride(t *testing.T) {
 
 	a := replayOpts()
 	a.Replay = rec.Workload
-	plain := Run(workload.Profile2019("a", 180), a)
+	_, plain := runRetained(workload.Profile2019("a", 180), a)
 
 	b := replayOpts()
 	b.Replay = rec.Workload
 	b.Arrival = "gamma:cv=2.5"
-	overridden := Run(workload.Profile2019("a", 180), b)
-	if !tracesEqual(t, "replay vs replay+arrival", plain.Trace, overridden.Trace) {
+	_, overridden := runRetained(workload.Profile2019("a", 180), b)
+	if !tracesEqual(t, "replay vs replay+arrival", plain, overridden) {
 		t.Fatal("arrival override changed a replayed run")
 	}
 }

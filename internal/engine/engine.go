@@ -130,7 +130,8 @@ func Run(specs []Spec, opts Options) []*core.CellResult {
 // lazily by spec(i) as workers pick up cell indices, and results are
 // released as soon as OnResult returns instead of being retained, so an
 // O(100)-cell run holds O(Parallelism) cells of state — not O(n) — as
-// long as the specs use NoMemTrace with streaming sinks. Everything else
+// long as the specs attach only streaming sinks (no trace.MemTrace).
+// Everything else
 // matches Run: in-order OnResult delivery, concurrent OnStart, and
 // byte-identical output at any Parallelism. spec must be safe to call
 // concurrently for distinct indices (each index is requested exactly

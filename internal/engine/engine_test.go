@@ -22,6 +22,17 @@ func testSpecs(root uint64) []Spec {
 	}
 }
 
+// retain attaches a fresh MemTrace to every spec and returns them,
+// index-aligned with specs.
+func retain(specs []Spec) []*trace.MemTrace {
+	traces := make([]*trace.MemTrace, len(specs))
+	AttachSinks(specs, func(i int) trace.Sink {
+		traces[i] = trace.NewMemTrace(core.TraceMeta(specs[i].Profile, specs[i].Options))
+		return traces[i]
+	})
+	return traces
+}
+
 // sameTrace compares every row of two traces.
 func sameTrace(t *testing.T, cell string, a, b *trace.MemTrace) {
 	t.Helper()
@@ -31,14 +42,18 @@ func sameTrace(t *testing.T, cell string, a, b *trace.MemTrace) {
 }
 
 func TestParallelismDoesNotChangeTraces(t *testing.T) {
-	serial := Run(testSpecs(7), Options{Parallelism: 1})
+	specs := testSpecs(7)
+	serialTraces := retain(specs)
+	serial := Run(specs, Options{Parallelism: 1})
 	for _, par := range []int{2, 8} {
-		parallel := Run(testSpecs(7), Options{Parallelism: par})
+		specs := testSpecs(7)
+		parallelTraces := retain(specs)
+		parallel := Run(specs, Options{Parallelism: par})
 		if len(parallel) != len(serial) {
 			t.Fatalf("result count %d", len(parallel))
 		}
 		for i := range serial {
-			sameTrace(t, serial[i].Profile.Name, serial[i].Trace, parallel[i].Trace)
+			sameTrace(t, serial[i].Profile.Name, serialTraces[i], parallelTraces[i])
 			if serial[i].Rows != parallel[i].Rows {
 				t.Fatalf("cell %d row counts differ", i)
 			}
@@ -52,7 +67,7 @@ func TestOnResultStreamsInSpecOrder(t *testing.T) {
 		Parallelism: 8,
 		OnResult: func(i int, res *core.CellResult) {
 			order = append(order, i)
-			if res == nil || res.Trace == nil {
+			if res == nil || res.Rows.Total() == 0 {
 				t.Errorf("empty result at %d", i)
 			}
 		},
@@ -64,25 +79,6 @@ func TestOnResultStreamsInSpecOrder(t *testing.T) {
 		if got != i {
 			t.Fatalf("out-of-order delivery: %v", order)
 		}
-	}
-}
-
-func TestNoMemTraceStreamsWithoutRetention(t *testing.T) {
-	counter := &trace.CountingSink{}
-	specs := []Spec{NewSpec(0, workload.Profile2019("c", 30), core.Options{
-		Horizon:    1 * sim.Hour,
-		NoMemTrace: true,
-		ExtraSinks: []trace.Sink{counter},
-	}, 5)}
-	res := Run(specs, Options{Parallelism: 1})[0]
-	if res.Trace != nil {
-		t.Fatal("trace retained despite NoMemTrace")
-	}
-	if res.Rows.Total() == 0 {
-		t.Fatal("no rows counted")
-	}
-	if counter.Counts() != res.Rows {
-		t.Fatalf("sink saw %+v, counter %+v", counter.Counts(), res.Rows)
 	}
 }
 
@@ -130,9 +126,6 @@ func TestAttachSinksPerCell(t *testing.T) {
 		counters[i] = &trace.CountingSink{}
 		return counters[i]
 	})
-	for i := range specs {
-		specs[i].Options.NoMemTrace = true
-	}
 	results := Run(specs, Options{Parallelism: len(specs)})
 	for i, res := range results {
 		if i == 1 {
@@ -176,7 +169,7 @@ func TestDeriveGridSeed(t *testing.T) {
 func TestSlowOnResultStallsOnlyDeliveringWorker(t *testing.T) {
 	const n = 4
 	started := make(chan int, n)
-	base := core.Options{Horizon: sim.Hour, NoMemTrace: true}
+	base := core.Options{Horizon: sim.Hour}
 	specs := make([]Spec, n)
 	for i := range specs {
 		specs[i] = NewSpec(i, workload.Profile2019("a", 20), base, 5)
@@ -217,7 +210,7 @@ func TestSlowOnResultStallsOnlyDeliveringWorker(t *testing.T) {
 // parallelism 1 and 8, with every cell's OnStart firing exactly once.
 func TestRunStreamMatchesRun(t *testing.T) {
 	const n = 6
-	base := core.Options{Horizon: sim.Hour, NoMemTrace: true}
+	base := core.Options{Horizon: sim.Hour}
 	mk := func(i int) Spec { return NewSpec(i, workload.Profile2019("a", 20), base, 11) }
 	specs := make([]Spec, n)
 	for i := range specs {
@@ -234,9 +227,6 @@ func TestRunStreamMatchesRun(t *testing.T) {
 			OnResult: func(i int, res *core.CellResult) {
 				order = append(order, i)
 				rows = append(rows, res.Rows)
-				if res.Trace != nil {
-					t.Errorf("par %d: RunStream retained a MemTrace for cell %d", par, i)
-				}
 			},
 		})
 		if len(order) != n {
@@ -284,7 +274,7 @@ func TestDeriveSeedFleetScaleDistinct(t *testing.T) {
 // index's disjoint ID space.
 func TestNewGridSpec(t *testing.T) {
 	p := workload.Profile2019("a", 10)
-	base := core.Options{Horizon: 2 * sim.Hour, NoMemTrace: true}
+	base := core.Options{Horizon: 2 * sim.Hour, DisableAutopilot: true}
 	spec := NewGridSpec(2, 4, 23, p, base, 9)
 	if spec.Options.Seed != DeriveGridSeed(9, 2, 4) {
 		t.Fatalf("grid spec seed %d", spec.Options.Seed)
@@ -292,7 +282,7 @@ func TestNewGridSpec(t *testing.T) {
 	if spec.Options.IDBase != IDBase(23) {
 		t.Fatalf("grid spec ID base %d", spec.Options.IDBase)
 	}
-	if spec.Profile != p || !spec.Options.NoMemTrace || spec.Options.Horizon != 2*sim.Hour {
+	if spec.Profile != p || !spec.Options.DisableAutopilot || spec.Options.Horizon != 2*sim.Hour {
 		t.Fatal("grid spec dropped base options or profile")
 	}
 }

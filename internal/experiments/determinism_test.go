@@ -19,8 +19,8 @@ func TestSuiteDeterministicAcrossParallelism(t *testing.T) {
 	sc.Parallelism = 8
 	parallel := RunSuite(sc)
 
-	for i, tr := range traces(serial) {
-		if d := tracetest.Diff(tr, parallel.Stats[i].Trace); d != "" {
+	for i, tr := range serial.Traces {
+		if d := tracetest.Diff(tr, parallel.Traces[i]); d != "" {
 			t.Fatalf("cell %s: %s", tr.Meta.Cell, d)
 		}
 	}
@@ -55,8 +55,8 @@ func TestSuiteDeterministicPerPolicy(t *testing.T) {
 			sc.Parallelism = 8
 			parallel := RunSuite(sc)
 
-			for i, tr := range traces(serial) {
-				if d := tracetest.Diff(tr, parallel.Stats[i].Trace); d != "" {
+			for i, tr := range serial.Traces {
+				if d := tracetest.Diff(tr, parallel.Traces[i]); d != "" {
 					t.Fatalf("cell %s: %s between parallelism 1 and 8", tr.Meta.Cell, d)
 				}
 			}

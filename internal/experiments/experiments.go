@@ -5,12 +5,12 @@
 // of EXPERIMENTS.md.
 //
 // Both run functions attach one streaming.CellReducer per cell, and the
-// report renders from those reducers alone. RunSuiteStreaming simulates
-// with core.Options.NoMemTrace, folding every row online so memory stays
-// bounded by the number of jobs rather than the number of trace rows;
-// RunSuite also retains each cell's MemTrace in its CellResult, for
-// callers that read the rows. Both give byte-identical reports for the
-// same scale and seed.
+// report renders from those reducers alone. RunSuiteStreaming folds every
+// row online and keeps none, so memory stays bounded by the number of
+// jobs rather than the number of trace rows; RunSuite also attaches one
+// trace.MemTrace per cell and returns them in Suite.Traces, for callers
+// that read the rows. Both give byte-identical reports for the same scale
+// and seed.
 package experiments
 
 import (
@@ -138,13 +138,14 @@ func SuiteSpecs(sc Scale) []engine.Spec {
 
 // Suite is one simulated run of the nine cells: one streaming reducer per
 // cell, from which every figure renders, and each cell's CellResult.
-// Stats[i].Trace holds cell i's full trace after RunSuite and is nil after
-// RunSuiteStreaming.
 type Suite struct {
 	Scale Scale
 	R2011 *streaming.CellReducer
 	R2019 []*streaming.CellReducer // cells a–h in order
 	Stats []core.CellResult        // index 0 is the 2011 cell
+	// Traces holds every cell's rows, index-aligned with Stats, after
+	// RunSuite; it is nil after RunSuiteStreaming.
+	Traces []*trace.MemTrace
 }
 
 // StreamingSuite is Suite's former name. It is kept only because the
@@ -152,7 +153,7 @@ type Suite struct {
 // literal.
 type StreamingSuite = Suite
 
-// StreamingOptions configures a NoMemTrace suite run.
+// StreamingOptions configures a RunSuiteStreaming run.
 type StreamingOptions struct {
 	// ExportDir, when non-empty, additionally writes each cell's trace as
 	// sharded CSV while simulating: one subdirectory per cell (named
@@ -161,7 +162,7 @@ type StreamingOptions struct {
 }
 
 // NewCellReducerFor builds the streaming reducer matching one cell spec,
-// with metadata equal to what core.Run would stamp on a retained trace.
+// with the metadata core.TraceMeta gives that cell.
 func NewCellReducerFor(spec engine.Spec) *streaming.CellReducer {
 	return streaming.NewCellReducer(core.TraceMeta(spec.Profile, spec.Options))
 }
@@ -173,7 +174,7 @@ func ShardDirName(i int, cell string) string {
 
 // RunSuite simulates the 2011 cell and the eight 2019 cells, sc.Parallelism
 // cells at a time, folding every row through the cells' reducers and also
-// retaining each cell's full trace in Stats[i].Trace.
+// keeping each cell's rows in Traces[i].
 func RunSuite(sc Scale) *Suite {
 	s, err := runSuite(sc, true, StreamingOptions{})
 	if err != nil {
@@ -183,16 +184,16 @@ func RunSuite(sc Scale) *Suite {
 	return s
 }
 
-// RunSuiteStreaming is RunSuite with NoMemTrace: every trace row streams
-// through the per-cell reducer (and optional CSV export shard) and is
-// dropped, so memory stays bounded by per-job reducer state instead of
-// growing with the horizon.
+// RunSuiteStreaming is RunSuite without the kept rows: every trace row
+// streams through the per-cell reducer (and optional CSV export shard)
+// and is dropped, so memory stays bounded by per-job reducer state
+// instead of growing with the horizon.
 func RunSuiteStreaming(sc Scale, opts StreamingOptions) (*Suite, error) {
 	return runSuite(sc, false, opts)
 }
 
-// runSuite is the body of RunSuite and RunSuiteStreaming; retain keeps
-// every cell's MemTrace.
+// runSuite is the body of RunSuite and RunSuiteStreaming; retain attaches
+// a MemTrace to every cell.
 func runSuite(sc Scale, retain bool, opts StreamingOptions) (*Suite, error) {
 	specs := SuiteSpecs(sc)
 	reducers := make([]*streaming.CellReducer, len(specs))
@@ -200,9 +201,16 @@ func runSuite(sc Scale, retain bool, opts StreamingOptions) (*Suite, error) {
 		reducers[i] = NewCellReducerFor(specs[i])
 		return reducers[i]
 	})
+	s := &Suite{Scale: sc, R2011: reducers[0], R2019: reducers[1:]}
+	if retain {
+		s.Traces = make([]*trace.MemTrace, len(specs))
+		engine.AttachSinks(specs, func(i int) trace.Sink {
+			s.Traces[i] = trace.NewMemTrace(reducers[i].Meta())
+			return s.Traces[i]
+		})
+	}
 	var exports []*trace.DirSink
 	for i := range specs {
-		specs[i].Options.NoMemTrace = !retain
 		if opts.ExportDir != "" {
 			shard := filepath.Join(opts.ExportDir, ShardDirName(i, specs[i].Profile.Name))
 			ds, err := trace.NewDirSink(shard, reducers[i].Meta())
@@ -215,7 +223,6 @@ func runSuite(sc Scale, retain bool, opts StreamingOptions) (*Suite, error) {
 		}
 	}
 
-	s := &Suite{Scale: sc, R2011: reducers[0], R2019: reducers[1:]}
 	ri := engine.NewRunInstruments(sc.Metrics, sc.Timeline, len(specs))
 	ri.Apply(specs)
 	results := engine.Run(specs, ri.Wrap(engine.Options{Parallelism: sc.Parallelism}))

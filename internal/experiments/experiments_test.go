@@ -26,25 +26,15 @@ func tinySuite(t *testing.T) *Suite {
 	return suite
 }
 
-// traces returns a RunSuite result's nine retained traces, the 2011 cell
-// first.
-func traces(s *Suite) []*trace.MemTrace {
-	out := make([]*trace.MemTrace, len(s.Stats))
-	for i := range s.Stats {
-		out[i] = s.Stats[i].Trace
-	}
-	return out
-}
-
 func TestRunSuiteShape(t *testing.T) {
 	s := tinySuite(t)
 	if s.R2011 == nil || len(s.R2019) != 8 {
 		t.Fatalf("suite shape: %v 2019 reducers", len(s.R2019))
 	}
-	if len(s.Stats) != 9 {
-		t.Fatalf("stats %d", len(s.Stats))
+	if len(s.Stats) != 9 || len(s.Traces) != 9 {
+		t.Fatalf("stats %d, traces %d", len(s.Stats), len(s.Traces))
 	}
-	for i, tr := range traces(s) {
+	for i, tr := range s.Traces {
 		want := trace.Era2019
 		if i == 0 {
 			want = trace.Era2011
@@ -61,7 +51,7 @@ func TestRunSuiteShape(t *testing.T) {
 func TestCellsHaveDisjointIDs(t *testing.T) {
 	s := tinySuite(t)
 	seen := map[trace.CollectionID]bool{}
-	for _, tr := range traces(s) {
+	for _, tr := range s.Traces {
 		for _, info := range tr.CollectionInfos() {
 			if seen[info.ID] {
 				t.Fatalf("collection id %d appears in two cells", info.ID)
@@ -77,18 +67,12 @@ func TestAllTracesValidate(t *testing.T) {
 	sc := SmallScale()
 	sc.Parallelism = 4
 	specs := SuiteSpecs(sc)
-	for i := range specs {
-		specs[i].Options.NoMemTrace = true
-	}
 	validators := make([]*trace.Validator, len(specs))
 	engine.AttachSinks(specs, func(i int) trace.Sink {
-		validators[i] = trace.NewValidator(trace.DefaultValidateOptions())
+		validators[i] = trace.NewValidator()
 		return validators[i]
 	})
 	for i, res := range engine.Run(specs, engine.Options{Parallelism: sc.Parallelism}) {
-		if res.Trace != nil {
-			t.Fatalf("cell %s retained its trace", res.Profile.Name)
-		}
 		if v := validators[i].Finish(); len(v) != 0 {
 			t.Fatalf("cell %s: %d violations, first %v", res.Profile.Name, len(v), v[0])
 		}

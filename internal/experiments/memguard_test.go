@@ -21,7 +21,7 @@ import (
 const defaultMemBudgetMB = 1280
 
 // TestLargeScaleStreamingMemoryCeiling is CI's memory-regression gate:
-// the LargeScale nine-cell suite must complete with NoMemTrace inside a
+// the LargeScale nine-cell streaming suite must complete inside a
 // fixed heap budget, so a change that quietly reintroduces trace
 // retention (or unbounded reducer state) cannot land. The run takes tens
 // of seconds, so it only executes when STREAM_MEM_GUARD=1 is set (the CI

@@ -42,7 +42,7 @@ func pinScale() Scale {
 //
 // Both hashes were taken from reports computed by the former post-hoc
 // analysis over retained traces, so they also pin the reducers to that
-// reference. The stream row runs with NoMemTrace.
+// reference. The stream row keeps no rows.
 func TestReportGoldenHash(t *testing.T) {
 	for _, tc := range []struct {
 		name      string

@@ -19,8 +19,8 @@ func streamScale() Scale {
 		Horizon: 6 * sim.Hour, Warmup: 2 * sim.Hour, Seed: 3}
 }
 
-// TestStreamingReportMatchesRetained: the nine-cell suite run with
-// NoMemTrace must produce a report byte-identical to the run that also
+// TestStreamingReportMatchesRetained: the nine-cell suite run that keeps
+// no rows must produce a report byte-identical to the run that also
 // retains every trace — retention is a sink beside the reducers and must
 // not change what they see. TestReportGoldenHash pins both against the
 // former post-hoc analysis.
@@ -32,10 +32,10 @@ func TestStreamingReportMatchesRetained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if streamed.Traces != nil {
+		t.Fatal("RunSuiteStreaming kept traces")
+	}
 	for i, res := range streamed.Stats {
-		if res.Trace != nil {
-			t.Fatalf("cell %d retained a trace despite NoMemTrace", i)
-		}
 		if res.Rows.Total() == 0 {
 			t.Fatalf("cell %d emitted no rows", i)
 		}
@@ -96,7 +96,7 @@ func TestStreamingExportShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	retained := tinySuiteAt(t, sc)
-	for i, want := range traces(retained) {
+	for i, want := range retained.Traces {
 		shard := filepath.Join(dir, ShardDirName(i, want.Meta.Cell))
 		got, err := trace.ReadDir(shard)
 		if err != nil {

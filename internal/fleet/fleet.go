@@ -18,7 +18,7 @@
 // # Bounded memory and rollup determinism
 //
 // Cells are streamed through engine.RunStream: specs (profile + one
-// streaming.CellReducer sink, NoMemTrace) materialize as workers pick
+// streaming.CellReducer sink, no rows kept) materialize as workers pick
 // up indices and are released as soon as each cell's scalars have been
 // folded into the rollup, so peak state is O(Parallelism) cells — not
 // O(fleet). The rollup itself is one mergeable t-digest
@@ -100,8 +100,8 @@ type Report struct {
 func cellName(i int) string { return fmt.Sprintf("f%03d", i) }
 
 // Spec expands fleet cell i into its engine spec: sampled profile,
-// derived seed, disjoint ID space, NoMemTrace with the given extra
-// sinks. It is exported so tests (and future front-ends) can reproduce
+// derived seed, disjoint ID space, and the given sinks as its only
+// ones. It is exported so tests (and future front-ends) can reproduce
 // exactly the spec the fleet would run.
 func (cfg Config) Spec(i int, sinks ...trace.Sink) engine.Spec {
 	seed := engine.DeriveSeed(cfg.Seed, i)
@@ -120,7 +120,6 @@ func (cfg Config) Spec(i int, sinks ...trace.Sink) engine.Spec {
 			Horizon:    cfg.horizon(),
 			Seed:       seed,
 			IDBase:     engine.IDBase(i),
-			NoMemTrace: true,
 			ExtraSinks: sinks,
 		},
 	}

@@ -31,7 +31,10 @@ func (s *Scheduler) Submit(j *Job) {
 		t.planSegments()
 	}
 
-	if j.Parent != 0 {
+	// Terminated jobs leave s.jobs, so a parent found there is live (and
+	// Parent 0, meaning none, is found nowhere: collection IDs start at 1).
+	parent := s.jobs[j.Parent]
+	if parent != nil {
 		s.children[j.Parent] = append(s.children[j.Parent], j)
 	}
 	if j.Type == trace.CollectionJob && j.AllocSet != 0 {
@@ -43,13 +46,11 @@ func (s *Scheduler) Submit(j *Job) {
 		s.emitInstance(t, trace.EventSubmit, now)
 	}
 
-	// A child whose parent already terminated is killed on arrival —
-	// the parent-exit cleanup of §5.2 applies to late submissions too.
-	if j.Parent != 0 {
-		if parent := s.jobs[j.Parent]; parent == nil || parent.State == JobDone {
-			s.KillJob(j, trace.EventKill)
-			return
-		}
+	// A child whose parent has terminated (or never came) is killed on
+	// arrival: §5.2's parent-exit cleanup applies to late submissions too.
+	if j.Parent != 0 && parent == nil {
+		s.KillJob(j, trace.EventKill)
+		return
 	}
 
 	// Schedule the scripted user kill, if any. Parent-driven kills happen
@@ -154,12 +155,7 @@ func (s *Scheduler) startRunning(t *Task, m trace.MachineID) {
 // a scripted crash-restart or final termination.
 func (s *Scheduler) segmentEnd(t *Task) {
 	now := s.k.Now()
-	t.endEvent = sim.EventRef{}
-	ran := now - t.runStart
-	t.remaining -= ran
-	if t.remaining < 0 {
-		t.remaining = 0
-	}
+	s.stopRun(t, now)
 	s.unplace(t, !(t.Restarts > 0 && t.remaining > 0))
 
 	if t.Restarts > 0 && t.remaining > 0 {
@@ -167,11 +163,23 @@ func (s *Scheduler) segmentEnd(t *Task) {
 		t.Restarts--
 		s.met.tasksFailedRestarts.Inc()
 		s.emitInstance(t, trace.EventFail, now)
-		s.requeueAfter(t, s.cfg.FailRestartDelay)
+		s.requeueAfter(t, failRestartDelay)
 		return
 	}
 
-	// Final termination of this task, with the job's scripted outcome.
+	s.finishScripted(t)
+}
+
+// stopRun ends t's current run at now: its segment end is canceled and
+// the time it ran comes off its remaining duration.
+func (s *Scheduler) stopRun(t *Task, now sim.Time) {
+	s.k.Cancel(t.endEvent)
+	t.endEvent = sim.EventRef{}
+	t.remaining = max(0, t.remaining-(now-t.runStart))
+}
+
+// finishScripted terminates t for good with its job's scripted outcome.
+func (s *Scheduler) finishScripted(t *Task) {
 	final := trace.EventFinish
 	if t.Job.Outcome == OutcomeFail {
 		final = trace.EventFail
@@ -194,13 +202,15 @@ func (s *Scheduler) finishTask(t *Task, final trace.EventType) {
 	}
 }
 
-// terminateJob emits the job's terminal event and propagates kills to
+// terminateJob emits the job's terminal event, propagates kills to
 // children (§5.2: a child job is killed automatically when its parent
-// terminates).
+// terminates) and releases the job: nothing looks a finished job up
+// again, so it leaves s.jobs.
 func (s *Scheduler) terminateJob(j *Job, final trace.EventType) {
 	if j.State == JobDone {
 		return
 	}
+	delete(s.jobs, j.ID)
 	j.State = JobDone
 	j.FinalType = final
 	s.accountBEBJob(j)
@@ -231,8 +241,7 @@ func (s *Scheduler) KillJob(j *Job, final trace.EventType) {
 	for _, t := range j.Tasks {
 		switch t.State {
 		case TaskRunning:
-			s.k.Cancel(t.endEvent)
-			t.endEvent = sim.EventRef{}
+			s.stopRun(t, now)
 			s.unplace(t, true)
 			t.State = TaskDead
 			s.emitInstance(t, final, now)
@@ -285,26 +294,16 @@ func (s *Scheduler) Evict(t *Task) {
 		return
 	}
 	now := s.k.Now()
-	s.k.Cancel(t.endEvent)
-	t.endEvent = sim.EventRef{}
-	ran := now - t.runStart
-	t.remaining -= ran
-	if t.remaining < 0 {
-		t.remaining = 0
-	}
+	s.stopRun(t, now)
 	s.unplace(t, false)
 	s.emitInstance(t, trace.EventEvict, now)
 
 	if t.remaining == 0 {
 		// Evicted at the very end of its run; treat as completed work.
-		final := trace.EventFinish
-		if t.Job.Outcome == OutcomeFail {
-			final = trace.EventFail
-		}
-		s.finishTask(t, final)
+		s.finishScripted(t)
 		return
 	}
-	s.requeueAfter(t, s.cfg.EvictionRestartDelay)
+	s.requeueAfter(t, evictionRestartDelay)
 }
 
 // requeueAfter re-queues a de-scheduled task: the trace-visible re-SUBMIT
@@ -382,13 +381,7 @@ func (s *Scheduler) failOverLimit(t *Task) {
 		return
 	}
 	now := s.k.Now()
-	s.k.Cancel(t.endEvent)
-	t.endEvent = sim.EventRef{}
-	ran := now - t.runStart
-	t.remaining -= ran
-	if t.remaining < 0 {
-		t.remaining = 0
-	}
+	s.stopRun(t, now)
 	t.oomFails++
 	if t.oomFails >= 2 || t.remaining == 0 {
 		s.unplace(t, true)
@@ -397,7 +390,7 @@ func (s *Scheduler) failOverLimit(t *Task) {
 	}
 	s.unplace(t, false)
 	s.emitInstance(t, trace.EventFail, now)
-	s.requeueAfter(t, s.cfg.FailRestartDelay)
+	s.requeueAfter(t, failRestartDelay)
 }
 
 // pickOOMVictim chooses which resident dies under memory pressure:

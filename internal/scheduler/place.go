@@ -24,8 +24,10 @@ func (s *Scheduler) attemptPlacement(t *Task, now sim.Time) {
 		return
 	}
 
+	// Production-tier tasks evict lower tiers when no machine is
+	// otherwise feasible (§2).
 	m := s.pickMachine(t)
-	if m == nil && s.cfg.EnablePreemption && t.Job.Tier == trace.TierProduction {
+	if m == nil && t.Job.Tier == trace.TierProduction {
 		m = s.tryPreemption(t)
 	}
 	if m == nil {
@@ -291,7 +293,7 @@ func (s *Scheduler) retryLater(t *Task) {
 	s.met.placementRetries.Inc()
 	t.State = TaskWaiting
 	s.accountBEB(t)
-	t.retryEvent = s.k.After(s.cfg.RetryBackoff, (*taskRetry)(t))
+	t.retryEvent = s.k.After(retryBackoff, (*taskRetry)(t))
 }
 
 // findAllocInstance resolves an alloc-instance key to its live record.

@@ -197,7 +197,7 @@ func TestOneShotGivesUp(t *testing.T) {
 		cfg.ServiceTime = dist.Deterministic{Value: 0.001}
 		return New(cfg, cell, k, trace.NopSink{}, rng.New(3)), k
 	}
-	submit := func(s *Scheduler, k *sim.Kernel) Stats {
+	submit := func(s *Scheduler, k *sim.Kernel) (*Job, Stats) {
 		j := NewJob(1)
 		j.Type = trace.CollectionJob
 		j.Priority = 120
@@ -205,30 +205,30 @@ func TestOneShotGivesUp(t *testing.T) {
 		j.AddTask(&Task{Request: trace.Resources{CPU: 5, Mem: 5}, Duration: sim.Hour})
 		k.At(0, sim.Func(func(sim.Time) { s.Submit(j) }))
 		k.RunUntil(2 * sim.Minute)
-		return s.Stats()
+		return j, s.Stats()
 	}
 
 	s, k := build(OneShot)
-	st := submit(s, k)
+	job, st := submit(s, k)
 	if st.PlacementGiveUps != 1 {
 		t.Fatalf("OneShot: PlacementGiveUps = %d, want 1", st.PlacementGiveUps)
 	}
 	if st.PlacementRetries != 0 {
 		t.Fatalf("OneShot: PlacementRetries = %d, want 0", st.PlacementRetries)
 	}
-	if job := s.Job(1); job.State != JobDone || job.FinalType != trace.EventKill {
+	if job.State != JobDone || job.FinalType != trace.EventKill {
 		t.Fatalf("OneShot: job state %v final %v, want done/KILL", job.State, job.FinalType)
 	}
 
 	s, k = build(LeastAllocated)
-	st = submit(s, k)
+	job, st = submit(s, k)
 	if st.PlacementGiveUps != 0 {
 		t.Fatalf("LeastAllocated: PlacementGiveUps = %d, want 0", st.PlacementGiveUps)
 	}
 	if st.PlacementRetries == 0 {
 		t.Fatal("LeastAllocated: expected backoff retries for the infeasible task")
 	}
-	if job := s.Job(1); job.State == JobDone {
+	if job.State == JobDone {
 		t.Fatal("LeastAllocated: infeasible job should still be live (retrying)")
 	}
 }

@@ -52,19 +52,6 @@ type Config struct {
 	// (Figure 10) emerge from this service process and the arrival burst
 	// structure.
 	ServiceTime dist.Sampler
-	// RetryBackoff delays re-attempts for tasks that found no feasible
-	// machine.
-	RetryBackoff sim.Time
-	// EnablePreemption lets production-tier tasks evict lower tiers when
-	// no machine is otherwise feasible (§2).
-	EnablePreemption bool
-	// EvictionRestartDelay is how long an evicted task waits before
-	// re-entering the pending queue ("in almost all cases, an evicted
-	// instance will be rescheduled elsewhere in the same cell", §5.2).
-	EvictionRestartDelay sim.Time
-	// FailRestartDelay is how long a crashed task waits before its next
-	// attempt.
-	FailRestartDelay sim.Time
 	// Batch enables the batch-queue front-end when non-nil.
 	Batch *BatchConfig
 	// Metrics receives the scheduler's activity counters (the sched_*
@@ -76,6 +63,16 @@ type Config struct {
 }
 
 const (
+	// retryBackoff delays re-attempts for tasks that found no feasible
+	// machine.
+	retryBackoff = 30 * sim.Second
+	// evictionRestartDelay is how long an evicted task waits before
+	// re-entering the pending queue ("in almost all cases, an evicted
+	// instance will be rescheduled elsewhere in the same cell", §5.2).
+	evictionRestartDelay = 15 * sim.Second
+	// failRestartDelay is how long a crashed task waits before its next
+	// attempt.
+	failRestartDelay = 10 * sim.Second
 	// preemptionPriorityGap is the minimum priority advantage a task
 	// needs over a victim.
 	preemptionPriorityGap = 10
@@ -91,14 +88,10 @@ const (
 // starts from it and overrides the fields a cell profile sets.
 func DefaultConfig() Config {
 	return Config{
-		Policy:               LeastAllocated,
-		CandidateSample:      16,
-		Overcommit:           cluster.OvercommitPolicy{CPUFactor: 1.5, MemFactor: 1.45},
-		ServiceTime:          dist.LogNormalFromMedian(0.06, 0.9),
-		RetryBackoff:         30 * sim.Second,
-		EnablePreemption:     true,
-		EvictionRestartDelay: 15 * sim.Second,
-		FailRestartDelay:     10 * sim.Second,
+		Policy:          LeastAllocated,
+		CandidateSample: 16,
+		Overcommit:      cluster.OvercommitPolicy{CPUFactor: 1.5, MemFactor: 1.45},
+		ServiceTime:     dist.LogNormalFromMedian(0.06, 0.9),
 		Batch: &BatchConfig{
 			CheckPeriod:      20 * sim.Second,
 			AllocCeiling:     0.85,
@@ -471,6 +464,7 @@ type Scheduler struct {
 	// serveEv is serve bound once, so each service event reuses it.
 	serveEv sim.Func
 
+	// jobs holds the live jobs: submitted and not yet terminated.
 	jobs     map[trace.CollectionID]*Job
 	children map[trace.CollectionID][]*Job
 	allocs   map[trace.CollectionID][]*AllocInstance // live alloc instances per alloc set
@@ -577,9 +571,6 @@ func (s *Scheduler) Stats() Stats {
 // queue's sim-time distribution is visible without touching the
 // placement fast path.
 func (s *Scheduler) QueueDepth() int { return s.pending.Len() }
-
-// Job returns a submitted job by ID, or nil.
-func (s *Scheduler) Job(id trace.CollectionID) *Job { return s.jobs[id] }
 
 // accountBEB reconciles one task's contribution to the incremental
 // best-effort-batch allocated-CPU sum with its current state: a task

@@ -36,9 +36,6 @@ func fastConfig() Config {
 	cfg := DefaultConfig()
 	cfg.ServiceTime = dist.Deterministic{Value: 0.001}
 	cfg.Batch = nil
-	cfg.RetryBackoff = 1 * sim.Second
-	cfg.EvictionRestartDelay = 1 * sim.Second
-	cfg.FailRestartDelay = 1 * sim.Second
 	return cfg
 }
 
@@ -267,26 +264,36 @@ func TestPreemption(t *testing.T) {
 	}
 }
 
-func TestNoPreemptionWhenDisabled(t *testing.T) {
-	cfg := fastConfig()
-	cfg.EnablePreemption = false
-	cfg.Overcommit = cluster.OvercommitPolicy{CPUFactor: 1, MemFactor: 1}
-	rig := newRig(t, cfg, 1, trace.Resources{CPU: 1, Mem: 1})
-	filler := mkJob(1, 0, trace.TierFree, 1, trace.Resources{CPU: 0.9, Mem: 0.9}, 30*sim.Minute)
-	prod := mkJob(2, 200, trace.TierProduction, 1, trace.Resources{CPU: 0.8, Mem: 0.8}, 10*sim.Minute)
-	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(filler) }))
-	rig.k.At(1*sim.Minute, sim.Func(func(sim.Time) { rig.sched.Submit(prod) }))
-	rig.k.RunUntil(4 * sim.Hour)
+// TestFinishedJobsReleased: a terminated job leaves the scheduler's
+// tables, whether it finished, was killed with its parent, or was killed
+// on arrival because its parent had already terminated, so a long run
+// holds only its live jobs.
+func TestFinishedJobsReleased(t *testing.T) {
+	rig := newRig(t, fastConfig(), 4, trace.Resources{CPU: 1, Mem: 1})
+	parent := mkJob(1, 120, trace.TierProduction, 2, trace.Resources{CPU: 0.1, Mem: 0.1}, 10*sim.Minute)
+	child := mkJob(2, 110, trace.TierBestEffortBatch, 2, trace.Resources{CPU: 0.1, Mem: 0.1}, 10*sim.Hour)
+	child.Parent = 1
+	late := mkJob(3, 110, trace.TierBestEffortBatch, 1, trace.Resources{CPU: 0.1, Mem: 0.1}, 10*sim.Hour)
+	late.Parent = 1
+	live := mkJob(4, 120, trace.TierProduction, 1, trace.Resources{CPU: 0.1, Mem: 0.1}, 10*sim.Hour)
+	rig.k.At(0, sim.Func(func(sim.Time) {
+		rig.sched.Submit(parent)
+		rig.sched.Submit(child)
+		rig.sched.Submit(live)
+	}))
+	rig.k.At(sim.Hour, sim.Func(func(sim.Time) { rig.sched.Submit(late) }))
+	rig.k.RunUntil(2 * sim.Hour)
 
-	if got := instanceEventsOfType(rig.tr, 1, trace.EventEvict); got != 0 {
-		t.Fatalf("filler evicted %d times despite preemption disabled", got)
+	for _, j := range []*Job{parent, child, late} {
+		if j.State != JobDone {
+			t.Fatalf("job %d not done: %v", j.ID, j.State)
+		}
 	}
-	// Prod waits for the filler to finish, then runs.
-	if prod.State != JobDone {
-		t.Fatalf("prod never ran: %v", prod.State)
+	if len(rig.sched.jobs) != 1 || rig.sched.jobs[live.ID] != live {
+		t.Fatalf("scheduler holds %d jobs, want only the live job %d", len(rig.sched.jobs), live.ID)
 	}
-	if rig.sched.Stats().PlacementRetries == 0 {
-		t.Fatal("expected placement retries while blocked")
+	if len(rig.sched.children) != 0 {
+		t.Fatalf("scheduler holds children of %d terminated parents", len(rig.sched.children))
 	}
 }
 
@@ -611,7 +618,7 @@ func TestTraceValidates(t *testing.T) {
 		rig.k.At(delay, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	}
 	rig.k.RunUntil(24 * sim.Hour)
-	violations := tracetest.Validate(rig.tr, trace.DefaultValidateOptions())
+	violations := tracetest.Validate(rig.tr)
 	if len(violations) != 0 {
 		t.Fatalf("trace violations: %v", violations)
 	}

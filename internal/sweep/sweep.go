@@ -112,8 +112,8 @@ func MetricNames() []string {
 }
 
 // Run expands the sweep's seed × variant × cell grid, simulates every
-// point through the engine with per-spec streaming reducers (NoMemTrace;
-// no trace is ever retained), and aggregates cross-seed statistics.
+// point through the engine with per-spec streaming reducers (no trace is
+// ever retained), and aggregates cross-seed statistics.
 func Run(d Def) (*Result, error) {
 	if d.Seeds <= 0 {
 		return nil, fmt.Errorf("sweep: Seeds must be >= 1, got %d", d.Seeds)
@@ -136,8 +136,7 @@ func Run(d Def) (*Result, error) {
 	cells := len(experiments.SuiteProfiles(d.Scale))
 	specs := make([]engine.Spec, 0, d.Seeds*len(variants)*cells)
 	reducers := make([]*streaming.CellReducer, 0, cap(specs))
-	base := core.Options{Horizon: d.Scale.Horizon, NoMemTrace: true,
-		TimelineWarmup: d.Scale.Warmup}
+	base := core.Options{Horizon: d.Scale.Horizon, TimelineWarmup: d.Scale.Warmup}
 	flat := 0
 	for run := 0; run < d.Seeds; run++ {
 		for _, v := range variants {

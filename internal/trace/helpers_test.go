@@ -3,8 +3,8 @@ package trace
 // validate and writeDir are tracetest.Validate and tracetest.WriteDir for
 // this package's own tests, which cannot import tracetest.
 
-func validate(t *MemTrace, opts ValidateOptions) []Violation {
-	v := NewValidator(opts)
+func validate(t *MemTrace) []Violation {
+	v := NewValidator()
 	t.Replay(v)
 	return v.Finish()
 }

@@ -18,7 +18,11 @@ import (
 // simulatedTrace is a small retained trace with every table populated.
 func simulatedTrace(t *testing.T) *trace.MemTrace {
 	t.Helper()
-	tr := core.Run(workload.Profile2019("a", 40), core.Options{Horizon: 2 * sim.Hour, Seed: 3}).Trace
+	p := workload.Profile2019("a", 40)
+	opts := core.Options{Horizon: 2 * sim.Hour, Seed: 3}
+	tr := trace.NewMemTrace(core.TraceMeta(p, opts))
+	opts.ExtraSinks = []trace.Sink{tr}
+	core.Run(p, opts)
 	if tr.CollectionEvents.Len() == 0 || tr.InstanceEvents.Len() == 0 || tr.UsageRecords.Len() == 0 {
 		t.Fatalf("degenerate trace: %s", tr.Counts())
 	}
@@ -112,17 +116,16 @@ func TestMemTraceQueriesMatchScan(t *testing.T) {
 	feed(tr, full, 0.5, 1)
 	matchScan(t, "after late rows", tr)
 
-	opts := trace.DefaultValidateOptions()
-	if got, want := tracetest.Validate(tr, opts), tracetest.Validate(full, opts); !reflect.DeepEqual(got, want) {
+	if got, want := tracetest.Validate(tr), tracetest.Validate(full); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Validate after incremental appends:\n%v\nwant\n%v", got, want)
 	}
 	orphan := trace.CollectionID(1 << 61)
 	tr.InstanceEvent(trace.InstanceEvent{Time: full.Meta.Duration, Key: trace.InstanceKey{Collection: orphan}, Type: trace.EventSubmit})
-	if !hasViolation(tracetest.Validate(tr, opts), "orphan-instance") {
+	if !hasViolation(tracetest.Validate(tr), "orphan-instance") {
 		t.Fatal("an instance of a collection with no events was not flagged")
 	}
 	tr.CollectionEvent(trace.CollectionEvent{Time: full.Meta.Duration, Collection: orphan, Type: trace.EventSubmit})
-	if hasViolation(tracetest.Validate(tr, opts), "orphan-instance") {
+	if hasViolation(tracetest.Validate(tr), "orphan-instance") {
 		t.Fatal("a collection appended after an earlier query was not seen")
 	}
 	matchScan(t, "after the orphan's collection", tr)
@@ -148,7 +151,7 @@ func TestMemTraceConcurrentQueries(t *testing.T) {
 			if got := ask(tr); !reflect.DeepEqual(got, want) {
 				t.Error("a concurrent reader got different answers")
 			}
-			if v := tracetest.Validate(tr, trace.DefaultValidateOptions()); len(v) != 0 {
+			if v := tracetest.Validate(tr); len(v) != 0 {
 				t.Errorf("concurrent Validate: %v", v[0])
 			}
 		}()

@@ -127,7 +127,7 @@ func TestCollectionInfos(t *testing.T) {
 
 func TestValidateCleanTrace(t *testing.T) {
 	tr := newTestTrace()
-	if v := validate(tr, DefaultValidateOptions()); len(v) != 0 {
+	if v := validate(tr); len(v) != 0 {
 		t.Fatalf("violations on clean trace: %v", v)
 	}
 }
@@ -135,7 +135,7 @@ func TestValidateCleanTrace(t *testing.T) {
 func TestValidateCatchesTerminationBeforeSubmit(t *testing.T) {
 	tr := NewMemTrace(Meta{})
 	tr.CollectionEvent(CollectionEvent{Time: 5, Collection: 1, Type: EventFinish, CollectionType: CollectionJob})
-	v := validate(tr, DefaultValidateOptions())
+	v := validate(tr)
 	if len(v) == 0 || v[0].Invariant != "submit-before-termination" {
 		t.Fatalf("violations %v", v)
 	}
@@ -150,7 +150,7 @@ func TestValidateCatchesDoubleTermination(t *testing.T) {
 	tr.CollectionEvent(CollectionEvent{Time: 2, Collection: 1, Type: EventFinish})
 	tr.CollectionEvent(CollectionEvent{Time: 3, Collection: 1, Type: EventKill})
 	found := false
-	for _, v := range validate(tr, DefaultValidateOptions()) {
+	for _, v := range validate(tr) {
 		if v.Invariant == "double-termination" {
 			found = true
 		}
@@ -171,7 +171,7 @@ func TestValidateAllowsResubmitAfterEvict(t *testing.T) {
 	tr.InstanceEvent(InstanceEvent{Time: 5, Key: InstanceKey{1, 0}, Type: EventSchedule, Machine: 1})
 	tr.InstanceEvent(InstanceEvent{Time: 6, Key: InstanceKey{1, 0}, Type: EventFinish, Machine: 1})
 	tr.CollectionEvent(CollectionEvent{Time: 6, Collection: 1, Type: EventFinish})
-	if v := validate(tr, DefaultValidateOptions()); len(v) != 0 {
+	if v := validate(tr); len(v) != 0 {
 		t.Fatalf("evict-resubmit flagged: %v", v)
 	}
 }
@@ -182,7 +182,7 @@ func TestValidateCatchesUnknownMachine(t *testing.T) {
 	tr.InstanceEvent(InstanceEvent{Time: 1, Key: InstanceKey{1, 0}, Type: EventSubmit})
 	tr.InstanceEvent(InstanceEvent{Time: 2, Key: InstanceKey{1, 0}, Type: EventSchedule, Machine: 99})
 	found := false
-	for _, v := range validate(tr, DefaultValidateOptions()) {
+	for _, v := range validate(tr) {
 		if v.Invariant == "schedule-machine" {
 			found = true
 		}
@@ -197,7 +197,7 @@ func TestValidateCatchesTimeDisorder(t *testing.T) {
 	tr.CollectionEvent(CollectionEvent{Time: 10, Collection: 1, Type: EventSubmit})
 	tr.CollectionEvent(CollectionEvent{Time: 5, Collection: 1, Type: EventFinish})
 	found := false
-	for _, v := range validate(tr, DefaultValidateOptions()) {
+	for _, v := range validate(tr) {
 		if v.Invariant == "coll-time-order" {
 			found = true
 		}
@@ -218,7 +218,7 @@ func TestValidateCatchesMemoryOverCapacity(t *testing.T) {
 			AvgUsage: Resources{CPU: 0.1, Mem: 0.4}, MaxUsage: Resources{CPU: 0.1, Mem: 0.4}}})
 	}
 	found := false
-	for _, v := range validate(tr, DefaultValidateOptions()) {
+	for _, v := range validate(tr) {
 		if v.Invariant == "machine-mem-capacity" {
 			found = true
 		}
@@ -236,7 +236,7 @@ func TestValidateCatchesChildOutlivingParent(t *testing.T) {
 	// Child terminates way beyond the grace window.
 	tr.CollectionEvent(CollectionEvent{Time: 10 + sim.Hour, Collection: 2, Type: EventFinish, Parent: 1})
 	found := false
-	for _, v := range validate(tr, DefaultValidateOptions()) {
+	for _, v := range validate(tr) {
 		if v.Invariant == "parent-kill" {
 			found = true
 		}
@@ -248,12 +248,12 @@ func TestValidateCatchesChildOutlivingParent(t *testing.T) {
 
 func TestValidateMaxViolations(t *testing.T) {
 	tr := NewMemTrace(Meta{})
-	for i := CollectionID(1); i <= 50; i++ {
+	for i := CollectionID(1); i <= 2*maxViolations; i++ {
 		tr.CollectionEvent(CollectionEvent{Time: 1, Collection: i, Type: EventFinish})
 	}
-	v := validate(tr, ValidateOptions{MaxViolations: 7})
-	if len(v) != 7 {
-		t.Fatalf("got %d violations, want capped at 7", len(v))
+	v := validate(tr)
+	if len(v) != 100 {
+		t.Fatalf("got %d violations, want capped at 100", len(v))
 	}
 }
 
@@ -264,7 +264,7 @@ func TestValidateUsageChecks(t *testing.T) {
 	tr.UsageBatch([]UsageRecord{{Start: 0, End: 10, Key: InstanceKey{1, 0}, Machine: 1,
 		AvgUsage: Resources{CPU: 0.5}, MaxUsage: Resources{CPU: 0.1}}})
 	var names []string
-	for _, v := range validate(tr, DefaultValidateOptions()) {
+	for _, v := range validate(tr) {
 		names = append(names, v.Invariant)
 	}
 	hasWindow, hasAvgMax := false, false

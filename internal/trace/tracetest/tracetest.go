@@ -37,8 +37,8 @@ func Diff(a, b *trace.MemTrace) string {
 
 // Validate replays a retained trace through a fresh trace.Validator and
 // returns its violations.
-func Validate(t *trace.MemTrace, opts trace.ValidateOptions) []trace.Violation {
-	v := trace.NewValidator(opts)
+func Validate(t *trace.MemTrace) []trace.Violation {
+	v := trace.NewValidator()
 	t.Replay(v)
 	return v.Finish()
 }

@@ -23,20 +23,12 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: %s", v.Invariant, v.Detail)
 }
 
-// ValidateOptions tunes validation strictness.
-type ValidateOptions struct {
-	// MaxViolations stops recording after this many findings
-	// (0 = unlimited). Large traces with a systemic bug would otherwise
-	// produce millions of identical rows.
-	MaxViolations int
-}
-
-// DefaultValidateOptions caps the report at 100 findings.
-func DefaultValidateOptions() ValidateOptions {
-	return ValidateOptions{MaxViolations: 100}
-}
-
 const (
+	// maxViolations stops recording after this many findings. Large
+	// traces with a systemic bug would otherwise produce millions of
+	// identical rows.
+	maxViolations = 100
+
 	// cpuOvercommitTolerance is how much the summed CPU *usage* on a
 	// machine may exceed its capacity before it is flagged. Per-task
 	// usage may exceed the task's limit (CPU is work conserving, §2), but
@@ -76,8 +68,7 @@ const (
 // Instances are kept after they terminate, so that a later second
 // termination is still seen.
 type Validator struct {
-	opts ValidateOptions
-	out  []Violation
+	out []Violation
 
 	lifetimes map[MachineID]lifetime
 	capacity  map[MachineID]Resources
@@ -115,9 +106,8 @@ type windowKey struct {
 var _ Sink = (*Validator)(nil)
 
 // NewValidator returns a Validator with no rows seen.
-func NewValidator(opts ValidateOptions) *Validator {
+func NewValidator() *Validator {
 	return &Validator{
-		opts:      opts,
 		lifetimes: make(map[MachineID]lifetime),
 		capacity:  make(map[MachineID]Resources),
 		colls:     make(map[CollectionID]*collState),
@@ -128,7 +118,7 @@ func NewValidator(opts ValidateOptions) *Validator {
 }
 
 func (v *Validator) add(invariant, format string, args ...any) {
-	if v.opts.MaxViolations > 0 && len(v.out) >= v.opts.MaxViolations {
+	if len(v.out) >= maxViolations {
 		return
 	}
 	v.out = append(v.out, Violation{Invariant: invariant, Detail: fmt.Sprintf(format, args...)})

@@ -114,14 +114,14 @@ func (s *faultSink) MachineEvent(ev trace.MachineEvent) { s.next.MachineEvent(ev
 // as multisets, and the injected faults reach every invariant.
 func TestValidatorLiveMatchesReplay(t *testing.T) {
 	p := workload.Profile2019("a", 40)
-	opts := core.Options{Horizon: 2 * sim.Hour, Seed: 3, NoMemTrace: true}
-	live := trace.NewValidator(trace.ValidateOptions{})
+	opts := core.Options{Horizon: 2 * sim.Hour, Seed: 3}
+	live := trace.NewValidator()
 	mt := trace.NewMemTrace(core.TraceMeta(p, opts))
 	opts.ExtraSinks = []trace.Sink{&faultSink{next: trace.FanOut(live, mt)}}
 	core.Run(p, opts)
 
 	got := live.Finish()
-	want := tracetest.Validate(mt, trace.ValidateOptions{})
+	want := tracetest.Validate(mt)
 	str := func(vs []trace.Violation) []string {
 		out := make([]string, len(vs))
 		for i, v := range vs {
@@ -145,8 +145,8 @@ func TestValidatorLiveMatchesReplay(t *testing.T) {
 // Finish.
 func TestValidatorStateBound(t *testing.T) {
 	p := workload.Profile2019("b", 30)
-	v := trace.NewValidator(trace.DefaultValidateOptions())
-	core.Run(p, core.Options{Horizon: 24 * sim.Hour, Seed: 1, NoMemTrace: true, ExtraSinks: []trace.Sink{v}})
+	v := trace.NewValidator()
+	core.Run(p, core.Options{Horizon: 24 * sim.Hour, Seed: 1, ExtraSinks: []trace.Sink{v}})
 	if windows, sums := v.OpenWindows(); windows != 1 || sums == 0 || sums > p.Machines {
 		t.Fatalf("%d usage sums open over %d windows, want one window of at most %d machines", sums, windows, p.Machines)
 	}
@@ -168,7 +168,7 @@ func TestValidateCatchesUsageOutOfOrder(t *testing.T) {
 			AvgUsage: trace.Resources{Mem: mem}, MaxUsage: trace.Resources{Mem: mem}}
 	}
 	tr.UsageBatch([]trace.UsageRecord{rec(0, 0.6), rec(sim.SampleWindow, 0.1), rec(0, 0.6)})
-	vs := tracetest.Validate(tr, trace.DefaultValidateOptions())
+	vs := tracetest.Validate(tr)
 	if len(vs) != 1 || vs[0].Invariant != "usage-order" {
 		t.Fatalf("violations %v, want one usage-order", vs)
 	}

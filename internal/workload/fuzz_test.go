@@ -64,7 +64,7 @@ func FuzzReadRecording(f *testing.F) {
 	}
 	f.Add([]byte(header("a", "1000000000000")))
 	f.Add([]byte(header(`"a\nb"`, "0")))
-	f.Add([]byte(header("a", "1") + "A 5 1\nJ 1 0 200 0 \"u\\x20v\" 0 0 0 0 0 0 0\n"))
+	f.Add([]byte(header("a", "1") + "A 5 1\nJ 1 0 200 0 \"u\\x20v\" 0 0 0 0 0 0 1\nT 0.1 0.1 5 0 0.05 0.05 1.2\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := ReadRecording(bytes.NewReader(data))

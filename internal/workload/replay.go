@@ -322,9 +322,22 @@ func unquoteHeader(s string) (string, error) {
 // allocation sized by the count.
 const maxPresize = 1 << 12
 
+// maxIDOff bounds a collection-ID offset to one cell's ID space (the
+// engine spaces cells 2^32 IDs apart), and maxTime a recorded instant or
+// duration: about 142 years, which the kernel can add to any time.
+const (
+	maxIDOff = 1 << 32
+	maxTime  = sim.Time(1) << 52
+)
+
 // ReadRecording parses a recording written by WriteTo. It validates the
 // magic, the version, and every count, so a truncated or corrupted file
-// fails loudly instead of replaying a partial workload.
+// fails loudly instead of replaying a partial workload. It also rejects,
+// naming the line, what a cell cannot replay: an arrival spec that does
+// not parse, arrival times that decrease, a collection offset used twice,
+// and a field outside its range (a collection with no tasks, an unknown
+// tier or other enum value, a time beyond maxTime, a non-finite or
+// negative resource, a peak factor below 1).
 func ReadRecording(r io.Reader) (*Recording, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -369,49 +382,38 @@ func ReadRecording(r io.Reader) (*Recording, error) {
 		if !ok || k != key {
 			return nil, errAt("want header %q, got %q", key, line)
 		}
+		var p fieldParser
+		m := &rec.Meta
 		switch key {
 		case "cell":
-			if rec.Meta.Cell, err = unquoteHeader(v); err != nil {
-				return nil, errAt("bad cell name %q", v)
-			}
+			m.Cell, p.err = unquoteHeader(v)
 		case "era":
-			e, err := strconv.Atoi(v)
-			if err != nil {
-				return nil, errAt("bad era %q", v)
-			}
-			rec.Meta.Era = trace.Era(e)
+			m.Era = trace.Era(p.int(key, v, math.MinInt64, math.MaxInt64))
 		case "machines":
-			if rec.Meta.Machines, err = strconv.Atoi(v); err != nil {
-				return nil, errAt("bad machines %q", v)
-			}
+			m.Machines = int(p.int(key, v, math.MinInt64, math.MaxInt64))
 		case "horizon":
-			h, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return nil, errAt("bad horizon %q", v)
-			}
-			rec.Meta.Horizon = sim.Time(h)
+			m.Horizon = sim.Time(p.int(key, v, math.MinInt64, math.MaxInt64))
 		case "seed":
-			if rec.Meta.Seed, err = strconv.ParseUint(v, 10, 64); err != nil {
-				return nil, errAt("bad seed %q", v)
-			}
+			m.Seed, p.err = strconv.ParseUint(v, 10, 64)
 		case "arrival":
-			if rec.Meta.Arrival, err = unquoteHeader(v); err != nil {
-				return nil, errAt("bad arrival spec %q", v)
+			if m.Arrival, p.err = unquoteHeader(v); p.err == nil {
+				_, p.err = ParseArrival(m.Arrival)
 			}
 		case "idbase":
-			b, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return nil, errAt("bad idbase %q", v)
-			}
-			rec.Meta.IDBase = trace.CollectionID(b)
+			var b uint64
+			b, p.err = strconv.ParseUint(v, 10, 64)
+			m.IDBase = trace.CollectionID(b)
 		case "arrivals":
-			if arrivals, err = strconv.Atoi(v); err != nil || arrivals < 0 {
-				return nil, errAt("bad arrivals count %q", v)
-			}
+			arrivals = int(p.int(key, v, 0, math.MaxInt64))
+		}
+		if p.err != nil {
+			return nil, errAt("bad %s %q: %v", key, v, p.err)
 		}
 	}
 
 	rec.Arrivals = make([]RecordedArrival, 0, min(arrivals, maxPresize))
+	ids := make(map[uint64]bool)
+	last := sim.Time(0)
 	for ai := 0; ai < arrivals; ai++ {
 		line, err := next()
 		if err != nil {
@@ -421,12 +423,13 @@ func ReadRecording(r io.Reader) (*Recording, error) {
 		if len(f) != 3 || f[0] != "A" {
 			return nil, errAt("want arrival record, got %q", line)
 		}
-		at, err1 := strconv.ParseInt(f[1], 10, 64)
-		njobs, err2 := strconv.Atoi(f[2])
-		if err1 != nil || err2 != nil || njobs < 0 {
-			return nil, errAt("bad arrival record %q", line)
+		var p fieldParser
+		last = sim.Time(p.int("arrival time", f[1], int64(last), int64(maxTime)))
+		njobs := int(p.int("job count", f[2], 0, math.MaxInt64))
+		if p.err != nil {
+			return nil, errAt("bad arrival record %q: %v", line, p.err)
 		}
-		arr := RecordedArrival{At: sim.Time(at), Jobs: make([]RecordedJob, 0, min(njobs, maxPresize))}
+		arr := RecordedArrival{At: last, Jobs: make([]RecordedJob, 0, min(njobs, maxPresize))}
 		for ji := 0; ji < njobs; ji++ {
 			line, err := next()
 			if err != nil {
@@ -436,6 +439,10 @@ func ReadRecording(r io.Reader) (*Recording, error) {
 			if err != nil {
 				return nil, errAt("%v", err)
 			}
+			if ids[j.IDOff] {
+				return nil, errAt("collection offset %d used twice", j.IDOff)
+			}
+			ids[j.IDOff] = true
 			for ti := 0; ti < ntasks; ti++ {
 				line, err := next()
 				if err != nil {
@@ -460,30 +467,23 @@ func parseJobLine(line string) (RecordedJob, int, error) {
 	if len(f) != 13 || f[0] != "J" {
 		return j, 0, fmt.Errorf("want job record, got %q", line)
 	}
-	var errs []error
-	u64 := func(s string) uint64 { v, err := strconv.ParseUint(s, 10, 64); errs = append(errs, err); return v }
-	i64 := func(s string) int64 { v, err := strconv.ParseInt(s, 10, 64); errs = append(errs, err); return v }
-	j.IDOff = u64(f[1])
-	j.Type = trace.CollectionType(i64(f[2]))
-	j.Priority = int(i64(f[3]))
-	j.Tier = trace.Tier(i64(f[4]))
+	var p fieldParser
+	j.IDOff = uint64(p.int("collection offset", f[1], 1, maxIDOff-1))
+	j.Type = trace.CollectionType(p.int("collection type", f[2], 0, int64(trace.CollectionAllocSet)))
+	j.Priority = int(p.int("priority", f[3], math.MinInt64, math.MaxInt64))
+	j.Tier = trace.Tier(p.int("tier", f[4], 0, int64(trace.NumTiers-1)))
 	user, err := strconv.Unquote(f[5])
-	errs = append(errs, err)
+	p.keep(err)
 	j.User = user
-	j.ParentOff = u64(f[6])
-	j.AllocOff = u64(f[7])
-	j.Scheduler = trace.SchedulerKind(i64(f[8]))
-	j.Scaling = trace.VerticalScaling(i64(f[9]))
-	j.Outcome = scheduler.Outcome(i64(f[10]))
-	j.KillAfter = sim.Time(i64(f[11]))
-	ntasks := int(i64(f[12]))
-	for _, err := range errs {
-		if err != nil {
-			return j, 0, fmt.Errorf("bad job record %q: %v", line, err)
-		}
-	}
-	if ntasks < 0 {
-		return j, 0, fmt.Errorf("bad job record %q: negative task count", line)
+	j.ParentOff = uint64(p.int("parent offset", f[6], 0, maxIDOff-1))
+	j.AllocOff = uint64(p.int("alloc set offset", f[7], 0, maxIDOff-1))
+	j.Scheduler = trace.SchedulerKind(p.int("scheduler", f[8], 0, int64(trace.SchedulerBatch)))
+	j.Scaling = trace.VerticalScaling(p.int("vertical-scaling mode", f[9], 0, int64(trace.ScalingFull)))
+	j.Outcome = scheduler.Outcome(p.int("outcome", f[10], 0, int64(scheduler.OutcomeFail)))
+	j.KillAfter = sim.Time(p.int("kill delay", f[11], 0, int64(maxTime)))
+	ntasks := int(p.int("task count", f[12], 1, math.MaxInt32))
+	if p.err != nil {
+		return j, 0, fmt.Errorf("bad job record %q: %v", line, p.err)
 	}
 	j.Tasks = make([]RecordedTask, 0, min(ntasks, maxPresize))
 	return j, ntasks, nil
@@ -495,20 +495,46 @@ func parseTaskLine(line string) (RecordedTask, error) {
 	if len(f) != 8 || f[0] != "T" {
 		return t, fmt.Errorf("want task record, got %q", line)
 	}
-	var errs []error
-	f64 := func(s string) float64 { v, err := strconv.ParseFloat(s, 64); errs = append(errs, err); return v }
-	i64 := func(s string) int64 { v, err := strconv.ParseInt(s, 10, 64); errs = append(errs, err); return v }
-	t.CPU = f64(f[1])
-	t.Mem = f64(f[2])
-	t.Duration = sim.Time(i64(f[3]))
-	t.Restarts = int(i64(f[4]))
-	t.MeanCPU = f64(f[5])
-	t.MeanMem = f64(f[6])
-	t.PeakFact = f64(f[7])
-	for _, err := range errs {
-		if err != nil {
-			return t, fmt.Errorf("bad task record %q: %v", line, err)
-		}
+	var p fieldParser
+	t.CPU = p.float("CPU request", f[1], 0)
+	t.Mem = p.float("memory request", f[2], 0)
+	t.Duration = sim.Time(p.int("duration", f[3], 0, int64(maxTime)))
+	t.Restarts = int(p.int("restart count", f[4], 0, math.MaxInt32))
+	t.MeanCPU = p.float("mean CPU", f[5], 0)
+	t.MeanMem = p.float("mean memory", f[6], 0)
+	t.PeakFact = p.float("peak factor", f[7], 1)
+	if p.err != nil {
+		return t, fmt.Errorf("bad task record %q: %v", line, p.err)
 	}
 	return t, nil
+}
+
+// fieldParser parses a record's fields, each within the range a cell can
+// replay, and keeps the first error.
+type fieldParser struct{ err error }
+
+func (p *fieldParser) keep(err error) {
+	if p.err == nil {
+		p.err = err
+	}
+}
+
+// int parses an integer field in [lo, hi].
+func (p *fieldParser) int(name, s string, lo, hi int64) int64 {
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err == nil && (v < lo || v > hi) {
+		err = fmt.Errorf("%s %d outside [%d, %d]", name, v, lo, hi)
+	}
+	p.keep(err)
+	return v
+}
+
+// float parses a finite float field of at least lo.
+func (p *fieldParser) float(name, s string, lo float64) float64 {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && !(v >= lo && v <= math.MaxFloat64) {
+		err = fmt.Errorf("%s %v is not a finite number of at least %v", name, v, lo)
+	}
+	p.keep(err)
+	return v
 }

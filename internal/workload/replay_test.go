@@ -2,7 +2,9 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -129,6 +131,43 @@ func TestReadRecordingRejectsCorruption(t *testing.T) {
 	for name, text := range corrupt {
 		if _, err := ReadRecording(bytes.NewReader([]byte(text))); err == nil {
 			t.Errorf("%s-corrupted recording parsed without error", name)
+		}
+	}
+}
+
+// TestReadRecordingRejectsUnreplayable: recordings that parse but that a
+// cell cannot replay fail at the line that makes them so. The first four
+// once loaded and then crashed the scheduler or the reducer.
+func TestReadRecordingRejectsUnreplayable(t *testing.T) {
+	const (
+		header = "borgworkload/1\ncell a\nera 1\nmachines 20\nhorizon 7200000000\nseed 1\narrival poisson\nidbase 0\n"
+		task   = "T 0.01 0.01 600000000 0 0.005 0.005 1.2\n"
+	)
+	job := func(id, tier, scaling, ntasks string) string {
+		return "J " + id + " 0 200 " + tier + ` "u" 0 0 0 ` + scaling + " 0 0 " + ntasks + "\n"
+	}
+	for _, tc := range []struct {
+		name, text string
+		line       int
+	}{
+		{"no tasks", header + "arrivals 1\nA 1000000 1\n" + job("1", "0", "0", "0"), 11},
+		{"duplicate ID", header + "arrivals 2\nA 1000000 1\n" + job("1", "0", "0", "1") + task +
+			"A 2000000 1\n" + job("1", "0", "0", "1") + task, 14},
+		{"scaling mode 9", header + "arrivals 1\nA 1000000 1\n" + job("1", "0", "9", "1") + task, 11},
+		{"tier 99", header + "arrivals 1\nA 1000000 1\n" + job("1", "99", "0", "1") + task, 11},
+		{"time runs back", header + "arrivals 2\nA 2000000 1\n" + job("1", "0", "0", "1") + task +
+			"A 1000000 1\n" + job("2", "0", "0", "1") + task, 13},
+		{"NaN request", header + "arrivals 1\nA 1000000 1\n" + job("1", "0", "0", "1") +
+			"T NaN 0.01 600000000 0 0.005 0.005 1.2\n", 12},
+		{"arrival spec", strings.Replace(header, "poisson", "nope", 1) + "arrivals 0\n", 7},
+	} {
+		_, err := ReadRecording(strings.NewReader(tc.text))
+		if err == nil {
+			t.Errorf("%s: recording parsed without error", tc.name)
+			continue
+		}
+		if want := fmt.Sprintf("line %d:", tc.line); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, want)
 		}
 	}
 }
