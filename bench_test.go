@@ -132,8 +132,7 @@ func BenchmarkSuiteParallelism(b *testing.B) {
 }
 
 // benchScaleLarge is the placement-heavy nine-cell scale shared by the
-// retained and streaming macro benchmarks (tracked in BENCH_PR3.json /
-// BENCH_PR4.json).
+// retained and streaming macro benchmarks.
 func benchScaleLarge() experiments.Scale {
 	return experiments.Scale{
 		Name: "large-bench", Machines2011: 240, Machines2019: 200,
@@ -144,7 +143,7 @@ func benchScaleLarge() experiments.Scale {
 // BenchmarkLargeCellSuite runs the nine-cell suite at a placement-heavy
 // scale (larger cells, more residents per machine) with full parallelism,
 // retaining every trace: it is the macro benchmark for the scheduler
-// placement fast path, tracked in BENCH_PR3.json, and the memory
+// placement fast path, tracked in BENCH_PR8.json, and the memory
 // baseline the streaming twin below undercuts. Peak heap is sampled by
 // the same probe the CI memory-ceiling gate uses.
 func BenchmarkLargeCellSuite(b *testing.B) {
@@ -379,7 +378,7 @@ func BenchmarkAblationHogIsolation(b *testing.B) {
 // five 400-task hogs plus 400 single-task mice — and returns the mice's
 // 90th-percentile scheduling delay in seconds.
 func miceDelayP90(hogPriority int) float64 {
-	cell := cluster.NewCell("ablation")
+	cell := cluster.NewCell("ablation", cluster.OvercommitPolicy{CPUFactor: 1.5, MemFactor: 1.45})
 	for i := 0; i < 30; i++ {
 		cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
 	}

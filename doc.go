@@ -41,7 +41,15 @@
 //     least-allocated (the default), worst-fit, an
 //     oversubscription-aware scorer, and a no-retry one-shot — swaps in
 //     by name (scheduler.ParsePolicy) through core.Options,
-//     experiments.Scale, and sweep variants.
+//     experiments.Scale, and sweep variants. Each cell fact is kept
+//     once and the rest derived from it: the scheduler's live-job table
+//     is its only job registry (a terminating job's children, and an
+//     alloc set's inner jobs, come from one scan of it and die in
+//     collection-ID order), an alloc set's instances live only in its
+//     instance list (the tasks an instance hosts are its machine's
+//     residents that name it), and the overcommit policy is the cell's,
+//     passed to cluster.BuildCell, which fixes each machine's ceiling
+//     when the machine is added.
 //   - internal/trace — the 2019-schema data model and the streaming sink
 //     pipeline: rows flow through composable trace.Sink implementations
 //     (FanOut, CountingSink online reduction, DirSink CSV export, the
@@ -93,46 +101,44 @@
 //
 // The scheduler reproduces the 2015-era Borg throughput machinery the
 // paper credits (score caching, equivalence classes): machines maintain
-// their usage total, allocation, victim order and overcommit ceiling
-// incrementally, so a placement attempt reads O(1) aggregates instead of
-// rescanning residents; tasks are bucketed into equivalence classes
-// (request shape × tier × priority band) and each machine memoizes its
-// score for the last class that probed it, invalidated by a per-machine
-// generation counter bumped on every place/remove/limit/usage mutation.
-// A machine keeps its residents in one slice that is always in victim
-// order (priority, then collection, then index): placement inserts by
-// binary search and removal shifts in place, with no per-machine map and
-// no re-sort. Residents hands that slice out as a copy-on-write
-// snapshot — the next membership change copies before writing — which
-// is what makes evicting while iterating safe for machine maintenance.
-// Walks that finish reading before they change the machine (the usage
-// sampler, the preemption scan, the OOM victim pick) read
-// LiveResidents instead, which takes no snapshot, so the placement that
-// follows them copies nothing. Each task caches its interned class ID,
-// valid until UpdateTaskRequest changes its request or the intern
-// table, bounded at 1,024 classes, is cleared (an epoch counter), so the
-// class lookup hashes only when a task's shape is new to it and the IDs
+// their usage total, allocation and victim order incrementally and fix
+// their overcommit ceiling when they join the cell, so a placement
+// attempt reads O(1) aggregates instead of rescanning residents; tasks
+// are bucketed into equivalence classes (request shape × tier × priority
+// band) and each machine memoizes its score for the last class that
+// probed it, invalidated by a per-machine generation counter bumped on
+// every place/remove/limit/usage mutation. A machine keeps its residents
+// in one slice that is always in victim order (priority, then
+// collection, then index): placement inserts by binary search and
+// removal shifts in place, with no per-machine map and no re-sort. Every
+// walk reads that slice itself (LiveResidents): the usage sampler, the
+// preemption scan and the OOM victim pick finish reading before they
+// change the machine, and machine maintenance, which evicts as it walks,
+// first copies it into a scheduler scratch slice, so no walk makes a
+// later placement copy anything. Each task caches its interned class ID,
+// valid until UpdateTaskRequest changes its request or the intern table,
+// bounded at 1,024 classes, is cleared (an epoch counter), so the class
+// lookup hashes only when a task's shape is new to it and the IDs
 // returned are the ones the table would give. Resident records are
-// pooled and a task's kernel events are the task itself, so
-// steady-state placement performs zero heap allocations (guarded by an
-// AllocsPerRun test in CI). Machines are looked up in an ID-indexed
-// table: IDs are dense from 1, so cluster.Cell keeps a []*Machine
-// instead of a map, and the scheduler's
-// per-machine score cache is indexed by the same IDs. The scheduling
-// server's service-completion callback is bound once, so queueing a
-// service event allocates no closure. The policy layer sits on top of this
-// machinery without weakening it: policies are stateless singletons
-// whose Score is a pure function of generation-covered machine state
-// and class-covered request shape, so the per-class score cache, the
-// candidate RNG draw sequence, and the zero-alloc guarantee hold for
-// every policy in the zoo (guarded per policy by AllocsPerRun and a
-// per-policy benchmark gate). The caches are pure memoization under a hard
-// determinism constraint: every cached value is bit-identical to
-// recomputation and the candidate RNG draw sequence is unchanged by
-// caching, so for a given build the same seed yields byte-identical
-// traces at any parallelism. Traces are stable per build, not across
-// versions: an optimization that reorders floating-point sums or random
-// draws (as the fast path did) legitimately shifts same-seed
+// pooled and a task's kernel events are the task itself, so steady-state
+// placement performs zero heap allocations (guarded by an AllocsPerRun
+// test in CI). Machines are looked up in an ID-indexed table: IDs are
+// dense from 1, so cluster.Cell keeps a []*Machine instead of a map, and
+// the scheduler's per-machine score cache is indexed by the same IDs.
+// The scheduling server's service-completion callback is bound once, so
+// queueing a service event allocates no closure. The policy layer sits
+// on top of this machinery without weakening it: policies are stateless
+// singletons whose Score is a pure function of generation-covered
+// machine state and class-covered request shape, so the per-class score
+// cache, the candidate RNG draw sequence, and the zero-alloc guarantee
+// hold for every policy in the zoo (guarded per policy by AllocsPerRun
+// and a per-policy benchmark gate). The caches are pure memoization
+// under a hard determinism constraint: every cached value is
+// bit-identical to recomputation and the candidate RNG draw sequence is
+// unchanged by caching, so for a given build the same seed yields
+// byte-identical traces at any parallelism. Traces are stable per build,
+// not across versions: an optimization that reorders floating-point sums
+// or random draws (as the fast path did) legitimately shifts same-seed
 // trajectories relative to earlier commits.
 //
 // # Streaming analysis
@@ -158,9 +164,9 @@
 // the aggregates the figures inherently need — plus Figure 14's slack
 // samples, one per job usage row, each stored once in chunks that never
 // move. Folding rows instead of retaining them cut the LargeScale suite's
-// peak heap by ~10x (BENCH_PR4.json). Within a cell every product folds
-// its terms in emission order, and cross-cell merges run in cell order,
-// so the report is byte-identical at any parallelism and with or
+// peak heap by ~10x. Within a cell every product folds its terms in
+// emission order, and cross-cell merges run in cell order, so the
+// report is byte-identical at any parallelism and with or
 // without retention. CI pins this with golden report hashes and pinned
 // per-product hashes (both taken from a since-retired post-hoc analysis
 // over retained traces), p1-vs-p8 determinism tests, a
@@ -233,24 +239,23 @@
 //
 // The workload generator's arrival timing is a pluggable seam:
 // workload.ArrivalProcess decides when the next collection is submitted
-// and by whom, running under a workload.RateEnvelope (SineEnvelope —
-// base rate times a sum of sinusoidal harmonics; one harmonic is the
-// classic diurnal profile). Processes register by name like scheduler
-// policies — workload.ParseArrival validates a "name:knob=value,..."
-// spec and lists the valid set on a typo, workload.ArrivalNames feeds
-// help text. The registry: "poisson" (the default diurnally-thinned
-// Poisson stream — byte-identical at the same seed to the pre-API
-// generator, pinned by a golden report hash in CI), "gamma:cv=C" and
-// "weibull:cv=C" (renewal processes whose coefficient-of-variation knob
-// dials burstiness a memoryless stream cannot express), and
-// "cohorts:k=K,skew=S,cv=C" (K clients with Zipf-skewed rate shares,
-// each an independent gamma renewal stream, superposed; the firing
-// client is the submitting user). A spec threads through every layer:
-// workload.CellProfile.Arrival, core.RunKnobs.Arrival,
-// experiments.Scale, the polymorphic sweep family
+// and by whom, running under the cell's diurnal rate envelope (its base
+// rate times one daily sinusoid). Processes register by name like
+// scheduler policies — workload.ParseArrival validates a
+// "name:knob=value,..." spec and lists the valid set on a typo,
+// workload.ArrivalNames feeds help text. The registry: "poisson" (the
+// default diurnally-thinned Poisson stream — byte-identical at the same
+// seed to the pre-API generator, pinned by a golden report hash in CI),
+// "gamma:cv=C" and "weibull:cv=C" (renewal processes whose
+// coefficient-of-variation knob dials burstiness a memoryless stream
+// cannot express), and "cohorts:k=K,skew=S,cv=C" (K clients with
+// Zipf-skewed rate shares, each an independent gamma renewal stream,
+// superposed; the firing client is the submitting user). A spec threads
+// through every layer: workload.CellProfile.Arrival,
+// core.RunKnobs.Arrival, experiments.Scale, the polymorphic sweep family
 // "arrival:gamma:cv=2.5,..." (numeric values still mean rate
-// multipliers), fleet-wide overrides, and the -arrival flag of all
-// three CLIs.
+// multipliers), fleet-wide overrides, and the -arrival flag of all three
+// CLIs.
 //
 // The same seam makes workloads portable across runs:
 // workload.Recorder wraps any generator and captures the exact

@@ -24,7 +24,7 @@ import (
 // buildWorkload makes 500 mice and 5 hogs; hog tasks keep the scheduler
 // busy for long stretches.
 func runScenario(hogPriority int) (miceDelaysSeconds []float64, hogShare float64) {
-	cell := cluster.NewCell("ht")
+	cell := cluster.NewCell("ht", cluster.OvercommitPolicy{CPUFactor: 1.5, MemFactor: 1.45})
 	for i := 0; i < 40; i++ {
 		cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
 	}

@@ -120,11 +120,8 @@ func (w *window) percentile(q float64) trace.Resources {
 
 // Autopilot is the vertical autoscaler for one cell.
 type Autopilot struct {
-	// overcommit is the cell's policy, used to cap limit growth at the
-	// machine's allocation ceiling.
-	overcommit cluster.OvercommitPolicy
-	cell       *cluster.Cell
-	sink       trace.Sink
+	cell *cluster.Cell
+	sink trace.Sink
 	// tracked lists the tasks holding a window (in their Autoscale
 	// cookie); gen is the current sweep generation.
 	tracked []*scheduler.Task
@@ -138,13 +135,13 @@ type Autopilot struct {
 	updates int
 }
 
-// New constructs an Autopilot bound to a cell with overcommit policy oc
-// and to a trace sink. setRequest writes each limit update into the task:
+// New constructs an Autopilot bound to a cell and to a trace sink; limit
+// growth is capped at each machine's allocation ceiling under the cell's
+// overcommit policy. setRequest writes each limit update into the task:
 // the scheduler's UpdateTaskRequest, which keeps its admission sums and
 // its cached scoring class consistent with the new request.
-func New(oc cluster.OvercommitPolicy, cell *cluster.Cell, sink trace.Sink,
-	setRequest func(*scheduler.Task, trace.Resources)) *Autopilot {
-	return &Autopilot{overcommit: oc, cell: cell, sink: sink, setRequest: setRequest}
+func New(cell *cluster.Cell, sink trace.Sink, setRequest func(*scheduler.Task, trace.Resources)) *Autopilot {
+	return &Autopilot{cell: cell, sink: sink, setRequest: setRequest}
 }
 
 // Updates returns how many limit updates have been issued.
@@ -201,8 +198,7 @@ func (a *Autopilot) Observe(now sim.Time, t *scheduler.Task, peakUsage trace.Res
 	if t.Machine != 0 && t.AllocInstance.Collection == 0 {
 		m := a.cell.Machine(t.Machine)
 		if m != nil {
-			ceiling := m.Ceiling(a.overcommit)
-			head := ceiling.Sub(m.Allocated()).Add(cur)
+			head := m.Ceiling().Sub(m.Allocated()).Add(cur)
 			if rec.CPU > head.CPU {
 				rec.CPU = head.CPU
 			}

@@ -18,11 +18,10 @@ func setRequest(t *scheduler.Task, rec trace.Resources) { t.Request = rec }
 
 func setup(t *testing.T, scaling trace.VerticalScaling, request trace.Resources) (*Autopilot, *cluster.Cell, *scheduler.Task, *trace.MemTrace) {
 	t.Helper()
-	cell := cluster.NewCell("test")
+	cell := cluster.NewCell("test", cluster.OvercommitPolicy{CPUFactor: 1.2, MemFactor: 1.2})
 	m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
 	tr := trace.NewMemTrace(trace.Meta{})
-	oc := cluster.OvercommitPolicy{CPUFactor: 1.2, MemFactor: 1.2}
-	ap := New(oc, cell, tr, setRequest)
+	ap := New(cell, tr, setRequest)
 
 	j := scheduler.NewJob(1)
 	j.Type = trace.CollectionJob
@@ -105,7 +104,7 @@ func TestGrowthCappedByMachineHeadroom(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ap.Observe(sim.Time(i)*sim.SampleWindow, task, trace.Resources{CPU: 0.9, Mem: 0.9})
 	}
-	ceiling := ap.overcommit.AllocationCeiling(m.Capacity)
+	ceiling := m.Ceiling()
 	if alloc := m.Allocated(); alloc.CPU > ceiling.CPU+1e-9 || alloc.Mem > ceiling.Mem+1e-9 {
 		t.Fatalf("allocation %v exceeds ceiling %v", alloc, ceiling)
 	}
@@ -221,9 +220,9 @@ func TestWindowOrderStatisticMatchesSort(t *testing.T) {
 // allocates nothing — neither the percentile over the window nor a limit
 // update through the cell and a NopSink.
 func TestObserveSteadyStateZeroAllocs(t *testing.T) {
-	cell := cluster.NewCell("test")
+	cell := cluster.NewCell("test", cluster.OvercommitPolicy{CPUFactor: 1.2, MemFactor: 1.2})
 	m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
-	ap := New(cluster.OvercommitPolicy{CPUFactor: 1.2, MemFactor: 1.2}, cell, trace.NopSink{}, setRequest)
+	ap := New(cell, trace.NopSink{}, setRequest)
 	j := scheduler.NewJob(1)
 	j.Scaling = trace.ScalingFull
 	task := &scheduler.Task{Request: trace.Resources{CPU: 0.4, Mem: 0.4}, Duration: sim.Hour}

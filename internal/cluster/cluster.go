@@ -84,9 +84,10 @@ type Resident struct {
 
 // Machine is one node of the cell with capacity, allocation, and resident
 // accounting. All mutation goes through the Cell so that cell-level
-// aggregates stay consistent. Allocation, usage, victim order and the
-// overcommit ceiling are maintained incrementally: the placement fast
-// path reads them in O(1) instead of rescanning residents.
+// aggregates stay consistent. Allocation, usage and victim order are
+// maintained incrementally and the overcommit ceiling is fixed when the
+// machine is added, so the placement fast path reads them in O(1)
+// instead of rescanning residents.
 type Machine struct {
 	ID       trace.MachineID
 	Capacity trace.Resources
@@ -99,12 +100,8 @@ type Machine struct {
 	// index asc) — at all times: Place inserts by binary search and Remove
 	// shifts in place. order mirrors it entry for entry with the sort key
 	// held inline, so finding a resident never dereferences the others.
-	// shared marks residents as handed out by Residents: the next
-	// membership change copies it first (copy-on-write), leaving the
-	// caller's snapshot intact. LiveResidents does not set it.
 	residents []*Resident
 	order     []victimKey
-	shared    bool
 
 	// gen counts state mutations (place, remove, limit update, usage
 	// sample). The scheduler's score cache keys on it: an unchanged gen
@@ -112,11 +109,9 @@ type Machine struct {
 	// so memoized scores are exact, never approximations.
 	gen uint64
 
-	// ceil memoizes the allocation ceiling for ceilPolicy; recomputed
-	// only when the policy changes (capacity is immutable after AddMachine).
-	ceil       trace.Resources
-	ceilPolicy OvercommitPolicy
-	ceilValid  bool
+	// ceil is the allocation ceiling under the cell's overcommit policy,
+	// computed once by AddMachine (capacity never changes afterwards).
+	ceil trace.Resources
 }
 
 // victimKey is a resident's position in victim order.
@@ -146,28 +141,11 @@ func (m *Machine) NumResidents() int { return len(m.residents) }
 // machine's allocation, residents, limits or sampled usage bumps it.
 func (m *Machine) Gen() uint64 { return m.gen }
 
-// Residents returns the resident list sorted by (priority asc, key) —
-// i.e. preemption-victim order first. The slice is a snapshot: callers
-// must not modify it, and it is structurally stable (the next membership
-// change copies before writing), so evicting while iterating is safe —
-// but entries removed from the machine belong to the remover afterwards
-// (the scheduler recycles them), so a snapshot must not be retained
-// across scheduling events nor its removed entries dereferenced. The
-// snapshot costs the machine's next Place or Remove a copy of the list,
-// so only a caller that changes membership while it iterates (machine
-// maintenance) takes one; a walk that finishes reading first uses
-// LiveResidents.
-func (m *Machine) Residents() []*Resident {
-	m.shared = true
-	return m.residents
-}
-
-// LiveResidents returns the resident list in victim order without
-// taking a snapshot: the slice is the machine's own, valid only until
-// its next Place or Remove. Callers must not modify it or change the
-// machine's membership while they read it. The usage sampler's window
-// walk, the preemption scan and the OOM victim pick read it this way, so
-// the placements that follow them copy nothing.
+// LiveResidents returns the resident list in victim order — (priority
+// asc, key) — as the machine's own slice, valid only until its next Place
+// or Remove. Callers must not modify it or change the machine's
+// membership while they read it: a walk that evicts as it goes (machine
+// maintenance) copies the list first.
 func (m *Machine) LiveResidents() []*Resident { return m.residents }
 
 // index returns the position of the resident with the given key, or -1.
@@ -202,20 +180,10 @@ func (m *Machine) SetResidentUsage(r *Resident, usage trace.Resources) {
 	m.gen++
 }
 
-// unshare gives m a private resident slice before a membership change
-// if the current one has been handed out as a snapshot.
-func (m *Machine) unshare() {
-	if m.shared {
-		m.residents = append(make([]*Resident, 0, len(m.residents)+1), m.residents...)
-		m.shared = false
-	}
-}
-
 // insert places r at its victim-order position.
 func (m *Machine) insert(r *Resident) {
 	k := victimKey{priority: r.Priority, key: r.Key}
 	i := sort.Search(len(m.order), func(i int) bool { return k.less(m.order[i]) })
-	m.unshare()
 	m.residents = append(m.residents, nil)
 	copy(m.residents[i+1:], m.residents[i:])
 	m.residents[i] = r
@@ -226,7 +194,6 @@ func (m *Machine) insert(r *Resident) {
 
 // removeAt drops the resident at position i.
 func (m *Machine) removeAt(i int) {
-	m.unshare()
 	n := len(m.residents) - 1
 	copy(m.residents[i:], m.residents[i+1:])
 	m.residents[n] = nil
@@ -274,23 +241,15 @@ func (p OvercommitPolicy) AllocationCeiling(capacity trace.Resources) trace.Reso
 	}
 }
 
-// Ceiling returns the machine's allocation ceiling under the policy,
-// memoized until the policy changes.
-func (m *Machine) Ceiling(policy OvercommitPolicy) trace.Resources {
-	if !m.ceilValid || policy != m.ceilPolicy {
-		m.ceil = policy.AllocationCeiling(m.Capacity)
-		m.ceilPolicy = policy
-		m.ceilValid = true
-	}
-	return m.ceil
-}
+// Ceiling returns the machine's allocation ceiling under the cell's
+// overcommit policy.
+func (m *Machine) Ceiling() trace.Resources { return m.ceil }
 
-// FitsLimit reports whether a request fits on m under the overcommit
-// policy, considering current allocation.
-func (m *Machine) FitsLimit(request trace.Resources, policy OvercommitPolicy) bool {
-	ceiling := m.Ceiling(policy)
+// FitsLimit reports whether a request fits on m under the cell's
+// overcommit policy, considering current allocation.
+func (m *Machine) FitsLimit(request trace.Resources) bool {
 	after := m.allocated.Add(request)
-	return after.CPU <= ceiling.CPU+1e-12 && after.Mem <= ceiling.Mem+1e-12
+	return after.CPU <= m.ceil.CPU+1e-12 && after.Mem <= m.ceil.Mem+1e-12
 }
 
 // Cell is a set of machines operated as one scheduling domain.
@@ -307,14 +266,18 @@ type Cell struct {
 	occ      []*Machine
 	capacity trace.Resources // total live capacity
 	nextID   trace.MachineID
+	// oc is the cell's overcommit policy; every machine's ceiling is
+	// derived from it once, when the machine is added.
+	oc OvercommitPolicy
 }
 
-// NewCell returns an empty cell.
-func NewCell(name string) *Cell {
+// NewCell returns an empty cell whose machines are overcommitted under oc.
+func NewCell(name string, oc OvercommitPolicy) *Cell {
 	return &Cell{
 		Name:     name,
 		machines: make([]*Machine, 1),
 		nextID:   1,
+		oc:       oc,
 	}
 }
 
@@ -324,6 +287,7 @@ func (c *Cell) AddMachine(capacity trace.Resources, platform string) *Machine {
 		ID:       c.nextID,
 		Capacity: capacity,
 		Platform: platform,
+		ceil:     c.oc.AllocationCeiling(capacity),
 	}
 	c.nextID++
 	c.machines = append(c.machines, m)
@@ -441,8 +405,9 @@ func (c *Cell) UpdateLimit(id trace.MachineID, key trace.InstanceKey, limit trac
 }
 
 // BuildCell creates a cell of n machines drawn from the shape catalog
-// with the catalog's weights, using src for shape selection.
-func BuildCell(name string, n int, shapes []Shape, src *rng.Source) *Cell {
+// with the catalog's weights, using src for shape selection, and
+// overcommitted under oc.
+func BuildCell(name string, n int, shapes []Shape, oc OvercommitPolicy, src *rng.Source) *Cell {
 	if len(shapes) == 0 {
 		panic("cluster: empty shape catalog")
 	}
@@ -456,7 +421,7 @@ func BuildCell(name string, n int, shapes []Shape, src *rng.Source) *Cell {
 		total += w
 		cum[i] = total
 	}
-	c := NewCell(name)
+	c := NewCell(name, oc)
 	for i := 0; i < n; i++ {
 		u := src.Float64() * total
 		j := sort.SearchFloat64s(cum, u)

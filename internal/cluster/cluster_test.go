@@ -11,8 +11,11 @@ import (
 
 func res(c, m float64) trace.Resources { return trace.Resources{CPU: c, Mem: m} }
 
+// noOC is the overcommit policy of tests that do not exercise it.
+var noOC = OvercommitPolicy{CPUFactor: 1, MemFactor: 1}
+
 func TestAddMachineAndCapacity(t *testing.T) {
-	c := NewCell("test")
+	c := NewCell("test", noOC)
 	m1 := c.AddMachine(res(1, 1), "P0")
 	m2 := c.AddMachine(res(0.5, 0.25), "P1")
 	if m1.ID == m2.ID {
@@ -33,7 +36,7 @@ func TestAddMachineAndCapacity(t *testing.T) {
 }
 
 func TestPlaceRemoveAccounting(t *testing.T) {
-	c := NewCell("test")
+	c := NewCell("test", noOC)
 	m := c.AddMachine(res(1, 1), "P0")
 	r := &Resident{Key: trace.InstanceKey{Collection: 1, Index: 0}, Limit: res(0.3, 0.2), Priority: 120, Tier: trace.TierProduction}
 	c.Place(m.ID, r)
@@ -56,7 +59,7 @@ func TestPlaceRemoveAccounting(t *testing.T) {
 }
 
 func TestPlacePanics(t *testing.T) {
-	c := NewCell("test")
+	c := NewCell("test", noOC)
 	m := c.AddMachine(res(1, 1), "P0")
 	r := &Resident{Key: trace.InstanceKey{Collection: 1}}
 	c.Place(m.ID, r)
@@ -76,30 +79,30 @@ func TestPlacePanics(t *testing.T) {
 }
 
 func TestResidentsOrderedByPriority(t *testing.T) {
-	c := NewCell("test")
+	c := NewCell("test", noOC)
 	m := c.AddMachine(res(1, 1), "P0")
 	c.Place(m.ID, &Resident{Key: trace.InstanceKey{Collection: 1}, Priority: 200})
 	c.Place(m.ID, &Resident{Key: trace.InstanceKey{Collection: 2}, Priority: 0})
 	c.Place(m.ID, &Resident{Key: trace.InstanceKey{Collection: 3}, Priority: 110})
-	rs := m.Residents()
+	rs := m.LiveResidents()
 	if rs[0].Priority != 0 || rs[1].Priority != 110 || rs[2].Priority != 200 {
 		t.Fatalf("victim order %v", rs)
 	}
 }
 
 func TestFitsLimitOvercommit(t *testing.T) {
-	c := NewCell("test")
-	m := c.AddMachine(res(1, 1), "P0")
-	noOC := OvercommitPolicy{CPUFactor: 1, MemFactor: 1}
 	oc := OvercommitPolicy{CPUFactor: 1.5, MemFactor: 1.2}
-	c.Place(m.ID, &Resident{Key: trace.InstanceKey{Collection: 1}, Limit: res(0.9, 0.9)})
-	if m.FitsLimit(res(0.2, 0.05), noOC) {
+	strict, loose := NewCell("strict", noOC), NewCell("loose", oc)
+	sm, lm := strict.AddMachine(res(1, 1), "P0"), loose.AddMachine(res(1, 1), "P0")
+	strict.Place(sm.ID, &Resident{Key: trace.InstanceKey{Collection: 1}, Limit: res(0.9, 0.9)})
+	loose.Place(lm.ID, &Resident{Key: trace.InstanceKey{Collection: 1}, Limit: res(0.9, 0.9)})
+	if sm.FitsLimit(res(0.2, 0.05)) {
 		t.Fatal("should not fit without overcommit")
 	}
-	if !m.FitsLimit(res(0.2, 0.05), oc) {
+	if !lm.FitsLimit(res(0.2, 0.05)) {
 		t.Fatal("should fit with overcommit")
 	}
-	if m.FitsLimit(res(0.7, 0.05), oc) {
+	if lm.FitsLimit(res(0.7, 0.05)) {
 		t.Fatal("exceeds even overcommit ceiling")
 	}
 	ceiling := oc.AllocationCeiling(res(1, 1))
@@ -109,7 +112,7 @@ func TestFitsLimitOvercommit(t *testing.T) {
 }
 
 func TestUpdateLimit(t *testing.T) {
-	c := NewCell("test")
+	c := NewCell("test", noOC)
 	m := c.AddMachine(res(1, 1), "P0")
 	key := trace.InstanceKey{Collection: 1}
 	c.Place(m.ID, &Resident{Key: key, Limit: res(0.5, 0.5)})
@@ -123,7 +126,7 @@ func TestUpdateLimit(t *testing.T) {
 }
 
 func TestUsageTotal(t *testing.T) {
-	c := NewCell("test")
+	c := NewCell("test", noOC)
 	m := c.AddMachine(res(1, 1), "P0")
 	r1 := &Resident{Key: trace.InstanceKey{Collection: 1}, Usage: res(0.1, 0.2)}
 	r2 := &Resident{Key: trace.InstanceKey{Collection: 2}, Usage: res(0.3, 0.1)}
@@ -139,7 +142,7 @@ func TestUsageTotal(t *testing.T) {
 // outside 1..last resolve to nil, and the live-ID views stay consistent
 // with lookups.
 func TestMachineTableLookup(t *testing.T) {
-	c := NewCell("test")
+	c := NewCell("test", noOC)
 	ms := make([]*Machine, 5)
 	for i := range ms {
 		ms[i] = c.AddMachine(res(1, 1), "P0")
@@ -164,7 +167,7 @@ func TestMachineTableLookup(t *testing.T) {
 
 func TestBuildCellShapes(t *testing.T) {
 	src := rng.New(1)
-	c := BuildCell("a", 2000, Shapes2019, src)
+	c := BuildCell("a", 2000, Shapes2019, noOC, src)
 	if n := len(c.MachineIDs()); n != 2000 {
 		t.Fatalf("machines %d", n)
 	}
@@ -177,7 +180,7 @@ func TestBuildCellShapes(t *testing.T) {
 		t.Fatalf("platforms %d, want 7", len(platforms))
 	}
 
-	c11 := BuildCell("2011", 2000, Shapes2011, src)
+	c11 := BuildCell("2011", 2000, Shapes2011, noOC, src)
 	if got := len(c11.Platforms()); got != 3 {
 		t.Fatalf("2011 platforms %d, want 3", got)
 	}
@@ -218,11 +221,11 @@ func TestBuildCellPanicsOnEmptyCatalog(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	BuildCell("x", 10, nil, rng.New(1))
+	BuildCell("x", 10, nil, noOC, rng.New(1))
 }
 
 func TestSetUsageMaintainsAggregate(t *testing.T) {
-	c := NewCell("test")
+	c := NewCell("test", noOC)
 	m := c.AddMachine(res(1, 1), "P0")
 	key := trace.InstanceKey{Collection: 1}
 	r := &Resident{Key: key, Usage: res(0.1, 0.1)}
@@ -241,23 +244,23 @@ func TestSetUsageMaintainsAggregate(t *testing.T) {
 	}
 }
 
+// TestCeilingMemoized: each machine's ceiling is its cell's policy
+// applied to its capacity, computed once when the machine is added.
 func TestCeilingMemoized(t *testing.T) {
-	c := NewCell("test")
-	m := c.AddMachine(res(0.5, 0.8), "P0")
-	p1 := OvercommitPolicy{CPUFactor: 1.5, MemFactor: 1.2}
-	p2 := OvercommitPolicy{CPUFactor: 2, MemFactor: 1}
-	for i := 0; i < 3; i++ { // repeated and alternating policies
-		if got := m.Ceiling(p1); got != p1.AllocationCeiling(m.Capacity) {
-			t.Fatalf("ceiling %v for p1", got)
-		}
-		if got := m.Ceiling(p2); got != p2.AllocationCeiling(m.Capacity) {
-			t.Fatalf("ceiling %v for p2", got)
+	for _, p := range []OvercommitPolicy{{CPUFactor: 1.5, MemFactor: 1.2}, {CPUFactor: 2, MemFactor: 1}} {
+		c := NewCell("test", p)
+		for _, capacity := range []trace.Resources{res(0.5, 0.8), res(1, 0.25)} {
+			m := c.AddMachine(capacity, "P0")
+			c.Place(m.ID, &Resident{Key: trace.InstanceKey{Collection: 1}, Limit: res(0.1, 0.1)})
+			if got := m.Ceiling(); got != p.AllocationCeiling(capacity) {
+				t.Fatalf("policy %+v: ceiling %v for capacity %v", p, got, capacity)
+			}
 		}
 	}
 }
 
 func TestGenerationBumpsOnEveryMutation(t *testing.T) {
-	c := NewCell("test")
+	c := NewCell("test", noOC)
 	m := c.AddMachine(res(1, 1), "P0")
 	key := trace.InstanceKey{Collection: 1}
 	g := m.Gen()
@@ -274,44 +277,15 @@ func TestGenerationBumpsOnEveryMutation(t *testing.T) {
 	step("remove", func() { c.Remove(m.ID, key) })
 }
 
-// The cached victim order must behave like a stable snapshot: a slice
-// handed out before a mutation keeps its contents, and the next call
-// reflects the mutation.
-func TestResidentsSnapshotStableAcrossMutation(t *testing.T) {
-	c := NewCell("test")
-	m := c.AddMachine(res(1, 1), "P0")
-	for i := 1; i <= 4; i++ {
-		c.Place(m.ID, &Resident{Key: trace.InstanceKey{Collection: trace.CollectionID(i)}, Priority: i * 10})
-	}
-	snap := m.Residents()
-	if len(snap) != 4 {
-		t.Fatalf("snapshot len %d", len(snap))
-	}
-	if again := m.Residents(); &again[0] != &snap[0] {
-		t.Fatal("unmutated machine rebuilt its victim order")
-	}
-	// Evict-while-iterating: removals must not disturb the snapshot.
-	for _, r := range snap {
-		c.Remove(m.ID, r.Key)
-	}
-	if len(snap) != 4 || snap[0].Key.Collection != 1 {
-		t.Fatal("snapshot disturbed by removals")
-	}
-	if got := m.Residents(); len(got) != 0 {
-		t.Fatalf("fresh call returned %d residents", len(got))
-	}
-}
-
 // Property: after randomized place/remove/limit/usage mutation sequences,
 // the incrementally maintained aggregates (allocation, usage total, victim
 // order, ceiling) match a from-scratch recomputation of the same state:
-// Residents equals a fresh sort of the machine's residents by (priority,
-// key), and a snapshot handed out earlier is never disturbed by later
-// mutations.
+// LiveResidents equals a fresh sort of the machine's residents by
+// (priority, key).
 func TestIncrementalStateMatchesRecompute(t *testing.T) {
 	src := rng.New(99)
-	c := NewCell("prop")
 	oc := OvercommitPolicy{CPUFactor: 1.4, MemFactor: 1.2}
+	c := NewCell("prop", oc)
 	for i := 0; i < 4; i++ {
 		c.AddMachine(res(2, 2), "P0")
 	}
@@ -324,19 +298,7 @@ func TestIncrementalStateMatchesRecompute(t *testing.T) {
 	var live []placed
 	next := trace.CollectionID(1)
 	randRes := func() trace.Resources { return res(src.Float64()*0.3, src.Float64()*0.3) }
-	// snaps holds, per machine, a Residents snapshot and a private copy of
-	// what it contained when handed out.
-	type snapshot struct{ got, want []*Resident }
-	snaps := make(map[trace.MachineID]snapshot)
-
 	verify := func(step int, m *Machine) {
-		for mid, sn := range snaps {
-			for i := range sn.want {
-				if sn.got[i] != sn.want[i] {
-					t.Fatalf("step %d: machine %d snapshot changed at %d", step, mid, i)
-				}
-			}
-		}
 		var fresh []*Resident
 		for _, p := range live {
 			if p.mid == m.ID {
@@ -354,7 +316,7 @@ func TestIncrementalStateMatchesRecompute(t *testing.T) {
 			return a.Key.Index < b.Key.Index
 		})
 		var wantAlloc, wantUsage trace.Resources
-		rs := m.Residents()
+		rs := m.LiveResidents()
 		if len(rs) != m.NumResidents() || len(rs) != len(fresh) {
 			t.Fatalf("step %d: victim order has %d entries, machine has %d residents, %d placed",
 				step, len(rs), m.NumResidents(), len(fresh))
@@ -366,9 +328,6 @@ func TestIncrementalStateMatchesRecompute(t *testing.T) {
 				t.Fatalf("step %d: victim order differs from a fresh sort at %d", step, i)
 			}
 		}
-		if src.Intn(4) == 0 {
-			snaps[m.ID] = snapshot{got: rs, want: append([]*Resident(nil), rs...)}
-		}
 		const eps = 1e-9
 		gotAlloc, gotUsage := m.Allocated(), m.UsageTotal()
 		if gotAlloc.CPU < wantAlloc.CPU-eps || gotAlloc.CPU > wantAlloc.CPU+eps ||
@@ -379,7 +338,7 @@ func TestIncrementalStateMatchesRecompute(t *testing.T) {
 			gotUsage.Mem < wantUsage.Mem-eps || gotUsage.Mem > wantUsage.Mem+eps {
 			t.Fatalf("step %d: usage total %v, recomputed %v", step, gotUsage, wantUsage)
 		}
-		if m.Ceiling(oc) != oc.AllocationCeiling(m.Capacity) {
+		if m.Ceiling() != oc.AllocationCeiling(m.Capacity) {
 			t.Fatalf("step %d: stale ceiling", step)
 		}
 	}
@@ -418,7 +377,7 @@ func TestIncrementalStateMatchesRecompute(t *testing.T) {
 // resident limits.
 func TestAllocationConsistencyProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		c := NewCell("p")
+		c := NewCell("p", noOC)
 		m := c.AddMachine(res(100, 100), "P0")
 		placed := map[trace.InstanceKey]trace.Resources{}
 		next := uint64(1)

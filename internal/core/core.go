@@ -150,7 +150,7 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	sink := trace.FanOut(append([]trace.Sink{counter}, opts.ExtraSinks...)...)
 
 	// Build the cell and announce its machines.
-	cell := cluster.BuildCell(p.Name, p.Machines, p.Shapes, root.Split("machines"))
+	cell := cluster.BuildCell(p.Name, p.Machines, p.Shapes, p.Overcommit, root.Split("machines"))
 	cell.Machines(func(m *cluster.Machine) {
 		sink.MachineEvent(trace.MachineEvent{
 			Time: 0, Machine: m.ID, Type: trace.MachineAdd,
@@ -166,7 +166,6 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	schedCfg := scheduler.DefaultConfig()
 	schedCfg.Policy = policy
 	schedCfg.CandidateSample = p.CandidateSample
-	schedCfg.Overcommit = p.Overcommit
 	schedCfg.ServiceTime = dist.LogNormalFromMedian(p.SchedServiceMedian, p.SchedServiceSigma)
 	schedCfg.Metrics = opts.Metrics
 	switch {
@@ -181,7 +180,7 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	// incremental admission accounting tracks autoscaled requests.
 	var ap *autopilot.Autopilot
 	if !opts.DisableAutopilot {
-		ap = autopilot.New(p.Overcommit, cell, sink, sched.UpdateTaskRequest)
+		ap = autopilot.New(cell, sink, sched.UpdateTaskRequest)
 	}
 
 	// Workload arrivals: a live generator by default, or a replayer over

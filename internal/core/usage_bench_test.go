@@ -40,11 +40,10 @@ func buildUsageBenchState(tb testing.TB, machines int, warmup sim.Time) *usageBe
 	p := workload.Profile2019("a", machines)
 	root := rng.New(11)
 	k := sim.NewKernel()
-	cell := cluster.BuildCell(p.Name, p.Machines, p.Shapes, root.Split("machines"))
+	cell := cluster.BuildCell(p.Name, p.Machines, p.Shapes, p.Overcommit, root.Split("machines"))
 	schedCfg := scheduler.DefaultConfig()
 	schedCfg.Policy = p.Policy
 	schedCfg.CandidateSample = p.CandidateSample
-	schedCfg.Overcommit = p.Overcommit
 	schedCfg.ServiceTime = dist.LogNormalFromMedian(p.SchedServiceMedian, p.SchedServiceSigma)
 	schedCfg.Batch = nil
 	sched := scheduler.New(schedCfg, cell, k, trace.NopSink{}, root.Split("scheduler"))

@@ -157,23 +157,6 @@ func run(n int, spec func(i int) Spec, opts Options, keep bool) []*core.CellResu
 		par = n
 	}
 
-	if par == 1 {
-		for i := 0; i < n; i++ {
-			if opts.OnStart != nil {
-				opts.OnStart(i)
-			}
-			s := spec(i)
-			res := core.Run(s.Profile, s.Options)
-			if keep {
-				results[i] = res
-			}
-			if opts.OnResult != nil {
-				opts.OnResult(i, res)
-			}
-		}
-		return results
-	}
-
 	var (
 		mu         sync.Mutex
 		next       int  // first index not yet delivered to OnResult

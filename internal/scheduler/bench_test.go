@@ -21,12 +21,11 @@ func benchCell(n, residents int, tier trace.Tier, priority int, limit, usage tra
 // benchPolicyCell is benchCell with an explicit placement policy, for
 // per-policy fast-path benchmarks and allocation guards.
 func benchPolicyCell(policy PlacementPolicy, n, residents int, tier trace.Tier, priority int, limit, usage trace.Resources, oc cluster.OvercommitPolicy) (*Scheduler, *cluster.Cell) {
-	cell := cluster.NewCell("bench")
+	cell := cluster.NewCell("bench", oc)
 	k := sim.NewKernel()
 	cfg := DefaultConfig()
 	cfg.Policy = policy
 	cfg.Batch = nil
-	cfg.Overcommit = oc
 	cfg.ServiceTime = dist.Deterministic{Value: 0.001}
 	s := New(cfg, cell, k, trace.NopSink{}, rng.New(7))
 	id := trace.CollectionID(1)
@@ -63,7 +62,7 @@ func benchTask(req trace.Resources, priority int, tier trace.Tier) *Task {
 func BenchmarkPlacement(b *testing.B) {
 	s, cell := benchCell(200, 12, trace.TierMid, 110,
 		trace.Resources{CPU: 0.03, Mem: 0.03}, trace.Resources{CPU: 0.02, Mem: 0.02},
-		cluster.OvercommitPolicy{CPUFactor: 1.5, MemFactor: 1.45})
+		defaultOC)
 	t := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierProduction)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -84,7 +83,7 @@ func BenchmarkPlacement(b *testing.B) {
 // at 0 — counters must stay batched atomic adds, never allocations.
 func BenchmarkInstrumentedPlacement(b *testing.B) {
 	reg := metrics.NewRegistry()
-	cell := cluster.NewCell("bench")
+	cell := cluster.NewCell("bench", defaultOC)
 	k := sim.NewKernel()
 	cfg := DefaultConfig()
 	cfg.Batch = nil
@@ -133,7 +132,7 @@ func BenchmarkPlacementPolicy(b *testing.B) {
 		b.Run(p.String(), func(b *testing.B) {
 			s, cell := benchPolicyCell(p, 200, 12, trace.TierMid, 110,
 				trace.Resources{CPU: 0.03, Mem: 0.03}, trace.Resources{CPU: 0.02, Mem: 0.02},
-				cluster.OvercommitPolicy{CPUFactor: 1.5, MemFactor: 1.45})
+				defaultOC)
 			t := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierProduction)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -156,7 +155,7 @@ func BenchmarkPlacementPolicy(b *testing.B) {
 func BenchmarkPreemption(b *testing.B) {
 	s, _ := benchCell(64, 20, trace.TierProduction, 120,
 		trace.Resources{CPU: 0.05, Mem: 0.05}, trace.Resources{CPU: 0.03, Mem: 0.03},
-		cluster.OvercommitPolicy{CPUFactor: 1, MemFactor: 1})
+		strictOC)
 	t := benchTask(trace.Resources{CPU: 0.5, Mem: 0.5}, 200, trace.TierProduction)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -20,7 +20,7 @@ import (
 func TestScoreCacheMatchesRecompute(t *testing.T) {
 	s, cell := benchCell(8, 6, trace.TierMid, 110,
 		trace.Resources{CPU: 0.05, Mem: 0.05}, trace.Resources{CPU: 0.03, Mem: 0.03},
-		cluster.OvercommitPolicy{CPUFactor: 1.5, MemFactor: 1.45})
+		defaultOC)
 	tasks := []*Task{
 		benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierProduction),
 		benchTask(trace.Resources{CPU: 0.02, Mem: 0.04}, 0, trace.TierFree),
@@ -53,7 +53,7 @@ func TestScoreCacheMatchesRecompute(t *testing.T) {
 			cell.UpdateLimit(mid, keys[src.Intn(len(keys))],
 				trace.Resources{CPU: src.Float64() * 0.05, Mem: src.Float64() * 0.05})
 		default: // usage sample on any resident
-			rs := m.Residents()
+			rs := m.LiveResidents()
 			if len(rs) > 0 {
 				m.SetResidentUsage(rs[src.Intn(len(rs))],
 					trace.Resources{CPU: src.Float64() * 0.05, Mem: src.Float64() * 0.05})
@@ -94,7 +94,7 @@ func TestScoreCacheMatchesRecompute(t *testing.T) {
 // alias a fresh class.
 func TestClassIDStableAndDistinct(t *testing.T) {
 	s, _ := benchCell(1, 0, trace.TierMid, 110,
-		trace.Resources{}, trace.Resources{}, cluster.OvercommitPolicy{CPUFactor: 1, MemFactor: 1})
+		trace.Resources{}, trace.Resources{}, strictOC)
 	base := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierProduction)
 	same := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 125, trace.TierProduction) // same band of ten
 	if s.classID(base) != s.classID(same) {
@@ -124,7 +124,7 @@ func TestClassIDStableAndDistinct(t *testing.T) {
 // new shape's class, the one a fresh task of that shape gets.
 func TestClassIDFollowsRequestUpdate(t *testing.T) {
 	s, _ := benchCell(1, 0, trace.TierMid, 110,
-		trace.Resources{}, trace.Resources{}, cluster.OvercommitPolicy{CPUFactor: 1, MemFactor: 1})
+		trace.Resources{}, trace.Resources{}, strictOC)
 	task := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierProduction)
 	before := s.classID(task)
 	grown := trace.Resources{CPU: 0.3, Mem: 0.1}
@@ -148,7 +148,7 @@ func TestClassIDFollowsRequestUpdate(t *testing.T) {
 func TestPlacementSteadyStateZeroAllocs(t *testing.T) {
 	s, cell := benchCell(64, 8, trace.TierMid, 110,
 		trace.Resources{CPU: 0.03, Mem: 0.03}, trace.Resources{CPU: 0.02, Mem: 0.02},
-		cluster.OvercommitPolicy{CPUFactor: 1.5, MemFactor: 1.45})
+		defaultOC)
 	task := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierProduction)
 	cycle := func() {
 		m := s.pickMachine(task)
@@ -172,7 +172,7 @@ func TestPlacementSteadyStateZeroAllocs(t *testing.T) {
 // the placement cycle, never allocations.
 func TestInstrumentedPlacementZeroAllocs(t *testing.T) {
 	reg := metrics.NewRegistry()
-	cell := cluster.NewCell("bench")
+	cell := cluster.NewCell("bench", defaultOC)
 	k := sim.NewKernel()
 	cfg := DefaultConfig()
 	cfg.Batch = nil
@@ -218,7 +218,7 @@ func TestInstrumentedPlacementZeroAllocs(t *testing.T) {
 func TestPreemptionProbeZeroAllocs(t *testing.T) {
 	s, _ := benchCell(32, 20, trace.TierProduction, 120,
 		trace.Resources{CPU: 0.05, Mem: 0.05}, trace.Resources{CPU: 0.03, Mem: 0.03},
-		cluster.OvercommitPolicy{CPUFactor: 1, MemFactor: 1})
+		strictOC)
 	task := benchTask(trace.Resources{CPU: 0.5, Mem: 0.5}, 200, trace.TierProduction)
 	probe := func() {
 		if m := s.tryPreemption(task); m != nil {
@@ -230,6 +230,44 @@ func TestPreemptionProbeZeroAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, probe); avg != 0 {
 		t.Fatalf("preemption probe allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
+// TestEvictMachineZeroAllocs guards machine maintenance: once warm,
+// evicting a machine's non-production residents and placing them back
+// allocates nothing. The walk copies the resident list into a scratch
+// slice, so no eviction makes the machine copy its own list.
+func TestEvictMachineZeroAllocs(t *testing.T) {
+	cell := cluster.NewCell("evict", defaultOC)
+	m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
+	k := sim.NewKernel()
+	cfg := DefaultConfig()
+	cfg.Batch = nil
+	cfg.ServiceTime = dist.Deterministic{Value: 0.001}
+	s := New(cfg, cell, k, trace.NopSink{}, rng.New(7))
+	j := NewJob(1)
+	j.Type = trace.CollectionJob
+	j.Tier = trace.TierFree
+	for i := 0; i < 8; i++ {
+		j.AddTask(&Task{Request: trace.Resources{CPU: 0.1, Mem: 0.1}, Duration: 100 * sim.Hour})
+	}
+	k.At(0, sim.Func(func(sim.Time) { s.Submit(j) }))
+	k.RunUntil(sim.Minute)
+	cycle := func() {
+		s.EvictMachine(m.ID)
+		if m.NumResidents() != 0 {
+			t.Fatalf("%d residents survived maintenance", m.NumResidents())
+		}
+		k.RunUntil(k.Now() + sim.Minute)
+		if m.NumResidents() != len(j.Tasks) {
+			t.Fatalf("%d of %d tasks placed back", m.NumResidents(), len(j.Tasks))
+		}
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
+		t.Fatalf("machine maintenance allocates %.1f allocs/op, want 0", avg)
 	}
 }
 

@@ -65,10 +65,7 @@ func TestEvictedAllocInstanceDisplacesInnerTasks(t *testing.T) {
 func time5m() sim.Time { return 5 * sim.Minute }
 
 func TestProdNeverPreemptsProd(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Overcommit.CPUFactor = 1
-	cfg.Overcommit.MemFactor = 1
-	rig := newRig(t, cfg, 1, trace.Resources{CPU: 1, Mem: 1})
+	rig := newRigOC(t, fastConfig(), strictOC, 1, trace.Resources{CPU: 1, Mem: 1})
 	lowProd := mkJob(1, 120, trace.TierProduction, 1, trace.Resources{CPU: 0.9, Mem: 0.9}, 3*sim.Hour)
 	highProd := mkJob(2, 450, trace.TierProduction, 1, trace.Resources{CPU: 0.9, Mem: 0.9}, sim.Hour)
 	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(lowProd) }))
@@ -85,10 +82,7 @@ func TestProdNeverPreemptsProd(t *testing.T) {
 }
 
 func TestPreemptionFreesOnlyWhatIsNeeded(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Overcommit.CPUFactor = 1
-	cfg.Overcommit.MemFactor = 1
-	rig := newRig(t, cfg, 1, trace.Resources{CPU: 1, Mem: 1})
+	rig := newRigOC(t, fastConfig(), strictOC, 1, trace.Resources{CPU: 1, Mem: 1})
 	// Four small free-tier tasks fill the machine.
 	filler := mkJob(1, 0, trace.TierFree, 4, trace.Resources{CPU: 0.24, Mem: 0.24}, 5*sim.Hour)
 	// A prod task needing one victim's worth of room.
@@ -174,7 +168,7 @@ func TestOOMKillTerminalAfterRepeat(t *testing.T) {
 	m := rig.cell.Machine(rig.cell.MachineIDs()[0])
 
 	overLimit := func() {
-		for _, r := range m.Residents() {
+		for _, r := range m.LiveResidents() {
 			m.SetResidentUsage(r, trace.Resources{CPU: 0.1, Mem: 1.5}) // way over its limit
 		}
 		rig.sched.HandleMemoryPressure(m.ID, m.Capacity.Mem)

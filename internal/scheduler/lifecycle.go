@@ -1,7 +1,9 @@
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -34,12 +36,6 @@ func (s *Scheduler) Submit(j *Job) {
 	// Terminated jobs leave s.jobs, so a parent found there is live (and
 	// Parent 0, meaning none, is found nowhere: collection IDs start at 1).
 	parent := s.jobs[j.Parent]
-	if parent != nil {
-		s.children[j.Parent] = append(s.children[j.Parent], j)
-	}
-	if j.Type == trace.CollectionJob && j.AllocSet != 0 {
-		s.allocJobs[j.AllocSet] = append(s.allocJobs[j.AllocSet], j)
-	}
 
 	s.emitCollection(j, trace.EventSubmit)
 	for _, t := range j.Tasks {
@@ -202,10 +198,11 @@ func (s *Scheduler) finishTask(t *Task, final trace.EventType) {
 	}
 }
 
-// terminateJob emits the job's terminal event, propagates kills to
-// children (§5.2: a child job is killed automatically when its parent
-// terminates) and releases the job: nothing looks a finished job up
-// again, so it leaves s.jobs.
+// terminateJob emits the job's terminal event, kills the jobs that die
+// with it (§5.2: a child job is killed automatically when its parent
+// terminates; §5.1: so is a job running in an alloc set that ends) and
+// releases the job: nothing looks a finished job up again, so it leaves
+// s.jobs.
 func (s *Scheduler) terminateJob(j *Job, final trace.EventType) {
 	if j.State == JobDone {
 		return
@@ -218,17 +215,42 @@ func (s *Scheduler) terminateJob(j *Job, final trace.EventType) {
 	j.killEvent = sim.EventRef{}
 	s.emitCollection(j, final)
 
-	// Alloc set teardown: kill the jobs still running inside it.
-	if j.Type == trace.CollectionAllocSet {
-		s.teardownAllocSet(j)
-	}
-
-	for _, child := range s.children[j.ID] {
-		if child.State != JobDone {
-			s.KillJob(child, trace.EventKill)
+	for _, d := range s.dependents(j) {
+		// An earlier kill in the list may have cascaded to d.
+		if d.State != JobDone {
+			s.KillJob(d, trace.EventKill)
 		}
 	}
-	delete(s.children, j.ID)
+	// An alloc set's instances left with its tasks; drop its entry.
+	delete(s.allocs, j.ID)
+}
+
+// dependents returns the live jobs that die with j, in the order they
+// are killed: if j is an alloc set, the jobs targeting it — running or
+// still pending — and then j's children, each group in collection-ID
+// order. That is submission order, since collections are numbered as
+// they are submitted.
+func (s *Scheduler) dependents(j *Job) []*Job {
+	// rank is 0 for a job targeting j, 1 for a child of j.
+	rank := func(d *Job) int {
+		if j.Type == trace.CollectionAllocSet && d.Type == trace.CollectionJob && d.AllocSet == j.ID {
+			return 0
+		}
+		return 1
+	}
+	var deps []*Job
+	for _, d := range s.jobs {
+		if d.Parent == j.ID || rank(d) == 0 {
+			deps = append(deps, d)
+		}
+	}
+	slices.SortFunc(deps, func(a, b *Job) int {
+		if ra, rb := rank(a), rank(b); ra != rb {
+			return ra - rb
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	return deps
 }
 
 // KillJob cancels a job: running tasks are stopped, pending tasks are
@@ -272,10 +294,10 @@ func (s *Scheduler) unplace(t *Task, terminal bool) {
 	if t.Job.Type == trace.CollectionAllocSet {
 		s.removeAllocInstance(t.Key, terminal)
 	}
-	if t.AllocInstance.Collection != 0 {
-		if ai := s.findAllocInstance(t.AllocInstance); ai != nil {
+	if key := t.AllocInstance; key.Collection != 0 {
+		if i := s.allocIndex(key); i >= 0 {
+			ai := s.allocs[key.Collection][i]
 			ai.Used = ai.Used.Sub(t.Request)
-			delete(ai.tasks, t.Key)
 		}
 		t.AllocInstance = trace.InstanceKey{}
 	}
@@ -326,7 +348,12 @@ func (s *Scheduler) EvictMachine(id trace.MachineID) {
 		return
 	}
 	s.met.machineEvictions.Inc()
-	for _, r := range m.Residents() {
+	// Evicting an alloc instance evicts the tasks it hosts, which leave
+	// the same machine, so the walk reads a copy of the list. Their
+	// records are recycled and zeroed by then, so their keys resolve to
+	// no task and they are skipped.
+	s.evicting = append(s.evicting[:0], m.LiveResidents()...)
+	for _, r := range s.evicting {
 		if r.Tier == trace.TierProduction && !s.src.Bool(prodEvictionSLO) {
 			continue
 		}
@@ -334,6 +361,7 @@ func (s *Scheduler) EvictMachine(id trace.MachineID) {
 			s.Evict(t)
 		}
 	}
+	clear(s.evicting)
 }
 
 // HandleMemoryPressure evicts the lowest-priority residents of a machine

@@ -1,8 +1,9 @@
 package scheduler
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -68,7 +69,7 @@ func (s *Scheduler) pickMachine(t *Task) *cluster.Machine {
 	var hits, misses int64
 	for i := 0; i < k; i++ {
 		m := s.cell.Machine(ids[s.src.Intn(len(ids))])
-		if m == nil || !m.FitsLimit(t.Request, s.cfg.Overcommit) {
+		if m == nil || !m.FitsLimit(t.Request) {
 			continue
 		}
 		// Usage-aware feasibility: do not stack onto a machine whose
@@ -139,11 +140,11 @@ func (s *Scheduler) takeResident(key trace.InstanceKey, limit trace.Resources, p
 }
 
 // releaseResident returns an unplaced Resident record to the pool. The
-// record must already be detached from its machine; a stale victim-order
-// snapshot may still reference it until the snapshot holder's current
-// scheduling event completes, so the record is zeroed here — any such
-// latent read then resolves to a non-existent instance (a loud no-op)
-// rather than silently aliasing whatever task reuses the record next.
+// record must already be detached from its machine. EvictMachine's copy
+// of the machine's residents may still reference it until that walk
+// ends, so the record is zeroed here: a later read of it resolves to a
+// non-existent instance (a loud no-op) rather than silently aliasing
+// whatever task reuses the record next.
 func (s *Scheduler) releaseResident(r *cluster.Resident) {
 	if r != nil {
 		*r = cluster.Resident{}
@@ -166,15 +167,8 @@ func (s *Scheduler) placeOnMachine(t *Task, m *cluster.Machine) {
 	// A newly placed alloc instance becomes a reservation jobs can
 	// schedule into.
 	if t.Job.Type == trace.CollectionAllocSet {
-		ai := &AllocInstance{
-			Key:      t.Key,
-			Machine:  m.ID,
-			Reserved: t.Request,
-			tasks:    make(map[trace.InstanceKey]*Task),
-			slot:     len(s.allocs[t.Job.ID]),
-		}
+		ai := &AllocInstance{Key: t.Key, Machine: m.ID, Reserved: t.Request}
 		s.allocs[t.Job.ID] = append(s.allocs[t.Job.ID], ai)
-		s.allocByKey[ai.Key] = ai
 	}
 }
 
@@ -199,7 +193,6 @@ func (s *Scheduler) placeInAlloc(t *Task, now sim.Time) {
 		return
 	}
 	best.Used = best.Used.Add(t.Request)
-	best.tasks[t.Key] = t
 	t.AllocInstance = best.Key
 	// Inner tasks consume the alloc set's reservation, not fresh machine
 	// allocation, so they join the machine with a zero limit.
@@ -233,8 +226,7 @@ func (s *Scheduler) tryPreemption(t *Task) *cluster.Machine {
 		if m == nil {
 			continue
 		}
-		ceiling := m.Ceiling(s.cfg.Overcommit)
-		need := m.Allocated().Add(t.Request).Sub(ceiling)
+		need := m.Allocated().Add(t.Request).Sub(m.Ceiling())
 		if need.CPU <= 0 && need.Mem <= 0 {
 			// Already fits; pickMachine should have found it, but the
 			// random samples differ.
@@ -281,7 +273,7 @@ func (s *Scheduler) tryPreemption(t *Task) *cluster.Machine {
 		s.met.preemptions.Inc()
 	}
 	clear(s.preBest)
-	if !best.FitsLimit(t.Request, s.cfg.Overcommit) {
+	if !best.FitsLimit(t.Request) {
 		return nil // eviction freed less than planned (racing state)
 	}
 	return best
@@ -296,37 +288,35 @@ func (s *Scheduler) retryLater(t *Task) {
 	t.retryEvent = s.k.After(retryBackoff, (*taskRetry)(t))
 }
 
-// findAllocInstance resolves an alloc-instance key to its live record.
-func (s *Scheduler) findAllocInstance(key trace.InstanceKey) *AllocInstance {
-	return s.allocByKey[key]
+// allocIndex returns the position of the live alloc instance key in its
+// set's instance list, or -1.
+func (s *Scheduler) allocIndex(key trace.InstanceKey) int {
+	return slices.IndexFunc(s.allocs[key.Collection], func(ai *AllocInstance) bool { return ai.Key == key })
 }
 
-// removeAllocInstance drops an alloc instance from the registry. The
-// tasks running inside lose their reservation: if the alloc set is
+// removeAllocInstance drops an alloc instance from its set. The tasks
+// running inside lose their reservation: if the alloc set is
 // terminating, their jobs are killed outright (they would be killed by the
 // teardown moments later anyway — an EVICT first would misattribute
 // infrastructure evictions to them); if the instance was merely evicted,
 // they are displaced and rescheduled.
 func (s *Scheduler) removeAllocInstance(key trace.InstanceKey, terminal bool) {
-	ai := s.allocByKey[key]
-	if ai == nil {
+	i := s.allocIndex(key)
+	if i < 0 {
 		return
 	}
-	delete(s.allocByKey, key)
-	instances := s.allocs[key.Collection]
-	// Close the slot and renumber the shifted tail (the shift itself is
-	// already O(tail); renumbering adds no asymptotic cost).
-	i := ai.slot
-	s.allocs[key.Collection] = append(instances[:i], instances[i+1:]...)
-	for j := i; j < len(s.allocs[key.Collection]); j++ {
-		s.allocs[key.Collection][j].slot = j
+	ai := s.allocs[key.Collection][i]
+	s.allocs[key.Collection] = slices.Delete(s.allocs[key.Collection], i, i+1)
+	// The hosted tasks are the residents of the instance's machine that
+	// name it, taken in key order.
+	var hosted []*Task
+	for _, r := range s.cell.Machine(ai.Machine).LiveResidents() {
+		if t, _ := r.Task.(*Task); t != nil && t.AllocInstance == key {
+			hosted = append(hosted, t)
+		}
 	}
-	inner := make([]*Task, 0, len(ai.tasks))
-	for _, t := range ai.tasks {
-		inner = append(inner, t)
-	}
-	sortTasks(inner)
-	for _, t := range inner {
+	sortTasks(hosted)
+	for _, t := range hosted {
 		if terminal {
 			if t.Job.State != JobDone {
 				s.KillJob(t.Job, trace.EventKill)
@@ -339,25 +329,10 @@ func (s *Scheduler) removeAllocInstance(key trace.InstanceKey, terminal bool) {
 
 // sortTasks orders tasks by key for deterministic iteration.
 func sortTasks(ts []*Task) {
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].Key.Collection != ts[j].Key.Collection {
-			return ts[i].Key.Collection < ts[j].Key.Collection
+	slices.SortFunc(ts, func(a, b *Task) int {
+		if c := cmp.Compare(a.Key.Collection, b.Key.Collection); c != 0 {
+			return c
 		}
-		return ts[i].Key.Index < ts[j].Key.Index
+		return cmp.Compare(a.Key.Index, b.Key.Index)
 	})
-}
-
-// teardownAllocSet kills the jobs targeting a terminated alloc set —
-// running or still pending — and forgets its reservations.
-func (s *Scheduler) teardownAllocSet(j *Job) {
-	for _, inner := range s.allocJobs[j.ID] {
-		if inner.State != JobDone {
-			s.KillJob(inner, trace.EventKill)
-		}
-	}
-	delete(s.allocJobs, j.ID)
-	for _, ai := range s.allocs[j.ID] {
-		delete(s.allocByKey, ai.Key)
-	}
-	delete(s.allocs, j.ID)
 }

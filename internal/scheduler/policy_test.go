@@ -99,7 +99,7 @@ func TestPolicyScoreMatchesLegacySwitch(t *testing.T) {
 	}
 
 	src := rng.New(99)
-	cell := cluster.NewCell("oracle")
+	cell := cluster.NewCell("oracle", defaultOC)
 	var ms []*cluster.Machine
 	for i := 0; i < 8; i++ {
 		shape := trace.Resources{CPU: 0.5 + src.Float64(), Mem: 0.5 + src.Float64()}
@@ -134,7 +134,7 @@ func TestPolicyScoreMatchesLegacySwitch(t *testing.T) {
 // machine retaining the most absolute free capacity after placement must
 // score strictly lower (better).
 func TestWorstFitPrefersLargestHeadroom(t *testing.T) {
-	cell := cluster.NewCell("wf")
+	cell := cluster.NewCell("wf", defaultOC)
 	big := cell.AddMachine(trace.Resources{CPU: 4, Mem: 4}, "P0")
 	small := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
 	req := trace.Resources{CPU: 0.1, Mem: 0.1}
@@ -155,7 +155,7 @@ func TestWorstFitPrefersLargestHeadroom(t *testing.T) {
 // strictly worse, and the penalty must grow with how hot the machine
 // already runs.
 func TestOversubPenalizesRiskyMachine(t *testing.T) {
-	cell := cluster.NewCell("os")
+	cell := cluster.NewCell("os", defaultOC)
 	risky := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
 	safe := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
 	// Overcommit lets allocation exceed capacity on the risky machine.
@@ -188,7 +188,7 @@ func TestOversubPenalizesRiskyMachine(t *testing.T) {
 // retries forever.
 func TestOneShotGivesUp(t *testing.T) {
 	build := func(policy PlacementPolicy) (*Scheduler, *sim.Kernel) {
-		cell := cluster.NewCell("oneshot")
+		cell := cluster.NewCell("oneshot", defaultOC)
 		cell.AddMachine(trace.Resources{CPU: 0.1, Mem: 0.1}, "P0")
 		k := sim.NewKernel()
 		cfg := DefaultConfig()
@@ -242,7 +242,7 @@ func TestPlacementZeroAllocsEveryPolicy(t *testing.T) {
 		t.Run(p.String(), func(t *testing.T) {
 			s, cell := benchPolicyCell(p, 64, 8, trace.TierMid, 110,
 				trace.Resources{CPU: 0.03, Mem: 0.03}, trace.Resources{CPU: 0.02, Mem: 0.02},
-				cluster.OvercommitPolicy{CPUFactor: 1.5, MemFactor: 1.45})
+				defaultOC)
 			task := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierProduction)
 			cycle := func() {
 				m := s.pickMachine(task)

@@ -45,8 +45,6 @@ type Config struct {
 	// (power-of-k-choices sampling, as production schedulers do to bound
 	// scan cost).
 	CandidateSample int
-	// Overcommit bounds per-machine allocation relative to capacity.
-	Overcommit cluster.OvercommitPolicy
 	// ServiceTime is the simulated time one placement attempt occupies
 	// the scheduler, in seconds. Scheduling delay distributions
 	// (Figure 10) emerge from this service process and the arrival burst
@@ -90,7 +88,6 @@ func DefaultConfig() Config {
 	return Config{
 		Policy:          LeastAllocated,
 		CandidateSample: 16,
-		Overcommit:      cluster.OvercommitPolicy{CPUFactor: 1.5, MemFactor: 1.45},
 		ServiceTime:     dist.LogNormalFromMedian(0.06, 0.9),
 		Batch: &BatchConfig{
 			CheckPeriod:      20 * sim.Second,
@@ -298,10 +295,8 @@ func (j *Job) SetTasks(tasks []Task) {
 }
 
 // Stats is a point-in-time snapshot of scheduler activity for logs and
-// ablation benches. Since the metrics migration the fields are read off
-// the scheduler's registry-backed counters (see schedInstruments);
-// Stats() keeps the legacy aggregate shape so existing callers and
-// tests are untouched.
+// ablation benches, read off the scheduler's registry-backed counters
+// (see schedInstruments) plus the batch queue's current length.
 type Stats struct {
 	JobsSubmitted    int
 	TasksPlaced      int
@@ -372,10 +367,6 @@ type AllocInstance struct {
 	Machine  trace.MachineID
 	Reserved trace.Resources
 	Used     trace.Resources
-	tasks    map[trace.InstanceKey]*Task
-	// slot is the instance's index in its alloc set's registry slice,
-	// kept current so removal needs no linear scan.
-	slot int
 }
 
 // eqClass is the equivalence-class key for placement scoring: tasks with
@@ -464,16 +455,14 @@ type Scheduler struct {
 	// serveEv is serve bound once, so each service event reuses it.
 	serveEv sim.Func
 
-	// jobs holds the live jobs: submitted and not yet terminated.
-	jobs     map[trace.CollectionID]*Job
-	children map[trace.CollectionID][]*Job
-	allocs   map[trace.CollectionID][]*AllocInstance // live alloc instances per alloc set
-	// allocByKey indexes every live alloc instance by its instance key so
-	// lookups are O(1) instead of scanning the set's registry slice.
-	allocByKey map[trace.InstanceKey]*AllocInstance
-	// allocJobs tracks jobs targeting each alloc set, so tearing the set
-	// down can kill them even when they are still pending.
-	allocJobs map[trace.CollectionID][]*Job
+	// jobs holds the live jobs: submitted and not yet terminated. It is
+	// the only job registry: a job's live children and an alloc set's
+	// live inner jobs are found by scanning it (see dependents).
+	jobs map[trace.CollectionID]*Job
+	// allocs holds each alloc set's placed instances in placement order,
+	// the only record of them; the tasks an instance hosts are the
+	// residents of its machine that name it.
+	allocs map[trace.CollectionID][]*AllocInstance
 
 	// scoreSlots memoizes placement scores per machine (indexed by
 	// machine ID) for the last equivalence class that scored the machine,
@@ -488,6 +477,9 @@ type Scheduler struct {
 	// preBest and preCand are tryPreemption's victim lists: the best
 	// plan so far and the candidate being scanned.
 	preBest, preCand []*Task
+	// evicting is EvictMachine's copy of a machine's residents, which
+	// the evictions it makes would otherwise shift under it.
+	evicting []*cluster.Resident
 
 	batchQueue []*Job
 
@@ -521,19 +513,16 @@ func New(cfg Config, cell *cluster.Cell, k *sim.Kernel, sink trace.Sink, src *rn
 		reg = metrics.NewRegistry()
 	}
 	s := &Scheduler{
-		cfg:        cfg,
-		cell:       cell,
-		k:          k,
-		sink:       sink,
-		src:        src,
-		policy:     PolicyFor(cfg.Policy),
-		jobs:       make(map[trace.CollectionID]*Job),
-		children:   make(map[trace.CollectionID][]*Job),
-		allocs:     make(map[trace.CollectionID][]*AllocInstance),
-		allocByKey: make(map[trace.InstanceKey]*AllocInstance),
-		allocJobs:  make(map[trace.CollectionID][]*Job),
-		classIDs:   make(map[eqClass]uint32),
-		met:        newSchedInstruments(reg),
+		cfg:      cfg,
+		cell:     cell,
+		k:        k,
+		sink:     sink,
+		src:      src,
+		policy:   PolicyFor(cfg.Policy),
+		jobs:     make(map[trace.CollectionID]*Job),
+		allocs:   make(map[trace.CollectionID][]*AllocInstance),
+		classIDs: make(map[eqClass]uint32),
+		met:      newSchedInstruments(reg),
 	}
 	s.serveEv = s.serve
 	if cfg.Batch != nil {

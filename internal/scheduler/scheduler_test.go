@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -19,9 +20,21 @@ type testRig struct {
 	sched *Scheduler
 }
 
+// defaultOC is the 2019 profiles' overcommit policy, and strictOC
+// allows no overcommit.
+var (
+	defaultOC = cluster.OvercommitPolicy{CPUFactor: 1.5, MemFactor: 1.45}
+	strictOC  = cluster.OvercommitPolicy{CPUFactor: 1, MemFactor: 1}
+)
+
 func newRig(t *testing.T, cfg Config, machines int, capacity trace.Resources) *testRig {
+	return newRigOC(t, cfg, defaultOC, machines, capacity)
+}
+
+// newRigOC is newRig with an explicit overcommit policy.
+func newRigOC(t *testing.T, cfg Config, oc cluster.OvercommitPolicy, machines int, capacity trace.Resources) *testRig {
 	t.Helper()
-	cell := cluster.NewCell("test")
+	cell := cluster.NewCell("test", oc)
 	k := sim.NewKernel()
 	tr := trace.NewMemTrace(trace.Meta{Era: trace.Era2019, Cell: "test"})
 	for i := 0; i < machines; i++ {
@@ -236,9 +249,7 @@ func TestPriorityOrdering(t *testing.T) {
 }
 
 func TestPreemption(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Overcommit = cluster.OvercommitPolicy{CPUFactor: 1, MemFactor: 1}
-	rig := newRig(t, cfg, 1, trace.Resources{CPU: 1, Mem: 1})
+	rig := newRigOC(t, fastConfig(), strictOC, 1, trace.Resources{CPU: 1, Mem: 1})
 
 	filler := mkJob(1, 0, trace.TierFree, 1, trace.Resources{CPU: 0.9, Mem: 0.9}, 5*sim.Hour)
 	prod := mkJob(2, 200, trace.TierProduction, 1, trace.Resources{CPU: 0.8, Mem: 0.8}, 30*sim.Minute)
@@ -292,8 +303,74 @@ func TestFinishedJobsReleased(t *testing.T) {
 	if len(rig.sched.jobs) != 1 || rig.sched.jobs[live.ID] != live {
 		t.Fatalf("scheduler holds %d jobs, want only the live job %d", len(rig.sched.jobs), live.ID)
 	}
-	if len(rig.sched.children) != 0 {
-		t.Fatalf("scheduler holds children of %d terminated parents", len(rig.sched.children))
+}
+
+// killOrder returns the collections whose KILL rows tr holds, in row
+// order.
+func killOrder(tr *trace.MemTrace) []trace.CollectionID {
+	var ids []trace.CollectionID
+	for ev := range tr.CollectionEvents.All() {
+		if ev.Type == trace.EventKill {
+			ids = append(ids, ev.Collection)
+		}
+	}
+	return ids
+}
+
+// TestDependentsKilledInSubmissionOrder: the jobs that die with an owner
+// come from the live-job table. A parent's three live children, and an
+// alloc set's running and still-pending inner jobs, are each KILLed with
+// every task when their owner terminates, in submission order.
+func TestDependentsKilledInSubmissionOrder(t *testing.T) {
+	rig := newRig(t, fastConfig(), 4, trace.Resources{CPU: 1, Mem: 1})
+	small := trace.Resources{CPU: 0.1, Mem: 0.1}
+	parent := mkJob(1, 120, trace.TierProduction, 1, small, 10*sim.Minute)
+	var children []*Job
+	for id := trace.CollectionID(2); id <= 4; id++ {
+		c := mkJob(id, 110, trace.TierBestEffortBatch, 2, small, 10*sim.Hour)
+		c.Parent = parent.ID
+		children = append(children, c)
+	}
+	as := NewJob(10)
+	as.Type = trace.CollectionAllocSet
+	as.Priority = 200
+	as.Tier = trace.TierProduction
+	as.AddTask(&Task{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 10 * sim.Hour})
+	// The instance has room for the first inner job only, so the second
+	// stays pending.
+	running := mkJob(11, 120, trace.TierProduction, 1, trace.Resources{CPU: 0.3, Mem: 0.3}, 10*sim.Hour)
+	pending := mkJob(12, 120, trace.TierProduction, 1, trace.Resources{CPU: 0.3, Mem: 0.3}, 10*sim.Hour)
+	running.AllocSet, pending.AllocSet = as.ID, as.ID
+	rig.k.At(0, sim.Func(func(sim.Time) {
+		rig.sched.Submit(parent)
+		for _, c := range children {
+			rig.sched.Submit(c)
+		}
+		rig.sched.Submit(as)
+	}))
+	rig.k.At(sim.Minute, sim.Func(func(sim.Time) { rig.sched.Submit(running) }))
+	rig.k.At(2*sim.Minute, sim.Func(func(sim.Time) { rig.sched.Submit(pending) }))
+	rig.k.RunUntil(30 * sim.Minute)
+
+	if running.Tasks[0].State != TaskRunning || pending.Tasks[0].State == TaskRunning {
+		t.Fatalf("inner tasks %v and %v, want one running and one pending",
+			running.Tasks[0].State, pending.Tasks[0].State)
+	}
+	if got, want := killOrder(rig.tr), []trace.CollectionID{2, 3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("KILL rows after the parent finished: %v, want %v", got, want)
+	}
+
+	rig.sched.KillJob(as, trace.EventKill)
+	if got, want := killOrder(rig.tr), []trace.CollectionID{2, 3, 4, 11, 10, 12}; !slices.Equal(got, want) {
+		t.Fatalf("KILL rows after the alloc set ended: %v, want %v", got, want)
+	}
+	for _, j := range append(children, running, pending) {
+		if got := instanceEventsOfType(rig.tr, j.ID, trace.EventKill); got != len(j.Tasks) {
+			t.Fatalf("job %d: %d instance KILLs, want %d", j.ID, got, len(j.Tasks))
+		}
+	}
+	if len(rig.sched.jobs) != 0 || len(rig.sched.allocs) != 0 {
+		t.Fatalf("scheduler holds %d jobs and %d alloc sets, want none", len(rig.sched.jobs), len(rig.sched.allocs))
 	}
 }
 
@@ -427,7 +504,7 @@ func TestHandleMemoryPressure(t *testing.T) {
 	// Aggregate pressure: both tasks are within their own limits, but
 	// the machine total exceeds capacity.
 	m := rig.cell.Machine(rig.cell.MachineIDs()[0])
-	for _, r := range m.Residents() {
+	for _, r := range m.LiveResidents() {
 		m.SetResidentUsage(r, trace.Resources{CPU: 0.1, Mem: 0.52})
 	}
 	evicted := rig.sched.HandleMemoryPressure(m.ID, m.Capacity.Mem)
@@ -456,7 +533,7 @@ func TestMemoryPressureOverLimitFails(t *testing.T) {
 	rig.k.RunUntil(10 * sim.Minute)
 
 	m := rig.cell.Machine(rig.cell.MachineIDs()[0])
-	for _, r := range m.Residents() {
+	for _, r := range m.LiveResidents() {
 		// Collection 1 ends up over its 0.2 limit; the prod task stays
 		// within its own limit but contributes to aggregate pressure.
 		m.SetResidentUsage(r, trace.Resources{CPU: 0.1, Mem: 0.55})
@@ -496,7 +573,7 @@ func TestAllocSetPlacementAndTeardown(t *testing.T) {
 	// Inner tasks must be running inside alloc instances.
 	running := 0
 	for _, m := range rig.cell.OccupiedMachines() {
-		for _, r := range m.Residents() {
+		for _, r := range m.LiveResidents() {
 			t2 := r.Task.(*Task)
 			if t2.Job.ID == 2 {
 				running++

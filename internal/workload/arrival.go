@@ -12,65 +12,35 @@ import (
 	"repro/internal/sim"
 )
 
-// RateEnvelope is the deterministic arrival-rate modulation an arrival
-// process runs under: Rate(t) is the instantaneous target rate in
-// jobs/hour and MaxRate is a hard upper bound over all t (the thinning
-// bound for rejection sampling). Implementations must be pure functions
-// of t.
-type RateEnvelope interface {
-	Rate(t sim.Time) float64
-	MaxRate() float64
+// diurnalEnvelope is the deterministic arrival-rate modulation every
+// arrival process runs under: the cell's base rate (jobs/hour) swung by
+// one daily sinusoid, Rate(t) = base · (1 + amplitude·sin(2π(t+phase)/day)).
+// phase shifts the cycle (cell g runs at Singapore local time), and
+// MaxRate is the hard upper bound base · (1 + |amplitude|), the thinning
+// bound for rejection sampling.
+type diurnalEnvelope struct {
+	base      float64
+	amplitude float64
+	phase     sim.Time
 }
 
-// RateHarmonic is one sinusoidal modulation term of a SineEnvelope.
-type RateHarmonic struct {
-	// Amplitude is the relative modulation depth (0.25 swings the rate
-	// ±25% around the base).
-	Amplitude float64
-	// Period is the oscillation period (sim.Day for diurnal cycles).
-	Period sim.Time
-	// Phase is the time offset (cell g runs at Singapore local time).
-	Phase sim.Time
-}
-
-// SineEnvelope modulates a base rate by a sum of sinusoidal harmonics:
-// Rate(t) = Base · (1 + Σᵢ Aᵢ·sin(2π(t+phaseᵢ)/periodᵢ)). One harmonic
-// with period sim.Day is the classic diurnal profile; extra harmonics
-// compose weekly or multi-period patterns. MaxRate is the safe thinning
-// bound Base · (1 + Σ|Aᵢ|).
-type SineEnvelope struct {
-	Base      float64
-	Harmonics []RateHarmonic
-}
-
-// Rate returns the modulated rate at time t. The single-harmonic float
-// operation order is load-bearing: it reproduces the pre-refactor
-// diurnal computation bit for bit, which keeps the default poisson
-// process byte-identical at the same seed.
-func (e SineEnvelope) Rate(t sim.Time) float64 {
+// Rate returns the modulated rate at time t. Its float operation order
+// is load-bearing: it reproduces the original diurnal computation bit
+// for bit, which keeps the default poisson process byte-identical at the
+// same seed.
+func (e diurnalEnvelope) Rate(t sim.Time) float64 {
 	s := 1.0
-	for _, h := range e.Harmonics {
-		s += h.Amplitude * math.Sin(2*math.Pi*float64(t+h.Phase)/float64(h.Period))
-	}
-	return e.Base * s
+	s += e.amplitude * math.Sin(2*math.Pi*float64(t+e.phase)/float64(sim.Day))
+	return e.base * s
 }
 
 // MaxRate returns the envelope's hard upper bound over all t.
-func (e SineEnvelope) MaxRate() float64 {
-	s := 1.0
-	for _, h := range e.Harmonics {
-		s += math.Abs(h.Amplitude)
-	}
-	return e.Base * s
-}
+func (e diurnalEnvelope) MaxRate() float64 { return e.base * (1 + math.Abs(e.amplitude)) }
 
 // envelopeFor builds the profile's calibrated envelope: the cell's total
 // arrival rate under its diurnal modulation.
-func envelopeFor(p *CellProfile) SineEnvelope {
-	return SineEnvelope{
-		Base:      p.TotalArrivalRate(),
-		Harmonics: []RateHarmonic{{Amplitude: p.DiurnalAmplitude, Period: sim.Day, Phase: p.DiurnalPhase}},
-	}
+func envelopeFor(p *CellProfile) diurnalEnvelope {
+	return diurnalEnvelope{base: p.TotalArrivalRate(), amplitude: p.DiurnalAmplitude, phase: p.DiurnalPhase}
 }
 
 // ArrivalProcess is the pluggable arrival seam of the workload
@@ -131,7 +101,7 @@ func (s ArrivalSpec) knob(name string, def float64) float64 {
 // constructor.
 type arrivalEntry struct {
 	knobs []string
-	build func(spec ArrivalSpec, p *CellProfile, env RateEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess
+	build func(spec ArrivalSpec, p *CellProfile, env diurnalEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess
 }
 
 // arrivalRegistry is the single name table behind ParseArrival,
@@ -301,13 +271,13 @@ const maxThinningSteps = 100000
 // the envelope's MaxRate, thinned by Rate(t)/MaxRate — byte-identical at
 // the same seed to the pre-API generator.
 type poissonArrival struct {
-	env     RateEnvelope
+	env     diurnalEnvelope
 	src     *rng.Source
 	horizon sim.Time
 	users   zipfUsers
 }
 
-func newPoissonArrival(spec ArrivalSpec, p *CellProfile, env RateEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess {
+func newPoissonArrival(spec ArrivalSpec, p *CellProfile, env diurnalEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess {
 	return &poissonArrival{env: env, src: src, horizon: horizon, users: newZipfUsers(p, src)}
 }
 
@@ -345,14 +315,14 @@ func (a *poissonArrival) NextInterArrival(now sim.Time) sim.Time {
 // (CV = 1, memoryless) cannot express.
 type renewalArrival struct {
 	name    string
-	env     RateEnvelope
+	env     diurnalEnvelope
 	src     *rng.Source
 	horizon sim.Time
 	sampler dist.Sampler // mean-one inter-arrival law
 	users   zipfUsers
 }
 
-func newGammaArrival(spec ArrivalSpec, p *CellProfile, env RateEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess {
+func newGammaArrival(spec ArrivalSpec, p *CellProfile, env diurnalEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess {
 	cv := spec.knob("cv", 1)
 	shape := 1 / (cv * cv)
 	return &renewalArrival{
@@ -362,7 +332,7 @@ func newGammaArrival(spec ArrivalSpec, p *CellProfile, env RateEnvelope, horizon
 	}
 }
 
-func newWeibullArrival(spec ArrivalSpec, p *CellProfile, env RateEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess {
+func newWeibullArrival(spec ArrivalSpec, p *CellProfile, env diurnalEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess {
 	cv := spec.knob("cv", 1)
 	shape := dist.WeibullShapeFromCV(cv)
 	return &renewalArrival{
@@ -394,7 +364,7 @@ func (a *renewalArrival) NextInterArrival(now sim.Time) sim.Time {
 // client is the submitting user (replacing the independent Zipf user
 // draw of the single-stream processes).
 type cohortArrival struct {
-	env     RateEnvelope
+	env     diurnalEnvelope
 	src     *rng.Source
 	horizon sim.Time
 	shares  []float64 // normalized Zipf weights, rank order
@@ -405,7 +375,7 @@ type cohortArrival struct {
 	cur     int
 }
 
-func newCohortArrival(spec ArrivalSpec, p *CellProfile, env RateEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess {
+func newCohortArrival(spec ArrivalSpec, p *CellProfile, env diurnalEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess {
 	k := int(spec.knob("k", float64(userCount(p))))
 	if k < 1 {
 		k = 1

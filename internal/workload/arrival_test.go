@@ -217,28 +217,29 @@ func TestPoissonMatchesDefaultGenerator(t *testing.T) {
 }
 
 // TestSineEnvelopeMaxRateBounds checks the thinning bound over a dense
-// time sweep for a multi-harmonic envelope.
+// time sweep, for a positive and a negative amplitude.
 func TestSineEnvelopeMaxRateBounds(t *testing.T) {
-	e := SineEnvelope{Base: 100, Harmonics: []RateHarmonic{
-		{Amplitude: 0.3, Period: sim.Day, Phase: 3 * sim.Hour},
-		{Amplitude: -0.15, Period: 7 * sim.Day},
-	}}
-	max := e.MaxRate()
-	if want := 100 * 1.45; math.Abs(max-want) > 1e-9 {
-		t.Fatalf("MaxRate = %g, want %g", max, want)
-	}
-	modulated := false
-	for ti := sim.Time(0); ti < 14*sim.Day; ti += sim.Minute {
-		r := e.Rate(ti)
-		if r > max+1e-9 {
-			t.Fatalf("Rate(%v) = %g exceeds MaxRate %g", ti, r, max)
+	for _, e := range []diurnalEnvelope{
+		{base: 100, amplitude: 0.3, phase: 3 * sim.Hour},
+		{base: 100, amplitude: -0.15},
+	} {
+		max := e.MaxRate()
+		if want := 100 * (1 + math.Abs(e.amplitude)); math.Abs(max-want) > 1e-9 {
+			t.Fatalf("%+v: MaxRate = %g, want %g", e, max, want)
 		}
-		if math.Abs(r-100) > 20 {
-			modulated = true
+		modulated := false
+		for ti := sim.Time(0); ti < 2*sim.Day; ti += sim.Minute {
+			r := e.Rate(ti)
+			if r > max+1e-9 {
+				t.Fatalf("%+v: Rate(%v) = %g exceeds MaxRate %g", e, ti, r, max)
+			}
+			if math.Abs(r-100) > 90*math.Abs(e.amplitude) {
+				modulated = true
+			}
 		}
-	}
-	if !modulated {
-		t.Error("envelope never moved the rate away from base — harmonics inert")
+		if !modulated {
+			t.Errorf("%+v: envelope never moved the rate away from base", e)
+		}
 	}
 }
 
