@@ -384,7 +384,7 @@ func miceDelayP90(hogPriority int) float64 {
 	}
 	k := sim.NewKernel()
 	cfg := scheduler.DefaultConfig()
-	cfg.Batch = nil
+	cfg.Batch = false
 	cfg.ServiceTime = dist.LogNormalFromMedian(0.25, 0.6)
 	sched := scheduler.New(cfg, cell, k, trace.NopSink{}, rng.New(7))
 	src := rng.New(31)

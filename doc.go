@@ -34,14 +34,16 @@
 //     and a head index) per distinct priority, levels kept sorted by
 //     priority, descending. Push appends to its level and pop takes the
 //     head of the first non-empty one, so neither sifts, and warm levels
-//     keep their arrays (TestPendingQueueSteadyStateZeroAllocs). Placement
-//     behavior is pluggable: a scheduler.Policy bundles candidate
-//     scoring, preemption-plan preference and failure handling, and a
-//     registered zoo of policies — random-fit, best-fit,
-//     least-allocated (the default), worst-fit, an
-//     oversubscription-aware scorer, and a no-retry one-shot — swaps in
-//     by name (scheduler.ParsePolicy) through core.Options,
-//     experiments.Scale, and sweep variants. Each cell fact is kept
+//     keep their arrays (TestPendingQueueSteadyStateZeroAllocs). A
+//     cell's placement policy is one value of its profile,
+//     scheduler.PlacementPolicy, and one switch scores candidates for
+//     all of them: random-fit (first feasible candidate, the 2011
+//     profile's), best-fit, least-allocated (the 2019 profiles'),
+//     worst-fit, an oversubscription-aware scorer, and a no-retry
+//     one-shot. Every policy compares preemption plans by victim count.
+//     CLIs and sweep variants select one by name (scheduler.ParsePolicy),
+//     and run-level overrides land on each profile through
+//     core.RunKnobs.Apply. Each cell fact is kept
 //     once and the rest derived from it: the scheduler's live-job table
 //     is its only job registry (a terminating job's children, and an
 //     alloc set's inner jobs, come from one scan of it and die in
@@ -52,8 +54,8 @@
 //     when the machine is added.
 //   - internal/trace — the 2019-schema data model and the streaming sink
 //     pipeline: rows flow through composable trace.Sink implementations
-//     (FanOut, CountingSink online reduction, DirSink CSV export, the
-//     §9 invariant Validator; every cell owns its pipeline). Full
+//     (MultiSink fan-out, CountingSink online reduction, DirSink CSV
+//     export, the §9 invariant Validator; every cell owns its pipeline). Full
 //     in-memory retention (MemTrace) is just one sink, attached only by
 //     a caller that reads rows back; it stores each table in chunks that never
 //     move (trace.Rows) and keeps no index, so retaining a row costs
@@ -126,13 +128,12 @@
 // dense from 1, so cluster.Cell keeps a []*Machine instead of a map, and
 // the scheduler's per-machine score cache is indexed by the same IDs.
 // The scheduling server's service-completion callback is bound once, so
-// queueing a service event allocates no closure. The policy layer sits
-// on top of this machinery without weakening it: policies are stateless
-// singletons whose Score is a pure function of generation-covered
-// machine state and class-covered request shape, so the per-class score
-// cache, the candidate RNG draw sequence, and the zero-alloc guarantee
-// hold for every policy in the zoo (guarded per policy by AllocsPerRun
-// and a per-policy benchmark gate). The caches are pure memoization
+// queueing a service event allocates no closure. The policy switch sits
+// on top of this machinery without weakening it: each policy's score is
+// a pure function of generation-covered machine state and class-covered
+// request shape, so the per-class score cache, the candidate RNG draw
+// sequence, and the zero-alloc guarantee hold for every policy (guarded
+// per policy by AllocsPerRun and a per-policy benchmark gate). The caches are pure memoization
 // under a hard determinism constraint: every cached value is
 // bit-identical to recomputation and the candidate RNG draw sequence is
 // unchanged by caching, so for a given build the same seed yields
@@ -218,7 +219,7 @@
 //     chunked usage table, and MemTrace.Replay (behind streaming.Replay)
 //     hands the stored rows back chunk by chunk through the same method.
 //
-// FanOut forwards a batch to every child, CountingSink counts len(recs)
+// MultiSink forwards a batch to every child, CountingSink counts len(recs)
 // in one step, DirSink encodes the block through its per-table 1 MB
 // write buffer, and streaming.CellReducer folds a whole batch with its
 // per-collection classification memoized across adjacent rows. The
@@ -240,8 +241,8 @@
 // The workload generator's arrival timing is a pluggable seam:
 // workload.ArrivalProcess decides when the next collection is submitted
 // and by whom, running under the cell's diurnal rate envelope (its base
-// rate times one daily sinusoid). Processes register by name like
-// scheduler policies — workload.ParseArrival validates a
+// rate times one daily sinusoid). Processes register by name —
+// workload.ParseArrival validates a
 // "name:knob=value,..." spec and lists the valid set on a typo,
 // workload.ArrivalNames feeds help text. The registry: "poisson" (the
 // default diurnally-thinned Poisson stream — byte-identical at the same
@@ -250,12 +251,12 @@
 // coefficient-of-variation knob dials burstiness a memoryless stream
 // cannot express), and "cohorts:k=K,skew=S,cv=C" (K clients with
 // Zipf-skewed rate shares, each an independent gamma renewal stream,
-// superposed; the firing client is the submitting user). A spec threads
-// through every layer: workload.CellProfile.Arrival,
-// core.RunKnobs.Arrival, experiments.Scale, the polymorphic sweep family
-// "arrival:gamma:cv=2.5,..." (numeric values still mean rate
-// multipliers), fleet-wide overrides, and the -arrival flag of all three
-// CLIs.
+// superposed; the firing client is the submitting user). A cell's spec
+// is read from one place, workload.CellProfile.Arrival. The -arrival
+// flag of all three CLIs (a core.RunKnobs.Arrival, applied to every
+// profile by experiments.Scale and fleet.Config) and the polymorphic
+// sweep family "arrival:gamma:cv=2.5,..." (numeric values still mean
+// rate multipliers) all set it there.
 //
 // The same seam makes workloads portable across runs:
 // workload.Recorder wraps any generator and captures the exact

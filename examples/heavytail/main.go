@@ -31,7 +31,7 @@ func runScenario(hogPriority int) (miceDelaysSeconds []float64, hogShare float64
 	k := sim.NewKernel()
 	sink := trace.NewMemTrace(trace.Meta{Era: trace.Era2019, Cell: "ht", Duration: 6 * sim.Hour, Machines: 40})
 	cfg := scheduler.DefaultConfig()
-	cfg.Batch = nil
+	cfg.Batch = false
 	cfg.ServiceTime = dist.LogNormalFromMedian(0.25, 0.6) // a busy scheduler
 	sched := scheduler.New(cfg, cell, k, sink, rng.New(7))
 	src := rng.New(99)

@@ -19,7 +19,9 @@
 // Run configures the scheduler from scheduler.DefaultConfig, overriding
 // only what the cell profile sets (policy, candidate sample, overcommit,
 // service time, the batch queue and its ceiling); the Autopilot's
-// settings are package constants.
+// settings are package constants. The profile is the only place a cell's
+// placement policy and arrival process are chosen: multi-cell runners
+// apply their run-level overrides to it with RunKnobs.Apply.
 package core
 
 import (
@@ -37,46 +39,57 @@ import (
 	"repro/internal/workload"
 )
 
-// RunKnobs are the per-run tuning knobs shared verbatim by every runner
-// configuration: core.Options, experiments.Scale and fleet.Config all
-// embed this struct (and sweeps inherit it through their Scale), so a
-// new shared knob is added in exactly one place and every layer's
-// selector (opts.Policy, sc.Policy, cfg.Policy, …) keeps compiling.
+// RunKnobs are the per-run knobs a multi-cell runner applies to every
+// cell: experiments.Scale and fleet.Config embed this struct (and sweeps
+// inherit it through their Scale). Policy and Arrival reach each cell
+// through its profile (Apply); Metrics and Timeline through the engine's
+// per-cell instruments (engine.RunInstruments).
 type RunKnobs struct {
-	// Policy, when non-empty, overrides the profile's placement policy by
-	// canonical name (see scheduler.ParsePolicy). Run panics on an unknown
-	// name, like it would on any other malformed static configuration.
+	// Policy, when non-empty, overrides every profile's placement policy
+	// by canonical name (see scheduler.ParsePolicy).
 	Policy string
-	// Arrival, when non-empty, overrides the profile's arrival process by
-	// spec (see workload.ParseArrival, e.g. "gamma:cv=2.5"). Ignored when
-	// a replay supplies the workload. Run panics on a malformed spec.
+	// Arrival, when non-empty, overrides every profile's arrival process
+	// by spec (see workload.ParseArrival, e.g. "gamma:cv=2.5"). A replayed
+	// cell ignores it.
 	Arrival string
-	// Metrics, when non-nil, receives this run's instruments (sched_*,
-	// sim_*, usage_*, trace_* series; see internal/metrics). Instruments
-	// only observe: they consume no randomness and never alter trace
-	// bytes, so a run with Metrics set is byte-identical to one without.
-	// Multi-cell runners give each cell a private registry and merge them
-	// in spec order (engine.RunInstruments); this field must therefore be
-	// nilled per cell by fleet-level configs.
+	// Metrics, when non-nil, receives the run's instrument rollup: each
+	// cell gets a private registry, merged in spec order
+	// (engine.RunInstruments). Instruments only observe, so a run with
+	// Metrics set is byte-identical to one without.
 	Metrics *metrics.Registry
-	// Timeline, when non-nil, records wall-clock spans (warmup/run
-	// per cell, reduce at the runner level) exportable as Chrome
-	// trace_event JSON. Same observe-only contract as Metrics.
+	// Timeline, when non-nil, records wall-clock spans (warmup/run per
+	// cell, reduce at the runner level) exportable as Chrome trace_event
+	// JSON. Same observe-only contract as Metrics.
 	Timeline *metrics.Timeline
+}
+
+// Apply overrides p's placement policy and arrival process with the
+// knobs' non-empty choices, so a cell's policy and arrival process are
+// always read from its profile. It panics on an unknown policy name or a
+// malformed arrival spec, like on any other malformed static
+// configuration; CLIs validate user input first.
+func (k RunKnobs) Apply(p *workload.CellProfile) {
+	if k.Policy != "" {
+		p.Policy = scheduler.MustParsePolicy(k.Policy)
+	}
+	if k.Arrival != "" {
+		workload.MustParseArrival(k.Arrival)
+		p.Arrival = k.Arrival
+	}
 }
 
 // Options configures one cell simulation.
 type Options struct {
-	RunKnobs
 	// Horizon is the simulated duration (the trace window).
 	Horizon sim.Time
 	// Seed is the root seed; every random stream derives from it, so a
 	// (profile, horizon, seed) triple fully determines the trace.
 	Seed uint64
 	// ExtraSinks receive every trace row (streaming analyzers, a
-	// validator, a DirSink, or a trace.MemTrace to keep the rows). They
-	// are driven by this cell's goroutine only, so a sink instance must
-	// not be shared with other concurrently simulated cells.
+	// validator, a DirSink, or a trace.MemTrace to keep the rows); none
+	// may be nil. They are driven by this cell's goroutine only, so a
+	// sink instance must not be shared with other concurrently simulated
+	// cells.
 	ExtraSinks []trace.Sink
 	// Deprecated: NoMemTrace has no effect. Run keeps no rows unless a
 	// trace.MemTrace is attached through ExtraSinks. The field stays only
@@ -94,17 +107,26 @@ type Options struct {
 	RecordWorkload bool
 	// TimelineID labels this cell's timeline spans (the Chrome trace TID)
 	// so concurrent cells render as separate rows. Ignored when
-	// RunKnobs.Timeline is nil.
+	// Timeline is nil.
 	TimelineID int
 	// TimelineWarmup, when positive and Timeline is non-nil, splits the
 	// simulation span at this simulated instant into separate "warmup" and
 	// "run" wall-clock spans. The kernel's RunUntil is resumable, so the
 	// split cannot reorder events or change the trace.
 	TimelineWarmup sim.Time
+	// Metrics, when non-nil, receives this cell's instruments (sched_*,
+	// sim_*, usage_*, trace_* series; see internal/metrics). Instruments
+	// only observe: they consume no randomness and never alter trace
+	// bytes. A registry must not be shared with concurrently simulated
+	// cells.
+	Metrics *metrics.Registry
+	// Timeline, when non-nil, records this cell's wall-clock spans.
+	// Same observe-only contract as Metrics.
+	Timeline *metrics.Timeline
 	// Replay, when non-nil, replays a recorded workload instead of
 	// generating one: the cell sees the recording's exact arrival instants
 	// and job bodies (IDs rebased onto IDBase), under whatever policy and
-	// parameters this run selects. The workload RNG stream goes unused;
+	// parameters the profile selects. The workload RNG stream goes unused;
 	// all other streams (machines, scheduler, maintenance, usage) draw
 	// exactly as in a generating run at the same seed.
 	Replay *workload.Recording
@@ -147,7 +169,7 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	k := sim.NewKernel()
 
 	counter := &trace.CountingSink{}
-	sink := trace.FanOut(append([]trace.Sink{counter}, opts.ExtraSinks...)...)
+	sink := append(trace.MultiSink{counter}, opts.ExtraSinks...)
 
 	// Build the cell and announce its machines.
 	cell := cluster.BuildCell(p.Name, p.Machines, p.Shapes, p.Overcommit, root.Split("machines"))
@@ -159,21 +181,13 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	})
 
 	// Scheduler.
-	policy := p.Policy
-	if opts.Policy != "" {
-		policy = scheduler.MustParsePolicy(opts.Policy)
-	}
 	schedCfg := scheduler.DefaultConfig()
-	schedCfg.Policy = policy
+	schedCfg.Policy = p.Policy
 	schedCfg.CandidateSample = p.CandidateSample
 	schedCfg.ServiceTime = dist.LogNormalFromMedian(p.SchedServiceMedian, p.SchedServiceSigma)
 	schedCfg.Metrics = opts.Metrics
-	switch {
-	case !p.BatchQueue:
-		schedCfg.Batch = nil
-	case p.BatchAllocCeiling > 0:
-		schedCfg.Batch.AllocCeiling = p.BatchAllocCeiling
-	}
+	schedCfg.Batch = p.BatchQueue
+	schedCfg.BatchAllocCeiling = p.BatchAllocCeiling
 	sched := scheduler.New(schedCfg, cell, k, sink, root.Split("scheduler"))
 
 	// Autopilot. Limit updates flow through the scheduler's setter so its
@@ -193,14 +207,11 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 		gen = workload.NewReplayer(opts.Replay, opts.IDBase)
 	} else {
 		gen = workload.NewGeneratorArrival(p, cell.Capacity().CPU, opts.Horizon,
-			root.Split("workload"), opts.IDBase+1, opts.Arrival)
+			root.Split("workload"), opts.IDBase+1)
 	}
 	var recorder *workload.Recorder
 	if opts.RecordWorkload {
-		arrival := opts.Arrival
-		if arrival == "" {
-			arrival = p.Arrival
-		}
+		arrival := p.Arrival
 		if opts.Replay != nil {
 			arrival = opts.Replay.Meta.Arrival
 		}

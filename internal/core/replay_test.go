@@ -57,11 +57,12 @@ func TestReplayIdenticalAcrossPolicies(t *testing.T) {
 	var files [2][]byte
 	var traces [2]*trace.MemTrace
 	for i, policy := range []string{"random-fit", "best-fit"} {
+		p := workload.Profile2019("a", 180)
+		RunKnobs{Policy: policy}.Apply(p)
 		o := replayOpts()
-		o.Policy = policy
 		o.Replay = rec.Workload
 		o.RecordWorkload = true
-		res, tr := runRetained(workload.Profile2019("a", 180), o)
+		res, tr := runRetained(p, o)
 		var buf bytes.Buffer
 		if _, err := res.Workload.WriteTo(&buf); err != nil {
 			t.Fatal(err)
@@ -78,7 +79,8 @@ func TestReplayIdenticalAcrossPolicies(t *testing.T) {
 }
 
 // TestReplayIgnoresArrivalOverride: under replay the recorded stream
-// wins; an -arrival override must not change the trace.
+// wins; the profile's arrival process (where an -arrival override
+// lands) must not change the trace.
 func TestReplayIgnoresArrivalOverride(t *testing.T) {
 	opts := replayOpts()
 	opts.RecordWorkload = true
@@ -88,10 +90,11 @@ func TestReplayIgnoresArrivalOverride(t *testing.T) {
 	a.Replay = rec.Workload
 	_, plain := runRetained(workload.Profile2019("a", 180), a)
 
+	pb := workload.Profile2019("a", 180)
+	pb.Arrival = "gamma:cv=2.5"
 	b := replayOpts()
 	b.Replay = rec.Workload
-	b.Arrival = "gamma:cv=2.5"
-	_, overridden := runRetained(workload.Profile2019("a", 180), b)
+	_, overridden := runRetained(pb, b)
 	if !tracesEqual(t, "replay vs replay+arrival", plain, overridden) {
 		t.Fatal("arrival override changed a replayed run")
 	}

@@ -45,9 +45,9 @@ func buildUsageBenchState(tb testing.TB, machines int, warmup sim.Time) *usageBe
 	schedCfg.Policy = p.Policy
 	schedCfg.CandidateSample = p.CandidateSample
 	schedCfg.ServiceTime = dist.LogNormalFromMedian(p.SchedServiceMedian, p.SchedServiceSigma)
-	schedCfg.Batch = nil
+	schedCfg.Batch = false
 	sched := scheduler.New(schedCfg, cell, k, trace.NopSink{}, root.Split("scheduler"))
-	gen := workload.NewGeneratorArrival(p, cell.Capacity().CPU, warmup, root.Split("workload"), 1, "")
+	gen := workload.NewGeneratorArrival(p, cell.Capacity().CPU, warmup, root.Split("workload"), 1)
 	var scheduleArrival func(now sim.Time)
 	scheduleArrival = func(now sim.Time) {
 		next := now + gen.NextInterArrival(now)
@@ -131,7 +131,7 @@ func BenchmarkUsagePipeline(b *testing.B) {
 	b.Run("batched", func(b *testing.B) {
 		st := buildUsageBenchState(b, 400, 2*sim.Hour)
 		reducer := st.benchReducer(8 * sim.Hour)
-		sampler := st.newBenchSampler(trace.FanOut(&trace.CountingSink{}, reducer))
+		sampler := st.newBenchSampler(trace.MultiSink{&trace.CountingSink{}, reducer})
 		sampler.sample(st.now) // warm buffers
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -20,7 +20,6 @@ import (
 	"repro/internal/analysis/streaming"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -43,11 +42,12 @@ type Scale struct {
 	Parallelism int
 	// RunKnobs carries the shared per-run knobs. Policy and Arrival
 	// override every cell profile's placement policy / arrival process by
-	// name (empty keeps each profile's defaults; SuiteProfiles panics on
-	// unknown names). Metrics/Timeline, when non-nil, receive the suite's instrument
-	// rollup and run timeline (each cell gets a private registry, merged
-	// in spec order — see engine.RunInstruments); they never change the
-	// report or trace bytes.
+	// name (empty keeps each profile's defaults; SuiteProfiles applies
+	// them and panics on unknown names). Metrics/Timeline, when non-nil,
+	// receive the suite's instrument rollup and run timeline (each cell
+	// gets a private registry, merged in spec order — see
+	// engine.RunInstruments); they never change the report or trace
+	// bytes.
 	core.RunKnobs
 	// RecordWorkload captures every cell's arrival/job stream into its
 	// CellResult.Workload (see SaveWorkloads for persisting a suite's
@@ -88,17 +88,8 @@ func SuiteProfiles(sc Scale) []*workload.CellProfile {
 	for _, cell := range workload.Cells2019() {
 		profiles = append(profiles, workload.Profile2019(cell, sc.Machines2019))
 	}
-	if sc.Policy != "" {
-		policy := scheduler.MustParsePolicy(sc.Policy)
-		for _, p := range profiles {
-			p.Policy = policy
-		}
-	}
-	if sc.Arrival != "" {
-		workload.MustParseArrival(sc.Arrival) // validate once, loudly
-		for _, p := range profiles {
-			p.Arrival = sc.Arrival
-		}
+	for _, p := range profiles {
+		sc.RunKnobs.Apply(p)
 	}
 	return profiles
 }

@@ -61,8 +61,8 @@ type Config struct {
 	// Parallelism bounds the worker pool (engine semantics: <= 0 means
 	// GOMAXPROCS). Output is identical at any value.
 	Parallelism int
-	// RunKnobs carries the shared per-run knobs, applied to every cell:
-	// Policy/Arrival overrides (see core.RunKnobs). Metrics/Timeline,
+	// RunKnobs carries the shared per-run knobs: Policy/Arrival override
+	// every cell's profile (see core.RunKnobs.Apply). Metrics/Timeline,
 	// when non-nil, receive the fleet-level instrument rollup and run
 	// timeline (per-cell registries merged in fleet order; never change
 	// the report bytes).
@@ -107,16 +107,10 @@ func (cfg Config) Spec(i int, sinks ...trace.Sink) engine.Spec {
 	seed := engine.DeriveSeed(cfg.Seed, i)
 	p := workload.SampleFleetProfile(cellName(i), cfg.medianMachines(),
 		rng.New(seed).Split("fleet-profile"))
-	knobs := cfg.RunKnobs
-	// The fleet registry/timeline must not be written by concurrent
-	// cells directly: Run gives each cell a private registry and merges
-	// in fleet order (engine.RunInstruments), so both are nilled per cell.
-	knobs.Metrics = nil
-	knobs.Timeline = nil
+	cfg.RunKnobs.Apply(p)
 	return engine.Spec{
 		Profile: p,
 		Options: core.Options{
-			RunKnobs:   knobs,
 			Horizon:    cfg.horizon(),
 			Seed:       seed,
 			IDBase:     engine.IDBase(i),

@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/analysis/streaming"
+	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/scheduler"
 	"repro/internal/sim"
 )
 
@@ -130,6 +133,28 @@ func TestFleetSpecContract(t *testing.T) {
 	}
 	if a.Options.IDBase == cfg.Spec(4).Options.IDBase {
 		t.Fatal("fleet cells share an ID space")
+	}
+}
+
+// TestFleetSpecAppliesKnobsToProfile: the fleet's policy and arrival
+// overrides land on each cell's profile, the one place core.Run reads
+// them, while its registry and timeline stay off the cell's options
+// (Run gives each cell a private registry and merges them in order).
+func TestFleetSpecAppliesKnobsToProfile(t *testing.T) {
+	cfg := Config{RunKnobs: core.RunKnobs{Policy: "best-fit", Arrival: "gamma:cv=2.5",
+		Metrics: metrics.NewRegistry(), Timeline: metrics.NewTimeline()}}
+	for i := 0; i < 4; i++ {
+		spec := cfg.Spec(i)
+		if spec.Profile.Policy != scheduler.BestFit || spec.Profile.Arrival != "gamma:cv=2.5" {
+			t.Fatalf("cell %d profile: policy %v, arrival %q; want best-fit, gamma:cv=2.5",
+				i, spec.Profile.Policy, spec.Profile.Arrival)
+		}
+		if spec.Options.Metrics != nil || spec.Options.Timeline != nil {
+			t.Fatalf("cell %d options carry the fleet's registry or timeline", i)
+		}
+	}
+	if p := (Config{}).Spec(0).Profile; p.Policy != scheduler.LeastAllocated || p.Arrival != "" {
+		t.Fatalf("no overrides: policy %v, arrival %q; want the profile defaults", p.Policy, p.Arrival)
 	}
 }
 

@@ -30,7 +30,8 @@ func checkBEB(t *testing.T, s *Scheduler, now sim.Time) {
 // replaced.
 func TestBEBAllocIncrementalMatchesRecompute(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Batch = &BatchConfig{CheckPeriod: 30 * sim.Second, AllocCeiling: 0.4, MaxAdmitPerCheck: 2}
+	cfg.Batch = true
+	cfg.BatchAllocCeiling = 0.4
 	rig := newRig(t, cfg, 6, trace.Resources{CPU: 1, Mem: 1})
 	src := rng.New(99)
 
@@ -63,7 +64,7 @@ func TestBEBAllocIncrementalMatchesRecompute(t *testing.T) {
 		mid := rig.cell.MachineIDs()[src.Intn(6)]
 		rig.k.At(sim.Time(src.Intn(int(3*sim.Hour))), sim.Func(func(sim.Time) { rig.sched.EvictMachine(mid) }))
 	}
-	rig.k.Every(cfg.Batch.CheckPeriod, cfg.Batch.CheckPeriod/2, 4*sim.Hour, func(now sim.Time) {
+	rig.k.Every(batchCheckPeriod, batchCheckPeriod/2, 4*sim.Hour, func(now sim.Time) {
 		checkBEB(t, rig.sched, now)
 	})
 

@@ -25,7 +25,7 @@ func benchPolicyCell(policy PlacementPolicy, n, residents int, tier trace.Tier, 
 	k := sim.NewKernel()
 	cfg := DefaultConfig()
 	cfg.Policy = policy
-	cfg.Batch = nil
+	cfg.Batch = false
 	cfg.ServiceTime = dist.Deterministic{Value: 0.001}
 	s := New(cfg, cell, k, trace.NopSink{}, rng.New(7))
 	id := trace.CollectionID(1)
@@ -86,7 +86,7 @@ func BenchmarkInstrumentedPlacement(b *testing.B) {
 	cell := cluster.NewCell("bench", defaultOC)
 	k := sim.NewKernel()
 	cfg := DefaultConfig()
-	cfg.Batch = nil
+	cfg.Batch = false
 	cfg.ServiceTime = dist.Deterministic{Value: 0.001}
 	cfg.Metrics = reg
 	s := New(cfg, cell, k, trace.NopSink{}, rng.New(7))
@@ -123,8 +123,8 @@ func BenchmarkInstrumentedPlacement(b *testing.B) {
 }
 
 // BenchmarkPlacementPolicy measures the same steady-state placement
-// cycle as BenchmarkPlacement once per registered policy, so benchgate
-// can hold the whole zoo to the PR 3 fast path (0 allocs/op and
+// cycle as BenchmarkPlacement once per policy, so benchgate can hold
+// every policy to the placement fast path (0 allocs/op and
 // comparable per-placement cost through the score cache).
 func BenchmarkPlacementPolicy(b *testing.B) {
 	for _, p := range policies() {

@@ -77,7 +77,7 @@ func TestScoreCacheMatchesRecompute(t *testing.T) {
 		if !cachedHit {
 			t.Fatalf("step %d: immediate re-probe missed the cache", step)
 		}
-		want := s.policy.Score(vm, tt.Request, usage)
+		want := s.cfg.Policy.score(vm, tt.Request, usage)
 		if first != want || cached != want {
 			t.Fatalf("step %d: cached score %v/%v, recomputed %v (machine %d gen %d)",
 				step, first, cached, want, vm.ID, vm.Gen())
@@ -175,7 +175,7 @@ func TestInstrumentedPlacementZeroAllocs(t *testing.T) {
 	cell := cluster.NewCell("bench", defaultOC)
 	k := sim.NewKernel()
 	cfg := DefaultConfig()
-	cfg.Batch = nil
+	cfg.Batch = false
 	cfg.ServiceTime = dist.Deterministic{Value: 0.001}
 	cfg.Metrics = reg
 	s := New(cfg, cell, k, trace.NopSink{}, rng.New(7))
@@ -242,7 +242,7 @@ func TestEvictMachineZeroAllocs(t *testing.T) {
 	m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
 	k := sim.NewKernel()
 	cfg := DefaultConfig()
-	cfg.Batch = nil
+	cfg.Batch = false
 	cfg.ServiceTime = dist.Deterministic{Value: 0.001}
 	s := New(cfg, cell, k, trace.NopSink{}, rng.New(7))
 	j := NewJob(1)

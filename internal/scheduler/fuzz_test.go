@@ -2,7 +2,7 @@ package scheduler
 
 import "testing"
 
-// FuzzParsePolicy: any string must give an error or a registered policy
+// FuzzParsePolicy: any string must give an error or a policy
 // whose String parses back to the same policy, never a panic.
 func FuzzParsePolicy(f *testing.F) {
 	for _, name := range PolicyNames() {
@@ -20,9 +20,6 @@ func FuzzParsePolicy(f *testing.F) {
 		back, err := ParsePolicy(p.String())
 		if err != nil || back != p {
 			t.Fatalf("ParsePolicy(%q) = %v, but its String %q parses to %v, %v", name, p, p.String(), back, err)
-		}
-		if PolicyFor(p).Kind() != p {
-			t.Fatalf("policy %v resolves to %v", p, PolicyFor(p).Kind())
 		}
 	})
 }

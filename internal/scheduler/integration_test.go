@@ -13,13 +13,14 @@ import (
 
 func TestKillWhileBatchQueued(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Batch = &BatchConfig{CheckPeriod: 1 * sim.Minute, AllocCeiling: 0.5, MaxAdmitPerCheck: 1}
+	cfg.Batch = true
+	cfg.BatchAllocCeiling = 0.5
 	rig := newRig(t, cfg, 2, trace.Resources{CPU: 1, Mem: 1})
 	j := mkJob(1, 110, trace.TierBestEffortBatch, 1, trace.Resources{CPU: 0.1, Mem: 0.1}, sim.Hour)
 	j.Scheduler = trace.SchedulerBatch
 	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	// Kill before the first admission check fires.
-	rig.k.At(10*sim.Second, sim.Func(func(sim.Time) { rig.sched.KillJob(j, trace.EventKill) }))
+	rig.k.At(batchCheckPeriod/2, sim.Func(func(sim.Time) { rig.sched.KillJob(j, trace.EventKill) }))
 	rig.k.RunUntil(30 * sim.Minute)
 
 	if j.State != JobDone || j.FinalType != trace.EventKill {

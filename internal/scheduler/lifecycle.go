@@ -57,7 +57,7 @@ func (s *Scheduler) Submit(j *Job) {
 
 	// Batch-tier jobs go through the batch scheduler's queue (§3); all
 	// others are immediately ready.
-	if s.cfg.Batch != nil && j.Scheduler == trace.SchedulerBatch {
+	if s.cfg.Batch && j.Scheduler == trace.SchedulerBatch {
 		j.State = JobQueued
 		s.emitCollection(j, trace.EventQueue)
 		s.batchQueue = append(s.batchQueue, j)
@@ -82,10 +82,9 @@ func (s *Scheduler) batchAdmissionCheck() {
 	if len(s.batchQueue) == 0 {
 		return
 	}
-	cfg := s.cfg.Batch
 	admitted := 0
-	for len(s.batchQueue) > 0 && admitted < cfg.MaxAdmitPerCheck {
-		if s.bebAllocatedFraction() >= cfg.AllocCeiling {
+	for len(s.batchQueue) > 0 && admitted < batchMaxAdmitPerCheck {
+		if s.bebAllocatedFraction() >= s.cfg.BatchAllocCeiling {
 			break
 		}
 		j := s.batchQueue[0]
@@ -350,14 +349,14 @@ func (s *Scheduler) EvictMachine(id trace.MachineID) {
 	s.met.machineEvictions.Inc()
 	// Evicting an alloc instance evicts the tasks it hosts, which leave
 	// the same machine, so the walk reads a copy of the list. Their
-	// records are recycled and zeroed by then, so their keys resolve to
-	// no task and they are skipped.
+	// records are recycled and zeroed by then, so they name no task and
+	// are skipped.
 	s.evicting = append(s.evicting[:0], m.LiveResidents()...)
 	for _, r := range s.evicting {
 		if r.Tier == trace.TierProduction && !s.src.Bool(prodEvictionSLO) {
 			continue
 		}
-		if t := s.taskByKey(r.Key); t != nil {
+		if t, _ := r.Task.(*Task); t != nil {
 			s.Evict(t)
 		}
 	}
@@ -381,7 +380,7 @@ func (s *Scheduler) HandleMemoryPressure(id trace.MachineID, limitMem float64) i
 		if victim == nil {
 			break
 		}
-		t := s.taskByKey(victim.Key)
+		t, _ := victim.Task.(*Task)
 		if t == nil {
 			break
 		}
@@ -442,15 +441,6 @@ func pickOOMVictim(residents []*cluster.Resident) *cluster.Resident {
 		return residents[0]
 	}
 	return nil
-}
-
-// taskByKey resolves an instance key to its live task.
-func (s *Scheduler) taskByKey(key trace.InstanceKey) *Task {
-	j := s.jobs[key.Collection]
-	if j == nil || int(key.Index) >= len(j.Tasks) {
-		return nil
-	}
-	return j.Tasks[key.Index]
 }
 
 // emitCollection emits a collection event carrying the job's static

@@ -32,7 +32,7 @@ func (s *Scheduler) attemptPlacement(t *Task, now sim.Time) {
 		m = s.tryPreemption(t)
 	}
 	if m == nil {
-		if !s.policy.RetryOnFailure() {
+		if s.cfg.Policy == OneShot {
 			// A one-shot policy abandons the task instead of parking it
 			// for backoff: the cluster has room now or the work is dropped.
 			s.met.placementGiveUps.Inc()
@@ -79,7 +79,9 @@ func (s *Scheduler) pickMachine(t *Task) *cluster.Machine {
 		if usage.Mem+0.6*t.Request.Mem > m.Capacity.Mem {
 			continue
 		}
-		if s.policy.FirstFit() {
+		if s.cfg.Policy == RandomFit {
+			// First fit: the first feasible candidate wins outright, with
+			// no class interning and no score cache.
 			return m
 		}
 		if class == 0 {
@@ -104,10 +106,10 @@ func (s *Scheduler) pickMachine(t *Task) *cluster.Machine {
 	return best
 }
 
-// cachedScore returns the policy's Score(m, req, usage) through the
+// cachedScore returns the policy's score(m, req, usage) through the
 // equivalence-class cache, and whether the slot hit: a slot whose class
 // and machine generation both match is exact memoization (see
-// scoreSlot) and skips recomputation — valid because Policy.Score is
+// scoreSlot) and skips recomputation — valid because score is
 // contractually a pure function of state covered by (class, m.Gen()).
 // The probe is a bare array index — no hashing on the per-candidate
 // path; the caller batches hit/miss counts into the metrics counters.
@@ -122,7 +124,7 @@ func (s *Scheduler) cachedScore(m *cluster.Machine, t *Task, usage trace.Resourc
 	if slot.class == class && slot.gen == m.Gen() {
 		return slot.score, true
 	}
-	sc := s.policy.Score(m, t.Request, usage)
+	sc := s.cfg.Policy.score(m, t.Request, usage)
 	*slot = scoreSlot{class: class, gen: m.Gen(), score: sc}
 	return sc, false
 }
@@ -142,9 +144,9 @@ func (s *Scheduler) takeResident(key trace.InstanceKey, limit trace.Resources, p
 // releaseResident returns an unplaced Resident record to the pool. The
 // record must already be detached from its machine. EvictMachine's copy
 // of the machine's residents may still reference it until that walk
-// ends, so the record is zeroed here: a later read of it resolves to a
-// non-existent instance (a loud no-op) rather than silently aliasing
-// whatever task reuses the record next.
+// ends, so the record is zeroed here: a later read of it finds no task
+// and skips it, rather than aliasing whatever task reuses the record
+// next.
 func (s *Scheduler) releaseResident(r *cluster.Resident) {
 	if r != nil {
 		*r = cluster.Resident{}
@@ -219,7 +221,6 @@ func (s *Scheduler) tryPreemption(t *Task) *cluster.Machine {
 		k = len(ids)
 	}
 	var best *cluster.Machine
-	var bestFreed trace.Resources
 	s.preBest = s.preBest[:0]
 	for i := 0; i < k; i++ {
 		m := s.cell.Machine(ids[s.src.Intn(len(ids))])
@@ -245,7 +246,7 @@ func (s *Scheduler) tryPreemption(t *Task) *cluster.Machine {
 			if r.Tier == trace.TierProduction {
 				continue
 			}
-			vt := s.taskByKey(r.Key)
+			vt, _ := r.Task.(*Task)
 			if vt == nil || vt.State != TaskRunning {
 				continue
 			}
@@ -257,8 +258,9 @@ func (s *Scheduler) tryPreemption(t *Task) *cluster.Machine {
 		}
 		s.preCand = victims
 		if freed.CPU >= need.CPU && freed.Mem >= need.Mem && len(victims) > 0 {
-			if best == nil || s.policy.PreferPlan(len(victims), freed, len(s.preBest), bestFreed) {
-				best, bestFreed = m, freed
+			// Fewer victims wins; a tie keeps the earlier plan.
+			if best == nil || len(victims) < len(s.preBest) {
+				best = m
 				s.preBest, s.preCand = s.preCand, s.preBest
 			}
 		}

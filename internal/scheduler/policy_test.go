@@ -11,11 +11,10 @@ import (
 	"repro/internal/trace"
 )
 
-// TestPolicyNameRoundTrip covers every registered policy: String must
-// produce a canonical name (not the PlacementPolicy(%d) fallback),
-// ParsePolicy must invert it, and the registry implementation must carry
-// the matching tag — so adding a policy with a missing name, registry
-// entry or mismatched Kind fails here instead of misbehaving at runtime.
+// TestPolicyNameRoundTrip covers every policy: String must produce a
+// canonical name (not the PlacementPolicy(%d) fallback) and ParsePolicy
+// must invert it — so adding a policy with a missing name fails here
+// instead of misbehaving at runtime.
 func TestPolicyNameRoundTrip(t *testing.T) {
 	seen := make(map[string]bool)
 	for _, p := range policies() {
@@ -33,9 +32,6 @@ func TestPolicyNameRoundTrip(t *testing.T) {
 		}
 		if parsed != p {
 			t.Fatalf("round trip %q: got %d, want %d", name, int(parsed), int(p))
-		}
-		if kind := PolicyFor(p).Kind(); kind != p {
-			t.Fatalf("registry entry for %q reports Kind %d", name, int(kind))
 		}
 	}
 	if MustParsePolicy("least-allocated") != LeastAllocated {
@@ -71,12 +67,9 @@ func TestParsePolicyUnknown(t *testing.T) {
 }
 
 // TestPolicyScoreMatchesLegacySwitch is the differential oracle for the
-// refactor: BestFit and LeastAllocated through the Policy interface must
-// reproduce the pre-refactor score() switch bit for bit across
-// randomized machine states, so same-seed traces cannot drift. (The
-// whole-trace version of this check ran against pre-refactor golden
-// traces when the interface was extracted; this keeps the scoring core
-// pinned.)
+// scoring core: BestFit, LeastAllocated and OneShot through score must
+// reproduce the original score() switch bit for bit across randomized
+// machine states, so same-seed traces cannot drift.
 func TestPolicyScoreMatchesLegacySwitch(t *testing.T) {
 	legacy := func(pol PlacementPolicy, m *cluster.Machine, req, usage trace.Resources) float64 {
 		alloc := m.Allocated()
@@ -120,11 +113,11 @@ func TestPolicyScoreMatchesLegacySwitch(t *testing.T) {
 		req := trace.Resources{CPU: src.Float64() * 0.3, Mem: src.Float64() * 0.3}
 		vm := ms[src.Intn(len(ms))]
 		usage := vm.UsageTotal()
-		for _, pol := range []PlacementPolicy{BestFit, LeastAllocated} {
-			got := PolicyFor(pol).Score(vm, req, usage)
+		for _, pol := range []PlacementPolicy{BestFit, LeastAllocated, OneShot} {
+			got := pol.score(vm, req, usage)
 			want := legacy(pol, vm, req, usage)
 			if got != want {
-				t.Fatalf("step %d: %v.Score = %v, legacy switch = %v", step, pol, got, want)
+				t.Fatalf("step %d: %v.score = %v, legacy switch = %v", step, pol, got, want)
 			}
 		}
 	}
@@ -138,13 +131,11 @@ func TestWorstFitPrefersLargestHeadroom(t *testing.T) {
 	big := cell.AddMachine(trace.Resources{CPU: 4, Mem: 4}, "P0")
 	small := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
 	req := trace.Resources{CPU: 0.1, Mem: 0.1}
-	wf := PolicyFor(WorstFit)
-	if !(wf.Score(big, req, trace.Resources{}) < wf.Score(small, req, trace.Resources{})) {
+	if !(WorstFit.score(big, req, trace.Resources{}) < WorstFit.score(small, req, trace.Resources{})) {
 		t.Fatal("WorstFit does not prefer the machine with the most absolute headroom")
 	}
 	// LeastAllocated, by contrast, is fraction-normalized and ties here.
-	la := PolicyFor(LeastAllocated)
-	if la.Score(big, req, trace.Resources{}) >= la.Score(small, req, trace.Resources{}) {
+	if LeastAllocated.score(big, req, trace.Resources{}) >= LeastAllocated.score(small, req, trace.Resources{}) {
 		t.Fatal("expected LeastAllocated to score the small empty machine no better")
 	}
 }
@@ -169,14 +160,14 @@ func TestOversubPenalizesRiskyMachine(t *testing.T) {
 	})
 	req := trace.Resources{CPU: 0.1, Mem: 0.1}
 	usage := trace.Resources{CPU: 0.2, Mem: 0.2}
-	os := PolicyFor(Oversub)
-	if !(os.Score(safe, req, usage) < os.Score(risky, req, usage)) {
+	os := Oversub.score
+	if !(os(safe, req, usage) < os(risky, req, usage)) {
 		t.Fatal("Oversub does not penalize the overcommitted machine")
 	}
 	cold := trace.Resources{CPU: 0.05, Mem: 0.05}
 	hot := trace.Resources{CPU: 0.9, Mem: 0.9}
-	coldRisk := os.Score(risky, req, cold) - os.Score(safe, req, cold)
-	hotRisk := os.Score(risky, req, hot) - os.Score(safe, req, hot)
+	coldRisk := os(risky, req, cold) - os(safe, req, cold)
+	hotRisk := os(risky, req, hot) - os(safe, req, hot)
 	if !(hotRisk > coldRisk) {
 		t.Fatalf("oversubscription penalty did not grow with heat: cold %v, hot %v", coldRisk, hotRisk)
 	}
@@ -193,7 +184,7 @@ func TestOneShotGivesUp(t *testing.T) {
 		k := sim.NewKernel()
 		cfg := DefaultConfig()
 		cfg.Policy = policy
-		cfg.Batch = nil
+		cfg.Batch = false
 		cfg.ServiceTime = dist.Deterministic{Value: 0.001}
 		return New(cfg, cell, k, trace.NopSink{}, rng.New(3)), k
 	}
@@ -233,9 +224,9 @@ func TestOneShotGivesUp(t *testing.T) {
 	}
 }
 
-// TestPlacementZeroAllocsEveryPolicy extends the PR 3 allocation guard
-// across the zoo: the steady-state placement cycle must stay
-// allocation-free under every registered policy, scored or first-fit.
+// TestPlacementZeroAllocsEveryPolicy extends the placement allocation
+// guard across the policies: the steady-state placement cycle must stay
+// allocation-free under every policy, scored or first-fit.
 func TestPlacementZeroAllocsEveryPolicy(t *testing.T) {
 	for _, p := range policies() {
 		p := p
@@ -262,7 +253,7 @@ func TestPlacementZeroAllocsEveryPolicy(t *testing.T) {
 	}
 }
 
-// policies returns every registered policy tag, in registry order.
+// policies returns every policy tag, in declaration order.
 func policies() []PlacementPolicy {
 	out := make([]PlacementPolicy, 0, numPolicies)
 	for p := PlacementPolicy(0); p < numPolicies; p++ {

@@ -21,25 +21,9 @@ import (
 	"repro/internal/trace"
 )
 
-// BatchConfig configures the batch scheduler front-end that queues
-// best-effort batch jobs until the cell can handle them (§3).
-type BatchConfig struct {
-	// CheckPeriod is how often the admission controller runs.
-	CheckPeriod sim.Time
-	// AllocCeiling is the fraction of cell CPU capacity the best-effort
-	// batch tier may have allocated before further jobs are held in the
-	// queue.
-	AllocCeiling float64
-	// MaxAdmitPerCheck caps admissions per controller run; the queue
-	// drains in bursts, which lengthens the beb-tier delay tail
-	// (Figure 10b).
-	MaxAdmitPerCheck int
-}
-
 // Config parameterizes the scheduler.
 type Config struct {
-	// Policy names the placement brain; New resolves it through the policy
-	// registry (see policy.go for the zoo).
+	// Policy selects the placement brain (see policy.go).
 	Policy PlacementPolicy
 	// CandidateSample is how many machines a placement attempt examines
 	// (power-of-k-choices sampling, as production schedulers do to bound
@@ -50,8 +34,13 @@ type Config struct {
 	// (Figure 10) emerge from this service process and the arrival burst
 	// structure.
 	ServiceTime dist.Sampler
-	// Batch enables the batch-queue front-end when non-nil.
-	Batch *BatchConfig
+	// Batch enables the batch-queue front-end that holds best-effort
+	// batch jobs until the cell can handle them (§3).
+	Batch bool
+	// BatchAllocCeiling is the fraction of cell CPU capacity the
+	// best-effort batch tier may have allocated before further jobs are
+	// held in the queue.
+	BatchAllocCeiling float64
 	// Metrics receives the scheduler's activity counters (the sched_*
 	// instruments; see newSchedInstruments for the catalogue). Nil gets a
 	// private registry, so counting is unconditional and Stats always
@@ -71,6 +60,12 @@ const (
 	// failRestartDelay is how long a crashed task waits before its next
 	// attempt.
 	failRestartDelay = 10 * sim.Second
+	// batchCheckPeriod is how often the batch admission controller runs.
+	batchCheckPeriod = 20 * sim.Second
+	// batchMaxAdmitPerCheck caps admissions per controller run; the queue
+	// drains in bursts, which lengthens the beb-tier delay tail
+	// (Figure 10b).
+	batchMaxAdmitPerCheck = 8
 	// preemptionPriorityGap is the minimum priority advantage a task
 	// needs over a victim.
 	preemptionPriorityGap = 10
@@ -86,14 +81,11 @@ const (
 // starts from it and overrides the fields a cell profile sets.
 func DefaultConfig() Config {
 	return Config{
-		Policy:          LeastAllocated,
-		CandidateSample: 16,
-		ServiceTime:     dist.LogNormalFromMedian(0.06, 0.9),
-		Batch: &BatchConfig{
-			CheckPeriod:      20 * sim.Second,
-			AllocCeiling:     0.85,
-			MaxAdmitPerCheck: 8,
-		},
+		Policy:            LeastAllocated,
+		CandidateSample:   16,
+		ServiceTime:       dist.LogNormalFromMedian(0.06, 0.9),
+		Batch:             true,
+		BatchAllocCeiling: 0.85,
 	}
 }
 
@@ -301,9 +293,8 @@ type Stats struct {
 	JobsSubmitted    int
 	TasksPlaced      int
 	PlacementRetries int
-	// PlacementGiveUps counts tasks abandoned by a no-retry policy
-	// (Policy.RetryOnFailure() == false) after finding no feasible
-	// machine.
+	// PlacementGiveUps counts tasks abandoned by the no-retry OneShot
+	// policy after finding no feasible machine.
 	PlacementGiveUps    int
 	Preemptions         int
 	OOMEvictions        int // aggregate-overcommit evictions (EVICT)
@@ -446,9 +437,6 @@ type Scheduler struct {
 	k    *sim.Kernel
 	sink trace.Sink
 	src  *rng.Source
-	// policy is cfg.Policy resolved through the registry once at
-	// construction, so the placement hot path never re-resolves it.
-	policy Policy
 
 	pending pendingQueue
 	busy    bool
@@ -502,12 +490,6 @@ type Scheduler struct {
 
 // New constructs a scheduler bound to a cell, kernel and sink.
 func New(cfg Config, cell *cluster.Cell, k *sim.Kernel, sink trace.Sink, src *rng.Source) *Scheduler {
-	if cfg.CandidateSample <= 0 {
-		cfg.CandidateSample = 8
-	}
-	if cfg.ServiceTime == nil {
-		cfg.ServiceTime = dist.Deterministic{Value: 0.05}
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -518,15 +500,14 @@ func New(cfg Config, cell *cluster.Cell, k *sim.Kernel, sink trace.Sink, src *rn
 		k:        k,
 		sink:     sink,
 		src:      src,
-		policy:   PolicyFor(cfg.Policy),
 		jobs:     make(map[trace.CollectionID]*Job),
 		allocs:   make(map[trace.CollectionID][]*AllocInstance),
 		classIDs: make(map[eqClass]uint32),
 		met:      newSchedInstruments(reg),
 	}
 	s.serveEv = s.serve
-	if cfg.Batch != nil {
-		k.Every(cfg.Batch.CheckPeriod, cfg.Batch.CheckPeriod, 0, func(sim.Time) {
+	if cfg.Batch {
+		k.Every(batchCheckPeriod, batchCheckPeriod, 0, func(sim.Time) {
 			s.batchAdmissionCheck()
 		})
 	}

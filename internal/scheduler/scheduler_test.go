@@ -48,7 +48,7 @@ func newRigOC(t *testing.T, cfg Config, oc cluster.OvercommitPolicy, machines in
 func fastConfig() Config {
 	cfg := DefaultConfig()
 	cfg.ServiceTime = dist.Deterministic{Value: 0.001}
-	cfg.Batch = nil
+	cfg.Batch = false
 	return cfg
 }
 
@@ -148,42 +148,61 @@ func TestJobDurationRespected(t *testing.T) {
 
 func TestBatchQueueing(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Batch = &BatchConfig{CheckPeriod: 10 * sim.Second, AllocCeiling: 0.5, MaxAdmitPerCheck: 1}
+	cfg.Batch = true
+	cfg.BatchAllocCeiling = 0.5
 	rig := newRig(t, cfg, 4, trace.Resources{CPU: 1, Mem: 1})
 
-	j1 := mkJob(1, 110, trace.TierBestEffortBatch, 1, trace.Resources{CPU: 0.2, Mem: 0.2}, 20*sim.Minute)
-	j1.Scheduler = trace.SchedulerBatch
-	j2 := mkJob(2, 110, trace.TierBestEffortBatch, 1, trace.Resources{CPU: 0.2, Mem: 0.2}, 20*sim.Minute)
-	j2.Scheduler = trace.SchedulerBatch
-	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j1); rig.sched.Submit(j2) }))
+	// One job more than a check admits, all well under the ceiling.
+	n := batchMaxAdmitPerCheck + 1
+	var jobs []*Job
+	for i := 1; i <= n; i++ {
+		j := mkJob(trace.CollectionID(i), 110, trace.TierBestEffortBatch, 1, trace.Resources{CPU: 0.1, Mem: 0.1}, 20*sim.Minute)
+		j.Scheduler = trace.SchedulerBatch
+		jobs = append(jobs, j)
+	}
+	rig.k.At(0, sim.Func(func(sim.Time) {
+		for _, j := range jobs {
+			rig.sched.Submit(j)
+		}
+	}))
 	rig.k.RunUntil(1 * sim.Hour)
 
-	for _, id := range []trace.CollectionID{1, 2} {
-		if got := eventsOfType(rig.tr, id, trace.EventQueue); got != 1 {
-			t.Fatalf("job %d QUEUE events %d", id, got)
+	for _, j := range jobs {
+		if got := eventsOfType(rig.tr, j.ID, trace.EventQueue); got != 1 {
+			t.Fatalf("job %d QUEUE events %d", j.ID, got)
 		}
-		if got := eventsOfType(rig.tr, id, trace.EventEnable); got != 1 {
-			t.Fatalf("job %d ENABLE events %d", id, got)
+		if got := eventsOfType(rig.tr, j.ID, trace.EventEnable); got != 1 {
+			t.Fatalf("job %d ENABLE events %d", j.ID, got)
 		}
 	}
-	// MaxAdmitPerCheck=1 means the jobs were admitted at different ticks.
+	// A check admits at most batchMaxAdmitPerCheck jobs, so the first
+	// check admits all but the last job, which waits for the next one.
 	var enables []sim.Time
 	for ev := range rig.tr.CollectionEvents.All() {
 		if ev.Type == trace.EventEnable {
 			enables = append(enables, ev.Time)
 		}
 	}
-	if len(enables) != 2 || enables[0] == enables[1] {
-		t.Fatalf("batch admissions not staggered: %v", enables)
+	if len(enables) != n {
+		t.Fatalf("batch admissions %v, want %d", enables, n)
 	}
-	if rig.sched.Stats().BatchAdmitted != 2 {
+	for _, at := range enables[:n-1] {
+		if at != batchCheckPeriod {
+			t.Fatalf("batch admissions not capped per check: %v", enables)
+		}
+	}
+	if enables[n-1] != 2*batchCheckPeriod {
+		t.Fatalf("last admission at %v, want the second check: %v", enables[n-1], enables)
+	}
+	if rig.sched.Stats().BatchAdmitted != n {
 		t.Fatalf("batch admitted %d", rig.sched.Stats().BatchAdmitted)
 	}
 }
 
 func TestBatchCeilingHoldsJobs(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Batch = &BatchConfig{CheckPeriod: 10 * sim.Second, AllocCeiling: 0.1, MaxAdmitPerCheck: 10}
+	cfg.Batch = true
+	cfg.BatchAllocCeiling = 0.1
 	rig := newRig(t, cfg, 2, trace.Resources{CPU: 1, Mem: 1})
 
 	// First job takes 15% of cell CPU: above the ceiling once running.

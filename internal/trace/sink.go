@@ -7,37 +7,6 @@ package trace
 // full in-memory retention is one sink among several, not a structural
 // assumption.
 
-// FanOut composes sinks into one: nil entries are dropped and nested
-// MultiSinks flattened. Zero live sinks yield a NopSink, one is returned
-// unwrapped, more become a MultiSink.
-func FanOut(sinks ...Sink) Sink {
-	var flat MultiSink
-	var add func(s Sink)
-	add = func(s Sink) {
-		switch v := s.(type) {
-		case nil:
-			return
-		case MultiSink:
-			for _, child := range v {
-				add(child)
-			}
-		default:
-			flat = append(flat, s)
-		}
-	}
-	for _, s := range sinks {
-		add(s)
-	}
-	switch len(flat) {
-	case 0:
-		return NopSink{}
-	case 1:
-		return flat[0]
-	default:
-		return flat
-	}
-}
-
 // RowCounts tallies rows per trace table.
 type RowCounts struct {
 	Collections int64

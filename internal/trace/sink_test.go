@@ -33,31 +33,13 @@ func usageBlock(base, n int) []UsageRecord {
 	return recs
 }
 
-func TestFanOutFlattensAndDropsNil(t *testing.T) {
-	a, b := &CountingSink{}, &CountingSink{}
-	s := FanOut(nil, MultiSink{a, nil, MultiSink{b}})
-	emitMixed(s, 3)
-	if a.Counts() != b.Counts() || a.Counts().Total() != 12 {
-		t.Fatalf("counts a=%+v b=%+v", a.Counts(), b.Counts())
-	}
-	if ms, ok := s.(MultiSink); !ok || len(ms) != 2 {
-		t.Fatalf("not flattened: %T %v", s, s)
-	}
-	if _, ok := FanOut().(NopSink); !ok {
-		t.Fatal("empty fan-out not NopSink")
-	}
-	if single := FanOut(a); single != Sink(a) {
-		t.Fatal("single fan-out should unwrap")
-	}
-}
-
 // TestMultiSinkUsageBatchFansOutInOrder drives blocks from one reused
 // buffer through a fan-out: every child must see every record in
 // delivery order, and none may alias the emitter's backing array.
 func TestMultiSinkUsageBatchFansOutInOrder(t *testing.T) {
 	a, b := NewMemTrace(Meta{}), NewMemTrace(Meta{})
 	counter := &CountingSink{}
-	s := FanOut(a, counter, b)
+	s := MultiSink{a, counter, b}
 
 	var want []UsageRecord
 	buf := make([]UsageRecord, 0, 8)

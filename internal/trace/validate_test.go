@@ -117,7 +117,7 @@ func TestValidatorLiveMatchesReplay(t *testing.T) {
 	opts := core.Options{Horizon: 2 * sim.Hour, Seed: 3}
 	live := trace.NewValidator()
 	mt := trace.NewMemTrace(core.TraceMeta(p, opts))
-	opts.ExtraSinks = []trace.Sink{&faultSink{next: trace.FanOut(live, mt)}}
+	opts.ExtraSinks = []trace.Sink{&faultSink{next: trace.MultiSink{live, mt}}}
 	core.Run(p, opts)
 
 	got := live.Finish()

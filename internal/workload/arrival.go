@@ -58,8 +58,6 @@ func envelopeFor(p *CellProfile) diurnalEnvelope {
 //     and the next call, possibly more than once (a job preceded by an
 //     alloc set).
 type ArrivalProcess interface {
-	// Name returns the process's registered name.
-	Name() string
 	// NextInterArrival returns the time from now to the next submission.
 	NextInterArrival(now sim.Time) sim.Time
 	// User returns the submitting user of the current arrival.
@@ -101,12 +99,12 @@ func (s ArrivalSpec) knob(name string, def float64) float64 {
 // constructor.
 type arrivalEntry struct {
 	knobs []string
-	build func(spec ArrivalSpec, p *CellProfile, env diurnalEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess
+	build func(spec ArrivalSpec, env diurnalEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess
 }
 
 // arrivalRegistry is the single name table behind ParseArrival,
-// ArrivalNames and newArrival — like the scheduler's policy registry,
-// there is no other switch to keep in sync.
+// ArrivalNames and newArrival — there is no other switch to keep in
+// sync.
 var arrivalRegistry = map[string]arrivalEntry{
 	"poisson": {knobs: nil, build: newPoissonArrival},
 	"gamma":   {knobs: []string{"cv"}, build: newGammaArrival},
@@ -141,7 +139,7 @@ func ArrivalNames() []string {
 //   - "cohorts:k=K,skew=S,cv=C" — K clients with Zipf(S)-skewed rates,
 //     each an independent gamma renewal process with the given CV,
 //     superposed; the firing client is the submitting user. Defaults
-//     come from the profile's Users/UserSkew knobs (50, 1.2) and cv 1.
+//     are the user model's 50 users at skew 1.2, and cv 1.
 //
 // An empty spec selects poisson. Unknown process and knob names error
 // with the valid set, so a typo never silently simulates the wrong
@@ -220,25 +218,15 @@ func newArrival(spec ArrivalSpec, p *CellProfile, horizon sim.Time, src *rng.Sou
 		panic(fmt.Sprintf("workload: unknown arrival process %q (processes: %s)",
 			name, strings.Join(ArrivalNames(), ", ")))
 	}
-	return entry.build(spec, p, envelopeFor(p), horizon, src)
+	return entry.build(spec, envelopeFor(p), horizon, src)
 }
 
-// userCount and userSkew resolve the profile's Zipf user-model knobs to
-// the calibrated defaults (50 users, skew 1.2 — the constants the
-// pre-API generator hard-wired).
-func userCount(p *CellProfile) int {
-	if p.Users > 0 {
-		return p.Users
-	}
-	return 50
-}
-
-func userSkew(p *CellProfile) float64 {
-	if p.UserSkew > 0 {
-		return p.UserSkew
-	}
-	return 1.2
-}
+// users and userSkew calibrate the Zipf user-popularity model (and the
+// cohorts process's default client population): 50 users at skew 1.2.
+const (
+	users    = 50
+	userSkew = 1.2
+)
 
 // zipfUsers is the shared user-popularity model of the single-stream
 // processes: ranks drawn Zipf-skewed from the generator's source (one
@@ -248,8 +236,8 @@ type zipfUsers struct {
 	src  *rng.Source
 }
 
-func newZipfUsers(p *CellProfile, src *rng.Source) zipfUsers {
-	return zipfUsers{zipf: dist.NewZipf(userCount(p), userSkew(p)), src: src}
+func newZipfUsers(src *rng.Source) zipfUsers {
+	return zipfUsers{zipf: dist.NewZipf(users, userSkew), src: src}
 }
 
 func (z zipfUsers) user() string {
@@ -277,11 +265,10 @@ type poissonArrival struct {
 	users   zipfUsers
 }
 
-func newPoissonArrival(spec ArrivalSpec, p *CellProfile, env diurnalEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess {
-	return &poissonArrival{env: env, src: src, horizon: horizon, users: newZipfUsers(p, src)}
+func newPoissonArrival(spec ArrivalSpec, env diurnalEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess {
+	return &poissonArrival{env: env, src: src, horizon: horizon, users: newZipfUsers(src)}
 }
 
-func (a *poissonArrival) Name() string { return "poisson" }
 func (a *poissonArrival) User() string { return a.users.user() }
 
 func (a *poissonArrival) NextInterArrival(now sim.Time) sim.Time {
@@ -314,7 +301,6 @@ func (a *poissonArrival) NextInterArrival(now sim.Time) sim.Time {
 // Weibull bodies put a CV knob on burstiness that a Poisson stream
 // (CV = 1, memoryless) cannot express.
 type renewalArrival struct {
-	name    string
 	env     diurnalEnvelope
 	src     *rng.Source
 	horizon sim.Time
@@ -322,27 +308,26 @@ type renewalArrival struct {
 	users   zipfUsers
 }
 
-func newGammaArrival(spec ArrivalSpec, p *CellProfile, env diurnalEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess {
+func newGammaArrival(spec ArrivalSpec, env diurnalEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess {
 	cv := spec.knob("cv", 1)
 	shape := 1 / (cv * cv)
 	return &renewalArrival{
-		name: "gamma", env: env, src: src, horizon: horizon,
+		env: env, src: src, horizon: horizon,
 		sampler: dist.Gamma{Shape: shape, Scale: 1 / shape},
-		users:   newZipfUsers(p, src),
+		users:   newZipfUsers(src),
 	}
 }
 
-func newWeibullArrival(spec ArrivalSpec, p *CellProfile, env diurnalEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess {
+func newWeibullArrival(spec ArrivalSpec, env diurnalEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess {
 	cv := spec.knob("cv", 1)
 	shape := dist.WeibullShapeFromCV(cv)
 	return &renewalArrival{
-		name: "weibull", env: env, src: src, horizon: horizon,
+		env: env, src: src, horizon: horizon,
 		sampler: dist.Weibull{Shape: shape, Scale: 1 / math.Gamma(1+1/shape)},
-		users:   newZipfUsers(p, src),
+		users:   newZipfUsers(src),
 	}
 }
 
-func (a *renewalArrival) Name() string { return a.name }
 func (a *renewalArrival) User() string { return a.users.user() }
 
 func (a *renewalArrival) NextInterArrival(now sim.Time) sim.Time {
@@ -375,12 +360,12 @@ type cohortArrival struct {
 	cur     int
 }
 
-func newCohortArrival(spec ArrivalSpec, p *CellProfile, env diurnalEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess {
-	k := int(spec.knob("k", float64(userCount(p))))
+func newCohortArrival(spec ArrivalSpec, env diurnalEnvelope, horizon sim.Time, src *rng.Source) ArrivalProcess {
+	k := int(spec.knob("k", users))
 	if k < 1 {
 		k = 1
 	}
-	skew := spec.knob("skew", userSkew(p))
+	skew := spec.knob("skew", userSkew)
 	cv := spec.knob("cv", 1)
 	shape := 1 / (cv * cv)
 	shares := make([]float64, k)
@@ -402,7 +387,6 @@ func newCohortArrival(spec ArrivalSpec, p *CellProfile, env diurnalEnvelope, hor
 	}
 }
 
-func (a *cohortArrival) Name() string { return "cohorts" }
 func (a *cohortArrival) User() string { return a.names[a.cur] }
 
 // interval draws client i's next inter-arrival at time now: a mean-one

@@ -196,13 +196,14 @@ func TestCohortUsers(t *testing.T) {
 }
 
 // TestPoissonMatchesDefaultGenerator pins the compatibility contract:
-// NewGeneratorArrival with an explicit "poisson" spec is draw-for-draw
+// a profile with an explicit "poisson" arrival spec is draw-for-draw
 // identical to the default generator at the same seed.
 func TestPoissonMatchesDefaultGenerator(t *testing.T) {
 	p1, p2 := Profile2019("a", 600), Profile2019("a", 600)
+	p2.Arrival = "poisson"
 	horizon := 100 * sim.Hour
-	g1 := NewGeneratorArrival(p1, testCapacityCPU, horizon, rng.New(9), 1, "")
-	g2 := NewGeneratorArrival(p2, testCapacityCPU, horizon, rng.New(9), 1, "poisson")
+	g1 := NewGeneratorArrival(p1, testCapacityCPU, horizon, rng.New(9), 1)
+	g2 := NewGeneratorArrival(p2, testCapacityCPU, horizon, rng.New(9), 1)
 	now := sim.Time(0)
 	for i := 0; i < 2000; i++ {
 		d1, d2 := g1.NextInterArrival(now), g2.NextInterArrival(now)

@@ -71,33 +71,29 @@ type Generator struct {
 	liveAllocs []liveRef
 	// out is Generate's result buffer, reused every arrival.
 	out []*scheduler.Job
-
-	// UsageCompensation inflates per-job usage targets to offset early
-	// kills, parent-propagated kills and horizon truncation, which all
-	// remove planned usage.
-	UsageCompensation float64
 }
 
+// usageCompensation inflates per-job usage targets to offset early
+// kills, parent-propagated kills and horizon truncation, which all
+// remove planned usage.
+const usageCompensation = 1.15
+
 // NewGeneratorArrival builds a generator for the profile over the given
-// horizon. startID seeds collection IDs so multiple cells get disjoint ID
-// spaces. A non-empty arrival spec (see ParseArrival) takes precedence
-// over the profile's Arrival field (default poisson); it panics on a
-// malformed spec — callers validate user input with ParseArrival first.
-// Construction consumes no randomness, so building and discarding a
-// generator never perturbs the cell's draw sequence.
-func NewGeneratorArrival(p *CellProfile, capacityCPU float64, horizon sim.Time, src *rng.Source, startID trace.CollectionID, arrival string) *Generator {
+// horizon, with the arrival process the profile's Arrival spec selects
+// (default poisson). startID seeds collection IDs so multiple cells get
+// disjoint ID spaces. It panics on a malformed spec — callers validate
+// user input with ParseArrival first. Construction consumes no
+// randomness, so building and discarding a generator never perturbs the
+// cell's draw sequence.
+func NewGeneratorArrival(p *CellProfile, capacityCPU float64, horizon sim.Time, src *rng.Source, startID trace.CollectionID) *Generator {
 	g := &Generator{
-		p:                 p,
-		src:               src,
-		horizon:           horizon,
-		capacityCPU:       capacityCPU,
-		nextID:            startID,
-		UsageCompensation: 1.15,
+		p:           p,
+		src:         src,
+		horizon:     horizon,
+		capacityCPU: capacityCPU,
+		nextID:      startID,
 	}
-	if arrival == "" {
-		arrival = p.Arrival
-	}
-	g.arr = newArrival(MustParseArrival(arrival), p, horizon, src)
+	g.arr = newArrival(MustParseArrival(p.Arrival), p, horizon, src)
 	shares := make([]float64, len(p.Tiers))
 	rate := p.TotalArrivalRate()
 	horizonHours := horizon.Hours()
@@ -110,7 +106,7 @@ func NewGeneratorArrival(p *CellProfile, capacityCPU float64, horizon sim.Time, 
 		}
 		// Target mean NCU-hours per job so the tier consumes its budget
 		// share of cell capacity.
-		targetMean := tp.CPUBudget * capacityCPU / tierRate * g.UsageCompensation
+		targetMean := tp.CPUBudget * capacityCPU / tierRate * usageCompensation
 		// Cap single-hog consumption so one draw cannot eat the cell,
 		// while leaving the hogs big enough to dominate the load (§7):
 		// the largest job may consume up to ~6% of the cell-horizon,
@@ -154,9 +150,6 @@ func NewGeneratorArrival(p *CellProfile, capacityCPU float64, horizon sim.Time, 
 func (g *Generator) NextInterArrival(now sim.Time) sim.Time {
 	return g.arr.NextInterArrival(now)
 }
-
-// Arrival exposes the generator's arrival process.
-func (g *Generator) Arrival() ArrivalProcess { return g.arr }
 
 // Generate produces the collections submitted at time now: usually one
 // job, occasionally preceded by a new alloc set (§5.1: 2% of collections

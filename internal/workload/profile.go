@@ -86,12 +86,7 @@ type CellProfile struct {
 	// Arrival selects the arrival process by spec (see ParseArrival);
 	// empty means the default diurnally-thinned poisson stream.
 	Arrival string
-	// Users and UserSkew shape the Zipf user-popularity model (and the
-	// cohorts process's client population); zero means the calibrated
-	// defaults of 50 users at skew 1.2.
-	Users    int
-	UserSkew float64
-	Tiers    []TierParams
+	Tiers   []TierParams
 	// AllocSetFraction is the fraction of collections that are alloc
 	// sets (§5.1: 2%).
 	AllocSetFraction float64
@@ -115,10 +110,10 @@ type CellProfile struct {
 	SchedServiceSigma  float64
 	// BatchQueue enables the batch scheduler front-end.
 	BatchQueue bool
-	// BatchAllocCeiling overrides the batch admission controller's
+	// BatchAllocCeiling is the batch admission controller's
 	// best-effort-batch CPU allocation ceiling (fraction of cell
-	// capacity); 0 means the default (0.85). Parameter sweeps use it to
-	// probe admission-pressure sensitivity.
+	// capacity). Parameter sweeps vary it to probe admission-pressure
+	// sensitivity.
 	BatchAllocCeiling float64
 	// UsageNoiseSigma is the per-window lognormal usage noise.
 	UsageNoiseSigma float64
@@ -323,6 +318,7 @@ func Profile2019(cell string, machines int) *CellProfile {
 		SchedServiceMedian:    0.18,
 		SchedServiceSigma:     1.1,
 		BatchQueue:            true,
+		BatchAllocCeiling:     0.85,
 		UsageNoiseSigma:       0.25,
 		MemUnderProvisionProb: 0.02,
 	}

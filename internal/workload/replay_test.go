@@ -17,15 +17,12 @@ import (
 func recordCell(t testing.TB, arrival string, idBase trace.CollectionID, seed uint64) *Recording {
 	t.Helper()
 	p := Profile2019("a", 240)
+	p.Arrival = arrival
 	horizon := 12 * sim.Hour
-	gen := NewGeneratorArrival(p, testCapacityCPU, horizon, rng.New(seed), idBase+1, arrival)
-	spec := arrival
-	if spec == "" {
-		spec = p.Arrival
-	}
+	gen := NewGeneratorArrival(p, testCapacityCPU, horizon, rng.New(seed), idBase+1)
 	rec := NewRecorder(gen, RecordingMeta{
 		Cell: p.Name, Era: p.Era, Machines: p.Machines, Horizon: horizon,
-		Seed: seed, Arrival: MustParseArrival(spec).String(), IDBase: idBase,
+		Seed: seed, Arrival: MustParseArrival(p.Arrival).String(), IDBase: idBase,
 	})
 	drive(rec, horizon)
 	return rec.Recording()

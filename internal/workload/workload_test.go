@@ -16,7 +16,7 @@ const testCapacityCPU = 200.0
 
 func genJobs(t *testing.T, p *CellProfile, horizon sim.Time, n int) []*scheduler.Job {
 	t.Helper()
-	g := NewGeneratorArrival(p, testCapacityCPU, horizon, rng.New(7), 1, "")
+	g := NewGeneratorArrival(p, testCapacityCPU, horizon, rng.New(7), 1)
 	var jobs []*scheduler.Job
 	now := sim.Time(0)
 	for len(jobs) < n {
@@ -33,7 +33,7 @@ func genJobs(t *testing.T, p *CellProfile, horizon sim.Time, n int) []*scheduler
 
 func TestArrivalRateMatchesProfile(t *testing.T) {
 	p := Profile2019("a", 600)
-	g := NewGeneratorArrival(p, testCapacityCPU, 100*sim.Hour, rng.New(3), 1, "")
+	g := NewGeneratorArrival(p, testCapacityCPU, 100*sim.Hour, rng.New(3), 1)
 	want := p.TotalArrivalRate() // jobs/hour
 	if math.Abs(want-3360*600/12000.0) > 1e-9 {
 		t.Fatalf("scaled rate %v", want)
