@@ -4,9 +4,9 @@
 //
 // Simulation speed comes from two layers: -parallel N runs cells
 // concurrently on the engine's worker pool, and within each cell the
-// scheduler's allocation-free placement fast path (equivalence-class
-// score caching over incremental machine aggregates — see the package
-// docs) keeps per-placement cost constant as cells grow. Neither layer
+// scheduler's allocation-free placement fast path (candidates scored
+// from incremental machine aggregates — see the package docs) keeps
+// per-placement cost constant as cells grow. Neither layer
 // affects the output of a given build: for the same binary, the same
 // seed yields the same report at every -parallel setting.
 //

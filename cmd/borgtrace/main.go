@@ -5,9 +5,8 @@
 //
 // Large -machines counts are practical because placement cost does not
 // grow with cell occupancy: the scheduler's fast path (incremental
-// machine aggregates plus equivalence-class score caching, see the
-// package docs) keeps each placement attempt allocation-free and O(1)
-// per candidate. For a given build, the trace for a given (era, cell,
+// machine aggregates, see the package docs) keeps each placement attempt
+// allocation-free and O(1) per candidate. For a given build, the trace for a given (era, cell,
 // machines, hours, seed) tuple is byte-stable; traces are not promised
 // stable across versions of the simulator.
 //

@@ -101,42 +101,31 @@
 //
 // # Placement fast path
 //
-// The scheduler reproduces the 2015-era Borg throughput machinery the
-// paper credits (score caching, equivalence classes): machines maintain
-// their usage total, allocation and victim order incrementally and fix
-// their overcommit ceiling when they join the cell, so a placement
-// attempt reads O(1) aggregates instead of rescanning residents; tasks
-// are bucketed into equivalence classes (request shape × tier × priority
-// band) and each machine memoizes its score for the last class that
-// probed it, invalidated by a per-machine generation counter bumped on
-// every place/remove/limit/usage mutation. A machine keeps its residents
-// in one slice that is always in victim order (priority, then
-// collection, then index): placement inserts by binary search and
-// removal shifts in place, with no per-machine map and no re-sort. Every
-// walk reads that slice itself (LiveResidents): the usage sampler, the
-// preemption scan and the OOM victim pick finish reading before they
-// change the machine, and machine maintenance, which evicts as it walks,
-// first copies it into a scheduler scratch slice, so no walk makes a
-// later placement copy anything. Each task caches its interned class ID,
-// valid until UpdateTaskRequest changes its request or the intern table,
-// bounded at 1,024 classes, is cleared (an epoch counter), so the class
-// lookup hashes only when a task's shape is new to it and the IDs
-// returned are the ones the table would give. Resident records are
+// Machines maintain their usage total, allocation and victim order
+// incrementally and fix their overcommit ceiling when they join the
+// cell, so a placement attempt scores each sampled candidate from O(1)
+// aggregates instead of rescanning residents. Scores are computed
+// directly: the simulator models scheduler throughput through the
+// scheduling server's service time, so the per-class score caching that
+// real Borg uses (EuroSys 2015, §3.4) would save only host CPU. A
+// machine keeps its residents in one slice that is always in victim
+// order (priority, then collection, then index): placement inserts by
+// binary search and removal shifts in place, with no per-machine map and
+// no re-sort. Every walk reads that slice itself (LiveResidents): the
+// usage sampler, the preemption scan and the OOM victim pick finish
+// reading before they change the machine, and machine maintenance, which
+// evicts as it walks, first copies it into a scheduler scratch slice, so
+// no walk makes a later placement copy anything. Resident records are
 // pooled and a task's kernel events are the task itself, so steady-state
-// placement performs zero heap allocations (guarded by an AllocsPerRun
-// test in CI). Machines are looked up in an ID-indexed table: IDs are
-// dense from 1, so cluster.Cell keeps a []*Machine instead of a map, and
-// the scheduler's per-machine score cache is indexed by the same IDs.
-// The scheduling server's service-completion callback is bound once, so
-// queueing a service event allocates no closure. The policy switch sits
-// on top of this machinery without weakening it: each policy's score is
-// a pure function of generation-covered machine state and class-covered
-// request shape, so the per-class score cache, the candidate RNG draw
-// sequence, and the zero-alloc guarantee hold for every policy (guarded
-// per policy by AllocsPerRun and a per-policy benchmark gate). The caches are pure memoization
-// under a hard determinism constraint: every cached value is
-// bit-identical to recomputation and the candidate RNG draw sequence is
-// unchanged by caching, so for a given build the same seed yields
+// placement performs zero heap allocations, for every policy (guarded by
+// AllocsPerRun tests and a per-policy benchmark gate in CI). Machines
+// are looked up in an ID-indexed table: IDs are dense from 1, so
+// cluster.Cell keeps a []*Machine instead of a map. The scheduling
+// server's service-completion callback is bound once, so queueing a
+// service event allocates no closure. Determinism is a hard constraint:
+// each policy's score is a pure function of the machine's state and the
+// request, and the candidate RNG draw sequence does not depend on the
+// policy's scores, so for a given build the same seed yields
 // byte-identical traces at any parallelism. Traces are stable per build,
 // not across versions: an optimization that reorders floating-point sums
 // or random draws (as the fast path did) legitimately shifts same-seed
@@ -180,12 +169,12 @@
 // minutes the sampler visits every occupied machine and emits one
 // UsageRecord per resident task. At warehouse scale that loop dominates
 // the profile, so both of its halves are allocation-free. The sampler
-// side walks an occupied-machine index maintained by the cell (never
-// scanning empty machines), reuses pooled observation and record
-// buffers across windows, and keeps the partial usage of tasks that
-// stopped mid-window in slices indexed by machine ID; a steady-state
-// sampling window performs zero heap allocations (AllocsPerRun-guarded
-// in CI, like the placement fast path). The autopilot the sampler feeds
+// side walks the cell's machines in ID order, skipping empty ones,
+// reuses pooled observation and record buffers across windows, and
+// keeps the partial usage of tasks that stopped mid-window in slices
+// indexed by machine ID; a steady-state sampling window performs zero
+// heap allocations (AllocsPerRun-guarded in CI, like the placement fast
+// path). The autopilot the sampler feeds
 // hangs each task's usage window off the task itself (an opaque owner
 // cookie, like a resident's task pointer) and keeps a list of tracked
 // tasks, which it sweeps once per sampling window to close the windows
@@ -338,18 +327,17 @@
 // internal/metrics instruments the simulator without touching its
 // determinism: a Registry of typed instruments — lock-free atomic
 // counters and gauges, mutex-guarded t-digest histograms — that the
-// scheduler (placement attempts, score-cache hit rate, preemptions,
-// pending-queue depth), the sim kernel (events dispatched, slab
-// occupancy), the usage pipeline (windows sampled, batch sizes) and the
-// trace layer (rows emitted per kind) report into. The contract is
+// scheduler (placement attempts, preemptions, pending-queue depth), the
+// sim kernel (events dispatched, slab occupancy), the usage pipeline
+// (windows sampled, batch sizes) and the trace layer (rows emitted per
+// kind) report into. The contract is
 // observe-only: instruments consume no randomness, schedule no events
 // and write no trace rows, so a run with metrics attached is
 // byte-identical to one without, at any parallelism — pinned by
 // differential tests in internal/core, internal/experiments and
-// internal/fleet, and the instrumented placement fast path stays
-// zero-alloc (counter posts are batched per pick; histograms ride the
-// usage sampler's periodic tick, never the hot path) under its own
-// AllocsPerRun guard and benchmark gate.
+// internal/fleet, and the instrumented placement path stays zero-alloc
+// (counters are bare atomic adds; histograms ride the usage sampler's
+// periodic tick, never the hot path) under its own AllocsPerRun guard.
 //
 // Multi-cell runs roll up deterministically: engine.RunInstruments
 // gives every cell a private registry (concurrent cells never share

@@ -103,12 +103,6 @@ type Machine struct {
 	residents []*Resident
 	order     []victimKey
 
-	// gen counts state mutations (place, remove, limit update, usage
-	// sample). The scheduler's score cache keys on it: an unchanged gen
-	// guarantees every input to a machine's placement score is unchanged,
-	// so memoized scores are exact, never approximations.
-	gen uint64
-
 	// ceil is the allocation ceiling under the cell's overcommit policy,
 	// computed once by AddMachine (capacity never changes afterwards).
 	ceil trace.Resources
@@ -136,10 +130,6 @@ func (m *Machine) Allocated() trace.Resources { return m.allocated }
 
 // NumResidents returns the number of placed instances.
 func (m *Machine) NumResidents() int { return len(m.residents) }
-
-// Gen returns the machine's mutation generation. Any change to the
-// machine's allocation, residents, limits or sampled usage bumps it.
-func (m *Machine) Gen() uint64 { return m.gen }
 
 // LiveResidents returns the resident list in victim order — (priority
 // asc, key) — as the machine's own slice, valid only until its next Place
@@ -177,7 +167,6 @@ func (m *Machine) SetResidentUsage(r *Resident, usage trace.Resources) {
 	m.usageTotal = m.usageTotal.Sub(r.Usage).Add(usage)
 	m.clampAggregates()
 	r.Usage = usage
-	m.gen++
 }
 
 // insert places r at its victim-order position.
@@ -260,11 +249,7 @@ type Cell struct {
 	// nextID) and slot 0 is never used.
 	machines []*Machine
 	ids      []trace.MachineID // live IDs, sorted, kept in sync with machines
-	// occ lists machines that currently hold at least one resident, in
-	// ascending ID order. Place/Remove maintain it on the 0↔1 resident
-	// transitions so per-window sampling walks only occupied machines.
-	occ      []*Machine
-	capacity trace.Resources // total live capacity
+	capacity trace.Resources   // total live capacity
 	nextID   trace.MachineID
 	// oc is the cell's overcommit policy; every machine's ceiling is
 	// derived from it once, when the machine is added.
@@ -310,32 +295,6 @@ func (c *Cell) Capacity() trace.Resources { return c.capacity }
 // MachineIDs returns the live machine IDs in ascending order.
 func (c *Cell) MachineIDs() []trace.MachineID { return c.ids }
 
-// OccupiedMachines returns the machines holding at least one resident,
-// in ascending ID order. The slice is the cell's live index: callers
-// must not modify it or retain it across placements.
-func (c *Cell) OccupiedMachines() []*Machine { return c.occ }
-
-// occIndex returns the position of (or insertion point for) machine ID
-// id in the occupied index.
-func (c *Cell) occIndex(id trace.MachineID) int {
-	return sort.Search(len(c.occ), func(i int) bool { return c.occ[i].ID >= id })
-}
-
-// occupy inserts m into the occupied index (first resident arrived).
-func (c *Cell) occupy(m *Machine) {
-	i := c.occIndex(m.ID)
-	c.occ = append(c.occ, nil)
-	copy(c.occ[i+1:], c.occ[i:])
-	c.occ[i] = m
-}
-
-// vacate drops m from the occupied index (last resident left).
-func (c *Cell) vacate(m *Machine) {
-	if i := c.occIndex(m.ID); i < len(c.occ) && c.occ[i] == m {
-		c.occ = append(c.occ[:i], c.occ[i+1:]...)
-	}
-}
-
 // Machines calls fn for every live machine in ID order.
 func (c *Cell) Machines(fn func(m *Machine)) {
 	for _, id := range c.ids {
@@ -357,10 +316,6 @@ func (c *Cell) Place(id trace.MachineID, r *Resident) {
 	m.insert(r)
 	m.allocated = m.allocated.Add(r.Limit)
 	m.usageTotal = m.usageTotal.Add(r.Usage)
-	if len(m.residents) == 1 {
-		c.occupy(m)
-	}
-	m.gen++
 }
 
 // Remove detaches a resident from a machine and returns it. Removing a
@@ -378,11 +333,7 @@ func (c *Cell) Remove(id trace.MachineID, key trace.InstanceKey) *Resident {
 	m.removeAt(i)
 	m.allocated = m.allocated.Sub(r.Limit)
 	m.usageTotal = m.usageTotal.Sub(r.Usage)
-	if len(m.residents) == 0 {
-		c.vacate(m)
-	}
 	m.clampAggregates()
-	m.gen++
 	return r
 }
 
@@ -398,10 +349,9 @@ func (c *Cell) UpdateLimit(id trace.MachineID, key trace.InstanceKey, limit trac
 		panic(fmt.Sprintf("cluster: instance %s not on machine %d", key, id))
 	}
 	m.allocated = m.allocated.Sub(r.Limit).Add(limit)
+	// Limit changes alter fit and score but not the victim order, which
+	// sorts by priority and key, so the resident keeps its position.
 	r.Limit = limit
-	// Limit changes alter fit and score but not the victim order (which
-	// sorts by priority and key), so only the generation moves.
-	m.gen++
 }
 
 // BuildCell creates a cell of n machines drawn from the shape catalog

@@ -259,24 +259,6 @@ func TestCeilingMemoized(t *testing.T) {
 	}
 }
 
-func TestGenerationBumpsOnEveryMutation(t *testing.T) {
-	c := NewCell("test", noOC)
-	m := c.AddMachine(res(1, 1), "P0")
-	key := trace.InstanceKey{Collection: 1}
-	g := m.Gen()
-	step := func(name string, f func()) {
-		f()
-		if m.Gen() <= g {
-			t.Fatalf("%s did not bump generation (%d -> %d)", name, g, m.Gen())
-		}
-		g = m.Gen()
-	}
-	step("place", func() { c.Place(m.ID, &Resident{Key: key, Limit: res(0.2, 0.2)}) })
-	step("set usage", func() { m.SetResidentUsage(m.Resident(key), res(0.1, 0.1)) })
-	step("update limit", func() { c.UpdateLimit(m.ID, key, res(0.3, 0.1)) })
-	step("remove", func() { c.Remove(m.ID, key) })
-}
-
 // Property: after randomized place/remove/limit/usage mutation sequences,
 // the incrementally maintained aggregates (allocation, usage total, victim
 // order, ceiling) match a from-scratch recomputation of the same state:

@@ -65,7 +65,7 @@ func TestRunAllocsPerJob(t *testing.T) {
 func TestPlaceAfterSampleZeroAllocs(t *testing.T) {
 	st := buildUsageBenchState(t, 120, sim.Hour)
 	sampler := st.newBenchSampler(&trace.CountingSink{})
-	m := st.cell.OccupiedMachines()[0]
+	m := firstOccupied(st.cell)
 	extra := &cluster.Resident{Key: trace.InstanceKey{Collection: 1 << 40}}
 	cycle := func() {
 		sampler.sample(st.now)

@@ -352,9 +352,6 @@ type usageSampler struct {
 	// obsBuf is the per-machine observation scratch, reused every window
 	// so steady-state sampling does not allocate.
 	obsBuf []obs
-	// machBuf snapshots the cell's occupied-machine index each window
-	// (see sample); reused like obsBuf.
-	machBuf []*cluster.Machine
 	// recBuf collects one machine-window's usage records and is handed to
 	// the sink as a single batch; the sink must not retain it, so the
 	// buffer is reused every machine.
@@ -399,27 +396,18 @@ func (u *usageSampler) draw(t *scheduler.Task) (avg trace.Resources, peakJitter 
 }
 
 // sample emits one 5-minute window of usage records ending at now. It
-// walks the cell's occupied-machine index in ID order and each machine's
-// resident victim order — both deterministic — so randomness consumption
-// stays a pure function of the simulation state, with no per-window
-// sorting or grouping maps. Machines without residents consume no
-// randomness, which is what makes the occupied-only walk draw-for-draw
-// identical to a full machine scan. Each machine's records leave as one
-// batch, and steady-state sampling with autopilot disabled performs zero
-// heap allocations.
+// walks the cell's machines in ID order and each machine's resident
+// victim order — both deterministic — so randomness consumption stays a
+// pure function of the simulation state, with no per-window sorting or
+// grouping maps. Machines without residents are skipped and draw
+// nothing. Each machine's records leave as one batch, and steady-state
+// sampling with autopilot disabled performs zero heap allocations.
 func (u *usageSampler) sample(now sim.Time) {
 	if u.mWindows != nil {
 		u.mWindows.Inc()
 	}
-	// Snapshot the occupied index before walking it: handling one
-	// machine's memory pressure can empty the machine, and the index's
-	// in-place compaction would make a live range skip the next entry.
-	// Nothing during the walk can occupy a new machine or touch another
-	// machine's residents, so the snapshot visits exactly the machines a
-	// full ID scan would.
-	machines := append(u.machBuf[:0], u.cell.OccupiedMachines()...)
-	for _, m := range machines {
-		mid := m.ID
+	for _, mid := range u.cell.MachineIDs() {
+		m := u.cell.Machine(mid)
 		if m.NumResidents() == 0 {
 			continue
 		}
@@ -525,7 +513,6 @@ func (u *usageSampler) sample(now sim.Time) {
 		}
 		u.recBuf = recs[:0]
 	}
-	u.machBuf = machines[:0]
 
 	if u.ap != nil {
 		// Tasks the walk did not observe stopped running since their last

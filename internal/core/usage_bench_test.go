@@ -63,7 +63,7 @@ func buildUsageBenchState(tb testing.TB, machines int, warmup sim.Time) *usageBe
 	}
 	scheduleArrival(0)
 	k.RunUntil(warmup)
-	if len(cell.OccupiedMachines()) == 0 {
+	if firstOccupied(cell) == nil {
 		tb.Fatal("usage bench warmup produced no running tasks")
 	}
 	return &usageBenchState{
@@ -71,6 +71,16 @@ func buildUsageBenchState(tb testing.TB, machines int, warmup sim.Time) *usageBe
 		src: root.Split("usage"),
 		now: warmup - warmup%sim.SampleWindow,
 	}
+}
+
+// firstOccupied returns the lowest-ID machine holding a resident, or nil.
+func firstOccupied(cell *cluster.Cell) *cluster.Machine {
+	for _, id := range cell.MachineIDs() {
+		if m := cell.Machine(id); m.NumResidents() > 0 {
+			return m
+		}
+	}
+	return nil
 }
 
 // newBenchSampler binds a fresh sampler (autopilot off) to the live

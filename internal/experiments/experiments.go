@@ -94,11 +94,10 @@ func SuiteProfiles(sc Scale) []*workload.CellProfile {
 	return profiles
 }
 
-// SuiteSpecsWith builds the suite's nine cell specs with overlay applied
-// to each freshly built profile first (nil means none) — the hook
-// parameter sweeps use to vary profile knobs per variant. Seeds and ID
-// spaces are assigned per the engine contracts.
-func SuiteSpecsWith(sc Scale, overlay func(*workload.CellProfile)) []engine.Spec {
+// SuiteSpecs builds the suite's nine cell specs — the 2011 cell at index
+// 0, then the eight 2019 cells a–h — with seeds and ID spaces assigned
+// per the engine contracts.
+func SuiteSpecs(sc Scale) []engine.Spec {
 	// Policy and Arrival act at the profile level (SuiteProfiles), and
 	// Metrics/Timeline are applied per cell by engine.RunInstruments in the
 	// run functions, so no knob rides the per-cell options.
@@ -108,9 +107,6 @@ func SuiteSpecsWith(sc Scale, overlay func(*workload.CellProfile)) []engine.Spec
 	profiles := SuiteProfiles(sc)
 	specs := make([]engine.Spec, 0, len(profiles))
 	for i, p := range profiles {
-		if overlay != nil {
-			overlay(p)
-		}
 		spec := engine.NewSpec(i, p, base, sc.Seed)
 		if i < len(sc.Replay) {
 			spec.Options.Replay = sc.Replay[i]
@@ -118,13 +114,6 @@ func SuiteSpecsWith(sc Scale, overlay func(*workload.CellProfile)) []engine.Spec
 		specs = append(specs, spec)
 	}
 	return specs
-}
-
-// SuiteSpecs builds the suite's nine cell specs — the 2011 cell at index
-// 0, then the eight 2019 cells a–h — with seeds and ID spaces assigned
-// per the engine contracts.
-func SuiteSpecs(sc Scale) []engine.Spec {
-	return SuiteSpecsWith(sc, nil)
 }
 
 // Suite is one simulated run of the nine cells: one streaming reducer per

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dist"
-	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -76,56 +75,10 @@ func BenchmarkPlacement(b *testing.B) {
 	}
 }
 
-// BenchmarkInstrumentedPlacement is BenchmarkPlacement against a
-// scheduler wired to a caller-supplied metrics registry: the same
-// steady-state cycle with every sched_* counter live. Benchgate holds it
-// to the uninstrumented baseline's tolerance band with allocs/op pinned
-// at 0 — counters must stay batched atomic adds, never allocations.
-func BenchmarkInstrumentedPlacement(b *testing.B) {
-	reg := metrics.NewRegistry()
-	cell := cluster.NewCell("bench", defaultOC)
-	k := sim.NewKernel()
-	cfg := DefaultConfig()
-	cfg.Batch = false
-	cfg.ServiceTime = dist.Deterministic{Value: 0.001}
-	cfg.Metrics = reg
-	s := New(cfg, cell, k, trace.NopSink{}, rng.New(7))
-	id := trace.CollectionID(1)
-	for i := 0; i < 200; i++ {
-		m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
-		for r := 0; r < 12; r++ {
-			cell.Place(m.ID, &cluster.Resident{
-				Key:      trace.InstanceKey{Collection: id},
-				Limit:    trace.Resources{CPU: 0.03, Mem: 0.03},
-				Priority: 110,
-				Tier:     trace.TierMid,
-				Usage:    trace.Resources{CPU: 0.02, Mem: 0.02},
-			})
-			id++
-		}
-	}
-	t := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierProduction)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := s.pickMachine(t)
-		if m == nil {
-			b.Fatal("no feasible machine")
-		}
-		cell.Place(m.ID, s.takeResident(t.Key, t.Request, t.Job.Priority, t.Job.Tier))
-		s.releaseResident(cell.Remove(m.ID, t.Key))
-	}
-	b.StopTimer()
-	if reg.Counter("sched_score_cache_hits_total").Value()+
-		reg.Counter("sched_score_cache_misses_total").Value() == 0 {
-		b.Fatal("instrumented run recorded no score-cache activity")
-	}
-}
-
 // BenchmarkPlacementPolicy measures the same steady-state placement
 // cycle as BenchmarkPlacement once per policy, so benchgate can hold
 // every policy to the placement fast path (0 allocs/op and
-// comparable per-placement cost through the score cache).
+// comparable per-placement cost).
 func BenchmarkPlacementPolicy(b *testing.B) {
 	for _, p := range policies() {
 		p := p

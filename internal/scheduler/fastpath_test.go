@@ -12,136 +12,6 @@ import (
 	"repro/internal/trace"
 )
 
-// TestScoreCacheMatchesRecompute is the invalidation property test for the
-// equivalence-class score cache: after every randomized cell mutation
-// (place, evict, limit update, usage sample), the cached score must equal
-// a from-scratch recomputation bit for bit — the cache is memoization,
-// never approximation.
-func TestScoreCacheMatchesRecompute(t *testing.T) {
-	s, cell := benchCell(8, 6, trace.TierMid, 110,
-		trace.Resources{CPU: 0.05, Mem: 0.05}, trace.Resources{CPU: 0.03, Mem: 0.03},
-		defaultOC)
-	tasks := []*Task{
-		benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierProduction),
-		benchTask(trace.Resources{CPU: 0.02, Mem: 0.04}, 0, trace.TierFree),
-		benchTask(trace.Resources{CPU: 0.2, Mem: 0.05}, 110, trace.TierBestEffortBatch),
-	}
-	src := rng.New(5)
-	ids := cell.MachineIDs()
-	next := trace.CollectionID(100000)
-	extra := make(map[trace.MachineID][]trace.InstanceKey)
-	var hits, misses int
-
-	for step := 0; step < 3000; step++ {
-		mid := ids[src.Intn(len(ids))]
-		m := cell.Machine(mid)
-		switch op := src.Intn(4); {
-		case op == 0: // place a new resident
-			key := trace.InstanceKey{Collection: next}
-			next++
-			cell.Place(mid, &cluster.Resident{
-				Key:   key,
-				Limit: trace.Resources{CPU: src.Float64() * 0.05, Mem: src.Float64() * 0.05},
-			})
-			extra[mid] = append(extra[mid], key)
-		case op == 1 && len(extra[mid]) > 0: // evict one again
-			keys := extra[mid]
-			cell.Remove(mid, keys[len(keys)-1])
-			extra[mid] = keys[:len(keys)-1]
-		case op == 2 && len(extra[mid]) > 0: // autopilot-style limit update
-			keys := extra[mid]
-			cell.UpdateLimit(mid, keys[src.Intn(len(keys))],
-				trace.Resources{CPU: src.Float64() * 0.05, Mem: src.Float64() * 0.05})
-		default: // usage sample on any resident
-			rs := m.LiveResidents()
-			if len(rs) > 0 {
-				m.SetResidentUsage(rs[src.Intn(len(rs))],
-					trace.Resources{CPU: src.Float64() * 0.05, Mem: src.Float64() * 0.05})
-			}
-		}
-
-		// Score a random (task, machine) pair twice through the cache —
-		// the second lookup is guaranteed cached — and compare both
-		// against direct recomputation.
-		tt := tasks[src.Intn(len(tasks))]
-		vm := cell.Machine(ids[src.Intn(len(ids))])
-		usage := vm.UsageTotal()
-		class := s.classID(tt)
-		first, firstHit := s.cachedScore(vm, tt, usage, class)
-		cached, cachedHit := s.cachedScore(vm, tt, usage, class)
-		if firstHit {
-			hits++
-		} else {
-			misses++
-		}
-		if !cachedHit {
-			t.Fatalf("step %d: immediate re-probe missed the cache", step)
-		}
-		want := s.cfg.Policy.score(vm, tt.Request, usage)
-		if first != want || cached != want {
-			t.Fatalf("step %d: cached score %v/%v, recomputed %v (machine %d gen %d)",
-				step, first, cached, want, vm.ID, vm.Gen())
-		}
-	}
-	if hits == 0 || misses == 0 {
-		t.Fatalf("degenerate cache exercise: hits=%d misses=%d", hits, misses)
-	}
-}
-
-// TestClassIDStableAndDistinct checks equivalence-class interning: same
-// shape/tier/band shares an ID, any differing component splits it, and
-// IDs stay monotonic across a table clear so stale cache slots can never
-// alias a fresh class.
-func TestClassIDStableAndDistinct(t *testing.T) {
-	s, _ := benchCell(1, 0, trace.TierMid, 110,
-		trace.Resources{}, trace.Resources{}, strictOC)
-	base := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierProduction)
-	same := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 125, trace.TierProduction) // same band of ten
-	if s.classID(base) != s.classID(same) {
-		t.Fatal("identical class interned to different IDs")
-	}
-	for _, other := range []*Task{
-		benchTask(trace.Resources{CPU: 0.2, Mem: 0.1}, 120, trace.TierProduction), // shape
-		benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierMid),        // tier
-		benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 200, trace.TierProduction), // band
-	} {
-		if s.classID(other) == s.classID(base) {
-			t.Fatalf("distinct class shares ID: %+v", other.Request)
-		}
-	}
-	id := s.classID(base)
-	s.clearClassIDs() // the path classID takes on hitting maxClassIDs
-	if again := s.classID(base); again <= id {
-		t.Fatalf("class ID not monotonic across clear: %d then %d", id, again)
-	}
-	if s.classID(same) != s.classID(base) {
-		t.Fatal("a task cached before the clear kept its stale class ID")
-	}
-}
-
-// TestClassIDFollowsRequestUpdate: a task's cached class ID must not
-// outlive its request. After UpdateTaskRequest the task interns to the
-// new shape's class, the one a fresh task of that shape gets.
-func TestClassIDFollowsRequestUpdate(t *testing.T) {
-	s, _ := benchCell(1, 0, trace.TierMid, 110,
-		trace.Resources{}, trace.Resources{}, strictOC)
-	task := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierProduction)
-	before := s.classID(task)
-	grown := trace.Resources{CPU: 0.3, Mem: 0.1}
-	s.UpdateTaskRequest(task, grown)
-	after := s.classID(task)
-	if after == before {
-		t.Fatal("class ID unchanged after the request changed")
-	}
-	if fresh := s.classID(benchTask(grown, 120, trace.TierProduction)); fresh != after {
-		t.Fatalf("updated task has class %d, a fresh task of its shape %d", after, fresh)
-	}
-	s.UpdateTaskRequest(task, trace.Resources{CPU: 0.1, Mem: 0.1})
-	if back := s.classID(task); back != before {
-		t.Fatalf("restored request interned to %d, want the original %d", back, before)
-	}
-}
-
 // TestPlacementSteadyStateZeroAllocs is the CI allocation guard: one
 // steady-state placement cycle — candidate scoring, placing the chosen
 // resident, and unplacing it — must not allocate.
@@ -159,17 +29,18 @@ func TestPlacementSteadyStateZeroAllocs(t *testing.T) {
 		s.releaseResident(cell.Remove(m.ID, task.Key))
 	}
 	for i := 0; i < 100; i++ {
-		cycle() // warm the pool, class table, and score slots
+		cycle() // warm the resident pool
 	}
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 		t.Fatalf("steady-state placement allocates %.1f allocs/op, want 0", avg)
 	}
 }
 
-// TestInstrumentedPlacementZeroAllocs repeats the steady-state guard with
-// a caller-supplied metrics registry wired into the scheduler: live
-// counters and the pending-queue gauge must add only atomic operations to
-// the placement cycle, never allocations.
+// TestInstrumentedPlacementZeroAllocs repeats the steady-state guard one
+// layer up, through attemptPlacement and unplace with a caller-supplied
+// metrics registry wired into the scheduler: the live counters, the
+// trace emission and the task's end event must add no allocations to
+// the placement cycle.
 func TestInstrumentedPlacementZeroAllocs(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cell := cluster.NewCell("bench", defaultOC)
@@ -195,21 +66,22 @@ func TestInstrumentedPlacementZeroAllocs(t *testing.T) {
 	}
 	task := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierProduction)
 	cycle := func() {
-		m := s.pickMachine(task)
-		if m == nil {
-			t.Fatal("no feasible machine")
+		s.attemptPlacement(task, k.Now())
+		if task.State != TaskRunning {
+			t.Fatalf("task state %v after placement, want running", task.State)
 		}
-		cell.Place(m.ID, s.takeResident(task.Key, task.Request, task.Job.Priority, task.Job.Tier))
-		s.releaseResident(cell.Remove(m.ID, task.Key))
+		s.stopRun(task, k.Now())
+		s.unplace(task, true)
+		task.State = TaskPending
 	}
 	for i := 0; i < 100; i++ {
-		cycle()
+		cycle() // warm the resident pool and the kernel's event slots
 	}
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 		t.Fatalf("instrumented placement allocates %.1f allocs/op, want 0", avg)
 	}
-	if reg.Counter("sched_score_cache_hits_total").Value() == 0 {
-		t.Fatal("instrumented cycles recorded no score-cache hits")
+	if reg.Counter("sched_placement_attempts_total").Value() == 0 {
+		t.Fatal("instrumented cycles recorded no placement attempts")
 	}
 }
 

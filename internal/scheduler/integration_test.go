@@ -154,8 +154,10 @@ func TestUnplaceHookFires(t *testing.T) {
 	if lastStart <= 0 {
 		t.Fatalf("hook runStart %v", lastStart)
 	}
-	if n := len(rig.cell.OccupiedMachines()); n != 0 {
-		t.Fatalf("%d machines still hold a resident", n)
+	for _, id := range rig.cell.MachineIDs() {
+		if n := rig.cell.Machine(id).NumResidents(); n != 0 {
+			t.Fatalf("machine %d still holds %d residents", id, n)
+		}
 	}
 }
 

@@ -47,10 +47,7 @@ func (s *Scheduler) attemptPlacement(t *Task, now sim.Time) {
 
 // pickMachine samples candidate machines and returns the best feasible one
 // under the configured policy, or nil. This is the placement fast path:
-// candidate feasibility and scoring read only O(1) machine aggregates,
-// and scores memoize per equivalence class. The RNG draw sequence is
-// identical whether or not the cache hits, so caching cannot perturb the
-// deterministic trace.
+// candidate feasibility and scoring read only O(1) machine aggregates.
 func (s *Scheduler) pickMachine(t *Task) *cluster.Machine {
 	ids := s.cell.MachineIDs()
 	if len(ids) == 0 {
@@ -60,13 +57,8 @@ func (s *Scheduler) pickMachine(t *Task) *cluster.Machine {
 	if k > len(ids) {
 		k = len(ids)
 	}
-	var class uint32 // interned lazily: RandomFit never needs it
 	var best *cluster.Machine
 	bestScore := math.Inf(1)
-	// Cache hits/misses accumulate locally and post to the atomic
-	// counters once per pick, not once per candidate, so instrumentation
-	// adds O(1) atomics to the fast path.
-	var hits, misses int64
 	for i := 0; i < k; i++ {
 		m := s.cell.Machine(ids[s.src.Intn(len(ids))])
 		if m == nil || !m.FitsLimit(t.Request) {
@@ -80,53 +72,14 @@ func (s *Scheduler) pickMachine(t *Task) *cluster.Machine {
 			continue
 		}
 		if s.cfg.Policy == RandomFit {
-			// First fit: the first feasible candidate wins outright, with
-			// no class interning and no score cache.
+			// First fit: the first feasible candidate wins outright.
 			return m
 		}
-		if class == 0 {
-			class = s.classID(t)
-		}
-		score, hit := s.cachedScore(m, t, usage, class)
-		if hit {
-			hits++
-		} else {
-			misses++
-		}
-		if score < bestScore {
+		if score := s.cfg.Policy.score(m, t.Request, usage); score < bestScore {
 			best, bestScore = m, score
 		}
 	}
-	if hits != 0 {
-		s.met.scoreCacheHits.Add(hits)
-	}
-	if misses != 0 {
-		s.met.scoreCacheMisses.Add(misses)
-	}
 	return best
-}
-
-// cachedScore returns the policy's score(m, req, usage) through the
-// equivalence-class cache, and whether the slot hit: a slot whose class
-// and machine generation both match is exact memoization (see
-// scoreSlot) and skips recomputation — valid because score is
-// contractually a pure function of state covered by (class, m.Gen()).
-// The probe is a bare array index — no hashing on the per-candidate
-// path; the caller batches hit/miss counts into the metrics counters.
-func (s *Scheduler) cachedScore(m *cluster.Machine, t *Task, usage trace.Resources, class uint32) (float64, bool) {
-	i := int(m.ID)
-	if i >= len(s.scoreSlots) {
-		grown := make([]scoreSlot, i+1)
-		copy(grown, s.scoreSlots)
-		s.scoreSlots = grown
-	}
-	slot := &s.scoreSlots[i]
-	if slot.class == class && slot.gen == m.Gen() {
-		return slot.score, true
-	}
-	sc := s.cfg.Policy.score(m, t.Request, usage)
-	*slot = scoreSlot{class: class, gen: m.Gen(), score: sc}
-	return sc, false
 }
 
 // takeResident returns a Resident record for a placement, recycling one

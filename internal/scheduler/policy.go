@@ -41,13 +41,6 @@ const oversubRiskWeight = 4.0
 // better. usage is the machine's sampled usage total, read once by the
 // caller and threaded through. RandomFit never scores: the first
 // feasible candidate wins outright.
-//
-// score must be a pure function of inputs that are fully covered by the
-// score cache key: the machine's generation counter (which advances on
-// every allocation, limit and usage mutation) and the task's equivalence
-// class (request shape). That is what makes Scheduler.cachedScore exact
-// memoization; an arm that read anything else (time, RNG, queue state)
-// would silently break the cache and the determinism contract with it.
 func (p PlacementPolicy) score(m *cluster.Machine, req, usage trace.Resources) float64 {
 	alloc := m.Allocated()
 	capacity := m.Capacity

@@ -158,12 +158,7 @@ type Task struct {
 	// the task's next transition, never permanently drift it.
 	bebCounted bool
 	Machine    trace.MachineID
-	// classID caches the task's interned scoring class (see
-	// Scheduler.classID), valid while it was issued in the intern table's
-	// current epoch; UpdateTaskRequest clears it, so every request write
-	// must go through that setter.
-	classID  uint32
-	oomFails int32 // times killed for exceeding its own memory limit
+	oomFails   int32 // times killed for exceeding its own memory limit
 	// AllocInstance hosts this task when the job targets an alloc set.
 	AllocInstance trace.InstanceKey
 
@@ -303,10 +298,6 @@ type Stats struct {
 	BatchAdmitted       int
 	BatchQueuedNow      int
 	TasksFailedRestarts int
-	// ScoreCacheHits/Misses count equivalence-class score lookups served
-	// from cache versus recomputed (placement fast path telemetry).
-	ScoreCacheHits   int
-	ScoreCacheMisses int
 }
 
 // schedInstruments binds the scheduler's activity counters to a metrics
@@ -327,8 +318,6 @@ type schedInstruments struct {
 	machineEvictions    *metrics.Counter // sched_machine_evictions_total
 	batchAdmitted       *metrics.Counter // sched_batch_admitted_total
 	tasksFailedRestarts *metrics.Counter // sched_task_failed_restarts_total
-	scoreCacheHits      *metrics.Counter // sched_score_cache_hits_total
-	scoreCacheMisses    *metrics.Counter // sched_score_cache_misses_total
 	pendingQueue        *metrics.Gauge   // sched_pending_queue (QueueDepth)
 }
 
@@ -345,8 +334,6 @@ func newSchedInstruments(reg *metrics.Registry) schedInstruments {
 		machineEvictions:    reg.Counter("sched_machine_evictions_total"),
 		batchAdmitted:       reg.Counter("sched_batch_admitted_total"),
 		tasksFailedRestarts: reg.Counter("sched_task_failed_restarts_total"),
-		scoreCacheHits:      reg.Counter("sched_score_cache_hits_total"),
-		scoreCacheMisses:    reg.Counter("sched_score_cache_misses_total"),
 		pendingQueue:        reg.Gauge("sched_pending_queue"),
 	}
 }
@@ -358,73 +345,6 @@ type AllocInstance struct {
 	Machine  trace.MachineID
 	Reserved trace.Resources
 	Used     trace.Resources
-}
-
-// eqClass is the equivalence-class key for placement scoring: tasks with
-// the same request shape, tier and priority band rank machines
-// identically, so their machine scores share cache entries (the 2015-era
-// Borg fast path the paper credits for scheduler throughput).
-type eqClass struct {
-	req  trace.Resources
-	tier trace.Tier
-	band int
-}
-
-// scoreSlot is one machine's memoized score for the equivalence class
-// that last scored it, valid while the machine's generation is unchanged.
-// Every input of score() is covered by the generation (allocation, usage,
-// limits) or by the class (request shape), so a valid slot is
-// bit-identical to recomputation — the cache can never change placement
-// behavior, only skip work. One slot per machine suffices because the
-// pending queue serves a job's identically-shaped tasks back to back.
-type scoreSlot struct {
-	class uint32
-	gen   uint64
-	score float64
-}
-
-// maxClassIDs bounds the class-interning table; crossing it clears the
-// table wholesale. IDs keep monotonically increasing across clears, so a
-// re-interned class can never alias a stale score slot. Autopilot resizes
-// give most tasks a shape of their own after a few windows, so most
-// interned classes stop being held by any task soon after. A bound of
-// 1,024 keeps the table small and its buckets reused, at a near-identical
-// hit rate: 0.4779 against 0.4780 with 65,536 entries, for
-// borgexperiments at default scale and seed 1.
-const maxClassIDs = 1 << 10
-
-// classID interns a task's scoring equivalence class to a small integer,
-// so the per-candidate cache probe is an array index instead of a struct
-// hash. Priority bands of ten keep the class count small; priority does
-// not feed the score itself, so band width only shifts hit rates. The ID
-// is cached on the task: while its request is unchanged (UpdateTaskRequest
-// clears the cache) and the table has not been cleared since, the table
-// would return the same ID, so the cache skips the hash without changing
-// any returned ID.
-func (s *Scheduler) classID(t *Task) uint32 {
-	if t.classID > s.classEpoch {
-		return t.classID
-	}
-	c := eqClass{req: t.Request, tier: t.Job.Tier, band: t.Job.Priority / 10}
-	id, ok := s.classIDs[c]
-	if !ok {
-		if len(s.classIDs) >= maxClassIDs {
-			s.clearClassIDs()
-		}
-		s.nextClassID++
-		id = s.nextClassID
-		s.classIDs[c] = id
-	}
-	t.classID = id
-	return id
-}
-
-// clearClassIDs empties the class-interning table and starts a new
-// epoch, which invalidates every task's cached class ID: IDs only grow,
-// so the epoch is the last ID issued before the clear.
-func (s *Scheduler) clearClassIDs() {
-	clear(s.classIDs)
-	s.classEpoch = s.nextClassID
 }
 
 // Free returns the unused reservation.
@@ -452,13 +372,6 @@ type Scheduler struct {
 	// residents of its machine that name it.
 	allocs map[trace.CollectionID][]*AllocInstance
 
-	// scoreSlots memoizes placement scores per machine (indexed by
-	// machine ID) for the last equivalence class that scored the machine,
-	// invalidated by machine generation counters.
-	scoreSlots  []scoreSlot
-	classIDs    map[eqClass]uint32
-	nextClassID uint32
-	classEpoch  uint32 // IDs above it were issued since the last clear
 	// residentPool recycles Resident records between placements so the
 	// steady-state place/unplace cycle does not allocate.
 	residentPool []*cluster.Resident
@@ -495,15 +408,14 @@ func New(cfg Config, cell *cluster.Cell, k *sim.Kernel, sink trace.Sink, src *rn
 		reg = metrics.NewRegistry()
 	}
 	s := &Scheduler{
-		cfg:      cfg,
-		cell:     cell,
-		k:        k,
-		sink:     sink,
-		src:      src,
-		jobs:     make(map[trace.CollectionID]*Job),
-		allocs:   make(map[trace.CollectionID][]*AllocInstance),
-		classIDs: make(map[eqClass]uint32),
-		met:      newSchedInstruments(reg),
+		cfg:    cfg,
+		cell:   cell,
+		k:      k,
+		sink:   sink,
+		src:    src,
+		jobs:   make(map[trace.CollectionID]*Job),
+		allocs: make(map[trace.CollectionID][]*AllocInstance),
+		met:    newSchedInstruments(reg),
 	}
 	s.serveEv = s.serve
 	if cfg.Batch {
@@ -529,8 +441,6 @@ func (s *Scheduler) Stats() Stats {
 		BatchAdmitted:       int(s.met.batchAdmitted.Value()),
 		BatchQueuedNow:      len(s.batchQueue),
 		TasksFailedRestarts: int(s.met.tasksFailedRestarts.Value()),
-		ScoreCacheHits:      int(s.met.scoreCacheHits.Value()),
-		ScoreCacheMisses:    int(s.met.scoreCacheMisses.Value()),
 	}
 }
 
@@ -580,15 +490,13 @@ func (s *Scheduler) accountBEBJob(j *Job) {
 
 // UpdateTaskRequest changes a task's resource request in place (the
 // autopilot's limit updates route through here) while keeping the
-// incremental admission accounting consistent with the new request, and
-// drops the task's cached scoring class, which the old shape keyed.
+// incremental admission accounting consistent with the new request.
 func (s *Scheduler) UpdateTaskRequest(t *Task, rec trace.Resources) {
 	if t.bebCounted {
 		s.bebAllocCPU += rec.CPU - t.bebCountedCPU
 		t.bebCountedCPU = rec.CPU
 	}
 	t.Request = rec
-	t.classID = 0
 }
 
 // Cell returns the scheduled cell.

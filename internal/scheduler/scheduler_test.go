@@ -591,8 +591,8 @@ func TestAllocSetPlacementAndTeardown(t *testing.T) {
 
 	// Inner tasks must be running inside alloc instances.
 	running := 0
-	for _, m := range rig.cell.OccupiedMachines() {
-		for _, r := range m.LiveResidents() {
+	for _, id := range rig.cell.MachineIDs() {
+		for _, r := range rig.cell.Machine(id).LiveResidents() {
 			t2 := r.Task.(*Task)
 			if t2.Job.ID == 2 {
 				running++

@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"repro/internal/report"
-	"repro/internal/table"
 )
 
 // WriteReport renders the sweep: a header describing the grid, a
@@ -105,27 +104,6 @@ func (r *Result) writePairedSection(w io.Writer) error {
 		[]string{"variant", "metric", "diff mean", "diff stddev", "paired ci95±", "unpaired ci95±", "n"}, rows)
 }
 
-// Table materializes the sweep's per-seed measurements as a long-form
-// columnar table (variant, seed, metric, value) — the shape the table
-// engine's filters and group-bys consume, and the source of the CSV
-// exports.
-func (r *Result) Table() *table.Table {
-	t := table.New(
-		table.Column{Name: "variant", Type: table.String},
-		table.Column{Name: "seed", Type: table.Int64},
-		table.Column{Name: "metric", Type: table.String},
-		table.Column{Name: "value", Type: table.Float64},
-	)
-	for _, v := range r.Variants {
-		for run, vec := range v.PerSeed {
-			for m, x := range vec {
-				t.Append(v.Name, int64(run), r.Metrics[m], x)
-			}
-		}
-	}
-	return t
-}
-
 // WriteCSVs exports the sweep to dir (created if needed): one
 // <metric>.csv per metric with the per-seed values in long form, plus
 // summary.csv holding every variant × metric CrossRun. Files are written
@@ -135,15 +113,12 @@ func (r *Result) WriteCSVs(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	long := r.Table()
-	for _, name := range r.Metrics {
-		q := table.From(long).Where(table.EqString("metric", name))
-		variants := q.StringCol("variant")
-		seeds := q.IntCol("seed")
-		values := q.FloatCol("value")
-		rows := make([][]string, len(values))
-		for i := range values {
-			rows[i] = []string{variants[i], strconv.FormatInt(seeds[i], 10), report.F(values[i])}
+	for m, name := range r.Metrics {
+		var rows [][]string
+		for _, v := range r.Variants {
+			for run, vec := range v.PerSeed {
+				rows = append(rows, []string{v.Name, strconv.Itoa(run), report.F(vec[m])})
+			}
 		}
 		if err := writeCSVFile(filepath.Join(dir, name+".csv"),
 			[]string{"variant", "seed", name}, rows); err != nil {

@@ -92,7 +92,7 @@ type VariantStats struct {
 
 // Result is a finished sweep: the definition it ran, the metric-vector
 // names, and per-variant cross-seed statistics. All rendering
-// (WriteReport, Table, WriteCSVs) is a pure function of this value.
+// (WriteReport, WriteCSVs) is a pure function of this value.
 type Result struct {
 	Def      Def
 	Metrics  []string

@@ -2,14 +2,17 @@ package sweep
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/report"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -371,6 +374,18 @@ func TestSweepCSVs(t *testing.T) {
 	if want := 1 + 2*2; len(lines) != want {
 		t.Fatalf("cpu_util.csv has %d lines, want %d", len(lines), want)
 	}
+	// Every row, in order: variant by variant, seed by seed, carrying
+	// the per-seed value in the report's number format.
+	m := slices.Index(res.Metrics, "cpu_util")
+	want := []string{"variant,seed,cpu_util"}
+	for _, v := range res.Variants {
+		for run, vec := range v.PerSeed {
+			want = append(want, fmt.Sprintf("%s,%d,%s", v.Name, run, report.F(vec[m])))
+		}
+	}
+	if !slices.Equal(lines, want) {
+		t.Fatalf("cpu_util.csv rows:\n%s\nwant:\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
+	}
 	if !strings.HasPrefix(string(first["summary"]), "variant,metric,mean,stddev,min,max,ci95,n") {
 		t.Fatalf("summary header: %q", strings.SplitN(string(first["summary"]), "\n", 2)[0])
 	}
@@ -384,11 +399,11 @@ func TestSweepCSVs(t *testing.T) {
 		t.Fatalf("paired_diffs.csv has %d lines, want %d", len(diffLines), want)
 	}
 
-	var report bytes.Buffer
-	if err := res.WriteReport(&report); err != nil {
+	var rep bytes.Buffer
+	if err := res.WriteReport(&rep); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(report.String(), `== paired differences vs "baseline"`) {
+	if !strings.Contains(rep.String(), `== paired differences vs "baseline"`) {
 		t.Fatal("report is missing the paired-difference section")
 	}
 }

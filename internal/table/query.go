@@ -3,7 +3,6 @@ package table
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Predicate decides whether a row of a table is selected.
@@ -50,58 +49,6 @@ func (q *Query) Limit(n int) *Query {
 		n = len(q.idx)
 	}
 	return &Query{t: q.t, idx: q.idx[:n]}
-}
-
-// Count returns the number of selected rows.
-func (q *Query) Count() int { return len(q.idx) }
-
-// FloatCol materializes a float column over the selection.
-func (q *Query) FloatCol(name string) []float64 {
-	col := q.t.Floats(name)
-	out := make([]float64, len(q.idx))
-	for i, r := range q.idx {
-		out[i] = col[r]
-	}
-	return out
-}
-
-// IntCol materializes an int column over the selection.
-func (q *Query) IntCol(name string) []int64 {
-	col := q.t.Ints(name)
-	out := make([]int64, len(q.idx))
-	for i, r := range q.idx {
-		out[i] = col[r]
-	}
-	return out
-}
-
-// StringCol materializes a string column over the selection.
-func (q *Query) StringCol(name string) []string {
-	col := q.t.Strings(name)
-	out := make([]string, len(q.idx))
-	for i, r := range q.idx {
-		out[i] = col[r]
-	}
-	return out
-}
-
-// Sum returns the sum of a float column over the selection.
-func (q *Query) Sum(name string) float64 {
-	col := q.t.Floats(name)
-	s := 0.0
-	for _, r := range q.idx {
-		s += col[r]
-	}
-	return s
-}
-
-// Mean returns the mean of a float column over the selection (NaN if the
-// selection is empty).
-func (q *Query) Mean(name string) float64 {
-	if len(q.idx) == 0 {
-		return math.NaN()
-	}
-	return q.Sum(name) / float64(len(q.idx))
 }
 
 // Materialize copies the selection into a new standalone table.
@@ -250,26 +197,4 @@ func (q *Query) GroupBy(keys []string, aggs ...Agg) *Table {
 		out.Append(vals...)
 	}
 	return out
-}
-
-// Quantile returns the q-quantile of a float column over the selection.
-func (q *Query) Quantile(name string, quantile float64) float64 {
-	vals := q.FloatCol(name)
-	if len(vals) == 0 {
-		return math.NaN()
-	}
-	sort.Float64s(vals)
-	if quantile <= 0 {
-		return vals[0]
-	}
-	if quantile >= 1 {
-		return vals[len(vals)-1]
-	}
-	pos := quantile * float64(len(vals)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(vals) {
-		return vals[lo]
-	}
-	return vals[lo]*(1-frac) + vals[lo+1]*frac
 }

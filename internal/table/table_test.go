@@ -21,9 +21,13 @@ func sample() *Table {
 	return t
 }
 
+// count returns the number of rows a query selects, read off the table
+// it materializes.
+func count(q *Query) int { return q.Materialize().rows }
+
 func TestAppendAndAccessors(t *testing.T) {
 	tb := sample()
-	if n := From(tb).Count(); n != 5 {
+	if n := count(From(tb)); n != 5 {
 		t.Fatalf("rows %d", n)
 	}
 	if len(tb.Columns()) != 3 {
@@ -60,55 +64,60 @@ func TestSchemaPanics(t *testing.T) {
 
 func TestWhereAndCount(t *testing.T) {
 	tb := sample()
-	n := From(tb).Where(EqString("tier", "prod")).Count()
+	n := count(From(tb).Where(EqString("tier", "prod")))
 	if n != 2 {
 		t.Fatalf("prod rows %d", n)
 	}
 	big := func(t *Table, row int) bool { return t.Floats("cpu")[row] > 2 }
-	n = From(tb).Where(EqString("tier", "beb")).Where(big).Count()
+	n = count(From(tb).Where(EqString("tier", "beb")).Where(big))
 	if n != 1 {
 		t.Fatalf("chained rows %d", n)
 	}
-	n = From(tb).Where(EqString("tier", "nope")).Count()
+	n = count(From(tb).Where(EqString("tier", "nope")))
 	if n != 0 {
 		t.Fatalf("no-match rows %d", n)
 	}
 }
 
+// TestAggregates: grouping by no key aggregates the whole selection in
+// one row, and an empty selection has no group.
 func TestAggregates(t *testing.T) {
 	tb := sample()
-	q := From(tb)
-	if got := q.Sum("cpu"); math.Abs(got-4.85) > 1e-12 {
+	g := From(tb).GroupBy(nil, Sum("s", "cpu"), Mean("m", "cpu"))
+	if got := g.Floats("s"); len(got) != 1 || math.Abs(got[0]-4.85) > 1e-12 {
 		t.Fatalf("sum %v", got)
 	}
-	if got := q.Mean("cpu"); math.Abs(got-0.97) > 1e-12 {
+	if got := g.Floats("m"); math.Abs(got[0]-0.97) > 1e-12 {
 		t.Fatalf("mean %v", got)
 	}
-	empty := From(tb).Where(EqString("tier", "nope"))
-	if !math.IsNaN(empty.Mean("cpu")) {
-		t.Fatal("mean of empty selection should be NaN")
+	empty := From(tb).Where(EqString("tier", "nope")).GroupBy(nil, Mean("m", "cpu"))
+	if n := count(From(empty)); n != 0 {
+		t.Fatalf("empty selection has %d groups", n)
 	}
 }
 
 func TestLimit(t *testing.T) {
 	tb := sample()
-	limited := From(tb).Limit(2).FloatCol("cpu")
+	limited := From(tb).Limit(2).Materialize().Floats("cpu")
 	if len(limited) != 2 || limited[1] != 1.5 {
 		t.Fatalf("limit %v", limited)
 	}
-	if got := From(tb).Limit(-1).Count(); got != 0 {
+	if got := count(From(tb).Limit(-1)); got != 0 {
 		t.Fatalf("negative limit %d", got)
 	}
-	if got := From(tb).Limit(99).Count(); got != 5 {
+	if got := count(From(tb).Limit(99)); got != 5 {
 		t.Fatalf("over-limit %d", got)
 	}
 }
 
 func TestIntAndStringCol(t *testing.T) {
-	tb := sample()
-	ints := From(tb).Where(EqString("tier", "beb")).IntCol("tasks")
+	sel := From(sample()).Where(EqString("tier", "beb")).Materialize()
+	ints := sel.Ints("tasks")
 	if len(ints) != 2 || ints[0] != 100 || ints[1] != 50 {
 		t.Fatalf("int col %v", ints)
+	}
+	if tiers := sel.Strings("tier"); len(tiers) != 2 || tiers[0] != "beb" || tiers[1] != "beb" {
+		t.Fatalf("string col %v", tiers)
 	}
 }
 
@@ -117,7 +126,7 @@ func TestGroupBy(t *testing.T) {
 	g := From(tb).GroupBy([]string{"tier"},
 		Count("n"), Sum("cpu_sum", "cpu"), Mean("cpu_mean", "cpu"),
 		Min("cpu_min", "cpu"), Max("cpu_max", "cpu"))
-	if n := From(g).Count(); n != 3 {
+	if n := count(From(g)); n != 3 {
 		t.Fatalf("groups %d", n)
 	}
 	// First-appearance order: prod, beb, free.
@@ -145,7 +154,7 @@ func TestGroupByMultipleKeys(t *testing.T) {
 	tb.Append("x", int64(2), 2.0)
 	tb.Append("x", int64(1), 3.0)
 	g := From(tb).GroupBy([]string{"a", "b"}, Sum("s", "v"))
-	if n := From(g).Count(); n != 2 {
+	if n := count(From(g)); n != 2 {
 		t.Fatalf("groups %d", n)
 	}
 	if g.Floats("s")[0] != 4.0 {
@@ -156,7 +165,7 @@ func TestGroupByMultipleKeys(t *testing.T) {
 func TestMaterialize(t *testing.T) {
 	tb := sample()
 	m := From(tb).Where(EqString("tier", "prod")).Materialize()
-	if n := From(m).Count(); n != 2 {
+	if n := count(From(m)); n != 2 {
 		t.Fatalf("materialized rows %d", n)
 	}
 	if m.Floats("cpu")[0] != 0.5 {
@@ -164,28 +173,8 @@ func TestMaterialize(t *testing.T) {
 	}
 	// Appending to the copy must not affect the original.
 	m.Append("prod", 9.0, int64(9))
-	if n := From(tb).Count(); n != 5 {
+	if n := count(From(tb)); n != 5 {
 		t.Fatal("materialize aliased the original")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	tb := New(Column{"v", Float64})
-	for _, v := range []float64{1, 2, 3, 4, 5} {
-		tb.Append(v)
-	}
-	q := From(tb)
-	if got := q.Quantile("v", 0.5); got != 3 {
-		t.Fatalf("median %v", got)
-	}
-	if got := q.Quantile("v", 0); got != 1 {
-		t.Fatalf("q0 %v", got)
-	}
-	if got := q.Quantile("v", 1); got != 5 {
-		t.Fatalf("q1 %v", got)
-	}
-	if !math.IsNaN(From(tb).Limit(0).Quantile("v", 0.5)) {
-		t.Fatal("empty quantile should be NaN")
 	}
 }
 
@@ -232,8 +221,8 @@ func TestWherePartitionProperty(t *testing.T) {
 			tb.Append(float64(v))
 		}
 		p := func(t *Table, row int) bool { return t.Floats("v")[row] > 128 }
-		a := From(tb).Where(p).Count()
-		b := From(tb).Where(func(t *Table, row int) bool { return !p(t, row) }).Count()
+		a := count(From(tb).Where(p))
+		b := count(From(tb).Where(func(t *Table, row int) bool { return !p(t, row) }))
 		return a+b == len(vals)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
