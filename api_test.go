@@ -24,8 +24,10 @@ var testOnlyAPIAllowlist = map[string]string{}
 // module. References match by name: a method is reached by any
 // identifier of its name (a call, a selector or an interface method),
 // and a function, type or var by an identifier in its own package or a
-// selector on an import of its package. main, init and the test-helper
-// package internal/trace/tracetest are exempt.
+// selector on an import of its package. A method's receiver is no use
+// of its type, so a type that only tests use fails although it has
+// methods. main, init and the test-helper package
+// internal/trace/tracetest are exempt.
 func TestNoTestOnlyAPI(t *testing.T) {
 	type decl struct {
 		key        string // as reported, e.g. "internal/cluster.Cell.Place"
@@ -63,7 +65,7 @@ func TestNoTestOnlyAPI(t *testing.T) {
 				name := d.Name.Name
 				switch {
 				case d.Recv != nil:
-					key := dir + "." + recvType(d.Recv.List[0].Type) + "." + name
+					key := dir + "." + recvIdent(d.Recv.List[0].Type).Name + "." + name
 					decls = append(decls, decl{key, "." + name, d.Pos(), d.End()})
 				case name != "main" && name != "init":
 					decls = append(decls, decl{dir + "." + name, dir + "." + name, d.Pos(), d.End()})
@@ -106,9 +108,13 @@ func TestNoTestOnlyAPI(t *testing.T) {
 			}
 			imports[name] = path
 		}
-		qualified := map[*ast.Ident]bool{}
+		qualified, receivers := map[*ast.Ident]bool{}, map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil {
+					receivers[recvIdent(n.Recv.List[0].Type)] = true
+				}
 			case *ast.SelectorExpr:
 				if x, ok := n.X.(*ast.Ident); ok {
 					if pkg, ok := strings.CutPrefix(imports[x.Name], "repro/"); ok {
@@ -118,6 +124,9 @@ func TestNoTestOnlyAPI(t *testing.T) {
 					}
 				}
 			case *ast.Ident:
+				if receivers[n] {
+					break
+				}
 				uses["."+n.Name] = append(uses["."+n.Name], n.Pos())
 				if !qualified[n] {
 					uses[dir+"."+n.Name] = append(uses[dir+"."+n.Name], n.Pos())
@@ -150,9 +159,9 @@ func TestNoTestOnlyAPI(t *testing.T) {
 	}
 }
 
-// recvType returns a method receiver's type name, without pointer or
-// type parameters.
-func recvType(e ast.Expr) string {
+// recvIdent returns the identifier naming a method receiver's type,
+// without pointer or type parameters.
+func recvIdent(e ast.Expr) *ast.Ident {
 	for {
 		switch x := e.(type) {
 		case *ast.StarExpr:
@@ -161,10 +170,8 @@ func recvType(e ast.Expr) string {
 			e = x.X
 		case *ast.IndexListExpr:
 			e = x.X
-		case *ast.Ident:
-			return x.Name
 		default:
-			return "?"
+			return x.(*ast.Ident)
 		}
 	}
 }

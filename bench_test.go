@@ -29,6 +29,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/workload"
 )
 
@@ -386,7 +387,7 @@ func miceDelayP90(hogPriority int) float64 {
 	cfg := scheduler.DefaultConfig()
 	cfg.Batch = false
 	cfg.ServiceTime = dist.LogNormalFromMedian(0.25, 0.6)
-	sched := scheduler.New(cfg, cell, k, trace.NopSink{}, rng.New(7))
+	sched := scheduler.New(cfg, cell, k, tracetest.NopSink{}, rng.New(7))
 	src := rng.New(31)
 
 	id := trace.CollectionID(1)

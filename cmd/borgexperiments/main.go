@@ -80,15 +80,10 @@ func main() {
 	if err := common.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	prof, err := common.StartProfiling()
+	sc, err := experiments.ScaleByName(*scaleName)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer func() {
-		if err := prof.Stop(); err != nil {
-			log.Fatal(err)
-		}
-	}()
 	obs, err := common.StartObservability("suite", log.Printf)
 	if err != nil {
 		log.Fatal(err)
@@ -99,17 +94,6 @@ func main() {
 		}
 	}()
 
-	var sc experiments.Scale
-	switch *scaleName {
-	case "small":
-		sc = experiments.SmallScale()
-	case "default":
-		sc = experiments.DefaultScale()
-	case "large":
-		sc = experiments.LargeScale()
-	default:
-		log.Fatalf("unknown scale %q", *scaleName)
-	}
 	sc.Seed = *common.Seed
 	sc.Parallelism = *common.Parallel
 	sc.RunKnobs = obs.Knobs(common.Knobs())

@@ -63,15 +63,6 @@ func main() {
 	if err := common.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	prof, err := common.StartProfiling()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer func() {
-		if err := prof.Stop(); err != nil {
-			log.Fatal(err)
-		}
-	}()
 	obs, err := common.StartObservability("fleet", log.Printf)
 	if err != nil {
 		log.Fatal(err)

@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,7 +17,9 @@ import (
 
 // TestRun queries a small stored trace. Good queries print a table; a
 // flag naming a missing column, or a column of a type the flag cannot
-// use, returns an error naming the column instead of panicking.
+// use, returns an error naming the column instead of panicking. The
+// printed rows, groups and aggregates match the trace's own rows, and
+// both modes cut at -limit the same way.
 func TestRun(t *testing.T) {
 	dir := t.TempDir()
 	p := workload.Profile2019("b", 20)
@@ -25,6 +31,10 @@ func TestRun(t *testing.T) {
 	opts.ExtraSinks = []trace.Sink{ds}
 	core.Run(p, opts)
 	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -62,6 +72,201 @@ func TestRun(t *testing.T) {
 			}
 		})
 	}
+
+	// query runs args against the trace and returns the printed rows
+	// split into fields, without the header and its rule, and the
+	// number of rows the footer says were left out.
+	query := func(t *testing.T, args ...string) (rows [][]string, more int) {
+		t.Helper()
+		var b bytes.Buffer
+		if err := run(&b, append([]string{"-trace", dir}, args...)); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+		if len(lines) < 2 || strings.Trim(lines[1], "- ") != "" {
+			t.Fatalf("%v: no header and rule:\n%s", args, b.String())
+		}
+		for _, line := range lines[2:] {
+			if _, err := fmt.Sscanf(line, "... (%d more rows)", &more); err == nil {
+				continue
+			}
+			rows = append(rows, strings.Fields(line))
+		}
+		return rows, more
+	}
+
+	// Per tier in first-appearance order: the count and the sum, mean,
+	// min and max of avg_cpu over the trace's usage rows.
+	type tierAgg struct {
+		tier          string
+		n             int
+		sum, min, max float64
+	}
+	var tiers []*tierAgg
+	for u := range tr.UsageRecords.All() {
+		i := slices.IndexFunc(tiers, func(a *tierAgg) bool { return a.tier == u.Tier.String() })
+		if i < 0 {
+			i = len(tiers)
+			tiers = append(tiers, &tierAgg{tier: u.Tier.String(), min: math.Inf(1), max: math.Inf(-1)})
+		}
+		a := tiers[i]
+		a.n++
+		a.sum += u.AvgUsage.CPU
+		a.min = min(a.min, u.AvgUsage.CPU)
+		a.max = max(a.max, u.AvgUsage.CPU)
+	}
+	if len(tiers) < 2 {
+		t.Fatalf("usage rows span %d tiers; the checks below need two", len(tiers))
+	}
+
+	// Sum and mean of avg_cpu per tier match the usage rows, and a
+	// grouped query over an empty selection prints no groups.
+	t.Run("aggregates", func(t *testing.T) {
+		for _, kind := range []string{"sum", "mean"} {
+			rows, more := query(t, "-table", "usage", "-group", "tier", "-agg", kind+":avg_cpu", "-limit", "0")
+			if len(rows) != len(tiers) || more != 0 {
+				t.Fatalf("%s: %d groups (%d more), want %d", kind, len(rows), more, len(tiers))
+			}
+			for i, a := range tiers {
+				want := map[string]float64{"sum": a.sum, "mean": a.sum / float64(a.n)}[kind]
+				if got, w := rows[i][2], fmt.Sprintf("%.6g", want); got != w {
+					t.Errorf("%s: tier %s is %s, want %s", kind, a.tier, got, w)
+				}
+			}
+		}
+		rows, more := query(t, "-table", "usage", "-where", "tier=nope", "-group", "tier", "-agg", "mean:avg_cpu")
+		if len(rows) != 0 || more != 0 {
+			t.Fatalf("empty selection printed %d groups (%d more)", len(rows), more)
+		}
+	})
+
+	// Groups come in first-appearance order with the count, min and max
+	// of avg_cpu each tier has in the usage rows.
+	t.Run("group_by", func(t *testing.T) {
+		for _, kind := range []string{"min", "max"} {
+			rows, more := query(t, "-table", "usage", "-group", "tier", "-agg", kind+":avg_cpu", "-limit", "0")
+			if len(rows) != len(tiers) || more != 0 {
+				t.Fatalf("%s: %d groups (%d more), want %d", kind, len(rows), more, len(tiers))
+			}
+			for i, a := range tiers {
+				want := map[string]float64{"min": a.min, "max": a.max}[kind]
+				got := []string{rows[i][0], rows[i][1], rows[i][2]}
+				if w := []string{a.tier, strconv.Itoa(a.n), fmt.Sprintf("%.6g", want)}; !slices.Equal(got, w) {
+					t.Errorf("%s: group %d is %v, want %v", kind, i, got, w)
+				}
+			}
+		}
+	})
+
+	// Whatever the key column's type, the group counts partition the
+	// table: distinct keys, summing to its row count.
+	t.Run("group_partition", func(t *testing.T) {
+		for _, c := range []struct {
+			table, key string
+			rows       int
+		}{
+			{"usage", "tier", tr.UsageRecords.Len()},
+			{"usage", "machine", tr.UsageRecords.Len()},
+			{"instances", "type", tr.InstanceEvents.Len()},
+			{"collections", "priority", len(tr.CollectionInfos())},
+		} {
+			rows, more := query(t, "-table", c.table, "-group", c.key, "-limit", "0")
+			if more != 0 {
+				t.Fatalf("%s by %s: %d groups left out at -limit 0", c.table, c.key, more)
+			}
+			seen := map[string]bool{}
+			total := 0
+			for _, r := range rows {
+				if seen[r[0]] {
+					t.Errorf("%s by %s: key %s printed twice", c.table, c.key, r[0])
+				}
+				seen[r[0]] = true
+				n, err := strconv.Atoi(r[1])
+				if err != nil {
+					t.Fatalf("%s by %s: count %q: %v", c.table, c.key, r[1], err)
+				}
+				total += n
+			}
+			if total != c.rows {
+				t.Errorf("%s by %s: counts sum to %d, want %d", c.table, c.key, total, c.rows)
+			}
+		}
+	})
+
+	t.Run("where_filter", func(t *testing.T) {
+		want := 0
+		for ev := range tr.InstanceEvents.All() {
+			if ev.Type == trace.EventSchedule {
+				want++
+			}
+		}
+		rows, _ := query(t, "-table", "instances", "-where", "type=SCHEDULE", "-limit", "0")
+		if len(rows) != want {
+			t.Fatalf("%d SCHEDULE rows, want %d", len(rows), want)
+		}
+		for _, r := range rows {
+			if r[2] != "SCHEDULE" {
+				t.Fatalf("-where type=SCHEDULE kept %v", r)
+			}
+		}
+	})
+
+	// Both modes print every row at -limit 0, and a cutting limit prints
+	// that many rows and a footer counting the rest.
+	t.Run("limit", func(t *testing.T) {
+		collections := len(tr.CollectionInfos())
+		for _, mode := range []struct {
+			args []string
+			rows int
+		}{
+			{[]string{"-table", "collections"}, collections},
+			{[]string{"-table", "usage", "-group", "tier"}, len(tiers)},
+		} {
+			for _, c := range []struct{ limit, rows, more int }{
+				{0, mode.rows, 0},
+				{1, 1, mode.rows - 1},
+				{mode.rows + 5, mode.rows, 0},
+			} {
+				rows, more := query(t, append(mode.args, "-limit", strconv.Itoa(c.limit))...)
+				if len(rows) != c.rows || more != c.more {
+					t.Errorf("%v -limit %d: %d rows and %d more, want %d and %d",
+						mode.args, c.limit, len(rows), more, c.rows, c.more)
+				}
+			}
+		}
+	})
+
+	// The header names the columns, a cut prints a footer counting the
+	// rows left out, and an uncut table prints none.
+	t.Run("format", func(t *testing.T) {
+		var b bytes.Buffer
+		if err := run(&b, []string{"-trace", dir, "-where", "tier=prod", "-limit", "1"}); err != nil {
+			t.Fatal(err)
+		}
+		prod := 0
+		for _, c := range tr.CollectionInfos() {
+			if c.Tier == trace.TierProduction {
+				prod++
+			}
+		}
+		if prod < 2 {
+			t.Fatalf("%d prod collections; the check needs two", prod)
+		}
+		out := b.String()
+		if !strings.Contains(out, "tier") || !strings.Contains(out, "prod") {
+			t.Fatalf("output lacks the tier header or a prod row:\n%s", out)
+		}
+		if want := fmt.Sprintf("... (%d more rows)", prod-1); !strings.Contains(out, want) {
+			t.Fatalf("output lacks %q:\n%s", want, out)
+		}
+		b.Reset()
+		if err := run(&b, []string{"-trace", dir, "-where", "tier=prod", "-limit", "0"}); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(b.String(), "more rows") {
+			t.Fatalf("an uncut table printed a footer:\n%s", b.String())
+		}
+	})
 }
 
 func TestRunNeedsTrace(t *testing.T) {

@@ -84,15 +84,10 @@ func main() {
 	if err := common.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	prof, err := common.StartProfiling()
+	sc, err := experiments.ScaleByName(*scaleName)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer func() {
-		if err := prof.Stop(); err != nil {
-			log.Fatal(err)
-		}
-	}()
 	obs, err := common.StartObservability("sweep", log.Printf)
 	if err != nil {
 		log.Fatal(err)
@@ -103,25 +98,15 @@ func main() {
 		}
 	}()
 
-	var sc experiments.Scale
-	switch *scaleName {
-	case "small":
-		sc = experiments.SmallScale()
-	case "default":
-		sc = experiments.DefaultScale()
-	case "large":
-		sc = experiments.LargeScale()
-	default:
-		log.Fatalf("unknown scale %q", *scaleName)
-	}
 	sc.Seed = *common.Seed
+	sc.Parallelism = *common.Parallel
 	sc.RunKnobs = obs.Knobs(common.Knobs())
 
 	variants, err := sweep.ParseVariants(*variantSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	def := sweep.Def{Scale: sc, Seeds: *seeds, Variants: variants, Parallelism: *common.Parallel}
+	def := sweep.Def{Scale: sc, Seeds: *seeds, Variants: variants}
 
 	var w io.Writer = os.Stdout
 	if *out != "" {

@@ -38,7 +38,7 @@ func main() {
 	}
 	def := sweep.Def{
 		Scale: experiments.Scale{Name: "example", Machines2011: 60, Machines2019: 50,
-			Horizon: 6 * sim.Hour, Warmup: 2 * sim.Hour, Seed: 1},
+			Horizon: 6 * sim.Hour, Warmup: 2 * sim.Hour, Seed: 1, Parallelism: *parallel},
 		Seeds: 3,
 		Variants: []sweep.Variant{
 			sweep.ArrivalScale(0.5),
@@ -46,7 +46,6 @@ func main() {
 			sweep.ArrivalScale(2),
 			bestFit,
 		},
-		Parallelism: *parallel,
 	}
 
 	start := time.Now()

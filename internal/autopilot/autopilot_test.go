@@ -10,6 +10,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 // setRequest stands in for the scheduler's request setter: these tests
@@ -218,11 +219,11 @@ func TestWindowOrderStatisticMatchesSort(t *testing.T) {
 
 // TestObserveSteadyStateZeroAllocs: once a task's window exists, Observe
 // allocates nothing — neither the percentile over the window nor a limit
-// update through the cell and a NopSink.
+// update through the cell and a tracetest.NopSink.
 func TestObserveSteadyStateZeroAllocs(t *testing.T) {
 	cell := cluster.NewCell("test", cluster.OvercommitPolicy{CPUFactor: 1.2, MemFactor: 1.2})
 	m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
-	ap := New(cell, trace.NopSink{}, setRequest)
+	ap := New(cell, tracetest.NopSink{}, setRequest)
 	j := scheduler.NewJob(1)
 	j.Scaling = trace.ScalingFull
 	task := &scheduler.Task{Request: trace.Resources{CPU: 0.4, Mem: 0.4}, Duration: sim.Hour}

@@ -8,9 +8,10 @@
 // knobs the same way, and converts them to core.RunKnobs with one call.
 // StartObservability owns the shared observability lifecycle: the run
 // registry, the -progress reporter that prints from it, the optional
-// live HTTP server, the snapshot/timeline file exports at Close, and the
-// one-format run summary (elapsed wall time + peak HeapAlloc) every CLI
-// used to hand-roll.
+// live HTTP server, the -cpuprofile/-memprofile pprof profiles, the
+// snapshot/timeline file exports at Close, and the one-format run
+// summary (elapsed wall time + peak HeapAlloc) every CLI used to
+// hand-roll.
 package cliflags
 
 import (
@@ -18,7 +19,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/profiling"
 	"repro/internal/scheduler"
 	"repro/internal/workload"
 )
@@ -86,10 +86,4 @@ func (c *Common) Validate() error {
 // config embeds.
 func (c *Common) Knobs() core.RunKnobs {
 	return core.RunKnobs{Policy: *c.Policy, Arrival: *c.Arrival}
-}
-
-// StartProfiling starts the -cpuprofile/-memprofile session; callers
-// defer Stop on the returned session.
-func (c *Common) StartProfiling() (*profiling.Session, error) {
-	return profiling.Start(*c.CPUProfile, *c.MemProfile)
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/core"
@@ -13,7 +15,8 @@ import (
 // Obs is one CLI run's observability bundle: the run-level metrics
 // registry (always created — the consolidated run summary records into
 // it), the wall-clock timeline (created when anything will render it),
-// the -progress reporter and the optional live HTTP server. Obtain one
+// the -progress reporter, the optional live HTTP server and the optional
+// pprof profiles. Obtain one
 // from Common.StartObservability, thread Reg/Timeline into the run via
 // Knobs, wrap the run in MeasureRun, and defer Close.
 type Obs struct {
@@ -29,6 +32,11 @@ type Obs struct {
 	timelineOut string
 	logf        func(format string, args ...any)
 
+	// cpuProfile is the open -cpuprofile file while the CPU profile
+	// runs; memProfile is the -memprofile path Close writes to.
+	cpuProfile *os.File
+	memProfile string
+
 	// The -progress reporter: a goroutine prints label's
 	// metrics.ProgressLine to progressOut every second while cells are
 	// outstanding, and Close prints the final line. progressStop is nil
@@ -41,11 +49,12 @@ type Obs struct {
 }
 
 // StartObservability builds the run's observability bundle from the
-// parsed flags: it always creates the run registry, creates a timeline
-// iff -http or -timeline will render it, starts the live HTTP server
-// when -http is set (logging the listen address through logf), and
-// with -progress prints progress lines to stderr. label names the run
-// in those lines ("suite", "sweep", "fleet").
+// parsed flags: it always creates the run registry, starts the
+// -cpuprofile CPU profile, creates a timeline iff -http or -timeline
+// will render it, starts the live HTTP server when -http is set
+// (logging the listen address through logf), and with -progress prints
+// progress lines to stderr. label names the run in those lines
+// ("suite", "sweep", "fleet").
 func (c *Common) StartObservability(label string, logf func(format string, args ...any)) (*Obs, error) {
 	return c.startObservability(label, os.Stderr, logf)
 }
@@ -62,17 +71,30 @@ func (c *Common) startObservability(label string, progressOut io.Writer, logf fu
 		progressOut: progressOut,
 		start:       time.Now(),
 	}
+	if *c.CPUProfile != "" {
+		f, err := os.Create(*c.CPUProfile)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, err
+		}
+		o.cpuProfile = f
+	}
 	if *c.HTTP != "" || o.timelineOut != "" {
 		o.Timeline = metrics.NewTimeline()
 	}
 	if *c.HTTP != "" {
 		srv, err := metrics.StartServer(*c.HTTP, o.Reg, o.Timeline)
 		if err != nil {
+			o.stopProfiles()
 			return nil, fmt.Errorf("-http: %w", err)
 		}
 		o.srv = srv
 		logf("live observability on http://%s/", srv.Addr())
 	}
+	o.memProfile = *c.MemProfile
 	if *c.Progress {
 		o.progressStop, o.progressDone = make(chan struct{}), make(chan struct{})
 		go o.reportProgress()
@@ -115,9 +137,11 @@ func (o *Obs) MeasureRun(fn func()) metrics.RunStats {
 
 // Close bounds the observability lifecycle to the run: it stops the
 // -progress reporter and prints its final line, gracefully shuts the
-// live server down (draining in-flight scrapes) and writes the -metrics
-// and -timeline files from final state. Export errors are returned
-// after the server is down; callers typically log.Fatal them.
+// live server down (draining in-flight scrapes), writes the -metrics
+// and -timeline files from final state, and ends the pprof profiles.
+// Export errors are returned after the server is down; callers
+// typically log.Fatal them (log.Fatal skips deferred calls, so a failed
+// run writes no profile).
 func (o *Obs) Close() error {
 	if o.progressStop != nil {
 		close(o.progressStop)
@@ -154,6 +178,30 @@ func (o *Obs) Close() error {
 		} else {
 			o.logf("wrote run timeline to %s", o.timelineOut)
 		}
+	}
+	if err := o.stopProfiles(); err != nil && firstErr == nil {
+		firstErr = err
+	}
+	return firstErr
+}
+
+// stopProfiles ends the -cpuprofile profile and writes the -memprofile
+// heap profile after a GC, so it shows the final live set. It returns
+// the first error.
+func (o *Obs) stopProfiles() error {
+	var firstErr error
+	if o.cpuProfile != nil {
+		pprof.StopCPUProfile()
+		firstErr = o.cpuProfile.Close()
+		o.cpuProfile = nil
+	}
+	if o.memProfile != "" {
+		runtime.GC()
+		err := writeFile(o.memProfile, func(f *os.File) error { return pprof.WriteHeapProfile(f) })
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		o.memProfile = ""
 	}
 	return firstErr
 }

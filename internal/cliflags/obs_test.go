@@ -127,6 +127,37 @@ func TestObservabilityOffByDefault(t *testing.T) {
 	}
 }
 
+// TestObservabilityProfiles: -cpuprofile and -memprofile profile the
+// run between StartObservability and Close, which writes both files.
+func TestObservabilityProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	c := parse(t, "-cpuprofile", cpu, "-memprofile", mem)
+	obs, err := c.StartObservability("test", func(string, ...any) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(mem); !os.IsNotExist(err) {
+		t.Fatalf("heap profile written before Close: %v", err)
+	}
+	if err := obs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Fatalf("%s: no profile written (%v)", path, err)
+		}
+	}
+	// A second run can profile again: Close stopped the CPU profile.
+	obs, err = c.StartObservability("test", func(string, ...any) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestProgressFinalLineOnce drives an instrumented two-cell run over the
 // Obs registry, as the CLIs do: with -progress, Close prints the final
 // "label: n/n done" line exactly once, as the last line; without it,

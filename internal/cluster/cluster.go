@@ -382,12 +382,3 @@ func BuildCell(name string, n int, shapes []Shape, oc OvercommitPolicy, src *rng
 	}
 	return c
 }
-
-// Platforms returns the set of distinct hardware platforms in the cell.
-func (c *Cell) Platforms() map[string]int {
-	out := make(map[string]int)
-	for _, id := range c.ids {
-		out[c.machines[id].Platform]++
-	}
-	return out
-}

@@ -58,44 +58,16 @@ func TestTraceValidates(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	_, ta := smallRun(t, 7)
 	_, tb := smallRun(t, 7)
-	if ta.CollectionEvents.Len() != tb.CollectionEvents.Len() ||
-		ta.InstanceEvents.Len() != tb.InstanceEvents.Len() ||
-		ta.UsageRecords.Len() != tb.UsageRecords.Len() {
-		t.Fatalf("row counts differ: %s vs %s", ta.Counts(), tb.Counts())
-	}
-	for i := range ta.CollectionEvents.Len() {
-		if ta.CollectionEvents.At(i) != tb.CollectionEvents.At(i) {
-			t.Fatalf("collection event %d differs: %+v vs %+v", i, ta.CollectionEvents.At(i), tb.CollectionEvents.At(i))
-		}
-	}
-	for i := range ta.InstanceEvents.Len() {
-		if ta.InstanceEvents.At(i) != tb.InstanceEvents.At(i) {
-			t.Fatalf("instance event %d differs", i)
-		}
-	}
-	for i := range ta.UsageRecords.Len() {
-		if ta.UsageRecords.At(i) != tb.UsageRecords.At(i) {
-			t.Fatalf("usage record %d differs: %+v vs %+v", i, ta.UsageRecords.At(i), tb.UsageRecords.At(i))
-		}
+	if d := tracetest.Diff(ta, tb); d != "" {
+		t.Fatal(d)
 	}
 }
 
 func TestDifferentSeedsDiffer(t *testing.T) {
 	_, a := smallRun(t, 1)
 	_, b := smallRun(t, 99)
-	if a.CollectionEvents.Len() == b.CollectionEvents.Len() &&
-		a.UsageRecords.Len() == b.UsageRecords.Len() {
-		// Counts could coincide; compare content of the first events.
-		same := true
-		for i := 0; i < 50 && i < a.CollectionEvents.Len(); i++ {
-			if a.CollectionEvents.At(i) != b.CollectionEvents.At(i) {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Fatal("different seeds produced identical traces")
-		}
+	if tracetest.Diff(a, b) == "" {
+		t.Fatal("different seeds produced identical traces")
 	}
 }
 

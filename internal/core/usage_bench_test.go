@@ -18,6 +18,7 @@ import (
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/workload"
 )
 
@@ -46,7 +47,7 @@ func buildUsageBenchState(tb testing.TB, machines int, warmup sim.Time) *usageBe
 	schedCfg.CandidateSample = p.CandidateSample
 	schedCfg.ServiceTime = dist.LogNormalFromMedian(p.SchedServiceMedian, p.SchedServiceSigma)
 	schedCfg.Batch = false
-	sched := scheduler.New(schedCfg, cell, k, trace.NopSink{}, root.Split("scheduler"))
+	sched := scheduler.New(schedCfg, cell, k, tracetest.NopSink{}, root.Split("scheduler"))
 	gen := workload.NewGeneratorArrival(p, cell.Capacity().CPU, warmup, root.Split("workload"), 1)
 	var scheduleArrival func(now sim.Time)
 	scheduleArrival = func(now sim.Time) {

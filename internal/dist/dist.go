@@ -1,6 +1,6 @@
 // Package dist provides the parametric probability distributions the
 // workload generator and scheduler are calibrated with: log-normals for
-// service times and oversize factors, (bounded) Paretos for the
+// service times and oversize factors, bounded Paretos for the
 // heavy-tailed job-size and usage integrals of §7, exponentials for
 // arrival thinning, and discrete Zipf/categorical pickers.
 //
@@ -20,15 +20,6 @@ import (
 type Sampler interface {
 	Sample(src *rng.Source) float64
 }
-
-// Deterministic always returns Value; it stands in for a distribution in
-// tests and ablations.
-type Deterministic struct {
-	Value float64
-}
-
-// Sample returns the constant.
-func (d Deterministic) Sample(*rng.Source) float64 { return d.Value }
 
 // LogNormal is the distribution of exp(N(Mu, Sigma²)).
 type LogNormal struct {
@@ -50,63 +41,6 @@ func (l LogNormal) Sample(src *rng.Source) float64 {
 	return math.Exp(l.Mu + l.Sigma*src.NormFloat64())
 }
 
-// Mean returns the analytic mean exp(Mu + Sigma²/2).
-func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-// Quantile returns the p-quantile exp(Mu + Sigma·Φ⁻¹(p)).
-func (l LogNormal) Quantile(p float64) float64 {
-	return math.Exp(l.Mu + l.Sigma*InvNormCDF(p))
-}
-
-// InvNormCDF returns Φ⁻¹(p), the standard normal quantile function, via
-// Acklam's rational approximation (relative error < 1.15e-9 across the
-// open unit interval) — accurate enough for lognormal quantiles and to
-// convert confidence levels to z-scores. p outside (0, 1) returns ±Inf
-// at the endpoints and NaN beyond them.
-func InvNormCDF(p float64) float64 {
-	switch {
-	case math.IsNaN(p) || p < 0 || p > 1:
-		return math.NaN()
-	case p == 0:
-		return math.Inf(-1)
-	case p == 1:
-		return math.Inf(1)
-	}
-	// Coefficients for the central and tail rational approximations.
-	var (
-		a = [6]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-			1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-		b = [5]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-			6.680131188771972e+01, -1.328068155288572e+01}
-		c = [6]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-			-2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-		d = [4]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-			3.754408661907416e+00}
-	)
-	const pLow = 0.02425
-	var x float64
-	switch {
-	case p < pLow: // lower tail
-		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= 1-pLow: // central region
-		q := p - 0.5
-		r := q * q
-		x = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default: // upper tail, by symmetry
-		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
-	// One Halley refinement step against math.Erfc pushes the result to
-	// near machine precision.
-	e := 0.5*math.Erfc(-x/math.Sqrt2) - p
-	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	return x - u/(1+x*u/2)
-}
-
 // Exponential is the exponential distribution with the given rate
 // (events per unit time); its mean is 1/Rate.
 type Exponential struct {
@@ -116,18 +50,6 @@ type Exponential struct {
 // Sample draws one variate by inversion.
 func (e Exponential) Sample(src *rng.Source) float64 {
 	return -math.Log(src.Float64Open()) / e.Rate
-}
-
-// Pareto is the unbounded Pareto distribution with scale Xm (minimum
-// value) and tail index Alpha.
-type Pareto struct {
-	Xm    float64
-	Alpha float64
-}
-
-// Sample draws one variate by inversion.
-func (p Pareto) Sample(src *rng.Source) float64 {
-	return p.Xm * math.Pow(src.Float64Open(), -1/p.Alpha)
 }
 
 // BoundedPareto is a Pareto truncated to [L, H]: the two-sided power law
@@ -303,9 +225,6 @@ func (g Gamma) Sample(src *rng.Source) float64 {
 	}
 }
 
-// Mean returns the analytic mean Shape·Scale.
-func (g Gamma) Mean() float64 { return g.Shape * g.Scale }
-
 // Weibull is the Weibull distribution with the given Shape (k) and Scale
 // (λ); shapes below one give heavy, bursty tails, shape one is the
 // exponential, larger shapes approach regular spacing.
@@ -321,9 +240,6 @@ func (w Weibull) Sample(src *rng.Source) float64 {
 	}
 	return w.Scale * math.Pow(-math.Log(src.Float64Open()), 1/w.Shape)
 }
-
-// Mean returns the analytic mean λ·Γ(1+1/k).
-func (w Weibull) Mean() float64 { return w.Scale * math.Gamma(1+1/w.Shape) }
 
 // weibullCV2 is the squared coefficient of variation of a Weibull with
 // shape k: Γ(1+2/k)/Γ(1+1/k)² − 1, monotone decreasing in k.

@@ -78,6 +78,20 @@ func LargeScale() Scale {
 		Horizon: 48 * sim.Hour, Warmup: 16 * sim.Hour, Seed: 1}
 }
 
+// ScaleByName returns the scale a -scale flag names: small, default or
+// large.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "small":
+		return SmallScale(), nil
+	case "default":
+		return DefaultScale(), nil
+	case "large":
+		return LargeScale(), nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q", name)
+}
+
 // SuiteProfiles builds the suite's nine cell profiles — the 2011 cell at
 // index 0, then the 2019 cells a–h. Every call constructs fresh profile
 // values, so callers (parameter-sweep variants in particular) may mutate

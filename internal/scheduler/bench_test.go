@@ -4,10 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/dist"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 // benchCell builds a cell of n unit machines, each pre-loaded with
@@ -25,8 +25,8 @@ func benchPolicyCell(policy PlacementPolicy, n, residents int, tier trace.Tier, 
 	cfg := DefaultConfig()
 	cfg.Policy = policy
 	cfg.Batch = false
-	cfg.ServiceTime = dist.Deterministic{Value: 0.001}
-	s := New(cfg, cell, k, trace.NopSink{}, rng.New(7))
+	cfg.ServiceTime = constService(0.001)
+	s := New(cfg, cell, k, tracetest.NopSink{}, rng.New(7))
 	id := trace.CollectionID(1)
 	for i := 0; i < n; i++ {
 		m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")

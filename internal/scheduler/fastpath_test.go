@@ -5,11 +5,11 @@ import (
 	"unsafe"
 
 	"repro/internal/cluster"
-	"repro/internal/dist"
 	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 // TestPlacementSteadyStateZeroAllocs is the CI allocation guard: one
@@ -47,9 +47,9 @@ func TestInstrumentedPlacementZeroAllocs(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := DefaultConfig()
 	cfg.Batch = false
-	cfg.ServiceTime = dist.Deterministic{Value: 0.001}
+	cfg.ServiceTime = constService(0.001)
 	cfg.Metrics = reg
-	s := New(cfg, cell, k, trace.NopSink{}, rng.New(7))
+	s := New(cfg, cell, k, tracetest.NopSink{}, rng.New(7))
 	id := trace.CollectionID(1)
 	for i := 0; i < 64; i++ {
 		m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
@@ -115,8 +115,8 @@ func TestEvictMachineZeroAllocs(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := DefaultConfig()
 	cfg.Batch = false
-	cfg.ServiceTime = dist.Deterministic{Value: 0.001}
-	s := New(cfg, cell, k, trace.NopSink{}, rng.New(7))
+	cfg.ServiceTime = constService(0.001)
+	s := New(cfg, cell, k, tracetest.NopSink{}, rng.New(7))
 	j := NewJob(1)
 	j.Type = trace.CollectionJob
 	j.Tier = trace.TierFree

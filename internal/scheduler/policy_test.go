@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/dist"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 // TestPolicyNameRoundTrip covers every policy: String must produce a
@@ -185,8 +185,8 @@ func TestOneShotGivesUp(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Policy = policy
 		cfg.Batch = false
-		cfg.ServiceTime = dist.Deterministic{Value: 0.001}
-		return New(cfg, cell, k, trace.NopSink{}, rng.New(3)), k
+		cfg.ServiceTime = constService(0.001)
+		return New(cfg, cell, k, tracetest.NopSink{}, rng.New(3)), k
 	}
 	submit := func(s *Scheduler, k *sim.Kernel) (*Job, Stats) {
 		j := NewJob(1)

@@ -498,6 +498,3 @@ func (s *Scheduler) UpdateTaskRequest(t *Task, rec trace.Resources) {
 	}
 	t.Request = rec
 }
-
-// Cell returns the scheduled cell.
-func (s *Scheduler) Cell() *cluster.Cell { return s.cell }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/dist"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -45,9 +44,16 @@ func newRigOC(t *testing.T, cfg Config, oc cluster.OvercommitPolicy, machines in
 	return &testRig{cell: cell, k: k, tr: tr, sched: sched}
 }
 
+// constService is a service-time distribution that always draws its
+// own value.
+type constService float64
+
+// Sample returns the constant.
+func (c constService) Sample(*rng.Source) float64 { return float64(c) }
+
 func fastConfig() Config {
 	cfg := DefaultConfig()
-	cfg.ServiceTime = dist.Deterministic{Value: 0.001}
+	cfg.ServiceTime = constService(0.001)
 	cfg.Batch = false
 	return cfg
 }
@@ -228,7 +234,7 @@ func TestBatchCeilingHoldsJobs(t *testing.T) {
 
 func TestPriorityOrdering(t *testing.T) {
 	cfg := fastConfig()
-	cfg.ServiceTime = dist.Deterministic{Value: 1.0} // slow server to build a queue
+	cfg.ServiceTime = constService(1.0) // slow server to build a queue
 	rig := newRig(t, cfg, 4, trace.Resources{CPU: 1, Mem: 1})
 	free := mkJob(1, 0, trace.TierFree, 2, trace.Resources{CPU: 0.1, Mem: 0.1}, 10*sim.Minute)
 	prod := mkJob(2, 200, trace.TierProduction, 2, trace.Resources{CPU: 0.1, Mem: 0.1}, 10*sim.Minute)

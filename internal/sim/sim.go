@@ -306,12 +306,6 @@ func (k *Kernel) RunUntil(end Time) {
 	}
 }
 
-// Run drains the queue completely.
-func (k *Kernel) Run() {
-	for k.Step() {
-	}
-}
-
 // Every schedules fire at start, start+period, ... while the kernel runs,
 // until the returned stop function is called or until (optional) end is
 // reached (end <= 0 means no end). fire runs before the next tick is

@@ -5,6 +5,12 @@ import (
 	"testing/quick"
 )
 
+// drain fires events until the queue is empty.
+func drain(k *Kernel) {
+	for k.Step() {
+	}
+}
+
 func TestClockStartsAtZero(t *testing.T) {
 	k := NewKernel()
 	if k.Now() != 0 {
@@ -18,7 +24,7 @@ func TestEventOrdering(t *testing.T) {
 	k.At(30, Func(func(Time) { order = append(order, 3) }))
 	k.At(10, Func(func(Time) { order = append(order, 1) }))
 	k.At(20, Func(func(Time) { order = append(order, 2) }))
-	k.Run()
+	drain(k)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order %v", order)
 	}
@@ -37,7 +43,7 @@ func TestFIFOAmongEqualTimes(t *testing.T) {
 		i := i
 		k.At(5, Func(func(Time) { order = append(order, i) }))
 	}
-	k.Run()
+	drain(k)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("equal-time events not FIFO: %v", order)
@@ -48,7 +54,7 @@ func TestFIFOAmongEqualTimes(t *testing.T) {
 func TestSchedulingInPastPanics(t *testing.T) {
 	k := NewKernel()
 	k.At(100, Func(func(Time) {}))
-	k.Run()
+	drain(k)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for past event")
@@ -66,7 +72,7 @@ func TestAfterClampsNegativeDelay(t *testing.T) {
 		}
 		fired = true
 	}))
-	k.Run()
+	drain(k)
 	if !fired {
 		t.Fatal("never fired")
 	}
@@ -80,7 +86,7 @@ func TestCancel(t *testing.T) {
 		t.Fatal("event not scheduled")
 	}
 	k.Cancel(e)
-	k.Run()
+	drain(k)
 	if fired {
 		t.Fatal("canceled event fired")
 	}
@@ -98,7 +104,7 @@ func TestCancelDuringRun(t *testing.T) {
 	var e2 EventRef
 	k.At(1, Func(func(Time) { k.Cancel(e2) }))
 	e2 = k.At(2, Func(func(Time) { fired = true }))
-	k.Run()
+	drain(k)
 	if fired {
 		t.Fatal("event canceled mid-run still fired")
 	}
@@ -131,7 +137,7 @@ func TestStaleRefCannotCancelRecycledSlot(t *testing.T) {
 	if !k.Scheduled(fresh) {
 		t.Fatal("stale cancel removed the slot's new occupant")
 	}
-	k.Run()
+	drain(k)
 	if !fired {
 		t.Fatal("recycled event did not fire")
 	}
@@ -143,7 +149,7 @@ func TestSelfCancelInCallbackIsNoop(t *testing.T) {
 	self = k.At(5, Func(func(Time) { k.Cancel(self) }))
 	followUp := false
 	k.At(6, Func(func(Time) { followUp = true }))
-	k.Run()
+	drain(k)
 	if !followUp {
 		t.Fatal("self-cancel disturbed the queue")
 	}
@@ -197,7 +203,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 		}
 	}
 	k.At(0, Func(chain))
-	k.Run()
+	drain(k)
 	if hits != 5 {
 		t.Fatalf("chain hits %d", hits)
 	}
@@ -210,7 +216,7 @@ func TestEvery(t *testing.T) {
 	k := NewKernel()
 	var ticks []Time
 	k.Every(10, 10, 55, func(now Time) { ticks = append(ticks, now) })
-	k.Run()
+	drain(k)
 	want := []Time{10, 20, 30, 40, 50}
 	if len(ticks) != len(want) {
 		t.Fatalf("ticks %v", ticks)
@@ -270,7 +276,7 @@ func TestOrderingProperty(t *testing.T) {
 		for _, d := range delays {
 			k.At(Time(d), Func(func(now Time) { fired = append(fired, now) }))
 		}
-		k.Run()
+		drain(k)
 		for i := 1; i < len(fired); i++ {
 			if fired[i] < fired[i-1] {
 				return false
@@ -320,7 +326,7 @@ func TestCancelMidHeapProperty(t *testing.T) {
 				}
 			}
 		}
-		k.Run()
+		drain(k)
 		// Everything scheduled and not canceled fired, in order.
 		if len(fired) != len(ops)-canceled {
 			return false

@@ -552,41 +552,3 @@ func Pearson(x, y []float64) float64 {
 	}
 	return cov / math.Sqrt(vx*vy)
 }
-
-// Welford accumulates running mean/variance without storing samples.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the count of observations.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the running mean (0 for an empty accumulator).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the population variance.
-func (w *Welford) Variance() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// C2 returns variance/mean² (the squared coefficient of variation).
-func (w *Welford) C2() float64 {
-	m := w.Mean()
-	if m == 0 {
-		return math.Inf(1)
-	}
-	return w.Variance() / (m * m)
-}

@@ -57,17 +57,15 @@ type Def struct {
 	// Scale.Seed is the sweep's root seed, and Scale.Replay (if set)
 	// replays the same recorded per-cell workloads at every grid
 	// point — fixing the workload itself across variants, CRN beyond
-	// seeds. Scale.Parallelism is ignored — the sweep schedules the whole
-	// grid through one pool, see Parallelism below.
+	// seeds. Scale.Parallelism bounds the one engine worker pool the
+	// whole grid runs through; <= 0 means GOMAXPROCS. It never changes
+	// the result.
 	Scale experiments.Scale
 	// Seeds is the number of root-seed replicates (N ≥ 1).
 	Seeds int
 	// Variants are the profile overlays to compare; empty means just the
 	// baseline.
 	Variants []Variant
-	// Parallelism bounds the engine worker pool across the entire grid;
-	// <= 0 means GOMAXPROCS. It never changes the result.
-	Parallelism int
 }
 
 // VariantStats is one variant's cross-seed outcome.
@@ -165,7 +163,7 @@ func Run(d Def) (*Result, error) {
 	// order, one timeline row per flat index.
 	ri := engine.NewRunInstruments(d.Scale.Metrics, d.Scale.Timeline, len(specs))
 	ri.Apply(specs)
-	results := engine.Run(specs, ri.Wrap(engine.Options{Parallelism: d.Parallelism}))
+	results := engine.Run(specs, ri.Wrap(engine.Options{Parallelism: d.Scale.Parallelism}))
 
 	res := &Result{Def: d, Metrics: MetricNames(), Cells: cells}
 	res.Def.Variants = variants

@@ -26,12 +26,13 @@ func tinyScale() experiments.Scale {
 }
 
 func tinyDef(par int) Def {
-	return Def{
-		Scale:       tinyScale(),
-		Seeds:       2,
-		Variants:    []Variant{Baseline(), ArrivalScale(1.5)},
-		Parallelism: par,
+	d := Def{
+		Scale:    tinyScale(),
+		Seeds:    2,
+		Variants: []Variant{Baseline(), ArrivalScale(1.5)},
 	}
+	d.Scale.Parallelism = par
+	return d
 }
 
 // TestSweepDeterministicAcrossParallelism is the sweep's acceptance
@@ -74,7 +75,7 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 // perturb the simulation: per-seed metric vectors differ and at least
 // the rate metrics show nonzero cross-seed spread.
 func TestSweepSeedsProduceVariance(t *testing.T) {
-	res, err := Run(Def{Scale: tinyScale(), Seeds: 3, Parallelism: 8})
+	res, err := Run(Def{Scale: tinyScale(), Seeds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +108,12 @@ func TestSweepSeedsProduceVariance(t *testing.T) {
 // it runs alone or alongside other variants, because grid seeds depend
 // only on (root, run, cell).
 func TestVariantListDoesNotPerturbSharedVariants(t *testing.T) {
-	alone, err := Run(Def{Scale: tinyScale(), Seeds: 2, Parallelism: 8,
+	alone, err := Run(Def{Scale: tinyScale(), Seeds: 2,
 		Variants: []Variant{Baseline()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	paired, err := Run(Def{Scale: tinyScale(), Seeds: 2, Parallelism: 8,
+	paired, err := Run(Def{Scale: tinyScale(), Seeds: 2,
 		Variants: []Variant{ArrivalScale(2), Baseline()}})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func TestVariantListDoesNotPerturbSharedVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zoo, err := Run(Def{Scale: tinyScale(), Seeds: 2, Parallelism: 8,
+	zoo, err := Run(Def{Scale: tinyScale(), Seeds: 2,
 		Variants: []Variant{worstFit, Baseline()}})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +160,7 @@ func TestPairedDiffsTighterThanUnpaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Def{Scale: tinyScale(), Seeds: 3, Parallelism: 8,
+	res, err := Run(Def{Scale: tinyScale(), Seeds: 3,
 		Variants: []Variant{ArrivalScale(1.5), Baseline(), bestFit}})
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +338,7 @@ func TestVariantOverlaysMutateKnobs(t *testing.T) {
 // TestSweepCSVs checks the per-metric and summary CSV exports exist,
 // carry the long-form rows, and are byte-deterministic.
 func TestSweepCSVs(t *testing.T) {
-	res, err := Run(Def{Scale: tinyScale(), Seeds: 2, Parallelism: 8,
+	res, err := Run(Def{Scale: tinyScale(), Seeds: 2,
 		Variants: []Variant{Baseline(), ArrivalScale(1.5)}})
 	if err != nil {
 		t.Fatal(err)
@@ -483,10 +484,9 @@ func TestSweepReplayFixesWorkloadAcrossVariants(t *testing.T) {
 	}
 
 	d := Def{
-		Scale:       tinyScale(),
-		Seeds:       1,
-		Variants:    []Variant{Baseline(), mustVariant(t, "arrival:gamma:cv=2.5")},
-		Parallelism: 4,
+		Scale:    tinyScale(),
+		Seeds:    1,
+		Variants: []Variant{Baseline(), mustVariant(t, "arrival:gamma:cv=2.5")},
 	}
 	d.Scale.Replay = recs
 	res, err := Run(d)

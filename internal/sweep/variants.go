@@ -3,6 +3,7 @@ package sweep
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -166,8 +167,9 @@ func familyNames() []string {
 	return out
 }
 
-// knobVariant builds one knob=value overlay of a named composite clause:
-// the numeric families by parsed float, "policy" by policy name, and
+// knobVariant builds the overlay for one value of a knob, in a
+// "family:v1,v2" clause or a named composite's knob=value: the numeric
+// families by parsed float, "policy" by policy name, and
 // "arrival" polymorphically — a number scales the rate, anything else
 // selects an arrival process (knobs "+"-separated, see ArrivalProcessVariant).
 func knobVariant(knob, value, clause string) (Variant, error) {
@@ -278,19 +280,9 @@ func ParseVariants(spec string) ([]Variant, error) {
 			return nil, fmt.Errorf("sweep: unknown variant clause %q (clauses: %s, or name:knob=value)",
 				clause, strings.Join(familyNames(), ", "))
 		}
-		if family == "arrival" {
-			// Handled before the "=" composite check: arrival-process specs
-			// like "gamma:cv=2.5" carry their own "=" knobs.
-			for _, vs := range strings.Split(values, ",") {
-				v, err := arrivalVariant(strings.TrimSpace(vs), clause)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, v)
-			}
-			continue
-		}
-		if strings.Contains(values, "=") {
+		// The arrival family is checked before the "=" composite test:
+		// arrival-process specs like "gamma:cv=2.5" carry their own "=".
+		if family != "arrival" && strings.Contains(values, "=") {
 			v, err := parseNamedClause(family, values, clause)
 			if err != nil {
 				return nil, err
@@ -298,30 +290,16 @@ func ParseVariants(spec string) ([]Variant, error) {
 			out = append(out, v)
 			continue
 		}
-		if family == "policy" {
-			for _, name := range strings.Split(values, ",") {
-				v, err := PolicyVariant(strings.TrimSpace(name))
-				if err != nil {
-					return nil, fmt.Errorf("%w (in clause %q)", err, clause)
-				}
-				out = append(out, v)
-			}
-			continue
-		}
-		mk := families[family]
-		if mk == nil {
+		if !slices.Contains(knobNames(), family) {
 			return nil, fmt.Errorf("sweep: unknown variant family %q in clause %q (clauses: %s, or name:knob=value)",
 				family, clause, strings.Join(familyNames(), ", "))
 		}
-		for _, vs := range strings.Split(values, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(vs), 64)
+		for _, value := range strings.Split(values, ",") {
+			v, err := knobVariant(family, strings.TrimSpace(value), clause)
 			if err != nil {
-				return nil, fmt.Errorf("sweep: bad value %q in clause %q", vs, clause)
-			}
-			if err := checkValue(v, clause); err != nil {
 				return nil, err
 			}
-			out = append(out, mk(v))
+			out = append(out, v)
 		}
 	}
 	if len(out) == 0 {

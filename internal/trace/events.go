@@ -28,35 +28,13 @@ const (
 	NumEventTypes
 )
 
+var eventTypeNames = enumNames[EventType]{"EventType", "event type", []string{
+	"SUBMIT", "QUEUE", "ENABLE", "SCHEDULE", "EVICT", "FAIL", "FINISH", "KILL", "LOST",
+	"UPDATE_PENDING", "UPDATE_RUNNING",
+}}
+
 // String returns the trace-style upper-case event name.
-func (e EventType) String() string {
-	switch e {
-	case EventSubmit:
-		return "SUBMIT"
-	case EventQueue:
-		return "QUEUE"
-	case EventEnable:
-		return "ENABLE"
-	case EventSchedule:
-		return "SCHEDULE"
-	case EventEvict:
-		return "EVICT"
-	case EventFail:
-		return "FAIL"
-	case EventFinish:
-		return "FINISH"
-	case EventKill:
-		return "KILL"
-	case EventLost:
-		return "LOST"
-	case EventUpdatePending:
-		return "UPDATE_PENDING"
-	case EventUpdateRunning:
-		return "UPDATE_RUNNING"
-	default:
-		return fmt.Sprintf("EventType(%d)", int(e))
-	}
-}
+func (e EventType) String() string { return eventTypeNames.name(e) }
 
 // IsTermination reports whether the event ends a collection or instance
 // (the four termination causes of §5.2, plus LOST).
@@ -67,16 +45,6 @@ func (e EventType) IsTermination() bool {
 	default:
 		return false
 	}
-}
-
-// ParseEventType inverts String. It returns an error for unknown names.
-func ParseEventType(s string) (EventType, error) {
-	for e := EventType(0); e < NumEventTypes; e++ {
-		if e.String() == s {
-			return e, nil
-		}
-	}
-	return 0, fmt.Errorf("trace: unknown event type %q", s)
 }
 
 // CollectionEvent is one row of the collection_events table.
@@ -153,19 +121,10 @@ const (
 	MachineUpdate                         // capacity changed
 )
 
+var machineEventNames = enumNames[MachineEventType]{"MachineEventType", "machine event", []string{"ADD", "REMOVE", "UPDATE"}}
+
 // String names the machine event.
-func (m MachineEventType) String() string {
-	switch m {
-	case MachineAdd:
-		return "ADD"
-	case MachineRemove:
-		return "REMOVE"
-	case MachineUpdate:
-		return "UPDATE"
-	default:
-		return fmt.Sprintf("MachineEventType(%d)", int(m))
-	}
-}
+func (m MachineEventType) String() string { return machineEventNames.name(m) }
 
 // MachineEvent is one row of the machine_events table.
 type MachineEvent struct {
@@ -221,18 +180,3 @@ func (m MultiSink) MachineEvent(ev MachineEvent) {
 		s.MachineEvent(ev)
 	}
 }
-
-// NopSink discards everything; useful as a default and in benchmarks.
-type NopSink struct{}
-
-// CollectionEvent discards the row.
-func (NopSink) CollectionEvent(CollectionEvent) {}
-
-// InstanceEvent discards the row.
-func (NopSink) InstanceEvent(InstanceEvent) {}
-
-// UsageBatch discards the block.
-func (NopSink) UsageBatch([]UsageRecord) {}
-
-// MachineEvent discards the row.
-func (NopSink) MachineEvent(MachineEvent) {}

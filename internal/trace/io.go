@@ -217,9 +217,6 @@ func (s *DirSink) Flush() {
 	}
 }
 
-// Err returns the first write error, if any.
-func (s *DirSink) Err() error { return s.err }
-
 // Close flushes and closes the table files, returning the first error
 // encountered over the sink's lifetime. Further rows are dropped.
 func (s *DirSink) Close() error {
@@ -350,79 +347,17 @@ func (p *fieldParser) float(s string) float64 {
 	return v
 }
 
-func (p *fieldParser) event(s string) EventType {
+// enum parses an enum field through its name table n, keeping p's
+// first error.
+func enum[E ~int](p *fieldParser, n enumNames[E], s string) E {
 	if p.err != nil {
 		return 0
 	}
-	v, err := ParseEventType(s)
+	v, err := n.parse(s)
 	if err != nil {
 		p.err = err
 	}
 	return v
-}
-
-func parseTier(s string) (Tier, error) {
-	for _, tier := range Tiers() {
-		if tier.String() == s {
-			return tier, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown tier %q", s)
-}
-
-func (p *fieldParser) tier(s string) Tier {
-	if p.err != nil {
-		return 0
-	}
-	v, err := parseTier(s)
-	if err != nil {
-		p.err = err
-	}
-	return v
-}
-
-func parseCollectionType(s string) (CollectionType, error) {
-	switch s {
-	case "job":
-		return CollectionJob, nil
-	case "alloc_set":
-		return CollectionAllocSet, nil
-	}
-	return 0, fmt.Errorf("unknown collection type %q", s)
-}
-
-func parseScheduler(s string) (SchedulerKind, error) {
-	switch s {
-	case "default":
-		return SchedulerDefault, nil
-	case "batch":
-		return SchedulerBatch, nil
-	}
-	return 0, fmt.Errorf("unknown scheduler %q", s)
-}
-
-func parseScaling(s string) (VerticalScaling, error) {
-	switch s {
-	case "none":
-		return ScalingNone, nil
-	case "constrained":
-		return ScalingConstrained, nil
-	case "full":
-		return ScalingFull, nil
-	}
-	return 0, fmt.Errorf("unknown scaling %q", s)
-}
-
-func parseMachineEventType(s string) (MachineEventType, error) {
-	switch s {
-	case "ADD":
-		return MachineAdd, nil
-	case "REMOVE":
-		return MachineRemove, nil
-	case "UPDATE":
-		return MachineUpdate, nil
-	}
-	return 0, fmt.Errorf("unknown machine event %q", s)
 }
 
 func (t *MemTrace) readCollectionEvent(rec []string) error {
@@ -431,30 +366,18 @@ func (t *MemTrace) readCollectionEvent(rec []string) error {
 	}
 	var p fieldParser
 	ev := CollectionEvent{
-		Time:       sim.Time(p.int(rec[0])),
-		Collection: CollectionID(p.uint(rec[1])),
-		Type:       p.event(rec[2]),
-		Priority:   int(p.int(rec[4])),
-		Tier:       p.tier(rec[5]),
-		User:       rec[6],
-		Parent:     CollectionID(p.uint(rec[7])),
-		AllocSet:   CollectionID(p.uint(rec[8])),
+		Time:           sim.Time(p.int(rec[0])),
+		Collection:     CollectionID(p.uint(rec[1])),
+		Type:           enum(&p, eventTypeNames, rec[2]),
+		CollectionType: enum(&p, collectionTypeNames, rec[3]),
+		Priority:       int(p.int(rec[4])),
+		Tier:           enum(&p, tierNames, rec[5]),
+		User:           rec[6],
+		Parent:         CollectionID(p.uint(rec[7])),
+		AllocSet:       CollectionID(p.uint(rec[8])),
+		Scheduler:      enum(&p, schedulerNames, rec[9]),
+		Scaling:        enum(&p, scalingNames, rec[10]),
 	}
-	ct, err := parseCollectionType(rec[3])
-	if err != nil {
-		return err
-	}
-	ev.CollectionType = ct
-	sched, err := parseScheduler(rec[9])
-	if err != nil {
-		return err
-	}
-	ev.Scheduler = sched
-	scal, err := parseScaling(rec[10])
-	if err != nil {
-		return err
-	}
-	ev.Scaling = scal
 	if p.err != nil {
 		return p.err
 	}
@@ -473,10 +396,10 @@ func (t *MemTrace) readInstanceEvent(rec []string) error {
 			Collection: CollectionID(p.uint(rec[1])),
 			Index:      p.index(rec[2]),
 		},
-		Type:     p.event(rec[3]),
+		Type:     enum(&p, eventTypeNames, rec[3]),
 		Machine:  MachineID(p.int(rec[4])),
 		Priority: int(p.int(rec[5])),
-		Tier:     p.tier(rec[6]),
+		Tier:     enum(&p, tierNames, rec[6]),
 		Request:  Resources{CPU: p.float(rec[7]), Mem: p.float(rec[8])},
 		AllocInstance: InstanceKey{
 			Collection: CollectionID(p.uint(rec[9])),
@@ -503,7 +426,7 @@ func (t *MemTrace) readUsage(rec []string) error {
 			Index:      p.index(rec[3]),
 		},
 		Machine:  MachineID(p.int(rec[4])),
-		Tier:     p.tier(rec[5]),
+		Tier:     enum(&p, tierNames, rec[5]),
 		AvgUsage: Resources{CPU: p.float(rec[6]), Mem: p.float(rec[7])},
 		MaxUsage: Resources{CPU: p.float(rec[8]), Mem: p.float(rec[9])},
 		Limit:    Resources{CPU: p.float(rec[10]), Mem: p.float(rec[11])},
@@ -523,14 +446,10 @@ func (t *MemTrace) readMachineEvent(rec []string) error {
 	ev := MachineEvent{
 		Time:     sim.Time(p.int(rec[0])),
 		Machine:  MachineID(p.int(rec[1])),
+		Type:     enum(&p, machineEventNames, rec[2]),
 		Capacity: Resources{CPU: p.float(rec[3]), Mem: p.float(rec[4])},
 		Platform: rec[5],
 	}
-	met, err := parseMachineEventType(rec[2])
-	if err != nil {
-		return err
-	}
-	ev.Type = met
 	if p.err != nil {
 		return p.err
 	}

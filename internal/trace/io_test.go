@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -130,24 +131,39 @@ func TestReadDirRejectsOutOfRangeIndex(t *testing.T) {
 	}
 }
 
+// TestParseHelpers round-trips every trace enum through its name table:
+// each value prints as its name and parses back, an unknown name is
+// rejected with an error naming the enum, and the first value past the
+// table prints as Type(n).
 func TestParseHelpers(t *testing.T) {
-	if _, err := parseTier("nope"); err == nil {
-		t.Fatal("parseTier")
+	checkEnum(t, eraNames, Era2019+1)
+	checkEnum(t, tierNames, NumTiers)
+	checkEnum(t, collectionTypeNames, CollectionAllocSet+1)
+	checkEnum(t, scalingNames, ScalingFull+1)
+	checkEnum(t, schedulerNames, SchedulerBatch+1)
+	checkEnum(t, eventTypeNames, NumEventTypes)
+	checkEnum(t, machineEventNames, MachineUpdate+1)
+}
+
+// checkEnum checks one enum's name table against its n values.
+func checkEnum[E interface {
+	~int
+	String() string
+}](t *testing.T, names enumNames[E], n E) {
+	t.Helper()
+	if len(names.names) != int(n) {
+		t.Errorf("%s: %d names for %d values", names.typ, len(names.names), n)
 	}
-	if _, err := parseScheduler("nope"); err == nil {
-		t.Fatal("parseScheduler")
-	}
-	if _, err := parseScaling("nope"); err == nil {
-		t.Fatal("parseScaling")
-	}
-	if _, err := parseMachineEventType("nope"); err == nil {
-		t.Fatal("parseMachineEventType")
-	}
-	for _, tier := range Tiers() {
-		got, err := parseTier(tier.String())
-		if err != nil || got != tier {
-			t.Fatalf("tier round trip %v", tier)
+	for v := E(0); v < n; v++ {
+		if got, err := names.parse(v.String()); err != nil || got != v {
+			t.Errorf("%s: %q parsed as %d, %v", names.typ, v.String(), got, err)
 		}
+	}
+	if _, err := names.parse("nope"); err == nil || !strings.Contains(err.Error(), `unknown `+names.kind+` "nope"`) {
+		t.Errorf("%s: parsing an unknown name gave error %v", names.typ, err)
+	}
+	if got, want := n.String(), fmt.Sprintf("%s(%d)", names.typ, n); got != want {
+		t.Errorf("value past the table prints %q, want %q", got, want)
 	}
 }
 
@@ -229,7 +245,7 @@ func TestDirSinkMidRunFlushAndCloseIdempotent(t *testing.T) {
 	if got.MachineEvents.Len() != 2 {
 		t.Fatalf("machine events %d, want 2", got.MachineEvents.Len())
 	}
-	if ds.Err() != nil {
-		t.Fatalf("unexpected sink error: %v", ds.Err())
+	if ds.err != nil {
+		t.Fatalf("unexpected sink error: %v", ds.err)
 	}
 }

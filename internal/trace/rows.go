@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"iter"
-	"math/bits"
-)
+import "iter"
 
 // Chunk sizing for Rows: the first chunk holds 1<<minChunkShift rows and
 // each later one doubles, up to 1<<maxChunkShift rows; every chunk after
@@ -13,7 +10,6 @@ const (
 	minChunkShift = 4
 	maxChunkShift = 16
 	rampChunks    = maxChunkShift - minChunkShift
-	rampRows      = (1<<rampChunks - 1) << minChunkShift // rows held by the ramp
 )
 
 // Rows is an append-only table stored in chunks that never move: an
@@ -21,7 +17,7 @@ const (
 // no row is copied after it is stored and an append inside a chunk does
 // not allocate. The zero value is an empty table ready to use.
 //
-// Rows is not safe for concurrent mutation. Readers (Len, At, All,
+// Rows is not safe for concurrent mutation. Readers (Len, All and
 // Chunks) may run concurrently with each other but not with an append.
 type Rows[T any] struct {
 	chunks [][]T
@@ -34,16 +30,6 @@ func chunkCap(c int) int {
 		return 1 << (minChunkShift + c)
 	}
 	return 1 << maxChunkShift
-}
-
-// locate maps a row index to its chunk and the offset inside that chunk.
-func locate(i int) (c, j int) {
-	if i < rampRows {
-		c = bits.Len(uint(i>>minChunkShift+1)) - 1
-		return c, i - (1<<c-1)<<minChunkShift
-	}
-	i -= rampRows
-	return rampChunks + i>>maxChunkShift, i & (1<<maxChunkShift - 1)
 }
 
 // tail returns the last chunk, starting a new one if it is full.
@@ -76,15 +62,6 @@ func (r *Rows[T]) AppendSlice(vs []T) {
 
 // Len returns the number of rows stored.
 func (r *Rows[T]) Len() int { return r.n }
-
-// At returns row i. It panics if i is out of range.
-func (r *Rows[T]) At(i int) T {
-	if uint(i) >= uint(r.n) {
-		panic("trace: Rows index out of range")
-	}
-	c, j := locate(i)
-	return r.chunks[c][j]
-}
 
 // All yields every row in append order.
 func (r *Rows[T]) All() iter.Seq[T] {

@@ -7,6 +7,9 @@ import (
 	"unsafe"
 )
 
+// rampRows is the number of rows the ramp's chunks hold.
+const rampRows = (1<<rampChunks - 1) << minChunkShift
+
 // collect flattens a table for comparison with a reference slice.
 func collect[T any](r *Rows[T]) []T { return slices.Collect(r.All()) }
 
@@ -39,11 +42,6 @@ func TestRowsMatchFlatSlice(t *testing.T) {
 		t.Helper()
 		if r.Len() != len(want) {
 			t.Fatalf("%s: Len %d, want %d", stage, r.Len(), len(want))
-		}
-		for i, v := range want {
-			if got := r.At(i); got != v {
-				t.Fatalf("%s: At(%d) = %d, want %d", stage, i, got, v)
-			}
 		}
 		if got := collect(&r); !slices.Equal(got, want) {
 			t.Fatalf("%s: All differs from the reference", stage)
@@ -100,23 +98,6 @@ func TestRowsMatchFlatSlice(t *testing.T) {
 	}
 }
 
-// TestRowsAtOutOfRange: At rejects an index past Len even when the last
-// chunk has spare capacity behind it.
-func TestRowsAtOutOfRange(t *testing.T) {
-	var r Rows[int]
-	r.Append(1)
-	for _, i := range []int{-1, 1, 5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("At(%d) on a one-row table did not panic", i)
-				}
-			}()
-			r.At(i)
-		}()
-	}
-}
-
 // row64 is a 64-byte row, so every chunk (a power-of-two row count) is an
 // exact malloc size class and the byte bound below has no rounding slack.
 type row64 [8]int64
@@ -163,7 +144,7 @@ func TestRowsAppendNeverCopiesRows(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
 		t.Fatalf("appending %d rows allocated %d bytes, bound %d (rows + one chunk + directory)", n, got, bound)
 	}
-	if r.At(n-1) != (row64{n - 1}) {
+	if last := r.chunks[len(r.chunks)-1]; last[len(last)-1] != (row64{n - 1}) {
 		t.Fatal("last row lost")
 	}
 }

@@ -20,16 +20,6 @@ func (c RowCounts) Total() int64 {
 	return c.Collections + c.Instances + c.Usage + c.Machines
 }
 
-// Add returns the element-wise sum of two counts.
-func (c RowCounts) Add(o RowCounts) RowCounts {
-	return RowCounts{
-		Collections: c.Collections + o.Collections,
-		Instances:   c.Instances + o.Instances,
-		Usage:       c.Usage + o.Usage,
-		Machines:    c.Machines + o.Machines,
-	}
-}
-
 // CountingSink is the simplest online reducer: it tallies rows per table
 // as they stream past, so a run with MemTrace retention disabled still
 // reports how much trace it generated.

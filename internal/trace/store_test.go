@@ -31,25 +31,22 @@ func simulatedTrace(t *testing.T) *trace.MemTrace {
 
 // feed appends rows [from, to) of every src table to dst.
 func feed(dst, src *trace.MemTrace, from, to float64) {
-	span := func(n int) (int, int) { return int(from * float64(n)), int(to * float64(n)) }
-	lo, hi := span(src.MachineEvents.Len())
-	for i := lo; i < hi; i++ {
-		dst.MachineEvent(src.MachineEvents.At(i))
+	for _, ev := range span(&src.MachineEvents, from, to) {
+		dst.MachineEvent(ev)
 	}
-	lo, hi = span(src.CollectionEvents.Len())
-	for i := lo; i < hi; i++ {
-		dst.CollectionEvent(src.CollectionEvents.At(i))
+	for _, ev := range span(&src.CollectionEvents, from, to) {
+		dst.CollectionEvent(ev)
 	}
-	lo, hi = span(src.InstanceEvents.Len())
-	for i := lo; i < hi; i++ {
-		dst.InstanceEvent(src.InstanceEvents.At(i))
+	for _, ev := range span(&src.InstanceEvents, from, to) {
+		dst.InstanceEvent(ev)
 	}
-	lo, hi = span(src.UsageRecords.Len())
-	var batch []trace.UsageRecord
-	for i := lo; i < hi; i++ {
-		batch = append(batch, src.UsageRecords.At(i))
-	}
-	dst.UsageBatch(batch)
+	dst.UsageBatch(span(&src.UsageRecords, from, to))
+}
+
+// span returns rows [from, to) of r, as fractions of its length.
+func span[T any](r *trace.Rows[T], from, to float64) []T {
+	rows := slices.Collect(r.All())
+	return rows[int(from*float64(len(rows))):int(to*float64(len(rows)))]
 }
 
 // queries is every answer a MemTrace's queries give.

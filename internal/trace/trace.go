@@ -2,11 +2,39 @@
 // published 2019 Borg trace (v3) schema: collections (jobs and alloc sets),
 // instances (tasks and alloc instances), their life-cycle events, 5-minute
 // usage records, and machine events. It also provides the in-memory trace
-// store, streaming Sink fan-out, CSV/JSON codecs, and the invariant
-// validator described in §9 of the paper.
+// store, streaming Sink fan-out, the trace directory codec (one CSV file
+// per table beside a JSON meta.json), and the invariant validator
+// described in §9 of the paper.
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
+
+// enumNames is one enum's name table: names[v] names value v. typ is the
+// Go type's name, printed for a value outside the table, and kind names
+// the enum in a parse error.
+type enumNames[E ~int] struct {
+	typ, kind string
+	names     []string
+}
+
+// name returns v's name, or "typ(v)" for a value outside the table.
+func (n enumNames[E]) name(v E) string {
+	if v >= 0 && int(v) < len(n.names) {
+		return n.names[v]
+	}
+	return fmt.Sprintf("%s(%d)", n.typ, int(v))
+}
+
+// parse inverts name. It returns an error for unknown names.
+func (n enumNames[E]) parse(s string) (E, error) {
+	if i := slices.Index(n.names, s); i >= 0 {
+		return E(i), nil
+	}
+	return 0, fmt.Errorf("unknown %s %q", n.kind, s)
+}
 
 // Era distinguishes the two trace generations compared by the paper.
 type Era int
@@ -17,17 +45,10 @@ const (
 	Era2019
 )
 
+var eraNames = enumNames[Era]{"Era", "era", []string{"2011", "2019"}}
+
 // String returns the year label.
-func (e Era) String() string {
-	switch e {
-	case Era2011:
-		return "2011"
-	case Era2019:
-		return "2019"
-	default:
-		return fmt.Sprintf("Era(%d)", int(e))
-	}
-}
+func (e Era) String() string { return eraNames.name(e) }
 
 // Tier is a band of priorities with similar scheduling properties (§2).
 // Monitoring-tier jobs are folded into Production, as the paper does.
@@ -43,21 +64,10 @@ const (
 	NumTiers
 )
 
+var tierNames = enumNames[Tier]{"Tier", "tier", []string{"free", "beb", "mid", "prod"}}
+
 // String returns the paper's abbreviation for the tier.
-func (t Tier) String() string {
-	switch t {
-	case TierFree:
-		return "free"
-	case TierBestEffortBatch:
-		return "beb"
-	case TierMid:
-		return "mid"
-	case TierProduction:
-		return "prod"
-	default:
-		return fmt.Sprintf("Tier(%d)", int(t))
-	}
-}
+func (t Tier) String() string { return tierNames.name(t) }
 
 // Tiers lists all tiers in ascending strength order, for iteration.
 func Tiers() []Tier {
@@ -90,17 +100,10 @@ const (
 	CollectionAllocSet
 )
 
+var collectionTypeNames = enumNames[CollectionType]{"CollectionType", "collection type", []string{"job", "alloc_set"}}
+
 // String names the collection type.
-func (c CollectionType) String() string {
-	switch c {
-	case CollectionJob:
-		return "job"
-	case CollectionAllocSet:
-		return "alloc_set"
-	default:
-		return fmt.Sprintf("CollectionType(%d)", int(c))
-	}
-}
+func (c CollectionType) String() string { return collectionTypeNames.name(c) }
 
 // VerticalScaling is the Autopilot mode recorded per collection (§8).
 type VerticalScaling int
@@ -112,19 +115,10 @@ const (
 	ScalingFull
 )
 
+var scalingNames = enumNames[VerticalScaling]{"VerticalScaling", "scaling", []string{"none", "constrained", "full"}}
+
 // String names the strategy as in Figure 14's legend.
-func (v VerticalScaling) String() string {
-	switch v {
-	case ScalingNone:
-		return "none"
-	case ScalingConstrained:
-		return "constrained"
-	case ScalingFull:
-		return "full"
-	default:
-		return fmt.Sprintf("VerticalScaling(%d)", int(v))
-	}
-}
+func (v VerticalScaling) String() string { return scalingNames.name(v) }
 
 // SchedulerKind identifies which scheduler admitted the job: the regular
 // Borg scheduler or the throughput-oriented batch scheduler (§3, "batch
@@ -137,17 +131,10 @@ const (
 	SchedulerBatch
 )
 
+var schedulerNames = enumNames[SchedulerKind]{"SchedulerKind", "scheduler", []string{"default", "batch"}}
+
 // String names the scheduler.
-func (s SchedulerKind) String() string {
-	switch s {
-	case SchedulerDefault:
-		return "default"
-	case SchedulerBatch:
-		return "batch"
-	default:
-		return fmt.Sprintf("SchedulerKind(%d)", int(s))
-	}
-}
+func (s SchedulerKind) String() string { return schedulerNames.name(s) }
 
 // CollectionID identifies a collection within a trace.
 type CollectionID uint64

@@ -50,12 +50,12 @@ func TestStringers(t *testing.T) {
 
 func TestEventTypeRoundTrip(t *testing.T) {
 	for e := EventType(0); e < NumEventTypes; e++ {
-		got, err := ParseEventType(e.String())
+		got, err := eventTypeNames.parse(e.String())
 		if err != nil || got != e {
 			t.Fatalf("round trip %v: got %v err %v", e, got, err)
 		}
 	}
-	if _, err := ParseEventType("NOPE"); err == nil {
+	if _, err := eventTypeNames.parse("NOPE"); err == nil {
 		t.Fatal("unknown event type parsed")
 	}
 }
@@ -284,7 +284,7 @@ func TestValidateUsageChecks(t *testing.T) {
 func TestMultiSinkFanout(t *testing.T) {
 	a := NewMemTrace(Meta{})
 	b := NewMemTrace(Meta{})
-	ms := MultiSink{a, b, NopSink{}}
+	ms := MultiSink{a, b}
 	ms.CollectionEvent(CollectionEvent{Collection: 1, Type: EventSubmit})
 	ms.InstanceEvent(InstanceEvent{Key: InstanceKey{1, 0}, Type: EventSubmit})
 	ms.UsageBatch([]UsageRecord{{Start: 0, End: 1, Key: InstanceKey{1, 0}}})

@@ -53,3 +53,19 @@ func WriteDir(t *trace.MemTrace, dir string) error {
 	t.Replay(s)
 	return s.Close()
 }
+
+// NopSink discards every row, for tests and benchmarks that drive a
+// component that needs a sink.
+type NopSink struct{}
+
+// CollectionEvent discards the row.
+func (NopSink) CollectionEvent(trace.CollectionEvent) {}
+
+// InstanceEvent discards the row.
+func (NopSink) InstanceEvent(trace.InstanceEvent) {}
+
+// UsageBatch discards the block.
+func (NopSink) UsageBatch([]trace.UsageRecord) {}
+
+// MachineEvent discards the row.
+func (NopSink) MachineEvent(trace.MachineEvent) {}
