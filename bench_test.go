@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/analysis/streaming"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -82,17 +81,16 @@ func BenchmarkWriteReport(b *testing.B) {
 }
 
 // integrals2019 merges the shared suite's 2019 per-job usage integrals.
-func integrals2019(s *experiments.Suite) analysis.UsageIntegrals {
-	cells := make([]analysis.UsageIntegrals, len(s.R2019))
-	for i, r := range s.R2019 {
-		cells[i] = r.UsageIntegrals()
+func integrals2019(s *experiments.Suite) streaming.UsageIntegrals {
+	return streaming.UsageIntegrals{
+		CPUHours: streaming.Concat(s.R2019, func(r *streaming.CellReducer) []float64 { return r.UsageIntegrals().CPUHours }),
+		MemHours: streaming.Concat(s.R2019, func(r *streaming.CellReducer) []float64 { return r.UsageIntegrals().MemHours }),
 	}
-	return analysis.MergeIntegrals(cells)
 }
 
 func BenchmarkFigure12(b *testing.B) {
 	ints := integrals2019(suite(b))
-	grid := analysis.LogGrid(1e-5, 1e3, 1)
+	grid := streaming.LogGrid(1e-5, 1e3, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stats.CCDFSampled(ints.CPUHours, grid)
@@ -105,7 +103,7 @@ func BenchmarkFigure13(b *testing.B) {
 	b.ResetTimer()
 	var r float64
 	for i := 0; i < b.N; i++ {
-		_, r = analysis.CPUMemCorrelation(ints, 100)
+		_, r = streaming.CPUMemCorrelation(ints, 100)
 	}
 	b.ReportMetric(r, "pearson-r")
 }

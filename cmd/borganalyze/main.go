@@ -16,7 +16,6 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/analysis"
 	"repro/internal/analysis/streaming"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -57,7 +56,7 @@ func run(w io.Writer, dir string, warmup sim.Time) error {
 		return err
 	}
 	av := r.AverageUsageByTier(warmup)
-	if err := report.TierAveragesTable(w, "Average usage by tier (Figure 3)", []analysis.TierAverages{av}, "cpu"); err != nil {
+	if err := report.TierAveragesTable(w, "Average usage by tier (Figure 3)", []streaming.TierAverages{av}, "cpu"); err != nil {
 		return err
 	}
 
@@ -95,7 +94,7 @@ func run(w io.Writer, dir string, warmup sim.Time) error {
 
 	ints := r.UsageIntegrals()
 	if err := report.Table2(w, "Per-job resource-hours (Table 2)",
-		analysis.ComputeTable2Column(ints.CPUHours), analysis.ComputeTable2Column(ints.MemHours)); err != nil {
+		streaming.ComputeTable2Column(ints.CPUHours), streaming.ComputeTable2Column(ints.MemHours)); err != nil {
 		return err
 	}
 

@@ -3,7 +3,8 @@
 // table's rows once: an optional -where keeps the rows whose string
 // column holds a value; without -group the kept rows are printed, and
 // with -group one row per group (in first-appearance order) carries a
-// count and at most one -agg over a float64 column.
+// count and at most one -agg over a float64 column. An -agg without
+// -group is an error.
 //
 // Usage:
 //
@@ -47,7 +48,7 @@ func run(w io.Writer, args []string) error {
 	var q query
 	fs.StringVar(&q.where, "where", "", "filter on a string column, e.g. tier=prod")
 	fs.StringVar(&q.group, "group", "", "group-by column")
-	fs.StringVar(&q.agg, "agg", "", "aggregation over a float64 column, e.g. sum:avg_cpu or mean:avg_mem")
+	fs.StringVar(&q.agg, "agg", "", "aggregation over a float64 column per -group value, e.g. sum:avg_cpu or mean:avg_mem")
 	fs.IntVar(&q.limit, "limit", 20, "max rows (or groups) to print, with a line counting the rest; <= 0 prints all")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -55,6 +56,9 @@ func run(w io.Writer, args []string) error {
 	if *dir == "" {
 		fs.Usage()
 		return errors.New("-trace is required")
+	}
+	if q.agg != "" && q.group == "" {
+		return fmt.Errorf("-agg %q needs -group", q.agg)
 	}
 
 	tr, err := trace.ReadDir(*dir)

@@ -55,6 +55,8 @@ func TestRun(t *testing.T) {
 		{"unknown agg kind", []string{"-table", "usage", "-group", "tier", "-agg", "median:avg_cpu"}, `unknown aggregation "median"`, true},
 		{"malformed agg", []string{"-group", "tier", "-agg", "sum"}, `bad -agg "sum"`, true},
 		{"malformed where", []string{"-where", "tier"}, `bad -where "tier"`, true},
+		{"agg without group", []string{"-table", "usage", "-agg", "mean:avg_cpu"}, `-agg "mean:avg_cpu" needs -group`, true},
+		{"malformed agg without group", []string{"-agg", "median:bogus", "-limit", "1"}, `-agg "median:bogus" needs -group`, true},
 		{"unknown table", []string{"-table", "bogus"}, `unknown table "bogus"`, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

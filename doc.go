@@ -71,15 +71,15 @@
 //     engine.DeriveSeed, per-cell collection-ID spaces are disjoint via
 //     engine.IDBase, and therefore the same root seed yields
 //     byte-identical traces at any parallelism.
-//   - internal/analysis, internal/analysis/streaming, internal/report,
-//     internal/experiments — the evaluation: experiments.RunSuiteStreaming
-//     simulates the paper's nine cells (2011 plus 2019 a–h) through the
-//     engine and regenerates every table and figure. One analysis path
-//     computes them: streaming.CellReducer, a trace.Sink attached to
-//     each cell that folds rows as the simulation emits them, built from
-//     the analysis package's per-cell accumulators and exact cross-cell
-//     merges. A stored trace is analyzed by replaying it through a
-//     reducer (streaming.Replay).
+//   - internal/analysis/streaming, internal/report, internal/experiments
+//     — the evaluation: experiments.RunSuiteStreaming simulates the
+//     paper's nine cells (2011 plus 2019 a–h) through the engine and
+//     regenerates every table and figure. One package computes them:
+//     streaming owns each figure's per-cell fold (streaming.CellReducer,
+//     a trace.Sink attached to each cell that folds rows as the
+//     simulation emits them), its finalize step and its exact
+//     cross-cell merge; internal/report only renders. A stored trace is
+//     analyzed by replaying it through a reducer (streaming.Replay).
 //   - internal/sweep — parameter sweeps over the engine: seed × variant
 //     × cell grids with common-random-numbers seeding, per-point
 //     streaming reducers, and cross-seed statistics (mean, stddev, 95%

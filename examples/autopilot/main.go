@@ -9,7 +9,7 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/analysis"
+	"repro/internal/analysis/streaming"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -38,7 +38,7 @@ func main() {
 	for rec := range tr.UsageRecords.All() {
 		info, ok := infos[rec.Key.Collection]
 		if ok && info.CollectionType == trace.CollectionJob {
-			if s, ok := analysis.SlackSampleOf(&rec); ok {
+			if s, ok := streaming.SlackSampleOf(&rec); ok {
 				slack[info.Scaling] = append(slack[info.Scaling], s)
 			}
 		}

@@ -22,7 +22,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/analysis/streaming"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -54,7 +53,7 @@ func main() {
 
 	fmt.Printf("simulating cells a (prod-heavy), b (beb-heavy), h (mid-heavy), parallelism=%d, streaming...\n", *parallel)
 	start := time.Now()
-	var averages []analysis.TierAverages
+	var averages []streaming.TierAverages
 	// OnResult streams each cell's analysis in spec order while later
 	// cells may still be simulating; the reducer already holds the
 	// folded state, so this reads it without touching any trace.
@@ -75,14 +74,14 @@ func main() {
 	}
 
 	// The headline inter-cell contrasts the paper calls out.
-	get := func(cell string) analysis.TierAverages {
+	get := func(cell string) streaming.TierAverages {
 		for _, a := range averages {
 			if a.Cell == cell {
 				return a
 			}
 		}
 		log.Fatalf("missing cell %s", cell)
-		return analysis.TierAverages{}
+		return streaming.TierAverages{}
 	}
 	a, b, h := get("a"), get("b"), get("h")
 	fmt.Printf("\ncell b beb share of usage:  %.0f%% (largest of the three)\n",
@@ -101,7 +100,7 @@ func main() {
 	}
 }
 
-func total(a analysis.TierAverages) float64 {
+func total(a streaming.TierAverages) float64 {
 	t := 0.0
 	for _, tier := range trace.Tiers() {
 		t += a.CPU[tier]

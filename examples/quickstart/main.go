@@ -10,7 +10,6 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/analysis"
 	"repro/internal/analysis/streaming"
 	"repro/internal/core"
 	"repro/internal/report"
@@ -46,7 +45,7 @@ func main() {
 	av := red.AverageUsageByTier(2 * sim.Hour)
 	if err := report.TierAveragesTable(os.Stdout,
 		"\naverage usage as fraction of cell capacity (post-warmup)",
-		[]analysis.TierAverages{av}, "cpu"); err != nil {
+		[]streaming.TierAverages{av}, "cpu"); err != nil {
 		log.Fatal(err)
 	}
 

@@ -1,4 +1,4 @@
-package analysis
+package streaming
 
 import (
 	"math"
@@ -8,9 +8,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Tests of the shared pieces on synthetic data. The per-cell analyses are
-// tested through the streaming reducer that computes them, in
-// reducer_test.go.
+// Tests of the cross-cell merges and figure statistics on synthetic
+// data. The per-cell analyses are tested through the reducer's products,
+// in reducer_test.go.
 
 func TestAverageSeries(t *testing.T) {
 	a := newTierSeries(2)
@@ -65,10 +65,10 @@ func TestCPUMemCorrelationSynthetic(t *testing.T) {
 	}
 }
 
-// TestMergeSamplesByPresized checks that the one-shot merge produces the
-// append-order concatenation, cell by cell, and sizes every key's slice
-// exactly, so Figure 11 reads the same samples with no spare capacity
-// left from doubling.
+// TestMergeSamplesByPresized checks that the cell-order merge produces
+// the append-order concatenation, cell by cell, and sizes every merged
+// slice exactly, so Figure 11 reads the same samples with no spare
+// capacity left from doubling.
 func TestMergeSamplesByPresized(t *testing.T) {
 	cells := []map[string][]float64{
 		{"a": {1, 2}, "b": {10}},
@@ -82,15 +82,12 @@ func TestMergeSamplesByPresized(t *testing.T) {
 			want[k] = append(want[k], xs...)
 		}
 	}
-	got := MergeSamplesBy(cells)
-	if len(got) != len(want) {
-		t.Fatalf("%d keys, want %d", len(got), len(want))
+	got := make(map[string][]float64)
+	for k := range want {
+		got[k] = Concat(cells, func(c map[string][]float64) []float64 { return c[k] })
 	}
 	for k, w := range want {
-		g, ok := got[k]
-		if !ok {
-			t.Fatalf("key %q missing", k)
-		}
+		g := got[k]
 		if len(g) != len(w) || cap(g) != len(g) {
 			t.Fatalf("key %q: len %d cap %d, want len %d and cap == len", k, len(g), cap(g), len(w))
 		}

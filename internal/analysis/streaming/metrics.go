@@ -1,7 +1,6 @@
 package streaming
 
 import (
-	"repro/internal/analysis"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -45,7 +44,7 @@ func ScalarNames() []string {
 func (r *CellReducer) Scalars(warmup sim.Time) []Scalar {
 	r.finalize()
 
-	sumTiers := func(a analysis.TierAverages) (cpu, mem float64) {
+	sumTiers := func(a TierAverages) (cpu, mem float64) {
 		for _, tier := range trace.Tiers() {
 			cpu += a.CPU[tier]
 			mem += a.Mem[tier]
@@ -53,14 +52,14 @@ func (r *CellReducer) Scalars(warmup sim.Time) []Scalar {
 		return cpu, mem
 	}
 	cell := r.meta.Cell
-	useCPU, useMem := sumTiers(analysis.AverageOfSeries(r.usageSeries, cell, warmup))
-	allocCPU, allocMem := sumTiers(analysis.AverageOfSeries(r.allocSeries, cell, warmup))
+	useCPU, useMem := sumTiers(averageOfSeries(r.usageSeries, cell, warmup))
+	allocCPU, allocMem := sumTiers(averageOfSeries(r.allocSeries, cell, warmup))
 
 	var tpj []float64
 	for _, tier := range trace.Tiers() {
 		tpj = append(tpj, r.tasksPerJob[tier]...)
 	}
-	term := analysis.FinishTerminations([]analysis.TerminationAccum{r.termAccum})
+	term := FinishTerminations([]TerminationAccum{r.termAccum})
 
 	values := []float64{
 		useCPU,

@@ -3,7 +3,6 @@ package streaming
 import (
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -37,7 +36,7 @@ func TestScalarsMatchAccessorDerivation(t *testing.T) {
 		byName[s.Name] = s.Value
 	}
 
-	sumTiers := func(a analysis.TierAverages) (cpu, mem float64) {
+	sumTiers := func(a TierAverages) (cpu, mem float64) {
 		for _, tier := range trace.Tiers() {
 			cpu += a.CPU[tier]
 			mem += a.Mem[tier]
@@ -52,7 +51,7 @@ func TestScalarsMatchAccessorDerivation(t *testing.T) {
 	if byName["cpu_util"] <= 0 || byName["cpu_alloc"] < byName["cpu_util"] {
 		t.Fatalf("implausible utilization: util %g alloc %g", byName["cpu_util"], byName["cpu_alloc"])
 	}
-	term := analysis.FinishTerminations([]analysis.TerminationAccum{r.TerminationAccum()})
+	term := FinishTerminations([]TerminationAccum{r.TerminationAccum()})
 	if byName["evicted_share"] != term.CollectionsWithEviction {
 		t.Fatalf("evicted_share %g != %g", byName["evicted_share"], term.CollectionsWithEviction)
 	}

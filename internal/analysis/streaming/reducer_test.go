@@ -1,8 +1,8 @@
-package analysis_test
+package streaming_test
 
-// Property tests of every per-cell analysis, run on the products of the
-// streaming reducer that computes them. The package is external so it
-// can import analysis/streaming, which imports analysis.
+// Property tests of every per-cell analysis, run on the reducer's
+// products. The package is external so its fixtures stay apart from
+// streaming_test.go's.
 
 import (
 	"math"
@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/analysis/streaming"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -183,7 +182,7 @@ func TestTransitions(t *testing.T) {
 
 func TestAllocSetStats(t *testing.T) {
 	r19, r11 := fixtures(t)
-	st := analysis.FinishAllocSets([]analysis.AllocSetAccum{r19.AllocSetAccum()})
+	st := streaming.FinishAllocSets([]streaming.AllocSetAccum{r19.AllocSetAccum()})
 	if st.AllocSets == 0 {
 		t.Fatal("no alloc sets in 2019 trace")
 	}
@@ -201,7 +200,7 @@ func TestAllocSetStats(t *testing.T) {
 			st.MemUtilInAlloc, st.MemUtilOutside)
 	}
 	// 2011: no alloc sets at all.
-	st11 := analysis.FinishAllocSets([]analysis.AllocSetAccum{r11.AllocSetAccum()})
+	st11 := streaming.FinishAllocSets([]streaming.AllocSetAccum{r11.AllocSetAccum()})
 	if st11.AllocSets != 0 {
 		t.Fatalf("2011 alloc sets %d", st11.AllocSets)
 	}
@@ -209,7 +208,7 @@ func TestAllocSetStats(t *testing.T) {
 
 func TestTerminationStats(t *testing.T) {
 	r19, _ := fixtures(t)
-	st := analysis.FinishTerminations([]analysis.TerminationAccum{r19.TerminationAccum()})
+	st := streaming.FinishTerminations([]streaming.TerminationAccum{r19.TerminationAccum()})
 	if st.Collections == 0 {
 		t.Fatal("no collections")
 	}
@@ -295,7 +294,7 @@ func TestUsageIntegralsAndTable2(t *testing.T) {
 	if len(ints.CPUHours) != len(ints.MemHours) || len(ints.CPUHours) == 0 {
 		t.Fatalf("integrals %d/%d", len(ints.CPUHours), len(ints.MemHours))
 	}
-	col := analysis.ComputeTable2Column(ints.CPUHours)
+	col := streaming.ComputeTable2Column(ints.CPUHours)
 	if col.N != len(ints.CPUHours) {
 		t.Fatalf("N %d", col.N)
 	}
@@ -315,7 +314,7 @@ func TestUsageIntegralsAndTable2(t *testing.T) {
 
 func TestCPUMemCorrelationOnTrace(t *testing.T) {
 	r19, _ := fixtures(t)
-	points, r := analysis.CPUMemCorrelation(r19.UsageIntegrals(), 100)
+	points, r := streaming.CPUMemCorrelation(r19.UsageIntegrals(), 100)
 	if len(points) >= 5 && !math.IsNaN(r) && r < 0.2 {
 		t.Fatalf("trace correlation %v suspiciously low", r)
 	}
@@ -343,19 +342,19 @@ func TestSlackSamples(t *testing.T) {
 
 func TestTable1(t *testing.T) {
 	r19, r11 := fixtures(t)
-	rows := analysis.Table1FromInventories(r11.Inventory(), r11.Meta().Duration,
-		analysis.MergeInventories([]analysis.Inventory{r19.Inventory()}), r19.Meta().Duration, 1)
+	rows := streaming.Table1FromInventories(r11.Inventory(), r11.Meta().Duration,
+		streaming.MergeInventories([]streaming.Inventory{r19.Inventory()}), r19.Meta().Duration, 1)
 	if len(rows) != 11 {
 		t.Fatalf("rows %d", len(rows))
 	}
-	get := func(metric string) analysis.Table1Row {
+	get := func(metric string) streaming.Table1Row {
 		for _, r := range rows {
 			if r.Metric == metric {
 				return r
 			}
 		}
 		t.Fatalf("missing row %q", metric)
-		return analysis.Table1Row{}
+		return streaming.Table1Row{}
 	}
 	if r := get("Alloc sets"); r.V2011 != "–" || r.V2019 != "Y" {
 		t.Fatalf("alloc sets row %+v", r)

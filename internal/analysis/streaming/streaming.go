@@ -1,13 +1,15 @@
 // Package streaming computes every per-figure analysis of the paper
 // online, as the simulation emits trace rows. It is the only code that
-// computes a figure: a CellReducer is a trace.Sink, attached to a cell
-// via core.Options.ExtraSinks (beside a trace.MemTrace or not), and once
-// the simulation has finished every report renders from its products.
-// NewCellReducer needs only the cell's trace.Meta (core.TraceMeta), from
-// which it sizes the hourly buckets and fixes Figure 6's snapshot at
-// mid-horizon. Replay feeds a retained trace — one just simulated, or
-// one read back from disk — through a fresh reducer, so stored traces
-// are analyzed by the same code.
+// computes a figure, and it owns each figure whole: the per-cell fold,
+// the finalize step and the cross-cell merge. A CellReducer is a
+// trace.Sink, attached to a cell via core.Options.ExtraSinks (beside a
+// trace.MemTrace or not), and once the simulation has finished every
+// report renders from its products. NewCellReducer needs only the
+// cell's trace.Meta (core.TraceMeta), from which it sizes the hourly
+// buckets and fixes Figure 6's snapshot at mid-horizon. Replay feeds a
+// retained trace — one just simulated, or one read back from disk —
+// through a fresh reducer, so stored traces are analyzed by the same
+// code.
 //
 // # Memory model
 //
@@ -28,10 +30,11 @@
 //
 // A reducer's products depend only on the rows it saw, in emission
 // order: within a cell every product folds its terms in that order, and
-// across cells the analysis package's Merge and Finish functions combine
-// per-cell products in cell order. So a report is byte-identical at
-// every parallelism and with or without trace retention, and Replay of
-// a retained trace matches the live reducer. Two trace invariants are
+// across cells this package's merges (Concat, AverageSeries,
+// MergeInventories and the Finish functions) combine per-cell products
+// in cell order. So a report is byte-identical at every parallelism and
+// with or without trace retention, and Replay of a retained trace
+// matches the live reducer. Two trace invariants are
 // relied on: a collection's first event precedes all rows that
 // reference it, and machine capacities are fully announced before the
 // first usage record. The tests pin the products on two fixture cells to
@@ -41,11 +44,11 @@ package streaming
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
 
-	"repro/internal/analysis"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -154,19 +157,27 @@ type CellReducer struct {
 	// meta mirrors the retained trace's metadata: cell name, era,
 	// duration (hourly bucket count), machine count and seed.
 	meta trace.Meta
+	// hours is the number of hourly buckets (at least one).
+	hours int
 	// snapshotAt is the instant of Figure 6's machine-utilization
 	// snapshot, mid-horizon. Records overlapping it are folded into the
 	// per-machine snapshot totals.
 	snapshotAt sim.Time
 
-	caps       map[trace.MachineID]trace.MachineEvent
-	usageAcc   *analysis.SeriesAccum
-	allocAcc   *analysis.SeriesAccum
-	snapUsage  map[trace.MachineID]trace.Resources
-	trans      analysis.TransitionCounts
+	caps map[trace.MachineID]trace.MachineEvent
+	// Figures 2 and 4's raw resource-hours, indexed [tier][hour]. Tiers
+	// are dense, so folding a usage record is indexed arithmetic;
+	// finalize normalizes by the cell's capacity, which is therefore not
+	// needed while records arrive.
+	useCPU, useMem     [trace.NumTiers][]float64
+	allocCPU, allocMem [trace.NumTiers][]float64
+	snapUsage          map[trace.MachineID]trace.Resources
+	// trans tallies Figure 7's consecutive event-type pairs, indexed
+	// [from][to]; types become names only in finalize.
+	trans      [trace.NumEventTypes][trace.NumEventTypes]int
 	colls      map[trace.CollectionID]*collState
-	rates      analysis.SubmissionRates
-	allocAccum analysis.AllocSetAccum
+	rates      SubmissionRates
+	allocAccum AllocSetAccum
 	// slack is indexed by the dense trace.VerticalScaling values. Its
 	// chunks never move, so a sample is written once and never copied.
 	slack      [numScalingModes]trace.Rows[float64]
@@ -180,37 +191,43 @@ type CellReducer struct {
 
 	// Products, computed once by finalize.
 	done        bool
-	shapes      []analysis.ShapePoint
-	usageSeries analysis.TierSeries
-	allocSeries analysis.TierSeries
+	shapes      []ShapePoint
+	usageSeries TierSeries
+	allocSeries TierSeries
 	utilCPU     []float64
 	utilMem     []float64
-	transitions []analysis.Transition
-	inventory   analysis.Inventory
-	termAccum   analysis.TerminationAccum
-	delays      analysis.DelaySamples
+	transitions []Transition
+	inventory   Inventory
+	termAccum   TerminationAccum
+	delays      DelaySamples
 	tasksPerJob map[trace.Tier][]float64
-	integrals   analysis.UsageIntegrals
+	integrals   UsageIntegrals
 }
 
 // NewCellReducer returns an empty reducer for the cell that meta
 // describes, as core.TraceMeta stamps it.
 func NewCellReducer(meta trace.Meta) *CellReducer {
-	hours := analysis.SeriesHours(meta.Duration)
-	return &CellReducer{
+	hours := max(1, int(meta.Duration/sim.Hour))
+	r := &CellReducer{
 		meta:       meta,
+		hours:      hours,
 		snapshotAt: meta.Duration / 2,
 		caps:       make(map[trace.MachineID]trace.MachineEvent),
-		usageAcc:   analysis.NewSeriesAccum(hours),
-		allocAcc:   analysis.NewSeriesAccum(hours),
 		snapUsage:  make(map[trace.MachineID]trace.Resources),
 		colls:      make(map[trace.CollectionID]*collState),
-		rates: analysis.SubmissionRates{
+		rates: SubmissionRates{
 			JobsPerHour:     make([]float64, hours),
 			NewTasksPerHour: make([]float64, hours),
 			AllTasksPerHour: make([]float64, hours),
 		},
 	}
+	for _, t := range trace.Tiers() {
+		r.useCPU[t] = make([]float64, hours)
+		r.useMem[t] = make([]float64, hours)
+		r.allocCPU[t] = make([]float64, hours)
+		r.allocMem[t] = make([]float64, hours)
+	}
+	return r
 }
 
 func (r *CellReducer) mutable() {
@@ -263,17 +280,31 @@ func (r *CellReducer) CollectionEvent(ev trace.CollectionEvent) {
 			SubmitTime:     ev.Time,
 			FinalEvent:     trace.EventSubmit,
 		}
-		r.allocAccum.ObserveCollection(ev.CollectionType, ev.AllocSet, ev.Tier)
 		c.isJob = ev.CollectionType == trace.CollectionJob
 		c.isAllocSet = ev.CollectionType == trace.CollectionAllocSet
 		c.inAlloc = c.isJob && ev.AllocSet != 0
+
+		// §5.1's static counts.
+		a := &r.allocAccum
+		a.Collections++
+		if c.isAllocSet {
+			a.AllocSets++
+		} else {
+			a.Jobs++
+			if ev.AllocSet != 0 {
+				a.InAlloc++
+				if ev.Tier == trace.TierProduction {
+					a.ProdInAlloc++
+				}
+			}
+		}
 	}
 	if ev.Type.IsTermination() {
 		c.info.FinalEvent = ev.Type
 		c.info.FinalTime = ev.Time
 	}
 	if c.hasLast {
-		r.trans.Observe(c.lastEvent, ev.Type)
+		r.trans[c.lastEvent][ev.Type]++
 	}
 	c.lastEvent, c.hasLast = ev.Type, true
 
@@ -282,7 +313,7 @@ func (r *CellReducer) CollectionEvent(ev trace.CollectionEvent) {
 		r.batchQueue = true
 	case trace.EventSubmit:
 		if c.info.CollectionType == trace.CollectionJob {
-			if h := int(ev.Time / sim.Hour); h >= 0 && h < len(r.rates.JobsPerHour) {
+			if h := int(ev.Time / sim.Hour); h >= 0 && h < r.hours {
 				r.rates.JobsPerHour[h]++
 			}
 		}
@@ -299,7 +330,7 @@ func (r *CellReducer) InstanceEvent(ev trace.InstanceEvent) {
 	c := r.coll(ev.Key.Collection)
 	in := c.inst(ev.Key.Index)
 	if in.hasLast {
-		r.trans.Observe(trace.EventType(in.lastEvent), ev.Type)
+		r.trans[in.lastEvent][ev.Type]++
 	} else {
 		c.tasks++
 	}
@@ -308,7 +339,7 @@ func (r *CellReducer) InstanceEvent(ev trace.InstanceEvent) {
 	switch ev.Type {
 	case trace.EventSubmit:
 		if c.hasInfo && c.info.CollectionType == trace.CollectionJob {
-			if h := int(ev.Time / sim.Hour); h >= 0 && h < len(r.rates.AllTasksPerHour) {
+			if h := int(ev.Time / sim.Hour); h >= 0 && h < r.hours {
 				r.rates.AllTasksPerHour[h]++
 				if !in.submitted {
 					// First *counted* SUBMIT: only counted SUBMITs
@@ -348,29 +379,62 @@ func (r *CellReducer) UsageBatch(recs []trace.UsageRecord) {
 	}
 }
 
-// usageOne folds one usage record given its collection's reduced state
-// (nil when the collection has never had an event).
-func (r *CellReducer) usageOne(rec *trace.UsageRecord, c *collState) {
-	r.usageAcc.ObserveAt(rec.Start, rec.Tier, rec.AvgUsage)
+// sampleWindowHours is a usage record's weight in Figures 2 and 4,
+// hoisted.
+var sampleWindowHours = sim.SampleWindow.Hours()
 
+// usageOne folds one usage record given its collection's reduced state
+// (nil when the collection has never had an event). The record belongs
+// to an alloc set, to a job inside an alloc set, or to a free-standing
+// job; it is not retained.
+func (r *CellReducer) usageOne(rec *trace.UsageRecord, c *collState) {
 	var isJob, isAllocSet, inAlloc bool
 	if c != nil && c.hasInfo {
 		isJob, isAllocSet, inAlloc = c.isJob, c.isAllocSet, c.inAlloc
 	}
 
-	if !inAlloc {
-		// Jobs inside alloc sets consume their alloc set's reservation,
-		// which the alloc set's own records already count (Figure 4).
-		r.allocAcc.ObserveAt(rec.Start, rec.Tier, rec.Limit)
+	// Figures 2 and 4: the hour bucket holding the record's start, in
+	// its tier. Jobs inside alloc sets consume their alloc set's
+	// reservation, which the alloc set's own records already count, so
+	// they add no allocation.
+	if h := int(rec.Start / sim.Hour); h >= 0 && h < r.hours {
+		r.useCPU[rec.Tier][h] += rec.AvgUsage.CPU * sampleWindowHours
+		r.useMem[rec.Tier][h] += rec.AvgUsage.Mem * sampleWindowHours
+		if !inAlloc {
+			r.allocCPU[rec.Tier][h] += rec.Limit.CPU * sampleWindowHours
+			r.allocMem[rec.Tier][h] += rec.Limit.Mem * sampleWindowHours
+		}
 	}
-	r.allocAccum.ObserveUsage(rec, isAllocSet, inAlloc)
+
+	// §5.1: allocation shares and memory utilization inside and outside
+	// alloc sets.
+	a := &r.allocAccum
+	switch {
+	case isAllocSet:
+		a.CPUAllocSets += rec.Limit.CPU
+		a.MemAllocSets += rec.Limit.Mem
+		a.CPUAlloc += rec.Limit.CPU
+		a.MemAlloc += rec.Limit.Mem
+	case inAlloc:
+		if rec.Limit.Mem > 0 {
+			a.MemUtilIn += rec.AvgUsage.Mem / rec.Limit.Mem
+			a.WeightIn++
+		}
+	default:
+		a.CPUAlloc += rec.Limit.CPU
+		a.MemAlloc += rec.Limit.Mem
+		if rec.Limit.Mem > 0 {
+			a.MemUtilOut += rec.AvgUsage.Mem / rec.Limit.Mem
+			a.WeightOut++
+		}
+	}
 
 	if isJob {
 		h := (rec.End - rec.Start).Hours()
 		c.sawUsage = true
 		c.cpuHours += rec.AvgUsage.CPU * h
 		c.memHours += rec.AvgUsage.Mem * h
-		if s, ok := analysis.SlackSampleOf(rec); ok {
+		if s, ok := SlackSampleOf(rec); ok {
 			r.slack[c.info.Scaling].Append(s)
 		}
 	}
@@ -411,73 +475,199 @@ func (r *CellReducer) finalize() {
 		return
 	}
 	r.done = true
-
-	capacity := analysis.TotalCapacity(r.caps)
-	r.shapes = analysis.ShapesOf(r.caps)
-	r.usageSeries = r.usageAcc.Finish(capacity)
-	r.allocSeries = r.allocAcc.Finish(capacity)
-	r.utilCPU, r.utilMem = analysis.UtilizationSamples(r.caps, r.snapUsage)
-	r.transitions = analysis.TransitionsFromCounts(&r.trans)
-
-	colls := r.sortedCollections()
-	r.delays = analysis.DelaySamples{ByTier: make(map[trace.Tier][]float64)}
-	r.inventory = analysis.NewInventory()
-	for _, ev := range r.caps {
-		r.inventory.ObserveMachine(ev)
+	r.inventory = Inventory{
+		Platforms:   make(map[string]bool),
+		Shapes:      make(map[trace.Resources]bool),
+		MinPriority: math.MaxInt32,
+		MaxPriority: -1,
+		BatchQueue:  r.batchQueue,
 	}
-	r.inventory.BatchQueue = r.batchQueue
-	r.tasksPerJob = make(map[trace.Tier][]float64)
-	cpu := make(map[trace.CollectionID]float64)
-	mem := make(map[trace.CollectionID]float64)
-	for _, c := range colls {
-		if c.enabled && c.scheduled {
-			r.delays.ObserveJob(c.enableAt, c.firstSched, c.enableTier)
+	r.finishMachines()
+	r.finishTransitions()
+	r.finishCollections()
+}
+
+// finishMachines derives every product of the final capacity snapshot
+// in one pass in ascending machine-ID order, so the capacity sum does
+// not depend on map iteration order: Figure 1's shapes, Figures 2 and
+// 4's normalized series, Figure 6's utilization samples and Table 1's
+// machine inventory.
+func (r *CellReducer) finishMachines() {
+	var capacity trace.Resources
+	shapes := make(map[trace.Resources]int)
+	inv := &r.inventory
+	for _, id := range slices.Sorted(maps.Keys(r.caps)) {
+		ev := r.caps[id]
+		c := ev.Capacity
+		capacity = capacity.Add(c)
+		shapes[c]++
+		inv.Machines++
+		inv.Platforms[ev.Platform] = true
+		inv.Shapes[c] = true
+		// Work-conserving machines cannot exceed their physical
+		// capacity; records of tasks that stopped mid-window can overlap
+		// the snapshot instant with the survivors' windows, so clamp.
+		u := r.snapUsage[id]
+		if c.CPU > 0 {
+			r.utilCPU = append(r.utilCPU, math.Min(1, u.CPU/c.CPU))
 		}
-		r.inventory.ObserveCollection(c.info)
-		r.termAccum.ObserveCollection(c.info, c.evictions)
-		if c.info.CollectionType != trace.CollectionJob {
+		if c.Mem > 0 {
+			r.utilMem = append(r.utilMem, math.Min(1, u.Mem/c.Mem))
+		}
+	}
+
+	r.shapes = make([]ShapePoint, 0, len(shapes))
+	for s, n := range shapes {
+		r.shapes = append(r.shapes, ShapePoint{CPU: s.CPU, Mem: s.Mem, Count: n})
+	}
+	sort.Slice(r.shapes, func(i, j int) bool {
+		a, b := r.shapes[i], r.shapes[j]
+		if a.Count != b.Count {
+			return a.Count > b.Count
+		}
+		if a.CPU != b.CPU {
+			return a.CPU < b.CPU
+		}
+		return a.Mem < b.Mem
+	})
+
+	// A non-positive capacity yields the zero series.
+	r.usageSeries = newTierSeries(r.hours)
+	r.allocSeries = newTierSeries(r.hours)
+	if capacity.CPU <= 0 || capacity.Mem <= 0 {
+		return
+	}
+	for _, t := range trace.Tiers() {
+		for i := range r.hours {
+			r.usageSeries.CPU[t][i] = r.useCPU[t][i] / capacity.CPU
+			r.usageSeries.Mem[t][i] = r.useMem[t][i] / capacity.Mem
+			r.allocSeries.CPU[t][i] = r.allocCPU[t][i] / capacity.CPU
+			r.allocSeries.Mem[t][i] = r.allocMem[t][i] / capacity.Mem
+		}
+	}
+}
+
+// finishTransitions sorts the tally's observed edges into Figure 7's
+// edge list (count descending, then lexicographic).
+func (r *CellReducer) finishTransitions() {
+	for from := range r.trans {
+		for to, n := range r.trans[from] {
+			if n > 0 {
+				r.transitions = append(r.transitions, Transition{
+					From: trace.EventType(from).String(), To: trace.EventType(to).String(), Count: n,
+				})
+			}
+		}
+	}
+	sort.Slice(r.transitions, func(i, j int) bool {
+		a, b := r.transitions[i], r.transitions[j]
+		if a.Count != b.Count {
+			return a.Count > b.Count
+		}
+		if a.From != b.From {
+			return a.From < b.From
+		}
+		return a.To < b.To
+	})
+}
+
+// finishCollections folds every collection, in ascending ID order, into
+// Table 1's priority range and feature flags, §5.2's termination counts,
+// Figure 10's delays, Figure 11's task counts and Table 2's per-job
+// integrals.
+func (r *CellReducer) finishCollections() {
+	r.delays = DelaySamples{ByTier: make(map[trace.Tier][]float64)}
+	r.tasksPerJob = make(map[trace.Tier][]float64)
+	inv, t := &r.inventory, &r.termAccum
+	for _, c := range r.sortedCollections() {
+		info := c.info
+		if c.enabled && c.scheduled {
+			// The delay from the first ENABLE to the first SCHEDULE; a
+			// negative one is skipped.
+			if d := (c.firstSched - c.enableAt).Seconds(); d >= 0 {
+				r.delays.All = append(r.delays.All, d)
+				r.delays.ByTier[c.enableTier] = append(r.delays.ByTier[c.enableTier], d)
+			}
+		}
+
+		inv.MinPriority = min(inv.MinPriority, info.Priority)
+		inv.MaxPriority = max(inv.MaxPriority, info.Priority)
+		inv.AllocSets = inv.AllocSets || info.CollectionType == trace.CollectionAllocSet
+		inv.Dependencies = inv.Dependencies || info.Parent != 0
+		inv.Vertical = inv.Vertical || info.Scaling != trace.ScalingNone
+
+		prod := info.Tier == trace.TierProduction
+		t.Collections++
+		t.ByFinal[info.FinalEvent]++
+		if prod {
+			t.Prod++
+		}
+		if c.evictions > 0 {
+			t.Evicted++
+			if prod {
+				t.ProdEvicted++
+				if c.evictions == 1 {
+					t.ProdEvictedOnce++
+				}
+			} else {
+				t.NonProdEvicted++
+			}
+		}
+
+		if !c.isJob {
 			continue
 		}
+		killed := info.FinalEvent == trace.EventKill
+		if info.Parent != 0 {
+			t.WithParent++
+			if killed {
+				t.WithParentKilled++
+			}
+		} else {
+			t.WithoutParent++
+			if killed {
+				t.WithoutParentKilled++
+			}
+		}
 		if c.tasks > 0 {
-			r.tasksPerJob[c.info.Tier] = append(r.tasksPerJob[c.info.Tier], float64(c.tasks))
+			r.tasksPerJob[info.Tier] = append(r.tasksPerJob[info.Tier], float64(c.tasks))
 		}
 		if c.sawUsage {
-			cpu[c.info.ID] = c.cpuHours
-			mem[c.info.ID] = c.memHours
+			r.integrals.CPUHours = append(r.integrals.CPUHours, c.cpuHours)
+			r.integrals.MemHours = append(r.integrals.MemHours, c.memHours)
 		}
 	}
-	r.integrals = analysis.FinishIntegrals(cpu, mem)
 }
 
 // Meta returns the cell's metadata.
 func (r *CellReducer) Meta() trace.Meta { return r.meta }
 
 // MachineShapes returns Figure 1's shape populations.
-func (r *CellReducer) MachineShapes() []analysis.ShapePoint {
+func (r *CellReducer) MachineShapes() []ShapePoint {
 	r.finalize()
 	return r.shapes
 }
 
 // UsageSeries returns Figure 2's hourly per-tier usage series.
-func (r *CellReducer) UsageSeries() analysis.TierSeries {
+func (r *CellReducer) UsageSeries() TierSeries {
 	r.finalize()
 	return r.usageSeries
 }
 
 // AllocationSeries returns Figure 4's hourly per-tier allocation series.
-func (r *CellReducer) AllocationSeries() analysis.TierSeries {
+func (r *CellReducer) AllocationSeries() TierSeries {
 	r.finalize()
 	return r.allocSeries
 }
 
 // AverageUsageByTier returns Figure 3's per-cell bars.
-func (r *CellReducer) AverageUsageByTier(warmup sim.Time) analysis.TierAverages {
-	return analysis.AverageOfSeries(r.UsageSeries(), r.meta.Cell, warmup)
+func (r *CellReducer) AverageUsageByTier(warmup sim.Time) TierAverages {
+	return averageOfSeries(r.UsageSeries(), r.meta.Cell, warmup)
 }
 
 // AverageAllocationByTier returns Figure 5's per-cell bars.
-func (r *CellReducer) AverageAllocationByTier(warmup sim.Time) analysis.TierAverages {
-	return analysis.AverageOfSeries(r.AllocationSeries(), r.meta.Cell, warmup)
+func (r *CellReducer) AverageAllocationByTier(warmup sim.Time) TierAverages {
+	return averageOfSeries(r.AllocationSeries(), r.meta.Cell, warmup)
 }
 
 // MachineUtilization returns Figure 6's per-machine utilization samples
@@ -488,37 +678,37 @@ func (r *CellReducer) MachineUtilization() (cpu, mem []float64) {
 }
 
 // Transitions returns Figure 7's transition counts.
-func (r *CellReducer) Transitions() []analysis.Transition {
+func (r *CellReducer) Transitions() []Transition {
 	r.finalize()
 	return r.transitions
 }
 
 // Inventory returns the cell's Table 1 inventory partial.
-func (r *CellReducer) Inventory() analysis.Inventory {
+func (r *CellReducer) Inventory() Inventory {
 	r.finalize()
 	return r.inventory
 }
 
 // AllocSetAccum returns the cell's §5.1 partial.
-func (r *CellReducer) AllocSetAccum() analysis.AllocSetAccum {
+func (r *CellReducer) AllocSetAccum() AllocSetAccum {
 	r.finalize()
 	return r.allocAccum
 }
 
 // TerminationAccum returns the cell's §5.2 partial.
-func (r *CellReducer) TerminationAccum() analysis.TerminationAccum {
+func (r *CellReducer) TerminationAccum() TerminationAccum {
 	r.finalize()
 	return r.termAccum
 }
 
 // Rates returns the cell's Figure 8/9 hourly submission samples.
-func (r *CellReducer) Rates() analysis.SubmissionRates {
+func (r *CellReducer) Rates() SubmissionRates {
 	r.finalize()
 	return r.rates
 }
 
 // Delays returns the cell's Figure 10 scheduling-delay samples.
-func (r *CellReducer) Delays() analysis.DelaySamples {
+func (r *CellReducer) Delays() DelaySamples {
 	r.finalize()
 	return r.delays
 }
@@ -530,7 +720,7 @@ func (r *CellReducer) TasksPerJob() map[trace.Tier][]float64 {
 }
 
 // UsageIntegrals returns the cell's Table 2 per-job resource-hours.
-func (r *CellReducer) UsageIntegrals() analysis.UsageIntegrals {
+func (r *CellReducer) UsageIntegrals() UsageIntegrals {
 	r.finalize()
 	return r.integrals
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/metrics"
@@ -49,7 +51,22 @@ func TestMetricsDoNotChangeTrace(t *testing.T) {
 	if got := reg.Counter("trace_rows_usage_total").Value(); got != rows.Usage {
 		t.Fatalf("trace_rows_usage_total = %d, row counter says %d", got, rows.Usage)
 	}
-	if opts.Timeline.Len() == 0 {
+	if exportedSpans(t, opts.Timeline) == 0 {
 		t.Fatal("timeline recorded no spans")
 	}
+}
+
+// exportedSpans returns the number of events tl exports as a Chrome
+// trace.
+func exportedSpans(t *testing.T, tl *metrics.Timeline) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tl.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	return len(events)
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net"
 	"testing"
@@ -95,7 +96,7 @@ func TestTimelineRecordsCellSpans(t *testing.T) {
 	}
 	// One run span per cell (from core), one "cell" span and one
 	// "reduce" span per cell (from the wrapper).
-	if got := tl.Len(); got < 3*3 {
+	if got := exportedSpans(t, tl); got < 3*3 {
 		t.Fatalf("timeline has %d spans, want at least 9", got)
 	}
 }
@@ -154,4 +155,19 @@ func TestRollupMatchesSchedulerStats(t *testing.T) {
 	if got := reg.Counter("sched_tasks_placed_total").Value(); got != placed || placed == 0 {
 		t.Fatalf("sched_tasks_placed_total = %d, results say %d", got, placed)
 	}
+}
+
+// exportedSpans returns the number of events tl exports as a Chrome
+// trace.
+func exportedSpans(t *testing.T, tl *metrics.Timeline) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tl.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	return len(events)
 }

@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation from freshly simulated traces: Table 1, Figures 1–14 and
 // Table 2, plus the §5.1 and §5.2 statistics. It is the engine behind
-// cmd/borgexperiments and the repository's benchmark suite, and the source
-// of EXPERIMENTS.md.
+// cmd/borgexperiments and the repository's benchmark suite.
 //
 // Both run functions attach one streaming.CellReducer per cell, and the
 // report renders from those reducers alone. RunSuiteStreaming folds every
@@ -66,7 +65,8 @@ func SmallScale() Scale {
 		Horizon: 12 * sim.Hour, Warmup: 4 * sim.Hour, Seed: 1}
 }
 
-// DefaultScale is the scale EXPERIMENTS.md reports.
+// DefaultScale is borgexperiments' default scale, the one the
+// benchmark's suite workloads run.
 func DefaultScale() Scale {
 	return Scale{Name: "default", Machines2011: 300, Machines2019: 250,
 		Horizon: 24 * sim.Hour, Warmup: 8 * sim.Hour, Seed: 1}

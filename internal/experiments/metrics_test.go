@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/metrics"
@@ -54,7 +55,7 @@ func TestMetricsDoNotChangeReport(t *testing.T) {
 		if got := reg.Counter("run_cells_done_total").Value(); got != 9 {
 			t.Fatalf("parallelism %d: run_cells_done_total = %d, want 9", par, got)
 		}
-		if sc.Timeline.Len() == 0 {
+		if exportedSpans(t, sc.Timeline) == 0 {
 			t.Fatalf("parallelism %d: timeline recorded no spans", par)
 		}
 	}
@@ -105,4 +106,19 @@ func TestStreamingMetricsMatchRetained(t *testing.T) {
 	if retained == 0 || retained != streaming {
 		t.Fatalf("sched_tasks_placed_total: retained %d vs streaming %d", retained, streaming)
 	}
+}
+
+// exportedSpans returns the number of events tl exports as a Chrome
+// trace.
+func exportedSpans(t *testing.T, tl *metrics.Timeline) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tl.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	return len(events)
 }

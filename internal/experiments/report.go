@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/analysis"
 	"repro/internal/analysis/streaming"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -54,20 +53,29 @@ func each2019[T any](s *Suite, f func(*streaming.CellReducer) T) []T {
 	return out
 }
 
-func (s *Suite) rates2019() analysis.SubmissionRates {
-	return analysis.MergeRates(each2019(s, (*streaming.CellReducer).Rates))
+// rates2019 pools the 2019 cells' Figure 8 and 9 samples.
+func (s *Suite) rates2019() streaming.SubmissionRates {
+	return streaming.SubmissionRates{
+		JobsPerHour:     streaming.Concat(s.R2019, func(r *streaming.CellReducer) []float64 { return r.Rates().JobsPerHour }),
+		NewTasksPerHour: streaming.Concat(s.R2019, func(r *streaming.CellReducer) []float64 { return r.Rates().NewTasksPerHour }),
+		AllTasksPerHour: streaming.Concat(s.R2019, func(r *streaming.CellReducer) []float64 { return r.Rates().AllTasksPerHour }),
+	}
 }
 
-func (s *Suite) integrals2019() analysis.UsageIntegrals {
-	return analysis.MergeIntegrals(each2019(s, (*streaming.CellReducer).UsageIntegrals))
+// integrals2019 pools the 2019 cells' per-job usage integrals.
+func (s *Suite) integrals2019() streaming.UsageIntegrals {
+	return streaming.UsageIntegrals{
+		CPUHours: streaming.Concat(s.R2019, func(r *streaming.CellReducer) []float64 { return r.UsageIntegrals().CPUHours }),
+		MemHours: streaming.Concat(s.R2019, func(r *streaming.CellReducer) []float64 { return r.UsageIntegrals().MemHours }),
+	}
 }
 
 // writeTable1 emits the trace-comparison inventory.
 func (s *Suite) writeTable1(w io.Writer) error {
 	fmt.Fprintf(w, "== Table 1: trace comparison (scale %q) ==\n", s.Scale.Name)
-	rows := analysis.Table1FromInventories(
+	rows := streaming.Table1FromInventories(
 		s.R2011.Inventory(), s.R2011.Meta().Duration,
-		analysis.MergeInventories(each2019(s, (*streaming.CellReducer).Inventory)),
+		streaming.MergeInventories(each2019(s, (*streaming.CellReducer).Inventory)),
 		s.R2019[0].Meta().Duration, len(s.R2019))
 	return report.Table1(w, rows)
 }
@@ -91,8 +99,8 @@ func (s *Suite) writeFigure1(w io.Writer) error {
 
 // writeFigures2and4 emits the hourly usage and allocation series.
 func (s *Suite) writeFigures2and4(w io.Writer) error {
-	avgUse := analysis.AverageSeries(each2019(s, (*streaming.CellReducer).UsageSeries))
-	avgAlloc := analysis.AverageSeries(each2019(s, (*streaming.CellReducer).AllocationSeries))
+	avgUse := streaming.AverageSeries(each2019(s, (*streaming.CellReducer).UsageSeries))
+	avgAlloc := streaming.AverageSeries(each2019(s, (*streaming.CellReducer).AllocationSeries))
 	u11 := s.R2011.UsageSeries()
 	a11 := s.R2011.AllocationSeries()
 
@@ -123,8 +131,8 @@ func (s *Suite) writeFigures2and4(w io.Writer) error {
 // writeFigures3and5 emits the per-cell tier averages.
 func (s *Suite) writeFigures3and5(w io.Writer) error {
 	warmup := s.Scale.Warmup
-	use := []analysis.TierAverages{s.R2011.AverageUsageByTier(warmup)}
-	alloc := []analysis.TierAverages{s.R2011.AverageAllocationByTier(warmup)}
+	use := []streaming.TierAverages{s.R2011.AverageUsageByTier(warmup)}
+	alloc := []streaming.TierAverages{s.R2011.AverageAllocationByTier(warmup)}
 	for _, r := range s.R2019 {
 		use = append(use, r.AverageUsageByTier(warmup))
 		alloc = append(alloc, r.AverageAllocationByTier(warmup))
@@ -169,7 +177,7 @@ func (s *Suite) writeFigure7(w io.Writer) error {
 
 // writeAllocSetStats emits §5.1's numbers.
 func (s *Suite) writeAllocSetStats(w io.Writer) error {
-	st := analysis.FinishAllocSets(each2019(s, (*streaming.CellReducer).AllocSetAccum))
+	st := streaming.FinishAllocSets(each2019(s, (*streaming.CellReducer).AllocSetAccum))
 	fmt.Fprintln(w, "== §5.1: alloc sets (2019, all cells) ==")
 	rows := [][]string{
 		{"alloc sets / collections", report.Pct(st.AllocSetShare), "2%"},
@@ -185,7 +193,7 @@ func (s *Suite) writeAllocSetStats(w io.Writer) error {
 
 // writeTerminationStats emits §5.2's numbers.
 func (s *Suite) writeTerminationStats(w io.Writer) error {
-	st := analysis.FinishTerminations(each2019(s, (*streaming.CellReducer).TerminationAccum))
+	st := streaming.FinishTerminations(each2019(s, (*streaming.CellReducer).TerminationAccum))
 	fmt.Fprintln(w, "== §5.2: terminations (2019, all cells) ==")
 	rows := [][]string{
 		{"collections with any eviction", report.Pct(st.CollectionsWithEviction), "3.2%"},
@@ -236,11 +244,10 @@ func (s *Suite) writeFigure9(w io.Writer) error {
 // writeFigure10 emits scheduling-delay distributions by era and tier.
 func (s *Suite) writeFigure10(w io.Writer) error {
 	fmt.Fprintln(w, "== Figure 10: job scheduling delay (seconds, ready -> first task running) ==")
-	d19 := analysis.MergeDelays(each2019(s, (*streaming.CellReducer).Delays))
 	d11 := s.R2011.Delays()
 	rows := [][]string{
 		delayRow("2011 all", d11.All),
-		delayRow("2019 all", d19.All),
+		delayRow("2019 all", streaming.Concat(s.R2019, func(r *streaming.CellReducer) []float64 { return r.Delays().All })),
 	}
 	for _, tier := range trace.Tiers() {
 		if xs := d11.ByTier[tier]; len(xs) > 0 {
@@ -248,7 +255,7 @@ func (s *Suite) writeFigure10(w io.Writer) error {
 		}
 	}
 	for _, tier := range trace.Tiers() {
-		if xs := d19.ByTier[tier]; len(xs) > 0 {
+		if xs := streaming.Concat(s.R2019, func(r *streaming.CellReducer) []float64 { return r.Delays().ByTier[tier] }); len(xs) > 0 {
 			rows = append(rows, delayRow("2019 "+tier.String(), xs))
 		}
 	}
@@ -258,10 +265,9 @@ func (s *Suite) writeFigure10(w io.Writer) error {
 // writeFigure11 emits tasks-per-job quantiles by tier.
 func (s *Suite) writeFigure11(w io.Writer) error {
 	fmt.Fprintln(w, "== Figure 11: tasks per job by tier (2019) ==")
-	tpj := analysis.MergeSamplesBy(each2019(s, (*streaming.CellReducer).TasksPerJob))
-	rows := make([][]string, 0, len(tpj))
+	var rows [][]string
 	for _, tier := range trace.Tiers() {
-		xs := tpj[tier]
+		xs := streaming.Concat(s.R2019, func(r *streaming.CellReducer) []float64 { return r.TasksPerJob()[tier] })
 		if len(xs) == 0 {
 			continue
 		}
@@ -282,18 +288,18 @@ func (s *Suite) writeTable2(w io.Writer) error {
 	i19 := s.integrals2019()
 	i11 := s.R2011.UsageIntegrals()
 	if err := report.Table2(w, "== Table 2 (2011): per-job resource-hours ==",
-		analysis.ComputeTable2Column(i11.CPUHours), analysis.ComputeTable2Column(i11.MemHours)); err != nil {
+		streaming.ComputeTable2Column(i11.CPUHours), streaming.ComputeTable2Column(i11.MemHours)); err != nil {
 		return err
 	}
 	return report.Table2(w, "== Table 2 (2019): per-job resource-hours ==",
-		analysis.ComputeTable2Column(i19.CPUHours), analysis.ComputeTable2Column(i19.MemHours))
+		streaming.ComputeTable2Column(i19.CPUHours), streaming.ComputeTable2Column(i19.MemHours))
 }
 
 // writeFigure12 emits the log-log CCDF of per-job resource-hours.
 func (s *Suite) writeFigure12(w io.Writer) error {
 	i19 := s.integrals2019()
 	i11 := s.R2011.UsageIntegrals()
-	grid := analysis.LogGrid(1e-5, 1e3, 1)
+	grid := streaming.LogGrid(1e-5, 1e3, 1)
 	return report.CCDFSeries(w, "== Figure 12: CCDF of resource-usage-hours per job ==", grid,
 		map[string][]float64{
 			"2019 NCU-hours": i19.CPUHours,
@@ -306,7 +312,7 @@ func (s *Suite) writeFigure12(w io.Writer) error {
 // writeFigure13 emits the CPU/memory consumption correlation.
 func (s *Suite) writeFigure13(w io.Writer) error {
 	fmt.Fprintln(w, "== Figure 13: median NMU-hours per 1-NCU-hour bucket (2019) ==")
-	points, pearson := analysis.CPUMemCorrelation(s.integrals2019(), 100)
+	points, pearson := streaming.CPUMemCorrelation(s.integrals2019(), 100)
 	rows := make([][]string, 0, len(points)+1)
 	for _, p := range points {
 		rows = append(rows, []string{report.F(p.NCUHours), report.F(p.MedianNMU), fmt.Sprint(p.Jobs)})

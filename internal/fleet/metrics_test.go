@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"reflect"
@@ -34,8 +35,8 @@ func TestFleetMetricsDoNotChangeReport(t *testing.T) {
 	if got := reg.Counter("run_cells_done_total").Value(); got != int64(cfg.Cells) {
 		t.Fatalf("run_cells_done_total = %d, want %d", got, cfg.Cells)
 	}
-	if cfg.Timeline.Len() < cfg.Cells {
-		t.Fatalf("timeline has %d spans, want at least one per cell", cfg.Timeline.Len())
+	if got := exportedSpans(t, cfg.Timeline); got < cfg.Cells {
+		t.Fatalf("timeline has %d spans, want at least one per cell", got)
 	}
 }
 
@@ -97,4 +98,19 @@ func TestFleetLiveMetricsScrape(t *testing.T) {
 	if !strings.Contains(buf.String(), "sched_tasks_placed_total") {
 		t.Fatal("final snapshot missing scheduler series")
 	}
+}
+
+// exportedSpans returns the number of events tl exports as a Chrome
+// trace.
+func exportedSpans(t *testing.T, tl *metrics.Timeline) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tl.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	return len(events)
 }

@@ -56,16 +56,6 @@ func (t *Timeline) Span(name, cat string, tid int) func() {
 	return func() { t.Record(name, cat, tid, start, time.Since(start)) }
 }
 
-// Len returns the number of recorded spans.
-func (t *Timeline) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
 // traceEvent is one Chrome trace_event record ("X" = complete event;
 // ts/dur in microseconds).
 type traceEvent struct {

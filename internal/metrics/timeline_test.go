@@ -11,12 +11,10 @@ import (
 )
 
 func TestTimelineNilSafe(t *testing.T) {
+	// Recording into a nil timeline is a no-op, not a panic.
 	var tl *Timeline
 	tl.Record("a", "b", 0, time.Time{}, 0)
 	tl.Span("a", "b", 0)()
-	if tl.Len() != 0 {
-		t.Fatal("nil timeline has spans")
-	}
 }
 
 func TestTimelineConcurrentRecordAndExport(t *testing.T) {
@@ -33,8 +31,8 @@ func TestTimelineConcurrentRecordAndExport(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if tl.Len() != 200 {
-		t.Fatalf("recorded %d spans, want 200", tl.Len())
+	if len(tl.spans) != 200 {
+		t.Fatalf("recorded %d spans, want 200", len(tl.spans))
 	}
 
 	var buf bytes.Buffer

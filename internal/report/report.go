@@ -12,7 +12,7 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/analysis"
+	"repro/internal/analysis/streaming"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -108,7 +108,7 @@ func CCDFSeries(w io.Writer, title string, grid []float64, series map[string][]f
 
 // TierSeriesTable writes an hourly per-tier series (Figures 2/4) for one
 // resource dimension ("cpu" or "mem").
-func TierSeriesTable(w io.Writer, title string, s analysis.TierSeries, resource string) error {
+func TierSeriesTable(w io.Writer, title string, s streaming.TierSeries, resource string) error {
 	if _, err := fmt.Fprintf(w, "%s\n", title); err != nil {
 		return err
 	}
@@ -138,7 +138,7 @@ func TierSeriesTable(w io.Writer, title string, s analysis.TierSeries, resource 
 }
 
 // TierAveragesTable writes Figures 3/5's per-cell bars.
-func TierAveragesTable(w io.Writer, title string, cells []analysis.TierAverages, resource string) error {
+func TierAveragesTable(w io.Writer, title string, cells []streaming.TierAverages, resource string) error {
 	if _, err := fmt.Fprintf(w, "%s\n", title); err != nil {
 		return err
 	}
@@ -168,7 +168,7 @@ func TierAveragesTable(w io.Writer, title string, cells []analysis.TierAverages,
 }
 
 // Table1 writes the paper's Table 1 comparison.
-func Table1(w io.Writer, rows []analysis.Table1Row) error {
+func Table1(w io.Writer, rows []streaming.Table1Row) error {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{r.Metric, r.V2011, r.V2019}
@@ -177,7 +177,7 @@ func Table1(w io.Writer, rows []analysis.Table1Row) error {
 }
 
 // Table2 writes one era's pair of Table 2 columns.
-func Table2(w io.Writer, title string, cpu, mem analysis.Table2Column) error {
+func Table2(w io.Writer, title string, cpu, mem streaming.Table2Column) error {
 	if _, err := fmt.Fprintf(w, "%s\n", title); err != nil {
 		return err
 	}
@@ -200,7 +200,7 @@ func Table2(w io.Writer, title string, cpu, mem analysis.Table2Column) error {
 }
 
 // Transitions writes Figure 7's transition counts.
-func Transitions(w io.Writer, title string, ts []analysis.Transition, limit int) error {
+func Transitions(w io.Writer, title string, ts []streaming.Transition, limit int) error {
 	if _, err := fmt.Fprintf(w, "%s\n", title); err != nil {
 		return err
 	}

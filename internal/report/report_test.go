@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/analysis"
+	"repro/internal/analysis/streaming"
 	"repro/internal/trace"
 )
 
@@ -66,7 +66,7 @@ func TestCCDFSeries(t *testing.T) {
 }
 
 func TestTierSeriesTable(t *testing.T) {
-	s := analysis.TierSeries{
+	s := streaming.TierSeries{
 		Hours: []float64{0, 1},
 		CPU:   map[trace.Tier][]float64{},
 		Mem:   map[trace.Tier][]float64{},
@@ -92,7 +92,7 @@ func TestTierSeriesTable(t *testing.T) {
 }
 
 func TestTierAveragesTable(t *testing.T) {
-	cells := []analysis.TierAverages{
+	cells := []streaming.TierAverages{
 		{Cell: "a", CPU: map[trace.Tier]float64{trace.TierProduction: 0.4}, Mem: map[trace.Tier]float64{trace.TierProduction: 0.3}},
 	}
 	var b strings.Builder
@@ -106,14 +106,14 @@ func TestTierAveragesTable(t *testing.T) {
 
 func TestTable1And2(t *testing.T) {
 	var b strings.Builder
-	if err := Table1(&b, []analysis.Table1Row{{Metric: "Cells", V2011: "1", V2019: "8"}}); err != nil {
+	if err := Table1(&b, []streaming.Table1Row{{Metric: "Cells", V2011: "1", V2019: "8"}}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "Cells") {
 		t.Fatal("table1 output")
 	}
 	b.Reset()
-	col := analysis.Table2Column{Median: 0.001, Mean: 1, C2: 100, Top1Share: 0.9, ParetoAlpha: 0.7, ParetoR2: 0.99, N: 10}
+	col := streaming.Table2Column{Median: 0.001, Mean: 1, C2: 100, Top1Share: 0.9, ParetoAlpha: 0.7, ParetoR2: 0.99, N: 10}
 	if err := Table2(&b, "Table 2 (2019)", col, col); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestTable1And2(t *testing.T) {
 
 func TestTransitions(t *testing.T) {
 	var b strings.Builder
-	ts := []analysis.Transition{
+	ts := []streaming.Transition{
 		{From: "SUBMIT", To: "SCHEDULE", Count: 100},
 		{From: "EVICT", To: "SUBMIT", Count: 1},
 	}

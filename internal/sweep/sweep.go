@@ -133,47 +133,84 @@ func Run(d Def) (*Result, error) {
 
 	cells := len(experiments.SuiteProfiles(d.Scale))
 	specs := make([]engine.Spec, 0, d.Seeds*len(variants)*cells)
-	reducers := make([]*streaming.CellReducer, 0, cap(specs))
 	base := core.Options{Horizon: d.Scale.Horizon, TimelineWarmup: d.Scale.Warmup}
-	flat := 0
 	for run := 0; run < d.Seeds; run++ {
 		for _, v := range variants {
 			for c, p := range experiments.SuiteProfiles(d.Scale) {
 				if v.Apply != nil {
 					v.Apply(p)
 				}
-				spec := engine.NewGridSpec(run, c, flat, p, base, d.Scale.Seed)
+				spec := engine.NewGridSpec(run, c, len(specs), p, base, d.Scale.Seed)
 				if c < len(d.Scale.Replay) {
 					// The same recorded workload at every grid point of
 					// cell c: variants then differ only in what the
 					// scheduler does with identical arrivals.
 					spec.Options.Replay = d.Scale.Replay[c]
 				}
-				red := experiments.NewCellReducerFor(spec)
-				spec.Options.ExtraSinks = append(spec.Options.ExtraSinks, red)
 				specs = append(specs, spec)
-				reducers = append(reducers, red)
-				flat++
 			}
 		}
 	}
 
-	// Grid points feed the sweep-level registry/timeline like suite cells
-	// feed a suite's: one private registry per point, merged in grid
-	// order, one timeline row per flat index.
-	ri := engine.NewRunInstruments(d.Scale.Metrics, d.Scale.Timeline, len(specs))
-	ri.Apply(specs)
-	results := engine.Run(specs, ri.Wrap(engine.Options{Parallelism: d.Scale.Parallelism}))
-
 	res := &Result{Def: d, Metrics: MetricNames(), Cells: cells}
 	res.Def.Variants = variants
+	res.Variants = make([]VariantStats, len(variants))
 	for vi, v := range variants {
-		vs := VariantStats{Name: v.Name}
-		for run := 0; run < d.Seeds; run++ {
-			lo := (run*len(variants) + vi) * cells
-			vs.PerSeed = append(vs.PerSeed, pointMetrics(
-				reducers[lo:lo+cells], results[lo:lo+cells], d.Scale))
-		}
+		res.Variants[vi] = VariantStats{Name: v.Name, PerSeed: make([][]float64, d.Seeds)}
+	}
+
+	// The grid streams through the engine like a fleet: a cell's reducer
+	// is made as a worker picks the cell up and dropped once its scalars
+	// are folded into its point's metric vector, in grid order, so peak
+	// state is O(Parallelism) cells rather than the whole grid. Grid
+	// points feed the sweep-level registry/timeline like suite cells feed
+	// a suite's: one private registry per point, merged in grid order,
+	// one timeline row per flat index. reducers[i] is written by the
+	// worker that builds cell i and read by the one delivering it: the
+	// engine's mutex-ordered handoff between them covers the slot.
+	reducers := make([]*streaming.CellReducer, len(specs))
+	scalars := len(streaming.ScalarNames())
+	var (
+		vec   []float64 // the current point's metric vector
+		n2019 int       // its 2019 cells folded so far
+	)
+	ri := engine.NewRunInstruments(d.Scale.Metrics, d.Scale.Timeline, len(specs))
+	engine.RunStream(len(specs), func(i int) engine.Spec {
+		spec := specs[i]
+		spec.Options = ri.Cell(i, spec.Options)
+		reducers[i] = experiments.NewCellReducerFor(spec)
+		spec.Options.ExtraSinks = append(spec.Options.ExtraSinks, reducers[i])
+		return spec
+	}, ri.Wrap(engine.Options{
+		Parallelism: d.Scale.Parallelism,
+		OnResult: func(i int, cell *core.CellResult) {
+			r := reducers[i]
+			reducers[i] = nil
+			if i%cells == 0 {
+				vec, n2019 = make([]float64, len(res.Metrics)), 0
+			}
+			// A point's metric vector: reducer scalars averaged over its
+			// 2019 cells, scheduler counters summed over them.
+			if r.Meta().Era == trace.Era2019 {
+				n2019++
+				for m, s := range r.Scalars(d.Scale.Warmup) {
+					vec[m] += s.Value
+				}
+				vec[scalars] += float64(cell.Sched.Preemptions)
+				vec[scalars+1] += float64(cell.Sched.OOMEvictions)
+			}
+			if i%cells == cells-1 {
+				for m := 0; m < scalars && n2019 > 0; m++ {
+					vec[m] /= float64(n2019)
+				}
+				point := i / cells
+				res.Variants[point%len(variants)].PerSeed[point/len(variants)] = vec
+			}
+		},
+	}))
+
+	for vi := range res.Variants {
+		vs := &res.Variants[vi]
 		vs.Stats = make([]stats.CrossRun, len(res.Metrics))
 		for m := range res.Metrics {
 			xs := make([]float64, d.Seeds)
@@ -182,7 +219,6 @@ func Run(d Def) (*Result, error) {
 			}
 			vs.Stats[m] = stats.SummarizeRuns(xs)
 		}
-		res.Variants = append(res.Variants, vs)
 	}
 
 	// Paired differences against the baseline anchor: replicate r of every
@@ -219,30 +255,4 @@ func Run(d Def) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// pointMetrics reduces one grid point's suite (nine reducers + nine cell
-// results) to the sweep metric vector: reducer scalars averaged over the
-// 2019 cells, scheduler counters summed over them.
-func pointMetrics(reds []*streaming.CellReducer, results []*core.CellResult, sc experiments.Scale) []float64 {
-	scalars := len(streaming.ScalarNames())
-	vec := make([]float64, scalars+2)
-	n2019 := 0
-	for i, r := range reds {
-		if r.Meta().Era != trace.Era2019 {
-			continue
-		}
-		n2019++
-		for m, s := range r.Scalars(sc.Warmup) {
-			vec[m] += s.Value
-		}
-		vec[scalars] += float64(results[i].Sched.Preemptions)
-		vec[scalars+1] += float64(results[i].Sched.OOMEvictions)
-	}
-	if n2019 > 0 {
-		for m := 0; m < scalars; m++ {
-			vec[m] /= float64(n2019)
-		}
-	}
-	return vec
 }
