@@ -250,7 +250,10 @@ func BenchmarkFleetRollup(b *testing.B) {
 	var machines int
 	peak := metrics.PeakHeapDuring(func() {
 		for i := 0; i < b.N; i++ {
-			rep := fleet.Run(cfg)
+			rep, err := fleet.Run(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			machines = rep.TotalMachines
 			if len(rep.Rollup) == 0 || rep.Rollup[0].Name != "cpu_util" || rep.Rollup[0].P50 <= 0 {
 				b.Fatalf("fleet rollup malformed: %+v", rep.Rollup)
@@ -301,7 +304,7 @@ func BenchmarkAblationPlacement(b *testing.B) {
 			var spread float64
 			for i := 0; i < b.N; i++ {
 				p := workload.Profile2019("a", 60)
-				p.Policy = policy.value
+				p.Sched.Policy = policy.value
 				cpu, _ := reduceCell(p).MachineUtilization()
 				s := stats.Summarize(cpu)
 				spread = s.Variance
@@ -347,7 +350,7 @@ func BenchmarkAblationBatchQueue(b *testing.B) {
 			var p99 float64
 			for i := 0; i < b.N; i++ {
 				p := workload.Profile2019("b", 60)
-				p.BatchQueue = mode.on
+				p.Sched.Batch = mode.on
 				byTier := reduceCell(p).Delays().ByTier
 				p99 = stats.Quantile(byTier[trace.TierBestEffortBatch], 0.99)
 			}
@@ -382,10 +385,10 @@ func miceDelayP90(hogPriority int) float64 {
 		cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
 	}
 	k := sim.NewKernel()
-	cfg := scheduler.DefaultConfig()
+	cfg := workload.Profile2019("a", 30).Sched
 	cfg.Batch = false
 	cfg.ServiceTime = dist.LogNormalFromMedian(0.25, 0.6)
-	sched := scheduler.New(cfg, cell, k, tracetest.NopSink{}, rng.New(7))
+	sched := scheduler.New(cfg, cell, k, tracetest.NopSink{}, rng.New(7), nil)
 	src := rng.New(31)
 
 	id := trace.CollectionID(1)

@@ -60,7 +60,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
 
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
@@ -77,12 +76,21 @@ func main() {
 	out := flag.String("o", "", "write the report to this file instead of stdout")
 	flag.Parse()
 
-	if err := common.Validate(); err != nil {
+	knobs, err := common.Knobs()
+	if err != nil {
 		log.Fatal(err)
 	}
 	sc, err := experiments.ScaleByName(*scaleName)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if *replayDir != "" {
+		recs, err := experiments.LoadWorkloads(*replayDir, sc)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sc.Replay = recs
+		log.Printf("replaying %d recorded workloads from %s", len(recs), *replayDir)
 	}
 	obs, err := common.StartObservability("suite", log.Printf)
 	if err != nil {
@@ -96,16 +104,8 @@ func main() {
 
 	sc.Seed = *common.Seed
 	sc.Parallelism = *common.Parallel
-	sc.RunKnobs = obs.Knobs(common.Knobs())
+	sc.RunKnobs = obs.Knobs(knobs)
 	sc.RecordWorkload = *recordDir != ""
-	if *replayDir != "" {
-		recs, err := experiments.LoadWorkloads(*replayDir, sc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sc.Replay = recs
-		log.Printf("replaying %d recorded workloads from %s", len(recs), *replayDir)
-	}
 
 	var w io.Writer = os.Stdout
 	if *out != "" {
@@ -121,11 +121,7 @@ func main() {
 	fmt.Fprintf(w, "scale=%s machines2011=%d machines2019=%dx8 horizon=%v seed=%d\n\n",
 		sc.Name, sc.Machines2011, sc.Machines2019, sc.Horizon, sc.Seed)
 	if *common.Parallel != 1 {
-		effective := sc.Parallelism
-		if effective <= 0 {
-			effective = runtime.GOMAXPROCS(0)
-		}
-		log.Printf("simulating 9 cells, parallelism=%d", effective)
+		log.Printf("simulating 9 cells, parallelism=%d", common.Workers())
 	}
 
 	var suite *experiments.Suite

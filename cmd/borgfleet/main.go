@@ -41,38 +41,42 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
 
 	"repro/internal/cliflags"
 	"repro/internal/fleet"
+	"repro/internal/report"
 	"repro/internal/sim"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("borgfleet: ")
-	cells := flag.Int("cells", 128, "fleet size (number of synthetic cells)")
-	machines := flag.Int("machines", 60, "median machines per cell (lognormal across the fleet)")
-	hours := flag.Float64("hours", 4, "simulated horizon per cell, in hours")
-	common := cliflags.Register(flag.CommandLine, "fleet root seed")
-	out := flag.String("o", "", "write the fleet report to this file instead of stdout")
-	cellsCSV := flag.String("cells-csv", "", "stream per-cell scalar rows to this CSV file")
-	rollupCSV := flag.String("rollup-csv", "", "write the cross-cell rollup to this CSV file")
-	flag.Parse()
-
-	if err := common.Validate(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		log.Fatal(err)
 	}
-	obs, err := common.StartObservability("fleet", log.Printf)
+}
+
+// run parses args, simulates the fleet, writes its report to -o (or
+// stdout) and its CSVs, and logs progress to logw. It checks the fleet's
+// sizes before it starts observability or creates any file.
+func run(args []string, stdout, logw io.Writer) (err error) {
+	fs := flag.NewFlagSet("borgfleet", flag.ExitOnError)
+	cells := fs.Int("cells", 128, "fleet size (number of synthetic cells)")
+	machines := fs.Int("machines", 60, "median machines per cell (lognormal across the fleet)")
+	hours := fs.Float64("hours", 4, "simulated horizon per cell, in hours")
+	common := cliflags.Register(fs, "fleet root seed")
+	out := fs.String("o", "", "write the fleet report to this file instead of stdout")
+	cellsCSV := fs.String("cells-csv", "", "stream per-cell scalar rows to this CSV file")
+	rollupCSV := fs.String("rollup-csv", "", "write the cross-cell rollup to this CSV file")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	lg := log.New(logw, "borgfleet: ", 0)
+
+	knobs, err := common.Knobs()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer func() {
-		if err := obs.Close(); err != nil {
-			log.Fatal(err)
-		}
-	}()
-
 	cfg := fleet.Config{
 		Cells:          *cells,
 		MedianMachines: *machines,
@@ -80,63 +84,67 @@ func main() {
 		Seed:           *common.Seed,
 		Parallelism:    *common.Parallel,
 	}
-	cfg.RunKnobs = obs.Knobs(common.Knobs())
+	if err := cfg.Check(); err != nil {
+		return err
+	}
+	obs, err := common.StartObservability("fleet", lg.Printf)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := obs.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	cfg.RunKnobs = obs.Knobs(knobs)
 
 	var cellWriter *fleet.CellCSV
 	if *cellsCSV != "" {
 		f, err := os.Create(*cellsCSV)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		cellWriter = fleet.NewCellCSV(f)
 		cfg.OnCell = cellWriter.Cell
 	}
 
-	effective := *common.Parallel
-	if effective <= 0 {
-		effective = runtime.GOMAXPROCS(0)
-	}
-	log.Printf("simulating %d cells (median %d machines, %gh horizon), parallelism %d",
-		*cells, *machines, *hours, effective)
+	lg.Printf("simulating %d cells (median %d machines, %gh horizon), parallelism %d",
+		*cells, *machines, *hours, common.Workers())
 
 	var rep *fleet.Report
 	rs := obs.MeasureRun(func() {
-		rep = fleet.Run(cfg)
+		rep, err = fleet.Run(cfg)
 	})
-	log.Printf("simulated %d cells (%d machines) in %s", rep.Cells, rep.TotalMachines, rs)
+	if err != nil {
+		return err
+	}
+	lg.Printf("simulated %d cells (%d machines) in %s", rep.Cells, rep.TotalMachines, rs)
 
 	if cellWriter != nil {
 		if err := cellWriter.Close(); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		log.Printf("wrote per-cell scalars to %s", *cellsCSV)
+		lg.Printf("wrote per-cell scalars to %s", *cellsCSV)
 	}
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		w = f
+	writeReport := func(w io.Writer) error {
+		fmt.Fprintln(w)
+		return rep.WriteText(w)
 	}
-	fmt.Fprintln(w)
-	if err := rep.WriteText(w); err != nil {
-		log.Fatal(err)
+	if *out != "" {
+		err = report.WriteFile(*out, writeReport)
+	} else {
+		err = writeReport(stdout)
+	}
+	if err != nil {
+		return err
 	}
 	if *rollupCSV != "" {
-		f, err := os.Create(*rollupCSV)
-		if err != nil {
-			log.Fatal(err)
+		if err := report.WriteFile(*rollupCSV, rep.WriteCSV); err != nil {
+			return err
 		}
-		if err := rep.WriteCSV(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote rollup to %s", *rollupCSV)
+		lg.Printf("wrote rollup to %s", *rollupCSV)
 	}
+	return nil
 }

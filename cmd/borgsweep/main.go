@@ -60,7 +60,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
 
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
@@ -81,10 +80,15 @@ func main() {
 	csvDir := flag.String("csv", "", "export per-metric and summary CSVs to this directory")
 	flag.Parse()
 
-	if err := common.Validate(); err != nil {
+	knobs, err := common.Knobs()
+	if err != nil {
 		log.Fatal(err)
 	}
 	sc, err := experiments.ScaleByName(*scaleName)
+	if err != nil {
+		log.Fatal(err)
+	}
+	variants, err := sweep.ParseVariants(*variantSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,12 +104,7 @@ func main() {
 
 	sc.Seed = *common.Seed
 	sc.Parallelism = *common.Parallel
-	sc.RunKnobs = obs.Knobs(common.Knobs())
-
-	variants, err := sweep.ParseVariants(*variantSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
+	sc.RunKnobs = obs.Knobs(knobs)
 	def := sweep.Def{Scale: sc, Seeds: *seeds, Variants: variants}
 
 	var w io.Writer = os.Stdout
@@ -118,12 +117,8 @@ func main() {
 		w = f
 	}
 
-	effective := *common.Parallel
-	if effective <= 0 {
-		effective = runtime.GOMAXPROCS(0)
-	}
 	log.Printf("sweeping %d seeds × %d variants × 9 cells at scale %q (%d simulations, parallelism %d, streaming reducers)",
-		*seeds, len(variants), sc.Name, *seeds*len(variants)*9, effective)
+		*seeds, len(variants), sc.Name, *seeds*len(variants)*9, common.Workers())
 
 	var res *sweep.Result
 	rs := obs.MeasureRun(func() {

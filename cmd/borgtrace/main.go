@@ -28,6 +28,8 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -57,6 +59,13 @@ func run(args []string, logw io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *machines < 1 {
+		return fmt.Errorf("-machines %d: want at least 1 machine", *machines)
+	}
+	horizon := sim.FromHours(*hours)
+	if !(*hours > 0) || horizon <= 0 {
+		return fmt.Errorf("-hours %g: want a positive duration", *hours)
+	}
 	lg := log.New(logw, "borgtrace: ", 0)
 
 	var profile *workload.CellProfile
@@ -64,11 +73,14 @@ func run(args []string, logw io.Writer) error {
 	case "2011":
 		profile = workload.Profile2011(*machines)
 	case "2019":
+		if !slices.Contains(workload.Cells2019(), *cell) {
+			return fmt.Errorf("-cell %q: want one of %s", *cell, strings.Join(workload.Cells2019(), ", "))
+		}
 		profile = workload.Profile2019(*cell, *machines)
 	default:
 		return fmt.Errorf("unknown era %q", *era)
 	}
-	opts := core.Options{Horizon: sim.FromHours(*hours), Seed: *seed}
+	opts := core.Options{Horizon: horizon, Seed: *seed}
 	ds, err := trace.NewDirSink(*out, core.TraceMeta(profile, opts))
 	if err != nil {
 		return err

@@ -62,3 +62,29 @@ func TestRunRejectsUnknownEra(t *testing.T) {
 		t.Fatal("run accepted era 2030")
 	}
 }
+
+// TestRunRejectsBadFlags: a cell without machines, a horizon that is
+// not positive or an unknown 2019 cell is an error naming the flag, and
+// writes no trace.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-machines", "0"}, "-machines"},
+		{[]string{"-machines", "-4"}, "-machines"},
+		{[]string{"-hours", "-1"}, "-hours"},
+		{[]string{"-hours", "0"}, "-hours"},
+		{[]string{"-hours", "NaN"}, "-hours"},
+		{[]string{"-era", "2019", "-cell", "z"}, "-cell"},
+	} {
+		out := filepath.Join(t.TempDir(), "trace")
+		err := run(append(tc.args, "-out", out), &bytes.Buffer{})
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {
+			t.Errorf("%v: error %v, want one naming %s", tc.args, err, tc.flag)
+		}
+		if _, statErr := os.Stat(out); !os.IsNotExist(statErr) {
+			t.Errorf("%v: wrote %s before rejecting its input", tc.args, out)
+		}
+	}
+}

@@ -35,15 +35,15 @@
 //     priority, descending. Push appends to its level and pop takes the
 //     head of the first non-empty one, so neither sifts, and warm levels
 //     keep their arrays (TestPendingQueueSteadyStateZeroAllocs). A
-//     cell's placement policy is one value of its profile,
-//     scheduler.PlacementPolicy, and one switch scores candidates for
-//     all of them: random-fit (first feasible candidate, the 2011
+//     cell's scheduler.Config is one value of its profile
+//     (workload.CellProfile.Sched), and one switch scores candidates for
+//     every policy: random-fit (first feasible candidate, the 2011
 //     profile's), best-fit, least-allocated (the 2019 profiles'),
 //     worst-fit, an oversubscription-aware scorer, and a no-retry
 //     one-shot. Every policy compares preemption plans by victim count.
-//     CLIs and sweep variants select one by name (scheduler.ParsePolicy),
-//     and run-level overrides land on each profile through
-//     core.RunKnobs.Apply. Each cell fact is kept
+//     CLIs and sweep variants parse a policy name once, where it enters
+//     (scheduler.ParsePolicy), and run-level overrides land on each
+//     profile through core.RunKnobs.Apply. Each cell fact is kept
 //     once and the rest derived from it: the scheduler's live-job table
 //     is its only job registry (a terminating job's children, and an
 //     alloc set's inner jobs, come from one scan of it and die in
@@ -90,7 +90,7 @@
 //     fleet-level cross-cell percentiles (internal/stats t-digests),
 //     reported by cmd/borgfleet. internal/cliflags supplies the shared
 //     flag set (-seed, -parallel, -policy, -arrival, -progress,
-//     profiling, observability) all three CLIs register and validate
+//     profiling, observability) all three CLIs register and parse
 //     identically; its -progress reporter prints from the run registry
 //     through metrics.ProgressLine, the formatter the live endpoint's
 //     / page uses too.
@@ -122,7 +122,9 @@
 // are looked up in an ID-indexed table: IDs are dense from 1, so
 // cluster.Cell keeps a []*Machine instead of a map. The scheduling
 // server's service-completion callback is bound once, so queueing a
-// service event allocates no closure. Determinism is a hard constraint:
+// service event allocates no closure. A cell no larger than the
+// candidate sample is scanned whole, each machine once, so a lone fit is
+// never missed. Determinism is a hard constraint:
 // each policy's score is a pure function of the machine's state and the
 // request, and the candidate RNG draw sequence does not depend on the
 // policy's scores, so for a given build the same seed yields
@@ -231,8 +233,8 @@
 // workload.ArrivalProcess decides when the next collection is submitted
 // and by whom, running under the cell's diurnal rate envelope (its base
 // rate times one daily sinusoid). Processes register by name —
-// workload.ParseArrival validates a
-// "name:knob=value,..." spec and lists the valid set on a typo,
+// workload.ParseArrival turns a "name:knob=value,..." spec into a
+// workload.ArrivalSpec and lists the valid set on a typo,
 // workload.ArrivalNames feeds help text. The registry: "poisson" (the
 // default diurnally-thinned Poisson stream — byte-identical at the same
 // seed to the pre-API generator, pinned by a golden report hash in CI),
@@ -240,12 +242,14 @@
 // coefficient-of-variation knob dials burstiness a memoryless stream
 // cannot express), and "cohorts:k=K,skew=S,cv=C" (K clients with
 // Zipf-skewed rate shares, each an independent gamma renewal stream,
-// superposed; the firing client is the submitting user). A cell's spec
-// is read from one place, workload.CellProfile.Arrival. The -arrival
-// flag of all three CLIs (a core.RunKnobs.Arrival, applied to every
-// profile by experiments.Scale and fleet.Config) and the polymorphic
-// sweep family "arrival:gamma:cv=2.5,..." (numeric values still mean
-// rate multipliers) all set it there.
+// superposed; the firing client is the submitting user). A spec is
+// parsed once, where it enters: the -arrival flag of all three CLIs in
+// cliflags.Common.Knobs, the polymorphic sweep family
+// "arrival:gamma:cv=2.5,..." (numeric values still mean rate
+// multipliers) in sweep.ParseVariants, a recording's header in
+// workload.ReadRecording. Only the parsed value travels on, to
+// workload.CellProfile.Arrival, which the generator reads;
+// ArrivalSpec.String gives back the accepted text.
 //
 // The same seam makes workloads portable across runs:
 // workload.Recorder wraps any generator and captures the exact

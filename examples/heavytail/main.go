@@ -19,6 +19,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // buildWorkload makes 500 mice and 5 hogs; hog tasks keep the scheduler
@@ -30,10 +31,10 @@ func runScenario(hogPriority int) (miceDelaysSeconds []float64, hogShare float64
 	}
 	k := sim.NewKernel()
 	sink := trace.NewMemTrace(trace.Meta{Era: trace.Era2019, Cell: "ht", Duration: 6 * sim.Hour, Machines: 40})
-	cfg := scheduler.DefaultConfig()
+	cfg := workload.Profile2019("a", 40).Sched
 	cfg.Batch = false
 	cfg.ServiceTime = dist.LogNormalFromMedian(0.25, 0.6) // a busy scheduler
-	sched := scheduler.New(cfg, cell, k, sink, rng.New(7))
+	sched := scheduler.New(cfg, cell, k, sink, rng.New(7), nil)
 	src := rng.New(99)
 
 	id := trace.CollectionID(1)

@@ -1,11 +1,12 @@
-// Package cliflags registers and validates the command-line flags the
+// Package cliflags registers and parses the command-line flags the
 // three CLIs (borgexperiments, borgsweep, borgfleet) share: -seed,
 // -parallel, -progress, -policy, -arrival, -cpuprofile, -memprofile,
-// and the observability set (-http, -metrics, -timeline). Before this
-// package each binary re-declared the set by hand, and the copies
-// drifted in help text and validation; now every CLI registers the
-// shared flags through one Common value, validates name-registered
-// knobs the same way, and converts them to core.RunKnobs with one call.
+// and the observability set (-http, -metrics, -timeline). Every CLI
+// registers the shared flags through one Common value and makes one
+// Common.Knobs call, which parses -policy and -arrival once, where they
+// enter the program, into the typed core.RunKnobs the runners apply to
+// each cell profile; a bad value comes back as an error before any cell
+// runs, and nothing downstream re-reads the flag text.
 // StartObservability owns the shared observability lifecycle: the run
 // registry, the -progress reporter that prints from it, the optional
 // live HTTP server, the -cpuprofile/-memprofile pprof profiles, the
@@ -16,6 +17,7 @@ package cliflags
 
 import (
 	"flag"
+	"runtime"
 	"strings"
 
 	"repro/internal/core"
@@ -65,25 +67,35 @@ func Register(fs *flag.FlagSet, seedUsage string) *Common {
 	}
 }
 
-// Validate checks the name-registered knobs after fs.Parse: an unknown
-// policy or arrival spec returns the registry's error (which lists the
-// valid set) instead of panicking mid-run.
-func (c *Common) Validate() error {
-	if *c.Policy != "" {
-		if _, err := scheduler.ParsePolicy(*c.Policy); err != nil {
-			return err
-		}
+// Workers returns how many cells run at once: -parallel, or GOMAXPROCS
+// when -parallel is 0 or less.
+func (c *Common) Workers() int {
+	if *c.Parallel > 0 {
+		return *c.Parallel
 	}
-	if *c.Arrival != "" {
-		if _, err := workload.ParseArrival(*c.Arrival); err != nil {
-			return err
-		}
-	}
-	return nil
+	return runtime.GOMAXPROCS(0)
 }
 
-// Knobs converts the parsed flags to the core.RunKnobs every runner
-// config embeds.
-func (c *Common) Knobs() core.RunKnobs {
-	return core.RunKnobs{Policy: *c.Policy, Arrival: *c.Arrival}
+// Knobs parses -policy and -arrival, the one place either flag's text is
+// read, into the core.RunKnobs every runner config embeds. An empty flag
+// leaves its knob nil, keeping each profile's own choice; an unknown
+// policy or a malformed arrival spec returns the registry's error, which
+// lists the valid set.
+func (c *Common) Knobs() (core.RunKnobs, error) {
+	var k core.RunKnobs
+	if *c.Policy != "" {
+		p, err := scheduler.ParsePolicy(*c.Policy)
+		if err != nil {
+			return core.RunKnobs{}, err
+		}
+		k.Policy = &p
+	}
+	if *c.Arrival != "" {
+		a, err := workload.ParseArrival(*c.Arrival)
+		if err != nil {
+			return core.RunKnobs{}, err
+		}
+		k.Arrival = &a
+	}
+	return k, nil
 }

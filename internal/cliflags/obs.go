@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/report"
 )
 
 // Obs is one CLI run's observability bundle: the run-level metrics
@@ -121,7 +122,8 @@ func (o *Obs) reportProgress() {
 }
 
 // Knobs returns k with the run registry and timeline attached, so CLIs
-// write `cfg.RunKnobs = obs.Knobs(common.Knobs())`.
+// write `cfg.RunKnobs = obs.Knobs(knobs)` with the knobs Common.Knobs
+// parsed.
 func (o *Obs) Knobs(k core.RunKnobs) core.RunKnobs {
 	k.Metrics = o.Reg
 	k.Timeline = o.Timeline
@@ -158,25 +160,19 @@ func (o *Obs) Close() error {
 		}
 	}
 	if o.metricsOut != "" {
-		if err := writeFile(o.metricsOut, func(f *os.File) error {
-			return o.Reg.Snapshot().WriteSnapshotFile(f, o.metricsOut)
-		}); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-		} else {
+		if err := report.WriteFile(o.metricsOut, func(w io.Writer) error {
+			return o.Reg.Snapshot().WriteSnapshotFile(w, o.metricsOut)
+		}); err == nil {
 			o.logf("wrote metrics snapshot to %s", o.metricsOut)
+		} else if firstErr == nil {
+			firstErr = err
 		}
 	}
 	if o.timelineOut != "" {
-		if err := writeFile(o.timelineOut, func(f *os.File) error {
-			return o.Timeline.WriteChromeTrace(f)
-		}); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-		} else {
+		if err := report.WriteFile(o.timelineOut, o.Timeline.WriteChromeTrace); err == nil {
 			o.logf("wrote run timeline to %s", o.timelineOut)
+		} else if firstErr == nil {
+			firstErr = err
 		}
 	}
 	if err := o.stopProfiles(); err != nil && firstErr == nil {
@@ -197,25 +193,10 @@ func (o *Obs) stopProfiles() error {
 	}
 	if o.memProfile != "" {
 		runtime.GC()
-		err := writeFile(o.memProfile, func(f *os.File) error { return pprof.WriteHeapProfile(f) })
-		if err != nil && firstErr == nil {
+		if err := report.WriteFile(o.memProfile, pprof.WriteHeapProfile); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		o.memProfile = ""
 	}
 	return firstErr
-}
-
-// writeFile creates path, runs write, and closes it, reporting the
-// first error.
-func writeFile(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -46,7 +46,11 @@ func TestObservabilityLifecycle(t *testing.T) {
 		t.Fatalf("listen address not logged: %v", logs)
 	}
 
-	k := obs.Knobs(c.Knobs())
+	knobs, err := c.Knobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := obs.Knobs(knobs)
 	if k.Metrics != obs.Reg || k.Timeline != obs.Timeline {
 		t.Fatal("Knobs did not attach the observability surfaces")
 	}

@@ -16,12 +16,11 @@
 // Run keeps no rows itself; a caller that wants them attaches
 // trace.NewMemTrace(core.TraceMeta(profile, opts)) the same way.
 //
-// Run configures the scheduler from scheduler.DefaultConfig, overriding
-// only what the cell profile sets (policy, candidate sample, overcommit,
-// service time, the batch queue and its ceiling); the Autopilot's
+// Run hands the scheduler the cell profile's Sched configuration as it
+// stands, attaching only the run's metrics registry; the Autopilot's
 // settings are package constants. The profile is the only place a cell's
-// placement policy and arrival process are chosen: multi-cell runners
-// apply their run-level overrides to it with RunKnobs.Apply.
+// scheduler configuration and arrival process are kept: multi-cell
+// runners apply their run-level overrides to it with RunKnobs.Apply.
 package core
 
 import (
@@ -45,13 +44,13 @@ import (
 // through its profile (Apply); Metrics and Timeline through the engine's
 // per-cell instruments (engine.RunInstruments).
 type RunKnobs struct {
-	// Policy, when non-empty, overrides every profile's placement policy
-	// by canonical name (see scheduler.ParsePolicy).
-	Policy string
-	// Arrival, when non-empty, overrides every profile's arrival process
-	// by spec (see workload.ParseArrival, e.g. "gamma:cv=2.5"). A replayed
-	// cell ignores it.
-	Arrival string
+	// Policy, when non-nil, overrides every profile's placement policy.
+	// CLIs parse it once from the -policy flag (scheduler.ParsePolicy).
+	Policy *scheduler.PlacementPolicy
+	// Arrival, when non-nil, overrides every profile's arrival process.
+	// CLIs parse it once from the -arrival flag (workload.ParseArrival,
+	// e.g. "gamma:cv=2.5"). A replayed cell ignores it.
+	Arrival *workload.ArrivalSpec
 	// Metrics, when non-nil, receives the run's instrument rollup: each
 	// cell gets a private registry, merged in spec order
 	// (engine.RunInstruments). Instruments only observe, so a run with
@@ -64,17 +63,14 @@ type RunKnobs struct {
 }
 
 // Apply overrides p's placement policy and arrival process with the
-// knobs' non-empty choices, so a cell's policy and arrival process are
-// always read from its profile. It panics on an unknown policy name or a
-// malformed arrival spec, like on any other malformed static
-// configuration; CLIs validate user input first.
+// knobs' non-nil choices, so a cell's policy and arrival process are
+// always read from its profile.
 func (k RunKnobs) Apply(p *workload.CellProfile) {
-	if k.Policy != "" {
-		p.Policy = scheduler.MustParsePolicy(k.Policy)
+	if k.Policy != nil {
+		p.Sched.Policy = *k.Policy
 	}
-	if k.Arrival != "" {
-		workload.MustParseArrival(k.Arrival)
-		p.Arrival = k.Arrival
+	if k.Arrival != nil {
+		p.Arrival = *k.Arrival
 	}
 }
 
@@ -181,14 +177,7 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	})
 
 	// Scheduler.
-	schedCfg := scheduler.DefaultConfig()
-	schedCfg.Policy = p.Policy
-	schedCfg.CandidateSample = p.CandidateSample
-	schedCfg.ServiceTime = dist.LogNormalFromMedian(p.SchedServiceMedian, p.SchedServiceSigma)
-	schedCfg.Metrics = opts.Metrics
-	schedCfg.Batch = p.BatchQueue
-	schedCfg.BatchAllocCeiling = p.BatchAllocCeiling
-	sched := scheduler.New(schedCfg, cell, k, sink, root.Split("scheduler"))
+	sched := scheduler.New(p.Sched, cell, k, sink, root.Split("scheduler"), opts.Metrics)
 
 	// Autopilot. Limit updates flow through the scheduler's setter so its
 	// incremental admission accounting tracks autoscaled requests.
@@ -221,7 +210,7 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 			Machines: p.Machines,
 			Horizon:  opts.Horizon,
 			Seed:     opts.Seed,
-			Arrival:  workload.MustParseArrival(arrival).String(),
+			Arrival:  arrival,
 			IDBase:   opts.IDBase,
 		})
 		gen = recorder

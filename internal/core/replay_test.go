@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/trace/tracetest"
@@ -56,9 +57,9 @@ func TestReplayIdenticalAcrossPolicies(t *testing.T) {
 
 	var files [2][]byte
 	var traces [2]*trace.MemTrace
-	for i, policy := range []string{"random-fit", "best-fit"} {
+	for i, policy := range []scheduler.PlacementPolicy{scheduler.RandomFit, scheduler.BestFit} {
 		p := workload.Profile2019("a", 180)
-		RunKnobs{Policy: policy}.Apply(p)
+		RunKnobs{Policy: &policy}.Apply(p)
 		o := replayOpts()
 		o.Replay = rec.Workload
 		o.RecordWorkload = true
@@ -91,7 +92,11 @@ func TestReplayIgnoresArrivalOverride(t *testing.T) {
 	_, plain := runRetained(workload.Profile2019("a", 180), a)
 
 	pb := workload.Profile2019("a", 180)
-	pb.Arrival = "gamma:cv=2.5"
+	gamma, err := workload.ParseArrival("gamma:cv=2.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb.Arrival = gamma
 	b := replayOpts()
 	b.Replay = rec.Workload
 	_, overridden := runRetained(pb, b)

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/analysis/streaming"
 	"repro/internal/cluster"
-	"repro/internal/dist"
 	"repro/internal/rng"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -42,12 +41,9 @@ func buildUsageBenchState(tb testing.TB, machines int, warmup sim.Time) *usageBe
 	root := rng.New(11)
 	k := sim.NewKernel()
 	cell := cluster.BuildCell(p.Name, p.Machines, p.Shapes, p.Overcommit, root.Split("machines"))
-	schedCfg := scheduler.DefaultConfig()
-	schedCfg.Policy = p.Policy
-	schedCfg.CandidateSample = p.CandidateSample
-	schedCfg.ServiceTime = dist.LogNormalFromMedian(p.SchedServiceMedian, p.SchedServiceSigma)
+	schedCfg := p.Sched
 	schedCfg.Batch = false
-	sched := scheduler.New(schedCfg, cell, k, tracetest.NopSink{}, root.Split("scheduler"))
+	sched := scheduler.New(schedCfg, cell, k, tracetest.NopSink{}, root.Split("scheduler"), nil)
 	gen := workload.NewGeneratorArrival(p, cell.Capacity().CPU, warmup, root.Split("workload"), 1)
 	var scheduleArrival func(now sim.Time)
 	scheduleArrival = func(now sim.Time) {

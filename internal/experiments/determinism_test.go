@@ -49,7 +49,11 @@ func TestSuiteDeterministicPerPolicy(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			sc := Scale{Name: "tiny", Machines2011: 40, Machines2019: 30,
 				Horizon: 3 * sim.Hour, Warmup: sim.Hour, Seed: 11}
-			sc.Policy = name
+			policy, err := scheduler.ParsePolicy(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Policy = &policy
 			sc.Parallelism = 1
 			serial := RunSuite(sc)
 			sc.Parallelism = 8

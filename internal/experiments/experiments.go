@@ -39,14 +39,13 @@ type Scale struct {
 	// worker pool); <= 0 means GOMAXPROCS. Output is identical at every
 	// setting — per-cell seeds derive from Seed via engine.DeriveSeed.
 	Parallelism int
-	// RunKnobs carries the shared per-run knobs. Policy and Arrival
-	// override every cell profile's placement policy / arrival process by
-	// name (empty keeps each profile's defaults; SuiteProfiles applies
-	// them and panics on unknown names). Metrics/Timeline, when non-nil,
-	// receive the suite's instrument rollup and run timeline (each cell
-	// gets a private registry, merged in spec order — see
-	// engine.RunInstruments); they never change the report or trace
-	// bytes.
+	// RunKnobs carries the shared per-run knobs. Policy and Arrival,
+	// parsed, override every cell profile's placement policy / arrival
+	// process (nil keeps each profile's own; SuiteProfiles applies
+	// them). Metrics/Timeline, when non-nil, receive the suite's
+	// instrument rollup and run timeline (each cell gets a private
+	// registry, merged in spec order — see engine.RunInstruments); they
+	// never change the report or trace bytes.
 	core.RunKnobs
 	// RecordWorkload captures every cell's arrival/job stream into its
 	// CellResult.Workload (see SaveWorkloads for persisting a suite's

@@ -7,6 +7,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/scheduler"
 	"repro/internal/sim"
 )
 
@@ -126,7 +127,8 @@ func TestSuiteRecordReplayRoundTrip(t *testing.T) {
 	}
 
 	alt := base
-	alt.Policy = "best-fit"
+	bestFit := scheduler.BestFit
+	alt.Policy = &bestFit
 	if bytes.Equal(report(alt), r1) {
 		t.Fatal("best-fit under replayed workloads produced the baseline report — policy inert under replay")
 	}

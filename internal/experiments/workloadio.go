@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"repro/internal/core"
+	"repro/internal/report"
 	"repro/internal/workload"
 )
 
@@ -31,16 +33,11 @@ func SaveWorkloads(dir string, results []core.CellResult) error {
 				i, res.Profile.Name)
 		}
 		path := filepath.Join(dir, WorkloadFileName(i, res.Profile.Name))
-		f, err := os.Create(path)
-		if err != nil {
+		if err := report.WriteFile(path, func(w io.Writer) error {
+			_, err := res.Workload.WriteTo(w)
 			return err
-		}
-		if _, err := res.Workload.WriteTo(f); err != nil {
-			f.Close()
+		}); err != nil {
 			return fmt.Errorf("experiments: writing %s: %w", path, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
 		}
 	}
 	return nil

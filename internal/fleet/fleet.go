@@ -46,14 +46,13 @@ import (
 
 // Config describes one fleet run.
 type Config struct {
-	// Cells is the fleet size.
+	// Cells is the fleet size; zero gives an empty report.
 	Cells int
 	// MedianMachines is the median of the lognormal machine-count
-	// distribution cells draw from; <= 0 means 60 (the many-cell suite's
-	// per-cell size, keeping O(100)-cell fleets inside CI memory).
+	// distribution cells draw from; at least 1.
 	MedianMachines int
-	// Horizon is the per-cell simulated duration; 0 means 4 hours. Each
-	// cell's scalars discard the first half as warm-up, and its Figure 6
+	// Horizon is the per-cell simulated duration; positive. Each cell's
+	// scalars discard the first half as warm-up, and its Figure 6
 	// snapshot is taken at mid-horizon.
 	Horizon sim.Time
 	// Seed roots the fleet: cell i simulates with DeriveSeed(Seed, i).
@@ -105,13 +104,13 @@ func cellName(i int) string { return fmt.Sprintf("f%03d", i) }
 // exactly the spec the fleet would run.
 func (cfg Config) Spec(i int, sinks ...trace.Sink) engine.Spec {
 	seed := engine.DeriveSeed(cfg.Seed, i)
-	p := workload.SampleFleetProfile(cellName(i), cfg.medianMachines(),
+	p := workload.SampleFleetProfile(cellName(i), cfg.MedianMachines,
 		rng.New(seed).Split("fleet-profile"))
 	cfg.RunKnobs.Apply(p)
 	return engine.Spec{
 		Profile: p,
 		Options: core.Options{
-			Horizon:    cfg.horizon(),
+			Horizon:    cfg.Horizon,
 			Seed:       seed,
 			IDBase:     engine.IDBase(i),
 			ExtraSinks: sinks,
@@ -119,22 +118,26 @@ func (cfg Config) Spec(i int, sinks ...trace.Sink) engine.Spec {
 	}
 }
 
-func (cfg Config) medianMachines() int {
-	if cfg.MedianMachines <= 0 {
-		return 60
+// Check rejects a negative cell count, a median below one machine and a
+// horizon that is not positive.
+func (cfg Config) Check() error {
+	switch {
+	case cfg.Cells < 0:
+		return fmt.Errorf("fleet: %d cells; want 0 or more", cfg.Cells)
+	case cfg.MedianMachines < 1:
+		return fmt.Errorf("fleet: median of %d machines; want at least 1", cfg.MedianMachines)
+	case cfg.Horizon <= 0:
+		return fmt.Errorf("fleet: horizon %v; want a positive duration", cfg.Horizon)
 	}
-	return cfg.MedianMachines
+	return nil
 }
 
-func (cfg Config) horizon() sim.Time {
-	if cfg.Horizon <= 0 {
-		return 4 * sim.Hour
+// Run simulates the fleet and returns its rollup report. It returns
+// Check's error before any cell runs.
+func Run(cfg Config) (*Report, error) {
+	if err := cfg.Check(); err != nil {
+		return nil, err
 	}
-	return cfg.Horizon
-}
-
-// Run simulates the fleet and returns its rollup report.
-func Run(cfg Config) *Report {
 	n := cfg.Cells
 	names := streaming.ScalarNames()
 	digests := make([]*stats.Digest, len(names))
@@ -142,17 +145,13 @@ func Run(cfg Config) *Report {
 	for i := range digests {
 		digests[i] = stats.NewDigest(stats.DefaultCompression)
 	}
-	rep := &Report{Cells: n, Horizon: cfg.horizon(), Seed: cfg.Seed}
-	if n == 0 {
-		rep.Rollup = rollup(names, digests, sums, 0)
-		return rep
-	}
+	rep := &Report{Cells: n, Horizon: cfg.Horizon, Seed: cfg.Seed}
 
 	// reducers[i] is created with cell i's spec and released once its
 	// scalars are rolled up: the engine's mutex-ordered handoff from the
 	// building worker to the delivering worker covers the slot.
 	reducers := make([]*streaming.CellReducer, n)
-	warmup := cfg.horizon() / 2
+	warmup := cfg.Horizon / 2
 	ri := engine.NewRunInstruments(cfg.Metrics, cfg.Timeline, n)
 	engine.RunStream(n, func(i int) engine.Spec {
 		spec := cfg.Spec(i)
@@ -182,7 +181,7 @@ func Run(cfg Config) *Report {
 		},
 	}))
 	rep.Rollup = rollup(names, digests, sums, n)
-	return rep
+	return rep, nil
 }
 
 // rollup folds the per-metric digests into the report rows.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // testConfig is a fleet small enough for unit tests but large enough to
@@ -25,6 +26,16 @@ func testConfig(par int) Config {
 	}
 }
 
+// mustRun runs a fleet the test knows to be valid.
+func mustRun(t *testing.T, cfg Config) *Report {
+	t.Helper()
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // TestFleetRollupParallelismInvariant pins the headline determinism
 // claim: the fleet report and the streaming per-cell CSV are
 // byte-identical at parallelism 1 and 8 for the same root seed.
@@ -34,7 +45,7 @@ func TestFleetRollupParallelismInvariant(t *testing.T) {
 		cw := NewCellCSV(&csvBuf)
 		cfg := testConfig(par)
 		cfg.OnCell = cw.Cell
-		rep := Run(cfg)
+		rep := mustRun(t, cfg)
 		if err := cw.Close(); err != nil {
 			t.Fatalf("cell CSV: %v", err)
 		}
@@ -64,7 +75,7 @@ func TestFleetReportShape(t *testing.T) {
 	var cells []CellSummary
 	cfg := testConfig(4)
 	cfg.OnCell = func(s CellSummary) { cells = append(cells, s) }
-	rep := Run(cfg)
+	rep := mustRun(t, cfg)
 	if rep.Cells != cfg.Cells || len(cells) != cfg.Cells {
 		t.Fatalf("cells: report %d, observed %d, want %d", rep.Cells, len(cells), cfg.Cells)
 	}
@@ -98,7 +109,7 @@ func TestFleetReportShape(t *testing.T) {
 }
 
 func TestFleetCSVAndTextOutputs(t *testing.T) {
-	rep := Run(testConfig(2))
+	rep := mustRun(t, testConfig(2))
 	var csvBuf, textBuf bytes.Buffer
 	if err := rep.WriteCSV(&csvBuf); err != nil {
 		t.Fatal(err)
@@ -141,29 +152,61 @@ func TestFleetSpecContract(t *testing.T) {
 // them, while its registry and timeline stay off the cell's options
 // (Run gives each cell a private registry and merges them in order).
 func TestFleetSpecAppliesKnobsToProfile(t *testing.T) {
-	cfg := Config{RunKnobs: core.RunKnobs{Policy: "best-fit", Arrival: "gamma:cv=2.5",
-		Metrics: metrics.NewRegistry(), Timeline: metrics.NewTimeline()}}
+	policy := scheduler.BestFit
+	arrival, err := workload.ParseArrival("gamma:cv=2.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(1)
+	cfg.RunKnobs = core.RunKnobs{Policy: &policy, Arrival: &arrival,
+		Metrics: metrics.NewRegistry(), Timeline: metrics.NewTimeline()}
 	for i := 0; i < 4; i++ {
 		spec := cfg.Spec(i)
-		if spec.Profile.Policy != scheduler.BestFit || spec.Profile.Arrival != "gamma:cv=2.5" {
+		if spec.Profile.Sched.Policy != scheduler.BestFit || spec.Profile.Arrival.String() != "gamma:cv=2.5" {
 			t.Fatalf("cell %d profile: policy %v, arrival %q; want best-fit, gamma:cv=2.5",
-				i, spec.Profile.Policy, spec.Profile.Arrival)
+				i, spec.Profile.Sched.Policy, spec.Profile.Arrival)
 		}
 		if spec.Options.Metrics != nil || spec.Options.Timeline != nil {
 			t.Fatalf("cell %d options carry the fleet's registry or timeline", i)
 		}
 	}
-	if p := (Config{}).Spec(0).Profile; p.Policy != scheduler.LeastAllocated || p.Arrival != "" {
-		t.Fatalf("no overrides: policy %v, arrival %q; want the profile defaults", p.Policy, p.Arrival)
+	if p := testConfig(1).Spec(0).Profile; p.Sched.Policy != scheduler.LeastAllocated || p.Arrival.Name != "" {
+		t.Fatalf("no overrides: policy %v, arrival %q; want the profile defaults", p.Sched.Policy, p.Arrival)
 	}
 }
 
 func TestFleetEmpty(t *testing.T) {
-	rep := Run(Config{Cells: 0, Seed: 1})
+	cfg := testConfig(1)
+	cfg.Cells = 0
+	rep := mustRun(t, cfg)
 	if rep.Cells != 0 || rep.TotalMachines != 0 {
 		t.Fatalf("empty fleet report: %+v", rep)
 	}
 	if len(rep.Rollup) != len(streaming.ScalarNames()) {
 		t.Fatal("empty fleet rollup missing metric rows")
+	}
+}
+
+// TestFleetRejectsBadSizes: a negative cell count, a median below one
+// machine and a horizon that is not positive are errors that name the
+// value, never a panic or a silent substitute.
+func TestFleetRejectsBadSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"negative cells", func(c *Config) { c.Cells = -1 }, "-1 cells"},
+		{"zero machines", func(c *Config) { c.MedianMachines = 0 }, "0 machines"},
+		{"negative machines", func(c *Config) { c.MedianMachines = -5 }, "-5 machines"},
+		{"zero horizon", func(c *Config) { c.Horizon = 0 }, "horizon"},
+		{"negative horizon", func(c *Config) { c.Horizon = -3 * sim.Hour }, "horizon"},
+	} {
+		cfg := testConfig(1)
+		tc.edit(&cfg)
+		rep, err := Run(cfg)
+		if err == nil || rep != nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: report %v, error %v; want an error containing %q", tc.name, rep, err, tc.want)
+		}
 	}
 }

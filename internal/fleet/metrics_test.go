@@ -17,13 +17,13 @@ import (
 // timeline, live HTTP server) leaves the fleet report identical, and
 // the rollup arrives with the fleet's scheduler activity.
 func TestFleetMetricsDoNotChangeReport(t *testing.T) {
-	plain := Run(testConfig(4))
+	plain := mustRun(t, testConfig(4))
 
 	cfg := testConfig(4)
 	reg := metrics.NewRegistry()
 	cfg.Metrics = reg
 	cfg.Timeline = metrics.NewTimeline()
-	instrumented := Run(cfg)
+	instrumented := mustRun(t, cfg)
 
 	if !reflect.DeepEqual(plain, instrumented) {
 		t.Fatalf("fleet report differs with metrics enabled:\nplain: %+v\ninstrumented: %+v",
@@ -80,7 +80,7 @@ func TestFleetLiveMetricsScrape(t *testing.T) {
 			}
 		}
 	}
-	Run(cfg)
+	mustRun(t, cfg)
 
 	if len(midRun) != cfg.Cells {
 		t.Fatalf("captured %d mid-run scrapes, want %d", len(midRun), cfg.Cells)

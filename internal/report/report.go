@@ -8,6 +8,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -228,4 +229,18 @@ func WriteCSV(w io.Writer, headers []string, rows [][]string) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// WriteFile creates path, runs write on it and closes it, returning the
+// first error.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -22,11 +22,11 @@ func benchCell(n, residents int, tier trace.Tier, priority int, limit, usage tra
 func benchPolicyCell(policy PlacementPolicy, n, residents int, tier trace.Tier, priority int, limit, usage trace.Resources, oc cluster.OvercommitPolicy) (*Scheduler, *cluster.Cell) {
 	cell := cluster.NewCell("bench", oc)
 	k := sim.NewKernel()
-	cfg := DefaultConfig()
+	cfg := testConfig()
 	cfg.Policy = policy
 	cfg.Batch = false
 	cfg.ServiceTime = constService(0.001)
-	s := New(cfg, cell, k, tracetest.NopSink{}, rng.New(7))
+	s := New(cfg, cell, k, tracetest.NopSink{}, rng.New(7), nil)
 	id := trace.CollectionID(1)
 	for i := 0; i < n; i++ {
 		m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")

@@ -45,11 +45,10 @@ func TestInstrumentedPlacementZeroAllocs(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cell := cluster.NewCell("bench", defaultOC)
 	k := sim.NewKernel()
-	cfg := DefaultConfig()
+	cfg := testConfig()
 	cfg.Batch = false
 	cfg.ServiceTime = constService(0.001)
-	cfg.Metrics = reg
-	s := New(cfg, cell, k, tracetest.NopSink{}, rng.New(7))
+	s := New(cfg, cell, k, tracetest.NopSink{}, rng.New(7), reg)
 	id := trace.CollectionID(1)
 	for i := 0; i < 64; i++ {
 		m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
@@ -113,10 +112,10 @@ func TestEvictMachineZeroAllocs(t *testing.T) {
 	cell := cluster.NewCell("evict", defaultOC)
 	m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
 	k := sim.NewKernel()
-	cfg := DefaultConfig()
+	cfg := testConfig()
 	cfg.Batch = false
 	cfg.ServiceTime = constService(0.001)
-	s := New(cfg, cell, k, tracetest.NopSink{}, rng.New(7))
+	s := New(cfg, cell, k, tracetest.NopSink{}, rng.New(7), nil)
 	j := NewJob(1)
 	j.Type = trace.CollectionJob
 	j.Tier = trace.TierFree

@@ -53,14 +53,11 @@ func (s *Scheduler) pickMachine(t *Task) *cluster.Machine {
 	if len(ids) == 0 {
 		return nil
 	}
-	k := s.cfg.CandidateSample
-	if k > len(ids) {
-		k = len(ids)
-	}
+	first, end := s.scanPlan(len(ids))
 	var best *cluster.Machine
 	bestScore := math.Inf(1)
-	for i := 0; i < k; i++ {
-		m := s.cell.Machine(ids[s.src.Intn(len(ids))])
+	for c := first; c < end; c++ {
+		m := s.candidate(ids, c)
 		if m == nil || !m.FitsLimit(t.Request) {
 			continue
 		}
@@ -80,6 +77,36 @@ func (s *Scheduler) pickMachine(t *Task) *cluster.Machine {
 		}
 	}
 	return best
+}
+
+// scanPlan returns the scan positions [first, end) of one placement
+// attempt over a cell of n machines. A cell larger than the candidate
+// sample is sampled with replacement: the positions are negative and
+// each draws a machine. A cell no larger than the sample is scanned
+// whole instead, each machine once from one random offset, so a lone fit
+// is never missed: position c is machine c mod n (Config.CandidateSample
+// says what that order favours).
+func (s *Scheduler) scanPlan(n int) (first, end int) {
+	if s.cfg.CandidateSample >= n {
+		off := s.src.Intn(n)
+		return off, off + n
+	}
+	return -s.cfg.CandidateSample, 0
+}
+
+// candidate returns the machine at scan position c (see scanPlan). It
+// is kept out of the scan loops: inlined there, its draw spills
+// registers in the preemption walk.
+//
+//go:noinline
+func (s *Scheduler) candidate(ids []trace.MachineID, c int) *cluster.Machine {
+	j := c
+	if c < 0 {
+		j = s.src.Intn(len(ids))
+	} else if j >= len(ids) {
+		j -= len(ids)
+	}
+	return s.cell.Machine(ids[j])
 }
 
 // takeResident returns a Resident record for a placement, recycling one
@@ -169,14 +196,11 @@ func (s *Scheduler) tryPreemption(t *Task) *cluster.Machine {
 	if len(ids) == 0 {
 		return nil
 	}
-	k := s.cfg.CandidateSample
-	if k > len(ids) {
-		k = len(ids)
-	}
+	first, end := s.scanPlan(len(ids))
 	var best *cluster.Machine
 	s.preBest = s.preBest[:0]
-	for i := 0; i < k; i++ {
-		m := s.cell.Machine(ids[s.src.Intn(len(ids))])
+	for c := first; c < end; c++ {
+		m := s.candidate(ids, c)
 		if m == nil {
 			continue
 		}

@@ -146,13 +146,3 @@ func ParsePolicy(name string) (PlacementPolicy, error) {
 	return 0, fmt.Errorf("scheduler: unknown placement policy %q (policies: %s)",
 		name, strings.Join(PolicyNames(), ", "))
 }
-
-// MustParsePolicy is ParsePolicy for static configuration: it panics on
-// an unknown name.
-func MustParsePolicy(name string) PlacementPolicy {
-	p, err := ParsePolicy(name)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}

@@ -34,9 +34,6 @@ func TestPolicyNameRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %q: got %d, want %d", name, int(parsed), int(p))
 		}
 	}
-	if MustParsePolicy("least-allocated") != LeastAllocated {
-		t.Fatal("MustParsePolicy mismatch")
-	}
 }
 
 // TestParsePolicyUnknown checks the unknown-name error names the typo and
@@ -56,14 +53,6 @@ func TestParsePolicyUnknown(t *testing.T) {
 			t.Fatalf("error does not list valid policy %q: %q", name, msg)
 		}
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("MustParsePolicy did not panic on unknown name")
-			}
-		}()
-		MustParsePolicy("bestfit")
-	}()
 }
 
 // TestPolicyScoreMatchesLegacySwitch is the differential oracle for the
@@ -182,11 +171,11 @@ func TestOneShotGivesUp(t *testing.T) {
 		cell := cluster.NewCell("oneshot", defaultOC)
 		cell.AddMachine(trace.Resources{CPU: 0.1, Mem: 0.1}, "P0")
 		k := sim.NewKernel()
-		cfg := DefaultConfig()
+		cfg := testConfig()
 		cfg.Policy = policy
 		cfg.Batch = false
 		cfg.ServiceTime = constService(0.001)
-		return New(cfg, cell, k, tracetest.NopSink{}, rng.New(3)), k
+		return New(cfg, cell, k, tracetest.NopSink{}, rng.New(3), nil), k
 	}
 	submit := func(s *Scheduler, k *sim.Kernel) (*Job, Stats) {
 		j := NewJob(1)

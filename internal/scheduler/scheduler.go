@@ -21,13 +21,21 @@ import (
 	"repro/internal/trace"
 )
 
-// Config parameterizes the scheduler.
+// Config parameterizes the scheduler. A cell's configuration lives in
+// its profile (workload.CellProfile.Sched, which Profile2011 and
+// Profile2019 fill per era); core.Run hands it over unchanged. The
+// run's metrics registry is passed to New beside it, so a profile holds
+// no registry.
 type Config struct {
 	// Policy selects the placement brain (see policy.go).
 	Policy PlacementPolicy
 	// CandidateSample is how many machines a placement attempt examines
-	// (power-of-k-choices sampling, as production schedulers do to bound
-	// scan cost).
+	// (power-of-k-choices sampling with replacement, as production
+	// schedulers do to bound scan cost). A cell of at most this many
+	// machines is scanned whole instead, each machine once in ID order
+	// from a random offset: a lone fit is never missed, but among several
+	// feasible or tied machines the first after the offset wins, which
+	// is not uniform.
 	CandidateSample int
 	// ServiceTime is the simulated time one placement attempt occupies
 	// the scheduler, in seconds. Scheduling delay distributions
@@ -41,12 +49,6 @@ type Config struct {
 	// best-effort batch tier may have allocated before further jobs are
 	// held in the queue.
 	BatchAllocCeiling float64
-	// Metrics receives the scheduler's activity counters (the sched_*
-	// instruments; see newSchedInstruments for the catalogue). Nil gets a
-	// private registry, so counting is unconditional and Stats always
-	// works. Instruments observe only — they consume no randomness and
-	// cannot change a single trace byte (the metrics package contract).
-	Metrics *metrics.Registry
 }
 
 const (
@@ -76,18 +78,6 @@ const (
 	// with high probability (they are migrated gracefully instead).
 	prodEvictionSLO = 0.08
 )
-
-// DefaultConfig returns a 2019-profile scheduler configuration. core.Run
-// starts from it and overrides the fields a cell profile sets.
-func DefaultConfig() Config {
-	return Config{
-		Policy:            LeastAllocated,
-		CandidateSample:   16,
-		ServiceTime:       dist.LogNormalFromMedian(0.06, 0.9),
-		Batch:             true,
-		BatchAllocCeiling: 0.85,
-	}
-}
 
 // Outcome is a job's scripted final state, decided by the workload model.
 type Outcome int
@@ -401,9 +391,13 @@ type Scheduler struct {
 	UnplaceHook func(t *Task, runStart sim.Time)
 }
 
-// New constructs a scheduler bound to a cell, kernel and sink.
-func New(cfg Config, cell *cluster.Cell, k *sim.Kernel, sink trace.Sink, src *rng.Source) *Scheduler {
-	reg := cfg.Metrics
+// New constructs a scheduler bound to a cell, kernel and sink. reg
+// receives the scheduler's activity counters (the sched_* instruments;
+// see newSchedInstruments for the catalogue). Nil gets a private
+// registry, so counting is unconditional and Stats always works.
+// Instruments observe only — they consume no randomness and cannot
+// change a single trace byte (the metrics package contract).
+func New(cfg Config, cell *cluster.Cell, k *sim.Kernel, sink trace.Sink, src *rng.Source, reg *metrics.Registry) *Scheduler {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}

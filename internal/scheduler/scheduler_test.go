@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/dist"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -40,7 +41,7 @@ func newRigOC(t *testing.T, cfg Config, oc cluster.OvercommitPolicy, machines in
 		m := cell.AddMachine(capacity, "P0")
 		tr.MachineEvent(trace.MachineEvent{Time: 0, Machine: m.ID, Type: trace.MachineAdd, Capacity: capacity, Platform: "P0"})
 	}
-	sched := New(cfg, cell, k, tr, rng.New(42))
+	sched := New(cfg, cell, k, tr, rng.New(42), nil)
 	return &testRig{cell: cell, k: k, tr: tr, sched: sched}
 }
 
@@ -51,8 +52,22 @@ type constService float64
 // Sample returns the constant.
 func (c constService) Sample(*rng.Source) float64 { return float64(c) }
 
+// testConfig is the placement configuration the package's tests and
+// benchmarks start from: least-allocated over a 16-machine sample, a
+// lognormal service time of median 0.06 s, and the batch queue with an
+// 85% ceiling.
+func testConfig() Config {
+	return Config{
+		Policy:            LeastAllocated,
+		CandidateSample:   16,
+		ServiceTime:       dist.LogNormalFromMedian(0.06, 0.9),
+		Batch:             true,
+		BatchAllocCeiling: 0.85,
+	}
+}
+
 func fastConfig() Config {
-	cfg := DefaultConfig()
+	cfg := testConfig()
 	cfg.ServiceTime = constService(0.001)
 	cfg.Batch = false
 	return cfg
@@ -732,5 +747,45 @@ func TestStringers(t *testing.T) {
 	}
 	if OutcomeFinish.String() != "finish" || OutcomeKill.String() != "kill" || OutcomeFail.String() != "fail" {
 		t.Fatal("outcome strings")
+	}
+}
+
+// TestSmallCellScanFindsLoneFit: in a cell no larger than the candidate
+// sample, a placement attempt visits every machine, so the one machine
+// with room is found on the first attempt under every policy and seed.
+// Sampling 16 candidates with replacement from 4 machines would miss it
+// in about a third of the attempts.
+func TestSmallCellScanFindsLoneFit(t *testing.T) {
+	for _, name := range PolicyNames() {
+		policy, err := ParsePolicy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := uint64(1); seed <= 50; seed++ {
+			cell := cluster.NewCell("small", strictOC)
+			var free trace.MachineID
+			for i := 0; i < 4; i++ {
+				m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
+				if i == 2 {
+					free = m.ID
+					continue
+				}
+				cell.Place(m.ID, &cluster.Resident{
+					Key:   trace.InstanceKey{Collection: 1000, Index: int32(i)},
+					Limit: trace.Resources{CPU: 1, Mem: 1}, Priority: 200, Tier: trace.TierProduction,
+				})
+			}
+			k := sim.NewKernel()
+			cfg := fastConfig()
+			cfg.Policy = policy
+			s := New(cfg, cell, k, tracetest.NopSink{}, rng.New(seed), nil)
+			j := mkJob(1, 110, trace.TierBestEffortBatch, 1, trace.Resources{CPU: 0.5, Mem: 0.5}, sim.Hour)
+			k.At(sim.Second, sim.Func(func(sim.Time) { s.Submit(j) }))
+			k.RunUntil(sim.Minute)
+			if st := s.Stats(); st.PlacementRetries != 0 || j.Tasks[0].Machine != free {
+				t.Fatalf("%s, seed %d: %d retries, task on machine %d; want it on machine %d at the first attempt",
+					name, seed, st.PlacementRetries, j.Tasks[0].Machine, free)
+			}
+		}
 	}
 }

@@ -46,7 +46,7 @@ func FuzzParseVariants(f *testing.F) {
 			}
 			p := workload.Profile2019("a", 60)
 			v.Apply(p)
-			knobs := []float64{p.JobsPerHour, p.Overcommit.CPUFactor, p.Overcommit.MemFactor, p.BatchAllocCeiling}
+			knobs := []float64{p.JobsPerHour, p.Overcommit.CPUFactor, p.Overcommit.MemFactor, p.Sched.BatchAllocCeiling}
 			for _, tier := range p.Tiers {
 				knobs = append(knobs, tier.ArrivalShare)
 			}

@@ -168,13 +168,5 @@ func (r *Result) WriteCSVs(dir string) error {
 
 // writeCSVFile writes one CSV through the report codec.
 func writeCSVFile(path string, headers []string, rows [][]string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := report.WriteCSV(f, headers, rows); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return report.WriteFile(path, func(w io.Writer) error { return report.WriteCSV(w, headers, rows) })
 }

@@ -240,7 +240,7 @@ func TestParseVariants(t *testing.T) {
 	if vs[0].Apply == nil || vs[4].Apply != nil {
 		t.Fatal("arrival variant must have an overlay; baseline must not")
 	}
-	for _, bad := range []string{"bogus:1", "arrival:zero", "arrival:-1", "arrival"} {
+	for _, bad := range []string{"bogus:1", "arrival:zero", "arrival:-1", "arrival", ":overcommit=1"} {
 		if _, err := ParseVariants(bad); err == nil {
 			t.Fatalf("ParseVariants(%q) accepted", bad)
 		}
@@ -270,13 +270,13 @@ func TestParseVariantsPolicyAndComposite(t *testing.T) {
 	p := workload.Profile2019("a", 100)
 	baseRate := p.JobsPerHour
 	vs[2].Apply(p)
-	if p.Policy != scheduler.Oversub || p.JobsPerHour != baseRate*1.5 {
-		t.Fatalf("composite overlay: policy %v, rate %g (base %g)", p.Policy, p.JobsPerHour, baseRate)
+	if p.Sched.Policy != scheduler.Oversub || p.JobsPerHour != baseRate*1.5 {
+		t.Fatalf("composite overlay: policy %v, rate %g (base %g)", p.Sched.Policy, p.JobsPerHour, baseRate)
 	}
 	p2 := workload.Profile2019("a", 100)
 	vs[1].Apply(p2)
-	if p2.Policy != scheduler.WorstFit {
-		t.Fatalf("policy overlay: got %v", p2.Policy)
+	if p2.Sched.Policy != scheduler.WorstFit {
+		t.Fatalf("policy overlay: got %v", p2.Sched.Policy)
 	}
 
 	// Every rejection names the valid set it was checked against.
@@ -321,8 +321,8 @@ func TestVariantOverlaysMutateKnobs(t *testing.T) {
 	if p.JobsPerHour != baseRate*0.5 || p.Machines != baseMachines*2 {
 		t.Fatalf("arrival/machines overlays: %g, %d", p.JobsPerHour, p.Machines)
 	}
-	if p.Overcommit.CPUFactor != baseOC*1.5 || p.BatchAllocCeiling != 0.42 {
-		t.Fatalf("overcommit/ceiling overlays: %+v, %g", p.Overcommit, p.BatchAllocCeiling)
+	if p.Overcommit.CPUFactor != baseOC*1.5 || p.Sched.BatchAllocCeiling != 0.42 {
+		t.Fatalf("overcommit/ceiling overlays: %+v, %g", p.Overcommit, p.Sched.BatchAllocCeiling)
 	}
 
 	ProdShift(2).Apply(p)
@@ -431,18 +431,18 @@ func TestParseVariantsArrivalProcesses(t *testing.T) {
 	p := workload.Profile2019("a", 100)
 	baseRate := p.JobsPerHour
 	vs[0].Apply(p)
-	if p.JobsPerHour != baseRate*2 || p.Arrival != "" {
+	if p.JobsPerHour != baseRate*2 || p.Arrival.Name != "" {
 		t.Fatalf("numeric arrival value no longer scales the rate: %g (base %g), arrival %q",
 			p.JobsPerHour, baseRate, p.Arrival)
 	}
 	vs[1].Apply(p)
-	if p.Arrival != "gamma:cv=2.5" {
+	if p.Arrival.Name != "gamma" || p.Arrival.String() != "gamma:cv=2.5" {
 		t.Fatalf("process variant set Arrival = %q", p.Arrival)
 	}
 	p2 := workload.Profile2019("a", 100)
 	vs[3].Apply(p2)
-	if p2.Arrival != "weibull:cv=3" || p2.Policy != scheduler.BestFit {
-		t.Fatalf("composite overlay: arrival %q, policy %v", p2.Arrival, p2.Policy)
+	if p2.Arrival.String() != "weibull:cv=3" || p2.Sched.Policy != scheduler.BestFit {
+		t.Fatalf("composite overlay: arrival %q, policy %v", p2.Arrival, p2.Sched.Policy)
 	}
 
 	for _, tc := range []struct {

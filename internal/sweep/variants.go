@@ -58,7 +58,7 @@ func OvercommitScale(f float64) Variant {
 func AllocCeiling(v float64) Variant {
 	return Variant{
 		Name:  "allocceiling:" + ftoa(v),
-		Apply: func(p *workload.CellProfile) { p.BatchAllocCeiling = v },
+		Apply: func(p *workload.CellProfile) { p.Sched.BatchAllocCeiling = v },
 	}
 }
 
@@ -98,10 +98,9 @@ func ArrivalProcessVariant(spec string) (Variant, error) {
 	if err != nil {
 		return Variant{}, fmt.Errorf("sweep: %w", err)
 	}
-	canonical := parsed.String()
 	return Variant{
-		Name:  "arrival:" + canonical,
-		Apply: func(p *workload.CellProfile) { p.Arrival = canonical },
+		Name:  "arrival:" + parsed.String(),
+		Apply: func(p *workload.CellProfile) { p.Arrival = parsed },
 	}, nil
 }
 
@@ -134,7 +133,7 @@ func PolicyVariant(name string) (Variant, error) {
 	}
 	return Variant{
 		Name:  "policy:" + name,
-		Apply: func(p *workload.CellProfile) { p.Policy = policy },
+		Apply: func(p *workload.CellProfile) { p.Sched.Policy = policy },
 	}, nil
 }
 
@@ -212,6 +211,9 @@ func checkValue(f float64, clause string) error {
 // clause into one variant carrying the clause's own name and applying
 // every knob overlay in order.
 func parseNamedClause(name, values, clause string) (Variant, error) {
+	if name == "" {
+		return Variant{}, fmt.Errorf("sweep: composite clause %q has no name (want name:knob=value)", clause)
+	}
 	var overlays []func(*workload.CellProfile)
 	for _, kv := range strings.Split(values, ",") {
 		knob, value, ok := strings.Cut(kv, "=")

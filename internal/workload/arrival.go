@@ -197,16 +197,6 @@ func ParseArrival(spec string) (ArrivalSpec, error) {
 	return out, nil
 }
 
-// MustParseArrival is ParseArrival for static configuration: it panics
-// on a malformed spec, like scheduler.MustParsePolicy.
-func MustParseArrival(spec string) ArrivalSpec {
-	s, err := ParseArrival(spec)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // newArrival instantiates the spec's process for one generator.
 func newArrival(spec ArrivalSpec, p *CellProfile, horizon sim.Time, src *rng.Source) ArrivalProcess {
 	name := spec.Name

@@ -15,6 +15,16 @@ func constantRateProfile() *CellProfile {
 	return p
 }
 
+// mustParseArrival parses a spec the test knows to be valid.
+func mustParseArrival(tb testing.TB, spec string) ArrivalSpec {
+	tb.Helper()
+	s, err := ParseArrival(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func TestParseArrivalErrorsListValidSets(t *testing.T) {
 	cases := []struct {
 		spec string
@@ -76,7 +86,7 @@ func TestArrivalProcessesDeterministic(t *testing.T) {
 	specs := []string{"poisson", "gamma:cv=2.5", "weibull:cv=2.5", "cohorts:k=20,skew=1.4"}
 	drive := func(spec string, seed uint64) []string {
 		p := Profile2019("a", 600)
-		a := newArrival(MustParseArrival(spec), p, 1000*sim.Hour, rng.New(seed))
+		a := newArrival(mustParseArrival(t, spec), p, 1000*sim.Hour, rng.New(seed))
 		var out []string
 		now := sim.Time(0)
 		for i := 0; i < 500; i++ {
@@ -118,7 +128,7 @@ func TestArrivalProcessesMatchProfileRate(t *testing.T) {
 			p = Profile2019("a", 600) // thinning handles the diurnal envelope exactly
 		}
 		horizon := sim.Time(10 * sim.Day)
-		a := newArrival(MustParseArrival(spec), p, horizon, rng.New(5))
+		a := newArrival(mustParseArrival(t, spec), p, horizon, rng.New(5))
 		now := sim.Time(0)
 		n := 0
 		for {
@@ -150,7 +160,7 @@ func TestRenewalCVKnob(t *testing.T) {
 		{"weibull:cv=0.6", 0.6},
 	} {
 		p := constantRateProfile()
-		a := newArrival(MustParseArrival(tc.spec), p, 1_000_000*sim.Hour, rng.New(17))
+		a := newArrival(mustParseArrival(t, tc.spec), p, 1_000_000*sim.Hour, rng.New(17))
 		const n = 40000
 		var sum, sumSq float64
 		now := sim.Time(0)
@@ -175,7 +185,7 @@ func TestRenewalCVKnob(t *testing.T) {
 // client the heaviest submitter.
 func TestCohortUsers(t *testing.T) {
 	p := constantRateProfile()
-	a := newArrival(MustParseArrival("cohorts:k=10,skew=1.5"), p, 1_000_000*sim.Hour, rng.New(23))
+	a := newArrival(mustParseArrival(t, "cohorts:k=10,skew=1.5"), p, 1_000_000*sim.Hour, rng.New(23))
 	counts := make(map[string]int)
 	now := sim.Time(0)
 	for i := 0; i < 20000; i++ {
@@ -200,7 +210,7 @@ func TestCohortUsers(t *testing.T) {
 // identical to the default generator at the same seed.
 func TestPoissonMatchesDefaultGenerator(t *testing.T) {
 	p1, p2 := Profile2019("a", 600), Profile2019("a", 600)
-	p2.Arrival = "poisson"
+	p2.Arrival = mustParseArrival(t, "poisson")
 	horizon := 100 * sim.Hour
 	g1 := NewGeneratorArrival(p1, testCapacityCPU, horizon, rng.New(9), 1)
 	g2 := NewGeneratorArrival(p2, testCapacityCPU, horizon, rng.New(9), 1)
@@ -250,7 +260,7 @@ func BenchmarkArrivalProcess(b *testing.B) {
 	for _, spec := range []string{"poisson", "gamma:cv=2.5", "weibull:cv=2.5", "cohorts:k=40"} {
 		b.Run(spec, func(b *testing.B) {
 			p := Profile2019("a", 600)
-			a := newArrival(MustParseArrival(spec), p, sim.FromHours(1e12), rng.New(1))
+			a := newArrival(mustParseArrival(b, spec), p, sim.FromHours(1e12), rng.New(1))
 			now := sim.Time(0)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -79,12 +79,12 @@ type Generator struct {
 const usageCompensation = 1.15
 
 // NewGeneratorArrival builds a generator for the profile over the given
-// horizon, with the arrival process the profile's Arrival spec selects
+// horizon, with the arrival process the profile's parsed Arrival selects
 // (default poisson). startID seeds collection IDs so multiple cells get
-// disjoint ID spaces. It panics on a malformed spec — callers validate
-// user input with ParseArrival first. Construction consumes no
-// randomness, so building and discarding a generator never perturbs the
-// cell's draw sequence.
+// disjoint ID spaces. It panics only on a hand-built ArrivalSpec naming
+// an unregistered process; ParseArrival never returns one. Construction
+// consumes no randomness, so building and discarding a generator never
+// perturbs the cell's draw sequence.
 func NewGeneratorArrival(p *CellProfile, capacityCPU float64, horizon sim.Time, src *rng.Source, startID trace.CollectionID) *Generator {
 	g := &Generator{
 		p:           p,
@@ -93,7 +93,7 @@ func NewGeneratorArrival(p *CellProfile, capacityCPU float64, horizon sim.Time, 
 		capacityCPU: capacityCPU,
 		nextID:      startID,
 	}
-	g.arr = newArrival(MustParseArrival(p.Arrival), p, horizon, src)
+	g.arr = newArrival(p.Arrival, p, horizon, src)
 	shares := make([]float64, len(p.Tiers))
 	rate := p.TotalArrivalRate()
 	horizonHours := horizon.Hours()
@@ -246,7 +246,7 @@ func (g *Generator) makeJob(now sim.Time) *scheduler.Job {
 	j.Tier = tp.Tier
 	j.Priority = tp.Priorities[tg.prio.Draw(g.src)]
 	j.User = g.user()
-	if tp.BatchScheduler && g.p.BatchQueue {
+	if tp.BatchScheduler && g.p.Sched.Batch {
 		j.Scheduler = trace.SchedulerBatch
 	}
 	j.Scaling = trace.VerticalScaling(tg.scaling.Draw(g.src))

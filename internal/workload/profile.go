@@ -12,6 +12,7 @@ package workload
 
 import (
 	"repro/internal/cluster"
+	"repro/internal/dist"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -70,7 +71,9 @@ type TierParams struct {
 	ScalingProbs [3]float64
 }
 
-// CellProfile calibrates one simulated cell.
+// CellProfile calibrates one simulated cell. It is the one home of each
+// cell setting, its scheduler configuration and arrival process included:
+// overrides and sweep variants write here, core.Run reads here.
 type CellProfile struct {
 	Name string
 	Era  trace.Era
@@ -83,9 +86,9 @@ type CellProfile struct {
 	// phase is the local-time offset (cell g runs at Singapore time).
 	DiurnalAmplitude float64
 	DiurnalPhase     sim.Time
-	// Arrival selects the arrival process by spec (see ParseArrival);
-	// empty means the default diurnally-thinned poisson stream.
-	Arrival string
+	// Arrival is the parsed arrival process (see ParseArrival); the zero
+	// value is the default diurnally-thinned poisson stream.
+	Arrival ArrivalSpec
 	Tiers   []TierParams
 	// AllocSetFraction is the fraction of collections that are alloc
 	// sets (§5.1: 2%).
@@ -101,20 +104,10 @@ type CellProfile struct {
 	MaintenanceRate float64
 	// Overcommit is the cell's allocation policy (§4).
 	Overcommit cluster.OvercommitPolicy
-	// Placement tuning for the scheduler.
-	Policy          scheduler.PlacementPolicy
-	CandidateSample int
-	// SchedServiceMedian is the median per-placement service time in
-	// seconds (Figure 10 calibration).
-	SchedServiceMedian float64
-	SchedServiceSigma  float64
-	// BatchQueue enables the batch scheduler front-end.
-	BatchQueue bool
-	// BatchAllocCeiling is the batch admission controller's
-	// best-effort-batch CPU allocation ceiling (fraction of cell
-	// capacity). Parameter sweeps vary it to probe admission-pressure
-	// sensitivity.
-	BatchAllocCeiling float64
+	// Sched is the cell's scheduler configuration, service time being the
+	// Figure 10 calibration. core.Run hands it to scheduler.New as is;
+	// the generator routes batch-tier jobs to the queue iff Batch.
+	Sched scheduler.Config
 	// UsageNoiseSigma is the per-window lognormal usage noise.
 	UsageNoiseSigma float64
 	// MemUnderProvisionProb is the chance a task's memory limit sits
@@ -185,12 +178,12 @@ func Profile2011(machines int) *CellProfile {
 		InAllocMemBoost:  1,
 		MaintenanceRate:  1.0,
 		// §4: in 2011 CPU was over-committed far more than memory.
-		Overcommit:            cluster.OvercommitPolicy{CPUFactor: 1.30, MemFactor: 1.00},
-		Policy:                scheduler.RandomFit,
-		CandidateSample:       6,
-		SchedServiceMedian:    0.35,
-		SchedServiceSigma:     1.0,
-		BatchQueue:            false,
+		Overcommit: cluster.OvercommitPolicy{CPUFactor: 1.30, MemFactor: 1.00},
+		Sched: scheduler.Config{
+			Policy:          scheduler.RandomFit,
+			CandidateSample: 6,
+			ServiceTime:     dist.LogNormalFromMedian(0.35, 1.0),
+		},
 		UsageNoiseSigma:       0.30,
 		MemUnderProvisionProb: 0.02,
 	}
@@ -312,13 +305,14 @@ func Profile2019(cell string, machines int) *CellProfile {
 		MaintenanceRate:  1.0,
 		// §4: by 2019 memory is over-committed nearly as much as CPU
 		// (in 2011 memory was not over-committed at all).
-		Overcommit:            cluster.OvercommitPolicy{CPUFactor: 1.60, MemFactor: 1.30},
-		Policy:                scheduler.LeastAllocated,
-		CandidateSample:       16,
-		SchedServiceMedian:    0.18,
-		SchedServiceSigma:     1.1,
-		BatchQueue:            true,
-		BatchAllocCeiling:     0.85,
+		Overcommit: cluster.OvercommitPolicy{CPUFactor: 1.60, MemFactor: 1.30},
+		Sched: scheduler.Config{
+			Policy:            scheduler.LeastAllocated,
+			CandidateSample:   16,
+			ServiceTime:       dist.LogNormalFromMedian(0.18, 1.1),
+			Batch:             true,
+			BatchAllocCeiling: 0.85,
+		},
 		UsageNoiseSigma:       0.25,
 		MemUnderProvisionProb: 0.02,
 	}

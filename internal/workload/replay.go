@@ -44,8 +44,9 @@ type RecordingMeta struct {
 	Machines int
 	Horizon  sim.Time
 	Seed     uint64
-	// Arrival is the generating process's spec string.
-	Arrival string
+	// Arrival is the generating process, parsed; the header stores its
+	// String form.
+	Arrival ArrivalSpec
 	// IDBase is the collection-ID base the recording was generated under;
 	// job IDs are stored as offsets from it so a replay can rebase them
 	// into any cell's ID space.
@@ -265,7 +266,7 @@ func (rec *Recording) WriteTo(w io.Writer) (int64, error) {
 	}
 	if err := write("cell %s\nera %d\nmachines %d\nhorizon %d\nseed %d\narrival %s\nidbase %d\narrivals %d\n",
 		quoteIfNeeded(m.Cell), int(m.Era), m.Machines, int64(m.Horizon), m.Seed,
-		quoteIfNeeded(m.Arrival), uint64(m.IDBase), len(rec.Arrivals)); err != nil {
+		quoteIfNeeded(m.Arrival.String()), uint64(m.IDBase), len(rec.Arrivals)); err != nil {
 		return n, err
 	}
 	for ai := range rec.Arrivals {
@@ -396,8 +397,9 @@ func ReadRecording(r io.Reader) (*Recording, error) {
 		case "seed":
 			m.Seed, p.err = strconv.ParseUint(v, 10, 64)
 		case "arrival":
-			if m.Arrival, p.err = unquoteHeader(v); p.err == nil {
-				_, p.err = ParseArrival(m.Arrival)
+			var spec string
+			if spec, p.err = unquoteHeader(v); p.err == nil {
+				m.Arrival, p.err = ParseArrival(spec)
 			}
 		case "idbase":
 			var b uint64

@@ -17,12 +17,12 @@ import (
 func recordCell(t testing.TB, arrival string, idBase trace.CollectionID, seed uint64) *Recording {
 	t.Helper()
 	p := Profile2019("a", 240)
-	p.Arrival = arrival
+	p.Arrival = mustParseArrival(t, arrival)
 	horizon := 12 * sim.Hour
 	gen := NewGeneratorArrival(p, testCapacityCPU, horizon, rng.New(seed), idBase+1)
 	rec := NewRecorder(gen, RecordingMeta{
 		Cell: p.Name, Era: p.Era, Machines: p.Machines, Horizon: horizon,
-		Seed: seed, Arrival: MustParseArrival(p.Arrival).String(), IDBase: idBase,
+		Seed: seed, Arrival: p.Arrival, IDBase: idBase,
 	})
 	drive(rec, horizon)
 	return rec.Recording()
