@@ -1,15 +1,21 @@
-// Command borgquery runs one filter/group-by query over a trace directory
-// — the reproduction's miniature BigQuery (§3, §9). A query scans one
+// Command borgquery runs one filter/group-by query over one table of a
+// trace directory — the reproduction's miniature BigQuery (§3, §9). The
+// tables are the trace's four CSV files, named by their file stems:
+// collection_events (the default), instance_events, instance_usage and
+// machine_events. A table's columns are its CSV header's, each of type
+// int, float or string (an enum's name is a string). A query scans the
 // table's rows once: an optional -where keeps the rows whose string
 // column holds a value; without -group the kept rows are printed, and
 // with -group one row per group (in first-appearance order) carries a
-// count and at most one -agg over a float64 column. An -agg without
-// -group is an error.
+// count and at most one -agg over a float column. An -agg without -group
+// is an error.
 //
 // Usage:
 //
-//	borgquery -trace ./trace-b -table usage -group tier -agg sum:avg_cpu
-//	borgquery -trace ./trace-b -table collections -where tier=prod -limit 10
+//	borgquery -trace ./trace-b -table instance_usage -group tier -agg sum:avg_cpu
+//	borgquery -trace ./trace-b -where tier=prod -limit 10
+//	borgquery -trace ./trace-b -where type=FINISH -group tier
+//	borgquery -trace ./trace-b -table machine_events -group platform
 package main
 
 import (
@@ -21,7 +27,6 @@ import (
 	"log"
 	"math"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -42,13 +47,15 @@ func main() {
 // have a type the flag can use; otherwise run returns an error naming
 // the column and its type.
 func run(w io.Writer, args []string) error {
+	tables := []string{trace.CollectionEventsTable.Name(), trace.InstanceEventsTable.Name(),
+		trace.UsageTable.Name(), trace.MachineEventsTable.Name()}
 	fs := flag.NewFlagSet("borgquery", flag.ContinueOnError)
 	dir := fs.String("trace", "", "trace directory (required)")
-	tbl := fs.String("table", "collections", "table: collections, instances or usage")
+	tbl := fs.String("table", tables[0], "table: "+strings.Join(tables, ", "))
 	var q query
 	fs.StringVar(&q.where, "where", "", "filter on a string column, e.g. tier=prod")
 	fs.StringVar(&q.group, "group", "", "group-by column")
-	fs.StringVar(&q.agg, "agg", "", "aggregation over a float64 column per -group value, e.g. sum:avg_cpu or mean:avg_mem")
+	fs.StringVar(&q.agg, "agg", "", "aggregation over a float column per -group value, e.g. sum:avg_cpu or mean:avg_mem")
 	fs.IntVar(&q.limit, "limit", 20, "max rows (or groups) to print, with a line counting the rest; <= 0 prints all")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -66,57 +73,22 @@ func run(w io.Writer, args []string) error {
 		return err
 	}
 	switch *tbl {
-	case "collections":
-		return runQuery(w, slices.Values(tr.CollectionInfos()), collectionCols, q)
-	case "instances":
-		return runQuery(w, tr.InstanceEvents.All(), instanceCols, q)
-	case "usage":
-		return runQuery(w, tr.UsageRecords.All(), usageCols, q)
+	case trace.CollectionEventsTable.Name():
+		return runQuery(w, tr.CollectionEvents.All(), &trace.CollectionEventsTable, q)
+	case trace.InstanceEventsTable.Name():
+		return runQuery(w, tr.InstanceEvents.All(), &trace.InstanceEventsTable, q)
+	case trace.UsageTable.Name():
+		return runQuery(w, tr.UsageRecords.All(), &trace.UsageTable, q)
+	case trace.MachineEventsTable.Name():
+		return runQuery(w, tr.MachineEvents.All(), &trace.MachineEventsTable, q)
 	}
-	return fmt.Errorf("unknown table %q (want collections, instances or usage)", *tbl)
+	return fmt.Errorf("unknown table %q (want %s)", *tbl, strings.Join(tables, ", "))
 }
 
 // query holds the query flags as given.
 type query struct {
 	where, group, agg string
 	limit             int
-}
-
-// column is one column of a trace table: its name, its type ("int64",
-// "float64" or "string") and its value in a row, of that Go type.
-type column[R any] struct {
-	name, typ string
-	val       func(R) any
-}
-
-var collectionCols = []column[trace.CollectionInfo]{
-	{"id", "int64", func(c trace.CollectionInfo) any { return int64(c.ID) }},
-	{"type", "string", func(c trace.CollectionInfo) any { return c.CollectionType.String() }},
-	{"tier", "string", func(c trace.CollectionInfo) any { return c.Tier.String() }},
-	{"priority", "int64", func(c trace.CollectionInfo) any { return int64(c.Priority) }},
-	{"user", "string", func(c trace.CollectionInfo) any { return c.User }},
-	{"final", "string", func(c trace.CollectionInfo) any { return c.FinalEvent.String() }},
-	{"parent", "int64", func(c trace.CollectionInfo) any { return int64(c.Parent) }},
-}
-
-var instanceCols = []column[trace.InstanceEvent]{
-	{"collection", "int64", func(ev trace.InstanceEvent) any { return int64(ev.Key.Collection) }},
-	{"index", "int64", func(ev trace.InstanceEvent) any { return int64(ev.Key.Index) }},
-	{"type", "string", func(ev trace.InstanceEvent) any { return ev.Type.String() }},
-	{"tier", "string", func(ev trace.InstanceEvent) any { return ev.Tier.String() }},
-	{"machine", "int64", func(ev trace.InstanceEvent) any { return int64(ev.Machine) }},
-	{"time", "int64", func(ev trace.InstanceEvent) any { return int64(ev.Time) }},
-}
-
-var usageCols = []column[trace.UsageRecord]{
-	{"collection", "int64", func(u trace.UsageRecord) any { return int64(u.Key.Collection) }},
-	{"tier", "string", func(u trace.UsageRecord) any { return u.Tier.String() }},
-	{"machine", "int64", func(u trace.UsageRecord) any { return int64(u.Machine) }},
-	{"avg_cpu", "float64", func(u trace.UsageRecord) any { return u.AvgUsage.CPU }},
-	{"avg_mem", "float64", func(u trace.UsageRecord) any { return u.AvgUsage.Mem }},
-	{"max_cpu", "float64", func(u trace.UsageRecord) any { return u.MaxUsage.CPU }},
-	{"limit_cpu", "float64", func(u trace.UsageRecord) any { return u.Limit.CPU }},
-	{"limit_mem", "float64", func(u trace.UsageRecord) any { return u.Limit.Mem }},
 }
 
 // group is one -group value's running count and -agg state.
@@ -134,49 +106,50 @@ var aggregations = map[string]func(g *group) float64{
 	"max":  func(g *group) float64 { return g.max },
 }
 
-// runQuery runs q over rows, whose table has the columns cols, and
-// writes the result to w.
-func runQuery[R any](w io.Writer, rows iter.Seq[R], cols []column[R], q query) error {
-	keep := func(R) bool { return true }
+// runQuery runs q over rows, which are the rows of table t, and writes
+// the result to w.
+func runQuery[R any](w io.Writer, rows iter.Seq[R], t *trace.Table[R], q query) error {
+	cols := t.Columns()
+	keep := func(*R) bool { return true }
 	if q.where != "" {
 		name, val, ok := strings.Cut(q.where, "=")
 		if !ok {
 			return fmt.Errorf("bad -where %q (want col=value)", q.where)
 		}
-		c, err := findColumn(cols, "-where", name, "string")
+		c, err := findColumn(cols, "-where", name, trace.KindString)
 		if err != nil {
 			return err
 		}
-		keep = func(r R) bool { return c.val(r).(string) == val }
+		keep = func(r *R) bool { return c.Value(r).(string) == val }
 	}
 	if q.group == "" {
 		var kept []R
 		for r := range rows {
-			if keep(r) {
+			if keep(&r) {
 				kept = append(kept, r)
 			}
 		}
 		kept, more := limitRows(kept, q.limit)
 		headers := make([]string, len(cols))
 		for i, c := range cols {
-			headers[i] = c.name
+			headers[i] = c.Name()
 		}
 		cells := make([][]string, len(kept))
-		for i, r := range kept {
+		for i := range kept {
 			for _, c := range cols {
-				cells[i] = append(cells[i], cell(c.val(r)))
+				cells[i] = append(cells[i], cell(c.Value(&kept[i])))
 			}
 		}
 		return writeTable(w, headers, cells, more)
 	}
 
-	gc, err := findColumn(cols, "-group", q.group, "")
+	gc, err := findColumn(cols, "-group", q.group)
 	if err != nil {
 		return err
 	}
 	headers := []string{q.group, "n"}
 	var agg func(*group) float64
-	var ac column[R]
+	var ac trace.Column[R]
 	if q.agg != "" {
 		kind, name, ok := strings.Cut(q.agg, ":")
 		if !ok {
@@ -185,7 +158,7 @@ func runQuery[R any](w io.Writer, rows iter.Seq[R], cols []column[R], q query) e
 		if agg = aggregations[kind]; agg == nil {
 			return fmt.Errorf("unknown aggregation %q (want sum, mean, min or max)", kind)
 		}
-		if ac, err = findColumn(cols, "-agg", name, "float64"); err != nil {
+		if ac, err = findColumn(cols, "-agg", name, trace.KindFloat); err != nil {
 			return err
 		}
 		headers = append(headers, kind+"_"+name)
@@ -194,10 +167,10 @@ func runQuery[R any](w io.Writer, rows iter.Seq[R], cols []column[R], q query) e
 	byKey := map[any]*group{}
 	var groups []*group
 	for r := range rows {
-		if !keep(r) {
+		if !keep(&r) {
 			continue
 		}
-		k := gc.val(r)
+		k := gc.Value(&r)
 		g := byKey[k]
 		if g == nil {
 			g = &group{key: k, min: math.Inf(1), max: math.Inf(-1)}
@@ -206,7 +179,7 @@ func runQuery[R any](w io.Writer, rows iter.Seq[R], cols []column[R], q query) e
 		}
 		g.n++
 		if agg != nil {
-			v := ac.val(r).(float64)
+			v := ac.Value(&r).(float64)
 			g.sum += v
 			if v < g.min {
 				g.min = v
@@ -228,21 +201,21 @@ func runQuery[R any](w io.Writer, rows iter.Seq[R], cols []column[R], q query) e
 }
 
 // findColumn returns the column of cols called name. It returns an error
-// naming the flag and the column when there is none, or when typ is not
-// "" and the column's type is not typ.
-func findColumn[R any](cols []column[R], flagName, name, typ string) (column[R], error) {
+// naming the flag and the column when there is none, or when a kind is
+// given and the column is not of that kind.
+func findColumn[R any](cols []trace.Column[R], flagName, name string, kind ...trace.Kind) (trace.Column[R], error) {
 	var names []string
 	for _, c := range cols {
-		if c.name != name {
-			names = append(names, c.name)
+		if c.Name() != name {
+			names = append(names, c.Name())
 			continue
 		}
-		if typ != "" && c.typ != typ {
-			return c, fmt.Errorf("%s column %q is %s, want %s", flagName, name, c.typ, typ)
+		if len(kind) > 0 && c.Kind() != kind[0] {
+			return c, fmt.Errorf("%s column %q is %s, want %s", flagName, name, c.Kind(), kind[0])
 		}
 		return c, nil
 	}
-	return column[R]{}, fmt.Errorf("%s: unknown column %q (columns: %s)", flagName, name, strings.Join(names, ", "))
+	return trace.Column[R]{}, fmt.Errorf("%s: unknown column %q (columns: %s)", flagName, name, strings.Join(names, ", "))
 }
 
 // limitRows returns the first limit elements of xs, or all of them when

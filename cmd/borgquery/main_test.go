@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -43,21 +46,25 @@ func TestRun(t *testing.T) {
 		want string // a substring of the output, or of the error when bad
 		bad  bool
 	}{
-		{"collections", nil, "priority", false},
+		{"collections", nil, "alloc_collection_id", false},
 		{"where", []string{"-where", "tier=prod"}, "prod", false},
-		{"group", []string{"-table", "usage", "-group", "tier", "-agg", "sum:avg_cpu"}, "sum_avg_cpu", false},
-		{"instances agg int column", []string{"-table", "instances", "-group", "type", "-agg", "max:machine"}, `"machine" is int64`, true},
-		{"agg int column", []string{"-group", "tier", "-agg", "sum:priority"}, `-agg column "priority" is int64, want float64`, true},
-		{"where int column", []string{"-where", "priority=3"}, `-where column "priority" is int64, want string`, true},
+		{"group", []string{"-table", "instance_usage", "-group", "tier", "-agg", "sum:avg_cpu"}, "sum_avg_cpu", false},
+		{"group machine_events", []string{"-table", "machine_events", "-group", "platform", "-agg", "max:capacity_mem"}, "max_capacity_mem", false},
+		{"instances agg int column", []string{"-table", "instance_events", "-group", "type", "-agg", "max:machine_id"}, `-agg column "machine_id" is int, want float`, true},
+		{"agg int column", []string{"-group", "tier", "-agg", "sum:priority"}, `-agg column "priority" is int, want float`, true},
+		{"where int column", []string{"-where", "priority=3"}, `-where column "priority" is int, want string`, true},
+		{"where float column", []string{"-table", "instance_usage", "-where", "avg_cpu=0"}, `-where column "avg_cpu" is float, want string`, true},
 		{"unknown group", []string{"-group", "bogus"}, `-group: unknown column "bogus"`, true},
 		{"unknown where", []string{"-where", "bogus=1"}, `-where: unknown column "bogus"`, true},
-		{"unknown agg column", []string{"-table", "usage", "-group", "tier", "-agg", "mean:bogus"}, `-agg: unknown column "bogus"`, true},
-		{"unknown agg kind", []string{"-table", "usage", "-group", "tier", "-agg", "median:avg_cpu"}, `unknown aggregation "median"`, true},
+		{"unknown agg column", []string{"-table", "instance_usage", "-group", "tier", "-agg", "mean:bogus"}, `-agg: unknown column "bogus"`, true},
+		{"unknown agg kind", []string{"-table", "instance_usage", "-group", "tier", "-agg", "median:avg_cpu"}, `unknown aggregation "median"`, true},
 		{"malformed agg", []string{"-group", "tier", "-agg", "sum"}, `bad -agg "sum"`, true},
 		{"malformed where", []string{"-where", "tier"}, `bad -where "tier"`, true},
-		{"agg without group", []string{"-table", "usage", "-agg", "mean:avg_cpu"}, `-agg "mean:avg_cpu" needs -group`, true},
+		{"agg without group", []string{"-table", "instance_usage", "-agg", "mean:avg_cpu"}, `-agg "mean:avg_cpu" needs -group`, true},
 		{"malformed agg without group", []string{"-agg", "median:bogus", "-limit", "1"}, `-agg "median:bogus" needs -group`, true},
 		{"unknown table", []string{"-table", "bogus"}, `unknown table "bogus"`, true},
+		{"retired table name", []string{"-table", "usage"}, `unknown table "usage" (want collection_events, instance_events, instance_usage, machine_events)`, true},
+		{"retired column name", []string{"-table", "instance_usage", "-group", "machine"}, `-group: unknown column "machine"`, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var b bytes.Buffer
@@ -125,7 +132,7 @@ func TestRun(t *testing.T) {
 	// grouped query over an empty selection prints no groups.
 	t.Run("aggregates", func(t *testing.T) {
 		for _, kind := range []string{"sum", "mean"} {
-			rows, more := query(t, "-table", "usage", "-group", "tier", "-agg", kind+":avg_cpu", "-limit", "0")
+			rows, more := query(t, "-table", "instance_usage", "-group", "tier", "-agg", kind+":avg_cpu", "-limit", "0")
 			if len(rows) != len(tiers) || more != 0 {
 				t.Fatalf("%s: %d groups (%d more), want %d", kind, len(rows), more, len(tiers))
 			}
@@ -136,7 +143,7 @@ func TestRun(t *testing.T) {
 				}
 			}
 		}
-		rows, more := query(t, "-table", "usage", "-where", "tier=nope", "-group", "tier", "-agg", "mean:avg_cpu")
+		rows, more := query(t, "-table", "instance_usage", "-where", "tier=nope", "-group", "tier", "-agg", "mean:avg_cpu")
 		if len(rows) != 0 || more != 0 {
 			t.Fatalf("empty selection printed %d groups (%d more)", len(rows), more)
 		}
@@ -146,7 +153,7 @@ func TestRun(t *testing.T) {
 	// of avg_cpu each tier has in the usage rows.
 	t.Run("group_by", func(t *testing.T) {
 		for _, kind := range []string{"min", "max"} {
-			rows, more := query(t, "-table", "usage", "-group", "tier", "-agg", kind+":avg_cpu", "-limit", "0")
+			rows, more := query(t, "-table", "instance_usage", "-group", "tier", "-agg", kind+":avg_cpu", "-limit", "0")
 			if len(rows) != len(tiers) || more != 0 {
 				t.Fatalf("%s: %d groups (%d more), want %d", kind, len(rows), more, len(tiers))
 			}
@@ -160,37 +167,77 @@ func TestRun(t *testing.T) {
 		}
 	})
 
-	// Whatever the key column's type, the group counts partition the
-	// table: distinct keys, summing to its row count.
+	// Every column of every table, named as in its CSV file's header,
+	// works as -group, and whatever its type the group counts partition
+	// the table: distinct keys, summing to its row count.
 	t.Run("group_partition", func(t *testing.T) {
 		for _, c := range []struct {
-			table, key string
-			rows       int
+			table string
+			rows  int
 		}{
-			{"usage", "tier", tr.UsageRecords.Len()},
-			{"usage", "machine", tr.UsageRecords.Len()},
-			{"instances", "type", tr.InstanceEvents.Len()},
-			{"collections", "priority", len(tr.CollectionInfos())},
+			{"collection_events", tr.CollectionEvents.Len()},
+			{"instance_events", tr.InstanceEvents.Len()},
+			{"instance_usage", tr.UsageRecords.Len()},
+			{"machine_events", tr.MachineEvents.Len()},
 		} {
-			rows, more := query(t, "-table", c.table, "-group", c.key, "-limit", "0")
-			if more != 0 {
-				t.Fatalf("%s by %s: %d groups left out at -limit 0", c.table, c.key, more)
+			data, err := os.ReadFile(filepath.Join(dir, c.table+".csv"))
+			if err != nil {
+				t.Fatal(err)
 			}
-			seen := map[string]bool{}
-			total := 0
+			header, _, _ := strings.Cut(string(data), "\n")
+			for _, key := range strings.Split(header, ",") {
+				rows, more := query(t, "-table", c.table, "-group", key, "-limit", "0")
+				if more != 0 {
+					t.Fatalf("%s by %s: %d groups left out at -limit 0", c.table, key, more)
+				}
+				seen := map[string]bool{}
+				total := 0
+				for _, r := range rows {
+					if seen[r[0]] {
+						t.Errorf("%s by %s: key %s printed twice", c.table, key, r[0])
+					}
+					seen[r[0]] = true
+					n, err := strconv.Atoi(r[1])
+					if err != nil {
+						t.Fatalf("%s by %s: count %q: %v", c.table, key, r[1], err)
+					}
+					total += n
+				}
+				if total != c.rows {
+					t.Errorf("%s by %s: counts sum to %d, want %d", c.table, key, total, c.rows)
+				}
+			}
+		}
+	})
+
+	// The collections view's per-tier counts, and its final column's,
+	// come from collection_events: each collection has one SUBMIT row
+	// and at most one terminal row.
+	t.Run("collection_outcomes", func(t *testing.T) {
+		want := map[string]map[string]int{}
+		count := func(typ string, tier trace.Tier) {
+			if want[typ] == nil {
+				want[typ] = map[string]int{}
+			}
+			want[typ][tier.String()]++
+		}
+		for _, c := range tr.CollectionInfos() {
+			count(trace.EventSubmit.String(), c.Tier)
+			if c.FinalEvent != trace.EventSubmit {
+				count(c.FinalEvent.String(), c.Tier)
+			}
+		}
+		if len(want) < 2 {
+			t.Fatalf("no collection terminated; the check needs one")
+		}
+		for typ, byTier := range want {
+			rows, _ := query(t, "-where", "type="+typ, "-group", "tier", "-limit", "0")
+			got := map[string]int{}
 			for _, r := range rows {
-				if seen[r[0]] {
-					t.Errorf("%s by %s: key %s printed twice", c.table, c.key, r[0])
-				}
-				seen[r[0]] = true
-				n, err := strconv.Atoi(r[1])
-				if err != nil {
-					t.Fatalf("%s by %s: count %q: %v", c.table, c.key, r[1], err)
-				}
-				total += n
+				got[r[0]], _ = strconv.Atoi(r[1])
 			}
-			if total != c.rows {
-				t.Errorf("%s by %s: counts sum to %d, want %d", c.table, c.key, total, c.rows)
+			if !maps.Equal(got, byTier) {
+				t.Errorf("type=%s by tier: %v, want %v", typ, got, byTier)
 			}
 		}
 	})
@@ -202,12 +249,12 @@ func TestRun(t *testing.T) {
 				want++
 			}
 		}
-		rows, _ := query(t, "-table", "instances", "-where", "type=SCHEDULE", "-limit", "0")
+		rows, _ := query(t, "-table", "instance_events", "-where", "type=SCHEDULE", "-limit", "0")
 		if len(rows) != want {
 			t.Fatalf("%d SCHEDULE rows, want %d", len(rows), want)
 		}
 		for _, r := range rows {
-			if r[2] != "SCHEDULE" {
+			if r[3] != "SCHEDULE" {
 				t.Fatalf("-where type=SCHEDULE kept %v", r)
 			}
 		}
@@ -216,13 +263,12 @@ func TestRun(t *testing.T) {
 	// Both modes print every row at -limit 0, and a cutting limit prints
 	// that many rows and a footer counting the rest.
 	t.Run("limit", func(t *testing.T) {
-		collections := len(tr.CollectionInfos())
 		for _, mode := range []struct {
 			args []string
 			rows int
 		}{
-			{[]string{"-table", "collections"}, collections},
-			{[]string{"-table", "usage", "-group", "tier"}, len(tiers)},
+			{[]string{"-table", "collection_events"}, tr.CollectionEvents.Len()},
+			{[]string{"-table", "instance_usage", "-group", "tier"}, len(tiers)},
 		} {
 			for _, c := range []struct{ limit, rows, more int }{
 				{0, mode.rows, 0},
@@ -246,13 +292,13 @@ func TestRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		prod := 0
-		for _, c := range tr.CollectionInfos() {
-			if c.Tier == trace.TierProduction {
+		for ev := range tr.CollectionEvents.All() {
+			if ev.Tier == trace.TierProduction {
 				prod++
 			}
 		}
 		if prod < 2 {
-			t.Fatalf("%d prod collections; the check needs two", prod)
+			t.Fatalf("%d prod collection events; the check needs two", prod)
 		}
 		out := b.String()
 		if !strings.Contains(out, "tier") || !strings.Contains(out, "prod") {

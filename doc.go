@@ -211,8 +211,9 @@
 //     hands the stored rows back chunk by chunk through the same method.
 //
 // MultiSink forwards a batch to every child, CountingSink counts len(recs)
-// in one step, DirSink encodes the block through its per-table 1 MB
-// write buffer, and streaming.CellReducer folds a whole batch with its
+// in one step, DirSink formats each row from its table's schema
+// (trace.Table) into one reused record and writes it through the table's
+// 1 MB buffer, and streaming.CellReducer folds a whole batch with its
 // per-collection classification memoized across adjacent rows. The
 // export shard tree and the report are pinned by a SHA-256 and are
 // byte-identical at any parallelism (TestExportTreeByteIdentical).

@@ -34,6 +34,11 @@ func FuzzReadDir(f *testing.F) {
 	}
 	f.Add(tables[0], tables[1], tables[2], tables[3])
 	f.Add([]byte{}, []byte{}, []byte{}, []byte{})
+	// A usage header with avg_cpu and avg_mem swapped, and an empty
+	// machine table: ReadDir must reject both.
+	swapped := bytes.Replace(tables[2], []byte("avg_cpu,avg_mem"), []byte("avg_mem,avg_cpu"), 1)
+	f.Add(tables[0], tables[1], swapped, tables[3])
+	f.Add(tables[0], tables[1], tables[2], []byte{})
 
 	f.Fuzz(func(t *testing.T, coll, inst, usage, mach []byte) {
 		dir := t.TempDir()

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -23,86 +25,231 @@ const (
 	machineEventsFile    = "machine_events.csv"
 )
 
-func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-func itoa(i int64) string   { return strconv.FormatInt(i, 10) }
-func utoa(u uint64) string  { return strconv.FormatUint(u, 10) }
-func ts(t sim.Time) string  { return itoa(int64(t)) }
+// Kind is the type of a column's values as Column.Value returns them:
+// an int64 (uint64 for collection IDs), a float64 or a string (an enum's
+// name).
+type Kind int
 
-// Per-row CSV encoders of DirSink.
+// Column kinds.
+const (
+	KindInt Kind = iota
+	KindFloat
+	KindString
+)
 
-func collectionEventHeader() []string {
-	return []string{
-		"time", "collection_id", "type", "collection_type", "priority",
-		"tier", "user", "parent_collection_id", "alloc_collection_id",
-		"scheduler", "vertical_scaling",
+var kindNames = enumNames[Kind]{"Kind", "kind", []string{"int", "float", "string"}}
+
+// String names the kind.
+func (k Kind) String() string { return kindNames.name(k) }
+
+// Column is one CSV column of a table whose rows have type R. It is bound
+// to one field of R, which it formats for DirSink, parses for ReadDir and
+// reads for queries.
+type Column[R any] struct {
+	name   string
+	kind   Kind
+	format func(r *R) string
+	parse  func(r *R, s string) error
+	value  func(r *R) any
+}
+
+// Name returns the column's CSV header name.
+func (c Column[R]) Name() string { return c.name }
+
+// Kind returns the type of the column's values.
+func (c Column[R]) Kind() Kind { return c.kind }
+
+// Value returns the column's field of r, typed as Kind says.
+func (c Column[R]) Value(r *R) any { return c.value(r) }
+
+// The column constructors, one per field type. Each takes the column's
+// CSV name and f, which points at the column's field in a row.
+
+// intCol is a signed integer column: a time or a priority.
+func intCol[R any, T ~int | ~int64](name string, f func(*R) *T) Column[R] {
+	return Column[R]{name, KindInt,
+		func(r *R) string { return strconv.FormatInt(int64(*f(r)), 10) },
+		func(r *R, s string) error {
+			v, err := strconv.ParseInt(s, 10, 64)
+			*f(r) = T(v)
+			return err
+		},
+		func(r *R) any { return int64(*f(r)) },
 	}
 }
 
-func collectionEventRow(ev CollectionEvent) []string {
-	return []string{
-		ts(ev.Time), utoa(uint64(ev.Collection)), ev.Type.String(),
-		ev.CollectionType.String(), itoa(int64(ev.Priority)),
-		ev.Tier.String(), ev.User, utoa(uint64(ev.Parent)),
-		utoa(uint64(ev.AllocSet)), ev.Scheduler.String(),
-		ev.Scaling.String(),
+// indexCol is a machine ID or instance index column. Its values lie in
+// [0, MaxInt32]; parse rejects the rest, which would wrap when narrowed
+// to the field's int32.
+func indexCol[R any, T ~int32](name string, f func(*R) *T) Column[R] {
+	return Column[R]{name, KindInt,
+		func(r *R) string { return strconv.FormatInt(int64(*f(r)), 10) },
+		func(r *R, s string) error {
+			v, err := strconv.ParseInt(s, 10, 32)
+			if err == nil && v < 0 {
+				err = fmt.Errorf("%d is out of range [0, %d]", v, math.MaxInt32)
+			}
+			*f(r) = T(v)
+			return err
+		},
+		func(r *R) any { return int64(*f(r)) },
 	}
 }
 
-func instanceEventHeader() []string {
-	return []string{
-		"time", "collection_id", "instance_index", "type", "machine_id",
-		"priority", "tier", "request_cpu", "request_mem",
-		"alloc_collection_id", "alloc_instance_index",
+// collectionCol is a collection ID column.
+func collectionCol[R any](name string, f func(*R) *CollectionID) Column[R] {
+	return Column[R]{name, KindInt,
+		func(r *R) string { return strconv.FormatUint(uint64(*f(r)), 10) },
+		func(r *R, s string) error {
+			v, err := strconv.ParseUint(s, 10, 64)
+			*f(r) = CollectionID(v)
+			return err
+		},
+		func(r *R) any { return uint64(*f(r)) },
 	}
 }
 
-func instanceEventRow(ev InstanceEvent) []string {
-	return []string{
-		ts(ev.Time), utoa(uint64(ev.Key.Collection)),
-		itoa(int64(ev.Key.Index)), ev.Type.String(),
-		itoa(int64(ev.Machine)), itoa(int64(ev.Priority)),
-		ev.Tier.String(), ftoa(ev.Request.CPU), ftoa(ev.Request.Mem),
-		utoa(uint64(ev.AllocInstance.Collection)),
-		itoa(int64(ev.AllocInstance.Index)),
+// floatCol is a float column, written in the shortest form that parses
+// back to the same value.
+func floatCol[R any](name string, f func(*R) *float64) Column[R] {
+	return Column[R]{name, KindFloat,
+		func(r *R) string { return strconv.FormatFloat(*f(r), 'g', -1, 64) },
+		func(r *R, s string) (err error) {
+			*f(r), err = strconv.ParseFloat(s, 64)
+			return err
+		},
+		func(r *R) any { return *f(r) },
 	}
 }
 
-func usageHeader() []string {
-	return []string{
-		"start_time", "end_time", "collection_id", "instance_index",
-		"machine_id", "tier", "avg_cpu", "avg_mem", "max_cpu", "max_mem",
-		"limit_cpu", "limit_mem",
+// enumCol is an enum column, written as the names in n.
+func enumCol[R any, E ~int](name string, n enumNames[E], f func(*R) *E) Column[R] {
+	return Column[R]{name, KindString,
+		func(r *R) string { return n.name(*f(r)) },
+		func(r *R, s string) (err error) {
+			*f(r), err = n.parse(s)
+			return err
+		},
+		func(r *R) any { return n.name(*f(r)) },
 	}
 }
 
-func usageRow(rec UsageRecord) []string {
-	return []string{
-		ts(rec.Start), ts(rec.End), utoa(uint64(rec.Key.Collection)),
-		itoa(int64(rec.Key.Index)), itoa(int64(rec.Machine)),
-		rec.Tier.String(), ftoa(rec.AvgUsage.CPU), ftoa(rec.AvgUsage.Mem),
-		ftoa(rec.MaxUsage.CPU), ftoa(rec.MaxUsage.Mem),
-		ftoa(rec.Limit.CPU), ftoa(rec.Limit.Mem),
+// stringCol is a string column, written verbatim.
+func stringCol[R any](name string, f func(*R) *string) Column[R] {
+	return Column[R]{name, KindString,
+		func(r *R) string { return *f(r) },
+		func(r *R, s string) error {
+			*f(r) = s
+			return nil
+		},
+		func(r *R) any { return *f(r) },
 	}
 }
 
-func machineEventHeader() []string {
-	return []string{
-		"time", "machine_id", "type", "capacity_cpu", "capacity_mem", "platform",
-	}
+// Table is one trace table's schema: its CSV file in a trace directory
+// and its columns in file order. DirSink writes the header and rows from
+// it, ReadDir checks the header and decodes rows with it, and borgquery
+// serves its columns under their CSV names.
+type Table[R any] struct {
+	file    string
+	columns []Column[R]
 }
 
-func machineEventRow(ev MachineEvent) []string {
-	return []string{
-		ts(ev.Time), itoa(int64(ev.Machine)), ev.Type.String(),
-		ftoa(ev.Capacity.CPU), ftoa(ev.Capacity.Mem), ev.Platform,
-	}
-}
+// Name returns the table's name: its CSV file name without ".csv".
+func (t *Table[R]) Name() string { return strings.TrimSuffix(t.file, ".csv") }
 
-// tableWriter is one CSV table's open write path.
+// Columns returns the table's columns in file order.
+func (t *Table[R]) Columns() []Column[R] { return t.columns }
+
+// Column names that more than one table uses.
+const (
+	colTime       = "time"
+	colCollection = "collection_id"
+	colAllocSet   = "alloc_collection_id"
+	colIndex      = "instance_index"
+	colMachine    = "machine_id"
+	colType       = "type"
+	colPriority   = "priority"
+	colTier       = "tier"
+)
+
+// The four tables' schemas.
+var (
+	CollectionEventsTable = Table[CollectionEvent]{collectionEventsFile, []Column[CollectionEvent]{
+		intCol(colTime, func(r *CollectionEvent) *sim.Time { return &r.Time }),
+		collectionCol(colCollection, func(r *CollectionEvent) *CollectionID { return &r.Collection }),
+		enumCol(colType, eventTypeNames, func(r *CollectionEvent) *EventType { return &r.Type }),
+		enumCol("collection_type", collectionTypeNames, func(r *CollectionEvent) *CollectionType { return &r.CollectionType }),
+		intCol(colPriority, func(r *CollectionEvent) *int { return &r.Priority }),
+		enumCol(colTier, tierNames, func(r *CollectionEvent) *Tier { return &r.Tier }),
+		stringCol("user", func(r *CollectionEvent) *string { return &r.User }),
+		collectionCol("parent_collection_id", func(r *CollectionEvent) *CollectionID { return &r.Parent }),
+		collectionCol(colAllocSet, func(r *CollectionEvent) *CollectionID { return &r.AllocSet }),
+		enumCol("scheduler", schedulerNames, func(r *CollectionEvent) *SchedulerKind { return &r.Scheduler }),
+		enumCol("vertical_scaling", scalingNames, func(r *CollectionEvent) *VerticalScaling { return &r.Scaling }),
+	}}
+	InstanceEventsTable = Table[InstanceEvent]{instanceEventsFile, []Column[InstanceEvent]{
+		intCol(colTime, func(r *InstanceEvent) *sim.Time { return &r.Time }),
+		collectionCol(colCollection, func(r *InstanceEvent) *CollectionID { return &r.Key.Collection }),
+		indexCol(colIndex, func(r *InstanceEvent) *int32 { return &r.Key.Index }),
+		enumCol(colType, eventTypeNames, func(r *InstanceEvent) *EventType { return &r.Type }),
+		indexCol(colMachine, func(r *InstanceEvent) *MachineID { return &r.Machine }),
+		intCol(colPriority, func(r *InstanceEvent) *int { return &r.Priority }),
+		enumCol(colTier, tierNames, func(r *InstanceEvent) *Tier { return &r.Tier }),
+		floatCol("request_cpu", func(r *InstanceEvent) *float64 { return &r.Request.CPU }),
+		floatCol("request_mem", func(r *InstanceEvent) *float64 { return &r.Request.Mem }),
+		collectionCol(colAllocSet, func(r *InstanceEvent) *CollectionID { return &r.AllocInstance.Collection }),
+		indexCol("alloc_instance_index", func(r *InstanceEvent) *int32 { return &r.AllocInstance.Index }),
+	}}
+	UsageTable = Table[UsageRecord]{usageFile, []Column[UsageRecord]{
+		intCol("start_time", func(r *UsageRecord) *sim.Time { return &r.Start }),
+		intCol("end_time", func(r *UsageRecord) *sim.Time { return &r.End }),
+		collectionCol(colCollection, func(r *UsageRecord) *CollectionID { return &r.Key.Collection }),
+		indexCol(colIndex, func(r *UsageRecord) *int32 { return &r.Key.Index }),
+		indexCol(colMachine, func(r *UsageRecord) *MachineID { return &r.Machine }),
+		enumCol(colTier, tierNames, func(r *UsageRecord) *Tier { return &r.Tier }),
+		floatCol("avg_cpu", func(r *UsageRecord) *float64 { return &r.AvgUsage.CPU }),
+		floatCol("avg_mem", func(r *UsageRecord) *float64 { return &r.AvgUsage.Mem }),
+		floatCol("max_cpu", func(r *UsageRecord) *float64 { return &r.MaxUsage.CPU }),
+		floatCol("max_mem", func(r *UsageRecord) *float64 { return &r.MaxUsage.Mem }),
+		floatCol("limit_cpu", func(r *UsageRecord) *float64 { return &r.Limit.CPU }),
+		floatCol("limit_mem", func(r *UsageRecord) *float64 { return &r.Limit.Mem }),
+	}}
+	MachineEventsTable = Table[MachineEvent]{machineEventsFile, []Column[MachineEvent]{
+		intCol(colTime, func(r *MachineEvent) *sim.Time { return &r.Time }),
+		indexCol(colMachine, func(r *MachineEvent) *MachineID { return &r.Machine }),
+		enumCol(colType, machineEventNames, func(r *MachineEvent) *MachineEventType { return &r.Type }),
+		floatCol("capacity_cpu", func(r *MachineEvent) *float64 { return &r.Capacity.CPU }),
+		floatCol("capacity_mem", func(r *MachineEvent) *float64 { return &r.Capacity.Mem }),
+		stringCol("platform", func(r *MachineEvent) *string { return &r.Platform }),
+	}}
+)
+
+// tableWriter is one CSV table's open write path. rec is the record
+// every row of the table is formatted into before it is written.
 type tableWriter struct {
 	file *os.File
 	buf  *bufio.Writer
 	csv  *csv.Writer
+	rec  []string
+}
+
+// create creates the table's file in dir and writes its header.
+func (t *Table[R]) create(dir string) (tableWriter, error) {
+	f, err := os.Create(filepath.Join(dir, t.file))
+	if err != nil {
+		return tableWriter{}, fmt.Errorf("trace: create %s: %w", t.file, err)
+	}
+	bw := bufio.NewWriterSize(f, 1<<20)
+	w := tableWriter{file: f, buf: bw, csv: csv.NewWriter(bw), rec: make([]string, len(t.columns))}
+	for i, c := range t.columns {
+		w.rec[i] = c.name
+	}
+	if err := w.csv.Write(w.rec); err != nil {
+		f.Close()
+		return tableWriter{}, fmt.Errorf("trace: write %s header: %w", t.file, err)
+	}
+	return w, nil
 }
 
 // DirSink streams trace rows to the trace's on-disk CSV layout — one
@@ -144,60 +291,51 @@ func NewDirSink(dir string, meta Meta) (*DirSink, error) {
 		return nil, fmt.Errorf("trace: write meta: %w", err)
 	}
 	s := &DirSink{dir: dir}
-	specs := []struct {
-		name   string
-		header []string
-	}{
-		{collectionEventsFile, collectionEventHeader()},
-		{instanceEventsFile, instanceEventHeader()},
-		{usageFile, usageHeader()},
-		{machineEventsFile, machineEventHeader()},
+	creates := [...]func(string) (tableWriter, error){
+		CollectionEventsTable.create, InstanceEventsTable.create, UsageTable.create, MachineEventsTable.create,
 	}
-	for i, spec := range specs {
-		f, err := os.Create(filepath.Join(dir, spec.name))
-		if err != nil {
+	for i, create := range creates {
+		if s.tables[i], err = create(dir); err != nil {
 			s.closeFiles()
-			return nil, fmt.Errorf("trace: create %s: %w", spec.name, err)
-		}
-		bw := bufio.NewWriterSize(f, 1<<20)
-		cw := csv.NewWriter(bw)
-		s.tables[i] = tableWriter{file: f, buf: bw, csv: cw}
-		if err := cw.Write(spec.header); err != nil {
-			s.closeFiles()
-			return nil, fmt.Errorf("trace: write %s header: %w", spec.name, err)
+			return nil, err
 		}
 	}
 	return s, nil
 }
 
-func (s *DirSink) write(table int, row []string) {
+// writeRow formats r into table i's record and writes it.
+func writeRow[R any](s *DirSink, i int, t *Table[R], r *R) {
 	if s.err != nil || s.closed {
 		return
 	}
-	if err := s.tables[table].csv.Write(row); err != nil {
+	w := &s.tables[i]
+	for j, c := range t.columns {
+		w.rec[j] = c.format(r)
+	}
+	if err := w.csv.Write(w.rec); err != nil {
 		s.err = fmt.Errorf("trace: write %s: %w", s.dir, err)
 	}
 }
 
 // CollectionEvent writes the row.
-func (s *DirSink) CollectionEvent(ev CollectionEvent) { s.write(tabCollection, collectionEventRow(ev)) }
+func (s *DirSink) CollectionEvent(ev CollectionEvent) {
+	writeRow(s, tabCollection, &CollectionEventsTable, &ev)
+}
 
 // InstanceEvent writes the row.
-func (s *DirSink) InstanceEvent(ev InstanceEvent) { s.write(tabInstance, instanceEventRow(ev)) }
+func (s *DirSink) InstanceEvent(ev InstanceEvent) {
+	writeRow(s, tabInstance, &InstanceEventsTable, &ev)
+}
 
-// UsageBatch writes the block in order through the codec path, checking
-// the sticky error once instead of per row.
+// UsageBatch writes the block in order.
 func (s *DirSink) UsageBatch(recs []UsageRecord) {
-	if s.err != nil || s.closed {
-		return
-	}
 	for i := range recs {
-		s.write(tabUsage, usageRow(recs[i]))
+		writeRow(s, tabUsage, &UsageTable, &recs[i])
 	}
 }
 
 // MachineEvent writes the row.
-func (s *DirSink) MachineEvent(ev MachineEvent) { s.write(tabMachine, machineEventRow(ev)) }
+func (s *DirSink) MachineEvent(ev MachineEvent) { writeRow(s, tabMachine, &MachineEventsTable, &ev) }
 
 // Flush pushes buffered rows to the operating system. It is idempotent
 // and safe to call mid-run.
@@ -240,7 +378,8 @@ func (s *DirSink) closeFiles() {
 	}
 }
 
-// ReadDir loads a trace previously written by a DirSink.
+// ReadDir loads a trace previously written by a DirSink. Each table's
+// header must name the table's columns in order.
 func ReadDir(dir string) (*MemTrace, error) {
 	metaBytes, err := os.ReadFile(filepath.Join(dir, metaFile))
 	if err != nil {
@@ -251,30 +390,46 @@ func ReadDir(dir string) (*MemTrace, error) {
 		return nil, fmt.Errorf("trace: parse meta: %w", err)
 	}
 	t := NewMemTrace(meta)
-	if err := readCSVFile(filepath.Join(dir, collectionEventsFile), t.readCollectionEvent); err != nil {
+	if err := CollectionEventsTable.read(dir, t.CollectionEvent); err != nil {
 		return nil, err
 	}
-	if err := readCSVFile(filepath.Join(dir, instanceEventsFile), t.readInstanceEvent); err != nil {
+	if err := InstanceEventsTable.read(dir, t.InstanceEvent); err != nil {
 		return nil, err
 	}
-	if err := readCSVFile(filepath.Join(dir, usageFile), t.readUsage); err != nil {
+	if err := UsageTable.read(dir, t.UsageRecords.Append); err != nil {
 		return nil, err
 	}
-	if err := readCSVFile(filepath.Join(dir, machineEventsFile), t.readMachineEvent); err != nil {
+	if err := MachineEventsTable.read(dir, t.MachineEvent); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-func readCSVFile(path string, row func(rec []string) error) error {
+// read decodes the table's file in dir, after checking its header, and
+// hands each row to add.
+func (t *Table[R]) read(dir string, add func(R)) error {
+	path := filepath.Join(dir, t.file)
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("trace: open %s: %w", path, err)
 	}
 	defer f.Close()
+	// The reader holds every row to the header's field count, which
+	// checkHeader pins to len(t.columns).
 	r := csv.NewReader(bufio.NewReaderSize(f, 1<<20))
 	r.ReuseRecord = true
-	first := true
+	header, err := r.Read()
+	if err == io.EOF {
+		return fmt.Errorf("trace: read %s: no header row", path)
+	}
+	if err == nil {
+		err = t.checkHeader(header)
+	}
+	if err != nil {
+		return fmt.Errorf("trace: read %s: %w", path, err)
+	}
+	// Every column sets its whole field, so one row serves all records.
+	var row R
 	for {
 		rec, err := r.Read()
 		if err == io.EOF {
@@ -283,176 +438,29 @@ func readCSVFile(path string, row func(rec []string) error) error {
 		if err != nil {
 			return fmt.Errorf("trace: read %s: %w", path, err)
 		}
-		if first {
-			first = false // skip header
-			continue
+		for i, c := range t.columns {
+			if err := c.parse(&row, rec[i]); err != nil {
+				line, _ := r.FieldPos(i)
+				return fmt.Errorf("trace: parse %s line %d: %s: %w", path, line, c.name, err)
+			}
 		}
-		if err := row(rec); err != nil {
-			line, _ := r.FieldPos(0)
-			return fmt.Errorf("trace: parse %s line %d: %w", path, line, err)
+		add(row)
+	}
+}
+
+// checkHeader returns an error naming the first column where header
+// differs from the table's columns.
+func (t *Table[R]) checkHeader(header []string) error {
+	for i, c := range t.columns {
+		if i == len(header) {
+			return fmt.Errorf("header lacks column %d %q", i+1, c.name)
+		}
+		if header[i] != c.name {
+			return fmt.Errorf("header column %d is %q, want %q", i+1, header[i], c.name)
 		}
 	}
-}
-
-// fieldParser accumulates the first parse error across a row, so row
-// readers stay linear instead of nesting a dozen error checks.
-type fieldParser struct{ err error }
-
-func (p *fieldParser) int(s string) int64 {
-	if p.err != nil {
-		return 0
+	if n := len(t.columns); len(header) > n {
+		return fmt.Errorf("header has extra column %d %q", n+1, header[n])
 	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		p.err = err
-	}
-	return v
-}
-
-// index parses an instance index, which must lie in [0, MaxInt32]: a
-// wider value would wrap when narrowed to the key's int32.
-func (p *fieldParser) index(s string) int32 {
-	if p.err != nil {
-		return 0
-	}
-	v, err := strconv.ParseInt(s, 10, 32)
-	if err == nil && v < 0 {
-		err = fmt.Errorf("negative instance index %d", v)
-	}
-	if err != nil {
-		p.err = err
-	}
-	return int32(v)
-}
-
-func (p *fieldParser) uint(s string) uint64 {
-	if p.err != nil {
-		return 0
-	}
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		p.err = err
-	}
-	return v
-}
-
-func (p *fieldParser) float(s string) float64 {
-	if p.err != nil {
-		return 0
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		p.err = err
-	}
-	return v
-}
-
-// enum parses an enum field through its name table n, keeping p's
-// first error.
-func enum[E ~int](p *fieldParser, n enumNames[E], s string) E {
-	if p.err != nil {
-		return 0
-	}
-	v, err := n.parse(s)
-	if err != nil {
-		p.err = err
-	}
-	return v
-}
-
-func (t *MemTrace) readCollectionEvent(rec []string) error {
-	if len(rec) != 11 {
-		return fmt.Errorf("collection event row has %d fields", len(rec))
-	}
-	var p fieldParser
-	ev := CollectionEvent{
-		Time:           sim.Time(p.int(rec[0])),
-		Collection:     CollectionID(p.uint(rec[1])),
-		Type:           enum(&p, eventTypeNames, rec[2]),
-		CollectionType: enum(&p, collectionTypeNames, rec[3]),
-		Priority:       int(p.int(rec[4])),
-		Tier:           enum(&p, tierNames, rec[5]),
-		User:           rec[6],
-		Parent:         CollectionID(p.uint(rec[7])),
-		AllocSet:       CollectionID(p.uint(rec[8])),
-		Scheduler:      enum(&p, schedulerNames, rec[9]),
-		Scaling:        enum(&p, scalingNames, rec[10]),
-	}
-	if p.err != nil {
-		return p.err
-	}
-	t.CollectionEvent(ev)
-	return nil
-}
-
-func (t *MemTrace) readInstanceEvent(rec []string) error {
-	if len(rec) != 11 {
-		return fmt.Errorf("instance event row has %d fields", len(rec))
-	}
-	var p fieldParser
-	ev := InstanceEvent{
-		Time: sim.Time(p.int(rec[0])),
-		Key: InstanceKey{
-			Collection: CollectionID(p.uint(rec[1])),
-			Index:      p.index(rec[2]),
-		},
-		Type:     enum(&p, eventTypeNames, rec[3]),
-		Machine:  MachineID(p.int(rec[4])),
-		Priority: int(p.int(rec[5])),
-		Tier:     enum(&p, tierNames, rec[6]),
-		Request:  Resources{CPU: p.float(rec[7]), Mem: p.float(rec[8])},
-		AllocInstance: InstanceKey{
-			Collection: CollectionID(p.uint(rec[9])),
-			Index:      p.index(rec[10]),
-		},
-	}
-	if p.err != nil {
-		return p.err
-	}
-	t.InstanceEvent(ev)
-	return nil
-}
-
-func (t *MemTrace) readUsage(rec []string) error {
-	if len(rec) != 12 {
-		return fmt.Errorf("usage row has %d fields", len(rec))
-	}
-	var p fieldParser
-	u := UsageRecord{
-		Start: sim.Time(p.int(rec[0])),
-		End:   sim.Time(p.int(rec[1])),
-		Key: InstanceKey{
-			Collection: CollectionID(p.uint(rec[2])),
-			Index:      p.index(rec[3]),
-		},
-		Machine:  MachineID(p.int(rec[4])),
-		Tier:     enum(&p, tierNames, rec[5]),
-		AvgUsage: Resources{CPU: p.float(rec[6]), Mem: p.float(rec[7])},
-		MaxUsage: Resources{CPU: p.float(rec[8]), Mem: p.float(rec[9])},
-		Limit:    Resources{CPU: p.float(rec[10]), Mem: p.float(rec[11])},
-	}
-	if p.err != nil {
-		return p.err
-	}
-	t.UsageRecords.Append(u)
-	return nil
-}
-
-func (t *MemTrace) readMachineEvent(rec []string) error {
-	if len(rec) != 6 {
-		return fmt.Errorf("machine event row has %d fields", len(rec))
-	}
-	var p fieldParser
-	ev := MachineEvent{
-		Time:     sim.Time(p.int(rec[0])),
-		Machine:  MachineID(p.int(rec[1])),
-		Type:     enum(&p, machineEventNames, rec[2]),
-		Capacity: Resources{CPU: p.float(rec[3]), Mem: p.float(rec[4])},
-		Platform: rec[5],
-	}
-	if p.err != nil {
-		return p.err
-	}
-	t.MachineEvent(ev)
 	return nil
 }

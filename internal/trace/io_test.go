@@ -88,9 +88,10 @@ func TestReadDirBadEnums(t *testing.T) {
 	}
 }
 
-// TestReadDirRejectsOutOfRangeIndex: an instance index outside
-// [0, MaxInt32] must fail the load with an error naming the file and
-// line, not wrap silently into the int32 key.
+// TestReadDirRejectsOutOfRangeIndex: an instance index or machine ID
+// outside [0, MaxInt32] must fail the load with an error naming the file
+// and line, not wrap silently into the int32 field (4294967297 would
+// read as machine 1).
 func TestReadDirRejectsOutOfRangeIndex(t *testing.T) {
 	for _, c := range []struct {
 		file  string
@@ -99,8 +100,11 @@ func TestReadDirRejectsOutOfRangeIndex(t *testing.T) {
 		{instanceEventsFile, 2},  // instance index
 		{instanceEventsFile, 10}, // alloc instance index
 		{usageFile, 3},
+		{instanceEventsFile, 4}, // machine ID
+		{usageFile, 4},
+		{machineEventsFile, 1},
 	} {
-		for _, bad := range []string{"2147483648", "-1"} {
+		for _, bad := range []string{"2147483648", "4294967297", "-1"} {
 			dir := t.TempDir()
 			if err := writeDir(newTestTrace(), dir); err != nil {
 				t.Fatal(err)
@@ -131,6 +135,54 @@ func TestReadDirRejectsOutOfRangeIndex(t *testing.T) {
 	}
 }
 
+// TestReadDirChecksHeader: a table whose header names other columns, or
+// the right ones in another order, or that has no header row at all, must
+// fail the load with an error naming the file and the first column that
+// differs. A swapped avg_cpu/avg_mem header would otherwise read memory
+// usage as CPU.
+func TestReadDirChecksHeader(t *testing.T) {
+	usageHeader := "start_time,end_time,collection_id,instance_index,machine_id,tier,avg_cpu,avg_mem,max_cpu,max_mem,limit_cpu,limit_mem"
+	for _, c := range []struct {
+		name, file, header, want string
+	}{
+		{"swapped", usageFile, strings.Replace(usageHeader, "avg_cpu,avg_mem", "avg_mem,avg_cpu", 1), `column 7 is "avg_mem", want "avg_cpu"`},
+		{"short", usageFile, strings.TrimSuffix(usageHeader, ",limit_mem"), `lacks column 12 "limit_mem"`},
+		{"long", usageFile, usageHeader + ",extra", `extra column 13 "extra"`},
+		{"empty collection events", collectionEventsFile, "", "no header row"},
+		{"empty instance events", instanceEventsFile, "", "no header row"},
+		{"empty usage", usageFile, "", "no header row"},
+		{"empty machine events", machineEventsFile, "", "no header row"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := writeDir(newTestTrace(), dir); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, c.file)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.header != "" {
+				_, rows, _ := strings.Cut(string(data), "\n")
+				data = []byte(c.header + "\n" + rows)
+			} else {
+				data = nil
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tr, err := ReadDir(dir)
+			if err == nil {
+				t.Fatalf("loaded without error: %s", tr.Counts())
+			}
+			if msg := err.Error(); !strings.Contains(msg, c.file) || !strings.Contains(msg, c.want) {
+				t.Fatalf("error %q does not name %s and %s", msg, c.file, c.want)
+			}
+		})
+	}
+}
+
 // TestParseHelpers round-trips every trace enum through its name table:
 // each value prints as its name and parses back, an unknown name is
 // rejected with an error naming the enum, and the first value past the
@@ -143,6 +195,7 @@ func TestParseHelpers(t *testing.T) {
 	checkEnum(t, schedulerNames, SchedulerBatch+1)
 	checkEnum(t, eventTypeNames, NumEventTypes)
 	checkEnum(t, machineEventNames, MachineUpdate+1)
+	checkEnum(t, kindNames, KindString+1)
 }
 
 // checkEnum checks one enum's name table against its n values.

@@ -5,6 +5,11 @@
 // store, streaming Sink fan-out, the trace directory codec (one CSV file
 // per table beside a JSON meta.json), and the invariant validator
 // described in §9 of the paper.
+//
+// Each table's schema is one Table: its CSV file and its columns, each a
+// CSV name, a kind and a pointer to a row field. DirSink writes headers
+// and rows from it, ReadDir checks each header against it and decodes
+// rows with it, and cmd/borgquery queries its columns by their CSV names.
 package trace
 
 import (
