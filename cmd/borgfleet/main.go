@@ -2,11 +2,13 @@
 // sampled around the paper's 2019 medians (machine count, arrival rate,
 // tier mix per cell), simulated in one process on the engine's worker
 // pool with bounded memory, and rolled up online into fleet-level
-// cross-cell percentiles (p50/p90/p99 per scalar metric).
+// cross-cell percentiles (p50/p90/p99 per metric). A cell's metrics are
+// the metric table's (internal/experiments) evaluated on the cell alone,
+// less the ones that read the suite's 2011 cell.
 //
 // Every cell runs with one streaming reducer and keeps no rows; cell specs
 // materialize only as workers pick them up and are released as soon as
-// their scalars fold into the rollup, so peak memory is O(-parallel)
+// their metrics fold into the rollup, so peak memory is O(-parallel)
 // cells regardless of fleet size. Cell i of a fleet rooted at -seed R
 // simulates with engine.DeriveSeed(R, i): the fleet report and CSVs are
 // byte-identical at any -parallel setting, and cell i's world never
@@ -66,7 +68,7 @@ func run(args []string, stdout, logw io.Writer) (err error) {
 	hours := fs.Float64("hours", 4, "simulated horizon per cell, in hours")
 	common := cliflags.Register(fs, "fleet root seed")
 	out := fs.String("o", "", "write the fleet report to this file instead of stdout")
-	cellsCSV := fs.String("cells-csv", "", "stream per-cell scalar rows to this CSV file")
+	cellsCSV := fs.String("cells-csv", "", "stream per-cell metric rows to this CSV file")
 	rollupCSV := fs.String("rollup-csv", "", "write the cross-cell rollup to this CSV file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -125,7 +127,7 @@ func run(args []string, stdout, logw io.Writer) (err error) {
 		if err := cellWriter.Close(); err != nil {
 			return err
 		}
-		lg.Printf("wrote per-cell scalars to %s", *cellsCSV)
+		lg.Printf("wrote per-cell metrics to %s", *cellsCSV)
 	}
 
 	writeReport := func(w io.Writer) error {

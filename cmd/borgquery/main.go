@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"iter"
 	"log"
 	"math"
 	"os"
@@ -68,19 +67,15 @@ func run(w io.Writer, args []string) error {
 		return fmt.Errorf("-agg %q needs -group", q.agg)
 	}
 
-	tr, err := trace.ReadDir(*dir)
-	if err != nil {
-		return err
-	}
 	switch *tbl {
 	case trace.CollectionEventsTable.Name():
-		return runQuery(w, tr.CollectionEvents.All(), &trace.CollectionEventsTable, q)
+		return runQuery(w, *dir, &trace.CollectionEventsTable, q)
 	case trace.InstanceEventsTable.Name():
-		return runQuery(w, tr.InstanceEvents.All(), &trace.InstanceEventsTable, q)
+		return runQuery(w, *dir, &trace.InstanceEventsTable, q)
 	case trace.UsageTable.Name():
-		return runQuery(w, tr.UsageRecords.All(), &trace.UsageTable, q)
+		return runQuery(w, *dir, &trace.UsageTable, q)
 	case trace.MachineEventsTable.Name():
-		return runQuery(w, tr.MachineEvents.All(), &trace.MachineEventsTable, q)
+		return runQuery(w, *dir, &trace.MachineEventsTable, q)
 	}
 	return fmt.Errorf("unknown table %q (want %s)", *tbl, strings.Join(tables, ", "))
 }
@@ -106,9 +101,9 @@ var aggregations = map[string]func(g *group) float64{
 	"max":  func(g *group) float64 { return g.max },
 }
 
-// runQuery runs q over rows, which are the rows of table t, and writes
-// the result to w.
-func runQuery[R any](w io.Writer, rows iter.Seq[R], t *trace.Table[R], q query) error {
+// runQuery runs q over the rows of table t, streamed from the trace
+// directory dir, and writes the result to w. It reads no other table.
+func runQuery[R any](w io.Writer, dir string, t *trace.Table[R], q query) error {
 	cols := t.Columns()
 	keep := func(*R) bool { return true }
 	if q.where != "" {
@@ -124,10 +119,12 @@ func runQuery[R any](w io.Writer, rows iter.Seq[R], t *trace.Table[R], q query) 
 	}
 	if q.group == "" {
 		var kept []R
-		for r := range rows {
+		if err := t.Read(dir, func(r R) {
 			if keep(&r) {
 				kept = append(kept, r)
 			}
+		}); err != nil {
+			return err
 		}
 		kept, more := limitRows(kept, q.limit)
 		headers := make([]string, len(cols))
@@ -166,9 +163,9 @@ func runQuery[R any](w io.Writer, rows iter.Seq[R], t *trace.Table[R], q query) 
 
 	byKey := map[any]*group{}
 	var groups []*group
-	for r := range rows {
+	err = t.Read(dir, func(r R) {
 		if !keep(&r) {
-			continue
+			return
 		}
 		k := gc.Value(&r)
 		g := byKey[k]
@@ -188,6 +185,9 @@ func runQuery[R any](w io.Writer, rows iter.Seq[R], t *trace.Table[R], q query) 
 				g.max = v
 			}
 		}
+	})
+	if err != nil {
+		return err
 	}
 	groups, more := limitRows(groups, q.limit)
 	cells := make([][]string, len(groups))

@@ -284,6 +284,34 @@ func TestRun(t *testing.T) {
 		}
 	})
 
+	// A query reads only its table: machine_events answers from a
+	// directory that holds no other table.
+	t.Run("reads_only_its_table", func(t *testing.T) {
+		lone := t.TempDir()
+		name := trace.MachineEventsTable.Name() + ".csv"
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(lone, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(lone, trace.UsageTable.Name()+".csv")); !os.IsNotExist(err) {
+			t.Fatalf("the lone directory holds %s (%v)", trace.UsageTable.Name(), err)
+		}
+		var out bytes.Buffer
+		if err := run(&out, []string{"-trace", lone, "-table", "machine_events", "-group", "platform", "-limit", "0"}); err != nil {
+			t.Fatal(err)
+		}
+		var whole bytes.Buffer
+		if err := run(&whole, []string{"-trace", dir, "-table", "machine_events", "-group", "platform", "-limit", "0"}); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != whole.String() {
+			t.Fatalf("lone table gives\n%s\nthe whole trace gives\n%s", out.String(), whole.String())
+		}
+	})
+
 	// The header names the columns, a cut prints a footer counting the
 	// rows left out, and an uncut table prints none.
 	t.Run("format", func(t *testing.T) {

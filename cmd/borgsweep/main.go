@@ -1,7 +1,9 @@
 // Command borgsweep runs seed × profile parameter sweeps over the
 // nine-cell suite and reports cross-seed statistics per variant: mean,
 // sample stddev, min/max and a 95% Student-t confidence interval for
-// every sweep metric, plus per-metric CSV exports for plotting.
+// every metric of the metric table (internal/experiments), evaluated
+// over each grid point's nine cells as the suite report evaluates it,
+// plus per-metric CSV exports for plotting.
 //
 // Every grid point keeps no rows: each cell's rows fold
 // through a streaming reducer and are dropped, so even wide sweeps cost
@@ -34,17 +36,9 @@
 // the sweep, final snapshot export, Chrome trace_event run timeline —
 // all observe-only, never changing report bytes.
 //
-// where SPEC is semicolon-separated clauses: "baseline", a numeric
-// family "family:v1,v2,..." (arrival, machines, overcommit,
-// allocceiling, prodshift), the placement-policy family
-// "policy:name1,name2,..." (random-fit, best-fit, least-allocated,
-// worst-fit, oversub, one-shot — the scheduler policy zoo), arrival
-// processes "arrival:gamma:cv=2.5,cohorts:k=40" (poisson, gamma,
-// weibull, cohorts — numeric values still mean rate multipliers), or a
-// named composite "name:knob=value,..." where knob is any family,
-// policy, or an arrival-process spec (multi-knob arrival specs join
-// their knobs with + since , separates composite knobs, e.g.
-// "bursty:arrival=cohorts:k=40+skew=1.5,policy=best-fit").
+// where SPEC is the grammar of sweep.ParseVariants: semicolon-separated
+// clauses such as "baseline", numeric families, placement policies,
+// arrival processes and named composites.
 // Examples:
 //
 //	borgsweep -scale small -seeds 5 -variants arrival:0.5,1.0,2.0

@@ -280,9 +280,10 @@
 // per cell — and streams them through one engine worker pool via
 // engine.RunStream. Specs materialize only as workers pick them up;
 // every cell runs with one streaming.CellReducer as its only sink, and
-// each cell's scalars fold into the fleet rollup (one merging
-// stats.Digest per metric) the moment its in-order result delivers,
-// after which the reducer is released. Peak heap is therefore
+// each cell's metrics — the metric table's (experiments.Metrics) on the
+// cell alone, less the ones that read the 2011 cell — fold into the
+// fleet rollup (one merging stats.Digest per metric) the moment its
+// in-order result delivers, after which the reducer is released. Peak heap is therefore
 // O(Parallelism) cells regardless of fleet size — the 128-cell CI smoke
 // runs in a few MB against a 1536 MB ceiling. Determinism follows the
 // engine contract: cell i simulates with engine.DeriveSeed(root, i) and
@@ -310,8 +311,11 @@
 // replicate and cell, never on the variant list, so all variants of a
 // replicate face the same stochastic world (common random numbers) and
 // cross-variant deltas are not seed noise. Each grid point reduces to a
-// scalar metric vector (streaming.Scalars averaged over the 2019 cells
-// plus scheduler counters); across replicates every variant × metric
+// metric vector: the metric table (experiments.Metrics) evaluated over
+// the point's nine cells exactly as the suite report evaluates it — the
+// report's paper rows, Figure 8's 2019/2011 ratio and Table 2's top-1%
+// load included — with each cell's reducer kept only until the point's
+// ninth cell arrives; across replicates every variant × metric
 // gets a stats.CrossRun — mean, sample stddev, min/max and a 95%
 // Student-t confidence interval — rendered as a variant × metric report
 // and per-metric CSVs. Because replicates share seeds across variants,

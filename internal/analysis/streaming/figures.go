@@ -69,37 +69,32 @@ func newTierSeries(n int) TierSeries {
 func AverageSeries(all []TierSeries) TierSeries {
 	n := 0
 	for _, s := range all {
-		if len(s.Hours) > n {
-			n = len(s.Hours)
-		}
+		n = max(n, len(s.Hours))
 	}
 	out := newTierSeries(n)
-	for i := 0; i < n; i++ {
-		for _, tier := range trace.Tiers() {
-			var sum float64
-			var count int
-			for _, s := range all {
-				if i < len(s.CPU[tier]) {
-					sum += s.CPU[tier][i]
-					count++
-				}
-			}
-			if count > 0 {
-				out.CPU[tier][i] = sum / float64(count)
-			}
-			sum, count = 0, 0
-			for _, s := range all {
-				if i < len(s.Mem[tier]) {
-					sum += s.Mem[tier][i]
-					count++
-				}
-			}
-			if count > 0 {
-				out.Mem[tier][i] = sum / float64(count)
-			}
-		}
+	for _, tier := range trace.Tiers() {
+		averageInto(out.CPU[tier], all, func(s TierSeries) []float64 { return s.CPU[tier] })
+		averageInto(out.Mem[tier], all, func(s TierSeries) []float64 { return s.Mem[tier] })
 	}
 	return out
+}
+
+// averageInto sets dst[i] to the mean of part(s)[i] over the series s
+// that reach index i.
+func averageInto(dst []float64, all []TierSeries, part func(TierSeries) []float64) {
+	for i := range dst {
+		var sum float64
+		var count int
+		for _, s := range all {
+			if xs := part(s); i < len(xs) {
+				sum += xs[i]
+				count++
+			}
+		}
+		if count > 0 {
+			dst[i] = sum / float64(count)
+		}
+	}
 }
 
 // TierAverages is one cell's whole-trace average utilization or
@@ -144,22 +139,10 @@ type Transition struct {
 	Count    int
 }
 
-// AllocSetStats reproduces §5.1's alloc-set findings.
-type AllocSetStats struct {
-	Collections      int
-	AllocSets        int
-	AllocSetShare    float64 // alloc sets / collections (paper: 2%)
-	CPUAllocShare    float64 // alloc reservations / total allocation (paper: 20%)
-	MemAllocShare    float64 // (paper: 18%)
-	JobsInAllocShare float64 // jobs targeting an alloc set (paper: 15%)
-	ProdShareInAlloc float64 // prod share of those (paper: 95%)
-	MemUtilInAlloc   float64 // mean mem usage ÷ limit inside allocs (paper: 73%)
-	MemUtilOutside   float64 // (paper: 41%)
-}
-
 // AllocSetAccum is one cell's partial accumulation of §5.1's statistics.
 // Counts are exact and the float sums fold usage records in emission
-// order, so the same rows always give bit-identical partials.
+// order, so the same rows always give bit-identical partials. The metric
+// table (experiments.Metrics) derives §5.1's shares from merged sums.
 type AllocSetAccum struct {
 	Collections, AllocSets     int
 	Jobs, InAlloc, ProdInAlloc int
@@ -169,9 +152,8 @@ type AllocSetAccum struct {
 	WeightIn, WeightOut        float64
 }
 
-// FinishAllocSets merges per-cell partials in order and derives §5.1's
-// ratios.
-func FinishAllocSets(accums []AllocSetAccum) AllocSetStats {
+// MergeAllocSets adds per-cell partials in cell order.
+func MergeAllocSets(accums []AllocSetAccum) AllocSetAccum {
 	var t AllocSetAccum
 	for _, a := range accums {
 		t.Collections += a.Collections
@@ -188,57 +170,14 @@ func FinishAllocSets(accums []AllocSetAccum) AllocSetStats {
 		t.WeightIn += a.WeightIn
 		t.WeightOut += a.WeightOut
 	}
-	st := AllocSetStats{Collections: t.Collections, AllocSets: t.AllocSets}
-	if t.Collections > 0 {
-		st.AllocSetShare = float64(t.AllocSets) / float64(t.Collections)
-	}
-	if t.CPUAlloc > 0 {
-		st.CPUAllocShare = t.CPUAllocSets / t.CPUAlloc
-	}
-	if t.MemAlloc > 0 {
-		st.MemAllocShare = t.MemAllocSets / t.MemAlloc
-	}
-	if t.Jobs > 0 {
-		st.JobsInAllocShare = float64(t.InAlloc) / float64(t.Jobs)
-	}
-	if t.InAlloc > 0 {
-		st.ProdShareInAlloc = float64(t.ProdInAlloc) / float64(t.InAlloc)
-	}
-	if t.WeightIn > 0 {
-		st.MemUtilInAlloc = t.MemUtilIn / t.WeightIn
-	}
-	if t.WeightOut > 0 {
-		st.MemUtilOutside = t.MemUtilOut / t.WeightOut
-	}
-	return st
+	return t
 }
 
-// TerminationStats reproduces §5.2's findings.
-type TerminationStats struct {
-	Collections int
-	// ByFinal counts collections by their final termination event
-	// (EventSubmit = still running at trace end).
-	ByFinal map[trace.EventType]int
-	// CollectionsWithEviction is the share of collections that saw at
-	// least one instance eviction (paper: 3.2%).
-	CollectionsWithEviction float64
-	// NonProdShareOfEvicted is the non-production share among those
-	// (paper: 96.6%).
-	NonProdShareOfEvicted float64
-	// ProdEvictedShare is the share of production collections with any
-	// instance eviction (paper: <0.2%).
-	ProdEvictedShare float64
-	// SingleEvictionShare is, among evicted production collections, the
-	// share with exactly one eviction (paper: 52%).
-	SingleEvictionShare float64
-	// KillRateWithParent / KillRateWithoutParent compare KILL outcomes
-	// for jobs with and without parents (paper: 87% vs 41%).
-	KillRateWithParent    float64
-	KillRateWithoutParent float64
-}
-
-// TerminationAccum is one cell's partial accumulation of §5.2's counts.
-// Everything is integral, so per-cell partials merge exactly.
+// TerminationAccum is one cell's partial accumulation of §5.2's counts:
+// collections by final event (EventSubmit = still running at trace
+// end), evicted, production and parented ones. Everything is integral,
+// so per-cell partials merge exactly. The metric table
+// (experiments.Metrics) derives §5.2's rates from merged counts.
 type TerminationAccum struct {
 	Collections                                 int
 	ByFinal                                     [trace.NumEventTypes]int
@@ -248,8 +187,8 @@ type TerminationAccum struct {
 	WithoutParent, WithoutParentKilled          int
 }
 
-// FinishTerminations merges per-cell partials and derives §5.2's ratios.
-func FinishTerminations(accums []TerminationAccum) TerminationStats {
+// MergeTerminations adds per-cell partials.
+func MergeTerminations(accums []TerminationAccum) TerminationAccum {
 	var t TerminationAccum
 	for _, a := range accums {
 		t.Collections += a.Collections
@@ -266,31 +205,7 @@ func FinishTerminations(accums []TerminationAccum) TerminationStats {
 		t.WithoutParent += a.WithoutParent
 		t.WithoutParentKilled += a.WithoutParentKilled
 	}
-	st := TerminationStats{Collections: t.Collections, ByFinal: make(map[trace.EventType]int)}
-	for e, n := range t.ByFinal {
-		if n > 0 {
-			st.ByFinal[trace.EventType(e)] = n
-		}
-	}
-	if t.Collections > 0 {
-		st.CollectionsWithEviction = float64(t.Evicted) / float64(t.Collections)
-	}
-	if t.Evicted > 0 {
-		st.NonProdShareOfEvicted = float64(t.NonProdEvicted) / float64(t.Evicted)
-	}
-	if t.Prod > 0 {
-		st.ProdEvictedShare = float64(t.ProdEvicted) / float64(t.Prod)
-	}
-	if t.ProdEvicted > 0 {
-		st.SingleEvictionShare = float64(t.ProdEvictedOnce) / float64(t.ProdEvicted)
-	}
-	if t.WithParent > 0 {
-		st.KillRateWithParent = float64(t.WithParentKilled) / float64(t.WithParent)
-	}
-	if t.WithoutParent > 0 {
-		st.KillRateWithoutParent = float64(t.WithoutParentKilled) / float64(t.WithoutParent)
-	}
-	return st
+	return t
 }
 
 // SubmissionRates holds Figures 8 and 9's hourly rate samples for one
@@ -378,8 +293,7 @@ type BucketPoint struct {
 }
 
 // CPUMemCorrelation buckets jobs into 1-NCU-hour buckets and reports each
-// bucket's median NMU-hours plus the Pearson correlation across buckets
-// (paper: 0.97).
+// bucket's median NMU-hours plus the Pearson correlation across buckets.
 func CPUMemCorrelation(integrals UsageIntegrals, maxBucket int) (points []BucketPoint, pearson float64) {
 	buckets := make(map[int][]float64)
 	for i, c := range integrals.CPUHours {

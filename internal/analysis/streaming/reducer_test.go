@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/analysis/streaming"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -180,53 +181,65 @@ func TestTransitions(t *testing.T) {
 	}
 }
 
+// tableValues evaluates the metric table on cell r alone, by name.
+func tableValues(r *streaming.CellReducer) map[string]float64 {
+	pool := experiments.NewPool(nil, []*streaming.CellReducer{r}, nil, 0)
+	out := map[string]float64{}
+	for _, m := range experiments.Metrics() {
+		if !m.Uses2011 {
+			out[m.Name] = m.Value(pool)
+		}
+	}
+	return out
+}
+
 func TestAllocSetStats(t *testing.T) {
 	r19, r11 := fixtures(t)
-	st := streaming.FinishAllocSets([]streaming.AllocSetAccum{r19.AllocSetAccum()})
-	if st.AllocSets == 0 {
+	if r19.AllocSetAccum().AllocSets == 0 {
 		t.Fatal("no alloc sets in 2019 trace")
 	}
-	if st.AllocSetShare < 0.005 || st.AllocSetShare > 0.06 {
-		t.Fatalf("alloc set share %v, want ~0.02", st.AllocSetShare)
+	st := tableValues(r19)
+	if st["alloc_set_share"] < 0.005 || st["alloc_set_share"] > 0.06 {
+		t.Fatalf("alloc set share %v, want ~0.02", st["alloc_set_share"])
 	}
-	if st.CPUAllocShare < 0.05 || st.CPUAllocShare > 0.5 {
-		t.Fatalf("alloc CPU share %v, want ~0.20", st.CPUAllocShare)
+	if st["alloc_cpu_share"] < 0.05 || st["alloc_cpu_share"] > 0.5 {
+		t.Fatalf("alloc CPU share %v, want ~0.20", st["alloc_cpu_share"])
 	}
-	if st.ProdShareInAlloc < 0.8 {
-		t.Fatalf("prod share of in-alloc jobs %v, want ~0.95", st.ProdShareInAlloc)
+	if st["prod_share_in_alloc"] < 0.8 {
+		t.Fatalf("prod share of in-alloc jobs %v, want ~0.95", st["prod_share_in_alloc"])
 	}
-	if st.MemUtilInAlloc <= st.MemUtilOutside {
+	if st["mem_util_in_alloc"] <= st["mem_util_outside_alloc"] {
 		t.Fatalf("in-alloc mem util (%v) should exceed outside (%v)",
-			st.MemUtilInAlloc, st.MemUtilOutside)
+			st["mem_util_in_alloc"], st["mem_util_outside_alloc"])
 	}
 	// 2011: no alloc sets at all.
-	st11 := streaming.FinishAllocSets([]streaming.AllocSetAccum{r11.AllocSetAccum()})
-	if st11.AllocSets != 0 {
-		t.Fatalf("2011 alloc sets %d", st11.AllocSets)
+	if n := r11.AllocSetAccum().AllocSets; n != 0 {
+		t.Fatalf("2011 alloc sets %d", n)
 	}
 }
 
 func TestTerminationStats(t *testing.T) {
 	r19, _ := fixtures(t)
-	st := streaming.FinishTerminations([]streaming.TerminationAccum{r19.TerminationAccum()})
-	if st.Collections == 0 {
+	acc := r19.TerminationAccum()
+	if acc.Collections == 0 {
 		t.Fatal("no collections")
 	}
-	if st.ByFinal[trace.EventFinish] == 0 || st.ByFinal[trace.EventKill] == 0 {
-		t.Fatalf("termination mix %v", st.ByFinal)
+	if acc.ByFinal[trace.EventFinish] == 0 || acc.ByFinal[trace.EventKill] == 0 {
+		t.Fatalf("termination mix %v", acc.ByFinal)
 	}
+	st := tableValues(r19)
 	// The paper reports 3.2% at month scale; the 12-hour fixture has a
 	// larger share because transient ramp-in pressure affects relatively
 	// more of its few hundred collections.
-	if st.CollectionsWithEviction < 0.001 || st.CollectionsWithEviction > 0.20 {
-		t.Fatalf("evicted share %v, want small (paper: 3.2%%)", st.CollectionsWithEviction)
+	if st["evicted_share"] < 0.001 || st["evicted_share"] > 0.20 {
+		t.Fatalf("evicted share %v, want small (paper: 3.2%%)", st["evicted_share"])
 	}
-	if st.KillRateWithParent <= st.KillRateWithoutParent {
+	if st["kill_rate_with_parent"] <= st["kill_rate_without_parent"] {
 		t.Fatalf("parented kill rate (%v) should exceed parentless (%v); paper: 87%% vs 41%%",
-			st.KillRateWithParent, st.KillRateWithoutParent)
+			st["kill_rate_with_parent"], st["kill_rate_without_parent"])
 	}
-	if st.NonProdShareOfEvicted < 0.5 {
-		t.Fatalf("non-prod share of evicted %v, want high (paper: 96.6%%)", st.NonProdShareOfEvicted)
+	if st["nonprod_share_of_evicted"] < 0.5 {
+		t.Fatalf("non-prod share of evicted %v, want high (paper: 96.6%%)", st["nonprod_share_of_evicted"])
 	}
 }
 

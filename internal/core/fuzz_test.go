@@ -71,6 +71,5 @@ func FuzzReplayRecording(f *testing.F) {
 		for mode := trace.ScalingNone; mode <= trace.ScalingFull; mode++ {
 			r.SlackSamples(mode)
 		}
-		r.Scalars(sim.Hour)
 	})
 }

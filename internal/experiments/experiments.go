@@ -236,14 +236,3 @@ func closeExports(exports []*trace.DirSink) {
 		ds.Close()
 	}
 }
-
-// RateNormalization2019 returns the factor converting this suite's
-// per-cell 2019 rates to paper scale (12,000 machines).
-func (s *Suite) RateNormalization2019() float64 {
-	return float64(workload.ReferenceMachines) / float64(s.Scale.Machines2019)
-}
-
-// RateNormalization2011 is the 2011 counterpart.
-func (s *Suite) RateNormalization2011() float64 {
-	return float64(workload.ReferenceMachines) / float64(s.Scale.Machines2011)
-}

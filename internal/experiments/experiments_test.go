@@ -120,10 +120,12 @@ func TestScalesAreOrdered(t *testing.T) {
 
 func TestRateNormalization(t *testing.T) {
 	s := tinySuite(t)
-	if got := s.RateNormalization2019(); got != 12000.0/50 {
-		t.Fatalf("2019 normalization %v", got)
+	for _, r := range s.R2019 {
+		if got := rateNormalization(r); got != 12000.0/50 {
+			t.Fatalf("2019 cell %s normalization %v", r.Meta().Cell, got)
+		}
 	}
-	if got := s.RateNormalization2011(); got != 12000.0/60 {
+	if got := rateNormalization(s.R2011); got != 12000.0/60 {
 		t.Fatalf("2011 normalization %v", got)
 	}
 }

@@ -19,12 +19,15 @@
 //
 // Cells are streamed through engine.RunStream: specs (profile + one
 // streaming.CellReducer sink, no rows kept) materialize as workers pick
-// up indices and are released as soon as each cell's scalars have been
+// up indices and are released as soon as each cell's metrics have been
 // folded into the rollup, so peak state is O(Parallelism) cells — not
-// O(fleet). The rollup itself is one mergeable t-digest
-// (stats.Digest) per scalar metric, fed in spec order by the engine's
-// in-order OnResult delivery; digests are deterministic sequential
-// code, so the fleet report is byte-identical at any Parallelism.
+// O(fleet). A cell's metrics are the metric table's (experiments.Metrics)
+// evaluated on the cell as a lone 2019 pool; the entries that read the
+// 2011 cell have no value there and are left out. The rollup itself is
+// one mergeable t-digest (stats.Digest) per metric, fed in spec order by
+// the engine's in-order OnResult delivery; digests are deterministic
+// sequential code, so the fleet report is byte-identical at any
+// Parallelism.
 package fleet
 
 import (
@@ -37,6 +40,8 @@ import (
 	"repro/internal/analysis/streaming"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/experiments"
+	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -52,8 +57,8 @@ type Config struct {
 	// distribution cells draw from; at least 1.
 	MedianMachines int
 	// Horizon is the per-cell simulated duration; positive. Each cell's
-	// scalars discard the first half as warm-up, and its Figure 6
-	// snapshot is taken at mid-horizon.
+	// utilization and allocation metrics discard the first half as
+	// warm-up, and its Figure 6 snapshot is taken at mid-horizon.
 	Horizon sim.Time
 	// Seed roots the fleet: cell i simulates with DeriveSeed(Seed, i).
 	Seed uint64
@@ -76,17 +81,31 @@ type CellSummary struct {
 	Index    int
 	Name     string
 	Machines int
-	Scalars  []streaming.Scalar
+	// Values[k] is the cell's value of the metric Report.Rollup[k] rolls
+	// up.
+	Values []float64
 }
 
-// MetricRollup is the cross-cell distribution of one scalar metric.
+// cellMetrics are the metric table's entries that a lone 2019 cell
+// defines, in table order.
+func cellMetrics() []experiments.Metric {
+	var out []experiments.Metric
+	for _, m := range experiments.Metrics() {
+		if !m.Uses2011 {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// MetricRollup is the cross-cell distribution of one metric.
 type MetricRollup struct {
 	Name                          string
 	Mean, P50, P90, P99, Min, Max float64
 }
 
 // Report is the fleet-level result: per-metric cross-cell percentiles
-// over the per-cell scalar values.
+// over the per-cell values.
 type Report struct {
 	Cells         int
 	TotalMachines int
@@ -139,16 +158,16 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	n := cfg.Cells
-	names := streaming.ScalarNames()
-	digests := make([]*stats.Digest, len(names))
-	sums := make([]float64, len(names))
+	metrics := cellMetrics()
+	digests := make([]*stats.Digest, len(metrics))
+	sums := make([]float64, len(metrics))
 	for i := range digests {
 		digests[i] = stats.NewDigest(stats.DefaultCompression)
 	}
 	rep := &Report{Cells: n, Horizon: cfg.Horizon, Seed: cfg.Seed}
 
 	// reducers[i] is created with cell i's spec and released once its
-	// scalars are rolled up: the engine's mutex-ordered handoff from the
+	// metrics are rolled up: the engine's mutex-ordered handoff from the
 	// building worker to the delivering worker covers the slot.
 	reducers := make([]*streaming.CellReducer, n)
 	warmup := cfg.Horizon / 2
@@ -156,40 +175,42 @@ func Run(cfg Config) (*Report, error) {
 	engine.RunStream(n, func(i int) engine.Spec {
 		spec := cfg.Spec(i)
 		spec.Options = ri.Cell(i, spec.Options)
-		reducers[i] = streaming.NewCellReducer(core.TraceMeta(spec.Profile, spec.Options))
+		reducers[i] = experiments.NewCellReducerFor(spec)
 		spec.Options.ExtraSinks = append(spec.Options.ExtraSinks, reducers[i])
 		return spec
 	}, ri.Wrap(engine.Options{
 		Parallelism: cfg.Parallelism,
 		OnResult: func(i int, res *core.CellResult) {
-			scalars := reducers[i].Scalars(warmup)
-			reducers[i] = nil
-			rep.TotalMachines += res.Profile.Machines
-			for j, s := range scalars {
-				if math.IsNaN(s.Value) {
+			pool := experiments.NewPool(nil, reducers[i:i+1], []core.CellResult{*res}, warmup)
+			values := make([]float64, len(metrics))
+			for j, m := range metrics {
+				values[j] = m.Value(pool)
+				if math.IsNaN(values[j]) {
 					continue
 				}
-				digests[j].Add(s.Value)
-				sums[j] += s.Value
+				digests[j].Add(values[j])
+				sums[j] += values[j]
 			}
+			reducers[i] = nil
+			rep.TotalMachines += res.Profile.Machines
 			if cfg.OnCell != nil {
 				cfg.OnCell(CellSummary{
 					Index: i, Name: res.Profile.Name,
-					Machines: res.Profile.Machines, Scalars: scalars,
+					Machines: res.Profile.Machines, Values: values,
 				})
 			}
 		},
 	}))
-	rep.Rollup = rollup(names, digests, sums, n)
+	rep.Rollup = rollup(metrics, digests, sums)
 	return rep, nil
 }
 
 // rollup folds the per-metric digests into the report rows.
-func rollup(names []string, digests []*stats.Digest, sums []float64, cells int) []MetricRollup {
-	out := make([]MetricRollup, len(names))
-	for i, name := range names {
+func rollup(metrics []experiments.Metric, digests []*stats.Digest, sums []float64) []MetricRollup {
+	out := make([]MetricRollup, len(metrics))
+	for i, m := range metrics {
 		d := digests[i]
-		r := MetricRollup{Name: name}
+		r := MetricRollup{Name: m.Name}
 		if c := d.Count(); c > 0 {
 			r.Mean = sums[i] / float64(c)
 			r.P50 = d.Quantile(0.50)
@@ -209,68 +230,57 @@ func (r *Report) WriteText(w io.Writer) error {
 		r.Cells, r.TotalMachines, r.Horizon, r.Seed); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%-18s %10s %10s %10s %10s %10s %10s\n",
-		"metric", "mean", "p50", "p90", "p99", "min", "max"); err != nil {
-		return err
-	}
-	for _, m := range r.Rollup {
-		if _, err := fmt.Fprintf(w, "%-18s %10.4g %10.4g %10.4g %10.4g %10.4g %10.4g\n",
-			m.Name, m.Mean, m.P50, m.P90, m.P99, m.Min, m.Max); err != nil {
-			return err
-		}
-	}
-	return nil
+	return report.Table(w, rollupHeaders, r.rows(report.F))
 }
 
 // WriteCSV writes the rollup in machine-readable long form.
 func (r *Report) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"metric", "mean", "p50", "p90", "p99", "min", "max"}); err != nil {
-		return err
-	}
-	for _, m := range r.Rollup {
-		rec := []string{m.Name}
-		for _, v := range []float64{m.Mean, m.P50, m.P90, m.P99, m.Min, m.Max} {
-			rec = append(rec, ftoa(v))
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return report.WriteCSV(w, rollupHeaders, r.rows(ftoa))
 }
 
-// CellCSV streams per-cell scalar rows to CSV — plug its Cell method
+// rollupHeaders are the rollup's columns.
+var rollupHeaders = []string{"metric", "mean", "p50", "p90", "p99", "min", "max"}
+
+// rows gives one row per rollup metric, its numbers formatted by format.
+func (r *Report) rows(format func(float64) string) [][]string {
+	rows := make([][]string, len(r.Rollup))
+	for i, m := range r.Rollup {
+		rows[i] = []string{m.Name}
+		for _, v := range []float64{m.Mean, m.P50, m.P90, m.P99, m.Min, m.Max} {
+			rows[i] = append(rows[i], format(v))
+		}
+	}
+	return rows
+}
+
+// CellCSV streams per-cell metric rows to CSV — plug its Cell method
 // into Config.OnCell. Rows arrive in fleet order, so the file is
 // deterministic for a given (config, seed) at any parallelism.
 type CellCSV struct {
-	w      *csv.Writer
-	header bool
-	err    error
+	w   *csv.Writer
+	err error
 }
 
-// NewCellCSV returns a streaming per-cell CSV writer.
-func NewCellCSV(w io.Writer) *CellCSV { return &CellCSV{w: csv.NewWriter(w)} }
+// NewCellCSV returns a streaming per-cell CSV writer, its header
+// written.
+func NewCellCSV(w io.Writer) *CellCSV {
+	c := &CellCSV{w: csv.NewWriter(w)}
+	header := []string{"cell", "machines"}
+	for _, m := range cellMetrics() {
+		header = append(header, m.Name)
+	}
+	c.err = c.w.Write(header)
+	return c
+}
 
-// Cell appends one cell's row, writing the header first on first use.
+// Cell appends one cell's row.
 func (c *CellCSV) Cell(s CellSummary) {
 	if c.err != nil {
 		return
 	}
-	if !c.header {
-		c.header = true
-		rec := []string{"cell", "machines"}
-		for _, sc := range s.Scalars {
-			rec = append(rec, sc.Name)
-		}
-		if c.err = c.w.Write(rec); c.err != nil {
-			return
-		}
-	}
 	rec := []string{s.Name, strconv.Itoa(s.Machines)}
-	for _, sc := range s.Scalars {
-		rec = append(rec, ftoa(sc.Value))
+	for _, v := range s.Values {
+		rec = append(rec, ftoa(v))
 	}
 	c.err = c.w.Write(rec)
 }

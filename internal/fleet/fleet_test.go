@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/analysis/streaming"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -83,14 +83,21 @@ func TestFleetReportShape(t *testing.T) {
 		if s.Index != i {
 			t.Fatalf("cell summaries out of order: %d at position %d", s.Index, i)
 		}
-		if s.Machines <= 0 || len(s.Scalars) != len(streaming.ScalarNames()) {
+		if s.Machines <= 0 || len(s.Values) != len(rep.Rollup) {
 			t.Fatalf("cell %d summary malformed: %+v", i, s)
 		}
 	}
 	if rep.TotalMachines <= 0 {
 		t.Fatal("no machines accounted")
 	}
-	names := streaming.ScalarNames()
+	// The rollup is the metric table without the entries that read the
+	// 2011 cell, in table order.
+	var names []string
+	for _, m := range experiments.Metrics() {
+		if !m.Uses2011 {
+			names = append(names, m.Name)
+		}
+	}
 	if len(rep.Rollup) != len(names) {
 		t.Fatalf("rollup has %d metrics, want %d", len(rep.Rollup), len(names))
 	}
@@ -182,7 +189,7 @@ func TestFleetEmpty(t *testing.T) {
 	if rep.Cells != 0 || rep.TotalMachines != 0 {
 		t.Fatalf("empty fleet report: %+v", rep)
 	}
-	if len(rep.Rollup) != len(streaming.ScalarNames()) {
+	if len(rep.Rollup) != len(cellMetrics()) {
 		t.Fatal("empty fleet rollup missing metric rows")
 	}
 }

@@ -35,7 +35,15 @@ func (s *Scheduler) Submit(j *Job) {
 
 	// Terminated jobs leave s.jobs, so a parent found there is live (and
 	// Parent 0, meaning none, is found nowhere: collection IDs start at 1).
+	// j dies with a live parent, and with a live alloc set it targets:
+	// each keeps j in its dependents.
 	parent := s.jobs[j.Parent]
+	if parent != nil {
+		parent.dependents = append(parent.dependents, j)
+	}
+	if as := s.jobs[j.AllocSet]; as != nil && as != parent && targets(j, as) {
+		as.dependents = append(as.dependents, j)
+	}
 
 	s.emitCollection(j, trace.EventSubmit)
 	for _, t := range j.Tasks {
@@ -224,25 +232,31 @@ func (s *Scheduler) terminateJob(j *Job, final trace.EventType) {
 	delete(s.allocs, j.ID)
 }
 
+// targets reports whether job d runs inside alloc set j.
+func targets(d, j *Job) bool {
+	return j.Type == trace.CollectionAllocSet && d.Type == trace.CollectionJob && d.AllocSet == j.ID
+}
+
 // dependents returns the live jobs that die with j, in the order they
 // are killed: if j is an alloc set, the jobs targeting it — running or
 // still pending — and then j's children, each group in collection-ID
 // order. That is submission order, since collections are numbered as
-// they are submitted.
+// they are submitted. It reads j's dependents list and releases it.
 func (s *Scheduler) dependents(j *Job) []*Job {
 	// rank is 0 for a job targeting j, 1 for a child of j.
 	rank := func(d *Job) int {
-		if j.Type == trace.CollectionAllocSet && d.Type == trace.CollectionJob && d.AllocSet == j.ID {
+		if targets(d, j) {
 			return 0
 		}
 		return 1
 	}
 	var deps []*Job
-	for _, d := range s.jobs {
-		if d.Parent == j.ID || rank(d) == 0 {
+	for _, d := range j.dependents {
+		if d.State != JobDone {
 			deps = append(deps, d)
 		}
 	}
+	j.dependents = nil
 	slices.SortFunc(deps, func(a, b *Job) int {
 		if ra, rb := rank(a), rank(b); ra != rb {
 			return ra - rb

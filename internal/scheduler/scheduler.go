@@ -231,6 +231,11 @@ type Job struct {
 
 	liveTasks int
 	killEvent sim.EventRef
+	// dependents are the jobs submitted while this job was live that
+	// named it as their parent or, if it is an alloc set, as their alloc
+	// set: the jobs that may die with it. Submit appends; the list is
+	// read, filtered by state, once, when this job terminates.
+	dependents []*Job
 	// sched is the scheduler the job was submitted to, which its tasks'
 	// kernel events and its kill event call back into.
 	sched *Scheduler
@@ -354,8 +359,8 @@ type Scheduler struct {
 	serveEv sim.Func
 
 	// jobs holds the live jobs: submitted and not yet terminated. It is
-	// the only job registry: a job's live children and an alloc set's
-	// live inner jobs are found by scanning it (see dependents).
+	// the only registry of live jobs; the jobs that die with a job are
+	// in that job's dependents.
 	jobs map[trace.CollectionID]*Job
 	// allocs holds each alloc set's placed instances in placement order,
 	// the only record of them; the tasks an instance hosts are the

@@ -1,8 +1,10 @@
 package scheduler
 
 import (
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dist"
@@ -411,6 +413,54 @@ func TestDependentsKilledInSubmissionOrder(t *testing.T) {
 	}
 	if len(rig.sched.jobs) != 0 || len(rig.sched.allocs) != 0 {
 		t.Fatalf("scheduler holds %d jobs and %d alloc sets, want none", len(rig.sched.jobs), len(rig.sched.allocs))
+	}
+}
+
+// TestTerminationCostIgnoresUnrelatedJobs: a job that terminates reads
+// only the jobs that named it, so killing 1,000 jobs costs about the same
+// with 10³ or with 10⁵ unrelated jobs live. A scan of the live-job table
+// makes the second about 100× dearer; the bound leaves room for timer
+// and cache noise on a shared machine.
+func TestTerminationCostIgnoresUnrelatedJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("submits 10⁵ jobs")
+	}
+	const kills = 1000
+	killTime := func(live int) time.Duration {
+		cell := cluster.NewCell("test", defaultOC)
+		cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
+		k := sim.NewKernel()
+		s := New(fastConfig(), cell, k, trace.MultiSink{}, rng.New(42), nil)
+		req := trace.Resources{CPU: 0.1, Mem: 0.1}
+		// The kernel never runs, so every job stays live and pending.
+		for id := 1; id <= live; id++ {
+			s.Submit(mkJob(trace.CollectionID(id), 100, trace.TierBestEffortBatch, 1, req, sim.Hour))
+		}
+		victims := make([]*Job, kills)
+		for i := range victims {
+			victims[i] = mkJob(trace.CollectionID(live+1+i), 100, trace.TierBestEffortBatch, 1, req, sim.Hour)
+			s.Submit(victims[i])
+		}
+		runtime.GC()
+		start := time.Now()
+		for _, v := range victims {
+			s.KillJob(v, trace.EventKill)
+		}
+		return time.Since(start)
+	}
+	// The fastest of three runs at each size keeps one slow run from
+	// deciding.
+	fastest := func(live int) time.Duration {
+		best := killTime(live)
+		for range 2 {
+			best = min(best, killTime(live))
+		}
+		return best
+	}
+	few, many := fastest(1_000), fastest(100_000)
+	if ratio := float64(many) / float64(few); ratio > 10 {
+		t.Fatalf("%d kills took %v with 10⁵ live jobs and %v with 10³: %.1f×, want under 10×",
+			kills, many, few, ratio)
 	}
 }
 

@@ -8,10 +8,11 @@ import (
 	"strconv"
 
 	"repro/internal/report"
+	"repro/internal/stats"
 )
 
 // WriteReport renders the sweep: a header describing the grid, a
-// variant × metric summary of cross-seed means, then one table per
+// metric × variant summary of cross-seed means, then one table per
 // metric with the full cross-seed statistics (mean, stddev, min, max,
 // 95% CI half-width, n). Output is a pure function of the Result, so the
 // determinism contract extends to the report bytes.
@@ -23,19 +24,21 @@ func (r *Result) WriteReport(w io.Writer) error {
 		return err
 	}
 	if _, err := fmt.Fprintf(w,
-		"(scalar metrics averaged over the eight 2019 cells; preemptions/oom summed; ±95%% CI via Student-t, n=%d)\n\n",
+		"(each grid point's metrics are the suite report's, over its nine cells; ±95%% CI via Student-t, n=%d)\n\n",
 		d.Seeds); err != nil {
 		return err
 	}
 
-	headers := append([]string{"variant"}, r.Metrics...)
-	rows := make([][]string, 0, len(r.Variants))
+	headers := []string{"metric"}
 	for _, v := range r.Variants {
-		row := []string{v.Name}
-		for _, st := range v.Stats {
-			row = append(row, report.F(st.Mean))
+		headers = append(headers, v.Name)
+	}
+	rows := make([][]string, len(r.Metrics))
+	for m, name := range r.Metrics {
+		rows[m] = []string{name}
+		for _, v := range r.Variants {
+			rows[m] = append(rows[m], report.F(v.Stats[m].Mean))
 		}
-		rows = append(rows, row)
 	}
 	if _, err := fmt.Fprintln(w, "== sweep summary: cross-seed means =="); err != nil {
 		return err
@@ -50,16 +53,7 @@ func (r *Result) WriteReport(w io.Writer) error {
 		}
 		rows := make([][]string, 0, len(r.Variants))
 		for _, v := range r.Variants {
-			st := v.Stats[m]
-			rows = append(rows, []string{
-				v.Name,
-				report.F(st.Mean),
-				report.F(st.Stddev),
-				report.F(st.Min),
-				report.F(st.Max),
-				report.F(st.CI95),
-				strconv.Itoa(st.N),
-			})
+			rows = append(rows, append([]string{v.Name}, statCells(v.Stats[m])...))
 		}
 		if err := report.Table(w, []string{"variant", "mean", "stddev", "min", "max", "ci95±", "n"}, rows); err != nil {
 			return err
@@ -86,22 +80,29 @@ func (r *Result) writePairedSection(w io.Writer) error {
 		base.Name); err != nil {
 		return err
 	}
+	return report.Table(w,
+		[]string{"variant", "metric", "diff mean", "diff stddev", "paired ci95±", "unpaired ci95±", "n"}, r.diffRows())
+}
+
+// statCells formats a cross-seed summary: mean, stddev, min, max, ci95
+// and n.
+func statCells(st stats.CrossRun) []string {
+	return []string{report.F(st.Mean), report.F(st.Stddev), report.F(st.Min), report.F(st.Max),
+		report.F(st.CI95), strconv.Itoa(st.N)}
+}
+
+// diffRows gives one row per non-baseline variant and metric: variant,
+// metric, the difference's mean and stddev, the paired and unpaired
+// ci95, and n.
+func (r *Result) diffRows() [][]string {
 	var rows [][]string
 	for _, v := range r.Variants {
-		if v.Diffs == nil {
-			continue
-		}
 		for m, d := range v.Diffs {
-			rows = append(rows, []string{
-				v.Name, r.Metrics[m],
-				report.F(d.Mean), report.F(d.Stddev),
-				report.F(d.CI95), report.F(v.UnpairedCI95[m]),
-				strconv.Itoa(d.N),
-			})
+			rows = append(rows, []string{v.Name, r.Metrics[m], report.F(d.Mean), report.F(d.Stddev),
+				report.F(d.CI95), report.F(v.UnpairedCI95[m]), strconv.Itoa(d.N)})
 		}
 	}
-	return report.Table(w,
-		[]string{"variant", "metric", "diff mean", "diff stddev", "paired ci95±", "unpaired ci95±", "n"}, rows)
+	return rows
 }
 
 // WriteCSVs exports the sweep to dir (created if needed): one
@@ -129,12 +130,7 @@ func (r *Result) WriteCSVs(dir string) error {
 	var rows [][]string
 	for _, v := range r.Variants {
 		for m, st := range v.Stats {
-			rows = append(rows, []string{
-				v.Name, r.Metrics[m],
-				report.F(st.Mean), report.F(st.Stddev),
-				report.F(st.Min), report.F(st.Max),
-				report.F(st.CI95), strconv.Itoa(st.N),
-			})
+			rows = append(rows, append([]string{v.Name, r.Metrics[m]}, statCells(st)...))
 		}
 	}
 	if err := writeCSVFile(filepath.Join(dir, "summary.csv"),
@@ -144,20 +140,10 @@ func (r *Result) WriteCSVs(dir string) error {
 
 	// paired_diffs.csv mirrors the report's paired-difference section:
 	// variant-minus-baseline per-replicate differences with both the
-	// paired and the unpaired 95% half-widths.
-	var diffRows [][]string
-	for _, v := range r.Variants {
-		if v.Diffs == nil {
-			continue
-		}
-		for m, d := range v.Diffs {
-			diffRows = append(diffRows, []string{
-				v.Name, r.Variants[r.Baseline].Name, r.Metrics[m],
-				report.F(d.Mean), report.F(d.Stddev),
-				report.F(d.CI95), report.F(v.UnpairedCI95[m]),
-				strconv.Itoa(d.N),
-			})
-		}
+	// paired and the unpaired 95% half-widths, and the baseline named.
+	diffRows := r.diffRows()
+	for i, row := range diffRows {
+		diffRows[i] = append([]string{row[0], r.Variants[r.Baseline].Name}, row[1:]...)
 	}
 	if len(diffRows) == 0 {
 		return nil

@@ -21,13 +21,12 @@
 //
 // # Statistics
 //
-// Each grid point reduces to one scalar metric vector: the streaming
-// reducers' per-cell scalars (streaming.Scalars) averaged over the eight
-// 2019 cells, plus scheduler preemption/OOM counters summed over them.
-// The 2011 cell simulates for era context but stays out of the averages.
-// Across the N replicates of a variant, every metric gets a
-// stats.CrossRun: mean, sample stddev, min/max, and the 95% Student-t
-// confidence half-width.
+// Each grid point reduces to one metric vector: the metric table
+// (experiments.Metrics) evaluated over the point's nine cells, exactly as
+// the suite report evaluates it, so cross-era metrics such as Figure 8's
+// 2019/2011 rate ratio exist per point. Across the N replicates of a
+// variant, every metric gets a stats.CrossRun: mean, sample stddev,
+// min/max, and the 95% Student-t confidence half-width.
 package sweep
 
 import (
@@ -38,7 +37,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -88,7 +86,16 @@ type VariantStats struct {
 	UnpairedCI95 []float64
 }
 
-// Result is a finished sweep: the definition it ran, the metric-vector
+// column gathers metric m across the variant's replicates.
+func (v *VariantStats) column(m int) []float64 {
+	xs := make([]float64, len(v.PerSeed))
+	for run, vec := range v.PerSeed {
+		xs[run] = vec[m]
+	}
+	return xs
+}
+
+// Result is a finished sweep: the definition it ran, the metric table's
 // names, and per-variant cross-seed statistics. All rendering
 // (WriteReport, WriteCSVs) is a pure function of this value.
 type Result struct {
@@ -100,13 +107,6 @@ type Result struct {
 	// differences: the first variant named "baseline" when present,
 	// otherwise the first variant.
 	Baseline int
-}
-
-// MetricNames returns the sweep metric vector's names in order: the
-// streaming per-cell scalars (averaged over the 2019 cells), then the
-// scheduler activity counters (summed over them).
-func MetricNames() []string {
-	return append(streaming.ScalarNames(), "preemptions", "oom_evictions")
 }
 
 // Run expands the sweep's seed × variant × cell grid, simulates every
@@ -152,7 +152,10 @@ func Run(d Def) (*Result, error) {
 		}
 	}
 
-	res := &Result{Def: d, Metrics: MetricNames(), Cells: cells}
+	res := &Result{Def: d, Cells: cells}
+	for _, m := range experiments.Metrics() {
+		res.Metrics = append(res.Metrics, m.Name)
+	}
 	res.Def.Variants = variants
 	res.Variants = make([]VariantStats, len(variants))
 	for vi, v := range variants {
@@ -160,20 +163,18 @@ func Run(d Def) (*Result, error) {
 	}
 
 	// The grid streams through the engine like a fleet: a cell's reducer
-	// is made as a worker picks the cell up and dropped once its scalars
-	// are folded into its point's metric vector, in grid order, so peak
-	// state is O(Parallelism) cells rather than the whole grid. Grid
-	// points feed the sweep-level registry/timeline like suite cells feed
-	// a suite's: one private registry per point, merged in grid order,
-	// one timeline row per flat index. reducers[i] is written by the
-	// worker that builds cell i and read by the one delivering it: the
-	// engine's mutex-ordered handoff between them covers the slot.
+	// is made as a worker picks the cell up and kept only until the last
+	// cell of its grid point arrives, in grid order; the point's metric
+	// vector is then evaluated and its reducers dropped, so the live
+	// reducers are one point's plus those of the cells the engine has
+	// started and not yet delivered. Grid points feed the
+	// sweep-level registry/timeline like suite cells feed a suite's: one
+	// private registry per point, merged in grid order, one timeline row
+	// per flat index. reducers[i] is written by the worker that builds
+	// cell i and read by the one delivering it: the engine's
+	// mutex-ordered handoff between them covers the slot.
 	reducers := make([]*streaming.CellReducer, len(specs))
-	scalars := len(streaming.ScalarNames())
-	var (
-		vec   []float64 // the current point's metric vector
-		n2019 int       // its 2019 cells folded so far
-	)
+	var results []core.CellResult // the current point's, in cell order
 	ri := engine.NewRunInstruments(d.Scale.Metrics, d.Scale.Timeline, len(specs))
 	engine.RunStream(len(specs), func(i int) engine.Spec {
 		spec := specs[i]
@@ -184,28 +185,17 @@ func Run(d Def) (*Result, error) {
 	}, ri.Wrap(engine.Options{
 		Parallelism: d.Scale.Parallelism,
 		OnResult: func(i int, cell *core.CellResult) {
-			r := reducers[i]
-			reducers[i] = nil
-			if i%cells == 0 {
-				vec, n2019 = make([]float64, len(res.Metrics)), 0
+			results = append(results, *cell)
+			if i%cells != cells-1 {
+				return
 			}
-			// A point's metric vector: reducer scalars averaged over its
-			// 2019 cells, scheduler counters summed over them.
-			if r.Meta().Era == trace.Era2019 {
-				n2019++
-				for m, s := range r.Scalars(d.Scale.Warmup) {
-					vec[m] += s.Value
-				}
-				vec[scalars] += float64(cell.Sched.Preemptions)
-				vec[scalars+1] += float64(cell.Sched.OOMEvictions)
-			}
-			if i%cells == cells-1 {
-				for m := 0; m < scalars && n2019 > 0; m++ {
-					vec[m] /= float64(n2019)
-				}
-				point := i / cells
-				res.Variants[point%len(variants)].PerSeed[point/len(variants)] = vec
-			}
+			first := i + 1 - cells
+			suite := &experiments.Suite{Scale: d.Scale, R2011: reducers[first],
+				R2019: reducers[first+1 : i+1], Stats: results}
+			point := i / cells
+			res.Variants[point%len(variants)].PerSeed[point/len(variants)] = suite.Pool().Values()
+			clear(reducers[first : i+1])
+			results = nil
 		},
 	}))
 
@@ -213,11 +203,7 @@ func Run(d Def) (*Result, error) {
 		vs := &res.Variants[vi]
 		vs.Stats = make([]stats.CrossRun, len(res.Metrics))
 		for m := range res.Metrics {
-			xs := make([]float64, d.Seeds)
-			for run := 0; run < d.Seeds; run++ {
-				xs[run] = vs.PerSeed[run][m]
-			}
-			vs.Stats[m] = stats.SummarizeRuns(xs)
+			vs.Stats[m] = stats.SummarizeRuns(vs.column(m))
 		}
 	}
 
@@ -240,12 +226,7 @@ func Run(d Def) (*Result, error) {
 		vs.Diffs = make([]stats.CrossRun, len(res.Metrics))
 		vs.UnpairedCI95 = make([]float64, len(res.Metrics))
 		for m := range res.Metrics {
-			xs := make([]float64, d.Seeds)
-			ys := make([]float64, d.Seeds)
-			for run := 0; run < d.Seeds; run++ {
-				xs[run] = anchor.PerSeed[run][m]
-				ys[run] = vs.PerSeed[run][m]
-			}
+			xs, ys := anchor.column(m), vs.column(m)
 			diff, err := stats.PairedDiff(xs, ys)
 			if err != nil {
 				return nil, err

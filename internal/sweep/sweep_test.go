@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/scheduler"
@@ -67,6 +68,37 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 	for _, name := range serial.Metrics {
 		if !strings.Contains(a.String(), "== metric "+name+" ==") {
 			t.Fatalf("report is missing the %s metric table", name)
+		}
+	}
+}
+
+// TestSweepVectorIsTheSuiteTable pins one definition per metric:
+// replicate 0 of a sweep's first variant simulates exactly the suite
+// rooted at engine.DeriveSeed(root, 0) (the same cell seeds, and flat
+// index equals cell index, so the same ID spaces), and its metric vector
+// is the metric table evaluated on that suite, bit for bit.
+func TestSweepVectorIsTheSuiteTable(t *testing.T) {
+	res, err := Run(Def{Scale: tinyScale(), Seeds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := tinyScale()
+	sc.Seed = engine.DeriveSeed(sc.Seed, 0)
+	suite, err := experiments.RunSuiteStreaming(sc, experiments.StreamingOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := suite.Pool().Values()
+	got := res.Variants[0].PerSeed[0]
+	if len(got) != len(want) || len(res.Metrics) != len(want) {
+		t.Fatalf("sweep vector has %d values and %d names, want %d", len(got), len(res.Metrics), len(want))
+	}
+	for m, name := range res.Metrics {
+		if name != experiments.Metrics()[m].Name {
+			t.Fatalf("metric %d is %q, want %q", m, name, experiments.Metrics()[m].Name)
+		}
+		if math.Float64bits(got[m]) != math.Float64bits(want[m]) {
+			t.Errorf("%s: sweep %v, suite %v", name, got[m], want[m])
 		}
 	}
 }

@@ -390,24 +390,25 @@ func ReadDir(dir string) (*MemTrace, error) {
 		return nil, fmt.Errorf("trace: parse meta: %w", err)
 	}
 	t := NewMemTrace(meta)
-	if err := CollectionEventsTable.read(dir, t.CollectionEvent); err != nil {
+	if err := CollectionEventsTable.Read(dir, t.CollectionEvent); err != nil {
 		return nil, err
 	}
-	if err := InstanceEventsTable.read(dir, t.InstanceEvent); err != nil {
+	if err := InstanceEventsTable.Read(dir, t.InstanceEvent); err != nil {
 		return nil, err
 	}
-	if err := UsageTable.read(dir, t.UsageRecords.Append); err != nil {
+	if err := UsageTable.Read(dir, t.UsageRecords.Append); err != nil {
 		return nil, err
 	}
-	if err := MachineEventsTable.read(dir, t.MachineEvent); err != nil {
+	if err := MachineEventsTable.Read(dir, t.MachineEvent); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// read decodes the table's file in dir, after checking its header, and
-// hands each row to add.
-func (t *Table[R]) read(dir string, add func(R)) error {
+// Read decodes the table's file in the trace directory dir, after
+// checking its header, and hands each row to add in file order. It opens
+// no other file of the directory.
+func (t *Table[R]) Read(dir string, add func(R)) error {
 	path := filepath.Join(dir, t.file)
 	f, err := os.Open(path)
 	if err != nil {
