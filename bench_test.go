@@ -232,8 +232,9 @@ func BenchmarkManyCellSuite(b *testing.B) {
 // streamed through engine.RunStream with one reducer per cell and the
 // usage-noise fast path on, rolled up online into cross-cell t-digest
 // percentiles. Peak heap must stay under the CI streaming guard's
-// 1536 MB ceiling: released reducers and O(Parallelism) in-flight cells
-// keep the footprint flat in fleet size. Minutes-long, so gated behind
+// 1536 MB ceiling: reducers are released on delivery, so only the cells
+// started and not yet delivered are held, and the footprint stays flat
+// in fleet size. Minutes-long, so gated behind
 // FLEET_SMOKE=1 (the CI fleet-smoke job sets it).
 func BenchmarkFleetRollup(b *testing.B) {
 	if os.Getenv("FLEET_SMOKE") != "1" {
@@ -395,13 +396,12 @@ func miceDelayP90(hogPriority int) float64 {
 	for i := 0; i < 5; i++ {
 		j := scheduler.NewJob(id)
 		id++
-		j.Type = trace.CollectionJob
+		j.CollectionType = trace.CollectionJob
 		j.Priority = hogPriority
 		j.Tier = trace.TierFromPriority2019(hogPriority)
 		for t := 0; t < 400; t++ {
 			j.AddTask(&scheduler.Task{
-				Request:  trace.Resources{CPU: 0.05, Mem: 0.04},
-				Duration: 2 * sim.Hour, MeanCPU: 0.04, MeanMem: 0.03, PeakFact: 1.2,
+				TaskSpec: scheduler.TaskSpec{Request: trace.Resources{CPU: 0.05, Mem: 0.04}, Duration: 2 * sim.Hour, MeanCPU: 0.04, MeanMem: 0.03, PeakFact: 1.2},
 			})
 		}
 		at := sim.Time(i) * 15 * sim.Minute
@@ -411,12 +411,11 @@ func miceDelayP90(hogPriority int) float64 {
 	for i := 0; i < 400; i++ {
 		j := scheduler.NewJob(id)
 		id++
-		j.Type = trace.CollectionJob
+		j.CollectionType = trace.CollectionJob
 		j.Priority = 110
 		j.Tier = trace.TierBestEffortBatch
 		j.AddTask(&scheduler.Task{
-			Request:  trace.Resources{CPU: 0.02, Mem: 0.02},
-			Duration: 3 * sim.Minute, MeanCPU: 0.01, MeanMem: 0.01, PeakFact: 1.2,
+			TaskSpec: scheduler.TaskSpec{Request: trace.Resources{CPU: 0.02, Mem: 0.02}, Duration: 3 * sim.Minute, MeanCPU: 0.01, MeanMem: 0.01, PeakFact: 1.2},
 		})
 		mice = append(mice, j)
 		at := sim.Time(src.Intn(int(3 * sim.Hour)))

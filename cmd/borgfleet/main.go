@@ -8,8 +8,9 @@
 //
 // Every cell runs with one streaming reducer and keeps no rows; cell specs
 // materialize only as workers pick them up and are released as soon as
-// their metrics fold into the rollup, so peak memory is O(-parallel)
-// cells regardless of fleet size. Cell i of a fleet rooted at -seed R
+// their metrics fold into the rollup, so peak memory is the cells started
+// and not yet folded: the -parallel running ones plus finished ones
+// waiting behind a slower cell, however large the fleet. Cell i of a fleet rooted at -seed R
 // simulates with engine.DeriveSeed(R, i): the fleet report and CSVs are
 // byte-identical at any -parallel setting, and cell i's world never
 // depends on the fleet size, so fleets are CRN-comparable across knob

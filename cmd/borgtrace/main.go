@@ -12,9 +12,8 @@
 //
 // Rows are written to disk while the simulation runs, through a
 // trace.DirSink, and nothing is retained, so memory stays bounded at any
-// horizon, month-scale traces included. With -validate (the default) a
-// trace.Validator checks the §9 invariants on the same rows as they
-// stream past.
+// horizon, month-scale traces included. A trace.Validator checks the §9
+// invariants on the same rows as they stream past and logs its verdict.
 //
 // Usage:
 //
@@ -55,7 +54,6 @@ func run(args []string, logw io.Writer) error {
 	hours := fs.Float64("hours", 24, "simulated duration in hours")
 	seed := fs.Uint64("seed", 1, "root random seed")
 	out := fs.String("out", "trace-out", "output directory")
-	validate := fs.Bool("validate", true, "check the §9 invariants on the rows as they are written")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -85,12 +83,8 @@ func run(args []string, logw io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opts.ExtraSinks = []trace.Sink{ds}
-	var v *trace.Validator
-	if *validate {
-		v = trace.NewValidator()
-		opts.ExtraSinks = append(opts.ExtraSinks, v)
-	}
+	v := trace.NewValidator()
+	opts.ExtraSinks = []trace.Sink{ds, v}
 	res := core.Run(profile, opts)
 	if err := ds.Close(); err != nil {
 		return err
@@ -98,12 +92,10 @@ func run(args []string, logw io.Writer) error {
 	lg.Printf("simulated cell %s: collEvents=%d instEvents=%d usage=%d machineEvents=%d",
 		profile.Name, res.Rows.Collections, res.Rows.Instances, res.Rows.Usage, res.Rows.Machines)
 	lg.Printf("scheduler: %+v", res.Sched)
-	if v != nil {
-		if violations := v.Finish(); len(violations) > 0 {
-			lg.Printf("WARNING: %d invariant violations (first: %v)", len(violations), violations[0])
-		} else {
-			lg.Printf("validator: all invariants hold")
-		}
+	if violations := v.Finish(); len(violations) > 0 {
+		lg.Printf("WARNING: %d invariant violations (first: %v)", len(violations), violations[0])
+	} else {
+		lg.Printf("validator: all invariants hold")
 	}
 	lg.Printf("wrote trace to %s", *out)
 	return nil

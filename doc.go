@@ -283,8 +283,10 @@
 // each cell's metrics — the metric table's (experiments.Metrics) on the
 // cell alone, less the ones that read the 2011 cell — fold into the
 // fleet rollup (one merging stats.Digest per metric) the moment its
-// in-order result delivers, after which the reducer is released. Peak heap is therefore
-// O(Parallelism) cells regardless of fleet size — the 128-cell CI smoke
+// in-order result delivers, after which the reducer is released. Peak
+// heap is therefore the cells started and not yet delivered — the
+// running ones plus finished ones waiting behind a slower cell (see
+// engine.RunStream) — however large the fleet: the 128-cell CI smoke
 // runs in a few MB against a 1536 MB ceiling. Determinism follows the
 // engine contract: cell i simulates with engine.DeriveSeed(root, i) and
 // a profile drawn from that seed's own splitter, so the report, rollup

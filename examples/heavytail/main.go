@@ -45,16 +45,18 @@ func runScenario(hogPriority int) (miceDelaysSeconds []float64, hogShare float64
 	for i := 0; i < 5; i++ {
 		j := scheduler.NewJob(id)
 		id++
-		j.Type = trace.CollectionJob
-		j.Priority = hogPriority
-		j.Tier = trace.TierFromPriority2019(hogPriority)
-		j.User = "hog"
+		j.CollectionAttrs = trace.CollectionAttrs{
+			CollectionType: trace.CollectionJob,
+			Priority:       hogPriority,
+			Tier:           trace.TierFromPriority2019(hogPriority),
+			User:           "hog",
+		}
 		for t := 0; t < 400; t++ {
-			j.AddTask(&scheduler.Task{
+			j.AddTask(&scheduler.Task{TaskSpec: scheduler.TaskSpec{
 				Request:  trace.Resources{CPU: 0.08, Mem: 0.05},
 				Duration: 2 * sim.Hour,
 				MeanCPU:  0.06, MeanMem: 0.04, PeakFact: 1.2,
-			})
+			}})
 		}
 		hogHours += 400 * 0.06 * 2
 		total += 400 * 0.06 * 2
@@ -66,15 +68,17 @@ func runScenario(hogPriority int) (miceDelaysSeconds []float64, hogShare float64
 	for i := 0; i < 500; i++ {
 		j := scheduler.NewJob(id)
 		id++
-		j.Type = trace.CollectionJob
-		j.Priority = 110
-		j.Tier = trace.TierBestEffortBatch
-		j.User = "mouse"
-		j.AddTask(&scheduler.Task{
+		j.CollectionAttrs = trace.CollectionAttrs{
+			CollectionType: trace.CollectionJob,
+			Priority:       110,
+			Tier:           trace.TierBestEffortBatch,
+			User:           "mouse",
+		}
+		j.AddTask(&scheduler.Task{TaskSpec: scheduler.TaskSpec{
 			Request:  trace.Resources{CPU: 0.02, Mem: 0.02},
 			Duration: 3 * sim.Minute,
 			MeanCPU:  0.015, MeanMem: 0.015, PeakFact: 1.2,
-		})
+		}})
 		total += 0.015 * 0.05
 		miceJobs = append(miceJobs, j)
 		at := sim.Time(src.Intn(int(4 * sim.Hour)))

@@ -293,7 +293,8 @@ type BucketPoint struct {
 }
 
 // CPUMemCorrelation buckets jobs into 1-NCU-hour buckets and reports each
-// bucket's median NMU-hours plus the Pearson correlation across buckets.
+// bucket's median NMU-hours plus the Pearson correlation across buckets
+// (NaN below three buckets, see stats.Pearson).
 func CPUMemCorrelation(integrals UsageIntegrals, maxBucket int) (points []BucketPoint, pearson float64) {
 	buckets := make(map[int][]float64)
 	for i, c := range integrals.CPUHours {

@@ -29,8 +29,8 @@ func fuzzSeedTrace() *trace.MemTrace {
 	var usage []trace.UsageRecord
 	for c, scaling := range []trace.VerticalScaling{trace.ScalingFull, trace.ScalingNone} {
 		id := trace.CollectionID(10 + c)
-		coll := trace.CollectionEvent{Collection: id, CollectionType: trace.CollectionJob,
-			Priority: 200, Tier: trace.TierProduction, User: "u1", Scaling: scaling}
+		coll := trace.CollectionEvent{Collection: id, CollectionAttrs: trace.CollectionAttrs{
+			CollectionType: trace.CollectionJob, Priority: 200, Tier: trace.TierProduction, User: "u1", Scaling: scaling}}
 		for _, typ := range []trace.EventType{trace.EventSubmit, trace.EventEnable} {
 			coll.Type = typ
 			tr.CollectionEvent(coll)

@@ -268,17 +268,10 @@ func (r *CellReducer) CollectionEvent(ev trace.CollectionEvent) {
 		// MemTrace.CollectionInfos reconstructs them.
 		c.hasInfo = true
 		c.info = trace.CollectionInfo{
-			ID:             ev.Collection,
-			CollectionType: ev.CollectionType,
-			Priority:       ev.Priority,
-			Tier:           ev.Tier,
-			User:           ev.User,
-			Parent:         ev.Parent,
-			AllocSet:       ev.AllocSet,
-			Scheduler:      ev.Scheduler,
-			Scaling:        ev.Scaling,
-			SubmitTime:     ev.Time,
-			FinalEvent:     trace.EventSubmit,
+			ID:              ev.Collection,
+			CollectionAttrs: ev.CollectionAttrs,
+			SubmitTime:      ev.Time,
+			FinalEvent:      trace.EventSubmit,
 		}
 		c.isJob = ev.CollectionType == trace.CollectionJob
 		c.isAllocSet = ev.CollectionType == trace.CollectionAllocSet

@@ -252,10 +252,9 @@ func TestReducerStateIsBounded(t *testing.T) {
 func seededReducer(n int) (*CellReducer, []trace.UsageRecord) {
 	r := NewCellReducer(trace.Meta{Duration: 2 * sim.Hour})
 	r.MachineEvent(trace.MachineEvent{Machine: 1, Type: trace.MachineAdd, Capacity: trace.Resources{CPU: 1, Mem: 1}})
-	r.CollectionEvent(trace.CollectionEvent{Collection: 1, Type: trace.EventSubmit,
-		CollectionType: trace.CollectionJob, Tier: trace.TierProduction, Scaling: trace.ScalingFull})
-	r.CollectionEvent(trace.CollectionEvent{Time: sim.Second, Collection: 1, Type: trace.EventEnable,
-		CollectionType: trace.CollectionJob, Tier: trace.TierProduction, Scaling: trace.ScalingFull})
+	attrs := trace.CollectionAttrs{CollectionType: trace.CollectionJob, Tier: trace.TierProduction, Scaling: trace.ScalingFull}
+	r.CollectionEvent(trace.CollectionEvent{Collection: 1, Type: trace.EventSubmit, CollectionAttrs: attrs})
+	r.CollectionEvent(trace.CollectionEvent{Time: sim.Second, Collection: 1, Type: trace.EventEnable, CollectionAttrs: attrs})
 	recs := make([]trace.UsageRecord, n)
 	for i := range recs {
 		key := trace.InstanceKey{Collection: 1, Index: int32(i)}

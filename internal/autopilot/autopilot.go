@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/scheduler"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -121,7 +120,6 @@ func (w *window) percentile(q float64) trace.Resources {
 // Autopilot is the vertical autoscaler for one cell.
 type Autopilot struct {
 	cell *cluster.Cell
-	sink trace.Sink
 	// tracked lists the tasks holding a window (in their Autoscale
 	// cookie); gen is the current sweep generation.
 	tracked []*scheduler.Task
@@ -135,13 +133,13 @@ type Autopilot struct {
 	updates int
 }
 
-// New constructs an Autopilot bound to a cell and to a trace sink; limit
-// growth is capped at each machine's allocation ceiling under the cell's
-// overcommit policy. setRequest writes each limit update into the task:
-// the scheduler's UpdateTaskRequest, which keeps its admission sums and
-// its cached scoring class consistent with the new request.
-func New(cell *cluster.Cell, sink trace.Sink, setRequest func(*scheduler.Task, trace.Resources)) *Autopilot {
-	return &Autopilot{cell: cell, sink: sink, setRequest: setRequest}
+// New constructs an Autopilot bound to a cell; limit growth is capped at
+// each machine's allocation ceiling under the cell's overcommit policy.
+// setRequest writes each limit update into the task: the scheduler's
+// UpdateTaskRequest, which keeps its admission sums consistent with the
+// new request and emits the UPDATE_RUNNING instance event.
+func New(cell *cluster.Cell, setRequest func(*scheduler.Task, trace.Resources)) *Autopilot {
+	return &Autopilot{cell: cell, setRequest: setRequest}
 }
 
 // Updates returns how many limit updates have been issued.
@@ -149,10 +147,9 @@ func (a *Autopilot) Updates() int { return a.updates }
 
 // Observe feeds one 5-minute peak usage sample for a running task and, for
 // autoscaled tasks, adjusts the task's limit toward the windowed peak.
-// It returns the new limit (unchanged for non-autoscaled tasks).
-func (a *Autopilot) Observe(now sim.Time, t *scheduler.Task, peakUsage trace.Resources) trace.Resources {
+func (a *Autopilot) Observe(t *scheduler.Task, peakUsage trace.Resources) {
 	if t.Job.Scaling == trace.ScalingNone {
-		return t.Request
+		return
 	}
 	w, _ := t.Autoscale.(*window)
 	if w == nil {
@@ -189,7 +186,7 @@ func (a *Autopilot) Observe(now sim.Time, t *scheduler.Task, peakUsage trace.Res
 	cur := t.Request
 	if !significant(cur.CPU, rec.CPU, updateThreshold) &&
 		!significant(cur.Mem, rec.Mem, updateThreshold) {
-		return cur
+		return
 	}
 
 	// Cap growth at the machine's remaining allocation headroom. Inner
@@ -206,24 +203,13 @@ func (a *Autopilot) Observe(now sim.Time, t *scheduler.Task, peakUsage trace.Res
 				rec.Mem = head.Mem
 			}
 			if rec.CPU < minCPU || rec.Mem < minMem {
-				return cur // no headroom at all; keep the current limit
+				return // no headroom at all; keep the current limit
 			}
 			a.cell.UpdateLimit(t.Machine, t.Key, rec)
 		}
 	}
 	a.setRequest(t, rec)
 	a.updates++
-	a.sink.InstanceEvent(trace.InstanceEvent{
-		Time:          now,
-		Key:           t.Key,
-		Type:          trace.EventUpdateRunning,
-		Machine:       t.Machine,
-		Priority:      t.Job.Priority,
-		Tier:          t.Job.Tier,
-		Request:       rec,
-		AllocInstance: t.AllocInstance,
-	})
-	return rec
 }
 
 // Sweep ends a sampling window: it drops the window of every tracked

@@ -10,42 +10,40 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/trace/tracetest"
 )
 
 // setRequest stands in for the scheduler's request setter: these tests
 // run the autopilot without a scheduler.
 func setRequest(t *scheduler.Task, rec trace.Resources) { t.Request = rec }
 
-func setup(t *testing.T, scaling trace.VerticalScaling, request trace.Resources) (*Autopilot, *cluster.Cell, *scheduler.Task, *trace.MemTrace) {
+func setup(t *testing.T, scaling trace.VerticalScaling, request trace.Resources) (*Autopilot, *cluster.Cell, *scheduler.Task) {
 	t.Helper()
 	cell := cluster.NewCell("test", cluster.OvercommitPolicy{CPUFactor: 1.2, MemFactor: 1.2})
 	m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
-	tr := trace.NewMemTrace(trace.Meta{})
-	ap := New(cell, tr, setRequest)
+	ap := New(cell, setRequest)
 
 	j := scheduler.NewJob(1)
-	j.Type = trace.CollectionJob
+	j.CollectionType = trace.CollectionJob
 	j.Priority = 120
 	j.Tier = trace.TierProduction
 	j.Scaling = scaling
-	task := &scheduler.Task{Request: request, Duration: sim.Hour}
+	task := &scheduler.Task{TaskSpec: scheduler.TaskSpec{Request: request, Duration: sim.Hour}}
 	j.AddTask(task)
 	task.Machine = m.ID
 	cell.Place(m.ID, &cluster.Resident{Key: task.Key, Limit: request, Priority: 120, Tier: trace.TierProduction})
-	return ap, cell, task, tr
+	return ap, cell, task
 }
 
 func TestNoneStrategyNeverAdjusts(t *testing.T) {
-	ap, _, task, tr := setup(t, trace.ScalingNone, trace.Resources{CPU: 0.4, Mem: 0.4})
+	ap, _, task := setup(t, trace.ScalingNone, trace.Resources{CPU: 0.4, Mem: 0.4})
 	for i := 0; i < 20; i++ {
-		got := ap.Observe(sim.Time(i)*sim.SampleWindow, task, trace.Resources{CPU: 0.05, Mem: 0.05})
-		if got != task.Request || got.CPU != 0.4 {
-			t.Fatalf("limit changed for non-autoscaled task: %v", got)
+		ap.Observe(task, trace.Resources{CPU: 0.05, Mem: 0.05})
+		if task.Request.CPU != 0.4 {
+			t.Fatalf("limit changed for non-autoscaled task: %v", task.Request)
 		}
 	}
-	if ap.Updates() != 0 || tr.InstanceEvents.Len() != 0 {
-		t.Fatalf("updates %d events %d", ap.Updates(), tr.InstanceEvents.Len())
+	if ap.Updates() != 0 {
+		t.Fatalf("updates %d", ap.Updates())
 	}
 	if tracked(ap) != 0 {
 		t.Fatal("none tasks should not be tracked")
@@ -53,9 +51,9 @@ func TestNoneStrategyNeverAdjusts(t *testing.T) {
 }
 
 func TestFullShrinksTowardPeak(t *testing.T) {
-	ap, cell, task, tr := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.4, Mem: 0.4})
+	ap, cell, task := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.4, Mem: 0.4})
 	for i := 0; i < 15; i++ {
-		ap.Observe(sim.Time(i)*sim.SampleWindow, task, trace.Resources{CPU: 0.05, Mem: 0.08})
+		ap.Observe(task, trace.Resources{CPU: 0.05, Mem: 0.08})
 	}
 	// Limit should approach peak × margin = 0.05×1.1 / 0.08×1.1.
 	if task.Request.CPU > 0.06 || task.Request.Mem > 0.095 {
@@ -72,22 +70,12 @@ func TestFullShrinksTowardPeak(t *testing.T) {
 	if m.Allocated().CPU > 0.06 {
 		t.Fatalf("machine allocation not updated: %v", m.Allocated())
 	}
-	// UPDATE_RUNNING events were emitted.
-	found := false
-	for ev := range tr.InstanceEvents.All() {
-		if ev.Type == trace.EventUpdateRunning {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no UPDATE_RUNNING events")
-	}
 }
 
 func TestFullGrowsOnPressure(t *testing.T) {
-	ap, _, task, _ := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.1, Mem: 0.1})
+	ap, _, task := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.1, Mem: 0.1})
 	for i := 0; i < 5; i++ {
-		ap.Observe(sim.Time(i)*sim.SampleWindow, task, trace.Resources{CPU: 0.3, Mem: 0.3})
+		ap.Observe(task, trace.Resources{CPU: 0.3, Mem: 0.3})
 	}
 	if task.Request.CPU < 0.3 || task.Request.Mem < 0.3 {
 		t.Fatalf("limit did not grow above usage: %+v", task.Request)
@@ -95,7 +83,7 @@ func TestFullGrowsOnPressure(t *testing.T) {
 }
 
 func TestGrowthCappedByMachineHeadroom(t *testing.T) {
-	ap, cell, task, _ := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.1, Mem: 0.1})
+	ap, cell, task := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.1, Mem: 0.1})
 	// Fill the machine with another resident so headroom is scarce.
 	m := cell.Machine(task.Machine)
 	cell.Place(m.ID, &cluster.Resident{
@@ -103,7 +91,7 @@ func TestGrowthCappedByMachineHeadroom(t *testing.T) {
 		Limit: trace.Resources{CPU: 1.0, Mem: 1.0},
 	})
 	for i := 0; i < 5; i++ {
-		ap.Observe(sim.Time(i)*sim.SampleWindow, task, trace.Resources{CPU: 0.9, Mem: 0.9})
+		ap.Observe(task, trace.Resources{CPU: 0.9, Mem: 0.9})
 	}
 	ceiling := m.Ceiling()
 	if alloc := m.Allocated(); alloc.CPU > ceiling.CPU+1e-9 || alloc.Mem > ceiling.Mem+1e-9 {
@@ -112,18 +100,18 @@ func TestGrowthCappedByMachineHeadroom(t *testing.T) {
 }
 
 func TestConstrainedFloor(t *testing.T) {
-	ap, _, task, _ := setup(t, trace.ScalingConstrained, trace.Resources{CPU: 0.4, Mem: 0.4})
+	ap, _, task := setup(t, trace.ScalingConstrained, trace.Resources{CPU: 0.4, Mem: 0.4})
 	for i := 0; i < 20; i++ {
-		ap.Observe(sim.Time(i)*sim.SampleWindow, task, trace.Resources{CPU: 0.01, Mem: 0.01})
+		ap.Observe(task, trace.Resources{CPU: 0.01, Mem: 0.01})
 	}
 	floor := 0.4 * constrainedFloor
 	if task.Request.CPU < floor-1e-9 {
 		t.Fatalf("constrained limit %v fell below floor %v", task.Request.CPU, floor)
 	}
 	// Full scaling with the same usage would shrink far below the floor.
-	ap2, _, task2, _ := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.4, Mem: 0.4})
+	ap2, _, task2 := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.4, Mem: 0.4})
 	for i := 0; i < 20; i++ {
-		ap2.Observe(sim.Time(i)*sim.SampleWindow, task2, trace.Resources{CPU: 0.01, Mem: 0.01})
+		ap2.Observe(task2, trace.Resources{CPU: 0.01, Mem: 0.01})
 	}
 	if task2.Request.CPU >= task.Request.CPU {
 		t.Fatalf("full (%v) should shrink below constrained (%v)", task2.Request.CPU, task.Request.CPU)
@@ -131,12 +119,12 @@ func TestConstrainedFloor(t *testing.T) {
 }
 
 func TestWindowPeakMemory(t *testing.T) {
-	ap, _, task, _ := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.5, Mem: 0.5})
+	ap, _, task := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.5, Mem: 0.5})
 	// One tall peak, then quiet: the percentile recommender must keep the
 	// limit well above the quiet level while the peak is in the window.
-	ap.Observe(0, task, trace.Resources{CPU: 0.4, Mem: 0.4})
+	ap.Observe(task, trace.Resources{CPU: 0.4, Mem: 0.4})
 	for i := 1; i < 6; i++ {
-		ap.Observe(sim.Time(i)*sim.SampleWindow, task, trace.Resources{CPU: 0.05, Mem: 0.05})
+		ap.Observe(task, trace.Resources{CPU: 0.05, Mem: 0.05})
 	}
 	// With the p85 recommender, one 0.4 peak among five 0.05 samples
 	// keeps the limit well above the quiet level (≈0.14), though below
@@ -146,7 +134,7 @@ func TestWindowPeakMemory(t *testing.T) {
 	}
 	// After the window slides past the peak, the limit shrinks.
 	for i := 6; i < 25; i++ {
-		ap.Observe(sim.Time(i)*sim.SampleWindow, task, trace.Resources{CPU: 0.05, Mem: 0.05})
+		ap.Observe(task, trace.Resources{CPU: 0.05, Mem: 0.05})
 	}
 	if task.Request.CPU > 0.1 {
 		t.Fatalf("limit %v did not shrink after peak left the window", task.Request.CPU)
@@ -154,11 +142,11 @@ func TestWindowPeakMemory(t *testing.T) {
 }
 
 func TestHysteresisSuppressesSmallChanges(t *testing.T) {
-	ap, _, task, _ := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.11, Mem: 0.11})
-	ap.Observe(0, task, trace.Resources{CPU: 0.1, Mem: 0.1})
+	ap, _, task := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.11, Mem: 0.11})
+	ap.Observe(task, trace.Resources{CPU: 0.1, Mem: 0.1})
 	base := ap.Updates()
 	// Recommended = 0.1 × 1.1 = 0.11 = current limit: no update.
-	ap.Observe(sim.SampleWindow, task, trace.Resources{CPU: 0.1, Mem: 0.1})
+	ap.Observe(task, trace.Resources{CPU: 0.1, Mem: 0.1})
 	if ap.Updates() != base {
 		t.Fatalf("update issued for insignificant change (updates %d -> %d)", base, ap.Updates())
 	}
@@ -167,8 +155,8 @@ func TestHysteresisSuppressesSmallChanges(t *testing.T) {
 // TestForget: Sweep keeps the window of a task observed since the last
 // sweep and forgets the window of one that was not.
 func TestForget(t *testing.T) {
-	ap, _, task, _ := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.4, Mem: 0.4})
-	ap.Observe(0, task, trace.Resources{CPU: 0.1, Mem: 0.1})
+	ap, _, task := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.4, Mem: 0.4})
+	ap.Observe(task, trace.Resources{CPU: 0.1, Mem: 0.1})
 	if tracked(ap) != 1 || task.Autoscale == nil {
 		t.Fatalf("tracked %d", tracked(ap))
 	}
@@ -181,7 +169,7 @@ func TestForget(t *testing.T) {
 		t.Fatalf("tracked after an unobserved window %d", tracked(ap))
 	}
 	// The next window starts empty, even when recycled from the swept one.
-	ap.Observe(sim.SampleWindow, task, trace.Resources{CPU: 0.2, Mem: 0.2})
+	ap.Observe(task, trace.Resources{CPU: 0.2, Mem: 0.2})
 	if w := task.Autoscale.(*window); len(w.cpus) != 1 || w.percentile(1).CPU != 0.2 {
 		t.Fatalf("new window holds %v", w.cpus)
 	}
@@ -219,29 +207,27 @@ func TestWindowOrderStatisticMatchesSort(t *testing.T) {
 
 // TestObserveSteadyStateZeroAllocs: once a task's window exists, Observe
 // allocates nothing — neither the percentile over the window nor a limit
-// update through the cell and a tracetest.NopSink.
+// update through the cell.
 func TestObserveSteadyStateZeroAllocs(t *testing.T) {
 	cell := cluster.NewCell("test", cluster.OvercommitPolicy{CPUFactor: 1.2, MemFactor: 1.2})
 	m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
-	ap := New(cell, tracetest.NopSink{}, setRequest)
+	ap := New(cell, setRequest)
 	j := scheduler.NewJob(1)
 	j.Scaling = trace.ScalingFull
-	task := &scheduler.Task{Request: trace.Resources{CPU: 0.4, Mem: 0.4}, Duration: sim.Hour}
+	task := &scheduler.Task{TaskSpec: scheduler.TaskSpec{Request: trace.Resources{CPU: 0.4, Mem: 0.4}, Duration: sim.Hour}}
 	j.AddTask(task)
 	task.Machine = m.ID
 	cell.Place(m.ID, &cluster.Resident{Key: task.Key, Limit: task.Request})
 
 	// Alternating quiet and busy stretches keep the recommendation moving,
 	// so the measured calls include limit updates as well as no-ops.
-	now := sim.Time(0)
 	observe := func() {
 		for i := 0; i < 24; i++ {
 			peak := trace.Resources{CPU: 0.05, Mem: 0.08}
 			if i >= 12 {
 				peak = trace.Resources{CPU: 0.3, Mem: 0.25}
 			}
-			ap.Observe(now, task, peak)
-			now += sim.SampleWindow
+			ap.Observe(task, peak)
 		}
 	}
 	observe()

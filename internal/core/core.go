@@ -158,9 +158,8 @@ func TraceMeta(p *workload.CellProfile, opts Options) trace.Meta {
 // Run simulates one cell for opts.Horizon, emitting its trace rows to
 // opts.ExtraSinks.
 func Run(p *workload.CellProfile, opts Options) *CellResult {
-	if opts.Horizon <= 0 {
-		opts.Horizon = defaultHorizon
-	}
+	meta := TraceMeta(p, opts)
+	opts.Horizon = meta.Duration
 	root := rng.New(opts.Seed)
 	k := sim.NewKernel()
 
@@ -183,7 +182,7 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	// incremental admission accounting tracks autoscaled requests.
 	var ap *autopilot.Autopilot
 	if !opts.DisableAutopilot {
-		ap = autopilot.New(cell, sink, sched.UpdateTaskRequest)
+		ap = autopilot.New(cell, sched.UpdateTaskRequest)
 	}
 
 	// Workload arrivals: a live generator by default, or a replayer over
@@ -205,13 +204,7 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 			arrival = opts.Replay.Meta.Arrival
 		}
 		recorder = workload.NewRecorder(gen, workload.RecordingMeta{
-			Cell:     p.Name,
-			Era:      p.Era,
-			Machines: p.Machines,
-			Horizon:  opts.Horizon,
-			Seed:     opts.Seed,
-			Arrival:  arrival,
-			IDBase:   opts.IDBase,
+			Meta: meta, Arrival: arrival, IDBase: opts.IDBase,
 		})
 		gen = recorder
 	}
@@ -488,10 +481,10 @@ func (u *usageSampler) sample(now sim.Time) {
 			rec.MaxUsage = o.peak
 			rec.Limit = t.Request
 			if u.ap != nil {
-				// Observe may emit UPDATE_RUNNING instance events and
-				// resize this task's request; the record above already
-				// captured the pre-update limit.
-				u.ap.Observe(now, t, o.peak)
+				// Observe may resize this task's request through the
+				// scheduler, which emits the UPDATE_RUNNING row; the
+				// record above already captured the pre-update limit.
+				u.ap.Observe(t, o.peak)
 			}
 		}
 		if len(recs) > 0 {

@@ -134,7 +134,7 @@ func TestUsageDrawSequence(t *testing.T) {
 	p := workload.Profile2019("a", 10)
 	u := &usageSampler{p: p, src: rng.New(5)}
 	ref := rng.New(5)
-	task := &scheduler.Task{MeanCPU: 0.02, MeanMem: 0.03, PeakFact: 1.8}
+	task := &scheduler.Task{TaskSpec: scheduler.TaskSpec{MeanCPU: 0.02, MeanMem: 0.03, PeakFact: 1.8}}
 	for i := range 100 {
 		avg, jitter := u.draw(task)
 		sigma := p.UsageNoiseSigma

@@ -128,14 +128,20 @@ func Run(specs []Spec, opts Options) []*core.CellResult {
 
 // RunStream is Run for fleets too large to materialize: specs are built
 // lazily by spec(i) as workers pick up cell indices, and results are
-// released as soon as OnResult returns instead of being retained, so an
-// O(100)-cell run holds O(Parallelism) cells of state — not O(n) — as
-// long as the specs attach only streaming sinks (no trace.MemTrace).
-// Everything else
-// matches Run: in-order OnResult delivery, concurrent OnStart, and
-// byte-identical output at any Parallelism. spec must be safe to call
-// concurrently for distinct indices (each index is requested exactly
-// once).
+// released as soon as OnResult returns instead of being retained. With
+// streaming sinks only (no trace.MemTrace), the state held at once is
+// the cells started and not yet delivered: the Parallelism running
+// cells plus the finished ones waiting for in-order delivery behind the
+// slowest undelivered cell. That backlog grows with how unequal the
+// cells are, not with n, but Parallelism does not bound it: a sweep at
+// Parallelism 4 held 16 reducers where one grid point's 9 plus 4
+// running cells would be 13. The pool has no start window (a cap on
+// how far past the first undelivered cell a worker may start): a window
+// of Parallelism cells cost sweeps and fleets 17–18% wall time.
+// Everything else matches Run: in-order OnResult delivery, concurrent
+// OnStart, and byte-identical output at any Parallelism. spec must be
+// safe to call concurrently for distinct indices (each index is
+// requested exactly once).
 func RunStream(n int, spec func(i int) Spec, opts Options) {
 	run(n, spec, opts, false)
 }

@@ -20,8 +20,10 @@
 // Cells are streamed through engine.RunStream: specs (profile + one
 // streaming.CellReducer sink, no rows kept) materialize as workers pick
 // up indices and are released as soon as each cell's metrics have been
-// folded into the rollup, so peak state is O(Parallelism) cells — not
-// O(fleet). A cell's metrics are the metric table's (experiments.Metrics)
+// folded into the rollup, so peak state is the cells started and not yet
+// folded (engine.RunStream): the running ones plus finished ones waiting
+// behind a slower cell, which depends on how unequal the cells are, not
+// on the fleet size. A cell's metrics are the metric table's (experiments.Metrics)
 // evaluated on the cell as a lone 2019 pool; the entries that read the
 // 2011 cell have no value there and are left out. The rollup itself is
 // one mergeable t-digest (stats.Digest) per metric, fed in spec order by

@@ -79,7 +79,8 @@ func TestBEBAllocIncrementalMatchesRecompute(t *testing.T) {
 
 // TestUpdateTaskRequestKeepsBEBSum pins the autopilot integration: a
 // request update on a counted task must move the incremental sum by
-// exactly the request delta.
+// exactly the request delta, and emit one UPDATE_RUNNING row carrying
+// the new request.
 func TestUpdateTaskRequestKeepsBEBSum(t *testing.T) {
 	rig := newRig(t, fastConfig(), 2, trace.Resources{CPU: 1, Mem: 1})
 	j := mkJob(1, 110, trace.TierBestEffortBatch, 1, trace.Resources{CPU: 0.2, Mem: 0.2}, 2*sim.Hour)
@@ -90,7 +91,17 @@ func TestUpdateTaskRequestKeepsBEBSum(t *testing.T) {
 	if task.State != TaskRunning {
 		t.Fatalf("task state %v; want running", task.State)
 	}
+	rows := rig.tr.InstanceEvents.Len()
 	rig.sched.UpdateTaskRequest(task, trace.Resources{CPU: 0.35, Mem: 0.25})
+	want := trace.InstanceEvent{Time: 10 * sim.Minute, Key: task.Key, Type: trace.EventUpdateRunning,
+		Machine: task.Machine, Priority: 110, Tier: trace.TierBestEffortBatch, Request: trace.Resources{CPU: 0.35, Mem: 0.25}}
+	var last trace.InstanceEvent
+	for ev := range rig.tr.InstanceEvents.All() {
+		last = ev
+	}
+	if n := rig.tr.InstanceEvents.Len(); n != rows+1 || last != want {
+		t.Fatalf("after the update: %d new rows, last %+v; want one %+v", n-rows, last, want)
+	}
 	checkBEB(t, rig.sched, 10*sim.Minute)
 	if got := rig.sched.bebAllocatedFraction() * rig.cell.Capacity().CPU; math.Abs(got-0.35) > 1e-12 {
 		t.Fatalf("beb CPU sum %g after update; want 0.35", got)

@@ -47,10 +47,10 @@ func benchPolicyCell(policy PlacementPolicy, n, residents int, tier trace.Tier, 
 // benchTask returns a pending task of the given shape.
 func benchTask(req trace.Resources, priority int, tier trace.Tier) *Task {
 	j := NewJob(999999)
-	j.Type = trace.CollectionJob
+	j.CollectionType = trace.CollectionJob
 	j.Priority = priority
 	j.Tier = tier
-	t := &Task{Request: req, Duration: sim.Hour}
+	t := &Task{TaskSpec: TaskSpec{Request: req, Duration: sim.Hour}}
 	j.AddTask(t)
 	return t
 }

@@ -117,10 +117,10 @@ func TestEvictMachineZeroAllocs(t *testing.T) {
 	cfg.ServiceTime = constService(0.001)
 	s := New(cfg, cell, k, tracetest.NopSink{}, rng.New(7), nil)
 	j := NewJob(1)
-	j.Type = trace.CollectionJob
+	j.CollectionType = trace.CollectionJob
 	j.Tier = trace.TierFree
 	for i := 0; i < 8; i++ {
-		j.AddTask(&Task{Request: trace.Resources{CPU: 0.1, Mem: 0.1}, Duration: 100 * sim.Hour})
+		j.AddTask(&Task{TaskSpec: TaskSpec{Request: trace.Resources{CPU: 0.1, Mem: 0.1}, Duration: 100 * sim.Hour}})
 	}
 	k.At(0, sim.Func(func(sim.Time) { s.Submit(j) }))
 	k.RunUntil(sim.Minute)

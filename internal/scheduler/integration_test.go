@@ -38,11 +38,11 @@ func TestKillWhileBatchQueued(t *testing.T) {
 func TestEvictedAllocInstanceDisplacesInnerTasks(t *testing.T) {
 	rig := newRig(t, fastConfig(), 3, trace.Resources{CPU: 1, Mem: 1})
 	as := NewJob(1)
-	as.Type = trace.CollectionAllocSet
+	as.CollectionType = trace.CollectionAllocSet
 	as.Priority = 200
 	as.Tier = trace.TierProduction
-	as.AddTask(&Task{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 10 * sim.Hour})
-	as.AddTask(&Task{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 10 * sim.Hour})
+	as.AddTask(&Task{TaskSpec: TaskSpec{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 10 * sim.Hour}})
+	as.AddTask(&Task{TaskSpec: TaskSpec{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 10 * sim.Hour}})
 	inner := mkJob(2, 120, trace.TierProduction, 2, trace.Resources{CPU: 0.2, Mem: 0.2}, 5*sim.Hour)
 	inner.AllocSet = 1
 	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(as) }))

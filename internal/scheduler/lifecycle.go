@@ -234,7 +234,7 @@ func (s *Scheduler) terminateJob(j *Job, final trace.EventType) {
 
 // targets reports whether job d runs inside alloc set j.
 func targets(d, j *Job) bool {
-	return j.Type == trace.CollectionAllocSet && d.Type == trace.CollectionJob && d.AllocSet == j.ID
+	return j.CollectionType == trace.CollectionAllocSet && d.CollectionType == trace.CollectionJob && d.AllocSet == j.ID
 }
 
 // dependents returns the live jobs that die with j, in the order they
@@ -304,7 +304,7 @@ func (s *Scheduler) unplace(t *Task, terminal bool) {
 		s.UnplaceHook(t, t.runStart)
 	}
 	// A de-scheduled alloc instance takes its reservation with it.
-	if t.Job.Type == trace.CollectionAllocSet {
+	if t.Job.CollectionType == trace.CollectionAllocSet {
 		s.removeAllocInstance(t.Key, terminal)
 	}
 	if key := t.AllocInstance; key.Collection != 0 {
@@ -461,21 +461,15 @@ func pickOOMVictim(residents []*cluster.Resident) *cluster.Resident {
 // attributes.
 func (s *Scheduler) emitCollection(j *Job, typ trace.EventType) {
 	s.sink.CollectionEvent(trace.CollectionEvent{
-		Time:           s.k.Now(),
-		Collection:     j.ID,
-		Type:           typ,
-		CollectionType: j.Type,
-		Priority:       j.Priority,
-		Tier:           j.Tier,
-		User:           j.User,
-		Parent:         j.Parent,
-		AllocSet:       j.AllocSet,
-		Scheduler:      j.Scheduler,
-		Scaling:        j.Scaling,
+		Time:            s.k.Now(),
+		Collection:      j.ID,
+		Type:            typ,
+		CollectionAttrs: j.CollectionAttrs,
 	})
 }
 
-// emitInstance emits an instance event for a task.
+// emitInstance emits an instance event for a task: every instance_events
+// row a simulation writes is built here.
 func (s *Scheduler) emitInstance(t *Task, typ trace.EventType, now sim.Time) {
 	s.sink.InstanceEvent(trace.InstanceEvent{
 		Time:          now,

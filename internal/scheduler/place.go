@@ -20,7 +20,7 @@ func (s *Scheduler) attemptPlacement(t *Task, now sim.Time) {
 	s.met.placementAttempts.Inc()
 	// Jobs targeting an alloc set place tasks inside its reservations
 	// (§5.1) instead of claiming machine allocation directly.
-	if t.Job.Type == trace.CollectionJob && t.Job.AllocSet != 0 {
+	if t.Job.CollectionType == trace.CollectionJob && t.Job.AllocSet != 0 {
 		s.placeInAlloc(t, now)
 		return
 	}
@@ -148,7 +148,7 @@ func (s *Scheduler) placeOnMachine(t *Task, m *cluster.Machine) {
 
 	// A newly placed alloc instance becomes a reservation jobs can
 	// schedule into.
-	if t.Job.Type == trace.CollectionAllocSet {
+	if t.Job.CollectionType == trace.CollectionAllocSet {
 		ai := &AllocInstance{Key: t.Key, Machine: m.ID, Reserved: t.Request}
 		s.allocs[t.Job.ID] = append(s.allocs[t.Job.ID], ai)
 	}

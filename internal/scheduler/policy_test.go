@@ -179,10 +179,10 @@ func TestOneShotGivesUp(t *testing.T) {
 	}
 	submit := func(s *Scheduler, k *sim.Kernel) (*Job, Stats) {
 		j := NewJob(1)
-		j.Type = trace.CollectionJob
+		j.CollectionType = trace.CollectionJob
 		j.Priority = 120
 		j.Tier = trace.TierProduction
-		j.AddTask(&Task{Request: trace.Resources{CPU: 5, Mem: 5}, Duration: sim.Hour})
+		j.AddTask(&Task{TaskSpec: TaskSpec{Request: trace.Resources{CPU: 5, Mem: 5}, Duration: sim.Hour}})
 		k.At(0, sim.Func(func(sim.Time) { s.Submit(j) }))
 		k.RunUntil(2 * sim.Minute)
 		return j, s.Stats()

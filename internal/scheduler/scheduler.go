@@ -115,15 +115,11 @@ const (
 	TaskDead                     // terminal
 )
 
-// Task is one replica of a job (or one alloc instance of an alloc set).
-// Its size is what a job's task array allocates per task, so the small
-// fields are grouped to share words: 176 bytes, within the 192-byte size
-// class that TestTaskSize pins. The task's kernel events carry the task
-// itself as their receiver (taskEnd, taskRetry), so no callback is
-// stored here.
-type Task struct {
-	Key     trace.InstanceKey
-	Job     *Job
+// TaskSpec is a task's scripted body: what the workload generator sets
+// and a workload recording stores.
+type TaskSpec struct {
+	// Request is the resource limit. The autopilot's limit updates
+	// rewrite it in place (UpdateTaskRequest).
 	Request trace.Resources
 
 	// Duration is the total running time the task needs to complete.
@@ -139,6 +135,18 @@ type Task struct {
 	MeanCPU  float64
 	MeanMem  float64
 	PeakFact float64
+}
+
+// Task is one replica of a job (or one alloc instance of an alloc set).
+// Its size is what a job's task array allocates per task, so the small
+// fields are grouped to share words: 176 bytes, within the 192-byte size
+// class that TestTaskSize pins. The task's kernel events carry the task
+// itself as their receiver (taskEnd, taskRetry), so no callback is
+// stored here.
+type Task struct {
+	Key trace.InstanceKey
+	Job *Job
+	TaskSpec
 
 	State TaskState
 	// bebCounted/bebCountedCPU track this task's contribution to the
@@ -203,15 +211,10 @@ const (
 
 // Job is a collection: a job proper or an alloc set.
 type Job struct {
-	ID        trace.CollectionID
-	Type      trace.CollectionType
-	Priority  int
-	Tier      trace.Tier
-	User      string
-	Parent    trace.CollectionID
-	AllocSet  trace.CollectionID // target alloc set for task placement
-	Scheduler trace.SchedulerKind
-	Scaling   trace.VerticalScaling
+	ID trace.CollectionID
+	// CollectionAttrs are the attributes every collection event carries;
+	// AllocSet is also the target alloc set for task placement.
+	trace.CollectionAttrs
 
 	// Outcome scripts how the job ends if it runs to completion;
 	// KillAfter > 0 schedules a user-initiated kill that long after
@@ -487,13 +490,15 @@ func (s *Scheduler) accountBEBJob(j *Job) {
 	}
 }
 
-// UpdateTaskRequest changes a task's resource request in place (the
-// autopilot's limit updates route through here) while keeping the
-// incremental admission accounting consistent with the new request.
+// UpdateTaskRequest changes a running task's resource request in place
+// (the autopilot's limit updates route through here) while keeping the
+// incremental admission accounting consistent with the new request, and
+// emits the UPDATE_RUNNING instance event carrying the new limit.
 func (s *Scheduler) UpdateTaskRequest(t *Task, rec trace.Resources) {
 	if t.bebCounted {
 		s.bebAllocCPU += rec.CPU - t.bebCountedCPU
 		t.bebCountedCPU = rec.CPU
 	}
 	t.Request = rec
+	s.emitInstance(t, trace.EventUpdateRunning, s.k.Now())
 }

@@ -77,12 +77,12 @@ func fastConfig() Config {
 
 func mkJob(id trace.CollectionID, priority int, tier trace.Tier, tasks int, req trace.Resources, duration sim.Time) *Job {
 	j := NewJob(id)
-	j.Type = trace.CollectionJob
+	j.CollectionType = trace.CollectionJob
 	j.Priority = priority
 	j.Tier = tier
 	j.User = "u"
 	for i := 0; i < tasks; i++ {
-		j.AddTask(&Task{Request: req, Duration: duration, MeanCPU: req.CPU * 0.5, MeanMem: req.Mem * 0.5, PeakFact: 1.2})
+		j.AddTask(&Task{TaskSpec: TaskSpec{Request: req, Duration: duration, MeanCPU: req.CPU * 0.5, MeanMem: req.Mem * 0.5, PeakFact: 1.2}})
 	}
 	return j
 }
@@ -374,10 +374,10 @@ func TestDependentsKilledInSubmissionOrder(t *testing.T) {
 		children = append(children, c)
 	}
 	as := NewJob(10)
-	as.Type = trace.CollectionAllocSet
+	as.CollectionType = trace.CollectionAllocSet
 	as.Priority = 200
 	as.Tier = trace.TierProduction
-	as.AddTask(&Task{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 10 * sim.Hour})
+	as.AddTask(&Task{TaskSpec: TaskSpec{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 10 * sim.Hour}})
 	// The instance has room for the first inner job only, so the second
 	// stays pending.
 	running := mkJob(11, 120, trace.TierProduction, 1, trace.Resources{CPU: 0.3, Mem: 0.3}, 10*sim.Hour)
@@ -645,12 +645,12 @@ func TestAllocSetPlacementAndTeardown(t *testing.T) {
 	rig := newRig(t, fastConfig(), 4, trace.Resources{CPU: 1, Mem: 1})
 
 	as := NewJob(1)
-	as.Type = trace.CollectionAllocSet
+	as.CollectionType = trace.CollectionAllocSet
 	as.Priority = 200
 	as.Tier = trace.TierProduction
 	as.User = "u"
 	for i := 0; i < 2; i++ {
-		as.AddTask(&Task{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 5 * sim.Hour})
+		as.AddTask(&Task{TaskSpec: TaskSpec{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 5 * sim.Hour}})
 	}
 
 	inner := mkJob(2, 120, trace.TierProduction, 3, trace.Resources{CPU: 0.2, Mem: 0.2}, 4*sim.Hour)
@@ -720,10 +720,10 @@ func TestJobWaitsForAllocSet(t *testing.T) {
 		t.Fatal("inner job ran without its alloc set")
 	}
 	as := NewJob(1)
-	as.Type = trace.CollectionAllocSet
+	as.CollectionType = trace.CollectionAllocSet
 	as.Priority = 200
 	as.Tier = trace.TierProduction
-	as.AddTask(&Task{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 5 * sim.Hour})
+	as.AddTask(&Task{TaskSpec: TaskSpec{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 5 * sim.Hour}})
 	rig.k.At(11*sim.Minute, sim.Func(func(sim.Time) { rig.sched.Submit(as) }))
 	rig.k.RunUntil(2 * sim.Hour)
 	if inner.State != JobDone || inner.FinalType != trace.EventFinish {

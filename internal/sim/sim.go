@@ -307,32 +307,19 @@ func (k *Kernel) RunUntil(end Time) {
 }
 
 // Every schedules fire at start, start+period, ... while the kernel runs,
-// until the returned stop function is called or until (optional) end is
-// reached (end <= 0 means no end). fire runs before the next tick is
-// scheduled, so a callback may stop its own ticker.
-func (k *Kernel) Every(start, period, end Time, fire func(now Time)) (stop func()) {
+// until (optional) end is reached (end <= 0 means no end).
+func (k *Kernel) Every(start, period, end Time, fire func(now Time)) {
 	if period <= 0 {
 		panic("sim: non-positive period")
 	}
-	stopped := false
 	var tick Func
-	var pending EventRef
 	tick = func(now Time) {
-		if stopped {
-			return
-		}
 		fire(now)
-		next := now + period
-		if stopped || (end > 0 && next > end) {
-			return
+		if next := now + period; end <= 0 || next <= end {
+			k.At(next, tick)
 		}
-		pending = k.At(next, tick)
 	}
 	if end <= 0 || start <= end {
-		pending = k.At(start, tick)
-	}
-	return func() {
-		stopped = true
-		k.Cancel(pending)
+		k.At(start, tick)
 	}
 }

@@ -228,22 +228,6 @@ func TestEvery(t *testing.T) {
 	}
 }
 
-func TestEveryStop(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	var stop func()
-	stop = k.Every(0, 10, 0, func(now Time) {
-		count++
-		if count == 3 {
-			stop()
-		}
-	})
-	k.RunUntil(1000)
-	if count != 3 {
-		t.Fatalf("count %d", count)
-	}
-}
-
 func TestEveryPanicsOnBadPeriod(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -529,8 +529,10 @@ func linregress(x, y []float64) (slope, intercept, r2 float64) {
 }
 
 // Pearson returns the Pearson correlation coefficient of paired samples.
+// Any two distinct points lie on a line, so r is ±1 for two pairs
+// whatever the data; fewer than three pairs give NaN instead.
 func Pearson(x, y []float64) float64 {
-	if len(x) != len(y) || len(x) < 2 {
+	if len(x) != len(y) || len(x) < 3 {
 		return math.NaN()
 	}
 	n := float64(len(x))

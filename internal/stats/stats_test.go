@@ -278,6 +278,13 @@ func TestPearson(t *testing.T) {
 	if !math.IsNaN(Pearson(x, x[:2])) {
 		t.Fatal("mismatched lengths should give NaN")
 	}
+	// Two pairs are always collinear: NaN, not a meaningless ±1.
+	if r := Pearson(x[:2], []float64{5, 1}); !math.IsNaN(r) {
+		t.Fatalf("two pairs gave r=%v, want NaN", r)
+	}
+	if r := Pearson(x[:3], []float64{1, 3, 2}); math.Abs(r-0.5) > 1e-12 {
+		t.Fatalf("three pairs r=%v, want 0.5", r)
+	}
 }
 
 // Property: CCDF values are always within [0,1] and non-increasing.

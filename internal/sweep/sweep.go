@@ -6,7 +6,11 @@
 // variants, each point simulating the full nine-cell suite (the 2011
 // cell plus the 2019 cells a–h), with every figure folded online by
 // streaming reducers — a sweep cell costs its reducer state, never a
-// retained trace.
+// retained trace. The reducers alive at once are one grid point's plus
+// those of the cells started and not yet delivered: the running cells
+// and the finished ones waiting behind a slower cell (see
+// engine.RunStream), so the count depends on Parallelism and on how
+// unequal the cells are, not on the number of grid points.
 //
 // # Grid contract
 //

@@ -47,13 +47,12 @@ func (e EventType) IsTermination() bool {
 	}
 }
 
-// CollectionEvent is one row of the collection_events table.
-type CollectionEvent struct {
-	Time       sim.Time
-	Collection CollectionID
-	Type       EventType
-
-	// Static attributes, repeated on each event row as in the trace.
+// CollectionAttrs are a collection's static attributes: fixed at
+// submission and repeated on each collection_events row, as in the
+// trace. The trace row, the reconstructed CollectionInfo, the
+// scheduler's Job and a workload recording's job all embed this one
+// struct, so an attribute is declared once and copied as one value.
+type CollectionAttrs struct {
 	CollectionType CollectionType
 	Priority       int
 	Tier           Tier
@@ -62,6 +61,14 @@ type CollectionEvent struct {
 	AllocSet       CollectionID    // 0 = not in an alloc set (for jobs)
 	Scheduler      SchedulerKind   // which scheduler owns the job
 	Scaling        VerticalScaling // Autopilot mode (§8)
+}
+
+// CollectionEvent is one row of the collection_events table.
+type CollectionEvent struct {
+	Time       sim.Time
+	Collection CollectionID
+	Type       EventType
+	CollectionAttrs
 }
 
 // InstanceKey identifies an instance (task or alloc instance) within a

@@ -77,15 +77,8 @@ func (t *MemTrace) Replay(s Sink) {
 // CollectionInfo is the static view of one collection, reconstructed from
 // its first event (the trace repeats static attributes on every row).
 type CollectionInfo struct {
-	ID             CollectionID
-	CollectionType CollectionType
-	Priority       int
-	Tier           Tier
-	User           string
-	Parent         CollectionID
-	AllocSet       CollectionID
-	Scheduler      SchedulerKind
-	Scaling        VerticalScaling
+	ID CollectionID
+	CollectionAttrs
 
 	SubmitTime sim.Time
 	// FinalEvent is the last termination event observed, or EventSubmit
@@ -105,17 +98,10 @@ func (t *MemTrace) CollectionInfos() []CollectionInfo {
 			i = len(out)
 			at[ev.Collection] = i
 			out = append(out, CollectionInfo{
-				ID:             ev.Collection,
-				CollectionType: ev.CollectionType,
-				Priority:       ev.Priority,
-				Tier:           ev.Tier,
-				User:           ev.User,
-				Parent:         ev.Parent,
-				AllocSet:       ev.AllocSet,
-				Scheduler:      ev.Scheduler,
-				Scaling:        ev.Scaling,
-				SubmitTime:     ev.Time,
-				FinalEvent:     EventSubmit,
+				ID:              ev.Collection,
+				CollectionAttrs: ev.CollectionAttrs,
+				SubmitTime:      ev.Time,
+				FinalEvent:      EventSubmit,
 			})
 		}
 		if ev.Type.IsTermination() {

@@ -68,9 +68,12 @@ func scan(tr *trace.MemTrace) queries {
 	q := queries{Infos: []trace.CollectionInfo{}}
 	for _, ev := range byColl {
 		if n := len(q.Infos); n == 0 || q.Infos[n-1].ID != ev.Collection {
-			q.Infos = append(q.Infos, trace.CollectionInfo{ID: ev.Collection, CollectionType: ev.CollectionType,
-				Priority: ev.Priority, Tier: ev.Tier, User: ev.User, Parent: ev.Parent, AllocSet: ev.AllocSet,
-				Scheduler: ev.Scheduler, Scaling: ev.Scaling, SubmitTime: ev.Time, FinalEvent: trace.EventSubmit})
+			q.Infos = append(q.Infos, trace.CollectionInfo{
+				ID:              ev.Collection,
+				CollectionAttrs: ev.CollectionAttrs,
+				SubmitTime:      ev.Time,
+				FinalEvent:      trace.EventSubmit,
+			})
 		}
 		if ev.Type.IsTermination() {
 			q.Infos[len(q.Infos)-1].FinalEvent, q.Infos[len(q.Infos)-1].FinalTime = ev.Type, ev.Time

@@ -95,17 +95,17 @@ func newTestTrace() *MemTrace {
 	tr.MachineEvent(MachineEvent{Time: 0, Machine: 2, Type: MachineAdd, Capacity: Resources{CPU: 0.5, Mem: 0.5}, Platform: "P1"})
 
 	// Collection 10: a normal job with 1 task that finishes.
-	tr.CollectionEvent(CollectionEvent{Time: 100, Collection: 10, Type: EventSubmit, CollectionType: CollectionJob, Priority: 120, Tier: TierProduction, User: "u1", Scheduler: SchedulerDefault})
+	tr.CollectionEvent(CollectionEvent{Time: 100, Collection: 10, Type: EventSubmit, CollectionAttrs: CollectionAttrs{CollectionType: CollectionJob, Priority: 120, Tier: TierProduction, User: "u1", Scheduler: SchedulerDefault}})
 	tr.InstanceEvent(InstanceEvent{Time: 100, Key: InstanceKey{10, 0}, Type: EventSubmit, Priority: 120, Tier: TierProduction, Request: Resources{CPU: 0.1, Mem: 0.1}})
 	tr.InstanceEvent(InstanceEvent{Time: 150, Key: InstanceKey{10, 0}, Type: EventSchedule, Machine: 1, Priority: 120, Tier: TierProduction, Request: Resources{CPU: 0.1, Mem: 0.1}})
 	tr.UsageBatch([]UsageRecord{{Start: 0, End: sim.Time(300 * sim.Second), Key: InstanceKey{10, 0}, Machine: 1, Tier: TierProduction,
 		AvgUsage: Resources{CPU: 0.05, Mem: 0.08}, MaxUsage: Resources{CPU: 0.09, Mem: 0.09}, Limit: Resources{CPU: 0.1, Mem: 0.1}}})
 	tr.InstanceEvent(InstanceEvent{Time: sim.Time(time600()), Key: InstanceKey{10, 0}, Type: EventFinish, Machine: 1, Priority: 120, Tier: TierProduction, Request: Resources{CPU: 0.1, Mem: 0.1}})
-	tr.CollectionEvent(CollectionEvent{Time: sim.Time(time600()), Collection: 10, Type: EventFinish, CollectionType: CollectionJob, Priority: 120, Tier: TierProduction, User: "u1"})
+	tr.CollectionEvent(CollectionEvent{Time: sim.Time(time600()), Collection: 10, Type: EventFinish, CollectionAttrs: CollectionAttrs{CollectionType: CollectionJob, Priority: 120, Tier: TierProduction, User: "u1"}})
 
 	// Collection 11: a child job killed when its parent (10) finished.
-	tr.CollectionEvent(CollectionEvent{Time: 200, Collection: 11, Type: EventSubmit, CollectionType: CollectionJob, Priority: 110, Tier: TierBestEffortBatch, User: "u1", Parent: 10, Scheduler: SchedulerBatch})
-	tr.CollectionEvent(CollectionEvent{Time: sim.Time(time600()) + 10, Collection: 11, Type: EventKill, CollectionType: CollectionJob, Priority: 110, Tier: TierBestEffortBatch, User: "u1", Parent: 10})
+	tr.CollectionEvent(CollectionEvent{Time: 200, Collection: 11, Type: EventSubmit, CollectionAttrs: CollectionAttrs{CollectionType: CollectionJob, Priority: 110, Tier: TierBestEffortBatch, User: "u1", Parent: 10, Scheduler: SchedulerBatch}})
+	tr.CollectionEvent(CollectionEvent{Time: sim.Time(time600()) + 10, Collection: 11, Type: EventKill, CollectionAttrs: CollectionAttrs{CollectionType: CollectionJob, Priority: 110, Tier: TierBestEffortBatch, User: "u1", Parent: 10}})
 	return tr
 }
 
@@ -134,7 +134,7 @@ func TestValidateCleanTrace(t *testing.T) {
 
 func TestValidateCatchesTerminationBeforeSubmit(t *testing.T) {
 	tr := NewMemTrace(Meta{})
-	tr.CollectionEvent(CollectionEvent{Time: 5, Collection: 1, Type: EventFinish, CollectionType: CollectionJob})
+	tr.CollectionEvent(CollectionEvent{Time: 5, Collection: 1, Type: EventFinish, CollectionAttrs: CollectionAttrs{CollectionType: CollectionJob}})
 	v := validate(tr)
 	if len(v) == 0 || v[0].Invariant != "submit-before-termination" {
 		t.Fatalf("violations %v", v)
@@ -232,9 +232,9 @@ func TestValidateCatchesChildOutlivingParent(t *testing.T) {
 	tr := NewMemTrace(Meta{})
 	tr.CollectionEvent(CollectionEvent{Time: 0, Collection: 1, Type: EventSubmit})
 	tr.CollectionEvent(CollectionEvent{Time: 10, Collection: 1, Type: EventFinish})
-	tr.CollectionEvent(CollectionEvent{Time: 0, Collection: 2, Type: EventSubmit, Parent: 1})
+	tr.CollectionEvent(CollectionEvent{Time: 0, Collection: 2, Type: EventSubmit, CollectionAttrs: CollectionAttrs{Parent: 1}})
 	// Child terminates way beyond the grace window.
-	tr.CollectionEvent(CollectionEvent{Time: 10 + sim.Hour, Collection: 2, Type: EventFinish, Parent: 1})
+	tr.CollectionEvent(CollectionEvent{Time: 10 + sim.Hour, Collection: 2, Type: EventFinish, CollectionAttrs: CollectionAttrs{Parent: 1}})
 	found := false
 	for _, v := range validate(tr) {
 		if v.Invariant == "parent-kill" {

@@ -39,12 +39,12 @@ func (s *faultSink) CollectionEvent(ev trace.CollectionEvent) {
 	if s.colls == 1 {
 		t := ev.Time
 		for _, f := range []trace.CollectionEvent{
-			{Time: t, Collection: fake, Type: trace.EventFinish},                       // submit-before-termination
-			{Time: t + 10, Collection: fake + 1, Type: trace.EventSubmit},              // coll-time-order:
-			{Time: t, Collection: fake + 1, Type: trace.EventFinish},                   // finishes before its submit
-			{Time: t, Collection: fake + 2, Type: trace.EventSubmit},                   // parent-kill: the parent
-			{Time: t, Collection: fake + 2, Type: trace.EventFinish},                   // finishes,
-			{Time: t, Collection: fake + 3, Type: trace.EventSubmit, Parent: fake + 2}, // the child never does
+			{Time: t, Collection: fake, Type: trace.EventFinish},                                                               // submit-before-termination
+			{Time: t + 10, Collection: fake + 1, Type: trace.EventSubmit},                                                      // coll-time-order:
+			{Time: t, Collection: fake + 1, Type: trace.EventFinish},                                                           // finishes before its submit
+			{Time: t, Collection: fake + 2, Type: trace.EventSubmit},                                                           // parent-kill: the parent
+			{Time: t, Collection: fake + 2, Type: trace.EventFinish},                                                           // finishes,
+			{Time: t, Collection: fake + 3, Type: trace.EventSubmit, CollectionAttrs: trace.CollectionAttrs{Parent: fake + 2}}, // the child never does
 		} {
 			s.next.CollectionEvent(f)
 		}

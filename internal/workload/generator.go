@@ -198,7 +198,7 @@ func (g *Generator) user() string {
 // reservations and a long lifetime.
 func (g *Generator) makeAllocSet(now sim.Time) *scheduler.Job {
 	j := scheduler.NewJob(g.newID())
-	j.Type = trace.CollectionAllocSet
+	j.CollectionType = trace.CollectionAllocSet
 	j.Priority = 200
 	j.Tier = trace.TierProduction
 	j.User = g.user()
@@ -217,7 +217,7 @@ func (g *Generator) makeAllocSet(now sim.Time) *scheduler.Job {
 	res := trace.Resources{CPU: cpu, Mem: mem}
 	tasks := make([]scheduler.Task, n)
 	for i := range tasks {
-		tasks[i] = scheduler.Task{
+		tasks[i].TaskSpec = scheduler.TaskSpec{
 			Request:  res,
 			Duration: duration,
 			// The reservation itself "uses" nothing; inner tasks do.
@@ -242,7 +242,7 @@ func (g *Generator) makeJob(now sim.Time) *scheduler.Job {
 	tp := tg.params
 
 	j := scheduler.NewJob(g.newID())
-	j.Type = trace.CollectionJob
+	j.CollectionType = trace.CollectionJob
 	j.Tier = tp.Tier
 	j.Priority = tp.Priorities[tg.prio.Draw(g.src)]
 	j.User = g.user()
@@ -371,7 +371,7 @@ func (g *Generator) makeJob(now sim.Time) *scheduler.Job {
 			memCeil = reqMem / peak
 		}
 		taskMem := clamp(memRate*lognormJitter(g.src, 0.15), 0.0003, memCeil)
-		tasks[i] = scheduler.Task{
+		tasks[i].TaskSpec = scheduler.TaskSpec{
 			Request:  trace.Resources{CPU: reqCPU, Mem: reqMem},
 			Duration: duration,
 			Restarts: g.restarts(tg),

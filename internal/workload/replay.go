@@ -36,14 +36,12 @@ const recordingMagic = "borgworkload"
 
 // RecordingMeta is a recording's provenance header: enough to name the
 // cell the workload was generated for and to re-anchor collection IDs on
-// replay. Horizon and Seed are informational (a replay may run under a
-// different horizon; the seed documents which world generated the jobs).
+// replay. The embedded trace.Meta is the generating cell's; its Duration
+// (the header's "horizon") and Seed are informational (a replay may run
+// under a different horizon; the seed documents which world generated
+// the jobs).
 type RecordingMeta struct {
-	Cell     string
-	Era      trace.Era
-	Machines int
-	Horizon  sim.Time
-	Seed     uint64
+	trace.Meta
 	// Arrival is the generating process, parsed; the header stores its
 	// String form.
 	Arrival ArrivalSpec
@@ -53,31 +51,15 @@ type RecordingMeta struct {
 	IDBase trace.CollectionID
 }
 
-// RecordedTask is one task body, exactly the fields the generator sets.
-type RecordedTask struct {
-	CPU, Mem float64
-	Duration sim.Time
-	Restarts int
-	MeanCPU  float64
-	MeanMem  float64
-	PeakFact float64
-}
-
 // RecordedJob is one collection as generated, with IDs stored as offsets
-// from the recording's IDBase (0 = none for Parent/AllocSet).
+// from the recording's IDBase: IDOff, and the attributes' Parent and
+// AllocSet (0 = none).
 type RecordedJob struct {
-	IDOff     uint64
-	Type      trace.CollectionType
-	Priority  int
-	Tier      trace.Tier
-	User      string
-	ParentOff uint64
-	AllocOff  uint64
-	Scheduler trace.SchedulerKind
-	Scaling   trace.VerticalScaling
+	IDOff uint64
+	trace.CollectionAttrs
 	Outcome   scheduler.Outcome
 	KillAfter sim.Time
-	Tasks     []RecordedTask
+	Tasks     []scheduler.TaskSpec
 }
 
 // RecordedArrival is one arrival instant and the collections submitted
@@ -120,32 +102,23 @@ func (r *Recorder) NextInterArrival(now sim.Time) sim.Time {
 func (r *Recorder) Generate(now sim.Time) []*scheduler.Job {
 	jobs := r.src.Generate(now)
 	arr := RecordedArrival{At: now, Jobs: make([]RecordedJob, 0, len(jobs))}
-	base := uint64(r.rec.Meta.IDBase)
+	base := r.rec.Meta.IDBase
 	for _, j := range jobs {
 		rj := RecordedJob{
-			IDOff:     uint64(j.ID) - base,
-			Type:      j.Type,
-			Priority:  j.Priority,
-			Tier:      j.Tier,
-			User:      j.User,
-			Scheduler: j.Scheduler,
-			Scaling:   j.Scaling,
-			Outcome:   j.Outcome,
-			KillAfter: j.KillAfter,
-			Tasks:     make([]RecordedTask, 0, len(j.Tasks)),
+			IDOff:           uint64(j.ID - base),
+			CollectionAttrs: j.CollectionAttrs,
+			Outcome:         j.Outcome,
+			KillAfter:       j.KillAfter,
+			Tasks:           make([]scheduler.TaskSpec, len(j.Tasks)),
 		}
 		if j.Parent != 0 {
-			rj.ParentOff = uint64(j.Parent) - base
+			rj.Parent -= base
 		}
 		if j.AllocSet != 0 {
-			rj.AllocOff = uint64(j.AllocSet) - base
+			rj.AllocSet -= base
 		}
-		for _, t := range j.Tasks {
-			rj.Tasks = append(rj.Tasks, RecordedTask{
-				CPU: t.Request.CPU, Mem: t.Request.Mem,
-				Duration: t.Duration, Restarts: t.Restarts,
-				MeanCPU: t.MeanCPU, MeanMem: t.MeanMem, PeakFact: t.PeakFact,
-			})
+		for i, t := range j.Tasks {
+			rj.Tasks[i] = t.TaskSpec
 		}
 		arr.Jobs = append(arr.Jobs, rj)
 	}
@@ -200,30 +173,18 @@ func (r *Replayer) Generate(now sim.Time) []*scheduler.Job {
 	for i := range arr.Jobs {
 		rj := &arr.Jobs[i]
 		j := scheduler.NewJob(r.idBase + trace.CollectionID(rj.IDOff))
-		j.Type = rj.Type
-		j.Priority = rj.Priority
-		j.Tier = rj.Tier
-		j.User = rj.User
-		j.Scheduler = rj.Scheduler
-		j.Scaling = rj.Scaling
+		j.CollectionAttrs = rj.CollectionAttrs
 		j.Outcome = rj.Outcome
 		j.KillAfter = rj.KillAfter
-		if rj.ParentOff != 0 {
-			j.Parent = r.idBase + trace.CollectionID(rj.ParentOff)
+		if rj.Parent != 0 {
+			j.Parent += r.idBase
 		}
-		if rj.AllocOff != 0 {
-			j.AllocSet = r.idBase + trace.CollectionID(rj.AllocOff)
+		if rj.AllocSet != 0 {
+			j.AllocSet += r.idBase
 		}
 		tasks := make([]scheduler.Task, len(rj.Tasks))
-		for i, rt := range rj.Tasks {
-			tasks[i] = scheduler.Task{
-				Request:  trace.Resources{CPU: rt.CPU, Mem: rt.Mem},
-				Duration: rt.Duration,
-				Restarts: rt.Restarts,
-				MeanCPU:  rt.MeanCPU,
-				MeanMem:  rt.MeanMem,
-				PeakFact: rt.PeakFact,
-			}
+		for i := range tasks {
+			tasks[i].TaskSpec = rj.Tasks[i]
 		}
 		j.SetTasks(tasks)
 		out = append(out, j)
@@ -265,7 +226,7 @@ func (rec *Recording) WriteTo(w io.Writer) (int64, error) {
 		return n, err
 	}
 	if err := write("cell %s\nera %d\nmachines %d\nhorizon %d\nseed %d\narrival %s\nidbase %d\narrivals %d\n",
-		quoteIfNeeded(m.Cell), int(m.Era), m.Machines, int64(m.Horizon), m.Seed,
+		quoteIfNeeded(m.Cell), int(m.Era), m.Machines, int64(m.Duration), m.Seed,
 		quoteIfNeeded(m.Arrival.String()), uint64(m.IDBase), len(rec.Arrivals)); err != nil {
 		return n, err
 	}
@@ -277,14 +238,14 @@ func (rec *Recording) WriteTo(w io.Writer) (int64, error) {
 		for ji := range arr.Jobs {
 			j := &arr.Jobs[ji]
 			if err := write("J %d %d %d %d %s %d %d %d %d %d %d %d\n",
-				j.IDOff, int(j.Type), j.Priority, int(j.Tier), quoteField(j.User),
-				j.ParentOff, j.AllocOff, int(j.Scheduler), int(j.Scaling),
+				j.IDOff, int(j.CollectionType), j.Priority, int(j.Tier), quoteField(j.User),
+				uint64(j.Parent), uint64(j.AllocSet), int(j.Scheduler), int(j.Scaling),
 				int(j.Outcome), int64(j.KillAfter), len(j.Tasks)); err != nil {
 				return n, err
 			}
 			for _, t := range j.Tasks {
 				if err := write("T %s %s %d %d %s %s %s\n",
-					ftoaExact(t.CPU), ftoaExact(t.Mem), int64(t.Duration), t.Restarts,
+					ftoaExact(t.Request.CPU), ftoaExact(t.Request.Mem), int64(t.Duration), t.Restarts,
 					ftoaExact(t.MeanCPU), ftoaExact(t.MeanMem), ftoaExact(t.PeakFact)); err != nil {
 					return n, err
 				}
@@ -393,7 +354,7 @@ func ReadRecording(r io.Reader) (*Recording, error) {
 		case "machines":
 			m.Machines = int(p.int(key, v, math.MinInt64, math.MaxInt64))
 		case "horizon":
-			m.Horizon = sim.Time(p.int(key, v, math.MinInt64, math.MaxInt64))
+			m.Duration = sim.Time(p.int(key, v, math.MinInt64, math.MaxInt64))
 		case "seed":
 			m.Seed, p.err = strconv.ParseUint(v, 10, 64)
 		case "arrival":
@@ -471,14 +432,14 @@ func parseJobLine(line string) (RecordedJob, int, error) {
 	}
 	var p fieldParser
 	j.IDOff = uint64(p.int("collection offset", f[1], 1, maxIDOff-1))
-	j.Type = trace.CollectionType(p.int("collection type", f[2], 0, int64(trace.CollectionAllocSet)))
+	j.CollectionType = trace.CollectionType(p.int("collection type", f[2], 0, int64(trace.CollectionAllocSet)))
 	j.Priority = int(p.int("priority", f[3], math.MinInt64, math.MaxInt64))
 	j.Tier = trace.Tier(p.int("tier", f[4], 0, int64(trace.NumTiers-1)))
 	user, err := strconv.Unquote(f[5])
 	p.keep(err)
 	j.User = user
-	j.ParentOff = uint64(p.int("parent offset", f[6], 0, maxIDOff-1))
-	j.AllocOff = uint64(p.int("alloc set offset", f[7], 0, maxIDOff-1))
+	j.Parent = trace.CollectionID(p.int("parent offset", f[6], 0, maxIDOff-1))
+	j.AllocSet = trace.CollectionID(p.int("alloc set offset", f[7], 0, maxIDOff-1))
 	j.Scheduler = trace.SchedulerKind(p.int("scheduler", f[8], 0, int64(trace.SchedulerBatch)))
 	j.Scaling = trace.VerticalScaling(p.int("vertical-scaling mode", f[9], 0, int64(trace.ScalingFull)))
 	j.Outcome = scheduler.Outcome(p.int("outcome", f[10], 0, int64(scheduler.OutcomeFail)))
@@ -487,19 +448,19 @@ func parseJobLine(line string) (RecordedJob, int, error) {
 	if p.err != nil {
 		return j, 0, fmt.Errorf("bad job record %q: %v", line, p.err)
 	}
-	j.Tasks = make([]RecordedTask, 0, min(ntasks, maxPresize))
+	j.Tasks = make([]scheduler.TaskSpec, 0, min(ntasks, maxPresize))
 	return j, ntasks, nil
 }
 
-func parseTaskLine(line string) (RecordedTask, error) {
-	var t RecordedTask
+func parseTaskLine(line string) (scheduler.TaskSpec, error) {
+	var t scheduler.TaskSpec
 	f := strings.Fields(line)
 	if len(f) != 8 || f[0] != "T" {
 		return t, fmt.Errorf("want task record, got %q", line)
 	}
 	var p fieldParser
-	t.CPU = p.float("CPU request", f[1], 0)
-	t.Mem = p.float("memory request", f[2], 0)
+	t.Request.CPU = p.float("CPU request", f[1], 0)
+	t.Request.Mem = p.float("memory request", f[2], 0)
 	t.Duration = sim.Time(p.int("duration", f[3], 0, int64(maxTime)))
 	t.Restarts = int(p.int("restart count", f[4], 0, math.MaxInt32))
 	t.MeanCPU = p.float("mean CPU", f[5], 0)

@@ -2,12 +2,14 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -21,8 +23,9 @@ func recordCell(t testing.TB, arrival string, idBase trace.CollectionID, seed ui
 	horizon := 12 * sim.Hour
 	gen := NewGeneratorArrival(p, testCapacityCPU, horizon, rng.New(seed), idBase+1)
 	rec := NewRecorder(gen, RecordingMeta{
-		Cell: p.Name, Era: p.Era, Machines: p.Machines, Horizon: horizon,
-		Seed: seed, Arrival: p.Arrival, IDBase: idBase,
+		Meta:    trace.Meta{Cell: p.Name, Era: p.Era, Machines: p.Machines, Duration: horizon, Seed: seed},
+		Arrival: p.Arrival,
+		IDBase:  idBase,
 	})
 	drive(rec, horizon)
 	return rec.Recording()
@@ -66,7 +69,7 @@ func TestRecordingRoundTripsThroughText(t *testing.T) {
 func TestReplayerReproducesRecording(t *testing.T) {
 	rec := recordCell(t, "", 1<<32, 7)
 	re := NewRecorder(NewReplayer(rec, rec.Meta.IDBase), rec.Meta)
-	drive(re, rec.Meta.Horizon)
+	drive(re, rec.Meta.Duration)
 	if !reflect.DeepEqual(rec, re.Recording()) {
 		t.Fatalf("replay re-capture differs from the original recording (%d vs %d arrivals)",
 			len(rec.Arrivals), len(re.Recording().Arrivals))
@@ -80,9 +83,8 @@ func TestReplayerRebasesIDs(t *testing.T) {
 	rec := recordCell(t, "", 1<<32, 7)
 	newBase := trace.CollectionID(5 << 32)
 	re := NewRecorder(NewReplayer(rec, newBase),
-		RecordingMeta{Cell: rec.Meta.Cell, Era: rec.Meta.Era, Machines: rec.Meta.Machines,
-			Horizon: rec.Meta.Horizon, Seed: rec.Meta.Seed, Arrival: rec.Meta.Arrival, IDBase: newBase})
-	drive(re, rec.Meta.Horizon)
+		RecordingMeta{Meta: rec.Meta.Meta, Arrival: rec.Meta.Arrival, IDBase: newBase})
+	drive(re, rec.Meta.Duration)
 	got := re.Recording()
 	if len(got.Arrivals) != len(rec.Arrivals) {
 		t.Fatalf("arrival counts differ: %d vs %d", len(got.Arrivals), len(rec.Arrivals))
@@ -100,11 +102,11 @@ func TestReplayerRebasesIDs(t *testing.T) {
 func TestReplayerDrains(t *testing.T) {
 	rec := recordCell(t, "", 1<<32, 7)
 	r := NewReplayer(rec, rec.Meta.IDBase)
-	drive(r, rec.Meta.Horizon)
-	if d := r.NextInterArrival(rec.Meta.Horizon); d < rec.Meta.Horizon {
+	drive(r, rec.Meta.Duration)
+	if d := r.NextInterArrival(rec.Meta.Duration); d < rec.Meta.Duration {
 		t.Fatalf("drained replayer reported inter-arrival %v, want effectively never", d)
 	}
-	if jobs := r.Generate(rec.Meta.Horizon); jobs != nil {
+	if jobs := r.Generate(rec.Meta.Duration); jobs != nil {
 		t.Fatalf("drained replayer generated %d jobs", len(jobs))
 	}
 }
@@ -166,5 +168,83 @@ func TestReadRecordingRejectsUnreplayable(t *testing.T) {
 		if want := fmt.Sprintf("line %d:", tc.line); !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %q does not name %s", tc.name, err, want)
 		}
+	}
+}
+
+// TestRecordingFormatPinned pins the recording's bytes across builds:
+// WriteTo of a hand-built recording hashes to a fixed value, and a
+// read-back writes the same bytes. Every value is a literal, so no float
+// depends on the CPU's arithmetic. The recording covers a user name with
+// a space, parent and alloc-set offsets, a multi-knob arrival header and
+// a task with restarts.
+func TestRecordingFormatPinned(t *testing.T) {
+	const (
+		wantHash  = "9271c2a1d67dfd1d2767ead081a347520333a21917c817cb72581dbea66a0484"
+		wantBytes = 437
+	)
+	rec := &Recording{
+		Meta: RecordingMeta{
+			Meta:    trace.Meta{Era: trace.Era2019, Cell: "b", Duration: 3 * sim.Hour, Machines: 40, Seed: 7},
+			Arrival: mustParseArrival(t, "cohorts:k=40,skew=1.1,cv=2"),
+			IDBase:  5 << 32,
+		},
+		Arrivals: []RecordedArrival{
+			{At: 90 * sim.Second, Jobs: []RecordedJob{
+				{
+					IDOff: 1,
+					CollectionAttrs: trace.CollectionAttrs{CollectionType: trace.CollectionAllocSet,
+						Priority: 200, Tier: trace.TierProduction, User: "svc owner"},
+					Outcome: scheduler.OutcomeFinish,
+					Tasks: []scheduler.TaskSpec{
+						{Request: trace.Resources{CPU: 0.25, Mem: 0.125}, Duration: 2 * sim.Hour, PeakFact: 1},
+						{Request: trace.Resources{CPU: 0.25, Mem: 0.125}, Duration: 2 * sim.Hour, PeakFact: 1},
+					},
+				},
+				{
+					IDOff: 2,
+					CollectionAttrs: trace.CollectionAttrs{CollectionType: trace.CollectionJob,
+						Priority: 205, Tier: trace.TierProduction, User: "svc owner", AllocSet: 1,
+						Scaling: trace.ScalingConstrained},
+					Outcome: scheduler.OutcomeFinish,
+					Tasks: []scheduler.TaskSpec{
+						{Request: trace.Resources{CPU: 0.1, Mem: 0.07}, Duration: 40 * sim.Minute,
+							MeanCPU: 0.045, MeanMem: 0.03, PeakFact: 1.35},
+					},
+				},
+			}},
+			{At: 17*sim.Minute + 3*sim.Millisecond, Jobs: []RecordedJob{
+				{
+					IDOff: 3,
+					CollectionAttrs: trace.CollectionAttrs{CollectionType: trace.CollectionJob,
+						Priority: 110, Tier: trace.TierBestEffortBatch, User: "batch-7", Parent: 2,
+						Scheduler: trace.SchedulerBatch, Scaling: trace.ScalingFull},
+					Outcome:   scheduler.OutcomeFail,
+					KillAfter: 25 * sim.Minute,
+					Tasks: []scheduler.TaskSpec{
+						{Request: trace.Resources{CPU: 0.02, Mem: 0.015625}, Duration: 90 * sim.Minute,
+							Restarts: 3, MeanCPU: 0.0125, MeanMem: 1e-3, PeakFact: 2.5},
+					},
+				},
+			}},
+		},
+	}
+	var b bytes.Buffer
+	if _, err := rec.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); got != wantHash || b.Len() != wantBytes {
+		t.Fatalf("recording format moved: sha256 %s (%d bytes), want %s (%d bytes)\n%s",
+			got, b.Len(), wantHash, wantBytes, b.String())
+	}
+	back, err := ReadRecording(bytes.NewReader(b.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if _, err := back.WriteTo(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), b.Bytes()) {
+		t.Fatalf("read-back writes different bytes:\n%s\nwant\n%s", again.String(), b.String())
 	}
 }

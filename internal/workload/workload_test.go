@@ -90,7 +90,7 @@ func TestTierMixMatchesShares(t *testing.T) {
 	counts := map[trace.Tier]int{}
 	total := 0
 	for _, j := range jobs {
-		if j.Type != trace.CollectionJob {
+		if j.CollectionType != trace.CollectionJob {
 			continue
 		}
 		counts[j.Tier]++
@@ -109,7 +109,7 @@ func TestTasksPerJobQuantiles(t *testing.T) {
 	jobs := genJobs(t, p, 48*sim.Hour, 30000)
 	byTier := map[trace.Tier][]float64{}
 	for _, j := range jobs {
-		if j.Type != trace.CollectionJob {
+		if j.CollectionType != trace.CollectionJob {
 			continue
 		}
 		byTier[j.Tier] = append(byTier[j.Tier], float64(len(j.Tasks)))
@@ -154,7 +154,7 @@ func TestHeavyTailedUsageIntegrals(t *testing.T) {
 	jobs := genJobs(t, p, 48*sim.Hour, 30000)
 	var hours []float64
 	for _, j := range jobs {
-		if j.Type != trace.CollectionJob {
+		if j.CollectionType != trace.CollectionJob {
 			continue
 		}
 		hours = append(hours, plannedNCUHours(j))
@@ -178,12 +178,12 @@ func Test2011LessVariableThan2019(t *testing.T) {
 	j11 := genJobs(t, Profile2011(600), 48*sim.Hour, 20000)
 	var h19, h11 []float64
 	for _, j := range j19 {
-		if j.Type == trace.CollectionJob {
+		if j.CollectionType == trace.CollectionJob {
 			h19 = append(h19, plannedNCUHours(j))
 		}
 	}
 	for _, j := range j11 {
-		if j.Type == trace.CollectionJob {
+		if j.CollectionType == trace.CollectionJob {
 			h11 = append(h11, plannedNCUHours(j))
 		}
 	}
@@ -199,7 +199,7 @@ func TestMemoryCorrelatesWithCPU(t *testing.T) {
 	jobs := genJobs(t, p, 48*sim.Hour, 20000)
 	var lc, lm []float64
 	for _, j := range jobs {
-		if j.Type != trace.CollectionJob {
+		if j.CollectionType != trace.CollectionJob {
 			continue
 		}
 		c := plannedNCUHours(j)
@@ -224,7 +224,7 @@ func TestAllocSetFraction(t *testing.T) {
 	allocSets, total := 0, 0
 	for _, j := range jobs {
 		total++
-		if j.Type == trace.CollectionAllocSet {
+		if j.CollectionType == trace.CollectionAllocSet {
 			allocSets++
 		}
 	}
@@ -239,7 +239,7 @@ func TestInAllocJobsMostlyProd(t *testing.T) {
 	jobs := genJobs(t, p, 48*sim.Hour, 30000)
 	inAlloc, prodInAlloc, jobCount := 0, 0, 0
 	for _, j := range jobs {
-		if j.Type != trace.CollectionJob {
+		if j.CollectionType != trace.CollectionJob {
 			continue
 		}
 		jobCount++
@@ -269,7 +269,7 @@ func TestParentAssignment(t *testing.T) {
 		ids[j.ID] = true
 	}
 	for _, j := range jobs {
-		if j.Type != trace.CollectionJob {
+		if j.CollectionType != trace.CollectionJob {
 			continue
 		}
 		jobCount++
@@ -293,7 +293,7 @@ func Test2011HasNoNewFeatures(t *testing.T) {
 	p := Profile2011(600)
 	jobs := genJobs(t, p, 48*sim.Hour, 10000)
 	for _, j := range jobs {
-		if j.Type == trace.CollectionAllocSet {
+		if j.CollectionType == trace.CollectionAllocSet {
 			t.Fatal("2011 profile generated an alloc set")
 		}
 		if j.Parent != 0 {
@@ -358,7 +358,7 @@ func TestRequestsCoverUsage(t *testing.T) {
 	under := 0
 	tasks := 0
 	for _, j := range jobs {
-		if j.Type != trace.CollectionJob {
+		if j.CollectionType != trace.CollectionJob {
 			continue
 		}
 		for _, task := range j.Tasks {
@@ -389,7 +389,7 @@ func TestKillOutcomesRoughlyCalibrated(t *testing.T) {
 	jobs := genJobs(t, p, 48*sim.Hour, 20000)
 	killed, parentless := 0, 0
 	for _, j := range jobs {
-		if j.Type != trace.CollectionJob || j.Parent != 0 {
+		if j.CollectionType != trace.CollectionJob || j.Parent != 0 {
 			continue
 		}
 		parentless++
