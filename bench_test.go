@@ -400,9 +400,7 @@ func miceDelayP90(hogPriority int) float64 {
 		j.Priority = hogPriority
 		j.Tier = trace.TierFromPriority2019(hogPriority)
 		for t := 0; t < 400; t++ {
-			j.AddTask(&scheduler.Task{
-				TaskSpec: scheduler.TaskSpec{Request: trace.Resources{CPU: 0.05, Mem: 0.04}, Duration: 2 * sim.Hour, MeanCPU: 0.04, MeanMem: 0.03, PeakFact: 1.2},
-			})
+			j.AddTask(scheduler.TaskSpec{Request: trace.Resources{CPU: 0.05, Mem: 0.04}, Duration: 2 * sim.Hour, MeanCPU: 0.04, MeanMem: 0.03, PeakFact: 1.2})
 		}
 		at := sim.Time(i) * 15 * sim.Minute
 		k.At(at, sim.Func(func(sim.Time) { sched.Submit(j) }))
@@ -414,9 +412,7 @@ func miceDelayP90(hogPriority int) float64 {
 		j.CollectionType = trace.CollectionJob
 		j.Priority = 110
 		j.Tier = trace.TierBestEffortBatch
-		j.AddTask(&scheduler.Task{
-			TaskSpec: scheduler.TaskSpec{Request: trace.Resources{CPU: 0.02, Mem: 0.02}, Duration: 3 * sim.Minute, MeanCPU: 0.01, MeanMem: 0.01, PeakFact: 1.2},
-		})
+		j.AddTask(scheduler.TaskSpec{Request: trace.Resources{CPU: 0.02, Mem: 0.02}, Duration: 3 * sim.Minute, MeanCPU: 0.01, MeanMem: 0.01, PeakFact: 1.2})
 		mice = append(mice, j)
 		at := sim.Time(src.Intn(int(3 * sim.Hour)))
 		k.At(at, sim.Func(func(sim.Time) { sched.Submit(j) }))

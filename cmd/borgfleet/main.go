@@ -54,6 +54,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("borgfleet: ")
+	cliflags.SetGCTarget()
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		log.Fatal(err)
 	}

@@ -63,6 +63,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("borgsweep: ")
+	cliflags.SetGCTarget()
 	scaleName := flag.String("scale", "small", "simulation scale: small, default or large")
 	common := cliflags.Register(flag.CommandLine, "sweep root seed")
 	seeds := flag.Int("seeds", 5, "number of root-seed replicates per variant")

@@ -177,21 +177,21 @@
 // indexed by machine ID; a steady-state sampling window performs zero
 // heap allocations (AllocsPerRun-guarded in CI, like the placement fast
 // path). The autopilot the sampler feeds
-// hangs each task's usage window off the task itself (an opaque owner
-// cookie, like a resident's task pointer) and keeps a list of tracked
-// tasks, which it sweeps once per sampling window to close the windows
-// of tasks that stopped running, so no per-window map exists on either
+// keeps each task's usage window in a table it owns, indexed by a small
+// handle stored in the task, and keeps a list of tracked tasks, which it
+// sweeps once per sampling window to release the handles of tasks that
+// stopped running for reuse, so no per-window map exists on either
 // side. It is allocation-free too once a task's window exists: each
 // window keeps its CPU and memory peaks in sorted order, updated by one
 // insertion and one removal per sample, so the windowed percentile is a
 // read, never a sort (TestObserveSteadyStateZeroAllocs).
 //
 // The per-layer guards cannot see an interaction between layers, so a
-// whole run is bounded too: core.Run allocates per job — the Job, one
-// array holding all its tasks (a Task is 176 bytes, inside the 192-byte
-// size class TestTaskSize pins) and its Tasks slice — plus pools that
-// grow to the peak number of running tasks, and nothing per placement,
-// restart, kernel event or usage window. TestRunAllocsPerJob holds a
+// whole run is bounded too: core.Run allocates per job — the Job and
+// one array holding all its tasks by value (a Task is 128 bytes, which
+// TestTaskSize pins) — plus pools that grow to the peak number of
+// running tasks, and nothing per placement, restart, kernel event or
+// usage window. TestRunAllocsPerJob holds a
 // small cell's run to a per-job allocation budget, and
 // TestPlaceAfterSampleZeroAllocs pins one such interaction: a placement
 // on a machine the sampler has just walked must not copy its resident

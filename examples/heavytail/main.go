@@ -52,11 +52,11 @@ func runScenario(hogPriority int) (miceDelaysSeconds []float64, hogShare float64
 			User:           "hog",
 		}
 		for t := 0; t < 400; t++ {
-			j.AddTask(&scheduler.Task{TaskSpec: scheduler.TaskSpec{
+			j.AddTask(scheduler.TaskSpec{
 				Request:  trace.Resources{CPU: 0.08, Mem: 0.05},
 				Duration: 2 * sim.Hour,
 				MeanCPU:  0.06, MeanMem: 0.04, PeakFact: 1.2,
-			}})
+			})
 		}
 		hogHours += 400 * 0.06 * 2
 		total += 400 * 0.06 * 2
@@ -74,11 +74,11 @@ func runScenario(hogPriority int) (miceDelaysSeconds []float64, hogShare float64
 			Tier:           trace.TierBestEffortBatch,
 			User:           "mouse",
 		}
-		j.AddTask(&scheduler.Task{TaskSpec: scheduler.TaskSpec{
+		j.AddTask(scheduler.TaskSpec{
 			Request:  trace.Resources{CPU: 0.02, Mem: 0.02},
 			Duration: 3 * sim.Minute,
 			MeanCPU:  0.015, MeanMem: 0.015, PeakFact: 1.2,
-		}})
+		})
 		total += 0.015 * 0.05
 		miceJobs = append(miceJobs, j)
 		at := sim.Time(src.Intn(int(4 * sim.Hour)))

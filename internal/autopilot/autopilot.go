@@ -120,13 +120,17 @@ func (w *window) percentile(q float64) trace.Resources {
 // Autopilot is the vertical autoscaler for one cell.
 type Autopilot struct {
 	cell *cluster.Cell
-	// tracked lists the tasks holding a window (in their Autoscale
-	// cookie); gen is the current sweep generation.
+	// windows is the window table a task's Autoscale handle indexes;
+	// slot 0 stays nil, so handle 0 means none.
+	windows []*window
+	// tracked lists the tasks holding a handle; gen is the current sweep
+	// generation.
 	tracked []*scheduler.Task
 	gen     uint64
-	// free recycles the windows of swept tasks, so window turnover does
-	// not allocate once the pool covers the peak tracked count.
-	free []*window
+	// free lists the handles Sweep released. Their windows stay in the
+	// table and are reset for the next task, so window turnover does not
+	// allocate once the table covers the peak tracked count.
+	free []int32
 
 	setRequest func(*scheduler.Task, trace.Resources)
 
@@ -139,7 +143,7 @@ type Autopilot struct {
 // UpdateTaskRequest, which keeps its admission sums consistent with the
 // new request and emits the UPDATE_RUNNING instance event.
 func New(cell *cluster.Cell, setRequest func(*scheduler.Task, trace.Resources)) *Autopilot {
-	return &Autopilot{cell: cell, setRequest: setRequest}
+	return &Autopilot{cell: cell, windows: []*window{nil}, setRequest: setRequest}
 }
 
 // Updates returns how many limit updates have been issued.
@@ -151,18 +155,18 @@ func (a *Autopilot) Observe(t *scheduler.Task, peakUsage trace.Resources) {
 	if t.Job.Scaling == trace.ScalingNone {
 		return
 	}
-	w, _ := t.Autoscale.(*window)
-	if w == nil {
+	if t.Autoscale == 0 {
 		if n := len(a.free); n > 0 {
-			w = a.free[n-1]
+			t.Autoscale = a.free[n-1]
 			a.free = a.free[:n-1]
-			w.reset(t.Request)
+			a.windows[t.Autoscale].reset(t.Request)
 		} else {
-			w = newWindow(t.Request)
+			t.Autoscale = int32(len(a.windows))
+			a.windows = append(a.windows, newWindow(t.Request))
 		}
-		t.Autoscale = w
 		a.tracked = append(a.tracked, t)
 	}
+	w := a.windows[t.Autoscale]
 	w.seen = a.gen
 	w.add(peakUsage)
 
@@ -192,7 +196,7 @@ func (a *Autopilot) Observe(t *scheduler.Task, peakUsage trace.Resources) {
 	// Cap growth at the machine's remaining allocation headroom. Inner
 	// (alloc-hosted) tasks have a zero machine-level limit, so only
 	// direct placements need the check.
-	if t.Machine != 0 && t.AllocInstance.Collection == 0 {
+	if t.Machine != 0 && t.AllocInstance == nil {
 		m := a.cell.Machine(t.Machine)
 		if m != nil {
 			head := m.Ceiling().Sub(m.Allocated()).Add(cur)
@@ -205,25 +209,26 @@ func (a *Autopilot) Observe(t *scheduler.Task, peakUsage trace.Resources) {
 			if rec.CPU < minCPU || rec.Mem < minMem {
 				return // no headroom at all; keep the current limit
 			}
-			a.cell.UpdateLimit(t.Machine, t.Key, rec)
+			a.cell.UpdateLimit(t.Machine, t.Job.Priority, t.Key(), rec)
 		}
 	}
 	a.setRequest(t, rec)
 	a.updates++
 }
 
-// Sweep ends a sampling window: it drops the window of every tracked
-// task that no Observe call reached since the previous Sweep — tasks that
-// stopped running — and starts the next generation. Call it once per
-// sampling window, after observing every running task.
+// Sweep ends a sampling window: it releases the window handle of every
+// tracked task that no Observe call reached since the previous Sweep —
+// tasks that stopped running — for reuse, and starts the next
+// generation. Call it once per sampling window, after observing every
+// running task.
 func (a *Autopilot) Sweep() {
 	kept := a.tracked[:0]
 	for _, t := range a.tracked {
-		if w := t.Autoscale.(*window); w.seen == a.gen {
+		if a.windows[t.Autoscale].seen == a.gen {
 			kept = append(kept, t)
 		} else {
-			t.Autoscale = nil
-			a.free = append(a.free, w)
+			a.free = append(a.free, t.Autoscale)
+			t.Autoscale = 0
 		}
 	}
 	clear(a.tracked[len(kept):])

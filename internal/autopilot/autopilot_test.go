@@ -27,10 +27,9 @@ func setup(t *testing.T, scaling trace.VerticalScaling, request trace.Resources)
 	j.Priority = 120
 	j.Tier = trace.TierProduction
 	j.Scaling = scaling
-	task := &scheduler.Task{TaskSpec: scheduler.TaskSpec{Request: request, Duration: sim.Hour}}
-	j.AddTask(task)
+	task := j.AddTask(scheduler.TaskSpec{Request: request, Duration: sim.Hour})
 	task.Machine = m.ID
-	cell.Place(m.ID, &cluster.Resident{Key: task.Key, Limit: request, Priority: 120, Tier: trace.TierProduction})
+	cell.Place(m.ID, &cluster.Resident{Key: task.Key(), Limit: request, Priority: 120, Tier: trace.TierProduction})
 	return ap, cell, task
 }
 
@@ -157,21 +156,47 @@ func TestHysteresisSuppressesSmallChanges(t *testing.T) {
 func TestForget(t *testing.T) {
 	ap, _, task := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.4, Mem: 0.4})
 	ap.Observe(task, trace.Resources{CPU: 0.1, Mem: 0.1})
-	if tracked(ap) != 1 || task.Autoscale == nil {
+	if tracked(ap) != 1 || task.Autoscale == 0 {
 		t.Fatalf("tracked %d", tracked(ap))
 	}
 	ap.Sweep()
-	if tracked(ap) != 1 || task.Autoscale == nil {
+	if tracked(ap) != 1 || task.Autoscale == 0 {
 		t.Fatalf("observed task forgotten by the sweep: tracked %d", tracked(ap))
 	}
 	ap.Sweep()
-	if tracked(ap) != 0 || task.Autoscale != nil {
+	if tracked(ap) != 0 || task.Autoscale != 0 {
 		t.Fatalf("tracked after an unobserved window %d", tracked(ap))
 	}
 	// The next window starts empty, even when recycled from the swept one.
 	ap.Observe(task, trace.Resources{CPU: 0.2, Mem: 0.2})
-	if w := task.Autoscale.(*window); len(w.cpus) != 1 || w.percentile(1).CPU != 0.2 {
+	if w := ap.windows[task.Autoscale]; len(w.cpus) != 1 || w.percentile(1).CPU != 0.2 {
 		t.Fatalf("new window holds %v", w.cpus)
+	}
+}
+
+// TestSweptHandleReused: a handle Sweep releases goes to the next task
+// that needs a window, with the same table slot and window, so the table
+// does not grow with task turnover.
+func TestSweptHandleReused(t *testing.T) {
+	ap, _, first := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.4, Mem: 0.4})
+	second := first.Job.AddTask(scheduler.TaskSpec{Request: trace.Resources{CPU: 0.3, Mem: 0.3}, Duration: sim.Hour})
+	first = &first.Job.Tasks[0] // AddTask may have moved the array
+	ap.Observe(first, trace.Resources{CPU: 0.1, Mem: 0.1})
+	h, w := first.Autoscale, ap.windows[first.Autoscale]
+	ap.Sweep()
+	ap.Sweep()
+	if first.Autoscale != 0 {
+		t.Fatalf("swept task still holds handle %d", first.Autoscale)
+	}
+	ap.Observe(second, trace.Resources{CPU: 0.2, Mem: 0.2})
+	if second.Autoscale != h || ap.windows[h] != w {
+		t.Fatalf("new task got handle %d, want the swept handle %d and its window", second.Autoscale, h)
+	}
+	if len(ap.windows) != 2 || len(ap.free) != 0 {
+		t.Fatalf("window table has %d slots and %d free handles, want 2 and 0", len(ap.windows), len(ap.free))
+	}
+	if w.original != (trace.Resources{CPU: 0.3, Mem: 0.3}) || len(w.cpus) != 1 {
+		t.Fatalf("reused window not reset: original %v, %d samples", w.original, len(w.cpus))
 	}
 }
 
@@ -214,10 +239,9 @@ func TestObserveSteadyStateZeroAllocs(t *testing.T) {
 	ap := New(cell, setRequest)
 	j := scheduler.NewJob(1)
 	j.Scaling = trace.ScalingFull
-	task := &scheduler.Task{TaskSpec: scheduler.TaskSpec{Request: trace.Resources{CPU: 0.4, Mem: 0.4}, Duration: sim.Hour}}
-	j.AddTask(task)
+	task := j.AddTask(scheduler.TaskSpec{Request: trace.Resources{CPU: 0.4, Mem: 0.4}, Duration: sim.Hour})
 	task.Machine = m.ID
-	cell.Place(m.ID, &cluster.Resident{Key: task.Key, Limit: task.Request})
+	cell.Place(m.ID, &cluster.Resident{Key: task.Key(), Limit: task.Request})
 
 	// Alternating quiet and busy stretches keep the recommendation moving,
 	// so the measured calls include limit updates as well as no-ops.

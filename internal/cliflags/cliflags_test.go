@@ -1,6 +1,7 @@
 package cliflags
 
 import (
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -32,6 +33,33 @@ func TestKnobsParseOnce(t *testing.T) {
 	} {
 		if _, err := parse(t, tc.flag, tc.value).Knobs(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s %q: error %v, want one listing %q", tc.flag, tc.value, err, tc.want)
+		}
+	}
+}
+
+// TestSetGCTarget: SetGCTarget raises the GC target to gcPercent, and
+// leaves it alone when GOGC or GOMEMLIMIT is set in the environment;
+// Register never touches it.
+func TestSetGCTarget(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(100))
+	parse(t)
+	if got := debug.SetGCPercent(100); got != 100 {
+		t.Errorf("GC percent %d after Register, want it untouched (100)", got)
+	}
+	for _, tc := range []struct {
+		gogc, memlimit string
+		want           int
+	}{
+		{"", "", gcPercent},
+		{"150", "", 100},
+		{"", "1GiB", 100},
+	} {
+		t.Setenv("GOGC", tc.gogc)
+		t.Setenv("GOMEMLIMIT", tc.memlimit)
+		debug.SetGCPercent(100)
+		SetGCTarget()
+		if got := debug.SetGCPercent(100); got != tc.want {
+			t.Errorf("GOGC=%q GOMEMLIMIT=%q: GC percent %d after SetGCTarget, want %d", tc.gogc, tc.memlimit, got, tc.want)
 		}
 	}
 }

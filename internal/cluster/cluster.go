@@ -97,9 +97,10 @@ type Machine struct {
 	usageTotal trace.Resources
 
 	// residents is kept in victim order — (priority asc, collection asc,
-	// index asc) — at all times: Place inserts by binary search and Remove
-	// shifts in place. order mirrors it entry for entry with the sort key
-	// held inline, so finding a resident never dereferences the others.
+	// index asc) — at all times: Place, Remove, Resident and UpdateLimit
+	// each find their position with one binary search, and Place and
+	// Remove shift in place. order mirrors it entry for entry with the
+	// sort key held inline, so a search never dereferences a resident.
 	residents []*Resident
 	order     []victimKey
 
@@ -138,19 +139,25 @@ func (m *Machine) NumResidents() int { return len(m.residents) }
 // maintenance) copies the list first.
 func (m *Machine) LiveResidents() []*Resident { return m.residents }
 
-// index returns the position of the resident with the given key, or -1.
-func (m *Machine) index(key trace.InstanceKey) int {
-	for i := range m.order {
-		if m.order[i].key == key {
-			return i
+// search returns the position of k in victim order: where it is, or
+// where it would be inserted, and whether it is there. One binary search
+// serves every lookup, since every caller knows the resident's priority.
+func (m *Machine) search(k victimKey) (int, bool) {
+	lo, hi := 0, len(m.order)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.order[mid].less(k) {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return -1
+	return lo, lo < len(m.order) && m.order[lo] == k
 }
 
-// Resident returns the resident with the given key, or nil.
-func (m *Machine) Resident(key trace.InstanceKey) *Resident {
-	if i := m.index(key); i >= 0 {
+// Resident returns the resident with the given priority and key, or nil.
+func (m *Machine) Resident(priority int, key trace.InstanceKey) *Resident {
+	if i, ok := m.search(victimKey{priority: priority, key: key}); ok {
 		return m.residents[i]
 	}
 	return nil
@@ -169,10 +176,9 @@ func (m *Machine) SetResidentUsage(r *Resident, usage trace.Resources) {
 	r.Usage = usage
 }
 
-// insert places r at its victim-order position.
-func (m *Machine) insert(r *Resident) {
+// insert places r at victim-order position i, found by search.
+func (m *Machine) insert(i int, r *Resident) {
 	k := victimKey{priority: r.Priority, key: r.Key}
-	i := sort.Search(len(m.order), func(i int) bool { return k.less(m.order[i]) })
 	m.residents = append(m.residents, nil)
 	copy(m.residents[i+1:], m.residents[i:])
 	m.residents[i] = r
@@ -304,29 +310,34 @@ func (c *Cell) Machines(fn func(m *Machine)) {
 
 // Place adds a resident to a machine. It panics on unknown machines or
 // duplicate placement — both indicate scheduler bugs, not runtime
-// conditions.
+// conditions. A resident is identified by its (priority, key) pair, the
+// key of the one search every lookup makes, so the duplicate check sees
+// a key already on the machine only under the same priority: callers
+// must place an instance under its job's fixed priority, as Remove and
+// UpdateLimit look it up.
 func (c *Cell) Place(id trace.MachineID, r *Resident) {
 	m := c.Machine(id)
 	if m == nil {
 		panic(fmt.Sprintf("cluster: placing on unknown machine %d", id))
 	}
-	if m.index(r.Key) >= 0 {
+	i, dup := m.search(victimKey{priority: r.Priority, key: r.Key})
+	if dup {
 		panic(fmt.Sprintf("cluster: instance %s already on machine %d", r.Key, id))
 	}
-	m.insert(r)
+	m.insert(i, r)
 	m.allocated = m.allocated.Add(r.Limit)
 	m.usageTotal = m.usageTotal.Add(r.Usage)
 }
 
-// Remove detaches a resident from a machine and returns it. Removing a
-// non-resident instance panics.
-func (c *Cell) Remove(id trace.MachineID, key trace.InstanceKey) *Resident {
+// Remove detaches the resident with the given priority and key from a
+// machine and returns it. Removing a non-resident instance panics.
+func (c *Cell) Remove(id trace.MachineID, priority int, key trace.InstanceKey) *Resident {
 	m := c.Machine(id)
 	if m == nil {
 		panic(fmt.Sprintf("cluster: removing from unknown machine %d", id))
 	}
-	i := m.index(key)
-	if i < 0 {
+	i, ok := m.search(victimKey{priority: priority, key: key})
+	if !ok {
 		panic(fmt.Sprintf("cluster: instance %s not on machine %d", key, id))
 	}
 	r := m.residents[i]
@@ -337,14 +348,15 @@ func (c *Cell) Remove(id trace.MachineID, key trace.InstanceKey) *Resident {
 	return r
 }
 
-// UpdateLimit changes a resident's limit in place, keeping the machine's
-// allocation aggregate consistent. Used by Autopilot's vertical scaling.
-func (c *Cell) UpdateLimit(id trace.MachineID, key trace.InstanceKey, limit trace.Resources) {
+// UpdateLimit changes the limit of the resident with the given priority
+// and key in place, keeping the machine's allocation aggregate
+// consistent. Used by Autopilot's vertical scaling.
+func (c *Cell) UpdateLimit(id trace.MachineID, priority int, key trace.InstanceKey, limit trace.Resources) {
 	m := c.Machine(id)
 	if m == nil {
 		panic(fmt.Sprintf("cluster: updating on unknown machine %d", id))
 	}
-	r := m.Resident(key)
+	r := m.Resident(priority, key)
 	if r == nil {
 		panic(fmt.Sprintf("cluster: instance %s not on machine %d", key, id))
 	}

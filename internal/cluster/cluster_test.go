@@ -46,10 +46,13 @@ func TestPlaceRemoveAccounting(t *testing.T) {
 	if m.NumResidents() != 1 {
 		t.Fatal("residents")
 	}
-	if m.Resident(r.Key) != r {
+	if m.Resident(r.Priority, r.Key) != r {
 		t.Fatal("resident lookup")
 	}
-	got := c.Remove(m.ID, r.Key)
+	if m.Resident(r.Priority+1, r.Key) != nil {
+		t.Fatal("resident found under another priority")
+	}
+	got := c.Remove(m.ID, r.Priority, r.Key)
 	if got != r {
 		t.Fatal("removed resident mismatch")
 	}
@@ -73,9 +76,10 @@ func TestPlacePanics(t *testing.T) {
 	}
 	mustPanic("duplicate place", func() { c.Place(m.ID, r) })
 	mustPanic("unknown machine", func() { c.Place(999, &Resident{}) })
-	mustPanic("remove missing", func() { c.Remove(m.ID, trace.InstanceKey{Collection: 9}) })
-	mustPanic("remove unknown machine", func() { c.Remove(999, r.Key) })
-	mustPanic("update missing", func() { c.UpdateLimit(m.ID, trace.InstanceKey{Collection: 9}, res(0, 0)) })
+	mustPanic("remove missing", func() { c.Remove(m.ID, 0, trace.InstanceKey{Collection: 9}) })
+	mustPanic("remove under another priority", func() { c.Remove(m.ID, 1, r.Key) })
+	mustPanic("remove unknown machine", func() { c.Remove(999, 0, r.Key) })
+	mustPanic("update missing", func() { c.UpdateLimit(m.ID, 0, trace.InstanceKey{Collection: 9}, res(0, 0)) })
 }
 
 func TestResidentsOrderedByPriority(t *testing.T) {
@@ -116,11 +120,11 @@ func TestUpdateLimit(t *testing.T) {
 	m := c.AddMachine(res(1, 1), "P0")
 	key := trace.InstanceKey{Collection: 1}
 	c.Place(m.ID, &Resident{Key: key, Limit: res(0.5, 0.5)})
-	c.UpdateLimit(m.ID, key, res(0.2, 0.3))
+	c.UpdateLimit(m.ID, 0, key, res(0.2, 0.3))
 	if m.Allocated() != res(0.2, 0.3) {
 		t.Fatalf("allocated after update %v", m.Allocated())
 	}
-	if m.Resident(key).Limit != res(0.2, 0.3) {
+	if m.Resident(0, key).Limit != res(0.2, 0.3) {
 		t.Fatal("resident limit not updated")
 	}
 }
@@ -242,10 +246,10 @@ func TestSetUsageMaintainsAggregate(t *testing.T) {
 	if got.CPU < 0.4-1e-12 || got.CPU > 0.4+1e-12 || got.Mem < 0.3-1e-12 || got.Mem > 0.3+1e-12 {
 		t.Fatalf("usage total %v after SetResidentUsage", got)
 	}
-	if m.Resident(key).Usage != res(0.4, 0.3) {
+	if m.Resident(0, key).Usage != res(0.4, 0.3) {
 		t.Fatal("resident usage not updated")
 	}
-	c.Remove(m.ID, key)
+	c.Remove(m.ID, 0, key)
 	if m.UsageTotal() != res(0, 0) {
 		t.Fatalf("usage total %v after removing last resident", m.UsageTotal())
 	}
@@ -348,12 +352,12 @@ func TestIncrementalStateMatchesRecompute(t *testing.T) {
 			live = append(live, placed{key: key, mid: mid, r: r})
 		case op == 1: // remove
 			i := src.Intn(len(live))
-			c.Remove(live[i].mid, live[i].key)
+			c.Remove(live[i].mid, live[i].r.Priority, live[i].key)
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		case op == 2: // update limit
 			p := live[src.Intn(len(live))]
-			c.UpdateLimit(p.mid, p.key, randRes())
+			c.UpdateLimit(p.mid, p.r.Priority, p.key, randRes())
 		default: // usage sample
 			p := live[src.Intn(len(live))]
 			c.Machine(p.mid).SetResidentUsage(p.r, randRes())
@@ -379,7 +383,7 @@ func TestAllocationConsistencyProperty(t *testing.T) {
 				placed[key] = lim
 			} else {
 				for key := range placed {
-					c.Remove(m.ID, key)
+					c.Remove(m.ID, 0, key)
 					delete(placed, key)
 					break
 				}
@@ -396,5 +400,92 @@ func TestAllocationConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResidentLookupMatchesLinearScan: random Place, Remove and
+// UpdateLimit sequences keep one machine's residents in victim order, and
+// every binary-searched lookup agrees with a linear scan of a reference
+// list the test keeps itself: a resident is found under its own priority
+// and key, and a key that is absent, or present under another priority,
+// is not.
+func TestResidentLookupMatchesLinearScan(t *testing.T) {
+	src := rng.New(7)
+	c := NewCell("lookup", noOC)
+	m := c.AddMachine(res(100, 100), "P0")
+	// ref holds the placed residents in victim order, maintained by
+	// linear scans only.
+	var ref []*Resident
+	before := func(a, b *Resident) bool {
+		if a.Priority != b.Priority {
+			return a.Priority < b.Priority
+		}
+		if a.Key.Collection != b.Key.Collection {
+			return a.Key.Collection < b.Key.Collection
+		}
+		return a.Key.Index < b.Key.Index
+	}
+	scan := func(priority int, key trace.InstanceKey) *Resident {
+		for _, r := range ref {
+			if r.Priority == priority && r.Key == key {
+				return r
+			}
+		}
+		return nil
+	}
+	// Few collections, indices and priorities, so keys collide often.
+	randKey := func() (int, trace.InstanceKey) {
+		return src.Intn(4) * 100, trace.InstanceKey{Collection: trace.CollectionID(1 + src.Intn(5)), Index: int32(src.Intn(4))}
+	}
+	for step := 0; step < 3000; step++ {
+		prio, key := randKey()
+		switch src.Intn(3) {
+		case 0: // place, unless that priority and key is already there
+			if scan(prio, key) != nil {
+				break
+			}
+			r := &Resident{Key: key, Priority: prio, Limit: res(src.Float64(), src.Float64())}
+			c.Place(m.ID, r)
+			i := 0
+			for i < len(ref) && before(ref[i], r) {
+				i++
+			}
+			ref = append(ref[:i], append([]*Resident{r}, ref[i:]...)...)
+		case 1: // remove a live resident
+			if len(ref) == 0 {
+				break
+			}
+			i := src.Intn(len(ref))
+			r := ref[i]
+			if got := c.Remove(m.ID, r.Priority, r.Key); got != r {
+				t.Fatalf("step %d: Remove returned %v, want %v", step, got, r)
+			}
+			ref = append(ref[:i], ref[i+1:]...)
+		default: // update a live resident's limit
+			if len(ref) == 0 {
+				break
+			}
+			r := ref[src.Intn(len(ref))]
+			lim := res(src.Float64(), src.Float64())
+			c.UpdateLimit(m.ID, r.Priority, r.Key, lim)
+			if r.Limit != lim {
+				t.Fatalf("step %d: limit %v, want %v", step, r.Limit, lim)
+			}
+		}
+		rs := m.LiveResidents()
+		if len(rs) != len(ref) {
+			t.Fatalf("step %d: %d residents, reference has %d", step, len(rs), len(ref))
+		}
+		for i := range rs {
+			if rs[i] != ref[i] {
+				t.Fatalf("step %d: victim order differs from the reference at %d", step, i)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			prio, key := randKey()
+			if got, want := m.Resident(prio, key), scan(prio, key); got != want {
+				t.Fatalf("step %d: Resident(%d, %s) = %v, linear scan finds %v", step, prio, key, got, want)
+			}
+		}
 	}
 }

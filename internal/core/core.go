@@ -474,7 +474,7 @@ func (u *usageSampler) sample(now sim.Time) {
 			rec := &recs[len(recs)-1]
 			rec.Start = now - sim.SampleWindow
 			rec.End = now
-			rec.Key = t.Key
+			rec.Key = t.Key()
 			rec.Machine = mid
 			rec.Tier = t.Job.Tier
 			rec.AvgUsage = o.avg
@@ -558,7 +558,7 @@ func (u *usageSampler) taskStopped(t *scheduler.Task, runStart sim.Time) {
 	u.partialRec[0] = trace.UsageRecord{
 		Start:    start,
 		End:      now,
-		Key:      t.Key,
+		Key:      t.Key(),
 		Machine:  t.Machine,
 		Tier:     t.Job.Tier,
 		AvgUsage: avg,

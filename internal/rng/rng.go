@@ -101,21 +101,21 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64n(uint64(n)))
 }
 
-// Uint64n returns a uniform uint64 in [0, n) using Lemire's multiply-shift
-// rejection method. It panics if n == 0.
+// Uint64n returns a uniform uint64 in [0, n). It panics if n == 0. A
+// power of two masks one draw. Any other n rejects draws at or above
+// MaxUint64 − MaxUint64%n, which removes the modulo bias, and returns the
+// draw mod n.
 func (s *Source) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n with zero n")
 	}
-	// Fast path for powers of two.
 	if n&(n-1) == 0 {
 		return s.Uint64() & (n - 1)
 	}
-	// Rejection sampling on the top of the range to remove modulo bias.
-	max := math.MaxUint64 - math.MaxUint64%n
+	bound := math.MaxUint64 - math.MaxUint64%n
 	for {
 		v := s.Uint64()
-		if v < max {
+		if v < bound {
 			return v % n
 		}
 	}

@@ -43,8 +43,8 @@ func TestBEBAllocIncrementalMatchesRecompute(t *testing.T) {
 			j = mkJob(id, 110, trace.TierBestEffortBatch, 1+src.Intn(4),
 				trace.Resources{CPU: 0.05 + 0.1*src.Float64(), Mem: 0.05}, sim.Time(10+src.Intn(50))*sim.Minute)
 			j.Scheduler = trace.SchedulerBatch
-			for _, task := range j.Tasks {
-				task.Restarts = src.Intn(2)
+			for i := range j.Tasks {
+				j.Tasks[i].Restarts = src.Intn(2)
 			}
 		case 2: // beb jobs bypassing the queue, killed mid-flight
 			j = mkJob(id, 115, trace.TierBestEffortBatch, 2,
@@ -87,13 +87,13 @@ func TestUpdateTaskRequestKeepsBEBSum(t *testing.T) {
 	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	rig.k.RunUntil(10 * sim.Minute)
 
-	task := j.Tasks[0]
+	task := &j.Tasks[0]
 	if task.State != TaskRunning {
 		t.Fatalf("task state %v; want running", task.State)
 	}
 	rows := rig.tr.InstanceEvents.Len()
 	rig.sched.UpdateTaskRequest(task, trace.Resources{CPU: 0.35, Mem: 0.25})
-	want := trace.InstanceEvent{Time: 10 * sim.Minute, Key: task.Key, Type: trace.EventUpdateRunning,
+	want := trace.InstanceEvent{Time: 10 * sim.Minute, Key: task.Key(), Type: trace.EventUpdateRunning,
 		Machine: task.Machine, Priority: 110, Tier: trace.TierBestEffortBatch, Request: trace.Resources{CPU: 0.35, Mem: 0.25}}
 	var last trace.InstanceEvent
 	for ev := range rig.tr.InstanceEvents.All() {

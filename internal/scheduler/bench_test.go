@@ -50,9 +50,7 @@ func benchTask(req trace.Resources, priority int, tier trace.Tier) *Task {
 	j.CollectionType = trace.CollectionJob
 	j.Priority = priority
 	j.Tier = tier
-	t := &Task{TaskSpec: TaskSpec{Request: req, Duration: sim.Hour}}
-	j.AddTask(t)
-	return t
+	return j.AddTask(TaskSpec{Request: req, Duration: sim.Hour})
 }
 
 // BenchmarkPlacement measures the steady-state placement fast path: one
@@ -70,8 +68,8 @@ func BenchmarkPlacement(b *testing.B) {
 		if m == nil {
 			b.Fatal("no feasible machine")
 		}
-		cell.Place(m.ID, s.takeResident(t.Key, t.Request, t.Job.Priority, t.Job.Tier))
-		s.releaseResident(cell.Remove(m.ID, t.Key))
+		cell.Place(m.ID, s.takeResident(t.Key(), t.Request, t.Job.Priority, t.Job.Tier))
+		s.releaseResident(cell.Remove(m.ID, t.Job.Priority, t.Key()))
 	}
 }
 
@@ -94,8 +92,8 @@ func BenchmarkPlacementPolicy(b *testing.B) {
 				if m == nil {
 					b.Fatal("no feasible machine")
 				}
-				cell.Place(m.ID, s.takeResident(t.Key, t.Request, t.Job.Priority, t.Job.Tier))
-				s.releaseResident(cell.Remove(m.ID, t.Key))
+				cell.Place(m.ID, s.takeResident(t.Key(), t.Request, t.Job.Priority, t.Job.Tier))
+				s.releaseResident(cell.Remove(m.ID, t.Job.Priority, t.Key()))
 			}
 		})
 	}

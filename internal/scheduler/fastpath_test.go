@@ -25,8 +25,8 @@ func TestPlacementSteadyStateZeroAllocs(t *testing.T) {
 		if m == nil {
 			t.Fatal("no feasible machine")
 		}
-		cell.Place(m.ID, s.takeResident(task.Key, task.Request, task.Job.Priority, task.Job.Tier))
-		s.releaseResident(cell.Remove(m.ID, task.Key))
+		cell.Place(m.ID, s.takeResident(task.Key(), task.Request, task.Job.Priority, task.Job.Tier))
+		s.releaseResident(cell.Remove(m.ID, task.Job.Priority, task.Key()))
 	}
 	for i := 0; i < 100; i++ {
 		cycle() // warm the resident pool
@@ -120,7 +120,7 @@ func TestEvictMachineZeroAllocs(t *testing.T) {
 	j.CollectionType = trace.CollectionJob
 	j.Tier = trace.TierFree
 	for i := 0; i < 8; i++ {
-		j.AddTask(&Task{TaskSpec: TaskSpec{Request: trace.Resources{CPU: 0.1, Mem: 0.1}, Duration: 100 * sim.Hour}})
+		j.AddTask(TaskSpec{Request: trace.Resources{CPU: 0.1, Mem: 0.1}, Duration: 100 * sim.Hour})
 	}
 	k.At(0, sim.Func(func(sim.Time) { s.Submit(j) }))
 	k.RunUntil(sim.Minute)
@@ -142,11 +142,12 @@ func TestEvictMachineZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTaskSize pins Task within the 192-byte size class: a job's task
-// array costs this much per task, and every job of a run allocates one.
-// A field added past the bound must earn its bytes or share a word.
+// TestTaskSize pins Task at 128 bytes: a job holds its tasks by value in
+// one array, so a run allocates this much per task, and every job of a
+// run allocates one such array. A field added past the bound must earn
+// its bytes or share a word.
 func TestTaskSize(t *testing.T) {
-	const maxTaskBytes = 192
+	const maxTaskBytes = 128
 	if size := unsafe.Sizeof(Task{}); size > maxTaskBytes {
 		t.Fatalf("Task is %d bytes, want at most %d", size, maxTaskBytes)
 	}

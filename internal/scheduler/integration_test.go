@@ -35,21 +35,74 @@ func TestKillWhileBatchQueued(t *testing.T) {
 	}
 }
 
+// TestAllocSetEndingKillsItsParentInside covers a recording-only shape:
+// an alloc set whose parent job runs inside it (the parent names the set
+// before the set exists). When the set's instance ends, by finishing or
+// by the set's own kill, it kills the hosted parent, the parent's
+// termination kills the set, and that kill reaches the very instance
+// being torn down. The instance must leave its machine once, with every
+// row emitted once.
+func TestAllocSetEndingKillsItsParentInside(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		killAfter sim.Time
+		want      trace.EventType
+	}{
+		{"finish", 0, trace.EventFinish},
+		{"kill", 30 * sim.Minute, trace.EventKill},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := newRig(t, fastConfig(), 1, trace.Resources{CPU: 1, Mem: 1})
+			parent := mkJob(1, 120, trace.TierProduction, 1, trace.Resources{CPU: 0.2, Mem: 0.2}, 10*sim.Hour)
+			parent.AllocSet = 2
+			as := NewJob(2)
+			as.CollectionType = trace.CollectionAllocSet
+			as.Priority = 200
+			as.Tier = trace.TierProduction
+			as.Parent = 1
+			as.KillAfter = tc.killAfter
+			as.AddTask(TaskSpec{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: sim.Hour})
+			rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(parent) }))
+			rig.k.At(sim.Second, sim.Func(func(sim.Time) { rig.sched.Submit(as) }))
+			rig.k.RunUntil(3 * sim.Hour)
+
+			if parent.FinalType != trace.EventKill || as.State != JobDone {
+				t.Fatalf("parent ended %v, alloc set state %v; want the parent killed and the set done", parent.FinalType, as.State)
+			}
+			if parent.FirstRun < 0 {
+				t.Fatal("the parent never ran inside the alloc set")
+			}
+			m := rig.cell.Machine(rig.cell.MachineIDs()[0])
+			if m.NumResidents() != 0 || m.Allocated() != (trace.Resources{}) {
+				t.Fatalf("machine keeps %d residents, %v allocated", m.NumResidents(), m.Allocated())
+			}
+			kills := instanceEventsOfType(rig.tr, 2, trace.EventKill)
+			finishes := instanceEventsOfType(rig.tr, 2, trace.EventFinish)
+			if kills+finishes != 1 {
+				t.Fatalf("alloc set instance ended %d times (%d KILL, %d FINISH), want once", kills+finishes, kills, finishes)
+			}
+			if tc.want == trace.EventKill && kills != 1 {
+				t.Fatalf("alloc set instance ended by FINISH, want its own KILL")
+			}
+		})
+	}
+}
+
 func TestEvictedAllocInstanceDisplacesInnerTasks(t *testing.T) {
 	rig := newRig(t, fastConfig(), 3, trace.Resources{CPU: 1, Mem: 1})
 	as := NewJob(1)
 	as.CollectionType = trace.CollectionAllocSet
 	as.Priority = 200
 	as.Tier = trace.TierProduction
-	as.AddTask(&Task{TaskSpec: TaskSpec{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 10 * sim.Hour}})
-	as.AddTask(&Task{TaskSpec: TaskSpec{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 10 * sim.Hour}})
+	as.AddTask(TaskSpec{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 10 * sim.Hour})
+	as.AddTask(TaskSpec{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 10 * sim.Hour})
 	inner := mkJob(2, 120, trace.TierProduction, 2, trace.Resources{CPU: 0.2, Mem: 0.2}, 5*sim.Hour)
 	inner.AllocSet = 1
 	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(as) }))
 	rig.k.At(time5m(), sim.Func(func(sim.Time) { rig.sched.Submit(inner) }))
 
 	// Evict one alloc instance directly (as machine maintenance would).
-	rig.k.At(30*sim.Minute, sim.Func(func(sim.Time) { rig.sched.Evict(as.Tasks[0]) }))
+	rig.k.At(30*sim.Minute, sim.Func(func(sim.Time) { rig.sched.Evict(&as.Tasks[0]) }))
 	rig.k.RunUntil(8 * sim.Hour)
 
 	// The alloc set task is re-placed; inner tasks displaced from the
@@ -106,7 +159,7 @@ func TestTaskRestartsSurviveEviction(t *testing.T) {
 	j.Tasks[0].Restarts = 1
 	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	// Evict mid-first-segment.
-	rig.k.At(10*sim.Minute, sim.Func(func(sim.Time) { rig.sched.Evict(j.Tasks[0]) }))
+	rig.k.At(10*sim.Minute, sim.Func(func(sim.Time) { rig.sched.Evict(&j.Tasks[0]) }))
 	rig.k.RunUntil(6 * sim.Hour)
 
 	if j.State != JobDone || j.FinalType != trace.EventFinish {

@@ -28,7 +28,8 @@ func (s *Scheduler) Submit(j *Job) {
 	j.SubmitTime = now
 	j.FinalType = trace.EventSubmit
 	j.liveTasks = len(j.Tasks)
-	for _, t := range j.Tasks {
+	for i := range j.Tasks {
+		t := &j.Tasks[i]
 		t.remaining = t.Duration
 		t.planSegments()
 	}
@@ -46,8 +47,8 @@ func (s *Scheduler) Submit(j *Job) {
 	}
 
 	s.emitCollection(j, trace.EventSubmit)
-	for _, t := range j.Tasks {
-		s.emitInstance(t, trace.EventSubmit, now)
+	for i := range j.Tasks {
+		s.emitInstance(&j.Tasks[i], trace.EventSubmit, now)
 	}
 
 	// A child whose parent has terminated (or never came) is killed on
@@ -79,8 +80,8 @@ func (s *Scheduler) enableJob(j *Job) {
 	j.State = JobReady
 	j.ReadyTime = s.k.Now()
 	s.emitCollection(j, trace.EventEnable)
-	for _, t := range j.Tasks {
-		s.enqueue(t)
+	for i := range j.Tasks {
+		s.enqueue(&j.Tasks[i])
 	}
 }
 
@@ -151,7 +152,7 @@ func (s *Scheduler) startRunning(t *Task, m trace.MachineID) {
 	if segment <= 0 {
 		segment = 1
 	}
-	t.endEvent = s.k.After(segment, (*taskEnd)(t))
+	t.event = s.k.After(segment, (*taskEnd)(t))
 }
 
 // segmentEnd handles a task reaching the end of a running segment: either
@@ -176,8 +177,8 @@ func (s *Scheduler) segmentEnd(t *Task) {
 // stopRun ends t's current run at now: its segment end is canceled and
 // the time it ran comes off its remaining duration.
 func (s *Scheduler) stopRun(t *Task, now sim.Time) {
-	s.k.Cancel(t.endEvent)
-	t.endEvent = sim.EventRef{}
+	s.k.Cancel(t.event)
+	t.event = sim.EventRef{}
 	t.remaining = max(0, t.remaining-(now-t.runStart))
 }
 
@@ -273,16 +274,23 @@ func (s *Scheduler) KillJob(j *Job, final trace.EventType) {
 		return
 	}
 	now := s.k.Now()
-	for _, t := range j.Tasks {
+	for i := range j.Tasks {
+		t := &j.Tasks[i]
 		switch t.State {
 		case TaskRunning:
 			s.stopRun(t, now)
 			s.unplace(t, true)
+			if t.State == TaskDead {
+				// t is an alloc set instance that hosted this job's
+				// parent: its teardown killed the parent, and that kill
+				// came back here and ended t already.
+				continue
+			}
 			t.State = TaskDead
 			s.emitInstance(t, final, now)
 		case TaskPending, TaskWaiting:
-			s.k.Cancel(t.retryEvent)
-			t.retryEvent = sim.EventRef{}
+			s.k.Cancel(t.event)
+			t.event = sim.EventRef{}
 			t.State = TaskDead
 			s.emitInstance(t, final, now)
 		}
@@ -304,20 +312,24 @@ func (s *Scheduler) unplace(t *Task, terminal bool) {
 		s.UnplaceHook(t, t.runStart)
 	}
 	// A de-scheduled alloc instance takes its reservation with it.
+	key := t.Key()
 	if t.Job.CollectionType == trace.CollectionAllocSet {
-		s.removeAllocInstance(t.Key, terminal)
-	}
-	if key := t.AllocInstance; key.Collection != 0 {
-		if i := s.allocIndex(key); i >= 0 {
-			ai := s.allocs[key.Collection][i]
-			ai.Used = ai.Used.Sub(t.Request)
+		s.removeAllocInstance(key, terminal)
+		if t.Machine == 0 {
+			// A job killed with the instance's hosted tasks had this
+			// alloc set as a dependent and unplaced it already.
+			return
 		}
-		t.AllocInstance = trace.InstanceKey{}
 	}
-	if m := s.cell.Machine(t.Machine); m != nil && m.Resident(t.Key) != nil {
-		// The detached record is recycled: nothing else may retain it.
-		s.releaseResident(s.cell.Remove(t.Machine, t.Key))
+	// The hosting instance gets its reservation back. While an instance
+	// is torn down (removeAllocInstance) its hosted tasks return it to an
+	// instance no longer in its set, which nothing reads again.
+	if ai := t.AllocInstance; ai != nil {
+		ai.Used = ai.Used.Sub(t.Request)
+		t.AllocInstance = nil
 	}
+	// The detached record is recycled: nothing else may retain it.
+	s.releaseResident(s.cell.Remove(t.Machine, t.Job.Priority, key))
 	t.Machine = 0
 }
 
@@ -348,7 +360,7 @@ func (s *Scheduler) requeueAfter(t *Task, delay sim.Time) {
 	t.State = TaskWaiting
 	s.accountBEB(t)
 	s.emitInstance(t, trace.EventSubmit, s.k.Now())
-	t.retryEvent = s.k.After(delay, (*taskRetry)(t))
+	t.event = s.k.After(delay, (*taskRetry)(t))
 }
 
 // EvictMachine evicts residents of a machine for maintenance (an OS
@@ -473,12 +485,12 @@ func (s *Scheduler) emitCollection(j *Job, typ trace.EventType) {
 func (s *Scheduler) emitInstance(t *Task, typ trace.EventType, now sim.Time) {
 	s.sink.InstanceEvent(trace.InstanceEvent{
 		Time:          now,
-		Key:           t.Key,
+		Key:           t.Key(),
 		Type:          typ,
 		Machine:       t.Machine,
 		Priority:      t.Job.Priority,
 		Tier:          t.Job.Tier,
 		Request:       t.Request,
-		AllocInstance: t.AllocInstance,
+		AllocInstance: t.allocKey(),
 	})
 }

@@ -137,7 +137,7 @@ func (s *Scheduler) releaseResident(r *cluster.Resident) {
 // placeOnMachine commits a placement and starts the task.
 func (s *Scheduler) placeOnMachine(t *Task, m *cluster.Machine) {
 	limit := t.Request
-	res := s.takeResident(t.Key, limit, t.Job.Priority, t.Job.Tier)
+	res := s.takeResident(t.Key(), limit, t.Job.Priority, t.Job.Tier)
 	// The resident carries the task pointer so the usage sampler reads
 	// residents straight into tasks with no key lookup; recycling the
 	// record (releaseResident) clears it.
@@ -149,7 +149,7 @@ func (s *Scheduler) placeOnMachine(t *Task, m *cluster.Machine) {
 	// A newly placed alloc instance becomes a reservation jobs can
 	// schedule into.
 	if t.Job.CollectionType == trace.CollectionAllocSet {
-		ai := &AllocInstance{Key: t.Key, Machine: m.ID, Reserved: t.Request}
+		ai := &AllocInstance{Key: t.Key(), Machine: m.ID, Reserved: t.Request}
 		s.allocs[t.Job.ID] = append(s.allocs[t.Job.ID], ai)
 	}
 }
@@ -175,10 +175,10 @@ func (s *Scheduler) placeInAlloc(t *Task, now sim.Time) {
 		return
 	}
 	best.Used = best.Used.Add(t.Request)
-	t.AllocInstance = best.Key
+	t.AllocInstance = best
 	// Inner tasks consume the alloc set's reservation, not fresh machine
 	// allocation, so they join the machine with a zero limit.
-	res := s.takeResident(t.Key, trace.Resources{}, t.Job.Priority, t.Job.Tier)
+	res := s.takeResident(t.Key(), trace.Resources{}, t.Job.Priority, t.Job.Tier)
 	res.Task = t
 	s.cell.Place(best.Machine, res)
 	s.met.tasksPlaced.Inc()
@@ -264,33 +264,28 @@ func (s *Scheduler) retryLater(t *Task) {
 	s.met.placementRetries.Inc()
 	t.State = TaskWaiting
 	s.accountBEB(t)
-	t.retryEvent = s.k.After(retryBackoff, (*taskRetry)(t))
+	t.event = s.k.After(retryBackoff, (*taskRetry)(t))
 }
 
-// allocIndex returns the position of the live alloc instance key in its
-// set's instance list, or -1.
-func (s *Scheduler) allocIndex(key trace.InstanceKey) int {
-	return slices.IndexFunc(s.allocs[key.Collection], func(ai *AllocInstance) bool { return ai.Key == key })
-}
-
-// removeAllocInstance drops an alloc instance from its set. The tasks
-// running inside lose their reservation: if the alloc set is
-// terminating, their jobs are killed outright (they would be killed by the
-// teardown moments later anyway — an EVICT first would misattribute
+// removeAllocInstance drops an alloc instance, found by its key, from its
+// set. The tasks running inside lose their reservation: if the alloc set
+// is terminating, their jobs are killed outright (they would be killed by
+// the teardown moments later anyway — an EVICT first would misattribute
 // infrastructure evictions to them); if the instance was merely evicted,
 // they are displaced and rescheduled.
 func (s *Scheduler) removeAllocInstance(key trace.InstanceKey, terminal bool) {
-	i := s.allocIndex(key)
+	set := s.allocs[key.Collection]
+	i := slices.IndexFunc(set, func(ai *AllocInstance) bool { return ai.Key == key })
 	if i < 0 {
 		return
 	}
-	ai := s.allocs[key.Collection][i]
-	s.allocs[key.Collection] = slices.Delete(s.allocs[key.Collection], i, i+1)
+	ai := set[i]
+	s.allocs[key.Collection] = slices.Delete(set, i, i+1)
 	// The hosted tasks are the residents of the instance's machine that
-	// name it, taken in key order.
+	// point at it, taken in key order.
 	var hosted []*Task
 	for _, r := range s.cell.Machine(ai.Machine).LiveResidents() {
-		if t, _ := r.Task.(*Task); t != nil && t.AllocInstance == key {
+		if t, _ := r.Task.(*Task); t != nil && t.AllocInstance == ai {
 			hosted = append(hosted, t)
 		}
 	}
@@ -309,9 +304,9 @@ func (s *Scheduler) removeAllocInstance(key trace.InstanceKey, terminal bool) {
 // sortTasks orders tasks by key for deterministic iteration.
 func sortTasks(ts []*Task) {
 	slices.SortFunc(ts, func(a, b *Task) int {
-		if c := cmp.Compare(a.Key.Collection, b.Key.Collection); c != 0 {
+		if c := cmp.Compare(a.Job.ID, b.Job.ID); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.Key.Index, b.Key.Index)
+		return cmp.Compare(a.index, b.index)
 	})
 }

@@ -182,7 +182,7 @@ func TestOneShotGivesUp(t *testing.T) {
 		j.CollectionType = trace.CollectionJob
 		j.Priority = 120
 		j.Tier = trace.TierProduction
-		j.AddTask(&Task{TaskSpec: TaskSpec{Request: trace.Resources{CPU: 5, Mem: 5}, Duration: sim.Hour}})
+		j.AddTask(TaskSpec{Request: trace.Resources{CPU: 5, Mem: 5}, Duration: sim.Hour})
 		k.At(0, sim.Func(func(sim.Time) { s.Submit(j) }))
 		k.RunUntil(2 * sim.Minute)
 		return j, s.Stats()
@@ -229,8 +229,8 @@ func TestPlacementZeroAllocsEveryPolicy(t *testing.T) {
 				if m == nil {
 					t.Fatal("no feasible machine")
 				}
-				cell.Place(m.ID, s.takeResident(task.Key, task.Request, task.Job.Priority, task.Job.Tier))
-				s.releaseResident(cell.Remove(m.ID, task.Key))
+				cell.Place(m.ID, s.takeResident(task.Key(), task.Request, task.Job.Priority, task.Job.Tier))
+				s.releaseResident(cell.Remove(m.ID, task.Job.Priority, task.Key()))
 			}
 			for i := 0; i < 100; i++ {
 				cycle()

@@ -138,13 +138,14 @@ type TaskSpec struct {
 }
 
 // Task is one replica of a job (or one alloc instance of an alloc set).
-// Its size is what a job's task array allocates per task, so the small
-// fields are grouped to share words: 176 bytes, within the 192-byte size
-// class that TestTaskSize pins. The task's kernel events carry the task
-// itself as their receiver (taskEnd, taskRetry), so no callback is
-// stored here.
+// A job holds its tasks by value in one array, so a task's size is what
+// that array allocates per task: 128 bytes, which TestTaskSize pins. The
+// small fields share words, facts held elsewhere are not repeated (the
+// collection ID is the job's, read by Key), and each reference is a
+// pointer or a handle rather than a copied key. The task's kernel event
+// carries the task itself as its receiver (taskEnd, taskRetry), so no
+// callback is stored here.
 type Task struct {
-	Key trace.InstanceKey
 	Job *Job
 	TaskSpec
 
@@ -155,21 +156,44 @@ type Task struct {
 	// that bypasses UpdateTaskRequest can only make the sum stale until
 	// the task's next transition, never permanently drift it.
 	bebCounted bool
+	oomFails   uint8 // times killed for exceeding its own memory limit (at most 2)
 	Machine    trace.MachineID
-	oomFails   int32 // times killed for exceeding its own memory limit
-	// AllocInstance hosts this task when the job targets an alloc set.
-	AllocInstance trace.InstanceKey
+	// index is the task's instance index within its job, set by SetTasks
+	// or AddTask.
+	index int32
+	// Autoscale is the autopilot's handle for the task's usage window: an
+	// index into a table the autopilot owns, 0 when the task has none. The
+	// scheduler never reads it.
+	Autoscale int32
+	// AllocInstance hosts this task when the job targets an alloc set;
+	// nil otherwise.
+	AllocInstance *AllocInstance
 
-	remaining     sim.Time
-	segment       sim.Time // remaining time in the current segment plan
-	runStart      sim.Time
-	endEvent      sim.EventRef
-	retryEvent    sim.EventRef
+	remaining sim.Time
+	segment   sim.Time // remaining time in the current segment plan
+	runStart  sim.Time
+	// event is the task's one scheduled kernel event: its segment end
+	// while it runs (startRunning sets it, stopRun clears it) or its
+	// re-enqueue while it waits (retryLater and requeueAfter set it,
+	// taskRetry.Fire and KillJob clear it). A task never runs and waits
+	// at once, so the two never overlap.
+	event         sim.EventRef
 	bebCountedCPU float64
-	// Autoscale is an opaque owner cookie, like cluster.Resident.Task: the
-	// autopilot hangs the task's usage window here so per-window
-	// observation needs no key-to-window map. The scheduler never reads it.
-	Autoscale any
+}
+
+// Key returns the task's instance key: its job's collection ID and its
+// index within the job.
+func (t *Task) Key() trace.InstanceKey {
+	return trace.InstanceKey{Collection: t.Job.ID, Index: t.index}
+}
+
+// allocKey returns the key of the alloc instance hosting the task, or the
+// zero key when none does.
+func (t *Task) allocKey() trace.InstanceKey {
+	if t.AllocInstance == nil {
+		return trace.InstanceKey{}
+	}
+	return t.AllocInstance.Key
 }
 
 // taskEnd is the kernel event that ends a task's running segment, and
@@ -191,7 +215,7 @@ func (e *taskEnd) Fire(sim.Time) {
 // restart delay (the guard conditions are identical).
 func (e *taskRetry) Fire(sim.Time) {
 	t := (*Task)(e)
-	t.retryEvent = sim.EventRef{}
+	t.event = sim.EventRef{}
 	if t.Job.State == JobDone || t.State != TaskWaiting {
 		return
 	}
@@ -222,7 +246,9 @@ type Job struct {
 	Outcome   Outcome
 	KillAfter sim.Time
 
-	Tasks []*Task
+	// Tasks are the job's tasks, held by value: the job's one task
+	// array. Code that changes a task takes &Tasks[i].
+	Tasks []Task
 
 	State      JobState
 	SubmitTime sim.Time
@@ -258,25 +284,25 @@ func NewJob(id trace.CollectionID) *Job {
 	return &Job{ID: id, FirstRun: -1}
 }
 
-// AddTask appends a task to the job, assigning the next instance index.
-func (j *Job) AddTask(t *Task) {
-	t.Key = trace.InstanceKey{Collection: j.ID, Index: int32(len(j.Tasks))}
-	t.Job = j
-	j.Tasks = append(j.Tasks, t)
+// AddTask appends a task with the given body to the job, assigning the
+// next instance index, and returns it. The returned pointer is valid
+// until the next AddTask, which may move the job's task array; a job is
+// built whole before it is submitted.
+func (j *Job) AddTask(spec TaskSpec) *Task {
+	j.Tasks = append(j.Tasks, Task{Job: j, TaskSpec: spec, index: int32(len(j.Tasks))})
+	return &j.Tasks[len(j.Tasks)-1]
 }
 
-// SetTasks makes tasks the job's tasks, numbered in order. The job keeps
-// pointers into the one array and sizes Tasks once, so a job costs the
-// same three allocations (Job, task array, Tasks) however many tasks it
-// has; the workload generator and the replayer build jobs this way.
+// SetTasks makes tasks the job's task array, numbered in order. The job
+// keeps the array itself, so a job costs the same two allocations (the
+// Job and its task array) however many tasks it has; the workload
+// generator and the replayer build jobs this way.
 func (j *Job) SetTasks(tasks []Task) {
-	j.Tasks = make([]*Task, len(tasks))
 	for i := range tasks {
-		t := &tasks[i]
-		t.Key = trace.InstanceKey{Collection: j.ID, Index: int32(i)}
-		t.Job = j
-		j.Tasks[i] = t
+		tasks[i].Job = j
+		tasks[i].index = int32(i)
 	}
+	j.Tasks = tasks
 }
 
 // Stats is a point-in-time snapshot of scheduler activity for logs and
@@ -485,8 +511,8 @@ func (s *Scheduler) accountBEBJob(j *Job) {
 	if j.Tier != trace.TierBestEffortBatch {
 		return
 	}
-	for _, t := range j.Tasks {
-		s.accountBEB(t)
+	for i := range j.Tasks {
+		s.accountBEB(&j.Tasks[i])
 	}
 }
 

@@ -82,7 +82,7 @@ func mkJob(id trace.CollectionID, priority int, tier trace.Tier, tasks int, req 
 	j.Tier = tier
 	j.User = "u"
 	for i := 0; i < tasks; i++ {
-		j.AddTask(&Task{TaskSpec: TaskSpec{Request: req, Duration: duration, MeanCPU: req.CPU * 0.5, MeanMem: req.Mem * 0.5, PeakFact: 1.2}})
+		j.AddTask(TaskSpec{Request: req, Duration: duration, MeanCPU: req.CPU * 0.5, MeanMem: req.Mem * 0.5, PeakFact: 1.2})
 	}
 	return j
 }
@@ -377,7 +377,7 @@ func TestDependentsKilledInSubmissionOrder(t *testing.T) {
 	as.CollectionType = trace.CollectionAllocSet
 	as.Priority = 200
 	as.Tier = trace.TierProduction
-	as.AddTask(&Task{TaskSpec: TaskSpec{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 10 * sim.Hour}})
+	as.AddTask(TaskSpec{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 10 * sim.Hour})
 	// The instance has room for the first inner job only, so the second
 	// stays pending.
 	running := mkJob(11, 120, trace.TierProduction, 1, trace.Resources{CPU: 0.3, Mem: 0.3}, 10*sim.Hour)
@@ -650,7 +650,7 @@ func TestAllocSetPlacementAndTeardown(t *testing.T) {
 	as.Tier = trace.TierProduction
 	as.User = "u"
 	for i := 0; i < 2; i++ {
-		as.AddTask(&Task{TaskSpec: TaskSpec{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 5 * sim.Hour}})
+		as.AddTask(TaskSpec{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 5 * sim.Hour})
 	}
 
 	inner := mkJob(2, 120, trace.TierProduction, 3, trace.Resources{CPU: 0.2, Mem: 0.2}, 4*sim.Hour)
@@ -667,8 +667,8 @@ func TestAllocSetPlacementAndTeardown(t *testing.T) {
 			t2 := r.Task.(*Task)
 			if t2.Job.ID == 2 {
 				running++
-				if t2.AllocInstance.Collection != 1 {
-					t.Fatalf("inner task %s not in alloc instance: %v", t2.Key, t2.AllocInstance)
+				if t2.AllocInstance == nil || t2.AllocInstance.Key.Collection != 1 {
+					t.Fatalf("inner task %s not in alloc instance: %v", t2.Key(), t2.AllocInstance)
 				}
 			}
 		}
@@ -723,7 +723,7 @@ func TestJobWaitsForAllocSet(t *testing.T) {
 	as.CollectionType = trace.CollectionAllocSet
 	as.Priority = 200
 	as.Tier = trace.TierProduction
-	as.AddTask(&Task{TaskSpec: TaskSpec{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 5 * sim.Hour}})
+	as.AddTask(TaskSpec{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 5 * sim.Hour})
 	rig.k.At(11*sim.Minute, sim.Func(func(sim.Time) { rig.sched.Submit(as) }))
 	rig.k.RunUntil(2 * sim.Hour)
 	if inner.State != JobDone || inner.FinalType != trace.EventFinish {
@@ -836,6 +836,57 @@ func TestSmallCellScanFindsLoneFit(t *testing.T) {
 				t.Fatalf("%s, seed %d: %d retries, task on machine %d; want it on machine %d at the first attempt",
 					name, seed, st.PlacementRetries, j.Tasks[0].Machine, free)
 			}
+		}
+	}
+}
+
+// TestKillJobLeavesNoTaskEvent: KillJob on a job with one task running,
+// one waiting out a retry backoff and one still pending cancels every
+// task event. The running task's segment end and the waiting task's
+// retry share the task's one event ref, so a kill that cleared the wrong
+// one would leave an event behind to fire on a dead task.
+func TestKillJobLeavesNoTaskEvent(t *testing.T) {
+	cfg := fastConfig()
+	// Ten seconds per attempt: the first task is placed at 10 s, the
+	// second finds no room at 20 s and backs off, and the third is still
+	// queued when the kill comes at 25 s.
+	cfg.ServiceTime = constService(10)
+	rig := newRigOC(t, cfg, strictOC, 1, trace.Resources{CPU: 1, Mem: 1})
+	j := mkJob(1, 200, trace.TierProduction, 3, trace.Resources{CPU: 0.6, Mem: 0.6}, 10*sim.Hour)
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
+	var refs []sim.EventRef
+	killAt := 25 * sim.Second
+	rig.k.At(killAt, sim.Func(func(sim.Time) {
+		want := []TaskState{TaskRunning, TaskWaiting, TaskPending}
+		for i := range j.Tasks {
+			task := &j.Tasks[i]
+			if task.State != want[i] {
+				t.Fatalf("task %d is %v before the kill, want %v", i, task.State, want[i])
+			}
+			if scheduled := rig.k.Scheduled(task.event); scheduled != (task.State != TaskPending) {
+				t.Fatalf("task %d (%v): event scheduled %v before the kill", i, task.State, scheduled)
+			}
+			refs = append(refs, task.event)
+		}
+		rig.sched.KillJob(j, trace.EventKill)
+		for i := range j.Tasks {
+			task := &j.Tasks[i]
+			if task.State != TaskDead || !task.event.IsZero() || rig.k.Scheduled(refs[i]) {
+				t.Fatalf("task %d after the kill: state %v, event %v, old event scheduled %v",
+					i, task.State, task.event, rig.k.Scheduled(refs[i]))
+			}
+		}
+	}))
+	rig.k.RunUntil(20 * sim.Hour)
+	if len(refs) != 3 {
+		t.Fatal("the kill never ran")
+	}
+	if got := instanceEventsOfType(rig.tr, j.ID, trace.EventKill); got != 3 {
+		t.Fatalf("%d instance KILLs, want 3", got)
+	}
+	for ev := range rig.tr.InstanceEvents.All() {
+		if ev.Time > killAt {
+			t.Fatalf("instance event after the kill: %+v", ev)
 		}
 	}
 }

@@ -16,8 +16,8 @@
 // bookkeeping on the caller's side.
 //
 // What a whole cell run allocates is therefore decided by the kernel's
-// callers. core.Run allocates per job — the Job, one array holding its
-// tasks and its Tasks slice — and not per task event: placements,
+// callers. core.Run allocates per job — the Job and one array holding
+// its tasks by value — and not per task event: placements,
 // restarts, retries and usage windows reuse pooled state.
 // TestRunAllocsPerJob in internal/core pins that bound end to end, and
 // TestKernelStepZeroAllocs pins the kernel's own part.

@@ -117,8 +117,8 @@ func (r *Recorder) Generate(now sim.Time) []*scheduler.Job {
 		if j.AllocSet != 0 {
 			rj.AllocSet -= base
 		}
-		for i, t := range j.Tasks {
-			rj.Tasks[i] = t.TaskSpec
+		for i := range j.Tasks {
+			rj.Tasks[i] = j.Tasks[i].TaskSpec
 		}
 		arr.Jobs = append(arr.Jobs, rj)
 	}
