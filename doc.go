@@ -187,11 +187,14 @@
 // read, never a sort (TestObserveSteadyStateZeroAllocs).
 //
 // The per-layer guards cannot see an interaction between layers, so a
-// whole run is bounded too: core.Run allocates per job — the Job and
-// one array holding all its tasks by value (a Task is 128 bytes, which
-// TestTaskSize pins) — plus pools that grow to the peak number of
-// running tasks, and nothing per placement, restart, kernel event or
-// usage window. TestRunAllocsPerJob holds a
+// whole run is bounded too: core.Run allocates per job the Job, and
+// per kept job one array holding all its tasks by value (a Task is 128
+// bytes, which TestTaskSize pins), which Submit builds from the task
+// specs the workload source lends it. A job killed on arrival, a child
+// whose parent has already ended, allocates only its Job
+// (TestKilledOnArrivalZeroAllocs). Beyond that come pools that grow to
+// the peak number of running tasks, and nothing per placement, restart,
+// kernel event or usage window. TestRunAllocsPerJob holds a
 // small cell's run to a per-job allocation budget, and
 // TestPlaceAfterSampleZeroAllocs pins one such interaction: a placement
 // on a machine the sampler has just walked must not copy its resident

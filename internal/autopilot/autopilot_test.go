@@ -27,7 +27,8 @@ func setup(t *testing.T, scaling trace.VerticalScaling, request trace.Resources)
 	j.Priority = 120
 	j.Tier = trace.TierProduction
 	j.Scaling = scaling
-	task := j.AddTask(scheduler.TaskSpec{Request: request, Duration: sim.Hour})
+	j.Tasks = []scheduler.Task{{Job: j, TaskSpec: scheduler.TaskSpec{Request: request, Duration: sim.Hour}}}
+	task := &j.Tasks[0]
 	task.Machine = m.ID
 	cell.Place(m.ID, &cluster.Resident{Key: task.Key(), Limit: request, Priority: 120, Tier: trace.TierProduction})
 	return ap, cell, task
@@ -179,8 +180,9 @@ func TestForget(t *testing.T) {
 // does not grow with task turnover.
 func TestSweptHandleReused(t *testing.T) {
 	ap, _, first := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.4, Mem: 0.4})
-	second := first.Job.AddTask(scheduler.TaskSpec{Request: trace.Resources{CPU: 0.3, Mem: 0.3}, Duration: sim.Hour})
-	first = &first.Job.Tasks[0] // AddTask may have moved the array
+	j := first.Job
+	j.Tasks = append(j.Tasks, scheduler.Task{Job: j, TaskSpec: scheduler.TaskSpec{Request: trace.Resources{CPU: 0.3, Mem: 0.3}, Duration: sim.Hour}})
+	first, second := &j.Tasks[0], &j.Tasks[1] // the append moved the array
 	ap.Observe(first, trace.Resources{CPU: 0.1, Mem: 0.1})
 	h, w := first.Autoscale, ap.windows[first.Autoscale]
 	ap.Sweep()
@@ -239,7 +241,8 @@ func TestObserveSteadyStateZeroAllocs(t *testing.T) {
 	ap := New(cell, setRequest)
 	j := scheduler.NewJob(1)
 	j.Scaling = trace.ScalingFull
-	task := j.AddTask(scheduler.TaskSpec{Request: trace.Resources{CPU: 0.4, Mem: 0.4}, Duration: sim.Hour})
+	j.Tasks = []scheduler.Task{{Job: j, TaskSpec: scheduler.TaskSpec{Request: trace.Resources{CPU: 0.4, Mem: 0.4}, Duration: sim.Hour}}}
+	task := &j.Tasks[0]
 	task.Machine = m.ID
 	cell.Place(m.ID, &cluster.Resident{Key: task.Key(), Limit: task.Request})
 

@@ -12,17 +12,18 @@ import (
 
 // allocsPerJob is the heap-allocation budget of a whole cell run, per
 // submitted job. The run below reads 37.4, and the budget is a quarter
-// above that. A job itself costs two allocations (the Job and its task
-// array, which holds the tasks by value); the rest of the budget covers
-// the pools that grow to the peak number of running tasks (resident
-// records, autopilot windows, machine resident lists) and the cell's
-// set-up. Anything allocated per placement, restart, kernel event or
+// above that. A kept job costs two allocations (the Job and its task
+// array, which holds the tasks by value), and a job killed on arrival
+// one (the Job); the rest of the budget covers the pools that grow to
+// the peak number of running tasks (resident records, autopilot windows,
+// machine resident lists, the generator's task-spec scratch) and the
+// cell's set-up. Anything allocated per placement, restart, kernel event or
 // usage window costs far more: the cell below makes about 125
 // placements, 100 restarts and 380 usage rows per job.
 const allocsPerJob = 47
 
 // bytesPerJob is the same run's budget in bytes allocated per submitted
-// job. The run reads 16.2 KB, and the budget is about 1.85 times that. A
+// job. The run reads 17.1 KB, and the budget is about 1.75 times that. A
 // job's tasks take most of it; a run that kept every trace row would
 // allocate several times as much (about 130 KB per job in this cell), so
 // this budget also pins that Run keeps no rows of its own.

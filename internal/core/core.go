@@ -194,8 +194,12 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	if opts.Replay != nil {
 		gen = workload.NewReplayer(opts.Replay, opts.IDBase)
 	} else {
-		gen = workload.NewGeneratorArrival(p, cell.Capacity().CPU, opts.Horizon,
+		g := workload.NewGeneratorArrival(p, cell.Capacity().CPU, opts.Horizon,
 			root.Split("workload"), opts.IDBase+1)
+		// Every job is submitted by the time Run returns, so the next
+		// cell may reuse the generator's task-spec scratch.
+		defer g.Release()
+		gen = g
 	}
 	var recorder *workload.Recorder
 	if opts.RecordWorkload {
@@ -305,6 +309,8 @@ func (a *arrivals) schedule(now sim.Time) {
 }
 
 // Fire submits the collections arriving now and queues the next arrival.
+// Each job is submitted before the source is asked for more, since its
+// Specs are the source's buffer until then.
 func (a *arrivals) Fire(now sim.Time) {
 	for _, j := range a.gen.Generate(now) {
 		a.sched.Submit(j)

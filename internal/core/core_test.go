@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
@@ -60,6 +61,33 @@ func TestDeterminism(t *testing.T) {
 	_, tb := smallRun(t, 7)
 	if d := tracetest.Diff(ta, tb); d != "" {
 		t.Fatal(d)
+	}
+}
+
+// TestConcurrentCellsMatchSequential: cells simulated at once share
+// the generators' pooled task-spec scratch, one buffer per running cell,
+// and each still writes the trace it writes alone.
+func TestConcurrentCellsMatchSequential(t *testing.T) {
+	run := func(seed uint64) *trace.MemTrace {
+		_, tr := runRetained(workload.Profile2019("a", 60), Options{Horizon: 4 * sim.Hour, Seed: seed})
+		return tr
+	}
+	seeds := []uint64{3, 5, 7, 9}
+	concurrent := make([]*trace.MemTrace, len(seeds))
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[i] = run(seed)
+		}()
+	}
+	wg.Wait()
+	for i, seed := range seeds {
+		alone := run(seed)
+		if d := tracetest.Diff(alone, concurrent[i]); d != "" {
+			t.Fatalf("seed %d run beside other cells: %s", seed, d)
+		}
 	}
 }
 

@@ -43,8 +43,8 @@ func TestBEBAllocIncrementalMatchesRecompute(t *testing.T) {
 			j = mkJob(id, 110, trace.TierBestEffortBatch, 1+src.Intn(4),
 				trace.Resources{CPU: 0.05 + 0.1*src.Float64(), Mem: 0.05}, sim.Time(10+src.Intn(50))*sim.Minute)
 			j.Scheduler = trace.SchedulerBatch
-			for i := range j.Tasks {
-				j.Tasks[i].Restarts = src.Intn(2)
+			for i := range j.Specs {
+				j.Specs[i].Restarts = src.Intn(2)
 			}
 		case 2: // beb jobs bypassing the queue, killed mid-flight
 			j = mkJob(id, 115, trace.TierBestEffortBatch, 2,

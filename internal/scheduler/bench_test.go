@@ -44,13 +44,15 @@ func benchPolicyCell(policy PlacementPolicy, n, residents int, tier trace.Tier, 
 	return s, cell
 }
 
-// benchTask returns a pending task of the given shape.
+// benchTask returns a pending task of the given shape, the only task of
+// a job that is never submitted.
 func benchTask(req trace.Resources, priority int, tier trace.Tier) *Task {
 	j := NewJob(999999)
 	j.CollectionType = trace.CollectionJob
 	j.Priority = priority
 	j.Tier = tier
-	return j.AddTask(TaskSpec{Request: req, Duration: sim.Hour})
+	j.Tasks = []Task{{Job: j, TaskSpec: TaskSpec{Request: req, Duration: sim.Hour}}}
+	return &j.Tasks[0]
 }
 
 // BenchmarkPlacement measures the steady-state placement fast path: one

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/sim"
@@ -41,7 +42,7 @@ func TestKillWhileBatchQueued(t *testing.T) {
 // by the set's own kill, it kills the hosted parent, the parent's
 // termination kills the set, and that kill reaches the very instance
 // being torn down. The instance must leave its machine once, with every
-// row emitted once.
+// row emitted once and UnplaceHook fired once per unplaced task.
 func TestAllocSetEndingKillsItsParentInside(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -62,6 +63,8 @@ func TestAllocSetEndingKillsItsParentInside(t *testing.T) {
 			as.Parent = 1
 			as.KillAfter = tc.killAfter
 			as.AddTask(TaskSpec{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: sim.Hour})
+			hooked := map[trace.InstanceKey]int{}
+			rig.sched.UnplaceHook = func(t *Task, _ sim.Time) { hooked[t.Key()]++ }
 			rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(parent) }))
 			rig.k.At(sim.Second, sim.Func(func(sim.Time) { rig.sched.Submit(as) }))
 			rig.k.RunUntil(3 * sim.Hour)
@@ -83,6 +86,10 @@ func TestAllocSetEndingKillsItsParentInside(t *testing.T) {
 			}
 			if tc.want == trace.EventKill && kills != 1 {
 				t.Fatalf("alloc set instance ended by FINISH, want its own KILL")
+			}
+			want := map[trace.InstanceKey]int{{Collection: 1}: 1, {Collection: 2}: 1}
+			if !maps.Equal(hooked, want) {
+				t.Fatalf("UnplaceHook calls per task %v, want %v", hooked, want)
 			}
 		})
 	}
@@ -156,7 +163,7 @@ func TestPreemptionFreesOnlyWhatIsNeeded(t *testing.T) {
 func TestTaskRestartsSurviveEviction(t *testing.T) {
 	rig := newRig(t, fastConfig(), 2, trace.Resources{CPU: 1, Mem: 1})
 	j := mkJob(1, 0, trace.TierFree, 1, trace.Resources{CPU: 0.2, Mem: 0.2}, sim.Hour)
-	j.Tasks[0].Restarts = 1
+	j.Specs[0].Restarts = 1
 	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	// Evict mid-first-segment.
 	rig.k.At(10*sim.Minute, sim.Func(func(sim.Time) { rig.sched.Evict(&j.Tasks[0]) }))

@@ -12,33 +12,48 @@ import (
 
 // Submit enters a job (or alloc set) into the system at the current
 // simulation time, emitting SUBMIT rows and routing it either to the batch
-// queue or straight to the ready state.
+// queue or straight to the ready state. It reads the job's task bodies
+// from j.Specs and does not retain them: a job it keeps gets its Tasks
+// array built from them, and either way j.Specs is cleared, so the
+// source may reuse that buffer once Submit returns.
 func (s *Scheduler) Submit(j *Job) {
 	now := s.k.Now()
 	if _, dup := s.jobs[j.ID]; dup {
 		panic(fmt.Sprintf("scheduler: duplicate job %d", j.ID))
 	}
-	if len(j.Tasks) == 0 {
+	if len(j.Specs) == 0 {
 		panic(fmt.Sprintf("scheduler: job %d has no tasks", j.ID))
 	}
+	specs := j.Specs
+	j.Specs = nil
 	s.jobs[j.ID] = j
 	j.sched = s
 	s.met.jobsSubmitted.Inc()
 	j.State = JobSubmitted
 	j.SubmitTime = now
 	j.FinalType = trace.EventSubmit
-	j.liveTasks = len(j.Tasks)
-	for i := range j.Tasks {
-		t := &j.Tasks[i]
-		t.remaining = t.Duration
-		t.planSegments()
-	}
 
 	// Terminated jobs leave s.jobs, so a parent found there is live (and
 	// Parent 0, meaning none, is found nowhere: collection IDs start at 1).
+	// A child whose parent has terminated (or never came) is killed on
+	// arrival: §5.2's parent-exit cleanup applies to late submissions too.
+	parent := s.jobs[j.Parent]
+	if j.Parent != 0 && parent == nil {
+		s.killOnArrival(j, specs)
+		return
+	}
+
+	j.Tasks = make([]Task, len(specs))
+	for i := range j.Tasks {
+		t := &j.Tasks[i]
+		t.Job, t.TaskSpec, t.index = j, specs[i], int32(i)
+		t.remaining = t.Duration
+		t.planSegments()
+	}
+	j.liveTasks = len(j.Tasks)
+
 	// j dies with a live parent, and with a live alloc set it targets:
 	// each keeps j in its dependents.
-	parent := s.jobs[j.Parent]
 	if parent != nil {
 		parent.dependents = append(parent.dependents, j)
 	}
@@ -49,13 +64,6 @@ func (s *Scheduler) Submit(j *Job) {
 	s.emitCollection(j, trace.EventSubmit)
 	for i := range j.Tasks {
 		s.emitInstance(&j.Tasks[i], trace.EventSubmit, now)
-	}
-
-	// A child whose parent has terminated (or never came) is killed on
-	// arrival: §5.2's parent-exit cleanup applies to late submissions too.
-	if j.Parent != 0 && parent == nil {
-		s.KillJob(j, trace.EventKill)
-		return
 	}
 
 	// Schedule the scripted user kill, if any. Parent-driven kills happen
@@ -73,6 +81,30 @@ func (s *Scheduler) Submit(j *Job) {
 		return
 	}
 	s.enableJob(j)
+}
+
+// killOnArrival submits and at once kills a job whose parent is gone. It
+// emits the rows KillJob would for a job whose tasks are all pending —
+// the collection SUBMIT, every instance SUBMIT, every instance KILL, the
+// collection KILL — through the one reused s.arriving value, so the job
+// allocates no task array and keeps none.
+func (s *Scheduler) killOnArrival(j *Job, specs []TaskSpec) {
+	now := s.k.Now()
+	s.met.killedOnArrival.Inc()
+	s.emitCollection(j, trace.EventSubmit)
+	t := &s.arriving
+	t.Job = j
+	for _, typ := range [...]trace.EventType{trace.EventSubmit, trace.EventKill} {
+		for i := range specs {
+			t.TaskSpec, t.index = specs[i], int32(i)
+			s.emitInstance(t, typ, now)
+		}
+	}
+	*t = Task{}
+	delete(s.jobs, j.ID)
+	j.State = JobDone
+	j.FinalType = trace.EventKill
+	s.emitCollection(j, trace.EventKill)
 }
 
 // enableJob marks a job ready and enqueues its tasks for placement.
@@ -308,13 +340,19 @@ func (s *Scheduler) unplace(t *Task, terminal bool) {
 	if t.Machine == 0 {
 		return
 	}
-	if s.UnplaceHook != nil {
+	// A nested call for an alloc instance already being unplaced (see
+	// below) skips the hook: the outer call fired it for this run.
+	if s.UnplaceHook != nil && !t.unplacing {
 		s.UnplaceHook(t, t.runStart)
 	}
 	// A de-scheduled alloc instance takes its reservation with it.
 	key := t.Key()
 	if t.Job.CollectionType == trace.CollectionAllocSet {
+		// The teardown may kill a job whose end kills this alloc set,
+		// which unplaces this instance again from inside the teardown.
+		t.unplacing = true
 		s.removeAllocInstance(key, terminal)
+		t.unplacing = false
 		if t.Machine == 0 {
 			// A job killed with the instance's hosted tasks had this
 			// alloc set as a dependent and unplaced it already.

@@ -138,8 +138,10 @@ type TaskSpec struct {
 }
 
 // Task is one replica of a job (or one alloc instance of an alloc set).
-// A job holds its tasks by value in one array, so a task's size is what
-// that array allocates per task: 128 bytes, which TestTaskSize pins. The
+// A job the scheduler keeps holds its tasks by value in one array, which
+// Submit allocates from the job's specs, so a task's size is what that
+// array allocates per task: 128 bytes, which TestTaskSize pins. A job
+// killed on arrival gets no Task of its own (see Submit). The
 // small fields share words, facts held elsewhere are not repeated (the
 // collection ID is the job's, read by Key), and each reference is a
 // pointer or a handle rather than a copied key. The task's kernel event
@@ -157,9 +159,13 @@ type Task struct {
 	// the task's next transition, never permanently drift it.
 	bebCounted bool
 	oomFails   uint8 // times killed for exceeding its own memory limit (at most 2)
-	Machine    trace.MachineID
-	// index is the task's instance index within its job, set by SetTasks
-	// or AddTask.
+	// unplacing is set while unplace tears down the alloc instance this
+	// task is, so that a nested unplace of it does not fire UnplaceHook
+	// a second time.
+	unplacing bool
+	Machine   trace.MachineID
+	// index is the task's instance index within its job: its spec's
+	// position in Job.Specs, set by Submit.
 	index int32
 	// Autoscale is the autopilot's handle for the task's usage window: an
 	// index into a table the autopilot owns, 0 when the task has none. The
@@ -246,8 +252,15 @@ type Job struct {
 	Outcome   Outcome
 	KillAfter sim.Time
 
+	// Specs are the bodies of the job's tasks, in instance-index order:
+	// what a workload source hands Submit. They may be the source's
+	// buffer (a generator's scratch, a recording's slice), so Submit
+	// copies them into Tasks and clears the field rather than keep them.
+	Specs []TaskSpec
 	// Tasks are the job's tasks, held by value: the job's one task
-	// array. Code that changes a task takes &Tasks[i].
+	// array, which Submit builds from Specs. A job killed on arrival never
+	// gets one, and Tasks stays nil. Code that changes a task takes
+	// &Tasks[i] after Submit.
 	Tasks []Task
 
 	State      JobState
@@ -284,25 +297,10 @@ func NewJob(id trace.CollectionID) *Job {
 	return &Job{ID: id, FirstRun: -1}
 }
 
-// AddTask appends a task with the given body to the job, assigning the
-// next instance index, and returns it. The returned pointer is valid
-// until the next AddTask, which may move the job's task array; a job is
-// built whole before it is submitted.
-func (j *Job) AddTask(spec TaskSpec) *Task {
-	j.Tasks = append(j.Tasks, Task{Job: j, TaskSpec: spec, index: int32(len(j.Tasks))})
-	return &j.Tasks[len(j.Tasks)-1]
-}
-
-// SetTasks makes tasks the job's task array, numbered in order. The job
-// keeps the array itself, so a job costs the same two allocations (the
-// Job and its task array) however many tasks it has; the workload
-// generator and the replayer build jobs this way.
-func (j *Job) SetTasks(tasks []Task) {
-	for i := range tasks {
-		tasks[i].Job = j
-		tasks[i].index = int32(i)
-	}
-	j.Tasks = tasks
+// AddTask appends a task body to the job's Specs; its instance index is
+// its position there. The Task itself exists once Submit keeps the job.
+func (j *Job) AddTask(spec TaskSpec) {
+	j.Specs = append(j.Specs, spec)
 }
 
 // Stats is a point-in-time snapshot of scheduler activity for logs and
@@ -332,6 +330,7 @@ type Stats struct {
 // sim-time) are sampled by the usage pipeline's periodic tick instead.
 type schedInstruments struct {
 	jobsSubmitted       *metrics.Counter // sched_jobs_submitted_total
+	killedOnArrival     *metrics.Counter // sched_jobs_killed_on_arrival_total
 	tasksPlaced         *metrics.Counter // sched_tasks_placed_total
 	placementAttempts   *metrics.Counter // sched_placement_attempts_total
 	placementRetries    *metrics.Counter // sched_placement_retries_total
@@ -348,6 +347,7 @@ type schedInstruments struct {
 func newSchedInstruments(reg *metrics.Registry) schedInstruments {
 	return schedInstruments{
 		jobsSubmitted:       reg.Counter("sched_jobs_submitted_total"),
+		killedOnArrival:     reg.Counter("sched_jobs_killed_on_arrival_total"),
 		tasksPlaced:         reg.Counter("sched_tasks_placed_total"),
 		placementAttempts:   reg.Counter("sched_placement_attempts_total"),
 		placementRetries:    reg.Counter("sched_placement_retries_total"),
@@ -407,6 +407,11 @@ type Scheduler struct {
 	evicting []*cluster.Resident
 
 	batchQueue []*Job
+
+	// arriving is the one Task value through which a job killed on
+	// arrival emits its instance rows, one spec at a time, so such a job
+	// allocates no task array. It holds no job between Submits.
+	arriving Task
 
 	// bebAllocCPU is the incrementally maintained sum of CPU requests of
 	// best-effort-batch tasks that are pending or running in admitted

@@ -521,7 +521,7 @@ func TestUserKill(t *testing.T) {
 func TestFailRestartChurn(t *testing.T) {
 	rig := newRig(t, fastConfig(), 2, trace.Resources{CPU: 1, Mem: 1})
 	j := mkJob(1, 120, trace.TierProduction, 1, trace.Resources{CPU: 0.1, Mem: 0.1}, 30*sim.Minute)
-	j.Tasks[0].Restarts = 2
+	j.Specs[0].Restarts = 2
 	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))
 	rig.k.RunUntil(4 * sim.Hour)
 
@@ -779,7 +779,7 @@ func TestTraceValidates(t *testing.T) {
 		}
 		j := mkJob(id, prio, tier, 1+i%4, trace.Resources{CPU: 0.05, Mem: 0.05}, sim.Time(i+1)*10*sim.Minute)
 		if i%5 == 0 {
-			j.Tasks[0].Restarts = 1
+			j.Specs[0].Restarts = 1
 		}
 		delay := sim.Time(i) * 2 * sim.Minute
 		rig.k.At(delay, sim.Func(func(sim.Time) { rig.sched.Submit(j) }))

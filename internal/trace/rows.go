@@ -5,10 +5,13 @@ import "iter"
 // Chunk sizing for Rows: the first chunk holds 1<<minChunkShift rows and
 // each later one doubles, up to 1<<maxChunkShift rows; every chunk after
 // the ramp has that fixed cap. A ten-row table stays one small chunk, and
-// a multi-million-row table costs one allocation per 64K rows.
+// a multi-million-row table costs one allocation per 8K rows. The cap
+// bounds what a table's last chunk reserves beyond its rows: a run keeps
+// many tables (a reducer's slack samples, a retained trace's four), and
+// each one's unfilled tail is live heap.
 const (
 	minChunkShift = 4
-	maxChunkShift = 16
+	maxChunkShift = 13
 	rampChunks    = maxChunkShift - minChunkShift
 )
 

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/rng"
@@ -71,7 +73,16 @@ type Generator struct {
 	liveAllocs []liveRef
 	// out is Generate's result buffer, reused every arrival.
 	out []*scheduler.Job
+	// specs is the task-spec scratch Generate refills every arrival and
+	// the generated jobs' Specs point into. It comes from specScratch on
+	// first use and goes back with Release.
+	specs *[]scheduler.TaskSpec
 }
+
+// specScratch recycles generators' task-spec scratch between cell runs,
+// so a process grows one buffer per concurrently running cell to its
+// largest job, not one per cell.
+var specScratch = sync.Pool{New: func() any { return new([]scheduler.TaskSpec) }}
 
 // usageCompensation inflates per-job usage targets to offset early
 // kills, parent-propagated kills and horizon truncation, which all
@@ -153,8 +164,13 @@ func (g *Generator) NextInterArrival(now sim.Time) sim.Time {
 
 // Generate produces the collections submitted at time now: usually one
 // job, occasionally preceded by a new alloc set (§5.1: 2% of collections
-// are alloc sets).
+// are alloc sets). The jobs' Specs share the generator's scratch, which
+// the next Generate overwrites (see JobSource).
 func (g *Generator) Generate(now sim.Time) []*scheduler.Job {
+	if g.specs == nil {
+		g.specs = specScratch.Get().(*[]scheduler.TaskSpec)
+	}
+	*g.specs = (*g.specs)[:0]
 	out := g.out[:0]
 	f := g.p.AllocSetFraction
 	if f > 0 && g.src.Bool(f/(1-f)) {
@@ -164,6 +180,26 @@ func (g *Generator) Generate(now sim.Time) []*scheduler.Job {
 	g.gc(now)
 	g.out = out
 	return out
+}
+
+// Release returns the generator's task-spec scratch for another
+// generator to reuse. Call it once the jobs of the last Generate have
+// been submitted; a later Generate takes a scratch again.
+func (g *Generator) Release() {
+	if g.specs != nil {
+		specScratch.Put(g.specs)
+		g.specs = nil
+	}
+}
+
+// addSpecs extends the scratch by n specs and returns them, for the
+// caller to overwrite whole and hand to one job. Their capacity ends at
+// their length, so nothing appends into the next job's specs.
+func (g *Generator) addSpecs(n int) []scheduler.TaskSpec {
+	buf := slices.Grow(*g.specs, n)
+	start := len(buf)
+	*g.specs = buf[:start+n]
+	return buf[start : start+n : start+n]
 }
 
 // gc trims the live lists so they do not grow without bound.
@@ -215,16 +251,15 @@ func (g *Generator) makeAllocSet(now sim.Time) *scheduler.Job {
 	cpu := clamp(dist.LogNormalFromMedian(0.12, 0.5).Sample(g.src), 0.04, 0.40)
 	mem := clamp(dist.LogNormalFromMedian(0.12, 0.5).Sample(g.src), 0.04, 0.40)
 	res := trace.Resources{CPU: cpu, Mem: mem}
-	tasks := make([]scheduler.Task, n)
-	for i := range tasks {
-		tasks[i].TaskSpec = scheduler.TaskSpec{
+	j.Specs = g.addSpecs(n)
+	for i := range j.Specs {
+		j.Specs[i] = scheduler.TaskSpec{
 			Request:  res,
 			Duration: duration,
 			// The reservation itself "uses" nothing; inner tasks do.
 			MeanCPU: 0, MeanMem: 0, PeakFact: 1,
 		}
 	}
-	j.SetTasks(tasks)
 	g.liveAllocs = append(g.liveAllocs, liveRef{
 		id:      j.ID,
 		projEnd: now + duration,
@@ -361,8 +396,8 @@ func (g *Generator) makeJob(now sim.Time) *scheduler.Job {
 		}
 	}
 
-	tasks := make([]scheduler.Task, n)
-	for i := range tasks {
+	j.Specs = g.addSpecs(n)
+	for i := range j.Specs {
 		// Per-task wobble around the job mean, never above the CPU
 		// limit (memory may exceed it only for the under-provisioned).
 		taskRate := clamp(rate*lognormJitter(g.src, 0.15), 0.0005, reqCPU)
@@ -371,7 +406,7 @@ func (g *Generator) makeJob(now sim.Time) *scheduler.Job {
 			memCeil = reqMem / peak
 		}
 		taskMem := clamp(memRate*lognormJitter(g.src, 0.15), 0.0003, memCeil)
-		tasks[i].TaskSpec = scheduler.TaskSpec{
+		j.Specs[i] = scheduler.TaskSpec{
 			Request:  trace.Resources{CPU: reqCPU, Mem: reqMem},
 			Duration: duration,
 			Restarts: g.restarts(tg),
@@ -380,7 +415,6 @@ func (g *Generator) makeJob(now sim.Time) *scheduler.Job {
 			PeakFact: peak,
 		}
 	}
-	j.SetTasks(tasks)
 
 	g.liveJobs = append(g.liveJobs, liveRef{id: j.ID, projEnd: now + duration})
 	return j

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -22,7 +23,10 @@ type JobSource interface {
 	NextInterArrival(now sim.Time) sim.Time
 	// Generate returns the collections submitted at time now. The slice
 	// is the source's reusable buffer, valid until the next call; the
-	// jobs in it are the caller's.
+	// jobs in it are the caller's. A job's Specs are the source's buffer
+	// too, valid until the next call and not to be written: the caller
+	// submits each job before calling again, and Submit does not retain
+	// them.
 	Generate(now sim.Time) []*scheduler.Job
 }
 
@@ -79,7 +83,8 @@ type Recording struct {
 // Recorder wraps a JobSource and captures everything it emits, in
 // emission order, into a Recording — the jobs still flow to the caller
 // untouched. Snapshots are taken inside Generate, before the scheduler
-// mutates the returned jobs.
+// mutates the returned jobs; the task specs are copied, since they are
+// the wrapped source's buffer.
 type Recorder struct {
 	src JobSource
 	rec *Recording
@@ -109,16 +114,13 @@ func (r *Recorder) Generate(now sim.Time) []*scheduler.Job {
 			CollectionAttrs: j.CollectionAttrs,
 			Outcome:         j.Outcome,
 			KillAfter:       j.KillAfter,
-			Tasks:           make([]scheduler.TaskSpec, len(j.Tasks)),
+			Tasks:           slices.Clone(j.Specs),
 		}
 		if j.Parent != 0 {
 			rj.Parent -= base
 		}
 		if j.AllocSet != 0 {
 			rj.AllocSet -= base
-		}
-		for i := range j.Tasks {
-			rj.Tasks[i] = j.Tasks[i].TaskSpec
 		}
 		arr.Jobs = append(arr.Jobs, rj)
 	}
@@ -182,11 +184,8 @@ func (r *Replayer) Generate(now sim.Time) []*scheduler.Job {
 		if rj.AllocSet != 0 {
 			j.AllocSet += r.idBase
 		}
-		tasks := make([]scheduler.Task, len(rj.Tasks))
-		for i := range tasks {
-			tasks[i].TaskSpec = rj.Tasks[i]
-		}
-		j.SetTasks(tasks)
+		// The recording's own slice, capped so an append copies it.
+		j.Specs = rj.Tasks[:len(rj.Tasks):len(rj.Tasks)]
 		out = append(out, j)
 	}
 	r.out = out

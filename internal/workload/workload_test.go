@@ -2,14 +2,17 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/rng"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 const testCapacityCPU = 200.0
@@ -25,6 +28,9 @@ func genJobs(t *testing.T, p *CellProfile, horizon sim.Time, n int) []*scheduler
 			now = 0 // wrap; we only need job bodies here
 		}
 		for _, j := range g.Generate(now) {
+			// The specs are the generator's scratch, which the next
+			// Generate overwrites: the kept job keeps a copy.
+			j.Specs = slices.Clone(j.Specs)
 			jobs = append(jobs, j)
 		}
 	}
@@ -104,6 +110,56 @@ func TestTierMixMatchesShares(t *testing.T) {
 	}
 }
 
+// TestSubmittedTasksOwnTheirSpecs: a job's Specs are the generator's
+// scratch, which the next Generate overwrites, and a generator's scratch
+// goes to the next generator after Release. A kept job's tasks are
+// copies, so neither changes them.
+func TestSubmittedTasksOwnTheirSpecs(t *testing.T) {
+	p := Profile2019("a", 60)
+	cell := cluster.BuildCell(p.Name, p.Machines, p.Shapes, p.Overcommit, rng.New(1))
+	sched := scheduler.New(p.Sched, cell, sim.NewKernel(), tracetest.NopSink{}, rng.New(2), nil)
+	type kept struct {
+		job   *scheduler.Job
+		specs []scheduler.TaskSpec
+	}
+	var jobs []kept
+	tasks := 0
+	submit := func(g *Generator, arrivals int) {
+		for now := sim.Time(0); arrivals > 0; arrivals-- {
+			now += g.NextInterArrival(now)
+			for _, j := range g.Generate(now) {
+				sched.Submit(j)
+				if j.Specs != nil {
+					t.Fatalf("job %d keeps its specs after Submit", j.ID)
+				}
+				if j.Tasks == nil {
+					continue // killed on arrival
+				}
+				k := kept{job: j}
+				for _, task := range j.Tasks {
+					k.specs = append(k.specs, task.TaskSpec)
+				}
+				tasks += len(j.Tasks)
+				jobs = append(jobs, k)
+			}
+		}
+	}
+	g := NewGeneratorArrival(p, cell.Capacity().CPU, 24*sim.Hour, rng.New(7), 1)
+	submit(g, 200)
+	g.Release()
+	submit(NewGeneratorArrival(p, cell.Capacity().CPU, 24*sim.Hour, rng.New(8), 1<<20), 200)
+	if len(jobs) < 300 || tasks < 2*len(jobs) {
+		t.Fatalf("degenerate run: %d jobs kept, %d tasks", len(jobs), tasks)
+	}
+	for _, k := range jobs {
+		for i, task := range k.job.Tasks {
+			if task.TaskSpec != k.specs[i] {
+				t.Fatalf("job %d task %d changed after later arrivals: %+v, want %+v", k.job.ID, i, task.TaskSpec, k.specs[i])
+			}
+		}
+	}
+}
+
 func TestTasksPerJobQuantiles(t *testing.T) {
 	p := Profile2019("a", 600)
 	jobs := genJobs(t, p, 48*sim.Hour, 30000)
@@ -112,7 +168,7 @@ func TestTasksPerJobQuantiles(t *testing.T) {
 		if j.CollectionType != trace.CollectionJob {
 			continue
 		}
-		byTier[j.Tier] = append(byTier[j.Tier], float64(len(j.Tasks)))
+		byTier[j.Tier] = append(byTier[j.Tier], float64(len(j.Specs)))
 	}
 	// Figure 11's calibration targets, with generous bands (statistical).
 	q95 := func(tier trace.Tier) float64 {
@@ -143,7 +199,7 @@ func TestTasksPerJobQuantiles(t *testing.T) {
 // plannedNCUHours is a job's scripted compute integral.
 func plannedNCUHours(j *scheduler.Job) float64 {
 	h := 0.0
-	for _, task := range j.Tasks {
+	for _, task := range j.Specs {
 		h += task.MeanCPU * task.Duration.Hours()
 	}
 	return h
@@ -204,7 +260,7 @@ func TestMemoryCorrelatesWithCPU(t *testing.T) {
 		}
 		c := plannedNCUHours(j)
 		m := 0.0
-		for _, task := range j.Tasks {
+		for _, task := range j.Specs {
 			m += task.MeanMem * task.Duration.Hours()
 		}
 		if c > 0 && m > 0 {
@@ -335,7 +391,7 @@ func TestRestartsChurnHigherIn2019(t *testing.T) {
 	mean := func(jobs []*scheduler.Job) float64 {
 		total, n := 0, 0
 		for _, j := range jobs {
-			for _, task := range j.Tasks {
+			for _, task := range j.Specs {
 				total += task.Restarts
 				n++
 			}
@@ -361,7 +417,7 @@ func TestRequestsCoverUsage(t *testing.T) {
 		if j.CollectionType != trace.CollectionJob {
 			continue
 		}
-		for _, task := range j.Tasks {
+		for _, task := range j.Specs {
 			tasks++
 			if task.Request.CPU < task.MeanCPU {
 				t.Fatalf("task CPU request %v below mean usage %v", task.Request.CPU, task.MeanCPU)
