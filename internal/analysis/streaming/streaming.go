@@ -147,6 +147,11 @@ func (c *collState) inst(idx int32) *instState {
 // numScalingModes spans the dense trace.VerticalScaling values.
 const numScalingModes = int(trace.ScalingFull) + 1
 
+// slackChunkRows caps a slack table's chunks at 64 KB of samples. A run
+// keeps one table per scaling mode per cell, and each one's unfilled last
+// chunk is live heap until the reducer is dropped.
+const slackChunkRows = 8 << 10
+
 // CellReducer reduces one cell's trace stream into every per-figure
 // analysis. It is not safe for concurrent use; the engine drives each
 // cell's sink pipeline from a single goroutine, which is exactly the
@@ -179,7 +184,8 @@ type CellReducer struct {
 	rates      SubmissionRates
 	allocAccum AllocSetAccum
 	// slack is indexed by the dense trace.VerticalScaling values. Its
-	// chunks never move, so a sample is written once and never copied.
+	// chunks never move, so a sample is written once and never copied;
+	// they hold slackChunkRows samples each.
 	slack      [numScalingModes]trace.Rows[float64]
 	batchQueue bool
 
@@ -226,6 +232,9 @@ func NewCellReducer(meta trace.Meta) *CellReducer {
 		r.useMem[t] = make([]float64, hours)
 		r.allocCPU[t] = make([]float64, hours)
 		r.allocMem[t] = make([]float64, hours)
+	}
+	for m := range r.slack {
+		r.slack[m] = trace.NewRows[float64](slackChunkRows)
 	}
 	return r
 }

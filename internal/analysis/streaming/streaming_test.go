@@ -307,8 +307,8 @@ func TestReducerSteadyStateZeroAllocs(t *testing.T) {
 func TestReducerSlackStoredOnce(t *testing.T) {
 	const (
 		n         = 64
-		rows      = 100_000 // past the 64K-row chunk ramp
-		chunkSize = 8 << 16 // one full trace.Rows chunk of float64
+		rows      = 100_000            // several full slack chunks
+		chunkSize = 8 * slackChunkRows // one full slack chunk of float64
 	)
 	r, recs := seededReducer(n)
 	stored := r.slack[trace.ScalingFull].Len()

@@ -1,18 +1,21 @@
 package trace
 
-import "iter"
+import (
+	"iter"
+	"math/bits"
+)
 
 // Chunk sizing for Rows: the first chunk holds 1<<minChunkShift rows and
-// each later one doubles, up to 1<<maxChunkShift rows; every chunk after
-// the ramp has that fixed cap. A ten-row table stays one small chunk, and
-// a multi-million-row table costs one allocation per 8K rows. The cap
-// bounds what a table's last chunk reserves beyond its rows: a run keeps
-// many tables (a reducer's slack samples, a retained trace's four), and
-// each one's unfilled tail is live heap.
+// each later one doubles, up to the table's cap; every chunk after the
+// ramp holds exactly the cap. The zero value's cap is 1<<maxChunkShift
+// rows, so a ten-row table stays one small chunk and a multi-million-row
+// table, such as a retained trace's, costs one allocation per 64K rows.
+// A table's unfilled tail is live heap, up to one chunk; a run that keeps
+// many tables that each hold far fewer rows, such as a reducer's slack
+// samples, caps them lower with NewRows.
 const (
 	minChunkShift = 4
-	maxChunkShift = 13
-	rampChunks    = maxChunkShift - minChunkShift
+	maxChunkShift = 16
 )
 
 // Rows is an append-only table stored in chunks that never move: an
@@ -25,14 +28,25 @@ const (
 type Rows[T any] struct {
 	chunks [][]T
 	n      int
+	// capShift caps chunks at 1<<capShift rows; zero means maxChunkShift.
+	capShift uint8
 }
 
-// chunkCap is the capacity of the c-th chunk.
-func chunkCap(c int) int {
-	if c < rampChunks {
-		return 1 << (minChunkShift + c)
+// NewRows returns an empty table whose chunks hold at most maxChunk rows,
+// rounded down to a power of two between 1<<minChunkShift and the zero
+// value's 1<<maxChunkShift.
+func NewRows[T any](maxChunk int) Rows[T] {
+	shift := min(max(bits.Len(uint(maxChunk))-1, minChunkShift), maxChunkShift)
+	return Rows[T]{capShift: uint8(shift)}
+}
+
+// chunkCap is the capacity of the table's c-th chunk.
+func (r *Rows[T]) chunkCap(c int) int {
+	shift := int(r.capShift)
+	if shift == 0 {
+		shift = maxChunkShift
 	}
-	return 1 << maxChunkShift
+	return 1 << min(minChunkShift+c, shift)
 }
 
 // tail returns the last chunk, starting a new one if it is full.
@@ -40,7 +54,7 @@ func (r *Rows[T]) tail() *[]T {
 	if k := len(r.chunks); k > 0 && len(r.chunks[k-1]) < cap(r.chunks[k-1]) {
 		return &r.chunks[k-1]
 	}
-	r.chunks = append(r.chunks, make([]T, 0, chunkCap(len(r.chunks))))
+	r.chunks = append(r.chunks, make([]T, 0, r.chunkCap(len(r.chunks))))
 	return &r.chunks[len(r.chunks)-1]
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // rampRows is the number of rows the ramp's chunks hold.
-const rampRows = (1<<rampChunks - 1) << minChunkShift
+const rampRows = (1<<(maxChunkShift-minChunkShift) - 1) << minChunkShift
 
 // collect flattens a table for comparison with a reference slice.
 func collect[T any](r *Rows[T]) []T { return slices.Collect(r.All()) }
@@ -81,8 +81,8 @@ func TestRowsMatchFlatSlice(t *testing.T) {
 		t.Fatal("the first row moved")
 	}
 	for c, chunk := range r.chunks {
-		if cap(chunk) != chunkCap(c) {
-			t.Fatalf("chunk %d has capacity %d, want %d", c, cap(chunk), chunkCap(c))
+		if cap(chunk) != r.chunkCap(c) {
+			t.Fatalf("chunk %d has capacity %d, want %d", c, cap(chunk), r.chunkCap(c))
 		}
 	}
 
@@ -95,6 +95,31 @@ func TestRowsMatchFlatSlice(t *testing.T) {
 	}
 	for range r.Chunks() {
 		break
+	}
+}
+
+// TestNewRowsCapsChunks: a table made by NewRows ramps up like the zero
+// value's and then stops at its own cap, rounded down to a power of two
+// inside the zero value's bounds.
+func TestNewRowsCapsChunks(t *testing.T) {
+	r := NewRows[int](10_000)
+	for i := range 5 << 13 {
+		r.Append(i)
+	}
+	for c, chunk := range r.chunks {
+		if want := min(1<<(minChunkShift+c), 1<<13); cap(chunk) != want {
+			t.Fatalf("chunk %d has capacity %d, want %d", c, cap(chunk), want)
+		}
+	}
+	if got := collect(&r); len(got) != 5<<13 || got[len(got)-1] != 5<<13-1 {
+		t.Fatal("rows lost")
+	}
+	for _, tc := range []struct{ maxChunk, shift int }{
+		{0, minChunkShift}, {1, minChunkShift}, {1 << 13, 13}, {1<<14 - 1, 13}, {1 << 30, maxChunkShift},
+	} {
+		if got := NewRows[int](tc.maxChunk).capShift; int(got) != tc.shift {
+			t.Errorf("NewRows(%d) caps chunks at 1<<%d rows, want 1<<%d", tc.maxChunk, got, tc.shift)
+		}
 	}
 }
 
@@ -140,7 +165,7 @@ func TestRowsAppendNeverCopiesRows(t *testing.T) {
 	// append's doubling; with size-class rounding it allocates well
 	// under eight headers per chunk in total.
 	dir := uint64(8 * len(r.chunks) * int(unsafe.Sizeof([]row64{})))
-	bound := (n+uint64(chunkCap(len(r.chunks)-1)))*size + dir
+	bound := (n+uint64(r.chunkCap(len(r.chunks)-1)))*size + dir
 	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
 		t.Fatalf("appending %d rows allocated %d bytes, bound %d (rows + one chunk + directory)", n, got, bound)
 	}
