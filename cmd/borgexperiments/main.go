@@ -47,7 +47,8 @@
 // default each cell keeps its era's calibrated settings.
 //
 // -record-workload DIR captures each cell's generated arrival/job
-// stream into one versioned recording file per cell under DIR;
+// stream into one versioned recording directory per cell under DIR
+// (workload-<i>-<cell>/, holding meta.json, jobs.csv and tasks.csv);
 // -replay-workload DIR replays such a directory instead of generating
 // workloads, so the identical job stream can be rerun under any -policy
 // or -parallel setting (the replayed trace is byte-identical across
@@ -71,7 +72,7 @@ func main() {
 	scaleName := flag.String("scale", "default", "simulation scale: small, default or large")
 	common := cliflags.Register(flag.CommandLine, "root random seed")
 	export := flag.String("export", "", "write per-cell CSV trace shards to this directory while simulating")
-	recordDir := flag.String("record-workload", "", "record each cell's generated workload into this directory (one versioned file per cell)")
+	recordDir := flag.String("record-workload", "", "record each cell's generated workload into this directory (one versioned directory per cell: meta.json, jobs.csv, tasks.csv)")
 	replayDir := flag.String("replay-workload", "", "replay the recorded workloads in this directory instead of generating (see -record-workload)")
 	out := flag.String("o", "", "write the report to this file instead of stdout")
 	flag.Parse()

@@ -250,8 +250,8 @@
 // parsed once, where it enters: the -arrival flag of all three CLIs in
 // cliflags.Common.Knobs, the polymorphic sweep family
 // "arrival:gamma:cv=2.5,..." (numeric values still mean rate
-// multipliers) in sweep.ParseVariants, a recording's header in
-// workload.ReadRecording. Only the parsed value travels on, to
+// multipliers) in sweep.ParseVariants, a recording's meta.json in
+// workload.ReadRecordingDir. Only the parsed value travels on, to
 // workload.CellProfile.Arrival, which the generator reads;
 // ArrivalSpec.String gives back the accepted text.
 //
@@ -259,10 +259,17 @@
 // workload.Recorder wraps any generator and captures the exact
 // arrival/job stream; workload.Replayer plays a capture back through
 // the generator-facing interface, rebasing collection IDs onto the
-// replaying run's ID space. Recordings serialize to a versioned text
-// format (round-trip exact — floats print with strconv 'g'/-1) via
-// WriteTo/ReadRecording; experiments.SaveWorkloads/LoadWorkloads
-// persist a suite's nine cells as one file each, driven by
+// replaying run's ID space. A recording is a directory in the trace's
+// layout, written by Recording.WriteDir and read by ReadRecordingDir
+// through the same trace.Table codec as a trace: meta.json (the
+// generating cell's trace.Meta, the arrival spec's text, the ID base and
+// the format version, 2), jobs.csv (one row per collection: its arrival
+// number and time, ID offset, attributes, outcome and kill delay) and
+// tasks.csv (one row per task, in job order). It round-trips exactly —
+// floats print with strconv 'g'/-1 — and each column's parser rejects a
+// value a cell cannot replay, naming the file, line and column.
+// experiments.SaveWorkloads/LoadWorkloads persist a suite's nine cells
+// as one directory each (workload-<i>-<cell>/), driven by
 // borgexperiments -record-workload/-replay-workload. Because core.Run
 // derives its rng streams by labeled splits, replaying skips only the
 // workload stream: a replay at the recording's seed reproduces the
@@ -343,7 +350,7 @@
 // counters and gauges, mutex-guarded t-digest histograms — that the
 // scheduler (placement attempts, preemptions, pending-queue depth), the
 // sim kernel (events dispatched, slab occupancy), the usage pipeline
-// (windows sampled, batch sizes) and the trace layer (rows emitted per
+// (windows sampled) and the trace layer (rows emitted per
 // kind) report into. The contract is
 // observe-only: instruments consume no randomness, schedule no events
 // and write no trace rows, so a run with metrics attached is

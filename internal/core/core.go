@@ -241,7 +241,6 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	var queueDepth *metrics.Histogram
 	if opts.Metrics != nil {
 		sampler.mWindows = opts.Metrics.Counter("usage_windows_total")
-		sampler.mBatch = opts.Metrics.Histogram("usage_batch_records")
 		queueDepth = opts.Metrics.Histogram("sched_queue_depth")
 	}
 	k.Every(sim.SampleWindow, sim.SampleWindow, opts.Horizon, func(now sim.Time) {
@@ -348,11 +347,9 @@ type usageSampler struct {
 	// emits. It is separate from recBuf because a stop can happen while
 	// sample is filling recBuf (an OOM kill under memory pressure).
 	partialRec [1]trace.UsageRecord
-	// mWindows counts sampled windows and mBatch observes per-machine
-	// batch sizes when Options.Metrics is set; both nil otherwise.
-	// Observe-only: neither draws randomness nor emits rows.
+	// mWindows counts sampled windows when Options.Metrics is set; nil
+	// otherwise. Observe-only: it draws no randomness and emits no rows.
 	mWindows *metrics.Counter
-	mBatch   *metrics.Histogram
 	// partialCPU/partialMem accumulate the time-weighted usage already
 	// emitted for the current window by tasks that stopped mid-window,
 	// indexed by machine ID; partialIDs lists the machines with an entry
@@ -494,9 +491,6 @@ func (u *usageSampler) sample(now sim.Time) {
 			}
 		}
 		if len(recs) > 0 {
-			if u.mBatch != nil {
-				u.mBatch.Observe(float64(len(recs)))
-			}
 			u.sink.UsageBatch(recs)
 		}
 		u.recBuf = recs[:0]

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/scheduler"
@@ -47,15 +47,15 @@ func TestReplayReproducesRecordingRun(t *testing.T) {
 }
 
 // TestReplayIdenticalAcrossPolicies pins workload/policy separation:
-// replaying one recording under two placement policies re-records byte-
-// identical workload files (the arrival stream is policy-independent)
-// while the schedulers place it differently.
+// replaying one recording under two placement policies re-records equal
+// workloads (the arrival stream is policy-independent) while the
+// schedulers place it differently.
 func TestReplayIdenticalAcrossPolicies(t *testing.T) {
 	opts := replayOpts()
 	opts.RecordWorkload = true
 	rec := Run(workload.Profile2019("a", 180), opts)
 
-	var files [2][]byte
+	var recs [2]*workload.Recording
 	var traces [2]*trace.MemTrace
 	for i, policy := range []scheduler.PlacementPolicy{scheduler.RandomFit, scheduler.BestFit} {
 		p := workload.Profile2019("a", 180)
@@ -64,15 +64,11 @@ func TestReplayIdenticalAcrossPolicies(t *testing.T) {
 		o.Replay = rec.Workload
 		o.RecordWorkload = true
 		res, tr := runRetained(p, o)
-		var buf bytes.Buffer
-		if _, err := res.Workload.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		files[i] = buf.Bytes()
+		recs[i] = res.Workload
 		traces[i] = tr
 	}
-	if !bytes.Equal(files[0], files[1]) {
-		t.Fatal("re-recorded workload files differ across policies — replay is leaking policy into the workload")
+	if !reflect.DeepEqual(recs[0], recs[1]) {
+		t.Fatal("re-recorded workloads differ across policies — replay is leaking policy into the workload")
 	}
 	if tracetest.RowsEqual(&traces[0].InstanceEvents, &traces[1].InstanceEvents) {
 		t.Fatal("random-fit and best-fit produced identical instance events under replay — policy override inert")

@@ -11,20 +11,16 @@ import (
 	"repro/internal/sim"
 )
 
-// swapFiles exchanges the contents of two files.
-func swapFiles(a, b string) error {
-	ca, err := os.ReadFile(a)
-	if err != nil {
+// swapDirs exchanges two directories.
+func swapDirs(a, b string) error {
+	tmp := a + ".swap"
+	if err := os.Rename(a, tmp); err != nil {
 		return err
 	}
-	cb, err := os.ReadFile(b)
-	if err != nil {
+	if err := os.Rename(b, a); err != nil {
 		return err
 	}
-	if err := os.WriteFile(a, cb, 0o644); err != nil {
-		return err
-	}
-	return os.WriteFile(b, ca, 0o644)
+	return os.Rename(tmp, b)
 }
 
 // pinScale is the frozen configuration behind TestReportGoldenHash.
@@ -144,11 +140,11 @@ func TestLoadWorkloadsRejectsCellMismatch(t *testing.T) {
 	if err := SaveWorkloads(dir, suite.Stats); err != nil {
 		t.Fatal(err)
 	}
-	// Swap two cells' files: names still line up with the suite order,
-	// but the recorded Meta.Cell inside no longer matches.
-	a := dir + "/" + WorkloadFileName(1, "a")
-	b := dir + "/" + WorkloadFileName(2, "b")
-	if err := swapFiles(a, b); err != nil {
+	// Swap two cells' directories: names still line up with the suite
+	// order, but the recorded Meta.Cell inside no longer matches.
+	a := dir + "/" + WorkloadDirName(1, "a")
+	b := dir + "/" + WorkloadDirName(2, "b")
+	if err := swapDirs(a, b); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadWorkloads(dir, replayScale()); err == nil {

@@ -298,7 +298,7 @@ func TestDirSinkMidRunFlushAndCloseIdempotent(t *testing.T) {
 	if got.MachineEvents.Len() != 2 {
 		t.Fatalf("machine events %d, want 2", got.MachineEvents.Len())
 	}
-	if ds.err != nil {
-		t.Fatalf("unexpected sink error: %v", ds.err)
+	if err := ds.Close(); err != nil {
+		t.Fatalf("unexpected sink error: %v", err)
 	}
 }

@@ -7,9 +7,13 @@
 // described in §9 of the paper.
 //
 // Each table's schema is one Table: its CSV file and its columns, each a
-// CSV name, a kind and a pointer to a row field. DirSink writes headers
-// and rows from it, ReadDir checks each header against it and decodes
-// rows with it, and cmd/borgquery queries its columns by their CSV names.
+// CSV name, a kind and a pointer to a row field. A TableWriter writes
+// its header and rows (DirSink holds one per table), ReadDir checks each
+// header against it and decodes rows with it, and cmd/borgquery queries
+// its columns by their CSV names. Tables also serve outside the trace:
+// a workload recording (internal/workload) is a meta.json and two
+// tables declared with the exported column constructors, written and
+// read through the same code.
 package trace
 
 import (

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"maps"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -48,42 +50,55 @@ func FuzzParseArrival(f *testing.F) {
 	})
 }
 
-// FuzzReadRecording: any bytes must give an error or a Recording whose
-// WriteTo output reads back and writes out as the same bytes, never a
-// panic, a hang or an allocation sized by a count the input claims.
+// FuzzReadRecording writes arbitrary bytes as jobs.csv and tasks.csv
+// beside a valid meta.json. ReadRecordingDir must return an error or a
+// Recording, never panic or hang, and a Recording it returns must write,
+// read back and write out as the same bytes.
 func FuzzReadRecording(f *testing.F) {
 	rec := recordCell(f, "", 1<<32, 7)
 	rec.Arrivals = rec.Arrivals[:3]
-	var seed bytes.Buffer
-	if _, err := rec.WriteTo(&seed); err != nil {
+	seed := f.TempDir()
+	if err := rec.WriteDir(seed); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(seed.Bytes())
-	header := func(cell, arrivals string) string {
-		return "borgworkload/1\ncell " + cell + "\nera 1\nmachines 1\nhorizon 1\nseed 1\narrival poisson\nidbase 0\narrivals " + arrivals + "\n"
+	read := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join(seed, name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
 	}
-	f.Add([]byte(header("a", "1000000000000")))
-	f.Add([]byte(header(`"a\nb"`, "0")))
-	f.Add([]byte(header("a", "1") + "A 5 1\nJ 1 0 200 0 \"u\\x20v\" 0 0 0 0 0 0 1\nT 0.1 0.1 5 0 0.05 0.05 1.2\n"))
+	meta, jobs, tasks := read("meta.json"), read("jobs.csv"), read("tasks.csv")
+	jobsHeader, _, _ := bytes.Cut(jobs, []byte("\n"))
+	tasksHeader, _, _ := bytes.Cut(tasks, []byte("\n"))
+	jobsHeader, tasksHeader = append(jobsHeader, '\n'), append(tasksHeader, '\n')
+	f.Add(jobs, tasks)
+	f.Add([]byte{}, []byte{})
+	f.Add(jobsHeader, tasksHeader)
+	// A user name that needs CSV quoting, and two arrivals at one instant.
+	f.Add(append(jobsHeader, "0,5,1,job,200,free,\"u \"\"v\"\",\nw\",0,0,default,none,finish,0\n"+
+		"1,5,2,alloc_set,200,prod,u,0,0,batch,full,kill,7\n"...),
+		append(tasksHeader, "1,0,0.1,0.1,5,0,0.05,0.05,1.2\n2,0,1e-300,0,5,3,0,0,1\n"...))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := ReadRecording(bytes.NewReader(data))
+	f.Fuzz(func(t *testing.T, jobs, tasks []byte) {
+		rec, err := ReadRecordingDir(writeRecordingFiles(t, meta, jobs, tasks))
 		if err != nil {
 			return
 		}
-		var first, second bytes.Buffer
-		if _, err := rec.WriteTo(&first); err != nil {
+		first := t.TempDir()
+		if err := rec.WriteDir(first); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadRecording(bytes.NewReader(first.Bytes()))
+		back, err := ReadRecordingDir(first)
 		if err != nil {
-			t.Fatalf("reading back a written recording: %v\n%q", err, first.Bytes())
+			t.Fatalf("reading back a written recording: %v", err)
 		}
-		if _, err := back.WriteTo(&second); err != nil {
+		second := t.TempDir()
+		if err := back.WriteDir(second); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("recording changed across a write/read round trip:\n%q\n%q", first.Bytes(), second.Bytes())
+		if a, b := readRecordingFiles(t, first), readRecordingFiles(t, second); !bytes.Equal(a, b) {
+			t.Fatalf("recording changed across a write/read round trip:\n%q\n%q", a, b)
 		}
 	})
 }

@@ -1,13 +1,11 @@
 package workload
 
 import (
-	"bufio"
+	"cmp"
 	"fmt"
-	"io"
 	"math"
+	"path/filepath"
 	"slices"
-	"strconv"
-	"strings"
 
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -30,23 +28,15 @@ type JobSource interface {
 	Generate(now sim.Time) []*scheduler.Job
 }
 
-// recordingVersion is the workload-trace format version this build
-// writes; ReadRecording rejects anything else, so a format change is a
-// loud version bump rather than a silent misparse.
-const recordingVersion = 1
-
-// recordingMagic is the first line of every recording file.
-const recordingMagic = "borgworkload"
-
-// RecordingMeta is a recording's provenance header: enough to name the
-// cell the workload was generated for and to re-anchor collection IDs on
-// replay. The embedded trace.Meta is the generating cell's; its Duration
-// (the header's "horizon") and Seed are informational (a replay may run
-// under a different horizon; the seed documents which world generated
-// the jobs).
+// RecordingMeta is a recording's provenance, stored in its meta.json:
+// enough to name the cell the workload was generated for and to
+// re-anchor collection IDs on replay. The embedded trace.Meta is the
+// generating cell's; its Duration and Seed are informational (a replay
+// may run under a different horizon; the seed documents which world
+// generated the jobs).
 type RecordingMeta struct {
 	trace.Meta
-	// Arrival is the generating process, parsed; the header stores its
+	// Arrival is the generating process, parsed; meta.json stores its
 	// String form.
 	Arrival ArrivalSpec
 	// IDBase is the collection-ID base the recording was generated under;
@@ -192,311 +182,202 @@ func (r *Replayer) Generate(now sim.Time) []*scheduler.Job {
 	return out
 }
 
-// ftoaExact renders a float so ParseFloat round-trips it bit-exactly —
-// replay fidelity depends on it.
-func ftoaExact(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// recordingVersion is the recording format version this build writes
+// and reads; ReadRecordingDir rejects anything else, so a format change
+// is a loud version bump rather than a silent misparse.
+const recordingVersion = 2
+
+// recordingMeta is a recording's meta.json: its RecordingMeta, with the
+// arrival spec in its String form, under the format version.
+type recordingMeta struct {
+	Version int `json:"version"`
+	trace.Meta
+	Arrival string             `json:"arrival"`
+	IDBase  trace.CollectionID `json:"id_base"`
 }
 
-// WriteTo serializes the recording in the versioned text format:
-//
-//	borgworkload/1
-//	cell <name> / era / machines / horizon / seed / arrival / idbase
-//	arrivals <count>
-//	A <time-µs> <njobs>
-//	J <idoff> <type> <prio> <tier> <user> <parentoff> <allocoff> <sched> <scaling> <outcome> <killafter> <ntasks>
-//	T <cpu> <mem> <duration-µs> <restarts> <meancpu> <meanmem> <peakfact>
-//
-// Floats are written with strconv.FormatFloat(…, 'g', -1, 64) and user
-// names with strconv.Quote (a space escaped as \x20), so decoding
-// reproduces the recording bit-exactly. The format is line-oriented and
-// diff-friendly: two recordings of the same workload are byte-identical
-// files.
-func (rec *Recording) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(format string, args ...any) error {
-		k, err := fmt.Fprintf(bw, format, args...)
-		n += int64(k)
-		return err
-	}
-	m := &rec.Meta
-	if err := write("%s/%d\n", recordingMagic, recordingVersion); err != nil {
-		return n, err
-	}
-	if err := write("cell %s\nera %d\nmachines %d\nhorizon %d\nseed %d\narrival %s\nidbase %d\narrivals %d\n",
-		quoteIfNeeded(m.Cell), int(m.Era), m.Machines, int64(m.Duration), m.Seed,
-		quoteIfNeeded(m.Arrival.String()), uint64(m.IDBase), len(rec.Arrivals)); err != nil {
-		return n, err
-	}
-	for ai := range rec.Arrivals {
-		arr := &rec.Arrivals[ai]
-		if err := write("A %d %d\n", int64(arr.At), len(arr.Jobs)); err != nil {
-			return n, err
-		}
-		for ji := range arr.Jobs {
-			j := &arr.Jobs[ji]
-			if err := write("J %d %d %d %d %s %d %d %d %d %d %d %d\n",
-				j.IDOff, int(j.CollectionType), j.Priority, int(j.Tier), quoteField(j.User),
-				uint64(j.Parent), uint64(j.AllocSet), int(j.Scheduler), int(j.Scaling),
-				int(j.Outcome), int64(j.KillAfter), len(j.Tasks)); err != nil {
-				return n, err
-			}
-			for _, t := range j.Tasks {
-				if err := write("T %s %s %d %d %s %s %s\n",
-					ftoaExact(t.Request.CPU), ftoaExact(t.Request.Mem), int64(t.Duration), t.Restarts,
-					ftoaExact(t.MeanCPU), ftoaExact(t.MeanMem), ftoaExact(t.PeakFact)); err != nil {
-					return n, err
-				}
-			}
-		}
-	}
-	return n, bw.Flush()
+// jobRow is one row of a recording's jobs.csv: a recorded collection,
+// without its tasks, and the arrival it belongs to. Arrival numbers the
+// arrivals from 0, so two arrivals at the same instant stay two, as the
+// Replayer fires them.
+type jobRow struct {
+	Arrival int
+	At      sim.Time
+	RecordedJob
 }
 
-// quoteIfNeeded keeps a header value on its line and readable back:
-// plain tokens stay bare for readability, and anything else (empty, or
-// holding a space or a character strconv.Quote escapes) is quoted.
-func quoteIfNeeded(s string) string {
-	q := strconv.Quote(s)
-	if s == "" || strings.Contains(s, " ") || q[1:len(q)-1] != s {
-		return q
-	}
-	return s
+// taskRow is one row of tasks.csv: task Index of collection IDOff.
+type taskRow struct {
+	IDOff uint64
+	Index int32
+	scheduler.TaskSpec
 }
-
-// quoteField quotes a value that shares its line with other
-// space-separated fields; a space inside it is escaped too.
-func quoteField(s string) string {
-	return strings.ReplaceAll(strconv.Quote(s), " ", `\x20`)
-}
-
-func unquoteHeader(s string) (string, error) {
-	if strings.HasPrefix(s, "\"") {
-		return strconv.Unquote(s)
-	}
-	return s, nil
-}
-
-// maxPresize caps a slice ReadRecording reserves from a count the file
-// claims, so a corrupt count fails as truncation rather than as an
-// allocation sized by the count.
-const maxPresize = 1 << 12
 
 // maxIDOff bounds a collection-ID offset to one cell's ID space (the
 // engine spaces cells 2^32 IDs apart), and maxTime a recorded instant or
 // duration: about 142 years, which the kernel can add to any time.
 const (
-	maxIDOff = 1 << 32
-	maxTime  = sim.Time(1) << 52
+	maxIDOff = 1<<32 - 1
+	maxTime  = 1 << 52
 )
 
-// ReadRecording parses a recording written by WriteTo. It validates the
-// magic, the version, and every count, so a truncated or corrupted file
-// fails loudly instead of replaying a partial workload. It also rejects,
-// naming the line, what a cell cannot replay: an arrival spec that does
-// not parse, arrival times that decrease, a collection offset used twice,
-// and a field outside its range (a collection with no tasks, an unknown
-// tier or other enum value, a time beyond maxTime, a non-finite or
-// negative resource, a peak factor below 1).
-func ReadRecording(r io.Reader) (*Recording, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	next := func() (string, error) {
-		for sc.Scan() {
-			lineNo++
-			line := strings.TrimSpace(sc.Text())
-			if line != "" {
-				return line, nil
+// The recording's two tables. Their collection IDs are offsets from
+// meta.json's id_base. Each column's parser holds its field to the
+// range a cell can replay.
+var (
+	jobsTable = trace.NewTable("jobs.csv", slices.Concat(
+		[]trace.Column[jobRow]{
+			trace.IntCol("arrival", func(r *jobRow) *int { return &r.Arrival }),
+			trace.IntCol("time", func(r *jobRow) *sim.Time { return &r.At }).In(0, maxTime),
+			trace.CollectionCol("collection_id", func(r *jobRow) *uint64 { return &r.IDOff }).In(1, maxIDOff),
+		},
+		trace.AttrColumns(func(r *jobRow) *trace.CollectionAttrs { return &r.CollectionAttrs }),
+		[]trace.Column[jobRow]{
+			trace.EnumCol("outcome", scheduler.OutcomeFail+1, func(r *jobRow) *scheduler.Outcome { return &r.Outcome }),
+			trace.IntCol("kill_after", func(r *jobRow) *sim.Time { return &r.KillAfter }).In(0, maxTime),
+		})...)
+	tasksTable = trace.NewTable("tasks.csv",
+		trace.CollectionCol("collection_id", func(r *taskRow) *uint64 { return &r.IDOff }).In(1, maxIDOff),
+		trace.IndexCol("instance_index", func(r *taskRow) *int32 { return &r.Index }),
+		trace.FloatCol("request_cpu", func(r *taskRow) *float64 { return &r.Request.CPU }).In(0, math.MaxFloat64),
+		trace.FloatCol("request_mem", func(r *taskRow) *float64 { return &r.Request.Mem }).In(0, math.MaxFloat64),
+		trace.IntCol("duration", func(r *taskRow) *sim.Time { return &r.Duration }).In(0, maxTime),
+		trace.IntCol("restarts", func(r *taskRow) *int { return &r.Restarts }).In(0, math.MaxInt32),
+		trace.FloatCol("mean_cpu", func(r *taskRow) *float64 { return &r.MeanCPU }).In(0, math.MaxFloat64),
+		trace.FloatCol("mean_mem", func(r *taskRow) *float64 { return &r.MeanMem }).In(0, math.MaxFloat64),
+		trace.FloatCol("peak_factor", func(r *taskRow) *float64 { return &r.PeakFact }).In(1, math.MaxFloat64),
+	)
+)
+
+// WriteDir writes the recording into dir, created if missing, as
+// meta.json, jobs.csv and tasks.csv. Floats are written in their
+// shortest exact form, so ReadRecordingDir reproduces the recording bit
+// for bit; two recordings of the same workload are byte-identical
+// directories. An arrival without jobs has no row and is not written.
+func (rec *Recording) WriteDir(dir string) error {
+	m := &rec.Meta
+	if err := trace.WriteMeta(dir, recordingMeta{recordingVersion, m.Meta, m.Arrival.String(), m.IDBase}); err != nil {
+		return err
+	}
+	jobs, err := jobsTable.Create(dir)
+	if err != nil {
+		return err
+	}
+	tasks, err := tasksTable.Create(dir)
+	if err != nil {
+		jobs.Close()
+		return err
+	}
+	row := jobRow{Arrival: -1}
+	for _, arr := range rec.Arrivals {
+		if len(arr.Jobs) > 0 {
+			row.Arrival++
+		}
+		row.At = arr.At
+		for _, j := range arr.Jobs {
+			row.RecordedJob = j
+			jobs.Write(&row)
+			for i, spec := range j.Tasks {
+				tasks.Write(&taskRow{j.IDOff, int32(i), spec})
 			}
 		}
-		if err := sc.Err(); err != nil {
-			return "", err
-		}
-		return "", fmt.Errorf("workload: recording truncated at line %d", lineNo)
 	}
-	errAt := func(format string, args ...any) error {
-		return fmt.Errorf("workload: recording line %d: %s", lineNo, fmt.Sprintf(format, args...))
-	}
+	return cmp.Or(jobs.Close(), tasks.Close())
+}
 
-	head, err := next()
-	if err != nil {
+// ReadRecordingDir reads a recording that WriteDir wrote. A field
+// outside the range a cell can replay fails in its column's parser,
+// naming the file, line and column. It also rejects, naming the
+// collection offset, arrival times that decrease, an offset used twice,
+// a parent or alloc-set offset outside one cell's ID space, a task of
+// no listed collection, task indices out of order, and a collection
+// with no tasks.
+func ReadRecordingDir(dir string) (*Recording, error) {
+	var m recordingMeta
+	if err := trace.ReadMeta(dir, &m); err != nil {
 		return nil, err
 	}
-	magic, ver, ok := strings.Cut(head, "/")
-	if !ok || magic != recordingMagic {
-		return nil, errAt("not a workload recording (want %q header)", recordingMagic)
+	metaPath := filepath.Join(dir, "meta.json")
+	if m.Version != recordingVersion {
+		return nil, fmt.Errorf("workload: %s: recording version %d, this build reads version %d",
+			metaPath, m.Version, recordingVersion)
 	}
-	if v, err := strconv.Atoi(ver); err != nil || v != recordingVersion {
-		return nil, errAt("unsupported recording version %q (this build reads version %d)", ver, recordingVersion)
+	arrival, err := ParseArrival(m.Arrival)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", metaPath, err)
+	}
+	rec := &Recording{Meta: RecordingMeta{Meta: m.Meta, Arrival: arrival, IDBase: m.IDBase}}
+
+	// rowErr is the first cross-row error; rows after it are skipped.
+	var rowErr error
+	fail := func(file string, off uint64, format string, args ...any) {
+		rowErr = fmt.Errorf("workload: %s collection %d: %s", filepath.Join(dir, file), off, fmt.Sprintf(format, args...))
+	}
+	ord := make(map[uint64]int) // a collection's position in jobs.csv
+	err = jobsTable.Read(dir, func(r jobRow) {
+		if rowErr != nil {
+			return
+		}
+		n := len(rec.Arrivals)
+		var last *RecordedArrival
+		if n > 0 {
+			last = &rec.Arrivals[n-1]
+		}
+		_, dup := ord[r.IDOff]
+		switch {
+		case dup:
+			fail("jobs.csv", r.IDOff, "offset used twice")
+		case r.Parent > maxIDOff || r.AllocSet > maxIDOff:
+			fail("jobs.csv", r.IDOff, "parent or alloc set offset beyond %d", maxIDOff)
+		case r.Arrival == n && last != nil && r.At < last.At:
+			fail("jobs.csv", r.IDOff, "arrival time %d runs back from %d", r.At, last.At)
+		case r.Arrival == n:
+			rec.Arrivals = append(rec.Arrivals, RecordedArrival{At: r.At})
+			last = &rec.Arrivals[n]
+		case last == nil || r.Arrival != n-1 || r.At != last.At:
+			fail("jobs.csv", r.IDOff, "arrival %d at %d does not follow arrival %d", r.Arrival, r.At, n-1)
+		}
+		if rowErr == nil {
+			ord[r.IDOff] = len(ord)
+			last.Jobs = append(last.Jobs, r.RecordedJob)
+		}
+	})
+	if err != nil || rowErr != nil {
+		return nil, cmp.Or(err, rowErr)
 	}
 
-	rec := &Recording{}
-	var arrivals int
-	for _, key := range []string{"cell", "era", "machines", "horizon", "seed", "arrival", "idbase", "arrivals"} {
-		line, err := next()
-		if err != nil {
-			return nil, err
-		}
-		k, v, ok := strings.Cut(line, " ")
-		if !ok || k != key {
-			return nil, errAt("want header %q, got %q", key, line)
-		}
-		var p fieldParser
-		m := &rec.Meta
-		switch key {
-		case "cell":
-			m.Cell, p.err = unquoteHeader(v)
-		case "era":
-			m.Era = trace.Era(p.int(key, v, math.MinInt64, math.MaxInt64))
-		case "machines":
-			m.Machines = int(p.int(key, v, math.MinInt64, math.MaxInt64))
-		case "horizon":
-			m.Duration = sim.Time(p.int(key, v, math.MinInt64, math.MaxInt64))
-		case "seed":
-			m.Seed, p.err = strconv.ParseUint(v, 10, 64)
-		case "arrival":
-			var spec string
-			if spec, p.err = unquoteHeader(v); p.err == nil {
-				m.Arrival, p.err = ParseArrival(spec)
-			}
-		case "idbase":
-			var b uint64
-			b, p.err = strconv.ParseUint(v, 10, 64)
-			m.IDBase = trace.CollectionID(b)
-		case "arrivals":
-			arrivals = int(p.int(key, v, 0, math.MaxInt64))
-		}
-		if p.err != nil {
-			return nil, errAt("bad %s %q: %v", key, v, p.err)
+	// The jobs in file order, which tasks.csv follows.
+	jobs := make([]*RecordedJob, 0, len(ord))
+	for ai := range rec.Arrivals {
+		for ji := range rec.Arrivals[ai].Jobs {
+			jobs = append(jobs, &rec.Arrivals[ai].Jobs[ji])
 		}
 	}
-
-	rec.Arrivals = make([]RecordedArrival, 0, min(arrivals, maxPresize))
-	ids := make(map[uint64]bool)
-	last := sim.Time(0)
-	for ai := 0; ai < arrivals; ai++ {
-		line, err := next()
-		if err != nil {
-			return nil, err
+	cur := 0
+	err = tasksTable.Read(dir, func(r taskRow) {
+		k, ok := ord[r.IDOff]
+		switch {
+		case rowErr != nil:
+			return
+		case !ok:
+			fail("tasks.csv", r.IDOff, "task of a collection jobs.csv does not list")
+		case k < cur:
+			fail("tasks.csv", r.IDOff, "task out of job order")
+		case int(r.Index) != len(jobs[k].Tasks):
+			fail("tasks.csv", r.IDOff, "task index %d, want %d", r.Index, len(jobs[k].Tasks))
+		default:
+			cur = k
+			jobs[k].Tasks = append(jobs[k].Tasks, r.TaskSpec)
 		}
-		f := strings.Fields(line)
-		if len(f) != 3 || f[0] != "A" {
-			return nil, errAt("want arrival record, got %q", line)
+	})
+	if err != nil || rowErr != nil {
+		return nil, cmp.Or(err, rowErr)
+	}
+	for _, j := range jobs {
+		if len(j.Tasks) == 0 {
+			fail("tasks.csv", j.IDOff, "collection has no tasks")
+			return nil, rowErr
 		}
-		var p fieldParser
-		last = sim.Time(p.int("arrival time", f[1], int64(last), int64(maxTime)))
-		njobs := int(p.int("job count", f[2], 0, math.MaxInt64))
-		if p.err != nil {
-			return nil, errAt("bad arrival record %q: %v", line, p.err)
-		}
-		arr := RecordedArrival{At: last, Jobs: make([]RecordedJob, 0, min(njobs, maxPresize))}
-		for ji := 0; ji < njobs; ji++ {
-			line, err := next()
-			if err != nil {
-				return nil, err
-			}
-			j, ntasks, err := parseJobLine(line)
-			if err != nil {
-				return nil, errAt("%v", err)
-			}
-			if ids[j.IDOff] {
-				return nil, errAt("collection offset %d used twice", j.IDOff)
-			}
-			ids[j.IDOff] = true
-			for ti := 0; ti < ntasks; ti++ {
-				line, err := next()
-				if err != nil {
-					return nil, err
-				}
-				t, err := parseTaskLine(line)
-				if err != nil {
-					return nil, errAt("%v", err)
-				}
-				j.Tasks = append(j.Tasks, t)
-			}
-			arr.Jobs = append(arr.Jobs, j)
-		}
-		rec.Arrivals = append(rec.Arrivals, arr)
 	}
 	return rec, nil
-}
-
-func parseJobLine(line string) (RecordedJob, int, error) {
-	var j RecordedJob
-	f := strings.Fields(line)
-	if len(f) != 13 || f[0] != "J" {
-		return j, 0, fmt.Errorf("want job record, got %q", line)
-	}
-	var p fieldParser
-	j.IDOff = uint64(p.int("collection offset", f[1], 1, maxIDOff-1))
-	j.CollectionType = trace.CollectionType(p.int("collection type", f[2], 0, int64(trace.CollectionAllocSet)))
-	j.Priority = int(p.int("priority", f[3], math.MinInt64, math.MaxInt64))
-	j.Tier = trace.Tier(p.int("tier", f[4], 0, int64(trace.NumTiers-1)))
-	user, err := strconv.Unquote(f[5])
-	p.keep(err)
-	j.User = user
-	j.Parent = trace.CollectionID(p.int("parent offset", f[6], 0, maxIDOff-1))
-	j.AllocSet = trace.CollectionID(p.int("alloc set offset", f[7], 0, maxIDOff-1))
-	j.Scheduler = trace.SchedulerKind(p.int("scheduler", f[8], 0, int64(trace.SchedulerBatch)))
-	j.Scaling = trace.VerticalScaling(p.int("vertical-scaling mode", f[9], 0, int64(trace.ScalingFull)))
-	j.Outcome = scheduler.Outcome(p.int("outcome", f[10], 0, int64(scheduler.OutcomeFail)))
-	j.KillAfter = sim.Time(p.int("kill delay", f[11], 0, int64(maxTime)))
-	ntasks := int(p.int("task count", f[12], 1, math.MaxInt32))
-	if p.err != nil {
-		return j, 0, fmt.Errorf("bad job record %q: %v", line, p.err)
-	}
-	j.Tasks = make([]scheduler.TaskSpec, 0, min(ntasks, maxPresize))
-	return j, ntasks, nil
-}
-
-func parseTaskLine(line string) (scheduler.TaskSpec, error) {
-	var t scheduler.TaskSpec
-	f := strings.Fields(line)
-	if len(f) != 8 || f[0] != "T" {
-		return t, fmt.Errorf("want task record, got %q", line)
-	}
-	var p fieldParser
-	t.Request.CPU = p.float("CPU request", f[1], 0)
-	t.Request.Mem = p.float("memory request", f[2], 0)
-	t.Duration = sim.Time(p.int("duration", f[3], 0, int64(maxTime)))
-	t.Restarts = int(p.int("restart count", f[4], 0, math.MaxInt32))
-	t.MeanCPU = p.float("mean CPU", f[5], 0)
-	t.MeanMem = p.float("mean memory", f[6], 0)
-	t.PeakFact = p.float("peak factor", f[7], 1)
-	if p.err != nil {
-		return t, fmt.Errorf("bad task record %q: %v", line, p.err)
-	}
-	return t, nil
-}
-
-// fieldParser parses a record's fields, each within the range a cell can
-// replay, and keeps the first error.
-type fieldParser struct{ err error }
-
-func (p *fieldParser) keep(err error) {
-	if p.err == nil {
-		p.err = err
-	}
-}
-
-// int parses an integer field in [lo, hi].
-func (p *fieldParser) int(name, s string, lo, hi int64) int64 {
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err == nil && (v < lo || v > hi) {
-		err = fmt.Errorf("%s %d outside [%d, %d]", name, v, lo, hi)
-	}
-	p.keep(err)
-	return v
-}
-
-// float parses a finite float field of at least lo.
-func (p *fieldParser) float(name, s string, lo float64) float64 {
-	v, err := strconv.ParseFloat(s, 64)
-	if err == nil && !(v >= lo && v <= math.MaxFloat64) {
-		err = fmt.Errorf("%s %v is not a finite number of at least %v", name, v, lo)
-	}
-	p.keep(err)
-	return v
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -48,16 +50,16 @@ func TestRecordingRoundTripsThroughText(t *testing.T) {
 	if len(rec.Arrivals) == 0 {
 		t.Fatal("recorded no arrivals")
 	}
-	var buf bytes.Buffer
-	if _, err := rec.WriteTo(&buf); err != nil {
+	dir := t.TempDir()
+	if err := rec.WriteDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadRecording(&buf)
+	got, err := ReadRecordingDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rec, got) {
-		t.Fatalf("recording did not round-trip through its text form:\nmeta %+v vs %+v, %d vs %d arrivals",
+		t.Fatalf("recording did not round-trip through its directory:\nmeta %+v vs %+v, %d vs %d arrivals",
 			rec.Meta, got.Meta, len(rec.Arrivals), len(got.Arrivals))
 	}
 }
@@ -111,76 +113,129 @@ func TestReplayerDrains(t *testing.T) {
 	}
 }
 
+// recordingFiles are a recording directory's files in the order
+// TestRecordingFormatPinned hashes them.
+var recordingFiles = []string{"meta.json", "jobs.csv", "tasks.csv"}
+
+// readRecordingFiles returns the bytes of dir's recording files, joined
+// in recordingFiles order.
+func readRecordingFiles(t testing.TB, dir string) []byte {
+	t.Helper()
+	var all []byte
+	for _, name := range recordingFiles {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, b...)
+	}
+	return all
+}
+
+// writeRecordingFiles writes a recording directory from the raw bytes
+// of its three files and returns it.
+func writeRecordingFiles(t testing.TB, meta, jobs, tasks []byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	for i, b := range [][]byte{meta, jobs, tasks} {
+		if err := os.WriteFile(filepath.Join(dir, recordingFiles[i]), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
 // TestReadRecordingRejectsCorruption pins the loud-failure contract of
-// the versioned format: wrong magic, wrong version and truncation all
-// error rather than replaying a distorted workload.
+// the versioned format: a missing file, a wrong version and a jobs.csv
+// cut off mid-row all error rather than replaying a distorted workload.
 func TestReadRecordingRejectsCorruption(t *testing.T) {
 	rec := recordCell(t, "", 1<<32, 7)
-	var buf bytes.Buffer
-	if _, err := rec.WriteTo(&buf); err != nil {
+	good := t.TempDir()
+	if err := rec.WriteDir(good); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.String()
-
-	corrupt := map[string]string{
-		"magic":    "borgtrace/1" + good[len("borgworkload/1"):],
-		"version":  "borgworkload/9" + good[len("borgworkload/1"):],
-		"truncate": good[:len(good)*2/3],
+	read := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join(good, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	for name, text := range corrupt {
-		if _, err := ReadRecording(bytes.NewReader([]byte(text))); err == nil {
-			t.Errorf("%s-corrupted recording parsed without error", name)
+	meta, jobs, tasks := read("meta.json"), read("jobs.csv"), read("tasks.csv")
+	cut := bytes.LastIndexByte(jobs[:len(jobs)*2/3], ',') + 1
+
+	missing := writeRecordingFiles(t, meta, jobs, tasks)
+	if err := os.Remove(filepath.Join(missing, "tasks.csv")); err != nil {
+		t.Fatal(err)
+	}
+	for name, dir := range map[string]string{
+		"missing tasks.csv": missing,
+		"version": writeRecordingFiles(t, bytes.Replace(meta, []byte(`"version": 2`), []byte(`"version": 1`), 1),
+			jobs, tasks),
+		"truncated jobs.csv": writeRecordingFiles(t, meta, jobs[:cut], tasks),
+	} {
+		if _, err := ReadRecordingDir(dir); err == nil {
+			t.Errorf("%s: corrupted recording read without error", name)
 		}
 	}
 }
 
 // TestReadRecordingRejectsUnreplayable: recordings that parse but that a
-// cell cannot replay fail at the line that makes them so. The first four
-// once loaded and then crashed the scheduler or the reducer.
+// cell cannot replay fail naming the file and line, or the collection
+// offset, that makes them so. The first four once loaded and then
+// crashed the scheduler or the reducer.
 func TestReadRecordingRejectsUnreplayable(t *testing.T) {
+	meta := `{"version": 2, "Era": 1, "Cell": "a", "Duration": 7200000000, "Machines": 20, "Seed": 1, "arrival": "poisson", "id_base": 0}`
 	const (
-		header = "borgworkload/1\ncell a\nera 1\nmachines 20\nhorizon 7200000000\nseed 1\narrival poisson\nidbase 0\n"
-		task   = "T 0.01 0.01 600000000 0 0.005 0.005 1.2\n"
+		jobsHeader  = "arrival,time,collection_id,collection_type,priority,tier,user,parent_collection_id,alloc_collection_id,scheduler,vertical_scaling,outcome,kill_after\n"
+		tasksHeader = "collection_id,instance_index,request_cpu,request_mem,duration,restarts,mean_cpu,mean_mem,peak_factor\n"
 	)
-	job := func(id, tier, scaling, ntasks string) string {
-		return "J " + id + " 0 200 " + tier + ` "u" 0 0 0 ` + scaling + " 0 0 " + ntasks + "\n"
+	job := func(arrival, time, id, tier, scaling string) string {
+		return arrival + "," + time + "," + id + ",job,200," + tier + ",u,0,0,default," + scaling + ",finish,0\n"
 	}
+	task := func(id, cpu string) string { return id + ",0," + cpu + ",0.01,600000000,0,0.005,0.005,1.2\n" }
+	job1, task1 := jobsHeader+job("0", "1000000", "1", "free", "none"), tasksHeader+task("1", "0.01")
 	for _, tc := range []struct {
-		name, text string
-		line       int
+		name, meta, jobs, tasks string
+		want                    string
 	}{
-		{"no tasks", header + "arrivals 1\nA 1000000 1\n" + job("1", "0", "0", "0"), 11},
-		{"duplicate ID", header + "arrivals 2\nA 1000000 1\n" + job("1", "0", "0", "1") + task +
-			"A 2000000 1\n" + job("1", "0", "0", "1") + task, 14},
-		{"scaling mode 9", header + "arrivals 1\nA 1000000 1\n" + job("1", "0", "9", "1") + task, 11},
-		{"tier 99", header + "arrivals 1\nA 1000000 1\n" + job("1", "99", "0", "1") + task, 11},
-		{"time runs back", header + "arrivals 2\nA 2000000 1\n" + job("1", "0", "0", "1") + task +
-			"A 1000000 1\n" + job("2", "0", "0", "1") + task, 13},
-		{"NaN request", header + "arrivals 1\nA 1000000 1\n" + job("1", "0", "0", "1") +
-			"T NaN 0.01 600000000 0 0.005 0.005 1.2\n", 12},
-		{"arrival spec", strings.Replace(header, "poisson", "nope", 1) + "arrivals 0\n", 7},
+		{"no tasks", meta, job1, tasksHeader, "collection 1:"},
+		{"duplicate ID", meta, job1 + job("1", "2000000", "1", "free", "none"), task1, "collection 1:"},
+		{"scaling mode 9", meta, jobsHeader + job("0", "1000000", "1", "free", "9"), task1,
+			"jobs.csv line 2: vertical_scaling:"},
+		{"tier 99", meta, jobsHeader + job("0", "1000000", "1", "99", "none"), task1, "jobs.csv line 2: tier:"},
+		{"time runs back", meta, jobsHeader + job("0", "2000000", "1", "free", "none") + job("1", "1000000", "2", "free", "none"),
+			task1 + task("2", "0.01"), "collection 2:"},
+		{"NaN request", meta, job1, tasksHeader + task("1", "NaN"), "tasks.csv line 2: request_cpu:"},
+		{"arrival spec", strings.Replace(meta, "poisson", "nope", 1), job1, task1, "meta.json:"},
+		{"version", strings.Replace(meta, `"version": 2`, `"version": 1`, 1), job1, task1, "meta.json:"},
+		{"swapped header", meta, strings.Replace(job1, "tier,user", "user,tier", 1), task1,
+			"jobs.csv: header column 6"},
+		{"task of unknown job", meta, job1, task1 + task("7", "0.01"), "collection 7:"},
 	} {
-		_, err := ReadRecording(strings.NewReader(tc.text))
+		_, err := ReadRecordingDir(writeRecordingFiles(t, []byte(tc.meta), []byte(tc.jobs), []byte(tc.tasks)))
 		if err == nil {
-			t.Errorf("%s: recording parsed without error", tc.name)
+			t.Errorf("%s: recording read without error", tc.name)
 			continue
 		}
-		if want := fmt.Sprintf("line %d:", tc.line); !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: error %q does not name %s", tc.name, err, want)
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
 		}
 	}
 }
 
 // TestRecordingFormatPinned pins the recording's bytes across builds:
-// WriteTo of a hand-built recording hashes to a fixed value, and a
-// read-back writes the same bytes. Every value is a literal, so no float
-// depends on the CPU's arithmetic. The recording covers a user name with
-// a space, parent and alloc-set offsets, a multi-knob arrival header and
-// a task with restarts.
+// WriteDir of a hand-built recording writes meta.json, jobs.csv and
+// tasks.csv that hash, in that order, to a fixed value, and a read-back
+// writes the same bytes. Every value is a literal, so no float depends
+// on the CPU's arithmetic. The recording covers a user name with a
+// space, a comma, a quote and a newline (CSV quoting), parent and
+// alloc-set offsets, a multi-knob arrival spec, two arrivals at the
+// same instant and a task with restarts.
 func TestRecordingFormatPinned(t *testing.T) {
 	const (
-		wantHash  = "9271c2a1d67dfd1d2767ead081a347520333a21917c817cb72581dbea66a0484"
-		wantBytes = 437
+		wantHash  = "5c69ce87853e78f937ba84d738f6f8833c1f28ec2469664fe83c492607d0c59a"
+		wantBytes = 892
 	)
 	rec := &Recording{
 		Meta: RecordingMeta{
@@ -203,7 +258,7 @@ func TestRecordingFormatPinned(t *testing.T) {
 				{
 					IDOff: 2,
 					CollectionAttrs: trace.CollectionAttrs{CollectionType: trace.CollectionJob,
-						Priority: 205, Tier: trace.TierProduction, User: "svc owner", AllocSet: 1,
+						Priority: 205, Tier: trace.TierProduction, User: "svc owner, \"west\"\nteam", AllocSet: 1,
 						Scaling: trace.ScalingConstrained},
 					Outcome: scheduler.OutcomeFinish,
 					Tasks: []scheduler.TaskSpec{
@@ -226,25 +281,40 @@ func TestRecordingFormatPinned(t *testing.T) {
 					},
 				},
 			}},
+			{At: 17*sim.Minute + 3*sim.Millisecond, Jobs: []RecordedJob{
+				{
+					IDOff: 4,
+					CollectionAttrs: trace.CollectionAttrs{CollectionType: trace.CollectionJob,
+						Priority: 0, Tier: trace.TierFree, User: "batch-7"},
+					Outcome: scheduler.OutcomeKill,
+					Tasks: []scheduler.TaskSpec{
+						{Request: trace.Resources{CPU: 0.5, Mem: 0.25}, Duration: sim.Hour, PeakFact: 1.1},
+					},
+				},
+			}},
 		},
 	}
-	var b bytes.Buffer
-	if _, err := rec.WriteTo(&b); err != nil {
+	dir := t.TempDir()
+	if err := rec.WriteDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); got != wantHash || b.Len() != wantBytes {
+	b := readRecordingFiles(t, dir)
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != wantHash || len(b) != wantBytes {
 		t.Fatalf("recording format moved: sha256 %s (%d bytes), want %s (%d bytes)\n%s",
-			got, b.Len(), wantHash, wantBytes, b.String())
+			got, len(b), wantHash, wantBytes, b)
 	}
-	back, err := ReadRecording(bytes.NewReader(b.Bytes()))
+	back, err := ReadRecordingDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var again bytes.Buffer
-	if _, err := back.WriteTo(&again); err != nil {
+	if !reflect.DeepEqual(back, rec) {
+		t.Fatalf("read-back differs from the recording:\n%+v\nwant\n%+v", back, rec)
+	}
+	again := t.TempDir()
+	if err := back.WriteDir(again); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(again.Bytes(), b.Bytes()) {
-		t.Fatalf("read-back writes different bytes:\n%s\nwant\n%s", again.String(), b.String())
+	if a := readRecordingFiles(t, again); !bytes.Equal(a, b) {
+		t.Fatalf("read-back writes different bytes:\n%s\nwant\n%s", a, b)
 	}
 }
