@@ -101,26 +101,35 @@
 //
 // # Placement fast path
 //
-// Machines maintain their usage total, allocation and victim order
-// incrementally and fix their overcommit ceiling when they join the
-// cell, so a placement attempt scores each sampled candidate from O(1)
-// aggregates instead of rescanning residents. Scores are computed
-// directly: the simulator models scheduler throughput through the
-// scheduling server's service time, so the per-class score caching that
-// real Borg uses (EuroSys 2015, §3.4) would save only host CPU. A
-// machine keeps its residents in one slice that is always in victim
-// order (priority, then collection, then index): placement inserts by
-// binary search and removal shifts in place, with no per-machine map and
-// no re-sort. Every walk reads that slice itself (LiveResidents): the
-// usage sampler, the preemption scan and the OOM victim pick finish
-// reading before they change the machine, and machine maintenance, which
-// evicts as it walks, first copies it into a scheduler scratch slice, so
-// no walk makes a later placement copy anything. Resident records are
-// pooled and a task's kernel events are the task itself, so steady-state
-// placement performs zero heap allocations, for every policy (guarded by
+// A machine's residents are its tasks. The scheduler keeps, per machine,
+// one slice of value slots (scheduler.Slot), each holding the victim key
+// inline — priority, then collection, then index — beside the task
+// pointer and the task's last sampled usage, and maintains the
+// machine's allocation and usage sums incrementally. A machine fixes
+// its overcommit ceiling when it joins the cell, so a placement attempt
+// scores each sampled candidate from O(1) sums instead of rescanning
+// residents. Everything else about a resident (its request, tier and
+// alloc hosting) is read from its task, and an alloc-hosted task counts
+// a zero machine limit. A request changes in one place,
+// Scheduler.UpdateTaskRequest, and the machine's allocation moves with
+// it there. Scores are computed directly: the simulator models
+// scheduler throughput through the scheduling server's service time, so
+// the per-class score caching that real Borg uses (EuroSys 2015, §3.4)
+// would save only host CPU. The slots are always in victim order:
+// placement inserts by binary search and removal shifts in place, with
+// no per-machine map and no re-sort. Every walk reads the slots
+// themselves (Scheduler.Residents): the usage sampler, the preemption
+// scan and the OOM victim pick finish reading before they change the
+// machine, and machine maintenance, which evicts as it walks, first
+// copies the resident tasks into a scheduler scratch slice and skips
+// any that has left the machine by the time the walk reaches it. No
+// walk makes a later placement copy anything. A slot is a value and a
+// task's kernel events are the task itself, so steady-state placement
+// performs zero heap allocations, for every policy (guarded by
 // AllocsPerRun tests and a per-policy benchmark gate in CI). Machines
 // are looked up in an ID-indexed table: IDs are dense from 1, so
-// cluster.Cell keeps a []*Machine instead of a map. The scheduling
+// cluster.Cell keeps a []*Machine instead of a map, and the scheduler
+// indexes its per-machine residents the same way. The scheduling
 // server's service-completion callback is bound once, so queueing a
 // service event allocates no closure. A cell no larger than the
 // candidate sample is scanned whole, each machine once, so a lone fit is
@@ -196,9 +205,13 @@
 // the peak number of running tasks, and nothing per placement, restart,
 // kernel event or usage window. TestRunAllocsPerJob holds a
 // small cell's run to a per-job allocation budget, and
-// TestPlaceAfterSampleZeroAllocs pins one such interaction: a placement
-// on a machine the sampler has just walked must not copy its resident
-// list.
+// TestPlaceAfterSampleZeroAllocs pins one such interaction: a task
+// leaving and re-entering a machine the sampler has just walked must
+// not copy its slots. The sampler reads each machine's slots in place
+// and records usage through Scheduler.SetUsage, given the slot position
+// it read; when memory pressure has evicted a task between the
+// sampler's two passes, SetUsage finds each survivor's shifted slot by
+// search.
 //
 // The delivery side batches: trace.Sink has one usage method,
 // UsageBatch, and the sampler hands each machine-window's records to the

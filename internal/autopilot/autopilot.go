@@ -9,13 +9,12 @@
 // but the limit may not drop below a floor fraction of the original
 // user request). The recommender's window, percentile, margin, floor
 // and hysteresis are constants calibrated once; New takes only the
-// cell's overcommit policy.
+// scheduler whose tasks it resizes.
 package autopilot
 
 import (
 	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/scheduler"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -119,7 +118,7 @@ func (w *window) percentile(q float64) trace.Resources {
 
 // Autopilot is the vertical autoscaler for one cell.
 type Autopilot struct {
-	cell *cluster.Cell
+	sched *scheduler.Scheduler
 	// windows is the window table a task's Autoscale handle indexes;
 	// slot 0 stays nil, so handle 0 means none.
 	windows []*window
@@ -132,18 +131,17 @@ type Autopilot struct {
 	// allocate once the table covers the peak tracked count.
 	free []int32
 
-	setRequest func(*scheduler.Task, trace.Resources)
-
 	updates int
 }
 
-// New constructs an Autopilot bound to a cell; limit growth is capped at
-// each machine's allocation ceiling under the cell's overcommit policy.
-// setRequest writes each limit update into the task: the scheduler's
-// UpdateTaskRequest, which keeps its admission sums consistent with the
-// new request and emits the UPDATE_RUNNING instance event.
-func New(cell *cluster.Cell, setRequest func(*scheduler.Task, trace.Resources)) *Autopilot {
-	return &Autopilot{cell: cell, windows: []*window{nil}, setRequest: setRequest}
+// New constructs an Autopilot for the tasks the scheduler s runs. Limit
+// growth is capped at each machine's headroom under the cell's
+// overcommit ceiling, read from the scheduler's allocation sums. Each
+// limit update is one s.UpdateTaskRequest call, which moves the task's
+// machine allocation and the scheduler's admission sums with the new
+// request and emits the UPDATE_RUNNING instance event.
+func New(s *scheduler.Scheduler) *Autopilot {
+	return &Autopilot{sched: s, windows: []*window{nil}}
 }
 
 // Updates returns how many limit updates have been issued.
@@ -197,22 +195,18 @@ func (a *Autopilot) Observe(t *scheduler.Task, peakUsage trace.Resources) {
 	// (alloc-hosted) tasks have a zero machine-level limit, so only
 	// direct placements need the check.
 	if t.Machine != 0 && t.AllocInstance == nil {
-		m := a.cell.Machine(t.Machine)
-		if m != nil {
-			head := m.Ceiling().Sub(m.Allocated()).Add(cur)
-			if rec.CPU > head.CPU {
-				rec.CPU = head.CPU
-			}
-			if rec.Mem > head.Mem {
-				rec.Mem = head.Mem
-			}
-			if rec.CPU < minCPU || rec.Mem < minMem {
-				return // no headroom at all; keep the current limit
-			}
-			a.cell.UpdateLimit(t.Machine, t.Job.Priority, t.Key(), rec)
+		head := a.sched.Headroom(t.Machine).Add(cur)
+		if rec.CPU > head.CPU {
+			rec.CPU = head.CPU
+		}
+		if rec.Mem > head.Mem {
+			rec.Mem = head.Mem
+		}
+		if rec.CPU < minCPU || rec.Mem < minMem {
+			return // no headroom at all; keep the current limit
 		}
 	}
-	a.setRequest(t, rec)
+	a.sched.UpdateTaskRequest(t, rec)
 	a.updates++
 }
 

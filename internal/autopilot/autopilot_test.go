@@ -1,37 +1,68 @@
 package autopilot
 
 import (
+	"math"
 	"sort"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/dist"
 	"repro/internal/rng"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
-// setRequest stands in for the scheduler's request setter: these tests
-// run the autopilot without a scheduler.
-func setRequest(t *scheduler.Task, rec trace.Resources) { t.Request = rec }
+// rig is a one-machine cell, overcommitted 1.2×, whose tasks a real
+// scheduler places.
+type rig struct {
+	k     *sim.Kernel
+	sched *scheduler.Scheduler
+}
 
-func setup(t *testing.T, scaling trace.VerticalScaling, request trace.Resources) (*Autopilot, *cluster.Cell, *scheduler.Task) {
-	t.Helper()
+func newRig() *rig {
 	cell := cluster.NewCell("test", cluster.OvercommitPolicy{CPUFactor: 1.2, MemFactor: 1.2})
-	m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
-	ap := New(cell, setRequest)
+	cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
+	k := sim.NewKernel()
+	cfg := scheduler.Config{
+		Policy:          scheduler.LeastAllocated,
+		CandidateSample: 16,
+		ServiceTime:     dist.LogNormalFromMedian(0.001, 0.1),
+	}
+	return &rig{k: k, sched: scheduler.New(cfg, cell, k, tracetest.NopSink{}, rng.New(1), nil)}
+}
 
-	j := scheduler.NewJob(1)
+// run submits a production job with one task per request and runs the
+// cell until every task is running.
+func (r *rig) run(t *testing.T, id trace.CollectionID, scaling trace.VerticalScaling, requests ...trace.Resources) *scheduler.Job {
+	t.Helper()
+	j := scheduler.NewJob(id)
 	j.CollectionType = trace.CollectionJob
 	j.Priority = 120
 	j.Tier = trace.TierProduction
 	j.Scaling = scaling
-	j.Tasks = []scheduler.Task{{Job: j, TaskSpec: scheduler.TaskSpec{Request: request, Duration: sim.Hour}}}
-	task := &j.Tasks[0]
-	task.Machine = m.ID
-	cell.Place(m.ID, &cluster.Resident{Key: task.Key(), Limit: request, Priority: 120, Tier: trace.TierProduction})
-	return ap, cell, task
+	for _, req := range requests {
+		j.AddTask(scheduler.TaskSpec{Request: req, Duration: 100 * sim.Hour})
+	}
+	r.k.At(r.k.Now(), sim.Func(func(sim.Time) { r.sched.Submit(j) }))
+	r.k.RunUntil(r.k.Now() + sim.Minute)
+	for i := range j.Tasks {
+		if j.Tasks[i].State != scheduler.TaskRunning {
+			t.Fatalf("job %d task %d is %v, want running", id, i, j.Tasks[i].State)
+		}
+	}
+	return j
+}
+
+// setup runs one task of the given scaling and request and returns an
+// autopilot over its scheduler.
+func setup(t *testing.T, scaling trace.VerticalScaling, request trace.Resources) (*Autopilot, *scheduler.Scheduler, *scheduler.Task) {
+	t.Helper()
+	r := newRig()
+	j := r.run(t, 1, scaling, request)
+	return New(r.sched), r.sched, &j.Tasks[0]
 }
 
 func TestNoneStrategyNeverAdjusts(t *testing.T) {
@@ -51,7 +82,7 @@ func TestNoneStrategyNeverAdjusts(t *testing.T) {
 }
 
 func TestFullShrinksTowardPeak(t *testing.T) {
-	ap, cell, task := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.4, Mem: 0.4})
+	ap, sched, task := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.4, Mem: 0.4})
 	for i := 0; i < 15; i++ {
 		ap.Observe(task, trace.Resources{CPU: 0.05, Mem: 0.08})
 	}
@@ -66,9 +97,8 @@ func TestFullShrinksTowardPeak(t *testing.T) {
 		t.Fatal("no updates issued")
 	}
 	// Machine allocation tracks the shrunken limit.
-	m := cell.Machine(task.Machine)
-	if m.Allocated().CPU > 0.06 {
-		t.Fatalf("machine allocation not updated: %v", m.Allocated())
+	if alloc := sched.Allocated(task.Machine); alloc.CPU > 0.06 {
+		t.Fatalf("machine allocation not updated: %v", alloc)
 	}
 }
 
@@ -83,19 +113,24 @@ func TestFullGrowsOnPressure(t *testing.T) {
 }
 
 func TestGrowthCappedByMachineHeadroom(t *testing.T) {
-	ap, cell, task := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.1, Mem: 0.1})
+	r := newRig()
+	task := &r.run(t, 1, trace.ScalingFull, trace.Resources{CPU: 0.1, Mem: 0.1}).Tasks[0]
 	// Fill the machine with another resident so headroom is scarce.
-	m := cell.Machine(task.Machine)
-	cell.Place(m.ID, &cluster.Resident{
-		Key:   trace.InstanceKey{Collection: 99},
-		Limit: trace.Resources{CPU: 1.0, Mem: 1.0},
-	})
+	other := &r.run(t, 99, trace.ScalingNone, trace.Resources{CPU: 1.0, Mem: 1.0}).Tasks[0]
+	ap := New(r.sched)
 	for i := 0; i < 5; i++ {
 		ap.Observe(task, trace.Resources{CPU: 0.9, Mem: 0.9})
 	}
-	ceiling := m.Ceiling()
-	if alloc := m.Allocated(); alloc.CPU > ceiling.CPU+1e-9 || alloc.Mem > ceiling.Mem+1e-9 {
-		t.Fatalf("allocation %v exceeds ceiling %v", alloc, ceiling)
+	if head := r.sched.Headroom(task.Machine); head.CPU < -1e-9 || head.Mem < -1e-9 {
+		t.Fatalf("allocation %v exceeds the ceiling by %v", r.sched.Allocated(task.Machine), head)
+	}
+	if task.Request.CPU <= 0.1 || ap.Updates() == 0 {
+		t.Fatalf("limit %v did not grow into the headroom", task.Request)
+	}
+	// The capped limit is the one the machine's allocation counts.
+	want := task.Request.Add(other.Request)
+	if got := r.sched.Allocated(task.Machine); math.Abs(got.CPU-want.CPU) > 1e-9 || math.Abs(got.Mem-want.Mem) > 1e-9 {
+		t.Fatalf("allocated %v, residents' requests sum to %v", got, want)
 	}
 }
 
@@ -179,10 +214,10 @@ func TestForget(t *testing.T) {
 // that needs a window, with the same table slot and window, so the table
 // does not grow with task turnover.
 func TestSweptHandleReused(t *testing.T) {
-	ap, _, first := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.4, Mem: 0.4})
-	j := first.Job
-	j.Tasks = append(j.Tasks, scheduler.Task{Job: j, TaskSpec: scheduler.TaskSpec{Request: trace.Resources{CPU: 0.3, Mem: 0.3}, Duration: sim.Hour}})
-	first, second := &j.Tasks[0], &j.Tasks[1] // the append moved the array
+	r := newRig()
+	j := r.run(t, 1, trace.ScalingFull, trace.Resources{CPU: 0.4, Mem: 0.4}, trace.Resources{CPU: 0.3, Mem: 0.3})
+	ap := New(r.sched)
+	first, second := &j.Tasks[0], &j.Tasks[1]
 	ap.Observe(first, trace.Resources{CPU: 0.1, Mem: 0.1})
 	h, w := first.Autoscale, ap.windows[first.Autoscale]
 	ap.Sweep()
@@ -234,17 +269,9 @@ func TestWindowOrderStatisticMatchesSort(t *testing.T) {
 
 // TestObserveSteadyStateZeroAllocs: once a task's window exists, Observe
 // allocates nothing — neither the percentile over the window nor a limit
-// update through the cell.
+// update through the scheduler.
 func TestObserveSteadyStateZeroAllocs(t *testing.T) {
-	cell := cluster.NewCell("test", cluster.OvercommitPolicy{CPUFactor: 1.2, MemFactor: 1.2})
-	m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
-	ap := New(cell, setRequest)
-	j := scheduler.NewJob(1)
-	j.Scaling = trace.ScalingFull
-	j.Tasks = []scheduler.Task{{Job: j, TaskSpec: scheduler.TaskSpec{Request: trace.Resources{CPU: 0.4, Mem: 0.4}, Duration: sim.Hour}}}
-	task := &j.Tasks[0]
-	task.Machine = m.ID
-	cell.Place(m.ID, &cluster.Resident{Key: task.Key(), Limit: task.Request})
+	ap, _, task := setup(t, trace.ScalingFull, trace.Resources{CPU: 0.4, Mem: 0.4})
 
 	// Alternating quiet and busy stretches keep the recommendation moving,
 	// so the measured calls include limit updates as well as no-ops.

@@ -5,25 +5,29 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/rng"
+	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/workload"
 )
 
 // allocsPerJob is the heap-allocation budget of a whole cell run, per
-// submitted job. The run below reads 37.4, and the budget is a quarter
-// above that. A kept job costs two allocations (the Job and its task
+// submitted job. The run below reads 21.1; the budget was set a quarter
+// above the 37.4 it read while a machine's residents were pooled
+// records. A kept job costs two allocations (the Job and its task
 // array, which holds the tasks by value), and a job killed on arrival
 // one (the Job); the rest of the budget covers the pools that grow to
-// the peak number of running tasks (resident records, autopilot windows,
-// machine resident lists, the generator's task-spec scratch) and the
-// cell's set-up. Anything allocated per placement, restart, kernel event or
-// usage window costs far more: the cell below makes about 125
-// placements, 100 restarts and 380 usage rows per job.
+// the peak number of running tasks (autopilot windows, machine slot
+// slices, the generator's task-spec scratch) and the cell's set-up.
+// Anything allocated per placement, restart, kernel event or usage
+// window costs far more: the cell below makes about 125 placements, 100
+// restarts and 380 usage rows per job.
 const allocsPerJob = 47
 
 // bytesPerJob is the same run's budget in bytes allocated per submitted
-// job. The run reads 17.1 KB, and the budget is about 1.75 times that. A
+// job. The run reads 16.4 KB, and the budget is about 1.8 times that. A
 // job's tasks take most of it; a run that kept every trace row would
 // allocate several times as much (about 130 KB per job in this cell), so
 // this budget also pins that Run keeps no rows of its own.
@@ -62,22 +66,40 @@ func TestRunAllocsPerJob(t *testing.T) {
 
 // TestPlaceAfterSampleZeroAllocs pins the interaction the per-layer
 // guards missed: after a usage-sampling window has walked a machine, a
-// Place/Remove cycle on that machine allocates nothing. The sampler reads
-// the machine's live resident list, so the next membership change has no
-// snapshot to copy.
+// task leaving that machine and being placed back on it allocates
+// nothing. The sampler reads the scheduler's own slots, so the next
+// membership change has no snapshot to copy. The cell has one machine,
+// so the evicted task can only come back to the machine just walked.
 func TestPlaceAfterSampleZeroAllocs(t *testing.T) {
-	st := buildUsageBenchState(t, 120, sim.Hour)
-	sampler := st.newBenchSampler(&trace.CountingSink{})
-	m := firstOccupied(st.cell)
-	extra := &cluster.Resident{Key: trace.InstanceKey{Collection: 1 << 40}}
+	p := workload.Profile2019("a", 1)
+	cell := cluster.NewCell(p.Name, p.Overcommit)
+	m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
+	k := sim.NewKernel()
+	cfg := p.Sched
+	cfg.Batch = false
+	sched := scheduler.New(cfg, cell, k, tracetest.NopSink{}, rng.New(11), nil)
+	j := scheduler.NewJob(1)
+	j.CollectionType = trace.CollectionJob
+	for i := 0; i < 8; i++ {
+		j.AddTask(scheduler.TaskSpec{Request: trace.Resources{CPU: 0.1, Mem: 0.1}, Duration: 1000 * sim.Hour,
+			MeanCPU: 0.05, MeanMem: 0.05, PeakFact: 1.2})
+	}
+	k.At(0, sim.Func(func(sim.Time) { sched.Submit(j) }))
+	k.RunUntil(sim.Minute)
+	sampler := newUsageSampler(p, cell, sched, nil, &trace.CountingSink{}, rng.New(12))
+	sampler.k = k
+	task := &j.Tasks[0]
 	cycle := func() {
-		sampler.sample(st.now)
-		st.cell.Place(m.ID, extra)
-		st.cell.Remove(m.ID, extra.Priority, extra.Key)
+		sampler.sample(k.Now())
+		sched.Evict(task)
+		k.RunUntil(k.Now() + sim.Minute)
+		if task.State != scheduler.TaskRunning || task.Machine != m.ID {
+			t.Fatalf("evicted task is %v on machine %d, want running on %d", task.State, task.Machine, m.ID)
+		}
 	}
 	cycle()
-	cycle() // size the sampler's buffers and the machine's lists
+	cycle() // size the sampler's buffers, the slots and the kernel's event slots
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
-		t.Fatalf("sample then Place/Remove on a sampled machine: %v allocs/op, want 0", allocs)
+		t.Fatalf("sample then evict and place back on the sampled machine: %v allocs/op, want 0", allocs)
 	}
 }

@@ -178,11 +178,11 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	// Scheduler.
 	sched := scheduler.New(p.Sched, cell, k, sink, root.Split("scheduler"), opts.Metrics)
 
-	// Autopilot. Limit updates flow through the scheduler's setter so its
-	// incremental admission accounting tracks autoscaled requests.
+	// Autopilot. A limit update is one scheduler call, which moves the
+	// task's machine allocation and the admission sums with it.
 	var ap *autopilot.Autopilot
 	if !opts.DisableAutopilot {
-		ap = autopilot.New(cell, sched.UpdateTaskRequest)
+		ap = autopilot.New(sched)
 	}
 
 	// Workload arrivals: a live generator by default, or a replayer over
@@ -317,10 +317,11 @@ func (a *arrivals) Fire(now sim.Time) {
 	a.schedule(now)
 }
 
-// obs is one running task's sampled usage for the current window.
+// obs is one running task's sampled usage for the current window. at is
+// the task's slot position when the walk read it (Scheduler.SetUsage).
 type obs struct {
 	task *scheduler.Task
-	res  *cluster.Resident
+	at   int
 	avg  trace.Resources
 	peak trace.Resources
 }
@@ -381,30 +382,30 @@ func (u *usageSampler) draw(t *scheduler.Task) (avg trace.Resources, peakJitter 
 }
 
 // sample emits one 5-minute window of usage records ending at now. It
-// walks the cell's machines in ID order and each machine's resident
-// victim order — both deterministic — so randomness consumption stays a
-// pure function of the simulation state, with no per-window sorting or
-// grouping maps. Machines without residents are skipped and draw
-// nothing. Each machine's records leave as one batch, and steady-state
-// sampling with autopilot disabled performs zero heap allocations.
+// walks the cell's machines in ID order and each machine's slots in the
+// scheduler's victim order — both deterministic — so randomness
+// consumption stays a pure function of the simulation state, with no
+// per-window sorting or grouping maps. Machines without residents are
+// skipped and draw nothing. Each machine's records leave as one batch,
+// and steady-state sampling with autopilot disabled performs zero heap
+// allocations.
 func (u *usageSampler) sample(now sim.Time) {
 	if u.mWindows != nil {
 		u.mWindows.Inc()
 	}
 	for _, mid := range u.cell.MachineIDs() {
-		m := u.cell.Machine(mid)
-		if m.NumResidents() == 0 {
+		slots := u.sched.Residents(mid)
+		if len(slots) == 0 {
 			continue
 		}
+		m := u.cell.Machine(mid)
 		list := u.obsBuf[:0]
 		var cpuSum, memSum float64
 		// The walk only reads: memory pressure evicts after it, so it
-		// reads the live list, and the next placement on this machine
-		// copies nothing.
-		for _, r := range m.LiveResidents() {
-			// Every resident was placed by the scheduler, which hands it
-			// its task pointer.
-			t := r.Task.(*scheduler.Task)
+		// reads the scheduler's own slots, and the next placement on this
+		// machine copies nothing. Each slot holds its task.
+		for i := range slots {
+			t := slots[i].Task
 			if t.State != scheduler.TaskRunning || t.Machine != mid {
 				continue
 			}
@@ -417,7 +418,7 @@ func (u *usageSampler) sample(now sim.Time) {
 				list = append(list, obs{})
 			}
 			o := &list[len(list)-1]
-			o.task, o.res = t, r
+			o.task, o.at = t, i
 			o.avg, o.peak = avg, avg.Scale(peakJitter)
 		}
 		u.obsBuf = list[:0]
@@ -451,9 +452,9 @@ func (u *usageSampler) sample(now sim.Time) {
 		// (§5.2); the evicted tasks' usage vanishes with them.
 		if memSum > capMem {
 			for i := range list {
-				// SetResidentUsage keeps the machine's incremental usage
-				// aggregate consistent; the pressure handler below reads it.
-				m.SetResidentUsage(list[i].res, list[i].avg)
+				// SetUsage keeps the machine's usage sum consistent; the
+				// pressure handler below reads it.
+				u.sched.SetUsage(list[i].task, list[i].at, list[i].avg)
 			}
 			u.sched.HandleMemoryPressure(mid, capMem)
 		}
@@ -465,7 +466,9 @@ func (u *usageSampler) sample(now sim.Time) {
 			if t.State != scheduler.TaskRunning || t.Machine != mid {
 				continue // evicted by the pressure handler above
 			}
-			m.SetResidentUsage(o.res, o.avg)
+			// An eviction above may have shifted this task's slot, which
+			// SetUsage then searches for.
+			u.sched.SetUsage(t, o.at, o.avg)
 			if n := len(recs); n < cap(recs) {
 				recs = recs[:n+1]
 			} else {

@@ -60,7 +60,7 @@ func buildUsageBenchState(tb testing.TB, machines int, warmup sim.Time) *usageBe
 	}
 	scheduleArrival(0)
 	k.RunUntil(warmup)
-	if firstOccupied(cell) == nil {
+	if !occupied(cell, sched) {
 		tb.Fatal("usage bench warmup produced no running tasks")
 	}
 	return &usageBenchState{
@@ -70,14 +70,14 @@ func buildUsageBenchState(tb testing.TB, machines int, warmup sim.Time) *usageBe
 	}
 }
 
-// firstOccupied returns the lowest-ID machine holding a resident, or nil.
-func firstOccupied(cell *cluster.Cell) *cluster.Machine {
+// occupied reports whether any machine of the cell holds a resident.
+func occupied(cell *cluster.Cell, sched *scheduler.Scheduler) bool {
 	for _, id := range cell.MachineIDs() {
-		if m := cell.Machine(id); m.NumResidents() > 0 {
-			return m
+		if len(sched.Residents(id)) > 0 {
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // newBenchSampler binds a fresh sampler (autopilot off) to the live

@@ -30,8 +30,9 @@ import (
 type RunInstruments struct {
 	reg *metrics.Registry
 	tl  *metrics.Timeline
-	// cells[i] is cell i's private registry until its OnResult merge
-	// releases it.
+	// cells[i] is cell i's private registry, created by Cell(i) and
+	// released by its OnResult merge, so the registries alive are those
+	// of the cells in flight, however many cells the run has.
 	cells []*metrics.Registry
 	// starts[i] is cell i's wall-clock start, written by the worker in
 	// OnStart and read on the OnResult path (the engine's result-handoff
@@ -50,9 +51,6 @@ func NewRunInstruments(reg *metrics.Registry, tl *metrics.Timeline, n int) *RunI
 	ri := &RunInstruments{reg: reg, tl: tl, starts: make([]time.Time, n)}
 	if reg != nil {
 		ri.cells = make([]*metrics.Registry, n)
-		for i := range ri.cells {
-			ri.cells[i] = metrics.NewRegistry()
-		}
 		reg.Gauge("run_cells_total").Add(float64(n))
 		ri.started = reg.Counter("run_cells_started_total")
 		ri.done = reg.Counter("run_cells_done_total")
@@ -62,13 +60,18 @@ func NewRunInstruments(reg *metrics.Registry, tl *metrics.Timeline, n int) *RunI
 
 // Cell returns cell i's options with its instrumentation applied: the
 // private per-cell registry (replacing any run-level registry the
-// options inherited) and the shared timeline with TID i.
+// options inherited), created here on the cell's first call, and the
+// shared timeline with TID i. Calls for different cells may run
+// concurrently.
 func (ri *RunInstruments) Cell(i int, o core.Options) core.Options {
 	if ri == nil {
 		return o
 	}
 	o.Metrics = nil
 	if ri.cells != nil {
+		if ri.cells[i] == nil {
+			ri.cells[i] = metrics.NewRegistry()
+		}
 		o.Metrics = ri.cells[i]
 	}
 	o.Timeline = ri.tl

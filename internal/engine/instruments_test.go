@@ -81,6 +81,26 @@ func TestRunInstrumentsNilIsNoOp(t *testing.T) {
 	}
 }
 
+// TestRunInstrumentsCreatesCellRegistriesLazily: a cell's private
+// registry is created by its first Cell call, not by NewRunInstruments,
+// so instrumenting a 100,000-cell fleet takes a few allocations, and
+// the registries alive are those of the cells in flight. Later calls
+// for the same cell get the same registry.
+func TestRunInstrumentsCreatesCellRegistriesLazily(t *testing.T) {
+	reg := metrics.NewRegistry()
+	if avg := testing.AllocsPerRun(5, func() { NewRunInstruments(reg, nil, 100_000) }); avg > 8 {
+		t.Fatalf("NewRunInstruments for 100,000 cells: %.0f allocations, want at most 8", avg)
+	}
+	ri := NewRunInstruments(reg, nil, 3)
+	first := ri.Cell(1, core.Options{}).Metrics
+	if first == nil || ri.Cell(1, core.Options{}).Metrics != first {
+		t.Fatal("cell 1 does not keep one registry across Cell calls")
+	}
+	if other := ri.Cell(2, core.Options{}).Metrics; other == nil || other == first {
+		t.Fatal("cell 2 shares cell 1's registry")
+	}
+}
+
 func TestTimelineRecordsCellSpans(t *testing.T) {
 	tl := metrics.NewTimeline()
 	specs := testSpecs(7)

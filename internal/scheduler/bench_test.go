@@ -27,21 +27,36 @@ func benchPolicyCell(policy PlacementPolicy, n, residents int, tier trace.Tier, 
 	cfg.Batch = false
 	cfg.ServiceTime = constService(0.001)
 	s := New(cfg, cell, k, tracetest.NopSink{}, rng.New(7), nil)
+	fillCell(s, cell, n, residents, tier, priority, limit, usage)
+	return s, cell
+}
+
+// fillCell adds n unit machines to the scheduler's cell and places
+// residents running tasks of the given tier, priority, request and
+// sampled usage on each, every task the only one of its job.
+func fillCell(s *Scheduler, cell *cluster.Cell, n, residents int, tier trace.Tier, priority int, limit, usage trace.Resources) {
 	id := trace.CollectionID(1)
 	for i := 0; i < n; i++ {
 		m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
 		for r := 0; r < residents; r++ {
-			cell.Place(m.ID, &cluster.Resident{
-				Key:      trace.InstanceKey{Collection: id},
-				Limit:    limit,
-				Priority: priority,
-				Tier:     tier,
-				Usage:    usage,
-			})
+			t := residentTask(trace.InstanceKey{Collection: id}, priority, tier, limit)
+			s.place(t, m.ID)
+			s.SetUsage(t, 0, usage)
 			id++
 		}
 	}
-	return s, cell
+}
+
+// residentTask returns a running task with the given key, priority, tier
+// and request, the only task of its job, for tests that place residents
+// directly. Its job is never submitted.
+func residentTask(key trace.InstanceKey, priority int, tier trace.Tier, req trace.Resources) *Task {
+	j := NewJob(key.Collection)
+	j.CollectionType = trace.CollectionJob
+	j.Priority = priority
+	j.Tier = tier
+	j.Tasks = []Task{{Job: j, TaskSpec: TaskSpec{Request: req, Duration: sim.Hour}, State: TaskRunning, index: key.Index}}
+	return &j.Tasks[0]
 }
 
 // benchTask returns a pending task of the given shape, the only task of
@@ -56,10 +71,10 @@ func benchTask(req trace.Resources, priority int, tier trace.Tier) *Task {
 }
 
 // BenchmarkPlacement measures the steady-state placement fast path: one
-// candidate-sampling scoring pass plus the place/remove cell mutations a
-// real placement cycle performs. The loop must not allocate.
+// candidate-sampling scoring pass plus the place/remove mutations of the
+// machine's residents a real placement cycle performs. The loop must not allocate.
 func BenchmarkPlacement(b *testing.B) {
-	s, cell := benchCell(200, 12, trace.TierMid, 110,
+	s, _ := benchCell(200, 12, trace.TierMid, 110,
 		trace.Resources{CPU: 0.03, Mem: 0.03}, trace.Resources{CPU: 0.02, Mem: 0.02},
 		defaultOC)
 	t := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierProduction)
@@ -70,8 +85,8 @@ func BenchmarkPlacement(b *testing.B) {
 		if m == nil {
 			b.Fatal("no feasible machine")
 		}
-		cell.Place(m.ID, s.takeResident(t.Key(), t.Request, t.Job.Priority, t.Job.Tier))
-		s.releaseResident(cell.Remove(m.ID, t.Job.Priority, t.Key()))
+		s.place(t, m.ID)
+		s.remove(t)
 	}
 }
 
@@ -83,7 +98,7 @@ func BenchmarkPlacementPolicy(b *testing.B) {
 	for _, p := range policies() {
 		p := p
 		b.Run(p.String(), func(b *testing.B) {
-			s, cell := benchPolicyCell(p, 200, 12, trace.TierMid, 110,
+			s, _ := benchPolicyCell(p, 200, 12, trace.TierMid, 110,
 				trace.Resources{CPU: 0.03, Mem: 0.03}, trace.Resources{CPU: 0.02, Mem: 0.02},
 				defaultOC)
 			t := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierProduction)
@@ -94,8 +109,8 @@ func BenchmarkPlacementPolicy(b *testing.B) {
 				if m == nil {
 					b.Fatal("no feasible machine")
 				}
-				cell.Place(m.ID, s.takeResident(t.Key(), t.Request, t.Job.Priority, t.Job.Tier))
-				s.releaseResident(cell.Remove(m.ID, t.Job.Priority, t.Key()))
+				s.place(t, m.ID)
+				s.remove(t)
 			}
 		})
 	}

@@ -16,7 +16,7 @@ import (
 // steady-state placement cycle — candidate scoring, placing the chosen
 // resident, and unplacing it — must not allocate.
 func TestPlacementSteadyStateZeroAllocs(t *testing.T) {
-	s, cell := benchCell(64, 8, trace.TierMid, 110,
+	s, _ := benchCell(64, 8, trace.TierMid, 110,
 		trace.Resources{CPU: 0.03, Mem: 0.03}, trace.Resources{CPU: 0.02, Mem: 0.02},
 		defaultOC)
 	task := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierProduction)
@@ -25,11 +25,11 @@ func TestPlacementSteadyStateZeroAllocs(t *testing.T) {
 		if m == nil {
 			t.Fatal("no feasible machine")
 		}
-		cell.Place(m.ID, s.takeResident(task.Key(), task.Request, task.Job.Priority, task.Job.Tier))
-		s.releaseResident(cell.Remove(m.ID, task.Job.Priority, task.Key()))
+		s.place(task, m.ID)
+		s.remove(task)
 	}
 	for i := 0; i < 100; i++ {
-		cycle() // warm the resident pool
+		cycle() // grow the machines' slot slices
 	}
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 		t.Fatalf("steady-state placement allocates %.1f allocs/op, want 0", avg)
@@ -49,20 +49,8 @@ func TestInstrumentedPlacementZeroAllocs(t *testing.T) {
 	cfg.Batch = false
 	cfg.ServiceTime = constService(0.001)
 	s := New(cfg, cell, k, tracetest.NopSink{}, rng.New(7), reg)
-	id := trace.CollectionID(1)
-	for i := 0; i < 64; i++ {
-		m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
-		for r := 0; r < 8; r++ {
-			cell.Place(m.ID, &cluster.Resident{
-				Key:      trace.InstanceKey{Collection: id},
-				Limit:    trace.Resources{CPU: 0.03, Mem: 0.03},
-				Priority: 110,
-				Tier:     trace.TierMid,
-				Usage:    trace.Resources{CPU: 0.02, Mem: 0.02},
-			})
-			id++
-		}
-	}
+	fillCell(s, cell, 64, 8, trace.TierMid, 110,
+		trace.Resources{CPU: 0.03, Mem: 0.03}, trace.Resources{CPU: 0.02, Mem: 0.02})
 	task := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierProduction)
 	cycle := func() {
 		s.attemptPlacement(task, k.Now())
@@ -74,7 +62,7 @@ func TestInstrumentedPlacementZeroAllocs(t *testing.T) {
 		task.State = TaskPending
 	}
 	for i := 0; i < 100; i++ {
-		cycle() // warm the resident pool and the kernel's event slots
+		cycle() // grow the slot slices and the kernel's event slots
 	}
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 		t.Fatalf("instrumented placement allocates %.1f allocs/op, want 0", avg)
@@ -126,12 +114,12 @@ func TestEvictMachineZeroAllocs(t *testing.T) {
 	k.RunUntil(sim.Minute)
 	cycle := func() {
 		s.EvictMachine(m.ID)
-		if m.NumResidents() != 0 {
-			t.Fatalf("%d residents survived maintenance", m.NumResidents())
+		if n := len(s.Residents(m.ID)); n != 0 {
+			t.Fatalf("%d residents survived maintenance", n)
 		}
 		k.RunUntil(k.Now() + sim.Minute)
-		if m.NumResidents() != len(j.Tasks) {
-			t.Fatalf("%d of %d tasks placed back", m.NumResidents(), len(j.Tasks))
+		if n := len(s.Residents(m.ID)); n != len(j.Tasks) {
+			t.Fatalf("%d of %d tasks placed back", n, len(j.Tasks))
 		}
 	}
 	for i := 0; i < 10; i++ {

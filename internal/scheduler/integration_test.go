@@ -75,9 +75,9 @@ func TestAllocSetEndingKillsItsParentInside(t *testing.T) {
 			if parent.FirstRun < 0 {
 				t.Fatal("the parent never ran inside the alloc set")
 			}
-			m := rig.cell.Machine(rig.cell.MachineIDs()[0])
-			if m.NumResidents() != 0 || m.Allocated() != (trace.Resources{}) {
-				t.Fatalf("machine keeps %d residents, %v allocated", m.NumResidents(), m.Allocated())
+			id := rig.cell.MachineIDs()[0]
+			if n, alloc := len(rig.sched.Residents(id)), rig.sched.Allocated(id); n != 0 || alloc != (trace.Resources{}) {
+				t.Fatalf("machine keeps %d residents, %v allocated", n, alloc)
 			}
 			kills := instanceEventsOfType(rig.tr, 2, trace.EventKill)
 			finishes := instanceEventsOfType(rig.tr, 2, trace.EventFinish)
@@ -124,6 +124,37 @@ func TestEvictedAllocInstanceDisplacesInnerTasks(t *testing.T) {
 }
 
 func time5m() sim.Time { return 5 * sim.Minute }
+
+// TestEvictMachineSkipsDepartedBeforeCoin: machine maintenance walks a
+// copy of the machine's residents. Evicting a free-tier alloc instance
+// first (it is weakest) takes the production task it hosts off the
+// machine, so when the walk reaches that task it is skipped before any
+// production-SLO coin is drawn: the scheduler's random stream does not
+// move.
+func TestEvictMachineSkipsDepartedBeforeCoin(t *testing.T) {
+	rig := newRig(t, fastConfig(), 1, trace.Resources{CPU: 1, Mem: 1})
+	as := NewJob(1)
+	as.CollectionType = trace.CollectionAllocSet
+	as.Tier = trace.TierFree
+	as.AddTask(TaskSpec{Request: trace.Resources{CPU: 0.5, Mem: 0.5}, Duration: 10 * sim.Hour})
+	inner := mkJob(2, 200, trace.TierProduction, 1, trace.Resources{CPU: 0.2, Mem: 0.2}, 5*sim.Hour)
+	inner.AllocSet = 1
+	rig.k.At(0, sim.Func(func(sim.Time) { rig.sched.Submit(as) }))
+	rig.k.At(time5m(), sim.Func(func(sim.Time) { rig.sched.Submit(inner) }))
+	rig.k.RunUntil(10 * sim.Minute)
+	id := rig.cell.MachineIDs()[0]
+	if n := len(rig.sched.Residents(id)); n != 2 || inner.Tasks[0].AllocInstance == nil {
+		t.Fatalf("%d residents, inner task hosted %v; want the instance and its hosted task", n, inner.Tasks[0].AllocInstance != nil)
+	}
+	before := *rig.sched.src
+	rig.sched.EvictMachine(id)
+	if *rig.sched.src != before {
+		t.Fatal("maintenance drew a coin for a task that had already left the machine")
+	}
+	if got := instanceEventsOfType(rig.tr, 2, trace.EventEvict); got != 1 {
+		t.Fatalf("hosted task evicted %d times, want once (with its instance)", got)
+	}
+}
 
 func TestProdNeverPreemptsProd(t *testing.T) {
 	rig := newRigOC(t, fastConfig(), strictOC, 1, trace.Resources{CPU: 1, Mem: 1})
@@ -215,7 +246,7 @@ func TestUnplaceHookFires(t *testing.T) {
 		t.Fatalf("hook runStart %v", lastStart)
 	}
 	for _, id := range rig.cell.MachineIDs() {
-		if n := rig.cell.Machine(id).NumResidents(); n != 0 {
+		if n := len(rig.sched.Residents(id)); n != 0 {
 			t.Fatalf("machine %d still holds %d residents", id, n)
 		}
 	}
@@ -231,8 +262,8 @@ func TestOOMKillTerminalAfterRepeat(t *testing.T) {
 	m := rig.cell.Machine(rig.cell.MachineIDs()[0])
 
 	overLimit := func() {
-		for _, r := range m.LiveResidents() {
-			m.SetResidentUsage(r, trace.Resources{CPU: 0.1, Mem: 1.5}) // way over its limit
+		for i, sl := range rig.sched.Residents(m.ID) {
+			rig.sched.SetUsage(sl.Task, i, trace.Resources{CPU: 0.1, Mem: 1.5}) // way over its limit
 		}
 		rig.sched.HandleMemoryPressure(m.ID, m.Capacity.Mem)
 	}

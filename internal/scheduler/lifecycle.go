@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -167,10 +166,9 @@ func (t *Task) planSegments() {
 
 // startRunning transitions a placed task to running and schedules the end
 // of its current segment.
-func (s *Scheduler) startRunning(t *Task, m trace.MachineID) {
+func (s *Scheduler) startRunning(t *Task) {
 	now := s.k.Now()
 	t.State = TaskRunning
-	t.Machine = m
 	t.runStart = now
 	if t.Job.FirstRun < 0 {
 		t.Job.FirstRun = now
@@ -346,12 +344,11 @@ func (s *Scheduler) unplace(t *Task, terminal bool) {
 		s.UnplaceHook(t, t.runStart)
 	}
 	// A de-scheduled alloc instance takes its reservation with it.
-	key := t.Key()
 	if t.Job.CollectionType == trace.CollectionAllocSet {
 		// The teardown may kill a job whose end kills this alloc set,
 		// which unplaces this instance again from inside the teardown.
 		t.unplacing = true
-		s.removeAllocInstance(key, terminal)
+		s.removeAllocInstance(t.Key(), terminal)
 		t.unplacing = false
 		if t.Machine == 0 {
 			// A job killed with the instance's hosted tasks had this
@@ -359,6 +356,9 @@ func (s *Scheduler) unplace(t *Task, terminal bool) {
 			return
 		}
 	}
+	// The task leaves its machine while its alloc instance is still
+	// set, so its zero machine limit is what comes off the allocation.
+	s.remove(t)
 	// The hosting instance gets its reservation back. While an instance
 	// is torn down (removeAllocInstance) its hosted tasks return it to an
 	// instance no longer in its set, which nothing reads again.
@@ -366,9 +366,6 @@ func (s *Scheduler) unplace(t *Task, terminal bool) {
 		ai.Used = ai.Used.Sub(t.Request)
 		t.AllocInstance = nil
 	}
-	// The detached record is recycled: nothing else may retain it.
-	s.releaseResident(s.cell.Remove(t.Machine, t.Job.Priority, key))
-	t.Machine = 0
 }
 
 // Evict de-schedules a running task for an infrastructure reason (§5.2:
@@ -406,25 +403,28 @@ func (s *Scheduler) requeueAfter(t *Task, delay sim.Time) {
 // are usually spared: Borg's eviction-rate SLOs protect them (migrated
 // gracefully, which the trace does not record as an EVICT).
 func (s *Scheduler) EvictMachine(id trace.MachineID) {
-	m := s.cell.Machine(id)
-	if m == nil {
+	if s.cell.Machine(id) == nil {
 		return
 	}
 	s.met.machineEvictions.Inc()
 	// Evicting an alloc instance evicts the tasks it hosts, which leave
-	// the same machine, so the walk reads a copy of the list. Their
-	// records are recycled and zeroed by then, so they name no task and
-	// are skipped.
-	s.evicting = append(s.evicting[:0], m.LiveResidents()...)
-	for _, r := range s.evicting {
-		if r.Tier == trace.TierProduction && !s.src.Bool(prodEvictionSLO) {
+	// the same machine, so the walk reads a copy of the list. A task that
+	// has left by the time the walk reaches it is skipped before any
+	// production-SLO coin is drawn for it.
+	for _, sl := range s.on(id).slots {
+		s.evicting = append(s.evicting, sl.Task)
+	}
+	for _, t := range s.evicting {
+		if t.Machine != id {
 			continue
 		}
-		if t, _ := r.Task.(*Task); t != nil {
-			s.Evict(t)
+		if t.Job.Tier == trace.TierProduction && !s.src.Bool(prodEvictionSLO) {
+			continue
 		}
+		s.Evict(t)
 	}
 	clear(s.evicting)
+	s.evicting = s.evicting[:0]
 }
 
 // HandleMemoryPressure evicts the lowest-priority residents of a machine
@@ -432,23 +432,19 @@ func (s *Scheduler) EvictMachine(id trace.MachineID) {
 // over-committed and Borg had to kill one or more instances"). Pass the
 // machine's memory capacity, less any already-committed window usage.
 func (s *Scheduler) HandleMemoryPressure(id trace.MachineID, limitMem float64) int {
-	m := s.cell.Machine(id)
-	if m == nil {
+	if s.cell.Machine(id) == nil {
 		return 0
 	}
 	evicted := 0
-	for m.UsageTotal().Mem > limitMem+1e-9 {
+	for s.UsageTotal(id).Mem > limitMem+1e-9 {
 		// The pick finishes reading before the eviction below changes
 		// the machine, so it reads the live list.
-		victim := pickOOMVictim(m.LiveResidents())
+		victim := pickOOMVictim(s.Residents(id))
 		if victim == nil {
 			break
 		}
-		t, _ := victim.Task.(*Task)
-		if t == nil {
-			break
-		}
-		if victim.Limit.Mem > 0 && victim.Usage.Mem > victim.Limit.Mem {
+		t := victim.Task
+		if limit := machineLimit(t); limit.Mem > 0 && victim.Usage().Mem > limit.Mem {
 			// Over its own limit: the task FAILs (§5.2: "trying to use
 			// more resources than it had requested"), rather than being
 			// evicted by the infrastructure.
@@ -488,21 +484,23 @@ func (s *Scheduler) failOverLimit(t *Task) {
 // first a non-production resident using more memory than its limit (the
 // culprit), then the weakest non-production resident, and only as a last
 // resort a production resident — eviction SLOs shield the production tier
-// (§5.2). residents arrive sorted weakest-first. Zero-limit residents are
-// reservation-backed (alloc-hosted) and not treated as over-limit.
-func pickOOMVictim(residents []*cluster.Resident) *cluster.Resident {
-	for _, r := range residents {
-		if r.Tier != trace.TierProduction && r.Limit.Mem > 0 && r.Usage.Mem > r.Limit.Mem {
-			return r
+// (§5.2). slots arrive sorted weakest-first. Alloc-hosted residents count
+// a zero machine limit (the reservation backs them) and are not treated
+// as over-limit.
+func pickOOMVictim(slots []Slot) *Slot {
+	for i := range slots {
+		t := slots[i].Task
+		if limit := machineLimit(t); t.Job.Tier != trace.TierProduction && limit.Mem > 0 && slots[i].Usage().Mem > limit.Mem {
+			return &slots[i]
 		}
 	}
-	for _, r := range residents {
-		if r.Tier != trace.TierProduction {
-			return r
+	for i := range slots {
+		if slots[i].Task.Job.Tier != trace.TierProduction {
+			return &slots[i]
 		}
 	}
-	if len(residents) > 0 {
-		return residents[0]
+	if len(slots) > 0 {
+		return &slots[0]
 	}
 	return nil
 }

@@ -58,21 +58,24 @@ func (s *Scheduler) pickMachine(t *Task) *cluster.Machine {
 	bestScore := math.Inf(1)
 	for c := first; c < end; c++ {
 		m := s.candidate(ids, c)
-		if m == nil || !m.FitsLimit(t.Request) {
+		if m == nil {
+			continue
+		}
+		r := s.on(m.ID)
+		if !m.FitsLimit(r.allocated, t.Request) {
 			continue
 		}
 		// Usage-aware feasibility: do not stack onto a machine whose
 		// sampled memory usage leaves no room — memory is a hard bound
 		// and placing here would trigger OOM evictions next window.
-		usage := m.UsageTotal()
-		if usage.Mem+0.6*t.Request.Mem > m.Capacity.Mem {
+		if r.usage.Mem+0.6*t.Request.Mem > m.Capacity.Mem {
 			continue
 		}
 		if s.cfg.Policy == RandomFit {
 			// First fit: the first feasible candidate wins outright.
 			return m
 		}
-		if score := s.cfg.Policy.score(m, t.Request, usage); score < bestScore {
+		if score := s.cfg.Policy.score(m.Capacity, r.allocated, t.Request, r.usage); score < bestScore {
 			best, bestScore = m, score
 		}
 	}
@@ -109,42 +112,11 @@ func (s *Scheduler) candidate(ids []trace.MachineID, c int) *cluster.Machine {
 	return s.cell.Machine(ids[j])
 }
 
-// takeResident returns a Resident record for a placement, recycling one
-// from the pool when possible so steady-state placement does not allocate.
-func (s *Scheduler) takeResident(key trace.InstanceKey, limit trace.Resources, priority int, tier trace.Tier) *cluster.Resident {
-	if n := len(s.residentPool); n > 0 {
-		r := s.residentPool[n-1]
-		s.residentPool = s.residentPool[:n-1]
-		*r = cluster.Resident{Key: key, Limit: limit, Priority: priority, Tier: tier}
-		return r
-	}
-	return &cluster.Resident{Key: key, Limit: limit, Priority: priority, Tier: tier}
-}
-
-// releaseResident returns an unplaced Resident record to the pool. The
-// record must already be detached from its machine. EvictMachine's copy
-// of the machine's residents may still reference it until that walk
-// ends, so the record is zeroed here: a later read of it finds no task
-// and skips it, rather than aliasing whatever task reuses the record
-// next.
-func (s *Scheduler) releaseResident(r *cluster.Resident) {
-	if r != nil {
-		*r = cluster.Resident{}
-		s.residentPool = append(s.residentPool, r)
-	}
-}
-
 // placeOnMachine commits a placement and starts the task.
 func (s *Scheduler) placeOnMachine(t *Task, m *cluster.Machine) {
-	limit := t.Request
-	res := s.takeResident(t.Key(), limit, t.Job.Priority, t.Job.Tier)
-	// The resident carries the task pointer so the usage sampler reads
-	// residents straight into tasks with no key lookup; recycling the
-	// record (releaseResident) clears it.
-	res.Task = t
-	s.cell.Place(m.ID, res)
+	s.place(t, m.ID)
 	s.met.tasksPlaced.Inc()
-	s.startRunning(t, m.ID)
+	s.startRunning(t)
 
 	// A newly placed alloc instance becomes a reservation jobs can
 	// schedule into.
@@ -175,14 +147,13 @@ func (s *Scheduler) placeInAlloc(t *Task, now sim.Time) {
 		return
 	}
 	best.Used = best.Used.Add(t.Request)
-	t.AllocInstance = best
 	// Inner tasks consume the alloc set's reservation, not fresh machine
-	// allocation, so they join the machine with a zero limit.
-	res := s.takeResident(t.Key(), trace.Resources{}, t.Job.Priority, t.Job.Tier)
-	res.Task = t
-	s.cell.Place(best.Machine, res)
+	// allocation, so they join the machine with a zero limit
+	// (machineLimit).
+	t.AllocInstance = best
+	s.place(t, best.Machine)
 	s.met.tasksPlaced.Inc()
-	s.startRunning(t, best.Machine)
+	s.startRunning(t)
 }
 
 // tryPreemption finds a machine where evicting weaker residents makes room
@@ -204,7 +175,7 @@ func (s *Scheduler) tryPreemption(t *Task) *cluster.Machine {
 		if m == nil {
 			continue
 		}
-		need := m.Allocated().Add(t.Request).Sub(m.Ceiling())
+		need := s.on(m.ID).allocated.Add(t.Request).Sub(m.Ceiling())
 		if need.CPU <= 0 && need.Mem <= 0 {
 			// Already fits; pickMachine should have found it, but the
 			// random samples differ.
@@ -214,21 +185,19 @@ func (s *Scheduler) tryPreemption(t *Task) *cluster.Machine {
 		freed := trace.Resources{}
 		// The scan only plans: victims are evicted after every candidate
 		// has been read, so it walks the live list, weakest first.
-		for _, r := range m.LiveResidents() {
-			if r.Priority > t.Job.Priority-preemptionPriorityGap {
+		slots := s.on(m.ID).slots
+		for i := range slots {
+			if slots[i].priority > t.Job.Priority-preemptionPriorityGap {
 				break
 			}
 			// Production never preempts production: eviction-rate SLOs
 			// protect the tier (§5.2).
-			if r.Tier == trace.TierProduction {
-				continue
-			}
-			vt, _ := r.Task.(*Task)
-			if vt == nil || vt.State != TaskRunning {
+			vt := slots[i].Task
+			if vt.Job.Tier == trace.TierProduction || vt.State != TaskRunning {
 				continue
 			}
 			victims = append(victims, vt)
-			freed = freed.Add(r.Limit)
+			freed = freed.Add(machineLimit(vt))
 			if freed.CPU >= need.CPU && freed.Mem >= need.Mem {
 				break
 			}
@@ -252,7 +221,7 @@ func (s *Scheduler) tryPreemption(t *Task) *cluster.Machine {
 		s.met.preemptions.Inc()
 	}
 	clear(s.preBest)
-	if !best.FitsLimit(t.Request) {
+	if !best.FitsLimit(s.on(best.ID).allocated, t.Request) {
 		return nil // eviction freed less than planned (racing state)
 	}
 	return best
@@ -284,9 +253,9 @@ func (s *Scheduler) removeAllocInstance(key trace.InstanceKey, terminal bool) {
 	// The hosted tasks are the residents of the instance's machine that
 	// point at it, taken in key order.
 	var hosted []*Task
-	for _, r := range s.cell.Machine(ai.Machine).LiveResidents() {
-		if t, _ := r.Task.(*Task); t != nil && t.AllocInstance == ai {
-			hosted = append(hosted, t)
+	for _, sl := range s.on(ai.Machine).slots {
+		if sl.Task.AllocInstance == ai {
+			hosted = append(hosted, sl.Task)
 		}
 	}
 	sortTasks(hosted)

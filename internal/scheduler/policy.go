@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/trace"
 )
 
@@ -37,13 +36,11 @@ const (
 // into score units comparable with the usage fractions.
 const oversubRiskWeight = 4.0
 
-// score ranks a feasible machine for a task requesting req; lower is
-// better. usage is the machine's sampled usage total, read once by the
-// caller and threaded through. RandomFit never scores: the first
+// score ranks a feasible machine of the given capacity, with alloc
+// already allocated and usage its sampled usage total, for a task
+// requesting req; lower is better. RandomFit never scores: the first
 // feasible candidate wins outright.
-func (p PlacementPolicy) score(m *cluster.Machine, req, usage trace.Resources) float64 {
-	alloc := m.Allocated()
-	capacity := m.Capacity
+func (p PlacementPolicy) score(capacity, alloc, req, usage trace.Resources) float64 {
 	switch p {
 	case WorstFit:
 		// Spread by absolute headroom: prefer the machine that would

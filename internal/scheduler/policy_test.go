@@ -60,9 +60,7 @@ func TestParsePolicyUnknown(t *testing.T) {
 // reproduce the original score() switch bit for bit across randomized
 // machine states, so same-seed traces cannot drift.
 func TestPolicyScoreMatchesLegacySwitch(t *testing.T) {
-	legacy := func(pol PlacementPolicy, m *cluster.Machine, req, usage trace.Resources) float64 {
-		alloc := m.Allocated()
-		capacity := m.Capacity
+	legacy := func(pol PlacementPolicy, capacity, alloc, req, usage trace.Resources) float64 {
 		frac := 0.0
 		if capacity.CPU > 0 {
 			frac += (alloc.CPU+req.CPU)/capacity.CPU + usage.CPU/capacity.CPU
@@ -82,6 +80,7 @@ func TestPolicyScoreMatchesLegacySwitch(t *testing.T) {
 
 	src := rng.New(99)
 	cell := cluster.NewCell("oracle", defaultOC)
+	s := New(fastConfig(), cell, sim.NewKernel(), tracetest.NopSink{}, rng.New(1), nil)
 	var ms []*cluster.Machine
 	for i := 0; i < 8; i++ {
 		shape := trace.Resources{CPU: 0.5 + src.Float64(), Mem: 0.5 + src.Float64()}
@@ -92,19 +91,16 @@ func TestPolicyScoreMatchesLegacySwitch(t *testing.T) {
 		m := ms[src.Intn(len(ms))]
 		key := trace.InstanceKey{Collection: next}
 		next++
-		r := &cluster.Resident{
-			Key:   key,
-			Limit: trace.Resources{CPU: src.Float64() * 0.2, Mem: src.Float64() * 0.2},
-		}
-		cell.Place(m.ID, r)
-		m.SetResidentUsage(r, trace.Resources{CPU: src.Float64() * 0.1, Mem: src.Float64() * 0.1})
+		r := residentTask(key, 0, trace.TierFree, trace.Resources{CPU: src.Float64() * 0.2, Mem: src.Float64() * 0.2})
+		s.place(r, m.ID)
+		s.SetUsage(r, 0, trace.Resources{CPU: src.Float64() * 0.1, Mem: src.Float64() * 0.1})
 
 		req := trace.Resources{CPU: src.Float64() * 0.3, Mem: src.Float64() * 0.3}
 		vm := ms[src.Intn(len(ms))]
-		usage := vm.UsageTotal()
+		alloc, usage := s.Allocated(vm.ID), s.UsageTotal(vm.ID)
 		for _, pol := range []PlacementPolicy{BestFit, LeastAllocated, OneShot} {
-			got := pol.score(vm, req, usage)
-			want := legacy(pol, vm, req, usage)
+			got := pol.score(vm.Capacity, alloc, req, usage)
+			want := legacy(pol, vm.Capacity, alloc, req, usage)
 			if got != want {
 				t.Fatalf("step %d: %v.score = %v, legacy switch = %v", step, pol, got, want)
 			}
@@ -116,15 +112,15 @@ func TestPolicyScoreMatchesLegacySwitch(t *testing.T) {
 // machine retaining the most absolute free capacity after placement must
 // score strictly lower (better).
 func TestWorstFitPrefersLargestHeadroom(t *testing.T) {
-	cell := cluster.NewCell("wf", defaultOC)
-	big := cell.AddMachine(trace.Resources{CPU: 4, Mem: 4}, "P0")
-	small := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
+	big := trace.Resources{CPU: 4, Mem: 4}
+	small := trace.Resources{CPU: 1, Mem: 1}
 	req := trace.Resources{CPU: 0.1, Mem: 0.1}
-	if !(WorstFit.score(big, req, trace.Resources{}) < WorstFit.score(small, req, trace.Resources{})) {
+	var none trace.Resources
+	if !(WorstFit.score(big, none, req, none) < WorstFit.score(small, none, req, none)) {
 		t.Fatal("WorstFit does not prefer the machine with the most absolute headroom")
 	}
 	// LeastAllocated, by contrast, is fraction-normalized and ties here.
-	if LeastAllocated.score(big, req, trace.Resources{}) >= LeastAllocated.score(small, req, trace.Resources{}) {
+	if LeastAllocated.score(big, none, req, none) >= LeastAllocated.score(small, none, req, none) {
 		t.Fatal("expected LeastAllocated to score the small empty machine no better")
 	}
 }
@@ -135,28 +131,20 @@ func TestWorstFitPrefersLargestHeadroom(t *testing.T) {
 // strictly worse, and the penalty must grow with how hot the machine
 // already runs.
 func TestOversubPenalizesRiskyMachine(t *testing.T) {
-	cell := cluster.NewCell("os", defaultOC)
-	risky := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
-	safe := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
+	capacity := trace.Resources{CPU: 1, Mem: 1}
 	// Overcommit lets allocation exceed capacity on the risky machine.
-	cell.Place(risky.ID, &cluster.Resident{
-		Key:   trace.InstanceKey{Collection: 1},
-		Limit: trace.Resources{CPU: 1.1, Mem: 1.1},
-	})
-	cell.Place(safe.ID, &cluster.Resident{
-		Key:   trace.InstanceKey{Collection: 2},
-		Limit: trace.Resources{CPU: 0.3, Mem: 0.3},
-	})
+	risky := trace.Resources{CPU: 1.1, Mem: 1.1}
+	safe := trace.Resources{CPU: 0.3, Mem: 0.3}
 	req := trace.Resources{CPU: 0.1, Mem: 0.1}
 	usage := trace.Resources{CPU: 0.2, Mem: 0.2}
-	os := Oversub.score
-	if !(os(safe, req, usage) < os(risky, req, usage)) {
+	os := func(alloc, usage trace.Resources) float64 { return Oversub.score(capacity, alloc, req, usage) }
+	if !(os(safe, usage) < os(risky, usage)) {
 		t.Fatal("Oversub does not penalize the overcommitted machine")
 	}
 	cold := trace.Resources{CPU: 0.05, Mem: 0.05}
 	hot := trace.Resources{CPU: 0.9, Mem: 0.9}
-	coldRisk := os(risky, req, cold) - os(safe, req, cold)
-	hotRisk := os(risky, req, hot) - os(safe, req, hot)
+	coldRisk := os(risky, cold) - os(safe, cold)
+	hotRisk := os(risky, hot) - os(safe, hot)
 	if !(hotRisk > coldRisk) {
 		t.Fatalf("oversubscription penalty did not grow with heat: cold %v, hot %v", coldRisk, hotRisk)
 	}
@@ -220,7 +208,7 @@ func TestPlacementZeroAllocsEveryPolicy(t *testing.T) {
 	for _, p := range policies() {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
-			s, cell := benchPolicyCell(p, 64, 8, trace.TierMid, 110,
+			s, _ := benchPolicyCell(p, 64, 8, trace.TierMid, 110,
 				trace.Resources{CPU: 0.03, Mem: 0.03}, trace.Resources{CPU: 0.02, Mem: 0.02},
 				defaultOC)
 			task := benchTask(trace.Resources{CPU: 0.1, Mem: 0.1}, 120, trace.TierProduction)
@@ -229,8 +217,8 @@ func TestPlacementZeroAllocsEveryPolicy(t *testing.T) {
 				if m == nil {
 					t.Fatal("no feasible machine")
 				}
-				cell.Place(m.ID, s.takeResident(task.Key(), task.Request, task.Job.Priority, task.Job.Tier))
-				s.releaseResident(cell.Remove(m.ID, task.Job.Priority, task.Key()))
+				s.place(task, m.ID)
+				s.remove(task)
 			}
 			for i := 0; i < 100; i++ {
 				cycle()

@@ -118,8 +118,9 @@ const (
 // TaskSpec is a task's scripted body: what the workload generator sets
 // and a workload recording stores.
 type TaskSpec struct {
-	// Request is the resource limit. The autopilot's limit updates
-	// rewrite it in place (UpdateTaskRequest).
+	// Request is the resource limit. Once the task is submitted it
+	// changes only through UpdateTaskRequest, which keeps its machine's
+	// allocation in step.
 	Request trace.Resources
 
 	// Duration is the total running time the task needs to complete.
@@ -396,15 +397,17 @@ type Scheduler struct {
 	// residents of its machine that name it.
 	allocs map[trace.CollectionID][]*AllocInstance
 
-	// residentPool recycles Resident records between placements so the
-	// steady-state place/unplace cycle does not allocate.
-	residentPool []*cluster.Resident
+	// machines holds each machine's resident tasks in victim order and
+	// the allocation and usage sums over them, indexed by machine ID
+	// (see residents.go). A slot is a value, so placing and removing a
+	// task allocates nothing once a machine's slice has grown.
+	machines []residents
 	// preBest and preCand are tryPreemption's victim lists: the best
 	// plan so far and the candidate being scanned.
 	preBest, preCand []*Task
-	// evicting is EvictMachine's copy of a machine's residents, which
-	// the evictions it makes would otherwise shift under it.
-	evicting []*cluster.Resident
+	// evicting is EvictMachine's copy of a machine's resident tasks,
+	// which the evictions it makes would otherwise shift under it.
+	evicting []*Task
 
 	batchQueue []*Job
 
@@ -441,14 +444,15 @@ func New(cfg Config, cell *cluster.Cell, k *sim.Kernel, sink trace.Sink, src *rn
 		reg = metrics.NewRegistry()
 	}
 	s := &Scheduler{
-		cfg:    cfg,
-		cell:   cell,
-		k:      k,
-		sink:   sink,
-		src:    src,
-		jobs:   make(map[trace.CollectionID]*Job),
-		allocs: make(map[trace.CollectionID][]*AllocInstance),
-		met:    newSchedInstruments(reg),
+		cfg:      cfg,
+		cell:     cell,
+		machines: make([]residents, len(cell.MachineIDs())+1),
+		k:        k,
+		sink:     sink,
+		src:      src,
+		jobs:     make(map[trace.CollectionID]*Job),
+		allocs:   make(map[trace.CollectionID][]*AllocInstance),
+		met:      newSchedInstruments(reg),
 	}
 	s.serveEv = s.serve
 	if cfg.Batch {
@@ -521,11 +525,17 @@ func (s *Scheduler) accountBEBJob(j *Job) {
 	}
 }
 
-// UpdateTaskRequest changes a running task's resource request in place
-// (the autopilot's limit updates route through here) while keeping the
-// incremental admission accounting consistent with the new request, and
-// emits the UPDATE_RUNNING instance event carrying the new limit.
+// UpdateTaskRequest changes a running task's resource request in place.
+// It is the one place a request changes (the autopilot's limit updates
+// route through here): the task's machine allocation and the incremental
+// admission accounting follow the new request, and the UPDATE_RUNNING
+// instance event carries it. An alloc-hosted task counts no machine
+// limit, so its machine's allocation does not move.
 func (s *Scheduler) UpdateTaskRequest(t *Task, rec trace.Resources) {
+	if t.Machine != 0 && t.AllocInstance == nil {
+		r, _ := s.find(t)
+		r.allocated = r.allocated.Sub(t.Request).Add(rec)
+	}
 	if t.bebCounted {
 		s.bebAllocCPU += rec.CPU - t.bebCountedCPU
 		t.bebCountedCPU = rec.CPU

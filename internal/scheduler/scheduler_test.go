@@ -133,11 +133,11 @@ func TestSimpleJobLifecycle(t *testing.T) {
 	}
 	// All resources released.
 	rig.cell.Machines(func(m *cluster.Machine) {
-		if m.NumResidents() != 0 {
+		if len(rig.sched.Residents(m.ID)) != 0 {
 			t.Fatalf("machine %d still has residents", m.ID)
 		}
-		if m.Allocated().CPU != 0 {
-			t.Fatalf("machine %d allocation leak %v", m.ID, m.Allocated())
+		if alloc := rig.sched.Allocated(m.ID); alloc.CPU != 0 {
+			t.Fatalf("machine %d allocation leak %v", m.ID, alloc)
 		}
 	})
 	if j.FirstRun < 0 {
@@ -594,8 +594,8 @@ func TestHandleMemoryPressure(t *testing.T) {
 	// Aggregate pressure: both tasks are within their own limits, but
 	// the machine total exceeds capacity.
 	m := rig.cell.Machine(rig.cell.MachineIDs()[0])
-	for _, r := range m.LiveResidents() {
-		m.SetResidentUsage(r, trace.Resources{CPU: 0.1, Mem: 0.52})
+	for i, sl := range rig.sched.Residents(m.ID) {
+		rig.sched.SetUsage(sl.Task, i, trace.Resources{CPU: 0.1, Mem: 0.52})
 	}
 	evicted := rig.sched.HandleMemoryPressure(m.ID, m.Capacity.Mem)
 	if evicted != 1 {
@@ -623,10 +623,10 @@ func TestMemoryPressureOverLimitFails(t *testing.T) {
 	rig.k.RunUntil(10 * sim.Minute)
 
 	m := rig.cell.Machine(rig.cell.MachineIDs()[0])
-	for _, r := range m.LiveResidents() {
+	for i, sl := range rig.sched.Residents(m.ID) {
 		// Collection 1 ends up over its 0.2 limit; the prod task stays
 		// within its own limit but contributes to aggregate pressure.
-		m.SetResidentUsage(r, trace.Resources{CPU: 0.1, Mem: 0.55})
+		rig.sched.SetUsage(sl.Task, i, trace.Resources{CPU: 0.1, Mem: 0.55})
 	}
 	rig.sched.HandleMemoryPressure(m.ID, m.Capacity.Mem)
 	// The over-limit task FAILs (§5.2 "fail"); no EVICT for it.
@@ -663,8 +663,8 @@ func TestAllocSetPlacementAndTeardown(t *testing.T) {
 	// Inner tasks must be running inside alloc instances.
 	running := 0
 	for _, id := range rig.cell.MachineIDs() {
-		for _, r := range rig.cell.Machine(id).LiveResidents() {
-			t2 := r.Task.(*Task)
+		for _, sl := range rig.sched.Residents(id) {
+			t2 := sl.Task
 			if t2.Job.ID == 2 {
 				running++
 				if t2.AllocInstance == nil || t2.AllocInstance.Key.Collection != 1 {
@@ -679,7 +679,7 @@ func TestAllocSetPlacementAndTeardown(t *testing.T) {
 	// Machine allocation counts only the alloc set reservations, not the
 	// inner tasks.
 	var total trace.Resources
-	rig.cell.Machines(func(m *cluster.Machine) { total = total.Add(m.Allocated()) })
+	rig.cell.Machines(func(m *cluster.Machine) { total = total.Add(rig.sched.Allocated(m.ID)) })
 	if total.CPU < 0.99 || total.CPU > 1.01 {
 		t.Fatalf("allocated CPU %v, want ~1.0 (two 0.5 reservations)", total.CPU)
 	}
@@ -704,8 +704,8 @@ func TestAllocSetPlacementAndTeardown(t *testing.T) {
 		t.Fatalf("inner job %v/%v after alloc set teardown", inner.State, inner.FinalType)
 	}
 	rig.cell.Machines(func(m *cluster.Machine) {
-		if m.NumResidents() != 0 {
-			t.Fatalf("machine %d has %d leftover residents", m.ID, m.NumResidents())
+		if n := len(rig.sched.Residents(m.ID)); n != 0 {
+			t.Fatalf("machine %d has %d leftover residents", m.ID, n)
 		}
 	})
 }
@@ -813,6 +813,10 @@ func TestSmallCellScanFindsLoneFit(t *testing.T) {
 		}
 		for seed := uint64(1); seed <= 50; seed++ {
 			cell := cluster.NewCell("small", strictOC)
+			k := sim.NewKernel()
+			cfg := fastConfig()
+			cfg.Policy = policy
+			s := New(cfg, cell, k, tracetest.NopSink{}, rng.New(seed), nil)
 			var free trace.MachineID
 			for i := 0; i < 4; i++ {
 				m := cell.AddMachine(trace.Resources{CPU: 1, Mem: 1}, "P0")
@@ -820,15 +824,9 @@ func TestSmallCellScanFindsLoneFit(t *testing.T) {
 					free = m.ID
 					continue
 				}
-				cell.Place(m.ID, &cluster.Resident{
-					Key:   trace.InstanceKey{Collection: 1000, Index: int32(i)},
-					Limit: trace.Resources{CPU: 1, Mem: 1}, Priority: 200, Tier: trace.TierProduction,
-				})
+				key := trace.InstanceKey{Collection: 1000, Index: int32(i)}
+				s.place(residentTask(key, 200, trace.TierProduction, trace.Resources{CPU: 1, Mem: 1}), m.ID)
 			}
-			k := sim.NewKernel()
-			cfg := fastConfig()
-			cfg.Policy = policy
-			s := New(cfg, cell, k, tracetest.NopSink{}, rng.New(seed), nil)
 			j := mkJob(1, 110, trace.TierBestEffortBatch, 1, trace.Resources{CPU: 0.5, Mem: 0.5}, sim.Hour)
 			k.At(sim.Second, sim.Func(func(sim.Time) { s.Submit(j) }))
 			k.RunUntil(sim.Minute)
