@@ -196,11 +196,16 @@
 // read, never a sort (TestObserveSteadyStateZeroAllocs).
 //
 // The per-layer guards cannot see an interaction between layers, so a
-// whole run is bounded too: core.Run allocates per job the Job, and
-// per kept job one array holding all its tasks by value (a Task is 128
-// bytes, which TestTaskSize pins), which Submit builds from the task
-// specs the workload source lends it. A job killed on arrival, a child
-// whose parent has already ended, allocates only its Job
+// whole run is bounded too: core.Run allocates per job the Job. A kept
+// job's tasks live by value in one array (a Task is 128 bytes, which
+// TestTaskSize pins), which Submit fills from the task specs the
+// workload source lends it. The arrays come from a per-cell pool that
+// grows to about the peak number of live tasks: a finished job's array
+// is retired, and Scheduler.Reclaim, which core.Run calls at the end of
+// each sampling window, zeroes it for a later job of its size class (a
+// power of two) once neither the pending queue nor the autopilot's
+// tracked list can name its tasks. A job killed on arrival, a child whose
+// parent has already ended, allocates only its Job
 // (TestKilledOnArrivalZeroAllocs). Beyond that come pools that grow to
 // the peak number of running tasks, and nothing per placement, restart,
 // kernel event or usage window. TestRunAllocsPerJob holds a

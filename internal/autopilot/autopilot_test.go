@@ -237,6 +237,60 @@ func TestSweptHandleReused(t *testing.T) {
 	}
 }
 
+// TestReclaimedArrayKeepsItsWindow: a task observed in a sampling
+// window whose job dies later in the same walk stays on the tracked list
+// until the next sweep drops it. The scheduler must not hand its task
+// array to a new job before then; if it did, the new occupant would be
+// tracked twice, or a sweep would clear its handle and free its window.
+// Jobs of the same size then arrive one per window, and one of them gets
+// the dead job's array; after every sweep each running task keeps a
+// handle of its own that is not on the free list.
+func TestReclaimedArrayKeepsItsWindow(t *testing.T) {
+	r := newRig()
+	ap := New(r.sched)
+	req := trace.Resources{CPU: 0.1, Mem: 0.1}
+	peak := trace.Resources{CPU: 0.05, Mem: 0.05}
+
+	dying := r.run(t, 1, trace.ScalingFull, req)
+	dead := &dying.Tasks[0]
+	ap.Observe(dead, peak)
+	r.sched.KillJob(dying, trace.EventKill)
+	ap.Sweep()
+	r.sched.Reclaim()
+
+	var running []*scheduler.Task
+	reused := false
+	for id := trace.CollectionID(2); id <= 5; id++ {
+		task := &r.run(t, id, trace.ScalingFull, req).Tasks[0]
+		reused = reused || task == dead
+		running = append(running, task)
+		for _, rt := range running {
+			ap.Observe(rt, peak)
+		}
+		ap.Sweep()
+		r.sched.Reclaim()
+
+		if len(ap.tracked) != len(running) {
+			t.Fatalf("window %d: %d tracked tasks, want the %d running", id, len(ap.tracked), len(running))
+		}
+		held := make(map[int32]bool)
+		for _, rt := range running {
+			if rt.Autoscale == 0 || held[rt.Autoscale] {
+				t.Fatalf("window %d: job %d's task holds handle %d, want one of its own", id, rt.Job.ID, rt.Autoscale)
+			}
+			held[rt.Autoscale] = true
+		}
+		for _, h := range ap.free {
+			if held[h] {
+				t.Fatalf("window %d: handle %d is free while a running task holds it", id, h)
+			}
+		}
+	}
+	if !reused {
+		t.Fatal("no later job reused the dead job's task array")
+	}
+}
+
 // TestWindowOrderStatisticMatchesSort: the incrementally sorted window
 // gives the same quantiles, bit for bit, as sorting the held samples.
 func TestWindowOrderStatisticMatchesSort(t *testing.T) {

@@ -14,24 +14,24 @@ import (
 )
 
 // allocsPerJob is the heap-allocation budget of a whole cell run, per
-// submitted job. The run below reads 21.1; the budget was set a quarter
-// above the 37.4 it read while a machine's residents were pooled
-// records. A kept job costs two allocations (the Job and its task
-// array, which holds the tasks by value), and a job killed on arrival
-// one (the Job); the rest of the budget covers the pools that grow to
-// the peak number of running tasks (autopilot windows, machine slot
-// slices, the generator's task-spec scratch) and the cell's set-up.
-// Anything allocated per placement, restart, kernel event or usage
-// window costs far more: the cell below makes about 125 placements, 100
-// restarts and 380 usage rows per job.
-const allocsPerJob = 47
+// submitted job. The run below reads 20.7, and the budget is about 2.2
+// times that. A job costs one allocation (the Job), and a kept job at
+// most one more (its task array, which holds the tasks by value; it is
+// none when the scheduler reuses an array reclaimed from a finished
+// job); the rest of the budget covers the pools that grow to the peak
+// number of running tasks (autopilot windows, machine slot slices, the
+// scheduler's free task arrays, the generator's task-spec scratch) and
+// the cell's set-up. Anything allocated per placement, restart, kernel
+// event or usage window costs far more: the cell below makes about 125
+// placements, 100 restarts and 380 usage rows per job.
+const allocsPerJob = 46
 
 // bytesPerJob is the same run's budget in bytes allocated per submitted
-// job. The run reads 16.4 KB, and the budget is about 1.8 times that. A
+// job. The run reads 16.1 KB, and the budget is about 1.8 times that. A
 // job's tasks take most of it; a run that kept every trace row would
 // allocate several times as much (about 130 KB per job in this cell), so
 // this budget also pins that Run keeps no rows of its own.
-const bytesPerJob = 30 << 10
+const bytesPerJob = 29 << 10
 
 // TestRunAllocsPerJob runs one small cell end to end through Run, the
 // path every CLI drives, and bounds its heap allocations by allocsPerJob

@@ -248,6 +248,9 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 			queueDepth.Observe(float64(sched.QueueDepth()))
 		}
 		sampler.sample(now)
+		// The window's end is quiescent and the autopilot has swept, so
+		// the scheduler may free the task arrays of finished jobs.
+		sched.Reclaim()
 	})
 
 	// The kernel run splits at the warmup boundary only when a timeline

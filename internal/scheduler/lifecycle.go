@@ -3,6 +3,7 @@ package scheduler
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/sim"
@@ -13,8 +14,9 @@ import (
 // simulation time, emitting SUBMIT rows and routing it either to the batch
 // queue or straight to the ready state. It reads the job's task bodies
 // from j.Specs and does not retain them: a job it keeps gets its Tasks
-// array built from them, and either way j.Specs is cleared, so the
-// source may reuse that buffer once Submit returns.
+// array built from them (in an array Reclaim freed, if its size class
+// has one), and either way j.Specs is cleared, so the source may reuse
+// that buffer once Submit returns.
 func (s *Scheduler) Submit(j *Job) {
 	now := s.k.Now()
 	if _, dup := s.jobs[j.ID]; dup {
@@ -42,7 +44,7 @@ func (s *Scheduler) Submit(j *Job) {
 		return
 	}
 
-	j.Tasks = make([]Task, len(specs))
+	j.Tasks = s.taskArray(len(specs))
 	for i := range j.Tasks {
 		t := &j.Tasks[i]
 		t.Job, t.TaskSpec, t.index = j, specs[i], int32(i)
@@ -240,12 +242,13 @@ func (s *Scheduler) finishTask(t *Task, final trace.EventType) {
 // with it (§5.2: a child job is killed automatically when its parent
 // terminates; §5.1: so is a job running in an alloc set that ends) and
 // releases the job: nothing looks a finished job up again, so it leaves
-// s.jobs.
+// s.jobs, and its task array is retired for Reclaim to free.
 func (s *Scheduler) terminateJob(j *Job, final trace.EventType) {
 	if j.State == JobDone {
 		return
 	}
 	delete(s.jobs, j.ID)
+	s.retired = append(s.retired, j)
 	j.State = JobDone
 	j.FinalType = final
 	s.accountBEBJob(j)
@@ -261,6 +264,51 @@ func (s *Scheduler) terminateJob(j *Job, final trace.EventType) {
 	}
 	// An alloc set's instances left with its tasks; drop its entry.
 	delete(s.allocs, j.ID)
+}
+
+// sizeClass returns the task-array size class of n tasks: the exponent
+// of the power of two at or above n, which is the capacity of the
+// class's arrays.
+func sizeClass(n int) int { return bits.Len(uint(n - 1)) }
+
+// taskArray returns a zeroed array of n tasks: a reclaimed one from n's
+// size class if one is free, else a new one with the class's capacity.
+func (s *Scheduler) taskArray(n int) []Task {
+	c := sizeClass(n)
+	if free := s.freeTasks[c]; len(free) > 0 {
+		tasks := free[len(free)-1]
+		free[len(free)-1] = nil
+		s.freeTasks[c] = free[:len(free)-1]
+		return tasks[:n]
+	}
+	return make([]Task, n, 1<<c)
+}
+
+// Reclaim frees the task arrays that nothing can name any longer, for
+// Submit to reuse. Call it at a quiescent point of the cell, after the
+// autopilot's sweep: core.Run calls it at the end of each usage
+// sampling window. A job's array is freed once the job was retired
+// before the previous Reclaim, so a sweep has passed that did not
+// observe its tasks, and once none of its tasks is left in the pending
+// queue. Freeing zeroes the array and sets the job's Tasks to nil.
+// Until a caller calls Reclaim, the scheduler keeps every finished job's
+// array, and the free lists live and die with the scheduler.
+func (s *Scheduler) Reclaim() {
+	kept := s.retired[:0]
+	for i, j := range s.retired {
+		if i >= s.aged || j.queued > 0 {
+			kept = append(kept, j)
+			continue
+		}
+		// Past len the array is still zero from make or an earlier clear.
+		clear(j.Tasks)
+		c := sizeClass(cap(j.Tasks))
+		s.freeTasks[c] = append(s.freeTasks[c], j.Tasks[:cap(j.Tasks)])
+		j.Tasks = nil
+	}
+	clear(s.retired[len(kept):])
+	s.retired = kept
+	s.aged = len(kept)
 }
 
 // targets reports whether job d runs inside alloc set j.

@@ -14,7 +14,8 @@ import "repro/internal/sim"
 // Levels are never removed: a level that empties is reset and keeps its
 // backing array, so a steady push/pop cycle over known priorities does not
 // allocate. A withdrawn (killed) task stays queued until popped and counts
-// toward Len.
+// toward Len, and toward its job's queued count, which keeps the job's
+// task array from being reclaimed while the entry names it.
 type pendingQueue struct {
 	levels []pendingLevel
 	// first is the lowest index of a level that may be non-empty; every
@@ -53,6 +54,7 @@ func (q *pendingQueue) push(t *Task) {
 		q.levels[i] = pendingLevel{priority: p}
 	}
 	q.levels[i].tasks = append(q.levels[i].tasks, t)
+	t.Job.queued++
 	if i < q.first {
 		q.first = i
 	}
@@ -80,6 +82,7 @@ func (q *pendingQueue) pop() *Task {
 		l.tasks, l.head = l.tasks[:live], 0
 	}
 	q.n--
+	t.Job.queued--
 	return t
 }
 

@@ -12,6 +12,7 @@ package scheduler
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cluster"
 	"repro/internal/dist"
@@ -140,8 +141,8 @@ type TaskSpec struct {
 
 // Task is one replica of a job (or one alloc instance of an alloc set).
 // A job the scheduler keeps holds its tasks by value in one array, which
-// Submit allocates from the job's specs, so a task's size is what that
-// array allocates per task: 128 bytes, which TestTaskSize pins. A job
+// Submit fills from the job's specs, so a task's size is what that array
+// takes per task: 128 bytes, which TestTaskSize pins. A job
 // killed on arrival gets no Task of its own (see Submit). The
 // small fields share words, facts held elsewhere are not repeated (the
 // collection ID is the job's, read by Key), and each reference is a
@@ -259,9 +260,19 @@ type Job struct {
 	// copies them into Tasks and clears the field rather than keep them.
 	Specs []TaskSpec
 	// Tasks are the job's tasks, held by value: the job's one task
-	// array, which Submit builds from Specs. A job killed on arrival never
-	// gets one, and Tasks stays nil. Code that changes a task takes
+	// array, which Submit builds from Specs, in an array reclaimed from a
+	// finished job when its size class has one. A job killed on arrival
+	// never gets one, and Tasks stays nil. Code that changes a task takes
 	// &Tasks[i] after Submit.
+	//
+	// A *Task names its task only until the job's array is reclaimed.
+	// When the job terminates the array is retired, and Reclaim frees it
+	// once the two holders that outlive a job have let go: the pending
+	// queue, which keeps a withdrawn task until it is popped (queued
+	// counts those entries), and the autopilot's tracked list, which
+	// drops a task at the first sweep that did not observe it. Reclaim
+	// zeroes the array and sets Tasks to nil. Any other holder must not
+	// use a *Task past the kernel event that took it.
 	Tasks []Task
 
 	State      JobState
@@ -273,6 +284,10 @@ type Job struct {
 	FinalType trace.EventType // termination event emitted, EventSubmit if still open
 
 	liveTasks int
+	// queued is how many of the pending queue's entries are this job's
+	// tasks, withdrawn ones included: Reclaim keeps the array while any
+	// is left.
+	queued    int
 	killEvent sim.EventRef
 	// dependents are the jobs submitted while this job was live that
 	// named it as their parent or, if it is an alloc set, as their alloc
@@ -415,6 +430,15 @@ type Scheduler struct {
 	// arrival emits its instance rows, one spec at a time, so such a job
 	// allocates no task array. It holds no job between Submits.
 	arriving Task
+
+	// freeTasks[c] holds zeroed task arrays of capacity 1<<c, reclaimed
+	// from terminated jobs, for Submit to reuse before it allocates.
+	freeTasks [bits.UintSize][][]Task
+	// retired lists the terminated jobs whose task arrays are not yet
+	// reclaimed, oldest first; the first aged of them were retired before
+	// the previous Reclaim.
+	retired []*Job
+	aged    int
 
 	// bebAllocCPU is the incrementally maintained sum of CPU requests of
 	// best-effort-batch tasks that are pending or running in admitted

@@ -16,9 +16,11 @@
 // bookkeeping on the caller's side.
 //
 // What a whole cell run allocates is therefore decided by the kernel's
-// callers. core.Run allocates per job the Job, and per job the
-// scheduler keeps one array holding its tasks by value; a job killed on
-// arrival allocates only its Job. Nothing is allocated per task event:
+// callers. core.Run allocates per job the Job. A job the scheduler keeps
+// holds its tasks by value in one array taken from a per-cell pool that
+// grows to about the peak number of live tasks, since a finished job's
+// array is reused once nothing names its tasks; a job killed on arrival
+// allocates only its Job. Nothing is allocated per task event:
 // placements, restarts, retries and usage windows reuse pooled state.
 // TestRunAllocsPerJob in internal/core pins that bound end to end, and
 // TestKernelStepZeroAllocs pins the kernel's own part.
