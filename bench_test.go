@@ -230,12 +230,12 @@ func BenchmarkManyCellSuite(b *testing.B) {
 // BenchmarkFleetRollup is the warehouse-scale federation smoke: a
 // 128-cell fleet — profiles sampled around the 2019 medians per cell —
 // streamed through engine.RunStream with one reducer per cell and the
-// usage-noise fast path on, rolled up online into cross-cell t-digest
+// usage-noise fast path on, rolled up into exact cross-cell
 // percentiles. Peak heap must stay under the CI streaming guard's
 // 1536 MB ceiling: reducers are released on delivery, so only the cells
-// started and not yet delivered are held, and the footprint stays flat
-// in fleet size. Minutes-long, so gated behind
-// FLEET_SMOKE=1 (the CI fleet-smoke job sets it).
+// started and not yet delivered are held, beside the rollup's one float
+// per metric per finished cell (about 28 KB here). Minutes-long, so
+// gated behind FLEET_SMOKE=1 (the CI fleet-smoke job sets it).
 func BenchmarkFleetRollup(b *testing.B) {
 	if os.Getenv("FLEET_SMOKE") != "1" {
 		b.Skip("set FLEET_SMOKE=1 to run the fleet rollup benchmark")

@@ -87,7 +87,7 @@
 //   - internal/fleet — warehouse-scale federation: O(100) synthetic
 //     cells profile-sampled around the 2019 medians, streamed through
 //     one engine pool with bounded memory and rolled up online into
-//     fleet-level cross-cell percentiles (internal/stats t-digests),
+//     fleet-level cross-cell percentiles (stats.Summarize, exact),
 //     reported by cmd/borgfleet. internal/cliflags supplies the shared
 //     flag set (-seed, -parallel, -policy, -arrival, -progress,
 //     profiling, observability) all three CLIs register and parse
@@ -309,18 +309,21 @@
 // engine.RunStream. Specs materialize only as workers pick them up;
 // every cell runs with one streaming.CellReducer as its only sink, and
 // each cell's metrics — the metric table's (experiments.Metrics) on the
-// cell alone, less the ones that read the 2011 cell — fold into the
-// fleet rollup (one merging stats.Digest per metric) the moment its
-// in-order result delivers, after which the reducer is released. Peak
-// heap is therefore the cells started and not yet delivered — the
-// running ones plus finished ones waiting behind a slower cell (see
-// engine.RunStream) — however large the fleet: the 128-cell CI smoke
-// runs in a few MB against a 1536 MB ceiling. Determinism follows the
-// engine contract: cell i simulates with engine.DeriveSeed(root, i) and
-// a profile drawn from that seed's own splitter, so the report, rollup
-// CSV and per-cell CSV are byte-identical at any parallelism and cell
-// i's world never depends on the fleet size (fleets are CRN-comparable
-// across knob changes). cmd/borgfleet drives it:
+// cell alone, less the ones that read the 2011 cell — are taken the
+// moment its in-order result delivers, after which the reducer is
+// released. The rollup keeps those values, one float per metric (27)
+// per cell, and reads each metric's mean, percentiles and extremes from
+// one stats.Summarize, the exact interpolated quantiles the report
+// uses. Peak heap is therefore the cells started and not yet delivered
+// — the running ones plus finished ones waiting behind a slower cell
+// (see engine.RunStream) — plus those 27 floats per finished cell: the
+// 128-cell CI smoke runs in a few MB against a 1536 MB ceiling.
+// Determinism follows the engine contract: cell i simulates with
+// engine.DeriveSeed(root, i) and a profile drawn from that seed's own
+// splitter, so the report, rollup CSV and per-cell CSV are
+// byte-identical at any parallelism and cell i's world never depends on
+// the fleet size (fleets are CRN-comparable across knob changes).
+// cmd/borgfleet drives it:
 //
 //	borgfleet -cells 128 -machines 60 -hours 4 -progress \
 //	  -rollup-csv rollup.csv -cells-csv cells.csv
@@ -365,9 +368,10 @@
 //
 // internal/metrics instruments the simulator without touching its
 // determinism: a Registry of typed instruments — lock-free atomic
-// counters and gauges, mutex-guarded t-digest histograms — that the
-// scheduler (placement attempts, preemptions, pending-queue depth), the
-// sim kernel (events dispatched, slab occupancy), the usage pipeline
+// counters and gauges, mutex-guarded histograms that keep their
+// samples — that the scheduler (placement attempts, preemptions,
+// pending-queue depth), the sim kernel (events dispatched, slab
+// occupancy), the usage pipeline
 // (windows sampled) and the trace layer (rows emitted per
 // kind) report into. The contract is
 // observe-only: instruments consume no randomness, schedule no events
@@ -382,9 +386,10 @@
 // gives every cell a private registry (concurrent cells never share
 // one) and merges them into the run-level registry in spec order on the
 // engine's serialized OnResult path — the same discipline the streaming
-// reducers use — so the rolled-up snapshot, t-digest quantiles
-// included, is byte-identical at any parallelism. Counter/gauge merges
-// and histogram count/sum/min/max are exact and order-independent.
+// reducers use — so the rolled-up snapshot is byte-identical at any
+// parallelism. Every merge is exact and order-independent: counters
+// and gauges add, histograms concatenate their samples, and a snapshot
+// reads each histogram's quantiles and sum from its sorted samples.
 // A metrics.Timeline sits outside the determinism boundary and records
 // wall-clock spans (warmup/run per cell, cell and reduce spans at
 // the engine) exportable as Chrome trace_event JSON for

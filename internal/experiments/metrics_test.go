@@ -64,7 +64,8 @@ func TestMetricsDoNotChangeReport(t *testing.T) {
 // TestMetricsRollupIdenticalAcrossParallelism pins that the rolled-up
 // snapshot itself — not just the report — is byte-identical at any
 // parallelism: per-cell registries merge in spec order on the
-// serialized OnResult path, so even t-digest quantiles agree.
+// serialized OnResult path, and a histogram's quantiles and sum are
+// read from its sorted samples, so they would agree in any merge order.
 func TestMetricsRollupIdenticalAcrossParallelism(t *testing.T) {
 	snap := func(par int) []byte {
 		sc := tinyScale()

@@ -20,16 +20,19 @@
 // Cells are streamed through engine.RunStream: specs (profile + one
 // streaming.CellReducer sink, no rows kept) materialize as workers pick
 // up indices and are released as soon as each cell's metrics have been
-// folded into the rollup, so peak state is the cells started and not yet
-// folded (engine.RunStream): the running ones plus finished ones waiting
-// behind a slower cell, which depends on how unequal the cells are, not
-// on the fleet size. A cell's metrics are the metric table's (experiments.Metrics)
-// evaluated on the cell as a lone 2019 pool; the entries that read the
-// 2011 cell have no value there and are left out. The rollup itself is
-// one mergeable t-digest (stats.Digest) per metric, fed in spec order by
-// the engine's in-order OnResult delivery; digests are deterministic
-// sequential code, so the fleet report is byte-identical at any
-// Parallelism.
+// taken, so the simulation state held is the cells started and not yet
+// delivered (engine.RunStream): the running ones plus finished ones
+// waiting behind a slower cell, which depends on how unequal the cells
+// are, not on the fleet size. A cell's metrics are the metric table's
+// (experiments.Metrics) evaluated on the cell as a lone 2019 pool; the
+// entries that read the 2011 cell have no value there and are left out.
+// What grows with the fleet is the metric values themselves: the rollup
+// keeps every cell's non-NaN values, at most 27 floats per cell, and
+// reads each metric's row from stats.Summarize over them, so its
+// quantiles are the same exact order statistics the report and the
+// sweep use. The values arrive in spec order through the engine's
+// in-order OnResult delivery, and Summarize sorts them anyway, so the
+// fleet report is byte-identical at any Parallelism.
 package fleet
 
 import (
@@ -161,11 +164,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	n := cfg.Cells
 	metrics := cellMetrics()
-	digests := make([]*stats.Digest, len(metrics))
-	sums := make([]float64, len(metrics))
-	for i := range digests {
-		digests[i] = stats.NewDigest(stats.DefaultCompression)
-	}
+	samples := make([][]float64, len(metrics))
 	rep := &Report{Cells: n, Horizon: cfg.Horizon, Seed: cfg.Seed}
 
 	// reducers[i] is created with cell i's spec and released once its
@@ -187,11 +186,9 @@ func Run(cfg Config) (*Report, error) {
 			values := make([]float64, len(metrics))
 			for j, m := range metrics {
 				values[j] = m.Value(pool)
-				if math.IsNaN(values[j]) {
-					continue
+				if !math.IsNaN(values[j]) {
+					samples[j] = append(samples[j], values[j])
 				}
-				digests[j].Add(values[j])
-				sums[j] += values[j]
 			}
 			reducers[i] = nil
 			rep.TotalMachines += res.Profile.Machines
@@ -203,27 +200,13 @@ func Run(cfg Config) (*Report, error) {
 			}
 		},
 	}))
-	rep.Rollup = rollup(metrics, digests, sums)
-	return rep, nil
-}
-
-// rollup folds the per-metric digests into the report rows.
-func rollup(metrics []experiments.Metric, digests []*stats.Digest, sums []float64) []MetricRollup {
-	out := make([]MetricRollup, len(metrics))
+	rep.Rollup = make([]MetricRollup, len(metrics))
 	for i, m := range metrics {
-		d := digests[i]
-		r := MetricRollup{Name: m.Name}
-		if c := d.Count(); c > 0 {
-			r.Mean = sums[i] / float64(c)
-			r.P50 = d.Quantile(0.50)
-			r.P90 = d.Quantile(0.90)
-			r.P99 = d.Quantile(0.99)
-			r.Min = d.Min()
-			r.Max = d.Max()
-		}
-		out[i] = r
+		st := stats.Summarize(samples[i])
+		rep.Rollup[i] = MetricRollup{Name: m.Name, Mean: st.Mean,
+			P50: st.Median, P90: st.P90, P99: st.P99, Min: st.Min, Max: st.Max}
 	}
-	return out
+	return rep, nil
 }
 
 // WriteText renders the fleet report as an aligned text table.

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -112,6 +114,30 @@ func TestFleetReportShape(t *testing.T) {
 	util := rep.Rollup[0]
 	if util.Name != "cpu_util" || util.Mean <= 0 || util.Mean >= 1 {
 		t.Fatalf("cpu_util rollup implausible: %+v", util)
+	}
+}
+
+// TestFleetRollupIsExactSummary: each rollup row is stats.Summarize of
+// that metric's non-NaN per-cell values, bit for bit, so the fleet's
+// percentiles are the same order statistics the report reads.
+func TestFleetRollupIsExactSummary(t *testing.T) {
+	var cells []CellSummary
+	cfg := testConfig(2)
+	cfg.OnCell = func(s CellSummary) { cells = append(cells, s) }
+	rep := mustRun(t, cfg)
+	for k, got := range rep.Rollup {
+		var xs []float64
+		for _, c := range cells {
+			if v := c.Values[k]; !math.IsNaN(v) {
+				xs = append(xs, v)
+			}
+		}
+		s := stats.Summarize(xs)
+		want := MetricRollup{Name: got.Name, Mean: s.Mean, P50: s.Median,
+			P90: s.P90, P99: s.P99, Min: s.Min, Max: s.Max}
+		if got != want {
+			t.Errorf("%s: rollup %+v, want %+v", got.Name, got, want)
+		}
 	}
 }
 

@@ -12,8 +12,7 @@ import (
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format: counters and gauges as scalar series, histograms as summaries
-// (quantile-labeled series plus _sum and _count). Quantiles are t-digest
-// estimates; _sum and _count are exact.
+// (quantile-labeled series plus _sum and _count), every value exact.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
 	for _, c := range s.Counters {
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", c.Name, c.Name, c.Value); err != nil {

@@ -1,5 +1,5 @@
 // Package metrics is the simulator's observability seam: a registry of
-// typed instruments (counters, gauges, t-digest histograms) that every
+// typed instruments (counters, gauges, exact histograms) that every
 // hot layer — scheduler, sim kernel, usage pipeline, engine — reports
 // into, with exporters for the Prometheus text format, JSON and CSV, a
 // Chrome trace_event run timeline, and an opt-in live HTTP server.
@@ -15,11 +15,12 @@
 // that contract; new instrumentation must keep them green.
 //
 // Counters and gauges are lock-free atomics so live HTTP scrapes read
-// mid-run values without stalling simulation. Histograms take a mutex
-// per observation (t-digest compression is not lock-free) and therefore
-// stay OFF allocation-free fast paths: hot code uses counters and
+// mid-run values without stalling simulation. Histograms keep every
+// sample: each observation appends under a mutex and costs 8 bytes, so
+// they stay OFF allocation-free fast paths: hot code uses counters and
 // gauges only, and histogram observations ride existing periodic ticks
-// (the usage sampler's 5-minute window, end-of-run summaries).
+// (the usage sampler's 5-minute window, end-of-run summaries), which
+// bounds a histogram by windows or cells, never by events.
 //
 // # Per-cell registries, fleet rollups
 //
@@ -27,9 +28,10 @@
 // and the engine merges per-cell registries into the run-level rollup
 // in spec order on the serialized OnResult path (engine.RunInstruments)
 // — the same discipline the streaming reducers use, so rollups are
-// deterministic at any parallelism. Counter and gauge merges are
-// associative and exact; histogram quantiles are t-digest estimates
-// whose count/sum/min/max stay exact under merge.
+// deterministic at any parallelism. Every merge is associative and
+// exact: counters and gauges add, histograms concatenate their samples,
+// and a snapshot summarizes them in sorted order, so any grouping of
+// the same cells gives the same snapshot, quantiles and sum included.
 package metrics
 
 import (
@@ -74,57 +76,51 @@ func (g *Gauge) Add(delta float64) { g.Set(g.Value() + delta) }
 // Value returns the current level.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram is a mergeable distribution sketch: a stats.Digest t-digest
-// plus exact count/sum/min/max. Observations take a mutex; keep
-// histograms off allocation-free fast paths (see the package doc).
+// Histogram is a distribution that keeps every sample, so its
+// quantiles are exact and its merges are order-independent.
+// Observations take a mutex; keep histograms off allocation-free fast
+// paths (see the package doc).
 type Histogram struct {
-	mu  sync.Mutex
-	d   *stats.Digest
-	sum float64
+	mu      sync.Mutex
+	samples []float64
 }
 
-func newHistogram() *Histogram {
-	return &Histogram{d: stats.NewDigest(stats.DefaultCompression)}
-}
-
-// Observe folds one sample into the histogram. NaN panics, matching
-// stats.Digest.
+// Observe records one sample. NaN panics: it has no place in an order.
 func (h *Histogram) Observe(x float64) {
+	if math.IsNaN(x) {
+		panic("metrics: histogram observed NaN")
+	}
 	h.mu.Lock()
-	h.d.Add(x)
-	h.sum += x
+	h.samples = append(h.samples, x)
 	h.mu.Unlock()
 }
 
-// merge folds other into h. Lock order is receiver then source; the
-// engine only ever merges cell→rollup in one direction, so the order
-// cannot deadlock.
+// merge appends other's samples to h. Lock order is receiver then
+// source; the engine only ever merges cell→rollup in one direction, so
+// the order cannot deadlock.
 func (h *Histogram) merge(other *Histogram) {
 	h.mu.Lock()
 	other.mu.Lock()
-	h.d.Merge(other.d)
-	h.sum += other.sum
+	h.samples = append(h.samples, other.samples...)
 	other.mu.Unlock()
 	h.mu.Unlock()
 }
 
-// snapshot returns the histogram's exported view.
+// snapshot returns the histogram's exported view. It takes the samples
+// under the lock and sorts a copy outside it, so a live scrape never
+// holds a cell's lock while it sorts: appends write only past the
+// length read here, so the prefix it reads does not change.
 func (h *Histogram) snapshot() HistValue {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	v := HistValue{Count: h.d.Count(), Sum: h.sum}
-	if v.Count > 0 {
-		v.Min = h.d.Min()
-		v.Max = h.d.Max()
-		v.P50 = h.d.Quantile(0.50)
-		v.P90 = h.d.Quantile(0.90)
-		v.P99 = h.d.Quantile(0.99)
-	}
-	return v
+	xs := h.samples
+	h.mu.Unlock()
+	s := stats.Summarize(xs)
+	return HistValue{Count: int64(s.N), Sum: s.Total, Min: s.Min, Max: s.Max,
+		P50: s.Median, P90: s.P90, P99: s.P99}
 }
 
-// HistValue is one histogram's snapshot: exact count/sum/min/max and
-// t-digest quantile estimates.
+// HistValue is one histogram's snapshot: its count, sum, extremes and
+// quantiles, all exact (stats.Summarize of its samples).
 type HistValue struct {
 	Count         int64
 	Sum           float64
@@ -202,17 +198,16 @@ func (r *Registry) Histogram(name string) *Histogram {
 		return h
 	}
 	r.checkName(name, "histogram")
-	h := newHistogram()
+	h := &Histogram{}
 	r.hists[name] = h
 	return h
 }
 
-// Merge folds other into r: counters and gauges add, histograms merge
-// their digests. Merging is associative — any grouping of cell
-// registries yields the same counters, gauge sums and exact histogram
-// count/sum/min/max (quantiles agree to t-digest accuracy) — which is
-// what makes cell→fleet rollups order-independent. The caller must not
-// write to other concurrently.
+// Merge folds other into r: counters and gauges add, histograms append
+// other's samples. Merging is associative — any grouping of cell
+// registries yields the same counters, gauge sums and histogram
+// snapshots — which is what makes cell→fleet rollups order-independent.
+// The caller must not write to other concurrently.
 func (r *Registry) Merge(other *Registry) {
 	if other == nil {
 		return
