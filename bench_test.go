@@ -180,8 +180,9 @@ func BenchmarkStreamingSuite(b *testing.B) {
 
 // BenchmarkManyCellSuite is the warehouse-scale smoke benchmark: it
 // simulates a fleet of 54 small 2019 cells (profiles sampled round-robin
-// from the paper's a–h set) in one engine run with one streaming
-// reducer per cell and no rows kept — the shape a many-cell fleet study takes.
+// from the paper's a–h set) through experiments.RunCells with one
+// streaming reducer per cell and no rows kept, all 54 handed over as one
+// group — the shape a many-cell fleet study takes.
 // Peak heap must stay under the same 1536 MB ceiling the CI streaming
 // guard enforces: per-cell memory is bounded reducer state, so the fleet
 // footprint grows with cells, not with rows. The run takes tens of
@@ -201,19 +202,17 @@ func BenchmarkManyCellSuite(b *testing.B) {
 	var rows int64
 	peak := metrics.PeakHeapDuring(func() {
 		for i := 0; i < b.N; i++ {
-			specs := make([]engine.Spec, cells)
-			for c := range specs {
+			// One group of all the cells: RunCells keeps every reducer
+			// and result until the last cell arrives and done receives
+			// them, so the peak covers the whole retained set.
+			experiments.RunCells(cells, cells, func(c int) engine.Spec {
 				p := workload.Profile2019(names[c%len(names)], machines)
-				specs[c] = engine.NewSpec(c, p, core.Options{Horizon: 2 * sim.Hour}, 29)
-			}
-			reducers := make([]*streaming.CellReducer, cells)
-			engine.AttachSinks(specs, func(c int) trace.Sink {
-				reducers[c] = experiments.NewCellReducerFor(specs[c])
-				return reducers[c]
+				return engine.NewSpec(c, p, core.Options{Horizon: 2 * sim.Hour}, 29)
+			}, core.RunKnobs{}, 0, func(_ int, _ []*streaming.CellReducer, results []core.CellResult) {
+				for _, res := range results {
+					rows += res.Rows.Total()
+				}
 			})
-			for _, res := range engine.Run(specs, engine.Options{}) {
-				rows += res.Rows.Total()
-			}
 		}
 	})
 	if rows == 0 {

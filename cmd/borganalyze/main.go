@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 
 	"repro/internal/analysis/streaming"
@@ -27,23 +28,35 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("borganalyze: ")
 	dir := flag.String("trace", "", "trace directory (required)")
-	warmupHours := flag.Float64("warmup-hours", 4, "hours to exclude from time-averaged figures")
+	warmupHours := flag.Float64("warmup-hours", 4, "hours to exclude from time-averaged figures (0 or more, less than the trace's duration)")
 	flag.Parse()
 	if *dir == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(os.Stdout, *dir, sim.FromHours(*warmupHours)); err != nil {
+	if err := analyze(os.Stdout, *dir, *warmupHours); err != nil {
 		log.Fatal(err)
 	}
 }
 
+// analyze is run with -warmup-hours' value, rejecting one that is
+// negative, not a number or too large for a sim.Time.
+func analyze(w io.Writer, dir string, warmupHours float64) error {
+	if !(warmupHours >= 0 && warmupHours < sim.Time(math.MaxInt64).Hours()) {
+		return fmt.Errorf("-warmup-hours %g: want 0 or more, less than the trace's duration", warmupHours)
+	}
+	return run(w, dir, sim.FromHours(warmupHours))
+}
+
 // run reads the trace in dir and writes its analyses to w, excluding the
-// first warmup of simulated time from the time-averaged figures.
+// first warmup (shorter than the trace) from the time-averaged figures.
 func run(w io.Writer, dir string, warmup sim.Time) error {
 	tr, err := trace.ReadDir(dir)
 	if err != nil {
 		return err
+	}
+	if warmup < 0 || warmup >= tr.Meta.Duration {
+		return fmt.Errorf("-warmup-hours %g: want 0 or more, less than the trace's duration %v", warmup.Hours(), tr.Meta.Duration)
 	}
 	fmt.Fprintf(w, "trace: era=%s cell=%s machines=%d duration=%v\n%s\n\n",
 		tr.Meta.Era, tr.Meta.Cell, tr.Meta.Machines, tr.Meta.Duration, tr.Counts())

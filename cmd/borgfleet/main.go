@@ -6,15 +6,13 @@
 // the metric table's (internal/experiments) evaluated on the cell alone,
 // less the ones that read the suite's 2011 cell.
 //
-// Every cell runs with one streaming reducer and keeps no rows; cell specs
-// materialize only as workers pick them up and are released as soon as
-// their metrics fold into the rollup, so peak memory is the cells started
-// and not yet folded: the -parallel running ones plus finished ones
-// waiting behind a slower cell, however large the fleet. Cell i of a fleet rooted at -seed R
-// simulates with engine.DeriveSeed(R, i): the fleet report and CSVs are
-// byte-identical at any -parallel setting, and cell i's world never
-// depends on the fleet size, so fleets are CRN-comparable across knob
-// changes.
+// Every cell runs with one streaming reducer and keeps no rows, and its
+// reducer is released as soon as its metrics fold into the rollup, so
+// peak memory does not grow with the fleet (see experiments.RunCells).
+// Cell i of a fleet rooted at -seed R simulates with
+// engine.DeriveSeed(R, i): the fleet report and CSVs are byte-identical
+// at any -parallel setting, and cell i's world never depends on the
+// fleet size, so fleets are CRN-comparable across knob changes.
 //
 // Usage:
 //
@@ -43,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 
 	"repro/internal/cliflags"
@@ -80,6 +79,11 @@ func run(args []string, stdout, logw io.Writer) (err error) {
 	knobs, err := common.Knobs()
 	if err != nil {
 		return err
+	}
+	// An -hours that is not a number or too large for a sim.Time is
+	// rejected before it converts; cfg.Check judges the rest.
+	if !(math.Abs(*hours) < sim.Time(math.MaxInt64).Hours()) {
+		return fmt.Errorf("-hours %g: want a positive duration", *hours)
 	}
 	cfg := fleet.Config{
 		Cells:          *cells,

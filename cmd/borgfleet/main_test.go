@@ -10,7 +10,9 @@ import (
 
 // TestRunRejectsBadSizes: a negative cell count, a median below one
 // machine or a horizon that is not positive is an error returned before
-// anything is logged, profiled or written.
+// anything is logged, profiled or written. An -hours that is not a
+// number or does not fit a sim.Time is named as given, not as the
+// garbled duration it would convert to.
 func TestRunRejectsBadSizes(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -21,6 +23,11 @@ func TestRunRejectsBadSizes(t *testing.T) {
 		{[]string{"-hours", "0"}, "horizon"},
 		{[]string{"-hours", "-3", "-machines", "-5"}, "machines"},
 		{[]string{"-hours", "-3"}, "horizon"},
+		{[]string{"-hours", "-1"}, "horizon"},
+		{[]string{"-hours", "NaN"}, "-hours NaN: want a positive duration"},
+		{[]string{"-hours", "Inf"}, "-hours +Inf: want a positive duration"},
+		{[]string{"-hours", "-Inf"}, "-hours -Inf: want a positive duration"},
+		{[]string{"-hours", "1e20"}, "-hours 1e+20: want a positive duration"},
 	} {
 		dir := t.TempDir()
 		files := []string{"-cells-csv", "-rollup-csv", "-o", "-cpuprofile", "-metrics"}

@@ -150,12 +150,13 @@
 // reducers invert that, and are now the only code that computes a
 // figure. core.Run keeps no rows of its own: every row goes to the
 // sinks a caller attaches. experiments.RunSuiteStreaming runs all nine
-// cells with each cell's rows folding through one
+// cells as one group of experiments.RunCells, the pipeline the sweep
+// and the fleet use too, with each cell's rows folding through one
 // streaming.CellReducer (and, optionally, a sharded CSV export via
 // trace.DirSink) before being dropped;
 // experiments.RunSuite attaches the same reducers plus one
 // trace.MemTrace per cell (Suite.Traces), for tests and tools that read
-// rows. Per-instance
+// rows. RunCells' doc states how long each reducer lives. Per-instance
 // state lives in its collection's instance table, a slice indexed by
 // instance index (indexes far beyond those seen, or negative, go to a
 // small side map, so a hostile trace cannot size the table), and
@@ -306,18 +307,15 @@
 // profiles are lognormal-sampled around the calibrated 2019 medians —
 // machine count, arrival rate, tier mix and diurnal phase all vary
 // per cell — and streams them through one engine worker pool via
-// engine.RunStream. Specs materialize only as workers pick them up;
-// every cell runs with one streaming.CellReducer as its only sink, and
-// each cell's metrics — the metric table's (experiments.Metrics) on the
-// cell alone, less the ones that read the 2011 cell — are taken the
-// moment its in-order result delivers, after which the reducer is
-// released. The rollup keeps those values, one float per metric (27)
-// per cell, and reads each metric's mean, percentiles and extremes from
-// one stats.Summarize, the exact interpolated quantiles the report
-// uses. Peak heap is therefore the cells started and not yet delivered
-// — the running ones plus finished ones waiting behind a slower cell
-// (see engine.RunStream) — plus those 27 floats per finished cell: the
-// 128-cell CI smoke runs in a few MB against a 1536 MB ceiling.
+// experiments.RunCells, one cell per group, each with one
+// streaming.CellReducer as its only sink. A cell's metrics — the metric
+// table's (experiments.Metrics) on the cell alone, less the ones that
+// read the 2011 cell — are taken as RunCells hands it over. The rollup
+// keeps those values, 27 floats per cell, and reads each metric's mean,
+// percentiles and extremes from one stats.Summarize, the exact
+// interpolated quantiles the report uses. Peak heap is the reducers
+// RunCells holds plus those floats: the 128-cell CI smoke runs in a few
+// MB against a 1536 MB ceiling.
 // Determinism follows the engine contract: cell i simulates with
 // engine.DeriveSeed(root, i) and a profile drawn from that seed's own
 // splitter, so the report, rollup CSV and per-cell CSV are
@@ -347,8 +345,8 @@
 // metric vector: the metric table (experiments.Metrics) evaluated over
 // the point's nine cells exactly as the suite report evaluates it — the
 // report's paper rows, Figure 8's 2019/2011 ratio and Table 2's top-1%
-// load included — with each cell's reducer kept only until the point's
-// ninth cell arrives; across replicates every variant × metric
+// load included — as experiments.RunCells hands the point over, one
+// point per group; across replicates every variant × metric
 // gets a stats.CrossRun — mean, sample stddev, min/max and a 95%
 // Student-t confidence interval — rendered as a variant × metric report
 // and per-metric CSVs. Because replicates share seeds across variants,

@@ -5,8 +5,9 @@
 // The cells simulate concurrently on the engine's worker pool; the
 // -parallel flag changes only how long that takes, never the numbers.
 //
-// The analysis here is fully streaming: each cell carries one
-// streaming.CellReducer and no other sink, so no trace is ever
+// The analysis here is fully streaming: each cell runs through
+// experiments.RunCells, the pipeline every multi-cell runner uses, with
+// one streaming.CellReducer and no other sink, so no trace is ever
 // retained — every figure below is read from reducer state after
 // the rows were folded online and dropped. Memory stays bounded no
 // matter the horizon; the numbers are byte-identical to what replaying a
@@ -25,6 +26,7 @@ import (
 	"repro/internal/analysis/streaming"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -42,28 +44,21 @@ func main() {
 	horizon := 8 * sim.Hour
 
 	cells := []string{"a", "b", "h"} // the paper's three named extremes
-	specs := make([]engine.Spec, len(cells))
-	reducers := make([]*streaming.CellReducer, len(cells))
-	for i, cell := range cells {
-		specs[i] = engine.NewSpec(i, workload.Profile2019(cell, machines),
-			core.Options{Horizon: horizon}, rootSeed)
-		reducers[i] = streaming.NewCellReducer(core.TraceMeta(specs[i].Profile, specs[i].Options))
-	}
-	engine.AttachSinks(specs, func(i int) trace.Sink { return reducers[i] })
-
 	fmt.Printf("simulating cells a (prod-heavy), b (beb-heavy), h (mid-heavy), parallelism=%d, streaming...\n", *parallel)
 	start := time.Now()
 	var averages []streaming.TierAverages
-	// OnResult streams each cell's analysis in spec order while later
-	// cells may still be simulating; the reducer already holds the
-	// folded state, so this reads it without touching any trace.
-	engine.Run(specs, engine.Options{
-		Parallelism: *parallel,
-		OnResult: func(i int, res *core.CellResult) {
-			averages = append(averages, reducers[i].AverageUsageByTier(3*sim.Hour))
-			fmt.Printf("  cell %s done: %d rows folded, reducer state %s\n",
-				cells[i], res.Rows.Total(), reducers[i].Counts())
-		},
+	var reducers []*streaming.CellReducer
+	// Each cell is its own group, handed over in order while later cells
+	// may still be simulating; the reducer already holds the folded
+	// state, so this reads it without touching any trace.
+	experiments.RunCells(len(cells), 1, func(i int) engine.Spec {
+		return engine.NewSpec(i, workload.Profile2019(cells[i], machines),
+			core.Options{Horizon: horizon}, rootSeed)
+	}, core.RunKnobs{}, *parallel, func(i int, rs []*streaming.CellReducer, results []core.CellResult) {
+		reducers = append(reducers, rs[0])
+		averages = append(averages, rs[0].AverageUsageByTier(3*sim.Hour))
+		fmt.Printf("  cell %s done: %d rows folded, reducer state %s\n",
+			cells[i], results[0].Rows.Total(), rs[0].Counts())
 	})
 	fmt.Printf("simulated %d cells in %v\n", len(cells), time.Since(start).Round(time.Millisecond))
 
@@ -73,17 +68,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The headline inter-cell contrasts the paper calls out.
-	get := func(cell string) streaming.TierAverages {
-		for _, a := range averages {
-			if a.Cell == cell {
-				return a
-			}
-		}
-		log.Fatalf("missing cell %s", cell)
-		return streaming.TierAverages{}
-	}
-	a, b, h := get("a"), get("b"), get("h")
+	// The headline inter-cell contrasts the paper calls out; averages
+	// arrived in cell order.
+	a, b, h := averages[0], averages[1], averages[2]
 	fmt.Printf("\ncell b beb share of usage:  %.0f%% (largest of the three)\n",
 		100*b.CPU[trace.TierBestEffortBatch]/total(b))
 	fmt.Printf("cell a prod share of usage: %.0f%% (largest of the three)\n",

@@ -106,14 +106,15 @@ type TierAverages struct {
 }
 
 // averageOfSeries reduces an hourly series to its post-warmup mean per
-// tier (the shared final step of Figures 3 and 5).
+// tier (the shared final step of Figures 3 and 5); a warm-up below 0 or
+// past the series' end averages every hour.
 func averageOfSeries(s TierSeries, cell string, warmup sim.Time) TierAverages {
 	out := TierAverages{
 		Cell: cell,
 		CPU:  make(map[trace.Tier]float64),
 		Mem:  make(map[trace.Tier]float64),
 	}
-	start := int(warmup / sim.Hour)
+	start := max(0, int(warmup/sim.Hour))
 	if start >= len(s.Hours) {
 		start = 0
 	}

@@ -2,8 +2,10 @@ package streaming
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -20,6 +22,26 @@ func TestAverageSeries(t *testing.T) {
 	avg := AverageSeries([]TierSeries{a, b})
 	if math.Abs(avg.CPU[trace.TierFree][0]-0.3) > 1e-12 {
 		t.Fatalf("average %v", avg.CPU[trace.TierFree][0])
+	}
+}
+
+// TestAverageOfSeriesNegativeWarmup: a negative warm-up, down to the
+// most negative sim.Time (what a NaN flag converts to), averages like a
+// warm-up of 0 instead of indexing before the series.
+func TestAverageOfSeriesNegativeWarmup(t *testing.T) {
+	s := newTierSeries(4)
+	for i := range s.Hours {
+		s.CPU[trace.TierProduction][i] = float64(i + 1)
+		s.Mem[trace.TierBestEffortBatch][i] = 0.5 * float64(i)
+	}
+	want := averageOfSeries(s, "x", 0)
+	if want.CPU[trace.TierProduction] != 2.5 {
+		t.Fatalf("average with no warm-up %v, want 2.5", want.CPU[trace.TierProduction])
+	}
+	for _, warmup := range []sim.Time{-3 * sim.Hour, -sim.Microsecond, math.MinInt64} {
+		if got := averageOfSeries(s, "x", warmup); !reflect.DeepEqual(got, want) {
+			t.Errorf("warm-up %d: %+v, want %+v", warmup, got, want)
+		}
 	}
 }
 

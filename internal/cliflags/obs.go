@@ -14,15 +14,15 @@ import (
 )
 
 // Obs is one CLI run's observability bundle: the run-level metrics
-// registry (always created — the consolidated run summary records into
-// it), the wall-clock timeline (created when anything will render it),
-// the -progress reporter, the optional live HTTP server and the optional
-// pprof profiles. Obtain one
-// from Common.StartObservability, thread Reg/Timeline into the run via
-// Knobs, wrap the run in MeasureRun, and defer Close.
+// registry and the wall-clock timeline (each built only when something
+// reads it), the -progress reporter, the optional live HTTP server and
+// the optional pprof profiles. Obtain one from Common.StartObservability,
+// thread Reg/Timeline into the run via Knobs, wrap the run in
+// MeasureRun, and defer Close.
 type Obs struct {
 	// Reg is the run-level registry every cell's instruments roll up
-	// into (see engine.RunInstruments).
+	// into (see engine.RunInstruments); nil unless -metrics, -http or
+	// -progress reads it.
 	Reg *metrics.Registry
 	// Timeline collects wall-clock spans; nil unless -http or -timeline
 	// asked for one.
@@ -50,11 +50,11 @@ type Obs struct {
 }
 
 // StartObservability builds the run's observability bundle from the
-// parsed flags: it always creates the run registry, starts the
-// -cpuprofile CPU profile, creates a timeline iff -http or -timeline
-// will render it, starts the live HTTP server when -http is set
-// (logging the listen address through logf), and with -progress prints
-// progress lines to stderr. label names the run in those lines
+// parsed flags: it starts the -cpuprofile CPU profile, creates the run
+// registry iff -metrics, -http or -progress will read it and a timeline
+// iff -http or -timeline will, starts the live HTTP server when -http
+// is set (logging the listen address through logf), and with -progress
+// prints progress lines to stderr. label names the run in those lines
 // ("suite", "sweep", "fleet").
 func (c *Common) StartObservability(label string, logf func(format string, args ...any)) (*Obs, error) {
 	return c.startObservability(label, os.Stderr, logf)
@@ -64,7 +64,6 @@ func (c *Common) StartObservability(label string, logf func(format string, args 
 // writer supplied.
 func (c *Common) startObservability(label string, progressOut io.Writer, logf func(format string, args ...any)) (*Obs, error) {
 	o := &Obs{
-		Reg:         metrics.NewRegistry(),
 		metricsOut:  *c.MetricsOut,
 		timelineOut: *c.TimelineOut,
 		logf:        logf,
@@ -82,6 +81,9 @@ func (c *Common) startObservability(label string, progressOut io.Writer, logf fu
 			return nil, err
 		}
 		o.cpuProfile = f
+	}
+	if o.metricsOut != "" || *c.HTTP != "" || *c.Progress {
+		o.Reg = metrics.NewRegistry()
 	}
 	if *c.HTTP != "" || o.timelineOut != "" {
 		o.Timeline = metrics.NewTimeline()
@@ -131,8 +133,8 @@ func (o *Obs) Knobs(k core.RunKnobs) core.RunKnobs {
 }
 
 // MeasureRun times fn under the shared peak-HeapAlloc sampler and
-// records the outcome into the run registry — the single implementation
-// behind every CLI's "... in 1.6s (peak heap 6 MB)" line.
+// records the outcome into the run registry, if any — the single
+// implementation behind every CLI's "... in 1.6s (peak heap 6 MB)" line.
 func (o *Obs) MeasureRun(fn func()) metrics.RunStats {
 	return metrics.MeasureRun(o.Reg, fn)
 }

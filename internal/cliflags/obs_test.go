@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -120,14 +121,46 @@ func TestObservabilityOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obs.Reg == nil {
-		t.Fatal("run registry must always exist (the run summary records into it)")
+	if obs.Reg != nil {
+		t.Fatal("registry allocated with nothing to read it")
+	}
+	if rs := obs.MeasureRun(func() {}); !strings.Contains(rs.String(), "peak heap") {
+		t.Fatalf("run summary without a registry: %q", rs)
+	}
+	if line, _ := metrics.ProgressLine(obs.Reg, "test", 0); line != "" {
+		t.Fatalf("progress line from no registry: %q", line)
 	}
 	if obs.Timeline != nil {
 		t.Fatal("timeline allocated with nothing to render it")
 	}
 	if err := obs.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRegistryOnlyWhenRead: the run registry exists exactly when
+// -metrics, -http or -progress reads it; -timeline alone builds none.
+func TestRegistryOnlyWhenRead(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args []string
+		want bool
+	}{
+		{[]string{"-metrics", filepath.Join(dir, "m.prom")}, true},
+		{[]string{"-http", "127.0.0.1:0"}, true},
+		{[]string{"-progress"}, true},
+		{[]string{"-timeline", filepath.Join(dir, "t.json")}, false},
+	} {
+		obs, err := parse(t, tc.args...).startObservability("test", &bytes.Buffer{}, func(string, ...any) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := obs.Reg != nil; got != tc.want {
+			t.Errorf("%v: registry built %v, want %v", tc.args, got, tc.want)
+		}
+		if err := obs.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -20,7 +20,8 @@
 //     every cell a disjoint 2³² ID range so merged traces never collide.
 //
 // Sinks are per-cell and driven by that cell's goroutine; give every
-// spec its own sink instance (AttachSinks) rather than sharing one.
+// spec its own sink instance rather than sharing one, as
+// experiments.RunCells, the pipeline every runner uses, does.
 package engine
 
 import (
@@ -107,10 +108,10 @@ func NewSpec(i int, p *workload.CellProfile, base core.Options, root uint64) Spe
 }
 
 // AttachSinks appends the sink built by make(i) to each spec's
-// ExtraSinks, in place. It is the engine's idiom for per-cell sink
-// pipelines — one streaming reducer or export shard per cell, each driven
-// only by that cell's goroutine, so none of them needs a lock. A nil
-// sink from make leaves that spec unchanged.
+// ExtraSinks, in place; a nil sink leaves that spec unchanged. The
+// runners attach sinks through experiments.RunCells; AttachSinks is kept
+// only because the benchmark harness under bench/, which is frozen,
+// calls it.
 func AttachSinks(specs []Spec, make func(i int) trace.Sink) {
 	for i := range specs {
 		if s := make(i); s != nil {

@@ -21,12 +21,10 @@ import (
 // HTTP endpoint renders: run_cells_total (gauge, += n per run),
 // run_cells_started_total and run_cells_done_total (counters).
 //
-// All methods are nil-receiver safe, so runners apply instrumentation
-// unconditionally:
-//
-//	ri := engine.NewRunInstruments(sc.Metrics, sc.Timeline, len(specs))
-//	ri.Apply(specs)
-//	results := engine.Run(specs, ri.Wrap(opts))
+// All methods are nil-receiver safe, so a runner applies
+// instrumentation unconditionally; experiments.RunCells is the one
+// caller outside tests and bench/ (Cell in its spec closure, Wrap
+// around its options).
 type RunInstruments struct {
 	reg *metrics.Registry
 	tl  *metrics.Timeline
@@ -79,8 +77,9 @@ func (ri *RunInstruments) Cell(i int, o core.Options) core.Options {
 	return o
 }
 
-// Apply instruments every spec in place — the materialized-spec path
-// (Run). RunStream callers apply Cell inside their spec closure instead.
+// Apply instruments every spec in place, for a materialized Run. It is
+// kept only because the benchmark harness under bench/, which is frozen,
+// calls it.
 func (ri *RunInstruments) Apply(specs []Spec) {
 	if ri == nil {
 		return

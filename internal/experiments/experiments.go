@@ -3,18 +3,21 @@
 // Table 2, plus the §5.1 and §5.2 statistics. It is the engine behind
 // cmd/borgexperiments and the repository's benchmark suite.
 //
-// Both run functions attach one streaming.CellReducer per cell, and the
-// report renders from those reducers alone. RunSuiteStreaming folds every
-// row online and keeps none, so memory stays bounded by the number of
-// jobs rather than the number of trace rows; RunSuite also attaches one
-// trace.MemTrace per cell and returns them in Suite.Traces, for callers
-// that read the rows. Both give byte-identical reports for the same scale
-// and seed.
+// Both run functions send the nine cells through RunCells, the pipeline
+// every multi-cell runner uses, which gives each cell one
+// streaming.CellReducer; the report renders from those reducers alone.
+// RunSuiteStreaming folds every row online and keeps none, so memory
+// stays bounded by the number of jobs rather than the number of trace
+// rows; RunSuite also attaches one trace.MemTrace per cell and returns
+// them in Suite.Traces, for callers that read the rows. Both give
+// byte-identical reports for the same scale and seed.
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/analysis/streaming"
 	"repro/internal/core"
@@ -112,8 +115,8 @@ func SuiteProfiles(sc Scale) []*workload.CellProfile {
 // per the engine contracts.
 func SuiteSpecs(sc Scale) []engine.Spec {
 	// Policy and Arrival act at the profile level (SuiteProfiles), and
-	// Metrics/Timeline are applied per cell by engine.RunInstruments in the
-	// run functions, so no knob rides the per-cell options.
+	// Metrics/Timeline are applied per cell by RunCells, so no knob rides
+	// the per-cell options.
 	// TimelineWarmup is inert until a timeline is attached.
 	base := core.Options{Horizon: sc.Horizon, RecordWorkload: sc.RecordWorkload,
 		TimelineWarmup: sc.Warmup}
@@ -146,7 +149,10 @@ type Suite struct {
 // literal.
 type StreamingSuite = Suite
 
-// StreamingOptions configures a RunSuiteStreaming run.
+// StreamingOptions configures a RunSuiteStreaming run. It is kept as a
+// struct, rather than a plain export-directory argument, only because
+// the benchmark harness under bench/, which is frozen, passes a
+// StreamingOptions literal.
 type StreamingOptions struct {
 	// ExportDir, when non-empty, additionally writes each cell's trace as
 	// sharded CSV while simulating: one subdirectory per cell (named
@@ -158,6 +164,51 @@ type StreamingOptions struct {
 // with the metadata core.TraceMeta gives that cell.
 func NewCellReducerFor(spec engine.Spec) *streaming.CellReducer {
 	return streaming.NewCellReducer(core.TraceMeta(spec.Profile, spec.Options))
+}
+
+// RunCells is the one pipeline every multi-cell runner (the suite, the
+// sweep, the fleet) sends its cells through. It simulates cells [0, n),
+// parallelism at a time (<= 0 means GOMAXPROCS): cell i runs spec(i),
+// called as a worker picks it up, with knobs' registry and timeline
+// applied (engine.RunInstruments) and a fresh NewCellReducerFor reducer
+// first in its ExtraSinks. Each consecutive group of size cells goes to
+// done in index order, one call at a time, with its reducers and results
+// in cell order; done may keep them. A reducer lives from its cell's
+// start until its group is handed over, so the reducers alive are those
+// done keeps, one group's, and those of the cells started and not yet
+// delivered (see engine.RunStream), however large n is. Output is
+// byte-identical at any parallelism. RunCells panics unless size ≥ 1 and
+// n is a multiple of size.
+func RunCells(n, size int, spec func(i int) engine.Spec, knobs core.RunKnobs, parallelism int,
+	done func(group int, rs []*streaming.CellReducer, results []core.CellResult)) {
+	if size < 1 || n%size != 0 {
+		panic(fmt.Sprintf("experiments: %d cells do not split into groups of %d", n, size))
+	}
+	// reducers[i] is written by the worker that builds cell i and read by
+	// the one that delivers it, after the engine's mutex-ordered handoff.
+	reducers := make([]*streaming.CellReducer, n)
+	var results []core.CellResult // the current group's, in cell order
+	ri := engine.NewRunInstruments(knobs.Metrics, knobs.Timeline, n)
+	engine.RunStream(n, func(i int) engine.Spec {
+		s := spec(i)
+		s.Options = ri.Cell(i, s.Options)
+		reducers[i] = NewCellReducerFor(s)
+		s.Options.ExtraSinks = append([]trace.Sink{reducers[i]}, s.Options.ExtraSinks...)
+		return s
+	}, ri.Wrap(engine.Options{
+		Parallelism: parallelism,
+		OnResult: func(i int, res *core.CellResult) {
+			results = append(results, *res)
+			if len(results) < size {
+				return
+			}
+			first := i + 1 - size
+			rs := slices.Clone(reducers[first : i+1])
+			clear(reducers[first : i+1])
+			done(i/size, rs, results)
+			results = nil
+		},
+	}))
 }
 
 // ShardDirName names cell i's export shard (index 0 is the 2011 cell).
@@ -185,28 +236,22 @@ func RunSuiteStreaming(sc Scale, opts StreamingOptions) (*Suite, error) {
 	return runSuite(sc, false, opts)
 }
 
-// runSuite is the body of RunSuite and RunSuiteStreaming; retain attaches
-// a MemTrace to every cell.
+// runSuite is the body of RunSuite and RunSuiteStreaming: the nine cells
+// run through RunCells as one group. retain attaches a MemTrace to every
+// cell after its reducer, and opts.ExportDir a DirSink after that,
+// created before any cell simulates so that a bad path fails first.
 func runSuite(sc Scale, retain bool, opts StreamingOptions) (*Suite, error) {
 	specs := SuiteSpecs(sc)
-	reducers := make([]*streaming.CellReducer, len(specs))
-	engine.AttachSinks(specs, func(i int) trace.Sink {
-		reducers[i] = NewCellReducerFor(specs[i])
-		return reducers[i]
-	})
-	s := &Suite{Scale: sc, R2011: reducers[0], R2019: reducers[1:]}
-	if retain {
-		s.Traces = make([]*trace.MemTrace, len(specs))
-		engine.AttachSinks(specs, func(i int) trace.Sink {
-			s.Traces[i] = trace.NewMemTrace(reducers[i].Meta())
-			return s.Traces[i]
-		})
-	}
+	s := &Suite{Scale: sc}
 	var exports []*trace.DirSink
 	for i := range specs {
+		meta := core.TraceMeta(specs[i].Profile, specs[i].Options)
+		if retain {
+			s.Traces = append(s.Traces, trace.NewMemTrace(meta))
+			specs[i].Options.ExtraSinks = append(specs[i].Options.ExtraSinks, s.Traces[i])
+		}
 		if opts.ExportDir != "" {
-			shard := filepath.Join(opts.ExportDir, ShardDirName(i, specs[i].Profile.Name))
-			ds, err := trace.NewDirSink(shard, reducers[i].Meta())
+			ds, err := trace.NewDirSink(filepath.Join(opts.ExportDir, ShardDirName(i, specs[i].Profile.Name)), meta)
 			if err != nil {
 				closeExports(exports)
 				return nil, err
@@ -215,24 +260,20 @@ func runSuite(sc Scale, retain bool, opts StreamingOptions) (*Suite, error) {
 			specs[i].Options.ExtraSinks = append(specs[i].Options.ExtraSinks, ds)
 		}
 	}
-
-	ri := engine.NewRunInstruments(sc.Metrics, sc.Timeline, len(specs))
-	ri.Apply(specs)
-	results := engine.Run(specs, ri.Wrap(engine.Options{Parallelism: sc.Parallelism}))
-	for _, r := range results {
-		s.Stats = append(s.Stats, *r)
-	}
-	for _, ds := range exports {
-		if err := ds.Close(); err != nil {
-			closeExports(exports)
-			return nil, err
-		}
+	RunCells(len(specs), len(specs), func(i int) engine.Spec { return specs[i] }, sc.RunKnobs, sc.Parallelism,
+		func(_ int, rs []*streaming.CellReducer, results []core.CellResult) {
+			s.R2011, s.R2019, s.Stats = rs[0], rs[1:], results
+		})
+	if err := closeExports(exports); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-func closeExports(exports []*trace.DirSink) {
+// closeExports closes every shard and returns the first error.
+func closeExports(exports []*trace.DirSink) (err error) {
 	for _, ds := range exports {
-		ds.Close()
+		err = cmp.Or(err, ds.Close())
 	}
+	return err
 }

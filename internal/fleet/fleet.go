@@ -17,21 +17,19 @@
 //
 // # Bounded memory and rollup determinism
 //
-// Cells are streamed through engine.RunStream: specs (profile + one
-// streaming.CellReducer sink, no rows kept) materialize as workers pick
-// up indices and are released as soon as each cell's metrics have been
-// taken, so the simulation state held is the cells started and not yet
-// delivered (engine.RunStream): the running ones plus finished ones
-// waiting behind a slower cell, which depends on how unequal the cells
-// are, not on the fleet size. A cell's metrics are the metric table's
-// (experiments.Metrics) evaluated on the cell as a lone 2019 pool; the
-// entries that read the 2011 cell have no value there and are left out.
+// Cells run through experiments.RunCells one per group: each keeps one
+// streaming.CellReducer and no rows, and its reducer is released as soon
+// as its metrics are taken (RunCells' doc states the rule), so the
+// simulation state held does not grow with the fleet size. A cell's
+// metrics are the metric table's (experiments.Metrics) evaluated on the
+// cell as a lone 2019 pool; the entries that read the 2011 cell have no
+// value there and are left out.
 // What grows with the fleet is the metric values themselves: the rollup
 // keeps every cell's non-NaN values, at most 27 floats per cell, and
 // reads each metric's row from stats.Summarize over them, so its
 // quantiles are the same exact order statistics the report and the
-// sweep use. The values arrive in spec order through the engine's
-// in-order OnResult delivery, and Summarize sorts them anyway, so the
+// sweep use. The values arrive in spec order through RunCells' in-order
+// delivery, and Summarize sorts them anyway, so the
 // fleet report is byte-identical at any Parallelism.
 package fleet
 
@@ -50,7 +48,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -123,10 +120,10 @@ type Report struct {
 func cellName(i int) string { return fmt.Sprintf("f%03d", i) }
 
 // Spec expands fleet cell i into its engine spec: sampled profile,
-// derived seed, disjoint ID space, and the given sinks as its only
-// ones. It is exported so tests (and future front-ends) can reproduce
-// exactly the spec the fleet would run.
-func (cfg Config) Spec(i int, sinks ...trace.Sink) engine.Spec {
+// derived seed and disjoint ID space (RunCells adds the reducer). It is
+// exported so tests (and future front-ends) can reproduce exactly the
+// spec the fleet would run.
+func (cfg Config) Spec(i int) engine.Spec {
 	seed := engine.DeriveSeed(cfg.Seed, i)
 	p := workload.SampleFleetProfile(cellName(i), cfg.MedianMachines,
 		rng.New(seed).Split("fleet-profile"))
@@ -134,10 +131,9 @@ func (cfg Config) Spec(i int, sinks ...trace.Sink) engine.Spec {
 	return engine.Spec{
 		Profile: p,
 		Options: core.Options{
-			Horizon:    cfg.Horizon,
-			Seed:       seed,
-			IDBase:     engine.IDBase(i),
-			ExtraSinks: sinks,
+			Horizon: cfg.Horizon,
+			Seed:    seed,
+			IDBase:  engine.IDBase(i),
 		},
 	}
 }
@@ -162,27 +158,13 @@ func Run(cfg Config) (*Report, error) {
 	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
-	n := cfg.Cells
 	metrics := cellMetrics()
 	samples := make([][]float64, len(metrics))
-	rep := &Report{Cells: n, Horizon: cfg.Horizon, Seed: cfg.Seed}
-
-	// reducers[i] is created with cell i's spec and released once its
-	// metrics are rolled up: the engine's mutex-ordered handoff from the
-	// building worker to the delivering worker covers the slot.
-	reducers := make([]*streaming.CellReducer, n)
+	rep := &Report{Cells: cfg.Cells, Horizon: cfg.Horizon, Seed: cfg.Seed}
 	warmup := cfg.Horizon / 2
-	ri := engine.NewRunInstruments(cfg.Metrics, cfg.Timeline, n)
-	engine.RunStream(n, func(i int) engine.Spec {
-		spec := cfg.Spec(i)
-		spec.Options = ri.Cell(i, spec.Options)
-		reducers[i] = experiments.NewCellReducerFor(spec)
-		spec.Options.ExtraSinks = append(spec.Options.ExtraSinks, reducers[i])
-		return spec
-	}, ri.Wrap(engine.Options{
-		Parallelism: cfg.Parallelism,
-		OnResult: func(i int, res *core.CellResult) {
-			pool := experiments.NewPool(nil, reducers[i:i+1], []core.CellResult{*res}, warmup)
+	experiments.RunCells(cfg.Cells, 1, cfg.Spec, cfg.RunKnobs, cfg.Parallelism,
+		func(i int, rs []*streaming.CellReducer, results []core.CellResult) {
+			pool := experiments.NewPool(nil, rs, results, warmup)
 			values := make([]float64, len(metrics))
 			for j, m := range metrics {
 				values[j] = m.Value(pool)
@@ -190,16 +172,12 @@ func Run(cfg Config) (*Report, error) {
 					samples[j] = append(samples[j], values[j])
 				}
 			}
-			reducers[i] = nil
-			rep.TotalMachines += res.Profile.Machines
+			p := results[0].Profile
+			rep.TotalMachines += p.Machines
 			if cfg.OnCell != nil {
-				cfg.OnCell(CellSummary{
-					Index: i, Name: res.Profile.Name,
-					Machines: res.Profile.Machines, Values: values,
-				})
+				cfg.OnCell(CellSummary{Index: i, Name: p.Name, Machines: p.Machines, Values: values})
 			}
-		},
-	}))
+		})
 	rep.Rollup = make([]MetricRollup, len(metrics))
 	for i, m := range metrics {
 		st := stats.Summarize(samples[i])

@@ -141,9 +141,12 @@ func (s *Server) handleProgress(w http.ResponseWriter, req *http.Request) {
 //	label: 4/9 done, 5 in flight, 3.2s elapsed, ETA 4s
 //
 // The ETA appears while some but not all cells are done. line is empty
-// until a run registers cells; finished reports that every registered
-// cell is done.
+// until a run registers cells, and for a nil reg; finished reports that
+// every registered cell is done.
 func ProgressLine(reg *Registry, label string, elapsed time.Duration) (line string, finished bool) {
+	if reg == nil {
+		return "", false
+	}
 	total := int64(reg.Gauge("run_cells_total").Value())
 	if total <= 0 {
 		return "", false

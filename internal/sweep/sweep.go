@@ -6,11 +6,10 @@
 // variants, each point simulating the full nine-cell suite (the 2011
 // cell plus the 2019 cells a–h), with every figure folded online by
 // streaming reducers — a sweep cell costs its reducer state, never a
-// retained trace. The reducers alive at once are one grid point's plus
-// those of the cells started and not yet delivered: the running cells
-// and the finished ones waiting behind a slower cell (see
-// engine.RunStream), so the count depends on Parallelism and on how
-// unequal the cells are, not on the number of grid points.
+// retained trace. The grid runs through experiments.RunCells with one
+// grid point per group, whose doc states how long a reducer lives: here
+// one grid point's plus the cells started and not yet delivered, however
+// many grid points there are.
 //
 // # Grid contract
 //
@@ -114,8 +113,8 @@ type Result struct {
 }
 
 // Run expands the sweep's seed × variant × cell grid, simulates every
-// point through the engine with per-spec streaming reducers (no trace is
-// ever retained), and aggregates cross-seed statistics.
+// point through experiments.RunCells (no trace is ever retained), and
+// aggregates cross-seed statistics.
 func Run(d Def) (*Result, error) {
 	if d.Seeds <= 0 {
 		return nil, fmt.Errorf("sweep: Seeds must be >= 1, got %d", d.Seeds)
@@ -166,42 +165,14 @@ func Run(d Def) (*Result, error) {
 		res.Variants[vi] = VariantStats{Name: v.Name, PerSeed: make([][]float64, d.Seeds)}
 	}
 
-	// The grid streams through the engine like a fleet: a cell's reducer
-	// is made as a worker picks the cell up and kept only until the last
-	// cell of its grid point arrives, in grid order; the point's metric
-	// vector is then evaluated and its reducers dropped, so the live
-	// reducers are one point's plus those of the cells the engine has
-	// started and not yet delivered. Grid points feed the
-	// sweep-level registry/timeline like suite cells feed a suite's: one
-	// private registry per point, merged in grid order, one timeline row
-	// per flat index. reducers[i] is written by the worker that builds
-	// cell i and read by the one delivering it: the engine's
-	// mutex-ordered handoff between them covers the slot.
-	reducers := make([]*streaming.CellReducer, len(specs))
-	var results []core.CellResult // the current point's, in cell order
-	ri := engine.NewRunInstruments(d.Scale.Metrics, d.Scale.Timeline, len(specs))
-	engine.RunStream(len(specs), func(i int) engine.Spec {
-		spec := specs[i]
-		spec.Options = ri.Cell(i, spec.Options)
-		reducers[i] = experiments.NewCellReducerFor(spec)
-		spec.Options.ExtraSinks = append(spec.Options.ExtraSinks, reducers[i])
-		return spec
-	}, ri.Wrap(engine.Options{
-		Parallelism: d.Scale.Parallelism,
-		OnResult: func(i int, cell *core.CellResult) {
-			results = append(results, *cell)
-			if i%cells != cells-1 {
-				return
-			}
-			first := i + 1 - cells
-			suite := &experiments.Suite{Scale: d.Scale, R2011: reducers[first],
-				R2019: reducers[first+1 : i+1], Stats: results}
-			point := i / cells
-			res.Variants[point%len(variants)].PerSeed[point/len(variants)] = suite.Pool().Values()
-			clear(reducers[first : i+1])
-			results = nil
-		},
-	}))
+	// Grid point p is RunCells' group p: its metric vector is evaluated
+	// as its last cell arrives, in grid order.
+	experiments.RunCells(len(specs), cells, func(i int) engine.Spec { return specs[i] },
+		d.Scale.RunKnobs, d.Scale.Parallelism,
+		func(point int, rs []*streaming.CellReducer, results []core.CellResult) {
+			pool := experiments.NewPool(rs[0], rs[1:], results[1:], d.Scale.Warmup)
+			res.Variants[point%len(variants)].PerSeed[point/len(variants)] = pool.Values()
+		})
 
 	for vi := range res.Variants {
 		vs := &res.Variants[vi]
