@@ -200,20 +200,29 @@
 // whole run is bounded too: core.Run allocates per job the Job. A kept
 // job's tasks live by value in one array (a Task is 128 bytes, which
 // TestTaskSize pins), which Submit fills from the task specs the
-// workload source lends it. The arrays come from a per-cell pool that
-// grows to about the peak number of live tasks: a finished job's array
-// is retired, and Scheduler.Reclaim, which core.Run calls at the end of
-// each sampling window, zeroes it for a later job of its size class (a
-// power of two) once neither the pending queue nor the autopilot's
-// tracked list can name its tasks. A job killed on arrival, a child whose
-// parent has already ended, allocates only its Job
+// workload source lends it. The arrays come from the scheduler's free
+// lists, which grow to about the peak number of live tasks: a finished
+// job's array is retired, and Scheduler.Reclaim, which core.Run calls at
+// the end of each sampling window, zeroes it for a later job of its size
+// class (a power of two) once neither the pending queue nor the
+// autopilot's tracked list can name its tasks. A job killed on arrival, a
+// child whose parent has already ended, allocates only its Job
 // (TestKilledOnArrivalZeroAllocs). Beyond that come pools that grow to
 // the peak number of running tasks, and nothing per placement, restart,
-// kernel event or usage window. TestRunAllocsPerJob holds a
-// small cell's run to a per-job allocation budget, and
-// TestPlaceAfterSampleZeroAllocs pins one such interaction: a task
-// leaving and re-entering a machine the sampler has just walked must
-// not copy its slots. The sampler reads each machine's slots in place
+// kernel event or usage window. A cell does not regrow those pools from
+// empty when it follows another: each engine worker runs its cells in
+// one core.Arena, to which a finished cell hands its free lists, every
+// task array its jobs still hold (zeroed), its resident slots, pending
+// queue levels, event slab, autopilot windows and sampler buffers, and
+// from which the next cell takes only capacity. The arena goes with the
+// worker, so no cell's memory outlives the run. TestRunAllocsPerJob
+// holds a small cell's run on a fresh arena to a per-job allocation
+// budget, TestWorkerCellAllocsPerJob holds a cell that follows another
+// on the same worker to a budget a fresh arena would break, and
+// TestArenaReuseKeepsRows pins that a used arena leaves every row
+// unchanged. TestPlaceAfterSampleZeroAllocs pins one interaction
+// between layers: a task leaving and re-entering a machine the sampler
+// has just walked must not copy its slots. The sampler reads each machine's slots in place
 // and records usage through Scheduler.SetUsage, given the slot position
 // it read; when memory pressure has evicted a task between the
 // sampler's two passes, SetUsage finds each survivor's shifted slot by

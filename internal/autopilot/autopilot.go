@@ -120,7 +120,9 @@ func (w *window) percentile(q float64) trace.Resources {
 type Autopilot struct {
 	sched *scheduler.Scheduler
 	// windows is the window table a task's Autoscale handle indexes;
-	// slot 0 stays nil, so handle 0 means none.
+	// slot 0 stays nil, so handle 0 means none. Past its length the
+	// table may hold a released autopilot's windows (Reuse), which its
+	// growth takes before it allocates.
 	windows []*window
 	// tracked lists the tasks holding a handle; gen is the current sweep
 	// generation.
@@ -144,6 +146,31 @@ func New(s *scheduler.Scheduler) *Autopilot {
 	return &Autopilot{sched: s, windows: []*window{nil}}
 }
 
+// Spare is a finished autopilot's window table, for the next autopilot
+// to grow into. A window holds only numbers, never a task. The zero
+// Spare holds nothing.
+type Spare struct {
+	windows []*window
+}
+
+// Reuse makes sp's windows the ones the autopilot hands out before it
+// allocates a window, and empties sp. Call it on a new autopilot, before
+// the first Observe: handles are numbered from 1 as in a fresh one, and
+// each window is reset when a task takes it.
+func (a *Autopilot) Reuse(sp *Spare) {
+	if len(sp.windows) > 0 {
+		a.windows = sp.windows[:1]
+	}
+	*sp = Spare{}
+}
+
+// Release ends the autopilot: it hands its window table to sp and leaves
+// the autopilot empty, tracking no task.
+func (a *Autopilot) Release(sp *Spare) {
+	sp.windows = a.windows
+	*a = Autopilot{}
+}
+
 // Updates returns how many limit updates have been issued.
 func (a *Autopilot) Updates() int { return a.updates }
 
@@ -158,8 +185,14 @@ func (a *Autopilot) Observe(t *scheduler.Task, peakUsage trace.Resources) {
 			t.Autoscale = a.free[n-1]
 			a.free = a.free[:n-1]
 			a.windows[t.Autoscale].reset(t.Request)
+		} else if n := len(a.windows); n < cap(a.windows) && a.windows[:n+1][n] != nil {
+			// A window a released autopilot left past the table's
+			// length (Reuse).
+			t.Autoscale = int32(n)
+			a.windows = a.windows[:n+1]
+			a.windows[n].reset(t.Request)
 		} else {
-			t.Autoscale = int32(len(a.windows))
+			t.Autoscale = int32(n)
 			a.windows = append(a.windows, newWindow(t.Request))
 		}
 		a.tracked = append(a.tracked, t)

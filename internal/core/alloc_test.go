@@ -42,12 +42,11 @@ const bytesPerJob = 29 << 10
 func TestRunAllocsPerJob(t *testing.T) {
 	p := workload.Profile2019("a", 60)
 	var before, after runtime.MemStats
-	// The generator's task-spec scratch comes from a sync.Pool, which
-	// keeps what an earlier run left through one GC (in its victim
-	// cache) and drops it at the second. Two GCs make every run start
-	// cold, so -count 2 reads what the first run reads.
-	runtime.GC()
-	runtime.GC()
+	// Run starts on a fresh Arena, and no package keeps memory from one
+	// run for the next (there is no sync.Pool), so every run starts cold
+	// without a GC first: -count 3 reads what the first run reads.
+	// TestWorkerCellAllocsPerJob in internal/engine bounds a cell that
+	// runs on a used arena.
 	runtime.ReadMemStats(&before)
 	res := Run(p, Options{Horizon: 8 * sim.Hour, Seed: 1})
 	runtime.ReadMemStats(&after)

@@ -156,12 +156,41 @@ func TraceMeta(p *workload.CellProfile, opts Options) trace.Meta {
 }
 
 // Run simulates one cell for opts.Horizon, emitting its trace rows to
-// opts.ExtraSinks.
+// opts.ExtraSinks. It runs on a fresh Arena.
 func Run(p *workload.CellProfile, opts Options) *CellResult {
+	return new(Arena).Run(p, opts)
+}
+
+// Arena is one cell's working memory kept between cells: the capacity a
+// finished cell's kernel, scheduler, autopilot, usage sampler and
+// workload generator grew, which the next cell run on the same Arena
+// grows into before it allocates. Only capacity carries over. Clocks,
+// sequence and generation counters, sums and handles start from zero,
+// as in a fresh cell, so a cell's rows do not depend on what ran on its
+// Arena before (TestArenaReuseKeepsRows). The memory it holds between
+// cells names no job, task, sink or row, and nothing that leaves a cell
+// (its result, its sinks, its recording) points into it.
+//
+// An Arena runs one cell at a time: give every goroutine that simulates
+// cells its own, as the engine's workers do. The zero Arena is empty and
+// ready to use.
+type Arena struct {
+	kernel    sim.Spare
+	sched     scheduler.Spare
+	autopilot autopilot.Spare
+	specs     []scheduler.TaskSpec
+	usage     usageBufs
+}
+
+// Run simulates one cell for opts.Horizon, as the package-level Run
+// does, in the arena's memory, and hands the cell's memory back to the
+// arena when it ends.
+func (a *Arena) Run(p *workload.CellProfile, opts Options) *CellResult {
 	meta := TraceMeta(p, opts)
 	opts.Horizon = meta.Duration
 	root := rng.New(opts.Seed)
 	k := sim.NewKernel()
+	k.Reuse(&a.kernel)
 
 	counter := &trace.CountingSink{}
 	sink := append(trace.MultiSink{counter}, opts.ExtraSinks...)
@@ -177,12 +206,14 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 
 	// Scheduler.
 	sched := scheduler.New(p.Sched, cell, k, sink, root.Split("scheduler"), opts.Metrics)
+	sched.Reuse(&a.sched)
 
 	// Autopilot. A limit update is one scheduler call, which moves the
 	// task's machine allocation and the admission sums with it.
 	var ap *autopilot.Autopilot
 	if !opts.DisableAutopilot {
 		ap = autopilot.New(sched)
+		ap.Reuse(&a.autopilot)
 	}
 
 	// Workload arrivals: a live generator by default, or a replayer over
@@ -191,14 +222,13 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	// leaves every other stream's draws untouched — a replay at the same
 	// seed is byte-identical to the run that recorded it.
 	var gen workload.JobSource
+	var g *workload.Generator
 	if opts.Replay != nil {
 		gen = workload.NewReplayer(opts.Replay, opts.IDBase)
 	} else {
-		g := workload.NewGeneratorArrival(p, cell.Capacity().CPU, opts.Horizon,
+		g = workload.NewGeneratorArrival(p, cell.Capacity().CPU, opts.Horizon,
 			root.Split("workload"), opts.IDBase+1)
-		// Every job is submitted by the time Run returns, so the next
-		// cell may reuse the generator's task-spec scratch.
-		defer g.Release()
+		g.Reuse(&a.specs)
 		gen = g
 	}
 	var recorder *workload.Recorder
@@ -232,6 +262,7 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	// usage table, as they do in the real trace).
 	sampler := newUsageSampler(p, cell, sched, ap, sink, root.Split("usage"))
 	sampler.k = k
+	sampler.usageBufs, a.usage = a.usage, usageBufs{}
 	sched.UnplaceHook = sampler.taskStopped
 	// Instruments piggyback on the sampling tick: the queue-depth
 	// histogram sees one observation per window, a sim-time series rather
@@ -286,6 +317,20 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	if recorder != nil {
 		res.Workload = recorder.Recording()
 	}
+
+	// The cell is over: its working memory goes back to the arena.
+	// Every job has been submitted, so the generator's scratch is free;
+	// the autopilot and the sampler let go of their tasks before the
+	// scheduler zeroes the task arrays.
+	if g != nil {
+		g.Release(&a.specs)
+	}
+	if ap != nil {
+		ap.Release(&a.autopilot)
+	}
+	a.usage = sampler.release()
+	sched.Release(&a.sched)
+	k.Release(&a.kernel)
 	return res
 }
 
@@ -340,13 +385,7 @@ type usageSampler struct {
 	sink  trace.Sink
 	src   *rng.Source
 	k     *sim.Kernel
-	// obsBuf is the per-machine observation scratch, reused every window
-	// so steady-state sampling does not allocate.
-	obsBuf []obs
-	// recBuf collects one machine-window's usage records and is handed to
-	// the sink as a single batch; the sink must not retain it, so the
-	// buffer is reused every machine.
-	recBuf []trace.UsageRecord
+	usageBufs
 	// partialRec is the one-record batch a task stopping mid-window
 	// emits. It is separate from recBuf because a stop can happen while
 	// sample is filling recBuf (an OOM kill under memory pressure).
@@ -354,15 +393,40 @@ type usageSampler struct {
 	// mWindows counts sampled windows when Options.Metrics is set; nil
 	// otherwise. Observe-only: it draws no randomness and emits no rows.
 	mWindows *metrics.Counter
+}
+
+// usageBufs are the usage sampler's buffers, which an Arena carries from
+// one cell's sampler to the next.
+type usageBufs struct {
+	// obsBuf is the per-machine observation scratch, reused every window
+	// so steady-state sampling does not allocate.
+	obsBuf []obs
+	// recBuf collects one machine-window's usage records and is handed to
+	// the sink as a single batch; the sink must not retain it, so the
+	// buffer is reused every machine.
+	recBuf []trace.UsageRecord
 	// partialCPU/partialMem accumulate the time-weighted usage already
 	// emitted for the current window by tasks that stopped mid-window,
 	// indexed by machine ID; partialIDs lists the machines with an entry
 	// so the per-window reset touches only those. The tick throttle
 	// subtracts them so a machine's window total never exceeds its
-	// physical capacity.
+	// physical capacity. Every other entry is zero, so an entry past the
+	// cell's machines, left by an earlier cell, subtracts nothing.
 	partialCPU []float64
 	partialMem []float64
 	partialIDs []trace.MachineID
+}
+
+// release empties the sampler's buffers, so that they name no task and
+// hold no partial usage, and returns them for the next cell's sampler.
+func (u *usageSampler) release() usageBufs {
+	b := u.usageBufs
+	u.usageBufs = usageBufs{}
+	clear(b.obsBuf[:cap(b.obsBuf)])
+	clear(b.partialCPU)
+	clear(b.partialMem)
+	b.obsBuf, b.recBuf, b.partialIDs = b.obsBuf[:0], b.recBuf[:0], b.partialIDs[:0]
+	return b
 }
 
 func newUsageSampler(p *workload.CellProfile, cell *cluster.Cell, sched *scheduler.Scheduler,

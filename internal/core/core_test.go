@@ -64,9 +64,9 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestConcurrentCellsMatchSequential: cells simulated at once share
-// the generators' pooled task-spec scratch, one buffer per running cell,
-// and each still writes the trace it writes alone.
+// TestConcurrentCellsMatchSequential: cells simulated at once, each on
+// its own fresh Arena, share no state, and each writes the trace it
+// writes alone.
 func TestConcurrentCellsMatchSequential(t *testing.T) {
 	run := func(seed uint64) *trace.MemTrace {
 		_, tr := runRetained(workload.Profile2019("a", 60), Options{Horizon: 4 * sim.Hour, Seed: seed})

@@ -33,7 +33,6 @@ func TestResidentSumsMatchTasks(t *testing.T) {
 	sched := scheduler.New(p.Sched, cell, k, sink, root.Split("scheduler"), nil)
 	ap := autopilot.New(sched)
 	gen := workload.NewGeneratorArrival(p, cell.Capacity().CPU, horizon, root.Split("workload"), 1)
-	defer gen.Release()
 	(&arrivals{k: k, gen: gen, sched: sched, horizon: horizon}).schedule(0)
 	ids := cell.MachineIDs()
 	maintenance := 0

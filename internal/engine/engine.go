@@ -22,6 +22,13 @@
 // Sinks are per-cell and driven by that cell's goroutine; give every
 // spec its own sink instance rather than sharing one, as
 // experiments.RunCells, the pipeline every runner uses, does.
+//
+// # Memory
+//
+// Each worker runs its cells in one core.Arena, so a cell grows into the
+// working memory the worker's previous cell left instead of regrowing it
+// from empty. A worker's memory outlives a cell but never the run: the
+// arena is the worker's own, and it goes when the worker exits.
 package engine
 
 import (
@@ -133,10 +140,12 @@ func Run(specs []Spec, opts Options) []*core.CellResult {
 // streaming sinks only (no trace.MemTrace), the state held at once is
 // the cells started and not yet delivered: the Parallelism running
 // cells plus the finished ones waiting for in-order delivery behind the
-// slowest undelivered cell. That backlog grows with how unequal the
-// cells are, not with n, but Parallelism does not bound it: a sweep at
-// Parallelism 4 held 16 reducers where one grid point's 9 plus 4
-// running cells would be 13. The pool has no start window (a cap on
+// slowest undelivered cell. (Beside them each worker's arena keeps
+// about the working memory of the largest cell it has run.) That
+// backlog grows with how unequal the cells are, not with n, but
+// Parallelism does not bound it: a sweep at Parallelism 4 held 16
+// reducers where one grid point's 9 plus 4 running cells would be 13.
+// The pool has no start window (a cap on
 // how far past the first undelivered cell a worker may start): a window
 // of Parallelism cells cost sweeps and fleets 17–18% wall time.
 // Everything else matches Run: in-order OnResult delivery, concurrent
@@ -203,12 +212,16 @@ func run(n int, spec func(i int) Spec, opts Options, keep bool) []*core.CellResu
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// The worker's cells run one after another in its arena, so
+			// each grows into the memory the one before it left; the
+			// arena goes with the worker.
+			var arena core.Arena
 			for i := range work {
 				if opts.OnStart != nil {
 					opts.OnStart(i)
 				}
 				s := spec(i)
-				deliver(i, core.Run(s.Profile, s.Options))
+				deliver(i, arena.Run(s.Profile, s.Options))
 			}
 		}()
 	}

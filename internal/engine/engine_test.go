@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -284,5 +285,59 @@ func TestNewGridSpec(t *testing.T) {
 	}
 	if spec.Profile != p || !spec.Options.DisableAutopilot || spec.Options.Horizon != 2*sim.Hour {
 		t.Fatal("grid spec dropped base options or profile")
+	}
+}
+
+// Budgets for a cell that a worker runs right after the same cell, per
+// submitted job. The run below reads 4.1 allocations and 1.3 KB per job.
+// The budgets keep TestRunAllocsPerJob's headroom: about 2.2 times the
+// reading for allocations and 1.8 times for bytes.
+const (
+	reusedAllocsPerJob = 9
+	reusedBytesPerJob  = 2400
+)
+
+// TestWorkerCellAllocsPerJob runs one cell twice on one worker and
+// bounds what the second run allocates per submitted job. The second
+// run grows into the arena the first left, which already has the
+// capacity it needs, so it allocates little beyond its jobs. On a fresh
+// arena the same cell regrows its task arrays, resident slots, event
+// slab and autopilot windows and reads 20.8 allocations and 16.1 KB per
+// job (TestRunAllocsPerJob runs the same cell), over both budgets, so a
+// worker that dropped its arena between cells fails here.
+func TestWorkerCellAllocsPerJob(t *testing.T) {
+	cell := Spec{Profile: workload.Profile2019("a", 60), Options: core.Options{Horizon: 8 * sim.Hour, Seed: 1}}
+	specs := []Spec{cell, cell}
+	var before, after runtime.MemStats
+	var second *core.CellResult
+	Run(specs, Options{
+		Parallelism: 1,
+		OnStart: func(i int) {
+			if i == 1 {
+				runtime.ReadMemStats(&before)
+			}
+		},
+		OnResult: func(i int, res *core.CellResult) {
+			if i == 1 {
+				runtime.ReadMemStats(&after)
+				second = res
+			}
+		},
+	})
+	jobs := second.Sched.JobsSubmitted
+	mallocs := after.Mallocs - before.Mallocs
+	bytes := after.TotalAlloc - before.TotalAlloc
+	if jobs == 0 || second.Sched.TasksPlaced < 50*jobs {
+		t.Fatalf("degenerate run: %d jobs, %d placements", jobs, second.Sched.TasksPlaced)
+	}
+	t.Logf("second cell: %d allocations, %.1f KB for %d jobs (%.1f allocations, %.1f KB per job)",
+		mallocs, float64(bytes)/1024, jobs, float64(mallocs)/float64(jobs), float64(bytes)/1024/float64(jobs))
+	if budget := uint64(reusedAllocsPerJob * jobs); mallocs > budget {
+		t.Fatalf("second cell allocated %d times for %d jobs, budget %d (%d per job)",
+			mallocs, jobs, budget, reusedAllocsPerJob)
+	}
+	if budget := uint64(reusedBytesPerJob * jobs); bytes > budget {
+		t.Fatalf("second cell allocated %d bytes for %d jobs, budget %d (%d per job)",
+			bytes, jobs, budget, reusedBytesPerJob)
 	}
 }

@@ -292,7 +292,9 @@ func (s *Scheduler) taskArray(n int) []Task {
 // observe its tasks, and once none of its tasks is left in the pending
 // queue. Freeing zeroes the array and sets the job's Tasks to nil.
 // Until a caller calls Reclaim, the scheduler keeps every finished job's
-// array, and the free lists live and die with the scheduler.
+// array. The free lists outlive the scheduler only through Release,
+// which hands them, and every array a job still holds, to the next
+// scheduler's Reuse.
 func (s *Scheduler) Reclaim() {
 	kept := s.retired[:0]
 	for i, j := range s.retired {
@@ -300,15 +302,66 @@ func (s *Scheduler) Reclaim() {
 			kept = append(kept, j)
 			continue
 		}
-		// Past len the array is still zero from make or an earlier clear.
-		clear(j.Tasks)
-		c := sizeClass(cap(j.Tasks))
-		s.freeTasks[c] = append(s.freeTasks[c], j.Tasks[:cap(j.Tasks)])
-		j.Tasks = nil
+		s.freeArray(j)
 	}
 	clear(s.retired[len(kept):])
 	s.retired = kept
 	s.aged = len(kept)
+}
+
+// freeArray zeroes j's task array, puts it on its size class's free list
+// and sets j's Tasks to nil.
+func (s *Scheduler) freeArray(j *Job) {
+	// Past len the array is still zero from make or an earlier clear.
+	clear(j.Tasks)
+	c := sizeClass(cap(j.Tasks))
+	s.freeTasks[c] = append(s.freeTasks[c], j.Tasks[:cap(j.Tasks)])
+	j.Tasks = nil
+}
+
+// Spare is a finished scheduler's working memory, for the next
+// scheduler to grow into: zeroed task arrays by size class, each
+// machine's resident slot slice and the pending queue's levels, all
+// emptied so that they name no task. The zero Spare holds nothing.
+type Spare struct {
+	tasks    [bits.UintSize][][]Task
+	machines []residents
+	pending  pendingQueue
+}
+
+// Reuse makes sp's memory the capacity the scheduler grows into, and
+// empties sp. Call it on a new scheduler, before the first Submit: only
+// capacity carries over, so every count, sum and queue starts empty, as
+// in a fresh scheduler.
+func (s *Scheduler) Reuse(sp *Spare) {
+	s.freeTasks, s.machines, s.pending = sp.tasks, sp.machines, sp.pending
+	*sp = Spare{}
+}
+
+// Release ends the scheduler: it hands its working memory to sp and
+// leaves the scheduler empty. Every task array, free or still held by a
+// live or retired job, is zeroed onto sp's free lists, and those jobs'
+// Tasks become nil; every machine's slots and every pending-queue level
+// are emptied. Call it once the cell's kernel has stopped for good:
+// afterwards no *Task the scheduler handed out names a task.
+func (s *Scheduler) Release(sp *Spare) {
+	for _, j := range s.retired {
+		s.freeArray(j)
+	}
+	// Map order decides only which zeroed array lands where on a list.
+	for _, j := range s.jobs {
+		if j.Tasks != nil {
+			s.freeArray(j)
+		}
+	}
+	for i := range s.machines {
+		r := &s.machines[i]
+		clear(r.slots)
+		*r = residents{slots: r.slots[:0]}
+	}
+	s.pending.release()
+	*sp = Spare{tasks: s.freeTasks, machines: s.machines, pending: s.pending}
+	*s = Scheduler{}
 }
 
 // targets reports whether job d runs inside alloc set j.

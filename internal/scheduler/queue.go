@@ -22,6 +22,9 @@ type pendingQueue struct {
 	// level before it is empty.
 	first int
 	n     int
+	// spare holds empty task slices, a released queue's levels, for a
+	// new level to take before it allocates one.
+	spare [][]*Task
 }
 
 // pendingLevel is the FIFO of one priority: tasks[head:] are queued.
@@ -52,6 +55,11 @@ func (q *pendingQueue) push(t *Task) {
 		q.levels = append(q.levels, pendingLevel{})
 		copy(q.levels[i+1:], q.levels[i:])
 		q.levels[i] = pendingLevel{priority: p}
+		if n := len(q.spare); n > 0 {
+			q.levels[i].tasks = q.spare[n-1]
+			q.spare[n-1] = nil
+			q.spare = q.spare[:n-1]
+		}
 	}
 	q.levels[i].tasks = append(q.levels[i].tasks, t)
 	t.Job.queued++
@@ -84,6 +92,18 @@ func (q *pendingQueue) pop() *Task {
 	q.n--
 	t.Job.queued--
 	return t
+}
+
+// release empties the queue: each level's task slice, cleared, joins
+// the spare slices, and the levels' own array keeps its capacity.
+func (q *pendingQueue) release() {
+	for i := range q.levels {
+		tasks := q.levels[i].tasks
+		clear(tasks)
+		q.spare = append(q.spare, tasks[:0])
+	}
+	clear(q.levels)
+	*q = pendingQueue{levels: q.levels[:0], spare: q.spare}
 }
 
 // enqueue adds a task to the pending queue and pokes the scheduling server.

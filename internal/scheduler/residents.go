@@ -57,11 +57,13 @@ func machineLimit(t *Task) trace.Resources {
 	return t.Request
 }
 
-// on returns machine id's residents. The table is indexed by machine ID;
-// New sizes it to the cell, and it grows when asked for an ID beyond it
-// (a machine added after New).
+// on returns machine id's residents. The table is indexed by machine ID.
+// It starts empty, or as the table a released scheduler left (Reuse),
+// and the first ID beyond it grows it to cover that ID and every machine
+// of the cell.
 func (s *Scheduler) on(id trace.MachineID) *residents {
-	if n := int(id) + 1; n > len(s.machines) {
+	if int(id) >= len(s.machines) {
+		n := max(int(id), len(s.cell.MachineIDs())) + 1
 		s.machines = append(s.machines, make([]residents, n-len(s.machines))...)
 	}
 	return &s.machines[id]

@@ -432,7 +432,8 @@ type Scheduler struct {
 	arriving Task
 
 	// freeTasks[c] holds zeroed task arrays of capacity 1<<c, reclaimed
-	// from terminated jobs, for Submit to reuse before it allocates.
+	// from terminated jobs or handed over by a released scheduler
+	// (Reuse), for Submit to reuse before it allocates.
 	freeTasks [bits.UintSize][][]Task
 	// retired lists the terminated jobs whose task arrays are not yet
 	// reclaimed, oldest first; the first aged of them were retired before
@@ -468,15 +469,14 @@ func New(cfg Config, cell *cluster.Cell, k *sim.Kernel, sink trace.Sink, src *rn
 		reg = metrics.NewRegistry()
 	}
 	s := &Scheduler{
-		cfg:      cfg,
-		cell:     cell,
-		machines: make([]residents, len(cell.MachineIDs())+1),
-		k:        k,
-		sink:     sink,
-		src:      src,
-		jobs:     make(map[trace.CollectionID]*Job),
-		allocs:   make(map[trace.CollectionID][]*AllocInstance),
-		met:      newSchedInstruments(reg),
+		cfg:    cfg,
+		cell:   cell,
+		k:      k,
+		sink:   sink,
+		src:    src,
+		jobs:   make(map[trace.CollectionID]*Job),
+		allocs: make(map[trace.CollectionID][]*AllocInstance),
+		met:    newSchedInstruments(reg),
 	}
 	s.serveEv = s.serve
 	if cfg.Batch {

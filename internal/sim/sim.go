@@ -15,15 +15,22 @@
 // end-of-run timer that may already have fired" safe without any
 // bookkeeping on the caller's side.
 //
+// A finished kernel hands its slab and queue to a Spare (Release), and
+// the next kernel grows into them (Reuse), so a worker that simulates
+// one cell after another grows its event memory once, not once per
+// cell.
+//
 // What a whole cell run allocates is therefore decided by the kernel's
 // callers. core.Run allocates per job the Job. A job the scheduler keeps
-// holds its tasks by value in one array taken from a per-cell pool that
-// grows to about the peak number of live tasks, since a finished job's
-// array is reused once nothing names its tasks; a job killed on arrival
-// allocates only its Job. Nothing is allocated per task event:
-// placements, restarts, retries and usage windows reuse pooled state.
-// TestRunAllocsPerJob in internal/core pins that bound end to end, and
-// TestKernelStepZeroAllocs pins the kernel's own part.
+// holds its tasks by value in one array taken from the scheduler's free
+// lists, which grow to about the peak number of live tasks, since a
+// finished job's array is reused once nothing names its tasks; a job
+// killed on arrival allocates only its Job. Nothing is allocated per
+// task event: placements, restarts, retries and usage windows reuse
+// pooled state. A core.Arena carries every such pool from one cell to
+// the next on the same worker. TestRunAllocsPerJob in internal/core
+// pins that bound end to end, and TestKernelStepZeroAllocs pins the
+// kernel's own part.
 package sim
 
 import "fmt"
@@ -124,6 +131,33 @@ type Kernel struct {
 // NewKernel returns a kernel with the clock at 0.
 func NewKernel() *Kernel {
 	return &Kernel{}
+}
+
+// Spare is a finished kernel's event memory: its slab, free list and
+// queue, emptied and zeroed so that it names no event. The zero Spare
+// holds nothing.
+type Spare struct {
+	slots       []eventSlot
+	free, order []uint32
+}
+
+// Reuse makes sp's memory the capacity the kernel grows into, and
+// empties sp. Call it on a new kernel, before scheduling anything: only
+// capacity carries over, so slot ids, generations and sequence numbers
+// are those of a fresh kernel.
+func (k *Kernel) Reuse(sp *Spare) {
+	k.slots, k.free, k.order = sp.slots[:0], sp.free[:0], sp.order[:0]
+	*sp = Spare{}
+}
+
+// Release ends the kernel: it hands its event memory to sp, zeroed, and
+// leaves the kernel empty, its queued events dropped. Clearing the slab
+// up to its length zeroes all of it: a kernel writes only below that
+// length, and past it the memory is as the previous Release left it.
+func (k *Kernel) Release(sp *Spare) {
+	clear(k.slots)
+	sp.slots, sp.free, sp.order = k.slots[:0], k.free[:0], k.order[:0]
+	*k = Kernel{}
 }
 
 // Now returns the current virtual time.

@@ -3,7 +3,6 @@ package workload
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/rng"
@@ -74,15 +73,10 @@ type Generator struct {
 	// out is Generate's result buffer, reused every arrival.
 	out []*scheduler.Job
 	// specs is the task-spec scratch Generate refills every arrival and
-	// the generated jobs' Specs point into. It comes from specScratch on
-	// first use and goes back with Release.
-	specs *[]scheduler.TaskSpec
+	// the generated jobs' Specs point into. Reuse lends it a released
+	// generator's capacity, and Release hands it on.
+	specs []scheduler.TaskSpec
 }
-
-// specScratch recycles generators' task-spec scratch between cell runs,
-// so a process grows one buffer per concurrently running cell to its
-// largest job, not one per cell.
-var specScratch = sync.Pool{New: func() any { return new([]scheduler.TaskSpec) }}
 
 // usageCompensation inflates per-job usage targets to offset early
 // kills, parent-propagated kills and horizon truncation, which all
@@ -167,10 +161,7 @@ func (g *Generator) NextInterArrival(now sim.Time) sim.Time {
 // are alloc sets). The jobs' Specs share the generator's scratch, which
 // the next Generate overwrites (see JobSource).
 func (g *Generator) Generate(now sim.Time) []*scheduler.Job {
-	if g.specs == nil {
-		g.specs = specScratch.Get().(*[]scheduler.TaskSpec)
-	}
-	*g.specs = (*g.specs)[:0]
+	g.specs = g.specs[:0]
 	out := g.out[:0]
 	f := g.p.AllocSetFraction
 	if f > 0 && g.src.Bool(f/(1-f)) {
@@ -182,23 +173,26 @@ func (g *Generator) Generate(now sim.Time) []*scheduler.Job {
 	return out
 }
 
-// Release returns the generator's task-spec scratch for another
-// generator to reuse. Call it once the jobs of the last Generate have
-// been submitted; a later Generate takes a scratch again.
-func (g *Generator) Release() {
-	if g.specs != nil {
-		specScratch.Put(g.specs)
-		g.specs = nil
-	}
+// Reuse makes *spare the task-spec scratch's capacity and empties
+// *spare. Call it before the first Generate.
+func (g *Generator) Reuse(spare *[]scheduler.TaskSpec) {
+	g.specs, *spare = (*spare)[:0], nil
+}
+
+// Release hands the generator's task-spec scratch to *spare, for
+// another generator's Reuse. Call it once the jobs of the last Generate
+// have been submitted; a later Generate grows a new scratch.
+func (g *Generator) Release(spare *[]scheduler.TaskSpec) {
+	*spare, g.specs = g.specs[:0], nil
 }
 
 // addSpecs extends the scratch by n specs and returns them, for the
 // caller to overwrite whole and hand to one job. Their capacity ends at
 // their length, so nothing appends into the next job's specs.
 func (g *Generator) addSpecs(n int) []scheduler.TaskSpec {
-	buf := slices.Grow(*g.specs, n)
+	buf := slices.Grow(g.specs, n)
 	start := len(buf)
-	*g.specs = buf[:start+n]
+	g.specs = buf[:start+n]
 	return buf[start : start+n : start+n]
 }
 

@@ -112,8 +112,8 @@ func TestTierMixMatchesShares(t *testing.T) {
 
 // TestSubmittedTasksOwnTheirSpecs: a job's Specs are the generator's
 // scratch, which the next Generate overwrites, and a generator's scratch
-// goes to the next generator after Release. A kept job's tasks are
-// copies, so neither changes them.
+// goes to the next generator through Release and Reuse. A kept job's
+// tasks are copies, so neither changes them.
 func TestSubmittedTasksOwnTheirSpecs(t *testing.T) {
 	p := Profile2019("a", 60)
 	cell := cluster.BuildCell(p.Name, p.Machines, p.Shapes, p.Overcommit, rng.New(1))
@@ -144,10 +144,16 @@ func TestSubmittedTasksOwnTheirSpecs(t *testing.T) {
 			}
 		}
 	}
+	var spare []scheduler.TaskSpec
 	g := NewGeneratorArrival(p, cell.Capacity().CPU, 24*sim.Hour, rng.New(7), 1)
 	submit(g, 200)
-	g.Release()
-	submit(NewGeneratorArrival(p, cell.Capacity().CPU, 24*sim.Hour, rng.New(8), 1<<20), 200)
+	g.Release(&spare)
+	if cap(spare) == 0 {
+		t.Fatal("Release handed on no scratch")
+	}
+	g = NewGeneratorArrival(p, cell.Capacity().CPU, 24*sim.Hour, rng.New(8), 1<<20)
+	g.Reuse(&spare)
+	submit(g, 200)
 	if len(jobs) < 300 || tasks < 2*len(jobs) {
 		t.Fatalf("degenerate run: %d jobs kept, %d tasks", len(jobs), tasks)
 	}
